@@ -381,19 +381,26 @@ def table_to_json_dict(table: BehaviorTable) -> dict:
 def table_from_json_dict(payload: dict) -> BehaviorTable:
     if payload.get("format") != TABLE_FORMAT:
         raise InvalidConfig(f"unsupported table format {payload.get('format')!r}")
-    mode = TableMode(payload["mode"])
-    cells = {
-        ContextKey(TraitTuple.from_bits(e["traits"]), ProactiveAct(e["act"]),
-                   e["condition"]): _cell_from_dict(e)
-        for e in payload["cells"]
-    }
-    fallback = {
-        (ProactiveAct(e["act"]), e["condition"]): _cell_from_dict(e)
-        for e in payload["fallback_cells"]
-    }
-    condition = {e["condition"]: _cell_from_dict(e) for e in payload["condition_cells"]}
+    try:
+        mode = TableMode(payload["mode"])
+        cells = {
+            ContextKey(TraitTuple.from_bits(e["traits"]), ProactiveAct(e["act"]),
+                       e["condition"]): _cell_from_dict(e)
+            for e in payload["cells"]
+        }
+        fallback = {
+            (ProactiveAct(e["act"]), e["condition"]): _cell_from_dict(e)
+            for e in payload["fallback_cells"]
+        }
+        condition = {e["condition"]: _cell_from_dict(e)
+                     for e in payload["condition_cells"]}
+        threshold = payload["fallback_threshold"]
+    except KeyError as exc:
+        raise InvalidConfig(f"table is missing key {exc}") from exc
+    except ValueError as exc:  # a mode or act value that names no member
+        raise InvalidConfig(f"malformed table: {exc}") from exc
     return BehaviorTable(
-        mode=mode, fallback_threshold=payload["fallback_threshold"],
+        mode=mode, fallback_threshold=threshold,
         cells=cells, fallback_cells=fallback, condition_cells=condition,
     )
 

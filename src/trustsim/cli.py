@@ -29,7 +29,7 @@ from .rl_env import Hyperparams, RewardConfig, TrustSimEnv, train_tabular_policy
 from .sampling import RandomStream
 from .simulator import replay_conditions, save_simulated_log
 from .synth import GeneratorConfig, generate_synthetic_corpus
-from .trust_model import TrainConfig, save_classifier, train_classifier
+from .trust_model import save_classifier, train_classifier
 from .user_model import fit_trait_distributions
 
 EXIT_OK = 0
@@ -115,7 +115,7 @@ def cmd_fit(args) -> int:
     save_table(table, out / "table.json")
     dists = fit_trait_distributions(corpus)
     _write_json(out / "trait_dists.json", dists.to_json_dict())
-    model = train_classifier(corpus, TrainConfig(seed=args.seed))
+    model = train_classifier(corpus)
     save_classifier(model, out / "trust_model.json")
     _write_json(out / "table_summary.json", table_summary(table).to_json_dict())
     _write_manifest(out, "fit",
@@ -129,13 +129,17 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _replay_table(args, corpus):
+    """The --table file if given, else a table fitted on the corpus."""
+    if args.table:
+        return load_table(args.table)
+    return build_table(corpus, MODE_NAMES[args.mode], args.fallback_threshold)
+
+
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
-    if args.table:
-        table = load_table(args.table)
-    else:
-        table = build_table(corpus, MODE_NAMES[args.mode], args.fallback_threshold)
+    table = _replay_table(args, corpus)
     log = replay_conditions(corpus, table, RandomStream(args.seed, "replay"))
     log_name = f"sim_log.{args.format}"
     save_simulated_log(log, out / log_name, args.format)
@@ -152,10 +156,7 @@ def cmd_simulate(args) -> int:
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
-    if args.table:
-        table = load_table(args.table)
-    else:
-        table = build_table(corpus, MODE_NAMES[args.mode], args.fallback_threshold)
+    table = _replay_table(args, corpus)
     log = replay_conditions(corpus, table, RandomStream(args.seed, "replay"))
     report = evaluate_simulator(corpus, log, table.mode.value)
     _write_json(out / "report.json", report.to_json_dict())
@@ -194,7 +195,7 @@ def cmd_train_rl(args) -> int:
     mode = MODE_NAMES[args.mode]
     table = build_table(corpus, mode, args.fallback_threshold)
     dists = fit_trait_distributions(corpus)
-    model = train_classifier(corpus, TrainConfig(seed=args.seed))
+    model = train_classifier(corpus)
     env = TrustSimEnv(table, dists, model,
                       RewardConfig(args.score_weight, args.trust_weight))
     result = train_tabular_policy(env, args.episodes, Hyperparams(seed=args.seed))

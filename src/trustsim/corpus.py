@@ -16,6 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from .errors import (
     EmptyCorpus,
     IncompleteDialog,
@@ -63,9 +65,11 @@ ACT_ORDER = (
 
 def complexity_of_step(step: int) -> int:
     """Number of options at a task step: the period-3 cycle 3,4,5 over 1..12."""
-    if not isinstance(step, int) or not 1 <= step <= STEPS_PER_DIALOG:
-        raise StepOutOfRange(f"step must be in 1..{STEPS_PER_DIALOG}, got {step}")
-    return 3 + (step - 1) % 3
+    # bool passes isinstance(int) but is never a step; numpy integers are steps
+    if isinstance(step, bool) or not isinstance(step, (int, np.integer)) \
+            or not 1 <= step <= STEPS_PER_DIALOG:
+        raise StepOutOfRange(f"step must be in 1..{STEPS_PER_DIALOG}, got {step!r}")
+    return 3 + (int(step) - 1) % 3
 
 
 def option_scores(complexity: int) -> tuple[float, ...]:
@@ -194,12 +198,6 @@ class Corpus:
     @property
     def exchange_count(self) -> int:
         return sum(len(d) for d in self.dialogs.values())
-
-    def user_by_id(self, user_id: str) -> UserRecord:
-        for user in self.users:
-            if user.user_id == user_id:
-                return user
-        raise KeyError(user_id)
 
     def iter_exchanges(self) -> Iterator[tuple[UserRecord, Exchange]]:
         """(user, exchange) pairs in canonical order: user list order, steps ascending."""

@@ -31,7 +31,7 @@ from .errors import (
     NegativeEntry,
 )
 from .sampling import RandomStream
-from .simulator import SimulatedLog, replay_conditions
+from .simulator import DURATION_HI, SimulatedLog, replay_conditions
 
 DEFAULT_SMOOTHING = 1e-6
 
@@ -54,8 +54,11 @@ SCORE_SUPPORT = tuple(
 
 @dataclass(frozen=True)
 class BinningConfig:
+    """Histogram ranges of the fidelity estimates; they do not change what
+    the simulator draws."""
+
     duration_lo: float = MIN_DURATION_S
-    duration_hi: float = 300.0
+    duration_hi: float = DURATION_HI
     duration_bins: int = 20
     smoothing: float = DEFAULT_SMOOTHING
 
@@ -145,25 +148,14 @@ def estimate_distribution(values, measure: Measure,
     return probs
 
 
-def _real_value(ex, measure: Measure):
-    return {
-        Measure.GAME_SCORE: ex.game_score,
-        Measure.DURATION: ex.duration,
-        Measure.DIFFICULTY: ex.difficulty,
-        Measure.HELP_REQUEST: ex.help_request,
-        Measure.SUGGESTION_REQUEST: ex.suggestion_request,
-    }[measure]
-
-
-def _sim_value(rec, measure: Measure):
-    turn = rec.turn
-    return {
-        Measure.GAME_SCORE: turn.game_score,
-        Measure.DURATION: turn.duration,
-        Measure.DIFFICULTY: turn.difficulty,
-        Measure.HELP_REQUEST: turn.help_request,
-        Measure.SUGGESTION_REQUEST: turn.suggestion_request,
-    }[measure]
+# The attribute each measure reads; Exchange and SimulatedTurn share them.
+_MEASURE_FIELDS = {
+    Measure.GAME_SCORE: "game_score",
+    Measure.DURATION: "duration",
+    Measure.DIFFICULTY: "difficulty",
+    Measure.HELP_REQUEST: "help_request",
+    Measure.SUGGESTION_REQUEST: "suggestion_request",
+}
 
 
 @dataclass(frozen=True)
@@ -239,10 +231,11 @@ def evaluate_simulator(reference: Corpus, simulated: SimulatedLog, mode_tag: str
     per_step_kl = {}
     per_step_mse = {}
     for measure in MEASURES:
+        name = _MEASURE_FIELDS[measure]
         kls, mses = [], []
         for step in range(1, STEPS_PER_DIALOG + 1):
-            real_vals = [_real_value(e, measure) for e in by_step_real[step]]
-            sim_vals = [_sim_value(r, measure) for r in by_step_sim[step]]
+            real_vals = [getattr(e, name) for e in by_step_real[step]]
+            sim_vals = [getattr(r.turn, name) for r in by_step_sim[step]]
             p = estimate_distribution(real_vals, measure, binning)
             q = estimate_distribution(sim_vals, measure, binning)
             kls.append(kl_divergence(p, q))
@@ -275,23 +268,23 @@ def compare_modes(corpus: Corpus, seed: int, train_fraction: float = 0.8,
     reports = {}
     for mode in (TableMode.COMPLEXITY_BASED, TableMode.TASK_STEP_BASED):
         table = build_table(train, mode, fallback_threshold)
-        log = replay_conditions(
-            test, table, RandomStream(seed, "replay", mode.value),
-            duration_hi=binning.duration_hi,
-        )
+        log = replay_conditions(test, table,
+                                RandomStream(seed, "replay", mode.value))
         reports[mode] = evaluate_simulator(test, log, mode.value, binning)
     return ModeComparison(reports=reports)
+
+
+def _report_items(reports) -> list:
+    """The FidelityReports of a ModeComparison, or a single report."""
+    if isinstance(reports, ModeComparison):
+        return list(reports.reports.values())
+    return [reports]
 
 
 def render_report_text(reports) -> str:
     """Aligned side-by-side table: one row per measure plus Overall,
     KL mean (SD) and MSE mean (SD) per mode."""
-    if isinstance(reports, ModeComparison):
-        items = list(reports.reports.values())
-    elif isinstance(reports, FidelityReport):
-        items = [reports]
-    else:
-        items = list(reports)
+    items = _report_items(reports)
     name_w = max(len(m.value) for m in MEASURES) + 2
     col_w = 24
     lines = []
@@ -323,12 +316,7 @@ def render_report_text(reports) -> str:
 
 def report_csv_rows(reports) -> list:
     """Flat CSV rows: mode, measure, kl_mean, kl_sd, mse_mean, mse_sd."""
-    if isinstance(reports, ModeComparison):
-        items = list(reports.reports.values())
-    elif isinstance(reports, FidelityReport):
-        items = [reports]
-    else:
-        items = list(reports)
+    items = _report_items(reports)
     rows = [("mode", "measure", "kl_mean", "kl_sd", "mse_mean", "mse_sd")]
     for r in items:
         for m in MEASURES:

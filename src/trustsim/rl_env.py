@@ -27,7 +27,7 @@ from .corpus import (
 )
 from .errors import EpisodeFinished, InvalidConfig, InvalidHyperparams
 from .sampling import RandomStream
-from .simulator import DEFAULT_DURATION_HI, SimulatedTurn, simulate_turn
+from .simulator import SimulatedTurn, simulate_turn
 from .trust_model import (
     NEUTRAL_LIKERT,
     TrustClassifier,
@@ -83,15 +83,11 @@ class TrustSimEnv:
 
     def __init__(self, table: BehaviorTable, traits: TraitDistributions,
                  trust_model: TrustClassifier,
-                 reward: RewardConfig = RewardConfig(),
-                 duration_hi: float = DEFAULT_DURATION_HI,
-                 clamp_scores: bool = True):
+                 reward: RewardConfig = RewardConfig()):
         self.table = table
         self.traits = traits
         self.trust_model = trust_model
         self.reward = reward
-        self.duration_hi = duration_hi
-        self.clamp_scores = clamp_scores
         self._stream = None
         self._done = True
 
@@ -115,10 +111,8 @@ class TrustSimEnv:
         if not isinstance(action, ProactiveAct):
             raise InvalidConfig(f"action must be a ProactiveAct, got {action!r}")
         s = self._step_no
-        turn = simulate_turn(
-            self.table, self._profile, s, action, self._stream.child("step", s),
-            duration_hi=self.duration_hi, clamp_scores=self.clamp_scores,
-        )
+        turn = simulate_turn(self.table, self._profile, s, action,
+                             self._stream.child("step", s))
         current = TurnContext.from_turn(s, action, turn)
         features = extract_features(self._profile, self._history, current)
         trust, _ = predict_trust(self.trust_model, features)

@@ -17,7 +17,6 @@ from pathlib import Path
 from .behavior_tables import (
     BehaviorTable,
     ContextKey,
-    DEFAULT_FALLBACK_THRESHOLD,
     REQUEST_COMBOS,
     TableMode,
     lookup,
@@ -38,7 +37,8 @@ from .errors import InvalidConfig, ValueOutOfRange, WrongActCount
 from .sampling import RandomStream, categorical, truncated_gaussian
 from .user_model import UserProfile, binarize_traits
 
-DEFAULT_DURATION_HI = 300.0
+# Upper truncation bound of simulated durations, in seconds.
+DURATION_HI = 300.0
 
 
 @dataclass(frozen=True)
@@ -61,30 +61,8 @@ class SimulatedTurn:
             raise ValueOutOfRange("game_score", self.game_score)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Run-level simulation settings. The lower duration bound is not a
-    knob: observed task durations always exceed 20 s."""
-
-    mode: TableMode = TableMode.TASK_STEP_BASED
-    fallback_threshold: int = DEFAULT_FALLBACK_THRESHOLD
-    duration_hi: float = DEFAULT_DURATION_HI
-    clamp_scores: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.duration_hi > MIN_DURATION_S:
-            raise InvalidConfig(f"duration_hi must exceed {MIN_DURATION_S}")
-
-    @property
-    def duration_lo(self) -> float:
-        return MIN_DURATION_S
-
-
 def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
-                  act: ProactiveAct, rng: RandomStream,
-                  duration_hi: float = DEFAULT_DURATION_HI,
-                  clamp_scores: bool = True) -> SimulatedTurn:
+                  act: ProactiveAct, rng: RandomStream) -> SimulatedTurn:
     complexity = complexity_of_step(step)
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
     key = ContextKey(binarize_traits(profile), act, condition)
@@ -100,17 +78,13 @@ def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
     difficulty = LIKERT_MIN + categorical(probs, rng.child("difficulty").gen)
 
     duration = truncated_gaussian(stats.duration_mean, stats.duration_sd,
-                                  MIN_DURATION_S, duration_hi,
+                                  MIN_DURATION_S, DURATION_HI,
                                   rng.child("duration").gen)
     duration = max(duration, math.nextafter(MIN_DURATION_S, math.inf))
 
-    score_gen = rng.child("score").gen
-    if clamp_scores:
-        game_score = truncated_gaussian(stats.score_mean, stats.score_sd,
-                                        OPTION_SCORE_UNIT,
-                                        max_option_score(complexity), score_gen)
-    else:
-        game_score = max(0.0, score_gen.normal(stats.score_mean, stats.score_sd))
+    game_score = truncated_gaussian(stats.score_mean, stats.score_sd,
+                                    OPTION_SCORE_UNIT, max_option_score(complexity),
+                                    rng.child("score").gen)
 
     return SimulatedTurn(
         help_request=help_request,
@@ -123,15 +97,13 @@ def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
 
 
 def simulate_dialog(table: BehaviorTable, profile: UserProfile, acts,
-                    rng: RandomStream, duration_hi: float = DEFAULT_DURATION_HI,
-                    clamp_scores: bool = True) -> list:
+                    rng: RandomStream) -> list:
     """Chain 12 turns; acts[i] drives step i+1."""
     acts = list(acts)
     if len(acts) != STEPS_PER_DIALOG:
         raise WrongActCount(f"need {STEPS_PER_DIALOG} acts, got {len(acts)}")
     return [
-        simulate_turn(table, profile, step, acts[step - 1], rng.child("step", step),
-                      duration_hi=duration_hi, clamp_scores=clamp_scores)
+        simulate_turn(table, profile, step, acts[step - 1], rng.child("step", step))
         for step in range(1, STEPS_PER_DIALOG + 1)
     ]
 
@@ -161,20 +133,16 @@ class SimulatedLog:
         return sum(r.turn.used_fallback for r in self.records) / len(self.records)
 
 
-def replay_conditions(corpus: Corpus, table: BehaviorTable, rng: RandomStream,
-                      duration_hi: float = DEFAULT_DURATION_HI,
-                      clamp_scores: bool = True) -> SimulatedLog:
+def replay_conditions(corpus: Corpus, table: BehaviorTable,
+                      rng: RandomStream) -> SimulatedLog:
     """Simulate a turn for every exchange under its recorded (user, step,
     act) context; output order matches the corpus's canonical exchange
     order, so record i pairs with exchange i."""
     records = []
     for user in corpus.users:
         for ex in corpus.dialogs[user.user_id]:
-            turn = simulate_turn(
-                table, user, ex.step, ex.proactive_act,
-                rng.child(user.user_id, ex.step),
-                duration_hi=duration_hi, clamp_scores=clamp_scores,
-            )
+            turn = simulate_turn(table, user, ex.step, ex.proactive_act,
+                                 rng.child(user.user_id, ex.step))
             records.append(ReplayRecord(
                 user_id=user.user_id, dialog_id=ex.dialog_id, step=ex.step,
                 complexity=ex.complexity, proactive_act=ex.proactive_act,

@@ -187,7 +187,6 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
 class TrainConfig:
     epochs: int = 300
     l2: float = 1e-3
-    seed: int = 0  # reserved; full-batch training draws nothing
 
     def __post_init__(self):
         if not isinstance(self.epochs, int) or self.epochs < 1:
@@ -351,13 +350,21 @@ def classifier_from_json_dict(payload: dict) -> TrustClassifier:
             f"model built for schema {payload['schema_version']}, "
             f"runtime is {SCHEMA_VERSION}"
         )
+    classes = tuple(payload["classes"])
+    weights = np.array(payload["weights"], dtype=float)
+    biases = np.array(payload["biases"], dtype=float)
+    mean = np.array(payload["feature_mean"], dtype=float)
+    scale = np.array(payload["feature_scale"], dtype=float)
+    if (weights.shape != (len(classes), N_FEATURES) or biases.shape != (len(classes),)
+            or mean.shape != (N_FEATURES,) or scale.shape != (N_FEATURES,)):
+        raise SchemaMismatch(
+            f"weights {weights.shape}, biases {biases.shape}, feature_mean "
+            f"{mean.shape} and feature_scale {scale.shape} do not fit "
+            f"{len(classes)} classes x {N_FEATURES} features"
+        )
     return TrustClassifier(
-        schema_version=payload["schema_version"],
-        classes=tuple(payload["classes"]),
-        weights=np.array(payload["weights"], dtype=float),
-        biases=np.array(payload["biases"], dtype=float),
-        feature_mean=np.array(payload["feature_mean"], dtype=float),
-        feature_scale=np.array(payload["feature_scale"], dtype=float),
+        schema_version=payload["schema_version"], classes=classes,
+        weights=weights, biases=biases, feature_mean=mean, feature_scale=scale,
     )
 
 

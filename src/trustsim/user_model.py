@@ -154,11 +154,6 @@ def fit_trait_distributions(corpus: Corpus) -> TraitDistributions:
     return TraitDistributions(gender_probs=probs, **kwargs)
 
 
-def sample_truncated_gaussian(mean, sd, lo, hi, stream: RandomStream) -> float:
-    """One truncated-Gaussian draw; sd = 0 returns clamp(mean, lo, hi)."""
-    return truncated_gaussian(mean, sd, lo, hi, stream.gen)
-
-
 def sample_user(dists: TraitDistributions, stream: RandomStream,
                 user_id: str = "sim") -> UserProfile:
     """Sample a full profile. Age is drawn continuously then rounded.

@@ -221,6 +221,23 @@ class TestExitCodes:
         assert main(["evaluate", "--corpus", str(corpus_file), "--seed", "1",
                      "--table", str(bad), "--out", str(work / "x7")]) == 3
 
+    @pytest.mark.parametrize("malform", ["keys", "mode", "act"])
+    def test_malformed_table_is_validation_error(self, work, corpus_file, fit_dir,
+                                                 capsys, malform):
+        payload = json.loads((fit_dir / "table.json").read_text())
+        if malform == "keys":
+            payload = {"format": payload["format"]}
+        elif malform == "mode":
+            payload["mode"] = "per-minute"
+        else:
+            payload["cells"][0]["act"] = "Nudge"
+        bad = work / f"bad_table_{malform}.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["simulate", "--corpus", str(corpus_file), "--seed", "1",
+                     "--table", str(bad), "--out", str(work / "x9")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidConfig"
+
     def test_malformed_corpus_is_validation_error(self, work, capsys):
         bad = work / "bad.csv"
         bad.write_text("user_id,step\nu0,1\n")

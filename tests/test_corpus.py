@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from conftest import make_corpus, make_dialog, make_exchange, make_user
@@ -45,7 +46,10 @@ class TestComplexityOfStep:
     def test_cycle_continuation(self):
         assert complexity_of_step(7) == 3
 
-    @pytest.mark.parametrize("step", [0, 13, -1, 3.0, "3"])
+    def test_accepts_numpy_integers(self):
+        assert complexity_of_step(np.int64(3)) == 5
+
+    @pytest.mark.parametrize("step", [0, 13, -1, 3.0, "3", True])
     def test_rejects_out_of_range(self, step):
         with pytest.raises(StepOutOfRange):
             complexity_of_step(step)

@@ -8,13 +8,13 @@ import math
 import pytest
 
 from conftest import analytic_truncated_mean, make_dialog, make_exchange, make_user
+from trustsim import simulator
 from trustsim.behavior_tables import ContextKey, TableMode, build_table, lookup
 from trustsim.corpus import Corpus, ProactiveAct
 from trustsim.errors import InvalidConfig, ValueOutOfRange, WrongActCount
 from trustsim.sampling import RandomStream
 from trustsim.simulator import (
     LOG_COLUMNS,
-    SimConfig,
     SimulatedTurn,
     replay_conditions,
     save_simulated_log,
@@ -44,19 +44,6 @@ class TestTurnInvariants:
     def test_score_nonnegative(self):
         with pytest.raises(ValueOutOfRange):
             turn(game_score=-0.5)
-
-
-class TestSimConfig:
-    def test_duration_floor_not_a_knob(self):
-        assert SimConfig().duration_lo == 20.0
-        with pytest.raises(InvalidConfig):
-            SimConfig(duration_hi=20.0)
-
-    def test_defaults(self):
-        config = SimConfig()
-        assert config.mode is TableMode.TASK_STEP_BASED
-        assert config.fallback_threshold == 10
-        assert config.clamp_scores is True
 
 
 def soundness_corpus() -> Corpus:
@@ -94,12 +81,14 @@ SOUNDNESS_DURATION_HI = 45.0
 def draws():
     table = build_table(soundness_corpus(), TableMode.TASK_STEP_BASED)
     profile = make_user()
-    return [
-        simulate_turn(table, profile, 1, ProactiveAct.NONE,
-                      RandomStream(123, "sound", i),
-                      duration_hi=SOUNDNESS_DURATION_HI)
-        for i in range(10_000)
-    ]
+    # the low ceiling clamps the sd-0 side combos (means 80..120 s) onto it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "DURATION_HI", SOUNDNESS_DURATION_HI)
+        return [
+            simulate_turn(table, profile, 1, ProactiveAct.NONE,
+                          RandomStream(123, "sound", i))
+            for i in range(10_000)
+        ]
 
 
 class TestTurnSampling:
@@ -183,14 +172,8 @@ class TestScoreClamping:
     def test_clamped_scores_stay_on_option_range(self):
         table = self.off_grid_table()
         t = simulate_turn(table, make_user(), 1, ProactiveAct.NONE,
-                          RandomStream(0), clamp_scores=True)
+                          RandomStream(0))
         assert t.game_score == 30.0
-
-    def test_unclamped_scores_follow_the_cell(self):
-        table = self.off_grid_table()
-        t = simulate_turn(table, make_user(), 1, ProactiveAct.NONE,
-                          RandomStream(0), clamp_scores=False)
-        assert t.game_score == 200.0
 
 
 class TestFallbackFlag:

@@ -318,3 +318,18 @@ class TestSerialization:
         payload["schema_version"] = "turn-features/v0"
         with pytest.raises(SchemaMismatch):
             classifier_from_json_dict(payload)
+
+    @pytest.mark.parametrize("field, value", [
+        ("weights", [[0.0]] * 2),
+        ("biases", [0.0]),
+        ("feature_mean", [0.0]),
+        ("feature_scale", [1.0]),
+    ])
+    def test_misshapen_arrays_rejected_at_load(self, field, value):
+        payload = classifier_to_json_dict(train_classifier(separable_corpus()))
+        payload["classes"] = [1, 5]
+        payload["weights"] = [[0.0] * N_FEATURES] * 2
+        payload["biases"] = [0.0, 0.0]
+        payload[field] = value
+        with pytest.raises(SchemaMismatch):
+            classifier_from_json_dict(payload)

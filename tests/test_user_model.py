@@ -21,7 +21,6 @@ from trustsim.user_model import (
     binarize_traits,
     default_trait_distributions,
     fit_trait_distributions,
-    sample_truncated_gaussian,
     sample_user,
 )
 
@@ -92,16 +91,6 @@ class TestFitTraitDistributions:
             # truncation pulls the realized mean off the nominal one; allow
             # the analytic shift plus sampling error
             assert abs(got.mean - true.mean) < 0.25 + 3 * se
-
-
-class TestSampleTruncatedGaussian:
-    def test_bounds_always_respected(self):
-        stream = RandomStream(1, "draws")
-        for _ in range(500):
-            assert 18 <= sample_truncated_gaussian(30, 10, 18, 60, stream) <= 60
-
-    def test_degenerate_sd(self):
-        assert sample_truncated_gaussian(3, 0, 1, 5, RandomStream(0)) == 3.0
 
 
 class TestSampleUser:

@@ -171,14 +171,18 @@ def combo_index(help_request: bool, suggestion_request: bool) -> int:
     return REQUEST_COMBOS.index((bool(help_request), bool(suggestion_request)))
 
 
+def _check_threshold(threshold) -> None:
+    if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
+        raise InvalidConfig(f"fallback threshold must be an int >= 1, got {threshold!r}")
+
+
 def build_table(corpus: Corpus, mode: TableMode,
                 fallback_threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> BehaviorTable:
     """Aggregate the corpus into trait-specific, act-level, and
     condition-level cells for the given conditioning mode."""
     if not isinstance(mode, TableMode):
         raise InvalidConfig(f"mode must be a TableMode, got {mode!r}")
-    if not isinstance(fallback_threshold, int) or fallback_threshold < 1:
-        raise InvalidConfig(f"fallback threshold must be >= 1, got {fallback_threshold}")
+    _check_threshold(fallback_threshold)
     if corpus.n_dialogs == 0:
         raise EmptyCorpus("cannot build a table from an empty corpus")
 
@@ -324,11 +328,32 @@ def _combo_to_dict(c: ComboStats) -> dict:
     }
 
 
+def _int_entry(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InvalidConfig(f"table entry {name!r} must be an int >= 0, got {value!r}")
+    return value
+
+
+def _number_entry(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfig(f"table entry {name!r} must be a number, got {value!r}")
+    return value
+
+
+def _counts_entry(value, name: str, length: int) -> tuple:
+    if not isinstance(value, list) or len(value) != length:
+        raise InvalidConfig(f"table entry {name!r} must list {length} counts, "
+                            f"got {value!r}")
+    return tuple(_int_entry(v, name) for v in value)
+
+
 def _combo_from_dict(d: dict) -> ComboStats:
     return ComboStats(
-        n=d["n"], score_mean=d["score_mean"], score_sd=d["score_sd"],
-        duration_mean=d["duration_mean"], duration_sd=d["duration_sd"],
-        difficulty_counts=tuple(d["difficulty_counts"]),
+        n=_int_entry(d["n"], "n"),
+        **{name: _number_entry(d[name], name) for name in
+           ("score_mean", "score_sd", "duration_mean", "duration_sd")},
+        difficulty_counts=_counts_entry(d["difficulty_counts"], "difficulty_counts",
+                                        N_DIFFICULTY_CLASSES),
     )
 
 
@@ -342,7 +367,9 @@ def _cell_to_dict(cell: CellStats) -> dict:
 
 def _cell_from_dict(d: dict) -> CellStats:
     return CellStats(
-        n=d["n"], request_counts=tuple(d["request_counts"]),
+        n=_int_entry(d["n"], "n"),
+        request_counts=_counts_entry(d["request_counts"], "request_counts",
+                                     len(REQUEST_COMBOS)),
         combos=tuple(_combo_from_dict(c) for c in d["combos"]),
     )
 
@@ -378,27 +405,33 @@ def table_to_json_dict(table: BehaviorTable) -> dict:
     }
 
 
-def table_from_json_dict(payload: dict) -> BehaviorTable:
+def table_from_json_dict(payload) -> BehaviorTable:
+    if not isinstance(payload, dict):
+        raise InvalidConfig(f"table JSON must be an object, got {type(payload).__name__}")
     if payload.get("format") != TABLE_FORMAT:
         raise InvalidConfig(f"unsupported table format {payload.get('format')!r}")
     try:
         mode = TableMode(payload["mode"])
         cells = {
             ContextKey(TraitTuple.from_bits(e["traits"]), ProactiveAct(e["act"]),
-                       e["condition"]): _cell_from_dict(e)
+                       _int_entry(e["condition"], "condition")): _cell_from_dict(e)
             for e in payload["cells"]
         }
         fallback = {
-            (ProactiveAct(e["act"]), e["condition"]): _cell_from_dict(e)
+            (ProactiveAct(e["act"]), _int_entry(e["condition"], "condition")):
+                _cell_from_dict(e)
             for e in payload["fallback_cells"]
         }
-        condition = {e["condition"]: _cell_from_dict(e)
+        condition = {_int_entry(e["condition"], "condition"): _cell_from_dict(e)
                      for e in payload["condition_cells"]}
         threshold = payload["fallback_threshold"]
     except KeyError as exc:
         raise InvalidConfig(f"table is missing key {exc}") from exc
-    except ValueError as exc:  # a mode or act value that names no member
+    # ValueError: a mode or act value that names no member; TypeError: a
+    # list, cell or combo of the wrong JSON type
+    except (ValueError, TypeError) as exc:
         raise InvalidConfig(f"malformed table: {exc}") from exc
+    _check_threshold(threshold)
     return BehaviorTable(
         mode=mode, fallback_threshold=threshold,
         cells=cells, fallback_cells=fallback, condition_cells=condition,

@@ -13,9 +13,13 @@ import argparse
 import csv
 import hashlib
 import json
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .behavior_tables import TableMode, build_table, load_table, save_table, table_summary
 from .corpus import load_corpus, save_corpus
 from .errors import TrustSimError
@@ -26,7 +30,7 @@ from .fidelity import (
     report_csv_rows,
 )
 from .rl_env import Hyperparams, RewardConfig, TrustSimEnv, train_tabular_policy
-from .sampling import RandomStream
+from .sampling import STREAM_FORMAT, RandomStream
 from .simulator import replay_conditions, save_simulated_log
 from .synth import GeneratorConfig, generate_synthetic_corpus
 from .trust_model import save_classifier, train_classifier
@@ -63,9 +67,13 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, artifacts) -> None:
+    # Fixed for a given environment, so identical invocations still write
+    # identical manifests.
+    versions = {"trustsim": __version__, "numpy": np.__version__,
+                "python": platform.python_version()}
     manifest = {
         "command": command,
-        "config": config,
+        "config": {**config, "stream_format": STREAM_FORMAT, "versions": versions},
         "artifacts": {name: f"sha256:{_sha256(out_dir / name)}" for name in artifacts},
     }
     _write_json(out_dir / "manifest.json", manifest)

@@ -292,7 +292,8 @@ def load_corpus(path, file_format: str | None = None) -> Corpus:
     """Load and validate a corpus from a CSV or JSONL file.
 
     Rows are grouped by user_id; each user must contribute exactly the
-    steps 1..12. Row numbers in errors are 1-based data rows.
+    steps 1..12 of one dialog_id. Row numbers in errors are 1-based data
+    rows.
     """
     path = Path(path)
     file_format = _infer_format(path, file_format)
@@ -316,6 +317,10 @@ def load_corpus(path, file_format: str | None = None) -> Corpus:
         elif seen[uid] != user:
             raise ValueOutOfRange("user_id", uid, row=i,
                                   detail="user columns differ between rows")
+        elif dialog_rows[uid][0].dialog_id != exchange.dialog_id:
+            raise ValueOutOfRange("dialog_id", exchange.dialog_id, row=i,
+                                  detail=f"user {uid!r} already has dialog "
+                                         f"{dialog_rows[uid][0].dialog_id!r}")
         dialog_rows[uid].append(exchange)
 
     for uid, exchanges in dialog_rows.items():
@@ -359,7 +364,7 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
     if not 0 < train_fraction < 1:
         raise InvalidConfig(f"train_fraction must be in (0,1), got {train_fraction}")
     n_train = math.floor(train_fraction * corpus.n_dialogs)
-    perm = RandomStream(seed, "split").gen.permutation(corpus.n_dialogs)
+    perm = RandomStream(seed, "split").permutation(corpus.n_dialogs)
     train_ids = {corpus.users[i].user_id for i in perm[:n_train]}
 
     def subset(keep: set[str]) -> Corpus:

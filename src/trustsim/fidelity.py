@@ -14,10 +14,11 @@ from enum import Enum
 
 import numpy as np
 
-from .behavior_tables import TableMode, build_table
+from .behavior_tables import N_DIFFICULTY_CLASSES, TableMode, build_table
 from .corpus import (
     COMPLEXITY_LEVELS,
     Corpus,
+    LIKERT_MIN,
     MIN_DURATION_S,
     OPTION_SCORE_UNIT,
     STEPS_PER_DIALOG,
@@ -29,6 +30,7 @@ from .errors import (
     InvalidConfig,
     LengthMismatch,
     NegativeEntry,
+    ValueOutOfRange,
 )
 from .sampling import RandomStream
 from .simulator import DURATION_HI, SimulatedLog, replay_conditions
@@ -50,6 +52,7 @@ MEASURES = tuple(Measure)
 SCORE_SUPPORT = tuple(
     OPTION_SCORE_UNIT * i for i in range(1, max(COMPLEXITY_LEVELS) + 1)
 )
+_SCORE_GRID = np.array(SCORE_SUPPORT)
 
 
 @dataclass(frozen=True)
@@ -110,37 +113,33 @@ def mse(simulated, reference) -> float:
     return float(np.mean((sim - ref) ** 2))
 
 
-def _nearest_index(value: float, support) -> int:
-    return min(range(len(support)), key=lambda i: (abs(support[i] - value), i))
-
-
 def estimate_distribution(values, measure: Measure,
                           binning: BinningConfig = BinningConfig()) -> np.ndarray:
     """Empirical histogram on the measure's support, smoothed and
     renormalized. Score samples snap to the nearest attainable option
-    score; durations clip into the configured range."""
-    values = list(values)
-    if not values:
+    score, ties to the lower one; durations clip into the configured
+    range."""
+    x = np.asarray(list(values), dtype=float)
+    if x.size == 0:
         raise EmptySequence(f"no samples for {measure.value}")
     if measure is Measure.GAME_SCORE:
-        counts = np.zeros(len(SCORE_SUPPORT))
-        for v in values:
-            counts[_nearest_index(float(v), SCORE_SUPPORT)] += 1
+        # argmin keeps the first of equal distances
+        idx = np.argmin(np.abs(_SCORE_GRID - x[:, None]), axis=1)
+        n_bins = len(SCORE_SUPPORT)
     elif measure is Measure.DURATION:
-        counts = np.zeros(binning.duration_bins)
-        width = (binning.duration_hi - binning.duration_lo) / binning.duration_bins
-        for v in values:
-            x = min(max(float(v), binning.duration_lo), binning.duration_hi)
-            idx = min(int((x - binning.duration_lo) / width), binning.duration_bins - 1)
-            counts[idx] += 1
+        lo, hi, n_bins = binning.duration_lo, binning.duration_hi, binning.duration_bins
+        width = (hi - lo) / n_bins
+        idx = np.minimum(((np.clip(x, lo, hi) - lo) / width).astype(int), n_bins - 1)
     elif measure is Measure.DIFFICULTY:
-        counts = np.zeros(5)
-        for v in values:
-            counts[int(v) - 1] += 1
+        idx = x.astype(int) - LIKERT_MIN
+        n_bins = N_DIFFICULTY_CLASSES
+        outside = (idx < 0) | (idx >= n_bins)
+        if outside.any():
+            raise ValueOutOfRange("difficulty", x[outside][0], detail="must be in 1..5")
     else:
-        counts = np.zeros(2)
-        for v in values:
-            counts[1 if v else 0] += 1
+        idx = (x != 0).astype(int)
+        n_bins = 2
+    counts = np.bincount(idx, minlength=n_bins)
     probs = counts / counts.sum()
     if binning.smoothing > 0:
         probs = probs + binning.smoothing

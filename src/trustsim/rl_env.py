@@ -175,9 +175,9 @@ def train_tabular_policy(env, episodes: int,
         t = 0
         while not done:
             t += 1
-            gen = root.child("explore", ep, t).gen
-            if gen.random() < hp.epsilon:
-                ai = int(gen.integers(N_ACTIONS))
+            explore = root.child("explore", ep, t)
+            if explore.random() < hp.epsilon:
+                ai = explore.integers(N_ACTIONS)
             else:
                 ai = int(np.argmax(q[si]))
             state, reward, done = env.step(ACT_ORDER[ai])

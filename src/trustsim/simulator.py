@@ -68,23 +68,23 @@ def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
     key = ContextKey(binarize_traits(profile), act, condition)
     cell, used_fallback = lookup(table, key)
 
-    combo_idx = categorical(cell.request_probs, rng.child("requests").gen)
+    combo_idx = categorical(cell.request_probs, rng.child("requests"))
     help_request, suggestion_request = REQUEST_COMBOS[combo_idx]
     stats = resolve_combo_stats(table, key, combo_idx)
 
     counts = stats.difficulty_counts
     total = sum(counts)
     probs = tuple(c / total for c in counts)
-    difficulty = LIKERT_MIN + categorical(probs, rng.child("difficulty").gen)
+    difficulty = LIKERT_MIN + categorical(probs, rng.child("difficulty"))
 
     duration = truncated_gaussian(stats.duration_mean, stats.duration_sd,
                                   MIN_DURATION_S, DURATION_HI,
-                                  rng.child("duration").gen)
+                                  rng.child("duration"))
     duration = max(duration, math.nextafter(MIN_DURATION_S, math.inf))
 
     game_score = truncated_gaussian(stats.score_mean, stats.score_sd,
                                     OPTION_SCORE_UNIT, max_option_score(complexity),
-                                    rng.child("score").gen)
+                                    rng.child("score"))
 
     return SimulatedTurn(
         help_request=help_request,

@@ -241,12 +241,12 @@ class GeneratorConfig:
         return replace(self, **kwargs)
 
 
-def _bernoulli(p: float, gen) -> bool:
-    return bool(gen.random() < p)
+def _bernoulli(p: float, rng: RandomStream) -> bool:
+    return rng.random() < p
 
 
-def _annotation(latent: float, noise_sd: float, gen) -> int:
-    value = math.floor(latent + gen.normal(0.0, noise_sd) + 0.5)
+def _annotation(latent: float, noise_sd: float, rng: RandomStream) -> int:
+    value = math.floor(latent + rng.normal(0.0, noise_sd) + 0.5)
     return int(min(LIKERT_MAX, max(LIKERT_MIN, value)))
 
 
@@ -274,30 +274,30 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
             sstream = ustream.child("step", step)
             k = complexity_of_step(step)
             scores = option_scores(k)
-            act = ACT_ORDER[int(sstream.child("act").gen.integers(len(ACT_ORDER)))]
+            act = ACT_ORDER[sstream.child("act").integers(len(ACT_ORDER))]
 
             help_req = _bernoulli(proc.help_prob(traits, act, step),
-                                  sstream.child("help").gen)
+                                  sstream.child("help"))
             sugg_req = _bernoulli(proc.sugg_prob(traits, act, step),
-                                  sstream.child("sugg").gen)
+                                  sstream.child("sugg"))
 
             p_best = proc.best_prob(traits, act, sugg_req, step, config.step_drift)
-            score_gen = sstream.child("score").gen
-            if _bernoulli(p_best, score_gen):
+            score_stream = sstream.child("score")
+            if _bernoulli(p_best, score_stream):
                 game_score = scores[-1]
             else:
-                game_score = scores[int(score_gen.integers(k - 1))]
+                game_score = scores[score_stream.integers(k - 1)]
 
             mean = proc.duration_mean(traits, help_req, sugg_req, step,
                                       config.step_drift)
             duration = truncated_gaussian(mean, proc.duration_sd, MIN_DURATION_S,
                                           config.duration_hi,
-                                          sstream.child("duration").gen)
+                                          sstream.child("duration"))
             # type invariant is strict: duration > 20
             duration = max(duration, math.nextafter(MIN_DURATION_S, math.inf))
 
             pmf = proc.difficulty_pmf(traits, step)
-            difficulty = 1 + categorical(pmf, sstream.child("difficulty").gen)
+            difficulty = 1 + categorical(pmf, sstream.child("difficulty"))
 
             best_chosen = game_score == max_option_score(k)
             latent_trust = _clip(
@@ -307,7 +307,7 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
             )
             annotations = {
                 name: _annotation(latent_trust, proc.trust_noise_sd,
-                                  sstream.child(name).gen)
+                                  sstream.child(name))
                 for name in TRUST_FIELDS
             }
 

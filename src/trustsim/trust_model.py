@@ -342,19 +342,30 @@ def classifier_to_json_dict(model: TrustClassifier) -> dict:
     }
 
 
-def classifier_from_json_dict(payload: dict) -> TrustClassifier:
+def classifier_from_json_dict(payload) -> TrustClassifier:
+    if not isinstance(payload, dict):
+        raise InvalidConfig(f"model JSON must be an object, got {type(payload).__name__}")
     if payload.get("format") != MODEL_FORMAT:
         raise InvalidConfig(f"unsupported model format {payload.get('format')!r}")
-    if payload["schema_version"] != SCHEMA_VERSION:
+    try:
+        schema = payload["schema_version"]
+        classes = tuple(payload["classes"])
+        weights = np.array(payload["weights"], dtype=float)
+        biases = np.array(payload["biases"], dtype=float)
+        mean = np.array(payload["feature_mean"], dtype=float)
+        scale = np.array(payload["feature_scale"], dtype=float)
+    except KeyError as exc:
+        raise SchemaMismatch(f"model is missing key {exc}") from exc
+    # a non-list classes entry, or arrays of non-numbers or ragged rows
+    except (TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"malformed model: {exc}") from exc
+    if schema != SCHEMA_VERSION:
         raise SchemaMismatch(
-            f"model built for schema {payload['schema_version']}, "
-            f"runtime is {SCHEMA_VERSION}"
+            f"model built for schema {schema}, runtime is {SCHEMA_VERSION}"
         )
-    classes = tuple(payload["classes"])
-    weights = np.array(payload["weights"], dtype=float)
-    biases = np.array(payload["biases"], dtype=float)
-    mean = np.array(payload["feature_mean"], dtype=float)
-    scale = np.array(payload["feature_scale"], dtype=float)
+    if any(type(c) is not int or c not in TRUST_CLASSES for c in classes):
+        raise SchemaMismatch(f"model classes {list(classes)} are not trust levels "
+                             f"{list(TRUST_CLASSES)}")
     if (weights.shape != (len(classes), N_FEATURES) or biases.shape != (len(classes),)
             or mean.shape != (N_FEATURES,) or scale.shape != (N_FEATURES,)):
         raise SchemaMismatch(
@@ -363,7 +374,7 @@ def classifier_from_json_dict(payload: dict) -> TrustClassifier:
             f"{len(classes)} classes x {N_FEATURES} features"
         )
     return TrustClassifier(
-        schema_version=payload["schema_version"], classes=classes,
+        schema_version=schema, classes=classes,
         weights=weights, biases=biases, feature_mean=mean, feature_scale=scale,
     )
 

@@ -163,15 +163,15 @@ def sample_user(dists: TraitDistributions, stream: RandomStream,
     """
     age_raw = truncated_gaussian(
         dists.age.mean, dists.age.sd, dists.age.lo, dists.age.hi,
-        stream.child("age").gen,
+        stream.child("age"),
     )
     kwargs = {"age": int(math.floor(age_raw + 0.5))}
     for name in SCALE_TRAITS:
         dist = getattr(dists, name)
         kwargs[name] = truncated_gaussian(
-            dist.mean, dist.sd, dist.lo, dist.hi, stream.child(name).gen
+            dist.mean, dist.sd, dist.lo, dist.hi, stream.child(name)
         )
-    gender = GENDER_ORDER[categorical(dists.gender_probs, stream.child("gender").gen)]
+    gender = GENDER_ORDER[categorical(dists.gender_probs, stream.child("gender"))]
     return UserProfile(user_id=user_id, gender=gender, **kwargs)
 
 

@@ -5,13 +5,17 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from trustsim.behavior_tables import TableMode, load_table
 from trustsim.cli import main
 from trustsim.corpus import load_corpus
+from trustsim.errors import InvalidConfig, SchemaMismatch
 from trustsim.rl_env import N_STATES
+from trustsim.sampling import STREAM_FORMAT
 from trustsim.synth import GeneratorConfig
+from trustsim.trust_model import load_classifier
 
 
 def sha256(path):
@@ -82,6 +86,15 @@ class TestGenCorpus:
                      "--format", "jsonl", "--out", str(out)]) == 0
         assert (out / "corpus.jsonl").exists()
         assert load_corpus(out / "corpus.jsonl").n_dialogs == 4
+
+
+class TestManifest:
+    def test_config_records_stream_format_and_versions(self, corpus_file, fit_dir):
+        for out in (corpus_file.parent, fit_dir):
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config["stream_format"] == STREAM_FORMAT == 2
+            assert set(config["versions"]) == {"trustsim", "numpy", "python"}
+            assert config["versions"]["numpy"] == np.__version__
 
 
 class TestFit:
@@ -221,22 +234,62 @@ class TestExitCodes:
         assert main(["evaluate", "--corpus", str(corpus_file), "--seed", "1",
                      "--table", str(bad), "--out", str(work / "x7")]) == 3
 
-    @pytest.mark.parametrize("malform", ["keys", "mode", "act"])
+    @pytest.mark.parametrize("malform", ["keys", "mode", "act", "not-object", "cells",
+                                         "count", "mean", "condition", "threshold"])
     def test_malformed_table_is_validation_error(self, work, corpus_file, fit_dir,
                                                  capsys, malform):
         payload = json.loads((fit_dir / "table.json").read_text())
+        cell = payload["cells"][0]
         if malform == "keys":
             payload = {"format": payload["format"]}
         elif malform == "mode":
             payload["mode"] = "per-minute"
+        elif malform == "act":
+            cell["act"] = "Nudge"
+        elif malform == "not-object":
+            payload = [payload]
+        elif malform == "cells":
+            payload["cells"] = 5
+        elif malform == "count":
+            cell["request_counts"][0] = str(cell["request_counts"][0])
+        elif malform == "mean":
+            cell["combos"][0]["score_mean"] = "high"
+        elif malform == "condition":
+            cell["condition"] = str(cell["condition"])
         else:
-            payload["cells"][0]["act"] = "Nudge"
+            payload["fallback_threshold"] = 0.5
         bad = work / f"bad_table_{malform}.json"
         bad.write_text(json.dumps(payload))
         assert main(["simulate", "--corpus", str(corpus_file), "--seed", "1",
                      "--table", str(bad), "--out", str(work / "x9")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidConfig"
+
+    @pytest.mark.parametrize("malform,error", [
+        ("not-object", InvalidConfig),
+        ("schema_version", SchemaMismatch),
+        ("classes", SchemaMismatch),
+        ("weights", SchemaMismatch),
+        ("feature_scale", SchemaMismatch),
+        ("weight-strings", SchemaMismatch),
+        ("class-labels", SchemaMismatch),
+    ])
+    def test_malformed_model_is_validation_error(self, work, fit_dir, malform, error):
+        # No CLI stage reads a saved model, so this checks for the typed
+        # TrustSimError that main maps to exit code 2.
+        payload = json.loads((fit_dir / "trust_model.json").read_text())
+        if malform == "not-object":
+            payload = [payload]
+        elif malform == "weight-strings":
+            payload["weights"] = [["w"] * len(row) for row in payload["weights"]]
+        elif malform == "class-labels":
+            payload["classes"] = [str(c) for c in payload["classes"]]
+        else:
+            del payload[malform]
+        bad = work / f"bad_model_{malform}.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(error):
+            load_classifier(bad)
 
     def test_malformed_corpus_is_validation_error(self, work, capsys):
         bad = work / "bad.csv"

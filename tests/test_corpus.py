@@ -180,6 +180,20 @@ class TestFileRoundTrip:
         assert err.value.field == "duration"
         assert err.value.row == 3
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_second_dialog_id_for_a_user_names_row(self, tmp_path, fmt):
+        path = tmp_path / f"c.{fmt}"
+        corpus = make_corpus()
+        uid = corpus.users[0].user_id
+        exchanges = list(corpus.dialogs[uid])
+        exchanges[4] = dataclasses.replace(exchanges[4], dialog_id="other")
+        save_corpus(Corpus(users=corpus.users, dialogs={**corpus.dialogs, uid: exchanges}),
+                    path)
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        assert err.value.field == "dialog_id"
+        assert err.value.row == 5
+
     def test_columns_cover_both_schemas(self):
         assert set(USER_COLUMNS) & set(EXCHANGE_COLUMNS) == set()
 

@@ -14,6 +14,7 @@ from trustsim.errors import (
     InvalidConfig,
     LengthMismatch,
     NegativeEntry,
+    ValueOutOfRange,
 )
 from trustsim.fidelity import (
     BinningConfig,
@@ -101,7 +102,68 @@ class TestMse:
 RAW = BinningConfig(smoothing=0.0)
 
 
+def loop_estimate(values, measure, binning):
+    """The per-sample loops estimate_distribution replaced, kept as the
+    reference its vectorized form must match bit for bit."""
+    if measure is Measure.GAME_SCORE:
+        counts = np.zeros(len(SCORE_SUPPORT))
+        for v in values:
+            nearest = min(range(len(SCORE_SUPPORT)),
+                          key=lambda i: (abs(SCORE_SUPPORT[i] - float(v)), i))
+            counts[nearest] += 1
+    elif measure is Measure.DURATION:
+        counts = np.zeros(binning.duration_bins)
+        width = (binning.duration_hi - binning.duration_lo) / binning.duration_bins
+        for v in values:
+            x = min(max(float(v), binning.duration_lo), binning.duration_hi)
+            idx = min(int((x - binning.duration_lo) / width), binning.duration_bins - 1)
+            counts[idx] += 1
+    elif measure is Measure.DIFFICULTY:
+        counts = np.zeros(5)
+        for v in values:
+            counts[int(v) - 1] += 1
+    else:
+        counts = np.zeros(2)
+        for v in values:
+            counts[1 if v else 0] += 1
+    probs = counts / counts.sum()
+    if binning.smoothing > 0:
+        probs = probs + binning.smoothing
+        probs = probs / probs.sum()
+    return probs
+
+
 class TestEstimateDistribution:
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("binning", [RAW, BinningConfig(),
+                                         BinningConfig(40.0, 200.0, 7)])
+    def test_matches_the_per_sample_loop(self, measure, binning):
+        gen = np.random.default_rng(23)
+        lo, hi, bins = binning.duration_lo, binning.duration_hi, binning.duration_bins
+        edges = lo + (hi - lo) / bins * np.arange(bins + 1)
+        samples = {
+            # option scores, the midpoints between them, and everything around
+            Measure.GAME_SCORE: np.concatenate([
+                gen.uniform(-10.0, 70.0, 400), SCORE_SUPPORT,
+                np.array(SCORE_SUPPORT[:-1]) + 5.0]),
+            # bin edges, their float neighbours, and values beyond the clip range
+            Measure.DURATION: np.concatenate([
+                gen.uniform(0.0, 1.5 * hi, 400), edges,
+                np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                [lo - 1.0, hi + 1.0, 1e9]]),
+            Measure.DIFFICULTY: gen.integers(1, 6, 400),
+            Measure.HELP_REQUEST: gen.random(400) < 0.3,
+            Measure.SUGGESTION_REQUEST: gen.random(400) < 0.7,
+        }
+        values = samples[measure].tolist()
+        got = estimate_distribution(values, measure, binning)
+        assert np.array_equal(got, loop_estimate(values, measure, binning))
+
+    @pytest.mark.parametrize("difficulty", [0, 6])
+    def test_difficulty_outside_likert_range_rejected(self, difficulty):
+        with pytest.raises(ValueOutOfRange):
+            estimate_distribution([3, difficulty], Measure.DIFFICULTY)
+
     def test_scores_snap_to_nearest_option(self):
         probs = estimate_distribution([10, 14, 16, 30, 50],
                                       Measure.GAME_SCORE, RAW)

@@ -11,123 +11,137 @@ import pytest
 from conftest import analytic_truncated_mean
 from trustsim.errors import InvalidBounds
 from trustsim.sampling import (
-    MAX_REJECTS,
     RandomStream,
     categorical,
-    derive_seed,
     truncated_gaussian,
 )
 
 
 class TestRandomStream:
     def test_same_path_replays_identically(self):
-        a = RandomStream(42, "x").gen.random(5)
-        b = RandomStream(42, "x").gen.random(5)
-        assert np.array_equal(a, b)
+        a, b = RandomStream(42, "x"), RandomStream(42, "x")
+        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
 
     def test_child_streams_differ_from_parent_and_siblings(self):
         root = RandomStream(42)
-        seeds = {
-            derive_seed(42),
-            derive_seed(42, "a"),
-            derive_seed(42, "b"),
-            derive_seed(42, "a", "a"),
+        keys = {
+            root.key,
+            root.child("a").key,
+            root.child("b").key,
+            root.child("a", "a").key,
         }
-        assert len(seeds) == 4
-        assert root.child("a").gen.random() != root.child("b").gen.random()
+        assert len(keys) == 4
+        assert root.child("a").random() != root.child("b").random()
 
     def test_child_draws_are_order_insensitive(self):
         # drawing from one substream must not shift a sibling
         root1 = RandomStream(7, "dialog")
-        _ = root1.child("requests").gen.random()
-        dur1 = root1.child("duration").gen.random()
+        _ = root1.child("requests").random()
+        dur1 = root1.child("duration").random()
 
         root2 = RandomStream(7, "dialog")
-        dur2 = root2.child("duration").gen.random()
+        dur2 = root2.child("duration").random()
         assert dur1 == dur2
 
     def test_numeric_and_string_labels_compose(self):
         s = RandomStream(1, "u3", 7, "score")
-        assert s.path == ("u3", "7", "score")
+        assert s.key == RandomStream(1).child("u3").child(7, "score").key
+        # an int label and its decimal string name different children
+        assert s.key != RandomStream(1, "u3", "7", "score").key
+
+    def test_child_ignores_draws_on_the_parent(self):
+        parent = RandomStream(3, "p")
+        before = parent.child("c").key
+        parent.random()
+        assert parent.child("c").key == before
+
+    def test_draws_follow_the_splitmix64_reference(self):
+        # published SplitMix64 outputs for state 1234567
+        s = RandomStream._from_key(1234567)
+        assert [s._next64() for _ in range(3)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423]
+
+    def test_known_first_draws(self):
+        # pins the stream format: changing these values needs a
+        # STREAM_FORMAT bump
+        s = RandomStream(0)
+        assert s.key == 0x5A5A17601B3A0865
+        assert [s.random(), s.integers(10)] == [0.2197059935042739, 9]
 
 
 class TestTruncatedGaussian:
     def test_all_draws_within_bounds(self):
-        gen = RandomStream(3, "tg").gen
-        draws = [truncated_gaussian(30, 10, 18, 60, gen) for _ in range(2000)]
+        rng = RandomStream(3, "tg")
+        draws = [truncated_gaussian(30, 10, 18, 60, rng) for _ in range(2000)]
         assert all(18 <= x <= 60 for x in draws)
 
     def test_degenerate_sd_returns_clamped_mean(self):
-        gen = RandomStream(0).gen
-        assert truncated_gaussian(3, 0, 1, 5, gen) == 3.0
-        assert truncated_gaussian(9, 0, 1, 5, gen) == 5.0
-        assert truncated_gaussian(-2, 0, 1, 5, gen) == 1.0
+        rng = RandomStream(0)
+        assert truncated_gaussian(3, 0, 1, 5, rng) == 3.0
+        assert truncated_gaussian(9, 0, 1, 5, rng) == 5.0
+        assert truncated_gaussian(-2, 0, 1, 5, rng) == 1.0
 
     def test_empirical_mean_matches_analytic_form(self):
         # oracle computed from the closed-form truncated-normal mean
-        gen = RandomStream(11, "mean-check").gen
-        draws = np.array([truncated_gaussian(3, 1, 1, 5, gen) for _ in range(100_000)])
+        rng = RandomStream(11, "mean-check")
+        draws = np.array([truncated_gaussian(3, 1, 1, 5, rng) for _ in range(100_000)])
         assert abs(draws.mean() - analytic_truncated_mean(3, 1, 1, 5)) < 0.02
 
     def test_asymmetric_truncation_mean(self):
-        gen = RandomStream(12, "mean-check").gen
-        draws = np.array([truncated_gaussian(1.0, 2.0, 2.0, 9.0, gen)
+        rng = RandomStream(12, "mean-check")
+        draws = np.array([truncated_gaussian(1.0, 2.0, 2.0, 9.0, rng)
                           for _ in range(100_000)])
         assert abs(draws.mean() - analytic_truncated_mean(1.0, 2.0, 2.0, 9.0)) < 0.02
 
     def test_extreme_truncation_uses_inverse_cdf_and_stays_bounded(self):
-        # interval ~8 sd away: rejection virtually never lands, so the
-        # fallback has to carry it
-        gen = RandomStream(5).gen
+        # interval ~8 sd away, where a rejection sampler would never land
+        rng = RandomStream(5)
         for _ in range(50):
-            x = truncated_gaussian(0.0, 1.0, 8.0, 9.0, gen)
+            x = truncated_gaussian(0.0, 1.0, 8.0, 9.0, rng)
             assert 8.0 <= x <= 9.0
 
     def test_invalid_bounds(self):
-        gen = RandomStream(0).gen
+        rng = RandomStream(0)
         with pytest.raises(InvalidBounds):
-            truncated_gaussian(0, 1, 5, 5, gen)
+            truncated_gaussian(0, 1, 5, 5, rng)
         with pytest.raises(InvalidBounds):
-            truncated_gaussian(0, 1, 6, 5, gen)
+            truncated_gaussian(0, 1, 6, 5, rng)
         with pytest.raises(InvalidBounds):
-            truncated_gaussian(0, -1, 0, 1, gen)
-
-    def test_reject_cap_is_finite(self):
-        assert MAX_REJECTS == 1000
+            truncated_gaussian(0, -1, 0, 1, rng)
 
 
 class TestCategorical:
     def test_degenerate_weight_always_wins(self):
-        gen = RandomStream(1).gen
-        assert all(categorical((0, 1, 0), gen) == 1 for _ in range(100))
+        rng = RandomStream(1)
+        assert all(categorical((0, 1, 0), rng) == 1 for _ in range(100))
 
     def test_frequencies_track_weights(self):
-        gen = RandomStream(2).gen
+        rng = RandomStream(2)
         counts = np.zeros(3)
         n = 20_000
         for _ in range(n):
-            counts[categorical((0.2, 0.3, 0.5), gen)] += 1
+            counts[categorical((0.2, 0.3, 0.5), rng)] += 1
         assert np.allclose(counts / n, (0.2, 0.3, 0.5), atol=0.02)
 
     def test_unnormalized_weights_allowed(self):
-        gen = RandomStream(3).gen
+        rng = RandomStream(3)
         counts = np.zeros(2)
         for _ in range(10_000):
-            counts[categorical((3, 1), gen)] += 1
+            counts[categorical((3, 1), rng)] += 1
         assert abs(counts[0] / 10_000 - 0.75) < 0.02
 
     @pytest.mark.parametrize("weights", [(), (-1, 2), (0, 0.0)])
     def test_invalid_weights(self, weights):
         with pytest.raises(InvalidBounds):
-            categorical(weights, RandomStream(0).gen)
+            categorical(weights, RandomStream(0))
 
 
 def test_truncated_gaussian_histogram_matches_analytic_bins():
     """Binned draw frequencies track the renormalized normal mass per bin."""
     mean, sd, lo, hi = 60.0, 45.0, 20.0, 300.0
-    gen = RandomStream(77, "hist").gen
+    rng = RandomStream(77, "hist")
     n = 100_000
-    draws = np.array([truncated_gaussian(mean, sd, lo, hi, gen) for _ in range(n)])
+    draws = np.array([truncated_gaussian(mean, sd, lo, hi, rng) for _ in range(n)])
     edges = np.linspace(lo, hi, 21)
     counts, _ = np.histogram(draws, bins=edges)
     dist = NormalDist(mean, sd)
@@ -137,3 +151,17 @@ def test_truncated_gaussian_histogram_matches_analytic_bins():
     ])
     tv = 0.5 * np.abs(counts / n - expected).sum()
     assert tv < 0.01
+
+
+def test_upper_tail_interval_is_not_quantized():
+    """An interval 8-9 sd above the mean is mirrored into the lower tail,
+    where the cdf keeps its precision; computed in the upper tail, the cdf
+    would leave only a handful of distinct draws."""
+    rng = RandomStream(13, "upper-tail")
+    draws = np.array([truncated_gaussian(0.0, 1.0, 8.0, 9.0, rng) for _ in range(2000)])
+    assert len(np.unique(draws)) > 1900
+    # closed-form mean with upper-tail masses from erfc, exact this far out
+    phi = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
+    upper = lambda x: 0.5 * math.erfc(x / math.sqrt(2))
+    expected = (phi(8.0) - phi(9.0)) / (upper(8.0) - upper(9.0))
+    assert abs(draws.mean() - expected) < 0.01

@@ -5,14 +5,16 @@ condition), where the condition is either the step's complexity or the
 step number itself. A cell below the occurrence threshold falls back to
 the trait-agnostic (act, condition) slice, then to the condition-only
 slice; a sampled request combination with no conditional observations
-descends the same ladder for its continuous statistics.
+descends the same ladder for its continuous statistics. The ladder is
+resolved once, when a table is built or loaded.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -122,6 +124,30 @@ class BehaviorTable:
     cells: dict  # ContextKey -> CellStats
     fallback_cells: dict  # (ProactiveAct, condition) -> CellStats
     condition_cells: dict  # condition -> CellStats
+    # ContextKey -> (most specific usable rung, used_fallback, ComboStats per
+    # REQUEST_COMBOS index after the ladder descent); keys with no rung are absent
+    resolved: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for cond in (*(k.condition for k in self.cells),
+                     *(c for _, c in self.fallback_cells), *self.condition_cells):
+            _check_condition(self.mode, cond)
+        resolved = {}
+        for tt, act, cond in itertools.product(ALL_TRAIT_TUPLES, ACT_ORDER,
+                                               self.mode.conditions()):
+            key = ContextKey(tt, act, cond)
+            cell = self.cells.get(key)
+            # the trait cell qualifies only at or above the fallback threshold
+            direct = cell is not None and cell.n >= self.fallback_threshold
+            rungs = [cell] if direct else []
+            slices = (self.fallback_cells.get((act, cond)), self.condition_cells.get(cond))
+            rungs += [r for r in slices if r is not None and r.n > 0]
+            if rungs:
+                combos = tuple(
+                    next((r.combos[i] for r in rungs if r.combos[i].n > 0), None)
+                    or rungs[-1].pooled() for i in range(len(REQUEST_COMBOS)))
+                resolved[key] = (rungs[0], not direct, combos)
+        object.__setattr__(self, "resolved", resolved)
 
 
 class _Acc:
@@ -171,6 +197,11 @@ def combo_index(help_request: bool, suggestion_request: bool) -> int:
     return REQUEST_COMBOS.index((bool(help_request), bool(suggestion_request)))
 
 
+def _check_condition(mode: TableMode, condition) -> None:
+    if condition not in mode.conditions():
+        raise InvalidConfig(f"condition {condition} does not belong to mode {mode.value}")
+
+
 def _check_threshold(threshold) -> None:
     if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
         raise InvalidConfig(f"fallback threshold must be an int >= 1, got {threshold!r}")
@@ -214,47 +245,23 @@ def build_table(corpus: Corpus, mode: TableMode,
     )
 
 
-def _ladder(table: BehaviorTable, key: ContextKey) -> list:
-    """Cells usable for this key, most specific first. The trait cell
-    qualifies only at or above the fallback threshold."""
-    if key.condition not in table.mode.conditions():
-        raise InvalidConfig(
-            f"condition {key.condition} does not belong to mode {table.mode.value}"
-        )
-    rungs = []
-    cell = table.cells.get(key)
-    if cell is not None and cell.n >= table.fallback_threshold:
-        rungs.append(cell)
-    fb = table.fallback_cells.get((key.proactive_act, key.condition))
-    if fb is not None and fb.n > 0:
-        rungs.append(fb)
-    cond = table.condition_cells.get(key.condition)
-    if cond is not None and cond.n > 0:
-        rungs.append(cond)
-    return rungs
+def _no_rung(table: BehaviorTable, key: ContextKey):
+    """Raise the error for a key that resolved to no rung."""
+    _check_condition(table.mode, key.condition)
+    raise NoDataForCondition(f"no observations for condition {key.condition}")
 
 
 def lookup(table: BehaviorTable, key: ContextKey) -> tuple:
     """Resolve a context to (CellStats, used_fallback)."""
-    rungs = _ladder(table, key)
-    if not rungs:
-        raise NoDataForCondition(f"no observations for condition {key.condition}")
-    cell = table.cells.get(key)
-    used_fallback = not (cell is not None and cell.n >= table.fallback_threshold)
-    return rungs[0], used_fallback
+    cell, used_fallback, _ = table.resolved.get(key) or _no_rung(table, key)
+    return cell, used_fallback
 
 
 def resolve_combo_stats(table: BehaviorTable, key: ContextKey,
                         combo_idx: int) -> ComboStats:
     """Statistics for one request combination, descending the fallback
     ladder past rungs where that combination was never observed."""
-    rungs = _ladder(table, key)
-    if not rungs:
-        raise NoDataForCondition(f"no observations for condition {key.condition}")
-    for cell in rungs:
-        if cell.combos[combo_idx].n > 0:
-            return cell.combos[combo_idx]
-    return rungs[-1].pooled()
+    return (table.resolved.get(key) or _no_rung(table, key))[2][combo_idx]
 
 
 @dataclass(frozen=True)
@@ -286,17 +293,13 @@ class TableSummary:
 def table_summary(table: BehaviorTable) -> TableSummary:
     conditions = table.mode.conditions()
     possible = len(ALL_TRAIT_TUPLES) * len(ACT_ORDER) * len(conditions)
-    direct = 0
+    direct_keys = {k for k, (_, fell_back, _) in table.resolved.items() if not fell_back}
     per_slice = {}
     for act in ACT_ORDER:
         for cond in conditions:
             fb = table.fallback_cells.get((act, cond))
-            at_or_above = sum(
-                1 for tt in ALL_TRAIT_TUPLES
-                if (cell := table.cells.get(ContextKey(tt, act, cond))) is not None
-                and cell.n >= table.fallback_threshold
-            )
-            direct += at_or_above
+            at_or_above = sum(ContextKey(tt, act, cond) in direct_keys
+                              for tt in ALL_TRAIT_TUPLES)
             per_slice[(act, cond)] = {
                 "n": fb.n if fb is not None else 0,
                 "trait_cells_observed": sum(
@@ -311,7 +314,7 @@ def table_summary(table: BehaviorTable) -> TableSummary:
         fallback_threshold=table.fallback_threshold,
         possible_keys=possible,
         observed_keys=len(table.cells),
-        fallback_fraction=1.0 - direct / possible,
+        fallback_fraction=1.0 - len(direct_keys) / possible,
         per_act_condition=per_slice,
     )
 
@@ -446,4 +449,8 @@ def save_table(table: BehaviorTable, path) -> None:
 
 
 def load_table(path) -> BehaviorTable:
-    return table_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise InvalidConfig(f"table file {path} is not JSON: {exc}") from exc
+    return table_from_json_dict(payload)

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .behavior_tables import TableMode, build_table, load_table, save_table, table_summary
 from .corpus import load_corpus, save_corpus
-from .errors import TrustSimError
+from .errors import InvalidConfig, TrustSimError
 from .fidelity import (
     compare_modes,
     evaluate_simulator,
@@ -87,7 +87,10 @@ def _out_dir(args) -> Path:
 
 def _load_generator_config(args) -> GeneratorConfig:
     if getattr(args, "config", None):
-        payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise InvalidConfig(f"config file {args.config} is not JSON: {exc}") from exc
         config = GeneratorConfig.from_json_dict(payload)
     else:
         config = GeneratorConfig()

@@ -229,13 +229,21 @@ class GeneratorConfig:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "GeneratorConfig":
-        return cls(
-            n_dialogs=payload["n_dialogs"],
-            traits=TraitDistributions.from_json_dict(payload["traits"]),
-            process=BehaviorProcess.from_json_dict(payload["process"]),
-            step_drift=payload["step_drift"],
-            duration_hi=payload["duration_hi"],
-        )
+        try:
+            return cls(
+                n_dialogs=payload["n_dialogs"],
+                traits=TraitDistributions.from_json_dict(payload["traits"]),
+                process=BehaviorProcess.from_json_dict(payload["process"]),
+                step_drift=payload["step_drift"],
+                duration_hi=payload["duration_hi"],
+            )
+        except KeyError as exc:
+            raise InvalidConfig(f"generator config is missing key {exc}") from exc
+        # TypeError: an unknown key or a value of the wrong JSON type;
+        # AttributeError: a list where an object belongs; ValueError: a
+        # value that does not convert to a number
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise InvalidConfig(f"malformed generator config: {exc}") from exc
 
     def with_overrides(self, **kwargs) -> "GeneratorConfig":
         return replace(self, **kwargs)

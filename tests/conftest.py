@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import sys
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from trustsim.corpus import (
     complexity_of_step,
     option_scores,
 )
+from trustsim.errors import InvalidConfig, NoDataForCondition
 from trustsim.rl_env import EnvState
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import N_FEATURES, SCHEMA_VERSION, TrustClassifier
@@ -25,12 +25,49 @@ from trustsim.user_model import ALL_TRAIT_TUPLES
 
 
 def analytic_truncated_mean(mean, sd, lo, hi):
-    # standard closed form: mean + sd * (phi(a) - phi(b)) / (Phi(b) - Phi(a))
-    std = NormalDist()
+    # standard closed form: mean + sd * (phi(a) - phi(b)) / (Phi(b) - Phi(a)).
+    # Phi = erfc(-x / sqrt 2) / 2 keeps its relative precision in the lower
+    # tail only, so an interval above the mean is mirrored below it.
     a, b = (lo - mean) / sd, (hi - mean) / sd
+    sign = 1.0
+    if a + b > 0:
+        a, b, sign = -b, -a, -1.0
     phi = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
-    z = std.cdf(b) - std.cdf(a)
-    return mean + sd * (phi(a) - phi(b)) / z
+    cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2))
+    return mean + sign * sd * (phi(a) - phi(b)) / (cdf(b) - cdf(a))
+
+
+def reference_ladder(table, key) -> list:
+    """The fallback ladder walked per call, kept as the oracle of the
+    resolution a table makes once: usable cells for the key, most specific
+    first. The trait cell qualifies only at or above the threshold."""
+    if key.condition not in table.mode.conditions():
+        raise InvalidConfig(f"condition {key.condition} not in {table.mode.value}")
+    rungs = []
+    cell = table.cells.get(key)
+    if cell is not None and cell.n >= table.fallback_threshold:
+        rungs.append(cell)
+    for rung in (table.fallback_cells.get((key.proactive_act, key.condition)),
+                 table.condition_cells.get(key.condition)):
+        if rung is not None and rung.n > 0:
+            rungs.append(rung)
+    if not rungs:
+        raise NoDataForCondition(f"no observations for condition {key.condition}")
+    return rungs
+
+
+def reference_lookup(table, key) -> tuple:
+    rungs = reference_ladder(table, key)
+    cell = table.cells.get(key)
+    return rungs[0], not (cell is not None and cell.n >= table.fallback_threshold)
+
+
+def reference_combo_stats(table, key, combo_idx):
+    rungs = reference_ladder(table, key)
+    for cell in rungs:
+        if cell.combos[combo_idx].n > 0:
+            return cell.combos[combo_idx]
+    return rungs[-1].pooled()
 
 
 class RiggedSweepEnv:

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import make_corpus, make_dialog, make_exchange, make_user
+from conftest import (
+    make_corpus,
+    make_dialog,
+    make_exchange,
+    make_user,
+    reference_combo_stats,
+    reference_lookup,
+)
 from trustsim.behavior_tables import (
     CellStats,
     ComboStats,
@@ -24,9 +33,9 @@ from trustsim.behavior_tables import (
     table_summary,
     table_to_json_dict,
 )
-from trustsim.corpus import Corpus, ProactiveAct, complexity_of_step
-from trustsim.errors import EmptyCorpus, InvalidConfig, NoDataForCondition
-from trustsim.user_model import TraitTuple
+from trustsim.corpus import ACT_ORDER, Corpus, ProactiveAct, complexity_of_step
+from trustsim.errors import EmptyCorpus, InvalidConfig, NoDataForCondition, TrustSimError
+from trustsim.user_model import ALL_TRAIT_TUPLES, TraitTuple
 
 LOW_TRAITS = dict(domain_expertise=1.0, trust_propensity=1.0, technical_affinity=1.0)
 HIGH_TRAITS = dict(domain_expertise=5.0, trust_propensity=5.0, technical_affinity=5.0)
@@ -189,19 +198,42 @@ class TestFallbackThresholdBoundary:
         assert used_fallback is False
 
 
-class TestFallbackLadder:
-    def make_two_group_corpus(self):
-        entries = [(make_user(user_id="x0", **LOW_TRAITS),
-                    make_dialog("x0", game_score=10.0))]
-        for i in range(3):
-            uid = f"y{i}"
-            entries.append((make_user(user_id=uid, **HIGH_TRAITS),
-                            make_dialog(uid, game_score=30.0)))
-        return corpus_of(*entries)
+def two_group_corpus() -> Corpus:
+    """One low-trait user (sparse cells) and three high-trait users."""
+    entries = [(make_user(user_id="x0", **LOW_TRAITS),
+                make_dialog("x0", game_score=10.0))]
+    for i in range(3):
+        uid = f"y{i}"
+        entries.append((make_user(user_id=uid, **HIGH_TRAITS),
+                        make_dialog(uid, game_score=30.0)))
+    return corpus_of(*entries)
 
+
+def alternating_act_corpus() -> Corpus:
+    """One user alternating NONE and NOTIFICATION: no SUGGESTION or
+    INTERVENTION slice exists."""
+    acts = [ProactiveAct.NONE, ProactiveAct.NOTIFICATION] * 6
+    user = make_user(user_id="u0", **LOW_TRAITS)
+    return corpus_of((user, make_dialog("u0", acts=acts)))
+
+
+def combo_gap_corpus() -> Corpus:
+    """The low-trait users never request help; the high-trait user always
+    does, and nobody asks for a suggestion."""
+    entries = []
+    for i in range(2):
+        uid = f"a{i}"
+        entries.append((make_user(user_id=uid, **LOW_TRAITS),
+                        make_dialog(uid, game_score=20.0, duration=40.0)))
+    entries.append((make_user(user_id="b0", **HIGH_TRAITS),
+                    make_dialog("b0", game_score=30.0, duration=60.0,
+                                help_request=True)))
+    return corpus_of(*entries)
+
+
+class TestFallbackLadder:
     def test_sparse_traits_use_act_condition_slice(self):
-        table = build_table(self.make_two_group_corpus(),
-                            TableMode.COMPLEXITY_BASED)
+        table = build_table(two_group_corpus(), TableMode.COMPLEXITY_BASED)
         stats, used_fallback = lookup(
             table, ContextKey(T000, ProactiveAct.NONE, 3))
         assert used_fallback is True
@@ -209,8 +241,7 @@ class TestFallbackLadder:
         assert stats.combos[0].score_mean == pytest.approx(25.0)
 
     def test_dense_traits_resolve_directly(self):
-        table = build_table(self.make_two_group_corpus(),
-                            TableMode.COMPLEXITY_BASED)
+        table = build_table(two_group_corpus(), TableMode.COMPLEXITY_BASED)
         stats, used_fallback = lookup(
             table, ContextKey(T111, ProactiveAct.NONE, 3))
         assert used_fallback is False
@@ -220,10 +251,7 @@ class TestFallbackLadder:
     def test_unseen_act_falls_to_condition_slice(self):
         # only NONE and NOTIFICATION appear; asking for SUGGESTION lands on
         # the condition-wide cell
-        acts = [ProactiveAct.NONE, ProactiveAct.NOTIFICATION] * 6
-        user = make_user(user_id="u0", **LOW_TRAITS)
-        table = build_table(corpus_of((user, make_dialog("u0", acts=acts))),
-                            TableMode.COMPLEXITY_BASED)
+        table = build_table(alternating_act_corpus(), TableMode.COMPLEXITY_BASED)
         stats, used_fallback = lookup(
             table, ContextKey(T000, ProactiveAct.SUGGESTION, 3))
         assert used_fallback is True
@@ -231,10 +259,7 @@ class TestFallbackLadder:
         assert stats.n == 4
 
     def test_act_slice_preferred_over_condition_slice(self):
-        acts = [ProactiveAct.NONE, ProactiveAct.NOTIFICATION] * 6
-        user = make_user(user_id="u0", **LOW_TRAITS)
-        table = build_table(corpus_of((user, make_dialog("u0", acts=acts))),
-                            TableMode.COMPLEXITY_BASED)
+        table = build_table(alternating_act_corpus(), TableMode.COMPLEXITY_BASED)
         # steps 1 and 7 are NONE at complexity 3, steps 4 and 10 NOTIFICATION
         stats, used_fallback = lookup(
             table, ContextKey(T000, ProactiveAct.NONE, 3))
@@ -260,20 +285,9 @@ class TestFallbackLadder:
 
 
 class TestResolveComboStats:
-    def make_corpus_with_combo_gaps(self):
-        entries = []
-        for i in range(2):
-            uid = f"a{i}"
-            entries.append((make_user(user_id=uid, **LOW_TRAITS),
-                            make_dialog(uid, game_score=20.0, duration=40.0)))
-        entries.append((make_user(user_id="b0", **HIGH_TRAITS),
-                        make_dialog("b0", game_score=30.0, duration=60.0,
-                                    help_request=True)))
-        return corpus_of(*entries)
-
     def test_combo_missing_in_direct_cell_descends(self):
-        table = build_table(self.make_corpus_with_combo_gaps(),
-                            TableMode.COMPLEXITY_BASED, fallback_threshold=2)
+        table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
+                            fallback_threshold=2)
         key = ContextKey(T000, ProactiveAct.NONE, 3)
         # the (help, no-suggestion) rows all belong to the other trait group
         combo = resolve_combo_stats(table, key, combo_index(True, False))
@@ -282,16 +296,16 @@ class TestResolveComboStats:
         assert combo.duration_mean == pytest.approx(60.0)
 
     def test_combo_present_in_direct_cell_stays(self):
-        table = build_table(self.make_corpus_with_combo_gaps(),
-                            TableMode.COMPLEXITY_BASED, fallback_threshold=2)
+        table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
+                            fallback_threshold=2)
         key = ContextKey(T000, ProactiveAct.NONE, 3)
         combo = resolve_combo_stats(table, key, combo_index(False, False))
         assert combo.n == 8
         assert combo.score_mean == pytest.approx(20.0)
 
     def test_combo_absent_everywhere_pools_last_rung(self):
-        table = build_table(self.make_corpus_with_combo_gaps(),
-                            TableMode.COMPLEXITY_BASED, fallback_threshold=2)
+        table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
+                            fallback_threshold=2)
         key = ContextKey(T000, ProactiveAct.NONE, 3)
         combo = resolve_combo_stats(table, key, combo_index(True, True))
         # pooled condition-3 slice: 8 rows at (20, 40) and 4 rows at (30, 60)
@@ -301,6 +315,76 @@ class TestResolveComboStats:
         assert combo.duration_mean == pytest.approx(140 / 3)
         assert combo.duration_sd == pytest.approx(math.sqrt(800 / 9))
         assert combo.difficulty_counts == (0, 0, 12, 0, 0)
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type of the TrustSimError it raises."""
+    try:
+        return fn(*args)
+    except TrustSimError as exc:
+        return type(exc)
+
+
+def without_condition(table, condition):
+    """The same table with every cell at one condition removed."""
+    return dataclasses.replace(
+        table,
+        cells={k: c for k, c in table.cells.items() if k.condition != condition},
+        fallback_cells={k: c for k, c in table.fallback_cells.items()
+                        if k[1] != condition},
+        condition_cells={k: c for k, c in table.condition_cells.items()
+                         if k != condition},
+    )
+
+
+GAP_FIXTURES = {
+    "two-group": two_group_corpus,
+    "alternating-act": alternating_act_corpus,
+    "combo-gap": combo_gap_corpus,
+    "nine": lambda: nine_or_ten_corpus(1),
+    "ten": lambda: nine_or_ten_corpus(2),
+}
+
+
+class TestResolvedLadderEqualsReference:
+    """Exhaustive check of the ladder a table resolves once against the
+    per-call reference ladder, over every key and request combination of
+    both modes. Conditions 0..13 include out-of-mode ones for both modes;
+    the stripped variants leave conditions, or trait-sparse keys, with no
+    rung at all."""
+
+    @pytest.mark.parametrize("threshold", [2, 10])
+    @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("corpus_name", ["default", *GAP_FIXTURES])
+    def test_every_key_and_combo(self, default_corpus, corpus_name, mode, threshold):
+        corpus = (default_corpus if corpus_name == "default"
+                  else GAP_FIXTURES[corpus_name]())
+        table = build_table(corpus, mode, threshold)
+        first = mode.conditions()[0]
+        variants = (
+            table,
+            without_condition(table, first),
+            dataclasses.replace(table, fallback_cells={}, condition_cells={}),
+        )
+        seen = set()
+        for variant in variants:
+            for tt, act, cond in itertools.product(ALL_TRAIT_TUPLES, ACT_ORDER,
+                                                   range(0, 14)):
+                key = ContextKey(tt, act, cond)
+                got, want = outcome(lookup, variant, key), outcome(
+                    reference_lookup, variant, key)
+                if isinstance(want, type):
+                    assert got is want
+                    seen.add(want)
+                else:
+                    assert got[0] is want[0]
+                    assert got[1] is want[1]
+                    seen.add(want[1])
+                for idx in range(len(REQUEST_COMBOS)):
+                    assert outcome(resolve_combo_stats, variant, key, idx) == outcome(
+                        reference_combo_stats, variant, key, idx)
+        # both errors occur, and some keys resolve
+        assert {InvalidConfig, NoDataForCondition} < seen
 
 
 class TestPooling:
@@ -435,6 +519,21 @@ class TestSummary:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("section", ["cells", "fallback_cells", "condition_cells"])
+    def test_rejects_condition_outside_mode(self, small_corpus, section):
+        payload = table_to_json_dict(
+            build_table(small_corpus, TableMode.COMPLEXITY_BASED))
+        payload[section][0]["condition"] = 7
+        with pytest.raises(InvalidConfig):
+            table_from_json_dict(payload)
+
+    def test_resolution_is_outside_equality_and_repr(self, small_corpus):
+        table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
+        loaded = table_from_json_dict(table_to_json_dict(table))
+        assert loaded.resolved is not table.resolved
+        assert loaded.resolved == table.resolved
+        assert "resolved" not in repr(table)
+
     def test_round_trip_preserves_everything(self, small_corpus, tmp_path):
         table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
         path = tmp_path / "table.json"

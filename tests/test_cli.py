@@ -228,14 +228,45 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFoundError"
 
-    def test_corrupt_table_is_runtime_error(self, work, corpus_file, capsys):
+    def test_corrupt_table_is_validation_error(self, work, corpus_file, capsys):
         bad = work / "bad_table.json"
         bad.write_text("{not json")
         assert main(["evaluate", "--corpus", str(corpus_file), "--seed", "1",
-                     "--table", str(bad), "--out", str(work / "x7")]) == 3
+                     "--table", str(bad), "--out", str(work / "x7")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidConfig"
+
+    @pytest.mark.parametrize("malform", [
+        "not-json", "missing-keys", "not-object", "unknown-process-key",
+        "unknown-traits-key", "traits-type", "process-type", "gender-probs",
+    ])
+    def test_malformed_generator_config_is_validation_error(self, work, capsys,
+                                                            malform):
+        payload = GeneratorConfig(n_dialogs=5).to_json_dict()
+        if malform == "missing-keys":
+            payload = {"n_dialogs": 5}
+        elif malform == "not-object":
+            payload = [payload]
+        elif malform == "unknown-process-key":
+            payload["process"]["bogus"] = 1.0
+        elif malform == "unknown-traits-key":
+            payload["traits"]["age"]["bogus"] = 1.0
+        elif malform == "traits-type":
+            payload["traits"] = 5
+        elif malform == "process-type":
+            payload["process"] = [1.0]
+        elif malform == "gender-probs":
+            payload["traits"]["gender_probs"] = ["a", "b", "c"]
+        bad = work / f"bad_config_{malform}.json"
+        bad.write_text("{not json" if malform == "not-json" else json.dumps(payload))
+        assert main(["gen-corpus", "--seed", "1", "--config", str(bad),
+                     "--out", str(work / "x10")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidConfig"
 
     @pytest.mark.parametrize("malform", ["keys", "mode", "act", "not-object", "cells",
-                                         "count", "mean", "condition", "threshold"])
+                                         "count", "mean", "condition", "threshold",
+                                         "mode-condition"])
     def test_malformed_table_is_validation_error(self, work, corpus_file, fit_dir,
                                                  capsys, malform):
         payload = json.loads((fit_dir / "table.json").read_text())
@@ -256,6 +287,8 @@ class TestExitCodes:
             cell["combos"][0]["score_mean"] = "high"
         elif malform == "condition":
             cell["condition"] = str(cell["condition"])
+        elif malform == "mode-condition":
+            cell["condition"] = 13  # the task-step table has steps 1..12
         else:
             payload["fallback_threshold"] = 0.5
         bad = work / f"bad_table_{malform}.json"

@@ -160,8 +160,21 @@ def test_upper_tail_interval_is_not_quantized():
     rng = RandomStream(13, "upper-tail")
     draws = np.array([truncated_gaussian(0.0, 1.0, 8.0, 9.0, rng) for _ in range(2000)])
     assert len(np.unique(draws)) > 1900
-    # closed-form mean with upper-tail masses from erfc, exact this far out
-    phi = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
-    upper = lambda x: 0.5 * math.erfc(x / math.sqrt(2))
-    expected = (phi(8.0) - phi(9.0)) / (upper(8.0) - upper(9.0))
-    assert abs(draws.mean() - expected) < 0.01
+    assert abs(draws.mean() - analytic_truncated_mean(0.0, 1.0, 8.0, 9.0)) < 0.01
+
+
+@pytest.mark.parametrize("mean,sd,lo,hi", [
+    (3.0, 1.0, 1.0, 5.0),
+    (1.0, 2.0, 2.0, 9.0),
+    (45.0, math.sqrt(125.0), 20.0, 300.0),
+    (0.0, 1.0, -9.0, -8.0),
+    (0.0, 1.0, 8.0, 9.0),
+    (5.0, 0.5, 0.0, 1.0),
+])
+def test_truncated_mean_oracle_matches_numerical_integral(mean, sd, lo, hi):
+    """The closed-form oracle the sampler tests rely on agrees with a
+    trapezoid integral of the truncated density, far tails included."""
+    x = np.linspace(lo, hi, 200_001)
+    density = np.exp(-0.5 * ((x - mean) / sd) ** 2)
+    numeric = np.trapezoid(x * density, x) / np.trapezoid(density, x)
+    assert analytic_truncated_mean(mean, sd, lo, hi) == pytest.approx(numeric, rel=1e-9)

@@ -3,7 +3,8 @@
 Every stochastic subcommand takes an explicit --seed; outputs land in
 --out together with manifest.json listing the resolved config and the
 sha256 of each artifact, so identical invocations are checkable for
-bit-identical results. Exit codes: 0 success, 1 usage, 2 validation,
+bit-identical results. Exit codes: 0 success, 1 usage, 2 validation
+(including a --corpus, --table or --config file that does not exist),
 3 runtime failure.
 """
 
@@ -225,8 +226,9 @@ def cmd_train_rl(args) -> int:
                      "trust_weight": args.trust_weight,
                      "fallback_threshold": args.fallback_threshold},
                     ["policy.json", "returns.csv"])
-    mean_tail = sum(result.returns[-100:]) / min(100, len(result.returns))
-    print(f"trained {args.episodes} episodes; mean return over last 100: "
+    window = min(100, len(result.returns))
+    mean_tail = sum(result.returns[-window:]) / window
+    print(f"trained {args.episodes} episodes; mean return over last {window}: "
           f"{mean_tail:.3f}")
     return EXIT_OK
 
@@ -301,6 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_input_files(args) -> None:
+    for flag in ("corpus", "table", "config"):
+        path = getattr(args, flag, None)
+        if path and not Path(path).is_file():
+            raise InvalidConfig(f"--{flag} {path} is not an existing file")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -308,6 +317,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        _check_input_files(args)
         return args.func(args)
     except TrustSimError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -11,7 +11,7 @@ evaluation a known ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from statistics import NormalDist
 
 from .corpus import (
@@ -229,6 +229,12 @@ class GeneratorConfig:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "GeneratorConfig":
+        if not isinstance(payload, dict):
+            raise InvalidConfig(
+                f"generator config must be a JSON object, got {type(payload).__name__}")
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise InvalidConfig(f"generator config has unknown keys {sorted(unknown)}")
         try:
             return cls(
                 n_dialogs=payload["n_dialogs"],

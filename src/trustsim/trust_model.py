@@ -3,9 +3,12 @@ one-vs-rest max-margin trust classifier.
 
 The target folds the four self-reported measures (trust, competence,
 reliability, predictability) into one 1..5 label. Features combine the
-static profile, the current turn, and a 2-step lag window; training is
-full-batch subgradient descent on the hinge loss with L2 regularization,
-which is deterministic by construction.
+static profile, the current turn, and a 2-step lag window. For one turn
+they come from `extract_features`; for a whole corpus `corpus_to_dataset`
+builds them column-wise, equal to that per-turn path row for row.
+Training is full-batch subgradient descent on the hinge loss with L2
+regularization, which is deterministic by construction; evaluation scores
+the whole corpus in one product.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +24,10 @@ import numpy as np
 from .corpus import (
     ACT_ORDER,
     Corpus,
-    Exchange,
     LIKERT_MAX,
     LIKERT_MIN,
+    SCALE_TRAITS,
+    STEPS_PER_DIALOG,
     ProactiveAct,
     complexity_of_step,
 )
@@ -43,6 +48,8 @@ TRUST_CLASSES = tuple(range(LIKERT_MIN, LIKERT_MAX + 1))
 
 # Neutral stand-ins for missing lag slots at dialog start.
 NEUTRAL_LIKERT = 3
+_LAG_FILL = [0.0] * len(ACT_ORDER) + [float(NEUTRAL_LIKERT), 0.0, 0.0, 0.0, 0.0,
+                                      float(NEUTRAL_LIKERT)]
 TrustLabel = int
 
 
@@ -72,17 +79,6 @@ class TurnContext:
     help_request: bool
     suggestion_request: bool
     trust_label: int | None = None
-
-    @classmethod
-    def from_exchange(cls, ex: Exchange, with_label: bool = False) -> "TurnContext":
-        label = combine_trust_target(ex.trust, ex.competence, ex.reliability,
-                                     ex.predictability) if with_label else None
-        return cls(
-            proactive_act=ex.proactive_act, complexity=ex.complexity, step=ex.step,
-            difficulty=ex.difficulty, duration=ex.duration, game_score=ex.game_score,
-            help_request=ex.help_request, suggestion_request=ex.suggestion_request,
-            trust_label=label,
-        )
 
     @classmethod
     def from_turn(cls, step: int, act: ProactiveAct, turn,
@@ -154,8 +150,7 @@ def extract_features(profile: UserProfile, history, current: TurnContext) -> np.
             vec += [float(h.difficulty), h.duration, h.game_score,
                     float(h.help_request), float(h.suggestion_request), float(trust)]
         else:
-            vec += [0.0] * len(ACT_ORDER)
-            vec += [float(NEUTRAL_LIKERT), 0.0, 0.0, 0.0, 0.0, float(NEUTRAL_LIKERT)]
+            vec += _LAG_FILL
 
     out = np.asarray(vec, dtype=float)
     if out.shape != (N_FEATURES,):
@@ -163,24 +158,63 @@ def extract_features(profile: UserProfile, history, current: TurnContext) -> np.
     return out
 
 
+# Column layout of corpus_to_dataset, in FEATURE_NAMES order.
+_PROFILE_TRAITS = attrgetter(*SCALE_TRAITS)
+_TURN_FIELDS = attrgetter("complexity", "step", "difficulty", "duration",
+                          "game_score", "help_request", "suggestion_request")
+_RATINGS = attrgetter("trust", "competence", "reliability", "predictability")
+_PROFILE_END = FEATURE_NAMES.index(f"act={ACT_ORDER[0].value}")
+_TURN_END = FEATURE_NAMES.index(f"lag1:act={ACT_ORDER[0].value}")
+_LAG_WIDTH = (N_FEATURES - _TURN_END) // LAG_WINDOW
+# turn-block column of each lag column but the last (the trust label)
+_LAG_FROM_TURN = [FEATURE_NAMES.index(name.removeprefix("lag1:")) - _PROFILE_END
+                  for name in FEATURE_NAMES[_TURN_END:_TURN_END + _LAG_WIDTH - 1]]
+
+
+def _float_rows(getter, items, width: int) -> np.ndarray:
+    return np.array([getter(item) for item in items], dtype=float).reshape(len(items), width)
+
+
 def corpus_to_dataset(corpus: Corpus) -> tuple:
-    """(X, y, user_ids) over every exchange, lag labels teacher-forced."""
-    rows, labels, owners = [], [], []
-    for user in corpus.users:
-        history = []
-        for ex in corpus.dialogs[user.user_id]:
-            current = TurnContext.from_exchange(ex)
-            label = combine_trust_target(ex.trust, ex.competence, ex.reliability,
-                                         ex.predictability)
-            rows.append(extract_features(user, history, current))
-            labels.append(label)
-            owners.append(user.user_id)
-            history.append(TurnContext.from_exchange(ex, with_label=True))
-    if rows:
-        X = np.vstack(rows)
-    else:
-        X = np.empty((0, N_FEATURES))
-    return X, np.asarray(labels, dtype=int), tuple(owners)
+    """(X, y, user_ids) over every exchange, lag labels teacher-forced.
+
+    Built column-wise: the corpus holds steps 1..12 in order for every
+    user, so X is 12 rows per user, and lag k is the current-turn block
+    shifted down k rows within each dialog, with the neutral fill of
+    `extract_features` before step k + 1. Row for row equal to calling
+    `extract_features` on every exchange.
+    """
+    users = corpus.users
+    exchanges = [ex for user in users for ex in corpus.dialogs[user.user_id]]
+    n = len(exchanges)
+    ratings = _float_rows(_RATINGS, exchanges, 4)
+    # combine_trust_target's arithmetic; Exchange has checked the 1..5 range
+    labels = np.floor(ratings.sum(axis=1) / 4.0 + 0.5)
+
+    profile = np.zeros((len(users), _PROFILE_END))
+    profile[:, 0] = [u.age for u in users]
+    profile[np.arange(len(users)), [1 + GENDER_ORDER.index(u.gender) for u in users]] = 1.0
+    profile[:, 1 + len(GENDER_ORDER):] = _float_rows(_PROFILE_TRAITS, users,
+                                                     len(SCALE_TRAITS))
+
+    turn = np.zeros((n, _TURN_END - _PROFILE_END))
+    turn[np.arange(n), [ACT_ORDER.index(ex.proactive_act) for ex in exchanges]] = 1.0
+    turn[:, len(ACT_ORDER):] = _float_rows(_TURN_FIELDS, exchanges,
+                                           turn.shape[1] - len(ACT_ORDER))
+    lag = np.concatenate([turn[:, _LAG_FROM_TURN], labels[:, None]], axis=1)
+    lag = lag.reshape(len(users), STEPS_PER_DIALOG, _LAG_WIDTH)
+
+    X = np.empty((n, N_FEATURES))
+    X[:, :_PROFILE_END] = np.repeat(profile, STEPS_PER_DIALOG, axis=0)
+    X[:, _PROFILE_END:_TURN_END] = turn
+    dialog_steps = X.reshape(len(users), STEPS_PER_DIALOG, N_FEATURES)
+    for k in range(1, LAG_WINDOW + 1):
+        start = _TURN_END + (k - 1) * _LAG_WIDTH
+        block = dialog_steps[:, :, start:start + _LAG_WIDTH]
+        block[:, :k] = _LAG_FILL
+        block[:, k:] = lag[:, :-k]
+    owners = tuple(u.user_id for u in users for _ in range(STEPS_PER_DIALOG))
+    return X, labels.astype(int), owners
 
 
 @dataclass(frozen=True)
@@ -232,17 +266,24 @@ def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> Tru
     lam = config.l2
     W = np.zeros((len(present), Z.shape[1]))
     b = np.zeros(len(present))
+    # One gemv per class and epoch, margins computed in place. A single
+    # Z @ W.T for all classes would round differently and change the model.
+    margins = np.empty(n)
+    active = np.empty(n, dtype=bool)
     for ci, cls in enumerate(present):
         target = np.where(y == cls, 1.0, -1.0)
+        signed = target[:, None] * Z
         w = np.zeros(Z.shape[1])
         bias = 0.0
         for t in range(1, config.epochs + 1):
             eta = 1.0 / (lam * t)
-            margins = target * (Z @ w + bias)
-            active = margins < 1.0
+            np.matmul(Z, w, out=margins)
+            margins += bias
+            margins *= target
+            np.less(margins, 1.0, out=active)
             if active.any():
-                grad_w = lam * w - (target[active, None] * Z[active]).sum(axis=0) / n
-                grad_b = -target[active].sum() / n
+                grad_w = lam * w - signed.compress(active, axis=0).sum(axis=0) / n
+                grad_b = -target.compress(active).sum() / n
             else:
                 grad_w = lam * w
                 grad_b = 0.0
@@ -319,10 +360,18 @@ def classification_metrics(y_true, y_pred) -> ClassifierReport:
 
 
 def evaluate_classifier(model: TrustClassifier, corpus: Corpus) -> ClassifierReport:
+    """Scores every exchange in one product; ties go to the lower label,
+    as in predict_trust."""
     X, y, _ = corpus_to_dataset(corpus)
     if len(y) == 0:
         raise EmptyTestSet("no labeled exchanges to evaluate on")
-    predicted = [predict_trust(model, x)[0] for x in X]
+    if model.feature_mean.shape != (N_FEATURES,):
+        raise SchemaMismatch(
+            f"model expects {model.feature_mean.shape[0]} features, data has {N_FEATURES}"
+        )
+    Z = (X - model.feature_mean) / model.feature_scale
+    scores = Z @ model.weights.T + model.biases
+    predicted = np.asarray(model.classes)[np.argmax(scores, axis=1)]
     return classification_metrics(y, predicted)
 
 

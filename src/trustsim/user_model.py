@@ -93,6 +93,11 @@ class TraitDistributions:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TraitDistributions":
+        if not isinstance(payload, dict):
+            raise InvalidConfig(f"traits must be a JSON object, got {type(payload).__name__}")
+        unknown = set(payload) - {"age", "gender_probs", *SCALE_TRAITS}
+        if unknown:
+            raise InvalidConfig(f"unknown traits {sorted(unknown)}")
         kwargs = {
             name: TruncGauss(**payload[name]) for name in ("age",) + SCALE_TRAITS
         }

@@ -20,7 +20,16 @@ from trustsim.corpus import (
 from trustsim.errors import InvalidConfig, NoDataForCondition
 from trustsim.rl_env import EnvState
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
-from trustsim.trust_model import N_FEATURES, SCHEMA_VERSION, TrustClassifier
+from trustsim.trust_model import (
+    N_FEATURES,
+    SCHEMA_VERSION,
+    TrainConfig,
+    TrustClassifier,
+    TurnContext,
+    combine_trust_target,
+    extract_features,
+    predict_trust,
+)
 from trustsim.user_model import ALL_TRAIT_TUPLES
 
 
@@ -68,6 +77,78 @@ def reference_combo_stats(table, key, combo_idx):
         if cell.combos[combo_idx].n > 0:
             return cell.combos[combo_idx]
     return rungs[-1].pooled()
+
+
+def turn_context(ex, with_label=False) -> TurnContext:
+    """The observable slice of a corpus exchange, labelled for use as a lag."""
+    label = combine_trust_target(ex.trust, ex.competence, ex.reliability,
+                                 ex.predictability) if with_label else None
+    return TurnContext(
+        proactive_act=ex.proactive_act, complexity=ex.complexity, step=ex.step,
+        difficulty=ex.difficulty, duration=ex.duration, game_score=ex.game_score,
+        help_request=ex.help_request, suggestion_request=ex.suggestion_request,
+        trust_label=label,
+    )
+
+
+def reference_dataset(corpus) -> tuple:
+    """The per-row loop corpus_to_dataset replaced, kept as its oracle:
+    one extract_features call per exchange, lag labels teacher-forced."""
+    rows, labels, owners = [], [], []
+    for user in corpus.users:
+        history = []
+        for ex in corpus.dialogs[user.user_id]:
+            rows.append(extract_features(user, history, turn_context(ex)))
+            labels.append(combine_trust_target(ex.trust, ex.competence,
+                                               ex.reliability, ex.predictability))
+            owners.append(user.user_id)
+            history.append(turn_context(ex, with_label=True))
+    X = np.vstack(rows) if rows else np.empty((0, N_FEATURES))
+    return X, np.asarray(labels, dtype=int), tuple(owners)
+
+
+def reference_train(corpus, config=TrainConfig()) -> tuple:
+    """The hinge trainer before its per-epoch copies were cut, kept as the
+    oracle of train_classifier: (weights, biases, whether some epoch had no
+    margin violator)."""
+    X, y, _ = reference_dataset(corpus)
+    present = tuple(sorted(set(int(v) for v in y)))
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0, ddof=0)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    Z = (X - mean) / scale
+    n = Z.shape[0]
+    lam = config.l2
+    W = np.zeros((len(present), Z.shape[1]))
+    b = np.zeros(len(present))
+    saw_no_violator = False
+    for ci, cls in enumerate(present):
+        target = np.where(y == cls, 1.0, -1.0)
+        w = np.zeros(Z.shape[1])
+        bias = 0.0
+        for t in range(1, config.epochs + 1):
+            eta = 1.0 / (lam * t)
+            margins = target * (Z @ w + bias)
+            active = margins < 1.0
+            if active.any():
+                grad_w = lam * w - (target[active, None] * Z[active]).sum(axis=0) / n
+                grad_b = -target[active].sum() / n
+            else:
+                saw_no_violator = True
+                grad_w = lam * w
+                grad_b = 0.0
+            w = w - eta * grad_w
+            bias = bias - eta * grad_b
+        W[ci] = w
+        b[ci] = bias
+    return W, b, saw_no_violator
+
+
+def reference_predictions(model, corpus) -> list:
+    """One predict_trust call per dataset row: the per-row evaluation that
+    evaluate_classifier's single product replaced."""
+    X, _, _ = reference_dataset(corpus)
+    return [predict_trust(model, x)[0] for x in X]
 
 
 class RiggedSweepEnv:

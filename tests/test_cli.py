@@ -69,6 +69,10 @@ class TestGenCorpus:
         assert (a / "corpus.csv").read_bytes() == (b / "corpus.csv").read_bytes()
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
+    def test_written_generator_params_load_back(self, corpus_file):
+        params = json.loads((corpus_file.parent / "generator_params.json").read_text())
+        assert GeneratorConfig.from_json_dict(params) == GeneratorConfig(n_dialogs=40)
+
     def test_config_file_with_flag_overrides(self, work):
         config_path = work / "gen_config.json"
         config_path.write_text(json.dumps(
@@ -185,6 +189,16 @@ class TestTrainRl:
         assert returns[0] == "episode,return"
         assert len(returns) == 25 + 1
 
+    def test_summary_names_the_real_window(self, work, corpus_file, capsys):
+        out = work / "rl20"
+        assert main(["train-rl", "--corpus", str(corpus_file), "--seed", "0",
+                     "--episodes", "20", "--out", str(out)]) == 0
+        returns = [float(row.split(",")[1]) for row in
+                   (out / "returns.csv").read_text().splitlines()[1:]]
+        printed = capsys.readouterr().out.strip()
+        assert printed == (f"trained 20 episodes; mean return over last 20: "
+                           f"{sum(returns) / 20:.3f}")
+
 
 class TestExitCodes:
     def test_missing_seed_is_usage_error(self, work, capsys):
@@ -222,11 +236,18 @@ class TestExitCodes:
         assert main(["fit", "--corpus", str(gen / "corpus.csv"), "--seed", "1",
                      "--out", str(work / "x5")]) == 2
 
-    def test_missing_corpus_file_is_runtime_error(self, work, capsys):
-        assert main(["evaluate", "--corpus", str(work / "nope.csv"),
-                     "--seed", "1", "--out", str(work / "x6")]) == 3
+    @pytest.mark.parametrize("flag", ["corpus", "table", "config"])
+    def test_missing_input_file_is_validation_error(self, work, corpus_file, capsys,
+                                                    flag):
+        missing = str(work / f"no_such_{flag}")
+        if flag == "config":
+            argv = ["gen-corpus", "--config", missing]
+        else:
+            argv = ["evaluate", "--corpus", str(corpus_file), f"--{flag}", missing]
+        assert main(argv + ["--seed", "1", "--out", str(work / "x6")]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "FileNotFoundError"
+        assert err["error"] == "InvalidConfig"
+        assert f"--{flag} {missing}" in err["message"]
 
     def test_corrupt_table_is_validation_error(self, work, corpus_file, capsys):
         bad = work / "bad_table.json"
@@ -239,6 +260,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("malform", [
         "not-json", "missing-keys", "not-object", "unknown-process-key",
         "unknown-traits-key", "traits-type", "process-type", "gender-probs",
+        "unknown-top-key", "unknown-trait",
     ])
     def test_malformed_generator_config_is_validation_error(self, work, capsys,
                                                             malform):
@@ -257,6 +279,10 @@ class TestExitCodes:
             payload["process"] = [1.0]
         elif malform == "gender-probs":
             payload["traits"]["gender_probs"] = ["a", "b", "c"]
+        elif malform == "unknown-top-key":
+            payload["bogus"] = 1
+        elif malform == "unknown-trait":
+            payload["traits"]["height"] = dict(payload["traits"]["age"])
         bad = work / f"bad_config_{malform}.json"
         bad.write_text("{not json" if malform == "not-json" else json.dumps(payload))
         assert main(["gen-corpus", "--seed", "1", "--config", str(bad),

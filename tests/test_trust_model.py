@@ -5,8 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_dialog, make_user, stub_trust_model as stub_model
-from trustsim.corpus import Corpus, ProactiveAct
+from conftest import (
+    make_corpus,
+    make_dialog,
+    make_exchange,
+    make_user,
+    reference_dataset,
+    reference_predictions,
+    reference_train,
+    stub_trust_model as stub_model,
+)
+from trustsim import trust_model
+from trustsim.corpus import ACT_ORDER, Corpus, Gender, ProactiveAct
 from trustsim.errors import (
     DegenerateLabels,
     EmptyTestSet,
@@ -157,6 +167,48 @@ class TestCorpusToDataset:
         assert X[1][lag_ix] == float(expected)
 
 
+def varied_corpus() -> Corpus:
+    """Hand-built users of every gender whose acts, requests and ratings
+    change from step to step, so every lag column takes several values."""
+    users, dialogs = [], {}
+    for i, gender in enumerate(Gender):
+        user = make_user(user_id=f"v{i}", age=20 + 7 * i, gender=gender,
+                         openness=1.0 + i, neuroticism=4.5 - i)
+        users.append(user)
+        dialogs[user.user_id] = tuple(
+            make_exchange(step, dialog_id=f"d{i}", act=ACT_ORDER[(step + i) % 4],
+                          help_request=step % 3 == i, suggestion_request=step % 2 == 0,
+                          duration=21.0 + 3.5 * step + i, difficulty=1 + (step + i) % 5,
+                          trust=1 + step % 5, competence=1 + (step + i) % 5,
+                          reliability=5 - step % 5, predictability=1 + (2 * step) % 5)
+            for step in range(1, 13))
+    return Corpus(users=tuple(users), dialogs=dialogs)
+
+
+def corpus_case(request, name) -> Corpus:
+    """A named test corpus: a session fixture or a hand-built one."""
+    builders = {"separable": separable_corpus, "varied": varied_corpus,
+                "one-user": lambda: make_corpus(n_users=1),
+                "empty": lambda: Corpus(users=(), dialogs={})}
+    if name in builders:
+        return builders[name]()
+    return request.getfixturevalue(name)
+
+
+class TestColumnBuiltDatasetEqualsPerRowLoop:
+    @pytest.mark.parametrize("name", ["default_corpus", "drifting_corpus",
+                                      "small_corpus", "varied", "one-user", "empty"])
+    def test_same_bytes_labels_and_owners(self, request, name):
+        corpus = corpus_case(request, name)
+        X, y, owners = corpus_to_dataset(corpus)
+        X_ref, y_ref, owners_ref = reference_dataset(corpus)
+        assert X.shape == X_ref.shape == (12 * corpus.n_dialogs, N_FEATURES)
+        assert X.tobytes() == X_ref.tobytes()
+        assert y.dtype == y_ref.dtype
+        assert y.tolist() == y_ref.tolist()
+        assert owners == owners_ref
+
+
 def separable_corpus() -> Corpus:
     """Two archetypes whose profiles fully determine their trust labels."""
     users, dialogs = [], {}
@@ -211,6 +263,21 @@ class TestTraining:
         assert model.classes == tuple(sorted(set(int(v) for v in y)))
 
 
+
+
+class TestTrainerEqualsReference:
+    @pytest.mark.parametrize("name", ["small_corpus", "drifting_corpus", "varied",
+                                      "separable"])
+    def test_same_weight_and_bias_bytes(self, request, name):
+        corpus = corpus_case(request, name)
+        model = train_classifier(corpus)
+        weights, biases, saw_no_violator = reference_train(corpus)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.biases.tobytes() == biases.tobytes()
+        if name == "separable":
+            # epochs in which no row violates its margin take the branch
+            # without a hinge term
+            assert saw_no_violator
 
 
 class TestPrediction:
@@ -280,6 +347,42 @@ class TestEvaluateClassifier:
         model = stub_model([0.0] * 5)
         with pytest.raises(EmptyTestSet):
             evaluate_classifier(model, Corpus(users=(), dialogs={}))
+
+    @pytest.mark.parametrize("train_on, test_on", [
+        ("small_corpus", "small_corpus"), ("small_corpus", "default_corpus"),
+        ("drifting_corpus", "default_corpus"), ("separable", "separable"),
+        ("varied", "varied"),
+    ])
+    def test_one_product_matches_per_row_prediction(self, request, monkeypatch,
+                                                    train_on, test_on):
+        model = train_classifier(corpus_case(request, train_on))
+        corpus = corpus_case(request, test_on)
+        seen = []
+
+        def spy(y_true, y_pred):
+            seen.append(list(y_pred))
+            return classification_metrics(y_true, y_pred)
+
+        monkeypatch.setattr(trust_model, "classification_metrics", spy)
+        report = evaluate_classifier(model, corpus)
+        expected = reference_predictions(model, corpus)
+        assert seen == [expected]
+        _, y, _ = reference_dataset(corpus)
+        assert report == classification_metrics(y, expected)
+
+    def test_ties_go_to_the_lowest_label(self):
+        corpus = separable_corpus()
+        report = evaluate_classifier(stub_model([0.0, 1.0, 1.0, 1.0, 0.0]), corpus)
+        assert [sum(row) for row in zip(*report.confusion)] == [0, 72, 0, 0, 0]
+
+    def test_feature_count_mismatch_rejected(self):
+        model = stub_model([0.0] * 5)
+        narrow = trust_model.TrustClassifier(
+            schema_version=model.schema_version, classes=model.classes,
+            weights=model.weights[:, :7], biases=model.biases,
+            feature_mean=np.zeros(7), feature_scale=np.ones(7))
+        with pytest.raises(SchemaMismatch):
+            evaluate_classifier(narrow, separable_corpus())
 
     def test_stub_model_matches_hand_count(self):
         # a model that always answers 3 scores exactly the label-3 share

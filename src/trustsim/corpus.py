@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -212,40 +213,76 @@ USER_COLUMNS = ("user_id", "age", "gender") + SCALE_TRAITS
 EXCHANGE_COLUMNS = tuple(f.name for f in fields(Exchange))
 CORPUS_COLUMNS = USER_COLUMNS + EXCHANGE_COLUMNS
 
-_BOOL_FIELDS = {"help_request", "suggestion_request"}
-_INT_FIELDS = {
-    "age", "step", "complexity", "difficulty",
-    "trust", "competence", "reliability", "predictability",
+def _parse_bool(raw):
+    if type(raw) is bool:
+        return raw
+    text = str(raw).strip().lower()
+    if text in ("true", "1"):
+        return True
+    if text in ("false", "0"):
+        return False
+    raise ValueError(raw)
+
+
+def _parse_int(raw):
+    # int() alone would truncate a JSON 1.9 to 1 and read true as 1
+    kind = type(raw)
+    if kind is str or kind is int:
+        return int(raw)
+    raise ValueError(f"{kind.__name__} is not an integer")
+
+
+def _parse_float(raw):
+    if type(raw) is bool:
+        raise ValueError("bool is not a number")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _parse_gender(raw):
+    return Gender(str(raw).strip().lower())
+
+
+def _parse_act(raw):
+    return ProactiveAct(str(raw).strip())
+
+
+# One parser per flat-file column: raw file value -> typed value.
+_PARSERS = {
+    "user_id": str,
+    "dialog_id": str,
+    "gender": _parse_gender,
+    "proactive_act": _parse_act,
+    **dict.fromkeys(("help_request", "suggestion_request"), _parse_bool),
+    **dict.fromkeys(("age", "step", "complexity", "difficulty", "trust",
+                     "competence", "reliability", "predictability"), _parse_int),
+    **dict.fromkeys(SCALE_TRAITS + ("game_score", "duration"), _parse_float),
 }
-_FLOAT_FIELDS = set(SCALE_TRAITS) | {"game_score", "duration"}
+_PARSE_ERRORS = (ValueError, TypeError, OverflowError)
+_USER_PARSERS = tuple(_PARSERS[name] for name in USER_COLUMNS)
+_EXCHANGE_PARSERS = tuple(_PARSERS[name] for name in EXCHANGE_COLUMNS)
+_N_USER = len(USER_COLUMNS)
 
 
 def _parse_field(name: str, raw, row: int):
     """Raw file value -> typed value; raises ValueOutOfRange on bad input."""
     try:
-        if name in _BOOL_FIELDS:
-            if isinstance(raw, bool):
-                return raw
-            text = str(raw).strip().lower()
-            if text in ("true", "1"):
-                return True
-            if text in ("false", "0"):
-                return False
-            raise ValueError(raw)
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            value = float(raw)
-            if math.isnan(value) or math.isinf(value):
-                raise ValueError(raw)
-            return value
-        if name == "gender":
-            return Gender(str(raw).strip().lower())
-        if name == "proactive_act":
-            return ProactiveAct(str(raw).strip())
-        return str(raw)
-    except (ValueError, KeyError) as exc:
+        return _PARSERS[name](raw)
+    except _PARSE_ERRORS as exc:
         raise ValueOutOfRange(name, raw, row=row, detail=str(exc)) from exc
+
+
+def _parse_cells(names, parsers, cells, row: int) -> list:
+    """Typed values of one row's cells; the first bad cell raises."""
+    try:
+        return [parse(cell) for parse, cell in zip(parsers, cells)]
+    except _PARSE_ERRORS:
+        # re-run cell by cell, so the error names the first bad field
+        for name, cell in zip(names, cells):
+            _parse_field(name, cell, row)
+        raise
 
 
 def _format_field(value):
@@ -266,26 +303,53 @@ def _infer_format(path: Path, file_format: str | None) -> str:
     return file_format
 
 
-def _read_rows(path: Path, file_format: str) -> list[dict]:
+def _read_rows(path: Path, file_format: str) -> Iterator[tuple]:
+    """Data rows as tuples of raw cells in CORPUS_COLUMNS order.
+
+    CSV rows are streamed; blank lines are skipped and not counted.
+    """
     if file_format == "csv":
         with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []
+            reader = csv.reader(handle)
+            header = next(reader, [])
             for col in CORPUS_COLUMNS:
                 if col not in header:
                     raise MissingColumn(f"column {col!r} missing from {path}")
-            return list(reader)
+            for col in header:
+                if header.count(col) > 1:
+                    raise ValueOutOfRange("header", col, detail="column named twice")
+            pick = itemgetter(*(header.index(col) for col in CORPUS_COLUMNS))
+            width = len(header)
+            row = 0
+            for cells in reader:
+                if not cells:
+                    continue
+                row += 1
+                if len(cells) != width:
+                    raise ValueOutOfRange("fields", len(cells), row=row,
+                                          detail=f"the header has {width} columns")
+                yield pick(cells)
+        return
     rows = []
     with path.open(encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise ValueOutOfRange("line", line, row=len(rows) + 1,
+                                      detail=f"not JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueOutOfRange("line", obj, row=len(rows) + 1,
+                                      detail="not a JSON object")
+            rows.append(obj)
     for i, row in enumerate(rows, start=1):
         for col in CORPUS_COLUMNS:
             if col not in row:
                 raise MissingColumn(f"column {col!r} missing from {path} (row {i})")
-    return rows
+    yield from map(itemgetter(*CORPUS_COLUMNS), rows)
 
 
 def load_corpus(path, file_format: str | None = None) -> Corpus:
@@ -297,35 +361,45 @@ def load_corpus(path, file_format: str | None = None) -> Corpus:
     """
     path = Path(path)
     file_format = _infer_format(path, file_format)
-    raw_rows = _read_rows(path, file_format)
 
     users: list[UserRecord] = []
-    seen: dict[str, UserRecord] = {}
-    dialog_rows: dict[str, list[Exchange]] = {}
-    for i, raw in enumerate(raw_rows, start=1):
-        parsed = {name: _parse_field(name, raw[name], i) for name in CORPUS_COLUMNS}
+    # user_id -> (raw user cells of the user's first row, its record). Equal
+    # text parses to equal values, so a later row with the same text reuses
+    # the record. JSON numbers are kept out (1 == 1.0 == True in Python).
+    firsts: dict[str, tuple] = {}
+    dialogs: dict[str, list[Exchange]] = {}
+    for i, raw in enumerate(_read_rows(path, file_format), start=1):
+        raw_user = raw[:_N_USER]
+        first = firsts.get(str(raw[0]))  # str is the user_id parser
+        reuse = first is not None and first[0] == raw_user
+        # fields parse in column order, then the records validate, so a
+        # row's first bad field is the one reported
+        if not reuse:
+            user_values = _parse_cells(USER_COLUMNS, _USER_PARSERS, raw_user, i)
+        values = _parse_cells(EXCHANGE_COLUMNS, _EXCHANGE_PARSERS, raw[_N_USER:], i)
         try:
-            user = UserRecord(**{name: parsed[name] for name in USER_COLUMNS})
-            exchange = Exchange(**{name: parsed[name] for name in EXCHANGE_COLUMNS})
+            user = first[1] if reuse else UserRecord(*user_values)
+            exchange = Exchange(*values)
         except ValueOutOfRange as exc:
             raise ValueOutOfRange(exc.field, exc.value, row=i) from exc
         uid = user.user_id
-        if uid not in seen:
-            seen[uid] = user
+        if uid not in dialogs:
+            text = raw_user if all(type(cell) is str for cell in raw_user) else None
+            firsts[uid] = (text, user)
             users.append(user)
-            dialog_rows[uid] = []
-        elif seen[uid] != user:
+            dialogs[uid] = []
+        elif not reuse and firsts[uid][1] != user:
             raise ValueOutOfRange("user_id", uid, row=i,
                                   detail="user columns differ between rows")
-        elif dialog_rows[uid][0].dialog_id != exchange.dialog_id:
+        elif dialogs[uid][0].dialog_id != exchange.dialog_id:
             raise ValueOutOfRange("dialog_id", exchange.dialog_id, row=i,
                                   detail=f"user {uid!r} already has dialog "
-                                         f"{dialog_rows[uid][0].dialog_id!r}")
-        dialog_rows[uid].append(exchange)
+                                         f"{dialogs[uid][0].dialog_id!r}")
+        dialogs[uid].append(exchange)
 
-    for uid, exchanges in dialog_rows.items():
-        dialog_rows[uid] = sorted(exchanges, key=lambda ex: ex.step)
-    return Corpus(users=tuple(users), dialogs=dialog_rows)
+    for dialog in dialogs.values():
+        dialog.sort(key=attrgetter("step"))
+    return Corpus(users=tuple(users), dialogs=dialogs)
 
 
 def save_corpus(corpus: Corpus, path, file_format: str | None = None) -> None:

@@ -64,12 +64,6 @@ class NoDataForCondition(TrustSimError):
     """A condition (complexity or step) was never observed in the corpus."""
 
 
-# --- simulator ------------------------------------------------------------
-
-class WrongActCount(TrustSimError):
-    """A full dialog needs exactly one proactive act per task step."""
-
-
 # --- trust model ----------------------------------------------------------
 
 class SchemaMismatch(TrustSimError):

@@ -29,11 +29,10 @@ from .corpus import (
     MIN_DURATION_S,
     OPTION_SCORE_UNIT,
     ProactiveAct,
-    STEPS_PER_DIALOG,
     complexity_of_step,
     max_option_score,
 )
-from .errors import InvalidConfig, ValueOutOfRange, WrongActCount
+from .errors import InvalidConfig, ValueOutOfRange
 from .sampling import RandomStream, categorical, truncated_gaussian
 from .user_model import UserProfile, binarize_traits
 
@@ -94,18 +93,6 @@ def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
         game_score=game_score,
         used_fallback=used_fallback,
     )
-
-
-def simulate_dialog(table: BehaviorTable, profile: UserProfile, acts,
-                    rng: RandomStream) -> list:
-    """Chain 12 turns; acts[i] drives step i+1."""
-    acts = list(acts)
-    if len(acts) != STEPS_PER_DIALOG:
-        raise WrongActCount(f"need {STEPS_PER_DIALOG} acts, got {len(acts)}")
-    return [
-        simulate_turn(table, profile, step, acts[step - 1], rng.child("step", step))
-        for step in range(1, STEPS_PER_DIALOG + 1)
-    ]
 
 
 @dataclass(frozen=True)

@@ -2,22 +2,35 @@
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trustsim.corpus import (
+    CORPUS_COLUMNS,
     Corpus,
+    EXCHANGE_COLUMNS,
     Exchange,
     Gender,
     ProactiveAct,
+    USER_COLUMNS,
     UserRecord,
+    _infer_format,
+    _parse_field,
     complexity_of_step,
     option_scores,
 )
-from trustsim.errors import InvalidConfig, NoDataForCondition
+from trustsim.errors import (
+    InvalidConfig,
+    MissingColumn,
+    NoDataForCondition,
+    ValueOutOfRange,
+)
 from trustsim.rl_env import EnvState
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import (
@@ -149,6 +162,56 @@ def reference_predictions(model, corpus) -> list:
     evaluate_classifier's single product replaced."""
     X, _, _ = reference_dataset(corpus)
     return [predict_trust(model, x)[0] for x in X]
+
+
+def reference_load_corpus(path, file_format=None) -> Corpus:
+    """The per-row loader load_corpus replaced, kept as its oracle: every
+    row read into memory through DictReader, every field parsed by name and
+    a UserRecord built for every row, then compared with the user's first."""
+    path = Path(path)
+    file_format = _infer_format(path, file_format)
+    if file_format == "csv":
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []
+            for col in CORPUS_COLUMNS:
+                if col not in header:
+                    raise MissingColumn(f"column {col!r} missing from {path}")
+            raw_rows = list(reader)
+    else:
+        with path.open(encoding="utf-8") as handle:
+            raw_rows = [json.loads(line) for line in handle if line.strip()]
+        for i, row in enumerate(raw_rows, start=1):
+            for col in CORPUS_COLUMNS:
+                if col not in row:
+                    raise MissingColumn(f"column {col!r} missing from {path} (row {i})")
+
+    users = []
+    seen = {}
+    dialog_rows = {}
+    for i, raw in enumerate(raw_rows, start=1):
+        parsed = {name: _parse_field(name, raw[name], i) for name in CORPUS_COLUMNS}
+        try:
+            user = UserRecord(**{name: parsed[name] for name in USER_COLUMNS})
+            exchange = Exchange(**{name: parsed[name] for name in EXCHANGE_COLUMNS})
+        except ValueOutOfRange as exc:
+            raise ValueOutOfRange(exc.field, exc.value, row=i) from exc
+        uid = user.user_id
+        if uid not in seen:
+            seen[uid] = user
+            users.append(user)
+            dialog_rows[uid] = []
+        elif seen[uid] != user:
+            raise ValueOutOfRange("user_id", uid, row=i,
+                                  detail="user columns differ between rows")
+        elif dialog_rows[uid][0].dialog_id != exchange.dialog_id:
+            raise ValueOutOfRange("dialog_id", exchange.dialog_id, row=i,
+                                  detail=f"user {uid!r} already has dialog "
+                                         f"{dialog_rows[uid][0].dialog_id!r}")
+        dialog_rows[uid].append(exchange)
+    for uid, exchanges in dialog_rows.items():
+        dialog_rows[uid] = sorted(exchanges, key=lambda ex: ex.step)
+    return Corpus(users=tuple(users), dialogs=dialog_rows)
 
 
 class RiggedSweepEnv:

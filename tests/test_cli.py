@@ -357,3 +357,34 @@ class TestExitCodes:
                      "--out", str(work / "x8")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MissingColumn"
+
+    @pytest.mark.parametrize("malform,message", [
+        ("short-row", "(row 480): the header has 24 columns"),
+        ("long-row", "fields=25 out of range (row 3)"),
+        ("header-twice", "header='user_id' out of range: column named twice"),
+        ("jsonl-not-json", "(row 480): not JSON"),
+        ("jsonl-number", "line=5 out of range (row 2): not a JSON object"),
+        ("jsonl-list", "(row 2): not a JSON object"),
+    ])
+    def test_malformed_corpus_rows_are_validation_errors(self, work, corpus_file,
+                                                         capsys, malform, message):
+        lines = corpus_file.read_text().splitlines()
+        suffix = "jsonl" if malform.startswith("jsonl") else "csv"
+        if suffix == "jsonl":
+            lines = [json.dumps(dict(zip(lines[0].split(","), line.split(","))))
+                     for line in lines[1:]]
+        if malform in ("short-row", "jsonl-not-json"):
+            lines[-1] = lines[-1][:len(lines[-1]) // 2]
+        elif malform == "long-row":
+            lines[3] += ",extra"
+        elif malform == "header-twice":
+            lines = [line + "," + line.split(",")[0] for line in lines]
+        else:
+            lines[1] = "5" if malform == "jsonl-number" else '["u0"]'
+        bad = work / f"bad_{malform}.{suffix}"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--corpus", str(bad), "--seed", "1",
+                     "--out", str(work / "x11")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueOutOfRange"
+        assert message in err["message"]

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from conftest import make_corpus, make_dialog, make_exchange, make_user
+from conftest import (
+    make_corpus,
+    make_dialog,
+    make_exchange,
+    make_user,
+    reference_load_corpus,
+)
 from trustsim.corpus import (
     Corpus,
     EXCHANGE_COLUMNS,
@@ -200,6 +207,139 @@ class TestFileRoundTrip:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(InvalidConfig):
             load_corpus(tmp_path / "c.parquet")
+
+
+def rewrite_cells(path, edits):
+    """Rewrite a saved CSV; edits maps (data row, column) -> new cell text."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    for (row, col), text in edits.items():
+        cells = lines[row].split(",")
+        cells[header.index(col)] = text
+        lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def rewrite_objects(path, edits):
+    """Rewrite a saved JSONL; edits maps (data row, column) -> new value."""
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for (row, col), value in edits.items():
+        rows[row - 1][col] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+class TestLoaderOracle:
+    """load_corpus against the per-row loader it replaced."""
+
+    @pytest.mark.parametrize("fixture", ["default_corpus", "drifting_corpus",
+                                         "small_corpus"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_equals_reference(self, tmp_path, request, fixture, fmt):
+        corpus = request.getfixturevalue(fixture)
+        path = tmp_path / f"c.{fmt}"
+        save_corpus(corpus, path)
+        loaded = load_corpus(path)
+        assert loaded == reference_load_corpus(path) == corpus
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_user_text_that_parses_equal_loads(self, tmp_path, fmt):
+        corpus = make_corpus(user_overrides={"openness": 3.0})
+        path = tmp_path / f"c.{fmt}"
+        save_corpus(corpus, path)
+        if fmt == "csv":
+            rewrite_cells(path, {(2, "openness"): "3", (3, "gender"): "Female",
+                                 (4, "age"): " 30", (14, "technical_affinity"): "3.50"})
+        else:
+            rewrite_objects(path, {(2, "openness"): 3, (3, "gender"): "Female",
+                                   (4, "age"): "30", (14, "technical_affinity"): "3.5"})
+        loaded = load_corpus(path)
+        assert loaded == reference_load_corpus(path) == corpus
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_user_text_that_parses_different_names_row(self, tmp_path, fmt):
+        path = tmp_path / f"c.{fmt}"
+        save_corpus(make_corpus(user_overrides={"openness": 3.0}), path)
+        if fmt == "csv":
+            rewrite_cells(path, {(5, "openness"): "3.25"})
+        else:
+            rewrite_objects(path, {(5, "openness"): 3.25})
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        assert (err.value.field, err.value.row) == ("user_id", 5)
+        assert "user columns differ between rows" in str(err.value)
+
+    def test_first_bad_field_of_a_row_is_named(self, tmp_path):
+        path = tmp_path / "c.csv"
+        save_corpus(make_corpus(), path)
+        rewrite_cells(path, {(7, "duration"): "slow", (7, "trust"): "x",
+                             (7, "age"): "old"})
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        assert (err.value.field, err.value.row) == ("age", 7)
+        # a reused user record does not hide a later row's bad exchange field
+        save_corpus(make_corpus(), path)
+        rewrite_cells(path, {(7, "duration"): "slow", (7, "trust"): "x"})
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        assert (err.value.field, err.value.row) == ("duration", 7)
+
+    def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
+        path = tmp_path / "c.csv"
+        save_corpus(make_corpus(), path)
+        lines = path.read_text().splitlines()
+        lines.insert(3, "")
+        path.write_text("\n".join(lines) + "\n")
+        assert load_corpus(path) == make_corpus()
+        rewrite_cells(path, {(4, "duration"): "15.0"})
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        assert err.value.row == 3
+
+    def test_columns_may_come_in_any_order(self, tmp_path):
+        path = tmp_path / "c.csv"
+        save_corpus(make_corpus(), path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(["note"] + row[::-1]) + "\n" for row in rows))
+        assert load_corpus(path) == make_corpus()
+
+
+class TestJsonlValueTypes:
+    @pytest.mark.parametrize("field,value", [
+        ("age", None), ("age", [30]), ("age", 30.0), ("step", 1.9), ("step", True),
+        ("trust", 4.6), ("difficulty", "3.0"), ("openness", True),
+        ("duration", False), ("game_score", None), ("help_request", None),
+        ("openness", 10 ** 400),
+    ])
+    def test_rejected_with_row(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        save_corpus(make_corpus(), path)
+        rewrite_objects(path, {(4, field): value})
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        assert (err.value.field, err.value.row) == (field, 4)
+
+    @pytest.mark.parametrize("field,value", [
+        ("age", "30"), ("step", " 4"), ("openness", 3), ("duration", "42"),
+        ("help_request", "false"), ("help_request", 0), ("gender", "FEMALE"),
+        ("user_id", 0),
+    ])
+    def test_integer_and_number_text_accepted(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        save_corpus(make_corpus(), path)
+        edits = {(4, field): value}
+        if field == "user_id":  # every row of the user, so the dialog stays whole
+            edits = {(row, field): value for row in range(1, 13)}
+        rewrite_objects(path, edits)
+        assert load_corpus(path) == reference_load_corpus(path)
+
+    def test_csv_integer_text_rules_unchanged(self, tmp_path):
+        path = tmp_path / "c.csv"
+        save_corpus(make_corpus(), path)
+        rewrite_cells(path, {(4, "trust"): "4.0"})
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        assert (err.value.field, err.value.row) == ("trust", 4)
+        assert "invalid literal for int()" in str(err.value)
 
 
 class TestSplitCorpus:

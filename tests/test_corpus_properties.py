@@ -1,0 +1,91 @@
+"""Property tests: the streaming loader against the per-row loader it replaced.
+
+One cell of a saved corpus is replaced by drawn text; both loaders must then
+return equal corpora, or both raise the same typed error with the same
+message. Kept apart from test_corpus.py so that the example-based tests
+there still run where hypothesis is not installed.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import reference_load_corpus
+from trustsim.corpus import CORPUS_COLUMNS, load_corpus, save_corpus
+from trustsim.errors import TrustSimError
+from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
+
+N_ROWS = 36  # three dialogs
+
+# Spellings at the edges of the field parsers: padding, integer text in a
+# float field and float text in an int field, non-finite floats, bool and
+# enum spellings, and values of other fields.
+EDGE_TEXT = [
+    "", " ", " 3", "3 ", "3.0", "3", "03", "-1", "0", "1", "5", "6", "18", "61",
+    "20", "20.0", "1e3", "1_0", "nan", "NaN", "inf", "-inf", "True", "true",
+    "FALSE", "yes", "male", "Male", " FEMALE ", "other", "unknown",
+    "None", "Notification", "suggestion", " Intervention ", "Nudge", "d-0",
+]
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except TrustSimError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=N_ROWS // 12), seed=5)
+    root = tmp_path_factory.mktemp("props")
+    for fmt in ("csv", "jsonl"):
+        save_corpus(corpus, root / f"saved.{fmt}")
+    return root
+
+
+def cell_text(rows):
+    """Drawn replacement text: an edge spelling, free text, or another cell."""
+    return st.one_of(
+        st.sampled_from(EDGE_TEXT),
+        st.text(st.characters(exclude_characters="\x00"), max_size=6),
+        st.tuples(st.integers(1, N_ROWS), st.integers(0, len(CORPUS_COLUMNS) - 1))
+        .map(lambda rc: rows[rc[0]][rc[1]]),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_csv_cell_replaced_by_text(saved, data):
+    rows = list(csv.reader(io.StringIO((saved / "saved.csv").read_text())))
+    row = data.draw(st.integers(0, N_ROWS), label="row")  # 0 is the header
+    col = data.draw(st.integers(0, len(CORPUS_COLUMNS) - 1), label="col")
+    rows[row][col] = data.draw(cell_text(rows), label="text")
+    path = saved / "mutated.csv"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    assert outcome(load_corpus, path) == outcome(reference_load_corpus, path)
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 70), st.floats(allow_nan=False),
+    st.sampled_from(EDGE_TEXT), st.lists(st.integers(1, 5), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_jsonl_value_replaced(saved, data):
+    objects = [json.loads(line) for line in
+               (saved / "saved.jsonl").read_text().splitlines()]
+    row = data.draw(st.integers(0, N_ROWS - 1), label="row")
+    col = data.draw(st.sampled_from(CORPUS_COLUMNS), label="col")
+    objects[row][col] = data.draw(JSON_VALUES, label="value")
+    path = saved / "mutated.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objects))
+    assert outcome(load_corpus, path) == outcome(reference_load_corpus, path)

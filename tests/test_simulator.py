@@ -11,14 +11,13 @@ from conftest import analytic_truncated_mean, make_dialog, make_exchange, make_u
 from trustsim import simulator
 from trustsim.behavior_tables import ContextKey, TableMode, build_table, lookup
 from trustsim.corpus import Corpus, ProactiveAct
-from trustsim.errors import InvalidConfig, ValueOutOfRange, WrongActCount
+from trustsim.errors import InvalidConfig, ValueOutOfRange
 from trustsim.sampling import RandomStream
 from trustsim.simulator import (
     LOG_COLUMNS,
     SimulatedTurn,
     replay_conditions,
     save_simulated_log,
-    simulate_dialog,
     simulate_turn,
 )
 from trustsim.user_model import binarize_traits
@@ -188,27 +187,6 @@ class TestFallbackFlag:
         assert t.used_fallback is True
         _, flagged = lookup(table, key)
         assert flagged is True
-
-
-class TestSimulateDialog:
-    def test_needs_exactly_twelve_acts(self, small_corpus):
-        table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
-        profile = small_corpus.users[0]
-        with pytest.raises(WrongActCount):
-            simulate_dialog(table, profile, [ProactiveAct.NONE] * 11,
-                            RandomStream(1))
-
-    def test_decomposes_into_per_step_streams(self, small_corpus):
-        table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
-        profile = small_corpus.users[0]
-        acts = [ProactiveAct.SUGGESTION] * 12
-        root = RandomStream(7, "dialog")
-        turns = simulate_dialog(table, profile, acts, root)
-        assert len(turns) == 12
-        for step in (1, 5, 12):
-            solo = simulate_turn(table, profile, step, acts[step - 1],
-                                 root.child("step", step))
-            assert turns[step - 1] == solo
 
 
 class TestReplay:

@@ -29,7 +29,7 @@ from .corpus import (
     ProactiveAct,
     STEPS_PER_DIALOG,
 )
-from .errors import EmptyCorpus, InvalidConfig, NoDataForCondition
+from .errors import EmptyCorpus, InvalidConfig, NoDataForCondition, read_json
 from .user_model import ALL_TRAIT_TUPLES, TraitTuple, binarize_traits
 
 DEFAULT_FALLBACK_THRESHOLD = 10
@@ -449,8 +449,4 @@ def save_table(table: BehaviorTable, path) -> None:
 
 
 def load_table(path) -> BehaviorTable:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise InvalidConfig(f"table file {path} is not JSON: {exc}") from exc
-    return table_from_json_dict(payload)
+    return table_from_json_dict(read_json(path, "table"))

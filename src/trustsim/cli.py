@@ -3,9 +3,10 @@
 Every stochastic subcommand takes an explicit --seed; outputs land in
 --out together with manifest.json listing the resolved config and the
 sha256 of each artifact, so identical invocations are checkable for
-bit-identical results. Exit codes: 0 success, 1 usage, 2 validation
-(including a --corpus, --table or --config file that does not exist),
-3 runtime failure.
+bit-identical results. Later stages read what `fit` wrote: `simulate`
+and `evaluate` its --table, `train-rl` its whole --fit directory.
+Exit codes: 0 success, 1 usage, 2 validation (including a --corpus,
+--table, --config or --fit file that does not exist), 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -21,9 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .behavior_tables import TableMode, build_table, load_table, save_table, table_summary
+from .behavior_tables import (
+    DEFAULT_FALLBACK_THRESHOLD,
+    TableMode,
+    build_table,
+    load_table,
+    save_table,
+    table_summary,
+)
 from .corpus import load_corpus, save_corpus
-from .errors import InvalidConfig, TrustSimError
+from .errors import InvalidConfig, TrustSimError, read_json
 from .fidelity import (
     compare_modes,
     evaluate_simulator,
@@ -34,8 +42,8 @@ from .rl_env import Hyperparams, RewardConfig, TrustSimEnv, train_tabular_policy
 from .sampling import STREAM_FORMAT, RandomStream
 from .simulator import replay_conditions, save_simulated_log
 from .synth import GeneratorConfig, generate_synthetic_corpus
-from .trust_model import save_classifier, train_classifier
-from .user_model import fit_trait_distributions
+from .trust_model import load_classifier, save_classifier, train_classifier
+from .user_model import fit_trait_distributions, load_trait_distributions
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,6 +51,8 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 MODE_NAMES = {m.value: m for m in TableMode}
+
+FIT_FILES = ("table.json", "trait_dists.json", "trust_model.json")  # read by --fit
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,11 +98,7 @@ def _out_dir(args) -> Path:
 
 def _load_generator_config(args) -> GeneratorConfig:
     if getattr(args, "config", None):
-        try:
-            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise InvalidConfig(f"config file {args.config} is not JSON: {exc}") from exc
-        config = GeneratorConfig.from_json_dict(payload)
+        config = GeneratorConfig.from_json_dict(read_json(args.config, "config"))
     else:
         config = GeneratorConfig()
     overrides = {}
@@ -134,31 +140,23 @@ def cmd_fit(args) -> int:
                     {"corpus": str(args.corpus), "mode": args.mode,
                      "fallback_threshold": args.fallback_threshold,
                      "seed": args.seed},
-                    ["table.json", "trait_dists.json", "trust_model.json",
-                     "table_summary.json"])
+                    [*FIT_FILES, "table_summary.json"])
     print(f"fitted {mode.value} table ({len(table.cells)} cells), "
           f"trait distributions, and trust model under {out}")
     return EXIT_OK
 
 
-def _replay_table(args, corpus):
-    """The --table file if given, else a table fitted on the corpus."""
-    if args.table:
-        return load_table(args.table)
-    return build_table(corpus, MODE_NAMES[args.mode], args.fallback_threshold)
-
-
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
-    table = _replay_table(args, corpus)
+    table = load_table(args.table)
     log = replay_conditions(corpus, table, RandomStream(args.seed, "replay"))
     log_name = f"sim_log.{args.format}"
     save_simulated_log(log, out / log_name, args.format)
     _write_manifest(out, "simulate",
                     {"corpus": str(args.corpus), "seed": args.seed,
                      "mode": table.mode.value, "format": args.format,
-                     "table": str(args.table) if args.table else "fit from corpus"},
+                     "table": str(args.table)},
                     [log_name])
     print(f"replayed {len(log)} turns (fallback rate {log.fallback_rate():.3f}) "
           f"to {out / log_name}")
@@ -168,7 +166,7 @@ def cmd_simulate(args) -> int:
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
-    table = _replay_table(args, corpus)
+    table = load_table(args.table)
     log = replay_conditions(corpus, table, RandomStream(args.seed, "replay"))
     report = evaluate_simulator(corpus, log, table.mode.value)
     _write_json(out / "report.json", report.to_json_dict())
@@ -176,7 +174,7 @@ def cmd_evaluate(args) -> int:
     _write_csv(out / "report.csv", report_csv_rows(report))
     _write_manifest(out, "evaluate",
                     {"corpus": str(args.corpus), "seed": args.seed,
-                     "mode": table.mode.value},
+                     "mode": table.mode.value, "table": str(args.table)},
                     ["report.json", "report.txt", "report.csv"])
     print(render_report_text(report))
     return EXIT_OK
@@ -203,12 +201,10 @@ def cmd_compare(args) -> int:
 
 def cmd_train_rl(args) -> int:
     out = _out_dir(args)
-    corpus = load_corpus(args.corpus)
-    mode = MODE_NAMES[args.mode]
-    table = build_table(corpus, mode, args.fallback_threshold)
-    dists = fit_trait_distributions(corpus)
-    model = train_classifier(corpus)
-    env = TrustSimEnv(table, dists, model,
+    fit = Path(args.fit)
+    table = load_table(fit / "table.json")
+    env = TrustSimEnv(table, load_trait_distributions(fit / "trait_dists.json"),
+                      load_classifier(fit / "trust_model.json"),
                       RewardConfig(args.score_weight, args.trust_weight))
     result = train_tabular_policy(env, args.episodes, Hyperparams(seed=args.seed))
     _write_json(out / "policy.json", {
@@ -220,11 +216,10 @@ def cmd_train_rl(args) -> int:
                [("episode", "return")] + [(i, repr(r)) for i, r in
                                           enumerate(result.returns)])
     _write_manifest(out, "train-rl",
-                    {"corpus": str(args.corpus), "mode": args.mode,
+                    {"fit": str(args.fit), "mode": table.mode.value,
                      "episodes": args.episodes, "seed": args.seed,
                      "score_weight": args.score_weight,
-                     "trust_weight": args.trust_weight,
-                     "fallback_threshold": args.fallback_threshold},
+                     "trust_weight": args.trust_weight},
                     ["policy.json", "returns.csv"])
     window = min(100, len(result.returns))
     mean_tail = sum(result.returns[-window:]) / window
@@ -266,35 +261,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit behavior table, traits, and trust model")
     add_common(p)
     p.add_argument("--mode", choices=tuple(MODE_NAMES), default="task-step")
-    p.add_argument("--fallback-threshold", type=int, default=10)
+    p.add_argument("--fallback-threshold", type=int, default=DEFAULT_FALLBACK_THRESHOLD)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="replay corpus conditions through the simulator")
     add_common(p)
-    p.add_argument("--table", default=None,
-                   help="behavior table JSON (default: fit from --corpus)")
-    p.add_argument("--mode", choices=tuple(MODE_NAMES), default="task-step")
-    p.add_argument("--fallback-threshold", type=int, default=10)
+    p.add_argument("--table", required=True, help="behavior table JSON written by fit")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="replay and score one simulation mode")
     add_common(p)
-    p.add_argument("--table", default=None)
-    p.add_argument("--mode", choices=tuple(MODE_NAMES), default="task-step")
-    p.add_argument("--fallback-threshold", type=int, default=10)
+    p.add_argument("--table", required=True, help="behavior table JSON written by fit")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="train/test comparison of both modes")
     add_common(p)
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--fallback-threshold", type=int, default=10)
+    p.add_argument("--fallback-threshold", type=int, default=DEFAULT_FALLBACK_THRESHOLD)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("train-rl", help="train the reference tabular policy")
-    add_common(p)
-    p.add_argument("--mode", choices=tuple(MODE_NAMES), default="task-step")
-    p.add_argument("--fallback-threshold", type=int, default=10)
+    add_common(p, needs_corpus=False)
+    p.add_argument("--fit", required=True, help="output directory of fit")
     p.add_argument("--episodes", type=int, required=True)
     p.add_argument("--score-weight", type=float, default=0.5)
     p.add_argument("--trust-weight", type=float, default=0.5)
@@ -304,9 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_input_files(args) -> None:
-    for flag in ("corpus", "table", "config"):
-        path = getattr(args, flag, None)
-        if path and not Path(path).is_file():
+    paths = [(flag, getattr(args, flag, None)) for flag in ("corpus", "table", "config")]
+    if getattr(args, "fit", None) is not None:
+        paths += [("fit", Path(args.fit) / name) for name in FIT_FILES]
+    for flag, path in paths:
+        if path is not None and not Path(path).is_file():
             raise InvalidConfig(f"--{flag} {path} is not an existing file")
 
 

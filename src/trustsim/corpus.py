@@ -306,8 +306,18 @@ def _infer_format(path: Path, file_format: str | None) -> str:
 def _read_rows(path: Path, file_format: str) -> Iterator[tuple]:
     """Data rows as tuples of raw cells in CORPUS_COLUMNS order.
 
-    CSV rows are streamed; blank lines are skipped and not counted.
+    CSV rows are streamed; blank lines are skipped and not counted. The
+    file is decoded as it is read, so a byte that is not UTF-8 surfaces
+    while the rows are iterated.
     """
+    try:
+        yield from _decoded_rows(path, file_format)
+    except UnicodeDecodeError as exc:
+        raise ValueOutOfRange("file", str(path), detail=f"not UTF-8: byte "
+                              f"{exc.object[exc.start]:#04x} ({exc.reason})") from exc
+
+
+def _decoded_rows(path: Path, file_format: str) -> Iterator[tuple]:
     if file_format == "csv":
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)

@@ -1,8 +1,11 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the JSON file reader.
 
 Everything derives from TrustSimError so callers can catch input/validation
 problems in one place (the CLI maps them to exit code 2).
 """
+
+import json
+from pathlib import Path
 
 
 class TrustSimError(Exception):
@@ -108,3 +111,13 @@ class EmptySequence(TrustSimError):
 
 class AlignmentError(TrustSimError):
     """Simulated log is not aligned 1:1 with the reference corpus."""
+
+
+# --- JSON artifact files --------------------------------------------------
+
+def read_json(path, what: str):
+    """Parsed JSON of a file; InvalidConfig names a file not UTF-8 or not JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise InvalidConfig(f"{what} file {path} is not JSON: {exc}") from exc

@@ -14,7 +14,12 @@ from enum import Enum
 
 import numpy as np
 
-from .behavior_tables import N_DIFFICULTY_CLASSES, TableMode, build_table
+from .behavior_tables import (
+    DEFAULT_FALLBACK_THRESHOLD,
+    N_DIFFICULTY_CLASSES,
+    TableMode,
+    build_table,
+)
 from .corpus import (
     COMPLEXITY_LEVELS,
     Corpus,
@@ -259,7 +264,7 @@ class ModeComparison:
 
 
 def compare_modes(corpus: Corpus, seed: int, train_fraction: float = 0.8,
-                  fallback_threshold: int = 10,
+                  fallback_threshold: int = DEFAULT_FALLBACK_THRESHOLD,
                   binning: BinningConfig = BinningConfig()) -> ModeComparison:
     """Fit both conditioning modes on a train split, replay the test
     split's conditions with each, and report both fidelity tables."""

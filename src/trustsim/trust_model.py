@@ -39,6 +39,7 @@ from .errors import (
     LengthMismatch,
     SchemaMismatch,
     ValueOutOfRange,
+    read_json,
 )
 from .user_model import GENDER_ORDER, UserProfile
 
@@ -436,4 +437,4 @@ def save_classifier(model: TrustClassifier, path) -> None:
 
 
 def load_classifier(path) -> TrustClassifier:
-    return classifier_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return classifier_from_json_dict(read_json(path, "model"))

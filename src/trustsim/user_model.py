@@ -10,6 +10,7 @@ tuple that conditions simulated behavior.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .corpus import (
     SCALE_TRAITS,
     UserRecord,
 )
-from .errors import InsufficientUsers, InvalidBounds, InvalidConfig
+from .errors import InsufficientUsers, InvalidBounds, InvalidConfig, read_json
 from .sampling import RandomStream, categorical, truncated_gaussian
 
 # A trait counts as "high" strictly above the Likert midpoint (3.0 -> low).
@@ -37,6 +38,11 @@ GENDER_ORDER = (Gender.MALE, Gender.FEMALE, Gender.OTHER)
 UserProfile = UserRecord
 
 
+def _finite_number(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class TruncGauss:
     """Parameters of a truncated Gaussian: N(mean, sd) restricted to [lo, hi]."""
@@ -47,10 +53,16 @@ class TruncGauss:
     hi: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not _finite_number(value):
+                raise InvalidBounds(f"{name} must be a finite number, got {value!r}")
         if not self.lo < self.hi:
             raise InvalidBounds(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.sd < 0:
             raise InvalidBounds(f"sd must be >= 0, got {self.sd}")
+
+
+_GAUSS_FIELDS = {"mean", "sd", "lo", "hi"}
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,9 @@ class TraitDistributions:
             dist = getattr(self, name)
             if (dist.lo, dist.hi) != (LIKERT_MIN, LIKERT_MAX):
                 raise InvalidBounds(f"{name} bounds must be [1, 5]")
+        if not all(_finite_number(p) for p in self.gender_probs):
+            raise InvalidConfig(f"gender probabilities must be finite numbers, "
+                                f"got {self.gender_probs!r}")
         object.__setattr__(self, "gender_probs", tuple(float(p) for p in self.gender_probs))
         if len(self.gender_probs) != len(GENDER_ORDER):
             raise InvalidConfig("gender_probs needs (male, female, other)")
@@ -95,13 +110,28 @@ class TraitDistributions:
     def from_json_dict(cls, payload: dict) -> "TraitDistributions":
         if not isinstance(payload, dict):
             raise InvalidConfig(f"traits must be a JSON object, got {type(payload).__name__}")
-        unknown = set(payload) - {"age", "gender_probs", *SCALE_TRAITS}
+        names = ("age",) + SCALE_TRAITS
+        unknown = set(payload) - {"gender_probs", *names}
         if unknown:
             raise InvalidConfig(f"unknown traits {sorted(unknown)}")
-        kwargs = {
-            name: TruncGauss(**payload[name]) for name in ("age",) + SCALE_TRAITS
-        }
-        return cls(gender_probs=tuple(payload["gender_probs"]), **kwargs)
+        missing = [name for name in (*names, "gender_probs") if name not in payload]
+        if missing:
+            raise InvalidConfig(f"traits are missing {missing}")
+        kwargs = {}
+        for name in names:
+            entry = payload[name]
+            if not isinstance(entry, dict) or set(entry) != _GAUSS_FIELDS:
+                raise InvalidConfig(f"trait {name!r} must be an object with keys "
+                                    f"{sorted(_GAUSS_FIELDS)}, got {entry!r}")
+            kwargs[name] = TruncGauss(**entry)
+        probs = payload["gender_probs"]
+        if not isinstance(probs, list):
+            raise InvalidConfig(f"gender_probs must be a list, got {probs!r}")
+        return cls(gender_probs=tuple(probs), **kwargs)
+
+
+def load_trait_distributions(path) -> TraitDistributions:
+    return TraitDistributions.from_json_dict(read_json(path, "trait distributions"))
 
 
 @dataclass(frozen=True)

@@ -272,10 +272,11 @@ def test_pipeline_determinism(tmp_path):
             ["fit", "--corpus", corpus_path, "--seed", "22", "--out", str(fit)],
             ["simulate", "--corpus", corpus_path, "--seed", "23",
              "--table", str(fit / "table.json"), "--out", str(sim)],
-            ["evaluate", "--corpus", corpus_path, "--seed", "24", "--out", str(ev)],
+            ["evaluate", "--corpus", corpus_path, "--seed", "24",
+             "--table", str(fit / "table.json"), "--out", str(ev)],
             ["compare", "--corpus", corpus_path, "--seed", "25",
              "--out", str(comparison)],
-            ["train-rl", "--corpus", corpus_path, "--seed", "26",
+            ["train-rl", "--fit", str(fit), "--seed", "26",
              "--episodes", "25", "--out", str(rl)],
         ]
         for argv in commands:

@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from trustsim.behavior_tables import TableMode, load_table
+from trustsim.behavior_tables import TableMode, build_table, load_table
 from trustsim.cli import main
 from trustsim.corpus import load_corpus
-from trustsim.errors import InvalidConfig, SchemaMismatch
-from trustsim.rl_env import N_STATES
+from trustsim.rl_env import Hyperparams, N_STATES, TrustSimEnv, train_tabular_policy
 from trustsim.sampling import STREAM_FORMAT
 from trustsim.synth import GeneratorConfig
-from trustsim.trust_model import load_classifier
+from trustsim.trust_model import train_classifier
+from trustsim.user_model import fit_trait_distributions
 
 
 def sha256(path):
@@ -43,6 +44,12 @@ def fit_dir(work, corpus_file):
                  "--out", str(out)])
     assert code == 0
     return out
+
+
+def copy_fit(fit_dir, dest):
+    """A copy of the fit directory that a test may corrupt."""
+    shutil.copytree(fit_dir, dest)
+    return dest
 
 
 class TestGenCorpus:
@@ -130,21 +137,29 @@ class TestSimulate:
         assert manifest["config"]["mode"] == "task-step"
 
     def test_jsonl_log(self, work, corpus_file):
+        fit = work / "fit_complexity"
+        assert main(["fit", "--corpus", str(corpus_file), "--seed", "1",
+                     "--mode", "complexity", "--out", str(fit)]) == 0
         out = work / "sim_jsonl"
         code = main(["simulate", "--corpus", str(corpus_file), "--seed", "4",
-                     "--format", "jsonl", "--mode", "complexity",
+                     "--format", "jsonl", "--table", str(fit / "table.json"),
                      "--out", str(out)])
         assert code == 0
         first = json.loads((out / "sim_log.jsonl").read_text().splitlines()[0])
         assert first["step"] == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["mode"] == "complexity"
 
 
 class TestEvaluate:
-    def test_report_bundle(self, work, corpus_file, capsys):
+    def test_report_bundle(self, work, corpus_file, fit_dir, capsys):
         out = work / "eval"
+        table = fit_dir / "table.json"
         code = main(["evaluate", "--corpus", str(corpus_file), "--seed", "5",
-                     "--mode", "task-step", "--out", str(out)])
+                     "--table", str(table), "--out", str(out)])
         assert code == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["mode"], config["table"]) == ("task-step", str(table))
         report = json.loads((out / "report.json").read_text())
         assert "Overall" in report["rows"]
         assert "GameScore" in report["rows"]
@@ -176,9 +191,9 @@ class TestCompare:
 
 
 class TestTrainRl:
-    def test_policy_and_returns(self, work, corpus_file):
+    def test_policy_and_returns(self, work, fit_dir):
         out = work / "rl"
-        code = main(["train-rl", "--corpus", str(corpus_file), "--seed", "0",
+        code = main(["train-rl", "--fit", str(fit_dir), "--seed", "0",
                      "--episodes", "25", "--out", str(out)])
         assert code == 0
         policy = json.loads((out / "policy.json").read_text())
@@ -188,10 +203,32 @@ class TestTrainRl:
         returns = (out / "returns.csv").read_text().splitlines()
         assert returns[0] == "episode,return"
         assert len(returns) == 25 + 1
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["fit"], config["mode"]) == (str(fit_dir), "task-step")
+        assert not {"corpus", "fallback_threshold"} & set(config)
 
-    def test_summary_names_the_real_window(self, work, corpus_file, capsys):
+    def test_fit_directory_matches_in_process_rebuild(self, work, corpus_file, fit_dir):
+        """The policy trained on the fit's files equals, byte for byte, one
+        trained on a table, trait distributions and classifier rebuilt
+        from the corpus in this process."""
+        out = work / "rl_oracle"
+        assert main(["train-rl", "--fit", str(fit_dir), "--seed", "5",
+                     "--episodes", "60", "--out", str(out)]) == 0
+        corpus = load_corpus(corpus_file)
+        env = TrustSimEnv(build_table(corpus, TableMode.TASK_STEP_BASED),
+                          fit_trait_distributions(corpus), train_classifier(corpus))
+        result = train_tabular_policy(env, 60, Hyperparams(seed=5))
+        policy = {"format": "tabular-policy/v1",
+                  "policy": [int(a) for a in result.policy],
+                  "q": [[float(v) for v in row] for row in result.q]}
+        assert (out / "policy.json").read_text() == (
+            json.dumps(policy, indent=2, sort_keys=True) + "\n")
+        assert (out / "returns.csv").read_text() == "episode,return\n" + "".join(
+            f"{i},{r!r}\n" for i, r in enumerate(result.returns))
+
+    def test_summary_names_the_real_window(self, work, fit_dir, capsys):
         out = work / "rl20"
-        assert main(["train-rl", "--corpus", str(corpus_file), "--seed", "0",
+        assert main(["train-rl", "--fit", str(fit_dir), "--seed", "0",
                      "--episodes", "20", "--out", str(out)]) == 0
         returns = [float(row.split(",")[1]) for row in
                    (out / "returns.csv").read_text().splitlines()[1:]]
@@ -221,9 +258,32 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidConfig"
 
-    def test_bad_episode_count_maps_to_2(self, work, corpus_file):
-        assert main(["train-rl", "--corpus", str(corpus_file), "--seed", "1",
+    def test_bad_episode_count_maps_to_2(self, work, fit_dir):
+        assert main(["train-rl", "--fit", str(fit_dir), "--seed", "1",
                      "--episodes", "0", "--out", str(work / "x3")]) == 2
+
+    @pytest.mark.parametrize("stage,extra", [
+        ("simulate", ["--mode", "complexity"]),
+        ("simulate", ["--fallback-threshold", "5"]),
+        ("evaluate", ["--mode", "task-step"]),
+        ("evaluate", ["--fallback-threshold", "5"]),
+        ("train-rl", ["--corpus", "corpus.csv"]),
+        ("train-rl", ["--mode", "task-step"]),
+        ("train-rl", ["--fallback-threshold", "5"]),
+    ])
+    def test_rebuild_flags_are_usage_errors(self, work, corpus_file, fit_dir, stage,
+                                            extra):
+        if stage == "train-rl":
+            argv = ["train-rl", "--fit", str(fit_dir), "--episodes", "1"]
+        else:
+            argv = [stage, "--corpus", str(corpus_file),
+                    "--table", str(fit_dir / "table.json")]
+        assert main(argv + extra + ["--seed", "1", "--out", str(work / "x12")]) == 1
+
+    @pytest.mark.parametrize("stage", ["simulate", "evaluate"])
+    def test_replay_without_table_is_usage_error(self, work, corpus_file, stage):
+        assert main([stage, "--corpus", str(corpus_file), "--seed", "1",
+                     "--out", str(work / "x13")]) == 1
 
     def test_bad_train_fraction_maps_to_2(self, work, corpus_file):
         assert main(["compare", "--corpus", str(corpus_file), "--seed", "1",
@@ -236,18 +296,58 @@ class TestExitCodes:
         assert main(["fit", "--corpus", str(gen / "corpus.csv"), "--seed", "1",
                      "--out", str(work / "x5")]) == 2
 
-    @pytest.mark.parametrize("flag", ["corpus", "table", "config"])
-    def test_missing_input_file_is_validation_error(self, work, corpus_file, capsys,
-                                                    flag):
+    @pytest.mark.parametrize("flag", ["corpus", "table", "config", "fit"])
+    def test_missing_input_file_is_validation_error(self, work, corpus_file, fit_dir,
+                                                    capsys, flag):
         missing = str(work / f"no_such_{flag}")
         if flag == "config":
             argv = ["gen-corpus", "--config", missing]
+        elif flag == "fit":
+            argv = ["train-rl", "--fit", missing, "--episodes", "1"]
         else:
-            argv = ["evaluate", "--corpus", str(corpus_file), f"--{flag}", missing]
+            argv = ["evaluate", "--corpus", str(corpus_file),
+                    "--table", str(fit_dir / "table.json"), f"--{flag}", missing]
         assert main(argv + ["--seed", "1", "--out", str(work / "x6")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidConfig"
         assert f"--{flag} {missing}" in err["message"]
+
+    @pytest.mark.parametrize("flag", ["table", "config", "fit"])
+    def test_empty_input_path_is_validation_error(self, work, corpus_file, capsys,
+                                                  monkeypatch, flag):
+        monkeypatch.chdir(work)  # "" names the working directory, which holds no fit
+        if flag == "config":
+            argv = ["gen-corpus", "--config", ""]
+        elif flag == "fit":
+            argv = ["train-rl", "--fit", "", "--episodes", "1"]
+        else:
+            argv = ["evaluate", "--corpus", str(corpus_file), "--table", ""]
+        assert main(argv + ["--seed", "1", "--out", str(work / "x18")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+
+    @pytest.mark.parametrize("name", ["table.json", "trait_dists.json",
+                                      "trust_model.json"])
+    def test_fit_directory_missing_a_file_is_validation_error(self, work, fit_dir,
+                                                              capsys, name):
+        fit = copy_fit(fit_dir, work / f"fit_without_{name}")
+        (fit / name).unlink()
+        assert main(["train-rl", "--fit", str(fit), "--seed", "1", "--episodes", "1",
+                     "--out", str(work / "x14")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidConfig"
+        assert str(fit / name) in err["message"]
+
+    @pytest.mark.parametrize("value", ["38", True, None, float("inf")])
+    def test_non_numeric_trait_field_in_config_is_validation_error(self, work, capsys,
+                                                                  value):
+        payload = GeneratorConfig(n_dialogs=5).to_json_dict()
+        payload["traits"]["age"]["mean"] = value
+        bad = work / f"bad_config_mean_{value}.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["gen-corpus", "--seed", "1", "--config", str(bad),
+                     "--out", str(work / "x15")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidBounds"
 
     def test_corrupt_table_is_validation_error(self, work, corpus_file, capsys):
         bad = work / "bad_table.json"
@@ -325,30 +425,67 @@ class TestExitCodes:
         assert err["error"] == "InvalidConfig"
 
     @pytest.mark.parametrize("malform,error", [
-        ("not-object", InvalidConfig),
-        ("schema_version", SchemaMismatch),
-        ("classes", SchemaMismatch),
-        ("weights", SchemaMismatch),
-        ("feature_scale", SchemaMismatch),
-        ("weight-strings", SchemaMismatch),
-        ("class-labels", SchemaMismatch),
+        ("not-object", "InvalidConfig"),
+        ("schema_version", "SchemaMismatch"),
+        ("classes", "SchemaMismatch"),
+        ("weights", "SchemaMismatch"),
+        ("feature_scale", "SchemaMismatch"),
+        ("weight-strings", "SchemaMismatch"),
+        ("class-labels", "SchemaMismatch"),
+        ("not-json", "InvalidConfig"),
     ])
-    def test_malformed_model_is_validation_error(self, work, fit_dir, malform, error):
-        # No CLI stage reads a saved model, so this checks for the typed
-        # TrustSimError that main maps to exit code 2.
-        payload = json.loads((fit_dir / "trust_model.json").read_text())
+    def test_malformed_model_is_validation_error(self, work, fit_dir, capsys,
+                                                 malform, error):
+        fit = copy_fit(fit_dir, work / f"fit_bad_model_{malform}")
+        payload = json.loads((fit / "trust_model.json").read_text())
         if malform == "not-object":
             payload = [payload]
         elif malform == "weight-strings":
             payload["weights"] = [["w"] * len(row) for row in payload["weights"]]
         elif malform == "class-labels":
             payload["classes"] = [str(c) for c in payload["classes"]]
-        else:
+        elif malform != "not-json":
             del payload[malform]
-        bad = work / f"bad_model_{malform}.json"
-        bad.write_text(json.dumps(payload))
-        with pytest.raises(error):
-            load_classifier(bad)
+        (fit / "trust_model.json").write_text(
+            "{not json" if malform == "not-json" else json.dumps(payload))
+        assert main(["train-rl", "--fit", str(fit), "--seed", "1", "--episodes", "1",
+                     "--out", str(work / "x16")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
+    @pytest.mark.parametrize("malform,error", [
+        ("not-json", "InvalidConfig"),
+        ("not-object", "InvalidConfig"),
+        ("missing-trait", "InvalidConfig"),
+        ("trait-not-object", "InvalidConfig"),
+        ("missing-field", "InvalidConfig"),
+        ("gender-probs-text", "InvalidConfig"),
+        ("mean-text", "InvalidBounds"),
+        ("sd-bool", "InvalidBounds"),
+    ])
+    def test_malformed_trait_distributions_are_validation_errors(self, work, fit_dir,
+                                                                  capsys, malform,
+                                                                  error):
+        fit = copy_fit(fit_dir, work / f"fit_bad_traits_{malform}")
+        payload = json.loads((fit / "trait_dists.json").read_text())
+        if malform == "not-object":
+            payload = [payload]
+        elif malform == "missing-trait":
+            del payload["openness"]
+        elif malform == "trait-not-object":
+            payload["age"] = 3
+        elif malform == "missing-field":
+            del payload["age"]["sd"]
+        elif malform == "gender-probs-text":
+            payload["gender_probs"] = [str(p) for p in payload["gender_probs"]]
+        elif malform == "mean-text":
+            payload["age"]["mean"] = str(payload["age"]["mean"])
+        elif malform == "sd-bool":
+            payload["neuroticism"]["sd"] = True
+        (fit / "trait_dists.json").write_text(
+            "{not json" if malform == "not-json" else json.dumps(payload))
+        assert main(["train-rl", "--fit", str(fit), "--seed", "1", "--episodes", "1",
+                     "--out", str(work / "x17")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
     def test_malformed_corpus_is_validation_error(self, work, capsys):
         bad = work / "bad.csv"

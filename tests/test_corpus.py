@@ -208,6 +208,21 @@ class TestFileRoundTrip:
         with pytest.raises(InvalidConfig):
             load_corpus(tmp_path / "c.parquet")
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("line", [0, -1])
+    def test_non_utf8_byte_is_value_error(self, tmp_path, fmt, line):
+        # 40 users make the file several decode buffers long, so the last
+        # line is decoded only after earlier rows were yielded
+        path = tmp_path / f"c.{fmt}"
+        save_corpus(make_corpus(n_users=40), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line] = lines[line].replace(b"u", b"\xe9", 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        assert (err.value.field, err.value.value) == ("file", str(path))
+        assert "not UTF-8: byte 0xe9" in str(err.value)
+
 
 def rewrite_cells(path, edits):
     """Rewrite a saved CSV; edits maps (data row, column) -> new cell text."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from trustsim.user_model import (
     binarize_traits,
     default_trait_distributions,
     fit_trait_distributions,
+    load_trait_distributions,
     sample_user,
 )
 
@@ -33,6 +35,19 @@ class TestTruncGauss:
     def test_rejects_negative_sd(self):
         with pytest.raises(InvalidBounds):
             TruncGauss(3, -0.1, 1, 5)
+
+    # each value keeps lo < hi and sd >= 0 true or undecidable, so only
+    # the type and finiteness checks can reject it
+    @pytest.mark.parametrize("field,value", [
+        ("mean", "3"), ("mean", None), ("mean", True), ("mean", math.nan),
+        ("mean", math.inf), ("sd", "1"), ("sd", True), ("sd", math.nan),
+        ("sd", math.inf), ("lo", "0"), ("lo", True), ("lo", -math.inf),
+        ("hi", None), ("hi", True), ("hi", math.inf),
+    ])
+    def test_rejects_non_finite_or_non_numeric_fields(self, field, value):
+        kwargs = {"mean": 2.0, "sd": 1.0, "lo": 0, "hi": 5, field: value}
+        with pytest.raises(InvalidBounds):
+            TruncGauss(**kwargs)
 
 
 class TestTraitDistributions:
@@ -54,6 +69,46 @@ class TestTraitDistributions:
     def test_json_round_trip(self):
         dists = default_trait_distributions()
         assert TraitDistributions.from_json_dict(dists.to_json_dict()) == dists
+
+    @pytest.mark.parametrize("malform", [
+        "empty", "trait-number", "trait-list", "extra-field", "missing-field",
+        "probs-number", "probs-text", "probs-bool", "probs-nan",
+    ])
+    def test_malformed_json_is_invalid_config(self, malform):
+        payload = default_trait_distributions().to_json_dict()
+        if malform == "empty":
+            payload = {}
+        elif malform == "trait-number":
+            payload["age"] = 3
+        elif malform == "trait-list":
+            payload["openness"] = list(payload["openness"].values())
+        elif malform == "extra-field":
+            payload["openness"]["median"] = 3.0
+        elif malform == "missing-field":
+            del payload["openness"]["hi"]
+        elif malform == "probs-number":
+            payload["gender_probs"] = 1.0
+        elif malform == "probs-text":
+            payload["gender_probs"] = ["0.5", "0.5", "0.0"]
+        elif malform == "probs-bool":
+            payload["gender_probs"] = [True, False, False]
+        else:
+            payload["gender_probs"] = [math.nan, 0.5, 0.5]
+        with pytest.raises(InvalidConfig):
+            TraitDistributions.from_json_dict(payload)
+
+    def test_file_round_trip(self, tmp_path):
+        dists = fit_trait_distributions(make_corpus(n_users=3))
+        path = tmp_path / "trait_dists.json"
+        path.write_text(json.dumps(dists.to_json_dict()))
+        assert load_trait_distributions(path) == dists
+
+    @pytest.mark.parametrize("content", [b"{not json", b'{"age": "\xe9"}'])
+    def test_file_not_json_or_not_utf8_is_invalid_config(self, tmp_path, content):
+        path = tmp_path / "trait_dists.json"
+        path.write_bytes(content)
+        with pytest.raises(InvalidConfig, match="trait distributions file"):
+            load_trait_distributions(path)
 
 
 class TestFitTraitDistributions:

@@ -42,7 +42,12 @@ from .rl_env import Hyperparams, RewardConfig, TrustSimEnv, train_tabular_policy
 from .sampling import STREAM_FORMAT, RandomStream
 from .simulator import replay_conditions, save_simulated_log
 from .synth import GeneratorConfig, generate_synthetic_corpus
-from .trust_model import load_classifier, save_classifier, train_classifier
+from .trust_model import (
+    MODEL_FORMAT,
+    load_classifier,
+    save_classifier,
+    train_classifier,
+)
 from .user_model import fit_trait_distributions, load_trait_distributions
 
 EXIT_OK = 0
@@ -84,7 +89,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, artifacts) -> Non
                 "python": platform.python_version()}
     manifest = {
         "command": command,
-        "config": {**config, "stream_format": STREAM_FORMAT, "versions": versions},
+        "config": {**config, "stream_format": STREAM_FORMAT,
+                   "model_format": MODEL_FORMAT, "versions": versions},
         "artifacts": {name: f"sha256:{_sha256(out_dir / name)}" for name in artifacts},
     }
     _write_json(out_dir / "manifest.json", manifest)

@@ -32,6 +32,7 @@ from .sampling import RandomStream, categorical, truncated_gaussian
 from .user_model import (
     TraitDistributions,
     TraitTuple,
+    _finite_number,
     binarize_traits,
     default_trait_distributions,
     sample_user,
@@ -105,6 +106,18 @@ class BehaviorProcess:
     trust_intervention_low_propensity: float = -0.30
     trust_best_bonus: float = 0.08
     trust_noise_sd: float = 0.5
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            entries = (value,)
+            if isinstance(f.default, tuple):  # one coefficient per act
+                if not isinstance(value, tuple) or len(value) != len(ACT_ORDER):
+                    raise InvalidConfig(f"{f.name} must list {len(ACT_ORDER)} numbers, "
+                                        f"got {value!r}")
+                entries = value
+            if not all(_finite_number(v) for v in entries):
+                raise InvalidConfig(f"{f.name} must hold finite numbers, got {value!r}")
 
     def help_prob(self, traits: TraitTuple, act: ProactiveAct, step: int) -> float:
         k = complexity_of_step(step)
@@ -211,8 +224,13 @@ class GeneratorConfig:
     duration_hi: float = 300.0
 
     def __post_init__(self):
-        if not isinstance(self.n_dialogs, int) or self.n_dialogs < 1:
-            raise InvalidConfig(f"n_dialogs must be a positive integer, got {self.n_dialogs}")
+        if type(self.n_dialogs) is not int or self.n_dialogs < 1:  # bool is no count
+            raise InvalidConfig(f"n_dialogs must be a positive integer, "
+                                f"got {self.n_dialogs!r}")
+        for name in ("step_drift", "duration_hi"):
+            if not _finite_number(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be a finite number, "
+                                    f"got {getattr(self, name)!r}")
         if not 0.0 <= self.step_drift <= 1.0:
             raise InvalidConfig(f"step_drift must be in [0, 1], got {self.step_drift}")
         if not self.duration_hi > MIN_DURATION_S:

@@ -7,8 +7,11 @@ static profile, the current turn, and a 2-step lag window. For one turn
 they come from `extract_features`; for a whole corpus `corpus_to_dataset`
 builds them column-wise, equal to that per-turn path row for row.
 Training is full-batch subgradient descent on the hinge loss with L2
-regularization, which is deterministic by construction; evaluation scores
-the whole corpus in one product.
+regularization and the Pegasos step 1/(lambda t), deterministic by
+construction. All classes train together: the bias rides as a last
+weight over a column of ones, and each epoch is two matrix products, the
+margins of every class and row, then the hinge gradients of every class.
+Evaluation scores the whole corpus in one product.
 """
 
 from __future__ import annotations
@@ -261,41 +264,35 @@ def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> Tru
     mean = X.mean(axis=0)
     scale = X.std(axis=0, ddof=0)
     scale = np.where(scale == 0.0, 1.0, scale)
-    Z = (X - mean) / scale
-    n = Z.shape[0]
+    n, n_features = X.shape
+    # Standardized features plus a column of ones, so the bias is the last
+    # weight; X is dropped before the transpose so that at most two n x F
+    # copies are live.
+    Z1 = np.empty((n, n_features + 1))
+    np.subtract(X, mean, out=Z1[:, :n_features])
+    Z1[:, :n_features] /= scale
+    Z1[:, n_features] = 1.0
+    del X
+    Z1T = np.ascontiguousarray(Z1.T)
 
     lam = config.l2
-    W = np.zeros((len(present), Z.shape[1]))
-    b = np.zeros(len(present))
-    # One gemv per class and epoch, margins computed in place. A single
-    # Z @ W.T for all classes would round differently and change the model.
-    margins = np.empty(n)
-    active = np.empty(n, dtype=bool)
-    for ci, cls in enumerate(present):
-        target = np.where(y == cls, 1.0, -1.0)
-        signed = target[:, None] * Z
-        w = np.zeros(Z.shape[1])
-        bias = 0.0
-        for t in range(1, config.epochs + 1):
-            eta = 1.0 / (lam * t)
-            np.matmul(Z, w, out=margins)
-            margins += bias
-            margins *= target
-            np.less(margins, 1.0, out=active)
-            if active.any():
-                grad_w = lam * w - signed.compress(active, axis=0).sum(axis=0) / n
-                grad_b = -target.compress(active).sum() / n
-            else:
-                grad_w = lam * w
-                grad_b = 0.0
-            w = w - eta * grad_w
-            bias = bias - eta * grad_b
-        W[ci] = w
-        b[ci] = bias
+    TT = np.where(y == np.array(present)[:, None], 1.0, -1.0)  # classes x rows
+    V = np.zeros((len(present), n_features + 1))  # weights, then the bias
+    reg = np.ones(n_features + 1)
+    reg[n_features] = 0.0  # the bias is not regularized
+    M = np.empty_like(TT)
+    for t in range(1, config.epochs + 1):
+        eta = 1.0 / (lam * t)
+        np.matmul(V, Z1T, out=M)
+        M *= TT
+        # a class whose every margin holds gets a zero row: the plain decay step
+        A = TT * (M < 1.0)
+        V = V - eta * (lam * V * reg - (A @ Z1) / n)
 
     return TrustClassifier(
-        schema_version=SCHEMA_VERSION, classes=present, weights=W, biases=b,
-        feature_mean=mean, feature_scale=scale,
+        schema_version=SCHEMA_VERSION, classes=present,
+        weights=np.ascontiguousarray(V[:, :n_features]),
+        biases=V[:, n_features].copy(), feature_mean=mean, feature_scale=scale,
     )
 
 
@@ -376,7 +373,9 @@ def evaluate_classifier(model: TrustClassifier, corpus: Corpus) -> ClassifierRep
     return classification_metrics(y, predicted)
 
 
-MODEL_FORMAT = "trust-model/v1"
+# v2: all classes trained jointly, bias folded into the weights; the
+# weights' last bits differ from v1, so a v1 model must be refit.
+MODEL_FORMAT = "trust-model/v2"
 
 
 def classifier_to_json_dict(model: TrustClassifier) -> dict:
@@ -396,7 +395,8 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
     if not isinstance(payload, dict):
         raise InvalidConfig(f"model JSON must be an object, got {type(payload).__name__}")
     if payload.get("format") != MODEL_FORMAT:
-        raise InvalidConfig(f"unsupported model format {payload.get('format')!r}")
+        raise InvalidConfig(f"unsupported model format {payload.get('format')!r}, "
+                            f"expected {MODEL_FORMAT!r}: refit the model")
     try:
         schema = payload["schema_version"]
         classes = tuple(payload["classes"])

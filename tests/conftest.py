@@ -121,9 +121,9 @@ def reference_dataset(corpus) -> tuple:
 
 
 def reference_train(corpus, config=TrainConfig()) -> tuple:
-    """The hinge trainer before its per-epoch copies were cut, kept as the
-    oracle of train_classifier: (weights, biases, whether some epoch had no
-    margin violator)."""
+    """The per-class hinge trainer that train_classifier's joint loop
+    replaced, kept as its oracle to within rounding: (weights, biases,
+    whether some epoch had no margin violator)."""
     X, y, _ = reference_dataset(corpus)
     present = tuple(sorted(set(int(v) for v in y)))
     mean = X.mean(axis=0)

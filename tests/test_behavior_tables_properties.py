@@ -1,4 +1,4 @@
-"""Hypothesis property tests of the fallback ladder.
+"""Hypothesis property tests of the fallback ladder and the table JSON.
 
 Kept apart from test_behavior_tables.py so that the example-based tests
 there still run where hypothesis is not installed.
@@ -18,10 +18,13 @@ from trustsim.behavior_tables import (
     ContextKey,
     TableMode,
     build_table,
+    load_table,
     lookup,
     resolve_combo_stats,
+    save_table,
 )
 from trustsim.corpus import ACT_ORDER
+from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.user_model import ALL_TRAIT_TUPLES
 
 KEYS = {
@@ -60,3 +63,18 @@ class TestLadderProperties:
                 for idx in range(len(REQUEST_COMBOS)):
                     assert (resolve_combo_stats(table, key, idx)
                             == reference_combo_stats(table, key, idx))
+
+
+class TestTableJsonRoundTrip:
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32), n_dialogs=st.integers(1, 12),
+           mode=st.sampled_from(list(TableMode)), threshold=st.integers(1, 40))
+    def test_load_after_save_gives_equal_cells_and_resolved_stats(
+            self, tmp_path_factory, seed, n_dialogs, mode, threshold):
+        corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n_dialogs), seed)
+        table = build_table(corpus, mode, threshold)
+        path = tmp_path_factory.mktemp("table") / "table.json"
+        save_table(table, path)
+        loaded = load_table(path)
+        assert loaded == table  # mode, threshold and all three cell maps
+        assert loaded.resolved == table.resolved

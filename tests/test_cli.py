@@ -15,7 +15,7 @@ from trustsim.corpus import load_corpus
 from trustsim.rl_env import Hyperparams, N_STATES, TrustSimEnv, train_tabular_policy
 from trustsim.sampling import STREAM_FORMAT
 from trustsim.synth import GeneratorConfig
-from trustsim.trust_model import train_classifier
+from trustsim.trust_model import MODEL_FORMAT, train_classifier
 from trustsim.user_model import fit_trait_distributions
 
 
@@ -106,6 +106,21 @@ class TestManifest:
             assert config["stream_format"] == STREAM_FORMAT == 2
             assert set(config["versions"]) == {"trustsim", "numpy", "python"}
             assert config["versions"]["numpy"] == np.__version__
+
+
+    def test_every_stage_records_model_format(self, work, corpus_file, fit_dir):
+        corpus, table = str(corpus_file), str(fit_dir / "table.json")
+        later = {"simulate": ["--corpus", corpus, "--table", table],
+                 "evaluate": ["--corpus", corpus, "--table", table],
+                 "compare": ["--corpus", corpus],
+                 "train-rl": ["--fit", str(fit_dir), "--episodes", "1"]}
+        outs = [corpus_file.parent, fit_dir]
+        for stage, flags in later.items():
+            outs.append(work / f"model_format_{stage}")
+            assert main([stage, *flags, "--seed", "1", "--out", str(outs[-1])]) == 0
+        for out in outs:
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config["model_format"] == MODEL_FORMAT == "trust-model/v2"
 
 
 class TestFit:
@@ -360,7 +375,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("malform", [
         "not-json", "missing-keys", "not-object", "unknown-process-key",
         "unknown-traits-key", "traits-type", "process-type", "gender-probs",
-        "unknown-top-key", "unknown-trait",
+        "unknown-top-key", "unknown-trait", "process-text", "act-entry-text",
+        "dialogs-bool", "drift-bool", "duration-inf",
     ])
     def test_malformed_generator_config_is_validation_error(self, work, capsys,
                                                             malform):
@@ -383,6 +399,16 @@ class TestExitCodes:
             payload["bogus"] = 1
         elif malform == "unknown-trait":
             payload["traits"]["height"] = dict(payload["traits"]["age"])
+        elif malform == "process-text":
+            payload["process"]["help_base"] = "0.3"
+        elif malform == "act-entry-text":
+            payload["process"]["help_act"][1] = "x"
+        elif malform == "dialogs-bool":
+            payload["n_dialogs"] = True
+        elif malform == "drift-bool":
+            payload["step_drift"] = True
+        elif malform == "duration-inf":
+            payload["duration_hi"] = float("inf")  # written as Infinity
         bad = work / f"bad_config_{malform}.json"
         bad.write_text("{not json" if malform == "not-json" else json.dumps(payload))
         assert main(["gen-corpus", "--seed", "1", "--config", str(bad),
@@ -433,6 +459,7 @@ class TestExitCodes:
         ("weight-strings", "SchemaMismatch"),
         ("class-labels", "SchemaMismatch"),
         ("not-json", "InvalidConfig"),
+        ("format-v1", "InvalidConfig"),
     ])
     def test_malformed_model_is_validation_error(self, work, fit_dir, capsys,
                                                  malform, error):
@@ -444,6 +471,8 @@ class TestExitCodes:
             payload["weights"] = [["w"] * len(row) for row in payload["weights"]]
         elif malform == "class-labels":
             payload["classes"] = [str(c) for c in payload["classes"]]
+        elif malform == "format-v1":  # a model from before the joint trainer
+            payload["format"] = "trust-model/v1"
         elif malform != "not-json":
             del payload[malform]
         (fit / "trust_model.json").write_text(

@@ -136,6 +136,23 @@ class TestProcessFormulas:
         assert isinstance(restored.help_act, tuple)
 
 
+class TestProcessValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("help_base", "0.3"), ("help_base", True), ("sugg_base", None),
+        ("duration_sd", math.inf), ("trust_noise_sd", math.nan),
+        ("help_act", (0.05, 0.02, "-0.05", -0.08)), ("sugg_act", (0.1, False, 0.0, 0.0)),
+        ("best_act", (0.0, 0.05, math.nan, 0.22)), ("trust_act_delta", (0.1, 0.2)),
+        ("help_act", [0.05, 0.02, -0.05, -0.08]), ("best_act", 0.1), ("help_base", (0.3,)),
+    ])
+    def test_rejects_non_numbers(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            replace(BehaviorProcess(), **{field: value})
+
+    def test_ints_are_numbers(self):
+        proc = replace(BehaviorProcess(), help_base=0, help_act=(0, 0, 0, 1))
+        assert BehaviorProcess.from_json_dict(proc.to_json_dict()) == proc
+
+
 class TestGeneratorConfig:
     def test_rejects_bad_fields(self):
         with pytest.raises(InvalidConfig):
@@ -146,6 +163,15 @@ class TestGeneratorConfig:
             GeneratorConfig(step_drift=1.5)
         with pytest.raises(InvalidConfig):
             GeneratorConfig(duration_hi=20.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_dialogs", True), ("n_dialogs", 3.0), ("n_dialogs", "3"),
+        ("step_drift", True), ("step_drift", "0.5"), ("step_drift", math.nan),
+        ("duration_hi", math.inf), ("duration_hi", "300"), ("duration_hi", None),
+    ])
+    def test_rejects_non_numbers(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            GeneratorConfig(**{field: value})
 
     def test_json_round_trip(self):
         config = GeneratorConfig(n_dialogs=17, step_drift=0.4)

@@ -97,7 +97,8 @@ def kl_divergence(p, q, smoothing: float = 0.0) -> float:
     p = p / psum
     q = q / qsum
     total = 0.0
-    for pi, qi in zip(p, q):
+    # Python floats: pi / qi overflows to inf silently, where numpy scalars warn
+    for pi, qi in zip(p.tolist(), q.tolist()):
         if pi == 0.0:
             continue
         if qi == 0.0:
@@ -152,7 +153,7 @@ def estimate_distribution(values, measure: Measure,
     return probs
 
 
-# The attribute each measure reads; Exchange and SimulatedTurn share them.
+# The field each measure reads: an Exchange attribute and a SimulatedLog column.
 _MEASURE_FIELDS = {
     Measure.GAME_SCORE: "game_score",
     Measure.DURATION: "duration",
@@ -215,37 +216,31 @@ def evaluate_simulator(reference: Corpus, simulated: SimulatedLog, mode_tag: str
                        binning: BinningConfig = BinningConfig()) -> FidelityReport:
     """Distances between the reference corpus and an aligned replay log."""
     pairs = list(reference.iter_exchanges())
-    records = list(simulated.records)
-    if len(pairs) != len(records):
+    if len(pairs) != len(simulated):
         raise AlignmentError(
-            f"{len(pairs)} exchanges vs {len(records)} simulated records"
+            f"{len(pairs)} exchanges vs {len(simulated)} simulated records"
         )
-    by_step_real = {s: [] for s in range(1, STEPS_PER_DIALOG + 1)}
-    by_step_sim = {s: [] for s in range(1, STEPS_PER_DIALOG + 1)}
-    for (user, ex), rec in zip(pairs, records):
-        if (user.user_id, ex.step, ex.proactive_act) != (
-            rec.user_id, rec.step, rec.proactive_act
-        ):
-            raise AlignmentError(
-                f"record for {rec.user_id}/step {rec.step} out of order"
-            )
-        by_step_real[ex.step].append(ex)
-        by_step_sim[rec.step].append(rec)
+    for (user, ex), user_id, step, act in zip(pairs, simulated.user_id,
+                                              simulated.step.tolist(),
+                                              simulated.proactive_act):
+        if (user.user_id, ex.step, ex.proactive_act) != (user_id, step, act):
+            raise AlignmentError(f"record for {user_id}/step {step} out of order")
 
+    # aligned, so the log's steps group the real exchanges too
+    at_step = [simulated.step == step for step in range(1, STEPS_PER_DIALOG + 1)]
     per_step_kl = {}
     per_step_mse = {}
     for measure in MEASURES:
         name = _MEASURE_FIELDS[measure]
+        real = np.array([getattr(ex, name) for _, ex in pairs], dtype=float)
+        sim = np.asarray(getattr(simulated, name), dtype=float)
         kls, mses = [], []
-        for step in range(1, STEPS_PER_DIALOG + 1):
-            real_vals = [getattr(e, name) for e in by_step_real[step]]
-            sim_vals = [getattr(r.turn, name) for r in by_step_sim[step]]
+        for rows in at_step:
+            real_vals, sim_vals = real[rows], sim[rows]
             p = estimate_distribution(real_vals, measure, binning)
             q = estimate_distribution(sim_vals, measure, binning)
             kls.append(kl_divergence(p, q))
-            mses.append(mse(
-                [float(v) for v in sim_vals], [float(v) for v in real_vals]
-            ))
+            mses.append(mse(sim_vals, real_vals))
         per_step_kl[measure] = tuple(kls)
         per_step_mse[measure] = tuple(mses)
 

@@ -423,6 +423,16 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
             f"{mean.shape} and feature_scale {scale.shape} do not fit "
             f"{len(classes)} classes x {N_FEATURES} features"
         )
+    # scores() divides by feature_scale; a NaN or a zero there would give
+    # every turn the same predicted class
+    for name, values, ok, detail in (
+            ("weights", weights, np.isfinite(weights), "must be finite"),
+            ("biases", biases, np.isfinite(biases), "must be finite"),
+            ("feature_mean", mean, np.isfinite(mean), "must be finite"),
+            ("feature_scale", scale, np.isfinite(scale) & (scale > 0),
+             "must be finite and > 0")):
+        if not ok.all():
+            raise ValueOutOfRange(name, float(values[~ok][0]), detail=detail)
     return TrustClassifier(
         schema_version=schema, classes=classes,
         weights=weights, biases=biases, feature_mean=mean, feature_scale=scale,

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from trustsim.errors import (
     ValueOutOfRange,
 )
 from trustsim.rl_env import EnvState
+from trustsim.simulator import SimulatedLog, SimulatedTurn, simulate_turn
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import (
     N_FEATURES,
@@ -90,6 +93,62 @@ def reference_combo_stats(table, key, combo_idx):
         if cell.combos[combo_idx].n > 0:
             return cell.combos[combo_idx]
     return rungs[-1].pooled()
+
+
+def reference_replay(corpus, table, rng) -> list:
+    """The per-turn loop replay_conditions replaced, kept as its oracle:
+    one simulate_turn per exchange on rng.child(user_id, step), as
+    (user, exchange, SimulatedTurn) triples in corpus order."""
+    return [(user, ex, simulate_turn(table, user, ex.step, ex.proactive_act,
+                                     rng.child(user.user_id, ex.step)))
+            for user, ex in corpus.iter_exchanges()]
+
+
+_TURN_FIELDS = tuple(f.name for f in fields(SimulatedTurn))
+
+
+def reference_log(records) -> SimulatedLog:
+    """The columnar log of reference_replay's triples."""
+    columns = {
+        "user_id": [user.user_id for user, _, _ in records],
+        "dialog_id": [ex.dialog_id for _, ex, _ in records],
+        "step": [ex.step for _, ex, _ in records],
+        "complexity": [ex.complexity for _, ex, _ in records],
+        "proactive_act": [ex.proactive_act for _, ex, _ in records],
+    }
+    for name in _TURN_FIELDS:
+        columns[name] = [getattr(turn, name) for _, _, turn in records]
+    return SimulatedLog(**columns)
+
+
+def reference_log_bytes(records, file_format) -> bytes:
+    """The per-record writer save_simulated_log replaced, kept as its
+    oracle: one dict per turn, booleans as true/false and floats by repr,
+    written through csv.DictWriter or as sorted-key JSON lines."""
+    columns = ("user_id", "dialog_id", "step", "complexity", "proactive_act",
+               "game_score", "help_request", "suggestion_request", "duration",
+               "difficulty", "used_fallback")
+    rows = []
+    for user, ex, turn in records:
+        row = {"user_id": user.user_id, "dialog_id": ex.dialog_id, "step": ex.step,
+               "complexity": ex.complexity, "proactive_act": ex.proactive_act.value}
+        for name in _TURN_FIELDS:
+            value = getattr(turn, name)
+            if isinstance(value, bool):
+                value = "true" if value else "false"
+            elif isinstance(value, float):
+                value = repr(value)
+            row[name] = value
+        rows.append(row)
+    out = io.StringIO()
+    if file_format == "csv":
+        writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        for row in rows:
+            out.write(json.dumps(row, sort_keys=True) + "\n")
+    return out.getvalue().encode("utf-8")
 
 
 def turn_context(ex, with_label=False) -> TurnContext:

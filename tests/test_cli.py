@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -460,6 +461,11 @@ class TestExitCodes:
         ("class-labels", "SchemaMismatch"),
         ("not-json", "InvalidConfig"),
         ("format-v1", "InvalidConfig"),
+        ("nan-weight", "ValueOutOfRange"),
+        ("inf-bias", "ValueOutOfRange"),
+        ("nan-mean", "ValueOutOfRange"),
+        ("zero-scale", "ValueOutOfRange"),
+        ("negative-scale", "ValueOutOfRange"),
     ])
     def test_malformed_model_is_validation_error(self, work, fit_dir, capsys,
                                                  malform, error):
@@ -473,6 +479,16 @@ class TestExitCodes:
             payload["classes"] = [str(c) for c in payload["classes"]]
         elif malform == "format-v1":  # a model from before the joint trainer
             payload["format"] = "trust-model/v1"
+        elif malform == "nan-weight":  # written as JSON NaN
+            payload["weights"][0][3] = math.nan
+        elif malform == "inf-bias":
+            payload["biases"][-1] = math.inf
+        elif malform == "nan-mean":
+            payload["feature_mean"][0] = math.nan
+        elif malform == "zero-scale":
+            payload["feature_scale"][5] = 0.0
+        elif malform == "negative-scale":
+            payload["feature_scale"][5] = -1.0
         elif malform != "not-json":
             del payload[malform]
         (fit / "trust_model.json").write_text(

@@ -31,7 +31,7 @@ from trustsim.fidelity import (
     report_csv_rows,
 )
 from trustsim.sampling import RandomStream
-from trustsim.simulator import ReplayRecord, SimulatedLog, SimulatedTurn, replay_conditions
+from trustsim.simulator import LOG_COLUMNS, SimulatedLog, replay_conditions
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 
 
@@ -213,21 +213,28 @@ class TestEstimateDistribution:
 def log_from_corpus(corpus, score_delta=0.0, duration_delta=0.0,
                     fallback_every=0):
     """Replay log copying each real exchange, optionally offset."""
-    records = []
-    for i, (user, ex) in enumerate(corpus.iter_exchanges()):
-        turn = SimulatedTurn(
-            help_request=ex.help_request,
-            suggestion_request=ex.suggestion_request,
-            duration=ex.duration + duration_delta,
-            difficulty=ex.difficulty,
-            game_score=ex.game_score + score_delta,
-            used_fallback=bool(fallback_every and i % fallback_every == 0),
-        )
-        records.append(ReplayRecord(
-            user_id=user.user_id, dialog_id=ex.dialog_id, step=ex.step,
-            complexity=ex.complexity, proactive_act=ex.proactive_act, turn=turn,
-        ))
-    return SimulatedLog(records=tuple(records))
+    pairs = list(corpus.iter_exchanges())
+    exchanges = [ex for _, ex in pairs]
+    return SimulatedLog(
+        user_id=[user.user_id for user, _ in pairs],
+        dialog_id=[ex.dialog_id for ex in exchanges],
+        step=[ex.step for ex in exchanges],
+        complexity=[ex.complexity for ex in exchanges],
+        proactive_act=[ex.proactive_act for ex in exchanges],
+        game_score=[ex.game_score + score_delta for ex in exchanges],
+        help_request=[ex.help_request for ex in exchanges],
+        suggestion_request=[ex.suggestion_request for ex in exchanges],
+        duration=[ex.duration + duration_delta for ex in exchanges],
+        difficulty=[ex.difficulty for ex in exchanges],
+        used_fallback=[bool(fallback_every and i % fallback_every == 0)
+                       for i in range(len(exchanges))],
+    )
+
+
+def take_rows(log, rows):
+    """The log made of the given rows of `log`, in that order."""
+    return SimulatedLog(**{name: [getattr(log, name)[i] for i in rows]
+                           for name in LOG_COLUMNS})
 
 
 class TestEvaluateSimulator:
@@ -258,16 +265,16 @@ class TestEvaluateSimulator:
 
     def test_length_mismatch_rejected(self, small_corpus):
         log = log_from_corpus(small_corpus)
-        truncated = SimulatedLog(records=log.records[:-1])
+        truncated = take_rows(log, range(len(log) - 1))
         with pytest.raises(AlignmentError):
             evaluate_simulator(small_corpus, truncated, "x")
 
     def test_reordered_records_rejected(self, small_corpus):
         log = log_from_corpus(small_corpus)
-        records = list(log.records)
-        records[0], records[1] = records[1], records[0]
+        rows = list(range(len(log)))
+        rows[0], rows[1] = rows[1], rows[0]
         with pytest.raises(AlignmentError):
-            evaluate_simulator(small_corpus, SimulatedLog(tuple(records)), "x")
+            evaluate_simulator(small_corpus, take_rows(log, rows), "x")
 
     def test_aggregates_match_numpy(self, small_corpus):
         log = log_from_corpus(small_corpus, score_delta=10.0)

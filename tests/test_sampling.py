@@ -11,10 +11,25 @@ import pytest
 from conftest import analytic_truncated_mean
 from trustsim.errors import InvalidBounds
 from trustsim.sampling import (
+    _PHI,
     RandomStream,
+    _chain,
+    _mix64,
+    _mix64_array,
     categorical,
+    categoricals,
+    child_keys,
+    cumulative_weights,
+    first_uniforms,
+    gaussian_truncation,
+    label_bits,
     truncated_gaussian,
+    truncated_gaussians,
 )
+
+# edge keys: 0, 1, the largest, and keys where key + PHI wraps past 2**64
+EDGE_KEYS = [0, 1, 2**64 - 1, 2**64 - _PHI, 2**64 - _PHI + 1, 2**64 - _PHI + 12345,
+             _PHI, 2**63]
 
 
 class TestRandomStream:
@@ -178,3 +193,75 @@ def test_truncated_mean_oracle_matches_numerical_integral(mean, sd, lo, hi):
     density = np.exp(-0.5 * ((x - mean) / sd) ** 2)
     numeric = np.trapezoid(x * density, x) / np.trapezoid(density, x)
     assert analytic_truncated_mean(mean, sd, lo, hi) == pytest.approx(numeric, rel=1e-9)
+
+
+class TestArrayStreams:
+    """The uint64 array path equals the one-stream-at-a-time path."""
+
+    def keys(self):
+        return np.array(EDGE_KEYS, dtype=np.uint64)
+
+    def test_mix_matches_scalar(self):
+        assert _mix64_array(self.keys()).tolist() == [_mix64(k) for k in EDGE_KEYS]
+
+    def test_scalar_input_mixes_like_an_array(self):
+        assert _mix64_array(2**64 - 1).tolist() == [_mix64(2**64 - 1)]
+
+    @pytest.mark.parametrize("label", ["requests", "", "ü", 0, 7, -1, 2**64 - 1, 2**64])
+    def test_child_keys_match_chain(self, label):
+        got = child_keys(self.keys(), label_bits([label]))
+        assert got.tolist() == [_chain(k, (label,)) for k in EDGE_KEYS]
+
+    def test_child_keys_take_one_label_per_key(self):
+        labels = ["a", 3, "b", 0, "a", 2**70, "zz", 11]
+        got = child_keys(self.keys(), label_bits(labels))
+        assert got.tolist() == [_chain(k, (lab,)) for k, lab in zip(EDGE_KEYS, labels)]
+
+    def test_first_uniforms_match_child_streams(self):
+        root = RandomStream(42, "replay")
+        labels = ["u1", "u2", 5, "requests"]
+        got = first_uniforms(child_keys(root.key, label_bits(labels)))
+        assert got.tolist() == [root.child(label).random() for label in labels]
+
+    def test_first_uniforms_wrap_like_the_counter(self):
+        got = first_uniforms(self.keys())
+        assert got.tolist() == [RandomStream._from_key(k).random() for k in EDGE_KEYS]
+        # a scalar key near 2**64 wraps too, without a numpy scalar warning
+        assert first_uniforms(2**64 - 1).tolist() == [
+            RandomStream._from_key(2**64 - 1).random()]
+
+    def test_empty_arrays(self):
+        assert first_uniforms(child_keys(5, label_bits([]))).shape == (0,)
+
+
+class TestArraySamplers:
+    def test_categoricals_match_categorical(self):
+        weights = [(0.5, 0.25, 0.125, 0.125), (0.0, 1.0, 0.0, 0.0),
+                   (0.0, 0.0, 0.0, 3.0), (1e-320, 0.0, 1e-320, 0.0),
+                   # a target that rounds up to the total
+                   (0.0, 5e-324, 0.0, 0.0)]
+        rows, u, expected = [], [], []
+        for i, w in enumerate(weights):
+            for j in range(50):
+                rng = RandomStream(i, j)
+                u.append(RandomStream(i, j).random())
+                rows.append(cumulative_weights(w))
+                expected.append(categorical(w, rng))
+        assert categoricals(np.array(rows), np.array(u)).tolist() == expected
+
+    def test_truncated_gaussians_match_truncated_gaussian(self):
+        cases = [(45.0, 11.2, 20.0, 300.0), (200.0, 5.0, 10.0, 30.0),
+                 (25.0, 0.0, 20.0, 45.0), (80.0, 0.0, 20.0, 45.0),
+                 (-8.5, 0.25, -9.0, -8.0), (1e300, 1e-300, 0.0, 1.0)]
+        means, truncations, u, lo, hi, expected = [], [], [], [], [], []
+        for i, (mean, sd, a, b) in enumerate(cases):
+            for j in range(40):
+                means.append(mean)
+                truncations.append(gaussian_truncation(mean, sd, a, b))
+                u.append(RandomStream(i, j).random())
+                lo.append(a)
+                hi.append(b)
+                expected.append(truncated_gaussian(mean, sd, a, b, RandomStream(i, j)))
+        got = truncated_gaussians(np.array(means), truncations, np.array(lo),
+                                  np.array(hi), np.array(u))
+        assert got.tolist() == expected

@@ -8,9 +8,22 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from trustsim.sampling import RandomStream, categorical, truncated_gaussian
+from trustsim.sampling import (
+    RandomStream,
+    _chain,
+    _mix64,
+    _mix64_array,
+    categorical,
+    child_keys,
+    first_uniforms,
+    gaussian_truncation,
+    label_bits,
+    truncated_gaussian,
+    truncated_gaussians,
+)
 
 labels = st.lists(st.one_of(st.text(max_size=8), st.integers(-2**70, 2**70)),
                   max_size=4)
@@ -75,3 +88,25 @@ class TestProperties:
         assume(0 < math.fsum(weights) < math.inf and sum(weights) < math.inf)
         rng = RandomStream(seed)
         assert all(weights[categorical(weights, rng)] > 0 for _ in range(20))
+
+    @property_test
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20), labels)
+    def test_array_chain_matches_scalar(self, keys, path):
+        arr = np.array(keys, dtype=np.uint64)
+        assert _mix64_array(arr).tolist() == [_mix64(k) for k in keys]
+        for label in path:
+            arr = child_keys(arr, label_bits([label]))
+        assert arr.tolist() == [_chain(k, path) for k in keys]
+        assert first_uniforms(arr).tolist() == [
+            RandomStream._from_key(k).child(*path).random() for k in keys]
+
+    @property_test
+    @given(finite, st.floats(min_value=0.0, allow_infinity=False), finite, finite,
+           st.integers(0, 2**64 - 1))
+    def test_array_truncated_gaussian_matches_scalar(self, mean, sd, lo, hi, seed):
+        assume(lo < hi)
+        u = np.array([RandomStream(seed, i).random() for i in range(5)])
+        truncation = [gaussian_truncation(mean, sd, lo, hi)] * 5
+        got = truncated_gaussians(np.full(5, mean), truncation, lo, hi, u)
+        assert got.tolist() == [
+            truncated_gaussian(mean, sd, lo, hi, RandomStream(seed, i)) for i in range(5)]

@@ -7,11 +7,32 @@ import math
 
 import pytest
 
-from conftest import analytic_truncated_mean, make_dialog, make_exchange, make_user
+from conftest import (
+    analytic_truncated_mean,
+    make_dialog,
+    make_exchange,
+    make_user,
+    reference_log,
+    reference_log_bytes,
+    reference_replay,
+)
 from trustsim import simulator
-from trustsim.behavior_tables import ContextKey, TableMode, build_table, lookup
+from trustsim.behavior_tables import (
+    ContextKey,
+    TableMode,
+    build_table,
+    combo_index,
+    load_table,
+    lookup,
+    table_to_json_dict,
+)
 from trustsim.corpus import Corpus, ProactiveAct
-from trustsim.errors import InvalidConfig, ValueOutOfRange
+from trustsim.errors import (
+    InvalidBounds,
+    InvalidConfig,
+    NoDataForCondition,
+    ValueOutOfRange,
+)
 from trustsim.sampling import RandomStream
 from trustsim.simulator import (
     LOG_COLUMNS,
@@ -195,12 +216,12 @@ class TestReplay:
         log = replay_conditions(small_corpus, table, RandomStream(3, "replay"))
         pairs = list(small_corpus.iter_exchanges())
         assert len(log) == len(pairs)
-        for (user, ex), rec in zip(pairs, log.records):
-            assert rec.user_id == user.user_id
-            assert rec.dialog_id == ex.dialog_id
-            assert rec.step == ex.step
-            assert rec.complexity == ex.complexity
-            assert rec.proactive_act is ex.proactive_act
+        for i, (user, ex) in enumerate(pairs):
+            assert log.user_id[i] == user.user_id
+            assert log.dialog_id[i] == ex.dialog_id
+            assert log.step[i] == ex.step
+            assert log.complexity[i] == ex.complexity
+            assert log.proactive_act[i] is ex.proactive_act
 
     def test_deterministic(self, small_corpus):
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
@@ -242,7 +263,7 @@ class TestLogOutput:
         lines = path.read_text().splitlines()
         assert len(lines) == len(log)
         row = json.loads(lines[0])
-        assert row["user_id"] == log.records[0].user_id
+        assert row["user_id"] == log.user_id[0]
         assert isinstance(row["duration"], str)  # repr keeps full precision
 
     def test_byte_stable(self, log, tmp_path):
@@ -253,3 +274,156 @@ class TestLogOutput:
     def test_unknown_format_rejected(self, log, tmp_path):
         with pytest.raises(InvalidConfig):
             save_simulated_log(log, tmp_path / "log.xml", file_format="xml")
+
+
+def assert_replay_matches_oracle(corpus, table, seed, tmp_path):
+    """replay_conditions equals the per-turn loop, column for column and
+    in the bytes of both log formats."""
+    log = replay_conditions(corpus, table, RandomStream(seed, "replay"))
+    records = reference_replay(corpus, table, RandomStream(seed, "replay"))
+    assert log == reference_log(records)
+    for file_format in ("csv", "jsonl"):
+        path = tmp_path / f"log.{file_format}"
+        save_simulated_log(log, path, file_format)
+        assert path.read_bytes() == reference_log_bytes(records, file_format)
+    flagged = sum(turn.used_fallback for _, _, turn in records)
+    assert log.fallback_rate() == (flagged / len(records) if records else 0.0)
+
+
+class TestReplayOracle:
+    @pytest.mark.parametrize("mode", list(TableMode))
+    @pytest.mark.parametrize("threshold", [1, 10, None, 40])
+    @pytest.mark.parametrize("seed", [2, 3, 99])
+    def test_small_corpus(self, small_corpus, mode, threshold, seed, tmp_path):
+        table = (build_table(small_corpus, mode) if threshold is None
+                 else build_table(small_corpus, mode, threshold))
+        assert_replay_matches_oracle(small_corpus, table, seed, tmp_path)
+
+    @pytest.mark.parametrize("mode", list(TableMode))
+    def test_standard_corpus(self, default_corpus, mode, tmp_path):
+        table = build_table(default_corpus, mode)
+        assert_replay_matches_oracle(default_corpus, table, 42, tmp_path)
+
+    def test_table_of_another_corpus(self, small_corpus, drifting_corpus, tmp_path):
+        # contexts the table never saw descend the fallback ladder
+        table = build_table(drifting_corpus, TableMode.TASK_STEP_BASED, 25)
+        assert_replay_matches_oracle(small_corpus, table, 7, tmp_path)
+
+    def test_one_user_corpus(self, small_corpus, tmp_path):
+        uid = small_corpus.users[3].user_id
+        one = Corpus(users=(small_corpus.users[3],),
+                     dialogs={uid: small_corpus.dialogs[uid]})
+        for mode in TableMode:
+            table = build_table(small_corpus, mode)
+            assert_replay_matches_oracle(one, table, 5, tmp_path)
+
+    def test_empty_corpus(self, small_corpus, tmp_path):
+        empty = Corpus(users=(), dialogs={})
+        table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
+        assert len(replay_conditions(empty, table, RandomStream(1))) == 0
+        assert_replay_matches_oracle(empty, table, 1, tmp_path)
+
+    def test_clamped_durations_and_scores(self, tmp_path, monkeypatch):
+        # sd-0 side combos clamp onto the lowered ceiling, and an off-grid
+        # score mean clamps onto the option range
+        monkeypatch.setattr(simulator, "DURATION_HI", SOUNDNESS_DURATION_HI)
+        corpus = soundness_corpus()
+        assert_replay_matches_oracle(
+            corpus, build_table(corpus, TableMode.TASK_STEP_BASED), 11, tmp_path)
+        off_grid = TestScoreClamping().off_grid_table()
+        assert_replay_matches_oracle(corpus, off_grid, 12, tmp_path)
+
+
+class TestCorruptTable:
+    """A loaded table can carry values the build never writes; replay
+    checks only the (context, combination) pairs it draws, and fails where
+    the per-turn loop fails, with the same error."""
+
+    SEED = 5
+
+    @pytest.fixture()
+    def table(self, small_corpus):
+        # threshold 1: every replayed context is served by its own cell
+        return build_table(small_corpus, TableMode.TASK_STEP_BASED, 1)
+
+    def drawn(self, corpus, table) -> list:
+        records = reference_replay(corpus, table, RandomStream(self.SEED, "replay"))
+        return [(ContextKey(binarize_traits(user), ex.proactive_act, ex.step),
+                 combo_index(turn.help_request, turn.suggestion_request))
+                for user, ex, turn in records]
+
+    def reload(self, table, tmp_path, edit):
+        payload = table_to_json_dict(table)
+        edit(payload)
+        (tmp_path / "table.json").write_text(json.dumps(payload))
+        return load_table(tmp_path / "table.json")
+
+    @staticmethod
+    def no_rung_at_step_two(payload):
+        payload["fallback_threshold"] = 10_000
+        for name in ("fallback_cells", "condition_cells"):
+            payload[name] = [e for e in payload[name] if e["condition"] != 2]
+
+    def negative_sd(self, key, combo):
+        def edit(payload):
+            for entry in payload["cells"]:
+                if (entry["traits"], entry["act"], entry["condition"]) == (
+                        key.trait_tuple.bits, key.proactive_act.value, key.condition):
+                    entry["combos"][combo]["duration_sd"] = -1.0
+        return edit
+
+    def outcomes(self, corpus, table):
+        """(error or None) of the per-turn loop and of the batch."""
+        results = []
+        for replay in (reference_replay, replay_conditions):
+            try:
+                replay(corpus, table, RandomStream(self.SEED, "replay"))
+                results.append(None)
+            except Exception as exc:  # noqa: BLE001 - compared below
+                results.append(exc)
+        return results
+
+    def test_drawn_pair_fails_like_the_per_turn_loop(self, small_corpus, table,
+                                                     tmp_path):
+        drawn = self.drawn(small_corpus, table)
+        for turn in (0, 17, len(drawn) - 1):
+            bad = self.reload(table, tmp_path, self.negative_sd(*drawn[turn]))
+            scalar, batch = self.outcomes(small_corpus, bad)
+            assert isinstance(scalar, InvalidBounds)
+            assert type(batch) is type(scalar) and str(batch) == str(scalar)
+
+    def test_undrawn_pair_is_never_checked(self, small_corpus, table, tmp_path):
+        drawn = set(self.drawn(small_corpus, table))
+        undrawn = next((key, combo) for key, cell in table.cells.items()
+                       for combo, stats in enumerate(cell.combos)
+                       if stats.n > 0 and (key, combo) not in drawn)
+        bad = self.reload(table, tmp_path, self.negative_sd(*undrawn))
+        assert self.outcomes(small_corpus, bad) == [None, None]
+        assert_replay_matches_oracle(small_corpus, bad, self.SEED, tmp_path)
+
+    def test_context_without_rung_fails_like_the_per_turn_loop(self, small_corpus,
+                                                               table, tmp_path):
+        bad = self.reload(table, tmp_path, self.no_rung_at_step_two)
+        scalar, batch = self.outcomes(small_corpus, bad)
+        assert isinstance(scalar, NoDataForCondition)
+        assert type(batch) is type(scalar) and str(batch) == str(scalar)
+
+    def test_first_failing_turn_decides_the_error(self, small_corpus, table,
+                                                  tmp_path):
+        # turn 0 (step 1) draws a corrupt pair before turn 1 (step 2) finds
+        # no rung, so both replays raise the pair's error
+        first = self.drawn(small_corpus, table)[0]
+
+        def edit(payload):
+            self.negative_sd(*first)(payload)
+            self.no_rung_at_step_two(payload)
+            # keep step 1 served by its trait cell above the raised threshold
+            for entry in payload["cells"]:
+                if entry["condition"] == 1:
+                    entry["n"] *= 10_000
+                    entry["request_counts"] = [10_000 * c
+                                               for c in entry["request_counts"]]
+        bad = self.reload(table, tmp_path, edit)
+        scalar, batch = self.outcomes(small_corpus, bad)
+        assert isinstance(scalar, InvalidBounds)
+        assert type(batch) is type(scalar) and str(batch) == str(scalar)

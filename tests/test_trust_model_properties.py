@@ -26,6 +26,8 @@ from trustsim.trust_model import (
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# the loader rejects a feature scale that is not finite and > 0
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 class_sets = st.sets(st.sampled_from(TRUST_CLASSES), min_size=1).map(sorted).map(tuple)
 # a wall-clock deadline only adds flakiness on a loaded machine
 property_test = settings(deadline=None)
@@ -39,7 +41,7 @@ def classifiers(draw) -> TrustClassifier:
         weights=draw(arrays(float, (len(classes), N_FEATURES), elements=finite)),
         biases=draw(arrays(float, (len(classes),), elements=finite)),
         feature_mean=draw(arrays(float, (N_FEATURES,), elements=finite)),
-        feature_scale=draw(arrays(float, (N_FEATURES,), elements=finite)),
+        feature_scale=draw(arrays(float, (N_FEATURES,), elements=positive)),
     )
 
 

@@ -5,8 +5,9 @@ condition), where the condition is either the step's complexity or the
 step number itself. A cell below the occurrence threshold falls back to
 the trait-agnostic (act, condition) slice, then to the condition-only
 slice; a sampled request combination with no conditional observations
-descends the same ladder for its continuous statistics. The ladder is
-resolved once, when a table is built or loaded.
+descends the same ladder for its continuous statistics. A table's values
+are checked, and its ladder resolved, once, when it is built or loaded, so
+every draw from it succeeds.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -38,6 +40,12 @@ DEFAULT_FALLBACK_THRESHOLD = 10
 REQUEST_COMBOS = ((False, False), (False, True), (True, False), (True, True))
 
 N_DIFFICULTY_CLASSES = LIKERT_MAX - LIKERT_MIN + 1
+
+# The continuous statistics of a combination and the least finite value
+# each may take; the greatest is the largest float.
+_FLOAT_MAX = sys.float_info.max
+_STAT_MIN = {"score_mean": -_FLOAT_MAX, "score_sd": 0.0,
+             "duration_mean": -_FLOAT_MAX, "duration_sd": 0.0}
 
 
 class TableMode(Enum):
@@ -71,6 +79,13 @@ class ComboStats:
     def __post_init__(self):
         if self.n > 0 and sum(self.difficulty_counts) != self.n:
             raise InvalidConfig("difficulty counts must sum to the combination count")
+        for name, least in _STAT_MIN.items():
+            value = getattr(self, name)
+            # a bound check, not math.isfinite, which raises on a huge int
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not least <= value <= _FLOAT_MAX):
+                raise InvalidConfig(f"combination {name} must be a finite number"
+                                    f"{' >= 0' if least == 0 else ''}, got {value!r}")
 
 
 _EMPTY_COMBO = ComboStats(0, 0.0, 0.0, 0.0, 0.0, (0,) * N_DIFFICULTY_CLASSES)
@@ -87,6 +102,8 @@ class CellStats:
             raise InvalidConfig("request counts must sum to cell count")
         if len(self.request_counts) != len(REQUEST_COMBOS) or len(self.combos) != len(REQUEST_COMBOS):
             raise InvalidConfig("cell must carry one slot per request combination")
+        if any(c.n != k for c, k in zip(self.combos, self.request_counts)):
+            raise InvalidConfig("each combination count must equal its request count")
 
     @property
     def request_probs(self) -> tuple:
@@ -101,18 +118,22 @@ class CellStats:
             return _EMPTY_COMBO
         score_sq = dur_sq = score_sum = dur_sum = 0.0
         diff = [0] * N_DIFFICULTY_CLASSES
-        for combo in self.combos:
-            if combo.n == 0:
-                continue
-            score_sum += combo.n * combo.score_mean
-            dur_sum += combo.n * combo.duration_mean
-            score_sq += combo.n * (combo.score_sd ** 2 + combo.score_mean ** 2)
-            dur_sq += combo.n * (combo.duration_sd ** 2 + combo.duration_mean ** 2)
-            for i, c in enumerate(combo.difficulty_counts):
-                diff[i] += c
-        s_mean, d_mean = score_sum / n, dur_sum / n
-        s_var = max(0.0, score_sq / n - s_mean ** 2)
-        d_var = max(0.0, dur_sq / n - d_mean ** 2)
+        # ** 2 and huge ints raise; a product overflows to inf, rejected below
+        try:
+            for combo in self.combos:
+                if combo.n == 0:
+                    continue
+                score_sum += combo.n * combo.score_mean
+                dur_sum += combo.n * combo.duration_mean
+                score_sq += combo.n * (combo.score_sd ** 2 + combo.score_mean ** 2)
+                dur_sq += combo.n * (combo.duration_sd ** 2 + combo.duration_mean ** 2)
+                for i, c in enumerate(combo.difficulty_counts):
+                    diff[i] += c
+            s_mean, d_mean = score_sum / n, dur_sum / n
+            s_var = max(0.0, score_sq / n - s_mean ** 2)
+            d_var = max(0.0, dur_sq / n - d_mean ** 2)
+        except OverflowError as exc:
+            raise InvalidConfig(f"pooled cell statistics overflow: {exc}") from exc
         return ComboStats(n, s_mean, math.sqrt(s_var), d_mean, math.sqrt(d_var),
                           tuple(diff))
 
@@ -125,13 +146,17 @@ class BehaviorTable:
     fallback_cells: dict  # (ProactiveAct, condition) -> CellStats
     condition_cells: dict  # condition -> CellStats
     # ContextKey -> (most specific usable rung, used_fallback, ComboStats per
-    # REQUEST_COMBOS index after the ladder descent); keys with no rung are absent
+    # REQUEST_COMBOS index after the ladder descent) for every key of the mode
     resolved: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for cond in (*(k.condition for k in self.cells),
                      *(c for _, c in self.fallback_cells), *self.condition_cells):
             _check_condition(self.mode, cond)
+        # the condition slice is the ladder's last rung, so every key resolves
+        for cond in self.mode.conditions():
+            if cond not in self.condition_cells or self.condition_cells[cond].n == 0:
+                raise NoDataForCondition(f"no observations for condition {cond}")
         resolved = {}
         for tt, act, cond in itertools.product(ALL_TRAIT_TUPLES, ACT_ORDER,
                                                self.mode.conditions()):
@@ -142,11 +167,10 @@ class BehaviorTable:
             rungs = [cell] if direct else []
             slices = (self.fallback_cells.get((act, cond)), self.condition_cells.get(cond))
             rungs += [r for r in slices if r is not None and r.n > 0]
-            if rungs:
-                combos = tuple(
-                    next((r.combos[i] for r in rungs if r.combos[i].n > 0), None)
-                    or rungs[-1].pooled() for i in range(len(REQUEST_COMBOS)))
-                resolved[key] = (rungs[0], not direct, combos)
+            combos = tuple(
+                next((r.combos[i] for r in rungs if r.combos[i].n > 0), None)
+                or rungs[-1].pooled() for i in range(len(REQUEST_COMBOS)))
+            resolved[key] = (rungs[0], not direct, combos)
         object.__setattr__(self, "resolved", resolved)
 
 
@@ -246,9 +270,10 @@ def build_table(corpus: Corpus, mode: TableMode,
 
 
 def _no_rung(table: BehaviorTable, key: ContextKey):
-    """Raise the error for a key that resolved to no rung."""
+    """Raise the error for a key the table did not resolve: every key of
+    the table's mode resolves, so its condition lies outside the mode."""
     _check_condition(table.mode, key.condition)
-    raise NoDataForCondition(f"no observations for condition {key.condition}")
+    raise InvalidConfig(f"{key!r} names no context of the table")
 
 
 def lookup(table: BehaviorTable, key: ContextKey) -> tuple:
@@ -337,12 +362,6 @@ def _int_entry(value, name: str) -> int:
     return value
 
 
-def _number_entry(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfig(f"table entry {name!r} must be a number, got {value!r}")
-    return value
-
-
 def _counts_entry(value, name: str, length: int) -> tuple:
     if not isinstance(value, list) or len(value) != length:
         raise InvalidConfig(f"table entry {name!r} must list {length} counts, "
@@ -353,8 +372,7 @@ def _counts_entry(value, name: str, length: int) -> tuple:
 def _combo_from_dict(d: dict) -> ComboStats:
     return ComboStats(
         n=_int_entry(d["n"], "n"),
-        **{name: _number_entry(d[name], name) for name in
-           ("score_mean", "score_sd", "duration_mean", "duration_sd")},
+        **{name: d[name] for name in _STAT_MIN},
         difficulty_counts=_counts_entry(d["difficulty_counts"], "difficulty_counts",
                                         N_DIFFICULTY_CLASSES),
     )
@@ -434,6 +452,11 @@ def table_from_json_dict(payload) -> BehaviorTable:
     # list, cell or combo of the wrong JSON type
     except (ValueError, TypeError) as exc:
         raise InvalidConfig(f"malformed table: {exc}") from exc
+    # a dict keeps the last of two entries for one context: count them
+    for section, parsed in (("cells", cells), ("fallback_cells", fallback),
+                            ("condition_cells", condition)):
+        if len(parsed) != len(payload[section]):
+            raise InvalidConfig(f"table entry {section!r} lists a context twice")
     _check_threshold(threshold)
     return BehaviorTable(
         mode=mode, fallback_threshold=threshold,

@@ -32,6 +32,8 @@ from .sampling import RandomStream
 STEPS_PER_DIALOG = 12
 COMPLEXITY_LEVELS = (3, 4, 5)
 MIN_DURATION_S = 20.0
+# drawn durations are floored to this, as a duration must exceed MIN_DURATION_S
+DURATION_FLOOR_S = math.nextafter(MIN_DURATION_S, math.inf)
 LIKERT_MIN, LIKERT_MAX = 1, 5
 AGE_MIN, AGE_MAX = 18, 60
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -36,6 +35,7 @@ from .behavior_tables import (
 from .corpus import (
     ACT_ORDER,
     Corpus,
+    DURATION_FLOOR_S,
     LIKERT_MAX,
     LIKERT_MIN,
     MIN_DURATION_S,
@@ -45,7 +45,7 @@ from .corpus import (
     complexity_of_step,
     max_option_score,
 )
-from .errors import InvalidBounds, InvalidConfig, LengthMismatch, ValueOutOfRange
+from .errors import InvalidConfig, LengthMismatch, ValueOutOfRange
 from .sampling import (
     RandomStream,
     categorical,
@@ -103,7 +103,7 @@ def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
     duration = truncated_gaussian(stats.duration_mean, stats.duration_sd,
                                   MIN_DURATION_S, DURATION_HI,
                                   rng.child("duration"))
-    duration = max(duration, math.nextafter(MIN_DURATION_S, math.inf))
+    duration = max(duration, DURATION_FLOOR_S)
 
     game_score = truncated_gaussian(stats.score_mean, stats.score_sd,
                                     OPTION_SCORE_UNIT, max_option_score(complexity),
@@ -178,22 +178,17 @@ class SimulatedLog:
 _ACT_CODE = {act: i for i, act in enumerate(ACT_ORDER)}
 _STEP_BITS = label_bits(range(STEPS_PER_DIALOG + 1))
 _COMBO_FLAGS = np.array(REQUEST_COMBOS, dtype=bool)
-_DURATION_FLOOR = math.nextafter(MIN_DURATION_S, math.inf)
-# request cumulatives standing in for a context with no rung; its turns
-# are flagged as failed and never reach the log
-_NO_RUNG = (1.0,) * len(REQUEST_COMBOS)
 
 
 def replay_conditions(corpus: Corpus, table: BehaviorTable,
                       rng: RandomStream) -> SimulatedLog:
     """Simulate a turn for every exchange under its recorded (user, step,
     act) context; row i pairs with exchange i of the corpus's canonical
-    order. Turn i equals `simulate_turn` on `rng.child(user_id, step)`,
-    and the first turn `simulate_turn` would fail on raises its error.
+    order. Turn i equals `simulate_turn` on `rng.child(user_id, step)`.
 
-    Every turn is drawn at once. Only the (context, combination) pairs
-    that are drawn are compiled and checked, as the scalar path checks
-    only what it samples.
+    Every turn is drawn at once, and only the (context, combination) pairs
+    that are drawn are compiled. The table's values were checked when it
+    was built or loaded, so no draw can fail.
     """
     users = corpus.users
     dialogs = [corpus.dialogs[user.user_id] for user in users]
@@ -211,12 +206,11 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
     _, key_first, key_of = np.unique((trait * len(ACT_ORDER) + act) * 16 + condition,
                                      return_index=True, return_inverse=True)
-    entries = [table.resolved.get(ContextKey(traits[owner[i]], acts[i],
-                                             int(condition[i])))
+    entries = [table.resolved[ContextKey(traits[owner[i]], acts[i], int(condition[i]))]
                for i in key_first.tolist()]
-    request_cum = np.array([cumulative_weights(e[0].request_probs) if e else _NO_RUNG
+    request_cum = np.array([cumulative_weights(e[0].request_probs)
                             for e in entries]).reshape(-1, len(REQUEST_COMBOS))
-    key_fallback = np.array([bool(e and e[1]) for e in entries], dtype=bool)
+    key_fallback = np.array([e[1] for e in entries], dtype=bool)
 
     user_keys = child_keys(rng.key, label_bits(user.user_id for user in users))
     turn_keys = child_keys(user_keys[owner], _STEP_BITS[step])
@@ -227,28 +221,18 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     combo = categoricals(request_cum[key_of], uniforms("requests"))
     _, pair_first, pair_of = np.unique(key_of * len(REQUEST_COMBOS) + combo,
                                        return_index=True, return_inverse=True)
-    rows, pair_failed = _compile_pairs(entries, key_of[pair_first], combo[pair_first],
-                                       complexity[pair_first])
+    rows = _compile_pairs(entries, key_of[pair_first], combo[pair_first],
+                          complexity[pair_first])
     # gathered field by field, so no temporary holds a whole row per turn
     difficulty = LIKERT_MIN + categoricals(rows[pair_of, _DIFFICULTY],
                                            uniforms("difficulty"))
     duration = np.maximum(
         truncated_gaussians(rows[pair_of, _DURATION_MEAN], rows[pair_of, _DURATION],
                             MIN_DURATION_S, DURATION_HI, uniforms("duration")),
-        _DURATION_FLOOR)
+        DURATION_FLOOR_S)
     game_score = truncated_gaussians(rows[pair_of, _SCORE_MEAN], rows[pair_of, _SCORE],
                                      OPTION_SCORE_UNIT, max_option_score(complexity),
                                      uniforms("score"))
-
-    # a failed pair, or a value the SimulatedTurn checks reject
-    failed = pair_failed[pair_of] | ~(duration > MIN_DURATION_S) | (game_score < 0)
-    if failed.any():
-        i = int(failed.argmax())
-        user = users[owner[i]]
-        # the scalar loop stops at this turn too: let it raise its error
-        simulate_turn(table, user, exchanges[i].step, acts[i],
-                      rng.child(user.user_id, exchanges[i].step))
-        raise AssertionError(f"turn {i} failed in the batch only")
 
     flags = _COMBO_FLAGS[combo]
     return SimulatedLog(
@@ -266,14 +250,11 @@ _DURATION_MEAN = N_DIFFICULTY_CLASSES
 _DURATION = slice(_DURATION_MEAN + 1, _DURATION_MEAN + 4)
 _SCORE_MEAN = _DURATION_MEAN + 4
 _SCORE = slice(_SCORE_MEAN + 1, _SCORE_MEAN + 4)
-# the row of a pair simulate_turn fails on; its turns never reach the log
-_FAILED_ROW = ((1.0,) * N_DIFFICULTY_CLASSES
-               + (0.0, *gaussian_truncation(0.0, 0.0, 0.0, 1.0)) * 2)
 
 
 def _pair_row(stats, score_hi) -> tuple:
-    """The row of one combination's statistics, computed and checked as
-    simulate_turn computes and checks them, in its order."""
+    """The row of one combination's statistics, computed as simulate_turn
+    computes them."""
     counts = stats.difficulty_counts
     total = sum(counts)
     difficulty = cumulative_weights(tuple(c / total for c in counts))
@@ -284,20 +265,12 @@ def _pair_row(stats, score_hi) -> tuple:
     return (*difficulty, stats.duration_mean, *duration, stats.score_mean, *score)
 
 
-def _compile_pairs(entries, keys, combos, complexities) -> tuple:
-    """(rows, failed): the row of pair j = (entries[keys[j]], combos[j]),
-    and whether simulate_turn fails on it."""
-    rows, failed = [], []
-    for key, combo, k in zip(keys.tolist(), combos.tolist(), complexities.tolist()):
-        entry = entries[key]
-        try:
-            row = entry and _pair_row(entry[2][combo], max_option_score(k))
-        except (InvalidBounds, ArithmeticError):
-            row = None
-        rows.append(row or _FAILED_ROW)
-        failed.append(not row)
-    return (np.array(rows, dtype=np.float64).reshape(-1, len(_FAILED_ROW)),
-            np.array(failed, dtype=bool))
+def _compile_pairs(entries, keys, combos, complexities) -> np.ndarray:
+    """Row j is the row of pair (entries[keys[j]], combos[j])."""
+    return np.array([_pair_row(entries[key][2][combo], max_option_score(k))
+                     for key, combo, k in zip(keys.tolist(), combos.tolist(),
+                                              complexities.tolist())],
+                    dtype=np.float64).reshape(-1, _SCORE.stop)
 
 
 def _log_cells(column) -> list:

@@ -17,6 +17,7 @@ from statistics import NormalDist
 from .corpus import (
     ACT_ORDER,
     Corpus,
+    DURATION_FLOOR_S,
     Exchange,
     LIKERT_MAX,
     LIKERT_MIN,
@@ -325,8 +326,7 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
             duration = truncated_gaussian(mean, proc.duration_sd, MIN_DURATION_S,
                                           config.duration_hi,
                                           sstream.child("duration"))
-            # type invariant is strict: duration > 20
-            duration = max(duration, math.nextafter(MIN_DURATION_S, math.inf))
+            duration = max(duration, DURATION_FLOOR_S)
 
             pmf = proc.difficulty_pmf(traits, step)
             difficulty = 1 + categorical(pmf, sstream.child("difficulty"))

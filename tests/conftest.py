@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -93,6 +94,71 @@ def reference_combo_stats(table, key, combo_idx):
         if cell.combos[combo_idx].n > 0:
             return cell.combos[combo_idx]
     return rungs[-1].pooled()
+
+
+_EMPTY_COMBO_ENTRY = {"n": 0, "score_mean": 0.0, "score_sd": 0.0, "duration_mean": 0.0,
+                      "duration_sd": 0.0, "difficulty_counts": [0, 0, 0, 0, 0]}
+
+
+def _observed_combo(payload) -> dict:
+    """The first combination of the first trait cell that holds data."""
+    return next(c for c in payload["cells"][0]["combos"] if c["n"] > 0)
+
+
+def _all_combos(payload, sections=("cells", "fallback_cells", "condition_cells")):
+    return [c for section in sections for e in payload[section] for c in e["combos"]]
+
+
+def _huge_score_sd(payload):
+    """score_sd 1e200 everywhere, with the first condition's last
+    combination left to pooling: with no fallback cells and no trait cell
+    at the threshold its condition cell serves every key, and that cell
+    never saw the combination. Pooling squares the sds."""
+    payload["fallback_threshold"] = 10 ** 9
+    payload["fallback_cells"] = []
+    cell = payload["condition_cells"][0]
+    cell["n"] -= cell["request_counts"][-1]
+    cell["request_counts"][-1] = 0
+    cell["combos"][-1] = dict(_EMPTY_COMBO_ENTRY)
+    for combo in _all_combos(payload):
+        combo["score_sd"] = 1e200
+
+
+def _count_mismatch(payload):
+    combo = _observed_combo(payload)
+    combo["n"] += 1
+    combo["difficulty_counts"][0] += 1
+
+
+def _duplicate(section):
+    return lambda payload: payload[section].append(copy.deepcopy(payload[section][0]))
+
+
+def _empty_first_condition(payload):
+    payload["condition_cells"][0].update(
+        n=0, request_counts=[0] * 4, combos=[dict(_EMPTY_COMBO_ENTRY)] * 4)
+
+
+# Edits of a table JSON payload that keep it well-formed but give values a
+# build never writes, each with the name of the error a load raises.
+TABLE_CORRUPTIONS = {
+    "nan-score-mean": (lambda p: _observed_combo(p).update(score_mean=math.nan),
+                       "InvalidConfig"),
+    "inf-duration-mean": (lambda p: _observed_combo(p).update(duration_mean=math.inf),
+                          "InvalidConfig"),
+    "negative-condition-sd": (
+        lambda p: [c.update(duration_sd=-1.0)
+                   for c in _all_combos(p, ("condition_cells",))],
+        "InvalidConfig"),
+    "huge-score-sd": (_huge_score_sd, "InvalidConfig"),
+    "count-mismatch": (_count_mismatch, "InvalidConfig"),
+    "duplicate-cell": (_duplicate("cells"), "InvalidConfig"),
+    "duplicate-fallback-cell": (_duplicate("fallback_cells"), "InvalidConfig"),
+    "duplicate-condition-cell": (_duplicate("condition_cells"), "InvalidConfig"),
+    "missing-condition-cell": (lambda p: p["condition_cells"].pop(0),
+                               "NoDataForCondition"),
+    "empty-condition-cell": (_empty_first_condition, "NoDataForCondition"),
+}
 
 
 def reference_replay(corpus, table, rng) -> list:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import (
+    TABLE_CORRUPTIONS,
     make_corpus,
     make_dialog,
     make_exchange,
@@ -18,6 +20,7 @@ from conftest import (
     reference_lookup,
 )
 from trustsim.behavior_tables import (
+    BehaviorTable,
     CellStats,
     ComboStats,
     ContextKey,
@@ -275,13 +278,16 @@ class TestFallbackLadder:
         with pytest.raises(InvalidConfig):
             lookup(step_table, ContextKey(T000, ProactiveAct.NONE, 13))
 
-    def test_empty_ladder_raises(self, small_corpus):
-        table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
-        from trustsim.behavior_tables import BehaviorTable
-        hollow = BehaviorTable(mode=table.mode, fallback_threshold=10,
-                               cells={}, fallback_cells={}, condition_cells={})
+    def test_empty_ladder_raises(self):
+        # keys with no rung are rejected when the table is built, not looked up
         with pytest.raises(NoDataForCondition):
-            lookup(hollow, ContextKey(T000, ProactiveAct.NONE, 3))
+            BehaviorTable(mode=TableMode.COMPLEXITY_BASED, fallback_threshold=10,
+                          cells={}, fallback_cells={}, condition_cells={})
+
+    def test_key_of_no_context_is_rejected(self, small_corpus):
+        table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
+        with pytest.raises(InvalidConfig):
+            lookup(table, ContextKey(T000, "none", 3))
 
 
 class TestResolveComboStats:
@@ -350,8 +356,9 @@ class TestResolvedLadderEqualsReference:
     """Exhaustive check of the ladder a table resolves once against the
     per-call reference ladder, over every key and request combination of
     both modes. Conditions 0..13 include out-of-mode ones for both modes;
-    the stripped variants leave conditions, or trait-sparse keys, with no
-    rung at all."""
+    the variant without fallback cells descends from trait cells straight
+    to condition cells. Variants that leave a condition with no rung at all
+    are rejected when they are built."""
 
     @pytest.mark.parametrize("threshold", [2, 10])
     @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
@@ -361,13 +368,12 @@ class TestResolvedLadderEqualsReference:
                   else GAP_FIXTURES[corpus_name]())
         table = build_table(corpus, mode, threshold)
         first = mode.conditions()[0]
-        variants = (
-            table,
-            without_condition(table, first),
-            dataclasses.replace(table, fallback_cells={}, condition_cells={}),
-        )
+        with pytest.raises(NoDataForCondition):
+            without_condition(table, first)
+        with pytest.raises(NoDataForCondition):
+            dataclasses.replace(table, fallback_cells={}, condition_cells={})
         seen = set()
-        for variant in variants:
+        for variant in (table, dataclasses.replace(table, fallback_cells={})):
             for tt, act, cond in itertools.product(ALL_TRAIT_TUPLES, ACT_ORDER,
                                                    range(0, 14)):
                 key = ContextKey(tt, act, cond)
@@ -383,8 +389,8 @@ class TestResolvedLadderEqualsReference:
                 for idx in range(len(REQUEST_COMBOS)):
                     assert outcome(resolve_combo_stats, variant, key, idx) == outcome(
                         reference_combo_stats, variant, key, idx)
-        # both errors occur, and some keys resolve
-        assert {InvalidConfig, NoDataForCondition} < seen
+        # out-of-mode keys are rejected, and every other key resolves
+        assert InvalidConfig in seen and seen - {InvalidConfig}
 
 
 class TestPooling:
@@ -420,6 +426,51 @@ class TestPooling:
         cell = CellStats(n=0, request_counts=(0, 0, 0, 0),
                          combos=(ComboStats(0, 0, 0, 0, 0, (0,) * 5),) * 4)
         assert cell.pooled().n == 0
+
+    @pytest.mark.parametrize("n,score_sd", [(1, 1e200), (10 ** 400, 1.0)],
+                             ids=["squared-sd", "int-count"])
+    def test_overflow_is_invalid_config(self, n, score_sd):
+        # the squared sd, or a count too large for a float, overflows
+        empty = ComboStats(0, 0.0, 0.0, 0.0, 0.0, (0,) * 5)
+        combo = ComboStats(n, 20.0, score_sd, 40.0, 1.0, (n, 0, 0, 0, 0))
+        cell = CellStats(n=n, request_counts=(n, 0, 0, 0),
+                         combos=(combo, empty, empty, empty))
+        with pytest.raises(InvalidConfig):
+            cell.pooled()
+
+
+class TestCorruptTable:
+    """Values a build never writes are rejected when a table is built or
+    loaded, whether or not a draw would ever read them."""
+
+    @pytest.mark.parametrize("name,value", [
+        ("score_mean", math.nan), ("duration_mean", -math.inf),
+        pytest.param("score_mean", 10 ** 400, id="score_mean-int-beyond-float"),
+        ("score_sd", -1.0), ("duration_sd", math.inf), ("duration_sd", math.nan),
+        pytest.param("score_sd", 10 ** 400, id="score_sd-int-beyond-float"),
+        ("duration_mean", True), ("score_sd", "1.0"),
+    ])
+    def test_combo_value_out_of_range(self, name, value):
+        stats = dict(n=1, score_mean=20.0, score_sd=1.0, duration_mean=40.0,
+                     duration_sd=1.0, difficulty_counts=(1, 0, 0, 0, 0))
+        with pytest.raises(InvalidConfig, match=name):
+            ComboStats(**{**stats, name: value})
+
+    def test_combo_count_must_equal_request_count(self):
+        combo = ComboStats(1, 20.0, 1.0, 40.0, 1.0, (1, 0, 0, 0, 0))
+        with pytest.raises(InvalidConfig):
+            CellStats(n=2, request_counts=(2, 0, 0, 0), combos=(combo,) * 4)
+
+    @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("corruption", list(TABLE_CORRUPTIONS))
+    def test_rejected_at_load(self, small_corpus, tmp_path, mode, corruption):
+        payload = table_to_json_dict(build_table(small_corpus, mode))
+        edit, error = TABLE_CORRUPTIONS[corruption]
+        edit(payload)
+        (tmp_path / "table.json").write_text(json.dumps(payload))
+        with pytest.raises(TrustSimError) as info:
+            load_table(tmp_path / "table.json")
+        assert type(info.value).__name__ == error
 
 
 def merge_cells(cells):

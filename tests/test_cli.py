@@ -10,6 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import TABLE_CORRUPTIONS
 from trustsim.behavior_tables import TableMode, build_table, load_table
 from trustsim.cli import main
 from trustsim.corpus import load_corpus
@@ -450,6 +451,22 @@ class TestExitCodes:
                      "--table", str(bad), "--out", str(work / "x9")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidConfig"
+
+    @pytest.mark.parametrize("stage", ["simulate", "evaluate", "train-rl"])
+    @pytest.mark.parametrize("corruption", list(TABLE_CORRUPTIONS))
+    def test_corrupt_table_value_is_validation_error(self, work, corpus_file, fit_dir,
+                                                     capsys, corruption, stage):
+        fit = copy_fit(fit_dir, work / f"fit_{corruption}_{stage}")
+        payload = json.loads((fit / "table.json").read_text())
+        edit, error = TABLE_CORRUPTIONS[corruption]
+        edit(payload)
+        (fit / "table.json").write_text(json.dumps(payload))
+        if stage == "train-rl":
+            argv = ["train-rl", "--fit", str(fit), "--episodes", "1"]
+        else:
+            argv = [stage, "--corpus", str(corpus_file), "--table", str(fit / "table.json")]
+        assert main(argv + ["--seed", "1", "--out", str(work / "x19")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
     @pytest.mark.parametrize("malform,error", [
         ("not-object", "InvalidConfig"),

@@ -21,18 +21,10 @@ from trustsim.behavior_tables import (
     ContextKey,
     TableMode,
     build_table,
-    combo_index,
-    load_table,
     lookup,
-    table_to_json_dict,
 )
 from trustsim.corpus import Corpus, ProactiveAct
-from trustsim.errors import (
-    InvalidBounds,
-    InvalidConfig,
-    NoDataForCondition,
-    ValueOutOfRange,
-)
+from trustsim.errors import InvalidConfig, ValueOutOfRange
 from trustsim.sampling import RandomStream
 from trustsim.simulator import (
     LOG_COLUMNS,
@@ -333,97 +325,3 @@ class TestReplayOracle:
         off_grid = TestScoreClamping().off_grid_table()
         assert_replay_matches_oracle(corpus, off_grid, 12, tmp_path)
 
-
-class TestCorruptTable:
-    """A loaded table can carry values the build never writes; replay
-    checks only the (context, combination) pairs it draws, and fails where
-    the per-turn loop fails, with the same error."""
-
-    SEED = 5
-
-    @pytest.fixture()
-    def table(self, small_corpus):
-        # threshold 1: every replayed context is served by its own cell
-        return build_table(small_corpus, TableMode.TASK_STEP_BASED, 1)
-
-    def drawn(self, corpus, table) -> list:
-        records = reference_replay(corpus, table, RandomStream(self.SEED, "replay"))
-        return [(ContextKey(binarize_traits(user), ex.proactive_act, ex.step),
-                 combo_index(turn.help_request, turn.suggestion_request))
-                for user, ex, turn in records]
-
-    def reload(self, table, tmp_path, edit):
-        payload = table_to_json_dict(table)
-        edit(payload)
-        (tmp_path / "table.json").write_text(json.dumps(payload))
-        return load_table(tmp_path / "table.json")
-
-    @staticmethod
-    def no_rung_at_step_two(payload):
-        payload["fallback_threshold"] = 10_000
-        for name in ("fallback_cells", "condition_cells"):
-            payload[name] = [e for e in payload[name] if e["condition"] != 2]
-
-    def negative_sd(self, key, combo):
-        def edit(payload):
-            for entry in payload["cells"]:
-                if (entry["traits"], entry["act"], entry["condition"]) == (
-                        key.trait_tuple.bits, key.proactive_act.value, key.condition):
-                    entry["combos"][combo]["duration_sd"] = -1.0
-        return edit
-
-    def outcomes(self, corpus, table):
-        """(error or None) of the per-turn loop and of the batch."""
-        results = []
-        for replay in (reference_replay, replay_conditions):
-            try:
-                replay(corpus, table, RandomStream(self.SEED, "replay"))
-                results.append(None)
-            except Exception as exc:  # noqa: BLE001 - compared below
-                results.append(exc)
-        return results
-
-    def test_drawn_pair_fails_like_the_per_turn_loop(self, small_corpus, table,
-                                                     tmp_path):
-        drawn = self.drawn(small_corpus, table)
-        for turn in (0, 17, len(drawn) - 1):
-            bad = self.reload(table, tmp_path, self.negative_sd(*drawn[turn]))
-            scalar, batch = self.outcomes(small_corpus, bad)
-            assert isinstance(scalar, InvalidBounds)
-            assert type(batch) is type(scalar) and str(batch) == str(scalar)
-
-    def test_undrawn_pair_is_never_checked(self, small_corpus, table, tmp_path):
-        drawn = set(self.drawn(small_corpus, table))
-        undrawn = next((key, combo) for key, cell in table.cells.items()
-                       for combo, stats in enumerate(cell.combos)
-                       if stats.n > 0 and (key, combo) not in drawn)
-        bad = self.reload(table, tmp_path, self.negative_sd(*undrawn))
-        assert self.outcomes(small_corpus, bad) == [None, None]
-        assert_replay_matches_oracle(small_corpus, bad, self.SEED, tmp_path)
-
-    def test_context_without_rung_fails_like_the_per_turn_loop(self, small_corpus,
-                                                               table, tmp_path):
-        bad = self.reload(table, tmp_path, self.no_rung_at_step_two)
-        scalar, batch = self.outcomes(small_corpus, bad)
-        assert isinstance(scalar, NoDataForCondition)
-        assert type(batch) is type(scalar) and str(batch) == str(scalar)
-
-    def test_first_failing_turn_decides_the_error(self, small_corpus, table,
-                                                  tmp_path):
-        # turn 0 (step 1) draws a corrupt pair before turn 1 (step 2) finds
-        # no rung, so both replays raise the pair's error
-        first = self.drawn(small_corpus, table)[0]
-
-        def edit(payload):
-            self.negative_sd(*first)(payload)
-            self.no_rung_at_step_two(payload)
-            # keep step 1 served by its trait cell above the raised threshold
-            for entry in payload["cells"]:
-                if entry["condition"] == 1:
-                    entry["n"] *= 10_000
-                    entry["request_counts"] = [10_000 * c
-                                               for c in entry["request_counts"]]
-        bad = self.reload(table, tmp_path, edit)
-        scalar, batch = self.outcomes(small_corpus, bad)
-        assert isinstance(scalar, InvalidBounds)
-        assert type(batch) is type(scalar) and str(batch) == str(scalar)

@@ -5,13 +5,16 @@ condition), where the condition is either the step's complexity or the
 step number itself. A cell below the occurrence threshold falls back to
 the trait-agnostic (act, condition) slice, then to the condition-only
 slice; a sampled request combination with no conditional observations
-descends the same ladder for its continuous statistics. A table's values
-are checked, and its ladder resolved, once, when it is built or loaded, so
-every draw from it succeeds.
+descends the same ladder for its continuous statistics. The slices are
+not stored: they are merged from the trait cells, so a table has one
+source of truth. A table's values are checked, its slices derived and its
+ladder resolved once, when it is built or loaded, so every draw from it
+succeeds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -91,6 +94,32 @@ class ComboStats:
 _EMPTY_COMBO = ComboStats(0, 0.0, 0.0, 0.0, 0.0, (0,) * N_DIFFICULTY_CLASSES)
 
 
+def _merge_combos(combos) -> ComboStats:
+    """The statistics of the union of the combinations' samples, by the
+    exact merge of Chan, Golub and LeVeque (Am. Stat. 37, 1983): counts add,
+    the mean is count-weighted and M2 = sum n*sd^2 + sum n*(mean_i - mean)^2,
+    with population sds."""
+    parts = [c for c in combos if c.n > 0]
+    if not parts:
+        return _EMPTY_COMBO
+    n = sum(p.n for p in parts)
+    # a float product overflows to inf, which ComboStats rejects; only a
+    # count beyond the float range raises, when it is converted
+    try:
+        s_mean = sum(p.n * p.score_mean for p in parts) / n
+        d_mean = sum(p.n * p.duration_mean for p in parts) / n
+        s_m2 = d_m2 = 0.0
+        for p in parts:
+            s_dev, d_dev = p.score_mean - s_mean, p.duration_mean - d_mean
+            s_m2 += p.n * (p.score_sd * p.score_sd + s_dev * s_dev)
+            d_m2 += p.n * (p.duration_sd * p.duration_sd + d_dev * d_dev)
+        s_sd, d_sd = math.sqrt(s_m2 / n), math.sqrt(d_m2 / n)
+    except OverflowError as exc:
+        raise InvalidConfig(f"merged combination statistics overflow: {exc}") from exc
+    diff = tuple(map(sum, zip(*(p.difficulty_counts for p in parts))))
+    return ComboStats(n, s_mean, s_sd, d_mean, d_sd, diff)
+
+
 @dataclass(frozen=True)
 class CellStats:
     n: int
@@ -112,30 +141,18 @@ class CellStats:
         return tuple(c / self.n for c in self.request_counts)
 
     def pooled(self) -> ComboStats:
-        """All-combination aggregate of this cell, exact for population SDs."""
-        n = self.n
-        if n <= 0:
-            return _EMPTY_COMBO
-        score_sq = dur_sq = score_sum = dur_sum = 0.0
-        diff = [0] * N_DIFFICULTY_CLASSES
-        # ** 2 and huge ints raise; a product overflows to inf, rejected below
-        try:
-            for combo in self.combos:
-                if combo.n == 0:
-                    continue
-                score_sum += combo.n * combo.score_mean
-                dur_sum += combo.n * combo.duration_mean
-                score_sq += combo.n * (combo.score_sd ** 2 + combo.score_mean ** 2)
-                dur_sq += combo.n * (combo.duration_sd ** 2 + combo.duration_mean ** 2)
-                for i, c in enumerate(combo.difficulty_counts):
-                    diff[i] += c
-            s_mean, d_mean = score_sum / n, dur_sum / n
-            s_var = max(0.0, score_sq / n - s_mean ** 2)
-            d_var = max(0.0, dur_sq / n - d_mean ** 2)
-        except OverflowError as exc:
-            raise InvalidConfig(f"pooled cell statistics overflow: {exc}") from exc
-        return ComboStats(n, s_mean, math.sqrt(s_var), d_mean, math.sqrt(d_var),
-                          tuple(diff))
+        """All-combination aggregate of this cell."""
+        return _merge_combos(self.combos)
+
+
+def _merge_cells(cells) -> CellStats:
+    """The cell of the union of the cells' samples, merged per combination."""
+    return CellStats(
+        n=sum(c.n for c in cells),
+        request_counts=tuple(map(sum, zip(*(c.request_counts for c in cells)))),
+        combos=tuple(_merge_combos(c.combos[i] for c in cells)
+                     for i in range(len(REQUEST_COMBOS))),
+    )
 
 
 @dataclass(frozen=True)
@@ -143,29 +160,46 @@ class BehaviorTable:
     mode: TableMode
     fallback_threshold: int
     cells: dict  # ContextKey -> CellStats
-    fallback_cells: dict  # (ProactiveAct, condition) -> CellStats
-    condition_cells: dict  # condition -> CellStats
+    # merged from cells: (ProactiveAct, condition) -> CellStats and
+    # condition -> CellStats, for each slice with at least one cell
+    fallback_cells: dict = field(init=False, compare=False, repr=False)
+    condition_cells: dict = field(init=False, compare=False, repr=False)
     # ContextKey -> (most specific usable rung, used_fallback, ComboStats per
     # REQUEST_COMBOS index after the ladder descent) for every key of the mode
     resolved: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for cond in (*(k.condition for k in self.cells),
-                     *(c for _, c in self.fallback_cells), *self.condition_cells):
-            _check_condition(self.mode, cond)
+        threshold = self.fallback_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
+            raise InvalidConfig(f"fallback threshold must be an int >= 1, got {threshold!r}")
+        keys = _mode_keys(self.mode)
+        for key in self.cells.keys() - set(keys):
+            _check_condition(self.mode, key.condition)
+            raise InvalidConfig(f"{key!r} names no context of mode {self.mode.value}")
+        # a built and a loaded table merge their cells in this one order,
+        # so they derive the same bits
+        keyed = [(key, self.cells.get(key)) for key in keys]
+        by_slice, by_condition = {}, {}
+        for key, cell in keyed:
+            if cell is not None:
+                by_slice.setdefault((key.proactive_act, key.condition), []).append(cell)
+        fallback = {k: _merge_cells(cells) for k, cells in by_slice.items()}
+        for (_, cond), cell in fallback.items():
+            by_condition.setdefault(cond, []).append(cell)
+        condition = {k: _merge_cells(cells) for k, cells in by_condition.items()}
+        object.__setattr__(self, "fallback_cells", fallback)
+        object.__setattr__(self, "condition_cells", condition)
         # the condition slice is the ladder's last rung, so every key resolves
         for cond in self.mode.conditions():
-            if cond not in self.condition_cells or self.condition_cells[cond].n == 0:
+            if cond not in condition or condition[cond].n == 0:
                 raise NoDataForCondition(f"no observations for condition {cond}")
         resolved = {}
-        for tt, act, cond in itertools.product(ALL_TRAIT_TUPLES, ACT_ORDER,
-                                               self.mode.conditions()):
-            key = ContextKey(tt, act, cond)
-            cell = self.cells.get(key)
+        for key, cell in keyed:
             # the trait cell qualifies only at or above the fallback threshold
             direct = cell is not None and cell.n >= self.fallback_threshold
             rungs = [cell] if direct else []
-            slices = (self.fallback_cells.get((act, cond)), self.condition_cells.get(cond))
+            slices = (fallback.get((key.proactive_act, key.condition)),
+                      condition[key.condition])
             rungs += [r for r in slices if r is not None and r.n > 0]
             combos = tuple(
                 next((r.combos[i] for r in rungs if r.combos[i].n > 0), None)
@@ -174,47 +208,11 @@ class BehaviorTable:
         object.__setattr__(self, "resolved", resolved)
 
 
-class _Acc:
-    __slots__ = ("scores", "durations", "difficulties")
-
-    def __init__(self):
-        self.scores = [[] for _ in REQUEST_COMBOS]
-        self.durations = [[] for _ in REQUEST_COMBOS]
-        self.difficulties = [[] for _ in REQUEST_COMBOS]
-
-    def add(self, combo_idx: int, score: float, duration: float, difficulty: int):
-        self.scores[combo_idx].append(score)
-        self.durations[combo_idx].append(duration)
-        self.difficulties[combo_idx].append(difficulty)
-
-    def finalize(self) -> CellStats:
-        combos = []
-        counts = []
-        for i in range(len(REQUEST_COMBOS)):
-            vals = self.scores[i]
-            counts.append(len(vals))
-            if not vals:
-                combos.append(_EMPTY_COMBO)
-                continue
-            s = np.array(vals, dtype=float)
-            d = np.array(self.durations[i], dtype=float)
-            diff = [0] * N_DIFFICULTY_CLASSES
-            for c in self.difficulties[i]:
-                diff[c - LIKERT_MIN] += 1
-            combos.append(ComboStats(
-                n=len(vals),
-                score_mean=float(s.mean()), score_sd=float(s.std(ddof=0)),
-                duration_mean=float(d.mean()), duration_sd=float(d.std(ddof=0)),
-                difficulty_counts=tuple(diff),
-            ))
-        return CellStats(n=sum(counts), request_counts=tuple(counts),
-                         combos=tuple(combos))
-
-
-def _condition_of(exchange, mode: TableMode) -> int:
-    if mode is TableMode.COMPLEXITY_BASED:
-        return exchange.complexity
-    return exchange.step
+def _mode_keys(mode: TableMode) -> list:
+    """Every context key of the mode in canonical order: trait tuple index,
+    act, condition. build_table's cell codes index this list."""
+    return list(itertools.starmap(ContextKey, itertools.product(
+        ALL_TRAIT_TUPLES, ACT_ORDER, mode.conditions())))
 
 
 def combo_index(help_request: bool, suggestion_request: bool) -> int:
@@ -226,47 +224,62 @@ def _check_condition(mode: TableMode, condition) -> None:
         raise InvalidConfig(f"condition {condition} does not belong to mode {mode.value}")
 
 
-def _check_threshold(threshold) -> None:
-    if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
-        raise InvalidConfig(f"fallback threshold must be an int >= 1, got {threshold!r}")
+_ACT_INDEX = {act: i for i, act in enumerate(ACT_ORDER)}
 
 
 def build_table(corpus: Corpus, mode: TableMode,
                 fallback_threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> BehaviorTable:
-    """Aggregate the corpus into trait-specific, act-level, and
-    condition-level cells for the given conditioning mode."""
+    """Aggregate the corpus into one cell per observed (trait tuple, act,
+    condition); the act and condition slices are merged from these cells.
+
+    Every (cell, request combination) group is reduced at once: its count,
+    sums and difficulty counts by `np.bincount` over the group codes, its
+    sds by a second pass over the deviations from the group means."""
     if not isinstance(mode, TableMode):
         raise InvalidConfig(f"mode must be a TableMode, got {mode!r}")
-    _check_threshold(fallback_threshold)
     if corpus.n_dialogs == 0:
         raise EmptyCorpus("cannot build a table from an empty corpus")
 
-    cell_acc: dict = {}
-    fb_acc: dict = {}
-    cond_acc: dict = {}
-    for user in corpus.users:
-        traits = binarize_traits(user)
-        for ex in corpus.dialogs[user.user_id]:
-            cond = _condition_of(ex, mode)
-            idx = combo_index(ex.help_request, ex.suggestion_request)
-            key = ContextKey(traits, ex.proactive_act, cond)
-            for acc_map, acc_key in (
-                (cell_acc, key),
-                (fb_acc, (ex.proactive_act, cond)),
-                (cond_acc, cond),
-            ):
-                acc = acc_map.get(acc_key)
-                if acc is None:
-                    acc = acc_map[acc_key] = _Acc()
-                acc.add(idx, ex.game_score, ex.duration, ex.difficulty)
+    conditions = mode.conditions()
+    exchanges = [ex for user in corpus.users for ex in corpus.dialogs[user.user_id]]
+    # every dialog holds STEPS_PER_DIALOG exchanges, in user order
+    trait = np.repeat([binarize_traits(user).index for user in corpus.users],
+                      STEPS_PER_DIALOG)
+    act = np.array([_ACT_INDEX[ex.proactive_act] for ex in exchanges])
+    condition = np.array([ex.complexity if mode is TableMode.COMPLEXITY_BASED
+                          else ex.step for ex in exchanges]) - conditions[0]
+    combo = np.array([2 * ex.help_request + ex.suggestion_request for ex in exchanges])
+    score = np.array([ex.game_score for ex in exchanges], dtype=float)
+    duration = np.array([ex.duration for ex in exchanges], dtype=float)
+    difficulty = np.array([ex.difficulty for ex in exchanges]) - LIKERT_MIN
 
-    return BehaviorTable(
-        mode=mode,
-        fallback_threshold=fallback_threshold,
-        cells={k: a.finalize() for k, a in cell_acc.items()},
-        fallback_cells={k: a.finalize() for k, a in fb_acc.items()},
-        condition_cells={k: a.finalize() for k, a in cond_acc.items()},
-    )
+    cell = (trait * len(ACT_ORDER) + act) * len(conditions) + condition
+    groups, group_of = np.unique(cell * len(REQUEST_COMBOS) + combo,
+                                 return_inverse=True)
+    n = np.bincount(group_of)
+
+    def moments(values):
+        mean = np.bincount(group_of, values) / n
+        dev = values - mean[group_of]
+        return mean.tolist(), np.sqrt(np.bincount(group_of, dev * dev) / n).tolist()
+
+    s_mean, s_sd = moments(score)
+    d_mean, d_sd = moments(duration)
+    diff = np.bincount(group_of * N_DIFFICULTY_CLASSES + difficulty,
+                       minlength=len(groups) * N_DIFFICULTY_CLASSES)
+    diff = diff.reshape(-1, N_DIFFICULTY_CLASSES).tolist()
+
+    combos = {}
+    for g, (code, count) in enumerate(zip(groups.tolist(), n.tolist())):
+        cell_code, slot = divmod(code, len(REQUEST_COMBOS))
+        combos.setdefault(cell_code, [_EMPTY_COMBO] * len(REQUEST_COMBOS))[slot] = (
+            ComboStats(count, s_mean[g], s_sd[g], d_mean[g], d_sd[g], tuple(diff[g])))
+    keys = _mode_keys(mode)
+    cells = {keys[code]: CellStats(n=sum(c.n for c in slots),
+                                   request_counts=tuple(c.n for c in slots),
+                                   combos=tuple(slots))
+             for code, slots in combos.items()}
+    return BehaviorTable(mode=mode, fallback_threshold=fallback_threshold, cells=cells)
 
 
 def _no_rung(table: BehaviorTable, key: ContextKey):
@@ -344,16 +357,24 @@ def table_summary(table: BehaviorTable) -> TableSummary:
     )
 
 
-TABLE_FORMAT = "behavior-table/v1"
+# v2 stores the trait cells only; v1 also stored the slices, which differ in the last bits
+TABLE_FORMAT = "behavior-table/v2"
+
+_TABLE_KEYS = frozenset({"format", "mode", "fallback_threshold", "cells"})
+_CELL_KEYS = frozenset({"traits", "act", "condition", "n", "request_counts", "combos"})
+_COMBO_KEYS = frozenset({"n", *_STAT_MIN, "difficulty_counts"})
 
 
-def _combo_to_dict(c: ComboStats) -> dict:
-    return {
-        "n": c.n,
-        "score_mean": c.score_mean, "score_sd": c.score_sd,
-        "duration_mean": c.duration_mean, "duration_sd": c.duration_sd,
-        "difficulty_counts": list(c.difficulty_counts),
-    }
+def _object_entry(value, keys: frozenset, name: str) -> dict:
+    """A JSON object with exactly the given keys, the way the generator
+    config is read: a typo is an error, not a silently ignored entry."""
+    if not isinstance(value, dict):
+        raise InvalidConfig(f"{name} must be an object, got {type(value).__name__}")
+    if value.keys() != keys:
+        raise InvalidConfig(f"{name} must have exactly the keys {sorted(keys)}; "
+                            f"unknown {sorted(value.keys() - keys)}, "
+                            f"missing {sorted(keys - value.keys())}")
+    return value
 
 
 def _int_entry(value, name: str) -> int:
@@ -363,13 +384,16 @@ def _int_entry(value, name: str) -> int:
 
 
 def _counts_entry(value, name: str, length: int) -> tuple:
-    if not isinstance(value, list) or len(value) != length:
-        raise InvalidConfig(f"table entry {name!r} must list {length} counts, "
+    # type() is int, unlike isinstance, rejects true and false
+    if (not isinstance(value, list) or len(value) != length
+            or not all(type(v) is int and v >= 0 for v in value)):
+        raise InvalidConfig(f"table entry {name!r} must list {length} ints >= 0, "
                             f"got {value!r}")
-    return tuple(_int_entry(v, name) for v in value)
+    return tuple(value)
 
 
-def _combo_from_dict(d: dict) -> ComboStats:
+def _combo_from_dict(d) -> ComboStats:
+    d = _object_entry(d, _COMBO_KEYS, "table combination")
     return ComboStats(
         n=_int_entry(d["n"], "n"),
         **{name: d[name] for name in _STAT_MIN},
@@ -378,51 +402,33 @@ def _combo_from_dict(d: dict) -> ComboStats:
     )
 
 
-def _cell_to_dict(cell: CellStats) -> dict:
-    return {
-        "n": cell.n,
-        "request_counts": list(cell.request_counts),
-        "combos": [_combo_to_dict(c) for c in cell.combos],
-    }
-
-
-def _cell_from_dict(d: dict) -> CellStats:
-    return CellStats(
-        n=_int_entry(d["n"], "n"),
-        request_counts=_counts_entry(d["request_counts"], "request_counts",
+def _cell_entry(e) -> tuple:
+    e = _object_entry(e, _CELL_KEYS, "table cell")
+    key = ContextKey(TraitTuple.from_bits(e["traits"]), ProactiveAct(e["act"]),
+                     _int_entry(e["condition"], "condition"))
+    return key, CellStats(
+        n=_int_entry(e["n"], "n"),
+        request_counts=_counts_entry(e["request_counts"], "request_counts",
                                      len(REQUEST_COMBOS)),
-        combos=tuple(_combo_from_dict(c) for c in d["combos"]),
+        combos=tuple(_combo_from_dict(c) for c in e["combos"]),
     )
 
 
 def table_to_json_dict(table: BehaviorTable) -> dict:
     cells = [
         {"traits": key.trait_tuple.bits, "act": key.proactive_act.value,
-         "condition": key.condition, **_cell_to_dict(cell)}
-        for key, cell in sorted(
-            table.cells.items(),
-            key=lambda kv: (kv[0].trait_tuple.bits,
-                            ACT_ORDER.index(kv[0].proactive_act), kv[0].condition),
-        )
-    ]
-    fallback = [
-        {"act": act.value, "condition": cond, **_cell_to_dict(cell)}
-        for (act, cond), cell in sorted(
-            table.fallback_cells.items(),
-            key=lambda kv: (ACT_ORDER.index(kv[0][0]), kv[0][1]),
-        )
-    ]
-    condition = [
-        {"condition": cond, **_cell_to_dict(cell)}
-        for cond, cell in sorted(table.condition_cells.items())
+         "condition": key.condition, "n": cell.n,
+         "request_counts": list(cell.request_counts),
+         "combos": [{**dataclasses.asdict(c), "difficulty_counts": list(c.difficulty_counts)}
+                    for c in cell.combos]}
+        for key, cell in ((k, table.cells.get(k)) for k in _mode_keys(table.mode))
+        if cell is not None
     ]
     return {
         "format": TABLE_FORMAT,
         "mode": table.mode.value,
         "fallback_threshold": table.fallback_threshold,
         "cells": cells,
-        "fallback_cells": fallback,
-        "condition_cells": condition,
     }
 
 
@@ -430,38 +436,22 @@ def table_from_json_dict(payload) -> BehaviorTable:
     if not isinstance(payload, dict):
         raise InvalidConfig(f"table JSON must be an object, got {type(payload).__name__}")
     if payload.get("format") != TABLE_FORMAT:
-        raise InvalidConfig(f"unsupported table format {payload.get('format')!r}")
+        raise InvalidConfig(f"unsupported table format {payload.get('format')!r}; "
+                            f"refit the table with `trustsim fit` for {TABLE_FORMAT}")
+    _object_entry(payload, _TABLE_KEYS, "table")
     try:
         mode = TableMode(payload["mode"])
-        cells = {
-            ContextKey(TraitTuple.from_bits(e["traits"]), ProactiveAct(e["act"]),
-                       _int_entry(e["condition"], "condition")): _cell_from_dict(e)
-            for e in payload["cells"]
-        }
-        fallback = {
-            (ProactiveAct(e["act"]), _int_entry(e["condition"], "condition")):
-                _cell_from_dict(e)
-            for e in payload["fallback_cells"]
-        }
-        condition = {_int_entry(e["condition"], "condition"): _cell_from_dict(e)
-                     for e in payload["condition_cells"]}
-        threshold = payload["fallback_threshold"]
-    except KeyError as exc:
-        raise InvalidConfig(f"table is missing key {exc}") from exc
+        entries = [_cell_entry(e) for e in payload["cells"]]
     # ValueError: a mode or act value that names no member; TypeError: a
     # list, cell or combo of the wrong JSON type
     except (ValueError, TypeError) as exc:
         raise InvalidConfig(f"malformed table: {exc}") from exc
+    cells = dict(entries)
     # a dict keeps the last of two entries for one context: count them
-    for section, parsed in (("cells", cells), ("fallback_cells", fallback),
-                            ("condition_cells", condition)):
-        if len(parsed) != len(payload[section]):
-            raise InvalidConfig(f"table entry {section!r} lists a context twice")
-    _check_threshold(threshold)
-    return BehaviorTable(
-        mode=mode, fallback_threshold=threshold,
-        cells=cells, fallback_cells=fallback, condition_cells=condition,
-    )
+    if len(cells) != len(entries):
+        raise InvalidConfig("table entry 'cells' lists a context twice")
+    return BehaviorTable(mode=mode, fallback_threshold=payload["fallback_threshold"],
+                         cells=cells)
 
 
 def save_table(table: BehaviorTable, path) -> None:

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .behavior_tables import (
     DEFAULT_FALLBACK_THRESHOLD,
+    TABLE_FORMAT,
     TableMode,
     build_table,
     load_table,
@@ -90,7 +91,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, artifacts) -> Non
     manifest = {
         "command": command,
         "config": {**config, "stream_format": STREAM_FORMAT,
-                   "model_format": MODEL_FORMAT, "versions": versions},
+                   "model_format": MODEL_FORMAT, "table_format": TABLE_FORMAT,
+                   "versions": versions},
         "artifacts": {name: f"sha256:{_sha256(out_dir / name)}" for name in artifacts},
     }
     _write_json(out_dir / "manifest.json", manifest)

@@ -406,8 +406,8 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
         scale = np.array(payload["feature_scale"], dtype=float)
     except KeyError as exc:
         raise SchemaMismatch(f"model is missing key {exc}") from exc
-    # a non-list classes entry, or arrays of non-numbers or ragged rows
-    except (TypeError, ValueError) as exc:
+    # a non-list classes entry, arrays of non-numbers, ragged rows or huge ints
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"malformed model: {exc}") from exc
     if schema != SCHEMA_VERSION:
         raise SchemaMismatch(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,9 @@ UserProfile = UserRecord
 
 
 def _finite_number(value) -> bool:
+    # a bound check, not math.isfinite, which raises on a huge int
     return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ class TraitTuple:
 
     @classmethod
     def from_bits(cls, bits: str) -> "TraitTuple":
-        if len(bits) != 3 or any(b not in "01" for b in bits):
+        if not isinstance(bits, str) or len(bits) != 3 or any(b not in "01" for b in bits):
             raise InvalidConfig(f"trait tuple must be 3 bits, got {bits!r}")
         return cls(bits[0] == "1", bits[1] == "1", bits[2] == "1")
 

@@ -14,6 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trustsim.behavior_tables import (
+    REQUEST_COMBOS,
+    CellStats,
+    ComboStats,
+    ContextKey,
+    TableMode,
+    combo_index,
+)
 from trustsim.corpus import (
     CORPUS_COLUMNS,
     Corpus,
@@ -47,7 +55,7 @@ from trustsim.trust_model import (
     extract_features,
     predict_trust,
 )
-from trustsim.user_model import ALL_TRAIT_TUPLES
+from trustsim.user_model import ALL_TRAIT_TUPLES, binarize_traits
 
 
 def analytic_truncated_mean(mean, sd, lo, hi):
@@ -96,6 +104,43 @@ def reference_combo_stats(table, key, combo_idx):
     return rungs[-1].pooled()
 
 
+def reference_build_table(corpus, mode) -> tuple:
+    """The per-level builder build_table replaced, kept as its oracle:
+    every exchange appended to its trait cell, its act slice and its
+    condition slice, then each (cell, combination) group reduced with
+    np.mean and np.std. Returns the (cells, fallback_cells,
+    condition_cells) maps."""
+    maps = ({}, {}, {})
+    for user in corpus.users:
+        traits = binarize_traits(user)
+        for ex in corpus.dialogs[user.user_id]:
+            cond = ex.complexity if mode is TableMode.COMPLEXITY_BASED else ex.step
+            idx = combo_index(ex.help_request, ex.suggestion_request)
+            for groups, key in zip(maps, (ContextKey(traits, ex.proactive_act, cond),
+                                          (ex.proactive_act, cond), cond)):
+                rows = groups.setdefault(key, [[] for _ in REQUEST_COMBOS])
+                rows[idx].append((ex.game_score, ex.duration, ex.difficulty))
+    return tuple({key: _reference_cell(rows) for key, rows in groups.items()}
+                 for groups in maps)
+
+
+def _reference_cell(rows_per_combo) -> CellStats:
+    combos = []
+    for rows in rows_per_combo:
+        if not rows:
+            combos.append(ComboStats(0, 0.0, 0.0, 0.0, 0.0, (0,) * 5))
+            continue
+        s = np.array([r[0] for r in rows], dtype=float)
+        d = np.array([r[1] for r in rows], dtype=float)
+        diff = [0] * 5
+        for r in rows:
+            diff[r[2] - 1] += 1
+        combos.append(ComboStats(len(rows), float(s.mean()), float(s.std(ddof=0)),
+                                 float(d.mean()), float(d.std(ddof=0)), tuple(diff)))
+    counts = tuple(len(rows) for rows in rows_per_combo)
+    return CellStats(n=sum(counts), request_counts=counts, combos=tuple(combos))
+
+
 _EMPTY_COMBO_ENTRY = {"n": 0, "score_mean": 0.0, "score_sd": 0.0, "duration_mean": 0.0,
                       "duration_sd": 0.0, "difficulty_counts": [0, 0, 0, 0, 0]}
 
@@ -105,23 +150,22 @@ def _observed_combo(payload) -> dict:
     return next(c for c in payload["cells"][0]["combos"] if c["n"] > 0)
 
 
-def _all_combos(payload, sections=("cells", "fallback_cells", "condition_cells")):
-    return [c for section in sections for e in payload[section] for c in e["combos"]]
+def _first_condition_cells(payload) -> list:
+    first = min(e["condition"] for e in payload["cells"])
+    return [e for e in payload["cells"] if e["condition"] == first]
+
+
+def _drop_first_condition(payload):
+    first = min(e["condition"] for e in payload["cells"])
+    payload["cells"] = [e for e in payload["cells"] if e["condition"] != first]
 
 
 def _huge_score_sd(payload):
-    """score_sd 1e200 everywhere, with the first condition's last
-    combination left to pooling: with no fallback cells and no trait cell
-    at the threshold its condition cell serves every key, and that cell
-    never saw the combination. Pooling squares the sds."""
-    payload["fallback_threshold"] = 10 ** 9
-    payload["fallback_cells"] = []
-    cell = payload["condition_cells"][0]
-    cell["n"] -= cell["request_counts"][-1]
-    cell["request_counts"][-1] = 0
-    cell["combos"][-1] = dict(_EMPTY_COMBO_ENTRY)
-    for combo in _all_combos(payload):
-        combo["score_sd"] = 1e200
+    """score_sd 1e200 everywhere: merging the cells into their slices
+    squares the sds."""
+    for cell in payload["cells"]:
+        for combo in cell["combos"]:
+            combo["score_sd"] = 1e200
 
 
 def _count_mismatch(payload):
@@ -135,12 +179,14 @@ def _duplicate(section):
 
 
 def _empty_first_condition(payload):
-    payload["condition_cells"][0].update(
-        n=0, request_counts=[0] * 4, combos=[dict(_EMPTY_COMBO_ENTRY)] * 4)
+    for cell in _first_condition_cells(payload):
+        cell.update(n=0, request_counts=[0] * 4,
+                    combos=[dict(_EMPTY_COMBO_ENTRY) for _ in range(4)])
 
 
 # Edits of a table JSON payload that keep it well-formed but give values a
-# build never writes, each with the name of the error a load raises.
+# build never writes, each with the name of the error a load raises. The
+# "condition" cases edit the trait cells the condition slices merge.
 TABLE_CORRUPTIONS = {
     "nan-score-mean": (lambda p: _observed_combo(p).update(score_mean=math.nan),
                        "InvalidConfig"),
@@ -148,15 +194,12 @@ TABLE_CORRUPTIONS = {
                           "InvalidConfig"),
     "negative-condition-sd": (
         lambda p: [c.update(duration_sd=-1.0)
-                   for c in _all_combos(p, ("condition_cells",))],
+                   for e in _first_condition_cells(p) for c in e["combos"]],
         "InvalidConfig"),
     "huge-score-sd": (_huge_score_sd, "InvalidConfig"),
     "count-mismatch": (_count_mismatch, "InvalidConfig"),
     "duplicate-cell": (_duplicate("cells"), "InvalidConfig"),
-    "duplicate-fallback-cell": (_duplicate("fallback_cells"), "InvalidConfig"),
-    "duplicate-condition-cell": (_duplicate("condition_cells"), "InvalidConfig"),
-    "missing-condition-cell": (lambda p: p["condition_cells"].pop(0),
-                               "NoDataForCondition"),
+    "missing-condition-cell": (_drop_first_condition, "NoDataForCondition"),
     "empty-condition-cell": (_empty_first_condition, "NoDataForCondition"),
 }
 

@@ -16,6 +16,7 @@ from conftest import (
     make_dialog,
     make_exchange,
     make_user,
+    reference_build_table,
     reference_combo_stats,
     reference_lookup,
 )
@@ -160,6 +161,49 @@ class TestBuildTableExactCells:
             build_table(Corpus(users=(), dialogs={}), TableMode.COMPLEXITY_BASED)
 
 
+MOMENTS = ("score_mean", "score_sd", "duration_mean", "duration_sd")
+
+
+def assert_cells_match(got: dict, want: dict):
+    """Equal keys, counts and difficulty counts; moments to rtol 1e-12."""
+    assert got.keys() == want.keys()
+    for key, cell in want.items():
+        assert got[key].n == cell.n
+        assert got[key].request_counts == cell.request_counts
+        for mine, theirs in zip(got[key].combos, cell.combos):
+            assert mine.n == theirs.n
+            assert mine.difficulty_counts == theirs.difficulty_counts
+            np.testing.assert_allclose(
+                [getattr(mine, name) for name in MOMENTS],
+                [getattr(theirs, name) for name in MOMENTS], rtol=1e-12, atol=0)
+
+
+class TestBuildEqualsReference:
+    """build_table's grouped reductions and merged slices against the
+    per-level builder they replaced: trait cells, act slices and condition
+    slices alike."""
+
+    @pytest.mark.parametrize("threshold", [1, 10, 40])
+    @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("corpus_name", ["small_corpus", "drifting_corpus",
+                                             "default_corpus"])
+    def test_cells_and_slices(self, request, tmp_path, corpus_name, mode, threshold):
+        corpus = request.getfixturevalue(corpus_name)
+        table = build_table(corpus, mode, threshold)
+        want = reference_build_table(corpus, mode)
+        for got, expected in zip((table.cells, table.fallback_cells,
+                                  table.condition_cells), want):
+            assert_cells_match(got, expected)
+        save_table(table, tmp_path / "a.json")
+        loaded = load_table(tmp_path / "a.json")
+        assert loaded == table
+        assert loaded.resolved == table.resolved
+        assert (loaded.fallback_cells, loaded.condition_cells) == (
+            table.fallback_cells, table.condition_cells)
+        save_table(loaded, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def nine_or_ten_corpus(n_extra_none: int) -> Corpus:
     """Corpus where (000, NONE, complexity 3) holds exactly 8 + n_extra_none
     observations; remaining complexity-3 slots carry NOTIFICATION."""
@@ -282,12 +326,15 @@ class TestFallbackLadder:
         # keys with no rung are rejected when the table is built, not looked up
         with pytest.raises(NoDataForCondition):
             BehaviorTable(mode=TableMode.COMPLEXITY_BASED, fallback_threshold=10,
-                          cells={}, fallback_cells={}, condition_cells={})
+                          cells={})
 
     def test_key_of_no_context_is_rejected(self, small_corpus):
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
         with pytest.raises(InvalidConfig):
             lookup(table, ContextKey(T000, "none", 3))
+        stray = {**table.cells, ContextKey(T000, "none", 3): next(iter(table.cells.values()))}
+        with pytest.raises(InvalidConfig, match="names no context"):
+            dataclasses.replace(table, cells=stray)
 
 
 class TestResolveComboStats:
@@ -334,13 +381,7 @@ def outcome(fn, *args):
 def without_condition(table, condition):
     """The same table with every cell at one condition removed."""
     return dataclasses.replace(
-        table,
-        cells={k: c for k, c in table.cells.items() if k.condition != condition},
-        fallback_cells={k: c for k, c in table.fallback_cells.items()
-                        if k[1] != condition},
-        condition_cells={k: c for k, c in table.condition_cells.items()
-                         if k != condition},
-    )
+        table, cells={k: c for k, c in table.cells.items() if k.condition != condition})
 
 
 GAP_FIXTURES = {
@@ -356,9 +397,10 @@ class TestResolvedLadderEqualsReference:
     """Exhaustive check of the ladder a table resolves once against the
     per-call reference ladder, over every key and request combination of
     both modes. Conditions 0..13 include out-of-mode ones for both modes;
-    the variant without fallback cells descends from trait cells straight
-    to condition cells. Variants that leave a condition with no rung at all
-    are rejected when they are built."""
+    a key whose act slice has no cell (the alternating-act fixture)
+    descends from its trait cell straight to the condition slice. Variants
+    that leave a condition with no rung at all are rejected when they are
+    built."""
 
     @pytest.mark.parametrize("threshold", [2, 10])
     @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
@@ -371,24 +413,22 @@ class TestResolvedLadderEqualsReference:
         with pytest.raises(NoDataForCondition):
             without_condition(table, first)
         with pytest.raises(NoDataForCondition):
-            dataclasses.replace(table, fallback_cells={}, condition_cells={})
+            dataclasses.replace(table, cells={})
         seen = set()
-        for variant in (table, dataclasses.replace(table, fallback_cells={})):
-            for tt, act, cond in itertools.product(ALL_TRAIT_TUPLES, ACT_ORDER,
-                                                   range(0, 14)):
-                key = ContextKey(tt, act, cond)
-                got, want = outcome(lookup, variant, key), outcome(
-                    reference_lookup, variant, key)
-                if isinstance(want, type):
-                    assert got is want
-                    seen.add(want)
-                else:
-                    assert got[0] is want[0]
-                    assert got[1] is want[1]
-                    seen.add(want[1])
-                for idx in range(len(REQUEST_COMBOS)):
-                    assert outcome(resolve_combo_stats, variant, key, idx) == outcome(
-                        reference_combo_stats, variant, key, idx)
+        for tt, act, cond in itertools.product(ALL_TRAIT_TUPLES, ACT_ORDER,
+                                               range(0, 14)):
+            key = ContextKey(tt, act, cond)
+            got, want = outcome(lookup, table, key), outcome(reference_lookup, table, key)
+            if isinstance(want, type):
+                assert got is want
+                seen.add(want)
+            else:
+                assert got[0] is want[0]
+                assert got[1] is want[1]
+                seen.add(want[1])
+            for idx in range(len(REQUEST_COMBOS)):
+                assert outcome(resolve_combo_stats, table, key, idx) == outcome(
+                    reference_combo_stats, table, key, idx)
         # out-of-mode keys are rejected, and every other key resolves
         assert InvalidConfig in seen and seen - {InvalidConfig}
 
@@ -570,11 +610,10 @@ class TestSummary:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("section", ["cells", "fallback_cells", "condition_cells"])
-    def test_rejects_condition_outside_mode(self, small_corpus, section):
+    def test_rejects_condition_outside_mode(self, small_corpus):
         payload = table_to_json_dict(
             build_table(small_corpus, TableMode.COMPLEXITY_BASED))
-        payload[section][0]["condition"] = 7
+        payload["cells"][0]["condition"] = 7
         with pytest.raises(InvalidConfig):
             table_from_json_dict(payload)
 
@@ -598,11 +637,13 @@ class TestSerialization:
         save_table(table, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_rejects_wrong_format_tag(self, small_corpus):
+    @pytest.mark.parametrize("tag", ["behavior-table/v0", "behavior-table/v1"])
+    def test_rejects_wrong_format_tag(self, small_corpus, tag):
         payload = table_to_json_dict(
             build_table(small_corpus, TableMode.COMPLEXITY_BASED))
-        payload["format"] = "behavior-table/v0"
-        with pytest.raises(InvalidConfig):
+        assert set(payload) == {"format", "mode", "fallback_threshold", "cells"}
+        payload["format"] = tag
+        with pytest.raises(InvalidConfig, match="refit"):
             table_from_json_dict(payload)
 
     def test_mode_enum_survives(self, small_corpus, tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import TABLE_CORRUPTIONS
-from trustsim.behavior_tables import TableMode, build_table, load_table
+from trustsim.behavior_tables import TABLE_FORMAT, TableMode, build_table, load_table
 from trustsim.cli import main
 from trustsim.corpus import load_corpus
 from trustsim.rl_env import Hyperparams, N_STATES, TrustSimEnv, train_tabular_policy
@@ -110,7 +110,8 @@ class TestManifest:
             assert config["versions"]["numpy"] == np.__version__
 
 
-    def test_every_stage_records_model_format(self, work, corpus_file, fit_dir):
+    def test_every_stage_records_model_and_table_format(self, work, corpus_file,
+                                                        fit_dir):
         corpus, table = str(corpus_file), str(fit_dir / "table.json")
         later = {"simulate": ["--corpus", corpus, "--table", table],
                  "evaluate": ["--corpus", corpus, "--table", table],
@@ -123,6 +124,7 @@ class TestManifest:
         for out in outs:
             config = json.loads((out / "manifest.json").read_text())["config"]
             assert config["model_format"] == MODEL_FORMAT == "trust-model/v2"
+            assert config["table_format"] == TABLE_FORMAT == "behavior-table/v2"
 
 
 class TestFit:
@@ -420,7 +422,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("malform", ["keys", "mode", "act", "not-object", "cells",
                                          "count", "mean", "condition", "threshold",
-                                         "mode-condition"])
+                                         "mode-condition", "unknown-top-key",
+                                         "unknown-cell-key", "unknown-combo-key",
+                                         "stored-slices", "format-v1", "traits-list"])
     def test_malformed_table_is_validation_error(self, work, corpus_file, fit_dir,
                                                  capsys, malform):
         payload = json.loads((fit_dir / "table.json").read_text())
@@ -443,6 +447,18 @@ class TestExitCodes:
             cell["condition"] = str(cell["condition"])
         elif malform == "mode-condition":
             cell["condition"] = 13  # the task-step table has steps 1..12
+        elif malform == "unknown-top-key":
+            payload["bogus"] = 1
+        elif malform == "unknown-cell-key":
+            cell["extra"] = 0
+        elif malform == "unknown-combo-key":
+            cell["combos"][0]["typo_sd"] = 1.0
+        elif malform == "stored-slices":  # v1 stored the slices; v2 derives them
+            payload["fallback_cells"] = []
+        elif malform == "format-v1":
+            payload["format"] = "behavior-table/v1"
+        elif malform == "traits-list":
+            cell["traits"] = list(cell["traits"])
         else:
             payload["fallback_threshold"] = 0.5
         bad = work / f"bad_table_{malform}.json"
@@ -483,6 +499,7 @@ class TestExitCodes:
         ("nan-mean", "ValueOutOfRange"),
         ("zero-scale", "ValueOutOfRange"),
         ("negative-scale", "ValueOutOfRange"),
+        ("huge-int-weight", "SchemaMismatch"),
     ])
     def test_malformed_model_is_validation_error(self, work, fit_dir, capsys,
                                                  malform, error):
@@ -506,6 +523,8 @@ class TestExitCodes:
             payload["feature_scale"][5] = 0.0
         elif malform == "negative-scale":
             payload["feature_scale"][5] = -1.0
+        elif malform == "huge-int-weight":  # an int beyond the float range
+            payload["weights"][0][3] = 10 ** 400
         elif malform != "not-json":
             del payload[malform]
         (fit / "trust_model.json").write_text(
@@ -523,6 +542,7 @@ class TestExitCodes:
         ("gender-probs-text", "InvalidConfig"),
         ("mean-text", "InvalidBounds"),
         ("sd-bool", "InvalidBounds"),
+        ("hi-huge-int", "InvalidBounds"),
     ])
     def test_malformed_trait_distributions_are_validation_errors(self, work, fit_dir,
                                                                   capsys, malform,
@@ -543,6 +563,8 @@ class TestExitCodes:
             payload["age"]["mean"] = str(payload["age"]["mean"])
         elif malform == "sd-bool":
             payload["neuroticism"]["sd"] = True
+        elif malform == "hi-huge-int":  # an int beyond the float range
+            payload["age"]["hi"] = 10 ** 400
         (fit / "trait_dists.json").write_text(
             "{not json" if malform == "not-json" else json.dumps(payload))
         assert main(["train-rl", "--fit", str(fit), "--seed", "1", "--episodes", "1",

@@ -43,7 +43,7 @@ class TestProperties:
 
 # Finite statistics at the edges of the float range: a zero and the least
 # subnormal sd, an sd whose square still fits, and means whose square does
-# not (so pooling them overflows).
+# not (so merging them into their slices overflows).
 EXTREME_STATS = [
     *((name, sd) for name in ("score_sd", "duration_sd") for sd in (0.0, 5e-324, 1e150)),
     *((name, mean) for name in ("score_mean", "duration_mean") for mean in (1e300, -1e300)),
@@ -62,15 +62,14 @@ class TestExtremeTables:
         whose combinations hold extreme finite values either loads and
         replays as the per-turn loop does, or is rejected at load."""
         payload = table_to_json_dict(build_table(small_corpus, mode, threshold))
-        observed = [combo for section in ("cells", "fallback_cells", "condition_cells")
-                    for entry in payload[section] for combo in entry["combos"]
+        observed = [combo for entry in payload["cells"] for combo in entry["combos"]
                     if combo["n"] > 0]
         for index, (name, value) in edits:
             observed[index % len(observed)][name] = value
         try:
             table = table_from_json_dict(payload)
         except InvalidConfig:
-            event("rejected at load: pooled statistics overflow")
+            event("rejected at load: merged statistics overflow")
             return
         event("loaded")
         log = replay_conditions(small_corpus, table, RandomStream(seed, "replay"))

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterator
@@ -414,6 +415,17 @@ def load_corpus(path, file_format: str | None = None) -> Corpus:
     return Corpus(users=tuple(users), dialogs=dialogs)
 
 
+def write_csv_rows(handle, rows) -> None:
+    """Write text rows as "\n"-terminated CSV that csv.reader reads back cell
+    for cell. With that terminator the csv module leaves a bare "\r"
+    unquoted, and a reader splits the row there, so a row holding one is
+    written with every cell quoted."""
+    plain = csv.writer(handle, lineterminator="\n")
+    quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for cells in rows:
+        (quoted if any("\r" in cell for cell in cells) else plain).writerow(cells)
+
+
 def save_corpus(corpus: Corpus, path, file_format: str | None = None) -> None:
     """Write the corpus in the flat row schema; load(save(c)) == c."""
     path = Path(path)
@@ -425,10 +437,8 @@ def save_corpus(corpus: Corpus, path, file_format: str | None = None) -> None:
         rows.append(row)
     if file_format == "csv":
         with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CORPUS_COLUMNS)
-            for row in rows:
-                writer.writerow([_format_field(row[c]) for c in CORPUS_COLUMNS])
+            write_csv_rows(handle, chain([CORPUS_COLUMNS], (
+                [_format_field(row[c]) for c in CORPUS_COLUMNS] for row in rows)))
     else:
         with path.open("w", encoding="utf-8") as handle:
             for row in rows:

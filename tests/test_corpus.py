@@ -155,6 +155,14 @@ class TestFileRoundTrip:
         save_corpus(load_corpus(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("text", ["a\rb", "a\r", "a\r\nb", "a,\"\r"])
+    def test_ids_with_carriage_returns_survive_csv(self, tmp_path, text):
+        user = make_user(user_id=text)
+        corpus = Corpus(users=(user,), dialogs={text: make_dialog(text)})
+        path = tmp_path / "c.csv"
+        save_corpus(corpus, path)
+        assert load_corpus(path) == corpus
+
     def test_two_users_gives_24_exchanges(self, tmp_path):
         path = tmp_path / "c.csv"
         save_corpus(make_corpus(n_users=2), path)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import reference_load_corpus
-from trustsim.corpus import CORPUS_COLUMNS, load_corpus, save_corpus
+from trustsim.corpus import CORPUS_COLUMNS, load_corpus, save_corpus, write_csv_rows
 from trustsim.errors import TrustSimError
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 
@@ -50,10 +50,11 @@ def saved(tmp_path_factory):
 
 
 def cell_text(rows):
-    """Drawn replacement text: an edge spelling, free text, or another cell."""
+    """Drawn replacement text: an edge spelling, free text a UTF-8 file can
+    hold, or another cell."""
     return st.one_of(
         st.sampled_from(EDGE_TEXT),
-        st.text(st.characters(exclude_characters="\x00"), max_size=6),
+        st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=6),
         st.tuples(st.integers(1, N_ROWS), st.integers(0, len(CORPUS_COLUMNS) - 1))
         .map(lambda rc: rows[rc[0]][rc[1]]),
     )
@@ -68,7 +69,7 @@ def test_csv_cell_replaced_by_text(saved, data):
     rows[row][col] = data.draw(cell_text(rows), label="text")
     path = saved / "mutated.csv"
     with path.open("w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(rows)
+        write_csv_rows(handle, rows)
     assert outcome(load_corpus, path) == outcome(reference_load_corpus, path)
 
 

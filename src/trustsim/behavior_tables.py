@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +32,8 @@ from .corpus import (
     ProactiveAct,
     STEPS_PER_DIALOG,
 )
-from .errors import EmptyCorpus, InvalidConfig, NoDataForCondition, read_json
+from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, object_entry,
+                     read_json, write_json)
 from .user_model import ALL_TRAIT_TUPLES, TraitTuple, binarize_traits
 
 DEFAULT_FALLBACK_THRESHOLD = 10
@@ -365,18 +364,6 @@ _CELL_KEYS = frozenset({"traits", "act", "condition", "n", "request_counts", "co
 _COMBO_KEYS = frozenset({"n", *_STAT_MIN, "difficulty_counts"})
 
 
-def _object_entry(value, keys: frozenset, name: str) -> dict:
-    """A JSON object with exactly the given keys, the way the generator
-    config is read: a typo is an error, not a silently ignored entry."""
-    if not isinstance(value, dict):
-        raise InvalidConfig(f"{name} must be an object, got {type(value).__name__}")
-    if value.keys() != keys:
-        raise InvalidConfig(f"{name} must have exactly the keys {sorted(keys)}; "
-                            f"unknown {sorted(value.keys() - keys)}, "
-                            f"missing {sorted(keys - value.keys())}")
-    return value
-
-
 def _int_entry(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise InvalidConfig(f"table entry {name!r} must be an int >= 0, got {value!r}")
@@ -393,7 +380,7 @@ def _counts_entry(value, name: str, length: int) -> tuple:
 
 
 def _combo_from_dict(d) -> ComboStats:
-    d = _object_entry(d, _COMBO_KEYS, "table combination")
+    d = object_entry(d, _COMBO_KEYS, "table combination")
     return ComboStats(
         n=_int_entry(d["n"], "n"),
         **{name: d[name] for name in _STAT_MIN},
@@ -403,7 +390,7 @@ def _combo_from_dict(d) -> ComboStats:
 
 
 def _cell_entry(e) -> tuple:
-    e = _object_entry(e, _CELL_KEYS, "table cell")
+    e = object_entry(e, _CELL_KEYS, "table cell")
     key = ContextKey(TraitTuple.from_bits(e["traits"]), ProactiveAct(e["act"]),
                      _int_entry(e["condition"], "condition"))
     return key, CellStats(
@@ -438,7 +425,7 @@ def table_from_json_dict(payload) -> BehaviorTable:
     if payload.get("format") != TABLE_FORMAT:
         raise InvalidConfig(f"unsupported table format {payload.get('format')!r}; "
                             f"refit the table with `trustsim fit` for {TABLE_FORMAT}")
-    _object_entry(payload, _TABLE_KEYS, "table")
+    object_entry(payload, _TABLE_KEYS, "table")
     try:
         mode = TableMode(payload["mode"])
         entries = [_cell_entry(e) for e in payload["cells"]]
@@ -455,10 +442,7 @@ def table_from_json_dict(payload) -> BehaviorTable:
 
 
 def save_table(table: BehaviorTable, path) -> None:
-    Path(path).write_text(
-        json.dumps(table_to_json_dict(table), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, table_to_json_dict(table))
 
 
 def load_table(path) -> BehaviorTable:

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage, 2 validation (including a --corpus,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import platform
@@ -31,8 +30,8 @@ from .behavior_tables import (
     save_table,
     table_summary,
 )
-from .corpus import load_corpus, save_corpus
-from .errors import InvalidConfig, TrustSimError, read_json
+from .corpus import load_corpus, save_corpus, write_csv_rows
+from .errors import InvalidConfig, TrustSimError, read_json, write_json
 from .fidelity import (
     compare_modes,
     evaluate_simulator,
@@ -78,11 +77,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
 def _write_manifest(out_dir: Path, command: str, config: dict, artifacts) -> None:
     # Fixed for a given environment, so identical invocations still write
     # identical manifests.
@@ -95,7 +89,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, artifacts) -> Non
                    "versions": versions},
         "artifacts": {name: f"sha256:{_sha256(out_dir / name)}" for name in artifacts},
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _out_dir(args) -> Path:
@@ -123,7 +117,7 @@ def cmd_gen_corpus(args) -> int:
     corpus = generate_synthetic_corpus(config, args.seed)
     corpus_name = f"corpus.{args.format}"
     save_corpus(corpus, out / corpus_name, args.format)
-    _write_json(out / "generator_params.json", config.to_json_dict())
+    write_json(out / "generator_params.json", config.to_json_dict())
     _write_manifest(out, "gen-corpus",
                     {"seed": args.seed, "format": args.format,
                      "generator": config.to_json_dict()},
@@ -140,10 +134,10 @@ def cmd_fit(args) -> int:
     table = build_table(corpus, mode, args.fallback_threshold)
     save_table(table, out / "table.json")
     dists = fit_trait_distributions(corpus)
-    _write_json(out / "trait_dists.json", dists.to_json_dict())
+    write_json(out / "trait_dists.json", dists.to_json_dict())
     model = train_classifier(corpus)
     save_classifier(model, out / "trust_model.json")
-    _write_json(out / "table_summary.json", table_summary(table).to_json_dict())
+    write_json(out / "table_summary.json", table_summary(table).to_json_dict())
     _write_manifest(out, "fit",
                     {"corpus": str(args.corpus), "mode": args.mode,
                      "fallback_threshold": args.fallback_threshold,
@@ -171,19 +165,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _write_report(out: Path, stem: str, report) -> list:
+    """Write a report as JSON, text and CSV; the names of the three files."""
+    names = [f"{stem}.json", f"{stem}.txt", f"{stem}.csv"]
+    write_json(out / names[0], report.to_json_dict())
+    (out / names[1]).write_text(render_report_text(report), encoding="utf-8")
+    with open(out / names[2], "w", newline="", encoding="utf-8") as fh:
+        write_csv_rows(fh, report_csv_rows(report))
+    return names
+
+
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     table = load_table(args.table)
     log = replay_conditions(corpus, table, RandomStream(args.seed, "replay"))
     report = evaluate_simulator(corpus, log, table.mode.value)
-    _write_json(out / "report.json", report.to_json_dict())
-    (out / "report.txt").write_text(render_report_text(report), encoding="utf-8")
-    _write_csv(out / "report.csv", report_csv_rows(report))
     _write_manifest(out, "evaluate",
                     {"corpus": str(args.corpus), "seed": args.seed,
                      "mode": table.mode.value, "table": str(args.table)},
-                    ["report.json", "report.txt", "report.csv"])
+                    _write_report(out, "report", report))
     print(render_report_text(report))
     return EXIT_OK
 
@@ -194,15 +195,11 @@ def cmd_compare(args) -> int:
     comparison = compare_modes(corpus, args.seed,
                                train_fraction=args.train_fraction,
                                fallback_threshold=args.fallback_threshold)
-    _write_json(out / "comparison.json", comparison.to_json_dict())
-    (out / "comparison.txt").write_text(render_report_text(comparison),
-                                        encoding="utf-8")
-    _write_csv(out / "comparison.csv", report_csv_rows(comparison))
     _write_manifest(out, "compare",
                     {"corpus": str(args.corpus), "seed": args.seed,
                      "train_fraction": args.train_fraction,
                      "fallback_threshold": args.fallback_threshold},
-                    ["comparison.json", "comparison.txt", "comparison.csv"])
+                    _write_report(out, "comparison", comparison))
     print(render_report_text(comparison))
     return EXIT_OK
 
@@ -215,14 +212,14 @@ def cmd_train_rl(args) -> int:
                       load_classifier(fit / "trust_model.json"),
                       RewardConfig(args.score_weight, args.trust_weight))
     result = train_tabular_policy(env, args.episodes, Hyperparams(seed=args.seed))
-    _write_json(out / "policy.json", {
+    write_json(out / "policy.json", {
         "format": "tabular-policy/v1",
         "policy": [int(a) for a in result.policy],
         "q": [[float(v) for v in row] for row in result.q],
     })
-    _write_csv(out / "returns.csv",
-               [("episode", "return")] + [(i, repr(r)) for i, r in
-                                          enumerate(result.returns)])
+    with open(out / "returns.csv", "w", newline="", encoding="utf-8") as fh:
+        write_csv_rows(fh, [("episode", "return")] + [(str(i), repr(r)) for i, r in
+                                                      enumerate(result.returns)])
     _write_manifest(out, "train-rl",
                     {"fit": str(args.fit), "mode": table.mode.value,
                      "episodes": args.episodes, "seed": args.seed,
@@ -234,12 +231,6 @@ def cmd_train_rl(args) -> int:
     print(f"trained {args.episodes} episodes; mean return over last {window}: "
           f"{mean_tail:.3f}")
     return EXIT_OK
-
-
-def _write_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,14 +309,10 @@ def main(argv=None) -> int:
     try:
         _check_input_files(args)
         return args.func(args)
-    except TrustSimError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_VALIDATION if isinstance(exc, TrustSimError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

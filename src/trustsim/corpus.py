@@ -35,6 +35,8 @@ COMPLEXITY_LEVELS = (3, 4, 5)
 MIN_DURATION_S = 20.0
 # drawn durations are floored to this, as a duration must exceed MIN_DURATION_S
 DURATION_FLOOR_S = math.nextafter(MIN_DURATION_S, math.inf)
+# upper truncation bound of drawn durations, synthetic and simulated
+DURATION_HI = 300.0
 LIKERT_MIN, LIKERT_MAX = 1, 5
 AGE_MIN, AGE_MAX = 18, 60
 
@@ -288,21 +290,12 @@ def _parse_cells(names, parsers, cells, row: int) -> list:
         raise
 
 
-def _format_field(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, float):
-        return repr(value)  # shortest exact round-trip
-    return str(value)
-
-
 def _infer_format(path: Path, file_format: str | None) -> str:
+    """The format of a corpus or log file: as given, else the path's suffix."""
     if file_format is None:
         file_format = path.suffix.lstrip(".").lower()
     if file_format not in ("csv", "jsonl"):
-        raise InvalidConfig(f"unsupported corpus format {file_format!r}")
+        raise InvalidConfig(f"unsupported file format {file_format!r} for {path}")
     return file_format
 
 
@@ -415,6 +408,23 @@ def load_corpus(path, file_format: str | None = None) -> Corpus:
     return Corpus(users=tuple(users), dialogs=dialogs)
 
 
+def format_cells(column) -> list:
+    """One column's values as file text: booleans as true/false, enums by
+    value, floats by repr (the shortest exact round trip), anything else by
+    str. A column of one type is formatted in one pass."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    kinds = set(map(type, column))
+    if len(kinds) != 1:  # empty, or mixed, such as ints among floats
+        return [format_cells((value,))[0] for value in column]
+    kind = kinds.pop()
+    if kind is bool:
+        return ["true" if value else "false" for value in column]
+    if issubclass(kind, Enum):
+        return [value.value for value in column]
+    return list(map(repr if issubclass(kind, float) else str, column))
+
+
 def write_csv_rows(handle, rows) -> None:
     """Write text rows as "\n"-terminated CSV that csv.reader reads back cell
     for cell. With that terminator the csv module leaves a bare "\r"
@@ -423,30 +433,37 @@ def write_csv_rows(handle, rows) -> None:
     plain = csv.writer(handle, lineterminator="\n")
     quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
     for cells in rows:
-        (quoted if any("\r" in cell for cell in cells) else plain).writerow(cells)
+        (quoted if "\r" in "".join(cells) else plain).writerow(cells)
+
+
+def write_jsonl_rows(handle, names, rows) -> None:
+    """Write one JSON object per row, its keys the names in their order."""
+    for cells in rows:
+        handle.write(json.dumps(dict(zip(names, cells))) + "\n")
 
 
 def save_corpus(corpus: Corpus, path, file_format: str | None = None) -> None:
-    """Write the corpus in the flat row schema; load(save(c)) == c."""
+    """Write the corpus in the flat row schema, column by column;
+    load(save(c)) == c. CSV cells are text; JSON lines keep numbers and
+    booleans and write enums by value."""
     path = Path(path)
     file_format = _infer_format(path, file_format)
-    rows = []
-    for user, ex in corpus.iter_exchanges():
-        row = {name: getattr(user, name) for name in USER_COLUMNS}
-        row.update({name: getattr(ex, name) for name in EXCHANGE_COLUMNS})
-        rows.append(row)
+    exchanges = [ex for user in corpus.users for ex in corpus.dialogs[user.user_id]]
+    columns = []
+    for name in CORPUS_COLUMNS:
+        per_user = name in USER_COLUMNS
+        values = list(map(attrgetter(name), corpus.users if per_user else exchanges))
+        if file_format == "csv" or name in ("gender", "proactive_act"):
+            values = format_cells(values)
+        # a user's cells are made once, then repeated for each exchange
+        columns.append([v for v in values for _ in range(STEPS_PER_DIALOG)]
+                       if per_user else values)
     if file_format == "csv":
         with path.open("w", newline="", encoding="utf-8") as handle:
-            write_csv_rows(handle, chain([CORPUS_COLUMNS], (
-                [_format_field(row[c]) for c in CORPUS_COLUMNS] for row in rows)))
+            write_csv_rows(handle, chain([CORPUS_COLUMNS], zip(*columns)))
     else:
         with path.open("w", encoding="utf-8") as handle:
-            for row in rows:
-                payload = {
-                    c: (row[c].value if isinstance(row[c], Enum) else row[c])
-                    for c in CORPUS_COLUMNS
-                }
-                handle.write(json.dumps(payload) + "\n")
+            write_jsonl_rows(handle, CORPUS_COLUMNS, zip(*columns))
 
 
 def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Corpus]:

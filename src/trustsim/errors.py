@@ -1,4 +1,5 @@
-"""Exception types raised across the package, and the JSON file reader.
+"""Exception types raised across the package, and the JSON file reader
+and writer.
 
 Everything derives from TrustSimError so callers can catch input/validation
 problems in one place (the CLI maps them to exit code 2).
@@ -121,3 +122,21 @@ def read_json(path, what: str):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8 or not JSON
         raise InvalidConfig(f"{what} file {path} is not JSON: {exc}") from exc
+
+
+def object_entry(value, keys: frozenset, name: str) -> dict:
+    """A JSON object with exactly the given keys: a typo is an error, not a
+    silently ignored entry."""
+    if not isinstance(value, dict):
+        raise InvalidConfig(f"{name} must be an object, got {type(value).__name__}")
+    if value.keys() != keys:
+        raise InvalidConfig(f"{name} must have exactly the keys {sorted(keys)}; "
+                            f"unknown {sorted(value.keys() - keys)}, "
+                            f"missing {sorted(keys - value.keys())}")
+    return value
+
+
+def write_json(path, payload) -> None:
+    """Write a JSON artifact: two-space indent, sorted keys, a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")

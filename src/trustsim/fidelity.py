@@ -23,6 +23,7 @@ from .behavior_tables import (
 from .corpus import (
     COMPLEXITY_LEVELS,
     Corpus,
+    DURATION_HI,
     LIKERT_MIN,
     MIN_DURATION_S,
     OPTION_SCORE_UNIT,
@@ -38,7 +39,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .sampling import RandomStream
-from .simulator import DURATION_HI, SimulatedLog, replay_conditions
+from .simulator import SimulatedLog, replay_conditions
 
 DEFAULT_SMOOTHING = 1e-6
 

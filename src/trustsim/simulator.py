@@ -15,10 +15,8 @@ bit, what `simulate_turn` gives turn by turn.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +34,21 @@ from .corpus import (
     ACT_ORDER,
     Corpus,
     DURATION_FLOOR_S,
+    DURATION_HI,
     LIKERT_MAX,
     LIKERT_MIN,
     MIN_DURATION_S,
     OPTION_SCORE_UNIT,
     ProactiveAct,
     STEPS_PER_DIALOG,
+    _infer_format,
     complexity_of_step,
+    format_cells,
     max_option_score,
+    write_csv_rows,
+    write_jsonl_rows,
 )
-from .errors import InvalidConfig, LengthMismatch, ValueOutOfRange
+from .errors import LengthMismatch, ValueOutOfRange
 from .sampling import (
     RandomStream,
     categorical,
@@ -59,9 +62,6 @@ from .sampling import (
     truncated_gaussians,
 )
 from .user_model import UserProfile, binarize_traits
-
-# Upper truncation bound of simulated durations, in seconds.
-DURATION_HI = 300.0
 
 
 @dataclass(frozen=True)
@@ -273,31 +273,19 @@ def _compile_pairs(entries, keys, combos, complexities) -> np.ndarray:
                     dtype=np.float64).reshape(-1, _SCORE.stop)
 
 
-def _log_cells(column) -> list:
-    """One log column as file cells: acts by value, booleans as
-    true/false, floats by repr (the shortest exact round trip)."""
-    if not isinstance(column, np.ndarray):
-        return [v.value if isinstance(v, Enum) else v for v in column]
-    if column.dtype == bool:
-        return ["true" if v else "false" for v in column.tolist()]
-    if column.dtype.kind == "f":
-        return list(map(repr, column.tolist()))
-    return column.tolist()
-
-
 def save_simulated_log(log: SimulatedLog, path, file_format: str | None = None) -> None:
+    """Write the log as CSV, or as JSON lines with sorted keys. Cells are
+    text, as in the corpus CSV, but for the integer columns of a JSON line,
+    which stay numbers."""
     path = Path(path)
-    if file_format is None:
-        file_format = "jsonl" if path.suffix == ".jsonl" else "csv"
-    if file_format not in ("csv", "jsonl"):
-        raise InvalidConfig(f"unknown log format {file_format!r}")
-    rows = zip(*(_log_cells(getattr(log, name)) for name in LOG_COLUMNS))
+    file_format = _infer_format(path, file_format)
     if file_format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(LOG_COLUMNS)
-            writer.writerows(rows)
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            write_csv_rows(handle, chain([LOG_COLUMNS], zip(*(
+                format_cells(getattr(log, name)) for name in LOG_COLUMNS))))
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(dict(zip(LOG_COLUMNS, row)), sort_keys=True) + "\n")
+        names = sorted(LOG_COLUMNS)
+        with path.open("w", encoding="utf-8") as handle:
+            write_jsonl_rows(handle, names, zip(*(
+                getattr(log, name).tolist() if _LOG_DTYPES[name] is np.int64
+                else format_cells(getattr(log, name)) for name in names)))

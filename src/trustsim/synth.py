@@ -18,6 +18,7 @@ from .corpus import (
     ACT_ORDER,
     Corpus,
     DURATION_FLOOR_S,
+    DURATION_HI,
     Exchange,
     LIKERT_MAX,
     LIKERT_MIN,
@@ -28,7 +29,7 @@ from .corpus import (
     max_option_score,
     option_scores,
 )
-from .errors import InvalidConfig
+from .errors import InvalidConfig, object_entry
 from .sampling import RandomStream, categorical, truncated_gaussian
 from .user_model import (
     TraitDistributions,
@@ -222,7 +223,7 @@ class GeneratorConfig:
     traits: TraitDistributions = field(default_factory=default_trait_distributions)
     process: BehaviorProcess = field(default_factory=BehaviorProcess)
     step_drift: float = 0.0
-    duration_hi: float = 300.0
+    duration_hi: float = DURATION_HI
 
     def __post_init__(self):
         if type(self.n_dialogs) is not int or self.n_dialogs < 1:  # bool is no count
@@ -248,23 +249,13 @@ class GeneratorConfig:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "GeneratorConfig":
-        if not isinstance(payload, dict):
-            raise InvalidConfig(
-                f"generator config must be a JSON object, got {type(payload).__name__}")
-        unknown = set(payload) - {f.name for f in fields(cls)}
-        if unknown:
-            raise InvalidConfig(f"generator config has unknown keys {sorted(unknown)}")
+        payload = object_entry(payload, frozenset(f.name for f in fields(cls)),
+                               "generator config")
         try:
-            return cls(
-                n_dialogs=payload["n_dialogs"],
-                traits=TraitDistributions.from_json_dict(payload["traits"]),
-                process=BehaviorProcess.from_json_dict(payload["process"]),
-                step_drift=payload["step_drift"],
-                duration_hi=payload["duration_hi"],
-            )
-        except KeyError as exc:
-            raise InvalidConfig(f"generator config is missing key {exc}") from exc
-        # TypeError: an unknown key or a value of the wrong JSON type;
+            return cls(**{**payload,
+                          "traits": TraitDistributions.from_json_dict(payload["traits"]),
+                          "process": BehaviorProcess.from_json_dict(payload["process"])})
+        # TypeError: an unknown process key or a value of the wrong JSON type;
         # AttributeError: a list where an object belongs; ValueError: a
         # value that does not convert to a number
         except (TypeError, AttributeError, ValueError) as exc:

@@ -16,23 +16,25 @@ Evaluation scores the whole corpus in one product.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import (
     ACT_ORDER,
+    AGE_MAX,
+    COMPLEXITY_LEVELS,
     Corpus,
+    DURATION_HI,
     LIKERT_MAX,
     LIKERT_MIN,
     SCALE_TRAITS,
     STEPS_PER_DIALOG,
     ProactiveAct,
     complexity_of_step,
+    max_option_score,
 )
 from .errors import (
     DegenerateLabels,
@@ -43,6 +45,7 @@ from .errors import (
     SchemaMismatch,
     ValueOutOfRange,
     read_json,
+    write_json,
 )
 from .user_model import GENDER_ORDER, UserProfile
 
@@ -115,6 +118,16 @@ def _build_feature_names() -> tuple:
 
 FEATURE_NAMES = _build_feature_names()
 N_FEATURES = len(FEATURE_NAMES)
+
+# The top of each feature's range (every feature is >= 0). A one-hot
+# entry's is 1, a lagged feature's that of its current-turn twin.
+_BOUNDS = {"age": AGE_MAX, "complexity": max(COMPLEXITY_LEVELS),
+           "step": STEPS_PER_DIALOG, "duration": DURATION_HI,
+           "game_score": max_option_score(max(COMPLEXITY_LEVELS)),
+           "help_request": 1, "suggestion_request": 1,
+           **dict.fromkeys(SCALE_TRAITS + ("difficulty", "trust"), LIKERT_MAX)}
+_FEATURE_BOUNDS = np.array([1.0 if "=" in name else _BOUNDS[name.rpartition(":")[2]]
+                           for name in FEATURE_NAMES])
 
 
 def _act_onehot(act: ProactiveAct) -> list:
@@ -377,6 +390,9 @@ def evaluate_classifier(model: TrustClassifier, corpus: Corpus) -> ClassifierRep
 # weights' last bits differ from v1, so a v1 model must be refit.
 MODEL_FORMAT = "trust-model/v2"
 
+_MODEL_KEYS = frozenset({"format", "schema_version", "feature_names", "classes",
+                         "weights", "biases", "feature_mean", "feature_scale"})
+
 
 def classifier_to_json_dict(model: TrustClassifier) -> dict:
     return {
@@ -397,6 +413,9 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
     if payload.get("format") != MODEL_FORMAT:
         raise InvalidConfig(f"unsupported model format {payload.get('format')!r}, "
                             f"expected {MODEL_FORMAT!r}: refit the model")
+    if payload.keys() != _MODEL_KEYS:
+        raise SchemaMismatch(f"model keys: unknown {sorted(payload.keys() - _MODEL_KEYS)}, "
+                             f"missing {sorted(_MODEL_KEYS - payload.keys())}")
     try:
         schema = payload["schema_version"]
         classes = tuple(payload["classes"])
@@ -404,8 +423,6 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
         biases = np.array(payload["biases"], dtype=float)
         mean = np.array(payload["feature_mean"], dtype=float)
         scale = np.array(payload["feature_scale"], dtype=float)
-    except KeyError as exc:
-        raise SchemaMismatch(f"model is missing key {exc}") from exc
     # a non-list classes entry, arrays of non-numbers, ragged rows or huge ints
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"malformed model: {exc}") from exc
@@ -413,6 +430,9 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
         raise SchemaMismatch(
             f"model built for schema {schema}, runtime is {SCHEMA_VERSION}"
         )
+    if payload["feature_names"] != list(FEATURE_NAMES):
+        raise SchemaMismatch(f"model feature_names {payload['feature_names']!r} are "
+                             f"not the schema's {N_FEATURES} features")
     if any(type(c) is not int or c not in TRUST_CLASSES for c in classes):
         raise SchemaMismatch(f"model classes {list(classes)} are not trust levels "
                              f"{list(TRUST_CLASSES)}")
@@ -425,14 +445,20 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
         )
     # scores() divides by feature_scale; a NaN or a zero there would give
     # every turn the same predicted class
-    for name, values, ok, detail in (
-            ("weights", weights, np.isfinite(weights), "must be finite"),
-            ("biases", biases, np.isfinite(biases), "must be finite"),
-            ("feature_mean", mean, np.isfinite(mean), "must be finite"),
-            ("feature_scale", scale, np.isfinite(scale) & (scale > 0),
-             "must be finite and > 0")):
-        if not ok.all():
-            raise ValueOutOfRange(name, float(values[~ok][0]), detail=detail)
+    bad = ~(np.isfinite(scale) & (scale > 0))
+    if bad.any():
+        raise ValueOutOfRange("feature_scale", float(scale[bad][0]),
+                              detail="must be finite and > 0")
+    # |score| <= |w| . (bound + |mean|) / scale + |b| for every turn whose
+    # features lie in their ranges. A NaN or inf weight, bias or mean, an
+    # overflow, or a 0 * inf leaves this bound not finite.
+    with np.errstate(all="ignore"):
+        largest = (np.abs(weights) @ ((_FEATURE_BOUNDS + np.abs(mean)) / scale)
+                   + np.abs(biases))
+    if not np.isfinite(largest).all():
+        raise ValueOutOfRange("largest score", float(np.max(largest)),
+                              detail="weights, biases and feature_mean must be "
+                                     "finite, and no score may overflow")
     return TrustClassifier(
         schema_version=schema, classes=classes,
         weights=weights, biases=biases, feature_mean=mean, feature_scale=scale,
@@ -440,10 +466,7 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
 
 
 def save_classifier(model: TrustClassifier, path) -> None:
-    Path(path).write_text(
-        json.dumps(classifier_to_json_dict(model), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, classifier_to_json_dict(model))
 
 
 def load_classifier(path) -> TrustClassifier:

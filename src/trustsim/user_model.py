@@ -26,7 +26,8 @@ from .corpus import (
     SCALE_TRAITS,
     UserRecord,
 )
-from .errors import InsufficientUsers, InvalidBounds, InvalidConfig, read_json
+from .errors import (InsufficientUsers, InvalidBounds, InvalidConfig, object_entry,
+                     read_json)
 from .sampling import RandomStream, categorical, truncated_gaussian
 
 # A trait counts as "high" strictly above the Likert midpoint (3.0 -> low).
@@ -64,7 +65,8 @@ class TruncGauss:
             raise InvalidBounds(f"sd must be >= 0, got {self.sd}")
 
 
-_GAUSS_FIELDS = {"mean", "sd", "lo", "hi"}
+_GAUSS_FIELDS = frozenset({"mean", "sd", "lo", "hi"})
+_GAUSS_TRAITS = ("age",) + SCALE_TRAITS
 
 
 @dataclass(frozen=True)
@@ -101,35 +103,20 @@ class TraitDistributions:
             raise InvalidConfig("gender probabilities must sum to 1")
 
     def to_json_dict(self) -> dict:
-        payload = {
-            name: vars(getattr(self, name))
-            for name in ("age",) + SCALE_TRAITS
-        }
+        payload = {name: vars(getattr(self, name)) for name in _GAUSS_TRAITS}
         payload["gender_probs"] = list(self.gender_probs)
         return payload
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TraitDistributions":
-        if not isinstance(payload, dict):
-            raise InvalidConfig(f"traits must be a JSON object, got {type(payload).__name__}")
-        names = ("age",) + SCALE_TRAITS
-        unknown = set(payload) - {"gender_probs", *names}
-        if unknown:
-            raise InvalidConfig(f"unknown traits {sorted(unknown)}")
-        missing = [name for name in (*names, "gender_probs") if name not in payload]
-        if missing:
-            raise InvalidConfig(f"traits are missing {missing}")
-        kwargs = {}
-        for name in names:
-            entry = payload[name]
-            if not isinstance(entry, dict) or set(entry) != _GAUSS_FIELDS:
-                raise InvalidConfig(f"trait {name!r} must be an object with keys "
-                                    f"{sorted(_GAUSS_FIELDS)}, got {entry!r}")
-            kwargs[name] = TruncGauss(**entry)
+        payload = object_entry(payload, frozenset({*_GAUSS_TRAITS, "gender_probs"}),
+                               "traits")
         probs = payload["gender_probs"]
         if not isinstance(probs, list):
             raise InvalidConfig(f"gender_probs must be a list, got {probs!r}")
-        return cls(gender_probs=tuple(probs), **kwargs)
+        return cls(gender_probs=tuple(probs), **{
+            name: TruncGauss(**object_entry(payload[name], _GAUSS_FIELDS, f"trait {name!r}"))
+            for name in _GAUSS_TRAITS})
 
 
 def load_trait_distributions(path) -> TraitDistributions:

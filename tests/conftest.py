@@ -9,6 +9,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from trustsim.corpus import (
     _parse_field,
     complexity_of_step,
     option_scores,
+    write_csv_rows,
 )
 from trustsim.errors import (
     InvalidConfig,
@@ -380,6 +382,39 @@ def reference_load_corpus(path, file_format=None) -> Corpus:
     for uid, exchanges in dialog_rows.items():
         dialog_rows[uid] = sorted(exchanges, key=lambda ex: ex.step)
     return Corpus(users=tuple(users), dialogs=dialog_rows)
+
+
+def _reference_field(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float):
+        return repr(value)  # shortest exact round-trip
+    return str(value)
+
+
+def reference_save_corpus(corpus, path, file_format=None) -> None:
+    """The per-row writer save_corpus replaced, kept as its oracle: one dict
+    per exchange, each CSV cell formatted by its own call, each JSON line
+    dumped from its dict with enums by value."""
+    path = Path(path)
+    file_format = _infer_format(path, file_format)
+    rows = []
+    for user, ex in corpus.iter_exchanges():
+        row = {name: getattr(user, name) for name in USER_COLUMNS}
+        row.update({name: getattr(ex, name) for name in EXCHANGE_COLUMNS})
+        rows.append(row)
+    if file_format == "csv":
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            write_csv_rows(handle, [CORPUS_COLUMNS] + [
+                [_reference_field(row[c]) for c in CORPUS_COLUMNS] for row in rows])
+    else:
+        with path.open("w", encoding="utf-8") as handle:
+            for row in rows:
+                payload = {c: (row[c].value if isinstance(row[c], Enum) else row[c])
+                           for c in CORPUS_COLUMNS}
+                handle.write(json.dumps(payload) + "\n")
 
 
 class RiggedSweepEnv:

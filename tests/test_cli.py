@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +15,7 @@ import pytest
 from conftest import TABLE_CORRUPTIONS
 from trustsim.behavior_tables import TABLE_FORMAT, TableMode, build_table, load_table
 from trustsim.cli import main
-from trustsim.corpus import load_corpus
+from trustsim.corpus import Corpus, load_corpus, save_corpus
 from trustsim.rl_env import Hyperparams, N_STATES, TrustSimEnv, train_tabular_policy
 from trustsim.sampling import STREAM_FORMAT
 from trustsim.synth import GeneratorConfig
@@ -154,6 +156,28 @@ class TestSimulate:
         assert len(lines) == 480 + 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["mode"] == "task-step"
+
+    def test_ids_holding_carriage_returns(self, work, corpus_file):
+        # a bare "\r" in a cell is quoted, so the log reads back row for row
+        corpus = load_corpus(corpus_file)
+        first = corpus.users[0]
+        uid = "u\r0"
+        dialogs = {u.user_id: corpus.dialogs[u.user_id] for u in corpus.users[1:]}
+        dialogs[uid] = tuple(dataclasses.replace(ex, dialog_id="d\r0")
+                             for ex in corpus.dialogs[first.user_id])
+        path = work / "cr_corpus.csv"
+        save_corpus(Corpus(users=(dataclasses.replace(first, user_id=uid),)
+                           + corpus.users[1:], dialogs=dialogs), path)
+        fit, out = work / "cr_fit", work / "cr_sim"
+        assert main(["fit", "--corpus", str(path), "--seed", "1",
+                     "--out", str(fit)]) == 0
+        assert main(["simulate", "--corpus", str(path), "--seed", "2",
+                     "--table", str(fit / "table.json"), "--out", str(out)]) == 0
+        with open(out / "sim_log.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 480 + 1
+        assert {len(row) for row in rows} == {11}
+        assert rows[1][:2] == [uid, "d\r0"]
 
     def test_jsonl_log(self, work, corpus_file):
         fit = work / "fit_complexity"
@@ -500,6 +524,10 @@ class TestExitCodes:
         ("zero-scale", "ValueOutOfRange"),
         ("negative-scale", "ValueOutOfRange"),
         ("huge-int-weight", "SchemaMismatch"),
+        ("overflowing-scores", "ValueOutOfRange"),
+        ("unknown-key", "SchemaMismatch"),
+        ("feature-names-order", "SchemaMismatch"),
+        ("feature_names", "SchemaMismatch"),
     ])
     def test_malformed_model_is_validation_error(self, work, fit_dir, capsys,
                                                  malform, error):
@@ -525,6 +553,14 @@ class TestExitCodes:
             payload["feature_scale"][5] = -1.0
         elif malform == "huge-int-weight":  # an int beyond the float range
             payload["weights"][0][3] = 10 ** 400
+        elif malform == "overflowing-scores":  # finite, but the scores are inf
+            payload["weights"] = [[1e308 * (-1) ** j for j in range(len(row))]
+                                  for row in payload["weights"]]
+            payload["feature_scale"] = [1e-300] * len(payload["feature_scale"])
+        elif malform == "unknown-key":
+            payload["feature_means"] = payload["feature_mean"]
+        elif malform == "feature-names-order":
+            payload["feature_names"] = payload["feature_names"][::-1]
         elif malform != "not-json":
             del payload[malform]
         (fit / "trust_model.json").write_text(

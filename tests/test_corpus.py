@@ -14,6 +14,7 @@ from conftest import (
     make_exchange,
     make_user,
     reference_load_corpus,
+    reference_save_corpus,
 )
 from trustsim.corpus import (
     Corpus,
@@ -162,6 +163,30 @@ class TestFileRoundTrip:
         path = tmp_path / "c.csv"
         save_corpus(corpus, path)
         assert load_corpus(path) == corpus
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_bytes_equal_the_per_row_writer(self, tmp_path, default_corpus, fmt):
+        save_corpus(default_corpus, tmp_path / f"a.{fmt}")
+        reference_save_corpus(default_corpus, tmp_path / f"b.{fmt}")
+        assert (tmp_path / f"a.{fmt}").read_bytes() == (tmp_path / f"b.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_mixed_column_types_equal_the_per_row_writer(self, tmp_path, fmt):
+        # ints among the floats of a column are written as ints, cell by cell
+        users = (make_user("u\r0", openness=3), make_user("u1", openness=3.25))
+        dialogs = {"u\r0": make_dialog("u\r0", duration=42), "u1": make_dialog("u1")}
+        corpus = Corpus(users=users, dialogs=dialogs)
+        save_corpus(corpus, tmp_path / f"a.{fmt}")
+        reference_save_corpus(corpus, tmp_path / f"b.{fmt}")
+        assert (tmp_path / f"a.{fmt}").read_bytes() == (tmp_path / f"b.{fmt}").read_bytes()
+        assert load_corpus(tmp_path / f"a.{fmt}") == corpus
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_empty_corpus_writes_the_header_only(self, tmp_path, fmt):
+        empty = Corpus(users=(), dialogs={})
+        save_corpus(empty, tmp_path / f"a.{fmt}")
+        reference_save_corpus(empty, tmp_path / f"b.{fmt}")
+        assert (tmp_path / f"a.{fmt}").read_bytes() == (tmp_path / f"b.{fmt}").read_bytes()
 
     def test_two_users_gives_24_exchanges(self, tmp_path):
         path = tmp_path / "c.csv"

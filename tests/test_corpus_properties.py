@@ -1,8 +1,10 @@
-"""Property tests: the streaming loader against the per-row loader it replaced.
+"""Property tests: the streaming loader against the per-row loader it
+replaced, and the column-wise writer against the per-row writer.
 
 One cell of a saved corpus is replaced by drawn text; both loaders must then
 return equal corpora, or both raise the same typed error with the same
-message. Kept apart from test_corpus.py so that the example-based tests
+message. A corpus that loads is written by both writers, byte for byte
+alike. Kept apart from test_corpus.py so that the example-based tests
 there still run where hypothesis is not installed.
 """
 
@@ -15,7 +17,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_load_corpus
+from conftest import reference_load_corpus, reference_save_corpus
 from trustsim.corpus import CORPUS_COLUMNS, load_corpus, save_corpus, write_csv_rows
 from trustsim.errors import TrustSimError
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
@@ -38,6 +40,18 @@ def outcome(load, path):
         return load(path)
     except TrustSimError as exc:
         return type(exc), str(exc)
+
+
+def assert_load_and_save_match_references(path):
+    loaded = outcome(load_corpus, path)
+    assert loaded == outcome(reference_load_corpus, path)
+    if isinstance(loaded, tuple):  # an error
+        return
+    for fmt in ("csv", "jsonl"):
+        save_corpus(loaded, path.with_name(f"new.{fmt}"))
+        reference_save_corpus(loaded, path.with_name(f"old.{fmt}"))
+        assert (path.with_name(f"new.{fmt}").read_bytes()
+                == path.with_name(f"old.{fmt}").read_bytes())
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +84,7 @@ def test_csv_cell_replaced_by_text(saved, data):
     path = saved / "mutated.csv"
     with path.open("w", newline="", encoding="utf-8") as handle:
         write_csv_rows(handle, rows)
-    assert outcome(load_corpus, path) == outcome(reference_load_corpus, path)
+    assert_load_and_save_match_references(path)
 
 
 JSON_VALUES = st.one_of(
@@ -89,4 +103,4 @@ def test_jsonl_value_replaced(saved, data):
     objects[row][col] = data.draw(JSON_VALUES, label="value")
     path = saved / "mutated.jsonl"
     path.write_text("".join(json.dumps(obj) + "\n" for obj in objects))
-    assert outcome(load_corpus, path) == outcome(reference_load_corpus, path)
+    assert_load_and_save_match_references(path)

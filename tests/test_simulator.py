@@ -267,6 +267,17 @@ class TestLogOutput:
         with pytest.raises(InvalidConfig):
             save_simulated_log(log, tmp_path / "log.xml", file_format="xml")
 
+    @pytest.mark.parametrize("name", ["log.xml", "log", "log.csv.gz"])
+    def test_unknown_suffix_rejected(self, log, tmp_path, name):
+        with pytest.raises(InvalidConfig, match="unsupported file format"):
+            save_simulated_log(log, tmp_path / name)
+        assert not (tmp_path / name).exists()
+
+    def test_suffix_case_is_ignored(self, log, tmp_path):
+        save_simulated_log(log, tmp_path / "log.JSONL")
+        save_simulated_log(log, tmp_path / "log.jsonl")
+        assert (tmp_path / "log.JSONL").read_bytes() == (tmp_path / "log.jsonl").read_bytes()
+
 
 def assert_replay_matches_oracle(corpus, table, seed, tmp_path):
     """replay_conditions equals the per-turn loop, column for column and

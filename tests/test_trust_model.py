@@ -439,6 +439,58 @@ class TestSerialization:
         with pytest.raises(SchemaMismatch):
             classifier_from_json_dict(payload)
 
+    @pytest.mark.parametrize("case", ["overflowing-product", "zero-weight"])
+    def test_overflowing_scores_rejected_at_load(self, case):
+        payload = classifier_to_json_dict(train_classifier(separable_corpus()))
+        if case == "overflowing-product":  # finite values, every score inf
+            payload["weights"] = [[1e308 * (-1) ** j for j in range(N_FEATURES)]
+                                  for _ in payload["weights"]]
+            payload["feature_scale"] = [1e-300] * N_FEATURES
+        else:  # the standardized duration overflows, and 0 * inf is NaN
+            for row in payload["weights"]:
+                row[FEATURE_NAMES.index("duration")] = 0.0
+            payload["feature_scale"][FEATURE_NAMES.index("duration")] = 1e-307
+        with pytest.raises(ValueOutOfRange, match="largest score"):
+            classifier_from_json_dict(payload)
+
+    def test_large_scores_within_the_float_range_load(self):
+        payload = classifier_to_json_dict(train_classifier(separable_corpus()))
+        payload["weights"] = [[1e300] * N_FEATURES for _ in payload["weights"]]
+        payload["feature_mean"] = [0.0] * N_FEATURES
+        payload["feature_scale"] = [1.0] * N_FEATURES
+        model = classifier_from_json_dict(payload)
+        # every duration at the top of its range, every other feature at 12
+        probe = np.where(["duration" in name for name in FEATURE_NAMES], 300.0, 12.0)
+        assert np.isfinite(model.scores(probe)).all()
+
+    def test_unknown_top_level_key_rejected(self):
+        payload = classifier_to_json_dict(train_classifier(separable_corpus()))
+        payload["weight"] = payload["weights"]
+        with pytest.raises(SchemaMismatch, match="unknown \\['weight'\\]"):
+            classifier_from_json_dict(payload)
+
+    @pytest.mark.parametrize("names", [
+        "swapped", "short", "renamed", "text", "null", "missing",
+    ])
+    def test_feature_names_must_be_the_schema(self, names):
+        payload = classifier_to_json_dict(train_classifier(separable_corpus()))
+        listed = list(FEATURE_NAMES)
+        if names == "swapped":
+            listed[0], listed[1] = listed[1], listed[0]
+        elif names == "short":
+            listed.pop()
+        elif names == "renamed":
+            listed[-1] = "lag2:trust_label"
+        elif names == "text":
+            listed = ",".join(listed)
+        elif names == "null":
+            listed = None
+        payload["feature_names"] = listed
+        if names == "missing":
+            del payload["feature_names"]
+        with pytest.raises(SchemaMismatch, match="feature_names"):
+            classifier_from_json_dict(payload)
+
     @pytest.mark.parametrize("field, value", [
         ("weights", [[0.0]] * 2),
         ("biases", [0.0]),

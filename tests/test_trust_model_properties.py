@@ -14,9 +14,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trustsim.corpus import load_corpus, save_corpus
+from trustsim.corpus import DURATION_HI, load_corpus, save_corpus
+from trustsim.errors import ValueOutOfRange
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import (
+    FEATURE_NAMES,
     N_FEATURES,
     SCHEMA_VERSION,
     TRUST_CLASSES,
@@ -28,20 +30,28 @@ from trustsim.trust_model import (
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # the loader rejects a feature scale that is not finite and > 0
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# values whose scores cannot overflow, which the loader also requires
+moderate = st.floats(-1e100, 1e100)
+moderate_positive = st.floats(min_value=1e-100, max_value=1e100)
+# the upper end of every feature's range, written out by hand
+_TOPS = {"age": 60, "complexity": 5, "step": 12, "duration": DURATION_HI,
+         "game_score": 50, "help_request": 1, "suggestion_request": 1}
+FEATURE_TOPS = np.array([1.0 if "=" in name else _TOPS.get(name.split(":")[-1], 5.0)
+                         for name in FEATURE_NAMES])
 class_sets = st.sets(st.sampled_from(TRUST_CLASSES), min_size=1).map(sorted).map(tuple)
 # a wall-clock deadline only adds flakiness on a loaded machine
 property_test = settings(deadline=None)
 
 
 @st.composite
-def classifiers(draw) -> TrustClassifier:
+def classifiers(draw, values=moderate, scales=moderate_positive) -> TrustClassifier:
     classes = draw(class_sets)
     return TrustClassifier(
         schema_version=SCHEMA_VERSION, classes=classes,
-        weights=draw(arrays(float, (len(classes), N_FEATURES), elements=finite)),
-        biases=draw(arrays(float, (len(classes),), elements=finite)),
-        feature_mean=draw(arrays(float, (N_FEATURES,), elements=finite)),
-        feature_scale=draw(arrays(float, (N_FEATURES,), elements=positive)),
+        weights=draw(arrays(float, (len(classes), N_FEATURES), elements=values)),
+        biases=draw(arrays(float, (len(classes),), elements=values)),
+        feature_mean=draw(arrays(float, (N_FEATURES,), elements=values)),
+        feature_scale=draw(arrays(float, (N_FEATURES,), elements=scales)),
     )
 
 
@@ -59,6 +69,19 @@ class TestClassifierRoundTrip:
             assert restored.dtype == np.float64
             assert restored.shape == original.shape
             assert restored.tobytes() == original.tobytes()
+
+    @property_test
+    @given(classifiers(finite, positive))
+    def test_a_loaded_model_scores_finitely(self, model):
+        # finite values of any size: a model the loader takes scores the
+        # bottom and the top of every feature range finitely
+        try:
+            loaded = classifier_from_json_dict(classifier_to_json_dict(model))
+        except ValueOutOfRange as exc:
+            assert "largest score" in str(exc)
+            return
+        for probe in (np.zeros(N_FEATURES), FEATURE_TOPS):
+            assert np.isfinite(loaded.scores(probe)).all()
 
 
 class TestCorpusRoundTrip:

@@ -164,7 +164,7 @@ class BehaviorTable:
     fallback_cells: dict = field(init=False, compare=False, repr=False)
     condition_cells: dict = field(init=False, compare=False, repr=False)
     # ContextKey -> (most specific usable rung, used_fallback, ComboStats per
-    # REQUEST_COMBOS index after the ladder descent) for every key of the mode
+    # REQUEST_COMBOS index after the ladder descent), in `_mode_keys` order
     resolved: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -209,9 +209,16 @@ class BehaviorTable:
 
 def _mode_keys(mode: TableMode) -> list:
     """Every context key of the mode in canonical order: trait tuple index,
-    act, condition. build_table's cell codes index this list."""
+    act, condition. `key_code` indexes this list."""
     return list(itertools.starmap(ContextKey, itertools.product(
         ALL_TRAIT_TUPLES, ACT_ORDER, mode.conditions())))
+
+
+def key_code(mode: TableMode, trait, act, condition):
+    """The `_mode_keys(mode)` index of the key with this trait tuple index,
+    act index (in ACT_ORDER) and condition; ints or numpy arrays alike."""
+    conditions = mode.conditions()
+    return (trait * len(ACT_ORDER) + act) * len(conditions) + condition - conditions[0]
 
 
 def combo_index(help_request: bool, suggestion_request: bool) -> int:
@@ -239,20 +246,19 @@ def build_table(corpus: Corpus, mode: TableMode,
     if corpus.n_dialogs == 0:
         raise EmptyCorpus("cannot build a table from an empty corpus")
 
-    conditions = mode.conditions()
     exchanges = [ex for user in corpus.users for ex in corpus.dialogs[user.user_id]]
     # every dialog holds STEPS_PER_DIALOG exchanges, in user order
     trait = np.repeat([binarize_traits(user).index for user in corpus.users],
                       STEPS_PER_DIALOG)
     act = np.array([_ACT_INDEX[ex.proactive_act] for ex in exchanges])
     condition = np.array([ex.complexity if mode is TableMode.COMPLEXITY_BASED
-                          else ex.step for ex in exchanges]) - conditions[0]
+                          else ex.step for ex in exchanges])
     combo = np.array([2 * ex.help_request + ex.suggestion_request for ex in exchanges])
     score = np.array([ex.game_score for ex in exchanges], dtype=float)
     duration = np.array([ex.duration for ex in exchanges], dtype=float)
     difficulty = np.array([ex.difficulty for ex in exchanges]) - LIKERT_MIN
 
-    cell = (trait * len(ACT_ORDER) + act) * len(conditions) + condition
+    cell = key_code(mode, trait, act, condition)
     groups, group_of = np.unique(cell * len(REQUEST_COMBOS) + combo,
                                  return_inverse=True)
     n = np.bincount(group_of)

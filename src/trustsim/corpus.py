@@ -422,6 +422,9 @@ def format_cells(column) -> list:
         return ["true" if value else "false" for value in column]
     if issubclass(kind, Enum):
         return [value.value for value in column]
+    if kind is int:  # one text per distinct int; a float memo would merge -0.0 into 0.0
+        text = {value: str(value) for value in set(column)}
+        return [text[value] for value in column]
     return list(map(repr if issubclass(kind, float) else str, column))
 
 

@@ -204,7 +204,13 @@ def truncated_gaussian(mean, sd, lo, hi, rng: RandomStream) -> float:
     however far into a tail [lo, hi] lies. sd == 0 degenerates to
     clamp(mean, lo, hi).
     """
-    c_lo, span, scale = gaussian_truncation(mean, sd, lo, hi)
+    return truncated_gaussian_from(mean, gaussian_truncation(mean, sd, lo, hi),
+                                   lo, hi, rng)
+
+
+def truncated_gaussian_from(mean, truncation, lo, hi, rng: RandomStream) -> float:
+    """`truncated_gaussian` given the mean and its `gaussian_truncation`."""
+    c_lo, span, scale = truncation
     if scale == 0:
         return float(min(max(mean, lo), hi))
     p = min(max(c_lo + rng.random() * span, _P_MIN), _P_MAX)
@@ -243,13 +249,17 @@ def cumulative_weights(probs) -> list:
 
 
 def categorical(probs, rng: RandomStream) -> int:
-    """Index sampled from an unnormalized non-negative weight vector.
+    """Index sampled from an unnormalized non-negative weight vector."""
+    return categorical_from(cumulative_weights(probs), rng)
+
+
+def categorical_from(cumulative, rng: RandomStream) -> int:
+    """Index sampled from a `cumulative_weights` vector.
 
     The index is the first whose cumulative weight exceeds the target, so
     it never has zero weight. The second bisection catches a target that
     rounds up to the total, which only a sum near the subnormal range does.
     """
-    cumulative = cumulative_weights(probs)
     total = cumulative[-1]
     target = rng.random() * total
     return min(bisect.bisect_right(cumulative, target),

@@ -5,12 +5,12 @@ fallback), sample the request combination, then sample difficulty,
 duration, and game score conditional on that combination. Each field
 reads a named substream so draws never bleed across fields.
 
-`simulate_turn` draws one turn (the RL environment's path).
-`replay_conditions` draws a turn for every corpus exchange at once: the
-stream keys and uniforms as uint64 arrays, the table cells as gathers
-from the drawn contexts and combinations, the categoricals as counts, and
-only `inv_cdf` per element. Its columnar `SimulatedLog` equals, bit for
-bit, what `simulate_turn` gives turn by turn.
+Both paths draw from the rows of `draw_parameters`. `simulate_turn` draws
+one turn (the RL environment's path). `replay_conditions` compiles the
+whole table and draws a turn for every corpus exchange at once: the stream
+keys and uniforms as uint64 arrays, the rows as gathers by key code and
+combination, the categoricals as counts, and only `inv_cdf` per element.
+Its columnar `SimulatedLog` equals, bit for bit, what `simulate_turn` gives.
 """
 
 from __future__ import annotations
@@ -22,16 +22,18 @@ from pathlib import Path
 import numpy as np
 
 from .behavior_tables import (
+    _ACT_INDEX,
     BehaviorTable,
+    ComboStats,
     ContextKey,
     N_DIFFICULTY_CLASSES,
     REQUEST_COMBOS,
     TableMode,
+    key_code,
     lookup,
     resolve_combo_stats,
 )
 from .corpus import (
-    ACT_ORDER,
     Corpus,
     DURATION_FLOOR_S,
     DURATION_HI,
@@ -52,13 +54,14 @@ from .errors import LengthMismatch, ValueOutOfRange
 from .sampling import (
     RandomStream,
     categorical,
+    categorical_from,
     categoricals,
     child_keys,
     cumulative_weights,
     first_uniforms,
     gaussian_truncation,
     label_bits,
-    truncated_gaussian,
+    truncated_gaussian_from,
     truncated_gaussians,
 )
 from .user_model import UserProfile, binarize_traits
@@ -93,21 +96,14 @@ def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
 
     combo_idx = categorical(cell.request_probs, rng.child("requests"))
     help_request, suggestion_request = REQUEST_COMBOS[combo_idx]
-    stats = resolve_combo_stats(table, key, combo_idx)
+    row = draw_parameters(resolve_combo_stats(table, key, combo_idx), complexity)
 
-    counts = stats.difficulty_counts
-    total = sum(counts)
-    probs = tuple(c / total for c in counts)
-    difficulty = LIKERT_MIN + categorical(probs, rng.child("difficulty"))
-
-    duration = truncated_gaussian(stats.duration_mean, stats.duration_sd,
-                                  MIN_DURATION_S, DURATION_HI,
-                                  rng.child("duration"))
+    difficulty = LIKERT_MIN + categorical_from(row[_DIFFICULTY], rng.child("difficulty"))
+    duration = truncated_gaussian_from(row[_DURATION_MEAN], row[_DURATION],
+                                       MIN_DURATION_S, DURATION_HI, rng.child("duration"))
     duration = max(duration, DURATION_FLOOR_S)
-
-    game_score = truncated_gaussian(stats.score_mean, stats.score_sd,
-                                    OPTION_SCORE_UNIT, max_option_score(complexity),
-                                    rng.child("score"))
+    game_score = truncated_gaussian_from(row[_SCORE_MEAN], row[_SCORE], OPTION_SCORE_UNIT,
+                                         max_option_score(complexity), rng.child("score"))
 
     return SimulatedTurn(
         help_request=help_request,
@@ -117,6 +113,28 @@ def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
         game_score=game_score,
         used_fallback=used_fallback,
     )
+
+
+# A row of draw parameters: the difficulty cumulatives, then the mean and
+# the `gaussian_truncation` of the duration, then those of the score.
+_DIFFICULTY = slice(0, N_DIFFICULTY_CLASSES)
+_DURATION_MEAN = N_DIFFICULTY_CLASSES
+_DURATION = slice(_DURATION_MEAN + 1, _DURATION_MEAN + 4)
+_SCORE_MEAN = _DURATION_MEAN + 4
+_SCORE = slice(_SCORE_MEAN + 1, _SCORE_MEAN + 4)
+
+
+def draw_parameters(stats: ComboStats, complexity: int) -> tuple:
+    """The row a turn's draws read from one combination's statistics, its
+    score truncated to the option range of a step of this complexity."""
+    counts = stats.difficulty_counts
+    total = sum(counts)
+    return (*cumulative_weights(tuple(c / total for c in counts)),
+            stats.duration_mean, *gaussian_truncation(
+                stats.duration_mean, stats.duration_sd, MIN_DURATION_S, DURATION_HI),
+            stats.score_mean, *gaussian_truncation(
+                stats.score_mean, stats.score_sd, OPTION_SCORE_UNIT,
+                max_option_score(complexity)))
 
 
 # Columns of a replay log in file order, with the numpy dtype each is held
@@ -175,7 +193,6 @@ class SimulatedLog:
         return int(np.count_nonzero(self.used_fallback)) / len(self)
 
 
-_ACT_CODE = {act: i for i, act in enumerate(ACT_ORDER)}
 _STEP_BITS = label_bits(range(STEPS_PER_DIALOG + 1))
 _COMBO_FLAGS = np.array(REQUEST_COMBOS, dtype=bool)
 
@@ -186,9 +203,9 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     act) context; row i pairs with exchange i of the corpus's canonical
     order. Turn i equals `simulate_turn` on `rng.child(user_id, step)`.
 
-    Every turn is drawn at once, and only the (context, combination) pairs
-    that are drawn are compiled. The table's values were checked when it
-    was built or loaded, so no draw can fail.
+    The whole table is compiled once per call, then every turn is drawn at
+    once by gathering on its context key code and combination. The table's
+    values were checked when it was built or loaded, so no draw can fail.
     """
     users = corpus.users
     dialogs = [corpus.dialogs[user.user_id] for user in users]
@@ -199,18 +216,12 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     complexity = np.array([ex.complexity for ex in exchanges], dtype=np.int64)
     acts = [ex.proactive_act for ex in exchanges]
 
-    # one code per context key; the conditions of both modes are below 16
-    traits = [binarize_traits(user) for user in users]
-    trait = np.array([t.index for t in traits], dtype=np.int64)[owner]
-    act = np.array([_ACT_CODE[a] for a in acts], dtype=np.int64)
+    trait = np.array([binarize_traits(user).index for user in users],
+                     dtype=np.int64)[owner]
+    act = np.array([_ACT_INDEX[a] for a in acts], dtype=np.int64)
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
-    _, key_first, key_of = np.unique((trait * len(ACT_ORDER) + act) * 16 + condition,
-                                     return_index=True, return_inverse=True)
-    entries = [table.resolved[ContextKey(traits[owner[i]], acts[i], int(condition[i]))]
-               for i in key_first.tolist()]
-    request_cum = np.array([cumulative_weights(e[0].request_probs)
-                            for e in entries]).reshape(-1, len(REQUEST_COMBOS))
-    key_fallback = np.array([e[1] for e in entries], dtype=bool)
+    code = key_code(table.mode, trait, act, condition)
+    request_cum, key_fallback, rows = _compile_table(table)
 
     user_keys = child_keys(rng.key, label_bits(user.user_id for user in users))
     turn_keys = child_keys(user_keys[owner], _STEP_BITS[step])
@@ -218,19 +229,17 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     def uniforms(field: str) -> np.ndarray:
         return first_uniforms(child_keys(turn_keys, label_bits([field])))
 
-    combo = categoricals(request_cum[key_of], uniforms("requests"))
-    _, pair_first, pair_of = np.unique(key_of * len(REQUEST_COMBOS) + combo,
-                                       return_index=True, return_inverse=True)
-    rows = _compile_pairs(entries, key_of[pair_first], combo[pair_first],
-                          complexity[pair_first])
+    combo = categoricals(request_cum[code], uniforms("requests"))
     # gathered field by field, so no temporary holds a whole row per turn
-    difficulty = LIKERT_MIN + categoricals(rows[pair_of, _DIFFICULTY],
+    difficulty = LIKERT_MIN + categoricals(rows[code, combo, _DIFFICULTY],
                                            uniforms("difficulty"))
     duration = np.maximum(
-        truncated_gaussians(rows[pair_of, _DURATION_MEAN], rows[pair_of, _DURATION],
+        truncated_gaussians(rows[code, combo, _DURATION_MEAN],
+                            rows[code, combo, _DURATION],
                             MIN_DURATION_S, DURATION_HI, uniforms("duration")),
         DURATION_FLOOR_S)
-    game_score = truncated_gaussians(rows[pair_of, _SCORE_MEAN], rows[pair_of, _SCORE],
+    game_score = truncated_gaussians(rows[code, combo, _SCORE_MEAN],
+                                     rows[code, combo, _SCORE],
                                      OPTION_SCORE_UNIT, max_option_score(complexity),
                                      uniforms("score"))
 
@@ -239,38 +248,29 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
         user_id=[users[j].user_id for j in owner.tolist()],
         dialog_id=dialog_id, step=step, complexity=complexity, proactive_act=acts,
         game_score=game_score, help_request=flags[:, 0], suggestion_request=flags[:, 1],
-        duration=duration, difficulty=difficulty, used_fallback=key_fallback[key_of],
+        duration=duration, difficulty=difficulty, used_fallback=key_fallback[code],
     )
 
 
-# A compiled pair is one row: the difficulty cumulatives, then the mean
-# and the `gaussian_truncation` of the duration, then those of the score.
-_DIFFICULTY = slice(0, N_DIFFICULTY_CLASSES)
-_DURATION_MEAN = N_DIFFICULTY_CLASSES
-_DURATION = slice(_DURATION_MEAN + 1, _DURATION_MEAN + 4)
-_SCORE_MEAN = _DURATION_MEAN + 4
-_SCORE = slice(_SCORE_MEAN + 1, _SCORE_MEAN + 4)
-
-
-def _pair_row(stats, score_hi) -> tuple:
-    """The row of one combination's statistics, computed as simulate_turn
-    computes them."""
-    counts = stats.difficulty_counts
-    total = sum(counts)
-    difficulty = cumulative_weights(tuple(c / total for c in counts))
-    duration = gaussian_truncation(stats.duration_mean, stats.duration_sd,
-                                   MIN_DURATION_S, DURATION_HI)
-    score = gaussian_truncation(stats.score_mean, stats.score_sd,
-                                OPTION_SCORE_UNIT, score_hi)
-    return (*difficulty, stats.duration_mean, *duration, stats.score_mean, *score)
-
-
-def _compile_pairs(entries, keys, combos, complexities) -> np.ndarray:
-    """Row j is the row of pair (entries[keys[j]], combos[j])."""
-    return np.array([_pair_row(entries[key][2][combo], max_option_score(k))
-                     for key, combo, k in zip(keys.tolist(), combos.tolist(),
-                                              complexities.tolist())],
-                    dtype=np.float64).reshape(-1, _SCORE.stop)
+def _compile_table(table: BehaviorTable) -> tuple:
+    """Every key of the table in `_mode_keys` order: its request cumulatives
+    (K x 4), used_fallback flags (K) and combination rows (K x 4 x 13). The
+    ladder shares rung statistics across keys, so each distinct one is made
+    a row once per complexity; the table keeps them alive, so ids are unique."""
+    task_step = table.mode is TableMode.TASK_STEP_BASED
+    request_cum, fallback, rows, memo = [], [], [], {}
+    for key, (cell, used_fallback, combos) in table.resolved.items():
+        complexity = complexity_of_step(key.condition) if task_step else key.condition
+        request_cum.append(cumulative_weights(cell.request_probs))
+        fallback.append(used_fallback)
+        for stats in combos:
+            row = memo.get((id(stats), complexity))
+            if row is None:
+                row = memo[id(stats), complexity] = draw_parameters(stats, complexity)
+            rows.append(row)
+    return (np.array(request_cum, dtype=np.float64), np.array(fallback, dtype=bool),
+            np.array(rows, dtype=np.float64).reshape(
+                len(fallback), len(REQUEST_COMBOS), _SCORE.stop))
 
 
 def save_simulated_log(log: SimulatedLog, path, file_format: str | None = None) -> None:

@@ -11,30 +11,40 @@ import sys
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from trustsim import simulator
 from trustsim.behavior_tables import (
     REQUEST_COMBOS,
     CellStats,
     ComboStats,
     ContextKey,
     TableMode,
+    _mode_keys,
     combo_index,
+    lookup,
+    resolve_combo_stats,
 )
 from trustsim.corpus import (
     CORPUS_COLUMNS,
     Corpus,
+    DURATION_FLOOR_S,
     EXCHANGE_COLUMNS,
     Exchange,
     Gender,
+    LIKERT_MIN,
+    MIN_DURATION_S,
+    OPTION_SCORE_UNIT,
     ProactiveAct,
     USER_COLUMNS,
     UserRecord,
     _infer_format,
     _parse_field,
     complexity_of_step,
+    max_option_score,
     option_scores,
     write_csv_rows,
 )
@@ -45,6 +55,12 @@ from trustsim.errors import (
     ValueOutOfRange,
 )
 from trustsim.rl_env import EnvState
+from trustsim.sampling import (
+    RandomStream,
+    categorical,
+    cumulative_weights,
+    truncated_gaussian,
+)
 from trustsim.simulator import SimulatedLog, SimulatedTurn, simulate_turn
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import (
@@ -206,12 +222,88 @@ TABLE_CORRUPTIONS = {
 }
 
 
+def reference_simulate_turn(table, profile, step, act, rng) -> SimulatedTurn:
+    """simulate_turn as it was before both draw paths shared
+    `draw_parameters`, kept as their oracle: the table statistics turned
+    into draws inline, through `categorical` and `truncated_gaussian`. The
+    ceiling is read from the simulator module, so a test that lowers it
+    there lowers it here too."""
+    complexity = complexity_of_step(step)
+    condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
+    key = ContextKey(binarize_traits(profile), act, condition)
+    cell, used_fallback = lookup(table, key)
+
+    combo_idx = categorical(cell.request_probs, rng.child("requests"))
+    help_request, suggestion_request = REQUEST_COMBOS[combo_idx]
+    stats = resolve_combo_stats(table, key, combo_idx)
+
+    counts = stats.difficulty_counts
+    total = sum(counts)
+    probs = tuple(c / total for c in counts)
+    difficulty = LIKERT_MIN + categorical(probs, rng.child("difficulty"))
+
+    duration = truncated_gaussian(stats.duration_mean, stats.duration_sd,
+                                  MIN_DURATION_S, simulator.DURATION_HI,
+                                  rng.child("duration"))
+    duration = max(duration, DURATION_FLOOR_S)
+
+    game_score = truncated_gaussian(stats.score_mean, stats.score_sd,
+                                    OPTION_SCORE_UNIT, max_option_score(complexity),
+                                    rng.child("score"))
+
+    return SimulatedTurn(
+        help_request=help_request,
+        suggestion_request=suggestion_request,
+        duration=duration,
+        difficulty=difficulty,
+        game_score=game_score,
+        used_fallback=used_fallback,
+    )
+
+
+class _ForcedRequests:
+    """A stream whose "requests" child draws the uniform u and whose other
+    children are those of rng, so a turn draws a chosen combination."""
+
+    def __init__(self, rng, u):
+        self.rng, self.u = rng, u
+
+    def child(self, label):
+        if label == "requests":
+            return SimpleNamespace(random=lambda: self.u)
+        return self.rng.child(label)
+
+
+def assert_every_turn_matches_oracle(table, seed) -> None:
+    """simulate_turn equals reference_simulate_turn, field for field, in
+    every context key of the table's mode and every combination that key
+    can draw."""
+    for key in _mode_keys(table.mode):
+        bits = key.trait_tuple.bits
+        profile = make_user(**{name: 4.0 if bit == "1" else 2.0 for name, bit in zip(
+            ("domain_expertise", "trust_propensity", "technical_affinity"), bits)})
+        assert binarize_traits(profile) == key.trait_tuple
+        step = next(s for s in range(1, 13) if key.condition == (
+            s if table.mode is TableMode.TASK_STEP_BASED else complexity_of_step(s)))
+        cumulative = cumulative_weights(lookup(table, key)[0].request_probs)
+        for combo, (lo, hi) in enumerate(zip([0.0, *cumulative], cumulative)):
+            if hi == lo:
+                continue
+            rng = RandomStream(seed, bits, key.proactive_act.value, key.condition, combo)
+            u = (lo + hi) / 2 / cumulative[-1]
+            turn = simulate_turn(table, profile, step, key.proactive_act,
+                                 _ForcedRequests(rng, u))
+            assert combo_index(turn.help_request, turn.suggestion_request) == combo
+            assert turn == reference_simulate_turn(table, profile, step, key.proactive_act,
+                                                   _ForcedRequests(rng, u))
+
+
 def reference_replay(corpus, table, rng) -> list:
     """The per-turn loop replay_conditions replaced, kept as its oracle:
-    one simulate_turn per exchange on rng.child(user_id, step), as
-    (user, exchange, SimulatedTurn) triples in corpus order."""
-    return [(user, ex, simulate_turn(table, user, ex.step, ex.proactive_act,
-                                     rng.child(user.user_id, ex.step)))
+    one reference_simulate_turn per exchange on rng.child(user_id, step),
+    as (user, exchange, SimulatedTurn) triples in corpus order."""
+    return [(user, ex, reference_simulate_turn(table, user, ex.step, ex.proactive_act,
+                                               rng.child(user.user_id, ex.step)))
             for user, ex in corpus.iter_exchanges()]
 
 

@@ -27,8 +27,10 @@ from trustsim.behavior_tables import (
     ContextKey,
     REQUEST_COMBOS,
     TableMode,
+    _mode_keys,
     build_table,
     combo_index,
+    key_code,
     load_table,
     lookup,
     resolve_combo_stats,
@@ -75,6 +77,16 @@ class TestComboIndex:
 
     def test_coerces_truthiness(self):
         assert combo_index(1, 0) == 2
+
+
+class TestKeyCode:
+    @pytest.mark.parametrize("mode", list(TableMode))
+    def test_indexes_the_mode_keys(self, mode):
+        keys = _mode_keys(mode)
+        columns = [(key.trait_tuple.index, ACT_ORDER.index(key.proactive_act),
+                    key.condition) for key in keys]
+        assert [key_code(mode, *c) for c in columns] == list(range(len(keys)))
+        assert key_code(mode, *np.array(columns).T).tolist() == list(range(len(keys)))
 
 
 class TestCellInvariants:

@@ -24,6 +24,7 @@ from trustsim.corpus import (
     ProactiveAct,
     USER_COLUMNS,
     complexity_of_step,
+    format_cells,
     load_corpus,
     max_option_score,
     option_scores,
@@ -255,6 +256,16 @@ class TestFileRoundTrip:
             load_corpus(path)
         assert (err.value.field, err.value.value) == ("file", str(path))
         assert "not UTF-8: byte 0xe9" in str(err.value)
+
+
+class TestFormatCells:
+    def test_an_int_column_shares_one_text_per_value(self):
+        cells = format_cells([3, 12, 3, -1, 12])
+        assert cells == ["3", "12", "3", "-1", "12"]
+        assert cells[1] is cells[4]
+
+    def test_float_zeros_keep_their_sign(self):
+        assert format_cells([0.0, -0.0, 0.0]) == ["0.0", "-0.0", "0.0"]
 
 
 def rewrite_cells(path, edits):

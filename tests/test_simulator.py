@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     analytic_truncated_mean,
+    assert_every_turn_matches_oracle,
     make_dialog,
     make_exchange,
     make_user,
@@ -18,17 +19,22 @@ from conftest import (
 )
 from trustsim import simulator
 from trustsim.behavior_tables import (
+    REQUEST_COMBOS,
     ContextKey,
     TableMode,
+    _mode_keys,
     build_table,
     lookup,
+    resolve_combo_stats,
 )
-from trustsim.corpus import Corpus, ProactiveAct
+from trustsim.corpus import Corpus, ProactiveAct, complexity_of_step
 from trustsim.errors import InvalidConfig, ValueOutOfRange
-from trustsim.sampling import RandomStream
+from trustsim.sampling import RandomStream, cumulative_weights
 from trustsim.simulator import (
     LOG_COLUMNS,
     SimulatedTurn,
+    _compile_table,
+    draw_parameters,
     replay_conditions,
     save_simulated_log,
     simulate_turn,
@@ -188,6 +194,43 @@ class TestScoreClamping:
         assert t.game_score == 30.0
 
 
+class TestTurnOracle:
+    """simulate_turn against the inline per-turn oracle, in every context
+    key and combination."""
+
+    @pytest.mark.parametrize("mode", list(TableMode))
+    @pytest.mark.parametrize("threshold", [1, 10, 40])
+    def test_small_corpus(self, small_corpus, mode, threshold):
+        assert_every_turn_matches_oracle(build_table(small_corpus, mode, threshold), 7)
+
+    @pytest.mark.parametrize("mode", list(TableMode))
+    def test_soundness_table_under_a_lowered_ceiling(self, mode, monkeypatch):
+        monkeypatch.setattr(simulator, "DURATION_HI", SOUNDNESS_DURATION_HI)
+        assert_every_turn_matches_oracle(build_table(soundness_corpus(), mode), 8)
+
+    def test_off_grid_table(self):
+        assert_every_turn_matches_oracle(TestScoreClamping().off_grid_table(), 9)
+
+
+class TestCompiledTable:
+    @pytest.mark.parametrize("mode", list(TableMode))
+    @pytest.mark.parametrize("threshold", [1, 10, 40])
+    def test_rows_are_the_per_key_lookups(self, default_corpus, mode, threshold):
+        table = build_table(default_corpus, mode, threshold)
+        request_cum, fallback, rows = _compile_table(table)
+        keys = _mode_keys(mode)
+        assert rows.shape == (len(keys), len(REQUEST_COMBOS), 13)
+        for k, key in enumerate(keys):
+            cell, used_fallback = lookup(table, key)
+            assert request_cum[k].tolist() == cumulative_weights(cell.request_probs)
+            assert fallback[k] == used_fallback
+            complexity = (complexity_of_step(key.condition)
+                          if mode is TableMode.TASK_STEP_BASED else key.condition)
+            for combo in range(len(REQUEST_COMBOS)):
+                assert tuple(rows[k, combo].tolist()) == draw_parameters(
+                    resolve_combo_stats(table, key, combo), complexity)
+
+
 class TestFallbackFlag:
     def test_sparse_context_sets_flag(self):
         table = build_table(soundness_corpus(), TableMode.TASK_STEP_BASED)
@@ -331,8 +374,11 @@ class TestReplayOracle:
         # score mean clamps onto the option range
         monkeypatch.setattr(simulator, "DURATION_HI", SOUNDNESS_DURATION_HI)
         corpus = soundness_corpus()
-        assert_replay_matches_oracle(
-            corpus, build_table(corpus, TableMode.TASK_STEP_BASED), 11, tmp_path)
+        table = build_table(corpus, TableMode.TASK_STEP_BASED)
+        assert_replay_matches_oracle(corpus, table, 11, tmp_path)
+        # the lowered ceiling is reached, not only matched by the oracle
+        log = replay_conditions(corpus, table, RandomStream(11, "replay"))
+        assert log.duration.max() == SOUNDNESS_DURATION_HI
         off_grid = TestScoreClamping().off_grid_table()
         assert_replay_matches_oracle(corpus, off_grid, 12, tmp_path)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import reference_log, reference_replay
+from conftest import assert_every_turn_matches_oracle, reference_log, reference_replay
 from trustsim.behavior_tables import (
     TableMode,
     build_table,
@@ -75,3 +75,4 @@ class TestExtremeTables:
         log = replay_conditions(small_corpus, table, RandomStream(seed, "replay"))
         assert log == reference_log(
             reference_replay(small_corpus, table, RandomStream(seed, "replay")))
+        assert_every_turn_matches_oracle(table, seed)

@@ -24,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .corpus import (
+    ACT_INDEX,
     ACT_ORDER,
     COMPLEXITY_LEVELS,
     Corpus,
@@ -40,6 +41,7 @@ DEFAULT_FALLBACK_THRESHOLD = 10
 
 # (help_request, suggestion_request) in fixed index order 0..3
 REQUEST_COMBOS = ((False, False), (False, True), (True, False), (True, True))
+_COMBO_INDEX = {combo: i for i, combo in enumerate(REQUEST_COMBOS)}
 
 N_DIFFICULTY_CLASSES = LIKERT_MAX - LIKERT_MIN + 1
 
@@ -222,15 +224,12 @@ def key_code(mode: TableMode, trait, act, condition):
 
 
 def combo_index(help_request: bool, suggestion_request: bool) -> int:
-    return REQUEST_COMBOS.index((bool(help_request), bool(suggestion_request)))
+    return _COMBO_INDEX[bool(help_request), bool(suggestion_request)]
 
 
 def _check_condition(mode: TableMode, condition) -> None:
     if condition not in mode.conditions():
         raise InvalidConfig(f"condition {condition} does not belong to mode {mode.value}")
-
-
-_ACT_INDEX = {act: i for i, act in enumerate(ACT_ORDER)}
 
 
 def build_table(corpus: Corpus, mode: TableMode,
@@ -250,10 +249,11 @@ def build_table(corpus: Corpus, mode: TableMode,
     # every dialog holds STEPS_PER_DIALOG exchanges, in user order
     trait = np.repeat([binarize_traits(user).index for user in corpus.users],
                       STEPS_PER_DIALOG)
-    act = np.array([_ACT_INDEX[ex.proactive_act] for ex in exchanges])
+    act = np.array([ACT_INDEX[ex.proactive_act] for ex in exchanges])
     condition = np.array([ex.complexity if mode is TableMode.COMPLEXITY_BASED
                           else ex.step for ex in exchanges])
-    combo = np.array([2 * ex.help_request + ex.suggestion_request for ex in exchanges])
+    combo = np.array([_COMBO_INDEX[ex.help_request, ex.suggestion_request]
+                      for ex in exchanges])
     score = np.array([ex.game_score for ex in exchanges], dtype=float)
     duration = np.array([ex.duration for ex in exchanges], dtype=float)
     difficulty = np.array([ex.difficulty for ex in exchanges]) - LIKERT_MIN
@@ -307,43 +307,21 @@ def resolve_combo_stats(table: BehaviorTable, key: ContextKey,
     return (table.resolved.get(key) or _no_rung(table, key))[2][combo_idx]
 
 
-@dataclass(frozen=True)
-class TableSummary:
-    mode: TableMode
-    fallback_threshold: int
-    possible_keys: int
-    observed_keys: int
-    fallback_fraction: float  # share of possible keys that would fall back
-    per_act_condition: dict  # (act, condition) -> dict of slice stats
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "fallback_threshold": self.fallback_threshold,
-            "possible_keys": self.possible_keys,
-            "observed_keys": self.observed_keys,
-            "fallback_fraction": self.fallback_fraction,
-            "per_act_condition": [
-                {"act": act.value, "condition": cond, **stats}
-                for (act, cond), stats in sorted(
-                    self.per_act_condition.items(),
-                    key=lambda kv: (ACT_ORDER.index(kv[0][0]), kv[0][1]),
-                )
-            ],
-        }
-
-
-def table_summary(table: BehaviorTable) -> TableSummary:
+def table_summary(table: BehaviorTable) -> dict:
+    """Key counts and fallback shares of the table, overall and per (act,
+    condition) slice in ACT_ORDER x condition order, as JSON values."""
     conditions = table.mode.conditions()
     possible = len(ALL_TRAIT_TUPLES) * len(ACT_ORDER) * len(conditions)
     direct_keys = {k for k, (_, fell_back, _) in table.resolved.items() if not fell_back}
-    per_slice = {}
+    per_slice = []
     for act in ACT_ORDER:
         for cond in conditions:
             fb = table.fallback_cells.get((act, cond))
             at_or_above = sum(ContextKey(tt, act, cond) in direct_keys
                               for tt in ALL_TRAIT_TUPLES)
-            per_slice[(act, cond)] = {
+            per_slice.append({
+                "act": act.value,
+                "condition": cond,
                 "n": fb.n if fb is not None else 0,
                 "trait_cells_observed": sum(
                     1 for tt in ALL_TRAIT_TUPLES
@@ -351,15 +329,15 @@ def table_summary(table: BehaviorTable) -> TableSummary:
                 ),
                 "trait_cells_at_threshold": at_or_above,
                 "fallback_fraction": 1.0 - at_or_above / len(ALL_TRAIT_TUPLES),
-            }
-    return TableSummary(
-        mode=table.mode,
-        fallback_threshold=table.fallback_threshold,
-        possible_keys=possible,
-        observed_keys=len(table.cells),
-        fallback_fraction=1.0 - len(direct_keys) / possible,
-        per_act_condition=per_slice,
-    )
+            })
+    return {
+        "mode": table.mode.value,
+        "fallback_threshold": table.fallback_threshold,
+        "possible_keys": possible,
+        "observed_keys": len(table.cells),
+        "fallback_fraction": 1.0 - len(direct_keys) / possible,
+        "per_act_condition": per_slice,
+    }
 
 
 # v2 stores the trait cells only; v1 also stored the slices, which differ in the last bits

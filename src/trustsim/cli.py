@@ -16,6 +16,7 @@ import hashlib
 import json
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,12 +104,9 @@ def _load_generator_config(args) -> GeneratorConfig:
         config = GeneratorConfig.from_json_dict(read_json(args.config, "config"))
     else:
         config = GeneratorConfig()
-    overrides = {}
     if args.dialogs is not None:
-        overrides["n_dialogs"] = args.dialogs
-    if args.drift is not None:
-        overrides["step_drift"] = args.drift
-    return config.with_overrides(**overrides) if overrides else config
+        config = replace(config, n_dialogs=args.dialogs)
+    return config
 
 
 def cmd_gen_corpus(args) -> int:
@@ -116,7 +114,7 @@ def cmd_gen_corpus(args) -> int:
     config = _load_generator_config(args)
     corpus = generate_synthetic_corpus(config, args.seed)
     corpus_name = f"corpus.{args.format}"
-    save_corpus(corpus, out / corpus_name, args.format)
+    save_corpus(corpus, out / corpus_name)
     write_json(out / "generator_params.json", config.to_json_dict())
     _write_manifest(out, "gen-corpus",
                     {"seed": args.seed, "format": args.format,
@@ -137,7 +135,7 @@ def cmd_fit(args) -> int:
     write_json(out / "trait_dists.json", dists.to_json_dict())
     model = train_classifier(corpus)
     save_classifier(model, out / "trust_model.json")
-    write_json(out / "table_summary.json", table_summary(table).to_json_dict())
+    write_json(out / "table_summary.json", table_summary(table))
     _write_manifest(out, "fit",
                     {"corpus": str(args.corpus), "mode": args.mode,
                      "fallback_threshold": args.fallback_threshold,
@@ -154,7 +152,7 @@ def cmd_simulate(args) -> int:
     table = load_table(args.table)
     log = replay_conditions(corpus, table, RandomStream(args.seed, "replay"))
     log_name = f"sim_log.{args.format}"
-    save_simulated_log(log, out / log_name, args.format)
+    save_simulated_log(log, out / log_name)
     _write_manifest(out, "simulate",
                     {"corpus": str(args.corpus), "seed": args.seed,
                      "mode": table.mode.value, "format": args.format,
@@ -250,10 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, needs_corpus=False)
     p.add_argument("--dialogs", type=int, default=None,
                    help="dialog count override")
-    p.add_argument("--drift", type=float, default=None,
-                   help="step-drift amplitude override (0..1)")
     p.add_argument("--config", default=None,
-                   help="generator config JSON (flags override its values)")
+                   help="generator config JSON; --dialogs replaces its n_dialogs")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.set_defaults(func=cmd_gen_corpus)
 

@@ -67,6 +67,7 @@ ACT_ORDER = (
     ProactiveAct.SUGGESTION,
     ProactiveAct.INTERVENTION,
 )
+ACT_INDEX = {act: i for i, act in enumerate(ACT_ORDER)}
 
 
 def complexity_of_step(step: int) -> int:
@@ -290,10 +291,9 @@ def _parse_cells(names, parsers, cells, row: int) -> list:
         raise
 
 
-def _infer_format(path: Path, file_format: str | None) -> str:
-    """The format of a corpus or log file: as given, else the path's suffix."""
-    if file_format is None:
-        file_format = path.suffix.lstrip(".").lower()
+def _infer_format(path: Path) -> str:
+    """The format of a corpus or log file, named by the path's suffix."""
+    file_format = path.suffix.lstrip(".").lower()
     if file_format not in ("csv", "jsonl"):
         raise InvalidConfig(f"unsupported file format {file_format!r} for {path}")
     return file_format
@@ -358,15 +358,15 @@ def _decoded_rows(path: Path, file_format: str) -> Iterator[tuple]:
     yield from map(itemgetter(*CORPUS_COLUMNS), rows)
 
 
-def load_corpus(path, file_format: str | None = None) -> Corpus:
-    """Load and validate a corpus from a CSV or JSONL file.
+def load_corpus(path) -> Corpus:
+    """Load and validate a corpus from a CSV or JSONL file, by its suffix.
 
     Rows are grouped by user_id; each user must contribute exactly the
     steps 1..12 of one dialog_id. Row numbers in errors are 1-based data
     rows.
     """
     path = Path(path)
-    file_format = _infer_format(path, file_format)
+    file_format = _infer_format(path)
 
     users: list[UserRecord] = []
     # user_id -> (raw user cells of the user's first row, its record). Equal
@@ -445,12 +445,12 @@ def write_jsonl_rows(handle, names, rows) -> None:
         handle.write(json.dumps(dict(zip(names, cells))) + "\n")
 
 
-def save_corpus(corpus: Corpus, path, file_format: str | None = None) -> None:
-    """Write the corpus in the flat row schema, column by column;
-    load(save(c)) == c. CSV cells are text; JSON lines keep numbers and
-    booleans and write enums by value."""
+def save_corpus(corpus: Corpus, path) -> None:
+    """Write the corpus in the flat row schema, column by column, as CSV or
+    JSON lines by the path's suffix; load(save(c)) == c. CSV cells are
+    text; JSON lines keep numbers and booleans and write enums by value."""
     path = Path(path)
-    file_format = _infer_format(path, file_format)
+    file_format = _infer_format(path)
     exchanges = [ex for user in corpus.users for ex in corpus.dialogs[user.user_id]]
     columns = []
     for name in CORPUS_COLUMNS:

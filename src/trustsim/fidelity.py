@@ -33,7 +33,6 @@ from .corpus import (
 from .errors import (
     AlignmentError,
     EmptySequence,
-    InvalidConfig,
     LengthMismatch,
     NegativeEntry,
     ValueOutOfRange,
@@ -42,6 +41,9 @@ from .sampling import RandomStream
 from .simulator import SimulatedLog, replay_conditions
 
 DEFAULT_SMOOTHING = 1e-6
+# Duration histograms: 20 equal bins over the range every duration is drawn in
+DURATION_BINS = 20
+_DURATION_BIN_WIDTH = (DURATION_HI - MIN_DURATION_S) / DURATION_BINS
 
 
 class Measure(Enum):
@@ -61,37 +63,15 @@ SCORE_SUPPORT = tuple(
 _SCORE_GRID = np.array(SCORE_SUPPORT)
 
 
-@dataclass(frozen=True)
-class BinningConfig:
-    """Histogram ranges of the fidelity estimates; they do not change what
-    the simulator draws."""
-
-    duration_lo: float = MIN_DURATION_S
-    duration_hi: float = DURATION_HI
-    duration_bins: int = 20
-    smoothing: float = DEFAULT_SMOOTHING
-
-    def __post_init__(self):
-        if not self.duration_hi > self.duration_lo:
-            raise InvalidConfig("duration_hi must exceed duration_lo")
-        if self.duration_bins < 2:
-            raise InvalidConfig("need at least 2 duration bins")
-        if self.smoothing < 0:
-            raise InvalidConfig("smoothing must be >= 0")
-
-
-def kl_divergence(p, q, smoothing: float = 0.0) -> float:
-    """Base-2 KL divergence D(P || Q); with smoothing 0, mass of P on a
-    zero of Q yields inf, and 0 * log(0/q) contributes 0."""
+def kl_divergence(p, q) -> float:
+    """Base-2 KL divergence D(P || Q) of the renormalized vectors; mass of
+    P on a zero of Q yields inf, and 0 * log(0/q) contributes 0."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
         raise LengthMismatch(f"shape mismatch: {p.shape} vs {q.shape}")
     if (p < 0).any() or (q < 0).any():
         raise NegativeEntry("probability vectors must be non-negative")
-    if smoothing > 0:
-        p = p + smoothing
-        q = q + smoothing
     psum, qsum = p.sum(), q.sum()
     if psum <= 0 or qsum <= 0:
         raise EmptySequence("probability vector has no mass")
@@ -120,12 +100,11 @@ def mse(simulated, reference) -> float:
     return float(np.mean((sim - ref) ** 2))
 
 
-def estimate_distribution(values, measure: Measure,
-                          binning: BinningConfig = BinningConfig()) -> np.ndarray:
-    """Empirical histogram on the measure's support, smoothed and
-    renormalized. Score samples snap to the nearest attainable option
-    score, ties to the lower one; durations clip into the configured
-    range."""
+def estimate_distribution(values, measure: Measure) -> np.ndarray:
+    """Empirical histogram on the measure's support, smoothed by
+    DEFAULT_SMOOTHING and renormalized. Score samples snap to the nearest
+    attainable option score, ties to the lower one; durations clip into
+    MIN_DURATION_S..DURATION_HI, in DURATION_BINS bins."""
     x = np.asarray(list(values), dtype=float)
     if x.size == 0:
         raise EmptySequence(f"no samples for {measure.value}")
@@ -134,9 +113,9 @@ def estimate_distribution(values, measure: Measure,
         idx = np.argmin(np.abs(_SCORE_GRID - x[:, None]), axis=1)
         n_bins = len(SCORE_SUPPORT)
     elif measure is Measure.DURATION:
-        lo, hi, n_bins = binning.duration_lo, binning.duration_hi, binning.duration_bins
-        width = (hi - lo) / n_bins
-        idx = np.minimum(((np.clip(x, lo, hi) - lo) / width).astype(int), n_bins - 1)
+        n_bins = DURATION_BINS
+        idx = np.minimum(((np.clip(x, MIN_DURATION_S, DURATION_HI) - MIN_DURATION_S)
+                          / _DURATION_BIN_WIDTH).astype(int), n_bins - 1)
     elif measure is Measure.DIFFICULTY:
         idx = x.astype(int) - LIKERT_MIN
         n_bins = N_DIFFICULTY_CLASSES
@@ -147,11 +126,8 @@ def estimate_distribution(values, measure: Measure,
         idx = (x != 0).astype(int)
         n_bins = 2
     counts = np.bincount(idx, minlength=n_bins)
-    probs = counts / counts.sum()
-    if binning.smoothing > 0:
-        probs = probs + binning.smoothing
-        probs = probs / probs.sum()
-    return probs
+    probs = counts / counts.sum() + DEFAULT_SMOOTHING
+    return probs / probs.sum()
 
 
 # The field each measure reads: an Exchange attribute and a SimulatedLog column.
@@ -213,8 +189,8 @@ class FidelityReport:
                 "rows": rows}
 
 
-def evaluate_simulator(reference: Corpus, simulated: SimulatedLog, mode_tag: str,
-                       binning: BinningConfig = BinningConfig()) -> FidelityReport:
+def evaluate_simulator(reference: Corpus, simulated: SimulatedLog,
+                       mode_tag: str) -> FidelityReport:
     """Distances between the reference corpus and an aligned replay log."""
     pairs = list(reference.iter_exchanges())
     if len(pairs) != len(simulated):
@@ -238,8 +214,8 @@ def evaluate_simulator(reference: Corpus, simulated: SimulatedLog, mode_tag: str
         kls, mses = [], []
         for rows in at_step:
             real_vals, sim_vals = real[rows], sim[rows]
-            p = estimate_distribution(real_vals, measure, binning)
-            q = estimate_distribution(sim_vals, measure, binning)
+            p = estimate_distribution(real_vals, measure)
+            q = estimate_distribution(sim_vals, measure)
             kls.append(kl_divergence(p, q))
             mses.append(mse(sim_vals, real_vals))
         per_step_kl[measure] = tuple(kls)
@@ -260,8 +236,7 @@ class ModeComparison:
 
 
 def compare_modes(corpus: Corpus, seed: int, train_fraction: float = 0.8,
-                  fallback_threshold: int = DEFAULT_FALLBACK_THRESHOLD,
-                  binning: BinningConfig = BinningConfig()) -> ModeComparison:
+                  fallback_threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> ModeComparison:
     """Fit both conditioning modes on a train split, replay the test
     split's conditions with each, and report both fidelity tables."""
     train, test = split_corpus(corpus, train_fraction, seed)
@@ -270,7 +245,7 @@ def compare_modes(corpus: Corpus, seed: int, train_fraction: float = 0.8,
         table = build_table(train, mode, fallback_threshold)
         log = replay_conditions(test, table,
                                 RandomStream(seed, "replay", mode.value))
-        reports[mode] = evaluate_simulator(test, log, mode.value, binning)
+        reports[mode] = evaluate_simulator(test, log, mode.value)
     return ModeComparison(reports=reports)
 
 

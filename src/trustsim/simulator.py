@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .behavior_tables import (
-    _ACT_INDEX,
     BehaviorTable,
     ComboStats,
     ContextKey,
@@ -34,6 +33,7 @@ from .behavior_tables import (
     resolve_combo_stats,
 )
 from .corpus import (
+    ACT_INDEX,
     Corpus,
     DURATION_FLOOR_S,
     DURATION_HI,
@@ -218,7 +218,7 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
 
     trait = np.array([binarize_traits(user).index for user in users],
                      dtype=np.int64)[owner]
-    act = np.array([_ACT_INDEX[a] for a in acts], dtype=np.int64)
+    act = np.array([ACT_INDEX[a] for a in acts], dtype=np.int64)
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
     code = key_code(table.mode, trait, act, condition)
     request_cum, key_fallback, rows = _compile_table(table)
@@ -273,13 +273,12 @@ def _compile_table(table: BehaviorTable) -> tuple:
                 len(fallback), len(REQUEST_COMBOS), _SCORE.stop))
 
 
-def save_simulated_log(log: SimulatedLog, path, file_format: str | None = None) -> None:
-    """Write the log as CSV, or as JSON lines with sorted keys. Cells are
-    text, as in the corpus CSV, but for the integer columns of a JSON line,
-    which stay numbers."""
+def save_simulated_log(log: SimulatedLog, path) -> None:
+    """Write the log as CSV, or as JSON lines with sorted keys, by the
+    path's suffix. Cells are text, as in the corpus CSV, but for the
+    integer columns of a JSON line, which stay numbers."""
     path = Path(path)
-    file_format = _infer_format(path, file_format)
-    if file_format == "csv":
+    if _infer_format(path) == "csv":
         with path.open("w", newline="", encoding="utf-8") as handle:
             write_csv_rows(handle, chain([LOG_COLUMNS], zip(*(
                 format_cells(getattr(log, name)) for name in LOG_COLUMNS))))

@@ -11,10 +11,11 @@ evaluation a known ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 
 from .corpus import (
+    ACT_INDEX,
     ACT_ORDER,
     Corpus,
     DURATION_FLOOR_S,
@@ -57,10 +58,6 @@ def drift_center(step: int) -> float:
     """Phase position of a step in [-1, 1]: phases are blocks of 3 steps."""
     phase = (step - 1) // 3
     return (phase - 1.5) / 1.5
-
-
-def _act_index(act: ProactiveAct) -> int:
-    return ACT_ORDER.index(act)
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ class BehaviorProcess:
             + self.help_expertise * traits.domain_expertise_high
             + self.help_propensity * traits.trust_propensity_high
             + self.help_complexity * (k - 3)
-            + self.help_act[_act_index(act)]
+            + self.help_act[ACT_INDEX[act]]
         )
 
     def sugg_prob(self, traits: TraitTuple, act: ProactiveAct, step: int) -> float:
@@ -138,7 +135,7 @@ class BehaviorProcess:
             + self.sugg_expertise * traits.domain_expertise_high
             + self.sugg_propensity * traits.trust_propensity_high
             + self.sugg_complexity * (k - 3)
-            + self.sugg_act[_act_index(act)]
+            + self.sugg_act[ACT_INDEX[act]]
         )
 
     def best_prob(self, traits: TraitTuple, act: ProactiveAct, sugg_request: bool,
@@ -147,7 +144,7 @@ class BehaviorProcess:
             self.best_base
             + self.best_expertise * traits.domain_expertise_high
             + self.best_sugg_request * sugg_request
-            + self.best_act[_act_index(act)]
+            + self.best_act[ACT_INDEX[act]]
             + self.best_drift_gain * step_drift * drift_center(step)
         )
 
@@ -195,7 +192,7 @@ class BehaviorProcess:
 
     def trust_delta(self, act: ProactiveAct, propensity_high: bool,
                     best_chosen: bool) -> float:
-        delta = self.trust_act_delta[_act_index(act)]
+        delta = self.trust_act_delta[ACT_INDEX[act]]
         if act is ProactiveAct.INTERVENTION and not propensity_high:
             delta = self.trust_intervention_low_propensity
         return delta + self.trust_best_bonus * best_chosen
@@ -260,9 +257,6 @@ class GeneratorConfig:
         # value that does not convert to a number
         except (TypeError, AttributeError, ValueError) as exc:
             raise InvalidConfig(f"malformed generator config: {exc}") from exc
-
-    def with_overrides(self, **kwargs) -> "GeneratorConfig":
-        return replace(self, **kwargs)
 
 
 def _bernoulli(p: float, rng: RandomStream) -> bool:

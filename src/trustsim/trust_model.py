@@ -23,6 +23,7 @@ from operator import attrgetter
 import numpy as np
 
 from .corpus import (
+    ACT_INDEX,
     ACT_ORDER,
     AGE_MAX,
     COMPLEXITY_LEVELS,
@@ -215,7 +216,7 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
                                                      len(SCALE_TRAITS))
 
     turn = np.zeros((n, _TURN_END - _PROFILE_END))
-    turn[np.arange(n), [ACT_ORDER.index(ex.proactive_act) for ex in exchanges]] = 1.0
+    turn[np.arange(n), [ACT_INDEX[ex.proactive_act] for ex in exchanges]] = 1.0
     turn[:, len(ACT_ORDER):] = _float_rows(_TURN_FIELDS, exchanges,
                                            turn.shape[1] - len(ACT_ORDER))
     lag = np.concatenate([turn[:, _LAG_FROM_TURN], labels[:, None]], axis=1)

@@ -426,12 +426,12 @@ def reference_predictions(model, corpus) -> list:
     return [predict_trust(model, x)[0] for x in X]
 
 
-def reference_load_corpus(path, file_format=None) -> Corpus:
+def reference_load_corpus(path) -> Corpus:
     """The per-row loader load_corpus replaced, kept as its oracle: every
     row read into memory through DictReader, every field parsed by name and
     a UserRecord built for every row, then compared with the user's first."""
     path = Path(path)
-    file_format = _infer_format(path, file_format)
+    file_format = _infer_format(path)
     if file_format == "csv":
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
@@ -486,12 +486,12 @@ def _reference_field(value):
     return str(value)
 
 
-def reference_save_corpus(corpus, path, file_format=None) -> None:
+def reference_save_corpus(corpus, path) -> None:
     """The per-row writer save_corpus replaced, kept as its oracle: one dict
     per exchange, each CSV cell formatted by its own call, each JSON line
     dumped from its dict with enums by value."""
     path = Path(path)
-    file_format = _infer_format(path, file_format)
+    file_format = _infer_format(path)
     rows = []
     for user, ex in corpus.iter_exchanges():
         row = {name: getattr(user, name) for name in USER_COLUMNS}

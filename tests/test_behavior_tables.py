@@ -592,33 +592,36 @@ class TestSummary:
             build_table(small_corpus, TableMode.COMPLEXITY_BASED))
         by_step = table_summary(
             build_table(small_corpus, TableMode.TASK_STEP_BASED))
-        assert by_complexity.possible_keys == 8 * 4 * 3
-        assert by_step.possible_keys == 8 * 4 * 12
-        assert by_complexity.observed_keys > 0
-        assert 0.0 <= by_complexity.fallback_fraction <= 1.0
+        assert by_complexity["possible_keys"] == 8 * 4 * 3
+        assert by_step["possible_keys"] == 8 * 4 * 12
+        assert by_complexity["observed_keys"] > 0
+        assert 0.0 <= by_complexity["fallback_fraction"] <= 1.0
         # one observation per (user, step): the step mode spreads the same
         # data over 4x as many keys, so more of its cells are sparse
-        assert by_step.fallback_fraction >= by_complexity.fallback_fraction
+        assert by_step["fallback_fraction"] >= by_complexity["fallback_fraction"]
 
     def test_uniform_corpus_slice_accounting(self):
         corpus = make_corpus(n_users=3)  # single trait tuple, all NONE
         summary = table_summary(build_table(corpus, TableMode.COMPLEXITY_BASED))
-        assert summary.observed_keys == 3
-        slice_stats = summary.per_act_condition[(ProactiveAct.NONE, 3)]
+        assert summary["observed_keys"] == 3
+        slices = {(s["act"], s["condition"]): s for s in summary["per_act_condition"]}
+        slice_stats = slices[(ProactiveAct.NONE.value, 3)]
         assert slice_stats["n"] == 12
         assert slice_stats["trait_cells_observed"] == 1
         assert slice_stats["trait_cells_at_threshold"] == 1
         assert slice_stats["fallback_fraction"] == pytest.approx(1 - 1 / 8)
-        empty_slice = summary.per_act_condition[(ProactiveAct.SUGGESTION, 4)]
+        empty_slice = slices[(ProactiveAct.SUGGESTION.value, 4)]
         assert empty_slice["n"] == 0
         assert empty_slice["fallback_fraction"] == 1.0
 
     def test_json_dict_shape(self, small_corpus):
-        summary = table_summary(build_table(small_corpus, TableMode.COMPLEXITY_BASED))
-        payload = summary.to_json_dict()
+        payload = table_summary(build_table(small_corpus, TableMode.COMPLEXITY_BASED))
         assert payload["mode"] == "complexity"
         assert len(payload["per_act_condition"]) == 4 * 3
         assert {"act", "condition", "n"} <= set(payload["per_act_condition"][0])
+        # ACT_ORDER x condition order
+        assert [(s["act"], s["condition"]) for s in payload["per_act_condition"]] == [
+            (act.value, k) for act in ACT_ORDER for k in (3, 4, 5)]
 
 
 class TestSerialization:

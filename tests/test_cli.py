@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import TABLE_CORRUPTIONS
 from trustsim.behavior_tables import TABLE_FORMAT, TableMode, build_table, load_table
-from trustsim.cli import main
+from trustsim.cli import build_parser, main
 from trustsim.corpus import Corpus, load_corpus, save_corpus
 from trustsim.rl_env import Hyperparams, N_STATES, TrustSimEnv, train_tabular_policy
 from trustsim.sampling import STREAM_FORMAT
@@ -278,6 +279,36 @@ class TestTrainRl:
         printed = capsys.readouterr().out.strip()
         assert printed == (f"trained 20 episodes; mean return over last 20: "
                            f"{sum(returns) / 20:.3f}")
+
+
+class TestOptions:
+    # every option string of every subcommand, in parser order, --help aside
+    OPTIONS = {
+        "gen-corpus": ["--seed", "--out", "--dialogs", "--config", "--format"],
+        "fit": ["--corpus", "--seed", "--out", "--mode", "--fallback-threshold"],
+        "simulate": ["--corpus", "--seed", "--out", "--table", "--format"],
+        "evaluate": ["--corpus", "--seed", "--out", "--table"],
+        "compare": ["--corpus", "--seed", "--out", "--train-fraction",
+                    "--fallback-threshold"],
+        "train-rl": ["--seed", "--out", "--fit", "--episodes", "--score-weight",
+                     "--trust-weight"],
+    }
+
+    def test_every_subcommand_pins_its_options(self):
+        (commands,) = [action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        options = {name: [flag for action in sub._actions
+                          if not isinstance(action, argparse._HelpAction)
+                          for flag in action.option_strings]
+                   for name, sub in commands.choices.items()}
+        assert options == self.OPTIONS
+        assert sum(map(len, options.values())) == 30
+
+    def test_drift_flag_is_usage_error(self, work, capsys):
+        assert main(["gen-corpus", "--seed", "1", "--drift", "0.5",
+                     "--out", str(work / "x14")]) == 1
+        assert "--drift" in capsys.readouterr().err
+        assert not (work / "x14").exists()
 
 
 class TestExitCodes:

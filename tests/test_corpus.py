@@ -242,6 +242,11 @@ class TestFileRoundTrip:
         with pytest.raises(InvalidConfig):
             load_corpus(tmp_path / "c.parquet")
 
+    def test_unknown_suffix_rejected_on_save(self, tmp_path):
+        with pytest.raises(InvalidConfig, match="unsupported file format"):
+            save_corpus(make_corpus(), tmp_path / "c.txt")
+        assert not (tmp_path / "c.txt").exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("line", [0, -1])
     def test_non_utf8_byte_is_value_error(self, tmp_path, fmt, line):

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from trustsim.behavior_tables import TableMode, build_table
+from trustsim.corpus import DURATION_HI, MIN_DURATION_S
 from trustsim.errors import (
     AlignmentError,
     EmptySequence,
-    InvalidConfig,
     LengthMismatch,
     NegativeEntry,
     ValueOutOfRange,
 )
 from trustsim.fidelity import (
-    BinningConfig,
+    DEFAULT_SMOOTHING,
+    DURATION_BINS,
     FidelityReport,
     MEASURES,
     Measure,
@@ -60,11 +61,6 @@ class TestKLDivergence:
     def test_zero_in_p_contributes_nothing(self):
         assert kl_divergence([0.0, 1.0], [0.5, 0.5]) == pytest.approx(1.0)
 
-    def test_smoothing_keeps_disjoint_support_finite(self):
-        val = kl_divergence([1.0, 0.0], [0.0, 1.0], smoothing=1e-6)
-        assert math.isfinite(val)
-        assert val > 10.0
-
     def test_unnormalized_inputs_are_rescaled(self):
         assert kl_divergence([2.0, 2.0], [1.0, 1.0]) == 0.0
         assert kl_divergence([4, 0], [1, 1]) == pytest.approx(1.0)
@@ -99,10 +95,14 @@ class TestMse:
             mse([], [])
 
 
-RAW = BinningConfig(smoothing=0.0)
+def smoothed(probs) -> np.ndarray:
+    """A raw histogram smoothed and renormalized as estimate_distribution
+    smooths its own."""
+    probs = np.asarray(probs, dtype=float) + DEFAULT_SMOOTHING
+    return probs / probs.sum()
 
 
-def loop_estimate(values, measure, binning):
+def loop_estimate(values, measure):
     """The per-sample loops estimate_distribution replaced, kept as the
     reference its vectorized form must match bit for bit."""
     if measure is Measure.GAME_SCORE:
@@ -112,11 +112,11 @@ def loop_estimate(values, measure, binning):
                           key=lambda i: (abs(SCORE_SUPPORT[i] - float(v)), i))
             counts[nearest] += 1
     elif measure is Measure.DURATION:
-        counts = np.zeros(binning.duration_bins)
-        width = (binning.duration_hi - binning.duration_lo) / binning.duration_bins
+        counts = np.zeros(DURATION_BINS)
+        width = (DURATION_HI - MIN_DURATION_S) / DURATION_BINS
         for v in values:
-            x = min(max(float(v), binning.duration_lo), binning.duration_hi)
-            idx = min(int((x - binning.duration_lo) / width), binning.duration_bins - 1)
+            x = min(max(float(v), MIN_DURATION_S), DURATION_HI)
+            idx = min(int((x - MIN_DURATION_S) / width), DURATION_BINS - 1)
             counts[idx] += 1
     elif measure is Measure.DIFFICULTY:
         counts = np.zeros(5)
@@ -127,19 +127,16 @@ def loop_estimate(values, measure, binning):
         for v in values:
             counts[1 if v else 0] += 1
     probs = counts / counts.sum()
-    if binning.smoothing > 0:
-        probs = probs + binning.smoothing
-        probs = probs / probs.sum()
+    probs = probs + DEFAULT_SMOOTHING
+    probs = probs / probs.sum()
     return probs
 
 
 class TestEstimateDistribution:
     @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.value)
-    @pytest.mark.parametrize("binning", [RAW, BinningConfig(),
-                                         BinningConfig(40.0, 200.0, 7)])
-    def test_matches_the_per_sample_loop(self, measure, binning):
+    def test_matches_the_per_sample_loop(self, measure):
         gen = np.random.default_rng(23)
-        lo, hi, bins = binning.duration_lo, binning.duration_hi, binning.duration_bins
+        lo, hi, bins = MIN_DURATION_S, DURATION_HI, DURATION_BINS
         edges = lo + (hi - lo) / bins * np.arange(bins + 1)
         samples = {
             # option scores, the midpoints between them, and everything around
@@ -156,8 +153,8 @@ class TestEstimateDistribution:
             Measure.SUGGESTION_REQUEST: gen.random(400) < 0.7,
         }
         values = samples[measure].tolist()
-        got = estimate_distribution(values, measure, binning)
-        assert np.array_equal(got, loop_estimate(values, measure, binning))
+        got = estimate_distribution(values, measure)
+        assert np.array_equal(got, loop_estimate(values, measure))
 
     @pytest.mark.parametrize("difficulty", [0, 6])
     def test_difficulty_outside_likert_range_rejected(self, difficulty):
@@ -165,49 +162,37 @@ class TestEstimateDistribution:
             estimate_distribution([3, difficulty], Measure.DIFFICULTY)
 
     def test_scores_snap_to_nearest_option(self):
-        probs = estimate_distribution([10, 14, 16, 30, 50],
-                                      Measure.GAME_SCORE, RAW)
+        probs = estimate_distribution([10, 14, 16, 30, 50], Measure.GAME_SCORE)
         assert SCORE_SUPPORT == (10.0, 20.0, 30.0, 40.0, 50.0)
-        assert probs.tolist() == [0.4, 0.2, 0.2, 0.0, 0.2]
+        assert probs.tolist() == smoothed([0.4, 0.2, 0.2, 0.0, 0.2]).tolist()
 
     def test_score_ties_snap_downward(self):
-        probs = estimate_distribution([15.0], Measure.GAME_SCORE, RAW)
-        assert probs[0] == 1.0
+        probs = estimate_distribution([15.0], Measure.GAME_SCORE)
+        assert probs.tolist() == smoothed([1.0, 0.0, 0.0, 0.0, 0.0]).tolist()
 
     def test_duration_binning_edges(self):
         # width (300-20)/20 = 14; clipping pulls outliers into end bins
-        probs = estimate_distribution([21, 33.9, 34, 299, 500, 5],
-                                      Measure.DURATION, RAW)
-        assert probs[0] == pytest.approx(3 / 6)
-        assert probs[1] == pytest.approx(1 / 6)
-        assert probs[19] == pytest.approx(2 / 6)
+        probs = estimate_distribution([21, 33.9, 34, 299, 500, 5], Measure.DURATION)
+        raw = np.zeros(DURATION_BINS)
+        raw[[0, 1, 19]] = [3 / 6, 1 / 6, 2 / 6]
+        assert probs.tolist() == pytest.approx(smoothed(raw).tolist())
 
     def test_difficulty_counts(self):
-        probs = estimate_distribution([1, 1, 3, 5], Measure.DIFFICULTY, RAW)
-        assert probs.tolist() == [0.5, 0.0, 0.25, 0.0, 0.25]
+        probs = estimate_distribution([1, 1, 3, 5], Measure.DIFFICULTY)
+        assert probs.tolist() == smoothed([0.5, 0.0, 0.25, 0.0, 0.25]).tolist()
 
     def test_boolean_measures(self):
-        probs = estimate_distribution([True, False, True],
-                                      Measure.HELP_REQUEST, RAW)
-        assert probs.tolist() == pytest.approx([1 / 3, 2 / 3])
+        probs = estimate_distribution([True, False, True], Measure.HELP_REQUEST)
+        assert probs.tolist() == pytest.approx(smoothed([1 / 3, 2 / 3]).tolist())
 
     def test_smoothing_renormalizes(self):
-        probs = estimate_distribution([1, 1, 1, 1], Measure.DIFFICULTY,
-                                      BinningConfig(smoothing=1e-6))
+        probs = estimate_distribution([1, 1, 1, 1], Measure.DIFFICULTY)
         assert probs.sum() == pytest.approx(1.0)
         assert probs.min() > 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
             estimate_distribution([], Measure.DIFFICULTY)
-
-    def test_binning_validation(self):
-        with pytest.raises(InvalidConfig):
-            BinningConfig(duration_hi=20.0)
-        with pytest.raises(InvalidConfig):
-            BinningConfig(duration_bins=1)
-        with pytest.raises(InvalidConfig):
-            BinningConfig(smoothing=-1e-9)
 
 
 def log_from_corpus(corpus, score_delta=0.0, duration_delta=0.0,

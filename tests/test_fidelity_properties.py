@@ -20,17 +20,16 @@ def vectors(size):
 
 
 vector_pairs = st.integers(1, 8).flatmap(lambda n: st.tuples(vectors(n), vectors(n)))
-smoothings = st.sampled_from([0.0, 1e-6, 0.5])
 
 
 class TestProperties:
     @property_test
-    @given(vector_pairs, smoothings)
-    def test_kl_is_non_negative(self, pair, smoothing):
+    @given(vector_pairs)
+    def test_kl_is_non_negative(self, pair):
         p, q = pair
-        assert kl_divergence(p, q, smoothing) >= 0.0
+        assert kl_divergence(p, q) >= 0.0
 
     @property_test
-    @given(st.integers(1, 8).flatmap(vectors), smoothings)
-    def test_kl_of_a_vector_with_itself_is_zero(self, p, smoothing):
-        assert kl_divergence(p, p, smoothing) == 0.0
+    @given(st.integers(1, 8).flatmap(vectors))
+    def test_kl_of_a_vector_with_itself_is_zero(self, p):
+        assert kl_divergence(p, p) == 0.0

@@ -308,7 +308,7 @@ class TestLogOutput:
 
     def test_unknown_format_rejected(self, log, tmp_path):
         with pytest.raises(InvalidConfig):
-            save_simulated_log(log, tmp_path / "log.xml", file_format="xml")
+            save_simulated_log(log, tmp_path / "log.xml")
 
     @pytest.mark.parametrize("name", ["log.xml", "log", "log.csv.gz"])
     def test_unknown_suffix_rejected(self, log, tmp_path, name):
@@ -330,7 +330,7 @@ def assert_replay_matches_oracle(corpus, table, seed, tmp_path):
     assert log == reference_log(records)
     for file_format in ("csv", "jsonl"):
         path = tmp_path / f"log.{file_format}"
-        save_simulated_log(log, path, file_format)
+        save_simulated_log(log, path)
         assert path.read_bytes() == reference_log_bytes(records, file_format)
     flagged = sum(turn.used_fallback for _, _, turn in records)
     assert log.fallback_rate() == (flagged / len(records) if records else 0.0)

@@ -177,11 +177,6 @@ class TestGeneratorConfig:
         config = GeneratorConfig(n_dialogs=17, step_drift=0.4)
         assert GeneratorConfig.from_json_dict(config.to_json_dict()) == config
 
-    def test_with_overrides(self):
-        config = GeneratorConfig().with_overrides(n_dialogs=5)
-        assert config.n_dialogs == 5
-        assert config.step_drift == 0.0
-
 
 class TestGenerateCorpus:
     def test_shape_and_validity(self, small_corpus):

@@ -61,6 +61,15 @@ class TestKLDivergence:
     def test_zero_in_p_contributes_nothing(self):
         assert kl_divergence([0.0, 1.0], [0.5, 0.5]) == pytest.approx(1.0)
 
+    def test_smoothing_keeps_disjoint_support_finite(self):
+        # estimate_distribution smooths, so histograms with disjoint
+        # support still give a finite, large divergence
+        p = estimate_distribution([1, 1, 1], Measure.DIFFICULTY)
+        q = estimate_distribution([5, 5, 5], Measure.DIFFICULTY)
+        val = kl_divergence(p, q)
+        assert math.isfinite(val)
+        assert val > 10.0
+
     def test_unnormalized_inputs_are_rescaled(self):
         assert kl_divergence([2.0, 2.0], [1.0, 1.0]) == 0.0
         assert kl_divergence([4, 0], [1, 1]) == pytest.approx(1.0)
@@ -132,27 +141,58 @@ def loop_estimate(values, measure):
     return probs
 
 
+EXCHANGE_FIELDS = {
+    Measure.GAME_SCORE: "game_score",
+    Measure.DURATION: "duration",
+    Measure.DIFFICULTY: "difficulty",
+    Measure.HELP_REQUEST: "help_request",
+    Measure.SUGGESTION_REQUEST: "suggestion_request",
+}
+
+
+def mixed_samples(measure):
+    """Random draws plus every value where a bin or snap boundary sits."""
+    gen = np.random.default_rng(23)
+    lo, hi, bins = MIN_DURATION_S, DURATION_HI, DURATION_BINS
+    edges = lo + (hi - lo) / bins * np.arange(bins + 1)
+    samples = {
+        # option scores, the midpoints between them, and everything around
+        Measure.GAME_SCORE: np.concatenate([
+            gen.uniform(-10.0, 70.0, 400), SCORE_SUPPORT,
+            np.array(SCORE_SUPPORT[:-1]) + 5.0]),
+        # bin edges, their float neighbours, and values beyond the clip range
+        Measure.DURATION: np.concatenate([
+            gen.uniform(0.0, 1.5 * hi, 400), edges,
+            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [lo - 1.0, hi + 1.0, 1e9]]),
+        Measure.DIFFICULTY: gen.integers(1, 6, 400),
+        Measure.HELP_REQUEST: gen.random(400) < 0.3,
+        Measure.SUGGESTION_REQUEST: gen.random(400) < 0.7,
+    }
+    return samples[measure].tolist()
+
+
+def single_samples(measure):
+    """One sample: all mass in one bin before smoothing."""
+    return mixed_samples(measure)[:1]
+
+
+def corpus_samples(measure):
+    """A synthetic corpus's column as the float array evaluate_simulator
+    passes, booleans included."""
+    corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=40), seed=5)
+    name = EXCHANGE_FIELDS[measure]
+    return np.array([getattr(ex, name) for _, ex in corpus.iter_exchanges()],
+                    dtype=float)
+
+
 class TestEstimateDistribution:
     @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.value)
-    def test_matches_the_per_sample_loop(self, measure):
-        gen = np.random.default_rng(23)
-        lo, hi, bins = MIN_DURATION_S, DURATION_HI, DURATION_BINS
-        edges = lo + (hi - lo) / bins * np.arange(bins + 1)
-        samples = {
-            # option scores, the midpoints between them, and everything around
-            Measure.GAME_SCORE: np.concatenate([
-                gen.uniform(-10.0, 70.0, 400), SCORE_SUPPORT,
-                np.array(SCORE_SUPPORT[:-1]) + 5.0]),
-            # bin edges, their float neighbours, and values beyond the clip range
-            Measure.DURATION: np.concatenate([
-                gen.uniform(0.0, 1.5 * hi, 400), edges,
-                np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-                [lo - 1.0, hi + 1.0, 1e9]]),
-            Measure.DIFFICULTY: gen.integers(1, 6, 400),
-            Measure.HELP_REQUEST: gen.random(400) < 0.3,
-            Measure.SUGGESTION_REQUEST: gen.random(400) < 0.7,
-        }
-        values = samples[measure].tolist()
+    @pytest.mark.parametrize("samples", [mixed_samples, single_samples,
+                                         corpus_samples],
+                             ids=["mixed", "single", "corpus"])
+    def test_matches_the_per_sample_loop(self, measure, samples):
+        values = samples(measure)
         got = estimate_distribution(values, measure)
         assert np.array_equal(got, loop_estimate(values, measure))
 

@@ -12,7 +12,8 @@ constant. A child key is one more link of a hash chain over the parent key
 and the label, so a substream costs a few integer operations to create.
 Because a draw is a pure function of (key, counter), the chain and the first
 draws of many streams can also be computed at once over numpy uint64 arrays
-(`child_keys`, `first_uniforms`), with the same bits as one stream at a time.
+(`child_keys`, `nth_draws`, `first_uniforms`, `integers`), with the same
+bits as one stream at a time.
 """
 
 from __future__ import annotations
@@ -165,14 +166,38 @@ def child_keys(keys, bits) -> np.ndarray:
     return _mix64_array(np.asarray(keys, dtype=np.uint64) ^ bits)
 
 
-_PHI_U64 = np.uint64(_PHI)
+def nth_draws(keys, k: int) -> np.ndarray:
+    """The k-th 64-bit draw (k >= 1) of a fresh stream with each key in a
+    uint64 array: what the k-th `_next64` call returns. A scalar key, like
+    in `_mix64_array`, gives a 1-element array."""
+    step = np.uint64(k * _PHI & _MASK)
+    return _mix64_array(np.array(keys, dtype=np.uint64, ndmin=1) + step)
 
 
 def first_uniforms(keys) -> np.ndarray:
-    """`random()` of a fresh stream with each key in a uint64 array (a
-    scalar key, like `_mix64_array`, gives a 1-element array)."""
-    draws = _mix64_array(np.array(keys, dtype=np.uint64, ndmin=1) + _PHI_U64)
-    return ((draws >> 12).astype(np.float64) + 0.5) * _UNIT
+    """`random()` of a fresh stream with each key in a uint64 array."""
+    return ((nth_draws(keys, 1) >> 12).astype(np.float64) + 0.5) * _UNIT
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def integers(draws, n: int) -> np.ndarray:
+    """`RandomStream.integers(n)` on each 64-bit draw of a uint64 array:
+    (x * n) >> 64, summed from the products of n with the two 32-bit halves
+    of x, which cannot wrap. Exact for 1 <= n < 2**32."""
+    if not 1 <= n < 1 << 32:
+        raise InvalidBounds(f"array integers needs 1 <= n < 2**32, got {n}")
+    n = np.uint64(n)
+    draws = np.asarray(draws, dtype=np.uint64)
+    return ((draws >> 32) * n + ((draws & _LOW32) * n >> 32)) >> 32
+
+
+def standard_normals(u) -> np.ndarray:
+    """`inv_cdf` of the standard normal, element by element, so each value
+    equals `RandomStream.normal()` on that uniform bit for bit."""
+    u = np.asarray(u, dtype=np.float64)
+    return np.fromiter(map(_STD.inv_cdf, u.tolist()), dtype=np.float64, count=len(u))
 
 
 def gaussian_truncation(mean, sd, lo, hi) -> tuple:
@@ -226,8 +251,7 @@ def truncated_gaussians(mean, truncation, lo, hi, u) -> np.ndarray:
     pass silently, as in Python float arithmetic.
     """
     c_lo, span, scale = np.asarray(truncation, dtype=np.float64).reshape(-1, 3).T
-    p = np.minimum(np.maximum(c_lo + u * span, _P_MIN), _P_MAX)
-    z = np.fromiter(map(_STD.inv_cdf, p.tolist()), dtype=np.float64, count=len(p))
+    z = standard_normals(np.minimum(np.maximum(c_lo + u * span, _P_MIN), _P_MAX))
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.where(scale == 0, mean, mean + scale * z)
     return np.minimum(np.maximum(x, lo), hi)

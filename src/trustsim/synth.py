@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 
+import numpy as np
+
+from .behavior_tables import N_DIFFICULTY_CLASSES
 from .corpus import (
     ACT_INDEX,
     ACT_ORDER,
@@ -27,18 +30,30 @@ from .corpus import (
     ProactiveAct,
     STEPS_PER_DIALOG,
     complexity_of_step,
-    max_option_score,
     option_scores,
 )
-from .errors import InvalidConfig, object_entry
-from .sampling import RandomStream, categorical, truncated_gaussian
+from .errors import InvalidBounds, InvalidConfig, object_entry
+from .sampling import (
+    RandomStream,
+    categoricals,
+    child_keys,
+    cumulative_weights,
+    first_uniforms,
+    gaussian_truncation,
+    integers,
+    label_bits,
+    nth_draws,
+    standard_normals,
+    truncated_gaussians,
+)
 from .user_model import (
+    ALL_TRAIT_TUPLES,
     TraitDistributions,
     TraitTuple,
     _finite_number,
     binarize_traits,
     default_trait_distributions,
-    sample_user,
+    sample_users,
 )
 
 PROB_FLOOR, PROB_CEIL = 0.02, 0.98
@@ -48,10 +63,6 @@ TRUST_FIELDS = ("trust", "competence", "reliability", "predictability")
 
 def _clip_prob(p: float) -> float:
     return min(PROB_CEIL, max(PROB_FLOOR, p))
-
-
-def _clip(x: float, lo: float, hi: float) -> float:
-    return min(hi, max(lo, x))
 
 
 def drift_center(step: int) -> float:
@@ -117,6 +128,10 @@ class BehaviorProcess:
                 entries = value
             if not all(_finite_number(v) for v in entries):
                 raise InvalidConfig(f"{f.name} must hold finite numbers, got {value!r}")
+        if not self.difficulty_sd > 0:
+            raise InvalidConfig(f"difficulty_sd must be positive, got {self.difficulty_sd}")
+        if not self.duration_sd >= 0:
+            raise InvalidConfig(f"duration_sd must be >= 0, got {self.duration_sd}")
 
     def help_prob(self, traits: TraitTuple, act: ProactiveAct, step: int) -> float:
         k = complexity_of_step(step)
@@ -259,86 +274,143 @@ class GeneratorConfig:
             raise InvalidConfig(f"malformed generator config: {exc}") from exc
 
 
-def _bernoulli(p: float, rng: RandomStream) -> bool:
-    return rng.random() < p
+_STEP_BITS = label_bits(range(STEPS_PER_DIALOG + 1))
+_FIELD_BITS = {name: label_bits([name]) for name in (
+    "traits", "step", "act", "help", "sugg", "score", "duration", "difficulty",
+    *TRUST_FIELDS)}
+_N_TRAIT_CODES = len(ALL_TRAIT_TUPLES)
 
 
-def _annotation(latent: float, noise_sd: float, rng: RandomStream) -> int:
-    value = math.floor(latent + rng.normal(0.0, noise_sd) + 0.5)
-    return int(min(LIKERT_MAX, max(LIKERT_MIN, value)))
+@dataclass(frozen=True)
+class _StepTables:
+    """The process's draw parameters at one step for each trait code that
+    some user has, gathered per user by code. Rows of other codes stay 0
+    and are never read. A code whose difficulty pmf is no categorical
+    keeps the error its draw raises."""
+
+    help: np.ndarray            # [code, act]
+    sugg: np.ndarray            # [code, act]
+    best: np.ndarray            # [code, act, sugg_request]
+    duration_mean: np.ndarray   # [code, help_request, sugg_request]
+    duration: np.ndarray        # [code, help_request, sugg_request] -> truncation
+    difficulty: np.ndarray      # [code] -> cumulative weights
+    difficulty_errors: dict
+
+
+def _step_tables(config: GeneratorConfig, codes: set, step: int) -> _StepTables:
+    proc, drift = config.process, config.step_drift
+    help_p, sugg_p = np.zeros((2, _N_TRAIT_CODES, len(ACT_ORDER)))
+    best_p = np.zeros((_N_TRAIT_CODES, len(ACT_ORDER), 2))
+    duration_mean = np.zeros((_N_TRAIT_CODES, 2, 2))
+    duration = np.zeros((_N_TRAIT_CODES, 2, 2, 3))
+    difficulty = np.zeros((_N_TRAIT_CODES, N_DIFFICULTY_CLASSES))
+    errors = {}
+    for code in codes:
+        tt = ALL_TRAIT_TUPLES[code]
+        for a, act in enumerate(ACT_ORDER):
+            help_p[code, a] = proc.help_prob(tt, act, step)
+            sugg_p[code, a] = proc.sugg_prob(tt, act, step)
+            for s in (0, 1):
+                best_p[code, a, s] = proc.best_prob(tt, act, bool(s), step, drift)
+        for h in (0, 1):
+            for s in (0, 1):
+                mean = proc.duration_mean(tt, bool(h), bool(s), step, drift)
+                duration_mean[code, h, s] = mean
+                duration[code, h, s] = gaussian_truncation(
+                    mean, proc.duration_sd, MIN_DURATION_S, config.duration_hi)
+        try:
+            difficulty[code] = cumulative_weights(proc.difficulty_pmf(tt, step))
+        except InvalidBounds as exc:
+            errors[code] = exc
+    return _StepTables(help_p, sugg_p, best_p, duration_mean, duration, difficulty, errors)
 
 
 def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     """Draw a corpus from the documented process, one dialog per user.
 
     Deterministic for (config, seed): every random field reads its own
-    named substream, so outputs are stable under field reordering.
+    named substream, `child(user_id)`, then `child("step", step)`, then
+    `child(field)`, so outputs are stable under field reordering. The
+    streams are counter-based, so the twelve steps are drawn in turn, each
+    for every user at once: the stream keys and draws as uint64 arrays, the
+    process's per-step parameters as tables gathered by trait code, and
+    only `inv_cdf` per element. Rows are then built dialog by dialog and
+    step by step, each with its full validation, so a bad config raises
+    the error that drawing one dialog at a time would meet first.
     """
-    if not isinstance(seed, int):
+    if type(seed) is bool or not isinstance(seed, int):  # bool is no seed
         raise InvalidConfig(f"seed must be an integer, got {seed!r}")
     proc = config.process
-    root = RandomStream(seed, "synth")
-    users = []
+    uids = [f"u{i:04d}" for i in range(config.n_dialogs)]
+    user_keys = child_keys(RandomStream(seed, "synth").key, label_bits(uids))
+    users = sample_users(config.traits, child_keys(user_keys, _FIELD_BITS["traits"]),
+                         uids)
+    traits = [binarize_traits(user) for user in users]
+    codes = [tt.index for tt in traits]
+    code = np.array(codes, dtype=np.intp)
+    # index arrays are ints: numpy reads a bool array index as a mask
+    propensity_high = np.array([tt.trust_propensity_high for tt in traits], dtype=np.intp)
+    trust_delta = np.array([[[proc.trust_delta(act, high, best) for best in (False, True)]
+                             for high in (False, True)] for act in ACT_ORDER],
+                           dtype=np.float64)
+    latent = np.minimum(np.maximum([user.trust_propensity for user in users],
+                                   LIKERT_MIN), LIKERT_MAX)
+    step_keys = child_keys(user_keys, _FIELD_BITS["step"])
+    present = set(codes)
+
+    # per step: an iterator over the users' rows, each in Exchange field
+    # order after complexity
+    steps = []
+    for step in range(1, STEPS_PER_DIALOG + 1):
+        keys = child_keys(step_keys, _STEP_BITS[step])
+
+        def field(name: str) -> np.ndarray:
+            return child_keys(keys, _FIELD_BITS[name])
+
+        t = _step_tables(config, present, step)
+        act = integers(nth_draws(field("act"), 1), len(ACT_ORDER))
+        help_req = first_uniforms(field("help")) < t.help[code, act]
+        sugg_req = first_uniforms(field("sugg")) < t.sugg[code, act]
+        h, s = help_req.astype(np.intp), sugg_req.astype(np.intp)
+
+        score_keys = field("score")
+        best = first_uniforms(score_keys) < t.best[code, act, s]
+        k = complexity_of_step(step)
+        scores = np.array(option_scores(k))
+        game_score = np.where(best, scores[-1],
+                              scores[integers(nth_draws(score_keys, 2), k - 1)])
+
+        duration = np.maximum(
+            truncated_gaussians(t.duration_mean[code, h, s], t.duration[code, h, s],
+                                MIN_DURATION_S, config.duration_hi,
+                                first_uniforms(field("duration"))),
+            DURATION_FLOOR_S)
+        difficulty = LIKERT_MIN + categoricals(t.difficulty[code],
+                                               first_uniforms(field("difficulty")))
+
+        latent = np.minimum(np.maximum(
+            latent + trust_delta[act, propensity_high, best.astype(np.intp)],
+            LIKERT_MIN), LIKERT_MAX)
+        # clamped before the cast to int, so a noise draw that overflows to
+        # +-inf gives a 1 or a 5
+        with np.errstate(over="ignore"):
+            annotations = [
+                np.floor(np.minimum(np.maximum(
+                    latent + proc.trust_noise_sd * standard_normals(first_uniforms(field(name)))
+                    + 0.5, LIKERT_MIN), LIKERT_MAX)).astype(np.int64).tolist()
+                for name in TRUST_FIELDS]
+
+        rows = zip([ACT_ORDER[a] for a in act.tolist()], game_score.tolist(),
+                   help_req.tolist(), sugg_req.tolist(), duration.tolist(),
+                   difficulty.tolist(), *annotations)
+        steps.append((step, k, rows, t.difficulty_errors))
+
     dialogs = {}
-    for i in range(config.n_dialogs):
-        uid = f"u{i:04d}"
-        ustream = root.child(uid)
-        profile = sample_user(config.traits, ustream.child("traits"), user_id=uid)
-        traits = binarize_traits(profile)
-        users.append(profile)
-        latent_trust = _clip(profile.trust_propensity, LIKERT_MIN, LIKERT_MAX)
-        exchanges = []
-        for step in range(1, STEPS_PER_DIALOG + 1):
-            sstream = ustream.child("step", step)
-            k = complexity_of_step(step)
-            scores = option_scores(k)
-            act = ACT_ORDER[sstream.child("act").integers(len(ACT_ORDER))]
-
-            help_req = _bernoulli(proc.help_prob(traits, act, step),
-                                  sstream.child("help"))
-            sugg_req = _bernoulli(proc.sugg_prob(traits, act, step),
-                                  sstream.child("sugg"))
-
-            p_best = proc.best_prob(traits, act, sugg_req, step, config.step_drift)
-            score_stream = sstream.child("score")
-            if _bernoulli(p_best, score_stream):
-                game_score = scores[-1]
-            else:
-                game_score = scores[score_stream.integers(k - 1)]
-
-            mean = proc.duration_mean(traits, help_req, sugg_req, step,
-                                      config.step_drift)
-            duration = truncated_gaussian(mean, proc.duration_sd, MIN_DURATION_S,
-                                          config.duration_hi,
-                                          sstream.child("duration"))
-            duration = max(duration, DURATION_FLOOR_S)
-
-            pmf = proc.difficulty_pmf(traits, step)
-            difficulty = 1 + categorical(pmf, sstream.child("difficulty"))
-
-            best_chosen = game_score == max_option_score(k)
-            latent_trust = _clip(
-                latent_trust + proc.trust_delta(act, traits.trust_propensity_high,
-                                                best_chosen),
-                LIKERT_MIN, LIKERT_MAX,
-            )
-            annotations = {
-                name: _annotation(latent_trust, proc.trust_noise_sd,
-                                  sstream.child(name))
-                for name in TRUST_FIELDS
-            }
-
-            exchanges.append(Exchange(
-                dialog_id=f"d{i:04d}",
-                step=step,
-                complexity=k,
-                proactive_act=act,
-                game_score=float(game_score),
-                help_request=help_req,
-                suggestion_request=sugg_req,
-                duration=duration,
-                difficulty=difficulty,
-                **annotations,
-            ))
-        dialogs[uid] = tuple(exchanges)
+    for i, uid in enumerate(uids):
+        dialog_id, exchanges = f"d{i:04d}", []
+        for step, k, rows, errors in steps:
+            if codes[i] in errors:
+                raise errors[codes[i]]
+            exchanges.append(Exchange(dialog_id, step, k, *next(rows)))
+        dialogs[uid] = exchanges
     return Corpus(users=tuple(users), dialogs=dialogs)

@@ -28,7 +28,18 @@ from .corpus import (
 )
 from .errors import (InsufficientUsers, InvalidBounds, InvalidConfig, object_entry,
                      read_json)
-from .sampling import RandomStream, categorical, truncated_gaussian
+from .sampling import (
+    RandomStream,
+    categorical,
+    categoricals,
+    child_keys,
+    cumulative_weights,
+    first_uniforms,
+    gaussian_truncation,
+    label_bits,
+    truncated_gaussian,
+    truncated_gaussians,
+)
 
 # A trait counts as "high" strictly above the Likert midpoint (3.0 -> low).
 LIKERT_BINARY_THRESHOLD = 3.0
@@ -197,6 +208,31 @@ def sample_user(dists: TraitDistributions, stream: RandomStream,
         )
     gender = GENDER_ORDER[categorical(dists.gender_probs, stream.child("gender"))]
     return UserProfile(user_id=user_id, gender=gender, **kwargs)
+
+
+def sample_users(dists: TraitDistributions, keys, user_ids) -> list:
+    """`sample_user` for many users at once: user i draws from the stream
+    with key keys[i] of a uint64 array and is named user_ids[i].
+
+    Every trait takes one uniform per user from `first_uniforms` and one
+    truncation for all users, so each profile equals the one `sample_user`
+    draws from that stream, bit for bit.
+    """
+    def uniforms(name: str) -> np.ndarray:
+        return first_uniforms(child_keys(keys, label_bits([name])))
+
+    columns = {}
+    for name in _GAUSS_TRAITS:
+        dist = getattr(dists, name)
+        columns[name] = truncated_gaussians(
+            float(dist.mean), gaussian_truncation(dist.mean, dist.sd, dist.lo, dist.hi),
+            dist.lo, dist.hi, uniforms(name))
+    columns["age"] = np.floor(columns["age"] + 0.5).astype(np.int64)
+    genders = categoricals(np.array([cumulative_weights(dists.gender_probs)]),
+                           uniforms("gender"))
+    rows = zip(*(column.tolist() for column in columns.values()))
+    return [UserProfile(user_id=uid, gender=GENDER_ORDER[gender], **dict(zip(columns, row)))
+            for uid, gender, row in zip(user_ids, genders.tolist(), rows)]
 
 
 def binarize_traits(profile: UserProfile) -> TraitTuple:

@@ -29,12 +29,14 @@ from trustsim.behavior_tables import (
     resolve_combo_stats,
 )
 from trustsim.corpus import (
+    ACT_ORDER,
     CORPUS_COLUMNS,
     Corpus,
     DURATION_FLOOR_S,
     EXCHANGE_COLUMNS,
     Exchange,
     Gender,
+    LIKERT_MAX,
     LIKERT_MIN,
     MIN_DURATION_S,
     OPTION_SCORE_UNIT,
@@ -73,7 +75,7 @@ from trustsim.trust_model import (
     extract_features,
     predict_trust,
 )
-from trustsim.user_model import ALL_TRAIT_TUPLES, binarize_traits
+from trustsim.user_model import ALL_TRAIT_TUPLES, binarize_traits, sample_user
 
 
 def analytic_truncated_mean(mean, sd, lo, hi):
@@ -424,6 +426,67 @@ def reference_predictions(model, corpus) -> list:
     evaluate_classifier's single product replaced."""
     X, _, _ = reference_dataset(corpus)
     return [predict_trust(model, x)[0] for x in X]
+
+
+def _reference_annotation(latent, noise_sd, rng) -> int:
+    value = latent + rng.normal(0.0, noise_sd) + 0.5
+    return int(math.floor(min(LIKERT_MAX, max(LIKERT_MIN, value))))
+
+
+def reference_generate(config, seed) -> Corpus:
+    """The per-dialog loop the batched generator replaced, kept as its
+    oracle: one user at a time, one step at a time, every field drawn from
+    its own `RandomStream` through the process's scalar methods."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
+    clip = lambda x: min(LIKERT_MAX, max(LIKERT_MIN, x))
+    proc = config.process
+    root = RandomStream(seed, "synth")
+    users, dialogs = [], {}
+    for i in range(config.n_dialogs):
+        uid = f"u{i:04d}"
+        ustream = root.child(uid)
+        profile = sample_user(config.traits, ustream.child("traits"), user_id=uid)
+        traits = binarize_traits(profile)
+        users.append(profile)
+        latent_trust = clip(profile.trust_propensity)
+        exchanges = []
+        for step in range(1, 13):
+            sstream = ustream.child("step", step)
+            k = complexity_of_step(step)
+            scores = option_scores(k)
+            act = ACT_ORDER[sstream.child("act").integers(len(ACT_ORDER))]
+            help_req = sstream.child("help").random() < proc.help_prob(traits, act, step)
+            sugg_req = sstream.child("sugg").random() < proc.sugg_prob(traits, act, step)
+            p_best = proc.best_prob(traits, act, sugg_req, step, config.step_drift)
+            score_stream = sstream.child("score")
+            if score_stream.random() < p_best:
+                game_score = scores[-1]
+            else:
+                game_score = scores[score_stream.integers(k - 1)]
+            mean = proc.duration_mean(traits, help_req, sugg_req, step, config.step_drift)
+            duration = max(truncated_gaussian(mean, proc.duration_sd, MIN_DURATION_S,
+                                              config.duration_hi,
+                                              sstream.child("duration")),
+                           DURATION_FLOOR_S)
+            difficulty = 1 + categorical(proc.difficulty_pmf(traits, step),
+                                         sstream.child("difficulty"))
+            best_chosen = game_score == max_option_score(k)
+            latent_trust = clip(latent_trust + proc.trust_delta(
+                act, traits.trust_propensity_high, best_chosen))
+            annotations = {
+                name: _reference_annotation(latent_trust, proc.trust_noise_sd,
+                                            sstream.child(name))
+                for name in ("trust", "competence", "reliability", "predictability")
+            }
+            exchanges.append(Exchange(
+                dialog_id=f"d{i:04d}", step=step, complexity=k, proactive_act=act,
+                game_score=float(game_score), help_request=help_req,
+                suggestion_request=sugg_req, duration=duration, difficulty=difficulty,
+                **annotations,
+            ))
+        dialogs[uid] = tuple(exchanges)
+    return Corpus(users=tuple(users), dialogs=dialogs)
 
 
 def reference_load_corpus(path) -> Corpus:

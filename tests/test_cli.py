@@ -96,6 +96,21 @@ class TestGenCorpus:
         assert params["n_dialogs"] == 6       # flag wins
         assert params["step_drift"] == 0.5    # file value kept
 
+    # sha256 of corpora written before generation was batched: the batched
+    # generator must reproduce them byte for byte
+    @pytest.mark.parametrize("flags, name, digest", [
+        (["--dialogs", "40"], "corpus.csv",
+         "b8e84f6c3544b509781a34273cb1cc98180d45f61e35599b1b82247451c5456f"),
+        (["--dialogs", "40", "--format", "jsonl"], "corpus.jsonl",
+         "4ef21e180bd13b287b2fda0a495dd048db6e581d467a1f9a4ca2d9a798e010b3"),
+        ([], "corpus.csv",
+         "db530267d4c10a1722f48a3078aa8f91e5da7ba6009024b36c48b51e1c97a9d1"),
+    ])
+    def test_golden_corpus_hashes(self, work, flags, name, digest):
+        out = work / f"golden_{len(flags)}_{name}"
+        assert main(["gen-corpus", "--seed", "42", *flags, "--out", str(out)]) == 0
+        assert sha256(out / name) == digest
+
     def test_jsonl_format(self, work):
         out = work / "gen_jsonl"
         assert main(["gen-corpus", "--seed", "3", "--dialogs", "4",
@@ -422,6 +437,20 @@ class TestExitCodes:
                      "--out", str(work / "x15")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidBounds"
+
+    @pytest.mark.parametrize("field, value", [("difficulty_sd", 0), ("difficulty_sd", -1),
+                                              ("duration_sd", -1)])
+    def test_process_sd_out_of_domain_is_validation_error(self, work, capsys, field,
+                                                          value):
+        payload = GeneratorConfig(n_dialogs=5).to_json_dict()
+        payload["process"][field] = value
+        bad = work / f"bad_config_{field}_{value}.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["gen-corpus", "--seed", "1", "--config", str(bad),
+                     "--out", str(work / "x16")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidConfig"
+        assert field in err["message"]
 
     def test_corrupt_table_is_validation_error(self, work, corpus_file, capsys):
         bad = work / "bad_table.json"

@@ -22,7 +22,10 @@ from trustsim.sampling import (
     cumulative_weights,
     first_uniforms,
     gaussian_truncation,
+    integers,
     label_bits,
+    nth_draws,
+    standard_normals,
     truncated_gaussian,
     truncated_gaussians,
 )
@@ -232,6 +235,29 @@ class TestArrayStreams:
 
     def test_empty_arrays(self):
         assert first_uniforms(child_keys(5, label_bits([]))).shape == (0,)
+
+    def test_nth_draws_follow_the_counter(self):
+        streams = [RandomStream._from_key(k) for k in EDGE_KEYS]
+        for k in range(1, 6):
+            assert nth_draws(self.keys(), k).tolist() == [s._next64() for s in streams]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 2**31, 2**32 - 1])
+    def test_integers_match_the_stream(self, n):
+        streams = [RandomStream._from_key(k) for k in EDGE_KEYS]
+        expected = [s.integers(n) for s in streams]
+        assert integers(nth_draws(self.keys(), 1), n).tolist() == expected
+        # the largest draw gives the largest integer
+        assert integers(np.array([2**64 - 1], dtype=np.uint64), n).tolist() == [n - 1]
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32, 2**64])
+    def test_integers_reject_n_out_of_range(self, n):
+        with pytest.raises(InvalidBounds):
+            integers(nth_draws(self.keys(), 1), n)
+
+    def test_standard_normals_match_the_stream(self):
+        u = first_uniforms(self.keys())
+        assert standard_normals(u).tolist() == [
+            RandomStream._from_key(k).normal() for k in EDGE_KEYS]
 
 
 class TestArraySamplers:

@@ -20,7 +20,9 @@ from trustsim.sampling import (
     child_keys,
     first_uniforms,
     gaussian_truncation,
+    integers,
     label_bits,
+    nth_draws,
     truncated_gaussian,
     truncated_gaussians,
 )
@@ -110,3 +112,21 @@ class TestProperties:
         got = truncated_gaussians(np.full(5, mean), truncation, lo, hi, u)
         assert got.tolist() == [
             truncated_gaussian(mean, sd, lo, hi, RandomStream(seed, i)) for i in range(5)]
+
+    @property_test
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
+           st.integers(1, 8))
+    def test_nth_draws_match_scalar(self, keys, draws):
+        streams = [RandomStream._from_key(k) for k in keys]
+        for k in range(1, draws + 1):
+            assert nth_draws(np.array(keys, dtype=np.uint64), k).tolist() == [
+                s._next64() for s in streams]
+
+    @property_test
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
+           st.integers(1, 2**32 - 1), st.integers(1, 4))
+    def test_array_integers_match_scalar(self, keys, n, draws):
+        streams = [RandomStream._from_key(k) for k in keys]
+        for k in range(1, draws + 1):
+            got = integers(nth_draws(np.array(keys, dtype=np.uint64), k), n)
+            assert got.tolist() == [s.integers(n) for s in streams]

@@ -8,15 +8,22 @@ from statistics import fmean, pstdev
 
 import pytest
 
-from trustsim.corpus import Gender, ProactiveAct, complexity_of_step, option_scores
-from trustsim.errors import InvalidConfig
+from conftest import reference_generate
+from trustsim.corpus import (
+    Gender,
+    ProactiveAct,
+    complexity_of_step,
+    option_scores,
+    save_corpus,
+)
+from trustsim.errors import InvalidBounds, InvalidConfig, ValueOutOfRange
 from trustsim.synth import (
     BehaviorProcess,
     GeneratorConfig,
     drift_center,
     generate_synthetic_corpus,
 )
-from trustsim.user_model import TraitTuple
+from trustsim.user_model import TraitTuple, binarize_traits
 
 
 def tt(bits):
@@ -148,6 +155,21 @@ class TestProcessValidation:
         with pytest.raises(InvalidConfig, match=field):
             replace(BehaviorProcess(), **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("difficulty_sd", 0.0), ("difficulty_sd", -0.0), ("difficulty_sd", -1.0),
+        ("difficulty_sd", 0), ("duration_sd", -1.0), ("duration_sd", -1e-300),
+    ])
+    def test_rejects_sds_out_of_domain(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            replace(BehaviorProcess(), **{field: value})
+
+    def test_zero_duration_sd_is_a_point_mass(self):
+        proc = replace(BehaviorProcess(), duration_sd=0.0, duration_drift_gain=0.0)
+        corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=3, process=proc), 1)
+        for user, ex in corpus.iter_exchanges():
+            assert ex.duration == proc.duration_mean(
+                binarize_traits(user), ex.help_request, ex.suggestion_request, ex.step)
+
     def test_ints_are_numbers(self):
         proc = replace(BehaviorProcess(), help_base=0, help_act=(0, 0, 0, 1))
         assert BehaviorProcess.from_json_dict(proc.to_json_dict()) == proc
@@ -195,9 +217,10 @@ class TestGenerateCorpus:
         assert generate_synthetic_corpus(config, seed=3) != \
             generate_synthetic_corpus(config, seed=4)
 
-    def test_rejects_non_int_seed(self):
-        with pytest.raises(InvalidConfig):
-            generate_synthetic_corpus(GeneratorConfig(n_dialogs=1), seed="42")
+    @pytest.mark.parametrize("seed", ["42", 1.0, True, False])
+    def test_rejects_non_int_seed(self, seed):
+        with pytest.raises(InvalidConfig, match="seed"):
+            generate_synthetic_corpus(GeneratorConfig(n_dialogs=1), seed=seed)
 
     def test_acts_roughly_uniform(self, default_corpus):
         counts = {act: 0 for act in ProactiveAct}
@@ -235,6 +258,82 @@ class TestGenerateCorpus:
     def test_gender_marginal_sampled(self, default_corpus):
         seen = {user.gender for user in default_corpus.users}
         assert Gender.MALE in seen and Gender.FEMALE in seen
+
+
+def assert_equals_reference(corpus, config, seed, tmp_path):
+    """The corpus equals the per-dialog loop's, and both save to the same
+    bytes in each file format."""
+    reference = reference_generate(config, seed)
+    assert corpus == reference
+    # plain Python values, as the loop built them, never numpy scalars
+    rows = lambda c: [*c.users, *(ex for _, ex in c.iter_exchanges())]
+    assert [list(map(type, vars(row).values())) for row in rows(corpus)] == \
+        [list(map(type, vars(row).values())) for row in rows(reference)]
+    for fmt in ("csv", "jsonl"):
+        save_corpus(corpus, tmp_path / f"batched.{fmt}")
+        save_corpus(reference, tmp_path / f"reference.{fmt}")
+        assert (tmp_path / f"batched.{fmt}").read_bytes() == \
+            (tmp_path / f"reference.{fmt}").read_bytes()
+
+
+class TestAgainstReference:
+    """The batched generator against the per-dialog loop it replaced."""
+
+    def test_default_config(self, default_corpus, tmp_path):
+        assert_equals_reference(default_corpus, GeneratorConfig(), 42, tmp_path)
+
+    def test_step_drift(self, drifting_corpus, tmp_path):
+        assert_equals_reference(drifting_corpus, GeneratorConfig(step_drift=0.8), 42,
+                                tmp_path)
+
+    @pytest.mark.parametrize("seed", [-5, 0, 2**70])
+    def test_one_dialog(self, seed, tmp_path):
+        config = GeneratorConfig(n_dialogs=1)
+        assert_equals_reference(generate_synthetic_corpus(config, seed), config, seed,
+                                tmp_path)
+
+    def test_custom_config(self, tmp_path):
+        payload = GeneratorConfig(n_dialogs=30, step_drift=0.35).to_json_dict()
+        payload["process"].update(help_act=[0.4, -0.3, 0.1, 0], duration_sd=0,
+                                  trust_noise_sd=2.5, best_base=-1, difficulty_sd=3.0)
+        payload["traits"]["gender_probs"] = [0.0, 0.25, 0.75]
+        payload["traits"]["domain_expertise"]["sd"] = 0.0
+        config = GeneratorConfig.from_json_dict(payload)
+        assert_equals_reference(generate_synthetic_corpus(config, 9), config, 9, tmp_path)
+
+    def test_huge_trust_noise_clamps_annotations(self, tmp_path):
+        # draws of 1e308 * z overflow to +-inf: each annotation is a 1 or a 5
+        config = GeneratorConfig(n_dialogs=4,
+                                 process=replace(BehaviorProcess(), trust_noise_sd=1e308))
+        corpus = generate_synthetic_corpus(config, 3)
+        assert {ex.trust for _, ex in corpus.iter_exchanges()} == {1, 5}
+        assert_equals_reference(corpus, config, 3, tmp_path)
+
+    def test_bad_pmf_raises_only_where_drawn(self):
+        # the novice pmf overflows to nan; the expert pmf stays a categorical
+        proc = replace(BehaviorProcess(), difficulty_base=1e308,
+                       difficulty_low_expertise=1e308)
+        expert_seed, novice_seed = 0, 1  # the one user's traits are 110 and 011
+        config = GeneratorConfig(n_dialogs=1, process=proc)
+        corpus = generate_synthetic_corpus(config, expert_seed)
+        assert binarize_traits(corpus.users[0]).domain_expertise_high
+        assert corpus == reference_generate(config, expert_seed)
+        for generate in (generate_synthetic_corpus, reference_generate):
+            with pytest.raises(InvalidBounds):
+                generate(config, novice_seed)
+
+    @pytest.mark.parametrize("seed, error", [(0, ValueOutOfRange), (1, InvalidBounds)])
+    def test_first_bad_row_in_dialog_order_raises(self, seed, error):
+        # experts draw nan durations at step 1 (an infinite mean times a
+        # drift factor of 0); novices have a nan difficulty pmf. The seed-0
+        # expert's dialog comes first, the seed-1 novice's first.
+        proc = replace(BehaviorProcess(), duration_base=1e308, duration_expertise=1e308,
+                       duration_drift_gain=1.0, difficulty_base=1e308,
+                       difficulty_low_expertise=1e308)
+        config = GeneratorConfig(n_dialogs=2, process=proc, step_drift=1.0)
+        for generate in (generate_synthetic_corpus, reference_generate):
+            with pytest.raises(error):
+                generate(config, seed)
 
 
 @pytest.fixture(scope="module")

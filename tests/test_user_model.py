@@ -11,7 +11,7 @@ import pytest
 from conftest import make_corpus, make_user
 from trustsim.corpus import Corpus, Gender
 from trustsim.errors import InsufficientUsers, InvalidBounds, InvalidConfig
-from trustsim.sampling import RandomStream
+from trustsim.sampling import RandomStream, child_keys, label_bits
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.user_model import (
     ALL_TRAIT_TUPLES,
@@ -24,6 +24,7 @@ from trustsim.user_model import (
     fit_trait_distributions,
     load_trait_distributions,
     sample_user,
+    sample_users,
 )
 
 
@@ -184,6 +185,32 @@ class TestSampleUser:
         a = sample_user(dists, RandomStream(9, "x"))
         b = sample_user(dists, RandomStream(9, "x"))
         assert a == b
+
+
+class TestSampleUsers:
+    """The batched draw against one `sample_user` call per stream."""
+
+    def assert_matches_scalar(self, dists, seed, n):
+        root = RandomStream(seed, "batch")
+        ids = [f"u{i}" for i in range(n)]
+        users = sample_users(dists, child_keys(root.key, label_bits(ids)), ids)
+        assert users == [sample_user(dists, root.child(uid), user_id=uid) for uid in ids]
+        for user in users:
+            assert type(user.age) is int
+            assert all(type(getattr(user, name)) is float
+                       for name in ("technical_affinity", "neuroticism"))
+
+    @pytest.mark.parametrize("seed", [0, 1, -7])
+    def test_default_population(self, seed):
+        self.assert_matches_scalar(default_trait_distributions(), seed, 200)
+
+    def test_degenerate_and_far_tail_traits(self):
+        payload = default_trait_distributions().to_json_dict()
+        payload["gender_probs"] = [0.0, 0.0, 1.0]
+        payload["age"] = {"mean": 2**60, "sd": 0.0, "lo": 18, "hi": 60}
+        payload["openness"] = {"mean": -1e300, "sd": 1e-300, "lo": 1, "hi": 5}
+        payload["neuroticism"] = {"mean": 3, "sd": 1e300, "lo": 1, "hi": 5}
+        self.assert_matches_scalar(TraitDistributions.from_json_dict(payload), 3, 40)
 
 
 class TestBinarizeTraits:

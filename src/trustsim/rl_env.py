@@ -11,12 +11,13 @@ trust. Ships a tabular Q-learning reference agent over the discretized
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior_tables import BehaviorTable
+from .behavior_tables import BehaviorTable, TableMode, key_code
 from .corpus import (
+    ACT_INDEX,
     ACT_ORDER,
     LIKERT_MAX,
     LIKERT_MIN,
@@ -26,13 +27,20 @@ from .corpus import (
     max_option_score,
 )
 from .errors import EpisodeFinished, InvalidConfig, InvalidHyperparams
-from .sampling import RandomStream
-from .simulator import SimulatedTurn, simulate_turn
+from .sampling import (
+    RandomStream,
+    child_keys,
+    first_uniforms,
+    integers,
+    label_bits,
+    nth_draws,
+)
+from .simulator import TURN_FIELDS, SimulatedTurn, _compile_table, draw_turn
+from .simulator import simulate_turn  # unused here; perfbench's tracer tests read it
 from .trust_model import (
     NEUTRAL_LIKERT,
+    DialogFeatures,
     TrustClassifier,
-    TurnContext,
-    extract_features,
     predict_trust,
 )
 from .user_model import TraitDistributions, TraitTuple, binarize_traits, sample_user
@@ -74,11 +82,32 @@ def state_index(state: EnvState) -> int:
         * N_TRUST_LEVELS + (state.estimated_trust - LIKERT_MIN)
 
 
+_STEPS = range(1, STEPS_PER_DIALOG + 1)
+_STEP_BITS = label_bits(_STEPS)
+_STEP_LABEL = label_bits(["step"])
+_FIELD_BITS = label_bits(TURN_FIELDS)
+_EXPLORE_LABEL = label_bits(["explore"])
+
+
+def _turn_uniforms(key: int) -> list:
+    """The uniform `child("step", s).child(field).random()` of the stream
+    with this key, for every step s and field of TURN_FIELDS: 12 x 4."""
+    turn_keys = child_keys(child_keys(key, _STEP_LABEL), _STEP_BITS)
+    return first_uniforms(child_keys(turn_keys[:, None], _FIELD_BITS)).tolist()
+
+
 class TrustSimEnv:
     """12-step episodic environment; deterministic given the reset stream.
 
     Ground-truth trust annotations do not exist here at all: the state
     and reward see only the classifier's estimate.
+
+    Every stream an episode reads depends only on the reset stream, the
+    step and the field, never on the actions, so `reset` derives all the
+    episode's turn uniforms at once. The action only picks the compiled
+    table entry a turn draws from. A step's turn, trust estimate and reward
+    equal those of `simulate_turn` on `rng.child("step", s)`, then
+    `extract_features` over the episode's earlier turns, then `predict_trust`.
     """
 
     def __init__(self, table: BehaviorTable, traits: TraitDistributions,
@@ -88,14 +117,22 @@ class TrustSimEnv:
         self.traits = traits
         self.trust_model = trust_model
         self.reward = reward
-        self._stream = None
-        self._done = True
+        request_cum, fallback, rows = _compile_table(table)
+        conditions = [s if table.mode is TableMode.TASK_STEP_BASED
+                      else complexity_of_step(s) for s in _STEPS]
+        # [trait tuple index][act index][step - 1] -> the key's draw_turn context
+        self._contexts = [[[
+            (request_cum[code], fallback[code], rows[code].__getitem__)
+            for code in (key_code(table.mode, trait, act, c) for c in conditions)]
+            for act in range(N_ACTIONS)] for trait in range(N_TRAIT_TUPLES)]
+        self._done = True  # until the first reset
 
     def reset(self, rng: RandomStream) -> EnvState:
-        self._stream = rng
         self._profile = sample_user(self.traits, rng.child("user"))
         self._trait_tuple = binarize_traits(self._profile)
-        self._history = []
+        self._episode_contexts = self._contexts[self._trait_tuple.index]
+        self._uniforms = _turn_uniforms(rng.key)
+        self._features = DialogFeatures(self._profile)
         self._step_no = 1
         self._done = False
         return EnvState(
@@ -106,21 +143,19 @@ class TrustSimEnv:
 
     def step(self, action: ProactiveAct):
         """Returns (next_state, reward, done)."""
-        if self._done or self._stream is None:
+        if self._done:
             raise EpisodeFinished("reset the environment before stepping")
         if not isinstance(action, ProactiveAct):
             raise InvalidConfig(f"action must be a ProactiveAct, got {action!r}")
         s = self._step_no
-        turn = simulate_turn(self.table, self._profile, s, action,
-                             self._stream.child("step", s))
-        current = TurnContext.from_turn(s, action, turn)
-        features = extract_features(self._profile, self._history, current)
-        trust, _ = predict_trust(self.trust_model, features)
-        self._history.append(replace(current, trust_label=trust))
+        complexity = complexity_of_step(s)
+        turn = draw_turn(*self._episode_contexts[ACT_INDEX[action]][s - 1], complexity,
+                         self._uniforms[s - 1])
+        trust, _ = predict_trust(self.trust_model, self._features.row(action, s, turn))
+        self._features.push(action, turn, trust)
 
         reward = (
-            self.reward.score_weight
-            * (turn.game_score / max_option_score(complexity_of_step(s)))
+            self.reward.score_weight * (turn.game_score / max_option_score(complexity))
             + self.reward.trust_weight * ((trust - LIKERT_MIN) / (LIKERT_MAX - LIKERT_MIN))
         )
         done = s == STEPS_PER_DIALOG
@@ -157,10 +192,31 @@ class TabularPolicyResult:
     returns: tuple  # undiscounted episode returns, one per episode
 
 
+# Episodes whose exploration draws are derived at once.
+_EXPLORE_BLOCK = 256
+
+
+def _explore_actions(root: RandomStream, first: int, count: int, epsilon: float) -> list:
+    """For episodes first .. first + count - 1 and steps t = 1..12, the
+    action index that `root.child("explore", ep, t)` explores with: its
+    second draw's `integers(N_ACTIONS)` when its first uniform is below
+    epsilon, else -1 for the greedy action."""
+    episodes = label_bits(range(first, first + count))
+    keys = child_keys(child_keys(child_keys(root.key, _EXPLORE_LABEL), episodes)[:, None],
+                      _STEP_BITS)
+    explore = first_uniforms(keys) < epsilon
+    return np.where(explore, integers(nth_draws(keys, 2), N_ACTIONS).astype(np.intp),
+                    -1).tolist()
+
+
 def train_tabular_policy(env, episodes: int,
                          hyperparams: Hyperparams = Hyperparams()) -> TabularPolicyResult:
     """Epsilon-greedy tabular Q-learning; any env with reset(rng)/step(act)
-    returning the same shapes works (rigged test doubles included)."""
+    returning the same shapes works (rigged test doubles included).
+
+    Step t of episode ep explores on the stream `root.child("explore", ep,
+    t)`. Those of steps 1..12 are derived a block of episodes at a time;
+    a longer episode draws its later steps one stream at a time."""
     if not isinstance(episodes, int) or episodes < 1:
         raise InvalidHyperparams(f"episodes must be >= 1, got {episodes}")
     hp = hyperparams
@@ -168,6 +224,10 @@ def train_tabular_policy(env, episodes: int,
     root = RandomStream(hp.seed, "qlearn")
     returns = []
     for ep in range(episodes):
+        if ep % _EXPLORE_BLOCK == 0:
+            block = _explore_actions(root, ep, min(_EXPLORE_BLOCK, episodes - ep),
+                                     hp.epsilon)
+        explore = block[ep % _EXPLORE_BLOCK]
         state = env.reset(root.child("env", ep))
         si = state_index(state)
         total = 0.0
@@ -175,10 +235,12 @@ def train_tabular_policy(env, episodes: int,
         t = 0
         while not done:
             t += 1
-            explore = root.child("explore", ep, t)
-            if explore.random() < hp.epsilon:
-                ai = explore.integers(N_ACTIONS)
+            if t <= STEPS_PER_DIALOG:
+                ai = explore[t - 1]
             else:
+                stream = root.child("explore", ep, t)
+                ai = stream.integers(N_ACTIONS) if stream.random() < hp.epsilon else -1
+            if ai < 0:
                 ai = int(np.argmax(q[si]))
             state, reward, done = env.step(ACT_ORDER[ai])
             ni = state_index(state)

@@ -230,15 +230,16 @@ def truncated_gaussian(mean, sd, lo, hi, rng: RandomStream) -> float:
     clamp(mean, lo, hi).
     """
     return truncated_gaussian_from(mean, gaussian_truncation(mean, sd, lo, hi),
-                                   lo, hi, rng)
+                                   lo, hi, rng.random())
 
 
-def truncated_gaussian_from(mean, truncation, lo, hi, rng: RandomStream) -> float:
-    """`truncated_gaussian` given the mean and its `gaussian_truncation`."""
+def truncated_gaussian_from(mean, truncation, lo, hi, u: float) -> float:
+    """`truncated_gaussian` given the mean, its `gaussian_truncation` and
+    the stream's uniform u."""
     c_lo, span, scale = truncation
     if scale == 0:
         return float(min(max(mean, lo), hi))
-    p = min(max(c_lo + rng.random() * span, _P_MIN), _P_MAX)
+    p = min(max(c_lo + u * span, _P_MIN), _P_MAX)
     return float(min(max(mean + scale * _STD.inv_cdf(p), lo), hi))
 
 
@@ -274,18 +275,18 @@ def cumulative_weights(probs) -> list:
 
 def categorical(probs, rng: RandomStream) -> int:
     """Index sampled from an unnormalized non-negative weight vector."""
-    return categorical_from(cumulative_weights(probs), rng)
+    return categorical_from(cumulative_weights(probs), rng.random())
 
 
-def categorical_from(cumulative, rng: RandomStream) -> int:
-    """Index sampled from a `cumulative_weights` vector.
+def categorical_from(cumulative, u: float) -> int:
+    """Index sampled from a `cumulative_weights` vector on the uniform u.
 
     The index is the first whose cumulative weight exceeds the target, so
     it never has zero weight. The second bisection catches a target that
     rounds up to the total, which only a sum near the subnormal range does.
     """
     total = cumulative[-1]
-    target = rng.random() * total
+    target = u * total
     return min(bisect.bisect_right(cumulative, target),
                bisect.bisect_left(cumulative, total))
 

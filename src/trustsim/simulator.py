@@ -5,13 +5,16 @@ fallback), sample the request combination, then sample difficulty,
 duration, and game score conditional on that combination. Each field
 reads a named substream so draws never bleed across fields.
 
-Both paths draw from the rows of `draw_parameters`. `simulate_turn` draws
-one turn (the RL environment's path). `replay_conditions` compiles the
-whole table and draws a turn for every corpus exchange at once: the stream
-keys and uniforms as uint64 arrays, the rows as gathers by key code and
-combination, the categoricals as counts, and only `inv_cdf` per element.
-Its columnar `SimulatedLog` equals, bit for bit, what `simulate_turn` gives.
-"""
+Every path draws a turn from the rows of `draw_parameters`, through
+`draw_turn`. `simulate_turn` draws one turn, making the row of the one
+request combination it draws. The RL environment compiles the table once
+(`_compile_table`: per context key, its request cumulatives, its fallback
+flag and one row per request combination) and draws each turn from that.
+`replay_conditions` compiles the whole table and draws a turn for every
+corpus exchange at once: the stream keys and uniforms as uint64 arrays, the
+rows as gathers by key code and combination, the categoricals as counts,
+and only `inv_cdf` per element. Its columnar `SimulatedLog` equals, bit for
+bit, what `simulate_turn` gives."""
 
 from __future__ import annotations
 
@@ -53,7 +56,6 @@ from .corpus import (
 from .errors import LengthMismatch, ValueOutOfRange
 from .sampling import (
     RandomStream,
-    categorical,
     categorical_from,
     categoricals,
     child_keys,
@@ -87,30 +89,39 @@ class SimulatedTurn:
             raise ValueOutOfRange("game_score", self.game_score)
 
 
+# The substream each of a turn's uniforms comes from, in `draw_turn` order.
+TURN_FIELDS = ("requests", "difficulty", "duration", "score")
+
+
 def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
                   act: ProactiveAct, rng: RandomStream) -> SimulatedTurn:
     complexity = complexity_of_step(step)
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
     key = ContextKey(binarize_traits(profile), act, condition)
     cell, used_fallback = lookup(table, key)
+    return draw_turn(
+        cumulative_weights(cell.request_probs), used_fallback,
+        lambda combo: draw_parameters(resolve_combo_stats(table, key, combo), complexity),
+        complexity, [rng.child(name).random() for name in TURN_FIELDS])
 
-    combo_idx = categorical(cell.request_probs, rng.child("requests"))
-    help_request, suggestion_request = REQUEST_COMBOS[combo_idx]
-    row = draw_parameters(resolve_combo_stats(table, key, combo_idx), complexity)
 
-    difficulty = LIKERT_MIN + categorical_from(row[_DIFFICULTY], rng.child("difficulty"))
+def draw_turn(request_cum, used_fallback: bool, row_of, complexity: int,
+              u) -> SimulatedTurn:
+    """The turn a context key draws on the uniforms u of its TURN_FIELDS,
+    given the key's request cumulatives, its used_fallback flag and
+    row_of(combo), the `draw_parameters` row of a request combination."""
+    combo = categorical_from(request_cum, u[0])
+    row = row_of(combo)
+    help_request, suggestion_request = REQUEST_COMBOS[combo]
     duration = truncated_gaussian_from(row[_DURATION_MEAN], row[_DURATION],
-                                       MIN_DURATION_S, DURATION_HI, rng.child("duration"))
-    duration = max(duration, DURATION_FLOOR_S)
-    game_score = truncated_gaussian_from(row[_SCORE_MEAN], row[_SCORE], OPTION_SCORE_UNIT,
-                                         max_option_score(complexity), rng.child("score"))
-
+                                       MIN_DURATION_S, DURATION_HI, u[2])
     return SimulatedTurn(
         help_request=help_request,
         suggestion_request=suggestion_request,
-        duration=duration,
-        difficulty=difficulty,
-        game_score=game_score,
+        duration=max(duration, DURATION_FLOOR_S),
+        difficulty=LIKERT_MIN + categorical_from(row[_DIFFICULTY], u[1]),
+        game_score=truncated_gaussian_from(row[_SCORE_MEAN], row[_SCORE], OPTION_SCORE_UNIT,
+                                           max_option_score(complexity), u[3]),
         used_fallback=used_fallback,
     )
 
@@ -221,7 +232,7 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     act = np.array([ACT_INDEX[a] for a in acts], dtype=np.int64)
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
     code = key_code(table.mode, trait, act, condition)
-    request_cum, key_fallback, rows = _compile_table(table)
+    request_cum, key_fallback, rows = map(np.array, _compile_table(table))
 
     user_keys = child_keys(rng.key, label_bits(user.user_id for user in users))
     turn_keys = child_keys(user_keys[owner], _STEP_BITS[step])
@@ -253,24 +264,26 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
 
 
 def _compile_table(table: BehaviorTable) -> tuple:
-    """Every key of the table in `_mode_keys` order: its request cumulatives
-    (K x 4), used_fallback flags (K) and combination rows (K x 4 x 13). The
+    """Every key of the table in `_mode_keys` order, as three lists indexed
+    by key code: request cumulatives, used_fallback flags, and per key one
+    `draw_parameters` row for each request combination (K x 4 x 13). The
     ladder shares rung statistics across keys, so each distinct one is made
-    a row once per complexity; the table keeps them alive, so ids are unique."""
+    a row once per complexity and shared; the table keeps them alive, so
+    ids are unique."""
     task_step = table.mode is TableMode.TASK_STEP_BASED
     request_cum, fallback, rows, memo = [], [], [], {}
     for key, (cell, used_fallback, combos) in table.resolved.items():
         complexity = complexity_of_step(key.condition) if task_step else key.condition
         request_cum.append(cumulative_weights(cell.request_probs))
         fallback.append(used_fallback)
+        key_rows = []
         for stats in combos:
             row = memo.get((id(stats), complexity))
             if row is None:
                 row = memo[id(stats), complexity] = draw_parameters(stats, complexity)
-            rows.append(row)
-    return (np.array(request_cum, dtype=np.float64), np.array(fallback, dtype=bool),
-            np.array(rows, dtype=np.float64).reshape(
-                len(fallback), len(REQUEST_COMBOS), _SCORE.stop))
+            key_rows.append(row)
+        rows.append(tuple(key_rows))
+    return request_cum, fallback, rows
 
 
 def save_simulated_log(log: SimulatedLog, path) -> None:

@@ -350,13 +350,20 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     code = np.array(codes, dtype=np.intp)
     # index arrays are ints: numpy reads a bool array index as a mask
     propensity_high = np.array([tt.trust_propensity_high for tt in traits], dtype=np.intp)
-    trust_delta = np.array([[[proc.trust_delta(act, high, best) for best in (False, True)]
-                             for high in (False, True)] for act in ACT_ORDER],
-                           dtype=np.float64)
     latent = np.minimum(np.maximum([user.trust_propensity for user in users],
                                    LIKERT_MIN), LIKERT_MAX)
     step_keys = child_keys(user_keys, _FIELD_BITS["step"])
     present = set(codes)
+    try:
+        trust_delta = np.array([[[proc.trust_delta(act, high, best) for best in (False, True)]
+                                 for high in (False, True)] for act in ACT_ORDER],
+                               dtype=np.float64)
+        tables = [_step_tables(config, present, step)
+                  for step in range(1, STEPS_PER_DIALOG + 1)]
+    # each coefficient is a finite number, but a sum of integer ones can
+    # leave the float range, which shows once the sum becomes a float here
+    except OverflowError as exc:
+        raise InvalidConfig(f"process coefficients overflow a float: {exc}") from exc
 
     # per step: an iterator over the users' rows, each in Exchange field
     # order after complexity
@@ -367,7 +374,7 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
         def field(name: str) -> np.ndarray:
             return child_keys(keys, _FIELD_BITS[name])
 
-        t = _step_tables(config, present, step)
+        t = tables[step - 1]
         act = integers(nth_draws(field("act"), 1), len(ACT_ORDER))
         help_req = first_uniforms(field("help")) < t.help[code, act]
         sugg_req = first_uniforms(field("sugg")) < t.sugg[code, act]

@@ -88,16 +88,6 @@ class TurnContext:
     suggestion_request: bool
     trust_label: int | None = None
 
-    @classmethod
-    def from_turn(cls, step: int, act: ProactiveAct, turn,
-                  trust_label: int | None = None) -> "TurnContext":
-        return cls(
-            proactive_act=act, complexity=complexity_of_step(step), step=step,
-            difficulty=turn.difficulty, duration=turn.duration,
-            game_score=turn.game_score, help_request=turn.help_request,
-            suggestion_request=turn.suggestion_request, trust_label=trust_label,
-        )
-
 
 def _build_feature_names() -> tuple:
     names = ["age"]
@@ -135,6 +125,30 @@ def _act_onehot(act: ProactiveAct) -> list:
     return [1.0 if a is act else 0.0 for a in ACT_ORDER]
 
 
+# The three blocks of a feature row. A turn is anything with the observed
+# fields: a TurnContext, an Exchange or a simulated turn.
+
+def _profile_block(profile: UserProfile) -> list:
+    return [float(profile.age),
+            *(1.0 if g is profile.gender else 0.0 for g in GENDER_ORDER),
+            profile.technical_affinity, profile.trust_propensity,
+            profile.domain_expertise, profile.openness, profile.conscientiousness,
+            profile.extraversion, profile.agreeableness, profile.neuroticism]
+
+
+def _observed(turn) -> list:
+    return [float(turn.difficulty), turn.duration, turn.game_score,
+            float(turn.help_request), float(turn.suggestion_request)]
+
+
+def _current_block(act: ProactiveAct, complexity: int, step: int, turn) -> list:
+    return _act_onehot(act) + [float(complexity), float(step)] + _observed(turn)
+
+
+def _lag_block(act: ProactiveAct, turn, trust: int) -> list:
+    return _act_onehot(act) + _observed(turn) + [float(trust)]
+
+
 def extract_features(profile: UserProfile, history, current: TurnContext) -> np.ndarray:
     """Feature vector for predicting trust at `current`.
 
@@ -149,24 +163,13 @@ def extract_features(profile: UserProfile, history, current: TurnContext) -> np.
     if any(a >= b for a, b in zip(steps, steps[1:])):
         raise SchemaMismatch("history must be strictly step-ordered and precede current")
 
-    vec = [float(profile.age)]
-    vec += [1.0 if g is profile.gender else 0.0 for g in GENDER_ORDER]
-    vec += [profile.technical_affinity, profile.trust_propensity,
-            profile.domain_expertise, profile.openness, profile.conscientiousness,
-            profile.extraversion, profile.agreeableness, profile.neuroticism]
-
-    vec += _act_onehot(current.proactive_act)
-    vec += [float(current.complexity), float(current.step), float(current.difficulty),
-            current.duration, current.game_score, float(current.help_request),
-            float(current.suggestion_request)]
-
+    vec = _profile_block(profile) + _current_block(
+        current.proactive_act, current.complexity, current.step, current)
     for lag in range(1, LAG_WINDOW + 1):
         if lag <= len(history):
             h = history[-lag]
             trust = h.trust_label if h.trust_label is not None else NEUTRAL_LIKERT
-            vec += _act_onehot(h.proactive_act)
-            vec += [float(h.difficulty), h.duration, h.game_score,
-                    float(h.help_request), float(h.suggestion_request), float(trust)]
+            vec += _lag_block(h.proactive_act, h, trust)
         else:
             vec += _LAG_FILL
 
@@ -174,6 +177,28 @@ def extract_features(profile: UserProfile, history, current: TurnContext) -> np.
     if out.shape != (N_FEATURES,):
         raise SchemaMismatch(f"expected {N_FEATURES} features, built {out.shape}")
     return out
+
+
+class DialogFeatures:
+    """The feature rows of one dialog, built turn by turn: `row` equals
+    `extract_features` for a turn whose history is every turn given to
+    `push` so far, each labelled with the trust it was pushed with. The
+    profile block is built once and the lag blocks roll, so no history
+    is kept."""
+
+    __slots__ = ("_profile", "_lags")
+
+    def __init__(self, profile: UserProfile):
+        self._profile = _profile_block(profile)
+        self._lags = _LAG_FILL * LAG_WINDOW
+
+    def row(self, act: ProactiveAct, step: int, turn) -> np.ndarray:
+        return np.array(self._profile + _current_block(act, complexity_of_step(step),
+                                                       step, turn) + self._lags,
+                        dtype=float)
+
+    def push(self, act: ProactiveAct, turn, trust: int) -> None:
+        self._lags = _lag_block(act, turn, trust) + self._lags[:-len(_LAG_FILL)]
 
 
 # Column layout of corpus_to_dataset, in FEATURE_NAMES order.

@@ -8,7 +8,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
@@ -56,7 +56,14 @@ from trustsim.errors import (
     NoDataForCondition,
     ValueOutOfRange,
 )
-from trustsim.rl_env import EnvState
+from trustsim.rl_env import (
+    N_ACTIONS,
+    N_STATES,
+    EnvState,
+    RewardConfig,
+    TabularPolicyResult,
+    state_index,
+)
 from trustsim.sampling import (
     RandomStream,
     categorical,
@@ -67,6 +74,7 @@ from trustsim.simulator import SimulatedLog, SimulatedTurn, simulate_turn
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import (
     N_FEATURES,
+    NEUTRAL_LIKERT,
     SCHEMA_VERSION,
     TrainConfig,
     TrustClassifier,
@@ -368,6 +376,17 @@ def turn_context(ex, with_label=False) -> TurnContext:
     )
 
 
+def simulated_turn_context(step, act, turn, trust_label=None) -> TurnContext:
+    """The observable slice of a simulated turn at a step, labelled with
+    the trust estimated for it when it serves as a lag."""
+    return TurnContext(
+        proactive_act=act, complexity=complexity_of_step(step), step=step,
+        difficulty=turn.difficulty, duration=turn.duration, game_score=turn.game_score,
+        help_request=turn.help_request, suggestion_request=turn.suggestion_request,
+        trust_label=trust_label,
+    )
+
+
 def reference_dataset(corpus) -> tuple:
     """The per-row loop corpus_to_dataset replaced, kept as its oracle:
     one extract_features call per exchange, lag labels teacher-forced."""
@@ -570,6 +589,98 @@ def reference_save_corpus(corpus, path) -> None:
                 payload = {c: (row[c].value if isinstance(row[c], Enum) else row[c])
                            for c in CORPUS_COLUMNS}
                 handle.write(json.dumps(payload) + "\n")
+
+
+class ReferenceTrustSimEnv:
+    """TrustSimEnv as it was before episodes drew from precomputed uniforms
+    and a compiled table, kept as its oracle: each step draws one
+    reference_simulate_turn on rng.child("step", s), builds its features
+    with extract_features over the episode's TurnContext history, and
+    labels that history with each step's predicted trust."""
+
+    def __init__(self, table, traits, trust_model, reward=RewardConfig()):
+        self.table, self.traits, self.trust_model = table, traits, trust_model
+        self.reward = reward
+
+    def reset(self, rng):
+        self._stream = rng
+        self._profile = sample_user(self.traits, rng.child("user"))
+        self._trait_tuple = binarize_traits(self._profile)
+        self._history = []
+        self._step_no = 1
+        return EnvState(step=1, complexity=complexity_of_step(1),
+                        trait_tuple=self._trait_tuple, last_turn=None,
+                        estimated_trust=NEUTRAL_LIKERT)
+
+    def step(self, action):
+        s = self._step_no
+        turn = reference_simulate_turn(self.table, self._profile, s, action,
+                                       self._stream.child("step", s))
+        current = simulated_turn_context(s, action, turn)
+        features = extract_features(self._profile, self._history, current)
+        trust, _ = predict_trust(self.trust_model, features)
+        self._history.append(replace(current, trust_label=trust))
+        reward = (
+            self.reward.score_weight
+            * (turn.game_score / max_option_score(complexity_of_step(s)))
+            + self.reward.trust_weight * ((trust - LIKERT_MIN) / (LIKERT_MAX - LIKERT_MIN))
+        )
+        done = s == 12
+        next_step = s if done else s + 1
+        self._step_no = next_step
+        state = EnvState(step=next_step, complexity=complexity_of_step(next_step),
+                         trait_tuple=self._trait_tuple, last_turn=turn,
+                         estimated_trust=trust)
+        return state, float(reward), done
+
+
+def reference_train_tabular_policy(env, episodes, hp) -> TabularPolicyResult:
+    """train_tabular_policy as it was before the exploration draws were
+    derived a block of episodes at a time, kept as its oracle: one
+    root.child("explore", ep, t) stream per step."""
+    q = np.zeros((N_STATES, N_ACTIONS))
+    root = RandomStream(hp.seed, "qlearn")
+    returns = []
+    for ep in range(episodes):
+        state = env.reset(root.child("env", ep))
+        si = state_index(state)
+        total = 0.0
+        done = False
+        t = 0
+        while not done:
+            t += 1
+            explore = root.child("explore", ep, t)
+            if explore.random() < hp.epsilon:
+                ai = explore.integers(N_ACTIONS)
+            else:
+                ai = int(np.argmax(q[si]))
+            state, reward, done = env.step(ACT_ORDER[ai])
+            ni = state_index(state)
+            target = reward if done else reward + hp.gamma * float(np.max(q[ni]))
+            q[si, ai] += hp.alpha * (target - q[si, ai])
+            si = ni
+            total += reward
+        returns.append(total)
+    return TabularPolicyResult(q=q, policy=np.argmax(q, axis=1), returns=tuple(returns))
+
+
+class PassThroughProbe:
+    """Env wrapper that passes every call through and records each action
+    and each step's (state, reward, done)."""
+
+    def __init__(self, env):
+        self.env = env
+        self.actions = []
+        self.steps = []
+
+    def reset(self, rng):
+        return self.env.reset(rng)
+
+    def step(self, action):
+        result = self.env.step(action)
+        self.actions.append(action)
+        self.steps.append(result)
+        return result
 
 
 class RiggedSweepEnv:

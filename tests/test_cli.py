@@ -452,6 +452,23 @@ class TestExitCodes:
         assert err["error"] == "InvalidConfig"
         assert field in err["message"]
 
+    @pytest.mark.parametrize("fields", [("duration_base", "duration_complexity"),
+                                        ("help_base", "help_complexity"),
+                                        ("best_base", "best_expertise"),
+                                        ("difficulty_base", "difficulty_complexity")])
+    def test_process_sum_beyond_float_range_is_validation_error(self, work, capsys,
+                                                                fields):
+        payload = GeneratorConfig(n_dialogs=5).to_json_dict()
+        for field in fields:
+            payload["process"][field] = 10 ** 308  # finite; the sum is not
+        bad = work / f"bad_config_{fields[0]}_overflow.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["gen-corpus", "--seed", "1", "--config", str(bad),
+                     "--out", str(work / "x17")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidConfig"
+        assert "overflow" in err["message"]
+
     def test_corrupt_table_is_validation_error(self, work, corpus_file, capsys):
         bad = work / "bad_table.json"
         bad.write_text("{not json")

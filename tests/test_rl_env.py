@@ -7,7 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import RiggedSweepEnv, make_corpus, stub_trust_model
+from conftest import (
+    PassThroughProbe,
+    ReferenceTrustSimEnv,
+    RiggedSweepEnv,
+    make_corpus,
+    reference_train_tabular_policy,
+    stub_trust_model,
+)
 from trustsim.behavior_tables import TableMode, build_table
 from trustsim.corpus import ACT_ORDER, ProactiveAct, complexity_of_step
 from trustsim.errors import EpisodeFinished, InvalidConfig, InvalidHyperparams
@@ -22,7 +29,13 @@ from trustsim.rl_env import (
     train_tabular_policy,
 )
 from trustsim.sampling import RandomStream
-from trustsim.user_model import ALL_TRAIT_TUPLES, TraitTuple, default_trait_distributions
+from trustsim.trust_model import train_classifier
+from trustsim.user_model import (
+    ALL_TRAIT_TUPLES,
+    TraitTuple,
+    default_trait_distributions,
+    fit_trait_distributions,
+)
 
 SUGGESTION_INDEX = ACT_ORDER.index(ProactiveAct.SUGGESTION)
 
@@ -238,3 +251,93 @@ class TestRiggedDominance:
         # late-episode returns approach the 12-step optimum under eps-greedy
         tail = np.mean(result.returns[-500:])
         assert tail > 12 * (1 - hp.epsilon * 0.75) - 1.0
+
+
+@pytest.fixture(scope="module")
+def fitted(default_corpus):
+    """Trait distributions and a trained trust model of the default corpus."""
+    return fit_trait_distributions(default_corpus), train_classifier(default_corpus)
+
+
+# Hyperparams at three seeds, then those of the acceptance gate.
+ORACLE_HYPERPARAMS = (Hyperparams(seed=0), Hyperparams(seed=1), Hyperparams(seed=42),
+                      Hyperparams(alpha=0.3, gamma=0.9, epsilon=0.5, seed=0))
+
+
+def assert_same_training(got, expected):
+    assert got.q.tobytes() == expected.q.tobytes()
+    assert np.array_equal(got.policy, expected.policy)
+    assert got.returns == expected.returns
+
+
+class TestEpisodeOracle:
+    """Training on TrustSimEnv equals the per-turn loop it replaced, bit
+    for bit, with the env bare and wrapped in a pass-through probe."""
+
+    @pytest.mark.parametrize("hp", ORACLE_HYPERPARAMS,
+                             ids=["seed0", "seed1", "seed42", "gate"])
+    @pytest.mark.parametrize("mode", list(TableMode))
+    @pytest.mark.parametrize("threshold", [9, 10])
+    def test_training_equals_the_per_turn_loop(self, default_corpus, fitted, mode,
+                                               threshold, hp):
+        table = build_table(default_corpus, mode, threshold)
+        traits, model = fitted
+        oracle = PassThroughProbe(ReferenceTrustSimEnv(table, traits, model))
+        expected = reference_train_tabular_policy(oracle, 60, hp)
+        assert_same_training(train_tabular_policy(TrustSimEnv(table, traits, model), 60, hp),
+                             expected)
+        probe = PassThroughProbe(TrustSimEnv(table, traits, model))
+        assert_same_training(train_tabular_policy(probe, 60, hp), expected)
+        assert probe.actions == oracle.actions
+        assert ([state.last_turn for state, _, _ in probe.steps]
+                == [state.last_turn for state, _, _ in oracle.steps])
+        assert probe.steps == oracle.steps
+
+
+class LongEpisodeEnv:
+    """Rigged double whose episodes run 20 steps; the state holds at step 12
+    past step 12, and the paying act changes with the step. Records the
+    (episode, step, act) of every action it takes."""
+
+    STEPS = 20
+
+    def __init__(self):
+        self.episode = -1
+        self.taken = []
+
+    def _state(self):
+        step = min(self.t, 12)
+        return EnvState(step=step, complexity=complexity_of_step(step),
+                        trait_tuple=ALL_TRAIT_TUPLES[self.episode % 8], last_turn=None,
+                        estimated_trust=1 + self.t % 5)
+
+    def reset(self, rng):
+        self.episode += 1
+        self.t = 1
+        return self._state()
+
+    def step(self, action):
+        self.taken.append((self.episode, self.t, action))
+        reward = 1.0 if action is ACT_ORDER[self.t % N_ACTIONS] else 0.0
+        done = self.t == self.STEPS
+        self.t += not done
+        return self._state(), reward, done
+
+
+class TestLongEpisodes:
+    def test_steps_past_twelve_explore_on_their_own_streams(self):
+        hp = Hyperparams(alpha=0.3, gamma=0.9, epsilon=0.5, seed=3)
+        # more episodes than one block of derived exploration draws
+        env, oracle = LongEpisodeEnv(), LongEpisodeEnv()
+        assert_same_training(train_tabular_policy(env, 600, hp),
+                             reference_train_tabular_policy(oracle, 600, hp))
+        assert env.taken == oracle.taken
+        root = RandomStream(hp.seed, "qlearn")
+        explored = 0
+        for ep, t, action in env.taken:
+            if t > 12:
+                stream = root.child("explore", ep, t)
+                if stream.random() < hp.epsilon:
+                    assert action is ACT_ORDER[stream.integers(N_ACTIONS)]
+                    explored += 1
+        assert explored > 1000

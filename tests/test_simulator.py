@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -177,6 +178,11 @@ class TestTurnSampling:
                           RandomStream(9, "t"))
         assert a == b
 
+    def test_rejects_an_act_that_is_no_proactive_act(self):
+        table = build_table(soundness_corpus(), TableMode.TASK_STEP_BASED)
+        with pytest.raises(InvalidConfig, match="no context of the table"):
+            simulate_turn(table, make_user(), 1, "None", RandomStream(9, "t"))
+
 
 class TestScoreClamping:
     def off_grid_table(self):
@@ -219,16 +225,22 @@ class TestCompiledTable:
         table = build_table(default_corpus, mode, threshold)
         request_cum, fallback, rows = _compile_table(table)
         keys = _mode_keys(mode)
-        assert rows.shape == (len(keys), len(REQUEST_COMBOS), 13)
+        assert len(request_cum) == len(fallback) == len(keys)
+        assert np.array(rows).shape == (len(keys), len(REQUEST_COMBOS), 13)
         for k, key in enumerate(keys):
             cell, used_fallback = lookup(table, key)
-            assert request_cum[k].tolist() == cumulative_weights(cell.request_probs)
+            assert request_cum[k] == cumulative_weights(cell.request_probs)
             assert fallback[k] == used_fallback
             complexity = (complexity_of_step(key.condition)
                           if mode is TableMode.TASK_STEP_BASED else key.condition)
             for combo in range(len(REQUEST_COMBOS)):
-                assert tuple(rows[k, combo].tolist()) == draw_parameters(
+                assert rows[k][combo] == draw_parameters(
                     resolve_combo_stats(table, key, combo), complexity)
+
+    def test_rungs_shared_by_keys_share_their_rows(self, default_corpus):
+        table = build_table(default_corpus, TableMode.TASK_STEP_BASED)
+        rows = [row for key_rows in _compile_table(table)[2] for row in key_rows]
+        assert len({id(row) for row in rows}) < len(rows)
 
 
 class TestFallbackFlag:

@@ -259,6 +259,26 @@ class TestGenerateCorpus:
         seen = {user.gender for user in default_corpus.users}
         assert Gender.MALE in seen and Gender.FEMALE in seen
 
+    @pytest.mark.parametrize("fields", [("duration_base", "duration_complexity"),
+                                        ("help_base", "help_complexity"),
+                                        ("difficulty_base", "difficulty_complexity"),
+                                        ("trust_act_delta", "trust_best_bonus")])
+    @pytest.mark.parametrize("step_drift", [0.0, 1.0])
+    def test_process_sums_beyond_float_range_are_config_errors(self, fields, step_drift):
+        # each coefficient is a finite number; their sum is not, which shows
+        # once it becomes a float
+        proc = replace(BehaviorProcess(), **{
+            name: (10 ** 308,) * 4 if name == "trust_act_delta" else 10 ** 308
+            for name in fields})
+        config = GeneratorConfig(n_dialogs=20, process=proc, step_drift=step_drift)
+        with pytest.raises(InvalidConfig, match="overflow"):
+            generate_synthetic_corpus(config, 1)
+
+    def test_large_integer_coefficients_within_float_range_generate(self):
+        proc = replace(BehaviorProcess(), duration_base=10 ** 307, help_base=10 ** 300)
+        corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=3, process=proc), 1)
+        assert corpus.exchange_count == 36
+
 
 def assert_equals_reference(corpus, config, seed, tmp_path):
     """The corpus equals the per-dialog loop's, and both save to the same

@@ -13,7 +13,6 @@ from .behavior_tables import (
 )
 from .corpus import (
     Corpus,
-    Exchange,
     Gender,
     ProactiveAct,
     UserRecord,
@@ -75,7 +74,6 @@ __all__ = [
     "ContextKey",
     "Corpus",
     "EnvState",
-    "Exchange",
     "FidelityReport",
     "Gender",
     "GeneratorConfig",

@@ -14,7 +14,6 @@ succeeds.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import sys
@@ -24,7 +23,6 @@ from enum import Enum
 import numpy as np
 
 from .corpus import (
-    ACT_INDEX,
     ACT_ORDER,
     COMPLEXITY_LEVELS,
     Corpus,
@@ -41,8 +39,6 @@ DEFAULT_FALLBACK_THRESHOLD = 10
 
 # (help_request, suggestion_request) in fixed index order 0..3
 REQUEST_COMBOS = ((False, False), (False, True), (True, False), (True, True))
-_COMBO_INDEX = {combo: i for i, combo in enumerate(REQUEST_COMBOS)}
-
 N_DIFFICULTY_CLASSES = LIKERT_MAX - LIKERT_MIN + 1
 
 # The continuous statistics of a combination and the least finite value
@@ -223,10 +219,6 @@ def key_code(mode: TableMode, trait, act, condition):
     return (trait * len(ACT_ORDER) + act) * len(conditions) + condition - conditions[0]
 
 
-def combo_index(help_request: bool, suggestion_request: bool) -> int:
-    return _COMBO_INDEX[bool(help_request), bool(suggestion_request)]
-
-
 def _check_condition(mode: TableMode, condition) -> None:
     if condition not in mode.conditions():
         raise InvalidConfig(f"condition {condition} does not belong to mode {mode.value}")
@@ -245,20 +237,15 @@ def build_table(corpus: Corpus, mode: TableMode,
     if corpus.n_dialogs == 0:
         raise EmptyCorpus("cannot build a table from an empty corpus")
 
-    exchanges = [ex for user in corpus.users for ex in corpus.dialogs[user.user_id]]
-    # every dialog holds STEPS_PER_DIALOG exchanges, in user order
     trait = np.repeat([binarize_traits(user).index for user in corpus.users],
                       STEPS_PER_DIALOG)
-    act = np.array([ACT_INDEX[ex.proactive_act] for ex in exchanges])
-    condition = np.array([ex.complexity if mode is TableMode.COMPLEXITY_BASED
-                          else ex.step for ex in exchanges])
-    combo = np.array([_COMBO_INDEX[ex.help_request, ex.suggestion_request]
-                      for ex in exchanges])
-    score = np.array([ex.game_score for ex in exchanges], dtype=float)
-    duration = np.array([ex.duration for ex in exchanges], dtype=float)
-    difficulty = np.array([ex.difficulty for ex in exchanges]) - LIKERT_MIN
+    condition = corpus.complexity if mode is TableMode.COMPLEXITY_BASED else corpus.step
+    # REQUEST_COMBOS order: the help flag major
+    combo = 2 * corpus.help_request + corpus.suggestion_request
+    score, duration = corpus.game_score, corpus.duration
+    difficulty = corpus.difficulty - LIKERT_MIN
 
-    cell = key_code(mode, trait, act, condition)
+    cell = key_code(mode, trait, corpus.proactive_act, condition)
     groups, group_of = np.unique(cell * len(REQUEST_COMBOS) + combo,
                                  return_inverse=True)
     n = np.bincount(group_of)
@@ -390,8 +377,8 @@ def table_to_json_dict(table: BehaviorTable) -> dict:
         {"traits": key.trait_tuple.bits, "act": key.proactive_act.value,
          "condition": key.condition, "n": cell.n,
          "request_counts": list(cell.request_counts),
-         "combos": [{**dataclasses.asdict(c), "difficulty_counts": list(c.difficulty_counts)}
-                    for c in cell.combos]}
+         "combos": [{"n": c.n, **{name: getattr(c, name) for name in _STAT_MIN},
+                     "difficulty_counts": list(c.difficulty_counts)} for c in cell.combos]}
         for key, cell in ((k, table.cells.get(k)) for k in _mode_keys(table.mode))
         if cell is not None
     ]

@@ -2,8 +2,9 @@
 
 A corpus holds one 12-step dialog per user. Every exchange records the
 agent's proactive act, the user's observable behavior for that task step,
-and the user's four self-reported trust annotations. Files are flat
-(one row per exchange, user columns denormalized); see CORPUS_COLUMNS.
+and the user's four self-reported trust annotations. A Corpus holds the
+exchanges as columns; files are flat (one row per exchange, user columns
+denormalized); see CORPUS_COLUMNS.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterator
@@ -24,8 +26,10 @@ from .errors import (
     EmptyCorpus,
     IncompleteDialog,
     InvalidConfig,
+    LengthMismatch,
     MissingColumn,
     StepOutOfRange,
+    TrustSimError,
     ValueOutOfRange,
 )
 from .sampling import RandomStream
@@ -68,6 +72,7 @@ ACT_ORDER = (
     ProactiveAct.INTERVENTION,
 )
 ACT_INDEX = {act: i for i, act in enumerate(ACT_ORDER)}
+GENDER_ORDER = (Gender.MALE, Gender.FEMALE, Gender.OTHER)
 
 
 def complexity_of_step(step: int) -> int:
@@ -88,50 +93,6 @@ def option_scores(complexity: int) -> tuple[float, ...]:
 
 def max_option_score(complexity: int) -> float:
     return OPTION_SCORE_UNIT * complexity
-
-
-def _check_likert(field_name: str, value) -> None:
-    # bool passes isinstance(int) but is never a valid rating
-    if isinstance(value, bool) or not isinstance(value, int) \
-            or not LIKERT_MIN <= value <= LIKERT_MAX:
-        raise ValueOutOfRange(field_name, value, detail="Likert value in 1..5")
-
-
-@dataclass(frozen=True)
-class Exchange:
-    """One user-agent turn: the atomic corpus record."""
-
-    dialog_id: str
-    step: int
-    complexity: int
-    proactive_act: ProactiveAct
-    game_score: float
-    help_request: bool
-    suggestion_request: bool
-    duration: float
-    difficulty: int
-    trust: int
-    competence: int
-    reliability: int
-    predictability: int
-
-    def __post_init__(self):
-        if not 1 <= self.step <= STEPS_PER_DIALOG:
-            raise ValueOutOfRange("step", self.step)
-        if self.complexity != complexity_of_step(self.step):
-            raise ValueOutOfRange(
-                "complexity", self.complexity,
-                detail=f"step {self.step} has complexity {complexity_of_step(self.step)}",
-            )
-        if self.game_score < 0:
-            raise ValueOutOfRange("game_score", self.game_score)
-        if not self.duration > MIN_DURATION_S:
-            raise ValueOutOfRange("duration", self.duration, detail="must exceed 20 s")
-        _check_likert("difficulty", self.difficulty)
-        _check_likert("trust", self.trust)
-        _check_likert("competence", self.competence)
-        _check_likert("reliability", self.reliability)
-        _check_likert("predictability", self.predictability)
 
 
 @dataclass(frozen=True)
@@ -171,32 +132,72 @@ SCALE_TRAITS = (
     "neuroticism",
 )
 
+# The fields of an exchange, in file order; a Corpus holds those from
+# proactive_act on as numpy columns.
+EXCHANGE_COLUMNS = ("dialog_id", "step", "complexity", "proactive_act", "game_score",
+                    "help_request", "suggestion_request", "duration", "difficulty",
+                    "trust", "competence", "reliability", "predictability")
+STORED_COLUMNS = EXCHANGE_COLUMNS[3:]
+LIKERT_COLUMNS = ("difficulty", "trust", "competence", "reliability", "predictability")
+# The closed range of each checked field, in the order a row is checked; a
+# float beyond the largest finite one is out. The loader checks complexity
+# as its difference from that of the step.
+_RANGES = {"age": (AGE_MIN, AGE_MAX), **dict.fromkeys(SCALE_TRAITS, (LIKERT_MIN, LIKERT_MAX)),
+           "step": (1, STEPS_PER_DIALOG), "complexity": (0, 0),
+           "proactive_act": (0, len(ACT_ORDER) - 1), "game_score": (0.0, sys.float_info.max),
+           **dict.fromkeys(("help_request", "suggestion_request"), (False, True)),
+           "duration": (DURATION_FLOOR_S, sys.float_info.max),
+           **dict.fromkeys(LIKERT_COLUMNS, (LIKERT_MIN, LIKERT_MAX))}
 
-@dataclass(frozen=True)
+
+def _out_of_range(name: str, column: np.ndarray) -> np.ndarray:
+    lo, hi = _RANGES[name]
+    return ~((lo <= column) & (column <= hi))
+
+
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """All users plus one complete 12-step dialog per user."""
+    """All users plus one complete 12-step dialog per user, in columns.
+
+    Row i of a column is user i // 12 at step i % 12 + 1: users in list
+    order, steps ascending. Each user has one dialog_id. Every other
+    exchange field is a read-only numpy column over the exchanges, the
+    act as its index into ACT_ORDER; step and complexity follow from the
+    order, so they are derived, not held."""
 
     users: tuple[UserRecord, ...]
-    dialogs: dict[str, tuple[Exchange, ...]]
+    dialog_id: tuple[str, ...]
+    proactive_act: np.ndarray
+    game_score: np.ndarray
+    help_request: np.ndarray
+    suggestion_request: np.ndarray
+    duration: np.ndarray
+    difficulty: np.ndarray
+    trust: np.ndarray
+    competence: np.ndarray
+    reliability: np.ndarray
+    predictability: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "users", tuple(self.users))
-        object.__setattr__(
-            self, "dialogs", {uid: tuple(exs) for uid, exs in self.dialogs.items()}
-        )
-        ids = [u.user_id for u in self.users]
+        users = tuple(self.users)
+        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "dialog_id", tuple(self.dialog_id))
+        ids = [u.user_id for u in users]
         if len(set(ids)) != len(ids):
             raise ValueOutOfRange("user_id", "duplicate", detail="user ids must be unique")
-        if set(self.dialogs) != set(ids):
-            missing = set(ids).symmetric_difference(self.dialogs)
-            raise IncompleteDialog(sorted(missing)[0] if missing else "?",
-                                   "users and dialogs must match 1:1")
-        for uid, exchanges in self.dialogs.items():
-            if len(exchanges) != STEPS_PER_DIALOG:
-                raise IncompleteDialog(uid, f"{len(exchanges)} exchanges, need 12")
-            for i, ex in enumerate(exchanges, start=1):
-                if ex.step != i:
-                    raise IncompleteDialog(uid, f"steps out of order at position {i}")
+        if len(self.dialog_id) != len(users):
+            raise LengthMismatch(f"{len(self.dialog_id)} dialog ids for {len(users)} users")
+        n = len(users) * STEPS_PER_DIALOG
+        for name in STORED_COLUMNS:
+            column = np.array(getattr(self, name), dtype=_DTYPES[name])
+            if column.shape != (n,):
+                raise LengthMismatch(f"{name} holds {column.size} values; "
+                                     f"{len(users)} dialogs have {n} exchanges")
+            bad = _out_of_range(name, column)
+            if bad.any():
+                raise ValueOutOfRange(name, column[bad][0].item())
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def n_dialogs(self) -> int:
@@ -204,19 +205,27 @@ class Corpus:
 
     @property
     def exchange_count(self) -> int:
-        return sum(len(d) for d in self.dialogs.values())
+        return len(self.users) * STEPS_PER_DIALOG
 
-    def iter_exchanges(self) -> Iterator[tuple[UserRecord, Exchange]]:
-        """(user, exchange) pairs in canonical order: user list order, steps ascending."""
-        for user in self.users:
-            for ex in self.dialogs[user.user_id]:
-                yield user, ex
+    @property
+    def step(self) -> np.ndarray:
+        return np.tile(np.arange(1, STEPS_PER_DIALOG + 1), len(self.users))
+
+    @property
+    def complexity(self) -> np.ndarray:
+        return 3 + (self.step - 1) % 3  # complexity_of_step
+
+    def __eq__(self, other):
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (self.users == other.users and self.dialog_id == other.dialog_id
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in STORED_COLUMNS))
 
 
 # --- flat file schema -------------------------------------------------------
 
 USER_COLUMNS = ("user_id", "age", "gender") + SCALE_TRAITS
-EXCHANGE_COLUMNS = tuple(f.name for f in fields(Exchange))
 CORPUS_COLUMNS = USER_COLUMNS + EXCHANGE_COLUMNS
 
 def _parse_bool(raw):
@@ -247,29 +256,35 @@ def _parse_float(raw):
     return value
 
 
-def _parse_gender(raw):
-    return Gender(str(raw).strip().lower())
+def _parse_gender(raw):  # its index in GENDER_ORDER
+    return GENDER_ORDER.index(Gender(str(raw).strip().lower()))
 
 
-def _parse_act(raw):
-    return ProactiveAct(str(raw).strip())
+def _parse_act(raw):  # its index in ACT_ORDER
+    return ACT_INDEX[ProactiveAct(str(raw).strip())]
 
 
-# One parser per flat-file column: raw file value -> typed value.
+_INT_COLUMNS = ("age", "step", "complexity") + LIKERT_COLUMNS
+# One parser per flat-file column: raw file value -> typed value, an enum
+# as its index.
 _PARSERS = {
     "user_id": str,
     "dialog_id": str,
     "gender": _parse_gender,
     "proactive_act": _parse_act,
     **dict.fromkeys(("help_request", "suggestion_request"), _parse_bool),
-    **dict.fromkeys(("age", "step", "complexity", "difficulty", "trust",
-                     "competence", "reliability", "predictability"), _parse_int),
+    **dict.fromkeys(_INT_COLUMNS, _parse_int),
     **dict.fromkeys(SCALE_TRAITS + ("game_score", "duration"), _parse_float),
 }
 _PARSE_ERRORS = (ValueError, TypeError, OverflowError)
-_USER_PARSERS = tuple(_PARSERS[name] for name in USER_COLUMNS)
-_EXCHANGE_PARSERS = tuple(_PARSERS[name] for name in EXCHANGE_COLUMNS)
-_N_USER = len(USER_COLUMNS)
+
+
+# The dtype of each column, loaded and in a Corpus: ids as int64 codes and
+# enums as int64 indexes.
+_DTYPES = {name: {_parse_float: np.float64, _parse_bool: bool}.get(parse, np.int64)
+           for name, parse in _PARSERS.items()}
+_USER_VALUES = USER_COLUMNS[1:]  # what each row of a user repeats
+_ROW_FIELDS = ("unparsed", *CORPUS_COLUMNS)
 
 
 def _parse_field(name: str, raw, row: int):
@@ -280,15 +295,58 @@ def _parse_field(name: str, raw, row: int):
         raise ValueOutOfRange(name, raw, row=row, detail=str(exc)) from exc
 
 
-def _parse_cells(names, parsers, cells, row: int) -> list:
-    """Typed values of one row's cells; the first bad cell raises."""
+def _parse_column(name: str, cells, text: bool) -> tuple:
+    """One column's cells parsed at once, and the mask of those that do not
+    parse, held as 0 (None where all parse). Text cells, as all CSV cells
+    are, parse alike when equal, so each distinct one is parsed once;
+    floats, mostly distinct, go through `float` and an array check of
+    finiteness. JSON values are parsed one by one: 1, 1.0 and true are one
+    dict key but different input."""
+    parse, dtype = _PARSERS[name], _DTYPES[name]
     try:
-        return [parse(cell) for parse, cell in zip(parsers, cells)]
+        if text and dtype is np.float64:
+            values = np.fromiter(map(float, cells), dtype, len(cells))
+            if np.isfinite(values).all():
+                return values, None
+        else:
+            if text:
+                parse = {cell: parse(cell) for cell in set(cells)}.__getitem__
+            if name in ("user_id", "dialog_id"):  # str never fails
+                return list(map(parse, cells)), None
+            return np.fromiter(map(parse, cells), dtype, len(cells)), None
     except _PARSE_ERRORS:
-        # re-run cell by cell, so the error names the first bad field
-        for name, cell in zip(names, cells):
-            _parse_field(name, cell, row)
-        raise
+        pass
+    values, bad = np.zeros(len(cells), dtype), np.zeros(len(cells), dtype=bool)
+    for i, cell in enumerate(cells):
+        try:
+            value = _PARSERS[name](cell)
+        except _PARSE_ERRORS:
+            bad[i] = True
+        else:  # an int beyond these is out of every range, and stays out
+            values[i] = min(max(value, -2 ** 62), 2 ** 62) if dtype is np.int64 else value
+    return values, bad
+
+
+def _parse_rows(rows: list, text: bool, users: dict, dialogs: dict) -> dict:
+    """The rows' columns parsed, the user and dialog ids as their numbers
+    in users and dialogs, and under "unparsed" the index in CORPUS_COLUMNS
+    of each row's first cell that does not parse (all of them for none)."""
+    values = {"unparsed": np.full(len(rows), len(CORPUS_COLUMNS))}
+    for j, (name, cells) in enumerate(zip(CORPUS_COLUMNS, zip(*rows))):
+        values[name], bad = _parse_column(name, cells, text)
+        if bad is not None:
+            values["unparsed"][bad & (values["unparsed"] > j)] = j
+    for name, index in (("user_id", users), ("dialog_id", dialogs)):
+        for key in dict.fromkeys(values[name]):  # new ids numbered in order
+            index.setdefault(key, len(index))
+        values[name] = np.fromiter(map(index.__getitem__, values[name]), np.int64, len(rows))
+    return values
+
+
+# The checks of a parsed row, in the order each row is checked: a cell that
+# does not parse, the ranges, user values that differ from those of the
+# user's first row (named user_id), then a second dialog_id for the user.
+_ROW_CHECKS = ("unparsed", *_RANGES, "user_id", "dialog_id")
 
 
 def _infer_format(path: Path) -> str:
@@ -299,8 +357,10 @@ def _infer_format(path: Path) -> str:
     return file_format
 
 
-def _read_rows(path: Path, file_format: str) -> Iterator[tuple]:
-    """Data rows as tuples of raw cells in CORPUS_COLUMNS order.
+def _read_rows(path: Path, file_format: str) -> Iterator:
+    """Data rows as tuples of raw cells in CORPUS_COLUMNS order, then the
+    error that ended the reading, if one did: yielded, not raised, so that
+    the rows before it are checked first.
 
     CSV rows are streamed; blank lines are skipped and not counted. The
     file is decoded as it is read, so a byte that is not UTF-8 surfaces
@@ -309,8 +369,10 @@ def _read_rows(path: Path, file_format: str) -> Iterator[tuple]:
     try:
         yield from _decoded_rows(path, file_format)
     except UnicodeDecodeError as exc:
-        raise ValueOutOfRange("file", str(path), detail=f"not UTF-8: byte "
-                              f"{exc.object[exc.start]:#04x} ({exc.reason})") from exc
+        yield ValueOutOfRange("file", str(path), detail=f"not UTF-8: byte "
+                              f"{exc.object[exc.start]:#04x} ({exc.reason})")
+    except (TrustSimError, csv.Error) as exc:
+        yield exc
 
 
 def _decoded_rows(path: Path, file_format: str) -> Iterator[tuple]:
@@ -358,54 +420,82 @@ def _decoded_rows(path: Path, file_format: str) -> Iterator[tuple]:
     yield from map(itemgetter(*CORPUS_COLUMNS), rows)
 
 
+# Rows parsed at a time: the loader holds the raw cells of one block, not
+# of the whole file.
+_BLOCK_ROWS = 512
+
+
 def load_corpus(path) -> Corpus:
     """Load and validate a corpus from a CSV or JSONL file, by its suffix.
 
     Rows are grouped by user_id; each user must contribute exactly the
     steps 1..12 of one dialog_id. Row numbers in errors are 1-based data
-    rows.
+    rows. The file is parsed column by column, a block of rows at a time,
+    and checked with array masks, but the error raised is that of the first
+    failing row, as if the rows were checked one by one: a cell that does
+    not parse, in CORPUS_COLUMNS order, then _ROW_CHECKS. Whole dialogs are
+    checked after every row, users in order of first appearance.
     """
     path = Path(path)
     file_format = _infer_format(path)
+    rows = _read_rows(path, file_format)
+    users, dialogs, failure = {}, {}, None
+    parts = [{name: np.empty(0, _DTYPES.get(name, np.int64)) for name in _ROW_FIELDS}]
+    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
+        if not isinstance(block[-1], tuple):  # the error that ended the reading
+            failure = block.pop()
+        if block:
+            parts.append(_parse_rows(block, file_format == "csv", users, dialogs))
 
-    users: list[UserRecord] = []
-    # user_id -> (raw user cells of the user's first row, its record). Equal
-    # text parses to equal values, so a later row with the same text reuses
-    # the record. JSON numbers are kept out (1 == 1.0 == True in Python).
-    firsts: dict[str, tuple] = {}
-    dialogs: dict[str, list[Exchange]] = {}
-    for i, raw in enumerate(_read_rows(path, file_format), start=1):
-        raw_user = raw[:_N_USER]
-        first = firsts.get(str(raw[0]))  # str is the user_id parser
-        reuse = first is not None and first[0] == raw_user
-        # fields parse in column order, then the records validate, so a
-        # row's first bad field is the one reported
-        if not reuse:
-            user_values = _parse_cells(USER_COLUMNS, _USER_PARSERS, raw_user, i)
-        values = _parse_cells(EXCHANGE_COLUMNS, _EXCHANGE_PARSERS, raw[_N_USER:], i)
-        try:
-            user = first[1] if reuse else UserRecord(*user_values)
-            exchange = Exchange(*values)
-        except ValueOutOfRange as exc:
-            raise ValueOutOfRange(exc.field, exc.value, row=i) from exc
-        uid = user.user_id
-        if uid not in dialogs:
-            text = raw_user if all(type(cell) is str for cell in raw_user) else None
-            firsts[uid] = (text, user)
-            users.append(user)
-            dialogs[uid] = []
-        elif not reuse and firsts[uid][1] != user:
-            raise ValueOutOfRange("user_id", uid, row=i,
+    # every row before the failure, checked at once
+    v = {name: np.concatenate([part[name] for part in parts]) for name in _ROW_FIELDS}
+    owner, step, dialog = v["user_id"], v["step"], v["dialog_id"]
+    heads = np.unique(owner, return_index=True)[1]  # each user's first row
+    first = heads[owner]
+    v["complexity"] = v["complexity"] - (3 + (step - 1) % 3)
+    failed = np.stack([v["unparsed"] < len(CORPUS_COLUMNS),
+                       *(_out_of_range(name, v[name]) for name in _RANGES),
+                       np.any([v[name][first] != v[name] for name in _USER_VALUES], axis=0),
+                       dialog[first] != dialog])
+    uids, dialog_ids = list(users), list(dialogs)
+    if failed.any():
+        i = int(failed.any(axis=0).argmax())
+        name, uid = _ROW_CHECKS[int(failed[:, i].argmax())], uids[owner[i]]
+        if name == "user_id":
+            raise ValueOutOfRange("user_id", uid, row=i + 1,
                                   detail="user columns differ between rows")
-        elif dialogs[uid][0].dialog_id != exchange.dialog_id:
-            raise ValueOutOfRange("dialog_id", exchange.dialog_id, row=i,
+        if name == "dialog_id":
+            raise ValueOutOfRange("dialog_id", dialog_ids[dialog[i]], row=i + 1,
                                   detail=f"user {uid!r} already has dialog "
-                                         f"{dialogs[uid][0].dialog_id!r}")
-        dialogs[uid].append(exchange)
+                                         f"{dialog_ids[dialog[first[i]]]!r}")
+        if name == "unparsed":
+            name = CORPUS_COLUMNS[v["unparsed"][i]]
+        raw = next(islice(_read_rows(path, file_format), i, None))
+        # raises where the cell does not parse; else the exact value is out of range
+        value = _parse_field(name, raw[CORPUS_COLUMNS.index(name)], i + 1)
+        raise ValueOutOfRange(name, value, row=i + 1)
+    if failure is not None:
+        raise failure
 
-    for dialog in dialogs.values():
-        dialog.sort(key=attrgetter("step"))
-    return Corpus(users=tuple(users), dialogs=dialogs)
+    counts = np.bincount(owner, minlength=len(uids))
+    order = np.lexsort((step, owner))
+    owners = owner[order]
+    # each dialog, its rows sorted by step, must hold the steps 1..12
+    position = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    misplaced = step[order] != position
+    broken = counts != STEPS_PER_DIALOG
+    broken[owners[misplaced]] = True
+    if broken.any():
+        u = int(broken.argmax())
+        raise IncompleteDialog(uids[u], f"{counts[u]} exchanges, need 12"
+                               if counts[u] != STEPS_PER_DIALOG else
+                               f"steps out of order at position "
+                               f"{position[misplaced & (owners == u)][0]}")
+    user_values = [v[name][heads].tolist() for name in _USER_VALUES]
+    user_values[1] = list(map(GENDER_ORDER.__getitem__, user_values[1]))
+    return Corpus(users=tuple(map(UserRecord, uids, *user_values)),
+                  dialog_id=[dialog_ids[d] for d in dialog[heads].tolist()],
+                  **{name: v[name][order] for name in STORED_COLUMNS})
 
 
 def format_cells(column) -> list:
@@ -451,11 +541,17 @@ def save_corpus(corpus: Corpus, path) -> None:
     text; JSON lines keep numbers and booleans and write enums by value."""
     path = Path(path)
     file_format = _infer_format(path)
-    exchanges = [ex for user in corpus.users for ex in corpus.dialogs[user.user_id]]
     columns = []
     for name in CORPUS_COLUMNS:
-        per_user = name in USER_COLUMNS
-        values = list(map(attrgetter(name), corpus.users if per_user else exchanges))
+        per_user = name not in EXCHANGE_COLUMNS[1:]  # a user column or dialog_id
+        if name == "dialog_id":
+            values = list(corpus.dialog_id)
+        elif per_user:
+            values = list(map(attrgetter(name), corpus.users))
+        else:
+            values = getattr(corpus, name).tolist()
+        if name == "proactive_act":
+            values = list(map(ACT_ORDER.__getitem__, values))
         if file_format == "csv" or name in ("gender", "proactive_act"):
             values = format_cells(values)
         # a user's cells are made once, then repeated for each exchange
@@ -481,12 +577,14 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
         raise InvalidConfig(f"train_fraction must be in (0,1), got {train_fraction}")
     n_train = math.floor(train_fraction * corpus.n_dialogs)
     perm = RandomStream(seed, "split").permutation(corpus.n_dialogs)
-    train_ids = {corpus.users[i].user_id for i in perm[:n_train]}
+    train = np.zeros(corpus.n_dialogs, dtype=bool)
+    train[perm[:n_train]] = True
 
-    def subset(keep: set[str]) -> Corpus:
-        users = tuple(u for u in corpus.users if u.user_id in keep)
-        dialogs = {u.user_id: corpus.dialogs[u.user_id] for u in users}
-        return Corpus(users=users, dialogs=dialogs)
+    def subset(keep: np.ndarray) -> Corpus:
+        picked = np.flatnonzero(keep).tolist()
+        rows = np.repeat(keep, STEPS_PER_DIALOG)
+        return Corpus(users=[corpus.users[i] for i in picked],
+                      dialog_id=[corpus.dialog_id[i] for i in picked],
+                      **{name: getattr(corpus, name)[rows] for name in STORED_COLUMNS})
 
-    test_ids = {u.user_id for u in corpus.users} - train_ids
-    return subset(train_ids), subset(test_ids)
+    return subset(train), subset(~train)

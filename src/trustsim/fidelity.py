@@ -21,6 +21,7 @@ from .behavior_tables import (
     build_table,
 )
 from .corpus import (
+    ACT_ORDER,
     COMPLEXITY_LEVELS,
     Corpus,
     DURATION_HI,
@@ -130,7 +131,7 @@ def estimate_distribution(values, measure: Measure) -> np.ndarray:
     return probs / probs.sum()
 
 
-# The field each measure reads: an Exchange attribute and a SimulatedLog column.
+# The column each measure reads, of a Corpus and of a SimulatedLog.
 _MEASURE_FIELDS = {
     Measure.GAME_SCORE: "game_score",
     Measure.DURATION: "duration",
@@ -192,15 +193,15 @@ class FidelityReport:
 def evaluate_simulator(reference: Corpus, simulated: SimulatedLog,
                        mode_tag: str) -> FidelityReport:
     """Distances between the reference corpus and an aligned replay log."""
-    pairs = list(reference.iter_exchanges())
-    if len(pairs) != len(simulated):
-        raise AlignmentError(
-            f"{len(pairs)} exchanges vs {len(simulated)} simulated records"
-        )
-    for (user, ex), user_id, step, act in zip(pairs, simulated.user_id,
-                                              simulated.step.tolist(),
-                                              simulated.proactive_act):
-        if (user.user_id, ex.step, ex.proactive_act) != (user_id, step, act):
+    if reference.exchange_count != len(simulated):
+        raise AlignmentError(f"{reference.exchange_count} exchanges vs "
+                             f"{len(simulated)} simulated records")
+    expected = zip([u.user_id for u in reference.users for _ in range(STEPS_PER_DIALOG)],
+                   reference.step.tolist(), map(ACT_ORDER.__getitem__,
+                                                reference.proactive_act.tolist()))
+    for want, (user_id, step, act) in zip(expected, zip(
+            simulated.user_id, simulated.step.tolist(), simulated.proactive_act)):
+        if want != (user_id, step, act):
             raise AlignmentError(f"record for {user_id}/step {step} out of order")
 
     # aligned, so the log's steps group the real exchanges too
@@ -209,7 +210,7 @@ def evaluate_simulator(reference: Corpus, simulated: SimulatedLog,
     per_step_mse = {}
     for measure in MEASURES:
         name = _MEASURE_FIELDS[measure]
-        real = np.array([getattr(ex, name) for _, ex in pairs], dtype=float)
+        real = np.asarray(getattr(reference, name), dtype=float)
         sim = np.asarray(getattr(simulated, name), dtype=float)
         kls, mses = [], []
         for rows in at_step:

@@ -36,7 +36,7 @@ from .behavior_tables import (
     resolve_combo_stats,
 )
 from .corpus import (
-    ACT_INDEX,
+    ACT_ORDER,
     Corpus,
     DURATION_FLOOR_S,
     DURATION_HI,
@@ -219,17 +219,10 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     values were checked when it was built or loaded, so no draw can fail.
     """
     users = corpus.users
-    dialogs = [corpus.dialogs[user.user_id] for user in users]
-    owner = np.repeat(np.arange(len(users)), [len(d) for d in dialogs])
-    exchanges = [ex for dialog in dialogs for ex in dialog]
-    dialog_id = [ex.dialog_id for ex in exchanges]
-    step = np.array([ex.step for ex in exchanges], dtype=np.int64)
-    complexity = np.array([ex.complexity for ex in exchanges], dtype=np.int64)
-    acts = [ex.proactive_act for ex in exchanges]
-
+    owner = np.repeat(np.arange(len(users)), STEPS_PER_DIALOG)
+    step, complexity, act = corpus.step, corpus.complexity, corpus.proactive_act
     trait = np.array([binarize_traits(user).index for user in users],
                      dtype=np.int64)[owner]
-    act = np.array([ACT_INDEX[a] for a in acts], dtype=np.int64)
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
     code = key_code(table.mode, trait, act, condition)
     request_cum, key_fallback, rows = map(np.array, _compile_table(table))
@@ -256,8 +249,10 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
 
     flags = _COMBO_FLAGS[combo]
     return SimulatedLog(
-        user_id=[users[j].user_id for j in owner.tolist()],
-        dialog_id=dialog_id, step=step, complexity=complexity, proactive_act=acts,
+        user_id=[user.user_id for user in users for _ in range(STEPS_PER_DIALOG)],
+        dialog_id=[d for d in corpus.dialog_id for _ in range(STEPS_PER_DIALOG)],
+        step=step, complexity=complexity,
+        proactive_act=list(map(ACT_ORDER.__getitem__, act.tolist())),
         game_score=game_score, help_request=flags[:, 0], suggestion_request=flags[:, 1],
         duration=duration, difficulty=difficulty, used_fallback=key_fallback[code],
     )

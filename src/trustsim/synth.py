@@ -23,16 +23,16 @@ from .corpus import (
     Corpus,
     DURATION_FLOOR_S,
     DURATION_HI,
-    Exchange,
     LIKERT_MAX,
     LIKERT_MIN,
     MIN_DURATION_S,
     ProactiveAct,
     STEPS_PER_DIALOG,
+    STORED_COLUMNS,
     complexity_of_step,
     option_scores,
 )
-from .errors import InvalidBounds, InvalidConfig, object_entry
+from .errors import InvalidBounds, InvalidConfig, ValueOutOfRange, object_entry
 from .sampling import (
     RandomStream,
     categoricals,
@@ -334,9 +334,9 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     streams are counter-based, so the twelve steps are drawn in turn, each
     for every user at once: the stream keys and draws as uint64 arrays, the
     process's per-step parameters as tables gathered by trait code, and
-    only `inv_cdf` per element. Rows are then built dialog by dialog and
-    step by step, each with its full validation, so a bad config raises
-    the error that drawing one dialog at a time would meet first.
+    only `inv_cdf` per element. The per-step arrays become the corpus's
+    columns, and a bad config raises the error that drawing one dialog at a
+    time would meet first.
     """
     if type(seed) is bool or not isinstance(seed, int):  # bool is no seed
         raise InvalidConfig(f"seed must be an integer, got {seed!r}")
@@ -365,9 +365,7 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     except OverflowError as exc:
         raise InvalidConfig(f"process coefficients overflow a float: {exc}") from exc
 
-    # per step: an iterator over the users' rows, each in Exchange field
-    # order after complexity
-    steps = []
+    steps = []  # per step, each field's values for every user
     for step in range(1, STEPS_PER_DIALOG + 1):
         keys = child_keys(step_keys, _STEP_BITS[step])
 
@@ -401,23 +399,26 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
         # clamped before the cast to int, so a noise draw that overflows to
         # +-inf gives a 1 or a 5
         with np.errstate(over="ignore"):
-            annotations = [
-                np.floor(np.minimum(np.maximum(
+            annotations = {
+                name: np.floor(np.minimum(np.maximum(
                     latent + proc.trust_noise_sd * standard_normals(first_uniforms(field(name)))
-                    + 0.5, LIKERT_MIN), LIKERT_MAX)).astype(np.int64).tolist()
-                for name in TRUST_FIELDS]
+                    + 0.5, LIKERT_MIN), LIKERT_MAX))
+                for name in TRUST_FIELDS}
+        steps.append(dict(proactive_act=act, game_score=game_score, help_request=help_req,
+                          suggestion_request=sugg_req, duration=duration,
+                          difficulty=difficulty, **annotations))
 
-        rows = zip([ACT_ORDER[a] for a in act.tolist()], game_score.tolist(),
-                   help_req.tolist(), sugg_req.tolist(), duration.tolist(),
-                   difficulty.tolist(), *annotations)
-        steps.append((step, k, rows, t.difficulty_errors))
-
-    dialogs = {}
-    for i, uid in enumerate(uids):
-        dialog_id, exchanges = f"d{i:04d}", []
-        for step, k, rows, errors in steps:
-            if codes[i] in errors:
-                raise errors[codes[i]]
-            exchanges.append(Exchange(dialog_id, step, k, *next(rows)))
-        dialogs[uid] = exchanges
-    return Corpus(users=tuple(users), dialogs=dialogs)
+    # a (user, step) fails on a difficulty pmf that is no categorical, then
+    # on a nan duration; the first in dialog order raises
+    duration = np.stack([values["duration"] for values in steps], axis=1)
+    failed = ~(duration > MIN_DURATION_S)
+    for s, table in enumerate(tables):
+        failed[:, s] |= [c in table.difficulty_errors for c in codes]
+    if failed.any():
+        i, s = divmod(int(failed.argmax()), STEPS_PER_DIALOG)
+        if codes[i] in tables[s].difficulty_errors:
+            raise tables[s].difficulty_errors[codes[i]]
+        raise ValueOutOfRange("duration", duration[i, s].item(), detail="must exceed 20 s")
+    return Corpus(users=users, dialog_id=[f"d{i:04d}" for i in range(len(uids))],
+                  **{name: np.stack([values[name] for values in steps], axis=1).ravel()
+                     for name in STORED_COLUMNS})

@@ -23,7 +23,6 @@ from operator import attrgetter
 import numpy as np
 
 from .corpus import (
-    ACT_INDEX,
     ACT_ORDER,
     AGE_MAX,
     COMPLEXITY_LEVELS,
@@ -126,7 +125,7 @@ def _act_onehot(act: ProactiveAct) -> list:
 
 
 # The three blocks of a feature row. A turn is anything with the observed
-# fields: a TurnContext, an Exchange or a simulated turn.
+# fields: a TurnContext or a simulated turn.
 
 def _profile_block(profile: UserProfile) -> list:
     return [float(profile.age),
@@ -203,19 +202,14 @@ class DialogFeatures:
 
 # Column layout of corpus_to_dataset, in FEATURE_NAMES order.
 _PROFILE_TRAITS = attrgetter(*SCALE_TRAITS)
-_TURN_FIELDS = attrgetter("complexity", "step", "difficulty", "duration",
-                          "game_score", "help_request", "suggestion_request")
-_RATINGS = attrgetter("trust", "competence", "reliability", "predictability")
+_TURN_FIELDS = ("complexity", "step", "difficulty", "duration", "game_score",
+                "help_request", "suggestion_request")
 _PROFILE_END = FEATURE_NAMES.index(f"act={ACT_ORDER[0].value}")
 _TURN_END = FEATURE_NAMES.index(f"lag1:act={ACT_ORDER[0].value}")
 _LAG_WIDTH = (N_FEATURES - _TURN_END) // LAG_WINDOW
 # turn-block column of each lag column but the last (the trust label)
 _LAG_FROM_TURN = [FEATURE_NAMES.index(name.removeprefix("lag1:")) - _PROFILE_END
                   for name in FEATURE_NAMES[_TURN_END:_TURN_END + _LAG_WIDTH - 1]]
-
-
-def _float_rows(getter, items, width: int) -> np.ndarray:
-    return np.array([getter(item) for item in items], dtype=float).reshape(len(items), width)
 
 
 def corpus_to_dataset(corpus: Corpus) -> tuple:
@@ -228,22 +222,21 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
     `extract_features` on every exchange.
     """
     users = corpus.users
-    exchanges = [ex for user in users for ex in corpus.dialogs[user.user_id]]
-    n = len(exchanges)
-    ratings = _float_rows(_RATINGS, exchanges, 4)
-    # combine_trust_target's arithmetic; Exchange has checked the 1..5 range
-    labels = np.floor(ratings.sum(axis=1) / 4.0 + 0.5)
+    n = corpus.exchange_count
+    # combine_trust_target's arithmetic; Corpus has checked the 1..5 range
+    labels = np.floor((corpus.trust + corpus.competence + corpus.reliability
+                       + corpus.predictability) / 4.0 + 0.5)
 
     profile = np.zeros((len(users), _PROFILE_END))
     profile[:, 0] = [u.age for u in users]
     profile[np.arange(len(users)), [1 + GENDER_ORDER.index(u.gender) for u in users]] = 1.0
-    profile[:, 1 + len(GENDER_ORDER):] = _float_rows(_PROFILE_TRAITS, users,
-                                                     len(SCALE_TRAITS))
+    profile[:, 1 + len(GENDER_ORDER):] = np.array(
+        [_PROFILE_TRAITS(u) for u in users], dtype=float).reshape(len(users), len(SCALE_TRAITS))
 
     turn = np.zeros((n, _TURN_END - _PROFILE_END))
-    turn[np.arange(n), [ACT_INDEX[ex.proactive_act] for ex in exchanges]] = 1.0
-    turn[:, len(ACT_ORDER):] = _float_rows(_TURN_FIELDS, exchanges,
-                                           turn.shape[1] - len(ACT_ORDER))
+    turn[np.arange(n), corpus.proactive_act] = 1.0
+    for j, name in enumerate(_TURN_FIELDS, start=len(ACT_ORDER)):
+        turn[:, j] = getattr(corpus, name)
     lag = np.concatenate([turn[:, _LAG_FROM_TURN], labels[:, None]], axis=1)
     lag = lag.reshape(len(users), STEPS_PER_DIALOG, _LAG_WIDTH)
 

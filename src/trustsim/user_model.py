@@ -19,8 +19,8 @@ import numpy as np
 from .corpus import (
     AGE_MAX,
     AGE_MIN,
+    GENDER_ORDER,
     Corpus,
-    Gender,
     LIKERT_MAX,
     LIKERT_MIN,
     SCALE_TRAITS,
@@ -43,8 +43,6 @@ from .sampling import (
 
 # A trait counts as "high" strictly above the Likert midpoint (3.0 -> low).
 LIKERT_BINARY_THRESHOLD = 3.0
-
-GENDER_ORDER = (Gender.MALE, Gender.FEMALE, Gender.OTHER)
 
 # UserProfile shares fields and invariants with an observed UserRecord;
 # the only difference is provenance (sampled vs measured).

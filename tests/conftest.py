@@ -8,7 +8,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,28 +19,31 @@ import pytest
 from trustsim import simulator
 from trustsim.behavior_tables import (
     REQUEST_COMBOS,
+    TABLE_FORMAT,
     CellStats,
     ComboStats,
     ContextKey,
     TableMode,
     _mode_keys,
-    combo_index,
     lookup,
     resolve_combo_stats,
 )
 from trustsim.corpus import (
+    ACT_INDEX,
     ACT_ORDER,
     CORPUS_COLUMNS,
     Corpus,
     DURATION_FLOOR_S,
     EXCHANGE_COLUMNS,
-    Exchange,
+    GENDER_ORDER,
     Gender,
     LIKERT_MAX,
     LIKERT_MIN,
     MIN_DURATION_S,
     OPTION_SCORE_UNIT,
     ProactiveAct,
+    STEPS_PER_DIALOG,
+    STORED_COLUMNS,
     USER_COLUMNS,
     UserRecord,
     _infer_format,
@@ -51,10 +54,12 @@ from trustsim.corpus import (
     write_csv_rows,
 )
 from trustsim.errors import (
+    IncompleteDialog,
     InvalidConfig,
     MissingColumn,
     NoDataForCondition,
     ValueOutOfRange,
+    write_json,
 )
 from trustsim.rl_env import (
     N_ACTIONS,
@@ -84,6 +89,102 @@ from trustsim.trust_model import (
     predict_trust,
 )
 from trustsim.user_model import ALL_TRAIT_TUPLES, binarize_traits, sample_user
+
+
+def combo_index(help_request: bool, suggestion_request: bool) -> int:
+    """The index in REQUEST_COMBOS of a request combination."""
+    return REQUEST_COMBOS.index((bool(help_request), bool(suggestion_request)))
+
+
+def _check_likert(field_name: str, value) -> None:
+    # bool passes isinstance(int) but is never a valid rating
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or not LIKERT_MIN <= value <= LIKERT_MAX:
+        raise ValueOutOfRange(field_name, value, detail="Likert value in 1..5")
+
+
+@dataclass(frozen=True)
+class Exchange:
+    """One user-agent turn in row form, checked as a record: the form the
+    columnar Corpus replaced, kept for the row-wise oracles below."""
+
+    dialog_id: str
+    step: int
+    complexity: int
+    proactive_act: ProactiveAct
+    game_score: float
+    help_request: bool
+    suggestion_request: bool
+    duration: float
+    difficulty: int
+    trust: int
+    competence: int
+    reliability: int
+    predictability: int
+
+    def __post_init__(self):
+        if not 1 <= self.step <= STEPS_PER_DIALOG:
+            raise ValueOutOfRange("step", self.step)
+        if self.complexity != complexity_of_step(self.step):
+            raise ValueOutOfRange(
+                "complexity", self.complexity,
+                detail=f"step {self.step} has complexity {complexity_of_step(self.step)}",
+            )
+        if self.game_score < 0:
+            raise ValueOutOfRange("game_score", self.game_score)
+        if not self.duration > MIN_DURATION_S:
+            raise ValueOutOfRange("duration", self.duration, detail="must exceed 20 s")
+        _check_likert("difficulty", self.difficulty)
+        _check_likert("trust", self.trust)
+        _check_likert("competence", self.competence)
+        _check_likert("reliability", self.reliability)
+        _check_likert("predictability", self.predictability)
+
+
+def corpus_from_rows(users, dialogs) -> Corpus:
+    """The Corpus of users and a dict of their dialogs as Exchange rows,
+    checked as the row-form Corpus checked them: users and dialogs 1:1,
+    each dialog the steps 1..12 in order. A user's dialog_id is that of
+    the first exchange."""
+    users = tuple(users)
+    ids = [u.user_id for u in users]
+    if len(set(ids)) != len(ids):
+        raise ValueOutOfRange("user_id", "duplicate", detail="user ids must be unique")
+    if set(dialogs) != set(ids):
+        missing = set(ids).symmetric_difference(dialogs)
+        raise IncompleteDialog(sorted(missing)[0], "users and dialogs must match 1:1")
+    for uid, exchanges in dialogs.items():
+        if len(exchanges) != STEPS_PER_DIALOG:
+            raise IncompleteDialog(uid, f"{len(exchanges)} exchanges, need 12")
+        for i, ex in enumerate(exchanges, start=1):
+            if ex.step != i:
+                raise IncompleteDialog(uid, f"steps out of order at position {i}")
+    rows = [ex for uid in ids for ex in dialogs[uid]]
+    columns = {name: [getattr(ex, name) for ex in rows] for name in STORED_COLUMNS}
+    columns["proactive_act"] = [ACT_INDEX[act] for act in columns["proactive_act"]]
+    return Corpus(users=users, dialog_id=[dialogs[uid][0].dialog_id for uid in ids],
+                  **columns)
+
+
+def exchanges_of(corpus) -> list:
+    """(user, Exchange) pairs in the corpus's canonical order: user order,
+    steps ascending."""
+    columns = {name: getattr(corpus, name).tolist()
+               for name in ("step", "complexity") + STORED_COLUMNS}
+    columns["proactive_act"] = [ACT_ORDER[a] for a in columns["proactive_act"]]
+    names = EXCHANGE_COLUMNS[1:]
+    return [(corpus.users[i // STEPS_PER_DIALOG],
+             Exchange(corpus.dialog_id[i // STEPS_PER_DIALOG],
+                      *(columns[name][i] for name in names)))
+            for i in range(corpus.exchange_count)]
+
+
+def dialogs_of(corpus) -> dict:
+    """Each user's dialog as a tuple of Exchange rows, by user_id."""
+    pairs = exchanges_of(corpus)
+    return {user.user_id: tuple(ex for _, ex in pairs[i * STEPS_PER_DIALOG:
+                                                       (i + 1) * STEPS_PER_DIALOG])
+            for i, user in enumerate(corpus.users)}
 
 
 def analytic_truncated_mean(mean, sd, lo, hi):
@@ -139,15 +240,14 @@ def reference_build_table(corpus, mode) -> tuple:
     np.mean and np.std. Returns the (cells, fallback_cells,
     condition_cells) maps."""
     maps = ({}, {}, {})
-    for user in corpus.users:
+    for user, ex in exchanges_of(corpus):
         traits = binarize_traits(user)
-        for ex in corpus.dialogs[user.user_id]:
-            cond = ex.complexity if mode is TableMode.COMPLEXITY_BASED else ex.step
-            idx = combo_index(ex.help_request, ex.suggestion_request)
-            for groups, key in zip(maps, (ContextKey(traits, ex.proactive_act, cond),
-                                          (ex.proactive_act, cond), cond)):
-                rows = groups.setdefault(key, [[] for _ in REQUEST_COMBOS])
-                rows[idx].append((ex.game_score, ex.duration, ex.difficulty))
+        cond = ex.complexity if mode is TableMode.COMPLEXITY_BASED else ex.step
+        idx = combo_index(ex.help_request, ex.suggestion_request)
+        for groups, key in zip(maps, (ContextKey(traits, ex.proactive_act, cond),
+                                      (ex.proactive_act, cond), cond)):
+            rows = groups.setdefault(key, [[] for _ in REQUEST_COMBOS])
+            rows[idx].append((ex.game_score, ex.duration, ex.difficulty))
     return tuple({key: _reference_cell(rows) for key, rows in groups.items()}
                  for groups in maps)
 
@@ -167,6 +267,22 @@ def _reference_cell(rows_per_combo) -> CellStats:
                                  float(d.mean()), float(d.std(ddof=0)), tuple(diff)))
     counts = tuple(len(rows) for rows in rows_per_combo)
     return CellStats(n=sum(counts), request_counts=counts, combos=tuple(combos))
+
+
+def reference_save_table(table, path) -> None:
+    """save_table as it was before each combination's dict was built field
+    by field, kept as its oracle: `asdict` per combination."""
+    cells = [
+        {"traits": key.trait_tuple.bits, "act": key.proactive_act.value,
+         "condition": key.condition, "n": cell.n,
+         "request_counts": list(cell.request_counts),
+         "combos": [{**asdict(c), "difficulty_counts": list(c.difficulty_counts)}
+                    for c in cell.combos]}
+        for key, cell in ((k, table.cells.get(k)) for k in _mode_keys(table.mode))
+        if cell is not None
+    ]
+    write_json(path, {"format": TABLE_FORMAT, "mode": table.mode.value,
+                      "fallback_threshold": table.fallback_threshold, "cells": cells})
 
 
 _EMPTY_COMBO_ENTRY = {"n": 0, "score_mean": 0.0, "score_sd": 0.0, "duration_mean": 0.0,
@@ -314,7 +430,7 @@ def reference_replay(corpus, table, rng) -> list:
     as (user, exchange, SimulatedTurn) triples in corpus order."""
     return [(user, ex, reference_simulate_turn(table, user, ex.step, ex.proactive_act,
                                                rng.child(user.user_id, ex.step)))
-            for user, ex in corpus.iter_exchanges()]
+            for user, ex in exchanges_of(corpus)]
 
 
 _TURN_FIELDS = tuple(f.name for f in fields(SimulatedTurn))
@@ -391,9 +507,10 @@ def reference_dataset(corpus) -> tuple:
     """The per-row loop corpus_to_dataset replaced, kept as its oracle:
     one extract_features call per exchange, lag labels teacher-forced."""
     rows, labels, owners = [], [], []
+    dialogs = dialogs_of(corpus)
     for user in corpus.users:
         history = []
-        for ex in corpus.dialogs[user.user_id]:
+        for ex in dialogs[user.user_id]:
             rows.append(extract_features(user, history, turn_context(ex)))
             labels.append(combine_trust_target(ex.trust, ex.competence,
                                                ex.reliability, ex.predictability))
@@ -505,7 +622,7 @@ def reference_generate(config, seed) -> Corpus:
                 **annotations,
             ))
         dialogs[uid] = tuple(exchanges)
-    return Corpus(users=tuple(users), dialogs=dialogs)
+    return corpus_from_rows(users, dialogs)
 
 
 def reference_load_corpus(path) -> Corpus:
@@ -535,6 +652,8 @@ def reference_load_corpus(path) -> Corpus:
     dialog_rows = {}
     for i, raw in enumerate(raw_rows, start=1):
         parsed = {name: _parse_field(name, raw[name], i) for name in CORPUS_COLUMNS}
+        parsed["gender"] = GENDER_ORDER[parsed["gender"]]  # parsed as indexes
+        parsed["proactive_act"] = ACT_ORDER[parsed["proactive_act"]]
         try:
             user = UserRecord(**{name: parsed[name] for name in USER_COLUMNS})
             exchange = Exchange(**{name: parsed[name] for name in EXCHANGE_COLUMNS})
@@ -555,7 +674,7 @@ def reference_load_corpus(path) -> Corpus:
         dialog_rows[uid].append(exchange)
     for uid, exchanges in dialog_rows.items():
         dialog_rows[uid] = sorted(exchanges, key=lambda ex: ex.step)
-    return Corpus(users=tuple(users), dialogs=dialog_rows)
+    return corpus_from_rows(users, dialog_rows)
 
 
 def _reference_field(value):
@@ -575,7 +694,7 @@ def reference_save_corpus(corpus, path) -> None:
     path = Path(path)
     file_format = _infer_format(path)
     rows = []
-    for user, ex in corpus.iter_exchanges():
+    for user, ex in exchanges_of(corpus):
         row = {name: getattr(user, name) for name in USER_COLUMNS}
         row.update({name: getattr(ex, name) for name in EXCHANGE_COLUMNS})
         rows.append(row)
@@ -775,7 +894,7 @@ def make_corpus(n_users=2, acts=None, user_overrides=None,
         uid = f"u{i}"
         users.append(make_user(user_id=uid, **overrides))
         dialogs[uid] = make_dialog(uid, acts=acts, **exchange_overrides)
-    return Corpus(users=tuple(users), dialogs=dialogs)
+    return corpus_from_rows(users, dialogs)
 
 
 @pytest.fixture(scope="session")

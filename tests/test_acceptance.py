@@ -12,12 +12,18 @@ import time
 
 import numpy as np
 
-from conftest import RiggedSweepEnv, make_dialog, make_user, stub_trust_model
+from conftest import (
+    RiggedSweepEnv,
+    combo_index,
+    corpus_from_rows,
+    make_dialog,
+    make_user,
+    stub_trust_model,
+)
 from trustsim.behavior_tables import (
     ContextKey,
     TableMode,
     build_table,
-    combo_index,
     lookup,
 )
 from trustsim.cli import main as cli_main
@@ -139,7 +145,7 @@ def fallback_probe_corpus(partial_steps) -> Corpus:
     users = tuple(make_user(user_id=f"u{i}") for i in range(3))
     dialogs = {"u0": make_dialog("u0", full), "u1": make_dialog("u1", full),
                "u2": make_dialog("u2", partial)}
-    return Corpus(users=users, dialogs=dialogs)
+    return corpus_from_rows(users, dialogs)
 
 
 def test_fallback_threshold_boundary():

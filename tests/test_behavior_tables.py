@@ -12,6 +12,9 @@ import pytest
 
 from conftest import (
     TABLE_CORRUPTIONS,
+    combo_index,
+    corpus_from_rows,
+    exchanges_of,
     make_corpus,
     make_dialog,
     make_exchange,
@@ -19,6 +22,7 @@ from conftest import (
     reference_build_table,
     reference_combo_stats,
     reference_lookup,
+    reference_save_table,
 )
 from trustsim.behavior_tables import (
     BehaviorTable,
@@ -29,7 +33,6 @@ from trustsim.behavior_tables import (
     TableMode,
     _mode_keys,
     build_table,
-    combo_index,
     key_code,
     load_table,
     lookup,
@@ -62,8 +65,7 @@ def dialog_with(user_id, per_step=None, **defaults):
 
 def corpus_of(*entries) -> Corpus:
     """entries: (user, dialog) pairs."""
-    return Corpus(users=tuple(u for u, _ in entries),
-                  dialogs={u.user_id: d for u, d in entries})
+    return corpus_from_rows([u for u, _ in entries], {u.user_id: d for u, d in entries})
 
 
 class TestComboIndex:
@@ -170,7 +172,7 @@ class TestBuildTableExactCells:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
-            build_table(Corpus(users=(), dialogs={}), TableMode.COMPLEXITY_BASED)
+            build_table(corpus_from_rows((), {}), TableMode.COMPLEXITY_BASED)
 
 
 MOMENTS = ("score_mean", "score_sd", "duration_mean", "duration_sd")
@@ -229,8 +231,7 @@ def nine_or_ten_corpus(n_extra_none: int) -> Corpus:
         acts[c3_steps[j] - 1] = ProactiveAct.NONE
     user = make_user(user_id="b0", **LOW_TRAITS)
     entries.append((user, make_dialog(user.user_id, acts=list(acts))))
-    return Corpus(users=tuple(u for u, _ in entries),
-                  dialogs={u.user_id: d for u, d in entries})
+    return corpus_from_rows([u for u, _ in entries], {u.user_id: d for u, d in entries})
 
 
 class TestFallbackThresholdBoundary:
@@ -646,6 +647,13 @@ class TestSerialization:
         loaded = load_table(path)
         assert loaded == table
 
+    @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
+    def test_bytes_equal_the_asdict_writer(self, default_corpus, tmp_path, mode):
+        table = build_table(default_corpus, mode)
+        save_table(table, tmp_path / "a.json")
+        reference_save_table(table, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_save_is_byte_stable(self, small_corpus, tmp_path):
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
         save_table(table, tmp_path / "a.json")
@@ -689,7 +697,7 @@ class TestPerStepMeanTracking:
             return total / n
 
         truth = {s: [] for s in range(1, 13)}
-        for _, ex in drifting_corpus.iter_exchanges():
+        for _, ex in exchanges_of(drifting_corpus):
             truth[ex.step].append(value_of(ex))
 
         err_step, err_cx = [], []

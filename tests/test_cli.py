@@ -16,7 +16,7 @@ import pytest
 from conftest import TABLE_CORRUPTIONS
 from trustsim.behavior_tables import TABLE_FORMAT, TableMode, build_table, load_table
 from trustsim.cli import build_parser, main
-from trustsim.corpus import Corpus, load_corpus, save_corpus
+from trustsim.corpus import STORED_COLUMNS, Corpus, load_corpus, save_corpus
 from trustsim.rl_env import Hyperparams, N_STATES, TrustSimEnv, train_tabular_policy
 from trustsim.sampling import STREAM_FORMAT
 from trustsim.synth import GeneratorConfig
@@ -178,12 +178,11 @@ class TestSimulate:
         corpus = load_corpus(corpus_file)
         first = corpus.users[0]
         uid = "u\r0"
-        dialogs = {u.user_id: corpus.dialogs[u.user_id] for u in corpus.users[1:]}
-        dialogs[uid] = tuple(dataclasses.replace(ex, dialog_id="d\r0")
-                             for ex in corpus.dialogs[first.user_id])
+        columns = {name: getattr(corpus, name) for name in STORED_COLUMNS}
         path = work / "cr_corpus.csv"
         save_corpus(Corpus(users=(dataclasses.replace(first, user_id=uid),)
-                           + corpus.users[1:], dialogs=dialogs), path)
+                           + corpus.users[1:], dialog_id=("d\r0",) + corpus.dialog_id[1:],
+                           **columns), path)
         fit, out = work / "cr_fit", work / "cr_sim"
         assert main(["fit", "--corpus", str(path), "--seed", "1",
                      "--out", str(fit)]) == 0

@@ -2,26 +2,29 @@
 
 from __future__ import annotations
 
-import dataclasses
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from conftest import (
+    corpus_from_rows,
+    dialogs_of,
     make_corpus,
     make_dialog,
-    make_exchange,
     make_user,
     reference_load_corpus,
     reference_save_corpus,
 )
+from trustsim import corpus as corpus_module
 from trustsim.corpus import (
+    CORPUS_COLUMNS,
     Corpus,
     EXCHANGE_COLUMNS,
-    Exchange,
     Gender,
     ProactiveAct,
+    STORED_COLUMNS,
     USER_COLUMNS,
     complexity_of_step,
     format_cells,
@@ -35,10 +38,13 @@ from trustsim.errors import (
     EmptyCorpus,
     IncompleteDialog,
     InvalidConfig,
+    LengthMismatch,
     MissingColumn,
     StepOutOfRange,
+    TrustSimError,
     ValueOutOfRange,
 )
+from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 
 
 class TestComplexityOfStep:
@@ -75,33 +81,66 @@ class TestOptionScores:
             option_scores(6)
 
 
-class TestExchangeInvariants:
-    def test_duration_at_or_below_20_rejected(self):
-        with pytest.raises(ValueOutOfRange) as err:
-            make_exchange(1, duration=15.0)
-        assert err.value.field == "duration"
-        with pytest.raises(ValueOutOfRange):
-            make_exchange(1, duration=20.0)
+def corpus_columns(corpus) -> dict:
+    """The keyword arguments that rebuild the corpus."""
+    return dict(users=corpus.users, dialog_id=corpus.dialog_id,
+                **{name: getattr(corpus, name).copy() for name in STORED_COLUMNS})
 
-    def test_complexity_must_match_step(self):
-        with pytest.raises(ValueOutOfRange):
-            Exchange(dialog_id="d", step=1, complexity=4,
-                     proactive_act=ProactiveAct.NONE, game_score=10.0,
-                     help_request=False, suggestion_request=False, duration=30.0,
-                     difficulty=3, trust=3, competence=3, reliability=3,
-                     predictability=3)
 
-    @pytest.mark.parametrize("field,value", [
+class TestCorpusArrayChecks:
+    def test_columns_rebuild_an_equal_corpus(self):
+        corpus = make_corpus(n_users=3)
+        assert Corpus(**corpus_columns(corpus)) == corpus
+
+    @pytest.mark.parametrize("name", STORED_COLUMNS)
+    @pytest.mark.parametrize("size", [23, 25])
+    def test_column_of_the_wrong_length(self, name, size):
+        columns = corpus_columns(make_corpus(n_users=2))
+        columns[name] = np.resize(columns[name], size)
+        with pytest.raises(LengthMismatch, match=name):
+            Corpus(**columns)
+
+    @pytest.mark.parametrize("name,value", [
         ("difficulty", 0), ("difficulty", 6), ("trust", 0), ("competence", 9),
-        ("reliability", -1), ("predictability", 6),
+        ("reliability", -1), ("predictability", 6), ("proactive_act", 4),
+        ("proactive_act", -1), ("game_score", -5.0), ("game_score", -0.5),
+        ("duration", 15.0), ("duration", 20.0), ("game_score", np.nan),
+        ("game_score", np.inf), ("duration", np.inf), ("duration", np.nan),
     ])
-    def test_likert_bounds(self, field, value):
-        with pytest.raises(ValueOutOfRange):
-            make_exchange(1, **{field: value})
+    def test_value_out_of_range(self, name, value):
+        columns = corpus_columns(make_corpus(n_users=2))
+        columns[name][17] = value
+        with pytest.raises(ValueOutOfRange) as err:
+            Corpus(**columns)
+        assert err.value.field == name
+        assert err.value.value == value or np.isnan(value)
 
-    def test_negative_score_rejected(self):
-        with pytest.raises(ValueOutOfRange):
-            make_exchange(1, game_score=-5.0)
+    def test_duration_just_above_20_accepted(self):
+        columns = corpus_columns(make_corpus())
+        columns["duration"][0] = np.nextafter(20.0, 21.0)
+        assert Corpus(**columns).duration[0] > 20.0
+
+    def test_duplicate_user_ids(self):
+        corpus = make_corpus(n_users=2)
+        columns = corpus_columns(corpus)
+        columns["users"] = (corpus.users[0], corpus.users[0])
+        with pytest.raises(ValueOutOfRange, match="unique"):
+            Corpus(**columns)
+
+    @pytest.mark.parametrize("dialog_ids", [("d0",), ("d0", "d1", "d2")])
+    def test_dialog_id_count_differs_from_user_count(self, dialog_ids):
+        columns = corpus_columns(make_corpus(n_users=2))
+        columns["dialog_id"] = dialog_ids
+        with pytest.raises(LengthMismatch, match="dialog ids"):
+            Corpus(**columns)
+
+    def test_columns_are_read_only_copies(self):
+        columns = corpus_columns(make_corpus())
+        corpus = Corpus(**columns)
+        columns["trust"][0] = 5
+        assert corpus.trust[0] == 3
+        with pytest.raises(ValueError):
+            corpus.trust[0] = 5
 
 
 class TestUserInvariants:
@@ -123,23 +162,34 @@ class TestCorpusInvariants:
         assert corpus.n_dialogs == 2
         assert corpus.exchange_count == 24
 
-    def test_eleven_exchanges_rejected(self):
-        user = make_user()
-        dialog = make_dialog(user.user_id)[:11]
-        with pytest.raises(IncompleteDialog):
-            Corpus(users=(user,), dialogs={user.user_id: dialog})
+    def test_step_and_complexity_follow_from_the_order(self):
+        corpus = make_corpus(n_users=2)
+        assert corpus.step.tolist() == list(range(1, 13)) * 2
+        assert corpus.complexity.tolist() == [complexity_of_step(s)
+                                              for s in range(1, 13)] * 2
 
-    def test_steps_must_be_ordered(self):
+    def test_equality_compares_the_columns(self):
+        corpus = make_corpus(n_users=2)
+        assert corpus == make_corpus(n_users=2)
+        assert corpus != make_corpus(n_users=2, duration=33.5)
+        assert corpus != make_corpus(n_users=2, acts=ProactiveAct.SUGGESTION)
+        columns = corpus_columns(corpus)
+        columns["dialog_id"] = ("d0", "other")
+        assert corpus != Corpus(**columns)
+
+    def test_empty_corpus(self):
+        empty = corpus_from_rows((), {})
+        assert (empty.n_dialogs, empty.exchange_count, empty.step.size) == (0, 0, 0)
+
+    def test_the_row_form_oracle_checks_whole_dialogs(self):
         user = make_user()
         dialog = make_dialog(user.user_id)
-        shuffled = dialog[1:] + dialog[:1]
         with pytest.raises(IncompleteDialog):
-            Corpus(users=(user,), dialogs={user.user_id: shuffled})
-
-    def test_users_and_dialogs_must_match(self):
-        user = make_user()
+            corpus_from_rows((user,), {user.user_id: dialog[:11]})
         with pytest.raises(IncompleteDialog):
-            Corpus(users=(user,), dialogs={})
+            corpus_from_rows((user,), {user.user_id: dialog[1:] + dialog[:1]})
+        with pytest.raises(IncompleteDialog):
+            corpus_from_rows((user,), {})
 
 
 class TestFileRoundTrip:
@@ -160,7 +210,7 @@ class TestFileRoundTrip:
     @pytest.mark.parametrize("text", ["a\rb", "a\r", "a\r\nb", "a,\"\r"])
     def test_ids_with_carriage_returns_survive_csv(self, tmp_path, text):
         user = make_user(user_id=text)
-        corpus = Corpus(users=(user,), dialogs={text: make_dialog(text)})
+        corpus = corpus_from_rows((user,), {text: make_dialog(text)})
         path = tmp_path / "c.csv"
         save_corpus(corpus, path)
         assert load_corpus(path) == corpus
@@ -176,7 +226,7 @@ class TestFileRoundTrip:
         # ints among the floats of a column are written as ints, cell by cell
         users = (make_user("u\r0", openness=3), make_user("u1", openness=3.25))
         dialogs = {"u\r0": make_dialog("u\r0", duration=42), "u1": make_dialog("u1")}
-        corpus = Corpus(users=users, dialogs=dialogs)
+        corpus = corpus_from_rows(users, dialogs)
         save_corpus(corpus, tmp_path / f"a.{fmt}")
         reference_save_corpus(corpus, tmp_path / f"b.{fmt}")
         assert (tmp_path / f"a.{fmt}").read_bytes() == (tmp_path / f"b.{fmt}").read_bytes()
@@ -184,7 +234,7 @@ class TestFileRoundTrip:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_empty_corpus_writes_the_header_only(self, tmp_path, fmt):
-        empty = Corpus(users=(), dialogs={})
+        empty = corpus_from_rows((), {})
         save_corpus(empty, tmp_path / f"a.{fmt}")
         reference_save_corpus(empty, tmp_path / f"b.{fmt}")
         assert (tmp_path / f"a.{fmt}").read_bytes() == (tmp_path / f"b.{fmt}").read_bytes()
@@ -224,12 +274,8 @@ class TestFileRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_second_dialog_id_for_a_user_names_row(self, tmp_path, fmt):
         path = tmp_path / f"c.{fmt}"
-        corpus = make_corpus()
-        uid = corpus.users[0].user_id
-        exchanges = list(corpus.dialogs[uid])
-        exchanges[4] = dataclasses.replace(exchanges[4], dialog_id="other")
-        save_corpus(Corpus(users=corpus.users, dialogs={**corpus.dialogs, uid: exchanges}),
-                    path)
+        save_corpus(make_corpus(), path)
+        (rewrite_cells if fmt == "csv" else rewrite_objects)(path, {(5, "dialog_id"): "other"})
         with pytest.raises(ValueOutOfRange) as err:
             load_corpus(path)
         assert err.value.field == "dialog_id"
@@ -332,6 +378,27 @@ class TestLoaderOracle:
         assert (err.value.field, err.value.row) == ("user_id", 5)
         assert "user columns differ between rows" in str(err.value)
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("field,text", [
+        ("age", "17"), ("age", "61"), ("age", "99999999999999999999999"),
+        ("neuroticism", "0.5"), ("trust_propensity", "5.3"), ("step", "13"),
+        ("step", "0"), ("complexity", "4"), ("game_score", "-5.0"), ("duration", "20.0"),
+        ("duration", "15.5"), ("difficulty", "0"), ("difficulty", "6"), ("trust", "0"),
+        ("competence", "9"), ("reliability", "-1"), ("predictability", "6"),
+    ])
+    def test_value_out_of_range_names_row(self, tmp_path, fmt, field, text):
+        # row 4 is step 4, of complexity 3
+        path = tmp_path / f"c.{fmt}"
+        save_corpus(make_corpus(), path)
+        if fmt == "csv":
+            rewrite_cells(path, {(4, field): text})
+        else:
+            rewrite_objects(path, {(4, field): json.loads(text)})
+        error, message = load_outcome(load_corpus, path)
+        assert (error, message) == load_outcome(reference_load_corpus, path)
+        assert error is ValueOutOfRange
+        assert message == f"{field}={json.loads(text)!r} out of range (row 4)"
+
     def test_first_bad_field_of_a_row_is_named(self, tmp_path):
         path = tmp_path / "c.csv"
         save_corpus(make_corpus(), path)
@@ -429,12 +496,13 @@ class TestSplitCorpus:
 
     def test_dialogs_travel_with_their_user(self, small_corpus):
         train, _ = split_corpus(small_corpus, 0.8, seed=3)
-        for user in train.users:
-            assert train.dialogs[user.user_id] == small_corpus.dialogs[user.user_id]
+        dialogs = dialogs_of(small_corpus)
+        for user, dialog in dialogs_of(train).items():
+            assert dialog == dialogs[user]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
-            split_corpus(Corpus(users=(), dialogs={}), 0.5, seed=0)
+            split_corpus(corpus_from_rows((), {}), 0.5, seed=0)
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])
     def test_fraction_bounds(self, small_corpus, fraction):
@@ -442,9 +510,199 @@ class TestSplitCorpus:
             split_corpus(small_corpus, fraction, seed=0)
 
 
-class TestExchangeValueEquality:
-    def test_dataclass_equality_is_semantic(self):
-        a = make_exchange(4, duration=33.25)
-        b = dataclasses.replace(a)
-        assert a == b
-        assert a != dataclasses.replace(a, duration=33.5)
+def load_outcome(load, path):
+    """The corpus a loader returns, or the type and message of its error."""
+    try:
+        return load(path)
+    except TrustSimError as exc:
+        return type(exc), str(exc)
+
+
+class TestLoaderBlocks:
+    """load_corpus against the per-row loader on files longer than two
+    blocks, with the rows that matter on either side of a block boundary;
+    read errors, which that oracle does not model, against their
+    messages."""
+
+    BLOCK = corpus_module._BLOCK_ROWS
+    # user 42 holds data rows 505..516, across the first boundary
+    STRADDLER = (BLOCK - 7) // 12
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=100), seed=3)
+        assert corpus.exchange_count > 2 * self.BLOCK
+        return corpus
+
+    @staticmethod
+    def write(corpus, path, edit):
+        """Save the corpus, then let edit change its list of row dicts:
+        CSV cells as text, JSON values as they are."""
+        save_corpus(corpus, path)
+        if path.suffix == ".csv":
+            with path.open(newline="", encoding="utf-8") as handle:
+                rows = list(csv.DictReader(handle))
+        else:
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows = edit(rows)
+        if path.suffix == ".csv":
+            with path.open("w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(CORPUS_COLUMNS)
+                writer.writerows([row[c] for c in CORPUS_COLUMNS] for row in rows)
+        else:
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+    def assert_matches_reference(self, path):
+        outcome = load_outcome(load_corpus, path)
+        assert outcome == load_outcome(reference_load_corpus, path)
+        return outcome
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_user_cell_changed_after_the_boundary(self, tmp_path, corpus, fmt):
+        first = self.STRADDLER * 12 + 1
+        assert first <= self.BLOCK < first + 11
+
+        def edit(rows):
+            row = rows[self.BLOCK + 1]  # data row BLOCK + 2, in the second block
+            assert row["user_id"] == rows[first - 1]["user_id"]
+            row["openness"] = "4.75" if fmt == "csv" else 4.75
+            return rows
+
+        path = tmp_path / f"c.{fmt}"
+        self.write(corpus, path, edit)
+        error, message = self.assert_matches_reference(path)
+        assert error is ValueOutOfRange
+        assert f"(row {self.BLOCK + 2})" in message
+        assert "user columns differ between rows" in message
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_user_text_that_parses_equal_across_the_boundary(self, tmp_path, corpus, fmt):
+        def edit(rows):
+            row = rows[self.BLOCK]
+            if fmt == "csv":
+                row["age"] = f" {row['age']}"
+                row["openness"] += "0"  # a trait's repr has a decimal point
+            else:
+                row["age"] = str(row["age"])
+            return rows
+
+        path = tmp_path / f"c.{fmt}"
+        self.write(corpus, path, edit)
+        assert self.assert_matches_reference(path) == corpus
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_bad_cell_in_the_last_block_beats_an_incomplete_dialog(self, tmp_path,
+                                                                   corpus, fmt):
+        def edit(rows):
+            del rows[3]  # user u0000 is one exchange short
+            rows[-5]["duration"] = "slow"
+            return rows
+
+        path = tmp_path / f"c.{fmt}"
+        self.write(corpus, path, edit)
+        error, message = self.assert_matches_reference(path)
+        assert error is ValueOutOfRange
+        assert message.startswith("duration='slow' out of range")
+        assert f"(row {corpus.exchange_count - 5})" in message
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_incomplete_dialog_is_found_after_every_row(self, tmp_path, corpus, fmt):
+        path = tmp_path / f"c.{fmt}"
+        self.write(corpus, path, lambda rows: rows[:3] + rows[4:])
+        error, message = self.assert_matches_reference(path)
+        assert error is IncompleteDialog
+        assert "11 exchanges" in message
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_user_rows_shuffled_across_blocks(self, tmp_path, corpus, fmt):
+        def edit(rows):
+            # keep the straddling user's first row in place, scatter the others
+            first = self.STRADDLER * 12
+            moved = rows[first + 1:first + 12]
+            rest = rows[:first + 1] + rows[first + 12:]
+            for k, row in enumerate(reversed(moved)):
+                rest.insert(len(rest) - 60 * k, row)
+            return rest
+
+        path = tmp_path / f"c.{fmt}"
+        self.write(corpus, path, edit)
+        assert self.assert_matches_reference(path) == corpus
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_shuffled_rows_with_a_repeated_step(self, tmp_path, corpus, fmt):
+        def edit(rows):
+            first = self.STRADDLER * 12
+            rows[first + 3]["step"], rows[first + 3]["complexity"] = (
+                rows[first + 2]["step"], rows[first + 2]["complexity"])
+            rows.append(rows.pop(first + 3))
+            return rows
+
+        path = tmp_path / f"c.{fmt}"
+        self.write(corpus, path, edit)
+        error, message = self.assert_matches_reference(path)
+        assert error is IncompleteDialog
+        assert "steps out of order at position 4" in message
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_parse_failure_beats_a_range_failure_in_its_row(self, tmp_path, corpus, fmt):
+        def edit(rows):
+            rows[self.BLOCK + 20]["age"] = "70" if fmt == "csv" else 70
+            rows[self.BLOCK + 20]["duration"] = "slow"
+            return rows
+
+        path = tmp_path / f"c.{fmt}"
+        self.write(corpus, path, edit)
+        error, message = self.assert_matches_reference(path)
+        assert message.startswith("duration='slow' out of range")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_differing_user_columns_beat_a_second_dialog_id(self, tmp_path, corpus, fmt):
+        def edit(rows):
+            rows[self.BLOCK + 1]["dialog_id"] = "other"
+            rows[self.BLOCK + 1]["gender"] = "other"
+            rows[self.BLOCK + 1]["openness"] = "4.75" if fmt == "csv" else 4.75
+            return rows
+
+        path = tmp_path / f"c.{fmt}"
+        self.write(corpus, path, edit)
+        error, message = self.assert_matches_reference(path)
+        assert "user columns differ between rows" in message
+
+    @pytest.mark.parametrize("short_row, bad_row", [(700, 3), (3, 700), (600, 600)])
+    def test_a_short_row_comes_after_the_rows_before_it(self, tmp_path, corpus,
+                                                         short_row, bad_row):
+        path = tmp_path / "c.csv"
+        self.write(corpus, path, lambda rows: rows)
+        rewrite_cells(path, {(bad_row, "duration"): "slow"})
+        lines = path.read_text().splitlines()
+        lines[short_row] = lines[short_row].rpartition(",")[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        if short_row <= bad_row:
+            assert str(err.value) == (f"fields=23 out of range (row {short_row}): "
+                                      f"the header has 24 columns")
+        else:
+            assert (err.value.field, err.value.row) == ("duration", bad_row)
+
+    def test_a_json_error_anywhere_beats_every_row(self, tmp_path, corpus):
+        path = tmp_path / "c.jsonl"
+        self.write(corpus, path, lambda rows: rows)
+        rewrite_objects(path, {(3, "duration"): "slow"})
+        path.write_text(path.read_text() + "{not json\n")
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        assert str(err.value).startswith(
+            f"line='{{not json' out of range (row {corpus.exchange_count + 1}): not JSON")
+
+    def test_a_byte_that_is_not_utf8_comes_after_the_rows_before_it(self, tmp_path, corpus):
+        path = tmp_path / "c.csv"
+        self.write(corpus, path, lambda rows: rows)
+        rewrite_cells(path, {(2, "duration"): "slow"})
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[-1] = lines[-1].replace(b"u", b"\xe9", 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        assert (err.value.field, err.value.row) == ("duration", 2)

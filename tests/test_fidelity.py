@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import exchanges_of
 from trustsim.behavior_tables import TableMode, build_table
 from trustsim.corpus import DURATION_HI, MIN_DURATION_S
 from trustsim.errors import (
@@ -182,7 +183,7 @@ def corpus_samples(measure):
     passes, booleans included."""
     corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=40), seed=5)
     name = EXCHANGE_FIELDS[measure]
-    return np.array([getattr(ex, name) for _, ex in corpus.iter_exchanges()],
+    return np.array([getattr(ex, name) for _, ex in exchanges_of(corpus)],
                     dtype=float)
 
 
@@ -238,7 +239,7 @@ class TestEstimateDistribution:
 def log_from_corpus(corpus, score_delta=0.0, duration_delta=0.0,
                     fallback_every=0):
     """Replay log copying each real exchange, optionally offset."""
-    pairs = list(corpus.iter_exchanges())
+    pairs = list(exchanges_of(corpus))
     exchanges = [ex for _, ex in pairs]
     return SimulatedLog(
         user_id=[user.user_id for user, _ in pairs],

@@ -11,6 +11,9 @@ import pytest
 from conftest import (
     analytic_truncated_mean,
     assert_every_turn_matches_oracle,
+    corpus_from_rows,
+    dialogs_of,
+    exchanges_of,
     make_dialog,
     make_exchange,
     make_user,
@@ -90,7 +93,7 @@ def soundness_corpus() -> Corpus:
                           **(payload if step == 1 else {}))
             for step in range(1, 13)
         )
-    return Corpus(users=tuple(users), dialogs=dialogs)
+    return corpus_from_rows(users, dialogs)
 
 
 SOUNDNESS_DURATION_HI = 45.0
@@ -188,8 +191,7 @@ class TestScoreClamping:
     def off_grid_table(self):
         # a cell whose score mean sits far above the step-1 option range
         user = make_user(user_id="u0")
-        corpus = Corpus(users=(user,),
-                        dialogs={"u0": make_dialog("u0", game_score=200.0)})
+        corpus = corpus_from_rows((user,), {"u0": make_dialog("u0", game_score=200.0)})
         return build_table(corpus, TableMode.TASK_STEP_BASED,
                            fallback_threshold=1)
 
@@ -261,7 +263,7 @@ class TestReplay:
     def test_alignment_with_corpus_order(self, small_corpus):
         table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
         log = replay_conditions(small_corpus, table, RandomStream(3, "replay"))
-        pairs = list(small_corpus.iter_exchanges())
+        pairs = list(exchanges_of(small_corpus))
         assert len(log) == len(pairs)
         for i, (user, ex) in enumerate(pairs):
             assert log.user_id[i] == user.user_id
@@ -369,14 +371,14 @@ class TestReplayOracle:
 
     def test_one_user_corpus(self, small_corpus, tmp_path):
         uid = small_corpus.users[3].user_id
-        one = Corpus(users=(small_corpus.users[3],),
-                     dialogs={uid: small_corpus.dialogs[uid]})
+        one = corpus_from_rows((small_corpus.users[3],),
+                               {uid: dialogs_of(small_corpus)[uid]})
         for mode in TableMode:
             table = build_table(small_corpus, mode)
             assert_replay_matches_oracle(one, table, 5, tmp_path)
 
     def test_empty_corpus(self, small_corpus, tmp_path):
-        empty = Corpus(users=(), dialogs={})
+        empty = corpus_from_rows((), {})
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
         assert len(replay_conditions(empty, table, RandomStream(1))) == 0
         assert_replay_matches_oracle(empty, table, 1, tmp_path)

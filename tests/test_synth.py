@@ -8,7 +8,7 @@ from statistics import fmean, pstdev
 
 import pytest
 
-from conftest import reference_generate
+from conftest import exchanges_of, reference_generate
 from trustsim.corpus import (
     Gender,
     ProactiveAct,
@@ -166,7 +166,7 @@ class TestProcessValidation:
     def test_zero_duration_sd_is_a_point_mass(self):
         proc = replace(BehaviorProcess(), duration_sd=0.0, duration_drift_gain=0.0)
         corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=3, process=proc), 1)
-        for user, ex in corpus.iter_exchanges():
+        for user, ex in exchanges_of(corpus):
             assert ex.duration == proc.duration_mean(
                 binarize_traits(user), ex.help_request, ex.suggestion_request, ex.step)
 
@@ -203,9 +203,8 @@ class TestGeneratorConfig:
 class TestGenerateCorpus:
     def test_shape_and_validity(self, small_corpus):
         assert len(small_corpus.users) == 40
-        assert len(small_corpus.dialogs) == 40
-        for user in small_corpus.users:
-            assert len(small_corpus.dialogs[user.user_id]) == 12
+        assert len(small_corpus.dialog_id) == 40
+        assert small_corpus.exchange_count == len(exchanges_of(small_corpus)) == 480
 
     def test_deterministic(self):
         config = GeneratorConfig(n_dialogs=12)
@@ -225,7 +224,7 @@ class TestGenerateCorpus:
     def test_acts_roughly_uniform(self, default_corpus):
         counts = {act: 0 for act in ProactiveAct}
         total = 0
-        for _, ex in default_corpus.iter_exchanges():
+        for _, ex in exchanges_of(default_corpus):
             counts[ex.proactive_act] += 1
             total += 1
         for act in ProactiveAct:
@@ -238,12 +237,12 @@ class TestGenerateCorpus:
                        help_act=(0.0, 0.0, 0.0, 0.0))
         config = GeneratorConfig(n_dialogs=600, process=proc)
         corpus = generate_synthetic_corpus(config, seed=11)
-        rate = sum(ex.help_request for _, ex in corpus.iter_exchanges()) / 7200
+        rate = sum(ex.help_request for _, ex in exchanges_of(corpus)) / 7200
         assert abs(rate - 0.5) < 0.02
 
     def test_drift_raises_late_durations(self, drifting_corpus):
         early, late = [], []
-        for _, ex in drifting_corpus.iter_exchanges():
+        for _, ex in exchanges_of(drifting_corpus):
             if ex.step <= 3:
                 early.append(ex.duration)
             elif ex.step >= 10:
@@ -253,7 +252,7 @@ class TestGenerateCorpus:
 
     def test_durations_exceed_floor_under_drift(self, drifting_corpus):
         assert all(ex.duration > 20.0
-                   for _, ex in drifting_corpus.iter_exchanges())
+                   for _, ex in exchanges_of(drifting_corpus))
 
     def test_gender_marginal_sampled(self, default_corpus):
         seen = {user.gender for user in default_corpus.users}
@@ -286,7 +285,7 @@ def assert_equals_reference(corpus, config, seed, tmp_path):
     reference = reference_generate(config, seed)
     assert corpus == reference
     # plain Python values, as the loop built them, never numpy scalars
-    rows = lambda c: [*c.users, *(ex for _, ex in c.iter_exchanges())]
+    rows = lambda c: [*c.users, *(ex for _, ex in exchanges_of(c))]
     assert [list(map(type, vars(row).values())) for row in rows(corpus)] == \
         [list(map(type, vars(row).values())) for row in rows(reference)]
     for fmt in ("csv", "jsonl"):
@@ -326,7 +325,7 @@ class TestAgainstReference:
         config = GeneratorConfig(n_dialogs=4,
                                  process=replace(BehaviorProcess(), trust_noise_sd=1e308))
         corpus = generate_synthetic_corpus(config, 3)
-        assert {ex.trust for _, ex in corpus.iter_exchanges()} == {1, 5}
+        assert {ex.trust for _, ex in exchanges_of(corpus)} == {1, 5}
         assert_equals_reference(corpus, config, 3, tmp_path)
 
     def test_bad_pmf_raises_only_where_drawn(self):
@@ -359,7 +358,7 @@ class TestAgainstReference:
 @pytest.fixture(scope="module")
 def by_step(default_corpus):
     rows = {s: {"duration": [], "score": [], "help": []} for s in range(1, 13)}
-    for _, ex in default_corpus.iter_exchanges():
+    for _, ex in exchanges_of(default_corpus):
         rows[ex.step]["duration"].append(ex.duration)
         rows[ex.step]["score"].append(ex.game_score)
         rows[ex.step]["help"].append(1.0 if ex.help_request else 0.0)

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    corpus_from_rows,
+    dialogs_of,
+    exchanges_of,
     make_corpus,
     make_dialog,
     make_exchange,
@@ -151,7 +154,7 @@ class TestFeatureSchema:
 class TestCorpusToDataset:
     def test_shapes_and_alignment(self, small_corpus):
         X, y, owners = corpus_to_dataset(small_corpus)
-        n = sum(1 for _ in small_corpus.iter_exchanges())
+        n = len(exchanges_of(small_corpus))
         assert X.shape == (n, N_FEATURES)
         assert y.shape == (n,)
         assert len(owners) == n
@@ -162,7 +165,7 @@ class TestCorpusToDataset:
     def test_lag_labels_are_teacher_forced(self, small_corpus):
         X, _, _ = corpus_to_dataset(small_corpus)
         user = small_corpus.users[0]
-        first = small_corpus.dialogs[user.user_id][0]
+        first = dialogs_of(small_corpus)[user.user_id][0]
         expected = combine_trust_target(first.trust, first.competence,
                                         first.reliability, first.predictability)
         lag_ix = FEATURE_NAMES.index("lag1:trust")
@@ -184,14 +187,14 @@ def varied_corpus() -> Corpus:
                           trust=1 + step % 5, competence=1 + (step + i) % 5,
                           reliability=5 - step % 5, predictability=1 + (2 * step) % 5)
             for step in range(1, 13))
-    return Corpus(users=tuple(users), dialogs=dialogs)
+    return corpus_from_rows(users, dialogs)
 
 
 def corpus_case(request, name) -> Corpus:
     """A named test corpus: a session fixture or a hand-built one."""
     builders = {"separable": separable_corpus, "varied": varied_corpus,
                 "one-user": lambda: make_corpus(n_users=1),
-                "empty": lambda: Corpus(users=(), dialogs={})}
+                "empty": lambda: corpus_from_rows((), {})}
     if name in builders:
         return builders[name]()
     return request.getfixturevalue(name)
@@ -225,17 +228,17 @@ def separable_corpus() -> Corpus:
         users.append(high)
         dialogs[high.user_id] = make_dialog(
             high.user_id, trust=5, competence=5, reliability=5, predictability=4)
-    return Corpus(users=tuple(users), dialogs=dialogs)
+    return corpus_from_rows(users, dialogs)
 
 
 class TestTraining:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            train_classifier(Corpus(users=(), dialogs={}))
+            train_classifier(corpus_from_rows((), {}))
 
     def test_degenerate_labels(self):
         user = make_user(user_id="u0")
-        corpus = Corpus(users=(user,), dialogs={"u0": make_dialog("u0")})
+        corpus = corpus_from_rows((user,), {"u0": make_dialog("u0")})
         with pytest.raises(DegenerateLabels):
             train_classifier(corpus)
 
@@ -356,7 +359,7 @@ class TestEvaluateClassifier:
     def test_empty_corpus_rejected(self):
         model = stub_model([0.0] * 5)
         with pytest.raises(EmptyTestSet):
-            evaluate_classifier(model, Corpus(users=(), dialogs={}))
+            evaluate_classifier(model, corpus_from_rows((), {}))
 
     @pytest.mark.parametrize("train_on, test_on", [
         ("small_corpus", "small_corpus"), ("small_corpus", "default_corpus"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_corpus, make_user
-from trustsim.corpus import Corpus, Gender
+from trustsim.corpus import Gender
 from trustsim.errors import InsufficientUsers, InvalidBounds, InvalidConfig
 from trustsim.sampling import RandomStream, child_keys, label_bits
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
@@ -123,9 +123,8 @@ class TestFitTraitDistributions:
         users = [make_user(user_id=f"u{i}",
                            gender=Gender.FEMALE if i < 3 else Gender.MALE)
                  for i in range(5)]
-        from conftest import make_dialog
-        corpus = Corpus(users=tuple(users),
-                        dialogs={u.user_id: make_dialog(u.user_id) for u in users})
+        from conftest import corpus_from_rows, make_dialog
+        corpus = corpus_from_rows(users, {u.user_id: make_dialog(u.user_id) for u in users})
         fitted = fit_trait_distributions(corpus)
         assert fitted.gender_probs == (0.4, 0.6, 0.0)
 

@@ -19,6 +19,7 @@ from .behavior_tables import BehaviorTable, TableMode, key_code
 from .corpus import (
     ACT_INDEX,
     ACT_ORDER,
+    GENDER_ORDER,
     LIKERT_MAX,
     LIKERT_MIN,
     ProactiveAct,
@@ -29,11 +30,15 @@ from .corpus import (
 from .errors import EpisodeFinished, InvalidConfig, InvalidHyperparams
 from .sampling import (
     RandomStream,
+    categorical_from,
     child_keys,
+    cumulative_weights,
     first_uniforms,
+    gaussian_truncation,
     integers,
     label_bits,
     nth_draws,
+    truncated_gaussian_from,
 )
 from .simulator import TURN_FIELDS, SimulatedTurn, _compile_table, draw_turn
 from .simulator import simulate_turn  # unused here; perfbench's tracer tests read it
@@ -43,7 +48,8 @@ from .trust_model import (
     TrustClassifier,
     predict_trust,
 )
-from .user_model import TraitDistributions, TraitTuple, binarize_traits, sample_user
+from .user_model import (_GAUSS_TRAITS, TraitDistributions, TraitTuple, UserProfile,
+                         binarize_traits)
 
 N_ACTIONS = len(ACT_ORDER)
 N_TRUST_LEVELS = LIKERT_MAX - LIKERT_MIN + 1
@@ -83,17 +89,31 @@ def state_index(state: EnvState) -> int:
 
 
 _STEPS = range(1, STEPS_PER_DIALOG + 1)
+# complexity_of_step and max_option_score of each step, at index step - 1
+_COMPLEXITY = tuple(map(complexity_of_step, _STEPS))
+_MAX_SCORE = tuple(map(max_option_score, _COMPLEXITY))
 _STEP_BITS = label_bits(_STEPS)
-_STEP_LABEL = label_bits(["step"])
-_FIELD_BITS = label_bits(TURN_FIELDS)
 _EXPLORE_LABEL = label_bits(["explore"])
+_USER_FIELDS = _GAUSS_TRAITS + ("gender",)  # sample_user's substreams, in its order
+_N_USER = len(_USER_FIELDS)
+# The labels of the streams an episode reads below its reset key, one
+# array per level of the key chain: child("user").child(name) for each name
+# of _USER_FIELDS, then child("step", s).child(field) for every step s and
+# field of TURN_FIELDS.
+_LEVEL1_BITS = np.repeat(label_bits(["user", "step"]),
+                         [_N_USER, STEPS_PER_DIALOG * len(TURN_FIELDS)])
+_LEVEL2_BITS = np.concatenate([label_bits(_USER_FIELDS),
+                               np.repeat(_STEP_BITS, len(TURN_FIELDS))])
+_LEVEL3_BITS = np.tile(label_bits(TURN_FIELDS), STEPS_PER_DIALOG)
 
 
-def _turn_uniforms(key: int) -> list:
-    """The uniform `child("step", s).child(field).random()` of the stream
-    with this key, for every step s and field of TURN_FIELDS: 12 x 4."""
-    turn_keys = child_keys(child_keys(key, _STEP_LABEL), _STEP_BITS)
-    return first_uniforms(child_keys(turn_keys[:, None], _FIELD_BITS)).tolist()
+def _episode_uniforms(key: int) -> tuple:
+    """The first uniform of every stream an episode with this reset key
+    reads, as (the user's 10 in _USER_FIELDS order, 12 x 4 turn uniforms)."""
+    keys = child_keys(child_keys(key, _LEVEL1_BITS), _LEVEL2_BITS)
+    keys[_N_USER:] = child_keys(keys[_N_USER:], _LEVEL3_BITS)
+    u = first_uniforms(keys)
+    return u[:_N_USER].tolist(), u[_N_USER:].reshape(STEPS_PER_DIALOG, -1).tolist()
 
 
 class TrustSimEnv:
@@ -103,11 +123,16 @@ class TrustSimEnv:
     and reward see only the classifier's estimate.
 
     Every stream an episode reads depends only on the reset stream, the
-    step and the field, never on the actions, so `reset` derives all the
-    episode's turn uniforms at once. The action only picks the compiled
-    table entry a turn draws from. A step's turn, trust estimate and reward
-    equal those of `simulate_turn` on `rng.child("step", s)`, then
-    `extract_features` over the episode's earlier turns, then `predict_trust`.
+    step and the field, never on the actions, so `reset` derives all of an
+    episode's uniforms at once: ten for the user, then four per turn, 58
+    first draws of one chain of uint64 key arrays. The user's profile is
+    `sample_user`'s arithmetic on the first ten, with each trait's
+    truncation and the gender cumulatives computed once per env, so it
+    equals `sample_user(traits, rng.child("user"))`. The action only picks
+    the compiled table entry a turn draws from. A step's turn, trust
+    estimate and reward equal those of `simulate_turn` on
+    `rng.child("step", s)`, then `extract_features` over the episode's
+    earlier turns, then `predict_trust`.
     """
 
     def __init__(self, table: BehaviorTable, traits: TraitDistributions,
@@ -117,9 +142,13 @@ class TrustSimEnv:
         self.traits = traits
         self.trust_model = trust_model
         self.reward = reward
+        # (mean, truncation, lo, hi) of each truncated-Gaussian trait
+        self._trait_draws = [
+            (d.mean, gaussian_truncation(d.mean, d.sd, d.lo, d.hi), d.lo, d.hi)
+            for d in (getattr(traits, name) for name in _GAUSS_TRAITS)]
+        self._gender_cum = cumulative_weights(traits.gender_probs)
         request_cum, fallback, rows = _compile_table(table)
-        conditions = [s if table.mode is TableMode.TASK_STEP_BASED
-                      else complexity_of_step(s) for s in _STEPS]
+        conditions = _STEPS if table.mode is TableMode.TASK_STEP_BASED else _COMPLEXITY
         # [trait tuple index][act index][step - 1] -> the key's draw_turn context
         self._contexts = [[[
             (request_cum[code], fallback[code], rows[code].__getitem__)
@@ -127,16 +156,24 @@ class TrustSimEnv:
             for act in range(N_ACTIONS)] for trait in range(N_TRAIT_TUPLES)]
         self._done = True  # until the first reset
 
+    def _profile_from(self, u) -> UserProfile:
+        """`sample_user`'s profile on the uniforms of its ten substreams."""
+        traits = dict(zip(_GAUSS_TRAITS, (truncated_gaussian_from(*draw, ui)
+                                          for draw, ui in zip(self._trait_draws, u))))
+        traits["age"] = int(math.floor(traits["age"] + 0.5))
+        return UserProfile(user_id="sim", gender=GENDER_ORDER[categorical_from(
+            self._gender_cum, u[-1])], **traits)
+
     def reset(self, rng: RandomStream) -> EnvState:
-        self._profile = sample_user(self.traits, rng.child("user"))
-        self._trait_tuple = binarize_traits(self._profile)
+        user_uniforms, self._uniforms = _episode_uniforms(rng.key)
+        profile = self._profile_from(user_uniforms)
+        self._trait_tuple = binarize_traits(profile)
         self._episode_contexts = self._contexts[self._trait_tuple.index]
-        self._uniforms = _turn_uniforms(rng.key)
-        self._features = DialogFeatures(self._profile)
+        self._features = DialogFeatures(profile)
         self._step_no = 1
         self._done = False
         return EnvState(
-            step=1, complexity=complexity_of_step(1),
+            step=1, complexity=_COMPLEXITY[0],
             trait_tuple=self._trait_tuple, last_turn=None,
             estimated_trust=NEUTRAL_LIKERT,
         )
@@ -148,14 +185,14 @@ class TrustSimEnv:
         if not isinstance(action, ProactiveAct):
             raise InvalidConfig(f"action must be a ProactiveAct, got {action!r}")
         s = self._step_no
-        complexity = complexity_of_step(s)
+        complexity = _COMPLEXITY[s - 1]
         turn = draw_turn(*self._episode_contexts[ACT_INDEX[action]][s - 1], complexity,
                          self._uniforms[s - 1])
         trust, _ = predict_trust(self.trust_model, self._features.row(action, s, turn))
         self._features.push(action, turn, trust)
 
         reward = (
-            self.reward.score_weight * (turn.game_score / max_option_score(complexity))
+            self.reward.score_weight * (turn.game_score / _MAX_SCORE[s - 1])
             + self.reward.trust_weight * ((trust - LIKERT_MIN) / (LIKERT_MAX - LIKERT_MIN))
         )
         done = s == STEPS_PER_DIALOG
@@ -163,7 +200,7 @@ class TrustSimEnv:
         next_step = s if done else s + 1
         self._step_no = next_step
         state = EnvState(
-            step=next_step, complexity=complexity_of_step(next_step),
+            step=next_step, complexity=_COMPLEXITY[next_step - 1],
             trait_tuple=self._trait_tuple, last_turn=turn, estimated_trust=trust,
         )
         return state, float(reward), done
@@ -240,12 +277,13 @@ def train_tabular_policy(env, episodes: int,
             else:
                 stream = root.child("explore", ep, t)
                 ai = stream.integers(N_ACTIONS) if stream.random() < hp.epsilon else -1
+            row = q[si]
             if ai < 0:
-                ai = int(np.argmax(q[si]))
+                ai = int(row.argmax())
             state, reward, done = env.step(ACT_ORDER[ai])
             ni = state_index(state)
-            target = reward if done else reward + hp.gamma * float(np.max(q[ni]))
-            q[si, ai] += hp.alpha * (target - q[si, ai])
+            target = reward if done else reward + hp.gamma * float(q[ni].max())
+            row[ai] += hp.alpha * (target - row[ai])
             si = ni
             total += reward
         returns.append(total)

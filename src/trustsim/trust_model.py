@@ -331,8 +331,7 @@ def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> Tru
 def predict_trust(model: TrustClassifier, features: np.ndarray) -> tuple:
     """(label, per-class score map); ties break toward the lower label."""
     scores = model.scores(np.asarray(features, dtype=float))
-    label = model.classes[int(np.argmax(scores))]
-    return label, {cls: float(s) for cls, s in zip(model.classes, scores)}
+    return model.classes[scores.argmax()], dict(zip(model.classes, scores.tolist()))
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,10 @@ class TraitTuple:
 
     @property
     def index(self) -> int:
-        return int(self.bits, 2)
+        """int(self.bits, 2), from the flags' truthiness as `bits` reads them."""
+        return ((4 if self.domain_expertise_high else 0)
+                + (2 if self.trust_propensity_high else 0)
+                + (1 if self.technical_affinity_high else 0))
 
     @classmethod
     def from_bits(cls, bits: str) -> "TraitTuple":

@@ -627,8 +627,9 @@ def reference_generate(config, seed) -> Corpus:
 
 def reference_load_corpus(path) -> Corpus:
     """The per-row loader load_corpus replaced, kept as its oracle: every
-    row read into memory through DictReader, every field parsed by name and
-    a UserRecord built for every row, then compared with the user's first."""
+    row read into memory through DictReader, its cell count checked against
+    the header's, every field parsed by name and a UserRecord built for
+    every row, then compared with the user's first."""
     path = Path(path)
     file_format = _infer_format(path)
     if file_format == "csv":
@@ -651,6 +652,13 @@ def reference_load_corpus(path) -> Corpus:
     seen = {}
     dialog_rows = {}
     for i, raw in enumerate(raw_rows, start=1):
+        if file_format == "csv":
+            # DictReader gives a short row's missing cells the value None
+            # and keeps a long row's extra cells in a list under the key None
+            fields = len(header) + len(raw.pop(None, ())) - list(raw.values()).count(None)
+            if fields != len(header):
+                raise ValueOutOfRange("fields", fields, row=i,
+                                      detail=f"the header has {len(header)} columns")
         parsed = {name: _parse_field(name, raw[name], i) for name in CORPUS_COLUMNS}
         parsed["gender"] = GENDER_ORDER[parsed["gender"]]  # parsed as indexes
         parsed["proactive_act"] = ACT_ORDER[parsed["proactive_act"]]

@@ -686,6 +686,25 @@ class TestLoaderBlocks:
         else:
             assert (err.value.field, err.value.row) == ("duration", bad_row)
 
+    @pytest.mark.parametrize("fields", [23, 25])
+    @pytest.mark.parametrize("odd_row, bad_row", [(700, 3), (3, 700), (600, 600)])
+    def test_a_row_of_the_wrong_width_equals_the_per_row_loader(self, tmp_path, corpus,
+                                                               fields, odd_row, bad_row):
+        path = tmp_path / "c.csv"
+        self.write(corpus, path, lambda rows: rows)
+        rewrite_cells(path, {(bad_row, "duration"): "slow"})
+        lines = path.read_text().splitlines()
+        lines[odd_row] = (lines[odd_row].rpartition(",")[0] if fields == 23
+                          else lines[odd_row] + ",extra")
+        path.write_text("\n".join(lines) + "\n")
+        error, message = self.assert_matches_reference(path)
+        assert error is ValueOutOfRange
+        if odd_row <= bad_row:
+            assert message == (f"fields={fields} out of range (row {odd_row}): "
+                               f"the header has 24 columns")
+        else:
+            assert message.startswith("duration='slow' out of range")
+
     def test_a_json_error_anywhere_beats_every_row(self, tmp_path, corpus):
         path = tmp_path / "c.jsonl"
         self.write(corpus, path, lambda rows: rows)

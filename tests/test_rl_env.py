@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from conftest import (
     reference_train_tabular_policy,
     stub_trust_model,
 )
+from trustsim import rl_env
 from trustsim.behavior_tables import TableMode, build_table
-from trustsim.corpus import ACT_ORDER, ProactiveAct, complexity_of_step
+from trustsim.corpus import ACT_ORDER, AGE_MAX, AGE_MIN, ProactiveAct, complexity_of_step
 from trustsim.errors import EpisodeFinished, InvalidConfig, InvalidHyperparams
 from trustsim.rl_env import (
     EnvState,
@@ -33,8 +35,10 @@ from trustsim.trust_model import train_classifier
 from trustsim.user_model import (
     ALL_TRAIT_TUPLES,
     TraitTuple,
+    TruncGauss,
     default_trait_distributions,
     fit_trait_distributions,
+    sample_user,
 )
 
 SUGGESTION_INDEX = ACT_ORDER.index(ProactiveAct.SUGGESTION)
@@ -165,6 +169,25 @@ class TestEnvMechanics:
         while not done:
             state, _, done = env.step(ProactiveAct.NONE)
             assert state.trait_tuple == first.trait_tuple
+
+    def test_reset_profile_equals_sample_user_on_edge_distributions(self, monkeypatch):
+        # a clamped sd-0 age, traits in the far upper and lower tails, an
+        # sd-0 trait and a gender class of weight 0
+        traits = replace(default_trait_distributions(),
+                         age=TruncGauss(75.0, 0.0, AGE_MIN, AGE_MAX),
+                         trust_propensity=TruncGauss(9.0, 0.5, 1, 5),
+                         domain_expertise=TruncGauss(-20.0, 0.3, 1, 5),
+                         openness=TruncGauss(2.5, 0.0, 1, 5),
+                         gender_probs=(0.0, 0.25, 0.75))
+        env = TrustSimEnv(deterministic_env().table, traits, stub_trust_model([0.0] * 5))
+        profiles = []
+        real = rl_env.DialogFeatures
+        monkeypatch.setattr(rl_env, "DialogFeatures",
+                            lambda profile: profiles.append(profile) or real(profile))
+        streams = [RandomStream(seed, "ep", ep) for seed in (0, 2**70) for ep in range(100)]
+        for rng in streams:
+            env.reset(rng)
+        assert profiles == [sample_user(traits, rng.child("user")) for rng in streams]
 
     def test_reset_rearms_after_done(self):
         env = deterministic_env()

@@ -18,12 +18,12 @@ from trustsim.corpus import ACT_ORDER
 from trustsim.rl_env import TrustSimEnv
 from trustsim.sampling import RandomStream
 from trustsim.trust_model import extract_features, train_classifier
-from trustsim.user_model import fit_trait_distributions, sample_user
+from trustsim.user_model import binarize_traits, fit_trait_distributions, sample_user
 
 
-@pytest.fixture(scope="module")
-def env(default_corpus):
-    return TrustSimEnv(build_table(default_corpus, TableMode.TASK_STEP_BASED),
+@pytest.fixture(scope="module", params=list(TableMode), ids=lambda mode: mode.value)
+def env(request, default_corpus):
+    return TrustSimEnv(build_table(default_corpus, request.param),
                        fit_trait_distributions(default_corpus),
                        train_classifier(default_corpus))
 
@@ -43,9 +43,10 @@ class TestFeatureRows:
         rng = RandomStream(seed, "episode")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rl_env, "predict_trust", scored)
-            env.reset(rng)
+            first = env.reset(rng)
             states = [env.step(act)[0] for act in acts]
         profile = sample_user(env.traits, rng.child("user"))
+        assert first.trait_tuple == binarize_traits(profile)
         history = []
         for step, (act, state, row) in enumerate(zip(acts, states, rows), start=1):
             current = simulated_turn_context(step, act, state.last_turn)

@@ -252,6 +252,19 @@ class TestTraitTuple:
             f"{i:03b}" for i in range(8)
         ]
 
+    def test_index_is_the_bits_read_in_base_two(self):
+        assert ([tt.index for tt in ALL_TRAIT_TUPLES]
+                == [int(tt.bits, 2) for tt in ALL_TRAIT_TUPLES] == list(range(8)))
+
+    @pytest.mark.parametrize("flags,bits", [
+        ((2, 0, "x"), "101"), ((0.0, "", None), "000"), ((np.True_, [1], -1), "111"),
+        ((np.float64(0.5), np.int64(0), ()), "100"),
+    ])
+    def test_index_reads_truthy_flags_as_bits_does(self, flags, bits):
+        tt = TraitTuple(*flags)
+        assert tt.bits == bits
+        assert tt.index == int(tt.bits, 2)
+
     def test_round_trip(self):
         for tt in ALL_TRAIT_TUPLES:
             assert TraitTuple.from_bits(tt.bits) == tt

@@ -51,7 +51,6 @@ from .trust_model import (
     TrustClassifier,
     combine_trust_target,
     evaluate_classifier,
-    extract_features,
     predict_trust,
     train_classifier,
 )
@@ -62,7 +61,6 @@ from .user_model import (
     binarize_traits,
     default_trait_distributions,
     fit_trait_distributions,
-    sample_user,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +100,6 @@ __all__ = [
     "estimate_distribution",
     "evaluate_classifier",
     "evaluate_simulator",
-    "extract_features",
     "fit_trait_distributions",
     "generate_synthetic_corpus",
     "kl_divergence",
@@ -112,7 +109,6 @@ __all__ = [
     "mse",
     "predict_trust",
     "replay_conditions",
-    "sample_user",
     "save_corpus",
     "save_table",
     "simulate_turn",

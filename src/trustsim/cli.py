@@ -5,8 +5,8 @@ Every stochastic subcommand takes an explicit --seed; outputs land in
 sha256 of each artifact, so identical invocations are checkable for
 bit-identical results. Later stages read what `fit` wrote: `simulate`
 and `evaluate` its --table, `train-rl` its whole --fit directory.
-Exit codes: 0 success, 1 usage, 2 validation (including a --corpus,
---table, --config or --fit file that does not exist), 3 runtime failure.
+Exit codes: 0 success, 1 usage, 2 validation (including a missing --corpus,
+--table, --config or --fit file, or an --out below a file), 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -294,6 +294,12 @@ def _check_input_files(args) -> None:
     for flag, path in paths:
         if path is not None and not Path(path).is_file():
             raise InvalidConfig(f"--{flag} {path} is not an existing file")
+    # --out is made with its parents: the first that exists must be a directory
+    for path in (Path(args.out), *Path(args.out).parents):
+        if path.is_dir():
+            break
+        if path.exists() or path.is_symlink():
+            raise InvalidConfig(f"--out {args.out}: {path} is not a directory")
 
 
 def main(argv=None) -> int:

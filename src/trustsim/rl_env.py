@@ -92,9 +92,8 @@ _STEPS = range(1, STEPS_PER_DIALOG + 1)
 # complexity_of_step and max_option_score of each step, at index step - 1
 _COMPLEXITY = tuple(map(complexity_of_step, _STEPS))
 _MAX_SCORE = tuple(map(max_option_score, _COMPLEXITY))
-_STEP_BITS = label_bits(_STEPS)
 _EXPLORE_LABEL = label_bits(["explore"])
-_USER_FIELDS = _GAUSS_TRAITS + ("gender",)  # sample_user's substreams, in its order
+_USER_FIELDS = _GAUSS_TRAITS + ("gender",)  # a user's substreams
 _N_USER = len(_USER_FIELDS)
 # The labels of the streams an episode reads below its reset key, one
 # array per level of the key chain: child("user").child(name) for each name
@@ -103,7 +102,7 @@ _N_USER = len(_USER_FIELDS)
 _LEVEL1_BITS = np.repeat(label_bits(["user", "step"]),
                          [_N_USER, STEPS_PER_DIALOG * len(TURN_FIELDS)])
 _LEVEL2_BITS = np.concatenate([label_bits(_USER_FIELDS),
-                               np.repeat(_STEP_BITS, len(TURN_FIELDS))])
+                               np.repeat(label_bits(_STEPS), len(TURN_FIELDS))])
 _LEVEL3_BITS = np.tile(label_bits(TURN_FIELDS), STEPS_PER_DIALOG)
 
 
@@ -126,13 +125,14 @@ class TrustSimEnv:
     step and the field, never on the actions, so `reset` derives all of an
     episode's uniforms at once: ten for the user, then four per turn, 58
     first draws of one chain of uint64 key arrays. The user's profile is
-    `sample_user`'s arithmetic on the first ten, with each trait's
-    truncation and the gender cumulatives computed once per env, so it
-    equals `sample_user(traits, rng.child("user"))`. The action only picks
-    the compiled table entry a turn draws from. A step's turn, trust
-    estimate and reward equal those of `simulate_turn` on
-    `rng.child("step", s)`, then `extract_features` over the episode's
-    earlier turns, then `predict_trust`.
+    `sample_users`' arithmetic on the first ten, with each trait's
+    truncation and the gender cumulatives computed once per env. The
+    action only picks the compiled table entry a turn draws from. The
+    oracle `ReferenceTrustSimEnv` in `tests/conftest.py` draws the same
+    episode turn by turn: the profile with `reference_sample_user` on
+    `rng.child("user")`, each turn with `reference_simulate_turn` on
+    `rng.child("step", s)`, its features with `reference_features` over the
+    episode's earlier turns, then `predict_trust`.
     """
 
     def __init__(self, table: BehaviorTable, traits: TraitDistributions,
@@ -157,7 +157,7 @@ class TrustSimEnv:
         self._done = True  # until the first reset
 
     def _profile_from(self, u) -> UserProfile:
-        """`sample_user`'s profile on the uniforms of its ten substreams."""
+        """The profile drawn on the uniforms of its ten substreams."""
         traits = dict(zip(_GAUSS_TRAITS, (truncated_gaussian_from(*draw, ui)
                                           for draw, ui in zip(self._trait_draws, u))))
         traits["age"] = int(math.floor(traits["age"] + 0.5))
@@ -189,7 +189,7 @@ class TrustSimEnv:
         turn = draw_turn(*self._episode_contexts[ACT_INDEX[action]][s - 1], complexity,
                          self._uniforms[s - 1])
         trust, _ = predict_trust(self.trust_model, self._features.row(action, s, turn))
-        self._features.push(action, turn, trust)
+        self._features.push(trust)
 
         reward = (
             self.reward.score_weight * (turn.game_score / _MAX_SCORE[s - 1])
@@ -233,14 +233,13 @@ class TabularPolicyResult:
 _EXPLORE_BLOCK = 256
 
 
-def _explore_actions(root: RandomStream, first: int, count: int, epsilon: float) -> list:
-    """For episodes first .. first + count - 1 and steps t = 1..12, the
-    action index that `root.child("explore", ep, t)` explores with: its
-    second draw's `integers(N_ACTIONS)` when its first uniform is below
-    epsilon, else -1 for the greedy action."""
-    episodes = label_bits(range(first, first + count))
-    keys = child_keys(child_keys(child_keys(root.key, _EXPLORE_LABEL), episodes)[:, None],
-                      _STEP_BITS)
+def _explore_actions(root: RandomStream, episodes, steps, epsilon: float) -> list:
+    """For each episode ep of `episodes` and step t of `steps`, the action
+    index that `root.child("explore", ep, t)` explores with: its second
+    draw's `integers(N_ACTIONS)` when its first uniform is below epsilon,
+    else -1 for the greedy action."""
+    keys = child_keys(child_keys(child_keys(root.key, _EXPLORE_LABEL),
+                                 label_bits(episodes))[:, None], label_bits(steps))
     explore = first_uniforms(keys) < epsilon
     return np.where(explore, integers(nth_draws(keys, 2), N_ACTIONS).astype(np.intp),
                     -1).tolist()
@@ -252,8 +251,8 @@ def train_tabular_policy(env, episodes: int,
     returning the same shapes works (rigged test doubles included).
 
     Step t of episode ep explores on the stream `root.child("explore", ep,
-    t)`. Those of steps 1..12 are derived a block of episodes at a time;
-    a longer episode draws its later steps one stream at a time."""
+    t)`. Those of steps 1..12 are derived a block of episodes at a time,
+    and those of a longer episode's later steps one step at a time."""
     if not isinstance(episodes, int) or episodes < 1:
         raise InvalidHyperparams(f"episodes must be >= 1, got {episodes}")
     hp = hyperparams
@@ -262,8 +261,8 @@ def train_tabular_policy(env, episodes: int,
     returns = []
     for ep in range(episodes):
         if ep % _EXPLORE_BLOCK == 0:
-            block = _explore_actions(root, ep, min(_EXPLORE_BLOCK, episodes - ep),
-                                     hp.epsilon)
+            block = _explore_actions(root, range(ep, min(ep + _EXPLORE_BLOCK, episodes)),
+                                     _STEPS, hp.epsilon)
         explore = block[ep % _EXPLORE_BLOCK]
         state = env.reset(root.child("env", ep))
         si = state_index(state)
@@ -275,8 +274,7 @@ def train_tabular_policy(env, episodes: int,
             if t <= STEPS_PER_DIALOG:
                 ai = explore[t - 1]
             else:
-                stream = root.child("explore", ep, t)
-                ai = stream.integers(N_ACTIONS) if stream.random() < hp.epsilon else -1
+                ai = _explore_actions(root, (ep,), (t,), hp.epsilon)[0][0]
             row = q[si]
             if ai < 0:
                 ai = int(row.argmax())

@@ -137,10 +137,6 @@ class RandomStream:
             raise InvalidBounds(f"integers needs n >= 1, got {n}")
         return (self._next64() * n) >> 64
 
-    def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
-        """Gaussian draw by the inverse CDF of one uniform."""
-        return mean + sd * _STD.inv_cdf(self.random())
-
     def permutation(self, n: int) -> list:
         """Uniform permutation of range(n) by Fisher-Yates."""
         items = list(range(n))
@@ -194,8 +190,8 @@ def integers(draws, n: int) -> np.ndarray:
 
 
 def standard_normals(u) -> np.ndarray:
-    """`inv_cdf` of the standard normal, element by element, so each value
-    equals `RandomStream.normal()` on that uniform bit for bit."""
+    """`inv_cdf` of the standard normal on each uniform of an array,
+    element by element, as `statistics.NormalDist` computes it."""
     u = np.asarray(u, dtype=np.float64)
     return np.fromiter(map(_STD.inv_cdf, u.tolist()), dtype=np.float64, count=len(u))
 
@@ -222,20 +218,14 @@ def gaussian_truncation(mean, sd, lo, hi) -> tuple:
     return c_lo, 0.5 * math.erfc(-b / _SQRT2) - c_lo, sign * sd
 
 
-def truncated_gaussian(mean, sd, lo, hi, rng: RandomStream) -> float:
-    """One draw from a Gaussian truncated to [lo, hi].
+def truncated_gaussian_from(mean, truncation, lo, hi, u: float) -> float:
+    """One draw from a Gaussian truncated to [lo, hi], given the mean, its
+    `gaussian_truncation` and a uniform u.
 
     A single inverse-CDF step on one uniform, so every draw costs the same
     however far into a tail [lo, hi] lies. sd == 0 degenerates to
     clamp(mean, lo, hi).
     """
-    return truncated_gaussian_from(mean, gaussian_truncation(mean, sd, lo, hi),
-                                   lo, hi, rng.random())
-
-
-def truncated_gaussian_from(mean, truncation, lo, hi, u: float) -> float:
-    """`truncated_gaussian` given the mean, its `gaussian_truncation` and
-    the stream's uniform u."""
     c_lo, span, scale = truncation
     if scale == 0:
         return float(min(max(mean, lo), hi))
@@ -244,7 +234,7 @@ def truncated_gaussian_from(mean, truncation, lo, hi, u: float) -> float:
 
 
 def truncated_gaussians(mean, truncation, lo, hi, u) -> np.ndarray:
-    """`truncated_gaussian` over arrays: element i draws on uniform u[i]
+    """`truncated_gaussian_from` over arrays: element i draws on uniform u[i]
     with mean[i] and truncation[i], its `gaussian_truncation` (n x 3).
 
     Only the arithmetic is vectorized; `inv_cdf` runs per element, so the
@@ -273,11 +263,6 @@ def cumulative_weights(probs) -> list:
     return cumulative
 
 
-def categorical(probs, rng: RandomStream) -> int:
-    """Index sampled from an unnormalized non-negative weight vector."""
-    return categorical_from(cumulative_weights(probs), rng.random())
-
-
 def categorical_from(cumulative, u: float) -> int:
     """Index sampled from a `cumulative_weights` vector on the uniform u.
 
@@ -292,7 +277,7 @@ def categorical_from(cumulative, u: float) -> int:
 
 
 def categoricals(cumulatives, u) -> np.ndarray:
-    """`categorical` over rows: row i of the (n, k) array `cumulatives` is
+    """`categorical_from` over rows: row i of the (n, k) array `cumulatives` is
     a `cumulative_weights` vector and u[i] its uniform. Counting
     `cum <= target` and `cum < total` over a non-decreasing row is
     bisect_right and bisect_left."""

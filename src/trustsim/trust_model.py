@@ -3,9 +3,10 @@ one-vs-rest max-margin trust classifier.
 
 The target folds the four self-reported measures (trust, competence,
 reliability, predictability) into one 1..5 label. Features combine the
-static profile, the current turn, and a 2-step lag window. For one turn
-they come from `extract_features`; for a whole corpus `corpus_to_dataset`
-builds them column-wise, equal to that per-turn path row for row.
+static profile, the current turn, and a 2-step lag window, in one column
+layout. `corpus_to_dataset` builds them column-wise for a whole corpus,
+and `DialogFeatures` turn by turn for one dialog. Both equal, row for row,
+the per-turn oracle `reference_features` in `tests/conftest.py`.
 Training is full-batch subgradient descent on the hinge loss with L2
 regularization and the Pegasos step 1/(lambda t), deterministic by
 construction. All classes train together: the bias rides as a last
@@ -23,6 +24,7 @@ from operator import attrgetter
 import numpy as np
 
 from .corpus import (
+    ACT_INDEX,
     ACT_ORDER,
     AGE_MAX,
     COMPLEXITY_LEVELS,
@@ -72,22 +74,6 @@ def combine_trust_target(trust: int, competence: int, reliability: int,
     return int(math.floor(sum(values) / 4.0 + 0.5))
 
 
-@dataclass(frozen=True)
-class TurnContext:
-    """The observable slice of one exchange, plus the combined trust
-    label once known (used only as a lag feature for later steps)."""
-
-    proactive_act: ProactiveAct
-    complexity: int
-    step: int
-    difficulty: int
-    duration: float
-    game_score: float
-    help_request: bool
-    suggestion_request: bool
-    trust_label: int | None = None
-
-
 def _build_feature_names() -> tuple:
     names = ["age"]
     names += [f"gender={g.value}" for g in GENDER_ORDER]
@@ -120,96 +106,61 @@ _FEATURE_BOUNDS = np.array([1.0 if "=" in name else _BOUNDS[name.rpartition(":")
                            for name in FEATURE_NAMES])
 
 
-def _act_onehot(act: ProactiveAct) -> list:
-    return [1.0 if a is act else 0.0 for a in ACT_ORDER]
-
-
-# The three blocks of a feature row. A turn is anything with the observed
-# fields: a TurnContext or a simulated turn.
-
-def _profile_block(profile: UserProfile) -> list:
-    return [float(profile.age),
-            *(1.0 if g is profile.gender else 0.0 for g in GENDER_ORDER),
-            profile.technical_affinity, profile.trust_propensity,
-            profile.domain_expertise, profile.openness, profile.conscientiousness,
-            profile.extraversion, profile.agreeableness, profile.neuroticism]
-
-
-def _observed(turn) -> list:
-    return [float(turn.difficulty), turn.duration, turn.game_score,
-            float(turn.help_request), float(turn.suggestion_request)]
-
-
-def _current_block(act: ProactiveAct, complexity: int, step: int, turn) -> list:
-    return _act_onehot(act) + [float(complexity), float(step)] + _observed(turn)
-
-
-def _lag_block(act: ProactiveAct, turn, trust: int) -> list:
-    return _act_onehot(act) + _observed(turn) + [float(trust)]
-
-
-def extract_features(profile: UserProfile, history, current: TurnContext) -> np.ndarray:
-    """Feature vector for predicting trust at `current`.
-
-    `history` holds this dialog's earlier turns in step order; only the
-    last LAG_WINDOW entries are read. Causal by construction: nothing
-    after `current.step` is touched.
-    """
-    history = list(history)
-    if current.step < 1:
-        raise SchemaMismatch(f"current step must be >= 1, got {current.step}")
-    steps = [h.step for h in history] + [current.step]
-    if any(a >= b for a, b in zip(steps, steps[1:])):
-        raise SchemaMismatch("history must be strictly step-ordered and precede current")
-
-    vec = _profile_block(profile) + _current_block(
-        current.proactive_act, current.complexity, current.step, current)
-    for lag in range(1, LAG_WINDOW + 1):
-        if lag <= len(history):
-            h = history[-lag]
-            trust = h.trust_label if h.trust_label is not None else NEUTRAL_LIKERT
-            vec += _lag_block(h.proactive_act, h, trust)
-        else:
-            vec += _LAG_FILL
-
-    out = np.asarray(vec, dtype=float)
-    if out.shape != (N_FEATURES,):
-        raise SchemaMismatch(f"expected {N_FEATURES} features, built {out.shape}")
-    return out
-
-
-class DialogFeatures:
-    """The feature rows of one dialog, built turn by turn: `row` equals
-    `extract_features` for a turn whose history is every turn given to
-    `push` so far, each labelled with the trust it was pushed with. The
-    profile block is built once and the lag blocks roll, so no history
-    is kept."""
-
-    __slots__ = ("_profile", "_lags")
-
-    def __init__(self, profile: UserProfile):
-        self._profile = _profile_block(profile)
-        self._lags = _LAG_FILL * LAG_WINDOW
-
-    def row(self, act: ProactiveAct, step: int, turn) -> np.ndarray:
-        return np.array(self._profile + _current_block(act, complexity_of_step(step),
-                                                       step, turn) + self._lags,
-                        dtype=float)
-
-    def push(self, act: ProactiveAct, turn, trust: int) -> None:
-        self._lags = _lag_block(act, turn, trust) + self._lags[:-len(_LAG_FILL)]
-
-
-# Column layout of corpus_to_dataset, in FEATURE_NAMES order.
+# Column layout of a feature row, in FEATURE_NAMES order: the profile
+# block, the current-turn block, then LAG_WINDOW lag blocks of _LAG_WIDTH
+# columns, lag 1 first.
 _PROFILE_TRAITS = attrgetter(*SCALE_TRAITS)
+# the current-turn block after its act one-hot
 _TURN_FIELDS = ("complexity", "step", "difficulty", "duration", "game_score",
                 "help_request", "suggestion_request")
+_OBSERVED = attrgetter(*_TURN_FIELDS[2:])  # the fields a turn itself holds
+_ACT_ONE_HOT = np.eye(len(ACT_ORDER)).tolist()  # by act index
 _PROFILE_END = FEATURE_NAMES.index(f"act={ACT_ORDER[0].value}")
 _TURN_END = FEATURE_NAMES.index(f"lag1:act={ACT_ORDER[0].value}")
 _LAG_WIDTH = (N_FEATURES - _TURN_END) // LAG_WINDOW
 # turn-block column of each lag column but the last (the trust label)
 _LAG_FROM_TURN = [FEATURE_NAMES.index(name.removeprefix("lag1:")) - _PROFILE_END
                   for name in FEATURE_NAMES[_TURN_END:_TURN_END + _LAG_WIDTH - 1]]
+_LAG1_FROM_ROW = np.array(_LAG_FROM_TURN) + _PROFILE_END
+
+
+def _profile_values(user) -> list:
+    return [user.age, *(float(g is user.gender) for g in GENDER_ORDER),
+            *_PROFILE_TRAITS(user)]
+
+
+# a row's columns after the profile block at dialog start
+_ROW_START_TAIL = [0.0] * (_TURN_END - _PROFILE_END) + _LAG_FILL * LAG_WINDOW
+
+
+class DialogFeatures:
+    """The feature rows of one dialog, built turn by turn in one row of
+    the `corpus_to_dataset` layout. The profile block is written once;
+    `row` writes the current turn's block and returns a copy, and `push`
+    labels that turn with its trust and rolls it into the lag blocks, so
+    no history is kept. The rows equal those `corpus_to_dataset` builds
+    for a dialog whose trust labels are the pushed ones."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, profile: UserProfile):
+        self._row = np.array(_profile_values(profile) + _ROW_START_TAIL, dtype=float)
+
+    def row(self, act: ProactiveAct, step: int, turn) -> np.ndarray:
+        """The row of a turn (anything with the observed fields) at a step,
+        after the act."""
+        self._row[_PROFILE_END:_TURN_END] = (_ACT_ONE_HOT[ACT_INDEX[act]]
+                                             + [complexity_of_step(step), step,
+                                                *_OBSERVED(turn)])
+        return self._row.copy()
+
+    def push(self, trust: int) -> None:
+        """Lag 1 becomes lag 2, and the turn of the last `row`, labelled
+        with this trust, becomes lag 1."""
+        row = self._row
+        row[_TURN_END + _LAG_WIDTH:] = row[_TURN_END:N_FEATURES - _LAG_WIDTH]
+        row[_TURN_END:_TURN_END + _LAG_WIDTH - 1] = row[_LAG1_FROM_ROW]
+        row[_TURN_END + _LAG_WIDTH - 1] = trust
 
 
 def corpus_to_dataset(corpus: Corpus) -> tuple:
@@ -217,21 +168,15 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
 
     Built column-wise: the corpus holds steps 1..12 in order for every
     user, so X is 12 rows per user, and lag k is the current-turn block
-    shifted down k rows within each dialog, with the neutral fill of
-    `extract_features` before step k + 1. Row for row equal to calling
-    `extract_features` on every exchange.
+    shifted down k rows within each dialog, with the neutral fill before
+    step k + 1. Row for row equal to the per-turn oracle
+    `reference_features` in `tests/conftest.py` on every exchange.
     """
     users = corpus.users
     n = corpus.exchange_count
     # combine_trust_target's arithmetic; Corpus has checked the 1..5 range
     labels = np.floor((corpus.trust + corpus.competence + corpus.reliability
                        + corpus.predictability) / 4.0 + 0.5)
-
-    profile = np.zeros((len(users), _PROFILE_END))
-    profile[:, 0] = [u.age for u in users]
-    profile[np.arange(len(users)), [1 + GENDER_ORDER.index(u.gender) for u in users]] = 1.0
-    profile[:, 1 + len(GENDER_ORDER):] = np.array(
-        [_PROFILE_TRAITS(u) for u in users], dtype=float).reshape(len(users), len(SCALE_TRAITS))
 
     turn = np.zeros((n, _TURN_END - _PROFILE_END))
     turn[np.arange(n), corpus.proactive_act] = 1.0
@@ -241,7 +186,9 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
     lag = lag.reshape(len(users), STEPS_PER_DIALOG, _LAG_WIDTH)
 
     X = np.empty((n, N_FEATURES))
-    X[:, :_PROFILE_END] = np.repeat(profile, STEPS_PER_DIALOG, axis=0)
+    profiles = np.array([_profile_values(u) for u in users], dtype=float)
+    X[:, :_PROFILE_END] = np.repeat(profiles.reshape(-1, _PROFILE_END), STEPS_PER_DIALOG,
+                                    axis=0)
     X[:, _PROFILE_END:_TURN_END] = turn
     dialog_steps = X.reshape(len(users), STEPS_PER_DIALOG, N_FEATURES)
     for k in range(1, LAG_WINDOW + 1):

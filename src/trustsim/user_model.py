@@ -9,7 +9,6 @@ tuple that conditions simulated behavior.
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -29,15 +28,12 @@ from .corpus import (
 from .errors import (InsufficientUsers, InvalidBounds, InvalidConfig, object_entry,
                      read_json)
 from .sampling import (
-    RandomStream,
-    categorical,
     categoricals,
     child_keys,
     cumulative_weights,
     first_uniforms,
     gaussian_truncation,
     label_bits,
-    truncated_gaussian,
     truncated_gaussians,
 )
 
@@ -190,34 +186,13 @@ def fit_trait_distributions(corpus: Corpus) -> TraitDistributions:
     return TraitDistributions(gender_probs=probs, **kwargs)
 
 
-def sample_user(dists: TraitDistributions, stream: RandomStream,
-                user_id: str = "sim") -> UserProfile:
-    """Sample a full profile. Age is drawn continuously then rounded.
-
-    Each trait draws from its own named substream, so the draw for one
-    trait never shifts another's.
-    """
-    age_raw = truncated_gaussian(
-        dists.age.mean, dists.age.sd, dists.age.lo, dists.age.hi,
-        stream.child("age"),
-    )
-    kwargs = {"age": int(math.floor(age_raw + 0.5))}
-    for name in SCALE_TRAITS:
-        dist = getattr(dists, name)
-        kwargs[name] = truncated_gaussian(
-            dist.mean, dist.sd, dist.lo, dist.hi, stream.child(name)
-        )
-    gender = GENDER_ORDER[categorical(dists.gender_probs, stream.child("gender"))]
-    return UserProfile(user_id=user_id, gender=gender, **kwargs)
-
-
 def sample_users(dists: TraitDistributions, keys, user_ids) -> list:
-    """`sample_user` for many users at once: user i draws from the stream
-    with key keys[i] of a uint64 array and is named user_ids[i].
-
-    Every trait takes one uniform per user from `first_uniforms` and one
-    truncation for all users, so each profile equals the one `sample_user`
-    draws from that stream, bit for bit.
+    """Sample full profiles: user i draws from the stream with key keys[i]
+    of a uint64 array and is named user_ids[i]. Each trait takes the first
+    uniform of its own named child stream, so no trait shifts another's,
+    and one truncation for all users; age is drawn continuously, then
+    rounded. The one-user oracle is `reference_sample_user` in
+    `tests/conftest.py`.
     """
     def uniforms(name: str) -> np.ndarray:
         return first_uniforms(child_keys(keys, label_bits([name])))

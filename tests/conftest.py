@@ -11,6 +11,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
+from statistics import NormalDist
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from trustsim.corpus import (
     ACT_INDEX,
     ACT_ORDER,
     CORPUS_COLUMNS,
+    SCALE_TRAITS,
     Corpus,
     DURATION_FLOOR_S,
     EXCHANGE_COLUMNS,
@@ -71,9 +73,10 @@ from trustsim.rl_env import (
 )
 from trustsim.sampling import (
     RandomStream,
-    categorical,
+    categorical_from,
     cumulative_weights,
-    truncated_gaussian,
+    gaussian_truncation,
+    truncated_gaussian_from,
 )
 from trustsim.simulator import SimulatedLog, SimulatedTurn, simulate_turn
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
@@ -83,12 +86,10 @@ from trustsim.trust_model import (
     SCHEMA_VERSION,
     TrainConfig,
     TrustClassifier,
-    TurnContext,
     combine_trust_target,
-    extract_features,
     predict_trust,
 )
-from trustsim.user_model import ALL_TRAIT_TUPLES, binarize_traits, sample_user
+from trustsim.user_model import ALL_TRAIT_TUPLES, UserProfile, binarize_traits
 
 
 def combo_index(help_request: bool, suggestion_request: bool) -> int:
@@ -185,6 +186,44 @@ def dialogs_of(corpus) -> dict:
     return {user.user_id: tuple(ex for _, ex in pairs[i * STEPS_PER_DIALOG:
                                                        (i + 1) * STEPS_PER_DIALOG])
             for i, user in enumerate(corpus.users)}
+
+
+_STD = NormalDist()
+
+
+def truncated_gaussian(mean, sd, lo, hi, rng) -> float:
+    """One draw from a Gaussian truncated to [lo, hi] on the stream's next
+    uniform: the scalar sampler `truncated_gaussians` replaced, kept as its
+    oracle. sd == 0 degenerates to clamp(mean, lo, hi)."""
+    return truncated_gaussian_from(mean, gaussian_truncation(mean, sd, lo, hi),
+                                   lo, hi, rng.random())
+
+
+def categorical(probs, rng) -> int:
+    """Index sampled from an unnormalized non-negative weight vector on the
+    stream's next uniform: the scalar sampler `categoricals` replaced, kept
+    as its oracle."""
+    return categorical_from(cumulative_weights(probs), rng.random())
+
+
+def normal(rng, mean, sd) -> float:
+    """Gaussian draw by the inverse CDF of the stream's next uniform."""
+    return mean + sd * _STD.inv_cdf(rng.random())
+
+
+def reference_sample_user(dists, stream, user_id="sim") -> UserProfile:
+    """The one-user sampler `sample_users` replaced, kept as its oracle:
+    each trait drawn from its own named substream, age drawn continuously
+    then rounded half up."""
+    age = dists.age
+    kwargs = {"age": int(math.floor(
+        truncated_gaussian(age.mean, age.sd, age.lo, age.hi, stream.child("age")) + 0.5))}
+    for name in SCALE_TRAITS:
+        dist = getattr(dists, name)
+        kwargs[name] = truncated_gaussian(dist.mean, dist.sd, dist.lo, dist.hi,
+                                          stream.child(name))
+    gender = GENDER_ORDER[categorical(dists.gender_probs, stream.child("gender"))]
+    return UserProfile(user_id=user_id, gender=gender, **kwargs)
 
 
 def analytic_truncated_mean(mean, sd, lo, hi):
@@ -480,6 +519,59 @@ def reference_log_bytes(records, file_format) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+@dataclass(frozen=True)
+class TurnContext:
+    """The observable slice of one exchange, plus the combined trust
+    label once known (used only as a lag feature for later steps)."""
+
+    proactive_act: ProactiveAct
+    complexity: int
+    step: int
+    difficulty: int
+    duration: float
+    game_score: float
+    help_request: bool
+    suggestion_request: bool
+    trust_label: int | None = None
+
+
+# a lag slot before the dialog has that many earlier turns
+_LAG_FILL = ([0.0] * len(ACT_ORDER) + [float(NEUTRAL_LIKERT)] + [0.0] * 4
+             + [float(NEUTRAL_LIKERT)])
+
+
+def _act_onehot(act) -> list:
+    return [1.0 if a is act else 0.0 for a in ACT_ORDER]
+
+
+def _observed(turn) -> list:
+    return [float(turn.difficulty), turn.duration, turn.game_score,
+            float(turn.help_request), float(turn.suggestion_request)]
+
+
+def reference_features(profile, history, current) -> np.ndarray:
+    """The per-turn feature vector that `corpus_to_dataset` and
+    `DialogFeatures` replaced, kept as their oracle: the profile block,
+    the block of `current` (a TurnContext), then for lags 1 and 2 the
+    block of that earlier turn with its trust label, or the neutral fill
+    where the dialog has no such turn. `history` holds the dialog's
+    earlier turns, labelled, in step order."""
+    vec = [float(profile.age),
+           *(1.0 if g is profile.gender else 0.0 for g in GENDER_ORDER),
+           profile.technical_affinity, profile.trust_propensity,
+           profile.domain_expertise, profile.openness, profile.conscientiousness,
+           profile.extraversion, profile.agreeableness, profile.neuroticism]
+    vec += (_act_onehot(current.proactive_act)
+            + [float(current.complexity), float(current.step)] + _observed(current))
+    for lag in (1, 2):
+        if lag <= len(history):
+            h = history[-lag]
+            vec += _act_onehot(h.proactive_act) + _observed(h) + [float(h.trust_label)]
+        else:
+            vec += _LAG_FILL
+    return np.asarray(vec, dtype=float)
+
+
 def turn_context(ex, with_label=False) -> TurnContext:
     """The observable slice of a corpus exchange, labelled for use as a lag."""
     label = combine_trust_target(ex.trust, ex.competence, ex.reliability,
@@ -505,13 +597,13 @@ def simulated_turn_context(step, act, turn, trust_label=None) -> TurnContext:
 
 def reference_dataset(corpus) -> tuple:
     """The per-row loop corpus_to_dataset replaced, kept as its oracle:
-    one extract_features call per exchange, lag labels teacher-forced."""
+    one reference_features call per exchange, lag labels teacher-forced."""
     rows, labels, owners = [], [], []
     dialogs = dialogs_of(corpus)
     for user in corpus.users:
         history = []
         for ex in dialogs[user.user_id]:
-            rows.append(extract_features(user, history, turn_context(ex)))
+            rows.append(reference_features(user, history, turn_context(ex)))
             labels.append(combine_trust_target(ex.trust, ex.competence,
                                                ex.reliability, ex.predictability))
             owners.append(user.user_id)
@@ -565,7 +657,7 @@ def reference_predictions(model, corpus) -> list:
 
 
 def _reference_annotation(latent, noise_sd, rng) -> int:
-    value = latent + rng.normal(0.0, noise_sd) + 0.5
+    value = latent + normal(rng, 0.0, noise_sd) + 0.5
     return int(math.floor(min(LIKERT_MAX, max(LIKERT_MIN, value))))
 
 
@@ -582,7 +674,7 @@ def reference_generate(config, seed) -> Corpus:
     for i in range(config.n_dialogs):
         uid = f"u{i:04d}"
         ustream = root.child(uid)
-        profile = sample_user(config.traits, ustream.child("traits"), user_id=uid)
+        profile = reference_sample_user(config.traits, ustream.child("traits"), user_id=uid)
         traits = binarize_traits(profile)
         users.append(profile)
         latent_trust = clip(profile.trust_propensity)
@@ -722,8 +814,9 @@ class ReferenceTrustSimEnv:
     """TrustSimEnv as it was before episodes drew from precomputed uniforms
     and a compiled table, kept as its oracle: each step draws one
     reference_simulate_turn on rng.child("step", s), builds its features
-    with extract_features over the episode's TurnContext history, and
-    labels that history with each step's predicted trust."""
+    with reference_features over the episode's TurnContext history, and
+    labels that history with each step's predicted trust. The user is
+    reference_sample_user on rng.child("user")."""
 
     def __init__(self, table, traits, trust_model, reward=RewardConfig()):
         self.table, self.traits, self.trust_model = table, traits, trust_model
@@ -731,7 +824,7 @@ class ReferenceTrustSimEnv:
 
     def reset(self, rng):
         self._stream = rng
-        self._profile = sample_user(self.traits, rng.child("user"))
+        self._profile = reference_sample_user(self.traits, rng.child("user"))
         self._trait_tuple = binarize_traits(self._profile)
         self._history = []
         self._step_no = 1
@@ -744,7 +837,7 @@ class ReferenceTrustSimEnv:
         turn = reference_simulate_turn(self.table, self._profile, s, action,
                                        self._stream.child("step", s))
         current = simulated_turn_context(s, action, turn)
-        features = extract_features(self._profile, self._history, current)
+        features = reference_features(self._profile, self._history, current)
         trust, _ = predict_trust(self.trust_model, features)
         self._history.append(replace(current, trust_label=trust))
         reward = (

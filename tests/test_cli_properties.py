@@ -3,6 +3,8 @@
 One edit to one file of a fit directory (`table.json`, `trust_model.json`
 or `trait_dists.json`) is either harmless (exit 0) or a validation error
 (exit 2, a JSON error on stderr); it is never a runtime failure (exit 3).
+An --out that is an existing file, or a path below one, is a validation
+error of every subcommand too.
 
 Kept apart from test_cli.py so that the example-based tests there still
 run where hypothesis is not installed.
@@ -72,6 +74,37 @@ def edited(draw, payload):
     else:
         node.append(copy.deepcopy(draw(st.sampled_from(node))) if node else value)
     return payload
+
+
+def subcommand_argv(work, command) -> list:
+    """Arguments of a run of `command` on the fixture's corpus and fit."""
+    corpus = ["--corpus", str(work / "gen" / "corpus.csv")]
+    table = ["--table", str(work / "fit" / "table.json")]
+    return {"gen-corpus": ["gen-corpus", "--dialogs", "3"],
+            "fit": ["fit", *corpus],
+            "simulate": ["simulate", *corpus, *table],
+            "evaluate": ["evaluate", *corpus, *table],
+            "compare": ["compare", *corpus],
+            "train-rl": ["train-rl", "--fit", str(work / "fit"), "--episodes", "1"],
+            }[command]
+
+
+class TestOutBelowAFile:
+    @pytest.mark.parametrize("below", ["", "x", "x/y"])
+    @pytest.mark.parametrize("command", ["gen-corpus", "fit", "simulate", "evaluate",
+                                         "compare", "train-rl"])
+    def test_is_a_validation_error(self, fit_dir, command, below):
+        corpus = fit_dir / "gen" / "corpus.csv"
+        before = corpus.read_bytes()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(subcommand_argv(fit_dir, command)
+                        + ["--seed", "1", "--out", str(corpus / below)])
+        assert code == EXIT_VALIDATION, err.getvalue()
+        assert json.loads(err.getvalue()) == {
+            "error": "InvalidConfig",
+            "message": f"--out {corpus / below}: {corpus} is not a directory"}
+        assert corpus.read_bytes() == before
 
 
 class TestFitArtifactFuzz:

@@ -13,6 +13,7 @@ from conftest import (
     ReferenceTrustSimEnv,
     RiggedSweepEnv,
     make_corpus,
+    reference_sample_user,
     reference_train_tabular_policy,
     stub_trust_model,
 )
@@ -38,7 +39,6 @@ from trustsim.user_model import (
     TruncGauss,
     default_trait_distributions,
     fit_trait_distributions,
-    sample_user,
 )
 
 SUGGESTION_INDEX = ACT_ORDER.index(ProactiveAct.SUGGESTION)
@@ -187,7 +187,8 @@ class TestEnvMechanics:
         streams = [RandomStream(seed, "ep", ep) for seed in (0, 2**70) for ep in range(100)]
         for rng in streams:
             env.reset(rng)
-        assert profiles == [sample_user(traits, rng.child("user")) for rng in streams]
+        assert profiles == [reference_sample_user(traits, rng.child("user"))
+                            for rng in streams]
 
     def test_reset_rearms_after_done(self):
         env = deterministic_env()

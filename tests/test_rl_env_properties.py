@@ -1,5 +1,6 @@
 """Hypothesis property tests of the RL environment's incremental feature
-rows against `extract_features` over the episode's history.
+rows against the per-turn oracle `reference_features` over the episode's
+history.
 
 Kept apart from test_rl_env.py so that the example-based tests there
 still run where hypothesis is not installed.
@@ -11,14 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import simulated_turn_context
+from conftest import reference_features, reference_sample_user, simulated_turn_context
 from trustsim import rl_env
 from trustsim.behavior_tables import TableMode, build_table
 from trustsim.corpus import ACT_ORDER
 from trustsim.rl_env import TrustSimEnv
 from trustsim.sampling import RandomStream
-from trustsim.trust_model import extract_features, train_classifier
-from trustsim.user_model import binarize_traits, fit_trait_distributions, sample_user
+from trustsim.trust_model import train_classifier
+from trustsim.user_model import binarize_traits, fit_trait_distributions
 
 
 @pytest.fixture(scope="module", params=list(TableMode), ids=lambda mode: mode.value)
@@ -32,7 +33,7 @@ class TestFeatureRows:
     @settings(deadline=None, max_examples=40)
     @given(st.integers(-2**70, 2**70),
            st.lists(st.sampled_from(ACT_ORDER), min_size=12, max_size=12))
-    def test_rows_equal_extract_features_over_the_history(self, env, seed, acts):
+    def test_rows_equal_reference_features_over_the_history(self, env, seed, acts):
         rows = []
 
         def scored(model, features):
@@ -45,13 +46,13 @@ class TestFeatureRows:
             mp.setattr(rl_env, "predict_trust", scored)
             first = env.reset(rng)
             states = [env.step(act)[0] for act in acts]
-        profile = sample_user(env.traits, rng.child("user"))
+        profile = reference_sample_user(env.traits, rng.child("user"))
         assert first.trait_tuple == binarize_traits(profile)
         history = []
         for step, (act, state, row) in enumerate(zip(acts, states, rows), start=1):
             current = simulated_turn_context(step, act, state.last_turn)
             # steps 1 and 2 read the neutral fill for the lags they lack
-            assert np.array_equal(row, extract_features(profile, history, current))
+            assert np.array_equal(row, reference_features(profile, history, current))
             history.append(simulated_turn_context(step, act, state.last_turn,
                                                   trust_label=state.estimated_trust))
         assert len(rows) == 12

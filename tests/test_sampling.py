@@ -8,7 +8,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from conftest import analytic_truncated_mean
+from conftest import analytic_truncated_mean, categorical, normal, truncated_gaussian
 from trustsim.errors import InvalidBounds
 from trustsim.sampling import (
     _PHI,
@@ -16,7 +16,6 @@ from trustsim.sampling import (
     _chain,
     _mix64,
     _mix64_array,
-    categorical,
     categoricals,
     child_keys,
     cumulative_weights,
@@ -26,7 +25,6 @@ from trustsim.sampling import (
     label_bits,
     nth_draws,
     standard_normals,
-    truncated_gaussian,
     truncated_gaussians,
 )
 
@@ -87,79 +85,80 @@ class TestRandomStream:
         assert [s.random(), s.integers(10)] == [0.2197059935042739, 9]
 
 
-class TestTruncatedGaussian:
+def uniforms(rng, n) -> np.ndarray:
+    """The next n uniforms of a stream."""
+    return np.array([rng.random() for _ in range(n)])
+
+
+def tg_draws(mean, sd, lo, hi, rng, n) -> np.ndarray:
+    """truncated_gaussians on the next n uniforms of a stream."""
+    return truncated_gaussians(mean, gaussian_truncation(mean, sd, lo, hi), lo, hi,
+                               uniforms(rng, n))
+
+
+def cat_draws(weights, rng, n) -> np.ndarray:
+    """categoricals on the next n uniforms of a stream."""
+    return categoricals(np.array([cumulative_weights(weights)]), uniforms(rng, n))
+
+
+class TestTruncatedGaussians:
     def test_all_draws_within_bounds(self):
-        rng = RandomStream(3, "tg")
-        draws = [truncated_gaussian(30, 10, 18, 60, rng) for _ in range(2000)]
+        draws = tg_draws(30, 10, 18, 60, RandomStream(3, "tg"), 2000)
         assert all(18 <= x <= 60 for x in draws)
 
     def test_degenerate_sd_returns_clamped_mean(self):
         rng = RandomStream(0)
-        assert truncated_gaussian(3, 0, 1, 5, rng) == 3.0
-        assert truncated_gaussian(9, 0, 1, 5, rng) == 5.0
-        assert truncated_gaussian(-2, 0, 1, 5, rng) == 1.0
+        assert tg_draws(3, 0, 1, 5, rng, 1).tolist() == [3.0]
+        assert tg_draws(9, 0, 1, 5, rng, 1).tolist() == [5.0]
+        assert tg_draws(-2, 0, 1, 5, rng, 1).tolist() == [1.0]
 
     def test_empirical_mean_matches_analytic_form(self):
         # oracle computed from the closed-form truncated-normal mean
-        rng = RandomStream(11, "mean-check")
-        draws = np.array([truncated_gaussian(3, 1, 1, 5, rng) for _ in range(100_000)])
+        draws = tg_draws(3, 1, 1, 5, RandomStream(11, "mean-check"), 100_000)
         assert abs(draws.mean() - analytic_truncated_mean(3, 1, 1, 5)) < 0.02
 
     def test_asymmetric_truncation_mean(self):
-        rng = RandomStream(12, "mean-check")
-        draws = np.array([truncated_gaussian(1.0, 2.0, 2.0, 9.0, rng)
-                          for _ in range(100_000)])
+        draws = tg_draws(1.0, 2.0, 2.0, 9.0, RandomStream(12, "mean-check"), 100_000)
         assert abs(draws.mean() - analytic_truncated_mean(1.0, 2.0, 2.0, 9.0)) < 0.02
 
     def test_extreme_truncation_uses_inverse_cdf_and_stays_bounded(self):
         # interval ~8 sd away, where a rejection sampler would never land
-        rng = RandomStream(5)
-        for _ in range(50):
-            x = truncated_gaussian(0.0, 1.0, 8.0, 9.0, rng)
+        for x in tg_draws(0.0, 1.0, 8.0, 9.0, RandomStream(5), 50):
             assert 8.0 <= x <= 9.0
 
     def test_invalid_bounds(self):
-        rng = RandomStream(0)
         with pytest.raises(InvalidBounds):
-            truncated_gaussian(0, 1, 5, 5, rng)
+            gaussian_truncation(0, 1, 5, 5)
         with pytest.raises(InvalidBounds):
-            truncated_gaussian(0, 1, 6, 5, rng)
+            gaussian_truncation(0, 1, 6, 5)
         with pytest.raises(InvalidBounds):
-            truncated_gaussian(0, -1, 0, 1, rng)
+            gaussian_truncation(0, -1, 0, 1)
 
 
-class TestCategorical:
+class TestCategoricals:
     def test_degenerate_weight_always_wins(self):
-        rng = RandomStream(1)
-        assert all(categorical((0, 1, 0), rng) == 1 for _ in range(100))
+        assert all(cat_draws((0, 1, 0), RandomStream(1), 100) == 1)
 
     def test_frequencies_track_weights(self):
-        rng = RandomStream(2)
-        counts = np.zeros(3)
         n = 20_000
-        for _ in range(n):
-            counts[categorical((0.2, 0.3, 0.5), rng)] += 1
+        counts = np.bincount(cat_draws((0.2, 0.3, 0.5), RandomStream(2), n), minlength=3)
         assert np.allclose(counts / n, (0.2, 0.3, 0.5), atol=0.02)
 
     def test_unnormalized_weights_allowed(self):
-        rng = RandomStream(3)
-        counts = np.zeros(2)
-        for _ in range(10_000):
-            counts[categorical((3, 1), rng)] += 1
+        counts = np.bincount(cat_draws((3, 1), RandomStream(3), 10_000), minlength=2)
         assert abs(counts[0] / 10_000 - 0.75) < 0.02
 
     @pytest.mark.parametrize("weights", [(), (-1, 2), (0, 0.0)])
     def test_invalid_weights(self, weights):
         with pytest.raises(InvalidBounds):
-            categorical(weights, RandomStream(0))
+            cumulative_weights(weights)
 
 
 def test_truncated_gaussian_histogram_matches_analytic_bins():
     """Binned draw frequencies track the renormalized normal mass per bin."""
     mean, sd, lo, hi = 60.0, 45.0, 20.0, 300.0
-    rng = RandomStream(77, "hist")
     n = 100_000
-    draws = np.array([truncated_gaussian(mean, sd, lo, hi, rng) for _ in range(n)])
+    draws = tg_draws(mean, sd, lo, hi, RandomStream(77, "hist"), n)
     edges = np.linspace(lo, hi, 21)
     counts, _ = np.histogram(draws, bins=edges)
     dist = NormalDist(mean, sd)
@@ -175,8 +174,7 @@ def test_upper_tail_interval_is_not_quantized():
     """An interval 8-9 sd above the mean is mirrored into the lower tail,
     where the cdf keeps its precision; computed in the upper tail, the cdf
     would leave only a handful of distinct draws."""
-    rng = RandomStream(13, "upper-tail")
-    draws = np.array([truncated_gaussian(0.0, 1.0, 8.0, 9.0, rng) for _ in range(2000)])
+    draws = tg_draws(0.0, 1.0, 8.0, 9.0, RandomStream(13, "upper-tail"), 2000)
     assert len(np.unique(draws)) > 1900
     assert abs(draws.mean() - analytic_truncated_mean(0.0, 1.0, 8.0, 9.0)) < 0.01
 
@@ -257,7 +255,7 @@ class TestArrayStreams:
     def test_standard_normals_match_the_stream(self):
         u = first_uniforms(self.keys())
         assert standard_normals(u).tolist() == [
-            RandomStream._from_key(k).normal() for k in EDGE_KEYS]
+            normal(RandomStream._from_key(k), 0.0, 1.0) for k in EDGE_KEYS]
 
 
 class TestArraySamplers:

@@ -11,19 +11,20 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import normal, truncated_gaussian
 from trustsim.sampling import (
     RandomStream,
     _chain,
     _mix64,
     _mix64_array,
-    categorical,
+    categoricals,
     child_keys,
+    cumulative_weights,
     first_uniforms,
     gaussian_truncation,
     integers,
     label_bits,
     nth_draws,
-    truncated_gaussian,
     truncated_gaussians,
 )
 
@@ -59,8 +60,8 @@ class TestProperties:
     def test_same_seed_and_path_replay(self, seed, path):
         a, b = RandomStream(seed, *path), RandomStream(seed).child(*path)
         assert a.key == b.key
-        assert ([a.random(), a.integers(7), a.normal(1.0, 2.0), a.permutation(5)]
-                == [b.random(), b.integers(7), b.normal(1.0, 2.0), b.permutation(5)])
+        assert ([a.random(), a.integers(7), normal(a, 1.0, 2.0), a.permutation(5)]
+                == [b.random(), b.integers(7), normal(b, 1.0, 2.0), b.permutation(5)])
 
     @property_test
     @given(finite, st.floats(min_value=0.0, allow_infinity=False), finite, finite,
@@ -68,8 +69,9 @@ class TestProperties:
     def test_truncated_gaussian_stays_in_bounds(self, mean, sd, lo, hi, seed):
         assume(lo < hi)
         rng = RandomStream(seed)
-        assert all(lo <= truncated_gaussian(mean, sd, lo, hi, rng) <= hi
-                   for _ in range(5))
+        u = np.array([rng.random() for _ in range(5)])
+        draws = truncated_gaussians(mean, gaussian_truncation(mean, sd, lo, hi), lo, hi, u)
+        assert all(lo <= draws) and all(draws <= hi)
 
     @property_test
     @given(st.floats(-60.0, 60.0), st.floats(1e-9, 30.0),
@@ -79,8 +81,9 @@ class TestProperties:
         lo, hi = z_lo * sd, (z_lo + width) * sd
         assume(lo < hi)
         rng = RandomStream(seed)
-        assert all(lo <= truncated_gaussian(0.0, sd, lo, hi, rng) <= hi
-                   for _ in range(5))
+        u = np.array([rng.random() for _ in range(5)])
+        draws = truncated_gaussians(0.0, gaussian_truncation(0.0, sd, lo, hi), lo, hi, u)
+        assert all(lo <= draws) and all(draws <= hi)
 
     @property_test
     @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e300)),
@@ -89,7 +92,9 @@ class TestProperties:
     def test_categorical_never_picks_zero_weight(self, weights, seed):
         assume(0 < math.fsum(weights) < math.inf and sum(weights) < math.inf)
         rng = RandomStream(seed)
-        assert all(weights[categorical(weights, rng)] > 0 for _ in range(20))
+        u = np.array([rng.random() for _ in range(20)])
+        picks = categoricals(np.array([cumulative_weights(weights)]), u)
+        assert all(weights[i] > 0 for i in picks.tolist())
 
     @property_test
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20), labels)

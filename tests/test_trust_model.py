@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    TurnContext,
     corpus_from_rows,
     dialogs_of,
     exchanges_of,
@@ -34,15 +35,14 @@ from trustsim.errors import (
 from trustsim.trust_model import (
     FEATURE_NAMES,
     N_FEATURES,
+    DialogFeatures,
     TrainConfig,
-    TurnContext,
     classification_metrics,
     classifier_from_json_dict,
     classifier_to_json_dict,
     combine_trust_target,
     corpus_to_dataset,
     evaluate_classifier,
-    extract_features,
     load_classifier,
     predict_trust,
     save_classifier,
@@ -83,6 +83,16 @@ def context(step=1, act=ProactiveAct.NONE, difficulty=3, duration=42.0,
     )
 
 
+def dialog_row(profile, history, current) -> np.ndarray:
+    """The DialogFeatures row of `current` after the row of each turn of
+    `history` was built and pushed with that turn's trust label."""
+    features = DialogFeatures(profile)
+    for turn in history:
+        features.row(turn.proactive_act, turn.step, turn)
+        features.push(turn.trust_label)
+    return features.row(current.proactive_act, current.step, current)
+
+
 class TestFeatureSchema:
     def test_dimension_and_uniqueness(self):
         assert N_FEATURES == 43
@@ -99,7 +109,7 @@ class TestFeatureSchema:
         profile = make_user()
         current = context(step=1, act=ProactiveAct.SUGGESTION, difficulty=2,
                           duration=50.0, game_score=20.0, help_request=True)
-        vec = extract_features(profile, [], current)
+        vec = dialog_row(profile, [], current)
         gender = [1.0 if g is profile.gender else 0.0 for g in GENDER_ORDER]
         lag_fill = [0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 3.0]
         expected = np.array(
@@ -115,40 +125,30 @@ class TestFeatureSchema:
         past = context(step=1, act=ProactiveAct.NONE, difficulty=4,
                        duration=60.0, game_score=10.0, suggestion_request=True,
                        trust_label=2)
-        vec = extract_features(profile, [past], context(step=2))
+        vec = dialog_row(profile, [past], context(step=2))
         lag1 = [1.0, 0.0, 0.0, 0.0, 4.0, 60.0, 10.0, 0.0, 1.0, 2.0]
         start = FEATURE_NAMES.index(f"lag1:act={ProactiveAct.NONE.value}")
         assert vec[start:start + 10].tolist() == lag1
         lag2 = [0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 3.0]
         assert vec[start + 10:].tolist() == lag2
 
-    def test_unlabeled_lag_reads_neutral(self):
-        profile = make_user()
-        past = context(step=1, trust_label=None)
-        vec = extract_features(profile, [past], context(step=2))
-        assert vec[FEATURE_NAMES.index("lag1:trust")] == 3.0
-
     def test_only_last_two_turns_matter(self):
         profile = make_user()
         history = [context(step=s, difficulty=(s % 5) + 1, trust_label=4)
                    for s in range(1, 6)]
-        full = extract_features(profile, history, context(step=6))
-        tail = extract_features(profile, history[-2:], context(step=6))
+        full = dialog_row(profile, history, context(step=6))
+        tail = dialog_row(profile, history[-2:], context(step=6))
         assert np.array_equal(full, tail)
 
-    def test_rejects_disordered_history(self):
-        profile = make_user()
-        with pytest.raises(SchemaMismatch):
-            extract_features(profile, [context(step=3)], context(step=2))
-        with pytest.raises(SchemaMismatch):
-            extract_features(profile, [context(step=2), context(step=2)],
-                             context(step=3))
-        bad_step = TurnContext(proactive_act=ProactiveAct.NONE, complexity=3,
-                               step=0, difficulty=3, duration=42.0,
-                               game_score=30.0, help_request=False,
-                               suggestion_request=False)
-        with pytest.raises(SchemaMismatch):
-            extract_features(profile, [], bad_step)
+    def test_a_returned_row_is_not_written_by_later_turns(self):
+        features = DialogFeatures(make_user())
+        first = features.row(ProactiveAct.NONE, 1, context(step=1, difficulty=4))
+        kept = first.copy()
+        features.push(2)
+        second = features.row(ProactiveAct.INTERVENTION, 2,
+                              context(step=2, difficulty=1, help_request=True))
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
 
 
 class TestCorpusToDataset:
@@ -212,6 +212,18 @@ class TestColumnBuiltDatasetEqualsPerRowLoop:
         assert y.dtype == y_ref.dtype
         assert y.tolist() == y_ref.tolist()
         assert owners == owners_ref
+
+    @pytest.mark.parametrize("name", ["small_corpus", "varied", "one-user"])
+    def test_dialog_features_give_the_same_rows(self, request, name):
+        corpus = corpus_case(request, name)
+        X, y, _ = corpus_to_dataset(corpus)
+        rows = []
+        for i, (user, exchanges) in enumerate(zip(corpus.users, dialogs_of(corpus).values())):
+            features = DialogFeatures(user)
+            for ex, label in zip(exchanges, y[12 * i:12 * (i + 1)].tolist()):
+                rows.append(features.row(ex.proactive_act, ex.step, ex))
+                features.push(label)
+        assert np.array(rows).tobytes() == X.tobytes()
 
 
 def separable_corpus() -> Corpus:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_corpus, make_user
+from conftest import make_corpus, make_user, reference_sample_user
 from trustsim.corpus import Gender
 from trustsim.errors import InsufficientUsers, InvalidBounds, InvalidConfig
 from trustsim.sampling import RandomStream, child_keys, label_bits
@@ -23,9 +23,14 @@ from trustsim.user_model import (
     default_trait_distributions,
     fit_trait_distributions,
     load_trait_distributions,
-    sample_user,
     sample_users,
 )
+
+
+def users_on(dists, streams) -> list:
+    """sample_users on the key of each stream."""
+    keys = np.array([stream.key for stream in streams], dtype=np.uint64)
+    return sample_users(dists, keys, ["sim"] * len(streams))
 
 
 class TestTruncGauss:
@@ -148,12 +153,13 @@ class TestFitTraitDistributions:
             assert abs(got.mean - true.mean) < 0.25 + 3 * se
 
 
-class TestSampleUser:
+class TestSampledProfiles:
+    """Statistics of the profiles sample_users draws, one stream per user."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_profiles_respect_all_bounds(self, seed):
         dists = default_trait_distributions()
-        for i in range(200):
-            profile = sample_user(dists, RandomStream(seed, "u", i))
+        for profile in users_on(dists, [RandomStream(seed, "u", i) for i in range(200)]):
             assert 18 <= profile.age <= 60
             assert isinstance(profile.age, int)
             for trait in ("technical_affinity", "trust_propensity",
@@ -166,34 +172,35 @@ class TestSampleUser:
             {**default_trait_distributions().to_json_dict(),
              "gender_probs": [1.0, 0.0, 0.0]}
         )
-        for i in range(50):
-            assert sample_user(dists, RandomStream(2, i)).gender is Gender.MALE
+        for profile in users_on(dists, [RandomStream(2, i) for i in range(50)]):
+            assert profile.gender is Gender.MALE
 
     def test_gender_frequencies_converge(self):
         dists = default_trait_distributions()
         counts = {g: 0 for g in Gender}
         n = 10_000
-        for i in range(n):
-            counts[sample_user(dists, RandomStream(3, i)).gender] += 1
+        for profile in users_on(dists, [RandomStream(3, i) for i in range(n)]):
+            counts[profile.gender] += 1
         assert abs(counts[Gender.MALE] / n - 0.48) < 0.02
         assert abs(counts[Gender.FEMALE] / n - 0.48) < 0.02
         assert abs(counts[Gender.OTHER] / n - 0.04) < 0.02
 
     def test_deterministic_per_stream(self):
         dists = default_trait_distributions()
-        a = sample_user(dists, RandomStream(9, "x"))
-        b = sample_user(dists, RandomStream(9, "x"))
+        a = users_on(dists, [RandomStream(9, "x")])
+        b = users_on(dists, [RandomStream(9, "x")])
         assert a == b
 
 
 class TestSampleUsers:
-    """The batched draw against one `sample_user` call per stream."""
+    """The batched draw against one `reference_sample_user` call per stream."""
 
     def assert_matches_scalar(self, dists, seed, n):
         root = RandomStream(seed, "batch")
         ids = [f"u{i}" for i in range(n)]
         users = sample_users(dists, child_keys(root.key, label_bits(ids)), ids)
-        assert users == [sample_user(dists, root.child(uid), user_id=uid) for uid in ids]
+        assert users == [reference_sample_user(dists, root.child(uid), user_id=uid)
+                         for uid in ids]
         for user in users:
             assert type(user.age) is int
             assert all(type(getattr(user, name)) is float

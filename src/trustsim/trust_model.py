@@ -118,10 +118,9 @@ _ACT_ONE_HOT = np.eye(len(ACT_ORDER)).tolist()  # by act index
 _PROFILE_END = FEATURE_NAMES.index(f"act={ACT_ORDER[0].value}")
 _TURN_END = FEATURE_NAMES.index(f"lag1:act={ACT_ORDER[0].value}")
 _LAG_WIDTH = (N_FEATURES - _TURN_END) // LAG_WINDOW
-# turn-block column of each lag column but the last (the trust label)
-_LAG_FROM_TURN = [FEATURE_NAMES.index(name.removeprefix("lag1:")) - _PROFILE_END
-                  for name in FEATURE_NAMES[_TURN_END:_TURN_END + _LAG_WIDTH - 1]]
-_LAG1_FROM_ROW = np.array(_LAG_FROM_TURN) + _PROFILE_END
+# current-turn column of each lag column but the last (the trust label)
+_LAG_FROM_TURN = np.array([FEATURE_NAMES.index(name.removeprefix("lag1:")) for name
+                           in FEATURE_NAMES[_TURN_END:_TURN_END + _LAG_WIDTH - 1]])
 
 
 def _profile_values(user) -> list:
@@ -159,7 +158,7 @@ class DialogFeatures:
         with this trust, becomes lag 1."""
         row = self._row
         row[_TURN_END + _LAG_WIDTH:] = row[_TURN_END:N_FEATURES - _LAG_WIDTH]
-        row[_TURN_END:_TURN_END + _LAG_WIDTH - 1] = row[_LAG1_FROM_ROW]
+        row[_TURN_END:_TURN_END + _LAG_WIDTH - 1] = row[_LAG_FROM_TURN]
         row[_TURN_END + _LAG_WIDTH - 1] = trust
 
 
@@ -182,7 +181,7 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
     turn[np.arange(n), corpus.proactive_act] = 1.0
     for j, name in enumerate(_TURN_FIELDS, start=len(ACT_ORDER)):
         turn[:, j] = getattr(corpus, name)
-    lag = np.concatenate([turn[:, _LAG_FROM_TURN], labels[:, None]], axis=1)
+    lag = np.concatenate([turn[:, _LAG_FROM_TURN - _PROFILE_END], labels[:, None]], axis=1)
     lag = lag.reshape(len(users), STEPS_PER_DIALOG, _LAG_WIDTH)
 
     X = np.empty((n, N_FEATURES))

@@ -32,7 +32,7 @@ from .errors import (
     TrustSimError,
     ValueOutOfRange,
 )
-from .sampling import RandomStream
+from .sampling import RandomStream, permutation
 
 STEPS_PER_DIALOG = 12
 COMPLEXITY_LEVELS = (3, 4, 5)
@@ -576,7 +576,7 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
     if not 0 < train_fraction < 1:
         raise InvalidConfig(f"train_fraction must be in (0,1), got {train_fraction}")
     n_train = math.floor(train_fraction * corpus.n_dialogs)
-    perm = RandomStream(seed, "split").permutation(corpus.n_dialogs)
+    perm = permutation(RandomStream(seed, "split").key, corpus.n_dialogs)
     train = np.zeros(corpus.n_dialogs, dtype=bool)
     train[perm[:n_train]] = True
 

@@ -70,16 +70,17 @@ class RewardConfig:
 @dataclass(frozen=True)
 class EnvState:
     step: int
-    complexity: int
     trait_tuple: TraitTuple
     last_turn: SimulatedTurn | None
     estimated_trust: int
 
     def __post_init__(self):
-        if self.complexity != complexity_of_step(self.step):
-            raise InvalidConfig("state complexity must match its step")
         if not LIKERT_MIN <= self.estimated_trust <= LIKERT_MAX:
             raise InvalidConfig("estimated trust must be in 1..5")
+
+    @property
+    def complexity(self) -> int:
+        return complexity_of_step(self.step)
 
 
 def state_index(state: EnvState) -> int:
@@ -121,18 +122,19 @@ class TrustSimEnv:
     Ground-truth trust annotations do not exist here at all: the state
     and reward see only the classifier's estimate.
 
-    Every stream an episode reads depends only on the reset stream, the
-    step and the field, never on the actions, so `reset` derives all of an
-    episode's uniforms at once: ten for the user, then four per turn, 58
+    Every stream an episode reads depends only on the reset stream's key,
+    the step and the field, never on the actions, so `reset` derives all of
+    an episode's uniforms at once: ten for the user, then four per turn, 58
     first draws of one chain of uint64 key arrays. The user's profile is
     `sample_users`' arithmetic on the first ten, with each trait's
     truncation and the gender cumulatives computed once per env. The
     action only picks the compiled table entry a turn draws from. The
     oracle `ReferenceTrustSimEnv` in `tests/conftest.py` draws the same
-    episode turn by turn: the profile with `reference_sample_user` on
-    `rng.child("user")`, each turn with `reference_simulate_turn` on
-    `rng.child("step", s)`, its features with `reference_features` over the
-    episode's earlier turns, then `predict_trust`.
+    episode turn by turn on a scalar stream with the reset key: the profile
+    with `reference_sample_user` on `rng.child("user")`, each turn with
+    `reference_simulate_turn` on `rng.child("step", s)`, its features with
+    `reference_features` over the episode's earlier turns, then
+    `predict_trust`.
     """
 
     def __init__(self, table: BehaviorTable, traits: TraitDistributions,
@@ -172,11 +174,8 @@ class TrustSimEnv:
         self._features = DialogFeatures(profile)
         self._step_no = 1
         self._done = False
-        return EnvState(
-            step=1, complexity=_COMPLEXITY[0],
-            trait_tuple=self._trait_tuple, last_turn=None,
-            estimated_trust=NEUTRAL_LIKERT,
-        )
+        return EnvState(step=1, trait_tuple=self._trait_tuple, last_turn=None,
+                        estimated_trust=NEUTRAL_LIKERT)
 
     def step(self, action: ProactiveAct):
         """Returns (next_state, reward, done)."""
@@ -199,10 +198,8 @@ class TrustSimEnv:
         self._done = done
         next_step = s if done else s + 1
         self._step_no = next_step
-        state = EnvState(
-            step=next_step, complexity=_COMPLEXITY[next_step - 1],
-            trait_tuple=self._trait_tuple, last_turn=turn, estimated_trust=trust,
-        )
+        state = EnvState(step=next_step, trait_tuple=self._trait_tuple, last_turn=turn,
+                         estimated_trust=trust)
         return state, float(reward), done
 
 
@@ -229,8 +226,9 @@ class TabularPolicyResult:
     returns: tuple  # undiscounted episode returns, one per episode
 
 
-# Episodes whose exploration draws are derived at once.
+# Episodes whose reset keys and exploration draws are derived at once.
 _EXPLORE_BLOCK = 256
+_ENV_LABEL = label_bits(["env"])
 
 
 def _explore_actions(root: RandomStream, episodes, steps, epsilon: float) -> list:
@@ -250,9 +248,10 @@ def train_tabular_policy(env, episodes: int,
     """Epsilon-greedy tabular Q-learning; any env with reset(rng)/step(act)
     returning the same shapes works (rigged test doubles included).
 
-    Step t of episode ep explores on the stream `root.child("explore", ep,
-    t)`. Those of steps 1..12 are derived a block of episodes at a time,
-    and those of a longer episode's later steps one step at a time."""
+    Episode ep resets on the stream `root.child("env", ep)`, and its step t
+    explores on `root.child("explore", ep, t)`. The reset keys and the
+    exploration draws of steps 1..12 are derived a block of episodes at a
+    time, and those of a longer episode's later steps one step at a time."""
     if not isinstance(episodes, int) or episodes < 1:
         raise InvalidHyperparams(f"episodes must be >= 1, got {episodes}")
     hp = hyperparams
@@ -261,10 +260,12 @@ def train_tabular_policy(env, episodes: int,
     returns = []
     for ep in range(episodes):
         if ep % _EXPLORE_BLOCK == 0:
-            block = _explore_actions(root, range(ep, min(ep + _EXPLORE_BLOCK, episodes)),
-                                     _STEPS, hp.epsilon)
+            block_eps = range(ep, min(ep + _EXPLORE_BLOCK, episodes))
+            block = _explore_actions(root, block_eps, _STEPS, hp.epsilon)
+            reset_keys = child_keys(child_keys(root.key, _ENV_LABEL),
+                                    label_bits(block_eps)).tolist()
         explore = block[ep % _EXPLORE_BLOCK]
-        state = env.reset(root.child("env", ep))
+        state = env.reset(RandomStream._from_key(reset_keys[ep % _EXPLORE_BLOCK]))
         si = state_index(state)
         total = 0.0
         done = False

@@ -1,19 +1,18 @@
 """Deterministic random streams and bounded sampling primitives.
 
-All randomness in the package flows through RandomStream. A stream is
-identified by (seed, path); child streams are derived by hashing, so adding
-a draw in one substream never perturbs the values of another. The same
-(seed, path) always replays the same sequence.
+All randomness in the package is drawn from stream keys. A stream is
+identified by (seed, path); `RandomStream(seed, *path).key` is its 64-bit
+key, and child keys are derived by hashing, so adding a draw in one
+substream never perturbs the values of another. The same (seed, path)
+always replays the same sequence.
 
 Streams are counter-based (Salmon et al., "Parallel Random Numbers: As
-Easy as 1, 2, 3", SC 2011): a stream is a 64-bit key plus a draw counter,
-and draw k is the SplitMix64 finaliser applied to key + k * golden-ratio
-constant. A child key is one more link of a hash chain over the parent key
-and the label, so a substream costs a few integer operations to create.
-Because a draw is a pure function of (key, counter), the chain and the first
-draws of many streams can also be computed at once over numpy uint64 arrays
-(`child_keys`, `nth_draws`, `first_uniforms`, `integers`), with the same
-bits as one stream at a time.
+Easy as 1, 2, 3", SC 2011): draw k (k >= 1) of the stream with key K is
+the SplitMix64 finaliser applied to K + k * golden-ratio constant. A child
+key is one more link of a hash chain over the parent key and the label's
+bits. Both are pure functions, so they run over numpy uint64 arrays of keys
+and draw numbers, many streams at once: `child_keys` for the chain,
+`nth_draws`, `first_uniforms`, `integers` and `permutation` for the draws.
 """
 
 from __future__ import annotations
@@ -51,21 +50,16 @@ _P_MIN = math.ulp(0.0)
 _P_MAX = 1.0 - 2.0 ** -53
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finaliser: a bijection on 64-bit integers."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
 _MIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_MUL2 = np.uint64(0x94D049BB133111EB)
+_PHI_U64 = np.uint64(_PHI)
 
 
 def _mix64_array(z) -> np.ndarray:
-    """`_mix64` over a uint64 array: numpy array products wrap mod 2**64, as
-    the `& _MASK` does for ints. numpy scalars warn on that wrap, and a 0-d
-    array turns into one, so a scalar input comes back as a 1-element array."""
+    """The SplitMix64 finaliser, a bijection on 64-bit integers, over a
+    uint64 array: numpy array products wrap mod 2**64. numpy scalars warn on
+    that wrap, and a 0-d array turns into one, so a scalar input comes back
+    as a 1-element array."""
     z = np.array(z, dtype=np.uint64, ndmin=1)
     z = (z ^ (z >> 30)) * _MIX_MUL1
     z = (z ^ (z >> 27)) * _MIX_MUL2
@@ -92,67 +86,43 @@ def _label_bits(label) -> int:
     return _digest(b"i" + str(n).encode("ascii"))
 
 
-def _chain(key: int, labels) -> int:
-    for label in labels:
-        key = _mix64(key ^ _label_bits(label))
-    return key
-
-
 class RandomStream:
-    """Hierarchical deterministic random stream.
-
-    Repeated draws on one stream advance its counter, while `child`
-    streams are statistically independent and order-insensitive: a
-    child's key depends on the parent's key and its labels only.
-    Labels are strs or ints.
+    """A node of the key chain: the 64-bit key of the stream at (seed,
+    path). A child's key depends on the parent's key and its labels only,
+    so child streams are independent and order-insensitive. Labels are
+    strs or ints. Draws come from the array primitives over keys:
+    `first_uniforms`, `nth_draws`, `integers` and `permutation`.
     """
 
-    __slots__ = ("key", "_drawn")
+    __slots__ = ("key",)
 
     def __init__(self, seed: int, *path):
         self.key = _chain(_ROOT_KEY, (operator.index(seed), *path))
-        self._drawn = 0
 
     @classmethod
     def _from_key(cls, key: int) -> "RandomStream":
         stream = object.__new__(cls)
         stream.key = key
-        stream._drawn = 0
         return stream
 
     def child(self, *labels) -> "RandomStream":
         return RandomStream._from_key(_chain(self.key, labels))
 
-    def _next64(self) -> int:
-        self._drawn = k = self._drawn + 1
-        return _mix64((self.key + k * _PHI) & _MASK)
-
-    def random(self) -> float:
-        """Uniform on the 2**52 odd multiples of 2**-53: strictly inside (0, 1)."""
-        return ((self._next64() >> 12) + 0.5) * _UNIT
-
-    def integers(self, n: int) -> int:
-        """Uniform integer in [0, n), by multiply-shift on the 64-bit draw."""
-        if n < 1:
-            raise InvalidBounds(f"integers needs n >= 1, got {n}")
-        return (self._next64() * n) >> 64
-
-    def permutation(self, n: int) -> list:
-        """Uniform permutation of range(n) by Fisher-Yates."""
-        items = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.integers(i + 1)
-            items[i], items[j] = items[j], items[i]
-        return items
-
     def __repr__(self):
-        return f"RandomStream(key={self.key:#018x}, drawn={self._drawn})"
+        return f"RandomStream(key={self.key:#018x})"
 
 
 def label_bits(labels) -> np.ndarray:
     """The chain bits of each path label, as a uint64 array."""
     labels = list(labels)
     return np.fromiter(map(_label_bits, labels), dtype=np.uint64, count=len(labels))
+
+
+def _chain(key: int, labels) -> int:
+    """The key below `key` at the path `labels`, one `child_keys` link per label."""
+    for bits in label_bits(labels):
+        key = child_keys(key, bits)[0]
+    return int(key)
 
 
 def child_keys(keys, bits) -> np.ndarray:
@@ -162,31 +132,47 @@ def child_keys(keys, bits) -> np.ndarray:
     return _mix64_array(np.asarray(keys, dtype=np.uint64) ^ bits)
 
 
-def nth_draws(keys, k: int) -> np.ndarray:
-    """The k-th 64-bit draw (k >= 1) of a fresh stream with each key in a
-    uint64 array: what the k-th `_next64` call returns. A scalar key, like
-    in `_mix64_array`, gives a 1-element array."""
-    step = np.uint64(k * _PHI & _MASK)
+def nth_draws(keys, k) -> np.ndarray:
+    """The k-th 64-bit draw (k >= 1) of the stream with each key in a
+    uint64 array; k is one draw number or an array of them, broadcast
+    against the keys. A scalar key, like in `_mix64_array`, gives a
+    1-element array."""
+    step = np.array(k, dtype=np.uint64, ndmin=1) * _PHI_U64
     return _mix64_array(np.array(keys, dtype=np.uint64, ndmin=1) + step)
 
 
 def first_uniforms(keys) -> np.ndarray:
-    """`random()` of a fresh stream with each key in a uint64 array."""
+    """The first draw of the stream with each key in a uint64 array, as a
+    uniform on the 2**52 odd multiples of 2**-53: strictly inside (0, 1)."""
     return ((nth_draws(keys, 1) >> 12).astype(np.float64) + 0.5) * _UNIT
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def integers(draws, n: int) -> np.ndarray:
-    """`RandomStream.integers(n)` on each 64-bit draw of a uint64 array:
-    (x * n) >> 64, summed from the products of n with the two 32-bit halves
-    of x, which cannot wrap. Exact for 1 <= n < 2**32."""
-    if not 1 <= n < 1 << 32:
-        raise InvalidBounds(f"array integers needs 1 <= n < 2**32, got {n}")
-    n = np.uint64(n)
+def integers(draws, n) -> np.ndarray:
+    """A uniform integer in [0, n) from each 64-bit draw x of a uint64 array,
+    by multiply-shift: (x * n) >> 64, summed from the products of n with the
+    two 32-bit halves of x, which cannot wrap. n is one bound or an array of
+    them, broadcast against the draws, each checked to be an integer in
+    1 <= n < 2**32."""
+    n = np.array(n, ndmin=1)
+    if n.dtype.kind not in "iu" or not ((1 <= n) & (n < 1 << 32)).all():
+        raise InvalidBounds(f"integers needs integer bounds 1 <= n < 2**32, got {n}")
+    n = n.astype(np.uint64)
     draws = np.asarray(draws, dtype=np.uint64)
     return ((draws >> 32) * n + ((draws & _LOW32) * n >> 32)) >> 32
+
+
+def permutation(key: int, n: int) -> list:
+    """Uniform permutation of range(n) by Fisher-Yates on the stream with
+    this key: swap i, for i = n - 1 down to 1, takes draw n - i bounded
+    by i + 1."""
+    items = list(range(n))
+    swaps = integers(nth_draws(key, np.arange(1, n)), np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), swaps):
+        items[i], items[j] = items[j], items[i]
+    return items
 
 
 def standard_normals(u) -> np.ndarray:

@@ -6,10 +6,12 @@ duration, and game score conditional on that combination. Each field
 reads a named substream so draws never bleed across fields.
 
 Every path draws a turn from the rows of `draw_parameters`, through
-`draw_turn`. `simulate_turn` draws one turn, making the row of the one
-request combination it draws. The RL environment compiles the table once
-(`_compile_table`: per context key, its request cumulatives, its fallback
-flag and one row per request combination) and draws each turn from that.
+`draw_turn`, on the first uniforms of the turn stream's TURN_FIELDS
+children. `simulate_turn` draws one turn, deriving those four keys as one
+array and making the row of the one request combination it draws. The RL
+environment compiles the table once (`_compile_table`: per context key,
+its request cumulatives, its fallback flag and one row per request
+combination) and draws each turn from that.
 `replay_conditions` compiles the whole table and draws a turn for every
 corpus exchange at once: the stream keys and uniforms as uint64 arrays, the
 rows as gathers by key code and combination, the categoricals as counts,
@@ -102,7 +104,7 @@ def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
     return draw_turn(
         cumulative_weights(cell.request_probs), used_fallback,
         lambda combo: draw_parameters(resolve_combo_stats(table, key, combo), complexity),
-        complexity, [rng.child(name).random() for name in TURN_FIELDS])
+        complexity, first_uniforms(child_keys(rng.key, label_bits(TURN_FIELDS))).tolist())
 
 
 def draw_turn(request_cum, used_fallback: bool, row_of, complexity: int,

@@ -297,40 +297,40 @@ class ClassifierReport:
         }
 
 
+def _trust_labels(field: str, values) -> np.ndarray:
+    """The labels as an integer array, checked to be integers in 1..5."""
+    labels = np.asarray(values)
+    if labels.dtype.kind in "iu":
+        bad = (labels < LIKERT_MIN) | (labels > LIKERT_MAX)
+    else:
+        bad = np.ones(labels.shape, dtype=bool)
+    if bad.any():
+        raise ValueOutOfRange(field, labels[bad].tolist()[0], detail="Likert value in 1..5")
+    return labels.astype(np.intp)
+
+
 def classification_metrics(y_true, y_pred) -> ClassifierReport:
     """Metrics from aligned label/prediction pairs. Macro-F1 averages the
     classes with test support; others carry no vote."""
-    y = np.asarray(y_true, dtype=int)
-    predicted = np.asarray(y_pred, dtype=int)
+    y = _trust_labels("y_true", y_true)
+    predicted = _trust_labels("y_pred", y_pred)
     if y.shape != predicted.shape:
         raise LengthMismatch(f"{y.shape} labels vs {predicted.shape} predictions")
     if len(y) == 0:
         raise EmptyTestSet("no labeled exchanges to evaluate on")
 
-    confusion = [[0] * len(TRUST_CLASSES) for _ in TRUST_CLASSES]
-    for truth, pred in zip(y, predicted):
-        confusion[truth - LIKERT_MIN][pred - LIKERT_MIN] += 1
-
-    accuracy = float((predicted == y).mean())
-    counts = np.bincount(y, minlength=LIKERT_MAX + 1)
-    majority = float(counts.max() / len(y))
-
-    f1s = []
-    for cls in TRUST_CLASSES:
-        support = int((y == cls).sum())
-        if support == 0:
-            continue
-        tp = int(((predicted == cls) & (y == cls)).sum())
-        fp = int(((predicted == cls) & (y != cls)).sum())
-        fn = support - tp
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom else 0.0)
-    macro_f1 = float(sum(f1s) / len(f1s)) if f1s else 0.0
-
+    k = len(TRUST_CLASSES)
+    confusion = np.bincount((y - LIKERT_MIN) * k + (predicted - LIKERT_MIN),
+                            minlength=k * k).reshape(k, k)
+    tp = np.diagonal(confusion)
+    support = confusion.sum(axis=1)
+    supported = support > 0
+    # 2 tp + fp + fn = (tp + fp) + (tp + fn), positive where there is support
+    f1 = (2 * tp[supported] / (confusion.sum(axis=0) + support)[supported]).tolist()
     return ClassifierReport(
-        n=len(y), accuracy=accuracy, macro_f1=macro_f1,
-        majority_baseline=majority,
-        confusion=tuple(tuple(row) for row in confusion),
+        n=len(y), accuracy=float(tp.sum() / len(y)), macro_f1=sum(f1) / len(f1),
+        majority_baseline=float(support.max() / len(y)),
+        confusion=tuple(map(tuple, confusion.tolist())),
     )
 
 

@@ -5,14 +5,15 @@ from __future__ import annotations
 import copy
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from statistics import NormalDist
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ from trustsim.corpus import (
 )
 from trustsim.errors import (
     IncompleteDialog,
+    InvalidBounds,
     InvalidConfig,
     MissingColumn,
     NoDataForCondition,
@@ -72,10 +74,17 @@ from trustsim.rl_env import (
     state_index,
 )
 from trustsim.sampling import (
+    _MASK,
+    _PHI,
+    _ROOT_KEY,
     RandomStream,
+    _label_bits,
     categorical_from,
+    child_keys,
     cumulative_weights,
+    first_uniforms,
     gaussian_truncation,
+    label_bits,
     truncated_gaussian_from,
 )
 from trustsim.simulator import SimulatedLog, SimulatedTurn, simulate_turn
@@ -188,6 +197,76 @@ def dialogs_of(corpus) -> dict:
             for i, user in enumerate(corpus.users)}
 
 
+def scalar_mix64(z: int) -> int:
+    """SplitMix64 finaliser on one Python int: a bijection on 64-bit integers."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def scalar_chain(key: int, labels) -> int:
+    """The key below `key` at the path `labels`, one label at a time."""
+    for label in labels:
+        key = scalar_mix64(key ^ _label_bits(label))
+    return key
+
+
+class ScalarStream:
+    """The one-stream-at-a-time RandomStream that the array primitives
+    replaced, kept as their oracle: a key plus a draw counter, where draw k
+    is SplitMix64 of key + k * PHI. ScalarStream(seed, *path).key equals
+    RandomStream(seed, *path).key."""
+
+    __slots__ = ("key", "_drawn")
+
+    def __init__(self, seed: int, *path):
+        self.key = scalar_chain(_ROOT_KEY, (operator.index(seed), *path))
+        self._drawn = 0
+
+    @classmethod
+    def _from_key(cls, key: int) -> "ScalarStream":
+        stream = object.__new__(cls)
+        stream.key = key
+        stream._drawn = 0
+        return stream
+
+    @classmethod
+    def of(cls, stream) -> "ScalarStream":
+        """A fresh scalar stream with the key of any stream."""
+        return cls._from_key(int(stream.key))
+
+    def child(self, *labels) -> "ScalarStream":
+        return ScalarStream._from_key(scalar_chain(self.key, labels))
+
+    def _next64(self) -> int:
+        self._drawn = k = self._drawn + 1
+        return scalar_mix64((self.key + k * _PHI) & _MASK)
+
+    def random(self) -> float:
+        """Uniform on the 2**52 odd multiples of 2**-53: strictly inside (0, 1)."""
+        return ((self._next64() >> 12) + 0.5) * 2.0 ** -52
+
+    def integers(self, n: int) -> int:
+        """Uniform integer in [0, n), by multiply-shift on the 64-bit draw."""
+        if n < 1:
+            raise InvalidBounds(f"integers needs n >= 1, got {n}")
+        return (self._next64() * n) >> 64
+
+    def permutation(self, n: int) -> list:
+        """Uniform permutation of range(n) by Fisher-Yates."""
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = self.integers(i + 1)
+            items[i], items[j] = items[j], items[i]
+        return items
+
+
+def child_streams(parent, labels) -> list:
+    """parent.child(label) for each label, the keys derived as one array."""
+    return [RandomStream._from_key(key)
+            for key in child_keys(parent.key, label_bits(labels)).tolist()]
+
+
 _STD = NormalDist()
 
 
@@ -214,7 +293,8 @@ def normal(rng, mean, sd) -> float:
 def reference_sample_user(dists, stream, user_id="sim") -> UserProfile:
     """The one-user sampler `sample_users` replaced, kept as its oracle:
     each trait drawn from its own named substream, age drawn continuously
-    then rounded half up."""
+    then rounded half up. `stream` is any stream; its draws are scalar."""
+    stream = ScalarStream.of(stream)
     age = dists.age
     kwargs = {"age": int(math.floor(
         truncated_gaussian(age.mean, age.sd, age.lo, age.hi, stream.child("age")) + 0.5))}
@@ -392,7 +472,8 @@ def reference_simulate_turn(table, profile, step, act, rng) -> SimulatedTurn:
     `draw_parameters`, kept as their oracle: the table statistics turned
     into draws inline, through `categorical` and `truncated_gaussian`. The
     ceiling is read from the simulator module, so a test that lowers it
-    there lowers it here too."""
+    there lowers it here too. `rng` is any stream; its draws are scalar."""
+    rng = ScalarStream.of(rng)
     complexity = complexity_of_step(step)
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
     key = ContextKey(binarize_traits(profile), act, condition)
@@ -426,23 +507,32 @@ def reference_simulate_turn(table, profile, step, act, rng) -> SimulatedTurn:
     )
 
 
-class _ForcedRequests:
-    """A stream whose "requests" child draws the uniform u and whose other
-    children are those of rng, so a turn draws a chosen combination."""
+_REQUESTS_BITS = label_bits(["requests"])
+_CANDIDATE_BITS = label_bits(range(1024))
 
-    def __init__(self, rng, u):
-        self.rng, self.u = rng, u
 
-    def child(self, label):
-        if label == "requests":
-            return SimpleNamespace(random=lambda: self.u)
-        return self.rng.child(label)
+def _forcing_streams(base, cumulative) -> dict:
+    """For each request combination these cumulative weights can draw, the
+    first of the streams base.child(0, 0), base.child(0, 1), ...,
+    base.child(1, 0), ... whose "requests" uniform draws it."""
+    edges = [0.0, *cumulative]
+    wanted = {combo for combo in range(len(cumulative)) if edges[combo + 1] > edges[combo]}
+    found = {}
+    for block in itertools.count():
+        keys = child_keys(base.child(block).key, _CANDIDATE_BITS)
+        target = first_uniforms(child_keys(keys, _REQUESTS_BITS)) * cumulative[-1]
+        for combo in wanted - found.keys():
+            hits = np.flatnonzero((edges[combo] <= target) & (target < edges[combo + 1]))
+            if hits.size:
+                found[combo] = RandomStream._from_key(int(keys[hits[0]]))
+        if found.keys() == wanted:
+            return found
 
 
 def assert_every_turn_matches_oracle(table, seed) -> None:
     """simulate_turn equals reference_simulate_turn, field for field, in
     every context key of the table's mode and every combination that key
-    can draw."""
+    can draw, each on a stream that draws that combination."""
     for key in _mode_keys(table.mode):
         bits = key.trait_tuple.bits
         profile = make_user(**{name: 4.0 if bit == "1" else 2.0 for name, bit in zip(
@@ -451,22 +541,19 @@ def assert_every_turn_matches_oracle(table, seed) -> None:
         step = next(s for s in range(1, 13) if key.condition == (
             s if table.mode is TableMode.TASK_STEP_BASED else complexity_of_step(s)))
         cumulative = cumulative_weights(lookup(table, key)[0].request_probs)
-        for combo, (lo, hi) in enumerate(zip([0.0, *cumulative], cumulative)):
-            if hi == lo:
-                continue
-            rng = RandomStream(seed, bits, key.proactive_act.value, key.condition, combo)
-            u = (lo + hi) / 2 / cumulative[-1]
-            turn = simulate_turn(table, profile, step, key.proactive_act,
-                                 _ForcedRequests(rng, u))
+        base = RandomStream(seed, bits, key.proactive_act.value, key.condition)
+        for combo, rng in _forcing_streams(base, cumulative).items():
+            turn = simulate_turn(table, profile, step, key.proactive_act, rng)
             assert combo_index(turn.help_request, turn.suggestion_request) == combo
             assert turn == reference_simulate_turn(table, profile, step, key.proactive_act,
-                                                   _ForcedRequests(rng, u))
+                                                   rng)
 
 
 def reference_replay(corpus, table, rng) -> list:
     """The per-turn loop replay_conditions replaced, kept as its oracle:
     one reference_simulate_turn per exchange on rng.child(user_id, step),
     as (user, exchange, SimulatedTurn) triples in corpus order."""
+    rng = ScalarStream.of(rng)
     return [(user, ex, reference_simulate_turn(table, user, ex.step, ex.proactive_act,
                                                rng.child(user.user_id, ex.step)))
             for user, ex in exchanges_of(corpus)]
@@ -664,12 +751,12 @@ def _reference_annotation(latent, noise_sd, rng) -> int:
 def reference_generate(config, seed) -> Corpus:
     """The per-dialog loop the batched generator replaced, kept as its
     oracle: one user at a time, one step at a time, every field drawn from
-    its own `RandomStream` through the process's scalar methods."""
+    its own `ScalarStream` through the process's scalar methods."""
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InvalidConfig(f"seed must be an integer, got {seed!r}")
     clip = lambda x: min(LIKERT_MAX, max(LIKERT_MIN, x))
     proc = config.process
-    root = RandomStream(seed, "synth")
+    root = ScalarStream(seed, "synth")
     users, dialogs = [], {}
     for i in range(config.n_dialogs):
         uid = f"u{i:04d}"
@@ -816,20 +903,19 @@ class ReferenceTrustSimEnv:
     reference_simulate_turn on rng.child("step", s), builds its features
     with reference_features over the episode's TurnContext history, and
     labels that history with each step's predicted trust. The user is
-    reference_sample_user on rng.child("user")."""
+    reference_sample_user on rng.child("user"). Its draws are scalar."""
 
     def __init__(self, table, traits, trust_model, reward=RewardConfig()):
         self.table, self.traits, self.trust_model = table, traits, trust_model
         self.reward = reward
 
     def reset(self, rng):
-        self._stream = rng
-        self._profile = reference_sample_user(self.traits, rng.child("user"))
+        self._stream = ScalarStream.of(rng)
+        self._profile = reference_sample_user(self.traits, self._stream.child("user"))
         self._trait_tuple = binarize_traits(self._profile)
         self._history = []
         self._step_no = 1
-        return EnvState(step=1, complexity=complexity_of_step(1),
-                        trait_tuple=self._trait_tuple, last_turn=None,
+        return EnvState(step=1, trait_tuple=self._trait_tuple, last_turn=None,
                         estimated_trust=NEUTRAL_LIKERT)
 
     def step(self, action):
@@ -848,8 +934,7 @@ class ReferenceTrustSimEnv:
         done = s == 12
         next_step = s if done else s + 1
         self._step_no = next_step
-        state = EnvState(step=next_step, complexity=complexity_of_step(next_step),
-                         trait_tuple=self._trait_tuple, last_turn=turn,
+        state = EnvState(step=next_step, trait_tuple=self._trait_tuple, last_turn=turn,
                          estimated_trust=trust)
         return state, float(reward), done
 
@@ -859,7 +944,7 @@ def reference_train_tabular_policy(env, episodes, hp) -> TabularPolicyResult:
     derived a block of episodes at a time, kept as its oracle: one
     root.child("explore", ep, t) stream per step."""
     q = np.zeros((N_STATES, N_ACTIONS))
-    root = RandomStream(hp.seed, "qlearn")
+    root = ScalarStream(hp.seed, "qlearn")
     returns = []
     for ep in range(episodes):
         state = env.reset(root.child("env", ep))
@@ -913,8 +998,7 @@ class RiggedSweepEnv:
     def _state(self, t):
         tt = ALL_TRAIT_TUPLES[(self.episode + t) % 8]
         trust = 1 + ((self.episode // 8) + t) % 5
-        return EnvState(step=t, complexity=complexity_of_step(t),
-                        trait_tuple=tt, last_turn=None, estimated_trust=trust)
+        return EnvState(step=t, trait_tuple=tt, last_turn=None, estimated_trust=trust)
 
     def reset(self, rng):
         self.episode += 1

@@ -14,6 +14,7 @@ import numpy as np
 
 from conftest import (
     RiggedSweepEnv,
+    child_streams,
     combo_index,
     corpus_from_rows,
     make_dialog,
@@ -177,9 +178,8 @@ def test_simulated_draw_soundness(default_corpus):
     worst = 0.0
     for seed in (101, 202, 303):
         counts = [0, 0, 0, 0]
-        for i in range(10_000):
-            turn = simulate_turn(table, profile, 1, key.proactive_act,
-                                 RandomStream(seed, "draw", i))
+        for rng in child_streams(RandomStream(seed, "draw"), range(10_000)):
+            turn = simulate_turn(table, profile, 1, key.proactive_act, rng)
             ok &= (not turn.used_fallback
                    and turn.duration > 20.0
                    and isinstance(turn.difficulty, int)

@@ -173,6 +173,20 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["mode"] == "task-step"
 
+    def test_quickstart_log_is_pinned(self, tmp_path):
+        # README's quickstart chain; changing this digest needs a
+        # STREAM_FORMAT bump
+        corpus, fit, sim = tmp_path / "corpus", tmp_path / "fit", tmp_path / "sim"
+        assert main(["gen-corpus", "--seed", "42", "--dialogs", "40",
+                     "--out", str(corpus)]) == 0
+        assert main(["fit", "--corpus", str(corpus / "corpus.csv"), "--seed", "1",
+                     "--out", str(fit)]) == 0
+        assert main(["simulate", "--corpus", str(corpus / "corpus.csv"), "--seed", "2",
+                     "--table", str(fit / "table.json"), "--out", str(sim)]) == 0
+        assert STREAM_FORMAT == 2
+        assert sha256(sim / "sim_log.csv") == (
+            "b6bd727e5c829cc7cedb0445056e2039fa4a9645d72ed66cb78c55b5c5ea92b2")
+
     def test_ids_holding_carriage_returns(self, work, corpus_file):
         # a bare "\r" in a cell is quoted, so the log reads back row for row
         corpus = load_corpus(corpus_file)

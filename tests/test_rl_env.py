@@ -12,6 +12,7 @@ from conftest import (
     PassThroughProbe,
     ReferenceTrustSimEnv,
     RiggedSweepEnv,
+    ScalarStream,
     make_corpus,
     reference_sample_user,
     reference_train_tabular_policy,
@@ -45,8 +46,7 @@ SUGGESTION_INDEX = ACT_ORDER.index(ProactiveAct.SUGGESTION)
 
 
 def env_state(step=1, tt="000", trust=3):
-    return EnvState(step=step, complexity=complexity_of_step(step),
-                    trait_tuple=TraitTuple.from_bits(tt), last_turn=None,
+    return EnvState(step=step, trait_tuple=TraitTuple.from_bits(tt), last_turn=None,
                     estimated_trust=trust)
 
 
@@ -68,10 +68,11 @@ class TestStateIndex:
         assert seen == set(range(N_STATES))
         assert N_STATES == 480
 
+    def test_complexity_follows_the_step(self):
+        assert [env_state(step).complexity for step in range(1, 13)] == [
+            complexity_of_step(step) for step in range(1, 13)]
+
     def test_state_validation(self):
-        with pytest.raises(InvalidConfig):
-            EnvState(step=1, complexity=4, trait_tuple=ALL_TRAIT_TUPLES[0],
-                     last_turn=None, estimated_trust=3)
         with pytest.raises(InvalidConfig):
             env_state(trust=0)
         with pytest.raises(InvalidConfig):
@@ -331,9 +332,8 @@ class LongEpisodeEnv:
 
     def _state(self):
         step = min(self.t, 12)
-        return EnvState(step=step, complexity=complexity_of_step(step),
-                        trait_tuple=ALL_TRAIT_TUPLES[self.episode % 8], last_turn=None,
-                        estimated_trust=1 + self.t % 5)
+        return EnvState(step=step, trait_tuple=ALL_TRAIT_TUPLES[self.episode % 8],
+                        last_turn=None, estimated_trust=1 + self.t % 5)
 
     def reset(self, rng):
         self.episode += 1
@@ -356,7 +356,7 @@ class TestLongEpisodes:
         assert_same_training(train_tabular_policy(env, 600, hp),
                              reference_train_tabular_policy(oracle, 600, hp))
         assert env.taken == oracle.taken
-        root = RandomStream(hp.seed, "qlearn")
+        root = ScalarStream(hp.seed, "qlearn")
         explored = 0
         for ep, t, action in env.taken:
             if t > 12:

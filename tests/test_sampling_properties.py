@@ -11,11 +11,9 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import normal, truncated_gaussian
+from conftest import ScalarStream, scalar_chain, scalar_mix64, truncated_gaussian
 from trustsim.sampling import (
     RandomStream,
-    _chain,
-    _mix64,
     _mix64_array,
     categoricals,
     child_keys,
@@ -25,6 +23,7 @@ from trustsim.sampling import (
     integers,
     label_bits,
     nth_draws,
+    permutation,
     truncated_gaussians,
 )
 
@@ -41,34 +40,38 @@ class TestProperties:
     @property_test
     @given(seeds, labels)
     def test_uniforms_lie_strictly_inside_the_unit_interval(self, seed, path):
-        rng = RandomStream(seed, *path)
-        assert all(0.0 < rng.random() < 1.0 for _ in range(20))
+        keys = child_keys(RandomStream(seed, *path).key, label_bits(range(20)))
+        assert all(0.0 < u < 1.0 for u in first_uniforms(keys).tolist())
 
     @property_test
-    @given(seeds, labels, st.integers(1, 2**70))
+    @given(seeds, labels, st.integers(1, 2**32 - 1))
     def test_integers_lie_in_range(self, seed, path, n):
-        rng = RandomStream(seed, *path)
-        assert all(0 <= rng.integers(n) < n for _ in range(20))
+        draws = nth_draws(RandomStream(seed, *path).key, np.arange(1, 21))
+        assert all(0 <= i < n for i in integers(draws, n).tolist())
 
     @property_test
     @given(seeds, st.integers(0, 300))
     def test_permutation_is_a_permutation(self, seed, n):
-        assert sorted(RandomStream(seed, "perm").permutation(n)) == list(range(n))
+        assert sorted(permutation(RandomStream(seed, "perm").key, n)) == list(range(n))
+
+    @property_test
+    @given(seeds, st.integers(0, 300))
+    def test_permutation_matches_scalar(self, seed, n):
+        key = RandomStream(seed, "perm").key
+        assert permutation(key, n) == ScalarStream._from_key(key).permutation(n)
 
     @property_test
     @given(seeds, labels)
     def test_same_seed_and_path_replay(self, seed, path):
         a, b = RandomStream(seed, *path), RandomStream(seed).child(*path)
-        assert a.key == b.key
-        assert ([a.random(), a.integers(7), normal(a, 1.0, 2.0), a.permutation(5)]
-                == [b.random(), b.integers(7), normal(b, 1.0, 2.0), b.permutation(5)])
+        assert a.key == b.key == ScalarStream(seed, *path).key
 
     @property_test
     @given(finite, st.floats(min_value=0.0, allow_infinity=False), finite, finite,
            st.integers(0, 2**64 - 1))
     def test_truncated_gaussian_stays_in_bounds(self, mean, sd, lo, hi, seed):
         assume(lo < hi)
-        rng = RandomStream(seed)
+        rng = ScalarStream(seed)
         u = np.array([rng.random() for _ in range(5)])
         draws = truncated_gaussians(mean, gaussian_truncation(mean, sd, lo, hi), lo, hi, u)
         assert all(lo <= draws) and all(draws <= hi)
@@ -80,7 +83,7 @@ class TestProperties:
         # bounds placed in sd units on either side of the mean, up to 60 sd out
         lo, hi = z_lo * sd, (z_lo + width) * sd
         assume(lo < hi)
-        rng = RandomStream(seed)
+        rng = ScalarStream(seed)
         u = np.array([rng.random() for _ in range(5)])
         draws = truncated_gaussians(0.0, gaussian_truncation(0.0, sd, lo, hi), lo, hi, u)
         assert all(lo <= draws) and all(draws <= hi)
@@ -91,7 +94,7 @@ class TestProperties:
            st.integers(0, 2**64 - 1))
     def test_categorical_never_picks_zero_weight(self, weights, seed):
         assume(0 < math.fsum(weights) < math.inf and sum(weights) < math.inf)
-        rng = RandomStream(seed)
+        rng = ScalarStream(seed)
         u = np.array([rng.random() for _ in range(20)])
         picks = categoricals(np.array([cumulative_weights(weights)]), u)
         assert all(weights[i] > 0 for i in picks.tolist())
@@ -100,29 +103,30 @@ class TestProperties:
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20), labels)
     def test_array_chain_matches_scalar(self, keys, path):
         arr = np.array(keys, dtype=np.uint64)
-        assert _mix64_array(arr).tolist() == [_mix64(k) for k in keys]
+        assert _mix64_array(arr).tolist() == [scalar_mix64(k) for k in keys]
         for label in path:
             arr = child_keys(arr, label_bits([label]))
-        assert arr.tolist() == [_chain(k, path) for k in keys]
+        assert arr.tolist() == [scalar_chain(k, path) for k in keys]
+        assert arr.tolist() == [RandomStream._from_key(k).child(*path).key for k in keys]
         assert first_uniforms(arr).tolist() == [
-            RandomStream._from_key(k).child(*path).random() for k in keys]
+            ScalarStream._from_key(k).child(*path).random() for k in keys]
 
     @property_test
     @given(finite, st.floats(min_value=0.0, allow_infinity=False), finite, finite,
            st.integers(0, 2**64 - 1))
     def test_array_truncated_gaussian_matches_scalar(self, mean, sd, lo, hi, seed):
         assume(lo < hi)
-        u = np.array([RandomStream(seed, i).random() for i in range(5)])
+        u = np.array([ScalarStream(seed, i).random() for i in range(5)])
         truncation = [gaussian_truncation(mean, sd, lo, hi)] * 5
         got = truncated_gaussians(np.full(5, mean), truncation, lo, hi, u)
         assert got.tolist() == [
-            truncated_gaussian(mean, sd, lo, hi, RandomStream(seed, i)) for i in range(5)]
+            truncated_gaussian(mean, sd, lo, hi, ScalarStream(seed, i)) for i in range(5)]
 
     @property_test
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
            st.integers(1, 8))
     def test_nth_draws_match_scalar(self, keys, draws):
-        streams = [RandomStream._from_key(k) for k in keys]
+        streams = [ScalarStream._from_key(k) for k in keys]
         for k in range(1, draws + 1):
             assert nth_draws(np.array(keys, dtype=np.uint64), k).tolist() == [
                 s._next64() for s in streams]
@@ -131,7 +135,15 @@ class TestProperties:
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
            st.integers(1, 2**32 - 1), st.integers(1, 4))
     def test_array_integers_match_scalar(self, keys, n, draws):
-        streams = [RandomStream._from_key(k) for k in keys]
+        streams = [ScalarStream._from_key(k) for k in keys]
         for k in range(1, draws + 1):
             got = integers(nth_draws(np.array(keys, dtype=np.uint64), k), n)
             assert got.tolist() == [s.integers(n) for s in streams]
+
+    @property_test
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 2**32 - 1)),
+                    min_size=1, max_size=20))
+    def test_array_bound_integers_match_scalar(self, pairs):
+        keys, bounds = zip(*pairs)
+        got = integers(nth_draws(np.array(keys, dtype=np.uint64), 1), np.array(bounds))
+        assert got.tolist() == [ScalarStream._from_key(k).integers(n) for k, n in pairs]

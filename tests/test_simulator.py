@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     analytic_truncated_mean,
     assert_every_turn_matches_oracle,
+    child_streams,
     corpus_from_rows,
     dialogs_of,
     exchanges_of,
@@ -106,11 +107,8 @@ def draws():
     # the low ceiling clamps the sd-0 side combos (means 80..120 s) onto it
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "DURATION_HI", SOUNDNESS_DURATION_HI)
-        return [
-            simulate_turn(table, profile, 1, ProactiveAct.NONE,
-                          RandomStream(123, "sound", i))
-            for i in range(10_000)
-        ]
+        return [simulate_turn(table, profile, 1, ProactiveAct.NONE, rng)
+                for rng in child_streams(RandomStream(123, "sound"), range(10_000))]
 
 
 class TestTurnSampling:

@@ -361,6 +361,18 @@ class TestClassificationMetrics:
         with pytest.raises(EmptyTestSet):
             classification_metrics([], [])
 
+    @pytest.mark.parametrize("label", [0, 6, 1.7, -1, 2**64])
+    def test_labels_outside_the_scale_rejected(self, label):
+        with pytest.raises(ValueOutOfRange):
+            classification_metrics([label, 5], [5, 5])
+        with pytest.raises(ValueOutOfRange):
+            classification_metrics([5, 5], [5, label])
+
+    def test_integer_arrays_accepted(self):
+        report = classification_metrics(np.array(self.Y_TRUE, dtype=np.int8),
+                                        np.array(self.Y_PRED, dtype=np.uint64))
+        assert report == classification_metrics(self.Y_TRUE, self.Y_PRED)
+
     def test_json_dict_shape(self):
         payload = classification_metrics(self.Y_TRUE, self.Y_PRED).to_json_dict()
         assert payload["classes"] == [1, 2, 3, 4, 5]

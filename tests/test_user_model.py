@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_corpus, make_user, reference_sample_user
+from conftest import child_streams, make_corpus, make_user, reference_sample_user
 from trustsim.corpus import Gender
 from trustsim.errors import InsufficientUsers, InvalidBounds, InvalidConfig
 from trustsim.sampling import RandomStream, child_keys, label_bits
@@ -159,7 +159,7 @@ class TestSampledProfiles:
     @pytest.mark.parametrize("seed", range(6))
     def test_profiles_respect_all_bounds(self, seed):
         dists = default_trait_distributions()
-        for profile in users_on(dists, [RandomStream(seed, "u", i) for i in range(200)]):
+        for profile in users_on(dists, child_streams(RandomStream(seed, "u"), range(200))):
             assert 18 <= profile.age <= 60
             assert isinstance(profile.age, int)
             for trait in ("technical_affinity", "trust_propensity",
@@ -172,14 +172,14 @@ class TestSampledProfiles:
             {**default_trait_distributions().to_json_dict(),
              "gender_probs": [1.0, 0.0, 0.0]}
         )
-        for profile in users_on(dists, [RandomStream(2, i) for i in range(50)]):
+        for profile in users_on(dists, child_streams(RandomStream(2), range(50))):
             assert profile.gender is Gender.MALE
 
     def test_gender_frequencies_converge(self):
         dists = default_trait_distributions()
         counts = {g: 0 for g in Gender}
         n = 10_000
-        for profile in users_on(dists, [RandomStream(3, i) for i in range(n)]):
+        for profile in users_on(dists, child_streams(RandomStream(3), range(n))):
             counts[profile.gender] += 1
         assert abs(counts[Gender.MALE] / n - 0.48) < 0.02
         assert abs(counts[Gender.FEMALE] / n - 0.48) < 0.02

@@ -2,7 +2,6 @@
 
 from .behavior_tables import (
     BehaviorTable,
-    CellStats,
     ContextKey,
     TableMode,
     build_table,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BehaviorProcess",
     "BehaviorTable",
-    "CellStats",
     "ContextKey",
     "Corpus",
     "EnvState",

@@ -1,38 +1,49 @@
 """Conditional behavior tables with sparse-context fallback.
 
-Each cell aggregates the exchanges sharing (trait tuple, proactive act,
-condition), where the condition is either the step's complexity or the
-step number itself. A cell below the occurrence threshold falls back to
-the trait-agnostic (act, condition) slice, then to the condition-only
-slice; a sampled request combination with no conditional observations
-descends the same ladder for its continuous statistics. The slices are
-not stored: they are merged from the trait cells, so a table has one
-source of truth. A table's values are checked, its slices derived and its
-ladder resolved once, when it is built or loaded, so every draw from it
-succeeds.
+A table holds, for every context key (trait tuple, proactive act,
+condition) and request combination, the count, the score and duration
+means and population sds, and the difficulty counts of the exchanges
+there, as arrays indexed [key_code, combination]. The condition is either
+the step's complexity or the step number itself.
+
+A key below the occurrence threshold falls back to the trait-agnostic
+(act, condition) slice, then to the condition-only slice; a sampled request
+combination with no observations on the key's rung descends the same ladder
+for its continuous statistics, down to the pooled condition slice. A table
+file holds only the trait cells; the slices are merged from them, so a
+table has one source of truth. When a table is built or loaded its arrays are
+checked, its slices merged, every key's rung chosen and its
+`draw_parameters` rows made, once, so every draw from it succeeds.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import (
+    ACT_INDEX,
     ACT_ORDER,
     COMPLEXITY_LEVELS,
     Corpus,
+    DURATION_HI,
     LIKERT_MAX,
     LIKERT_MIN,
+    MIN_DURATION_S,
+    OPTION_SCORE_UNIT,
     ProactiveAct,
     STEPS_PER_DIALOG,
+    complexity_of_step,
+    max_option_score,
 )
 from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, object_entry,
                      read_json, write_json)
+from .sampling import cumulative_weights, gaussian_truncation
 from .user_model import ALL_TRAIT_TUPLES, TraitTuple, binarize_traits
 
 DEFAULT_FALLBACK_THRESHOLD = 10
@@ -46,6 +57,18 @@ N_DIFFICULTY_CLASSES = LIKERT_MAX - LIKERT_MIN + 1
 _FLOAT_MAX = sys.float_info.max
 _STAT_MIN = {"score_mean": -_FLOAT_MAX, "score_sd": 0.0,
              "duration_mean": -_FLOAT_MAX, "duration_sd": 0.0}
+# The largest count a float holds exactly, so request shares and merged
+# moments are the same whether a count is read as an int or a float.
+_MAX_COUNT = 2 ** 53
+# What each column of a trait cell must hold, in the words of its error
+_CELL_RULES = {"n": "an int in 0..2**53", "score_mean": "a finite number",
+               "score_sd": "a finite number >= 0", "duration_mean": "a finite number",
+               "duration_sd": "a finite number >= 0",
+               "difficulty_counts": "ints in 0..2**53 that sum to n"}
+
+# The rung that serves a key: its own trait cell, its act slice or its
+# condition slice; POOLED serves a combination no rung observed.
+TRAIT_CELL, ACT_SLICE, CONDITION_SLICE, POOLED = range(4)
 
 
 class TableMode(Enum):
@@ -65,144 +88,231 @@ class ContextKey:
     condition: int  # complexity 3..5 or step 1..12 depending on table mode
 
 
-@dataclass(frozen=True)
-class ComboStats:
-    """Continuous/ordinal statistics for one request combination."""
+class Stats(NamedTuple):
+    """Counts and moments of groups of exchanges, one group per element of
+    arrays of one shape; difficulty_counts adds a trailing class axis. A
+    group with no count holds zeros. With scalar fields it is one group."""
 
-    n: int
-    score_mean: float
-    score_sd: float
-    duration_mean: float
-    duration_sd: float
-    difficulty_counts: tuple  # classes 1..5
+    n: np.ndarray
+    score_mean: np.ndarray
+    score_sd: np.ndarray
+    duration_mean: np.ndarray
+    duration_sd: np.ndarray
+    difficulty_counts: np.ndarray
 
-    def __post_init__(self):
-        if self.n > 0 and sum(self.difficulty_counts) != self.n:
-            raise InvalidConfig("difficulty counts must sum to the combination count")
-        for name, least in _STAT_MIN.items():
-            value = getattr(self, name)
-            # a bound check, not math.isfinite, which raises on a huge int
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not least <= value <= _FLOAT_MAX):
-                raise InvalidConfig(f"combination {name} must be a finite number"
-                                    f"{' >= 0' if least == 0 else ''}, got {value!r}")
+    def reshape(self, *shape) -> "Stats":
+        """The groups in this shape; difficulty_counts keeps its class axis."""
+        return Stats(*(c.reshape(*shape, *c.shape[self.n.ndim:]) for c in self))
+
+    def take(self, index) -> "Stats":
+        return Stats(*(c[index] for c in self))
 
 
-_EMPTY_COMBO = ComboStats(0, 0.0, 0.0, 0.0, 0.0, (0,) * N_DIFFICULTY_CLASSES)
+COLUMNS = Stats._fields
 
 
-def _merge_combos(combos) -> ComboStats:
-    """The statistics of the union of the combinations' samples, by the
-    exact merge of Chan, Golub and LeVeque (Am. Stat. 37, 1983): counts add,
-    the mean is count-weighted and M2 = sum n*sd^2 + sum n*(mean_i - mean)^2,
-    with population sds."""
-    parts = [c for c in combos if c.n > 0]
-    if not parts:
-        return _EMPTY_COMBO
-    n = sum(p.n for p in parts)
-    # a float product overflows to inf, which ComboStats rejects; only a
-    # count beyond the float range raises, when it is converted
-    try:
-        s_mean = sum(p.n * p.score_mean for p in parts) / n
-        d_mean = sum(p.n * p.duration_mean for p in parts) / n
-        s_m2 = d_m2 = 0.0
-        for p in parts:
-            s_dev, d_dev = p.score_mean - s_mean, p.duration_mean - d_mean
-            s_m2 += p.n * (p.score_sd * p.score_sd + s_dev * s_dev)
-            d_m2 += p.n * (p.duration_sd * p.duration_sd + d_dev * d_dev)
-        s_sd, d_sd = math.sqrt(s_m2 / n), math.sqrt(d_m2 / n)
-    except OverflowError as exc:
-        raise InvalidConfig(f"merged combination statistics overflow: {exc}") from exc
-    diff = tuple(map(sum, zip(*(p.difficulty_counts for p in parts))))
-    return ComboStats(n, s_mean, s_sd, d_mean, d_sd, diff)
+def _merge(parts: Stats) -> Stats:
+    """The statistics of the union of the parts along axis 0, by the exact
+    merge of Chan, Golub and LeVeque (Am. Stat. 37, 1983): counts add, the
+    mean is count-weighted and M2 = sum n*sd^2 + sum n*(mean_i - mean)^2,
+    with population sds. The parts are added one at a time in axis order and
+    a part with no count is skipped, so each element has the bits of the
+    scalar merge of its parts in that order."""
+    n = parts.n.sum(axis=0)
+    used = parts.n > 0
+    moments = []
+    # a float product overflows to inf, which the table rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mean, sd in ((parts.score_mean, parts.score_sd),
+                         (parts.duration_mean, parts.duration_sd)):
+            total = np.zeros(n.shape)
+            for i in range(len(used)):
+                total = total + np.where(used[i], parts.n[i] * mean[i], 0.0)
+            merged = np.divide(total, n, out=np.zeros(n.shape), where=n > 0)
+            m2 = np.zeros(n.shape)
+            for i in range(len(used)):
+                dev = mean[i] - merged
+                m2 = m2 + np.where(used[i], parts.n[i] * (sd[i] * sd[i] + dev * dev), 0.0)
+            moments += [merged, np.sqrt(np.divide(m2, n, out=np.zeros(n.shape),
+                                                  where=n > 0))]
+    return Stats(n, *moments, parts.difficulty_counts.sum(axis=0))
 
 
-@dataclass(frozen=True)
-class CellStats:
-    n: int
-    request_counts: tuple  # per REQUEST_COMBOS index
-    combos: tuple  # ComboStats per REQUEST_COMBOS index
-
-    def __post_init__(self):
-        if sum(self.request_counts) != self.n:
-            raise InvalidConfig("request counts must sum to cell count")
-        if len(self.request_counts) != len(REQUEST_COMBOS) or len(self.combos) != len(REQUEST_COMBOS):
-            raise InvalidConfig("cell must carry one slot per request combination")
-        if any(c.n != k for c, k in zip(self.combos, self.request_counts)):
-            raise InvalidConfig("each combination count must equal its request count")
-
-    @property
-    def request_probs(self) -> tuple:
-        if self.n <= 0:
-            raise InvalidConfig("request_probs undefined for an empty cell")
-        return tuple(c / self.n for c in self.request_counts)
-
-    def pooled(self) -> ComboStats:
-        """All-combination aggregate of this cell."""
-        return _merge_combos(self.combos)
+# A row of draw parameters: the difficulty cumulatives, then the mean and
+# the `gaussian_truncation` of the duration, then those of the score.
+ROW_DIFFICULTY = slice(0, N_DIFFICULTY_CLASSES)
+ROW_DURATION_MEAN = N_DIFFICULTY_CLASSES
+ROW_DURATION = slice(ROW_DURATION_MEAN + 1, ROW_DURATION_MEAN + 4)
+ROW_SCORE_MEAN = ROW_DURATION_MEAN + 4
+ROW_SCORE = slice(ROW_SCORE_MEAN + 1, ROW_SCORE_MEAN + 4)
 
 
-def _merge_cells(cells) -> CellStats:
-    """The cell of the union of the cells' samples, merged per combination."""
-    return CellStats(
-        n=sum(c.n for c in cells),
-        request_counts=tuple(map(sum, zip(*(c.request_counts for c in cells)))),
-        combos=tuple(_merge_combos(c.combos[i] for c in cells)
-                     for i in range(len(REQUEST_COMBOS))),
-    )
+def draw_parameters(stats, complexity: int) -> tuple:
+    """The row a turn's draws read from one combination's statistics (any
+    object with the `Stats` fields as scalars), its score truncated to the
+    option range of a step of this complexity."""
+    counts = stats.difficulty_counts
+    total = sum(counts)
+    return (*cumulative_weights(tuple(c / total for c in counts)),
+            stats.duration_mean, *gaussian_truncation(
+                stats.duration_mean, stats.duration_sd, MIN_DURATION_S, DURATION_HI),
+            stats.score_mean, *gaussian_truncation(
+                stats.score_mean, stats.score_sd, OPTION_SCORE_UNIT,
+                max_option_score(complexity)))
 
 
-@dataclass(frozen=True)
+def _read_only(array) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _derive(cells: Stats, mode: TableMode, threshold: int) -> dict:
+    """By name, all a table derives from its checked trait cells: the act
+    slices (act x condition x combination, merged over the trait tuples in
+    key order), the condition slices (condition x combination, merged over
+    the act slices in the order they first appear among the keys) and their
+    pooled statistics (per condition); per key its rung, used_fallback flag
+    and request cumulatives; the statistics of every rung in one pool, and
+    per (key, combination) the pool index (source) and row (row_index) of
+    those that serve it."""
+    conditions = mode.conditions()
+    n_traits, n_acts, n_conds = len(ALL_TRAIT_TUPLES), len(ACT_ORDER), len(conditions)
+    n_keys, n_combos = cells.n.shape
+    act_slices = _merge(cells.reshape(n_traits, n_acts, n_conds, n_combos))
+    # the act slices of a condition merge in the order their first trait
+    # cell comes among the keys, trait-major
+    seen = cells.n.reshape(n_traits, n_acts, n_conds, n_combos).sum(axis=3) > 0
+    first = np.where(seen.any(axis=0), seen.argmax(axis=0), n_traits)
+    order = np.argsort(first * n_acts + np.arange(n_acts)[:, None], axis=0)
+    condition_slices = _merge(act_slices.take((order, np.arange(n_conds))))
+    # the condition slice is the ladder's last rung, so every key resolves
+    empty = condition_slices.n.sum(axis=1) == 0
+    if empty.any():
+        raise NoDataForCondition(
+            f"no observations for condition {conditions[int(empty.argmax())]}")
+    pooled = _merge(Stats(*(np.moveaxis(c, 1, 0) for c in condition_slices)))
+
+    code = np.arange(n_keys)
+    slice_of, cond_of = code % (n_acts * n_conds), code % n_conds
+    act_n = act_slices.n.reshape(-1, n_combos)[slice_of]
+    cond_n = condition_slices.n[cond_of]
+    # the trait cell qualifies only at or above the fallback threshold
+    direct = cells.n.sum(axis=1) >= threshold
+    rung = np.where(direct, TRAIT_CELL,
+                    np.where(act_n.sum(axis=1) > 0, ACT_SLICE, CONDITION_SLICE))
+    rung_n = np.choose(rung[:, None], (cells.n, act_n, cond_n))
+
+    # the trait cells, act slices and condition slices flat in index order,
+    # then the pooled slices
+    levels = (cells, act_slices, condition_slices, pooled)
+    pool = Stats(*map(np.concatenate, zip(*(s.reshape(-1) for s in levels))))
+    if not all(np.isfinite(getattr(pool, name)).all() for name in _STAT_MIN):
+        raise InvalidConfig("merged combination statistics overflow the float range")
+    offset = np.cumsum([0, *(s.n.size for s in levels)])
+    combo = np.arange(n_combos)
+    source = np.select(
+        [direct[:, None] & (cells.n > 0), act_n > 0, cond_n > 0],
+        [code[:, None] * n_combos + combo,
+         offset[ACT_SLICE] + slice_of[:, None] * n_combos + combo,
+         offset[CONDITION_SLICE] + cond_of[:, None] * n_combos + combo],
+        offset[POOLED] + cond_of[:, None])
+
+    # each distinct rung statistic makes one row; every key it serves has
+    # the rung's condition, so the first one gives the row's complexity
+    complexity = [complexity_of_step(c) if mode is TableMode.TASK_STEP_BASED else c
+                  for c in conditions]
+    used, first_cell, inverse = np.unique(source.ravel(), return_index=True,
+                                          return_inverse=True)
+    rows = tuple(draw_parameters(Stats(*values), complexity[c]) for values, c in zip(
+        zip(*(column[used].tolist() for column in pool)),
+        cond_of[first_cell // n_combos].tolist()))
+    return dict(act_slices=Stats(*map(_read_only, act_slices)),
+                condition_slices=condition_slices, pooled=pooled, rung=_read_only(rung),
+                used_fallback=_read_only(rung != TRAIT_CELL),
+                request_cum=_read_only(np.cumsum(rung_n / rung_n.sum(axis=1, keepdims=True),
+                                                 axis=1)),
+                pool=pool, source=source, rows=rows,
+                row_index=_read_only(inverse.reshape(n_keys, n_combos)))
+
+
+@dataclass(frozen=True, eq=False)
 class BehaviorTable:
+    """The statistics of every (key, combination), in `_mode_keys` order, and
+    what draws and `table_summary` read of their `_derive`: the act slices,
+    each key's rung, used_fallback flag and request cumulatives, and the
+    `draw_parameters` rows, one tuple per distinct rung statistic."""
+
     mode: TableMode
     fallback_threshold: int
-    cells: dict  # ContextKey -> CellStats
-    # merged from cells: (ProactiveAct, condition) -> CellStats and
-    # condition -> CellStats, for each slice with at least one cell
-    fallback_cells: dict = field(init=False, compare=False, repr=False)
-    condition_cells: dict = field(init=False, compare=False, repr=False)
-    # ContextKey -> (most specific usable rung, used_fallback, ComboStats per
-    # REQUEST_COMBOS index after the ladder descent), in `_mode_keys` order
-    resolved: dict = field(init=False, compare=False, repr=False)
+    n: np.ndarray = field(repr=False)
+    score_mean: np.ndarray = field(repr=False)
+    score_sd: np.ndarray = field(repr=False)
+    duration_mean: np.ndarray = field(repr=False)
+    duration_sd: np.ndarray = field(repr=False)
+    difficulty_counts: np.ndarray = field(repr=False)
+    act_slices: Stats = field(init=False, repr=False)
+    rung: np.ndarray = field(init=False, repr=False)
+    used_fallback: np.ndarray = field(init=False, repr=False)
+    request_cum: np.ndarray = field(init=False, repr=False)
+    rows: tuple = field(init=False, repr=False)
+    row_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         threshold = self.fallback_threshold
         if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
             raise InvalidConfig(f"fallback threshold must be an int >= 1, got {threshold!r}")
-        keys = _mode_keys(self.mode)
-        for key in self.cells.keys() - set(keys):
-            _check_condition(self.mode, key.condition)
-            raise InvalidConfig(f"{key!r} names no context of mode {self.mode.value}")
-        # a built and a loaded table merge their cells in this one order,
-        # so they derive the same bits
-        keyed = [(key, self.cells.get(key)) for key in keys]
-        by_slice, by_condition = {}, {}
-        for key, cell in keyed:
-            if cell is not None:
-                by_slice.setdefault((key.proactive_act, key.condition), []).append(cell)
-        fallback = {k: _merge_cells(cells) for k, cells in by_slice.items()}
-        for (_, cond), cell in fallback.items():
-            by_condition.setdefault(cond, []).append(cell)
-        condition = {k: _merge_cells(cells) for k, cells in by_condition.items()}
-        object.__setattr__(self, "fallback_cells", fallback)
-        object.__setattr__(self, "condition_cells", condition)
-        # the condition slice is the ladder's last rung, so every key resolves
-        for cond in self.mode.conditions():
-            if cond not in condition or condition[cond].n == 0:
-                raise NoDataForCondition(f"no observations for condition {cond}")
-        resolved = {}
-        for key, cell in keyed:
-            # the trait cell qualifies only at or above the fallback threshold
-            direct = cell is not None and cell.n >= self.fallback_threshold
-            rungs = [cell] if direct else []
-            slices = (fallback.get((key.proactive_act, key.condition)),
-                      condition[key.condition])
-            rungs += [r for r in slices if r is not None and r.n > 0]
-            combos = tuple(
-                next((r.combos[i] for r in rungs if r.combos[i].n > 0), None)
-                or rungs[-1].pooled() for i in range(len(REQUEST_COMBOS)))
-            resolved[key] = (rungs[0], not direct, combos)
-        object.__setattr__(self, "resolved", resolved)
+        if not isinstance(self.mode, TableMode):
+            raise InvalidConfig(f"mode must be a TableMode, got {self.mode!r}")
+        shape = (len(ALL_TRAIT_TUPLES) * len(ACT_ORDER) * len(self.mode.conditions()),
+                 len(REQUEST_COMBOS))
+        cells = Stats(*(self._column(name, shape) for name in COLUMNS))
+        self._check_cells(cells)
+        derived = _derive(cells, self.mode, threshold)
+        for name in ("act_slices", "rung", "used_fallback", "request_cum", "rows", "row_index"):
+            object.__setattr__(self, name, derived[name])
+
+    def _column(self, name: str, shape: tuple) -> np.ndarray:
+        """The column as a read-only copy, checked for shape and number type:
+        counts in int64, the moments in float64."""
+        column = np.array(getattr(self, name))
+        counts = name in ("n", "difficulty_counts")
+        if name == "difficulty_counts":
+            shape = (*shape, N_DIFFICULTY_CLASSES)
+        if column.shape != shape or column.dtype.kind not in ("iu" if counts else "iuf"):
+            raise InvalidConfig(f"table column {name!r} must be a {shape} array of "
+                                f"{'ints' if counts else 'numbers'}, got "
+                                f"{column.dtype} {column.shape}")
+        # a uint64 count beyond int64 turns negative, which _check_cells reports
+        column = column.astype(np.int64 if counts else np.float64)
+        object.__setattr__(self, name, _read_only(column))
+        return column
+
+    def _check_cells(self, cells: Stats) -> None:
+        """Raise the error of the first (key, combination), in key order,
+        that holds a value a build never writes, for its first failing
+        column."""
+        counts_out = lambda c: (c < 0) | (c > _MAX_COUNT)
+        failed = np.stack([
+            counts_out(cells.n),
+            *(~((least <= getattr(cells, name)) & (getattr(cells, name) <= _FLOAT_MAX))
+              for name, least in _STAT_MIN.items()),
+            counts_out(cells.difficulty_counts).any(axis=2)
+            | (cells.difficulty_counts.sum(axis=2) != cells.n)])
+        if failed.any():
+            code, combo = divmod(int(failed.any(axis=0).argmax()), len(REQUEST_COMBOS))
+            name = COLUMNS[int(failed[:, code, combo].argmax())]
+            key = _mode_keys(self.mode)[code]
+            raise InvalidConfig(
+                f"table cell (traits {key.trait_tuple.bits}, act {key.proactive_act.value}, "
+                f"condition {key.condition}, combination {REQUEST_COMBOS[combo]}): {name} "
+                f"must be {_CELL_RULES[name]}, got {getattr(cells, name)[code, combo].tolist()}")
+
+    def __eq__(self, other):
+        if not isinstance(other, BehaviorTable):
+            return NotImplemented
+        return ((self.mode, self.fallback_threshold) == (other.mode, other.fallback_threshold)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in COLUMNS))
 
 
 def _mode_keys(mode: TableMode) -> list:
@@ -219,19 +329,13 @@ def key_code(mode: TableMode, trait, act, condition):
     return (trait * len(ACT_ORDER) + act) * len(conditions) + condition - conditions[0]
 
 
-def _check_condition(mode: TableMode, condition) -> None:
-    if condition not in mode.conditions():
-        raise InvalidConfig(f"condition {condition} does not belong to mode {mode.value}")
-
-
 def build_table(corpus: Corpus, mode: TableMode,
                 fallback_threshold: int = DEFAULT_FALLBACK_THRESHOLD) -> BehaviorTable:
-    """Aggregate the corpus into one cell per observed (trait tuple, act,
-    condition); the act and condition slices are merged from these cells.
+    """Aggregate the corpus into the statistics of every (key, combination).
 
-    Every (cell, request combination) group is reduced at once: its count,
-    sums and difficulty counts by `np.bincount` over the group codes, its
-    sds by a second pass over the deviations from the group means."""
+    Every group is reduced at once: its count, sums and difficulty counts by
+    `np.bincount` over the group codes, its sds by a second pass over the
+    deviations from the group means."""
     if not isinstance(mode, TableMode):
         raise InvalidConfig(f"mode must be a TableMode, got {mode!r}")
     if corpus.n_dialogs == 0:
@@ -242,152 +346,98 @@ def build_table(corpus: Corpus, mode: TableMode,
     condition = corpus.complexity if mode is TableMode.COMPLEXITY_BASED else corpus.step
     # REQUEST_COMBOS order: the help flag major
     combo = 2 * corpus.help_request + corpus.suggestion_request
-    score, duration = corpus.game_score, corpus.duration
-    difficulty = corpus.difficulty - LIKERT_MIN
-
-    cell = key_code(mode, trait, corpus.proactive_act, condition)
-    groups, group_of = np.unique(cell * len(REQUEST_COMBOS) + combo,
-                                 return_inverse=True)
-    n = np.bincount(group_of)
+    group = key_code(mode, trait, corpus.proactive_act, condition) * len(REQUEST_COMBOS) + combo
+    shape = (len(ALL_TRAIT_TUPLES) * len(ACT_ORDER) * len(mode.conditions()),
+             len(REQUEST_COMBOS))
+    size = shape[0] * shape[1]
+    n = np.bincount(group, minlength=size)
 
     def moments(values):
-        mean = np.bincount(group_of, values) / n
-        dev = values - mean[group_of]
-        return mean.tolist(), np.sqrt(np.bincount(group_of, dev * dev) / n).tolist()
+        mean = np.divide(np.bincount(group, values, minlength=size), n,
+                         out=np.zeros(size), where=n > 0)
+        dev = values - mean[group]
+        sd = np.sqrt(np.divide(np.bincount(group, dev * dev, minlength=size), n,
+                               out=np.zeros(size), where=n > 0))
+        return mean.reshape(shape), sd.reshape(shape)
 
-    s_mean, s_sd = moments(score)
-    d_mean, d_sd = moments(duration)
-    diff = np.bincount(group_of * N_DIFFICULTY_CLASSES + difficulty,
-                       minlength=len(groups) * N_DIFFICULTY_CLASSES)
-    diff = diff.reshape(-1, N_DIFFICULTY_CLASSES).tolist()
-
-    combos = {}
-    for g, (code, count) in enumerate(zip(groups.tolist(), n.tolist())):
-        cell_code, slot = divmod(code, len(REQUEST_COMBOS))
-        combos.setdefault(cell_code, [_EMPTY_COMBO] * len(REQUEST_COMBOS))[slot] = (
-            ComboStats(count, s_mean[g], s_sd[g], d_mean[g], d_sd[g], tuple(diff[g])))
-    keys = _mode_keys(mode)
-    cells = {keys[code]: CellStats(n=sum(c.n for c in slots),
-                                   request_counts=tuple(c.n for c in slots),
-                                   combos=tuple(slots))
-             for code, slots in combos.items()}
-    return BehaviorTable(mode=mode, fallback_threshold=fallback_threshold, cells=cells)
-
-
-def _no_rung(table: BehaviorTable, key: ContextKey):
-    """Raise the error for a key the table did not resolve: every key of
-    the table's mode resolves, so its condition lies outside the mode."""
-    _check_condition(table.mode, key.condition)
-    raise InvalidConfig(f"{key!r} names no context of the table")
+    difficulty = np.bincount(group * N_DIFFICULTY_CLASSES + corpus.difficulty - LIKERT_MIN,
+                             minlength=size * N_DIFFICULTY_CLASSES)
+    return BehaviorTable(mode, fallback_threshold, n.reshape(shape),
+                         *moments(corpus.game_score), *moments(corpus.duration),
+                         difficulty.reshape(*shape, N_DIFFICULTY_CLASSES))
 
 
 def lookup(table: BehaviorTable, key: ContextKey) -> tuple:
-    """Resolve a context to (CellStats, used_fallback)."""
-    cell, used_fallback, _ = table.resolved.get(key) or _no_rung(table, key)
-    return cell, used_fallback
-
-
-def resolve_combo_stats(table: BehaviorTable, key: ContextKey,
-                        combo_idx: int) -> ComboStats:
-    """Statistics for one request combination, descending the fallback
-    ladder past rungs where that combination was never observed."""
-    return (table.resolved.get(key) or _no_rung(table, key))[2][combo_idx]
+    """The draw context of a key: its request cumulatives, its used_fallback
+    flag and its `draw_parameters` row per request combination, as Python
+    tuples, bools and floats; keys served by one rung statistic share its
+    row tuple."""
+    if key.condition not in table.mode.conditions():
+        raise InvalidConfig(f"condition {key.condition} does not belong to mode "
+                            f"{table.mode.value}")
+    act = ACT_INDEX.get(key.proactive_act)
+    if act is None or not isinstance(key.trait_tuple, TraitTuple):
+        raise InvalidConfig(f"{key!r} names no context of the table")
+    code = key_code(table.mode, key.trait_tuple.index, act, int(key.condition))
+    return (tuple(table.request_cum[code].tolist()), bool(table.used_fallback[code]),
+            tuple(map(table.rows.__getitem__, table.row_index[code].tolist())))
 
 
 def table_summary(table: BehaviorTable) -> dict:
     """Key counts and fallback shares of the table, overall and per (act,
     condition) slice in ACT_ORDER x condition order, as JSON values."""
     conditions = table.mode.conditions()
-    possible = len(ALL_TRAIT_TUPLES) * len(ACT_ORDER) * len(conditions)
-    direct_keys = {k for k, (_, fell_back, _) in table.resolved.items() if not fell_back}
-    per_slice = []
-    for act in ACT_ORDER:
-        for cond in conditions:
-            fb = table.fallback_cells.get((act, cond))
-            at_or_above = sum(ContextKey(tt, act, cond) in direct_keys
-                              for tt in ALL_TRAIT_TUPLES)
-            per_slice.append({
-                "act": act.value,
-                "condition": cond,
-                "n": fb.n if fb is not None else 0,
-                "trait_cells_observed": sum(
-                    1 for tt in ALL_TRAIT_TUPLES
-                    if ContextKey(tt, act, cond) in table.cells
-                ),
-                "trait_cells_at_threshold": at_or_above,
-                "fallback_fraction": 1.0 - at_or_above / len(ALL_TRAIT_TUPLES),
-            })
+    n_slices = len(ACT_ORDER) * len(conditions)
+    slice_of = np.arange(len(table.rung)) % n_slices
+    observed, direct = (np.bincount(slice_of[mask], minlength=n_slices).tolist()
+                        for mask in (table.n.sum(axis=1) > 0, table.rung == TRAIT_CELL))
+    slice_n = table.act_slices.n.sum(axis=2).ravel().tolist()
     return {
         "mode": table.mode.value,
         "fallback_threshold": table.fallback_threshold,
-        "possible_keys": possible,
-        "observed_keys": len(table.cells),
-        "fallback_fraction": 1.0 - len(direct_keys) / possible,
-        "per_act_condition": per_slice,
+        "possible_keys": len(table.rung),
+        "observed_keys": sum(observed),
+        "fallback_fraction": 1.0 - sum(direct) / len(table.rung),
+        "per_act_condition": [
+            {"act": act.value, "condition": cond, "n": slice_n[s],
+             "trait_cells_observed": observed[s], "trait_cells_at_threshold": direct[s],
+             "fallback_fraction": 1.0 - direct[s] / len(ALL_TRAIT_TUPLES)}
+            for s, (act, cond) in enumerate(itertools.product(ACT_ORDER, conditions))],
     }
 
 
-# v2 stores the trait cells only; v1 also stored the slices, which differ in the last bits
-TABLE_FORMAT = "behavior-table/v2"
+# v3 stores one column per statistic over every key and combination; v2
+# stored a list of the observed trait cells, v1 also their slices
+TABLE_FORMAT = "behavior-table/v3"
 
-_TABLE_KEYS = frozenset({"format", "mode", "fallback_threshold", "cells"})
-_CELL_KEYS = frozenset({"traits", "act", "condition", "n", "request_counts", "combos"})
-_COMBO_KEYS = frozenset({"n", *_STAT_MIN, "difficulty_counts"})
-
-
-def _int_entry(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise InvalidConfig(f"table entry {name!r} must be an int >= 0, got {value!r}")
-    return value
-
-
-def _counts_entry(value, name: str, length: int) -> tuple:
-    # type() is int, unlike isinstance, rejects true and false
-    if (not isinstance(value, list) or len(value) != length
-            or not all(type(v) is int and v >= 0 for v in value)):
-        raise InvalidConfig(f"table entry {name!r} must list {length} ints >= 0, "
-                            f"got {value!r}")
-    return tuple(value)
-
-
-def _combo_from_dict(d) -> ComboStats:
-    d = object_entry(d, _COMBO_KEYS, "table combination")
-    return ComboStats(
-        n=_int_entry(d["n"], "n"),
-        **{name: d[name] for name in _STAT_MIN},
-        difficulty_counts=_counts_entry(d["difficulty_counts"], "difficulty_counts",
-                                        N_DIFFICULTY_CLASSES),
-    )
-
-
-def _cell_entry(e) -> tuple:
-    e = object_entry(e, _CELL_KEYS, "table cell")
-    key = ContextKey(TraitTuple.from_bits(e["traits"]), ProactiveAct(e["act"]),
-                     _int_entry(e["condition"], "condition"))
-    return key, CellStats(
-        n=_int_entry(e["n"], "n"),
-        request_counts=_counts_entry(e["request_counts"], "request_counts",
-                                     len(REQUEST_COMBOS)),
-        combos=tuple(_combo_from_dict(c) for c in e["combos"]),
-    )
+_TABLE_KEYS = frozenset({"format", "mode", "fallback_threshold", *COLUMNS})
 
 
 def table_to_json_dict(table: BehaviorTable) -> dict:
-    cells = [
-        {"traits": key.trait_tuple.bits, "act": key.proactive_act.value,
-         "condition": key.condition, "n": cell.n,
-         "request_counts": list(cell.request_counts),
-         "combos": [{"n": c.n, **{name: getattr(c, name) for name in _STAT_MIN},
-                     "difficulty_counts": list(c.difficulty_counts)} for c in cell.combos]}
-        for key, cell in ((k, table.cells.get(k)) for k in _mode_keys(table.mode))
-        if cell is not None
-    ]
-    return {
-        "format": TABLE_FORMAT,
-        "mode": table.mode.value,
-        "fallback_threshold": table.fallback_threshold,
-        "cells": cells,
-    }
+    return {"format": TABLE_FORMAT, "mode": table.mode.value,
+            "fallback_threshold": table.fallback_threshold,
+            **{name: getattr(table, name).tolist() for name in COLUMNS}}
+
+
+def _json_column(value, name: str) -> np.ndarray:
+    """A column of nested JSON lists as an array; the leaves must be ints
+    (true and false are not), or for the moments ints or floats."""
+    counts = name in ("n", "difficulty_counts")
+    allowed = {int} if counts else {int, float}
+    try:
+        leaves = value
+        for _ in range(2 if name == "difficulty_counts" else 1):
+            leaves = itertools.chain.from_iterable(leaves)
+        types = set(map(type, leaves))
+        if types <= allowed:
+            return np.array(value, dtype=np.int64 if counts else np.float64)
+    # TypeError: a row that is no list; ValueError: rows of unequal length;
+    # OverflowError: an int beyond int64 or the float range
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"malformed table column {name!r}: {exc}") from exc
+    raise InvalidConfig(f"table column {name!r} must hold only "
+                        f"{'ints' if counts else 'numbers'}, got "
+                        f"{sorted(t.__name__ for t in types - allowed)}")
 
 
 def table_from_json_dict(payload) -> BehaviorTable:
@@ -399,17 +449,10 @@ def table_from_json_dict(payload) -> BehaviorTable:
     object_entry(payload, _TABLE_KEYS, "table")
     try:
         mode = TableMode(payload["mode"])
-        entries = [_cell_entry(e) for e in payload["cells"]]
-    # ValueError: a mode or act value that names no member; TypeError: a
-    # list, cell or combo of the wrong JSON type
     except (ValueError, TypeError) as exc:
         raise InvalidConfig(f"malformed table: {exc}") from exc
-    cells = dict(entries)
-    # a dict keeps the last of two entries for one context: count them
-    if len(cells) != len(entries):
-        raise InvalidConfig("table entry 'cells' lists a context twice")
-    return BehaviorTable(mode=mode, fallback_threshold=payload["fallback_threshold"],
-                         cells=cells)
+    return BehaviorTable(mode, payload["fallback_threshold"],
+                         *(_json_column(payload[name], name) for name in COLUMNS))
 
 
 def save_table(table: BehaviorTable, path) -> None:

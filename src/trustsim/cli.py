@@ -135,13 +135,14 @@ def cmd_fit(args) -> int:
     write_json(out / "trait_dists.json", dists.to_json_dict())
     model = train_classifier(corpus)
     save_classifier(model, out / "trust_model.json")
-    write_json(out / "table_summary.json", table_summary(table))
+    summary = table_summary(table)
+    write_json(out / "table_summary.json", summary)
     _write_manifest(out, "fit",
                     {"corpus": str(args.corpus), "mode": args.mode,
                      "fallback_threshold": args.fallback_threshold,
                      "seed": args.seed},
                     [*FIT_FILES, "table_summary.json"])
-    print(f"fitted {mode.value} table ({len(table.cells)} cells), "
+    print(f"fitted {mode.value} table ({summary['observed_keys']} cells), "
           f"trait distributions, and trust model under {out}")
     return EXIT_OK
 

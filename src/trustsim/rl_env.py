@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior_tables import BehaviorTable, TableMode, key_code
+from .behavior_tables import BehaviorTable, ContextKey, TableMode, lookup
 from .corpus import (
     ACT_INDEX,
     ACT_ORDER,
@@ -40,7 +40,7 @@ from .sampling import (
     nth_draws,
     truncated_gaussian_from,
 )
-from .simulator import TURN_FIELDS, SimulatedTurn, _compile_table, draw_turn
+from .simulator import TURN_FIELDS, SimulatedTurn, draw_turn
 from .simulator import simulate_turn  # unused here; perfbench's tracer tests read it
 from .trust_model import (
     NEUTRAL_LIKERT,
@@ -48,8 +48,8 @@ from .trust_model import (
     TrustClassifier,
     predict_trust,
 )
-from .user_model import (_GAUSS_TRAITS, TraitDistributions, TraitTuple, UserProfile,
-                         binarize_traits)
+from .user_model import (_GAUSS_TRAITS, ALL_TRAIT_TUPLES, TraitDistributions, TraitTuple,
+                         UserProfile, binarize_traits)
 
 N_ACTIONS = len(ACT_ORDER)
 N_TRUST_LEVELS = LIKERT_MAX - LIKERT_MIN + 1
@@ -128,7 +128,7 @@ class TrustSimEnv:
     first draws of one chain of uint64 key arrays. The user's profile is
     `sample_users`' arithmetic on the first ten, with each trait's
     truncation and the gender cumulatives computed once per env. The
-    action only picks the compiled table entry a turn draws from. The
+    action only picks the key whose `lookup` context a turn draws from. The
     oracle `ReferenceTrustSimEnv` in `tests/conftest.py` draws the same
     episode turn by turn on a scalar stream with the reset key: the profile
     with `reference_sample_user` on `rng.child("user")`, each turn with
@@ -149,13 +149,10 @@ class TrustSimEnv:
             (d.mean, gaussian_truncation(d.mean, d.sd, d.lo, d.hi), d.lo, d.hi)
             for d in (getattr(traits, name) for name in _GAUSS_TRAITS)]
         self._gender_cum = cumulative_weights(traits.gender_probs)
-        request_cum, fallback, rows = _compile_table(table)
         conditions = _STEPS if table.mode is TableMode.TASK_STEP_BASED else _COMPLEXITY
         # [trait tuple index][act index][step - 1] -> the key's draw_turn context
-        self._contexts = [[[
-            (request_cum[code], fallback[code], rows[code].__getitem__)
-            for code in (key_code(table.mode, trait, act, c) for c in conditions)]
-            for act in range(N_ACTIONS)] for trait in range(N_TRAIT_TUPLES)]
+        self._contexts = [[[lookup(table, ContextKey(trait, act, c)) for c in conditions]
+                           for act in ACT_ORDER] for trait in ALL_TRAIT_TUPLES]
         self._done = True  # until the first reset
 
     def _profile_from(self, u) -> UserProfile:

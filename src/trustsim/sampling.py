@@ -156,12 +156,14 @@ def integers(draws, n) -> np.ndarray:
     two 32-bit halves of x, which cannot wrap. n is one bound or an array of
     them, broadcast against the draws, each checked to be an integer in
     1 <= n < 2**32."""
-    n = np.array(n, ndmin=1)
-    if n.dtype.kind not in "iu" or not ((1 <= n) & (n < 1 << 32)).all():
-        raise InvalidBounds(f"integers needs integer bounds 1 <= n < 2**32, got {n}")
-    n = n.astype(np.uint64)
+    bounds = np.array(n, ndmin=1)
+    # numpy reads true and false among ints as ints
+    if (bounds.dtype.kind not in "iu" or not ((1 <= bounds) & (bounds < 1 << 32)).all()
+            or isinstance(n, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in n)):
+        raise InvalidBounds(f"integers needs integer bounds 1 <= n < 2**32, got {n!r}")
+    bounds = bounds.astype(np.uint64)
     draws = np.asarray(draws, dtype=np.uint64)
-    return ((draws >> 32) * n + ((draws & _LOW32) * n >> 32)) >> 32
+    return ((draws >> 32) * bounds + ((draws & _LOW32) * bounds >> 32)) >> 32
 
 
 def permutation(key: int, n: int) -> list:

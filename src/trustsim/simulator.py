@@ -1,22 +1,20 @@
 """Turn-level user simulation driven by conditional behavior tables.
 
-One turn: binarize the profile, look up the context cell (with
-fallback), sample the request combination, then sample difficulty,
-duration, and game score conditional on that combination. Each field
-reads a named substream so draws never bleed across fields.
+One turn: binarize the profile, look up the context key's draw context
+(the table chose each key's fallback rung when it was built or loaded),
+sample the request combination, then sample difficulty, duration, and game
+score conditional on that combination. Each field reads a named substream
+so draws never bleed across fields.
 
-Every path draws a turn from the rows of `draw_parameters`, through
+Every path draws a turn from the table's `draw_parameters` rows, through
 `draw_turn`, on the first uniforms of the turn stream's TURN_FIELDS
-children. `simulate_turn` draws one turn, deriving those four keys as one
-array and making the row of the one request combination it draws. The RL
-environment compiles the table once (`_compile_table`: per context key,
-its request cumulatives, its fallback flag and one row per request
-combination) and draws each turn from that.
-`replay_conditions` compiles the whole table and draws a turn for every
-corpus exchange at once: the stream keys and uniforms as uint64 arrays, the
-rows as gathers by key code and combination, the categoricals as counts,
-and only `inv_cdf` per element. Its columnar `SimulatedLog` equals, bit for
-bit, what `simulate_turn` gives."""
+children. `simulate_turn` draws one turn from the `lookup` context of its
+key; the RL environment looks up every key once and draws each turn from
+those contexts. `replay_conditions` draws a turn for every corpus exchange
+at once: the stream keys and uniforms as uint64 arrays, the rows as gathers
+through the table's row index by key code and combination, the categoricals as
+counts, and only `inv_cdf` per element. Its columnar `SimulatedLog` equals,
+bit for bit, what `simulate_turn` gives."""
 
 from __future__ import annotations
 
@@ -27,15 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from .behavior_tables import (
-    BehaviorTable,
-    ComboStats,
-    ContextKey,
-    N_DIFFICULTY_CLASSES,
     REQUEST_COMBOS,
+    ROW_DIFFICULTY,
+    ROW_DURATION,
+    ROW_DURATION_MEAN,
+    ROW_SCORE,
+    ROW_SCORE_MEAN,
+    BehaviorTable,
+    ContextKey,
     TableMode,
     key_code,
     lookup,
-    resolve_combo_stats,
 )
 from .corpus import (
     ACT_ORDER,
@@ -61,9 +61,7 @@ from .sampling import (
     categorical_from,
     categoricals,
     child_keys,
-    cumulative_weights,
     first_uniforms,
-    gaussian_truncation,
     label_bits,
     truncated_gaussian_from,
     truncated_gaussians,
@@ -99,55 +97,32 @@ def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
                   act: ProactiveAct, rng: RandomStream) -> SimulatedTurn:
     complexity = complexity_of_step(step)
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
-    key = ContextKey(binarize_traits(profile), act, condition)
-    cell, used_fallback = lookup(table, key)
     return draw_turn(
-        cumulative_weights(cell.request_probs), used_fallback,
-        lambda combo: draw_parameters(resolve_combo_stats(table, key, combo), complexity),
+        *lookup(table, ContextKey(binarize_traits(profile), act, condition)),
         complexity, first_uniforms(child_keys(rng.key, label_bits(TURN_FIELDS))).tolist())
 
 
-def draw_turn(request_cum, used_fallback: bool, row_of, complexity: int,
+def draw_turn(request_cum, used_fallback: bool, rows, complexity: int,
               u) -> SimulatedTurn:
     """The turn a context key draws on the uniforms u of its TURN_FIELDS,
-    given the key's request cumulatives, its used_fallback flag and
-    row_of(combo), the `draw_parameters` row of a request combination."""
+    given the key's `lookup` context: its request cumulatives, its
+    used_fallback flag and its `draw_parameters` row per request
+    combination."""
     combo = categorical_from(request_cum, u[0])
-    row = row_of(combo)
+    row = rows[combo]
     help_request, suggestion_request = REQUEST_COMBOS[combo]
-    duration = truncated_gaussian_from(row[_DURATION_MEAN], row[_DURATION],
+    duration = truncated_gaussian_from(row[ROW_DURATION_MEAN], row[ROW_DURATION],
                                        MIN_DURATION_S, DURATION_HI, u[2])
     return SimulatedTurn(
         help_request=help_request,
         suggestion_request=suggestion_request,
         duration=max(duration, DURATION_FLOOR_S),
-        difficulty=LIKERT_MIN + categorical_from(row[_DIFFICULTY], u[1]),
-        game_score=truncated_gaussian_from(row[_SCORE_MEAN], row[_SCORE], OPTION_SCORE_UNIT,
-                                           max_option_score(complexity), u[3]),
+        difficulty=LIKERT_MIN + categorical_from(row[ROW_DIFFICULTY], u[1]),
+        game_score=truncated_gaussian_from(row[ROW_SCORE_MEAN], row[ROW_SCORE],
+                                           OPTION_SCORE_UNIT, max_option_score(complexity),
+                                           u[3]),
         used_fallback=used_fallback,
     )
-
-
-# A row of draw parameters: the difficulty cumulatives, then the mean and
-# the `gaussian_truncation` of the duration, then those of the score.
-_DIFFICULTY = slice(0, N_DIFFICULTY_CLASSES)
-_DURATION_MEAN = N_DIFFICULTY_CLASSES
-_DURATION = slice(_DURATION_MEAN + 1, _DURATION_MEAN + 4)
-_SCORE_MEAN = _DURATION_MEAN + 4
-_SCORE = slice(_SCORE_MEAN + 1, _SCORE_MEAN + 4)
-
-
-def draw_parameters(stats: ComboStats, complexity: int) -> tuple:
-    """The row a turn's draws read from one combination's statistics, its
-    score truncated to the option range of a step of this complexity."""
-    counts = stats.difficulty_counts
-    total = sum(counts)
-    return (*cumulative_weights(tuple(c / total for c in counts)),
-            stats.duration_mean, *gaussian_truncation(
-                stats.duration_mean, stats.duration_sd, MIN_DURATION_S, DURATION_HI),
-            stats.score_mean, *gaussian_truncation(
-                stats.score_mean, stats.score_sd, OPTION_SCORE_UNIT,
-                max_option_score(complexity)))
 
 
 # Columns of a replay log in file order, with the numpy dtype each is held
@@ -216,9 +191,11 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     act) context; row i pairs with exchange i of the corpus's canonical
     order. Turn i equals `simulate_turn` on `rng.child(user_id, step)`.
 
-    The whole table is compiled once per call, then every turn is drawn at
-    once by gathering on its context key code and combination. The table's
-    values were checked when it was built or loaded, so no draw can fail.
+    Every turn is drawn at once, gathering the table's request cumulatives,
+    fallback flags and row indices on its context key code and combination,
+    then the rows on those indices. The
+    table's values were checked when it was built or loaded, so no draw can
+    fail.
     """
     users = corpus.users
     owner = np.repeat(np.arange(len(users)), STEPS_PER_DIALOG)
@@ -227,7 +204,7 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
                      dtype=np.int64)[owner]
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
     code = key_code(table.mode, trait, act, condition)
-    request_cum, key_fallback, rows = map(np.array, _compile_table(table))
+    rows = np.array(table.rows)
 
     user_keys = child_keys(rng.key, label_bits(user.user_id for user in users))
     turn_keys = child_keys(user_keys[owner], _STEP_BITS[step])
@@ -235,17 +212,16 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     def uniforms(field: str) -> np.ndarray:
         return first_uniforms(child_keys(turn_keys, label_bits([field])))
 
-    combo = categoricals(request_cum[code], uniforms("requests"))
+    combo = categoricals(table.request_cum[code], uniforms("requests"))
+    row = table.row_index[code, combo]
     # gathered field by field, so no temporary holds a whole row per turn
-    difficulty = LIKERT_MIN + categoricals(rows[code, combo, _DIFFICULTY],
+    difficulty = LIKERT_MIN + categoricals(rows[row, ROW_DIFFICULTY],
                                            uniforms("difficulty"))
     duration = np.maximum(
-        truncated_gaussians(rows[code, combo, _DURATION_MEAN],
-                            rows[code, combo, _DURATION],
+        truncated_gaussians(rows[row, ROW_DURATION_MEAN], rows[row, ROW_DURATION],
                             MIN_DURATION_S, DURATION_HI, uniforms("duration")),
         DURATION_FLOOR_S)
-    game_score = truncated_gaussians(rows[code, combo, _SCORE_MEAN],
-                                     rows[code, combo, _SCORE],
+    game_score = truncated_gaussians(rows[row, ROW_SCORE_MEAN], rows[row, ROW_SCORE],
                                      OPTION_SCORE_UNIT, max_option_score(complexity),
                                      uniforms("score"))
 
@@ -256,31 +232,8 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
         step=step, complexity=complexity,
         proactive_act=list(map(ACT_ORDER.__getitem__, act.tolist())),
         game_score=game_score, help_request=flags[:, 0], suggestion_request=flags[:, 1],
-        duration=duration, difficulty=difficulty, used_fallback=key_fallback[code],
+        duration=duration, difficulty=difficulty, used_fallback=table.used_fallback[code],
     )
-
-
-def _compile_table(table: BehaviorTable) -> tuple:
-    """Every key of the table in `_mode_keys` order, as three lists indexed
-    by key code: request cumulatives, used_fallback flags, and per key one
-    `draw_parameters` row for each request combination (K x 4 x 13). The
-    ladder shares rung statistics across keys, so each distinct one is made
-    a row once per complexity and shared; the table keeps them alive, so
-    ids are unique."""
-    task_step = table.mode is TableMode.TASK_STEP_BASED
-    request_cum, fallback, rows, memo = [], [], [], {}
-    for key, (cell, used_fallback, combos) in table.resolved.items():
-        complexity = complexity_of_step(key.condition) if task_step else key.condition
-        request_cum.append(cumulative_weights(cell.request_probs))
-        fallback.append(used_fallback)
-        key_rows = []
-        for stats in combos:
-            row = memo.get((id(stats), complexity))
-            if row is None:
-                row = memo[id(stats), complexity] = draw_parameters(stats, complexity)
-            key_rows.append(row)
-        rows.append(tuple(key_rows))
-    return request_cum, fallback, rows
 
 
 def save_simulated_log(log: SimulatedLog, path) -> None:

@@ -302,10 +302,14 @@ def _trust_labels(field: str, values) -> np.ndarray:
     labels = np.asarray(values)
     if labels.dtype.kind in "iu":
         bad = (labels < LIKERT_MIN) | (labels > LIKERT_MAX)
+        if not isinstance(values, np.ndarray):
+            # numpy reads true and false among ints as ints
+            bad |= [isinstance(v, (bool, np.bool_)) for v in values]
     else:
         bad = np.ones(labels.shape, dtype=bool)
     if bad.any():
-        raise ValueOutOfRange(field, labels[bad].tolist()[0], detail="Likert value in 1..5")
+        raise ValueOutOfRange(field, np.asarray(values, dtype=object)[bad][0],
+                              detail="Likert value in 1..5")
     return labels.astype(np.intp)
 
 

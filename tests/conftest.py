@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import itertools
@@ -10,7 +9,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from statistics import NormalDist
@@ -18,17 +17,20 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from trustsim import simulator
+from trustsim import behavior_tables, simulator
 from trustsim.behavior_tables import (
+    ACT_SLICE,
+    COLUMNS,
+    CONDITION_SLICE,
     REQUEST_COMBOS,
-    TABLE_FORMAT,
-    CellStats,
-    ComboStats,
+    TRAIT_CELL,
     ContextKey,
+    Stats,
     TableMode,
     _mode_keys,
+    _derive,
+    draw_parameters,
     lookup,
-    resolve_combo_stats,
 )
 from trustsim.corpus import (
     ACT_INDEX,
@@ -63,7 +65,6 @@ from trustsim.errors import (
     MissingColumn,
     NoDataForCondition,
     ValueOutOfRange,
-    write_json,
 )
 from trustsim.rl_env import (
     N_ACTIONS,
@@ -319,18 +320,125 @@ def analytic_truncated_mean(mean, sd, lo, hi):
     return mean + sign * sd * (phi(a) - phi(b)) / (cdf(b) - cdf(a))
 
 
-def reference_ladder(table, key) -> list:
-    """The fallback ladder walked per call, kept as the oracle of the
-    resolution a table makes once: usable cells for the key, most specific
-    first. The trait cell qualifies only at or above the threshold."""
-    if key.condition not in table.mode.conditions():
-        raise InvalidConfig(f"condition {key.condition} not in {table.mode.value}")
+# -- the dataclass table, kept as the oracle of the array table ----------------
+
+@dataclass(frozen=True)
+class ComboStats:
+    """Continuous/ordinal statistics for one request combination."""
+
+    n: int
+    score_mean: float
+    score_sd: float
+    duration_mean: float
+    duration_sd: float
+    difficulty_counts: tuple  # classes 1..5
+
+
+_EMPTY_COMBO = ComboStats(0, 0.0, 0.0, 0.0, 0.0, (0,) * 5)
+
+
+def _merge_combos(combos) -> ComboStats:
+    """The statistics of the union of the combinations' samples, by the
+    exact merge of Chan, Golub and LeVeque (Am. Stat. 37, 1983): counts add,
+    the mean is count-weighted and M2 = sum n*sd^2 + sum n*(mean_i - mean)^2,
+    with population sds. The sums are plain loops in part order, as `sum`
+    added floats before Python 3.12 compensated it."""
+    parts = [c for c in combos if c.n > 0]
+    if not parts:
+        return _EMPTY_COMBO
+    n = sum(p.n for p in parts)
+    s_total = d_total = 0.0
+    for p in parts:
+        s_total += p.n * p.score_mean
+        d_total += p.n * p.duration_mean
+    s_mean, d_mean = s_total / n, d_total / n
+    s_m2 = d_m2 = 0.0
+    for p in parts:
+        s_dev, d_dev = p.score_mean - s_mean, p.duration_mean - d_mean
+        s_m2 += p.n * (p.score_sd * p.score_sd + s_dev * s_dev)
+        d_m2 += p.n * (p.duration_sd * p.duration_sd + d_dev * d_dev)
+    diff = tuple(map(sum, zip(*(p.difficulty_counts for p in parts))))
+    return ComboStats(n, s_mean, math.sqrt(s_m2 / n), d_mean, math.sqrt(d_m2 / n), diff)
+
+
+@dataclass(frozen=True)
+class CellStats:
+    n: int
+    request_counts: tuple  # per REQUEST_COMBOS index
+    combos: tuple  # ComboStats per REQUEST_COMBOS index
+
+    @property
+    def request_probs(self) -> tuple:
+        return tuple(c / self.n for c in self.request_counts)
+
+    def pooled(self) -> ComboStats:
+        """All-combination aggregate of this cell."""
+        return _merge_combos(self.combos)
+
+
+def _merge_cells(cells) -> CellStats:
+    """The cell of the union of the cells' samples, merged per combination."""
+    return CellStats(
+        n=sum(c.n for c in cells),
+        request_counts=tuple(map(sum, zip(*(c.request_counts for c in cells)))),
+        combos=tuple(_merge_combos(c.combos[i] for c in cells)
+                     for i in range(len(REQUEST_COMBOS))),
+    )
+
+
+@dataclass(frozen=True)
+class OracleTable:
+    """The table as one CellStats per observed key, with its slices merged
+    by dicts in the order the keys come, as BehaviorTable was before it
+    became arrays; reference_ladder walks its fallback ladder per call."""
+
+    mode: TableMode
+    fallback_threshold: int
+    cells: dict  # ContextKey -> CellStats
+    # (ProactiveAct, condition) -> CellStats and condition -> CellStats
+    fallback_cells: dict = field(init=False)
+    condition_cells: dict = field(init=False)
+
+    def __post_init__(self):
+        keyed = [(key, self.cells.get(key)) for key in _mode_keys(self.mode)]
+        by_slice, by_condition = {}, {}
+        for key, cell in keyed:
+            if cell is not None:
+                by_slice.setdefault((key.proactive_act, key.condition), []).append(cell)
+        fallback = {k: _merge_cells(cells) for k, cells in by_slice.items()}
+        for (_, cond), cell in fallback.items():
+            by_condition.setdefault(cond, []).append(cell)
+        condition = {k: _merge_cells(cells) for k, cells in by_condition.items()}
+        object.__setattr__(self, "fallback_cells", fallback)
+        object.__setattr__(self, "condition_cells", condition)
+
+
+def oracle_table(table) -> OracleTable:
+    """The OracleTable of a BehaviorTable's columns: a CellStats for every
+    key that holds a count."""
+    cells = {}
+    for code, key in enumerate(_mode_keys(table.mode)):
+        columns = [getattr(table, name)[code].tolist() for name in COLUMNS]
+        combos = tuple(ComboStats(*values[:-1], tuple(values[-1]))
+                       for values in zip(*columns))
+        if any(c.n for c in combos):
+            cells[key] = CellStats(sum(c.n for c in combos), tuple(c.n for c in combos),
+                                   combos)
+    return OracleTable(table.mode, table.fallback_threshold, cells)
+
+
+def reference_ladder(oracle, key) -> list:
+    """The fallback ladder walked per call: usable cells for the key, most
+    specific first. The trait cell qualifies only at or above the
+    threshold."""
+    if key.condition not in oracle.mode.conditions():
+        raise InvalidConfig(f"condition {key.condition} not in {oracle.mode.value}")
     rungs = []
-    cell = table.cells.get(key)
-    if cell is not None and cell.n >= table.fallback_threshold:
+    cell = oracle.cells.get(key)
+    if cell is not None and cell.n >= oracle.fallback_threshold:
         rungs.append(cell)
-    for rung in (table.fallback_cells.get((key.proactive_act, key.condition)),
-                 table.condition_cells.get(key.condition)):
+    for rung in (oracle.fallback_cells.get((key.proactive_act, key.condition)),
+                 oracle.condition_cells.get(key.condition)):
         if rung is not None and rung.n > 0:
             rungs.append(rung)
     if not rungs:
@@ -338,18 +446,79 @@ def reference_ladder(table, key) -> list:
     return rungs
 
 
-def reference_lookup(table, key) -> tuple:
-    rungs = reference_ladder(table, key)
-    cell = table.cells.get(key)
-    return rungs[0], not (cell is not None and cell.n >= table.fallback_threshold)
+def reference_lookup(oracle, key) -> tuple:
+    rungs = reference_ladder(oracle, key)
+    cell = oracle.cells.get(key)
+    return rungs[0], not (cell is not None and cell.n >= oracle.fallback_threshold)
 
 
-def reference_combo_stats(table, key, combo_idx):
-    rungs = reference_ladder(table, key)
+def reference_combo_stats(oracle, key, combo_idx):
+    rungs = reference_ladder(oracle, key)
     for cell in rungs:
         if cell.combos[combo_idx].n > 0:
             return cell.combos[combo_idx]
     return rungs[-1].pooled()
+
+
+def combo_at(stats, index) -> ComboStats:
+    """Element `index` of a Stats of arrays, as a ComboStats."""
+    values = [getattr(stats, name)[index].tolist() for name in COLUMNS]
+    return ComboStats(*values[:-1], tuple(values[-1]))
+
+
+def cell_at(stats, index) -> CellStats:
+    """The combinations at `index` of a Stats whose last axis is the
+    combination, as a CellStats."""
+    combos = tuple(combo_at(stats, (*index, i)) for i in range(len(REQUEST_COMBOS)))
+    return CellStats(sum(c.n for c in combos), tuple(c.n for c in combos), combos)
+
+
+_EMPTY_CELL = CellStats(0, (0,) * len(REQUEST_COMBOS), (_EMPTY_COMBO,) * len(REQUEST_COMBOS))
+
+
+def derived_of(table) -> dict:
+    """All `_derive` makes of a BehaviorTable's columns, with the slices and
+    served statistics the table does not keep."""
+    cells = Stats(*(getattr(table, name) for name in COLUMNS))
+    return _derive(cells, table.mode, table.fallback_threshold)
+
+
+def served_of(table) -> Stats:
+    """The statistics that serve each (key, combination) of the table."""
+    derived = derived_of(table)
+    return derived["pool"].take(derived["source"])
+
+
+def assert_table_equals_oracle(table) -> None:
+    """Every value a BehaviorTable derives equals what the OracleTable of its
+    columns gives: the act and condition slices and their pooled statistics,
+    each key's rung, flag and request cumulatives, and each (key,
+    combination)'s served statistics and draw row."""
+    oracle, mode, derived = oracle_table(table), table.mode, derived_of(table)
+    conditions = mode.conditions()
+    served = derived["pool"].take(derived["source"])
+    for (a, act), (c, cond) in itertools.product(enumerate(ACT_ORDER),
+                                                 enumerate(conditions)):
+        assert cell_at(table.act_slices, (a, c)) == oracle.fallback_cells.get(
+            (act, cond), _EMPTY_CELL)
+    for c, cond in enumerate(conditions):
+        assert cell_at(derived["condition_slices"], (c,)) == oracle.condition_cells[cond]
+        assert combo_at(derived["pooled"], c) == oracle.condition_cells[cond].pooled()
+    for code, key in enumerate(_mode_keys(mode)):
+        cell, fell_back = reference_lookup(oracle, key)
+        rung = (TRAIT_CELL if cell is oracle.cells.get(key) else ACT_SLICE
+                if cell is oracle.fallback_cells.get((key.proactive_act, key.condition))
+                else CONDITION_SLICE)
+        assert (table.rung[code], table.used_fallback[code]) == (rung, fell_back)
+        request_cum, used_fallback, rows = lookup(table, key)
+        assert request_cum == tuple(cumulative_weights(cell.request_probs))
+        assert used_fallback is fell_back
+        complexity = (complexity_of_step(key.condition)
+                      if mode is TableMode.TASK_STEP_BASED else key.condition)
+        for i in range(len(REQUEST_COMBOS)):
+            stats = reference_combo_stats(oracle, key, i)
+            assert combo_at(served, (code, i)) == stats
+            assert rows[i] == draw_parameters(stats, complexity)
 
 
 def reference_build_table(corpus, mode) -> tuple:
@@ -375,7 +544,7 @@ def _reference_cell(rows_per_combo) -> CellStats:
     combos = []
     for rows in rows_per_combo:
         if not rows:
-            combos.append(ComboStats(0, 0.0, 0.0, 0.0, 0.0, (0,) * 5))
+            combos.append(_EMPTY_COMBO)
             continue
         s = np.array([r[0] for r in rows], dtype=float)
         d = np.array([r[1] for r in rows], dtype=float)
@@ -388,100 +557,123 @@ def _reference_cell(rows_per_combo) -> CellStats:
     return CellStats(n=sum(counts), request_counts=counts, combos=tuple(combos))
 
 
-def reference_save_table(table, path) -> None:
-    """save_table as it was before each combination's dict was built field
-    by field, kept as its oracle: `asdict` per combination."""
-    cells = [
-        {"traits": key.trait_tuple.bits, "act": key.proactive_act.value,
-         "condition": key.condition, "n": cell.n,
-         "request_counts": list(cell.request_counts),
-         "combos": [{**asdict(c), "difficulty_counts": list(c.difficulty_counts)}
-                    for c in cell.combos]}
-        for key, cell in ((k, table.cells.get(k)) for k in _mode_keys(table.mode))
-        if cell is not None
-    ]
-    write_json(path, {"format": TABLE_FORMAT, "mode": table.mode.value,
-                      "fallback_threshold": table.fallback_threshold, "cells": cells})
+def lower_duration_ceiling(monkeypatch, hi) -> None:
+    """Lower DURATION_HI where the table makes its rows and where a turn
+    clamps its duration; a table built afterwards draws under it."""
+    monkeypatch.setattr(behavior_tables, "DURATION_HI", hi)
+    monkeypatch.setattr(simulator, "DURATION_HI", hi)
 
 
-_EMPTY_COMBO_ENTRY = {"n": 0, "score_mean": 0.0, "score_sd": 0.0, "duration_mean": 0.0,
-                      "duration_sd": 0.0, "difficulty_counts": [0, 0, 0, 0, 0]}
+# -- table.json edits ---------------------------------------------------------
+
+def _first_observed(payload) -> tuple:
+    """(key code, combination) of the first combination that holds data."""
+    return next((k, c) for k, row in enumerate(payload["n"])
+                for c, n in enumerate(row) if n > 0)
 
 
-def _observed_combo(payload) -> dict:
-    """The first combination of the first trait cell that holds data."""
-    return next(c for c in payload["cells"][0]["combos"] if c["n"] > 0)
+def _set_observed(name, value):
+    def edit(payload):
+        k, c = _first_observed(payload)
+        payload[name][k][c] = value
+    return edit
 
 
-def _first_condition_cells(payload) -> list:
-    first = min(e["condition"] for e in payload["cells"])
-    return [e for e in payload["cells"] if e["condition"] == first]
+def _first_condition_keys(payload) -> list:
+    """The key codes at the first condition of the payload's mode."""
+    n_conditions = len(TableMode(payload["mode"]).conditions())
+    return range(0, len(payload["n"]), n_conditions)
 
 
-def _drop_first_condition(payload):
-    first = min(e["condition"] for e in payload["cells"])
-    payload["cells"] = [e for e in payload["cells"] if e["condition"] != first]
+def _empty_first_condition(payload):
+    for k in _first_condition_keys(payload):
+        for name in COLUMNS:
+            payload[name][k] = [[0] * 5 if name == "difficulty_counts" else 0
+                                for _ in REQUEST_COMBOS]
 
 
 def _huge_score_sd(payload):
     """score_sd 1e200 everywhere: merging the cells into their slices
     squares the sds."""
-    for cell in payload["cells"]:
-        for combo in cell["combos"]:
-            combo["score_sd"] = 1e200
+    payload["score_sd"] = [[1e200] * len(row) for row in payload["score_sd"]]
 
 
-def _count_mismatch(payload):
-    combo = _observed_combo(payload)
-    combo["n"] += 1
-    combo["difficulty_counts"][0] += 1
+def _negative_condition_sd(payload):
+    for k in _first_condition_keys(payload):
+        payload["duration_sd"][k] = [-1.0] * len(REQUEST_COMBOS)
 
 
-def _duplicate(section):
-    return lambda payload: payload[section].append(copy.deepcopy(payload[section][0]))
-
-
-def _empty_first_condition(payload):
-    for cell in _first_condition_cells(payload):
-        cell.update(n=0, request_counts=[0] * 4,
-                    combos=[dict(_EMPTY_COMBO_ENTRY) for _ in range(4)])
+def _difficulty_row_off(payload):
+    k, c = _first_observed(payload)
+    payload["difficulty_counts"][k][c][0] += 1
 
 
 # Edits of a table JSON payload that keep it well-formed but give values a
 # build never writes, each with the name of the error a load raises. The
 # "condition" cases edit the trait cells the condition slices merge.
 TABLE_CORRUPTIONS = {
-    "nan-score-mean": (lambda p: _observed_combo(p).update(score_mean=math.nan),
-                       "InvalidConfig"),
-    "inf-duration-mean": (lambda p: _observed_combo(p).update(duration_mean=math.inf),
-                          "InvalidConfig"),
-    "negative-condition-sd": (
-        lambda p: [c.update(duration_sd=-1.0)
-                   for e in _first_condition_cells(p) for c in e["combos"]],
-        "InvalidConfig"),
+    "nan-score-mean": (_set_observed("score_mean", math.nan), "InvalidConfig"),
+    "inf-duration-mean": (_set_observed("duration_mean", math.inf), "InvalidConfig"),
+    "negative-score-sd": (_set_observed("score_sd", -1.0), "InvalidConfig"),
+    "negative-condition-sd": (_negative_condition_sd, "InvalidConfig"),
     "huge-score-sd": (_huge_score_sd, "InvalidConfig"),
-    "count-mismatch": (_count_mismatch, "InvalidConfig"),
-    "duplicate-cell": (_duplicate("cells"), "InvalidConfig"),
-    "missing-condition-cell": (_drop_first_condition, "NoDataForCondition"),
-    "empty-condition-cell": (_empty_first_condition, "NoDataForCondition"),
+    "negative-count": (_set_observed("n", -1), "InvalidConfig"),
+    "difficulty-sum": (_difficulty_row_off, "InvalidConfig"),
+    "empty-condition": (_empty_first_condition, "NoDataForCondition"),
 }
 
 
-def reference_simulate_turn(table, profile, step, act, rng) -> SimulatedTurn:
+# Edits that break the shape or the types of a table JSON payload, each
+# returning the edited payload; a load rejects each with InvalidConfig.
+TABLE_MALFORMATIONS = {
+    "not-object": lambda p: [p],
+    "only-format": lambda p: {"format": p["format"]},
+    "format-v2": lambda p: {**p, "format": "behavior-table/v2"},
+    "format-v1": lambda p: {**p, "format": "behavior-table/v1"},
+    "v2-cells": lambda p: {**p, "cells": []},
+    "unknown-key": lambda p: {**p, "bogus": 1},
+    "missing-key": lambda p: {k: v for k, v in p.items() if k != "score_sd"},
+    "mode": lambda p: {**p, "mode": "per-minute"},
+    "threshold": lambda p: {**p, "fallback_threshold": 0.5},
+    "column-not-list": lambda p: {**p, "n": 5},
+    "column-short": lambda p: {**p, "duration_mean": p["duration_mean"][:-1]},
+    "column-long": lambda p: {**p, "n": p["n"] + p["n"][:1]},
+    "row-short": lambda p: {**p, "score_mean": [p["score_mean"][0][:3],
+                                                *p["score_mean"][1:]]},
+    "difficulty-row-short": lambda p: {**p, "difficulty_counts": [
+        [row[:4] for row in p["difficulty_counts"][0]], *p["difficulty_counts"][1:]]},
+    "n-bool": lambda p: {**p, "n": [[True, *p["n"][0][1:]], *p["n"][1:]]},
+    "n-float": lambda p: {**p, "n": [[float(p["n"][0][0]), *p["n"][0][1:]], *p["n"][1:]]},
+    "n-text": lambda p: {**p, "n": [["1", *p["n"][0][1:]], *p["n"][1:]]},
+    "n-beyond-int64": lambda p: {**p, "n": [[2 ** 63, *p["n"][0][1:]], *p["n"][1:]]},
+    "n-beyond-float-exact": lambda p: {**p, "n": [[2 ** 53 + 1, *p["n"][0][1:]],
+                                                  *p["n"][1:]]},
+    "mean-text": lambda p: {**p, "score_mean": [["high", *p["score_mean"][0][1:]],
+                                                *p["score_mean"][1:]]},
+    "mean-bool": lambda p: {**p, "duration_mean": [[True, *p["duration_mean"][0][1:]],
+                                                   *p["duration_mean"][1:]]},
+    "mean-beyond-float": lambda p: {**p, "score_mean": [[10 ** 400,
+                                                         *p["score_mean"][0][1:]],
+                                                        *p["score_mean"][1:]]},
+}
+
+
+def reference_simulate_turn(oracle, profile, step, act, rng) -> SimulatedTurn:
     """simulate_turn as it was before both draw paths shared
-    `draw_parameters`, kept as their oracle: the table statistics turned
-    into draws inline, through `categorical` and `truncated_gaussian`. The
-    ceiling is read from the simulator module, so a test that lowers it
-    there lowers it here too. `rng` is any stream; its draws are scalar."""
+    `draw_parameters`, kept as their oracle: an OracleTable's ladder walked
+    per call, its statistics turned into draws inline, through `categorical`
+    and `truncated_gaussian`. The ceiling is read from the simulator module,
+    so a test that lowers it there lowers it here too. `rng` is any stream;
+    its draws are scalar."""
     rng = ScalarStream.of(rng)
     complexity = complexity_of_step(step)
-    condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
+    condition = step if oracle.mode is TableMode.TASK_STEP_BASED else complexity
     key = ContextKey(binarize_traits(profile), act, condition)
-    cell, used_fallback = lookup(table, key)
+    cell, used_fallback = reference_lookup(oracle, key)
 
     combo_idx = categorical(cell.request_probs, rng.child("requests"))
     help_request, suggestion_request = REQUEST_COMBOS[combo_idx]
-    stats = resolve_combo_stats(table, key, combo_idx)
+    stats = reference_combo_stats(oracle, key, combo_idx)
 
     counts = stats.difficulty_counts
     total = sum(counts)
@@ -533,6 +725,7 @@ def assert_every_turn_matches_oracle(table, seed) -> None:
     """simulate_turn equals reference_simulate_turn, field for field, in
     every context key of the table's mode and every combination that key
     can draw, each on a stream that draws that combination."""
+    oracle = oracle_table(table)
     for key in _mode_keys(table.mode):
         bits = key.trait_tuple.bits
         profile = make_user(**{name: 4.0 if bit == "1" else 2.0 for name, bit in zip(
@@ -540,21 +733,21 @@ def assert_every_turn_matches_oracle(table, seed) -> None:
         assert binarize_traits(profile) == key.trait_tuple
         step = next(s for s in range(1, 13) if key.condition == (
             s if table.mode is TableMode.TASK_STEP_BASED else complexity_of_step(s)))
-        cumulative = cumulative_weights(lookup(table, key)[0].request_probs)
+        cumulative = cumulative_weights(reference_lookup(oracle, key)[0].request_probs)
         base = RandomStream(seed, bits, key.proactive_act.value, key.condition)
         for combo, rng in _forcing_streams(base, cumulative).items():
             turn = simulate_turn(table, profile, step, key.proactive_act, rng)
             assert combo_index(turn.help_request, turn.suggestion_request) == combo
-            assert turn == reference_simulate_turn(table, profile, step, key.proactive_act,
-                                                   rng)
+            assert turn == reference_simulate_turn(oracle, profile, step,
+                                                   key.proactive_act, rng)
 
 
 def reference_replay(corpus, table, rng) -> list:
     """The per-turn loop replay_conditions replaced, kept as its oracle:
     one reference_simulate_turn per exchange on rng.child(user_id, step),
     as (user, exchange, SimulatedTurn) triples in corpus order."""
-    rng = ScalarStream.of(rng)
-    return [(user, ex, reference_simulate_turn(table, user, ex.step, ex.proactive_act,
+    rng, oracle = ScalarStream.of(rng), oracle_table(table)
+    return [(user, ex, reference_simulate_turn(oracle, user, ex.step, ex.proactive_act,
                                                rng.child(user.user_id, ex.step)))
             for user, ex in exchanges_of(corpus)]
 
@@ -899,14 +1092,14 @@ def reference_save_corpus(corpus, path) -> None:
 
 class ReferenceTrustSimEnv:
     """TrustSimEnv as it was before episodes drew from precomputed uniforms
-    and a compiled table, kept as its oracle: each step draws one
+    and the table's looked-up rows, kept as its oracle: each step draws one
     reference_simulate_turn on rng.child("step", s), builds its features
     with reference_features over the episode's TurnContext history, and
     labels that history with each step's predicted trust. The user is
     reference_sample_user on rng.child("user"). Its draws are scalar."""
 
     def __init__(self, table, traits, trust_model, reward=RewardConfig()):
-        self.table, self.traits, self.trust_model = table, traits, trust_model
+        self.oracle, self.traits, self.trust_model = oracle_table(table), traits, trust_model
         self.reward = reward
 
     def reset(self, rng):
@@ -920,7 +1113,7 @@ class ReferenceTrustSimEnv:
 
     def step(self, action):
         s = self._step_no
-        turn = reference_simulate_turn(self.table, self._profile, s, action,
+        turn = reference_simulate_turn(self.oracle, self._profile, s, action,
                                        self._stream.child("step", s))
         current = simulated_turn_context(s, action, turn)
         features = reference_features(self._profile, self._history, current)

@@ -19,12 +19,15 @@ from conftest import (
     corpus_from_rows,
     make_dialog,
     make_user,
+    oracle_table,
     stub_trust_model,
 )
 from trustsim.behavior_tables import (
+    TRAIT_CELL,
     ContextKey,
     TableMode,
     build_table,
+    key_code,
     lookup,
 )
 from trustsim.cli import main as cli_main
@@ -118,8 +121,8 @@ def test_step_cells_pool_to_complexity_cells(default_corpus, drifting_corpus):
     ok = True
     checked = 0
     for corpus in (default_corpus, drifting_corpus):
-        step_table = build_table(corpus, TableMode.TASK_STEP_BASED)
-        cx_table = build_table(corpus, TableMode.COMPLEXITY_BASED)
+        step_table = oracle_table(build_table(corpus, TableMode.TASK_STEP_BASED))
+        cx_table = oracle_table(build_table(corpus, TableMode.COMPLEXITY_BASED))
         for key, cell in cx_table.cells.items():
             step_keys = [ContextKey(key.trait_tuple, key.proactive_act, s)
                          for s in range(1, 13)
@@ -151,22 +154,23 @@ def fallback_probe_corpus(partial_steps) -> Corpus:
 
 def test_fallback_threshold_boundary():
     key = ContextKey(binarize_traits(make_user()), ProactiveAct.NOTIFICATION, 3)
-    stats9, fell_back9 = lookup(
-        build_table(fallback_probe_corpus((1,)), TableMode.COMPLEXITY_BASED), key)
+    code = key_code(TableMode.COMPLEXITY_BASED, key.trait_tuple.index,
+                    ACT_ORDER.index(key.proactive_act), key.condition)
+    table9 = build_table(fallback_probe_corpus((1,)), TableMode.COMPLEXITY_BASED)
     table10 = build_table(fallback_probe_corpus((1, 4)), TableMode.COMPLEXITY_BASED)
-    stats10, fell_back10 = lookup(table10, key)
-    ok = (stats9.n == 9 and fell_back9 is True
-          and fell_back10 is False and stats10 is table10.cells[key]
-          and stats10.n == 10)
+    fell_back9, fell_back10 = (lookup(table, key)[1] for table in (table9, table10))
+    ok = (table9.n[code].sum() == 9 and fell_back9 is True
+          and fell_back10 is False and table10.rung[code] == TRAIT_CELL
+          and table10.n[code].sum() == 10)
     verdict("fallback-boundary", ok,
             f"n=9 falls back ({fell_back9}), n=10 resolves directly ({fell_back10})")
 
 
 def test_simulated_draw_soundness(default_corpus):
     table = build_table(default_corpus, TableMode.COMPLEXITY_BASED)
-    key = max((k for k in table.cells if k.condition == 3),
-              key=lambda k: table.cells[k].n)
-    cell = table.cells[key]
+    cells = oracle_table(table).cells
+    key = max((k for k in cells if k.condition == 3), key=lambda k: cells[k].n)
+    cell = cells[key]
     level = lambda flag: 4.0 if flag else 1.0
     profile = make_user(
         user_id="probe",

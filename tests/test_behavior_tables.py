@@ -12,31 +12,41 @@ import pytest
 
 from conftest import (
     TABLE_CORRUPTIONS,
+    TABLE_MALFORMATIONS,
+    CellStats,
+    ComboStats,
+    assert_table_equals_oracle,
+    cell_at,
+    combo_at,
     combo_index,
     corpus_from_rows,
+    derived_of,
     exchanges_of,
     make_corpus,
     make_dialog,
     make_exchange,
     make_user,
+    oracle_table,
     reference_build_table,
-    reference_combo_stats,
-    reference_lookup,
-    reference_save_table,
+    served_of,
 )
 from trustsim.behavior_tables import (
-    BehaviorTable,
-    CellStats,
-    ComboStats,
-    ContextKey,
+    ACT_SLICE,
+    COLUMNS,
+    CONDITION_SLICE,
     REQUEST_COMBOS,
+    TABLE_FORMAT,
+    TRAIT_CELL,
+    BehaviorTable,
+    ContextKey,
+    Stats,
     TableMode,
+    _merge,
     _mode_keys,
     build_table,
     key_code,
     load_table,
     lookup,
-    resolve_combo_stats,
     save_table,
     table_from_json_dict,
     table_summary,
@@ -44,6 +54,7 @@ from trustsim.behavior_tables import (
 )
 from trustsim.corpus import ACT_ORDER, Corpus, ProactiveAct, complexity_of_step
 from trustsim.errors import EmptyCorpus, InvalidConfig, NoDataForCondition, TrustSimError
+from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.user_model import ALL_TRAIT_TUPLES, TraitTuple
 
 LOW_TRAITS = dict(domain_expertise=1.0, trust_propensity=1.0, technical_affinity=1.0)
@@ -91,27 +102,80 @@ class TestKeyCode:
         assert key_code(mode, *np.array(columns).T).tolist() == list(range(len(keys)))
 
 
-class TestCellInvariants:
-    def test_request_counts_must_sum(self):
-        with pytest.raises(InvalidConfig):
-            CellStats(n=3, request_counts=(1, 1, 0, 0),
-                      combos=(ComboStats(0, 0, 0, 0, 0, (0,) * 5),) * 4)
+def code_of(table, key) -> int:
+    return key_code(table.mode, key.trait_tuple.index, ACT_ORDER.index(key.proactive_act),
+                    key.condition)
 
-    def test_combo_slot_count_fixed(self):
-        with pytest.raises(InvalidConfig):
-            CellStats(n=0, request_counts=(0, 0, 0),
-                      combos=(ComboStats(0, 0, 0, 0, 0, (0,) * 5),) * 3)
 
-    def test_request_probs_need_data(self):
-        empty = CellStats(n=0, request_counts=(0, 0, 0, 0),
-                          combos=(ComboStats(0, 0, 0, 0, 0, (0,) * 5),) * 4)
-        with pytest.raises(InvalidConfig):
-            empty.request_probs
+def columns_of(table) -> dict:
+    return {name: getattr(table, name) for name in COLUMNS}
 
-    def test_difficulty_counts_must_sum(self):
-        with pytest.raises(InvalidConfig):
-            ComboStats(n=2, score_mean=0, score_sd=0, duration_mean=0,
-                       duration_sd=0, difficulty_counts=(1, 0, 0, 0, 0))
+
+def with_columns(table, **columns) -> BehaviorTable:
+    """The table's mode, threshold and columns, some replaced."""
+    return BehaviorTable(table.mode, table.fallback_threshold,
+                         **{**columns_of(table), **columns})
+
+
+def edited_column(table, name, index, value) -> np.ndarray:
+    column = getattr(table, name).copy()
+    column[index] = value
+    return column
+
+
+class TestColumnInvariants:
+    @pytest.fixture(scope="class")
+    def table(self, small_corpus):
+        return build_table(small_corpus, TableMode.COMPLEXITY_BASED)
+
+    def test_columns_are_read_only(self, table):
+        for name in COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(table, name)[(0,) * getattr(table, name).ndim] = 1
+        with pytest.raises(ValueError):
+            table.row_index[0, 0] = 1
+        assert type(table.rows) is tuple and type(table.rows[0]) is tuple
+
+    @pytest.mark.parametrize("name,shape", [("n", (96, 3)), ("score_sd", (95, 4)),
+                                            ("difficulty_counts", (96, 4, 4))])
+    def test_shape_is_fixed_by_the_mode(self, table, name, shape):
+        with pytest.raises(InvalidConfig, match=name):
+            with_columns(table, **{name: np.zeros(shape, dtype=int)})
+
+    @pytest.mark.parametrize("name,dtype", [("n", bool), ("n", float),
+                                            ("difficulty_counts", float),
+                                            ("score_mean", bool), ("duration_sd", str),
+                                            ("score_mean", object)])
+    def test_number_type_is_fixed(self, table, name, dtype):
+        with pytest.raises(InvalidConfig, match=name):
+            with_columns(table, **{name: getattr(table, name).astype(dtype)})
+
+    def test_difficulty_counts_must_sum_to_n(self, table):
+        n = edited_column(table, "n", (0, 0), table.n[0, 0] + 1)
+        with pytest.raises(InvalidConfig, match=r"table cell \(traits 000, act None, "
+                                                r"condition 3, combination \(False, "
+                                                r"False\)\): difficulty_counts"):
+            with_columns(table, n=n)
+
+    @pytest.mark.parametrize("value,dtype", [(-1, np.int64), (2 ** 53 + 1, np.int64),
+                                             (2 ** 63 + 5, np.uint64)])
+    def test_counts_are_ints_a_float_holds(self, table, value, dtype):
+        n = table.n.astype(dtype)
+        n[3, 1] = value  # a uint64 beyond int64 turns negative in int64
+        with pytest.raises(InvalidConfig, match=r"n must be an int in 0\.\.2\*\*53"):
+            with_columns(table, n=n)
+
+    def test_first_failing_cell_is_reported(self, table):
+        """Cells fail in key order, a cell's columns in COLUMNS order."""
+        k = table.n.sum(axis=1).argmax()
+        broken = dict(score_sd=edited_column(table, "score_sd", (k, 2), -1.0),
+                      duration_mean=edited_column(table, "duration_mean", (k, 2), math.nan),
+                      score_mean=edited_column(table, "score_mean", (k + 1, 0), math.inf))
+        key = _mode_keys(table.mode)[k]
+        with pytest.raises(InvalidConfig, match=rf"traits {key.trait_tuple.bits}, .*, "
+                                                rf"combination \(True, False\)\): "
+                                                rf"score_sd must be a finite number >= 0"):
+            with_columns(table, **broken)
 
 
 class TestBuildTableExactCells:
@@ -129,22 +193,23 @@ class TestBuildTableExactCells:
     def test_complexity_cell_statistics(self):
         table = build_table(self.make_single_user_corpus(),
                             TableMode.COMPLEXITY_BASED)
-        cell = table.cells[ContextKey(T000, ProactiveAct.NONE, 3)]
-        assert cell.n == 4
-        assert cell.request_counts == (4, 0, 0, 0)
-        combo = cell.combos[0]
-        assert combo.score_mean == pytest.approx(20.0)
-        assert combo.score_sd == pytest.approx(math.sqrt(50.0))
-        assert combo.duration_mean == pytest.approx(40.0)
-        assert combo.duration_sd == pytest.approx(math.sqrt(50.0))
-        assert combo.difficulty_counts == (0, 0, 4, 0, 0)
+        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        assert table.n[k].tolist() == [4, 0, 0, 0]
+        assert table.score_mean[k, 0] == pytest.approx(20.0)
+        assert table.score_sd[k, 0] == pytest.approx(math.sqrt(50.0))
+        assert table.duration_mean[k, 0] == pytest.approx(40.0)
+        assert table.duration_sd[k, 0] == pytest.approx(math.sqrt(50.0))
+        assert table.difficulty_counts[k, 0].tolist() == [0, 0, 4, 0, 0]
+        # an unobserved combination holds zeros
+        assert table.score_mean[k, 1:].tolist() == [0.0] * 3
+        assert table.difficulty_counts[k, 1:].sum() == 0
 
     def test_task_step_cells_have_one_observation_each(self):
         table = build_table(self.make_single_user_corpus(),
                             TableMode.TASK_STEP_BASED)
         for step in range(1, 13):
-            cell = table.cells[ContextKey(T000, ProactiveAct.NONE, step)]
-            assert cell.n == 1
+            assert table.n[code_of(table, ContextKey(T000, ProactiveAct.NONE, step))].sum() == 1
+        assert table.n.sum() == 12
 
     def test_request_combos_land_in_their_slots(self):
         per_step = {
@@ -155,10 +220,10 @@ class TestBuildTableExactCells:
         }
         user = make_user(user_id="u0", **LOW_TRAITS)
         table = build_table(corpus_of((user, dialog_with("u0", per_step))),
-                            TableMode.COMPLEXITY_BASED)
-        cell = table.cells[ContextKey(T000, ProactiveAct.NONE, 3)]
-        assert cell.request_counts == (1, 1, 1, 1)
-        assert cell.request_probs == (0.25, 0.25, 0.25, 0.25)
+                            TableMode.COMPLEXITY_BASED, fallback_threshold=4)
+        key = ContextKey(T000, ProactiveAct.NONE, 3)
+        assert table.n[code_of(table, key)].tolist() == [1, 1, 1, 1]
+        assert lookup(table, key)[0] == (0.25, 0.5, 0.75, 1.0)
 
     def test_rejects_bad_mode_and_threshold(self, small_corpus):
         with pytest.raises(InvalidConfig):
@@ -192,6 +257,19 @@ def assert_cells_match(got: dict, want: dict):
                 [getattr(theirs, name) for name in MOMENTS], rtol=1e-12, atol=0)
 
 
+DERIVED = ("act_slices", "rung", "used_fallback", "request_cum", "row_index")
+
+
+def assert_same_derivation(got: BehaviorTable, want: BehaviorTable):
+    """Equal columns and every derived array equal, bit for bit."""
+    assert got == want
+    for name in DERIVED:
+        mine, theirs = getattr(got, name), getattr(want, name)
+        for a, b in (zip(mine, theirs) if isinstance(mine, Stats) else [(mine, theirs)]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert np.array(got.rows).tobytes() == np.array(want.rows).tobytes()
+
+
 class TestBuildEqualsReference:
     """build_table's grouped reductions and merged slices against the
     per-level builder they replaced: trait cells, act slices and condition
@@ -205,17 +283,42 @@ class TestBuildEqualsReference:
         corpus = request.getfixturevalue(corpus_name)
         table = build_table(corpus, mode, threshold)
         want = reference_build_table(corpus, mode)
-        for got, expected in zip((table.cells, table.fallback_cells,
-                                  table.condition_cells), want):
+        conditions = mode.conditions()
+        slices = {(act, cond): cell_at(table.act_slices, (a, c))
+                  for (a, act), (c, cond) in itertools.product(enumerate(ACT_ORDER),
+                                                               enumerate(conditions))
+                  if table.act_slices.n[a, c].sum()}
+        by_condition = {cond: cell_at(derived_of(table)["condition_slices"], (c,))
+                        for c, cond in enumerate(conditions)}
+        for got, expected in zip((oracle_table(table).cells, slices, by_condition), want):
             assert_cells_match(got, expected)
         save_table(table, tmp_path / "a.json")
         loaded = load_table(tmp_path / "a.json")
-        assert loaded == table
-        assert loaded.resolved == table.resolved
-        assert (loaded.fallback_cells, loaded.condition_cells) == (
-            table.fallback_cells, table.condition_cells)
+        assert_same_derivation(loaded, table)
         save_table(loaded, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+class TestArrayTableEqualsOracle:
+    """Explicit cases of the property in test_behavior_tables_properties.py:
+    tables whose condition slices merge their act slices in an order other
+    than ACT_ORDER, because an act appears first under a later trait
+    tuple."""
+
+    @pytest.mark.parametrize("n_dialogs", [12, 40])
+    def test_merge_order_is_not_act_order(self, n_dialogs):
+        corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n_dialogs), 42)
+        table = build_table(corpus, TableMode.TASK_STEP_BASED)
+        oracle = oracle_table(table)
+        orders = [[act for act, c in oracle.fallback_cells if c == cond]
+                  for cond in TableMode.TASK_STEP_BASED.conditions()]
+        assert any(order != sorted(order, key=ACT_ORDER.index) for order in orders)
+        assert_table_equals_oracle(table)
+
+    @pytest.mark.parametrize("threshold", [1, 10])
+    @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
+    def test_default_corpus(self, default_corpus, mode, threshold):
+        assert_table_equals_oracle(build_table(default_corpus, mode, threshold))
 
 
 def nine_or_ten_corpus(n_extra_none: int) -> Corpus:
@@ -238,23 +341,28 @@ class TestFallbackThresholdBoundary:
     def test_nine_observations_fall_back(self):
         table = build_table(nine_or_ten_corpus(1), TableMode.COMPLEXITY_BASED)
         key = ContextKey(T000, ProactiveAct.NONE, 3)
-        assert table.cells[key].n == 9
-        stats, used_fallback = lookup(table, key)
+        k = code_of(table, key)
+        assert table.n[k].sum() == 9
+        _, used_fallback, _ = lookup(table, key)
         assert used_fallback is True
-        assert stats.n == 9  # all NONE/cond-3 rows share the trait tuple here
+        assert table.rung[k] == ACT_SLICE
+        # all NONE/cond-3 rows share the trait tuple here
+        assert table.act_slices.n[0, 0].sum() == 9
 
     def test_ten_observations_resolve_directly(self):
         table = build_table(nine_or_ten_corpus(2), TableMode.COMPLEXITY_BASED)
         key = ContextKey(T000, ProactiveAct.NONE, 3)
-        assert table.cells[key].n == 10
-        stats, used_fallback = lookup(table, key)
+        k = code_of(table, key)
+        assert table.n[k].sum() == 10
+        _, used_fallback, _ = lookup(table, key)
         assert used_fallback is False
-        assert stats is table.cells[key]
+        assert table.rung[k] == TRAIT_CELL
+        assert combo_at(served_of(table), (k, 0)) == combo_at(table, (k, 0))
 
     def test_lower_threshold_admits_sparse_cell(self):
         table = build_table(nine_or_ten_corpus(1), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=9)
-        _, used_fallback = lookup(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        _, used_fallback, _ = lookup(table, ContextKey(T000, ProactiveAct.NONE, 3))
         assert used_fallback is False
 
 
@@ -294,38 +402,36 @@ def combo_gap_corpus() -> Corpus:
 class TestFallbackLadder:
     def test_sparse_traits_use_act_condition_slice(self):
         table = build_table(two_group_corpus(), TableMode.COMPLEXITY_BASED)
-        stats, used_fallback = lookup(
-            table, ContextKey(T000, ProactiveAct.NONE, 3))
-        assert used_fallback is True
-        assert stats.n == 16
-        assert stats.combos[0].score_mean == pytest.approx(25.0)
+        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        assert table.used_fallback[k] and table.rung[k] == ACT_SLICE
+        assert table.act_slices.n[0, 0].sum() == 16
+        assert served_of(table).score_mean[k, 0] == pytest.approx(25.0)
 
     def test_dense_traits_resolve_directly(self):
         table = build_table(two_group_corpus(), TableMode.COMPLEXITY_BASED)
-        stats, used_fallback = lookup(
-            table, ContextKey(T111, ProactiveAct.NONE, 3))
-        assert used_fallback is False
-        assert stats.n == 12
-        assert stats.combos[0].score_mean == pytest.approx(30.0)
+        k = code_of(table, ContextKey(T111, ProactiveAct.NONE, 3))
+        assert not table.used_fallback[k] and table.rung[k] == TRAIT_CELL
+        assert table.n[k].sum() == 12
+        assert served_of(table).score_mean[k, 0] == pytest.approx(30.0)
 
     def test_unseen_act_falls_to_condition_slice(self):
         # only NONE and NOTIFICATION appear; asking for SUGGESTION lands on
-        # the condition-wide cell
+        # the condition-wide slice
         table = build_table(alternating_act_corpus(), TableMode.COMPLEXITY_BASED)
-        stats, used_fallback = lookup(
-            table, ContextKey(T000, ProactiveAct.SUGGESTION, 3))
-        assert used_fallback is True
-        assert stats is table.condition_cells[3]
-        assert stats.n == 4
+        key = ContextKey(T000, ProactiveAct.SUGGESTION, 3)
+        k = code_of(table, key)
+        assert lookup(table, key)[1] is True
+        assert table.rung[k] == CONDITION_SLICE
+        condition_slices = derived_of(table)["condition_slices"]
+        assert condition_slices.n[0].sum() == 4
+        assert combo_at(served_of(table), (k, 0)) == combo_at(condition_slices, (0, 0))
 
     def test_act_slice_preferred_over_condition_slice(self):
         table = build_table(alternating_act_corpus(), TableMode.COMPLEXITY_BASED)
         # steps 1 and 7 are NONE at complexity 3, steps 4 and 10 NOTIFICATION
-        stats, used_fallback = lookup(
-            table, ContextKey(T000, ProactiveAct.NONE, 3))
-        assert used_fallback is True
-        assert stats.n == 2
-        assert stats is table.fallback_cells[(ProactiveAct.NONE, 3)]
+        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        assert table.used_fallback[k] and table.rung[k] == ACT_SLICE
+        assert table.act_slices.n[0, 0].sum() == 2
 
     def test_condition_outside_mode_is_rejected(self, small_corpus):
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
@@ -335,66 +441,69 @@ class TestFallbackLadder:
         with pytest.raises(InvalidConfig):
             lookup(step_table, ContextKey(T000, ProactiveAct.NONE, 13))
 
-    def test_empty_ladder_raises(self):
+    def test_empty_ladder_raises(self, small_corpus):
         # keys with no rung are rejected when the table is built, not looked up
+        table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
         with pytest.raises(NoDataForCondition):
-            BehaviorTable(mode=TableMode.COMPLEXITY_BASED, fallback_threshold=10,
-                          cells={})
+            with_columns(table, **{name: np.zeros_like(column)
+                                   for name, column in columns_of(table).items()})
 
     def test_key_of_no_context_is_rejected(self, small_corpus):
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
-        with pytest.raises(InvalidConfig):
-            lookup(table, ContextKey(T000, "none", 3))
-        stray = {**table.cells, ContextKey(T000, "none", 3): next(iter(table.cells.values()))}
         with pytest.raises(InvalidConfig, match="names no context"):
-            dataclasses.replace(table, cells=stray)
+            lookup(table, ContextKey(T000, "none", 3))
+        with pytest.raises(InvalidConfig, match="names no context"):
+            lookup(table, ContextKey("000", ProactiveAct.NONE, 3))
+
+    def test_context_is_python_values(self, small_corpus):
+        table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
+        request_cum, used_fallback, rows = lookup(
+            table, ContextKey(T000, ProactiveAct.NONE, 1))
+        assert type(request_cum) is tuple and type(used_fallback) is bool
+        assert type(rows) is tuple and len(rows) == len(REQUEST_COMBOS)
+        assert {type(v) for v in (*request_cum, *itertools.chain(*rows))} == {float}
 
 
-class TestResolveComboStats:
+class TestServedStats:
     def test_combo_missing_in_direct_cell_descends(self):
         table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=2)
-        key = ContextKey(T000, ProactiveAct.NONE, 3)
+        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
         # the (help, no-suggestion) rows all belong to the other trait group
-        combo = resolve_combo_stats(table, key, combo_index(True, False))
-        assert combo.n == 4
-        assert combo.score_mean == pytest.approx(30.0)
-        assert combo.duration_mean == pytest.approx(60.0)
+        served = combo_at(served_of(table), (k, combo_index(True, False)))
+        assert served.n == 4
+        assert served.score_mean == pytest.approx(30.0)
+        assert served.duration_mean == pytest.approx(60.0)
 
     def test_combo_present_in_direct_cell_stays(self):
         table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=2)
-        key = ContextKey(T000, ProactiveAct.NONE, 3)
-        combo = resolve_combo_stats(table, key, combo_index(False, False))
-        assert combo.n == 8
-        assert combo.score_mean == pytest.approx(20.0)
+        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        served = combo_at(served_of(table), (k, combo_index(False, False)))
+        assert served.n == 8
+        assert served.score_mean == pytest.approx(20.0)
 
     def test_combo_absent_everywhere_pools_last_rung(self):
         table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=2)
-        key = ContextKey(T000, ProactiveAct.NONE, 3)
-        combo = resolve_combo_stats(table, key, combo_index(True, True))
+        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        served = combo_at(served_of(table), (k, combo_index(True, True)))
         # pooled condition-3 slice: 8 rows at (20, 40) and 4 rows at (30, 60)
-        assert combo.n == 12
-        assert combo.score_mean == pytest.approx(70 / 3)
-        assert combo.score_sd == pytest.approx(math.sqrt(200 / 9))
-        assert combo.duration_mean == pytest.approx(140 / 3)
-        assert combo.duration_sd == pytest.approx(math.sqrt(800 / 9))
-        assert combo.difficulty_counts == (0, 0, 12, 0, 0)
-
-
-def outcome(fn, *args):
-    """What a call returns, or the type of the TrustSimError it raises."""
-    try:
-        return fn(*args)
-    except TrustSimError as exc:
-        return type(exc)
+        assert served == combo_at(derived_of(table)["pooled"], 0)
+        assert served.n == 12
+        assert served.score_mean == pytest.approx(70 / 3)
+        assert served.score_sd == pytest.approx(math.sqrt(200 / 9))
+        assert served.duration_mean == pytest.approx(140 / 3)
+        assert served.duration_sd == pytest.approx(math.sqrt(800 / 9))
+        assert served.difficulty_counts == (0, 0, 12, 0, 0)
 
 
 def without_condition(table, condition):
-    """The same table with every cell at one condition removed."""
-    return dataclasses.replace(
-        table, cells={k: c for k, c in table.cells.items() if k.condition != condition})
+    """The same table with every key at one condition emptied."""
+    at = np.array([key.condition == condition for key in _mode_keys(table.mode)])
+    return with_columns(table, **{name: np.where(at.reshape(-1, *[1] * (column.ndim - 1)),
+                                                 0, column).astype(column.dtype)
+                                  for name, column in columns_of(table).items()})
 
 
 GAP_FIXTURES = {
@@ -408,12 +517,11 @@ GAP_FIXTURES = {
 
 class TestResolvedLadderEqualsReference:
     """Exhaustive check of the ladder a table resolves once against the
-    per-call reference ladder, over every key and request combination of
-    both modes. Conditions 0..13 include out-of-mode ones for both modes;
-    a key whose act slice has no cell (the alternating-act fixture)
-    descends from its trait cell straight to the condition slice. Variants
-    that leave a condition with no rung at all are rejected when they are
-    built."""
+    per-call reference ladder of the dataclass oracle, over every key and
+    request combination of both modes; a key whose act slice has no data
+    (the alternating-act fixture) descends from its trait cell straight to
+    the condition slice. Variants that leave a condition with no rung at all
+    are rejected when they are built."""
 
     @pytest.mark.parametrize("threshold", [2, 10])
     @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
@@ -422,74 +530,67 @@ class TestResolvedLadderEqualsReference:
         corpus = (default_corpus if corpus_name == "default"
                   else GAP_FIXTURES[corpus_name]())
         table = build_table(corpus, mode, threshold)
-        first = mode.conditions()[0]
-        with pytest.raises(NoDataForCondition):
-            without_condition(table, first)
-        with pytest.raises(NoDataForCondition):
-            dataclasses.replace(table, cells={})
-        seen = set()
-        for tt, act, cond in itertools.product(ALL_TRAIT_TUPLES, ACT_ORDER,
-                                               range(0, 14)):
+        for condition in (mode.conditions()[0], mode.conditions()[-1]):
+            with pytest.raises(NoDataForCondition, match=f"condition {condition}$"):
+                without_condition(table, condition)
+        assert_table_equals_oracle(table)
+
+    @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
+    def test_out_of_mode_conditions_are_rejected(self, small_corpus, mode):
+        table = build_table(small_corpus, mode)
+        for tt, act, cond in itertools.product(ALL_TRAIT_TUPLES, ACT_ORDER, range(0, 14)):
             key = ContextKey(tt, act, cond)
-            got, want = outcome(lookup, table, key), outcome(reference_lookup, table, key)
-            if isinstance(want, type):
-                assert got is want
-                seen.add(want)
+            if cond in mode.conditions():
+                assert len(lookup(table, key)[2]) == len(REQUEST_COMBOS)
             else:
-                assert got[0] is want[0]
-                assert got[1] is want[1]
-                seen.add(want[1])
-            for idx in range(len(REQUEST_COMBOS)):
-                assert outcome(resolve_combo_stats, table, key, idx) == outcome(
-                    reference_combo_stats, table, key, idx)
-        # out-of-mode keys are rejected, and every other key resolves
-        assert InvalidConfig in seen and seen - {InvalidConfig}
+                with pytest.raises(InvalidConfig, match="does not belong"):
+                    lookup(table, key)
 
 
-class TestPooling:
-    def combo_from_raw(self, scores, durations, difficulties):
-        s = np.asarray(scores, dtype=float)
-        d = np.asarray(durations, dtype=float)
-        counts = [0] * 5
-        for c in difficulties:
-            counts[c - 1] += 1
-        return ComboStats(len(scores), float(s.mean()), float(s.std()),
-                          float(d.mean()), float(d.std()), tuple(counts))
+def raw_stats(scores, durations, difficulties) -> Stats:
+    s, d = np.asarray(scores, dtype=float), np.asarray(durations, dtype=float)
+    return Stats(len(s), s.mean() if len(s) else 0.0, s.std() if len(s) else 0.0,
+                 d.mean() if len(d) else 0.0, d.std() if len(d) else 0.0,
+                 np.bincount(np.asarray(difficulties, dtype=int) - 1, minlength=5))
 
-    def test_pooled_matches_concatenated_raw_data(self):
+
+def stacked(parts) -> Stats:
+    return Stats(*map(np.array, zip(*parts)))
+
+
+class TestMerge:
+    def test_merge_matches_concatenated_raw_data(self):
         raw = [
             ([10.0, 20.0], [30.0, 35.0], [1, 2]),
             ([30.0, 30.0, 40.0], [50.0, 55.0, 60.0], [3, 3, 4]),
             ([20.0], [45.0], [5]),
+            ([], [], []),
         ]
-        combos = [self.combo_from_raw(*r) for r in raw]
-        combos.append(ComboStats(0, 0.0, 0.0, 0.0, 0.0, (0,) * 5))
-        cell = CellStats(n=6, request_counts=(2, 3, 1, 0), combos=tuple(combos))
-        pooled = cell.pooled()
-        all_scores = np.concatenate([np.asarray(r[0]) for r in raw])
-        all_durs = np.concatenate([np.asarray(r[1]) for r in raw])
-        assert pooled.n == 6
-        assert pooled.score_mean == pytest.approx(all_scores.mean(), rel=1e-12)
-        assert pooled.score_sd == pytest.approx(all_scores.std(), rel=1e-12)
-        assert pooled.duration_mean == pytest.approx(all_durs.mean(), rel=1e-12)
-        assert pooled.duration_sd == pytest.approx(all_durs.std(), rel=1e-12)
-        assert pooled.difficulty_counts == (1, 1, 2, 1, 1)
+        merged = _merge(stacked([raw_stats(*r) for r in raw]))
+        whole = raw_stats(*(sum((list(r[i]) for r in raw), []) for i in range(3)))
+        assert merged.n == 6
+        for name in COLUMNS[1:-1]:
+            assert getattr(merged, name) == pytest.approx(getattr(whole, name), rel=1e-12)
+        assert merged.difficulty_counts.tolist() == [1, 1, 2, 1, 1]
 
-    def test_empty_cell_pools_to_empty(self):
-        cell = CellStats(n=0, request_counts=(0, 0, 0, 0),
-                         combos=(ComboStats(0, 0, 0, 0, 0, (0,) * 5),) * 4)
-        assert cell.pooled().n == 0
+    def test_empty_parts_merge_to_zeros(self):
+        merged = _merge(stacked([raw_stats([], [], [])] * 4))
+        assert merged.n == 0
+        assert [getattr(merged, name).item() for name in COLUMNS[1:-1]] == [0.0] * 4
 
-    @pytest.mark.parametrize("n,score_sd", [(1, 1e200), (10 ** 400, 1.0)],
-                             ids=["squared-sd", "int-count"])
-    def test_overflow_is_invalid_config(self, n, score_sd):
-        # the squared sd, or a count too large for a float, overflows
-        empty = ComboStats(0, 0.0, 0.0, 0.0, 0.0, (0,) * 5)
-        combo = ComboStats(n, 20.0, score_sd, 40.0, 1.0, (n, 0, 0, 0, 0))
-        cell = CellStats(n=n, request_counts=(n, 0, 0, 0),
-                         combos=(combo, empty, empty, empty))
-        with pytest.raises(InvalidConfig):
-            cell.pooled()
+    def test_parts_without_count_never_enter(self):
+        """A part with no count may hold any value; a loaded table's unobserved
+        combinations are not checked against the merge."""
+        part = raw_stats([20.0, 22.0], [40.0, 44.0], [3, 3])
+        junk = Stats(0, 1e308, 1e308, -1e308, 1e308, np.zeros(5, dtype=int))
+        for got, want in zip(_merge(stacked([junk, part, junk])), _merge(stacked([part]))):
+            assert np.array_equal(got, want)
+
+    def test_overflow_is_invalid_config(self, small_corpus):
+        # the squared sd overflows in the merged slices
+        table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
+        with pytest.raises(InvalidConfig, match="overflow"):
+            with_columns(table, score_sd=np.where(table.n > 0, 1e200, 0.0))
 
 
 class TestCorruptTable:
@@ -497,22 +598,14 @@ class TestCorruptTable:
     loaded, whether or not a draw would ever read them."""
 
     @pytest.mark.parametrize("name,value", [
-        ("score_mean", math.nan), ("duration_mean", -math.inf),
-        pytest.param("score_mean", 10 ** 400, id="score_mean-int-beyond-float"),
+        ("score_mean", math.nan), ("duration_mean", -math.inf), ("score_mean", math.inf),
         ("score_sd", -1.0), ("duration_sd", math.inf), ("duration_sd", math.nan),
-        pytest.param("score_sd", 10 ** 400, id="score_sd-int-beyond-float"),
-        ("duration_mean", True), ("score_sd", "1.0"),
+        ("score_sd", -5e-324),
     ])
-    def test_combo_value_out_of_range(self, name, value):
-        stats = dict(n=1, score_mean=20.0, score_sd=1.0, duration_mean=40.0,
-                     duration_sd=1.0, difficulty_counts=(1, 0, 0, 0, 0))
+    def test_combo_value_out_of_range(self, small_corpus, name, value):
+        table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
         with pytest.raises(InvalidConfig, match=name):
-            ComboStats(**{**stats, name: value})
-
-    def test_combo_count_must_equal_request_count(self):
-        combo = ComboStats(1, 20.0, 1.0, 40.0, 1.0, (1, 0, 0, 0, 0))
-        with pytest.raises(InvalidConfig):
-            CellStats(n=2, request_counts=(2, 0, 0, 0), combos=(combo,) * 4)
+            with_columns(table, **{name: edited_column(table, name, (5, 3), value)})
 
     @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("corruption", list(TABLE_CORRUPTIONS))
@@ -524,6 +617,12 @@ class TestCorruptTable:
         with pytest.raises(TrustSimError) as info:
             load_table(tmp_path / "table.json")
         assert type(info.value).__name__ == error
+
+    @pytest.mark.parametrize("malformation", list(TABLE_MALFORMATIONS))
+    def test_malformed_payload_is_invalid_config(self, small_corpus, malformation):
+        payload = table_to_json_dict(build_table(small_corpus, TableMode.TASK_STEP_BASED))
+        with pytest.raises(InvalidConfig):
+            table_from_json_dict(TABLE_MALFORMATIONS[malformation](payload))
 
 
 def merge_cells(cells):
@@ -553,8 +652,9 @@ class TestAggregationEquivalence:
     def test_step_cells_pool_to_complexity_cells(self, default_corpus):
         """Merging the four step cells of one complexity recovers the
         complexity cell: counts integer-exact, moments to float precision."""
-        by_step = build_table(default_corpus, TableMode.TASK_STEP_BASED)
-        by_complexity = build_table(default_corpus, TableMode.COMPLEXITY_BASED)
+        by_step = oracle_table(build_table(default_corpus, TableMode.TASK_STEP_BASED))
+        by_complexity = oracle_table(build_table(default_corpus,
+                                                 TableMode.COMPLEXITY_BASED))
         steps_of = {k: [s for s in range(1, 13) if 3 + (s - 1) % 3 == k]
                     for k in (3, 4, 5)}
         checked = 0
@@ -580,11 +680,9 @@ class TestAggregationEquivalence:
     def test_fallback_slices_also_pool(self, default_corpus):
         by_step = build_table(default_corpus, TableMode.TASK_STEP_BASED)
         by_complexity = build_table(default_corpus, TableMode.COMPLEXITY_BASED)
-        for (act, k), cell in by_complexity.fallback_cells.items():
-            parts = [by_step.fallback_cells[(act, s)]
-                     for s in range(1, 13)
-                     if 3 + (s - 1) % 3 == k and (act, s) in by_step.fallback_cells]
-            assert merge_cells(parts).n == cell.n
+        # steps 1, 4, 7, 10 are complexity 3, and so on
+        step_n = by_step.act_slices.n.reshape(len(ACT_ORDER), 4, 3, len(REQUEST_COMBOS))
+        assert np.array_equal(step_n.sum(axis=1), by_complexity.act_slices.n)
 
 
 class TestSummary:
@@ -626,19 +724,21 @@ class TestSummary:
 
 
 class TestSerialization:
-    def test_rejects_condition_outside_mode(self, small_corpus):
+    def test_rejects_columns_of_another_mode(self, small_corpus):
         payload = table_to_json_dict(
             build_table(small_corpus, TableMode.COMPLEXITY_BASED))
-        payload["cells"][0]["condition"] = 7
-        with pytest.raises(InvalidConfig):
+        payload["mode"] = TableMode.TASK_STEP_BASED.value
+        with pytest.raises(InvalidConfig, match="must be a \\(384, 4\\) array"):
             table_from_json_dict(payload)
 
-    def test_resolution_is_outside_equality_and_repr(self, small_corpus):
+    def test_derivation_is_outside_equality_and_repr(self, small_corpus):
         table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
         loaded = table_from_json_dict(table_to_json_dict(table))
-        assert loaded.resolved is not table.resolved
-        assert loaded.resolved == table.resolved
-        assert "resolved" not in repr(table)
+        assert loaded.row_index is not table.row_index
+        assert_same_derivation(loaded, table)
+        assert repr(table) == ("BehaviorTable(mode=<TableMode.TASK_STEP_BASED: "
+                               "'task-step'>, fallback_threshold=10)")
+        assert table != dataclasses.replace(table, fallback_threshold=11)
 
     def test_round_trip_preserves_everything(self, small_corpus, tmp_path):
         table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
@@ -648,11 +748,17 @@ class TestSerialization:
         assert loaded == table
 
     @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
-    def test_bytes_equal_the_asdict_writer(self, default_corpus, tmp_path, mode):
+    def test_file_is_one_column_per_statistic(self, default_corpus, tmp_path, mode):
+        """Row k of every column is the key of code k: no key is named, and a
+        key nothing observed holds zeros."""
         table = build_table(default_corpus, mode)
-        save_table(table, tmp_path / "a.json")
-        reference_save_table(table, tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        save_table(table, tmp_path / "t.json")
+        payload = json.loads((tmp_path / "t.json").read_text())
+        assert payload["format"] == TABLE_FORMAT == "behavior-table/v3"
+        assert set(payload) == {"format", "mode", "fallback_threshold", *COLUMNS}
+        for name in COLUMNS:
+            assert payload[name] == getattr(table, name).tolist()
+            assert len(payload[name]) == len(_mode_keys(mode))
 
     def test_save_is_byte_stable(self, small_corpus, tmp_path):
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
@@ -660,11 +766,11 @@ class TestSerialization:
         save_table(table, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    @pytest.mark.parametrize("tag", ["behavior-table/v0", "behavior-table/v1"])
+    @pytest.mark.parametrize("tag", ["behavior-table/v0", "behavior-table/v1",
+                                     "behavior-table/v2"])
     def test_rejects_wrong_format_tag(self, small_corpus, tag):
         payload = table_to_json_dict(
             build_table(small_corpus, TableMode.COMPLEXITY_BASED))
-        assert set(payload) == {"format", "mode", "fallback_threshold", "cells"}
         payload["format"] = tag
         with pytest.raises(InvalidConfig, match="refit"):
             table_from_json_dict(payload)
@@ -689,12 +795,9 @@ class TestPerStepMeanTracking:
         cx_table = build_table(drifting_corpus, TableMode.COMPLEXITY_BASED)
 
         def table_mean(table, condition):
-            total = n = 0.0
-            for key, cell in table.cells.items():
-                if key.condition == condition:
-                    total += cell.n * getattr(cell.pooled(), attr)
-                    n += cell.n
-            return total / n
+            # the pooled condition slice holds every exchange at the condition
+            pooled = derived_of(table)["pooled"]
+            return getattr(pooled, attr)[table.mode.conditions().index(condition)]
 
         truth = {s: [] for s in range(1, 13)}
         for _, ex in exchanges_of(drifting_corpus):

@@ -7,34 +7,22 @@ there still run where hypothesis is not installed.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_combo_stats, reference_lookup
+from conftest import assert_table_equals_oracle
 from trustsim.behavior_tables import (
     REQUEST_COMBOS,
-    CellStats,
-    ComboStats,
-    ContextKey,
+    Stats,
     TableMode,
+    _merge,
     build_table,
     load_table,
-    lookup,
-    resolve_combo_stats,
     save_table,
 )
-from trustsim.corpus import ACT_ORDER
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
-from trustsim.user_model import ALL_TRAIT_TUPLES
-
-KEYS = {
-    mode: [ContextKey(*k) for k in itertools.product(ALL_TRAIT_TUPLES, ACT_ORDER,
-                                                      mode.conditions())]
-    for mode in TableMode
-}
 
 
 @pytest.fixture(scope="module")
@@ -47,50 +35,56 @@ class TestLadderProperties:
     @settings(deadline=None, max_examples=60)
     @given(mode=st.sampled_from(list(TableMode)),
            thresholds=st.lists(st.integers(1, 40), min_size=2, max_size=2,
-                               unique=True).map(sorted),
-           data=st.data())
+                               unique=True).map(sorted))
     def test_raising_the_threshold_never_turns_a_fallback_into_a_direct_hit(
-            self, tables, mode, thresholds, data):
+            self, tables, mode, thresholds):
         low, high = (dataclasses.replace(tables[mode], fallback_threshold=t)
                      for t in thresholds)
-        keys = data.draw(st.lists(st.sampled_from(KEYS[mode]), min_size=1,
-                                  max_size=16))
-        for key in keys:
-            _, fell_back_low = lookup(low, key)
-            _, fell_back_high = lookup(high, key)
-            assert fell_back_high or not fell_back_low
-            for table in (low, high):
-                cell, fell_back = lookup(table, key)
-                want_cell, want_fell_back = reference_lookup(table, key)
-                assert cell is want_cell and fell_back is want_fell_back
-                for idx in range(len(REQUEST_COMBOS)):
-                    assert (resolve_combo_stats(table, key, idx)
-                            == reference_combo_stats(table, key, idx))
+        assert (high.used_fallback | ~low.used_fallback).all()
+        assert (high.rung >= low.rung).all()
+
+
+# corpora of 1-12 dialogs, and the sizes of the CI quickstart and the standard corpus
+N_DIALOGS = st.one_of(st.integers(1, 12), st.sampled_from([40, 308]))
+
+
+class TestArrayTableEqualsOracle:
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32), n_dialogs=N_DIALOGS,
+           mode=st.sampled_from(list(TableMode)), threshold=st.sampled_from([1, 3, 10, 50]))
+    def test_every_derived_value_equals_the_dataclass_table(self, seed, n_dialogs, mode,
+                                                            threshold):
+        """Slices, pooled slices, rungs, flags, request cumulatives, served
+        statistics and draw rows, equal to the OracleTable of the same
+        columns."""
+        corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n_dialogs), seed)
+        assert_table_equals_oracle(build_table(corpus, mode, threshold))
 
 
 class TestTableJsonRoundTrip:
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**32), n_dialogs=st.integers(1, 12),
            mode=st.sampled_from(list(TableMode)), threshold=st.integers(1, 40))
-    def test_load_after_save_gives_equal_cells_and_resolved_stats(
+    def test_load_after_save_gives_equal_columns_and_derivation(
             self, tmp_path_factory, seed, n_dialogs, mode, threshold):
         corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n_dialogs), seed)
         table = build_table(corpus, mode, threshold)
         path = tmp_path_factory.mktemp("table") / "table.json"
         save_table(table, path)
         loaded = load_table(path)
-        assert loaded == table  # mode, threshold and the trait cells
-        assert loaded.resolved == table.resolved
+        assert loaded == table  # mode, threshold and the columns
+        for name in ("request_cum", "used_fallback", "row_index"):
+            assert getattr(loaded, name).tobytes() == getattr(table, name).tobytes()
+        assert np.array(loaded.rows).tobytes() == np.array(table.rows).tobytes()
 
 
-def stats_of(rows) -> ComboStats:
-    """ComboStats of (score, duration, difficulty) rows, by numpy."""
+def stats_of(rows) -> Stats:
+    """Stats of (score, duration, difficulty) rows, by numpy."""
     if not rows:
-        return ComboStats(0, 0.0, 0.0, 0.0, 0.0, (0,) * 5)
+        return Stats(0, 0.0, 0.0, 0.0, 0.0, np.zeros(5, dtype=int))
     score, duration, difficulty = (np.array(col) for col in zip(*rows))
-    return ComboStats(len(rows), float(score.mean()), float(score.std()),
-                      float(duration.mean()), float(duration.std()),
-                      tuple(np.bincount(difficulty - 1, minlength=5).tolist()))
+    return Stats(len(rows), score.mean(), score.std(), duration.mean(), duration.std(),
+                 np.bincount(difficulty - 1, minlength=5))
 
 
 # a sample is a shared offset plus small spreads, so a mean far from zero
@@ -105,18 +99,16 @@ class TestMergeProperties:
            st.lists(st.tuples(SPREADS, SPREADS, st.integers(1, 5), st.integers(0, 3)),
                     min_size=1, max_size=40))
     def test_merge_of_a_partition_equals_the_whole(self, score_at, duration_at, spread):
-        """Pooling the four combinations of a cell gives the statistics of
+        """Merging the four combinations of a cell gives the statistics of
         the concatenated sample: counts exactly, moments to rtol 1e-9 (with
         an absolute floor of 1e-12 times the largest value, because the sd
         of a sample of equal values is rounding noise on both sides)."""
         rows = [(score_at + s, duration_at + d, k, i) for s, d, k, i in spread]
         parts = [[r[:3] for r in rows if r[3] == i] for i in range(len(REQUEST_COMBOS))]
-        combos = tuple(stats_of(part) for part in parts)
-        cell = CellStats(n=len(rows), request_counts=tuple(map(len, parts)),
-                         combos=combos)
-        merged, whole = cell.pooled(), stats_of([r[:3] for r in rows])
+        merged = _merge(Stats(*map(np.array, zip(*map(stats_of, parts)))))
+        whole = stats_of([r[:3] for r in rows])
         assert merged.n == whole.n
-        assert merged.difficulty_counts == whole.difficulty_counts
+        assert merged.difficulty_counts.tolist() == whole.difficulty_counts.tolist()
         for mean, sd, column in (("score_mean", "score_sd", 0),
                                  ("duration_mean", "duration_sd", 1)):
             floor = 1e-12 * max(abs(r[column]) for r in rows)

@@ -13,7 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import TABLE_CORRUPTIONS
+from conftest import TABLE_CORRUPTIONS, TABLE_MALFORMATIONS
 from trustsim.behavior_tables import TABLE_FORMAT, TableMode, build_table, load_table
 from trustsim.cli import build_parser, main
 from trustsim.corpus import STORED_COLUMNS, Corpus, load_corpus, save_corpus
@@ -142,7 +142,7 @@ class TestManifest:
         for out in outs:
             config = json.loads((out / "manifest.json").read_text())["config"]
             assert config["model_format"] == MODEL_FORMAT == "trust-model/v2"
-            assert config["table_format"] == TABLE_FORMAT == "behavior-table/v2"
+            assert config["table_format"] == TABLE_FORMAT == "behavior-table/v3"
 
 
 class TestFit:
@@ -155,7 +155,7 @@ class TestFit:
         table = load_table(fit_dir / "table.json")
         assert table.mode is TableMode.TASK_STEP_BASED
         assert table.fallback_threshold == 10
-        assert len(table.cells) > 0
+        assert table.n.sum() > 0
 
     def test_summary_is_json(self, fit_dir):
         summary = json.loads((fit_dir / "table_summary.json").read_text())
@@ -534,49 +534,12 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidConfig"
 
-    @pytest.mark.parametrize("malform", ["keys", "mode", "act", "not-object", "cells",
-                                         "count", "mean", "condition", "threshold",
-                                         "mode-condition", "unknown-top-key",
-                                         "unknown-cell-key", "unknown-combo-key",
-                                         "stored-slices", "format-v1", "traits-list"])
+    @pytest.mark.parametrize("malform", list(TABLE_MALFORMATIONS))
     def test_malformed_table_is_validation_error(self, work, corpus_file, fit_dir,
                                                  capsys, malform):
         payload = json.loads((fit_dir / "table.json").read_text())
-        cell = payload["cells"][0]
-        if malform == "keys":
-            payload = {"format": payload["format"]}
-        elif malform == "mode":
-            payload["mode"] = "per-minute"
-        elif malform == "act":
-            cell["act"] = "Nudge"
-        elif malform == "not-object":
-            payload = [payload]
-        elif malform == "cells":
-            payload["cells"] = 5
-        elif malform == "count":
-            cell["request_counts"][0] = str(cell["request_counts"][0])
-        elif malform == "mean":
-            cell["combos"][0]["score_mean"] = "high"
-        elif malform == "condition":
-            cell["condition"] = str(cell["condition"])
-        elif malform == "mode-condition":
-            cell["condition"] = 13  # the task-step table has steps 1..12
-        elif malform == "unknown-top-key":
-            payload["bogus"] = 1
-        elif malform == "unknown-cell-key":
-            cell["extra"] = 0
-        elif malform == "unknown-combo-key":
-            cell["combos"][0]["typo_sd"] = 1.0
-        elif malform == "stored-slices":  # v1 stored the slices; v2 derives them
-            payload["fallback_cells"] = []
-        elif malform == "format-v1":
-            payload["format"] = "behavior-table/v1"
-        elif malform == "traits-list":
-            cell["traits"] = list(cell["traits"])
-        else:
-            payload["fallback_threshold"] = 0.5
         bad = work / f"bad_table_{malform}.json"
-        bad.write_text(json.dumps(payload))
+        bad.write_text(json.dumps(TABLE_MALFORMATIONS[malform](payload)))
         assert main(["simulate", "--corpus", str(corpus_file), "--seed", "1",
                      "--table", str(bad), "--out", str(work / "x9")]) == 2
         err = json.loads(capsys.readouterr().err)

@@ -21,6 +21,8 @@ import math
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+from conftest import TABLE_CORRUPTIONS, TABLE_MALFORMATIONS
+from trustsim import errors
 from trustsim.cli import EXIT_OK, EXIT_VALIDATION, FIT_FILES, main
 
 # Values an edit may put anywhere: wrong JSON types, the edges of the int
@@ -133,3 +135,33 @@ class TestFitArtifactFuzz:
         assert code in (EXIT_OK, EXIT_VALIDATION), err.getvalue()
         if code == EXIT_VALIDATION:
             event(json.loads(err.getvalue())["error"])
+
+    @pytest.mark.parametrize("stage", ["simulate", "train-rl"])
+    @pytest.mark.parametrize("edit", [*TABLE_MALFORMATIONS, *TABLE_CORRUPTIONS])
+    def test_named_table_edit_is_a_typed_validation_error(self, fit_dir, stage, edit):
+        """The load boundary's named cases: a column of the wrong length, a
+        bool or float count, a negative count, a NaN or inf mean, a negative
+        sd, a difficulty row off its count, an unknown or missing key, the
+        v2 tag, and the rest of TABLE_MALFORMATIONS and TABLE_CORRUPTIONS."""
+        fuzz = fit_dir / f"named-{edit}"
+        fuzz.mkdir(exist_ok=True)
+        for n in FIT_FILES:
+            payload = json.loads((fit_dir / "fit" / n).read_text())
+            if n == "table.json" and edit in TABLE_CORRUPTIONS:
+                TABLE_CORRUPTIONS[edit][0](payload)
+            elif n == "table.json":
+                payload = TABLE_MALFORMATIONS[edit](payload)
+            (fuzz / n).write_text(json.dumps(payload))
+        if stage == "simulate":
+            argv = ["simulate", "--corpus", str(fit_dir / "gen" / "corpus.csv"),
+                    "--table", str(fuzz / "table.json")]
+        else:
+            argv = ["train-rl", "--fit", str(fuzz), "--episodes", "1"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--seed", "1", "--out", str(fit_dir / "out")])
+        assert code == EXIT_VALIDATION, err.getvalue()
+        error = json.loads(err.getvalue())["error"]
+        assert issubclass(getattr(errors, error), errors.TrustSimError)
+        assert error == (TABLE_CORRUPTIONS[edit][1] if edit in TABLE_CORRUPTIONS
+                         else "InvalidConfig")

@@ -279,7 +279,7 @@ class TestArrayStreams:
         expected = [ScalarStream._from_key(k).integers(n) for k, n in zip(EDGE_KEYS, bounds)]
         assert integers(nth_draws(self.keys(), 1), np.array(bounds)).tolist() == expected
 
-    @pytest.mark.parametrize("n", [0, -1, 2**32, 2**64, 2.5, 3.0])
+    @pytest.mark.parametrize("n", [0, -1, 2**32, 2**64, 2.5, 3.0, True, np.True_])
     def test_integers_reject_n_out_of_range(self, n):
         with pytest.raises(InvalidBounds):
             integers(nth_draws(self.keys(), 1), n)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
 import pytest
 
 from conftest import (
@@ -15,31 +14,31 @@ from conftest import (
     corpus_from_rows,
     dialogs_of,
     exchanges_of,
+    lower_duration_ceiling,
     make_dialog,
     make_exchange,
     make_user,
     reference_log,
     reference_log_bytes,
     reference_replay,
+    served_of,
 )
-from trustsim import simulator
 from trustsim.behavior_tables import (
     REQUEST_COMBOS,
     ContextKey,
     TableMode,
     _mode_keys,
     build_table,
+    draw_parameters,
+    key_code,
     lookup,
-    resolve_combo_stats,
 )
 from trustsim.corpus import Corpus, ProactiveAct, complexity_of_step
 from trustsim.errors import InvalidConfig, ValueOutOfRange
-from trustsim.sampling import RandomStream, cumulative_weights
+from trustsim.sampling import RandomStream
 from trustsim.simulator import (
     LOG_COLUMNS,
     SimulatedTurn,
-    _compile_table,
-    draw_parameters,
     replay_conditions,
     save_simulated_log,
     simulate_turn,
@@ -102,11 +101,11 @@ SOUNDNESS_DURATION_HI = 45.0
 
 @pytest.fixture(scope="module")
 def draws():
-    table = build_table(soundness_corpus(), TableMode.TASK_STEP_BASED)
     profile = make_user()
     # the low ceiling clamps the sd-0 side combos (means 80..120 s) onto it
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "DURATION_HI", SOUNDNESS_DURATION_HI)
+        lower_duration_ceiling(mp, SOUNDNESS_DURATION_HI)
+        table = build_table(soundness_corpus(), TableMode.TASK_STEP_BASED)
         return [simulate_turn(table, profile, 1, ProactiveAct.NONE, rng)
                 for rng in child_streams(RandomStream(123, "sound"), range(10_000))]
 
@@ -211,36 +210,37 @@ class TestTurnOracle:
 
     @pytest.mark.parametrize("mode", list(TableMode))
     def test_soundness_table_under_a_lowered_ceiling(self, mode, monkeypatch):
-        monkeypatch.setattr(simulator, "DURATION_HI", SOUNDNESS_DURATION_HI)
+        lower_duration_ceiling(monkeypatch, SOUNDNESS_DURATION_HI)
         assert_every_turn_matches_oracle(build_table(soundness_corpus(), mode), 8)
 
     def test_off_grid_table(self):
         assert_every_turn_matches_oracle(TestScoreClamping().off_grid_table(), 9)
 
 
-class TestCompiledTable:
+class TestTableRows:
     @pytest.mark.parametrize("mode", list(TableMode))
     @pytest.mark.parametrize("threshold", [1, 10, 40])
-    def test_rows_are_the_per_key_lookups(self, default_corpus, mode, threshold):
+    def test_lookup_reads_the_rows_replay_gathers(self, default_corpus, mode, threshold):
         table = build_table(default_corpus, mode, threshold)
-        request_cum, fallback, rows = _compile_table(table)
+        served = served_of(table)
         keys = _mode_keys(mode)
-        assert len(request_cum) == len(fallback) == len(keys)
-        assert np.array(rows).shape == (len(keys), len(REQUEST_COMBOS), 13)
+        assert table.row_index.shape == (len(keys), len(REQUEST_COMBOS))
+        assert {len(row) for row in table.rows} == {13}
         for k, key in enumerate(keys):
-            cell, used_fallback = lookup(table, key)
-            assert request_cum[k] == cumulative_weights(cell.request_probs)
-            assert fallback[k] == used_fallback
+            request_cum, used_fallback, rows = lookup(table, key)
+            assert request_cum == tuple(table.request_cum[k].tolist())
+            assert used_fallback is bool(table.used_fallback[k])
             complexity = (complexity_of_step(key.condition)
                           if mode is TableMode.TASK_STEP_BASED else key.condition)
             for combo in range(len(REQUEST_COMBOS)):
-                assert rows[k][combo] == draw_parameters(
-                    resolve_combo_stats(table, key, combo), complexity)
+                assert rows[combo] is table.rows[table.row_index[k, combo]]
+                stats = type(served)(*(column[k, combo].tolist() for column in served))
+                assert rows[combo] == draw_parameters(stats, complexity)
 
     def test_rungs_shared_by_keys_share_their_rows(self, default_corpus):
         table = build_table(default_corpus, TableMode.TASK_STEP_BASED)
-        rows = [row for key_rows in _compile_table(table)[2] for row in key_rows]
-        assert len({id(row) for row in rows}) < len(rows)
+        rows = [row for key in _mode_keys(table.mode) for row in lookup(table, key)[2]]
+        assert len({id(row) for row in rows}) == len(table.rows) < len(rows)
 
 
 class TestFallbackFlag:
@@ -250,10 +250,10 @@ class TestFallbackFlag:
         stranger = make_user(user_id="zz", domain_expertise=1.0,
                              trust_propensity=5.0, technical_affinity=1.0)
         key = ContextKey(binarize_traits(stranger), ProactiveAct.NONE, 1)
-        assert key not in table.cells
+        assert table.n[key_code(table.mode, key.trait_tuple.index, 0, 1)].sum() == 0
         t = simulate_turn(table, stranger, 1, ProactiveAct.NONE, RandomStream(4))
         assert t.used_fallback is True
-        _, flagged = lookup(table, key)
+        _, flagged, _ = lookup(table, key)
         assert flagged is True
 
 
@@ -384,7 +384,7 @@ class TestReplayOracle:
     def test_clamped_durations_and_scores(self, tmp_path, monkeypatch):
         # sd-0 side combos clamp onto the lowered ceiling, and an off-grid
         # score mean clamps onto the option range
-        monkeypatch.setattr(simulator, "DURATION_HI", SOUNDNESS_DURATION_HI)
+        lower_duration_ceiling(monkeypatch, SOUNDNESS_DURATION_HI)
         corpus = soundness_corpus()
         table = build_table(corpus, TableMode.TASK_STEP_BASED)
         assert_replay_matches_oracle(corpus, table, 11, tmp_path)

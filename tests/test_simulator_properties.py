@@ -62,10 +62,11 @@ class TestExtremeTables:
         whose combinations hold extreme finite values either loads and
         replays as the per-turn loop does, or is rejected at load."""
         payload = table_to_json_dict(build_table(small_corpus, mode, threshold))
-        observed = [combo for entry in payload["cells"] for combo in entry["combos"]
-                    if combo["n"] > 0]
+        observed = [(k, c) for k, row in enumerate(payload["n"])
+                    for c, n in enumerate(row) if n > 0]
         for index, (name, value) in edits:
-            observed[index % len(observed)][name] = value
+            k, c = observed[index % len(observed)]
+            payload[name][k][c] = value
         try:
             table = table_from_json_dict(payload)
         except InvalidConfig:

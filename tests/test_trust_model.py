@@ -361,7 +361,7 @@ class TestClassificationMetrics:
         with pytest.raises(EmptyTestSet):
             classification_metrics([], [])
 
-    @pytest.mark.parametrize("label", [0, 6, 1.7, -1, 2**64])
+    @pytest.mark.parametrize("label", [0, 6, 1.7, -1, 2**64, True, np.True_])
     def test_labels_outside_the_scale_rejected(self, label):
         with pytest.raises(ValueOutOfRange):
             classification_metrics([label, 5], [5, 5])

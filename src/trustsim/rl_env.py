@@ -184,7 +184,7 @@ class TrustSimEnv:
         complexity = _COMPLEXITY[s - 1]
         turn = draw_turn(*self._episode_contexts[ACT_INDEX[action]][s - 1], complexity,
                          self._uniforms[s - 1])
-        trust, _ = predict_trust(self.trust_model, self._features.row(action, s, turn))
+        trust = predict_trust(self.trust_model, self._features.row(action, s, turn))
         self._features.push(trust)
 
         reward = (
@@ -249,8 +249,8 @@ def train_tabular_policy(env, episodes: int,
     explores on `root.child("explore", ep, t)`. The reset keys and the
     exploration draws of steps 1..12 are derived a block of episodes at a
     time, and those of a longer episode's later steps one step at a time."""
-    if not isinstance(episodes, int) or episodes < 1:
-        raise InvalidHyperparams(f"episodes must be >= 1, got {episodes}")
+    if isinstance(episodes, bool) or not isinstance(episodes, int) or episodes < 1:
+        raise InvalidHyperparams(f"episodes must be an int >= 1, got {episodes!r}")
     hp = hyperparams
     q = np.zeros((N_STATES, N_ACTIONS))
     root = RandomStream(hp.seed, "qlearn")

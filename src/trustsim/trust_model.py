@@ -9,10 +9,12 @@ and `DialogFeatures` turn by turn for one dialog. Both equal, row for row,
 the per-turn oracle `reference_features` in `tests/conftest.py`.
 Training is full-batch subgradient descent on the hinge loss with L2
 regularization and the Pegasos step 1/(lambda t), deterministic by
-construction. All classes train together: the bias rides as a last
-weight over a column of ones, and each epoch is two matrix products, the
-margins of every class and row, then the hinge gradients of every class.
-Evaluation scores the whole corpus in one product.
+construction. All classes train together on standardized features: the
+bias rides as a last weight over a column of ones, and each epoch is two
+matrix products, the margins of every class and row, then the hinge
+gradients of every class. The standardization is then folded into the
+stored weights and biases, so a score is one affine map of the raw
+features, for one turn or for a whole corpus at once.
 """
 
 from __future__ import annotations
@@ -205,30 +207,30 @@ class TrainConfig:
     l2: float = 1e-3
 
     def __post_init__(self):
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
-        if not self.l2 > 0:
-            raise InvalidConfig(f"l2 must be > 0, got {self.l2}")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) \
+                or self.epochs < 1:
+            raise InvalidConfig(f"epochs must be an int >= 1, got {self.epochs!r}")
+        if not (self.l2 > 0 and math.isfinite(self.l2)):
+            raise InvalidConfig(f"l2 must be finite and > 0, got {self.l2}")
 
 
 @dataclass(frozen=True, eq=False)
 class TrustClassifier:
-    """One-vs-rest linear max-margin model over standardized features."""
+    """One-vs-rest linear max-margin model over raw features: the training
+    standardization is folded into its weights and biases."""
 
-    schema_version: str
-    classes: tuple  # labels with training support, ascending
+    classes: tuple  # labels with training support, strictly ascending
     weights: np.ndarray  # (n_classes, n_features)
     biases: np.ndarray  # (n_classes,)
-    feature_mean: np.ndarray
-    feature_scale: np.ndarray
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        if features.shape != self.feature_mean.shape:
+        """The class scores of one feature row, or one row of class scores
+        per row of a feature matrix."""
+        if features.ndim not in (1, 2) or features.shape[-1] != self.weights.shape[1]:
             raise SchemaMismatch(
-                f"expected {self.feature_mean.shape[0]} features, got {features.shape}"
+                f"expected {self.weights.shape[1]} features, got {features.shape}"
             )
-        z = (features - self.feature_mean) / self.feature_scale
-        return self.weights @ z + self.biases
+        return features @ self.weights.T + self.biases
 
 
 def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> TrustClassifier:
@@ -267,17 +269,15 @@ def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> Tru
         A = TT * (M < 1.0)
         V = V - eta * (lam * V * reg - (A @ Z1) / n)
 
-    return TrustClassifier(
-        schema_version=SCHEMA_VERSION, classes=present,
-        weights=np.ascontiguousarray(V[:, :n_features]),
-        biases=V[:, n_features].copy(), feature_mean=mean, feature_scale=scale,
-    )
+    # w . (x - mean) / scale + b == (w / scale) . x + (b - (w / scale) . mean)
+    weights = V[:, :n_features] / scale
+    return TrustClassifier(classes=present, weights=weights,
+                           biases=V[:, n_features] - weights @ mean)
 
 
-def predict_trust(model: TrustClassifier, features: np.ndarray) -> tuple:
-    """(label, per-class score map); ties break toward the lower label."""
-    scores = model.scores(np.asarray(features, dtype=float))
-    return model.classes[scores.argmax()], dict(zip(model.classes, scores.tolist()))
+def predict_trust(model: TrustClassifier, features: np.ndarray) -> TrustLabel:
+    """The label of the highest score; ties break toward the lower label."""
+    return model.classes[model.scores(np.asarray(features, dtype=float)).argmax()]
 
 
 @dataclass(frozen=True)
@@ -344,34 +344,27 @@ def evaluate_classifier(model: TrustClassifier, corpus: Corpus) -> ClassifierRep
     X, y, _ = corpus_to_dataset(corpus)
     if len(y) == 0:
         raise EmptyTestSet("no labeled exchanges to evaluate on")
-    if model.feature_mean.shape != (N_FEATURES,):
-        raise SchemaMismatch(
-            f"model expects {model.feature_mean.shape[0]} features, data has {N_FEATURES}"
-        )
-    Z = (X - model.feature_mean) / model.feature_scale
-    scores = Z @ model.weights.T + model.biases
-    predicted = np.asarray(model.classes)[np.argmax(scores, axis=1)]
+    predicted = np.asarray(model.classes)[model.scores(X).argmax(axis=1)]
     return classification_metrics(y, predicted)
 
 
-# v2: all classes trained jointly, bias folded into the weights; the
-# weights' last bits differ from v1, so a v1 model must be refit.
-MODEL_FORMAT = "trust-model/v2"
+# v3: the training standardization is folded into the stored weights and
+# biases, which score raw features; v2 stored the standardized-space
+# weights with feature_mean and feature_scale, so a v2 model must be refit.
+MODEL_FORMAT = "trust-model/v3"
 
 _MODEL_KEYS = frozenset({"format", "schema_version", "feature_names", "classes",
-                         "weights", "biases", "feature_mean", "feature_scale"})
+                         "weights", "biases"})
 
 
 def classifier_to_json_dict(model: TrustClassifier) -> dict:
     return {
         "format": MODEL_FORMAT,
-        "schema_version": model.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "feature_names": list(FEATURE_NAMES),
         "classes": list(model.classes),
         "weights": [list(map(float, row)) for row in model.weights],
         "biases": [float(v) for v in model.biases],
-        "feature_mean": [float(v) for v in model.feature_mean],
-        "feature_scale": [float(v) for v in model.feature_scale],
     }
 
 
@@ -385,52 +378,36 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
         raise SchemaMismatch(f"model keys: unknown {sorted(payload.keys() - _MODEL_KEYS)}, "
                              f"missing {sorted(_MODEL_KEYS - payload.keys())}")
     try:
-        schema = payload["schema_version"]
         classes = tuple(payload["classes"])
         weights = np.array(payload["weights"], dtype=float)
         biases = np.array(payload["biases"], dtype=float)
-        mean = np.array(payload["feature_mean"], dtype=float)
-        scale = np.array(payload["feature_scale"], dtype=float)
     # a non-list classes entry, arrays of non-numbers, ragged rows or huge ints
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"malformed model: {exc}") from exc
-    if schema != SCHEMA_VERSION:
-        raise SchemaMismatch(
-            f"model built for schema {schema}, runtime is {SCHEMA_VERSION}"
-        )
+    if payload["schema_version"] != SCHEMA_VERSION:
+        raise SchemaMismatch(f"model built for schema {payload['schema_version']}, "
+                             f"runtime is {SCHEMA_VERSION}")
     if payload["feature_names"] != list(FEATURE_NAMES):
         raise SchemaMismatch(f"model feature_names {payload['feature_names']!r} are "
                              f"not the schema's {N_FEATURES} features")
-    if any(type(c) is not int or c not in TRUST_CLASSES for c in classes):
-        raise SchemaMismatch(f"model classes {list(classes)} are not trust levels "
-                             f"{list(TRUST_CLASSES)}")
-    if (weights.shape != (len(classes), N_FEATURES) or biases.shape != (len(classes),)
-            or mean.shape != (N_FEATURES,) or scale.shape != (N_FEATURES,)):
-        raise SchemaMismatch(
-            f"weights {weights.shape}, biases {biases.shape}, feature_mean "
-            f"{mean.shape} and feature_scale {scale.shape} do not fit "
-            f"{len(classes)} classes x {N_FEATURES} features"
-        )
-    # scores() divides by feature_scale; a NaN or a zero there would give
-    # every turn the same predicted class
-    bad = ~(np.isfinite(scale) & (scale > 0))
-    if bad.any():
-        raise ValueOutOfRange("feature_scale", float(scale[bad][0]),
-                              detail="must be finite and > 0")
-    # |score| <= |w| . (bound + |mean|) / scale + |b| for every turn whose
-    # features lie in their ranges. A NaN or inf weight, bias or mean, an
-    # overflow, or a 0 * inf leaves this bound not finite.
+    # predict_trust's ties go to the lower label only over ascending classes
+    if any(type(c) is not int or c not in TRUST_CLASSES for c in classes) \
+            or any(a >= b for a, b in zip(classes, classes[1:])):
+        raise SchemaMismatch(f"model classes {list(classes)} are not distinct trust "
+                             f"levels of {list(TRUST_CLASSES)} in ascending order")
+    if weights.shape != (len(classes), N_FEATURES) or biases.shape != (len(classes),):
+        raise SchemaMismatch(f"weights {weights.shape} and biases {biases.shape} do not "
+                             f"fit {len(classes)} classes x {N_FEATURES} features")
+    # |score| <= |w| . bound + |b| for every turn whose features lie in
+    # their ranges [0, bound]. A NaN or inf weight or bias, or an overflow,
+    # leaves this bound not finite.
     with np.errstate(all="ignore"):
-        largest = (np.abs(weights) @ ((_FEATURE_BOUNDS + np.abs(mean)) / scale)
-                   + np.abs(biases))
+        largest = np.abs(weights) @ _FEATURE_BOUNDS + np.abs(biases)
     if not np.isfinite(largest).all():
         raise ValueOutOfRange("largest score", float(np.max(largest)),
-                              detail="weights, biases and feature_mean must be "
-                                     "finite, and no score may overflow")
-    return TrustClassifier(
-        schema_version=schema, classes=classes,
-        weights=weights, biases=biases, feature_mean=mean, feature_scale=scale,
-    )
+                              detail="weights and biases must be finite, "
+                                     "and no score may overflow")
+    return TrustClassifier(classes=classes, weights=weights, biases=biases)
 
 
 def save_classifier(model: TrustClassifier, path) -> None:

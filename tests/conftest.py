@@ -93,7 +93,6 @@ from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import (
     N_FEATURES,
     NEUTRAL_LIKERT,
-    SCHEMA_VERSION,
     TrainConfig,
     TrustClassifier,
     combine_trust_target,
@@ -894,8 +893,10 @@ def reference_dataset(corpus) -> tuple:
 
 def reference_train(corpus, config=TrainConfig()) -> tuple:
     """The per-class hinge trainer that train_classifier's joint loop
-    replaced, kept as its oracle to within rounding: (weights, biases,
-    whether some epoch had no margin violator)."""
+    replaced, kept as its oracle to within rounding: (classes, weights,
+    biases, feature mean, feature scale, whether some epoch had no margin
+    violator). The weights and biases score standardized features,
+    (x - mean) / scale, as trust-model/v2 stored them."""
     X, y, _ = reference_dataset(corpus)
     present = tuple(sorted(set(int(v) for v in y)))
     mean = X.mean(axis=0)
@@ -926,14 +927,28 @@ def reference_train(corpus, config=TrainConfig()) -> tuple:
             bias = bias - eta * grad_b
         W[ci] = w
         b[ci] = bias
-    return W, b, saw_no_violator
+    return present, W, b, mean, scale, saw_no_violator
+
+
+def fold_standardization(weights, biases, mean, scale) -> tuple:
+    """Standardized-space weights and biases as weights and biases over
+    raw features, folded as train_classifier folds them."""
+    folded = weights / scale
+    return folded, biases - folded @ mean
+
+
+def standardized_labels(classes, weights, biases, mean, scale, X) -> list:
+    """The predicted label of each row of X scored as before
+    trust-model/v3: the row standardized, then the standardized-space
+    weights; ties go to the lower label."""
+    return [classes[int(np.argmax(weights @ ((x - mean) / scale) + biases))] for x in X]
 
 
 def reference_predictions(model, corpus) -> list:
     """One predict_trust call per dataset row: the per-row evaluation that
     evaluate_classifier's single product replaced."""
     X, _, _ = reference_dataset(corpus)
-    return [predict_trust(model, x)[0] for x in X]
+    return [predict_trust(model, x) for x in X]
 
 
 def _reference_annotation(latent, noise_sd, rng) -> int:
@@ -1117,7 +1132,7 @@ class ReferenceTrustSimEnv:
                                        self._stream.child("step", s))
         current = simulated_turn_context(s, action, turn)
         features = reference_features(self._profile, self._history, current)
-        trust, _ = predict_trust(self.trust_model, features)
+        trust = predict_trust(self.trust_model, features)
         self._history.append(replace(current, trust_label=trust))
         reward = (
             self.reward.score_weight
@@ -1210,12 +1225,9 @@ def stub_trust_model(biases) -> TrustClassifier:
     """Zero-weight classifier whose prediction is fixed by the bias argmax."""
     biases = np.asarray(biases, dtype=float)
     return TrustClassifier(
-        schema_version=SCHEMA_VERSION,
         classes=tuple(range(1, len(biases) + 1)),
         weights=np.zeros((len(biases), N_FEATURES)),
         biases=biases,
-        feature_mean=np.zeros(N_FEATURES),
-        feature_scale=np.ones(N_FEATURES),
     )
 
 

@@ -141,7 +141,7 @@ class TestManifest:
             assert main([stage, *flags, "--seed", "1", "--out", str(outs[-1])]) == 0
         for out in outs:
             config = json.loads((out / "manifest.json").read_text())["config"]
-            assert config["model_format"] == MODEL_FORMAT == "trust-model/v2"
+            assert config["model_format"] == MODEL_FORMAT == "trust-model/v3"
             assert config["table_format"] == TABLE_FORMAT == "behavior-table/v3"
 
 
@@ -566,19 +566,23 @@ class TestExitCodes:
         ("schema_version", "SchemaMismatch"),
         ("classes", "SchemaMismatch"),
         ("weights", "SchemaMismatch"),
-        ("feature_scale", "SchemaMismatch"),
+        ("biases", "SchemaMismatch"),
         ("weight-strings", "SchemaMismatch"),
         ("class-labels", "SchemaMismatch"),
+        ("classes-descending", "SchemaMismatch"),
+        ("classes-repeated", "SchemaMismatch"),
         ("not-json", "InvalidConfig"),
         ("format-v1", "InvalidConfig"),
+        ("format-v2", "InvalidConfig"),
         ("nan-weight", "ValueOutOfRange"),
         ("inf-bias", "ValueOutOfRange"),
-        ("nan-mean", "ValueOutOfRange"),
-        ("zero-scale", "ValueOutOfRange"),
-        ("negative-scale", "ValueOutOfRange"),
+        ("nan-last-weight", "ValueOutOfRange"),
+        ("negative-inf-bias", "ValueOutOfRange"),
+        ("overflowing-duration-weight", "ValueOutOfRange"),
         ("huge-int-weight", "SchemaMismatch"),
         ("overflowing-scores", "ValueOutOfRange"),
         ("unknown-key", "SchemaMismatch"),
+        ("v2-feature-scale", "SchemaMismatch"),
         ("feature-names-order", "SchemaMismatch"),
         ("feature_names", "SchemaMismatch"),
     ])
@@ -592,26 +596,33 @@ class TestExitCodes:
             payload["weights"] = [["w"] * len(row) for row in payload["weights"]]
         elif malform == "class-labels":
             payload["classes"] = [str(c) for c in payload["classes"]]
+        elif malform == "classes-descending":  # ties would go to the higher label
+            payload["classes"] = payload["classes"][::-1]
+        elif malform == "classes-repeated":
+            payload["classes"] = [payload["classes"][0]] * len(payload["classes"])
         elif malform == "format-v1":  # a model from before the joint trainer
             payload["format"] = "trust-model/v1"
+        elif malform == "format-v2":  # standardized-space weights, mean and scale
+            payload["format"] = "trust-model/v2"
         elif malform == "nan-weight":  # written as JSON NaN
             payload["weights"][0][3] = math.nan
         elif malform == "inf-bias":
             payload["biases"][-1] = math.inf
-        elif malform == "nan-mean":
-            payload["feature_mean"][0] = math.nan
-        elif malform == "zero-scale":
-            payload["feature_scale"][5] = 0.0
-        elif malform == "negative-scale":
-            payload["feature_scale"][5] = -1.0
+        elif malform == "nan-last-weight":
+            payload["weights"][-1][-1] = math.nan
+        elif malform == "negative-inf-bias":
+            payload["biases"][0] = -math.inf
+        elif malform == "overflowing-duration-weight":  # 1e306 x 300 s overflows
+            payload["weights"][0][payload["feature_names"].index("duration")] = 1e306
         elif malform == "huge-int-weight":  # an int beyond the float range
             payload["weights"][0][3] = 10 ** 400
         elif malform == "overflowing-scores":  # finite, but the scores are inf
             payload["weights"] = [[1e308 * (-1) ** j for j in range(len(row))]
                                   for row in payload["weights"]]
-            payload["feature_scale"] = [1e-300] * len(payload["feature_scale"])
         elif malform == "unknown-key":
-            payload["feature_means"] = payload["feature_mean"]
+            payload["weight"] = payload["weights"]
+        elif malform == "v2-feature-scale":  # a v2 key in a v3 file
+            payload["feature_scale"] = [1.0] * len(payload["feature_names"])
         elif malform == "feature-names-order":
             payload["feature_names"] = payload["feature_names"][::-1]
         elif malform != "not-json":

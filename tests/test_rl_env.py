@@ -218,6 +218,9 @@ class TestHyperparams:
             train_tabular_policy(deterministic_env(), 0)
         with pytest.raises(InvalidHyperparams):
             train_tabular_policy(deterministic_env(), 2.5)
+        # a bool is an int, and True would run one episode
+        with pytest.raises(InvalidHyperparams):
+            train_tabular_policy(deterministic_env(), True)
 
 
 class OneStepEnv:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     corpus_from_rows,
     dialogs_of,
     exchanges_of,
+    fold_standardization,
     make_corpus,
     make_dialog,
     make_exchange,
@@ -19,6 +21,7 @@ from conftest import (
     reference_dataset,
     reference_predictions,
     reference_train,
+    standardized_labels,
     stub_trust_model as stub_model,
 )
 from trustsim import trust_model
@@ -255,10 +258,11 @@ class TestTraining:
             train_classifier(corpus)
 
     def test_config_validation(self):
-        with pytest.raises(InvalidConfig):
-            TrainConfig(epochs=0)
-        with pytest.raises(InvalidConfig):
-            TrainConfig(l2=0.0)
+        # a bool is an int, and an inf l2 would train an all-NaN model
+        for bad in ({"epochs": 0}, {"epochs": True}, {"epochs": 2.0}, {"l2": 0.0},
+                    {"l2": math.inf}, {"l2": math.nan}):
+            with pytest.raises(InvalidConfig):
+                TrainConfig(**bad)
 
     def test_separable_corpus_is_fit_exactly(self):
         corpus = separable_corpus()
@@ -286,14 +290,18 @@ class TestTrainerEqualsReference:
     """The joint trainer against the per-class loop it replaced. Both run the
     same updates, but the joint products sum in another order (the bias
     inside the dot product, all classes in one gemm), so the weights agree
-    to rounding, not to the bit; the predictions agree exactly."""
+    to rounding, not to the bit; the predictions agree exactly. The
+    reference's standardized-space weights are folded as the trainer folds
+    its own."""
 
     @pytest.mark.parametrize("name", ["small_corpus", "drifting_corpus", "varied",
                                       "separable"])
     def test_same_weight_and_bias_bytes(self, request, name):
         corpus = corpus_case(request, name)
         model = train_classifier(corpus)
-        weights, biases, saw_no_violator = reference_train(corpus)
+        classes, weights, biases, mean, scale, saw_no_violator = reference_train(corpus)
+        assert model.classes == classes
+        weights, biases = fold_standardization(weights, biases, mean, scale)
         np.testing.assert_allclose(model.weights, weights, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(model.biases, biases, rtol=1e-9, atol=1e-12)
         reference = dataclasses.replace(model, weights=weights, biases=biases)
@@ -304,22 +312,43 @@ class TestTrainerEqualsReference:
             # branch without a hinge term, the joint trainer a zero row of A
             assert saw_no_violator
 
+    def test_raw_space_labels_equal_the_standardized_oracle(self, default_corpus):
+        # the seed-42 corpus: 3696 exchanges, each labelled as v2 labelled it
+        model = train_classifier(default_corpus)
+        classes, weights, biases, mean, scale, _ = reference_train(default_corpus)
+        X, _, _ = reference_dataset(default_corpus)
+        labels = np.asarray(model.classes)[model.scores(X).argmax(axis=1)]
+        assert len(labels) == 3696
+        assert labels.tolist() == standardized_labels(classes, weights, biases, mean,
+                                                      scale, X)
+
 
 class TestPrediction:
     def test_argmax_over_scores(self):
         model = stub_model([0.0, 0.3, 0.1, 0.0, 0.0])
-        label, scores = predict_trust(model, np.zeros(N_FEATURES))
-        assert label == 2
-        assert set(scores) == {1, 2, 3, 4, 5}
-        assert scores[2] == pytest.approx(0.3)
+        assert predict_trust(model, np.zeros(N_FEATURES)) == 2
+        scores = model.scores(np.zeros(N_FEATURES))
+        assert scores.shape == (5,)
+        assert scores[1] == pytest.approx(0.3)
 
     def test_ties_break_to_lowest_label(self):
-        label, _ = predict_trust(stub_model([0.0] * 5), np.zeros(N_FEATURES))
-        assert label == 1
+        assert predict_trust(stub_model([0.0] * 5), np.zeros(N_FEATURES)) == 1
 
     def test_wrong_dimension_rejected(self):
+        model = stub_model([0.0] * 5)
         with pytest.raises(SchemaMismatch):
-            predict_trust(stub_model([0.0] * 5), np.zeros(7))
+            predict_trust(model, np.zeros(7))
+        for features in (np.zeros((3, 7)), np.zeros((2, 3, N_FEATURES)), np.zeros(())):
+            with pytest.raises(SchemaMismatch):
+                model.scores(features)
+
+    def test_a_matrix_scores_row_by_row(self, small_corpus):
+        model = train_classifier(small_corpus)
+        X, _, _ = corpus_to_dataset(small_corpus)
+        scores = model.scores(X)
+        assert scores.shape == (len(X), len(model.classes))
+        for x, row in zip(X, scores):
+            np.testing.assert_allclose(model.scores(x), row, rtol=1e-12, atol=1e-12)
 
 
 class TestClassificationMetrics:
@@ -415,9 +444,7 @@ class TestEvaluateClassifier:
     def test_feature_count_mismatch_rejected(self):
         model = stub_model([0.0] * 5)
         narrow = trust_model.TrustClassifier(
-            schema_version=model.schema_version, classes=model.classes,
-            weights=model.weights[:, :7], biases=model.biases,
-            feature_mean=np.zeros(7), feature_scale=np.ones(7))
+            classes=model.classes, weights=model.weights[:, :7], biases=model.biases)
         with pytest.raises(SchemaMismatch):
             evaluate_classifier(narrow, separable_corpus())
 
@@ -453,12 +480,19 @@ class TestSerialization:
         with pytest.raises(InvalidConfig):
             classifier_from_json_dict(payload)
 
-    def test_v1_model_must_be_refit(self):
+    @pytest.mark.parametrize("old", ["trust-model/v1", "trust-model/v2"])
+    def test_older_model_must_be_refit(self, old):
         payload = classifier_to_json_dict(train_classifier(separable_corpus()))
-        assert payload["format"] == trust_model.MODEL_FORMAT == "trust-model/v2"
-        payload["format"] = "trust-model/v1"
-        with pytest.raises(InvalidConfig, match="trust-model/v1"):
+        assert payload["format"] == trust_model.MODEL_FORMAT == "trust-model/v3"
+        payload["format"] = old
+        with pytest.raises(InvalidConfig, match=f"{old}.*refit"):
             classifier_from_json_dict(payload)
+
+    def test_file_holds_only_what_scoring_needs(self):
+        payload = classifier_to_json_dict(train_classifier(separable_corpus()))
+        assert payload.keys() == {"format", "schema_version", "feature_names",
+                                  "classes", "weights", "biases"}
+        assert payload["schema_version"] == trust_model.SCHEMA_VERSION
 
     def test_schema_drift_rejected(self):
         payload = classifier_to_json_dict(train_classifier(separable_corpus()))
@@ -466,25 +500,25 @@ class TestSerialization:
         with pytest.raises(SchemaMismatch):
             classifier_from_json_dict(payload)
 
-    @pytest.mark.parametrize("case", ["overflowing-product", "zero-weight"])
+    @pytest.mark.parametrize("case", ["overflowing-product", "duration-weight",
+                                      "nan-weight", "inf-bias"])
     def test_overflowing_scores_rejected_at_load(self, case):
         payload = classifier_to_json_dict(train_classifier(separable_corpus()))
         if case == "overflowing-product":  # finite values, every score inf
             payload["weights"] = [[1e308 * (-1) ** j for j in range(N_FEATURES)]
                                   for _ in payload["weights"]]
-            payload["feature_scale"] = [1e-300] * N_FEATURES
-        else:  # the standardized duration overflows, and 0 * inf is NaN
-            for row in payload["weights"]:
-                row[FEATURE_NAMES.index("duration")] = 0.0
-            payload["feature_scale"][FEATURE_NAMES.index("duration")] = 1e-307
+        elif case == "duration-weight":  # finite, but 1e306 x 300 s is not
+            payload["weights"][-1][FEATURE_NAMES.index("duration")] = 1e306
+        elif case == "nan-weight":
+            payload["weights"][0][-1] = math.nan
+        else:
+            payload["biases"][0] = -math.inf
         with pytest.raises(ValueOutOfRange, match="largest score"):
             classifier_from_json_dict(payload)
 
     def test_large_scores_within_the_float_range_load(self):
         payload = classifier_to_json_dict(train_classifier(separable_corpus()))
         payload["weights"] = [[1e300] * N_FEATURES for _ in payload["weights"]]
-        payload["feature_mean"] = [0.0] * N_FEATURES
-        payload["feature_scale"] = [1.0] * N_FEATURES
         model = classifier_from_json_dict(payload)
         # every duration at the top of its range, every other feature at 12
         probe = np.where(["duration" in name for name in FEATURE_NAMES], 300.0, 12.0)
@@ -518,11 +552,22 @@ class TestSerialization:
         with pytest.raises(SchemaMismatch, match="feature_names"):
             classifier_from_json_dict(payload)
 
+    @pytest.mark.parametrize("classes", [[5, 4, 3, 2, 1], [3, 3, 3, 3, 3], [1, 1],
+                                         [2, 1], [0, 1], [1, True], [1.0, 2.0]])
+    def test_classes_must_be_ascending_trust_levels(self, classes):
+        # a reversed model would break the rule that ties go to the lower label
+        payload = classifier_to_json_dict(train_classifier(separable_corpus()))
+        payload["classes"] = classes
+        payload["weights"] = [[0.0] * N_FEATURES] * len(classes)
+        payload["biases"] = [0.0] * len(classes)
+        with pytest.raises(SchemaMismatch, match="classes"):
+            classifier_from_json_dict(payload)
+
     @pytest.mark.parametrize("field, value", [
         ("weights", [[0.0]] * 2),
         ("biases", [0.0]),
-        ("feature_mean", [0.0]),
-        ("feature_scale", [1.0]),
+        ("weights", [[0.0] * N_FEATURES] * 3),
+        ("biases", [0.0] * 3),
     ])
     def test_misshapen_arrays_rejected_at_load(self, field, value):
         payload = classifier_to_json_dict(train_classifier(separable_corpus()))

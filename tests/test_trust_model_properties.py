@@ -20,7 +20,6 @@ from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import (
     FEATURE_NAMES,
     N_FEATURES,
-    SCHEMA_VERSION,
     TRUST_CLASSES,
     TrustClassifier,
     classifier_from_json_dict,
@@ -28,11 +27,8 @@ from trustsim.trust_model import (
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-# the loader rejects a feature scale that is not finite and > 0
-positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# values whose scores cannot overflow, which the loader also requires
+# values whose scores cannot overflow, which the loader requires
 moderate = st.floats(-1e100, 1e100)
-moderate_positive = st.floats(min_value=1e-100, max_value=1e100)
 # the upper end of every feature's range, written out by hand
 _TOPS = {"age": 60, "complexity": 5, "step": 12, "duration": DURATION_HI,
          "game_score": 50, "help_request": 1, "suggestion_request": 1}
@@ -44,14 +40,12 @@ property_test = settings(deadline=None)
 
 
 @st.composite
-def classifiers(draw, values=moderate, scales=moderate_positive) -> TrustClassifier:
+def classifiers(draw, values=moderate) -> TrustClassifier:
     classes = draw(class_sets)
     return TrustClassifier(
-        schema_version=SCHEMA_VERSION, classes=classes,
+        classes=classes,
         weights=draw(arrays(float, (len(classes), N_FEATURES), elements=values)),
         biases=draw(arrays(float, (len(classes),), elements=values)),
-        feature_mean=draw(arrays(float, (N_FEATURES,), elements=values)),
-        feature_scale=draw(arrays(float, (N_FEATURES,), elements=scales)),
     )
 
 
@@ -63,15 +57,14 @@ class TestClassifierRoundTrip:
         text = json.dumps(classifier_to_json_dict(model), sort_keys=True)
         loaded = classifier_from_json_dict(json.loads(text))
         assert loaded.classes == model.classes
-        assert loaded.schema_version == model.schema_version
-        for name in ("weights", "biases", "feature_mean", "feature_scale"):
+        for name in ("weights", "biases"):
             original, restored = getattr(model, name), getattr(loaded, name)
             assert restored.dtype == np.float64
             assert restored.shape == original.shape
             assert restored.tobytes() == original.tobytes()
 
     @property_test
-    @given(classifiers(finite, positive))
+    @given(classifiers(finite))
     def test_a_loaded_model_scores_finitely(self, model):
         # finite values of any size: a model the loader takes scores the
         # bottom and the top of every feature range finitely

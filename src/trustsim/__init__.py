@@ -48,7 +48,6 @@ from .synth import BehaviorProcess, GeneratorConfig, generate_synthetic_corpus
 from .trust_model import (
     TrainConfig,
     TrustClassifier,
-    combine_trust_target,
     evaluate_classifier,
     predict_trust,
     train_classifier,
@@ -92,7 +91,6 @@ __all__ = [
     "binarize_traits",
     "default_trait_distributions",
     "build_table",
-    "combine_trust_target",
     "compare_modes",
     "complexity_of_step",
     "estimate_distribution",

@@ -44,7 +44,7 @@ from .corpus import (
 from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, object_entry,
                      read_json, write_json)
 from .sampling import cumulative_weights, gaussian_truncation
-from .user_model import ALL_TRAIT_TUPLES, TraitTuple, binarize_traits
+from .user_model import ALL_TRAIT_TUPLES, TraitTuple, trait_codes
 
 DEFAULT_FALLBACK_THRESHOLD = 10
 
@@ -341,8 +341,7 @@ def build_table(corpus: Corpus, mode: TableMode,
     if corpus.n_dialogs == 0:
         raise EmptyCorpus("cannot build a table from an empty corpus")
 
-    trait = np.repeat([binarize_traits(user).index for user in corpus.users],
-                      STEPS_PER_DIALOG)
+    trait = np.repeat(trait_codes(corpus), STEPS_PER_DIALOG)
     condition = corpus.complexity if mode is TableMode.COMPLEXITY_BASED else corpus.step
     # REQUEST_COMBOS order: the help flag major
     combo = 2 * corpus.help_request + corpus.suggestion_request

@@ -3,8 +3,8 @@
 A corpus holds one 12-step dialog per user. Every exchange records the
 agent's proactive act, the user's observable behavior for that task step,
 and the user's four self-reported trust annotations. A Corpus holds the
-exchanges as columns; files are flat (one row per exchange, user columns
-denormalized); see CORPUS_COLUMNS.
+users' traits and the exchanges as columns; files are flat (one row per
+exchange, user columns denormalized); see CORPUS_COLUMNS.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -97,7 +97,7 @@ def max_option_score(complexity: int) -> float:
 
 @dataclass(frozen=True)
 class UserRecord:
-    """Static per-user traits, observed (corpus) or sampled (simulation)."""
+    """One user's static traits, as sampled; a Corpus holds its users as columns."""
 
     user_id: str
     age: int
@@ -112,15 +112,20 @@ class UserRecord:
     neuroticism: float
 
     def __post_init__(self):
+        if not isinstance(self.user_id, str):
+            raise ValueOutOfRange("user_id", self.user_id, detail="a string")
         if not isinstance(self.age, int) or not AGE_MIN <= self.age <= AGE_MAX:
             raise ValueOutOfRange("age", self.age, detail="integer in 18..60")
+        if not isinstance(self.gender, Gender):
+            raise ValueOutOfRange("gender", self.gender, detail="a Gender")
         for name in SCALE_TRAITS:
             value = getattr(self, name)
-            if not LIKERT_MIN <= value <= LIKERT_MAX:
+            # True reads as 1, in range, but a bool is never a trait value
+            if isinstance(value, bool) or not LIKERT_MIN <= value <= LIKERT_MAX:
                 raise ValueOutOfRange(name, value, detail="scale value in 1..5")
 
 
-# The 1..5 scale traits of a UserRecord, in schema order.
+# The 1..5 scale traits of a user, in schema order.
 SCALE_TRAITS = (
     "technical_affinity",
     "trust_propensity",
@@ -138,11 +143,14 @@ EXCHANGE_COLUMNS = ("dialog_id", "step", "complexity", "proactive_act", "game_sc
                     "help_request", "suggestion_request", "duration", "difficulty",
                     "trust", "competence", "reliability", "predictability")
 STORED_COLUMNS = EXCHANGE_COLUMNS[3:]
+USER_COLUMNS = ("user_id", "age", "gender") + SCALE_TRAITS
+_USER_VALUES = USER_COLUMNS[1:]  # the numpy columns of a Corpus with a value per user
 LIKERT_COLUMNS = ("difficulty", "trust", "competence", "reliability", "predictability")
 # The closed range of each checked field, in the order a row is checked; a
 # float beyond the largest finite one is out. The loader checks complexity
 # as its difference from that of the step.
-_RANGES = {"age": (AGE_MIN, AGE_MAX), **dict.fromkeys(SCALE_TRAITS, (LIKERT_MIN, LIKERT_MAX)),
+_RANGES = {"age": (AGE_MIN, AGE_MAX), "gender": (0, len(GENDER_ORDER) - 1),
+           **dict.fromkeys(SCALE_TRAITS, (LIKERT_MIN, LIKERT_MAX)),
            "step": (1, STEPS_PER_DIALOG), "complexity": (0, 0),
            "proactive_act": (0, len(ACT_ORDER) - 1), "game_score": (0.0, sys.float_info.max),
            **dict.fromkeys(("help_request", "suggestion_request"), (False, True)),
@@ -159,14 +167,24 @@ def _out_of_range(name: str, column: np.ndarray) -> np.ndarray:
 class Corpus:
     """All users plus one complete 12-step dialog per user, in columns.
 
-    Row i of a column is user i // 12 at step i % 12 + 1: users in list
-    order, steps ascending. Each user has one dialog_id. Every other
-    exchange field is a read-only numpy column over the exchanges, the
-    act as its index into ACT_ORDER; step and complexity follow from the
-    order, so they are derived, not held."""
+    User u has one user_id, one dialog_id and value u of each user column;
+    row i of an exchange column is user i // 12 at step i % 12 + 1. Every
+    other field is a read-only numpy column, gender as its index into
+    GENDER_ORDER and the act as its index into ACT_ORDER; step and
+    complexity follow from the order, so they are derived, not held."""
 
-    users: tuple[UserRecord, ...]
+    user_id: tuple[str, ...]
     dialog_id: tuple[str, ...]
+    age: np.ndarray
+    gender: np.ndarray
+    technical_affinity: np.ndarray
+    trust_propensity: np.ndarray
+    domain_expertise: np.ndarray
+    openness: np.ndarray
+    conscientiousness: np.ndarray
+    extraversion: np.ndarray
+    agreeableness: np.ndarray
+    neuroticism: np.ndarray
     proactive_act: np.ndarray
     game_score: np.ndarray
     help_request: np.ndarray
@@ -179,20 +197,28 @@ class Corpus:
     predictability: np.ndarray
 
     def __post_init__(self):
-        users = tuple(self.users)
-        object.__setattr__(self, "users", users)
+        ids = tuple(self.user_id)
+        object.__setattr__(self, "user_id", ids)
         object.__setattr__(self, "dialog_id", tuple(self.dialog_id))
-        ids = [u.user_id for u in users]
+        for uid in ids:
+            if not isinstance(uid, str):
+                raise ValueOutOfRange("user_id", uid, detail="a string")
         if len(set(ids)) != len(ids):
             raise ValueOutOfRange("user_id", "duplicate", detail="user ids must be unique")
-        if len(self.dialog_id) != len(users):
-            raise LengthMismatch(f"{len(self.dialog_id)} dialog ids for {len(users)} users")
-        n = len(users) * STEPS_PER_DIALOG
-        for name in STORED_COLUMNS:
-            column = np.array(getattr(self, name), dtype=_DTYPES[name])
-            if column.shape != (n,):
+        if len(self.dialog_id) != len(ids):
+            raise LengthMismatch(f"{len(self.dialog_id)} dialog ids for {len(ids)} users")
+        n = len(ids) * STEPS_PER_DIALOG
+        for name in _USER_VALUES + STORED_COLUMNS:
+            column = np.array(getattr(self, name))
+            size = len(ids) if name in _USER_VALUES else n
+            if column.shape != (size,):
                 raise LengthMismatch(f"{name} holds {column.size} values; "
-                                     f"{len(users)} dialogs have {n} exchanges")
+                                     f"{len(ids)} dialogs need {size}")
+            # the cast would truncate a float and read a bool or text as a number
+            if column.size and column.dtype.kind not in _KINDS[_DTYPES[name]]:
+                raise ValueOutOfRange(name, column[:1].tolist()[0],
+                                      detail=f"a column of {column.dtype}")
+            column = column.astype(_DTYPES[name])
             bad = _out_of_range(name, column)
             if bad.any():
                 raise ValueOutOfRange(name, column[bad][0].item())
@@ -201,15 +227,15 @@ class Corpus:
 
     @property
     def n_dialogs(self) -> int:
-        return len(self.users)
+        return len(self.user_id)
 
     @property
     def exchange_count(self) -> int:
-        return len(self.users) * STEPS_PER_DIALOG
+        return len(self.user_id) * STEPS_PER_DIALOG
 
     @property
     def step(self) -> np.ndarray:
-        return np.tile(np.arange(1, STEPS_PER_DIALOG + 1), len(self.users))
+        return np.tile(np.arange(1, STEPS_PER_DIALOG + 1), len(self.user_id))
 
     @property
     def complexity(self) -> np.ndarray:
@@ -218,14 +244,13 @@ class Corpus:
     def __eq__(self, other):
         if not isinstance(other, Corpus):
             return NotImplemented
-        return (self.users == other.users and self.dialog_id == other.dialog_id
+        return (self.user_id == other.user_id and self.dialog_id == other.dialog_id
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
-                        for name in STORED_COLUMNS))
+                        for name in _USER_VALUES + STORED_COLUMNS))
 
 
 # --- flat file schema -------------------------------------------------------
 
-USER_COLUMNS = ("user_id", "age", "gender") + SCALE_TRAITS
 CORPUS_COLUMNS = USER_COLUMNS + EXCHANGE_COLUMNS
 
 def _parse_bool(raw):
@@ -283,7 +308,8 @@ _PARSE_ERRORS = (ValueError, TypeError, OverflowError)
 # enums as int64 indexes.
 _DTYPES = {name: {_parse_float: np.float64, _parse_bool: bool}.get(parse, np.int64)
            for name, parse in _PARSERS.items()}
-_USER_VALUES = USER_COLUMNS[1:]  # what each row of a user repeats
+# The numpy kinds each dtype's columns are taken from: ints for a float.
+_KINDS = {np.float64: "iuf", bool: "b", np.int64: "iu"}
 _ROW_FIELDS = ("unparsed", *CORPUS_COLUMNS)
 
 
@@ -491,10 +517,8 @@ def load_corpus(path) -> Corpus:
                                if counts[u] != STEPS_PER_DIALOG else
                                f"steps out of order at position "
                                f"{position[misplaced & (owners == u)][0]}")
-    user_values = [v[name][heads].tolist() for name in _USER_VALUES]
-    user_values[1] = list(map(GENDER_ORDER.__getitem__, user_values[1]))
-    return Corpus(users=tuple(map(UserRecord, uids, *user_values)),
-                  dialog_id=[dialog_ids[d] for d in dialog[heads].tolist()],
+    return Corpus(user_id=uids, dialog_id=[dialog_ids[d] for d in dialog[heads].tolist()],
+                  **{name: v[name][heads] for name in _USER_VALUES},
                   **{name: v[name][order] for name in STORED_COLUMNS})
 
 
@@ -544,12 +568,10 @@ def save_corpus(corpus: Corpus, path) -> None:
     columns = []
     for name in CORPUS_COLUMNS:
         per_user = name not in EXCHANGE_COLUMNS[1:]  # a user column or dialog_id
-        if name == "dialog_id":
-            values = list(corpus.dialog_id)
-        elif per_user:
-            values = list(map(attrgetter(name), corpus.users))
-        else:
-            values = getattr(corpus, name).tolist()
+        values = getattr(corpus, name)
+        values = list(values) if name in ("user_id", "dialog_id") else values.tolist()
+        if name == "gender":
+            values = list(map(GENDER_ORDER.__getitem__, values))
         if name == "proactive_act":
             values = list(map(ACT_ORDER.__getitem__, values))
         if file_format == "csv" or name in ("gender", "proactive_act"):
@@ -583,8 +605,9 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
     def subset(keep: np.ndarray) -> Corpus:
         picked = np.flatnonzero(keep).tolist()
         rows = np.repeat(keep, STEPS_PER_DIALOG)
-        return Corpus(users=[corpus.users[i] for i in picked],
+        return Corpus(user_id=[corpus.user_id[i] for i in picked],
                       dialog_id=[corpus.dialog_id[i] for i in picked],
+                      **{name: getattr(corpus, name)[keep] for name in _USER_VALUES},
                       **{name: getattr(corpus, name)[rows] for name in STORED_COLUMNS})
 
     return subset(train), subset(~train)

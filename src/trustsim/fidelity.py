@@ -196,7 +196,7 @@ def evaluate_simulator(reference: Corpus, simulated: SimulatedLog,
     if reference.exchange_count != len(simulated):
         raise AlignmentError(f"{reference.exchange_count} exchanges vs "
                              f"{len(simulated)} simulated records")
-    expected = zip([u.user_id for u in reference.users for _ in range(STEPS_PER_DIALOG)],
+    expected = zip([uid for uid in reference.user_id for _ in range(STEPS_PER_DIALOG)],
                    reference.step.tolist(), map(ACT_ORDER.__getitem__,
                                                 reference.proactive_act.tolist()))
     for want, (user_id, step, act) in zip(expected, zip(

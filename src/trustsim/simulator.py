@@ -66,7 +66,7 @@ from .sampling import (
     truncated_gaussian_from,
     truncated_gaussians,
 )
-from .user_model import UserProfile, binarize_traits
+from .user_model import UserProfile, binarize_traits, trait_codes
 
 
 @dataclass(frozen=True)
@@ -197,16 +197,14 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     table's values were checked when it was built or loaded, so no draw can
     fail.
     """
-    users = corpus.users
-    owner = np.repeat(np.arange(len(users)), STEPS_PER_DIALOG)
+    owner = np.repeat(np.arange(corpus.n_dialogs), STEPS_PER_DIALOG)
     step, complexity, act = corpus.step, corpus.complexity, corpus.proactive_act
-    trait = np.array([binarize_traits(user).index for user in users],
-                     dtype=np.int64)[owner]
+    trait = trait_codes(corpus)[owner]
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
     code = key_code(table.mode, trait, act, condition)
     rows = np.array(table.rows)
 
-    user_keys = child_keys(rng.key, label_bits(user.user_id for user in users))
+    user_keys = child_keys(rng.key, label_bits(corpus.user_id))
     turn_keys = child_keys(user_keys[owner], _STEP_BITS[step])
 
     def uniforms(field: str) -> np.ndarray:
@@ -227,7 +225,7 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
 
     flags = _COMBO_FLAGS[combo]
     return SimulatedLog(
-        user_id=[user.user_id for user in users for _ in range(STEPS_PER_DIALOG)],
+        user_id=[uid for uid in corpus.user_id for _ in range(STEPS_PER_DIALOG)],
         dialog_id=[d for d in corpus.dialog_id for _ in range(STEPS_PER_DIALOG)],
         step=step, complexity=complexity,
         proactive_act=list(map(ACT_ORDER.__getitem__, act.tolist())),

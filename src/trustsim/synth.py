@@ -51,9 +51,9 @@ from .user_model import (
     TraitDistributions,
     TraitTuple,
     _finite_number,
-    binarize_traits,
     default_trait_distributions,
     sample_users,
+    trait_codes,
 )
 
 PROB_FLOOR, PROB_CEIL = 0.02, 0.98
@@ -343,15 +343,12 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     proc = config.process
     uids = [f"u{i:04d}" for i in range(config.n_dialogs)]
     user_keys = child_keys(RandomStream(seed, "synth").key, label_bits(uids))
-    users = sample_users(config.traits, child_keys(user_keys, _FIELD_BITS["traits"]),
-                         uids)
-    traits = [binarize_traits(user) for user in users]
-    codes = [tt.index for tt in traits]
-    code = np.array(codes, dtype=np.intp)
-    # index arrays are ints: numpy reads a bool array index as a mask
-    propensity_high = np.array([tt.trust_propensity_high for tt in traits], dtype=np.intp)
-    latent = np.minimum(np.maximum([user.trust_propensity for user in users],
-                                   LIKERT_MIN), LIKERT_MAX)
+    users = sample_users(config.traits, child_keys(user_keys, _FIELD_BITS["traits"]))
+    code = trait_codes(users)
+    codes = code.tolist()
+    # the trust-propensity bit, as an int: numpy reads a bool array index as a mask
+    propensity_high = (code >> 1) & 1
+    latent = np.minimum(np.maximum(users.trust_propensity, LIKERT_MIN), LIKERT_MAX)
     step_keys = child_keys(user_keys, _FIELD_BITS["step"])
     present = set(codes)
     try:
@@ -402,7 +399,7 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
             annotations = {
                 name: np.floor(np.minimum(np.maximum(
                     latent + proc.trust_noise_sd * standard_normals(first_uniforms(field(name)))
-                    + 0.5, LIKERT_MIN), LIKERT_MAX))
+                    + 0.5, LIKERT_MIN), LIKERT_MAX)).astype(np.int64)
                 for name in TRUST_FIELDS}
         steps.append(dict(proactive_act=act, game_score=game_score, help_request=help_req,
                           suggestion_request=sugg_req, duration=duration,
@@ -419,6 +416,7 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
         if codes[i] in tables[s].difficulty_errors:
             raise tables[s].difficulty_errors[codes[i]]
         raise ValueOutOfRange("duration", duration[i, s].item(), detail="must exceed 20 s")
-    return Corpus(users=users, dialog_id=[f"d{i:04d}" for i in range(len(uids))],
+    return Corpus(user_id=uids, dialog_id=[f"d{i:04d}" for i in range(len(uids))],
+                  **vars(users),
                   **{name: np.stack([values[name] for values in steps], axis=1).ravel()
                      for name in STORED_COLUMNS})

@@ -64,18 +64,6 @@ _LAG_FILL = [0.0] * len(ACT_ORDER) + [float(NEUTRAL_LIKERT), 0.0, 0.0, 0.0, 0.0,
 TrustLabel = int
 
 
-def combine_trust_target(trust: int, competence: int, reliability: int,
-                         predictability: int) -> TrustLabel:
-    """Fold the four rating scales into one label: mean, rounded half-up."""
-    values = (trust, competence, reliability, predictability)
-    names = ("trust", "competence", "reliability", "predictability")
-    for name, v in zip(names, values):
-        if isinstance(v, bool) or not isinstance(v, int) \
-                or not LIKERT_MIN <= v <= LIKERT_MAX:
-            raise ValueOutOfRange(name, v, detail="Likert value in 1..5")
-    return int(math.floor(sum(values) / 4.0 + 0.5))
-
-
 def _build_feature_names() -> tuple:
     names = ["age"]
     names += [f"gender={g.value}" for g in GENDER_ORDER]
@@ -173,9 +161,8 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
     step k + 1. Row for row equal to the per-turn oracle
     `reference_features` in `tests/conftest.py` on every exchange.
     """
-    users = corpus.users
-    n = corpus.exchange_count
-    # combine_trust_target's arithmetic; Corpus has checked the 1..5 range
+    n, n_users = corpus.exchange_count, corpus.n_dialogs
+    # the label: the four ratings' mean, rounded half-up (Corpus checked 1..5)
     labels = np.floor((corpus.trust + corpus.competence + corpus.reliability
                        + corpus.predictability) / 4.0 + 0.5)
 
@@ -184,20 +171,22 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
     for j, name in enumerate(_TURN_FIELDS, start=len(ACT_ORDER)):
         turn[:, j] = getattr(corpus, name)
     lag = np.concatenate([turn[:, _LAG_FROM_TURN - _PROFILE_END], labels[:, None]], axis=1)
-    lag = lag.reshape(len(users), STEPS_PER_DIALOG, _LAG_WIDTH)
+    lag = lag.reshape(n_users, STEPS_PER_DIALOG, _LAG_WIDTH)
 
     X = np.empty((n, N_FEATURES))
-    profiles = np.array([_profile_values(u) for u in users], dtype=float)
-    X[:, :_PROFILE_END] = np.repeat(profiles.reshape(-1, _PROFILE_END), STEPS_PER_DIALOG,
-                                    axis=0)
+    # the columns of _profile_values, one row per user
+    genders = (corpus.gender == g for g in range(len(GENDER_ORDER)))
+    profiles = np.column_stack([corpus.age, *genders,
+                                *(getattr(corpus, name) for name in SCALE_TRAITS)])
+    X[:, :_PROFILE_END] = np.repeat(profiles, STEPS_PER_DIALOG, axis=0)
     X[:, _PROFILE_END:_TURN_END] = turn
-    dialog_steps = X.reshape(len(users), STEPS_PER_DIALOG, N_FEATURES)
+    dialog_steps = X.reshape(n_users, STEPS_PER_DIALOG, N_FEATURES)
     for k in range(1, LAG_WINDOW + 1):
         start = _TURN_END + (k - 1) * _LAG_WIDTH
         block = dialog_steps[:, :, start:start + _LAG_WIDTH]
         block[:, :k] = _LAG_FILL
         block[:, k:] = lag[:, :-k]
-    owners = tuple(u.user_id for u in users for _ in range(STEPS_PER_DIALOG))
+    owners = tuple(uid for uid in corpus.user_id for _ in range(STEPS_PER_DIALOG))
     return X, labels.astype(int), owners
 
 

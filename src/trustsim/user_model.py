@@ -12,6 +12,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,8 +41,7 @@ from .sampling import (
 # A trait counts as "high" strictly above the Likert midpoint (3.0 -> low).
 LIKERT_BINARY_THRESHOLD = 3.0
 
-# UserProfile shares fields and invariants with an observed UserRecord;
-# the only difference is provenance (sampled vs measured).
+# A sampled user's profile: a Corpus holds its observed users as columns.
 UserProfile = UserRecord
 
 
@@ -169,30 +169,25 @@ ALL_TRAIT_TUPLES = tuple(TraitTuple.from_bits(f"{i:03b}") for i in range(8))
 
 def fit_trait_distributions(corpus: Corpus) -> TraitDistributions:
     """Sample mean/SD per numeric trait (bounds fixed), empirical gender freqs."""
-    if len(corpus.users) < 2:
-        raise InsufficientUsers(f"need >= 2 users, got {len(corpus.users)}")
-    ages = np.array([u.age for u in corpus.users], dtype=float)
-    kwargs = {"age": TruncGauss(float(ages.mean()), float(ages.std(ddof=1)), AGE_MIN, AGE_MAX)}
-    for name in SCALE_TRAITS:
-        values = np.array([getattr(u, name) for u in corpus.users], dtype=float)
-        kwargs[name] = TruncGauss(
-            float(values.mean()), float(values.std(ddof=1)), LIKERT_MIN, LIKERT_MAX
-        )
-    counts = {g: 0 for g in GENDER_ORDER}
-    for user in corpus.users:
-        counts[user.gender] += 1
-    total = len(corpus.users)
-    probs = tuple(counts[g] / total for g in GENDER_ORDER)
-    return TraitDistributions(gender_probs=probs, **kwargs)
+    n = corpus.n_dialogs
+    if n < 2:
+        raise InsufficientUsers(f"need >= 2 users, got {n}")
+    kwargs = {}
+    for name in _GAUSS_TRAITS:
+        values = getattr(corpus, name).astype(float)
+        lo, hi = (AGE_MIN, AGE_MAX) if name == "age" else (LIKERT_MIN, LIKERT_MAX)
+        kwargs[name] = TruncGauss(float(values.mean()), float(values.std(ddof=1)), lo, hi)
+    probs = np.bincount(corpus.gender, minlength=len(GENDER_ORDER)) / n
+    return TraitDistributions(gender_probs=tuple(probs.tolist()), **kwargs)
 
 
-def sample_users(dists: TraitDistributions, keys, user_ids) -> list:
-    """Sample full profiles: user i draws from the stream with key keys[i]
-    of a uint64 array and is named user_ids[i]. Each trait takes the first
-    uniform of its own named child stream, so no trait shifts another's,
-    and one truncation for all users; age is drawn continuously, then
-    rounded. The one-user oracle is `reference_sample_user` in
-    `tests/conftest.py`.
+def sample_users(dists: TraitDistributions, keys) -> SimpleNamespace:
+    """Sample the user columns of a Corpus but user_id, as attributes: user
+    i draws from the stream with key keys[i] of a uint64 array. Each trait
+    takes the first uniform of its own named child stream, so no trait
+    shifts another's, and one truncation for all users; age is drawn
+    continuously, then rounded, and gender is its GENDER_ORDER index. The
+    one-user oracle is `reference_sample_user` in `tests/conftest.py`.
     """
     def uniforms(name: str) -> np.ndarray:
         return first_uniforms(child_keys(keys, label_bits([name])))
@@ -204,20 +199,23 @@ def sample_users(dists: TraitDistributions, keys, user_ids) -> list:
             float(dist.mean), gaussian_truncation(dist.mean, dist.sd, dist.lo, dist.hi),
             dist.lo, dist.hi, uniforms(name))
     columns["age"] = np.floor(columns["age"] + 0.5).astype(np.int64)
-    genders = categoricals(np.array([cumulative_weights(dists.gender_probs)]),
-                           uniforms("gender"))
-    rows = zip(*(column.tolist() for column in columns.values()))
-    return [UserProfile(user_id=uid, gender=GENDER_ORDER[gender], **dict(zip(columns, row)))
-            for uid, gender, row in zip(user_ids, genders.tolist(), rows)]
+    columns["gender"] = categoricals(np.array([cumulative_weights(dists.gender_probs)]),
+                                     uniforms("gender"))
+    return SimpleNamespace(**columns)
+
+
+def trait_codes(x):
+    """The ALL_TRAIT_TUPLES index of the three behavior-relevant traits of
+    x, a user or a Corpus, whose traits are scalars or arrays alike: a trait
+    is high iff its value > 3.0, the Likert midpoint."""
+    return (4 * (x.domain_expertise > LIKERT_BINARY_THRESHOLD)
+            + 2 * (x.trust_propensity > LIKERT_BINARY_THRESHOLD)
+            + (x.technical_affinity > LIKERT_BINARY_THRESHOLD))
 
 
 def binarize_traits(profile: UserProfile) -> TraitTuple:
     """Map the three behavior-relevant traits to bits: high iff value > 3.0."""
-    return TraitTuple(
-        domain_expertise_high=profile.domain_expertise > LIKERT_BINARY_THRESHOLD,
-        trust_propensity_high=profile.trust_propensity > LIKERT_BINARY_THRESHOLD,
-        technical_affinity_high=profile.technical_affinity > LIKERT_BINARY_THRESHOLD,
-    )
+    return ALL_TRAIT_TUPLES[trait_codes(profile)]
 
 
 def default_trait_distributions() -> TraitDistributions:

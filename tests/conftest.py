@@ -35,6 +35,8 @@ from trustsim.behavior_tables import (
 from trustsim.corpus import (
     ACT_INDEX,
     ACT_ORDER,
+    AGE_MAX,
+    AGE_MIN,
     CORPUS_COLUMNS,
     SCALE_TRAITS,
     Corpus,
@@ -60,6 +62,7 @@ from trustsim.corpus import (
 )
 from trustsim.errors import (
     IncompleteDialog,
+    InsufficientUsers,
     InvalidBounds,
     InvalidConfig,
     MissingColumn,
@@ -95,10 +98,10 @@ from trustsim.trust_model import (
     NEUTRAL_LIKERT,
     TrainConfig,
     TrustClassifier,
-    combine_trust_target,
     predict_trust,
 )
-from trustsim.user_model import ALL_TRAIT_TUPLES, UserProfile, binarize_traits
+from trustsim.user_model import (ALL_TRAIT_TUPLES, TraitDistributions, TruncGauss,
+                                  UserProfile, binarize_traits)
 
 
 def combo_index(help_request: bool, suggestion_request: bool) -> int:
@@ -151,6 +154,21 @@ class Exchange:
         _check_likert("predictability", self.predictability)
 
 
+def user_columns(users) -> dict:
+    """The Corpus user columns of UserRecord rows, gender as its index."""
+    columns = {name: [getattr(u, name) for u in users] for name in USER_COLUMNS}
+    columns["gender"] = [GENDER_ORDER.index(g) for g in columns["gender"]]
+    return columns
+
+
+def users_of(corpus) -> tuple:
+    """The corpus's users as UserRecord rows, in user order."""
+    columns = [getattr(corpus, name) for name in USER_COLUMNS]
+    columns[1:] = [column.tolist() for column in columns[1:]]
+    columns[2] = [GENDER_ORDER[g] for g in columns[2]]
+    return tuple(map(UserRecord, *columns))
+
+
 def corpus_from_rows(users, dialogs) -> Corpus:
     """The Corpus of users and a dict of their dialogs as Exchange rows,
     checked as the row-form Corpus checked them: users and dialogs 1:1,
@@ -172,8 +190,8 @@ def corpus_from_rows(users, dialogs) -> Corpus:
     rows = [ex for uid in ids for ex in dialogs[uid]]
     columns = {name: [getattr(ex, name) for ex in rows] for name in STORED_COLUMNS}
     columns["proactive_act"] = [ACT_INDEX[act] for act in columns["proactive_act"]]
-    return Corpus(users=users, dialog_id=[dialogs[uid][0].dialog_id for uid in ids],
-                  **columns)
+    return Corpus(**user_columns(users),
+                  dialog_id=[dialogs[uid][0].dialog_id for uid in ids], **columns)
 
 
 def exchanges_of(corpus) -> list:
@@ -183,7 +201,8 @@ def exchanges_of(corpus) -> list:
                for name in ("step", "complexity") + STORED_COLUMNS}
     columns["proactive_act"] = [ACT_ORDER[a] for a in columns["proactive_act"]]
     names = EXCHANGE_COLUMNS[1:]
-    return [(corpus.users[i // STEPS_PER_DIALOG],
+    users = users_of(corpus)
+    return [(users[i // STEPS_PER_DIALOG],
              Exchange(corpus.dialog_id[i // STEPS_PER_DIALOG],
                       *(columns[name][i] for name in names)))
             for i in range(corpus.exchange_count)]
@@ -194,7 +213,7 @@ def dialogs_of(corpus) -> dict:
     pairs = exchanges_of(corpus)
     return {user.user_id: tuple(ex for _, ex in pairs[i * STEPS_PER_DIALOG:
                                                        (i + 1) * STEPS_PER_DIALOG])
-            for i, user in enumerate(corpus.users)}
+            for i, user in enumerate(users_of(corpus))}
 
 
 def scalar_mix64(z: int) -> int:
@@ -851,6 +870,12 @@ def reference_features(profile, history, current) -> np.ndarray:
     return np.asarray(vec, dtype=float)
 
 
+def combine_trust_target(trust, competence, reliability, predictability) -> int:
+    """The label of an exchange's four 1..5 ratings, as corpus_to_dataset
+    computes it for every exchange at once: their mean, rounded half-up."""
+    return int(math.floor((trust + competence + reliability + predictability) / 4.0 + 0.5))
+
+
 def turn_context(ex, with_label=False) -> TurnContext:
     """The observable slice of a corpus exchange, labelled for use as a lag."""
     label = combine_trust_target(ex.trust, ex.competence, ex.reliability,
@@ -879,7 +904,7 @@ def reference_dataset(corpus) -> tuple:
     one reference_features call per exchange, lag labels teacher-forced."""
     rows, labels, owners = [], [], []
     dialogs = dialogs_of(corpus)
-    for user in corpus.users:
+    for user in users_of(corpus):
         history = []
         for ex in dialogs[user.user_id]:
             rows.append(reference_features(user, history, turn_context(ex)))
@@ -1103,6 +1128,39 @@ def reference_save_corpus(corpus, path) -> None:
                 payload = {c: (row[c].value if isinstance(row[c], Enum) else row[c])
                            for c in CORPUS_COLUMNS}
                 handle.write(json.dumps(payload) + "\n")
+
+
+def reference_fit_trait_distributions(corpus) -> TraitDistributions:
+    """The per-user loop fit_trait_distributions replaced, kept as its
+    oracle: each trait's values gathered user by user from the records,
+    gender shares counted per Gender."""
+    users = users_of(corpus)
+    if len(users) < 2:
+        raise InsufficientUsers(f"need >= 2 users, got {len(users)}")
+    ages = np.array([u.age for u in users], dtype=float)
+    kwargs = {"age": TruncGauss(float(ages.mean()), float(ages.std(ddof=1)), AGE_MIN, AGE_MAX)}
+    for name in SCALE_TRAITS:
+        values = np.array([getattr(u, name) for u in users], dtype=float)
+        kwargs[name] = TruncGauss(float(values.mean()), float(values.std(ddof=1)),
+                                  LIKERT_MIN, LIKERT_MAX)
+    counts = {g: 0 for g in GENDER_ORDER}
+    for user in users:
+        counts[user.gender] += 1
+    probs = tuple(counts[g] / len(users) for g in GENDER_ORDER)
+    return TraitDistributions(gender_probs=probs, **kwargs)
+
+
+def reference_split_corpus(corpus, train_fraction, seed) -> tuple:
+    """The record-based split split_corpus replaced, kept as its oracle:
+    the users picked by the scalar permutation, each partition rebuilt from
+    its users' records and Exchange rows in the original user order."""
+    n_train = math.floor(train_fraction * corpus.n_dialogs)
+    train = set(ScalarStream(seed, "split").permutation(corpus.n_dialogs)[:n_train])
+    users, dialogs = users_of(corpus), dialogs_of(corpus)
+    parts = ([u for i, u in enumerate(users) if i in train],
+             [u for i, u in enumerate(users) if i not in train])
+    return tuple(corpus_from_rows(part, {u.user_id: dialogs[u.user_id] for u in part})
+                 for part in parts)
 
 
 class ReferenceTrustSimEnv:

@@ -16,7 +16,7 @@ import pytest
 from conftest import TABLE_CORRUPTIONS, TABLE_MALFORMATIONS
 from trustsim.behavior_tables import TABLE_FORMAT, TableMode, build_table, load_table
 from trustsim.cli import build_parser, main
-from trustsim.corpus import STORED_COLUMNS, Corpus, load_corpus, save_corpus
+from trustsim.corpus import load_corpus, save_corpus
 from trustsim.rl_env import Hyperparams, N_STATES, TrustSimEnv, train_tabular_policy
 from trustsim.sampling import STREAM_FORMAT
 from trustsim.synth import GeneratorConfig
@@ -190,13 +190,10 @@ class TestSimulate:
     def test_ids_holding_carriage_returns(self, work, corpus_file):
         # a bare "\r" in a cell is quoted, so the log reads back row for row
         corpus = load_corpus(corpus_file)
-        first = corpus.users[0]
         uid = "u\r0"
-        columns = {name: getattr(corpus, name) for name in STORED_COLUMNS}
         path = work / "cr_corpus.csv"
-        save_corpus(Corpus(users=(dataclasses.replace(first, user_id=uid),)
-                           + corpus.users[1:], dialog_id=("d\r0",) + corpus.dialog_id[1:],
-                           **columns), path)
+        save_corpus(dataclasses.replace(corpus, user_id=(uid,) + corpus.user_id[1:],
+                                        dialog_id=("d\r0",) + corpus.dialog_id[1:]), path)
         fit, out = work / "cr_fit", work / "cr_sim"
         assert main(["fit", "--corpus", str(path), "--seed", "1",
                      "--out", str(fit)]) == 0

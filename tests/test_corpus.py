@@ -22,6 +22,7 @@ from trustsim.corpus import (
     CORPUS_COLUMNS,
     Corpus,
     EXCHANGE_COLUMNS,
+    GENDER_ORDER,
     Gender,
     ProactiveAct,
     STORED_COLUMNS,
@@ -81,10 +82,14 @@ class TestOptionScores:
             option_scores(6)
 
 
+USER_VALUES = USER_COLUMNS[1:]  # the user columns held as numpy arrays
+
+
 def corpus_columns(corpus) -> dict:
     """The keyword arguments that rebuild the corpus."""
-    return dict(users=corpus.users, dialog_id=corpus.dialog_id,
-                **{name: getattr(corpus, name).copy() for name in STORED_COLUMNS})
+    return dict(user_id=corpus.user_id, dialog_id=corpus.dialog_id,
+                **{name: getattr(corpus, name).copy()
+                   for name in USER_VALUES + STORED_COLUMNS})
 
 
 class TestCorpusArrayChecks:
@@ -100,16 +105,26 @@ class TestCorpusArrayChecks:
         with pytest.raises(LengthMismatch, match=name):
             Corpus(**columns)
 
+    @pytest.mark.parametrize("name", USER_VALUES)
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_user_column_of_the_wrong_length(self, name, size):
+        columns = corpus_columns(make_corpus(n_users=2))
+        columns[name] = np.resize(columns[name], size)
+        with pytest.raises(LengthMismatch, match=name):
+            Corpus(**columns)
+
     @pytest.mark.parametrize("name,value", [
         ("difficulty", 0), ("difficulty", 6), ("trust", 0), ("competence", 9),
         ("reliability", -1), ("predictability", 6), ("proactive_act", 4),
         ("proactive_act", -1), ("game_score", -5.0), ("game_score", -0.5),
         ("duration", 15.0), ("duration", 20.0), ("game_score", np.nan),
         ("game_score", np.inf), ("duration", np.inf), ("duration", np.nan),
+        ("age", 17), ("age", 61), ("gender", 3), ("gender", -1), ("openness", 0.5),
+        ("neuroticism", 5.5), ("trust_propensity", np.nan),
     ])
     def test_value_out_of_range(self, name, value):
         columns = corpus_columns(make_corpus(n_users=2))
-        columns[name][17] = value
+        columns[name][17 if name in STORED_COLUMNS else 1] = value
         with pytest.raises(ValueOutOfRange) as err:
             Corpus(**columns)
         assert err.value.field == name
@@ -121,11 +136,43 @@ class TestCorpusArrayChecks:
         assert Corpus(**columns).duration[0] > 20.0
 
     def test_duplicate_user_ids(self):
-        corpus = make_corpus(n_users=2)
-        columns = corpus_columns(corpus)
-        columns["users"] = (corpus.users[0], corpus.users[0])
+        columns = corpus_columns(make_corpus(n_users=2))
+        columns["user_id"] = ("u0", "u0")
         with pytest.raises(ValueOutOfRange, match="unique"):
             Corpus(**columns)
+
+    def test_user_id_that_is_no_string(self):
+        columns = corpus_columns(make_corpus(n_users=2))
+        columns["user_id"] = ("u0", 1)
+        with pytest.raises(ValueOutOfRange, match="user_id=1"):
+            Corpus(**columns)
+
+    # each is a value the cast to the column's dtype would change silently
+    @pytest.mark.parametrize("name,change", [
+        ("difficulty", lambda c: c + 0.7),
+        ("help_request", lambda c: np.full(c.shape, 2)),
+        ("duration", lambda c: np.full(c.shape, "34.1")),
+        ("difficulty", lambda c: c > 2),
+        ("proactive_act", lambda c: np.full(c.shape, 0.5)),
+        ("age", lambda c: np.full(c.shape, 30.5)),
+        ("gender", lambda c: [GENDER_ORDER[g] for g in c.tolist()]),
+        ("openness", lambda c: c > 2),
+    ], ids=["float-difficulty", "int-help-request", "text-duration", "bool-difficulty",
+            "float-act", "float-age", "gender-enums", "bool-trait"])
+    def test_column_of_the_wrong_kind(self, name, change):
+        columns = corpus_columns(make_corpus(n_users=2))
+        columns[name] = change(columns[name])
+        with pytest.raises(ValueOutOfRange) as err:
+            Corpus(**columns)
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("name,dtype", [("game_score", np.int64), ("age", np.uint8),
+                                            ("difficulty", np.uint8), ("duration", np.int32)])
+    def test_ints_of_any_width_are_taken(self, name, dtype):
+        corpus = make_corpus(n_users=2)
+        columns = corpus_columns(corpus)
+        columns[name] = columns[name].astype(dtype)
+        assert Corpus(**columns) == corpus
 
     @pytest.mark.parametrize("dialog_ids", [("d0",), ("d0", "d1", "d2")])
     def test_dialog_id_count_differs_from_user_count(self, dialog_ids):
@@ -155,6 +202,24 @@ class TestUserInvariants:
         with pytest.raises(ValueOutOfRange):
             make_user(neuroticism=0.5)
 
+    @pytest.mark.parametrize("gender", ["male", 0, None, ProactiveAct.NONE])
+    def test_gender_must_be_a_gender(self, gender):
+        with pytest.raises(ValueOutOfRange) as err:
+            make_user(gender=gender)
+        assert err.value.field == "gender"
+
+    @pytest.mark.parametrize("name", ["openness", "trust_propensity"])
+    def test_bool_trait_value_rejected(self, name):
+        with pytest.raises(ValueOutOfRange) as err:
+            make_user(**{name: True})
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("user_id", [7, None, b"u0"])
+    def test_user_id_must_be_a_string(self, user_id):
+        with pytest.raises(ValueOutOfRange) as err:
+            make_user(user_id=user_id)
+        assert err.value.field == "user_id"
+
 
 class TestCorpusInvariants:
     def test_exchange_count_identity(self):
@@ -173,6 +238,7 @@ class TestCorpusInvariants:
         assert corpus == make_corpus(n_users=2)
         assert corpus != make_corpus(n_users=2, duration=33.5)
         assert corpus != make_corpus(n_users=2, acts=ProactiveAct.SUGGESTION)
+        assert corpus != make_corpus(n_users=2, user_overrides={"openness": 3.5})
         columns = corpus_columns(corpus)
         columns["dialog_id"] = ("d0", "other")
         assert corpus != Corpus(**columns)
@@ -485,14 +551,13 @@ class TestSplitCorpus:
     def test_deterministic_per_seed(self, small_corpus):
         a = split_corpus(small_corpus, 0.8, seed=9)
         b = split_corpus(small_corpus, 0.8, seed=9)
-        assert [u.user_id for u in a[0].users] == [u.user_id for u in b[0].users]
+        assert a[0].user_id == b[0].user_id
 
     def test_no_user_straddles_the_split(self, small_corpus):
         train, test = split_corpus(small_corpus, 0.7, seed=2)
-        train_ids = {u.user_id for u in train.users}
-        test_ids = {u.user_id for u in test.users}
+        train_ids, test_ids = set(train.user_id), set(test.user_id)
         assert train_ids & test_ids == set()
-        assert train_ids | test_ids == {u.user_id for u in small_corpus.users}
+        assert train_ids | test_ids == set(small_corpus.user_id)
 
     def test_dialogs_travel_with_their_user(self, small_corpus):
         train, _ = split_corpus(small_corpus, 0.8, seed=3)

@@ -22,6 +22,7 @@ from conftest import (
     reference_log_bytes,
     reference_replay,
     served_of,
+    users_of,
 )
 from trustsim.behavior_tables import (
     REQUEST_COMBOS,
@@ -368,8 +369,8 @@ class TestReplayOracle:
         assert_replay_matches_oracle(small_corpus, table, 7, tmp_path)
 
     def test_one_user_corpus(self, small_corpus, tmp_path):
-        uid = small_corpus.users[3].user_id
-        one = corpus_from_rows((small_corpus.users[3],),
+        uid = small_corpus.user_id[3]
+        one = corpus_from_rows((users_of(small_corpus)[3],),
                                {uid: dialogs_of(small_corpus)[uid]})
         for mode in TableMode:
             table = build_table(small_corpus, mode)

@@ -8,8 +8,9 @@ from statistics import fmean, pstdev
 
 import pytest
 
-from conftest import exchanges_of, reference_generate
+from conftest import exchanges_of, reference_generate, users_of
 from trustsim.corpus import (
+    GENDER_ORDER,
     Gender,
     ProactiveAct,
     complexity_of_step,
@@ -202,7 +203,7 @@ class TestGeneratorConfig:
 
 class TestGenerateCorpus:
     def test_shape_and_validity(self, small_corpus):
-        assert len(small_corpus.users) == 40
+        assert len(small_corpus.user_id) == 40
         assert len(small_corpus.dialog_id) == 40
         assert small_corpus.exchange_count == len(exchanges_of(small_corpus)) == 480
 
@@ -255,7 +256,7 @@ class TestGenerateCorpus:
                    for _, ex in exchanges_of(drifting_corpus))
 
     def test_gender_marginal_sampled(self, default_corpus):
-        seen = {user.gender for user in default_corpus.users}
+        seen = {GENDER_ORDER[g] for g in default_corpus.gender.tolist()}
         assert Gender.MALE in seen and Gender.FEMALE in seen
 
     @pytest.mark.parametrize("fields", [("duration_base", "duration_complexity"),
@@ -285,7 +286,7 @@ def assert_equals_reference(corpus, config, seed, tmp_path):
     reference = reference_generate(config, seed)
     assert corpus == reference
     # plain Python values, as the loop built them, never numpy scalars
-    rows = lambda c: [*c.users, *(ex for _, ex in exchanges_of(c))]
+    rows = lambda c: [*users_of(c), *(ex for _, ex in exchanges_of(c))]
     assert [list(map(type, vars(row).values())) for row in rows(corpus)] == \
         [list(map(type, vars(row).values())) for row in rows(reference)]
     for fmt in ("csv", "jsonl"):
@@ -335,7 +336,7 @@ class TestAgainstReference:
         expert_seed, novice_seed = 0, 1  # the one user's traits are 110 and 011
         config = GeneratorConfig(n_dialogs=1, process=proc)
         corpus = generate_synthetic_corpus(config, expert_seed)
-        assert binarize_traits(corpus.users[0]).domain_expertise_high
+        assert binarize_traits(users_of(corpus)[0]).domain_expertise_high
         assert corpus == reference_generate(config, expert_seed)
         for generate in (generate_synthetic_corpus, reference_generate):
             with pytest.raises(InvalidBounds):

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     TurnContext,
+    combine_trust_target,
     corpus_from_rows,
     dialogs_of,
     exchanges_of,
@@ -23,6 +24,7 @@ from conftest import (
     reference_train,
     standardized_labels,
     stub_trust_model as stub_model,
+    users_of,
 )
 from trustsim import trust_model
 from trustsim.corpus import ACT_ORDER, Corpus, Gender, ProactiveAct
@@ -43,7 +45,6 @@ from trustsim.trust_model import (
     classification_metrics,
     classifier_from_json_dict,
     classifier_to_json_dict,
-    combine_trust_target,
     corpus_to_dataset,
     evaluate_classifier,
     load_classifier,
@@ -54,7 +55,7 @@ from trustsim.trust_model import (
 from trustsim.user_model import GENDER_ORDER
 
 
-class TestCombineTrustTarget:
+class TestTrustLabels:
     @pytest.mark.parametrize("ratings,expected", [
         ((3, 3, 3, 3), 3),
         ((4, 4, 4, 3), 4),    # 3.75 rounds up
@@ -65,13 +66,11 @@ class TestCombineTrustTarget:
         ((5, 5, 5, 5), 5),
         ((1, 1, 1, 1), 1),
     ])
-    def test_rounding_oracle(self, ratings, expected):
-        assert combine_trust_target(*ratings) == expected
-
-    @pytest.mark.parametrize("bad", [0, 6, 3.5, "3", True])
-    def test_rejects_non_likert(self, bad):
-        with pytest.raises(ValueOutOfRange):
-            combine_trust_target(bad, 3, 3, 3)
+    def test_mean_of_the_four_ratings_rounded_half_up(self, ratings, expected):
+        names = ("trust", "competence", "reliability", "predictability")
+        _, y, _ = corpus_to_dataset(make_corpus(n_users=1, **dict(zip(names, ratings))))
+        assert y.tolist() == [expected] * 12
+        assert combine_trust_target(*ratings) == expected  # the oracle of the labels
 
 
 def context(step=1, act=ProactiveAct.NONE, difficulty=3, duration=42.0,
@@ -162,13 +161,12 @@ class TestCorpusToDataset:
         assert y.shape == (n,)
         assert len(owners) == n
         assert set(y) <= {1, 2, 3, 4, 5}
-        assert owners[0] == small_corpus.users[0].user_id
-        assert owners[12] == small_corpus.users[1].user_id
+        assert owners[0] == small_corpus.user_id[0]
+        assert owners[12] == small_corpus.user_id[1]
 
     def test_lag_labels_are_teacher_forced(self, small_corpus):
         X, _, _ = corpus_to_dataset(small_corpus)
-        user = small_corpus.users[0]
-        first = dialogs_of(small_corpus)[user.user_id][0]
+        first = dialogs_of(small_corpus)[small_corpus.user_id[0]][0]
         expected = combine_trust_target(first.trust, first.competence,
                                         first.reliability, first.predictability)
         lag_ix = FEATURE_NAMES.index("lag1:trust")
@@ -221,7 +219,8 @@ class TestColumnBuiltDatasetEqualsPerRowLoop:
         corpus = corpus_case(request, name)
         X, y, _ = corpus_to_dataset(corpus)
         rows = []
-        for i, (user, exchanges) in enumerate(zip(corpus.users, dialogs_of(corpus).values())):
+        for i, (user, exchanges) in enumerate(zip(users_of(corpus),
+                                                  dialogs_of(corpus).values())):
             features = DialogFeatures(user)
             for ex, label in zip(exchanges, y[12 * i:12 * (i + 1)].tolist()):
                 rows.append(features.row(ex.proactive_act, ex.step, ex))

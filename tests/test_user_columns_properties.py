@@ -1,0 +1,93 @@
+"""Property tests: the consumers of a Corpus's user columns against the
+record-based code they replaced.
+
+Over random corpora, fit_trait_distributions, corpus_to_dataset,
+split_corpus and save_corpus must agree bit for bit with oracles that read
+the users as one UserRecord each. Kept apart from the example-based tests
+so that those still run where hypothesis is not installed.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    reference_dataset,
+    reference_fit_trait_distributions,
+    reference_save_corpus,
+    reference_split_corpus,
+)
+from trustsim.corpus import (AGE_MAX, AGE_MIN, GENDER_ORDER, LIKERT_MAX, LIKERT_MIN,
+                             SCALE_TRAITS, save_corpus, split_corpus)
+from trustsim.errors import TrustSimError
+from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
+from trustsim.trust_model import corpus_to_dataset
+from trustsim.user_model import fit_trait_distributions
+
+
+def fitted(fit, corpus):
+    """The fitted distributions as JSON text, which tells every float bit
+    but the sign of a nan apart, or the type and message of the error."""
+    try:
+        return json.dumps(fit(corpus).to_json_dict())
+    except TrustSimError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_record_oracles(corpus, fraction, seed, root):
+    assert fitted(fit_trait_distributions, corpus) == \
+        fitted(reference_fit_trait_distributions, corpus)
+
+    X, y, owners = corpus_to_dataset(corpus)
+    X_ref, y_ref, owners_ref = reference_dataset(corpus)
+    assert X.tobytes() == X_ref.tobytes()
+    assert (y.dtype, y.tolist(), owners) == (y_ref.dtype, y_ref.tolist(), owners_ref)
+
+    assert split_corpus(corpus, fraction, seed) == \
+        reference_split_corpus(corpus, fraction, seed)
+
+    for fmt in ("csv", "jsonl"):
+        save_corpus(corpus, root / f"columns.{fmt}")
+        reference_save_corpus(corpus, root / f"records.{fmt}")
+        assert (root / f"columns.{fmt}").read_bytes() == (root / f"records.{fmt}").read_bytes()
+
+
+@st.composite
+def corpora(draw):
+    """A generated corpus of 1 to 12 dialogs, its user columns replaced
+    by drawn values half the time: ages and genders over their whole
+    range, traits on and between the Likert points, 3.0 among them."""
+    n = draw(st.integers(1, 12), label="dialogs")
+    corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n),
+                                       draw(st.integers(0, 2 ** 32), label="seed"))
+    if draw(st.booleans(), label="drawn users"):
+        def column(values):
+            return draw(st.lists(values, min_size=n, max_size=n))
+        traits = st.one_of(st.sampled_from([1.0, 3.0, 5.0]),
+                           st.floats(LIKERT_MIN, LIKERT_MAX))
+        corpus = dataclasses.replace(
+            corpus, age=column(st.integers(AGE_MIN, AGE_MAX)),
+            gender=column(st.integers(0, len(GENDER_ORDER) - 1)),
+            **{name: column(traits) for name in SCALE_TRAITS})
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def root(tmp_path_factory):
+    return tmp_path_factory.mktemp("user-columns")
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora(), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2 ** 32))
+def test_random_corpora(root, corpus, fraction, seed):
+    assert_matches_record_oracles(corpus, fraction, seed, root)
+
+
+@pytest.mark.parametrize("n", [40, 308])
+def test_standard_corpora(tmp_path, n):
+    corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n), 42)
+    assert_matches_record_oracles(corpus, 0.8, 42, tmp_path)

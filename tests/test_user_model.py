@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import child_streams, make_corpus, make_user, reference_sample_user
-from trustsim.corpus import Gender
+from conftest import (child_streams, corpus_from_rows, make_corpus, make_dialog, make_user,
+                      reference_sample_user, users_of)
+from trustsim.corpus import SCALE_TRAITS, Gender
 from trustsim.errors import InsufficientUsers, InvalidBounds, InvalidConfig
 from trustsim.sampling import RandomStream, child_keys, label_bits
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
@@ -24,13 +26,20 @@ from trustsim.user_model import (
     fit_trait_distributions,
     load_trait_distributions,
     sample_users,
+    trait_codes,
 )
+
+
+def sampled_records(dists, keys, user_ids) -> list:
+    """sample_users' columns as one UserRecord per user, named by user_ids."""
+    columns = sample_users(dists, keys)
+    return list(users_of(SimpleNamespace(user_id=tuple(user_ids), **vars(columns))))
 
 
 def users_on(dists, streams) -> list:
     """sample_users on the key of each stream."""
     keys = np.array([stream.key for stream in streams], dtype=np.uint64)
-    return sample_users(dists, keys, ["sim"] * len(streams))
+    return sampled_records(dists, keys, ["sim"] * len(streams))
 
 
 class TestTruncGauss:
@@ -128,7 +137,6 @@ class TestFitTraitDistributions:
         users = [make_user(user_id=f"u{i}",
                            gender=Gender.FEMALE if i < 3 else Gender.MALE)
                  for i in range(5)]
-        from conftest import corpus_from_rows, make_dialog
         corpus = corpus_from_rows(users, {u.user_id: make_dialog(u.user_id) for u in users})
         fitted = fit_trait_distributions(corpus)
         assert fitted.gender_probs == (0.4, 0.6, 0.0)
@@ -141,7 +149,7 @@ class TestFitTraitDistributions:
         config = GeneratorConfig(n_dialogs=400)
         corpus = generate_synthetic_corpus(config, seed=5)
         fitted = fit_trait_distributions(corpus)
-        n = len(corpus.users)
+        n = corpus.n_dialogs
         for trait in ("trust_propensity", "domain_expertise", "technical_affinity"):
             true = getattr(config.traits, trait)
             got = getattr(fitted, trait)
@@ -198,13 +206,12 @@ class TestSampleUsers:
     def assert_matches_scalar(self, dists, seed, n):
         root = RandomStream(seed, "batch")
         ids = [f"u{i}" for i in range(n)]
-        users = sample_users(dists, child_keys(root.key, label_bits(ids)), ids)
-        assert users == [reference_sample_user(dists, root.child(uid), user_id=uid)
-                         for uid in ids]
-        for user in users:
-            assert type(user.age) is int
-            assert all(type(getattr(user, name)) is float
-                       for name in ("technical_affinity", "neuroticism"))
+        keys = child_keys(root.key, label_bits(ids))
+        assert sampled_records(dists, keys, ids) == [
+            reference_sample_user(dists, root.child(uid), user_id=uid) for uid in ids]
+        columns = vars(sample_users(dists, keys))
+        assert {name: column.dtype for name, column in columns.items()} == {
+            "age": np.int64, "gender": np.int64, **dict.fromkeys(SCALE_TRAITS, np.float64)}
 
     @pytest.mark.parametrize("seed", [0, 1, -7])
     def test_default_population(self, seed):
@@ -244,6 +251,33 @@ class TestBinarizeTraits:
             highs = binarize_traits(make_user(**{**base, trait: 4.5})).bits
             # raising one trait never flips any bit from 1 to 0
             assert all(h >= l for h, l in zip(highs, lows))
+
+
+class TestTraitCodes:
+    MIDPOINT, ABOVE = 3.0, math.nextafter(3.0, math.inf)
+
+    def users(self):
+        """A user for each high/low combination of the three traits, each
+        at the midpoint (low) or the next float above it (high)."""
+        return [make_user(user_id=f"u{code}",
+                          domain_expertise=self.ABOVE if code & 4 else self.MIDPOINT,
+                          trust_propensity=self.ABOVE if code & 2 else self.MIDPOINT,
+                          technical_affinity=self.ABOVE if code & 1 else self.MIDPOINT)
+                for code in range(8)]
+
+    def test_scalars_give_the_index_of_the_record(self):
+        for code, user in enumerate(self.users()):
+            assert trait_codes(user) == binarize_traits(user).index == code
+            as_numpy = SimpleNamespace(**{name: np.float64(getattr(user, name))
+                                          for name in SCALE_TRAITS})
+            assert trait_codes(as_numpy) == code
+
+    def test_arrays_give_the_index_of_each_record(self):
+        users = self.users()
+        corpus = corpus_from_rows(users, {u.user_id: make_dialog(u.user_id) for u in users})
+        codes = trait_codes(corpus)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [binarize_traits(u).index for u in users] == list(range(8))
 
 
 class TestTraitTuple:

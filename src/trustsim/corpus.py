@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -209,7 +209,8 @@ class Corpus:
             raise LengthMismatch(f"{len(self.dialog_id)} dialog ids for {len(ids)} users")
         n = len(ids) * STEPS_PER_DIALOG
         for name in _USER_VALUES + STORED_COLUMNS:
-            column = np.array(getattr(self, name))
+            values = getattr(self, name)
+            column = np.array(values)
             size = len(ids) if name in _USER_VALUES else n
             if column.shape != (size,):
                 raise LengthMismatch(f"{name} holds {column.size} values; "
@@ -218,6 +219,11 @@ class Corpus:
             if column.size and column.dtype.kind not in _KINDS[_DTYPES[name]]:
                 raise ValueOutOfRange(name, column[:1].tolist()[0],
                                       detail=f"a column of {column.dtype}")
+            if _DTYPES[name] is not bool and not isinstance(values, np.ndarray):
+                # numpy reads true and false among numbers as numbers
+                for value in values:
+                    if isinstance(value, (bool, np.bool_)):
+                        raise ValueOutOfRange(name, value, detail="a number, not a bool")
             column = column.astype(_DTYPES[name])
             bad = _out_of_range(name, column)
             if bad.any():
@@ -324,22 +330,22 @@ def _parse_field(name: str, raw, row: int):
 def _parse_column(name: str, cells, text: bool) -> tuple:
     """One column's cells parsed at once, and the mask of those that do not
     parse, held as 0 (None where all parse). Text cells, as all CSV cells
-    are, parse alike when equal, so each distinct one is parsed once;
-    floats, mostly distinct, go through `float` and an array check of
-    finiteness. JSON values are parsed one by one: 1, 1.0 and true are one
-    dict key but different input."""
+    are, parse alike when equal, so each distinct text is parsed once, a
+    float by `float` and then an array check of finiteness; "0.0" and
+    "-0.0" are distinct texts. JSON values are parsed one by one: 1, 1.0
+    and true are one dict key but different input."""
     parse, dtype = _PARSERS[name], _DTYPES[name]
     try:
-        if text and dtype is np.float64:
-            values = np.fromiter(map(float, cells), dtype, len(cells))
-            if np.isfinite(values).all():
-                return values, None
-        else:
-            if text:
-                parse = {cell: parse(cell) for cell in set(cells)}.__getitem__
-            if name in ("user_id", "dialog_id"):  # str never fails
-                return list(map(parse, cells)), None
-            return np.fromiter(map(parse, cells), dtype, len(cells)), None
+        if text:
+            if dtype is np.float64:
+                parse = float
+            distinct = set(cells)
+            parse = dict(zip(distinct, map(parse, distinct))).__getitem__
+        if name in ("user_id", "dialog_id"):  # str never fails
+            return list(map(parse, cells)), None
+        values = np.fromiter(map(parse, cells), dtype, len(cells))
+        if dtype is not np.float64 or np.isfinite(values).all():
+            return values, None
     except _PARSE_ERRORS:
         pass
     values, bad = np.zeros(len(cells), dtype), np.zeros(len(cells), dtype=bool)
@@ -525,7 +531,9 @@ def load_corpus(path) -> Corpus:
 def format_cells(column) -> list:
     """One column's values as file text: booleans as true/false, enums by
     value, floats by repr (the shortest exact round trip), anything else by
-    str. A column of one type is formatted in one pass."""
+    str. A column of one type is formatted in one pass: ints with one text
+    per distinct value, enums by reading each member's stored value, as
+    hashing a member or reading .value runs Python code per cell."""
     if isinstance(column, np.ndarray):
         column = column.tolist()
     kinds = set(map(type, column))
@@ -535,22 +543,37 @@ def format_cells(column) -> list:
     if kind is bool:
         return ["true" if value else "false" for value in column]
     if issubclass(kind, Enum):
-        return [value.value for value in column]
+        return list(map(attrgetter("_value_"), column))
     if kind is int:  # one text per distinct int; a float memo would merge -0.0 into 0.0
         text = {value: str(value) for value in set(column)}
-        return [text[value] for value in column]
+        return list(map(text.__getitem__, column))
     return list(map(repr if issubclass(kind, float) else str, column))
+
+
+def _csv_line(cells) -> str:
+    """The line the csv module writes for cells, unterminated: a cell
+    holding a comma, a quote or a "\n" is quoted with its quotes doubled,
+    and a lone empty cell is written as "". A reader splits a row at a bare
+    "\r" that is not quoted, so a row holding one has every cell quoted."""
+    line = ",".join(cells)
+    # no cell holds a comma, a quote or a line break, so the join is the line
+    if line.count(",") == len(cells) - 1 and line \
+            and '"' not in line and "\r" not in line and "\n" not in line:
+        return line
+    every = "\r" in line
+    line = ",".join('"' + cell.replace('"', '""') + '"'
+                    if every or "," in cell or '"' in cell or "\n" in cell else cell
+                    for cell in cells)
+    return line or ('""' if cells else "")
 
 
 def write_csv_rows(handle, rows) -> None:
     """Write text rows as "\n"-terminated CSV that csv.reader reads back cell
-    for cell. With that terminator the csv module leaves a bare "\r"
-    unquoted, and a reader splits the row there, so a row holding one is
-    written with every cell quoted."""
-    plain = csv.writer(handle, lineterminator="\n")
-    quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    for cells in rows:
-        (quoted if "\r" in "".join(cells) else plain).writerow(cells)
+    for cell, each row as one join (see _csv_line), a block of rows per
+    write."""
+    rows = iter(rows)
+    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
+        handle.write("\n".join(map(_csv_line, block)) + "\n")
 
 
 def write_jsonl_rows(handle, names, rows) -> None:

@@ -58,7 +58,6 @@ from trustsim.corpus import (
     complexity_of_step,
     max_option_score,
     option_scores,
-    write_csv_rows,
 )
 from trustsim.errors import (
     IncompleteDialog,
@@ -1107,6 +1106,16 @@ def _reference_field(value):
     return str(value)
 
 
+def reference_write_csv_rows(handle, rows) -> None:
+    """The csv-module writer write_csv_rows replaced, kept as its oracle:
+    "\n"-terminated rows with minimal quoting, and every cell quoted in a
+    row holding a "\r", which that terminator would leave bare."""
+    plain = csv.writer(handle, lineterminator="\n")
+    quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for cells in rows:
+        (quoted if "\r" in "".join(cells) else plain).writerow(cells)
+
+
 def reference_save_corpus(corpus, path) -> None:
     """The per-row writer save_corpus replaced, kept as its oracle: one dict
     per exchange, each CSV cell formatted by its own call, each JSON line
@@ -1120,7 +1129,7 @@ def reference_save_corpus(corpus, path) -> None:
         rows.append(row)
     if file_format == "csv":
         with path.open("w", newline="", encoding="utf-8") as handle:
-            write_csv_rows(handle, [CORPUS_COLUMNS] + [
+            reference_write_csv_rows(handle, [CORPUS_COLUMNS] + [
                 [_reference_field(row[c]) for c in CORPUS_COLUMNS] for row in rows])
     else:
         with path.open("w", encoding="utf-8") as handle:

@@ -157,8 +157,17 @@ class TestCorpusArrayChecks:
         ("age", lambda c: np.full(c.shape, 30.5)),
         ("gender", lambda c: [GENDER_ORDER[g] for g in c.tolist()]),
         ("openness", lambda c: c > 2),
+        # numpy reads a bool among the numbers of a list as a number
+        ("difficulty", lambda c: [True, *c.tolist()[1:]]),
+        ("difficulty", lambda c: [*c.tolist()[:-1], np.True_]),
+        ("game_score", lambda c: [True, *c.tolist()[1:]]),
+        ("game_score", lambda c: [*c.tolist()[:-1], np.True_]),
+        ("openness", lambda c: [True, *c.tolist()[1:]]),
+        ("openness", lambda c: [*c.tolist()[:-1], np.True_]),
     ], ids=["float-difficulty", "int-help-request", "text-duration", "bool-difficulty",
-            "float-act", "float-age", "gender-enums", "bool-trait"])
+            "float-act", "float-age", "gender-enums", "bool-trait",
+            "true-in-difficulty", "numpy-true-in-difficulty", "true-in-game-score",
+            "numpy-true-in-game-score", "true-in-openness", "numpy-true-in-openness"])
     def test_column_of_the_wrong_kind(self, name, change):
         columns = corpus_columns(make_corpus(n_users=2))
         columns[name] = change(columns[name])
@@ -443,6 +452,29 @@ class TestLoaderOracle:
             load_corpus(path)
         assert (err.value.field, err.value.row) == ("user_id", 5)
         assert "user columns differ between rows" in str(err.value)
+
+    def test_signed_zero_scores_keep_their_sign(self, tmp_path):
+        # "0.0" and "-0.0" are equal floats but distinct texts, each parsed once
+        path = tmp_path / "c.csv"
+        save_corpus(make_corpus(n_users=2), path)
+        rewrite_cells(path, {(row, "game_score"): "-0.0" if row % 3 else "0.0"
+                             for row in range(1, 25)})
+        loaded = load_corpus(path)
+        assert loaded == reference_load_corpus(path)
+        assert np.signbit(loaded.game_score).tolist() == [row % 3 != 0 for row in range(1, 25)]
+        save_corpus(loaded, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_trait_text_names_its_row(self, tmp_path, text):
+        # the fifth row of the second user
+        path = tmp_path / "c.csv"
+        save_corpus(make_corpus(n_users=2), path)
+        rewrite_cells(path, {(17, "openness"): text})
+        error, message = load_outcome(load_corpus, path)
+        assert (error, message) == load_outcome(reference_load_corpus, path)
+        assert error is ValueOutOfRange
+        assert message.startswith(f"openness={text!r} out of range (row 17)")
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("field,text", [

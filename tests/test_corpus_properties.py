@@ -1,5 +1,6 @@
 """Property tests: the streaming loader against the per-row loader it
-replaced, and the column-wise writer against the per-row writer.
+replaced, the column-wise writer against the per-row writer, and the
+join-per-row CSV writer against the csv-module writer.
 
 One cell of a saved corpus is replaced by drawn text; both loaders must then
 return equal corpora, or both raise the same typed error with the same
@@ -17,7 +18,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_load_corpus, reference_save_corpus
+from conftest import reference_load_corpus, reference_save_corpus, reference_write_csv_rows
 from trustsim.corpus import CORPUS_COLUMNS, load_corpus, save_corpus, write_csv_rows
 from trustsim.errors import TrustSimError
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
@@ -83,8 +84,29 @@ def test_csv_cell_replaced_by_text(saved, data):
     rows[row][col] = data.draw(cell_text(rows), label="text")
     path = saved / "mutated.csv"
     with path.open("w", newline="", encoding="utf-8") as handle:
-        write_csv_rows(handle, rows)
+        reference_write_csv_rows(handle, rows)
     assert_load_and_save_match_references(path)
+
+
+# Cell text at the edges of the quoting rule: delimiters, quotes, both line
+# breaks alone and as a pair, padding, non-ASCII and empty cells.
+CSV_CELLS = st.one_of(
+    st.sampled_from(["", " ", ",", '"', "\r", "\n", "\r\n", '""', "a,b", 'say "hi"',
+                     "ü", "\u2028", " x "]),
+    st.text(st.sampled_from(',"\r\n ab\xe9\u4e2d'), max_size=5),
+    st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(CSV_CELLS, max_size=4), max_size=6))
+def test_csv_writer_equals_the_csv_module_and_reads_back(rows):
+    written, expected = io.StringIO(), io.StringIO()
+    write_csv_rows(written, rows)
+    reference_write_csv_rows(expected, rows)
+    assert written.getvalue() == expected.getvalue()
+    # a row of no cells is a blank line, which csv.reader reads as no cells
+    assert list(csv.reader(io.StringIO(written.getvalue(), newline=""))) == rows
 
 
 JSON_VALUES = st.one_of(

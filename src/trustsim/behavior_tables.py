@@ -167,14 +167,14 @@ def _read_only(array) -> np.ndarray:
 
 
 def _derive(cells: Stats, mode: TableMode, threshold: int) -> dict:
-    """By name, all a table derives from its checked trait cells: the act
-    slices (act x condition x combination, merged over the trait tuples in
-    key order), the condition slices (condition x combination, merged over
-    the act slices in the order they first appear among the keys) and their
-    pooled statistics (per condition); per key its rung, used_fallback flag
-    and request cumulatives; the statistics of every rung in one pool, and
-    per (key, combination) the pool index (source) and row (row_index) of
-    those that serve it."""
+    """By name, the six values a table derives from its checked trait
+    cells: the act slices (act x condition x combination, merged over the
+    trait tuples in key order); per key its rung, used_fallback flag and
+    request cumulatives; and the `draw_parameters` rows with the row index
+    of each (key, combination). A rung's statistics come from the trait
+    cells, the act slices, the condition slices (condition x combination,
+    merged over the act slices in the order they first appear among the
+    keys) or their pooled statistics (per condition)."""
     conditions = mode.conditions()
     n_traits, n_acts, n_conds = len(ALL_TRAIT_TUPLES), len(ACT_ORDER), len(conditions)
     n_keys, n_combos = cells.n.shape
@@ -226,13 +226,11 @@ def _derive(cells: Stats, mode: TableMode, threshold: int) -> dict:
     rows = tuple(draw_parameters(Stats(*values), complexity[c]) for values, c in zip(
         zip(*(column[used].tolist() for column in pool)),
         cond_of[first_cell // n_combos].tolist()))
-    return dict(act_slices=Stats(*map(_read_only, act_slices)),
-                condition_slices=condition_slices, pooled=pooled, rung=_read_only(rung),
+    return dict(act_slices=Stats(*map(_read_only, act_slices)), rung=_read_only(rung),
                 used_fallback=_read_only(rung != TRAIT_CELL),
                 request_cum=_read_only(np.cumsum(rung_n / rung_n.sum(axis=1, keepdims=True),
                                                  axis=1)),
-                pool=pool, source=source, rows=rows,
-                row_index=_read_only(inverse.reshape(n_keys, n_combos)))
+                rows=rows, row_index=_read_only(inverse.reshape(n_keys, n_combos)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,9 +265,8 @@ class BehaviorTable:
                  len(REQUEST_COMBOS))
         cells = Stats(*(self._column(name, shape) for name in COLUMNS))
         self._check_cells(cells)
-        derived = _derive(cells, self.mode, threshold)
-        for name in ("act_slices", "rung", "used_fallback", "request_cum", "rows", "row_index"):
-            object.__setattr__(self, name, derived[name])
+        for name, value in _derive(cells, self.mode, threshold).items():
+            object.__setattr__(self, name, value)
 
     def _column(self, name: str, shape: tuple) -> np.ndarray:
         """The column as a read-only copy, checked for shape and number type:

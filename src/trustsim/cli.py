@@ -179,7 +179,7 @@ def cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
     table = load_table(args.table)
     log = replay_conditions(corpus, table, RandomStream(args.seed, "replay"))
-    report = evaluate_simulator(corpus, log, table.mode.value)
+    report = evaluate_simulator(log, table.mode.value)
     _write_manifest(out, "evaluate",
                     {"corpus": str(args.corpus), "seed": args.seed,
                      "mode": table.mode.value, "table": str(args.table)},

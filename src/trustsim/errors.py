@@ -110,10 +110,6 @@ class EmptySequence(TrustSimError):
     """A sample sequence or distribution carries no mass."""
 
 
-class AlignmentError(TrustSimError):
-    """Simulated log is not aligned 1:1 with the reference corpus."""
-
-
 # --- JSON artifact files --------------------------------------------------
 
 def read_json(path, what: str):

@@ -21,7 +21,6 @@ from .behavior_tables import (
     build_table,
 )
 from .corpus import (
-    ACT_ORDER,
     COMPLEXITY_LEVELS,
     Corpus,
     DURATION_HI,
@@ -31,13 +30,7 @@ from .corpus import (
     STEPS_PER_DIALOG,
     split_corpus,
 )
-from .errors import (
-    AlignmentError,
-    EmptySequence,
-    LengthMismatch,
-    NegativeEntry,
-    ValueOutOfRange,
-)
+from .errors import EmptySequence, LengthMismatch, NegativeEntry, ValueOutOfRange
 from .sampling import RandomStream
 from .simulator import SimulatedLog, replay_conditions
 
@@ -155,62 +148,37 @@ class FidelityReport:
     per_step_mse: dict
     fallback_rate: float
 
-    def _agg(self, values) -> tuple:
-        arr = np.asarray(values, dtype=float)
-        return float(arr.mean()), float(arr.std(ddof=0))
-
-    def kl_mean_sd(self, measure: Measure) -> tuple:
-        return self._agg(self.per_step_kl[measure])
-
-    def mse_mean_sd(self, measure: Measure) -> tuple:
-        return self._agg(self.per_step_mse[measure])
-
-    def overall_kl_mean_sd(self) -> tuple:
-        pooled = [v for m in MEASURES for v in self.per_step_kl[m]]
-        return self._agg(pooled)
-
-    def overall_mse_mean_sd(self) -> tuple:
-        pooled = [v for m in MEASURES for v in self.per_step_mse[m]]
-        return self._agg(pooled)
+    def summary_rows(self):
+        """(row name, KL mean, KL SD, MSE mean, MSE SD) per measure, then for
+        Overall; every report rendering reads these rows."""
+        groups = [(m.value, self.per_step_kl[m], self.per_step_mse[m]) for m in MEASURES]
+        groups.append(("Overall", [v for m in MEASURES for v in self.per_step_kl[m]],
+                       [v for m in MEASURES for v in self.per_step_mse[m]]))
+        for name, kl, se in groups:
+            kl, se = np.asarray(kl, dtype=float), np.asarray(se, dtype=float)
+            yield (name, float(kl.mean()), float(kl.std(ddof=0)),
+                   float(se.mean()), float(se.std(ddof=0)))
 
     def to_json_dict(self) -> dict:
-        rows = {}
+        rows = {name: {"kl_mean": km, "kl_sd": ks, "mse_mean": mm, "mse_sd": ms}
+                for name, km, ks, mm, ms in self.summary_rows()}
         for m in MEASURES:
-            km, ks = self.kl_mean_sd(m)
-            mm, ms = self.mse_mean_sd(m)
-            rows[m.value] = {
-                "kl_mean": km, "kl_sd": ks, "mse_mean": mm, "mse_sd": ms,
-                "kl_per_step": list(self.per_step_kl[m]),
-                "mse_per_step": list(self.per_step_mse[m]),
-            }
-        km, ks = self.overall_kl_mean_sd()
-        mm, ms = self.overall_mse_mean_sd()
-        rows["Overall"] = {"kl_mean": km, "kl_sd": ks, "mse_mean": mm, "mse_sd": ms}
+            rows[m.value].update(kl_per_step=list(self.per_step_kl[m]),
+                                 mse_per_step=list(self.per_step_mse[m]))
         return {"mode": self.mode_tag, "fallback_rate": self.fallback_rate,
                 "rows": rows}
 
 
-def evaluate_simulator(reference: Corpus, simulated: SimulatedLog,
-                       mode_tag: str) -> FidelityReport:
-    """Distances between the reference corpus and an aligned replay log."""
-    if reference.exchange_count != len(simulated):
-        raise AlignmentError(f"{reference.exchange_count} exchanges vs "
-                             f"{len(simulated)} simulated records")
-    expected = zip([uid for uid in reference.user_id for _ in range(STEPS_PER_DIALOG)],
-                   reference.step.tolist(), map(ACT_ORDER.__getitem__,
-                                                reference.proactive_act.tolist()))
-    for want, (user_id, step, act) in zip(expected, zip(
-            simulated.user_id, simulated.step.tolist(), simulated.proactive_act)):
-        if want != (user_id, step, act):
-            raise AlignmentError(f"record for {user_id}/step {step} out of order")
-
-    # aligned, so the log's steps group the real exchanges too
-    at_step = [simulated.step == step for step in range(1, STEPS_PER_DIALOG + 1)]
+def evaluate_simulator(simulated: SimulatedLog, mode_tag: str) -> FidelityReport:
+    """Distances between a replay log and the corpus it replayed, each
+    measure compared at each step."""
+    corpus = simulated.corpus
+    at_step = [corpus.step == step for step in range(1, STEPS_PER_DIALOG + 1)]
     per_step_kl = {}
     per_step_mse = {}
     for measure in MEASURES:
         name = _MEASURE_FIELDS[measure]
-        real = np.asarray(getattr(reference, name), dtype=float)
+        real = np.asarray(getattr(corpus, name), dtype=float)
         sim = np.asarray(getattr(simulated, name), dtype=float)
         kls, mses = [], []
         for rows in at_step:
@@ -246,7 +214,7 @@ def compare_modes(corpus: Corpus, seed: int, train_fraction: float = 0.8,
         table = build_table(train, mode, fallback_threshold)
         log = replay_conditions(test, table,
                                 RandomStream(seed, "replay", mode.value))
-        reports[mode] = evaluate_simulator(test, log, mode.value)
+        reports[mode] = evaluate_simulator(log, mode.value)
     return ModeComparison(reports=reports)
 
 
@@ -271,18 +239,15 @@ def render_report_text(reports) -> str:
     )
     lines.append(sub)
 
-    def fmt(mean_sd):
-        return f"{mean_sd[0]:.3f} ({mean_sd[1]:.3f})"
+    def fmt(mean, sd):
+        return f"{mean:.3f} ({sd:.3f})"
 
-    for m in MEASURES:
-        row = f"{m.value:<{name_w}}"
-        for r in items:
-            row += f"{fmt(r.kl_mean_sd(m)):>{col_w}}{fmt(r.mse_mean_sd(m)):>{col_w}}"
+    # one summary row per report for each row name
+    for same_name in zip(*(r.summary_rows() for r in items)):
+        row = f"{same_name[0][0]:<{name_w}}"
+        for _, km, ks, mm, ms in same_name:
+            row += f"{fmt(km, ks):>{col_w}}{fmt(mm, ms):>{col_w}}"
         lines.append(row)
-    row = f"{'Overall':<{name_w}}"
-    for r in items:
-        row += f"{fmt(r.overall_kl_mean_sd()):>{col_w}}{fmt(r.overall_mse_mean_sd()):>{col_w}}"
-    lines.append(row)
     lines.append("")
     lines.append("fallback rates: " + ", ".join(
         f"{r.mode_tag}={r.fallback_rate:.3f}" for r in items
@@ -292,14 +257,8 @@ def render_report_text(reports) -> str:
 
 def report_csv_rows(reports) -> list:
     """Flat CSV rows: mode, measure, kl_mean, kl_sd, mse_mean, mse_sd."""
-    items = _report_items(reports)
     rows = [("mode", "measure", "kl_mean", "kl_sd", "mse_mean", "mse_sd")]
-    for r in items:
-        for m in MEASURES:
-            km, ks = r.kl_mean_sd(m)
-            mm, ms = r.mse_mean_sd(m)
-            rows.append((r.mode_tag, m.value, repr(km), repr(ks), repr(mm), repr(ms)))
-        km, ks = r.overall_kl_mean_sd()
-        mm, ms = r.overall_mse_mean_sd()
-        rows.append((r.mode_tag, "Overall", repr(km), repr(ks), repr(mm), repr(ms)))
+    for r in _report_items(reports):
+        rows.extend((r.mode_tag, name, *map(repr, values))
+                    for name, *values in r.summary_rows())
     return rows

@@ -53,7 +53,7 @@ from .user_model import (_GAUSS_TRAITS, ALL_TRAIT_TUPLES, TraitDistributions, Tr
 
 N_ACTIONS = len(ACT_ORDER)
 N_TRUST_LEVELS = LIKERT_MAX - LIKERT_MIN + 1
-N_TRAIT_TUPLES = 8
+N_TRAIT_TUPLES = len(ALL_TRAIT_TUPLES)
 N_STATES = STEPS_PER_DIALOG * N_TRAIT_TUPLES * N_TRUST_LEVELS
 
 

@@ -13,8 +13,8 @@ key; the RL environment looks up every key once and draws each turn from
 those contexts. `replay_conditions` draws a turn for every corpus exchange
 at once: the stream keys and uniforms as uint64 arrays, the rows as gathers
 through the table's row index by key code and combination, the categoricals as
-counts, and only `inv_cdf` per element. Its columnar `SimulatedLog` equals,
-bit for bit, what `simulate_turn` gives."""
+counts, and only `inv_cdf` per element. Its `SimulatedLog`, the corpus and
+the drawn columns, equals, bit for bit, what `simulate_turn` gives."""
 
 from __future__ import annotations
 
@@ -125,28 +125,25 @@ def draw_turn(request_cum, used_fallback: bool, rows, complexity: int,
     )
 
 
-# Columns of a replay log in file order, with the numpy dtype each is held
-# in; None keeps a tuple of the corpus's own values.
-_LOG_DTYPES = {
-    "user_id": None, "dialog_id": None, "step": np.int64, "complexity": np.int64,
-    "proactive_act": None, "game_score": np.float64, "help_request": bool,
-    "suggestion_request": bool, "duration": np.float64, "difficulty": np.int64,
-    "used_fallback": bool,
+# The drawn columns of a replay log, with the numpy dtype each is held in.
+_DRAWN_DTYPES = {
+    "game_score": np.float64, "help_request": bool, "suggestion_request": bool,
+    "duration": np.float64, "difficulty": np.int64, "used_fallback": bool,
 }
-LOG_COLUMNS = tuple(_LOG_DTYPES)
+# Columns of a replay log file in order: the exchange's context, then the
+# drawn columns.
+LOG_COLUMNS = ("user_id", "dialog_id", "step", "complexity", "proactive_act",
+               *_DRAWN_DTYPES)
 
 
 @dataclass(frozen=True, eq=False)
 class SimulatedLog:
-    """A replay in columns: row i is the simulated turn for corpus
-    exchange i. The first five columns copy the exchange's context, the
-    other six are drawn. Numeric columns are read-only numpy arrays."""
+    """A replay: the corpus it replayed and the six drawn columns, as
+    read-only numpy arrays. Row i is the turn drawn for the corpus's
+    exchange i, whose context (user, dialog, step, complexity, act) the
+    corpus holds."""
 
-    user_id: tuple
-    dialog_id: tuple
-    step: np.ndarray
-    complexity: np.ndarray
-    proactive_act: tuple
+    corpus: Corpus
     game_score: np.ndarray
     help_request: np.ndarray
     suggestion_request: np.ndarray
@@ -155,25 +152,23 @@ class SimulatedLog:
     used_fallback: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in _LOG_DTYPES.items():
-            column = getattr(self, name)
-            if dtype is None:
-                column = tuple(column)
-            else:
-                column = np.array(column, dtype=dtype)
-                column.flags.writeable = False
+        for name, dtype in _DRAWN_DTYPES.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.shape != (len(self),):
+                raise LengthMismatch(f"simulated log column {name} has shape "
+                                     f"{column.shape}; the corpus has {len(self)} exchanges")
+            column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if len({len(getattr(self, name)) for name in LOG_COLUMNS}) > 1:
-            raise LengthMismatch("simulated log columns differ in length")
 
     def __len__(self):
-        return len(self.user_id)
+        return self.corpus.exchange_count
 
     def __eq__(self, other):
         if not isinstance(other, SimulatedLog):
             return NotImplemented
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in LOG_COLUMNS)
+        return self.corpus == other.corpus and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _DRAWN_DTYPES)
 
     def fallback_rate(self) -> float:
         if not len(self):
@@ -225,13 +220,24 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
 
     flags = _COMBO_FLAGS[combo]
     return SimulatedLog(
-        user_id=[uid for uid in corpus.user_id for _ in range(STEPS_PER_DIALOG)],
-        dialog_id=[d for d in corpus.dialog_id for _ in range(STEPS_PER_DIALOG)],
-        step=step, complexity=complexity,
-        proactive_act=list(map(ACT_ORDER.__getitem__, act.tolist())),
-        game_score=game_score, help_request=flags[:, 0], suggestion_request=flags[:, 1],
-        duration=duration, difficulty=difficulty, used_fallback=table.used_fallback[code],
+        corpus=corpus, game_score=game_score, help_request=flags[:, 0],
+        suggestion_request=flags[:, 1], duration=duration, difficulty=difficulty,
+        used_fallback=table.used_fallback[code],
     )
+
+
+def _log_cells(log: SimulatedLog, name: str, text: bool) -> list:
+    """The cells of one log-file column, read from the log's corpus for the
+    context columns: text, but for an integer column of a JSON line (text
+    False), which stays ints."""
+    corpus = log.corpus
+    if name in ("user_id", "dialog_id"):  # one per dialog, on each of its exchanges
+        return [cell for cell in format_cells(getattr(corpus, name))
+                for _ in range(STEPS_PER_DIALOG)]
+    if name == "proactive_act":
+        return format_cells(list(map(ACT_ORDER.__getitem__, corpus.proactive_act.tolist())))
+    column = getattr(log if name in _DRAWN_DTYPES else corpus, name)
+    return format_cells(column) if text or column.dtype.kind != "i" else column.tolist()
 
 
 def save_simulated_log(log: SimulatedLog, path) -> None:
@@ -242,10 +248,9 @@ def save_simulated_log(log: SimulatedLog, path) -> None:
     if _infer_format(path) == "csv":
         with path.open("w", newline="", encoding="utf-8") as handle:
             write_csv_rows(handle, chain([LOG_COLUMNS], zip(*(
-                format_cells(getattr(log, name)) for name in LOG_COLUMNS))))
+                _log_cells(log, name, True) for name in LOG_COLUMNS))))
     else:
         names = sorted(LOG_COLUMNS)
         with path.open("w", encoding="utf-8") as handle:
             write_jsonl_rows(handle, names, zip(*(
-                getattr(log, name).tolist() if _LOG_DTYPES[name] is np.int64
-                else format_cells(getattr(log, name)) for name in names)))
+                _log_cells(log, name, False) for name in names)))

@@ -32,7 +32,7 @@ from .corpus import (
     complexity_of_step,
     option_scores,
 )
-from .errors import InvalidBounds, InvalidConfig, ValueOutOfRange, object_entry
+from .errors import InvalidConfig, ValueOutOfRange, object_entry
 from .sampling import (
     RandomStream,
     categoricals,
@@ -283,10 +283,8 @@ _N_TRAIT_CODES = len(ALL_TRAIT_TUPLES)
 
 @dataclass(frozen=True)
 class _StepTables:
-    """The process's draw parameters at one step for each trait code that
-    some user has, gathered per user by code. Rows of other codes stay 0
-    and are never read. A code whose difficulty pmf is no categorical
-    keeps the error its draw raises."""
+    """The process's draw parameters at one step for every trait code,
+    gathered per user by code."""
 
     help: np.ndarray            # [code, act]
     sugg: np.ndarray            # [code, act]
@@ -294,19 +292,22 @@ class _StepTables:
     duration_mean: np.ndarray   # [code, help_request, sugg_request]
     duration: np.ndarray        # [code, help_request, sugg_request] -> truncation
     difficulty: np.ndarray      # [code] -> cumulative weights
-    difficulty_errors: dict
 
 
-def _step_tables(config: GeneratorConfig, codes: set, step: int) -> _StepTables:
+def _step_tables(config: GeneratorConfig, step: int) -> _StepTables:
+    """The step's tables. The first trait code, in order, that a user could
+    not be drawn for raises: on a difficulty pmf that is no categorical
+    (InvalidBounds), then on a nan duration mean (ValueOutOfRange; an
+    infinite base times a drift factor of 0). Every code is checked, held by
+    a user or not, so whether a config is valid does not depend on the
+    seed."""
     proc, drift = config.process, config.step_drift
     help_p, sugg_p = np.zeros((2, _N_TRAIT_CODES, len(ACT_ORDER)))
     best_p = np.zeros((_N_TRAIT_CODES, len(ACT_ORDER), 2))
     duration_mean = np.zeros((_N_TRAIT_CODES, 2, 2))
     duration = np.zeros((_N_TRAIT_CODES, 2, 2, 3))
     difficulty = np.zeros((_N_TRAIT_CODES, N_DIFFICULTY_CLASSES))
-    errors = {}
-    for code in codes:
-        tt = ALL_TRAIT_TUPLES[code]
+    for code, tt in enumerate(ALL_TRAIT_TUPLES):
         for a, act in enumerate(ACT_ORDER):
             help_p[code, a] = proc.help_prob(tt, act, step)
             sugg_p[code, a] = proc.sugg_prob(tt, act, step)
@@ -318,11 +319,10 @@ def _step_tables(config: GeneratorConfig, codes: set, step: int) -> _StepTables:
                 duration_mean[code, h, s] = mean
                 duration[code, h, s] = gaussian_truncation(
                     mean, proc.duration_sd, MIN_DURATION_S, config.duration_hi)
-        try:
-            difficulty[code] = cumulative_weights(proc.difficulty_pmf(tt, step))
-        except InvalidBounds as exc:
-            errors[code] = exc
-    return _StepTables(help_p, sugg_p, best_p, duration_mean, duration, difficulty, errors)
+        difficulty[code] = cumulative_weights(proc.difficulty_pmf(tt, step))
+        if np.isnan(duration_mean[code]).any():
+            raise ValueOutOfRange("duration", math.nan, detail="must exceed 20 s")
+    return _StepTables(help_p, sugg_p, best_p, duration_mean, duration, difficulty)
 
 
 def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
@@ -335,8 +335,8 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     for every user at once: the stream keys and draws as uint64 arrays, the
     process's per-step parameters as tables gathered by trait code, and
     only `inv_cdf` per element. The per-step arrays become the corpus's
-    columns, and a bad config raises the error that drawing one dialog at a
-    time would meet first.
+    columns. A config that some trait profile cannot be drawn from raises
+    before any draw, at every seed (see `_step_tables`).
     """
     if type(seed) is bool or not isinstance(seed, int):  # bool is no seed
         raise InvalidConfig(f"seed must be an integer, got {seed!r}")
@@ -345,17 +345,15 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     user_keys = child_keys(RandomStream(seed, "synth").key, label_bits(uids))
     users = sample_users(config.traits, child_keys(user_keys, _FIELD_BITS["traits"]))
     code = trait_codes(users)
-    codes = code.tolist()
     # the trust-propensity bit, as an int: numpy reads a bool array index as a mask
     propensity_high = (code >> 1) & 1
     latent = np.minimum(np.maximum(users.trust_propensity, LIKERT_MIN), LIKERT_MAX)
     step_keys = child_keys(user_keys, _FIELD_BITS["step"])
-    present = set(codes)
     try:
         trust_delta = np.array([[[proc.trust_delta(act, high, best) for best in (False, True)]
                                  for high in (False, True)] for act in ACT_ORDER],
                                dtype=np.float64)
-        tables = [_step_tables(config, present, step)
+        tables = [_step_tables(config, step)
                   for step in range(1, STEPS_PER_DIALOG + 1)]
     # each coefficient is a finite number, but a sum of integer ones can
     # leave the float range, which shows once the sum becomes a float here
@@ -405,17 +403,6 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
                           suggestion_request=sugg_req, duration=duration,
                           difficulty=difficulty, **annotations))
 
-    # a (user, step) fails on a difficulty pmf that is no categorical, then
-    # on a nan duration; the first in dialog order raises
-    duration = np.stack([values["duration"] for values in steps], axis=1)
-    failed = ~(duration > MIN_DURATION_S)
-    for s, table in enumerate(tables):
-        failed[:, s] |= [c in table.difficulty_errors for c in codes]
-    if failed.any():
-        i, s = divmod(int(failed.argmax()), STEPS_PER_DIALOG)
-        if codes[i] in tables[s].difficulty_errors:
-            raise tables[s].difficulty_errors[codes[i]]
-        raise ValueOutOfRange("duration", duration[i, s].item(), detail="must exceed 20 s")
     return Corpus(user_id=uids, dialog_id=[f"d{i:04d}" for i in range(len(uids))],
                   **vars(users),
                   **{name: np.stack([values[name] for values in steps], axis=1).ravel()

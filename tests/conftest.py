@@ -25,10 +25,8 @@ from trustsim.behavior_tables import (
     REQUEST_COMBOS,
     TRAIT_CELL,
     ContextKey,
-    Stats,
     TableMode,
     _mode_keys,
-    _derive,
     draw_parameters,
     lookup,
 )
@@ -493,34 +491,22 @@ def cell_at(stats, index) -> CellStats:
 _EMPTY_CELL = CellStats(0, (0,) * len(REQUEST_COMBOS), (_EMPTY_COMBO,) * len(REQUEST_COMBOS))
 
 
-def derived_of(table) -> dict:
-    """All `_derive` makes of a BehaviorTable's columns, with the slices and
-    served statistics the table does not keep."""
-    cells = Stats(*(getattr(table, name) for name in COLUMNS))
-    return _derive(cells, table.mode, table.fallback_threshold)
-
-
-def served_of(table) -> Stats:
-    """The statistics that serve each (key, combination) of the table."""
-    derived = derived_of(table)
-    return derived["pool"].take(derived["source"])
+def served_row(table, code, combo) -> tuple:
+    """The `draw_parameters` row that serves (key code, combination)."""
+    return table.rows[table.row_index[code, combo]]
 
 
 def assert_table_equals_oracle(table) -> None:
-    """Every value a BehaviorTable derives equals what the OracleTable of its
-    columns gives: the act and condition slices and their pooled statistics,
-    each key's rung, flag and request cumulatives, and each (key,
-    combination)'s served statistics and draw row."""
-    oracle, mode, derived = oracle_table(table), table.mode, derived_of(table)
+    """Every value a BehaviorTable keeps equals what the OracleTable of its
+    columns gives: the act slices, each key's rung, flag and request
+    cumulatives, and the draw row of each (key, combination), made from the
+    statistics of the rung that serves it."""
+    oracle, mode = oracle_table(table), table.mode
     conditions = mode.conditions()
-    served = derived["pool"].take(derived["source"])
     for (a, act), (c, cond) in itertools.product(enumerate(ACT_ORDER),
                                                  enumerate(conditions)):
         assert cell_at(table.act_slices, (a, c)) == oracle.fallback_cells.get(
             (act, cond), _EMPTY_CELL)
-    for c, cond in enumerate(conditions):
-        assert cell_at(derived["condition_slices"], (c,)) == oracle.condition_cells[cond]
-        assert combo_at(derived["pooled"], c) == oracle.condition_cells[cond].pooled()
     for code, key in enumerate(_mode_keys(mode)):
         cell, fell_back = reference_lookup(oracle, key)
         rung = (TRAIT_CELL if cell is oracle.cells.get(key) else ACT_SLICE
@@ -533,9 +519,8 @@ def assert_table_equals_oracle(table) -> None:
         complexity = (complexity_of_step(key.condition)
                       if mode is TableMode.TASK_STEP_BASED else key.condition)
         for i in range(len(REQUEST_COMBOS)):
-            stats = reference_combo_stats(oracle, key, i)
-            assert combo_at(served, (code, i)) == stats
-            assert rows[i] == draw_parameters(stats, complexity)
+            assert rows[i] == draw_parameters(reference_combo_stats(oracle, key, i),
+                                              complexity)
 
 
 def reference_build_table(corpus, mode) -> tuple:
@@ -772,18 +757,16 @@ def reference_replay(corpus, table, rng) -> list:
 _TURN_FIELDS = tuple(f.name for f in fields(SimulatedTurn))
 
 
-def reference_log(records) -> SimulatedLog:
-    """The columnar log of reference_replay's triples."""
-    columns = {
-        "user_id": [user.user_id for user, _, _ in records],
-        "dialog_id": [ex.dialog_id for _, ex, _ in records],
-        "step": [ex.step for _, ex, _ in records],
-        "complexity": [ex.complexity for _, ex, _ in records],
-        "proactive_act": [ex.proactive_act for _, ex, _ in records],
-    }
-    for name in _TURN_FIELDS:
-        columns[name] = [getattr(turn, name) for _, _, turn in records]
-    return SimulatedLog(**columns)
+def summary_of(report) -> dict:
+    """A FidelityReport's summary rows by name: (KL mean, KL SD, MSE mean,
+    MSE SD)."""
+    return {name: tuple(values) for name, *values in report.summary_rows()}
+
+
+def reference_log(corpus, records) -> SimulatedLog:
+    """The log of reference_replay's triples for the corpus it replayed."""
+    columns = {name: [getattr(turn, name) for _, _, turn in records] for name in _TURN_FIELDS}
+    return SimulatedLog(corpus=corpus, **columns)
 
 
 def reference_log_bytes(records, file_format) -> bytes:
@@ -983,11 +966,18 @@ def _reference_annotation(latent, noise_sd, rng) -> int:
 def reference_generate(config, seed) -> Corpus:
     """The per-dialog loop the batched generator replaced, kept as its
     oracle: one user at a time, one step at a time, every field drawn from
-    its own `ScalarStream` through the process's scalar methods."""
+    its own `ScalarStream` through the process's scalar methods. First, every
+    (step, trait tuple) in order is checked for a difficulty pmf that is no
+    categorical, then for a nan duration mean, drawn or not."""
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InvalidConfig(f"seed must be an integer, got {seed!r}")
     clip = lambda x: min(LIKERT_MAX, max(LIKERT_MIN, x))
     proc = config.process
+    for step, traits in itertools.product(range(1, 13), ALL_TRAIT_TUPLES):
+        cumulative_weights(proc.difficulty_pmf(traits, step))
+        if any(math.isnan(proc.duration_mean(traits, h, s, step, config.step_drift))
+               for h, s in itertools.product((False, True), repeat=2)):
+            raise ValueOutOfRange("duration", math.nan, detail="must exceed 20 s")
     root = ScalarStream(seed, "synth")
     users, dialogs = [], {}
     for i in range(config.n_dialogs):

@@ -21,6 +21,7 @@ from conftest import (
     make_user,
     oracle_table,
     stub_trust_model,
+    summary_of,
 )
 from trustsim.behavior_tables import (
     TRAIT_CELL,
@@ -92,10 +93,10 @@ def test_self_replay_fidelity(default_corpus):
     start = time.monotonic()
     table = build_table(default_corpus, TableMode.TASK_STEP_BASED)
     log = replay_conditions(default_corpus, table, RandomStream(11, "self"))
-    report = evaluate_simulator(default_corpus, log, "task-step")
-    help_kl = report.kl_mean_sd(Measure.HELP_REQUEST)[0]
-    sugg_kl = report.kl_mean_sd(Measure.SUGGESTION_REQUEST)[0]
-    overall = report.overall_kl_mean_sd()[0]
+    summary = summary_of(evaluate_simulator(log, "task-step"))
+    help_kl = summary[Measure.HELP_REQUEST.value][0]
+    sugg_kl = summary[Measure.SUGGESTION_REQUEST.value][0]
+    overall = summary["Overall"][0]
     elapsed = time.monotonic() - start
     ok = (help_kl <= 0.05 and sugg_kl <= 0.05 and overall <= 0.25
           and elapsed < 120.0)
@@ -110,8 +111,8 @@ def test_step_drift_mode_ordering():
         corpus = generate_synthetic_corpus(
             GeneratorConfig(n_dialogs=308, step_drift=0.8), seed)
         comparison = compare_modes(corpus, seed)
-        ts = comparison.reports[TableMode.TASK_STEP_BASED].overall_kl_mean_sd()[0]
-        cb = comparison.reports[TableMode.COMPLEXITY_BASED].overall_kl_mean_sd()[0]
+        ts, cb = (summary_of(comparison.reports[mode])["Overall"][0]
+                  for mode in (TableMode.TASK_STEP_BASED, TableMode.COMPLEXITY_BASED))
         wins += ts <= cb
     verdict("drift-mode-ordering", wins >= 8,
             f"step conditioning at or below complexity conditioning in {wins}/10 seeds")

@@ -20,7 +20,6 @@ from conftest import (
     combo_at,
     combo_index,
     corpus_from_rows,
-    derived_of,
     exchanges_of,
     make_corpus,
     make_dialog,
@@ -28,13 +27,14 @@ from conftest import (
     make_user,
     oracle_table,
     reference_build_table,
-    served_of,
+    served_row,
 )
 from trustsim.behavior_tables import (
     ACT_SLICE,
     COLUMNS,
     CONDITION_SLICE,
     REQUEST_COMBOS,
+    ROW_SCORE_MEAN,
     TABLE_FORMAT,
     TRAIT_CELL,
     BehaviorTable,
@@ -44,6 +44,7 @@ from trustsim.behavior_tables import (
     _merge,
     _mode_keys,
     build_table,
+    draw_parameters,
     key_code,
     load_table,
     lookup,
@@ -288,9 +289,8 @@ class TestBuildEqualsReference:
                   for (a, act), (c, cond) in itertools.product(enumerate(ACT_ORDER),
                                                                enumerate(conditions))
                   if table.act_slices.n[a, c].sum()}
-        by_condition = {cond: cell_at(derived_of(table)["condition_slices"], (c,))
-                        for c, cond in enumerate(conditions)}
-        for got, expected in zip((oracle_table(table).cells, slices, by_condition), want):
+        oracle = oracle_table(table)
+        for got, expected in zip((oracle.cells, slices, oracle.condition_cells), want):
             assert_cells_match(got, expected)
         save_table(table, tmp_path / "a.json")
         loaded = load_table(tmp_path / "a.json")
@@ -357,7 +357,7 @@ class TestFallbackThresholdBoundary:
         _, used_fallback, _ = lookup(table, key)
         assert used_fallback is False
         assert table.rung[k] == TRAIT_CELL
-        assert combo_at(served_of(table), (k, 0)) == combo_at(table, (k, 0))
+        assert served_row(table, k, 0) == draw_parameters(combo_at(table, (k, 0)), 3)
 
     def test_lower_threshold_admits_sparse_cell(self):
         table = build_table(nine_or_ten_corpus(1), TableMode.COMPLEXITY_BASED,
@@ -405,14 +405,14 @@ class TestFallbackLadder:
         k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
         assert table.used_fallback[k] and table.rung[k] == ACT_SLICE
         assert table.act_slices.n[0, 0].sum() == 16
-        assert served_of(table).score_mean[k, 0] == pytest.approx(25.0)
+        assert served_row(table, k, 0)[ROW_SCORE_MEAN] == pytest.approx(25.0)
 
     def test_dense_traits_resolve_directly(self):
         table = build_table(two_group_corpus(), TableMode.COMPLEXITY_BASED)
         k = code_of(table, ContextKey(T111, ProactiveAct.NONE, 3))
         assert not table.used_fallback[k] and table.rung[k] == TRAIT_CELL
         assert table.n[k].sum() == 12
-        assert served_of(table).score_mean[k, 0] == pytest.approx(30.0)
+        assert served_row(table, k, 0)[ROW_SCORE_MEAN] == pytest.approx(30.0)
 
     def test_unseen_act_falls_to_condition_slice(self):
         # only NONE and NOTIFICATION appear; asking for SUGGESTION lands on
@@ -422,9 +422,9 @@ class TestFallbackLadder:
         k = code_of(table, key)
         assert lookup(table, key)[1] is True
         assert table.rung[k] == CONDITION_SLICE
-        condition_slices = derived_of(table)["condition_slices"]
-        assert condition_slices.n[0].sum() == 4
-        assert combo_at(served_of(table), (k, 0)) == combo_at(condition_slices, (0, 0))
+        condition_cell = oracle_table(table).condition_cells[3]
+        assert condition_cell.n == 4
+        assert served_row(table, k, 0) == draw_parameters(condition_cell.combos[0], 3)
 
     def test_act_slice_preferred_over_condition_slice(self):
         table = build_table(alternating_act_corpus(), TableMode.COMPLEXITY_BASED)
@@ -469,27 +469,33 @@ class TestServedStats:
         table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=2)
         k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
-        # the (help, no-suggestion) rows all belong to the other trait group
-        served = combo_at(served_of(table), (k, combo_index(True, False)))
+        # the (help, no-suggestion) rows all belong to the other trait group,
+        # so the NONE/condition-3 act slice serves them
+        combo = combo_index(True, False)
+        served = combo_at(table.act_slices, (0, 0, combo))
         assert served.n == 4
         assert served.score_mean == pytest.approx(30.0)
         assert served.duration_mean == pytest.approx(60.0)
+        assert served_row(table, k, combo) == draw_parameters(served, 3)
 
     def test_combo_present_in_direct_cell_stays(self):
         table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=2)
         k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
-        served = combo_at(served_of(table), (k, combo_index(False, False)))
+        combo = combo_index(False, False)
+        served = combo_at(table, (k, combo))
         assert served.n == 8
         assert served.score_mean == pytest.approx(20.0)
+        assert served_row(table, k, combo) == draw_parameters(served, 3)
 
     def test_combo_absent_everywhere_pools_last_rung(self):
         table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=2)
         k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
-        served = combo_at(served_of(table), (k, combo_index(True, True)))
+        combo = combo_index(True, True)
         # pooled condition-3 slice: 8 rows at (20, 40) and 4 rows at (30, 60)
-        assert served == combo_at(derived_of(table)["pooled"], 0)
+        served = oracle_table(table).condition_cells[3].pooled()
+        assert served_row(table, k, combo) == draw_parameters(served, 3)
         assert served.n == 12
         assert served.score_mean == pytest.approx(70 / 3)
         assert served.score_sd == pytest.approx(math.sqrt(200 / 9))
@@ -795,9 +801,9 @@ class TestPerStepMeanTracking:
         cx_table = build_table(drifting_corpus, TableMode.COMPLEXITY_BASED)
 
         def table_mean(table, condition):
-            # the pooled condition slice holds every exchange at the condition
-            pooled = derived_of(table)["pooled"]
-            return getattr(pooled, attr)[table.mode.conditions().index(condition)]
+            # the mean over every trait cell at the condition
+            at = [key.condition == condition for key in _mode_keys(table.mode)]
+            return float((table.n[at] * getattr(table, attr)[at]).sum() / table.n[at].sum())
 
         truth = {s: [] for s in range(1, 13)}
         for _, ex in exchanges_of(drifting_corpus):

@@ -3,20 +3,15 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import exchanges_of
+from conftest import exchanges_of, summary_of
 from trustsim.behavior_tables import TableMode, build_table
 from trustsim.corpus import DURATION_HI, MIN_DURATION_S
-from trustsim.errors import (
-    AlignmentError,
-    EmptySequence,
-    LengthMismatch,
-    NegativeEntry,
-    ValueOutOfRange,
-)
+from trustsim.errors import EmptySequence, LengthMismatch, NegativeEntry, ValueOutOfRange
 from trustsim.fidelity import (
     DEFAULT_SMOOTHING,
     DURATION_BINS,
@@ -33,7 +28,7 @@ from trustsim.fidelity import (
     report_csv_rows,
 )
 from trustsim.sampling import RandomStream
-from trustsim.simulator import LOG_COLUMNS, SimulatedLog, replay_conditions
+from trustsim.simulator import SimulatedLog, replay_conditions
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 
 
@@ -239,43 +234,29 @@ class TestEstimateDistribution:
 def log_from_corpus(corpus, score_delta=0.0, duration_delta=0.0,
                     fallback_every=0):
     """Replay log copying each real exchange, optionally offset."""
-    pairs = list(exchanges_of(corpus))
-    exchanges = [ex for _, ex in pairs]
     return SimulatedLog(
-        user_id=[user.user_id for user, _ in pairs],
-        dialog_id=[ex.dialog_id for ex in exchanges],
-        step=[ex.step for ex in exchanges],
-        complexity=[ex.complexity for ex in exchanges],
-        proactive_act=[ex.proactive_act for ex in exchanges],
-        game_score=[ex.game_score + score_delta for ex in exchanges],
-        help_request=[ex.help_request for ex in exchanges],
-        suggestion_request=[ex.suggestion_request for ex in exchanges],
-        duration=[ex.duration + duration_delta for ex in exchanges],
-        difficulty=[ex.difficulty for ex in exchanges],
+        corpus=corpus,
+        game_score=corpus.game_score + score_delta,
+        help_request=corpus.help_request,
+        suggestion_request=corpus.suggestion_request,
+        duration=corpus.duration + duration_delta,
+        difficulty=corpus.difficulty,
         used_fallback=[bool(fallback_every and i % fallback_every == 0)
-                       for i in range(len(exchanges))],
+                       for i in range(corpus.exchange_count)],
     )
-
-
-def take_rows(log, rows):
-    """The log made of the given rows of `log`, in that order."""
-    return SimulatedLog(**{name: [getattr(log, name)[i] for i in rows]
-                           for name in LOG_COLUMNS})
 
 
 class TestEvaluateSimulator:
     def test_identity_log_scores_zero_everywhere(self, small_corpus):
-        report = evaluate_simulator(small_corpus, log_from_corpus(small_corpus),
-                                    "identity")
+        report = evaluate_simulator(log_from_corpus(small_corpus), "identity")
         for measure in MEASURES:
             assert report.per_step_kl[measure] == (0.0,) * 12
             assert report.per_step_mse[measure] == (0.0,) * 12
-        assert report.overall_kl_mean_sd() == (0.0, 0.0)
-        assert report.overall_mse_mean_sd() == (0.0, 0.0)
+        assert summary_of(report)["Overall"] == (0.0, 0.0, 0.0, 0.0)
 
     def test_constant_offsets_show_up_in_mse(self, small_corpus):
         log = log_from_corpus(small_corpus, score_delta=10.0, duration_delta=7.0)
-        report = evaluate_simulator(small_corpus, log, "offset")
+        report = evaluate_simulator(log, "offset")
         assert report.per_step_mse[Measure.GAME_SCORE] == (100.0,) * 12
         # (x + 7) - x rounds off the lattice for arbitrary float durations
         assert report.per_step_mse[Measure.DURATION] == pytest.approx(
@@ -286,37 +267,25 @@ class TestEvaluateSimulator:
 
     def test_fallback_rate_passthrough(self, small_corpus):
         log = log_from_corpus(small_corpus, fallback_every=4)
-        report = evaluate_simulator(small_corpus, log, "x")
+        report = evaluate_simulator(log, "x")
         assert report.fallback_rate == pytest.approx(0.25)
-
-    def test_length_mismatch_rejected(self, small_corpus):
-        log = log_from_corpus(small_corpus)
-        truncated = take_rows(log, range(len(log) - 1))
-        with pytest.raises(AlignmentError):
-            evaluate_simulator(small_corpus, truncated, "x")
-
-    def test_reordered_records_rejected(self, small_corpus):
-        log = log_from_corpus(small_corpus)
-        rows = list(range(len(log)))
-        rows[0], rows[1] = rows[1], rows[0]
-        with pytest.raises(AlignmentError):
-            evaluate_simulator(small_corpus, take_rows(log, rows), "x")
 
     def test_aggregates_match_numpy(self, small_corpus):
         log = log_from_corpus(small_corpus, score_delta=10.0)
-        report = evaluate_simulator(small_corpus, log, "x")
+        report = evaluate_simulator(log, "x")
+        summary = summary_of(report)
+        assert list(summary) == [m.value for m in MEASURES] + ["Overall"]
         for measure in (Measure.GAME_SCORE, Measure.DURATION):
-            values = np.asarray(report.per_step_kl[measure])
-            assert report.kl_mean_sd(measure) == pytest.approx(
-                (values.mean(), values.std(ddof=0)))
+            kl = np.asarray(report.per_step_kl[measure])
+            se = np.asarray(report.per_step_mse[measure])
+            assert summary[measure.value] == pytest.approx(
+                (kl.mean(), kl.std(ddof=0), se.mean(), se.std(ddof=0)))
         pooled = np.asarray([v for m in MEASURES for v in report.per_step_kl[m]])
         assert len(pooled) == 60
-        assert report.overall_kl_mean_sd() == pytest.approx(
-            (pooled.mean(), pooled.std(ddof=0)))
+        assert summary["Overall"][:2] == pytest.approx((pooled.mean(), pooled.std(ddof=0)))
 
     def test_json_dict_rows(self, small_corpus):
-        report = evaluate_simulator(small_corpus, log_from_corpus(small_corpus),
-                                    "identity")
+        report = evaluate_simulator(log_from_corpus(small_corpus), "identity")
         payload = report.to_json_dict()
         assert set(payload["rows"]) == {m.value for m in MEASURES} | {"Overall"}
         assert len(payload["rows"]["GameScore"]["kl_per_step"]) == 12
@@ -340,8 +309,7 @@ class TestCompareModes:
 class TestRendering:
     @pytest.fixture()
     def identity_report(self, small_corpus) -> FidelityReport:
-        return evaluate_simulator(small_corpus, log_from_corpus(small_corpus),
-                                  "identity")
+        return evaluate_simulator(log_from_corpus(small_corpus), "identity")
 
     def test_text_table_layout(self, identity_report):
         text = render_report_text(identity_report)
@@ -356,6 +324,26 @@ class TestRendering:
     def test_text_handles_comparisons(self, small_corpus):
         text = render_report_text(compare_modes(small_corpus, seed=3))
         assert "complexity" in text and "task-step" in text
+
+    def test_renderings_read_one_summary(self, small_corpus):
+        """The JSON values, the CSV cells (by repr) and the text cells (at
+        .3f) of a comparison are the same summary rows."""
+        comparison = compare_modes(small_corpus, seed=3)
+        payload = comparison.to_json_dict()
+        csv_rows = iter(report_csv_rows(comparison)[1:])
+        lines = render_report_text(comparison).splitlines()[2:2 + len(MEASURES) + 1]
+        text_cells = {line.split()[0]: re.findall(r"\S+ \(\S+\)", line) for line in lines}
+        shown = {name: [] for name in text_cells}
+        for report in comparison.reports.values():
+            for name, values in summary_of(report).items():
+                json_row = payload[report.mode_tag]["rows"][name]
+                assert values == tuple(json_row[key] for key in
+                                       ("kl_mean", "kl_sd", "mse_mean", "mse_sd"))
+                assert next(csv_rows) == (report.mode_tag, name, *map(repr, values))
+                km, ks, mm, ms = values
+                shown[name] += [f"{km:.3f} ({ks:.3f})", f"{mm:.3f} ({ms:.3f})"]
+        assert next(csv_rows, None) is None
+        assert text_cells == shown
 
     def test_csv_rows(self, identity_report):
         rows = report_csv_rows(identity_report)
@@ -378,8 +366,8 @@ class TestDriftFreeModeEquivalence:
             table = build_table(corpus, mode)
             log = replay_conditions(corpus, table,
                                     RandomStream(12, "modes", mode.value))
-            report = evaluate_simulator(corpus, log, mode.value)
-            overall[mode] = report.overall_kl_mean_sd()[0]
+            report = evaluate_simulator(log, mode.value)
+            overall[mode] = summary_of(report)["Overall"][0]
         gap = abs(overall[TableMode.TASK_STEP_BASED]
                   - overall[TableMode.COMPLEXITY_BASED])
         assert gap <= 0.02

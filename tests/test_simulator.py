@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -18,10 +20,11 @@ from conftest import (
     make_dialog,
     make_exchange,
     make_user,
+    oracle_table,
+    reference_combo_stats,
     reference_log,
     reference_log_bytes,
     reference_replay,
-    served_of,
     users_of,
 )
 from trustsim.behavior_tables import (
@@ -35,10 +38,11 @@ from trustsim.behavior_tables import (
     lookup,
 )
 from trustsim.corpus import Corpus, ProactiveAct, complexity_of_step
-from trustsim.errors import InvalidConfig, ValueOutOfRange
+from trustsim.errors import InvalidConfig, LengthMismatch, ValueOutOfRange
 from trustsim.sampling import RandomStream
 from trustsim.simulator import (
     LOG_COLUMNS,
+    SimulatedLog,
     SimulatedTurn,
     replay_conditions,
     save_simulated_log,
@@ -223,7 +227,7 @@ class TestTableRows:
     @pytest.mark.parametrize("threshold", [1, 10, 40])
     def test_lookup_reads_the_rows_replay_gathers(self, default_corpus, mode, threshold):
         table = build_table(default_corpus, mode, threshold)
-        served = served_of(table)
+        oracle = oracle_table(table)
         keys = _mode_keys(mode)
         assert table.row_index.shape == (len(keys), len(REQUEST_COMBOS))
         assert {len(row) for row in table.rows} == {13}
@@ -235,8 +239,8 @@ class TestTableRows:
                           if mode is TableMode.TASK_STEP_BASED else key.condition)
             for combo in range(len(REQUEST_COMBOS)):
                 assert rows[combo] is table.rows[table.row_index[k, combo]]
-                stats = type(served)(*(column[k, combo].tolist() for column in served))
-                assert rows[combo] == draw_parameters(stats, complexity)
+                assert rows[combo] == draw_parameters(
+                    reference_combo_stats(oracle, key, combo), complexity)
 
     def test_rungs_shared_by_keys_share_their_rows(self, default_corpus):
         table = build_table(default_corpus, TableMode.TASK_STEP_BASED)
@@ -259,17 +263,19 @@ class TestFallbackFlag:
 
 
 class TestReplay:
-    def test_alignment_with_corpus_order(self, small_corpus):
+    def test_rows_pair_with_the_corpus_exchanges(self, small_corpus, tmp_path):
         table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
         log = replay_conditions(small_corpus, table, RandomStream(3, "replay"))
+        assert log.corpus is small_corpus
         pairs = list(exchanges_of(small_corpus))
         assert len(log) == len(pairs)
-        for i, (user, ex) in enumerate(pairs):
-            assert log.user_id[i] == user.user_id
-            assert log.dialog_id[i] == ex.dialog_id
-            assert log.step[i] == ex.step
-            assert log.complexity[i] == ex.complexity
-            assert log.proactive_act[i] is ex.proactive_act
+        save_simulated_log(log, tmp_path / "log.jsonl")
+        rows = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
+        assert len(rows) == len(pairs)
+        for row, (user, ex) in zip(rows, pairs):
+            assert (row["user_id"], row["dialog_id"], row["step"], row["complexity"],
+                    row["proactive_act"]) == (user.user_id, ex.dialog_id, ex.step,
+                                              ex.complexity, ex.proactive_act.value)
 
     def test_deterministic(self, small_corpus):
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
@@ -289,6 +295,38 @@ class TestReplay:
         table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
         log = replay_conditions(small_corpus, table, RandomStream(8))
         assert 0.0 < log.fallback_rate() <= 1.0
+
+
+DRAWN_COLUMNS = [f.name for f in fields(SimulatedLog) if f.name != "corpus"]
+
+
+class TestSimulatedLog:
+    @pytest.fixture()
+    def log(self, small_corpus):
+        table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
+        return replay_conditions(small_corpus, table, RandomStream(2))
+
+    @pytest.mark.parametrize("name", DRAWN_COLUMNS)
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_column_one_row_off_is_rejected(self, log, name, extra):
+        column = getattr(log, name)
+        column = column[:-1] if extra < 0 else np.append(column, column[:1])
+        with pytest.raises(LengthMismatch, match=name):
+            replace(log, **{name: column})
+
+    def test_equal_only_with_an_equal_corpus(self, log, small_corpus):
+        drawn = {name: getattr(log, name) for name in DRAWN_COLUMNS}
+        # an equal corpus that is another object
+        assert SimulatedLog(corpus=replace(small_corpus), **drawn) == log
+        renamed = replace(small_corpus, dialog_id=("x", *small_corpus.dialog_id[1:]))
+        assert SimulatedLog(corpus=renamed, **drawn) != log
+        flipped = ~log.help_request
+        assert replace(log, help_request=flipped) != log
+
+    def test_drawn_columns_are_read_only(self, log):
+        for name in DRAWN_COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(log, name)[0] = getattr(log, name)[1]
 
 
 class TestLogOutput:
@@ -311,7 +349,7 @@ class TestLogOutput:
         lines = path.read_text().splitlines()
         assert len(lines) == len(log)
         row = json.loads(lines[0])
-        assert row["user_id"] == log.user_id[0]
+        assert row["user_id"] == log.corpus.user_id[0]
         assert isinstance(row["duration"], str)  # repr keeps full precision
 
     def test_byte_stable(self, log, tmp_path):
@@ -340,7 +378,7 @@ def assert_replay_matches_oracle(corpus, table, seed, tmp_path):
     in the bytes of both log formats."""
     log = replay_conditions(corpus, table, RandomStream(seed, "replay"))
     records = reference_replay(corpus, table, RandomStream(seed, "replay"))
-    assert log == reference_log(records)
+    assert log == reference_log(corpus, records)
     for file_format in ("csv", "jsonl"):
         path = tmp_path / f"log.{file_format}"
         save_simulated_log(log, path)

@@ -38,7 +38,7 @@ class TestProperties:
         for replayed in (fitted, corpus):
             log = replay_conditions(replayed, table, RandomStream(seed, "replay"))
             assert log == reference_log(
-                reference_replay(replayed, table, RandomStream(seed, "replay")))
+                replayed, reference_replay(replayed, table, RandomStream(seed, "replay")))
 
 
 # Finite statistics at the edges of the float range: a zero and the least
@@ -75,5 +75,5 @@ class TestExtremeTables:
         event("loaded")
         log = replay_conditions(small_corpus, table, RandomStream(seed, "replay"))
         assert log == reference_log(
-            reference_replay(small_corpus, table, RandomStream(seed, "replay")))
+            small_corpus, reference_replay(small_corpus, table, RandomStream(seed, "replay")))
         assert_every_turn_matches_oracle(table, seed)

@@ -329,28 +329,36 @@ class TestAgainstReference:
         assert {ex.trust for _, ex in exchanges_of(corpus)} == {1, 5}
         assert_equals_reference(corpus, config, 3, tmp_path)
 
-    def test_bad_pmf_raises_only_where_drawn(self):
-        # the novice pmf overflows to nan; the expert pmf stays a categorical
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bad_pmf_raises_at_every_seed(self, seed):
+        # the novice pmf overflows to nan; the expert pmf stays a categorical.
+        # The one user is an expert at seed 0 and a novice at seed 1, but
+        # every trait code is checked, drawn or not.
+        user = users_of(generate_synthetic_corpus(GeneratorConfig(n_dialogs=1), seed))[0]
+        assert binarize_traits(user).domain_expertise_high == (seed == 0)
         proc = replace(BehaviorProcess(), difficulty_base=1e308,
                        difficulty_low_expertise=1e308)
-        expert_seed, novice_seed = 0, 1  # the one user's traits are 110 and 011
-        config = GeneratorConfig(n_dialogs=1, process=proc)
-        corpus = generate_synthetic_corpus(config, expert_seed)
-        assert binarize_traits(users_of(corpus)[0]).domain_expertise_high
-        assert corpus == reference_generate(config, expert_seed)
         for generate in (generate_synthetic_corpus, reference_generate):
             with pytest.raises(InvalidBounds):
-                generate(config, novice_seed)
+                generate(GeneratorConfig(n_dialogs=1, process=proc), seed)
 
-    @pytest.mark.parametrize("seed, error", [(0, ValueOutOfRange), (1, InvalidBounds)])
-    def test_first_bad_row_in_dialog_order_raises(self, seed, error):
-        # experts draw nan durations at step 1 (an infinite mean times a
-        # drift factor of 0); novices have a nan difficulty pmf. The seed-0
-        # expert's dialog comes first, the seed-1 novice's first.
-        proc = replace(BehaviorProcess(), duration_base=1e308, duration_expertise=1e308,
-                       duration_drift_gain=1.0, difficulty_base=1e308,
-                       difficulty_low_expertise=1e308)
-        config = GeneratorConfig(n_dialogs=2, process=proc, step_drift=1.0)
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("bad, error", [
+        # experts' duration means are nan at step 1 (an infinite mean times
+        # a drift factor of 0)
+        (dict(duration_expertise=1e308), ValueOutOfRange),
+        # novices' pmf is nan too, and novice code 0 comes first
+        (dict(duration_expertise=1e308, difficulty_low_expertise=1e308), InvalidBounds),
+        # every code has a nan duration mean with help; in code 0 the
+        # novice pmf is checked first
+        (dict(duration_help=1e308, difficulty_low_expertise=1e308), InvalidBounds),
+        # every pmf is nan from step 2, after the experts' step-1 durations
+        (dict(duration_expertise=1e308, difficulty_complexity=1e308), ValueOutOfRange),
+    ], ids=["expert-durations", "novice-pmf", "pmf-before-duration", "step-order"])
+    def test_first_bad_step_and_trait_code_raises(self, seed, bad, error):
+        proc = replace(BehaviorProcess(), duration_base=1e308, duration_drift_gain=1.0,
+                       difficulty_base=1e308, **bad)
+        config = GeneratorConfig(n_dialogs=1, process=proc, step_drift=1.0)
         for generate in (generate_synthetic_corpus, reference_generate):
             with pytest.raises(error):
                 generate(config, seed)

@@ -2,7 +2,6 @@
 
 from .behavior_tables import (
     BehaviorTable,
-    ContextKey,
     TableMode,
     build_table,
     load_table,
@@ -54,9 +53,6 @@ from .trust_model import (
 )
 from .user_model import (
     TraitDistributions,
-    TraitTuple,
-    UserProfile,
-    binarize_traits,
     default_trait_distributions,
     fit_trait_distributions,
 )
@@ -66,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BehaviorProcess",
     "BehaviorTable",
-    "ContextKey",
     "Corpus",
     "EnvState",
     "FidelityReport",
@@ -82,13 +77,10 @@ __all__ = [
     "TableMode",
     "TrainConfig",
     "TraitDistributions",
-    "TraitTuple",
     "TrustClassifier",
     "TrustSimEnv",
     "TrustSimError",
-    "UserProfile",
     "UserRecord",
-    "binarize_traits",
     "default_trait_distributions",
     "build_table",
     "compare_modes",

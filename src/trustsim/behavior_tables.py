@@ -1,6 +1,6 @@
 """Conditional behavior tables with sparse-context fallback.
 
-A table holds, for every context key (trait tuple, proactive act,
+A table holds, for every context key (trait code, proactive act,
 condition) and request combination, the count, the score and duration
 means and population sds, and the difficulty counts of the exchanges
 there, as arrays indexed [key_code, combination]. The condition is either
@@ -44,7 +44,7 @@ from .corpus import (
 from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, object_entry,
                      read_json, write_json)
 from .sampling import cumulative_weights, gaussian_truncation
-from .user_model import ALL_TRAIT_TUPLES, TraitTuple, trait_codes
+from .user_model import N_TRAIT_CODES, trait_codes
 
 DEFAULT_FALLBACK_THRESHOLD = 10
 
@@ -79,13 +79,6 @@ class TableMode(Enum):
         if self is TableMode.COMPLEXITY_BASED:
             return COMPLEXITY_LEVELS
         return tuple(range(1, STEPS_PER_DIALOG + 1))
-
-
-@dataclass(frozen=True)
-class ContextKey:
-    trait_tuple: TraitTuple
-    proactive_act: ProactiveAct
-    condition: int  # complexity 3..5 or step 1..12 depending on table mode
 
 
 class Stats(NamedTuple):
@@ -169,14 +162,14 @@ def _read_only(array) -> np.ndarray:
 def _derive(cells: Stats, mode: TableMode, threshold: int) -> dict:
     """By name, the six values a table derives from its checked trait
     cells: the act slices (act x condition x combination, merged over the
-    trait tuples in key order); per key its rung, used_fallback flag and
+    trait codes in key order); per key its rung, used_fallback flag and
     request cumulatives; and the `draw_parameters` rows with the row index
     of each (key, combination). A rung's statistics come from the trait
     cells, the act slices, the condition slices (condition x combination,
     merged over the act slices in the order they first appear among the
     keys) or their pooled statistics (per condition)."""
     conditions = mode.conditions()
-    n_traits, n_acts, n_conds = len(ALL_TRAIT_TUPLES), len(ACT_ORDER), len(conditions)
+    n_traits, n_acts, n_conds = N_TRAIT_CODES, len(ACT_ORDER), len(conditions)
     n_keys, n_combos = cells.n.shape
     act_slices = _merge(cells.reshape(n_traits, n_acts, n_conds, n_combos))
     # the act slices of a condition merge in the order their first trait
@@ -235,7 +228,7 @@ def _derive(cells: Stats, mode: TableMode, threshold: int) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class BehaviorTable:
-    """The statistics of every (key, combination), in `_mode_keys` order, and
+    """The statistics of every (key, combination), in `key_code` order, and
     what draws and `table_summary` read of their `_derive`: the act slices,
     each key's rung, used_fallback flag and request cumulatives, and the
     `draw_parameters` rows, one tuple per distinct rung statistic."""
@@ -261,7 +254,7 @@ class BehaviorTable:
             raise InvalidConfig(f"fallback threshold must be an int >= 1, got {threshold!r}")
         if not isinstance(self.mode, TableMode):
             raise InvalidConfig(f"mode must be a TableMode, got {self.mode!r}")
-        shape = (len(ALL_TRAIT_TUPLES) * len(ACT_ORDER) * len(self.mode.conditions()),
+        shape = (N_TRAIT_CODES * len(ACT_ORDER) * len(self.mode.conditions()),
                  len(REQUEST_COMBOS))
         cells = Stats(*(self._column(name, shape) for name in COLUMNS))
         self._check_cells(cells)
@@ -298,10 +291,12 @@ class BehaviorTable:
         if failed.any():
             code, combo = divmod(int(failed.any(axis=0).argmax()), len(REQUEST_COMBOS))
             name = COLUMNS[int(failed[:, code, combo].argmax())]
-            key = _mode_keys(self.mode)[code]
+            conditions = self.mode.conditions()
+            trait, act, cond = np.unravel_index(
+                code, (N_TRAIT_CODES, len(ACT_ORDER), len(conditions)))
             raise InvalidConfig(
-                f"table cell (traits {key.trait_tuple.bits}, act {key.proactive_act.value}, "
-                f"condition {key.condition}, combination {REQUEST_COMBOS[combo]}): {name} "
+                f"table cell (traits {trait:03b}, act {ACT_ORDER[act].value}, "
+                f"condition {conditions[cond]}, combination {REQUEST_COMBOS[combo]}): {name} "
                 f"must be {_CELL_RULES[name]}, got {getattr(cells, name)[code, combo].tolist()}")
 
     def __eq__(self, other):
@@ -312,16 +307,11 @@ class BehaviorTable:
                         for name in COLUMNS))
 
 
-def _mode_keys(mode: TableMode) -> list:
-    """Every context key of the mode in canonical order: trait tuple index,
-    act, condition. `key_code` indexes this list."""
-    return list(itertools.starmap(ContextKey, itertools.product(
-        ALL_TRAIT_TUPLES, ACT_ORDER, mode.conditions())))
-
-
 def key_code(mode: TableMode, trait, act, condition):
-    """The `_mode_keys(mode)` index of the key with this trait tuple index,
-    act index (in ACT_ORDER) and condition; ints or numpy arrays alike."""
+    """The index of the context key with this trait code, act index (in
+    ACT_ORDER) and condition among the mode's keys, in trait code, act,
+    condition order; ints or numpy arrays alike. `np.unravel_index(code,
+    (N_TRAIT_CODES, len(ACT_ORDER), len(mode.conditions())))` inverts it."""
     conditions = mode.conditions()
     return (trait * len(ACT_ORDER) + act) * len(conditions) + condition - conditions[0]
 
@@ -343,7 +333,7 @@ def build_table(corpus: Corpus, mode: TableMode,
     # REQUEST_COMBOS order: the help flag major
     combo = 2 * corpus.help_request + corpus.suggestion_request
     group = key_code(mode, trait, corpus.proactive_act, condition) * len(REQUEST_COMBOS) + combo
-    shape = (len(ALL_TRAIT_TUPLES) * len(ACT_ORDER) * len(mode.conditions()),
+    shape = (N_TRAIT_CODES * len(ACT_ORDER) * len(mode.conditions()),
              len(REQUEST_COMBOS))
     size = shape[0] * shape[1]
     n = np.bincount(group, minlength=size)
@@ -363,18 +353,24 @@ def build_table(corpus: Corpus, mode: TableMode,
                          difficulty.reshape(*shape, N_DIFFICULTY_CLASSES))
 
 
-def lookup(table: BehaviorTable, key: ContextKey) -> tuple:
-    """The draw context of a key: its request cumulatives, its used_fallback
-    flag and its `draw_parameters` row per request combination, as Python
-    tuples, bools and floats; keys served by one rung statistic share its
-    row tuple."""
-    if key.condition not in table.mode.conditions():
-        raise InvalidConfig(f"condition {key.condition} does not belong to mode "
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def lookup(table: BehaviorTable, trait, act: ProactiveAct, condition) -> tuple:
+    """The draw context of the key (trait code, act, condition): its request
+    cumulatives, its used_fallback flag and its `draw_parameters` row per
+    request combination, as Python tuples, bools and floats; keys served by
+    one rung statistic share its row tuple."""
+    if not _is_int(condition) or condition not in table.mode.conditions():
+        raise InvalidConfig(f"condition {condition} does not belong to mode "
                             f"{table.mode.value}")
-    act = ACT_INDEX.get(key.proactive_act)
-    if act is None or not isinstance(key.trait_tuple, TraitTuple):
-        raise InvalidConfig(f"{key!r} names no context of the table")
-    code = key_code(table.mode, key.trait_tuple.index, act, int(key.condition))
+    if not _is_int(trait) or not 0 <= trait < N_TRAIT_CODES:
+        raise InvalidConfig(f"trait code must be an int in 0..{N_TRAIT_CODES - 1}, "
+                            f"got {trait!r}")
+    if not isinstance(act, ProactiveAct):
+        raise InvalidConfig(f"act must be a ProactiveAct, got {act!r}")
+    code = key_code(table.mode, trait, ACT_INDEX[act], condition)
     return (tuple(table.request_cum[code].tolist()), bool(table.used_fallback[code]),
             tuple(map(table.rows.__getitem__, table.row_index[code].tolist())))
 
@@ -397,7 +393,7 @@ def table_summary(table: BehaviorTable) -> dict:
         "per_act_condition": [
             {"act": act.value, "condition": cond, "n": slice_n[s],
              "trait_cells_observed": observed[s], "trait_cells_at_threshold": direct[s],
-             "fallback_fraction": 1.0 - direct[s] / len(ALL_TRAIT_TUPLES)}
+             "fallback_fraction": 1.0 - direct[s] / N_TRAIT_CODES}
             for s, (act, cond) in enumerate(itertools.product(ACT_ORDER, conditions))],
     }
 

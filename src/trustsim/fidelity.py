@@ -57,6 +57,13 @@ SCORE_SUPPORT = tuple(
 _SCORE_GRID = np.array(SCORE_SUPPORT)
 
 
+def _check_finite(field: str, x: np.ndarray) -> None:
+    """Raise ValueOutOfRange on the first nan or infinite entry of x."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise ValueOutOfRange(field, float(x[bad][0]), detail="must be finite")
+
+
 def kl_divergence(p, q) -> float:
     """Base-2 KL divergence D(P || Q) of the renormalized vectors; mass of
     P on a zero of Q yields inf, and 0 * log(0/q) contributes 0."""
@@ -64,6 +71,8 @@ def kl_divergence(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
         raise LengthMismatch(f"shape mismatch: {p.shape} vs {q.shape}")
+    _check_finite("p", p)
+    _check_finite("q", q)
     if (p < 0).any() or (q < 0).any():
         raise NegativeEntry("probability vectors must be non-negative")
     psum, qsum = p.sum(), q.sum()
@@ -91,6 +100,8 @@ def mse(simulated, reference) -> float:
         raise LengthMismatch(f"shape mismatch: {sim.shape} vs {ref.shape}")
     if sim.size == 0:
         raise EmptySequence("cannot average zero squared errors")
+    _check_finite("simulated", sim)
+    _check_finite("reference", ref)
     return float(np.mean((sim - ref) ** 2))
 
 
@@ -102,6 +113,7 @@ def estimate_distribution(values, measure: Measure) -> np.ndarray:
     x = np.asarray(list(values), dtype=float)
     if x.size == 0:
         raise EmptySequence(f"no samples for {measure.value}")
+    _check_finite(_MEASURE_FIELDS[measure], x)
     if measure is Measure.GAME_SCORE:
         # argmin keeps the first of equal distances
         idx = np.argmin(np.abs(_SCORE_GRID - x[:, None]), axis=1)

@@ -5,7 +5,7 @@ After each action the simulator produces the user's turn, the trust
 classifier estimates the user's trust from observable features only,
 and the reward blends normalized game score with normalized estimated
 trust. Ships a tabular Q-learning reference agent over the discretized
-(step, trait tuple, trust estimate) state.
+(step, trait code, trust estimate) state.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior_tables import BehaviorTable, ContextKey, TableMode, lookup
+from .behavior_tables import BehaviorTable, TableMode, lookup
 from .corpus import (
     ACT_INDEX,
     ACT_ORDER,
@@ -24,6 +24,7 @@ from .corpus import (
     LIKERT_MIN,
     ProactiveAct,
     STEPS_PER_DIALOG,
+    UserRecord,
     complexity_of_step,
     max_option_score,
 )
@@ -48,13 +49,11 @@ from .trust_model import (
     TrustClassifier,
     predict_trust,
 )
-from .user_model import (_GAUSS_TRAITS, ALL_TRAIT_TUPLES, TraitDistributions, TraitTuple,
-                         UserProfile, binarize_traits)
+from .user_model import _GAUSS_TRAITS, N_TRAIT_CODES, TraitDistributions, trait_codes
 
 N_ACTIONS = len(ACT_ORDER)
 N_TRUST_LEVELS = LIKERT_MAX - LIKERT_MIN + 1
-N_TRAIT_TUPLES = len(ALL_TRAIT_TUPLES)
-N_STATES = STEPS_PER_DIALOG * N_TRAIT_TUPLES * N_TRUST_LEVELS
+N_STATES = STEPS_PER_DIALOG * N_TRAIT_CODES * N_TRUST_LEVELS
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ class RewardConfig:
 @dataclass(frozen=True)
 class EnvState:
     step: int
-    trait_tuple: TraitTuple
+    trait: int  # the user's trait code
     last_turn: SimulatedTurn | None
     estimated_trust: int
 
@@ -84,8 +83,8 @@ class EnvState:
 
 
 def state_index(state: EnvState) -> int:
-    """Discretize to 0..479: step x trait tuple x trust estimate."""
-    return ((state.step - 1) * N_TRAIT_TUPLES + state.trait_tuple.index) \
+    """Discretize to 0..479: step x trait code x trust estimate."""
+    return ((state.step - 1) * N_TRAIT_CODES + state.trait) \
         * N_TRUST_LEVELS + (state.estimated_trust - LIKERT_MIN)
 
 
@@ -150,28 +149,28 @@ class TrustSimEnv:
             for d in (getattr(traits, name) for name in _GAUSS_TRAITS)]
         self._gender_cum = cumulative_weights(traits.gender_probs)
         conditions = _STEPS if table.mode is TableMode.TASK_STEP_BASED else _COMPLEXITY
-        # [trait tuple index][act index][step - 1] -> the key's draw_turn context
-        self._contexts = [[[lookup(table, ContextKey(trait, act, c)) for c in conditions]
-                           for act in ACT_ORDER] for trait in ALL_TRAIT_TUPLES]
+        # [trait code][act index][step - 1] -> the key's draw_turn context
+        self._contexts = [[[lookup(table, trait, act, c) for c in conditions]
+                           for act in ACT_ORDER] for trait in range(N_TRAIT_CODES)]
         self._done = True  # until the first reset
 
-    def _profile_from(self, u) -> UserProfile:
+    def _profile_from(self, u) -> UserRecord:
         """The profile drawn on the uniforms of its ten substreams."""
         traits = dict(zip(_GAUSS_TRAITS, (truncated_gaussian_from(*draw, ui)
                                           for draw, ui in zip(self._trait_draws, u))))
         traits["age"] = int(math.floor(traits["age"] + 0.5))
-        return UserProfile(user_id="sim", gender=GENDER_ORDER[categorical_from(
+        return UserRecord(user_id="sim", gender=GENDER_ORDER[categorical_from(
             self._gender_cum, u[-1])], **traits)
 
     def reset(self, rng: RandomStream) -> EnvState:
         user_uniforms, self._uniforms = _episode_uniforms(rng.key)
         profile = self._profile_from(user_uniforms)
-        self._trait_tuple = binarize_traits(profile)
-        self._episode_contexts = self._contexts[self._trait_tuple.index]
+        self._trait = trait_codes(profile)
+        self._episode_contexts = self._contexts[self._trait]
         self._features = DialogFeatures(profile)
         self._step_no = 1
         self._done = False
-        return EnvState(step=1, trait_tuple=self._trait_tuple, last_turn=None,
+        return EnvState(step=1, trait=self._trait, last_turn=None,
                         estimated_trust=NEUTRAL_LIKERT)
 
     def step(self, action: ProactiveAct):
@@ -195,7 +194,7 @@ class TrustSimEnv:
         self._done = done
         next_step = s if done else s + 1
         self._step_no = next_step
-        state = EnvState(step=next_step, trait_tuple=self._trait_tuple, last_turn=turn,
+        state = EnvState(step=next_step, trait=self._trait, last_turn=turn,
                          estimated_trust=trust)
         return state, float(reward), done
 

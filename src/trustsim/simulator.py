@@ -1,9 +1,9 @@
 """Turn-level user simulation driven by conditional behavior tables.
 
-One turn: binarize the profile, look up the context key's draw context
-(the table chose each key's fallback rung when it was built or loaded),
-sample the request combination, then sample difficulty, duration, and game
-score conditional on that combination. Each field reads a named substream
+One turn: take the profile's trait code, look up the context key's draw
+context (the table chose each key's fallback rung when it was built or
+loaded), sample the request combination, then sample difficulty, duration,
+and game score conditional on that combination. Each field reads a named substream
 so draws never bleed across fields.
 
 Every path draws a turn from the table's `draw_parameters` rows, through
@@ -32,7 +32,6 @@ from .behavior_tables import (
     ROW_SCORE,
     ROW_SCORE_MEAN,
     BehaviorTable,
-    ContextKey,
     TableMode,
     key_code,
     lookup,
@@ -48,6 +47,7 @@ from .corpus import (
     OPTION_SCORE_UNIT,
     ProactiveAct,
     STEPS_PER_DIALOG,
+    UserRecord,
     _infer_format,
     complexity_of_step,
     format_cells,
@@ -66,7 +66,7 @@ from .sampling import (
     truncated_gaussian_from,
     truncated_gaussians,
 )
-from .user_model import UserProfile, binarize_traits, trait_codes
+from .user_model import trait_codes
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,12 @@ class SimulatedTurn:
 TURN_FIELDS = ("requests", "difficulty", "duration", "score")
 
 
-def simulate_turn(table: BehaviorTable, profile: UserProfile, step: int,
+def simulate_turn(table: BehaviorTable, profile: UserRecord, step: int,
                   act: ProactiveAct, rng: RandomStream) -> SimulatedTurn:
     complexity = complexity_of_step(step)
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
     return draw_turn(
-        *lookup(table, ContextKey(binarize_traits(profile), act, condition)),
+        *lookup(table, trait_codes(profile), act, condition),
         complexity, first_uniforms(child_keys(rng.key, label_bits(TURN_FIELDS))).tolist())
 
 

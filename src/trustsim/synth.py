@@ -47,13 +47,13 @@ from .sampling import (
     truncated_gaussians,
 )
 from .user_model import (
-    ALL_TRAIT_TUPLES,
+    N_TRAIT_CODES,
     TraitDistributions,
-    TraitTuple,
     _finite_number,
     default_trait_distributions,
     sample_users,
     trait_codes,
+    trait_flags,
 )
 
 PROB_FLOOR, PROB_CEIL = 0.02, 0.98
@@ -133,71 +133,74 @@ class BehaviorProcess:
         if not self.duration_sd >= 0:
             raise InvalidConfig(f"duration_sd must be >= 0, got {self.duration_sd}")
 
-    def help_prob(self, traits: TraitTuple, act: ProactiveAct, step: int) -> float:
+    def help_prob(self, trait: int, act: ProactiveAct, step: int) -> float:
         k = complexity_of_step(step)
+        expertise, propensity, _ = trait_flags(trait)
         return _clip_prob(
             self.help_base
-            + self.help_expertise * traits.domain_expertise_high
-            + self.help_propensity * traits.trust_propensity_high
+            + self.help_expertise * expertise
+            + self.help_propensity * propensity
             + self.help_complexity * (k - 3)
             + self.help_act[ACT_INDEX[act]]
         )
 
-    def sugg_prob(self, traits: TraitTuple, act: ProactiveAct, step: int) -> float:
+    def sugg_prob(self, trait: int, act: ProactiveAct, step: int) -> float:
         k = complexity_of_step(step)
+        expertise, propensity, _ = trait_flags(trait)
         return _clip_prob(
             self.sugg_base
-            + self.sugg_expertise * traits.domain_expertise_high
-            + self.sugg_propensity * traits.trust_propensity_high
+            + self.sugg_expertise * expertise
+            + self.sugg_propensity * propensity
             + self.sugg_complexity * (k - 3)
             + self.sugg_act[ACT_INDEX[act]]
         )
 
-    def best_prob(self, traits: TraitTuple, act: ProactiveAct, sugg_request: bool,
+    def best_prob(self, trait: int, act: ProactiveAct, sugg_request: bool,
                   step: int, step_drift: float = 0.0) -> float:
         return _clip_prob(
             self.best_base
-            + self.best_expertise * traits.domain_expertise_high
+            + self.best_expertise * trait_flags(trait)[0]
             + self.best_sugg_request * sugg_request
             + self.best_act[ACT_INDEX[act]]
             + self.best_drift_gain * step_drift * drift_center(step)
         )
 
-    def score_pmf(self, traits: TraitTuple, act: ProactiveAct, step: int,
+    def score_pmf(self, trait: int, act: ProactiveAct, step: int,
                   step_drift: float = 0.0) -> dict:
         """Marginal pmf over the step's option scores (suggestion request
         integrated out)."""
         scores = option_scores(complexity_of_step(step))
         top = scores[-1]
-        p_sugg = self.sugg_prob(traits, act, step)
+        p_sugg = self.sugg_prob(trait, act, step)
         pmf = {s: 0.0 for s in scores}
         for sugg, w in ((False, 1.0 - p_sugg), (True, p_sugg)):
-            p_best = self.best_prob(traits, act, sugg, step, step_drift)
+            p_best = self.best_prob(trait, act, sugg, step, step_drift)
             pmf[top] += w * p_best
             for s in scores[:-1]:
                 pmf[s] += w * (1.0 - p_best) / (len(scores) - 1)
         return pmf
 
-    def duration_mean(self, traits: TraitTuple, help_request: bool,
+    def duration_mean(self, trait: int, help_request: bool,
                       sugg_request: bool, step: int, step_drift: float = 0.0) -> float:
         k = complexity_of_step(step)
         base = (
             self.duration_base
             + self.duration_complexity * (k - 3)
-            + self.duration_expertise * traits.domain_expertise_high
+            + self.duration_expertise * trait_flags(trait)[0]
             + self.duration_help * help_request
             + self.duration_sugg * sugg_request
         )
         return base * (1.0 + self.duration_drift_gain * step_drift * drift_center(step))
 
-    def difficulty_pmf(self, traits: TraitTuple, step: int) -> tuple:
+    def difficulty_pmf(self, trait: int, step: int) -> tuple:
         """Discretized-Gaussian pmf over difficulty classes 1..5."""
         k = complexity_of_step(step)
+        expertise, _, affinity = trait_flags(trait)
         mu = (
             self.difficulty_base
             + self.difficulty_complexity * (k - 3)
-            + self.difficulty_low_expertise * (not traits.domain_expertise_high)
-            + self.difficulty_low_affinity * (not traits.technical_affinity_high)
+            + self.difficulty_low_expertise * (1 - expertise)
+            + self.difficulty_low_affinity * (1 - affinity)
         )
         dist = NormalDist(mu, self.difficulty_sd)
         edges = [-math.inf, 1.5, 2.5, 3.5, 4.5, math.inf]
@@ -278,7 +281,6 @@ _STEP_BITS = label_bits(range(STEPS_PER_DIALOG + 1))
 _FIELD_BITS = {name: label_bits([name]) for name in (
     "traits", "step", "act", "help", "sugg", "score", "duration", "difficulty",
     *TRUST_FIELDS)}
-_N_TRAIT_CODES = len(ALL_TRAIT_TUPLES)
 
 
 @dataclass(frozen=True)
@@ -302,24 +304,24 @@ def _step_tables(config: GeneratorConfig, step: int) -> _StepTables:
     a user or not, so whether a config is valid does not depend on the
     seed."""
     proc, drift = config.process, config.step_drift
-    help_p, sugg_p = np.zeros((2, _N_TRAIT_CODES, len(ACT_ORDER)))
-    best_p = np.zeros((_N_TRAIT_CODES, len(ACT_ORDER), 2))
-    duration_mean = np.zeros((_N_TRAIT_CODES, 2, 2))
-    duration = np.zeros((_N_TRAIT_CODES, 2, 2, 3))
-    difficulty = np.zeros((_N_TRAIT_CODES, N_DIFFICULTY_CLASSES))
-    for code, tt in enumerate(ALL_TRAIT_TUPLES):
+    help_p, sugg_p = np.zeros((2, N_TRAIT_CODES, len(ACT_ORDER)))
+    best_p = np.zeros((N_TRAIT_CODES, len(ACT_ORDER), 2))
+    duration_mean = np.zeros((N_TRAIT_CODES, 2, 2))
+    duration = np.zeros((N_TRAIT_CODES, 2, 2, 3))
+    difficulty = np.zeros((N_TRAIT_CODES, N_DIFFICULTY_CLASSES))
+    for code in range(N_TRAIT_CODES):
         for a, act in enumerate(ACT_ORDER):
-            help_p[code, a] = proc.help_prob(tt, act, step)
-            sugg_p[code, a] = proc.sugg_prob(tt, act, step)
+            help_p[code, a] = proc.help_prob(code, act, step)
+            sugg_p[code, a] = proc.sugg_prob(code, act, step)
             for s in (0, 1):
-                best_p[code, a, s] = proc.best_prob(tt, act, bool(s), step, drift)
+                best_p[code, a, s] = proc.best_prob(code, act, bool(s), step, drift)
         for h in (0, 1):
             for s in (0, 1):
-                mean = proc.duration_mean(tt, bool(h), bool(s), step, drift)
+                mean = proc.duration_mean(code, bool(h), bool(s), step, drift)
                 duration_mean[code, h, s] = mean
                 duration[code, h, s] = gaussian_truncation(
                     mean, proc.duration_sd, MIN_DURATION_S, config.duration_hi)
-        difficulty[code] = cumulative_weights(proc.difficulty_pmf(tt, step))
+        difficulty[code] = cumulative_weights(proc.difficulty_pmf(code, step))
         if np.isnan(duration_mean[code]).any():
             raise ValueOutOfRange("duration", math.nan, detail="must exceed 20 s")
     return _StepTables(help_p, sugg_p, best_p, duration_mean, duration, difficulty)
@@ -345,8 +347,8 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     user_keys = child_keys(RandomStream(seed, "synth").key, label_bits(uids))
     users = sample_users(config.traits, child_keys(user_keys, _FIELD_BITS["traits"]))
     code = trait_codes(users)
-    # the trust-propensity bit, as an int: numpy reads a bool array index as a mask
-    propensity_high = (code >> 1) & 1
+    # an int bit, as an index: numpy reads a bool array index as a mask
+    propensity_high = trait_flags(code)[1]
     latent = np.minimum(np.maximum(users.trust_propensity, LIKERT_MIN), LIKERT_MAX)
     step_keys = child_keys(user_keys, _FIELD_BITS["step"])
     try:

@@ -19,7 +19,6 @@ features, for one turn or for a whole corpus at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -32,11 +31,13 @@ from .corpus import (
     COMPLEXITY_LEVELS,
     Corpus,
     DURATION_HI,
+    GENDER_ORDER,
     LIKERT_MAX,
     LIKERT_MIN,
     SCALE_TRAITS,
     STEPS_PER_DIALOG,
     ProactiveAct,
+    UserRecord,
     complexity_of_step,
     max_option_score,
 )
@@ -51,7 +52,6 @@ from .errors import (
     read_json,
     write_json,
 )
-from .user_model import GENDER_ORDER, UserProfile
 
 SCHEMA_VERSION = "turn-features/v1"
 LAG_WINDOW = 2
@@ -132,7 +132,7 @@ class DialogFeatures:
 
     __slots__ = ("_row",)
 
-    def __init__(self, profile: UserProfile):
+    def __init__(self, profile: UserRecord):
         self._row = np.array(_profile_values(profile) + _ROW_START_TAIL, dtype=float)
 
     def row(self, act: ProactiveAct, step: int, turn) -> np.ndarray:
@@ -190,17 +190,18 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
     return X, labels.astype(int), owners
 
 
+# The weight of the L2 penalty on the weights (not the bias) in training
+L2 = 1e-3
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 300
-    l2: float = 1e-3
 
     def __post_init__(self):
         if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) \
                 or self.epochs < 1:
             raise InvalidConfig(f"epochs must be an int >= 1, got {self.epochs!r}")
-        if not (self.l2 > 0 and math.isfinite(self.l2)):
-            raise InvalidConfig(f"l2 must be finite and > 0, got {self.l2}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +245,7 @@ def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> Tru
     del X
     Z1T = np.ascontiguousarray(Z1.T)
 
-    lam = config.l2
+    lam = L2
     TT = np.where(y == np.array(present)[:, None], 1.0, -1.0)  # classes x rows
     V = np.zeros((len(present), n_features + 1))  # weights, then the bias
     reg = np.ones(n_features + 1)

@@ -4,7 +4,7 @@ Numeric traits are modeled as truncated Gaussians (age bounded 18..60,
 scale traits 1..5); gender is categorical with empirical frequencies.
 The three behavior-relevant traits (domain expertise, trust propensity,
 technical affinity) are binarized at the Likert midpoint into the 3-bit
-tuple that conditions simulated behavior.
+trait code that conditions simulated behavior.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .corpus import (
     LIKERT_MAX,
     LIKERT_MIN,
     SCALE_TRAITS,
-    UserRecord,
 )
 from .errors import (InsufficientUsers, InvalidBounds, InvalidConfig, object_entry,
                      read_json)
@@ -41,8 +40,9 @@ from .sampling import (
 # A trait counts as "high" strictly above the Likert midpoint (3.0 -> low).
 LIKERT_BINARY_THRESHOLD = 3.0
 
-# A sampled user's profile: a Corpus holds its observed users as columns.
-UserProfile = UserRecord
+# The three behavior-relevant traits as a 3-bit trait code, expertise the
+# high bit: a context key's trait index, 0..7.
+N_TRAIT_CODES = 8
 
 
 def _finite_number(value) -> bool:
@@ -128,45 +128,6 @@ def load_trait_distributions(path) -> TraitDistributions:
     return TraitDistributions.from_json_dict(read_json(path, "trait distributions"))
 
 
-@dataclass(frozen=True)
-class TraitTuple:
-    """3-bit conditioning tuple, rendered expertise/propensity/affinity."""
-
-    domain_expertise_high: bool
-    trust_propensity_high: bool
-    technical_affinity_high: bool
-
-    @property
-    def bits(self) -> str:
-        return "".join(
-            "1" if flag else "0"
-            for flag in (
-                self.domain_expertise_high,
-                self.trust_propensity_high,
-                self.technical_affinity_high,
-            )
-        )
-
-    @property
-    def index(self) -> int:
-        """int(self.bits, 2), from the flags' truthiness as `bits` reads them."""
-        return ((4 if self.domain_expertise_high else 0)
-                + (2 if self.trust_propensity_high else 0)
-                + (1 if self.technical_affinity_high else 0))
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "TraitTuple":
-        if not isinstance(bits, str) or len(bits) != 3 or any(b not in "01" for b in bits):
-            raise InvalidConfig(f"trait tuple must be 3 bits, got {bits!r}")
-        return cls(bits[0] == "1", bits[1] == "1", bits[2] == "1")
-
-    def __str__(self):
-        return self.bits
-
-
-ALL_TRAIT_TUPLES = tuple(TraitTuple.from_bits(f"{i:03b}") for i in range(8))
-
-
 def fit_trait_distributions(corpus: Corpus) -> TraitDistributions:
     """Sample mean/SD per numeric trait (bounds fixed), empirical gender freqs."""
     n = corpus.n_dialogs
@@ -205,24 +166,25 @@ def sample_users(dists: TraitDistributions, keys) -> SimpleNamespace:
 
 
 def trait_codes(x):
-    """The ALL_TRAIT_TUPLES index of the three behavior-relevant traits of
-    x, a user or a Corpus, whose traits are scalars or arrays alike: a trait
-    is high iff its value > 3.0, the Likert midpoint."""
+    """The trait code of the three behavior-relevant traits of x, a user or
+    a Corpus, whose traits are scalars or arrays alike: a trait is high iff
+    its value > 3.0, the Likert midpoint."""
     return (4 * (x.domain_expertise > LIKERT_BINARY_THRESHOLD)
             + 2 * (x.trust_propensity > LIKERT_BINARY_THRESHOLD)
             + (x.technical_affinity > LIKERT_BINARY_THRESHOLD))
 
 
-def binarize_traits(profile: UserProfile) -> TraitTuple:
-    """Map the three behavior-relevant traits to bits: high iff value > 3.0."""
-    return ALL_TRAIT_TUPLES[trait_codes(profile)]
+def trait_flags(code) -> tuple:
+    """The (domain expertise, trust propensity, technical affinity) bits of
+    a trait code as 0 or 1, for an int or an int array alike."""
+    return (code >> 2) & 1, (code >> 1) & 1, code & 1
 
 
 def default_trait_distributions() -> TraitDistributions:
     """Stand-in population used by the synthetic generator.
 
     The source study population is not published; these moments give a
-    spread of user types across all eight trait tuples.
+    spread of user types across all eight trait codes.
     """
     return TraitDistributions(
         age=TruncGauss(38.0, 12.0, AGE_MIN, AGE_MAX),

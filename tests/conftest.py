@@ -24,9 +24,7 @@ from trustsim.behavior_tables import (
     CONDITION_SLICE,
     REQUEST_COMBOS,
     TRAIT_CELL,
-    ContextKey,
     TableMode,
-    _mode_keys,
     draw_parameters,
     lookup,
 )
@@ -91,14 +89,15 @@ from trustsim.sampling import (
 from trustsim.simulator import SimulatedLog, SimulatedTurn, simulate_turn
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import (
+    L2,
     N_FEATURES,
     NEUTRAL_LIKERT,
     TrainConfig,
     TrustClassifier,
     predict_trust,
 )
-from trustsim.user_model import (ALL_TRAIT_TUPLES, TraitDistributions, TruncGauss,
-                                  UserProfile, binarize_traits)
+from trustsim.user_model import (N_TRAIT_CODES, TraitDistributions, TruncGauss, trait_codes,
+                                  trait_flags)
 
 
 def combo_index(help_request: bool, suggestion_request: bool) -> int:
@@ -306,7 +305,7 @@ def normal(rng, mean, sd) -> float:
     return mean + sd * _STD.inv_cdf(rng.random())
 
 
-def reference_sample_user(dists, stream, user_id="sim") -> UserProfile:
+def reference_sample_user(dists, stream, user_id="sim") -> UserRecord:
     """The one-user sampler `sample_users` replaced, kept as its oracle:
     each trait drawn from its own named substream, age drawn continuously
     then rounded half up. `stream` is any stream; its draws are scalar."""
@@ -319,7 +318,7 @@ def reference_sample_user(dists, stream, user_id="sim") -> UserProfile:
         kwargs[name] = truncated_gaussian(dist.mean, dist.sd, dist.lo, dist.hi,
                                           stream.child(name))
     gender = GENDER_ORDER[categorical(dists.gender_probs, stream.child("gender"))]
-    return UserProfile(user_id=user_id, gender=gender, **kwargs)
+    return UserRecord(user_id=user_id, gender=gender, **kwargs)
 
 
 def analytic_truncated_mean(mean, sd, lo, hi):
@@ -409,17 +408,17 @@ class OracleTable:
 
     mode: TableMode
     fallback_threshold: int
-    cells: dict  # ContextKey -> CellStats
+    cells: dict  # (trait code, ProactiveAct, condition) -> CellStats
     # (ProactiveAct, condition) -> CellStats and condition -> CellStats
     fallback_cells: dict = field(init=False)
     condition_cells: dict = field(init=False)
 
     def __post_init__(self):
-        keyed = [(key, self.cells.get(key)) for key in _mode_keys(self.mode)]
         by_slice, by_condition = {}, {}
-        for key, cell in keyed:
+        for key in mode_keys(self.mode):
+            cell = self.cells.get(key)
             if cell is not None:
-                by_slice.setdefault((key.proactive_act, key.condition), []).append(cell)
+                by_slice.setdefault(key[1:], []).append(cell)
         fallback = {k: _merge_cells(cells) for k, cells in by_slice.items()}
         for (_, cond), cell in fallback.items():
             by_condition.setdefault(cond, []).append(cell)
@@ -428,11 +427,17 @@ class OracleTable:
         object.__setattr__(self, "condition_cells", condition)
 
 
+def mode_keys(mode) -> list:
+    """Every context key of the mode as (trait code, ProactiveAct,
+    condition), in key code order."""
+    return list(itertools.product(range(N_TRAIT_CODES), ACT_ORDER, mode.conditions()))
+
+
 def oracle_table(table) -> OracleTable:
     """The OracleTable of a BehaviorTable's columns: a CellStats for every
     key that holds a count."""
     cells = {}
-    for code, key in enumerate(_mode_keys(table.mode)):
+    for code, key in enumerate(mode_keys(table.mode)):
         columns = [getattr(table, name)[code].tolist() for name in COLUMNS]
         combos = tuple(ComboStats(*values[:-1], tuple(values[-1]))
                        for values in zip(*columns))
@@ -446,18 +451,19 @@ def reference_ladder(oracle, key) -> list:
     """The fallback ladder walked per call: usable cells for the key, most
     specific first. The trait cell qualifies only at or above the
     threshold."""
-    if key.condition not in oracle.mode.conditions():
-        raise InvalidConfig(f"condition {key.condition} not in {oracle.mode.value}")
+    _, act, condition = key
+    if condition not in oracle.mode.conditions():
+        raise InvalidConfig(f"condition {condition} not in {oracle.mode.value}")
     rungs = []
     cell = oracle.cells.get(key)
     if cell is not None and cell.n >= oracle.fallback_threshold:
         rungs.append(cell)
-    for rung in (oracle.fallback_cells.get((key.proactive_act, key.condition)),
-                 oracle.condition_cells.get(key.condition)):
+    for rung in (oracle.fallback_cells.get((act, condition)),
+                 oracle.condition_cells.get(condition)):
         if rung is not None and rung.n > 0:
             rungs.append(rung)
     if not rungs:
-        raise NoDataForCondition(f"no observations for condition {key.condition}")
+        raise NoDataForCondition(f"no observations for condition {condition}")
     return rungs
 
 
@@ -507,17 +513,17 @@ def assert_table_equals_oracle(table) -> None:
                                                  enumerate(conditions)):
         assert cell_at(table.act_slices, (a, c)) == oracle.fallback_cells.get(
             (act, cond), _EMPTY_CELL)
-    for code, key in enumerate(_mode_keys(mode)):
+    for code, key in enumerate(mode_keys(mode)):
         cell, fell_back = reference_lookup(oracle, key)
         rung = (TRAIT_CELL if cell is oracle.cells.get(key) else ACT_SLICE
-                if cell is oracle.fallback_cells.get((key.proactive_act, key.condition))
-                else CONDITION_SLICE)
+                if cell is oracle.fallback_cells.get(key[1:]) else CONDITION_SLICE)
         assert (table.rung[code], table.used_fallback[code]) == (rung, fell_back)
-        request_cum, used_fallback, rows = lookup(table, key)
+        request_cum, used_fallback, rows = lookup(table, *key)
         assert request_cum == tuple(cumulative_weights(cell.request_probs))
         assert used_fallback is fell_back
-        complexity = (complexity_of_step(key.condition)
-                      if mode is TableMode.TASK_STEP_BASED else key.condition)
+        condition = key[2]
+        complexity = (complexity_of_step(condition)
+                      if mode is TableMode.TASK_STEP_BASED else condition)
         for i in range(len(REQUEST_COMBOS)):
             assert rows[i] == draw_parameters(reference_combo_stats(oracle, key, i),
                                               complexity)
@@ -531,10 +537,9 @@ def reference_build_table(corpus, mode) -> tuple:
     condition_cells) maps."""
     maps = ({}, {}, {})
     for user, ex in exchanges_of(corpus):
-        traits = binarize_traits(user)
         cond = ex.complexity if mode is TableMode.COMPLEXITY_BASED else ex.step
         idx = combo_index(ex.help_request, ex.suggestion_request)
-        for groups, key in zip(maps, (ContextKey(traits, ex.proactive_act, cond),
+        for groups, key in zip(maps, ((trait_codes(user), ex.proactive_act, cond),
                                       (ex.proactive_act, cond), cond)):
             rows = groups.setdefault(key, [[] for _ in REQUEST_COMBOS])
             rows[idx].append((ex.game_score, ex.duration, ex.difficulty))
@@ -670,7 +675,7 @@ def reference_simulate_turn(oracle, profile, step, act, rng) -> SimulatedTurn:
     rng = ScalarStream.of(rng)
     complexity = complexity_of_step(step)
     condition = step if oracle.mode is TableMode.TASK_STEP_BASED else complexity
-    key = ContextKey(binarize_traits(profile), act, condition)
+    key = (trait_codes(profile), act, condition)
     cell, used_fallback = reference_lookup(oracle, key)
 
     combo_idx = categorical(cell.request_probs, rng.child("requests"))
@@ -728,20 +733,20 @@ def assert_every_turn_matches_oracle(table, seed) -> None:
     every context key of the table's mode and every combination that key
     can draw, each on a stream that draws that combination."""
     oracle = oracle_table(table)
-    for key in _mode_keys(table.mode):
-        bits = key.trait_tuple.bits
-        profile = make_user(**{name: 4.0 if bit == "1" else 2.0 for name, bit in zip(
-            ("domain_expertise", "trust_propensity", "technical_affinity"), bits)})
-        assert binarize_traits(profile) == key.trait_tuple
-        step = next(s for s in range(1, 13) if key.condition == (
+    for key in mode_keys(table.mode):
+        trait, act, condition = key
+        profile = make_user(**{name: 4.0 if bit else 2.0 for name, bit in zip(
+            ("domain_expertise", "trust_propensity", "technical_affinity"),
+            trait_flags(trait))})
+        assert trait_codes(profile) == trait
+        step = next(s for s in range(1, 13) if condition == (
             s if table.mode is TableMode.TASK_STEP_BASED else complexity_of_step(s)))
         cumulative = cumulative_weights(reference_lookup(oracle, key)[0].request_probs)
-        base = RandomStream(seed, bits, key.proactive_act.value, key.condition)
+        base = RandomStream(seed, f"{trait:03b}", act.value, condition)
         for combo, rng in _forcing_streams(base, cumulative).items():
-            turn = simulate_turn(table, profile, step, key.proactive_act, rng)
+            turn = simulate_turn(table, profile, step, act, rng)
             assert combo_index(turn.help_request, turn.suggestion_request) == combo
-            assert turn == reference_simulate_turn(oracle, profile, step,
-                                                   key.proactive_act, rng)
+            assert turn == reference_simulate_turn(oracle, profile, step, act, rng)
 
 
 def reference_replay(corpus, table, rng) -> list:
@@ -911,7 +916,7 @@ def reference_train(corpus, config=TrainConfig()) -> tuple:
     scale = np.where(scale == 0.0, 1.0, scale)
     Z = (X - mean) / scale
     n = Z.shape[0]
-    lam = config.l2
+    lam = L2
     W = np.zeros((len(present), Z.shape[1]))
     b = np.zeros(len(present))
     saw_no_violator = False
@@ -967,15 +972,15 @@ def reference_generate(config, seed) -> Corpus:
     """The per-dialog loop the batched generator replaced, kept as its
     oracle: one user at a time, one step at a time, every field drawn from
     its own `ScalarStream` through the process's scalar methods. First, every
-    (step, trait tuple) in order is checked for a difficulty pmf that is no
+    (step, trait code) in order is checked for a difficulty pmf that is no
     categorical, then for a nan duration mean, drawn or not."""
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InvalidConfig(f"seed must be an integer, got {seed!r}")
     clip = lambda x: min(LIKERT_MAX, max(LIKERT_MIN, x))
     proc = config.process
-    for step, traits in itertools.product(range(1, 13), ALL_TRAIT_TUPLES):
-        cumulative_weights(proc.difficulty_pmf(traits, step))
-        if any(math.isnan(proc.duration_mean(traits, h, s, step, config.step_drift))
+    for step, trait in itertools.product(range(1, 13), range(N_TRAIT_CODES)):
+        cumulative_weights(proc.difficulty_pmf(trait, step))
+        if any(math.isnan(proc.duration_mean(trait, h, s, step, config.step_drift))
                for h, s in itertools.product((False, True), repeat=2)):
             raise ValueOutOfRange("duration", math.nan, detail="must exceed 20 s")
     root = ScalarStream(seed, "synth")
@@ -984,7 +989,7 @@ def reference_generate(config, seed) -> Corpus:
         uid = f"u{i:04d}"
         ustream = root.child(uid)
         profile = reference_sample_user(config.traits, ustream.child("traits"), user_id=uid)
-        traits = binarize_traits(profile)
+        trait = trait_codes(profile)
         users.append(profile)
         latent_trust = clip(profile.trust_propensity)
         exchanges = []
@@ -993,24 +998,24 @@ def reference_generate(config, seed) -> Corpus:
             k = complexity_of_step(step)
             scores = option_scores(k)
             act = ACT_ORDER[sstream.child("act").integers(len(ACT_ORDER))]
-            help_req = sstream.child("help").random() < proc.help_prob(traits, act, step)
-            sugg_req = sstream.child("sugg").random() < proc.sugg_prob(traits, act, step)
-            p_best = proc.best_prob(traits, act, sugg_req, step, config.step_drift)
+            help_req = sstream.child("help").random() < proc.help_prob(trait, act, step)
+            sugg_req = sstream.child("sugg").random() < proc.sugg_prob(trait, act, step)
+            p_best = proc.best_prob(trait, act, sugg_req, step, config.step_drift)
             score_stream = sstream.child("score")
             if score_stream.random() < p_best:
                 game_score = scores[-1]
             else:
                 game_score = scores[score_stream.integers(k - 1)]
-            mean = proc.duration_mean(traits, help_req, sugg_req, step, config.step_drift)
+            mean = proc.duration_mean(trait, help_req, sugg_req, step, config.step_drift)
             duration = max(truncated_gaussian(mean, proc.duration_sd, MIN_DURATION_S,
                                               config.duration_hi,
                                               sstream.child("duration")),
                            DURATION_FLOOR_S)
-            difficulty = 1 + categorical(proc.difficulty_pmf(traits, step),
+            difficulty = 1 + categorical(proc.difficulty_pmf(trait, step),
                                          sstream.child("difficulty"))
             best_chosen = game_score == max_option_score(k)
             latent_trust = clip(latent_trust + proc.trust_delta(
-                act, traits.trust_propensity_high, best_chosen))
+                act, profile.trust_propensity > 3.0, best_chosen))
             annotations = {
                 name: _reference_annotation(latent_trust, proc.trust_noise_sd,
                                             sstream.child(name))
@@ -1177,10 +1182,10 @@ class ReferenceTrustSimEnv:
     def reset(self, rng):
         self._stream = ScalarStream.of(rng)
         self._profile = reference_sample_user(self.traits, self._stream.child("user"))
-        self._trait_tuple = binarize_traits(self._profile)
+        self._trait = trait_codes(self._profile)
         self._history = []
         self._step_no = 1
-        return EnvState(step=1, trait_tuple=self._trait_tuple, last_turn=None,
+        return EnvState(step=1, trait=self._trait, last_turn=None,
                         estimated_trust=NEUTRAL_LIKERT)
 
     def step(self, action):
@@ -1199,7 +1204,7 @@ class ReferenceTrustSimEnv:
         done = s == 12
         next_step = s if done else s + 1
         self._step_no = next_step
-        state = EnvState(step=next_step, trait_tuple=self._trait_tuple, last_turn=turn,
+        state = EnvState(step=next_step, trait=self._trait, last_turn=turn,
                          estimated_trust=trust)
         return state, float(reward), done
 
@@ -1261,9 +1266,9 @@ class RiggedSweepEnv:
         self.episode = -1
 
     def _state(self, t):
-        tt = ALL_TRAIT_TUPLES[(self.episode + t) % 8]
         trust = 1 + ((self.episode // 8) + t) % 5
-        return EnvState(step=t, trait_tuple=tt, last_turn=None, estimated_trust=trust)
+        return EnvState(step=t, trait=(self.episode + t) % 8, last_turn=None,
+                        estimated_trust=trust)
 
     def reset(self, rng):
         self.episode += 1

@@ -25,7 +25,6 @@ from conftest import (
 )
 from trustsim.behavior_tables import (
     TRAIT_CELL,
-    ContextKey,
     TableMode,
     build_table,
     key_code,
@@ -33,6 +32,7 @@ from trustsim.behavior_tables import (
 )
 from trustsim.cli import main as cli_main
 from trustsim.corpus import (
+    ACT_INDEX,
     ACT_ORDER,
     Corpus,
     ProactiveAct,
@@ -50,7 +50,7 @@ from trustsim.trust_model import (
     evaluate_classifier,
     train_classifier,
 )
-from trustsim.user_model import binarize_traits, default_trait_distributions
+from trustsim.user_model import default_trait_distributions, trait_codes, trait_flags
 
 
 VERDICTS: list = []
@@ -124,10 +124,9 @@ def test_step_cells_pool_to_complexity_cells(default_corpus, drifting_corpus):
     for corpus in (default_corpus, drifting_corpus):
         step_table = oracle_table(build_table(corpus, TableMode.TASK_STEP_BASED))
         cx_table = oracle_table(build_table(corpus, TableMode.COMPLEXITY_BASED))
-        for key, cell in cx_table.cells.items():
-            step_keys = [ContextKey(key.trait_tuple, key.proactive_act, s)
-                         for s in range(1, 13)
-                         if complexity_of_step(s) == key.condition]
+        for (trait, act, complexity), cell in cx_table.cells.items():
+            step_keys = [(trait, act, s) for s in range(1, 13)
+                         if complexity_of_step(s) == complexity]
             parts = [step_table.cells[k] for k in step_keys if k in step_table.cells]
             ok &= sum(p.n for p in parts) == cell.n
             for i in range(len(cell.combos)):
@@ -154,12 +153,11 @@ def fallback_probe_corpus(partial_steps) -> Corpus:
 
 
 def test_fallback_threshold_boundary():
-    key = ContextKey(binarize_traits(make_user()), ProactiveAct.NOTIFICATION, 3)
-    code = key_code(TableMode.COMPLEXITY_BASED, key.trait_tuple.index,
-                    ACT_ORDER.index(key.proactive_act), key.condition)
+    key = (trait_codes(make_user()), ProactiveAct.NOTIFICATION, 3)
+    code = key_code(TableMode.COMPLEXITY_BASED, key[0], ACT_INDEX[key[1]], key[2])
     table9 = build_table(fallback_probe_corpus((1,)), TableMode.COMPLEXITY_BASED)
     table10 = build_table(fallback_probe_corpus((1, 4)), TableMode.COMPLEXITY_BASED)
-    fell_back9, fell_back10 = (lookup(table, key)[1] for table in (table9, table10))
+    fell_back9, fell_back10 = (lookup(table, *key)[1] for table in (table9, table10))
     ok = (table9.n[code].sum() == 9 and fell_back9 is True
           and fell_back10 is False and table10.rung[code] == TRAIT_CELL
           and table10.n[code].sum() == 10)
@@ -170,21 +168,23 @@ def test_fallback_threshold_boundary():
 def test_simulated_draw_soundness(default_corpus):
     table = build_table(default_corpus, TableMode.COMPLEXITY_BASED)
     cells = oracle_table(table).cells
-    key = max((k for k in cells if k.condition == 3), key=lambda k: cells[k].n)
+    key = max((k for k in cells if k[2] == 3), key=lambda k: cells[k].n)
     cell = cells[key]
+    trait, act, _ = key
     level = lambda flag: 4.0 if flag else 1.0
+    expertise, propensity, affinity = trait_flags(trait)
     profile = make_user(
         user_id="probe",
-        domain_expertise=level(key.trait_tuple.domain_expertise_high),
-        trust_propensity=level(key.trait_tuple.trust_propensity_high),
-        technical_affinity=level(key.trait_tuple.technical_affinity_high),
+        domain_expertise=level(expertise),
+        trust_propensity=level(propensity),
+        technical_affinity=level(affinity),
     )
     ok = cell.n >= table.fallback_threshold
     worst = 0.0
     for seed in (101, 202, 303):
         counts = [0, 0, 0, 0]
         for rng in child_streams(RandomStream(seed, "draw"), range(10_000)):
-            turn = simulate_turn(table, profile, 1, key.proactive_act, rng)
+            turn = simulate_turn(table, profile, 1, act, rng)
             ok &= (not turn.used_fallback
                    and turn.duration > 20.0
                    and isinstance(turn.difficulty, int)

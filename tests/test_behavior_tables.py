@@ -25,6 +25,7 @@ from conftest import (
     make_dialog,
     make_exchange,
     make_user,
+    mode_keys,
     oracle_table,
     reference_build_table,
     served_row,
@@ -38,11 +39,9 @@ from trustsim.behavior_tables import (
     TABLE_FORMAT,
     TRAIT_CELL,
     BehaviorTable,
-    ContextKey,
     Stats,
     TableMode,
     _merge,
-    _mode_keys,
     build_table,
     draw_parameters,
     key_code,
@@ -53,16 +52,16 @@ from trustsim.behavior_tables import (
     table_summary,
     table_to_json_dict,
 )
-from trustsim.corpus import ACT_ORDER, Corpus, ProactiveAct, complexity_of_step
+from trustsim.corpus import ACT_INDEX, ACT_ORDER, Corpus, ProactiveAct, complexity_of_step
 from trustsim.errors import EmptyCorpus, InvalidConfig, NoDataForCondition, TrustSimError
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
-from trustsim.user_model import ALL_TRAIT_TUPLES, TraitTuple
+from trustsim.user_model import N_TRAIT_CODES
 
 LOW_TRAITS = dict(domain_expertise=1.0, trust_propensity=1.0, technical_affinity=1.0)
 HIGH_TRAITS = dict(domain_expertise=5.0, trust_propensity=5.0, technical_affinity=5.0)
 
-T000 = TraitTuple.from_bits("000")
-T111 = TraitTuple.from_bits("111")
+# the trait codes of LOW_TRAITS and HIGH_TRAITS
+T000, T111 = 0b000, 0b111
 
 
 def dialog_with(user_id, per_step=None, **defaults):
@@ -95,17 +94,28 @@ class TestComboIndex:
 
 class TestKeyCode:
     @pytest.mark.parametrize("mode", list(TableMode))
-    def test_indexes_the_mode_keys(self, mode):
-        keys = _mode_keys(mode)
-        columns = [(key.trait_tuple.index, ACT_ORDER.index(key.proactive_act),
-                    key.condition) for key in keys]
-        assert [key_code(mode, *c) for c in columns] == list(range(len(keys)))
-        assert key_code(mode, *np.array(columns).T).tolist() == list(range(len(keys)))
+    def test_unravel_index_inverts_it_over_every_key(self, mode):
+        """key_code and np.unravel_index(code, (8, 4, len(conditions))) are
+        inverses, for ints and for arrays."""
+        conditions = mode.conditions()
+        shape = (N_TRAIT_CODES, len(ACT_ORDER), len(conditions))
+        keys = [(trait, ACT_INDEX[act], condition)
+                for trait, act, condition in mode_keys(mode)]
+        assert len(keys) == np.prod(shape)
+        for code, (trait, act, condition) in enumerate(keys):
+            assert key_code(mode, trait, act, condition) == code
+            assert tuple(map(int, np.unravel_index(code, shape))) == (
+                trait, act, conditions.index(condition))
+        codes = key_code(mode, *np.array(keys).T)
+        assert codes.tolist() == list(range(len(keys)))
+        trait, act, cond = np.unravel_index(codes, shape)
+        assert list(zip(trait.tolist(), act.tolist(),
+                        np.array(conditions)[cond].tolist())) == keys
 
 
 def code_of(table, key) -> int:
-    return key_code(table.mode, key.trait_tuple.index, ACT_ORDER.index(key.proactive_act),
-                    key.condition)
+    trait, act, condition = key
+    return key_code(table.mode, trait, ACT_INDEX[act], condition)
 
 
 def columns_of(table) -> dict:
@@ -172,8 +182,8 @@ class TestColumnInvariants:
         broken = dict(score_sd=edited_column(table, "score_sd", (k, 2), -1.0),
                       duration_mean=edited_column(table, "duration_mean", (k, 2), math.nan),
                       score_mean=edited_column(table, "score_mean", (k + 1, 0), math.inf))
-        key = _mode_keys(table.mode)[k]
-        with pytest.raises(InvalidConfig, match=rf"traits {key.trait_tuple.bits}, .*, "
+        trait = mode_keys(table.mode)[k][0]
+        with pytest.raises(InvalidConfig, match=rf"traits {trait:03b}, .*, "
                                                 rf"combination \(True, False\)\): "
                                                 rf"score_sd must be a finite number >= 0"):
             with_columns(table, **broken)
@@ -194,7 +204,7 @@ class TestBuildTableExactCells:
     def test_complexity_cell_statistics(self):
         table = build_table(self.make_single_user_corpus(),
                             TableMode.COMPLEXITY_BASED)
-        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        k = code_of(table, (T000, ProactiveAct.NONE, 3))
         assert table.n[k].tolist() == [4, 0, 0, 0]
         assert table.score_mean[k, 0] == pytest.approx(20.0)
         assert table.score_sd[k, 0] == pytest.approx(math.sqrt(50.0))
@@ -209,7 +219,7 @@ class TestBuildTableExactCells:
         table = build_table(self.make_single_user_corpus(),
                             TableMode.TASK_STEP_BASED)
         for step in range(1, 13):
-            assert table.n[code_of(table, ContextKey(T000, ProactiveAct.NONE, step))].sum() == 1
+            assert table.n[code_of(table, (T000, ProactiveAct.NONE, step))].sum() == 1
         assert table.n.sum() == 12
 
     def test_request_combos_land_in_their_slots(self):
@@ -222,9 +232,9 @@ class TestBuildTableExactCells:
         user = make_user(user_id="u0", **LOW_TRAITS)
         table = build_table(corpus_of((user, dialog_with("u0", per_step))),
                             TableMode.COMPLEXITY_BASED, fallback_threshold=4)
-        key = ContextKey(T000, ProactiveAct.NONE, 3)
+        key = (T000, ProactiveAct.NONE, 3)
         assert table.n[code_of(table, key)].tolist() == [1, 1, 1, 1]
-        assert lookup(table, key)[0] == (0.25, 0.5, 0.75, 1.0)
+        assert lookup(table, *key)[0] == (0.25, 0.5, 0.75, 1.0)
 
     def test_rejects_bad_mode_and_threshold(self, small_corpus):
         with pytest.raises(InvalidConfig):
@@ -340,21 +350,21 @@ def nine_or_ten_corpus(n_extra_none: int) -> Corpus:
 class TestFallbackThresholdBoundary:
     def test_nine_observations_fall_back(self):
         table = build_table(nine_or_ten_corpus(1), TableMode.COMPLEXITY_BASED)
-        key = ContextKey(T000, ProactiveAct.NONE, 3)
+        key = (T000, ProactiveAct.NONE, 3)
         k = code_of(table, key)
         assert table.n[k].sum() == 9
-        _, used_fallback, _ = lookup(table, key)
+        _, used_fallback, _ = lookup(table, *key)
         assert used_fallback is True
         assert table.rung[k] == ACT_SLICE
-        # all NONE/cond-3 rows share the trait tuple here
+        # all NONE/cond-3 rows share the trait code here
         assert table.act_slices.n[0, 0].sum() == 9
 
     def test_ten_observations_resolve_directly(self):
         table = build_table(nine_or_ten_corpus(2), TableMode.COMPLEXITY_BASED)
-        key = ContextKey(T000, ProactiveAct.NONE, 3)
+        key = (T000, ProactiveAct.NONE, 3)
         k = code_of(table, key)
         assert table.n[k].sum() == 10
-        _, used_fallback, _ = lookup(table, key)
+        _, used_fallback, _ = lookup(table, *key)
         assert used_fallback is False
         assert table.rung[k] == TRAIT_CELL
         assert served_row(table, k, 0) == draw_parameters(combo_at(table, (k, 0)), 3)
@@ -362,7 +372,7 @@ class TestFallbackThresholdBoundary:
     def test_lower_threshold_admits_sparse_cell(self):
         table = build_table(nine_or_ten_corpus(1), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=9)
-        _, used_fallback, _ = lookup(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        _, used_fallback, _ = lookup(table, T000, ProactiveAct.NONE, 3)
         assert used_fallback is False
 
 
@@ -402,14 +412,14 @@ def combo_gap_corpus() -> Corpus:
 class TestFallbackLadder:
     def test_sparse_traits_use_act_condition_slice(self):
         table = build_table(two_group_corpus(), TableMode.COMPLEXITY_BASED)
-        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        k = code_of(table, (T000, ProactiveAct.NONE, 3))
         assert table.used_fallback[k] and table.rung[k] == ACT_SLICE
         assert table.act_slices.n[0, 0].sum() == 16
         assert served_row(table, k, 0)[ROW_SCORE_MEAN] == pytest.approx(25.0)
 
     def test_dense_traits_resolve_directly(self):
         table = build_table(two_group_corpus(), TableMode.COMPLEXITY_BASED)
-        k = code_of(table, ContextKey(T111, ProactiveAct.NONE, 3))
+        k = code_of(table, (T111, ProactiveAct.NONE, 3))
         assert not table.used_fallback[k] and table.rung[k] == TRAIT_CELL
         assert table.n[k].sum() == 12
         assert served_row(table, k, 0)[ROW_SCORE_MEAN] == pytest.approx(30.0)
@@ -418,9 +428,9 @@ class TestFallbackLadder:
         # only NONE and NOTIFICATION appear; asking for SUGGESTION lands on
         # the condition-wide slice
         table = build_table(alternating_act_corpus(), TableMode.COMPLEXITY_BASED)
-        key = ContextKey(T000, ProactiveAct.SUGGESTION, 3)
+        key = (T000, ProactiveAct.SUGGESTION, 3)
         k = code_of(table, key)
-        assert lookup(table, key)[1] is True
+        assert lookup(table, *key)[1] is True
         assert table.rung[k] == CONDITION_SLICE
         condition_cell = oracle_table(table).condition_cells[3]
         assert condition_cell.n == 4
@@ -429,17 +439,17 @@ class TestFallbackLadder:
     def test_act_slice_preferred_over_condition_slice(self):
         table = build_table(alternating_act_corpus(), TableMode.COMPLEXITY_BASED)
         # steps 1 and 7 are NONE at complexity 3, steps 4 and 10 NOTIFICATION
-        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        k = code_of(table, (T000, ProactiveAct.NONE, 3))
         assert table.used_fallback[k] and table.rung[k] == ACT_SLICE
         assert table.act_slices.n[0, 0].sum() == 2
 
     def test_condition_outside_mode_is_rejected(self, small_corpus):
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
         with pytest.raises(InvalidConfig):
-            lookup(table, ContextKey(T000, ProactiveAct.NONE, 6))
+            lookup(table, T000, ProactiveAct.NONE, 6)
         step_table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
         with pytest.raises(InvalidConfig):
-            lookup(step_table, ContextKey(T000, ProactiveAct.NONE, 13))
+            lookup(step_table, T000, ProactiveAct.NONE, 13)
 
     def test_empty_ladder_raises(self, small_corpus):
         # keys with no rung are rejected when the table is built, not looked up
@@ -448,17 +458,36 @@ class TestFallbackLadder:
             with_columns(table, **{name: np.zeros_like(column)
                                    for name, column in columns_of(table).items()})
 
-    def test_key_of_no_context_is_rejected(self, small_corpus):
+    def test_act_that_is_no_proactive_act_is_rejected(self, small_corpus):
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
-        with pytest.raises(InvalidConfig, match="names no context"):
-            lookup(table, ContextKey(T000, "none", 3))
-        with pytest.raises(InvalidConfig, match="names no context"):
-            lookup(table, ContextKey("000", ProactiveAct.NONE, 3))
+        with pytest.raises(InvalidConfig, match="act must be a ProactiveAct"):
+            lookup(table, T000, "none", 3)
+
+    @pytest.mark.parametrize("trait", [True, False, 1.0, "000", None, -1, 8])
+    def test_trait_that_is_no_code_is_rejected(self, small_corpus, trait):
+        """A bool, a non-int or an int outside 0..7 names no trait code."""
+        table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
+        with pytest.raises(InvalidConfig, match="trait code must be an int"):
+            lookup(table, trait, ProactiveAct.NONE, 3)
+
+    @pytest.mark.parametrize("mode,condition", [
+        (TableMode.TASK_STEP_BASED, True), (TableMode.TASK_STEP_BASED, 2.0),
+        (TableMode.COMPLEXITY_BASED, 3.0), (TableMode.COMPLEXITY_BASED, "3")])
+    def test_condition_that_is_no_int_is_rejected(self, small_corpus, mode, condition):
+        """True equals 1 and 2.0 equals 2, so a membership test alone
+        would serve steps 1 and 2 with them."""
+        table = build_table(small_corpus, mode)
+        with pytest.raises(InvalidConfig, match="does not belong"):
+            lookup(table, T000, ProactiveAct.NONE, condition)
+
+    def test_numpy_ints_serve_the_key_of_their_value(self, small_corpus):
+        table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
+        assert lookup(table, np.int64(T111), ProactiveAct.NONE, np.int64(2)) == \
+            lookup(table, T111, ProactiveAct.NONE, 2)
 
     def test_context_is_python_values(self, small_corpus):
         table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
-        request_cum, used_fallback, rows = lookup(
-            table, ContextKey(T000, ProactiveAct.NONE, 1))
+        request_cum, used_fallback, rows = lookup(table, T000, ProactiveAct.NONE, 1)
         assert type(request_cum) is tuple and type(used_fallback) is bool
         assert type(rows) is tuple and len(rows) == len(REQUEST_COMBOS)
         assert {type(v) for v in (*request_cum, *itertools.chain(*rows))} == {float}
@@ -468,7 +497,7 @@ class TestServedStats:
     def test_combo_missing_in_direct_cell_descends(self):
         table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=2)
-        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        k = code_of(table, (T000, ProactiveAct.NONE, 3))
         # the (help, no-suggestion) rows all belong to the other trait group,
         # so the NONE/condition-3 act slice serves them
         combo = combo_index(True, False)
@@ -481,7 +510,7 @@ class TestServedStats:
     def test_combo_present_in_direct_cell_stays(self):
         table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=2)
-        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        k = code_of(table, (T000, ProactiveAct.NONE, 3))
         combo = combo_index(False, False)
         served = combo_at(table, (k, combo))
         assert served.n == 8
@@ -491,7 +520,7 @@ class TestServedStats:
     def test_combo_absent_everywhere_pools_last_rung(self):
         table = build_table(combo_gap_corpus(), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=2)
-        k = code_of(table, ContextKey(T000, ProactiveAct.NONE, 3))
+        k = code_of(table, (T000, ProactiveAct.NONE, 3))
         combo = combo_index(True, True)
         # pooled condition-3 slice: 8 rows at (20, 40) and 4 rows at (30, 60)
         served = oracle_table(table).condition_cells[3].pooled()
@@ -506,7 +535,7 @@ class TestServedStats:
 
 def without_condition(table, condition):
     """The same table with every key at one condition emptied."""
-    at = np.array([key.condition == condition for key in _mode_keys(table.mode)])
+    at = np.array([key[2] == condition for key in mode_keys(table.mode)])
     return with_columns(table, **{name: np.where(at.reshape(-1, *[1] * (column.ndim - 1)),
                                                  0, column).astype(column.dtype)
                                   for name, column in columns_of(table).items()})
@@ -544,13 +573,13 @@ class TestResolvedLadderEqualsReference:
     @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
     def test_out_of_mode_conditions_are_rejected(self, small_corpus, mode):
         table = build_table(small_corpus, mode)
-        for tt, act, cond in itertools.product(ALL_TRAIT_TUPLES, ACT_ORDER, range(0, 14)):
-            key = ContextKey(tt, act, cond)
+        for key in itertools.product(range(N_TRAIT_CODES), ACT_ORDER, range(0, 14)):
+            cond = key[2]
             if cond in mode.conditions():
-                assert len(lookup(table, key)[2]) == len(REQUEST_COMBOS)
+                assert len(lookup(table, *key)[2]) == len(REQUEST_COMBOS)
             else:
                 with pytest.raises(InvalidConfig, match="does not belong"):
-                    lookup(table, key)
+                    lookup(table, *key)
 
 
 def raw_stats(scores, durations, difficulties) -> Stats:
@@ -665,11 +694,8 @@ class TestAggregationEquivalence:
                     for k in (3, 4, 5)}
         checked = 0
         for key, cell in by_complexity.cells.items():
-            parts = [
-                by_step.cells[ContextKey(key.trait_tuple, key.proactive_act, s)]
-                for s in steps_of[key.condition]
-                if ContextKey(key.trait_tuple, key.proactive_act, s) in by_step.cells
-            ]
+            parts = [by_step.cells[(*key[:2], s)] for s in steps_of[key[2]]
+                     if (*key[:2], s) in by_step.cells]
             merged = merge_cells(parts)
             assert merged.n == cell.n
             assert merged.request_counts == cell.request_counts
@@ -706,7 +732,7 @@ class TestSummary:
         assert by_step["fallback_fraction"] >= by_complexity["fallback_fraction"]
 
     def test_uniform_corpus_slice_accounting(self):
-        corpus = make_corpus(n_users=3)  # single trait tuple, all NONE
+        corpus = make_corpus(n_users=3)  # single trait code, all NONE
         summary = table_summary(build_table(corpus, TableMode.COMPLEXITY_BASED))
         assert summary["observed_keys"] == 3
         slices = {(s["act"], s["condition"]): s for s in summary["per_act_condition"]}
@@ -764,7 +790,7 @@ class TestSerialization:
         assert set(payload) == {"format", "mode", "fallback_threshold", *COLUMNS}
         for name in COLUMNS:
             assert payload[name] == getattr(table, name).tolist()
-            assert len(payload[name]) == len(_mode_keys(mode))
+            assert len(payload[name]) == len(mode_keys(mode))
 
     def test_save_is_byte_stable(self, small_corpus, tmp_path):
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
@@ -802,7 +828,7 @@ class TestPerStepMeanTracking:
 
         def table_mean(table, condition):
             # the mean over every trait cell at the condition
-            at = [key.condition == condition for key in _mode_keys(table.mode)]
+            at = [key[2] == condition for key in mode_keys(table.mode)]
             return float((table.n[at] * getattr(table, attr)[at]).sum() / table.n[at].sum())
 
         truth = {s: [] for s in range(1, 13)}

@@ -85,6 +85,16 @@ class TestKLDivergence:
         with pytest.raises(EmptySequence):
             kl_divergence([0.0, 0.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_p_is_rejected(self, bad):
+        with pytest.raises(ValueOutOfRange, match="^p=.* must be finite"):
+            kl_divergence([bad, 1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_is_rejected(self, bad):
+        with pytest.raises(ValueOutOfRange, match="^q=.* must be finite"):
+            kl_divergence([1.0, 1.0], [bad, 1.0])
+
 
 class TestMse:
     def test_hand_oracle(self):
@@ -98,6 +108,13 @@ class TestMse:
             mse([1, 2], [1])
         with pytest.raises(EmptySequence):
             mse([], [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        with pytest.raises(ValueOutOfRange, match="^simulated=.* must be finite"):
+            mse([1.0, bad], [1.0, 1.0])
+        with pytest.raises(ValueOutOfRange, match="^reference=.* must be finite"):
+            mse([1.0, 1.0], [bad, 1.0])
 
 
 def smoothed(probs) -> np.ndarray:
@@ -229,6 +246,12 @@ class TestEstimateDistribution:
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
             estimate_distribution([], Measure.DIFFICULTY)
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, measure, bad):
+        with pytest.raises(ValueOutOfRange, match="must be finite"):
+            estimate_distribution([1, bad], measure)
 
 
 def log_from_corpus(corpus, score_delta=0.0, duration_delta=0.0,

@@ -35,8 +35,7 @@ from trustsim.rl_env import (
 from trustsim.sampling import RandomStream
 from trustsim.trust_model import train_classifier
 from trustsim.user_model import (
-    ALL_TRAIT_TUPLES,
-    TraitTuple,
+    N_TRAIT_CODES,
     TruncGauss,
     default_trait_distributions,
     fit_trait_distributions,
@@ -45,24 +44,23 @@ from trustsim.user_model import (
 SUGGESTION_INDEX = ACT_ORDER.index(ProactiveAct.SUGGESTION)
 
 
-def env_state(step=1, tt="000", trust=3):
-    return EnvState(step=step, trait_tuple=TraitTuple.from_bits(tt), last_turn=None,
-                    estimated_trust=trust)
+def env_state(step=1, trait=0b000, trust=3):
+    return EnvState(step=step, trait=trait, last_turn=None, estimated_trust=trust)
 
 
 class TestStateIndex:
     def test_corner_values(self):
-        assert state_index(env_state(1, "000", 1)) == 0
-        assert state_index(env_state(1, "000", 5)) == 4
-        assert state_index(env_state(1, "001", 1)) == 5
-        assert state_index(env_state(2, "000", 1)) == 40
-        assert state_index(env_state(12, "111", 5)) == N_STATES - 1
+        assert state_index(env_state(1, 0b000, 1)) == 0
+        assert state_index(env_state(1, 0b000, 5)) == 4
+        assert state_index(env_state(1, 0b001, 1)) == 5
+        assert state_index(env_state(2, 0b000, 1)) == 40
+        assert state_index(env_state(12, 0b111, 5)) == N_STATES - 1
 
     def test_bijection_over_grid(self):
         seen = {
-            state_index(env_state(step, tt.bits, trust))
+            state_index(env_state(step, trait, trust))
             for step in range(1, 13)
-            for tt in ALL_TRAIT_TUPLES
+            for trait in range(N_TRAIT_CODES)
             for trust in range(1, 6)
         }
         assert seen == set(range(N_STATES))
@@ -163,13 +161,13 @@ class TestEnvMechanics:
             results.append([env.step(a) for a in acts])
         assert results[0] == results[1]
 
-    def test_trait_tuple_fixed_within_episode(self):
+    def test_trait_code_fixed_within_episode(self):
         env = deterministic_env()
         first = env.reset(RandomStream(2, "ep"))
         done = False
         while not done:
             state, _, done = env.step(ProactiveAct.NONE)
-            assert state.trait_tuple == first.trait_tuple
+            assert state.trait == first.trait
 
     def test_reset_profile_equals_sample_user_on_edge_distributions(self, monkeypatch):
         # a clamped sd-0 age, traits in the far upper and lower tails, an
@@ -226,8 +224,8 @@ class TestHyperparams:
 class OneStepEnv:
     """Scripted env: single transition with a fixed reward, for update math."""
 
-    START = env_state(1, "000", 3)  # index 2
-    END = env_state(12, "000", 3)
+    START = env_state(1, 0b000, 3)  # index 2
+    END = env_state(12, 0b000, 3)
 
     def __init__(self, reward):
         self.reward = reward
@@ -335,7 +333,7 @@ class LongEpisodeEnv:
 
     def _state(self):
         step = min(self.t, 12)
-        return EnvState(step=step, trait_tuple=ALL_TRAIT_TUPLES[self.episode % 8],
+        return EnvState(step=step, trait=self.episode % 8,
                         last_turn=None, estimated_trust=1 + self.t % 5)
 
     def reset(self, rng):

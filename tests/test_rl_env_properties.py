@@ -19,7 +19,7 @@ from trustsim.corpus import ACT_ORDER
 from trustsim.rl_env import TrustSimEnv
 from trustsim.sampling import RandomStream
 from trustsim.trust_model import train_classifier
-from trustsim.user_model import binarize_traits, fit_trait_distributions
+from trustsim.user_model import fit_trait_distributions, trait_codes
 
 
 @pytest.fixture(scope="module", params=list(TableMode), ids=lambda mode: mode.value)
@@ -47,7 +47,7 @@ class TestFeatureRows:
             first = env.reset(rng)
             states = [env.step(act)[0] for act in acts]
         profile = reference_sample_user(env.traits, rng.child("user"))
-        assert first.trait_tuple == binarize_traits(profile)
+        assert first.trait == trait_codes(profile)
         history = []
         for step, (act, state, row) in enumerate(zip(acts, states, rows), start=1):
             current = simulated_turn_context(step, act, state.last_turn)

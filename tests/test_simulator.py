@@ -20,6 +20,7 @@ from conftest import (
     make_dialog,
     make_exchange,
     make_user,
+    mode_keys,
     oracle_table,
     reference_combo_stats,
     reference_log,
@@ -29,9 +30,7 @@ from conftest import (
 )
 from trustsim.behavior_tables import (
     REQUEST_COMBOS,
-    ContextKey,
     TableMode,
-    _mode_keys,
     build_table,
     draw_parameters,
     key_code,
@@ -48,7 +47,7 @@ from trustsim.simulator import (
     save_simulated_log,
     simulate_turn,
 )
-from trustsim.user_model import binarize_traits
+from trustsim.user_model import trait_codes
 
 
 def turn(**kwargs):
@@ -185,7 +184,7 @@ class TestTurnSampling:
 
     def test_rejects_an_act_that_is_no_proactive_act(self):
         table = build_table(soundness_corpus(), TableMode.TASK_STEP_BASED)
-        with pytest.raises(InvalidConfig, match="no context of the table"):
+        with pytest.raises(InvalidConfig, match="act must be a ProactiveAct"):
             simulate_turn(table, make_user(), 1, "None", RandomStream(9, "t"))
 
 
@@ -228,15 +227,16 @@ class TestTableRows:
     def test_lookup_reads_the_rows_replay_gathers(self, default_corpus, mode, threshold):
         table = build_table(default_corpus, mode, threshold)
         oracle = oracle_table(table)
-        keys = _mode_keys(mode)
+        keys = mode_keys(mode)
         assert table.row_index.shape == (len(keys), len(REQUEST_COMBOS))
         assert {len(row) for row in table.rows} == {13}
         for k, key in enumerate(keys):
-            request_cum, used_fallback, rows = lookup(table, key)
+            request_cum, used_fallback, rows = lookup(table, *key)
             assert request_cum == tuple(table.request_cum[k].tolist())
             assert used_fallback is bool(table.used_fallback[k])
-            complexity = (complexity_of_step(key.condition)
-                          if mode is TableMode.TASK_STEP_BASED else key.condition)
+            condition = key[2]
+            complexity = (complexity_of_step(condition)
+                          if mode is TableMode.TASK_STEP_BASED else condition)
             for combo in range(len(REQUEST_COMBOS)):
                 assert rows[combo] is table.rows[table.row_index[k, combo]]
                 assert rows[combo] == draw_parameters(
@@ -244,21 +244,21 @@ class TestTableRows:
 
     def test_rungs_shared_by_keys_share_their_rows(self, default_corpus):
         table = build_table(default_corpus, TableMode.TASK_STEP_BASED)
-        rows = [row for key in _mode_keys(table.mode) for row in lookup(table, key)[2]]
+        rows = [row for key in mode_keys(table.mode) for row in lookup(table, *key)[2]]
         assert len({id(row) for row in rows}) == len(table.rows) < len(rows)
 
 
 class TestFallbackFlag:
     def test_sparse_context_sets_flag(self):
         table = build_table(soundness_corpus(), TableMode.TASK_STEP_BASED)
-        # opposite trait tuple never appears in the corpus
+        # opposite trait code never appears in the corpus
         stranger = make_user(user_id="zz", domain_expertise=1.0,
                              trust_propensity=5.0, technical_affinity=1.0)
-        key = ContextKey(binarize_traits(stranger), ProactiveAct.NONE, 1)
-        assert table.n[key_code(table.mode, key.trait_tuple.index, 0, 1)].sum() == 0
+        trait = trait_codes(stranger)
+        assert table.n[key_code(table.mode, trait, 0, 1)].sum() == 0
         t = simulate_turn(table, stranger, 1, ProactiveAct.NONE, RandomStream(4))
         assert t.used_fallback is True
-        _, flagged, _ = lookup(table, key)
+        _, flagged, _ = lookup(table, trait, ProactiveAct.NONE, 1)
         assert flagged is True
 
 

@@ -24,11 +24,7 @@ from trustsim.synth import (
     drift_center,
     generate_synthetic_corpus,
 )
-from trustsim.user_model import TraitTuple, binarize_traits
-
-
-def tt(bits):
-    return TraitTuple.from_bits(bits)
+from trustsim.user_model import trait_codes, trait_flags
 
 
 class TestDriftCenter:
@@ -46,39 +42,39 @@ class TestDriftCenter:
 class TestProcessFormulas:
     def test_help_prob_low_traits_none_act(self):
         # 0.25 + 0.05, complexity term zero at k=3
-        p = BehaviorProcess().help_prob(tt("000"), ProactiveAct.NONE, step=1)
+        p = BehaviorProcess().help_prob(0b000, ProactiveAct.NONE, step=1)
         assert p == pytest.approx(0.30)
 
     def test_help_prob_all_terms(self):
         # 0.25 - 0.12 + 0.06 + 0.08*2 - 0.08 at k=5 under intervention
-        p = BehaviorProcess().help_prob(tt("110"), ProactiveAct.INTERVENTION, step=3)
+        p = BehaviorProcess().help_prob(0b110, ProactiveAct.INTERVENTION, step=3)
         assert p == pytest.approx(0.27)
 
     def test_help_prob_floor(self):
         proc = replace(BehaviorProcess(), help_base=0.05)
-        p = proc.help_prob(tt("100"), ProactiveAct.INTERVENTION, step=1)
+        p = proc.help_prob(0b100, ProactiveAct.INTERVENTION, step=1)
         assert p == 0.02
 
     def test_sugg_prob_oracle(self):
         # 0.30 - 0.10 + 0.10 + 0.05*1 + 0.05 at k=4 under notification
-        p = BehaviorProcess().sugg_prob(tt("110"), ProactiveAct.NOTIFICATION, step=2)
+        p = BehaviorProcess().sugg_prob(0b110, ProactiveAct.NOTIFICATION, step=2)
         assert p == pytest.approx(0.40)
 
     def test_best_prob_without_drift(self):
-        p = BehaviorProcess().best_prob(tt("000"), ProactiveAct.NONE, False, step=1)
+        p = BehaviorProcess().best_prob(0b000, ProactiveAct.NONE, False, step=1)
         assert p == pytest.approx(0.40)
 
     def test_best_prob_with_drift_endpoints(self):
         proc = BehaviorProcess()
-        early = proc.best_prob(tt("000"), ProactiveAct.NONE, False, 1, step_drift=1.0)
-        late = proc.best_prob(tt("000"), ProactiveAct.NONE, False, 12, step_drift=1.0)
+        early = proc.best_prob(0b000, ProactiveAct.NONE, False, 1, step_drift=1.0)
+        late = proc.best_prob(0b000, ProactiveAct.NONE, False, 12, step_drift=1.0)
         assert early == pytest.approx(0.40 - 0.30)
         assert late == pytest.approx(0.40 + 0.30)
 
     def test_score_pmf_is_distribution(self):
         proc = BehaviorProcess()
         for step in (1, 2, 3):
-            pmf = proc.score_pmf(tt("101"), ProactiveAct.SUGGESTION, step)
+            pmf = proc.score_pmf(0b101, ProactiveAct.SUGGESTION, step)
             scores = option_scores(3 + step - 1)
             assert tuple(pmf) == scores
             assert sum(pmf.values()) == pytest.approx(1.0)
@@ -88,7 +84,7 @@ class TestProcessFormulas:
 
     def test_score_pmf_top_mass_marginalizes_suggestion(self):
         proc = BehaviorProcess()
-        traits, act, step = tt("010"), ProactiveAct.NONE, 5
+        traits, act, step = 0b010, ProactiveAct.NONE, 5
         p_sugg = proc.sugg_prob(traits, act, step)
         expected_top = (1 - p_sugg) * proc.best_prob(traits, act, False, step) \
             + p_sugg * proc.best_prob(traits, act, True, step)
@@ -97,20 +93,20 @@ class TestProcessFormulas:
 
     def test_duration_mean_oracle(self):
         proc = BehaviorProcess()
-        assert proc.duration_mean(tt("000"), False, False, 1) == pytest.approx(35.0)
+        assert proc.duration_mean(0b000, False, False, 1) == pytest.approx(35.0)
         # + 9*2 complexity - 5 expertise + 7 help + 4 sugg
-        assert proc.duration_mean(tt("100"), True, True, 3) == pytest.approx(59.0)
+        assert proc.duration_mean(0b100, True, True, 3) == pytest.approx(59.0)
 
     def test_duration_drift_scales_multiplicatively(self):
         proc = BehaviorProcess()
-        base = proc.duration_mean(tt("000"), False, False, 12)
-        drifted = proc.duration_mean(tt("000"), False, False, 12, step_drift=0.8)
+        base = proc.duration_mean(0b000, False, False, 12)
+        drifted = proc.duration_mean(0b000, False, False, 12, step_drift=0.8)
         assert drifted == pytest.approx(base * (1 + 0.5 * 0.8 * 1.0))
 
     def test_difficulty_pmf_valid_and_shifts_with_complexity(self):
         proc = BehaviorProcess()
-        low = proc.difficulty_pmf(tt("111"), step=1)
-        high = proc.difficulty_pmf(tt("111"), step=3)
+        low = proc.difficulty_pmf(0b111, step=1)
+        high = proc.difficulty_pmf(0b111, step=3)
         for pmf in (low, high):
             assert len(pmf) == 5
             assert sum(pmf) == pytest.approx(1.0)
@@ -120,8 +116,8 @@ class TestProcessFormulas:
 
     def test_difficulty_harder_for_novices(self):
         proc = BehaviorProcess()
-        novice = proc.difficulty_pmf(tt("000"), step=2)
-        expert = proc.difficulty_pmf(tt("111"), step=2)
+        novice = proc.difficulty_pmf(0b000, step=2)
+        expert = proc.difficulty_pmf(0b111, step=2)
         assert sum(novice[3:]) > sum(expert[3:])
 
     def test_trust_delta_rule(self):
@@ -169,7 +165,7 @@ class TestProcessValidation:
         corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=3, process=proc), 1)
         for user, ex in exchanges_of(corpus):
             assert ex.duration == proc.duration_mean(
-                binarize_traits(user), ex.help_request, ex.suggestion_request, ex.step)
+                trait_codes(user), ex.help_request, ex.suggestion_request, ex.step)
 
     def test_ints_are_numbers(self):
         proc = replace(BehaviorProcess(), help_base=0, help_act=(0, 0, 0, 1))
@@ -335,7 +331,7 @@ class TestAgainstReference:
         # The one user is an expert at seed 0 and a novice at seed 1, but
         # every trait code is checked, drawn or not.
         user = users_of(generate_synthetic_corpus(GeneratorConfig(n_dialogs=1), seed))[0]
-        assert binarize_traits(user).domain_expertise_high == (seed == 0)
+        assert trait_flags(trait_codes(user))[0] == (seed == 0)
         proc = replace(BehaviorProcess(), difficulty_base=1e308,
                        difficulty_low_expertise=1e308)
         for generate in (generate_synthetic_corpus, reference_generate):

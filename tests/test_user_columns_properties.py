@@ -3,7 +3,8 @@ record-based code they replaced.
 
 Over random corpora, fit_trait_distributions, corpus_to_dataset,
 split_corpus and save_corpus must agree bit for bit with oracles that read
-the users as one UserRecord each. Kept apart from the example-based tests
+the users as one UserRecord each, and trait_flags must decode the trait
+codes of the users and of the columns alike. Kept apart from the example-based tests
 so that those still run where hypothesis is not installed.
 """
 
@@ -20,13 +21,17 @@ from conftest import (
     reference_fit_trait_distributions,
     reference_save_corpus,
     reference_split_corpus,
+    users_of,
 )
 from trustsim.corpus import (AGE_MAX, AGE_MIN, GENDER_ORDER, LIKERT_MAX, LIKERT_MIN,
                              SCALE_TRAITS, save_corpus, split_corpus)
 from trustsim.errors import TrustSimError
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import corpus_to_dataset
-from trustsim.user_model import fit_trait_distributions
+from trustsim.user_model import fit_trait_distributions, trait_codes, trait_flags
+
+# The behavior-relevant traits in trait_flags order
+FLAG_TRAITS = ("domain_expertise", "trust_propensity", "technical_affinity")
 
 
 def fitted(fit, corpus):
@@ -91,3 +96,17 @@ def test_random_corpora(root, corpus, fraction, seed):
 def test_standard_corpora(tmp_path, n):
     corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n), 42)
     assert_matches_record_oracles(corpus, 0.8, 42, tmp_path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora())
+def test_trait_flags_decode_trait_codes(corpus):
+    """trait_flags(trait_codes(x)) is the three "> 3.0" flags, for one user
+    and element by element for the corpus's columns."""
+    columns = trait_flags(trait_codes(corpus))
+    expected = [[int(value > 3.0) for value in getattr(corpus, name).tolist()]
+                for name in FLAG_TRAITS]
+    assert [flags.tolist() for flags in columns] == expected
+    for user in users_of(corpus):
+        assert trait_flags(trait_codes(user)) == tuple(
+            int(getattr(user, name) > 3.0) for name in FLAG_TRAITS)

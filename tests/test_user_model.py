@@ -16,17 +16,15 @@ from trustsim.errors import InsufficientUsers, InvalidBounds, InvalidConfig
 from trustsim.sampling import RandomStream, child_keys, label_bits
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.user_model import (
-    ALL_TRAIT_TUPLES,
     LIKERT_BINARY_THRESHOLD,
     TraitDistributions,
-    TraitTuple,
     TruncGauss,
-    binarize_traits,
     default_trait_distributions,
     fit_trait_distributions,
     load_trait_distributions,
     sample_users,
     trait_codes,
+    trait_flags,
 )
 
 
@@ -230,25 +228,25 @@ class TestBinarizeTraits:
     def test_mixed_profile(self):
         profile = make_user(domain_expertise=2.4, trust_propensity=4.0,
                             technical_affinity=4.2)
-        assert binarize_traits(profile).bits == "011"
+        assert trait_codes(profile) == 0b011
 
     def test_all_low(self):
         profile = make_user(domain_expertise=1.0, trust_propensity=1.0,
                             technical_affinity=1.0)
-        assert binarize_traits(profile).bits == "000"
+        assert trait_codes(profile) == 0
 
     def test_threshold_value_maps_low(self):
         profile = make_user(domain_expertise=3.0, trust_propensity=3.0,
                             technical_affinity=3.0)
-        assert binarize_traits(profile).bits == "000"
+        assert trait_codes(profile) == 0
         assert LIKERT_BINARY_THRESHOLD == 3.0
 
     def test_monotone_in_each_trait(self):
         base = dict(domain_expertise=2.0, trust_propensity=2.0,
                     technical_affinity=2.0)
         for trait in base:
-            lows = binarize_traits(make_user(**base)).bits
-            highs = binarize_traits(make_user(**{**base, trait: 4.5})).bits
+            lows = trait_flags(trait_codes(make_user(**base)))
+            highs = trait_flags(trait_codes(make_user(**{**base, trait: 4.5})))
             # raising one trait never flips any bit from 1 to 0
             assert all(h >= l for h, l in zip(highs, lows))
 
@@ -267,7 +265,7 @@ class TestTraitCodes:
 
     def test_scalars_give_the_index_of_the_record(self):
         for code, user in enumerate(self.users()):
-            assert trait_codes(user) == binarize_traits(user).index == code
+            assert trait_codes(user) == code
             as_numpy = SimpleNamespace(**{name: np.float64(getattr(user, name))
                                           for name in SCALE_TRAITS})
             assert trait_codes(as_numpy) == code
@@ -277,41 +275,15 @@ class TestTraitCodes:
         corpus = corpus_from_rows(users, {u.user_id: make_dialog(u.user_id) for u in users})
         codes = trait_codes(corpus)
         assert codes.dtype == np.int64
-        assert codes.tolist() == [binarize_traits(u).index for u in users] == list(range(8))
+        assert codes.tolist() == list(range(8))
 
 
-class TestTraitTuple:
+class TestTraitFlags:
     def test_bit_order_is_expertise_propensity_affinity(self):
-        tt = TraitTuple(domain_expertise_high=True, trust_propensity_high=False,
-                        technical_affinity_high=True)
-        assert tt.bits == "101"
-        assert tt.index == 5
+        assert trait_flags(0b101) == (1, 0, 1)
+        assert [trait_flags(code) for code in range(8)] == [
+            tuple(int(bit) for bit in f"{code:03b}") for code in range(8)]
 
-    def test_all_eight_tuples_enumerated(self):
-        assert len(ALL_TRAIT_TUPLES) == 8
-        assert sorted(t.bits for t in ALL_TRAIT_TUPLES) == [
-            f"{i:03b}" for i in range(8)
-        ]
-
-    def test_index_is_the_bits_read_in_base_two(self):
-        assert ([tt.index for tt in ALL_TRAIT_TUPLES]
-                == [int(tt.bits, 2) for tt in ALL_TRAIT_TUPLES] == list(range(8)))
-
-    @pytest.mark.parametrize("flags,bits", [
-        ((2, 0, "x"), "101"), ((0.0, "", None), "000"), ((np.True_, [1], -1), "111"),
-        ((np.float64(0.5), np.int64(0), ()), "100"),
-    ])
-    def test_index_reads_truthy_flags_as_bits_does(self, flags, bits):
-        tt = TraitTuple(*flags)
-        assert tt.bits == bits
-        assert tt.index == int(tt.bits, 2)
-
-    def test_round_trip(self):
-        for tt in ALL_TRAIT_TUPLES:
-            assert TraitTuple.from_bits(tt.bits) == tt
-
-    def test_rejects_malformed_bits(self):
-        with pytest.raises(InvalidConfig):
-            TraitTuple.from_bits("01")
-        with pytest.raises(InvalidConfig):
-            TraitTuple.from_bits("012")
+    def test_arrays_decode_element_by_element(self):
+        flags = trait_flags(np.arange(8))
+        assert list(zip(*(f.tolist() for f in flags))) == [trait_flags(c) for c in range(8)]

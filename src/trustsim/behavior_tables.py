@@ -34,11 +34,11 @@ from .corpus import (
     DURATION_HI,
     LIKERT_MAX,
     LIKERT_MIN,
-    MIN_DURATION_S,
     OPTION_SCORE_UNIT,
     ProactiveAct,
     STEPS_PER_DIALOG,
     complexity_of_step,
+    duration_truncation,
     max_option_score,
 )
 from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, object_entry,
@@ -131,13 +131,11 @@ def _merge(parts: Stats) -> Stats:
     return Stats(n, *moments, parts.difficulty_counts.sum(axis=0))
 
 
-# A row of draw parameters: the difficulty cumulatives, then the mean and
-# the `gaussian_truncation` of the duration, then those of the score.
+# A row of draw parameters: the difficulty cumulatives, then the
+# `gaussian_truncation` records of the duration and of the score.
 ROW_DIFFICULTY = slice(0, N_DIFFICULTY_CLASSES)
-ROW_DURATION_MEAN = N_DIFFICULTY_CLASSES
-ROW_DURATION = slice(ROW_DURATION_MEAN + 1, ROW_DURATION_MEAN + 4)
-ROW_SCORE_MEAN = ROW_DURATION_MEAN + 4
-ROW_SCORE = slice(ROW_SCORE_MEAN + 1, ROW_SCORE_MEAN + 4)
+ROW_DURATION = slice(N_DIFFICULTY_CLASSES, N_DIFFICULTY_CLASSES + 6)
+ROW_SCORE = slice(N_DIFFICULTY_CLASSES + 6, N_DIFFICULTY_CLASSES + 12)
 
 
 def draw_parameters(stats, complexity: int) -> tuple:
@@ -147,11 +145,9 @@ def draw_parameters(stats, complexity: int) -> tuple:
     counts = stats.difficulty_counts
     total = sum(counts)
     return (*cumulative_weights(tuple(c / total for c in counts)),
-            stats.duration_mean, *gaussian_truncation(
-                stats.duration_mean, stats.duration_sd, MIN_DURATION_S, DURATION_HI),
-            stats.score_mean, *gaussian_truncation(
-                stats.score_mean, stats.score_sd, OPTION_SCORE_UNIT,
-                max_option_score(complexity)))
+            *duration_truncation(stats.duration_mean, stats.duration_sd, DURATION_HI),
+            *gaussian_truncation(stats.score_mean, stats.score_sd, OPTION_SCORE_UNIT,
+                                 max_option_score(complexity)))
 
 
 def _read_only(array) -> np.ndarray:

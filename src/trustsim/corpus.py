@@ -32,7 +32,7 @@ from .errors import (
     TrustSimError,
     ValueOutOfRange,
 )
-from .sampling import RandomStream, permutation
+from .sampling import RandomStream, gaussian_truncation, permutation
 
 STEPS_PER_DIALOG = 12
 COMPLEXITY_LEVELS = (3, 4, 5)
@@ -41,6 +41,15 @@ MIN_DURATION_S = 20.0
 DURATION_FLOOR_S = math.nextafter(MIN_DURATION_S, math.inf)
 # upper truncation bound of drawn durations, synthetic and simulated
 DURATION_HI = 300.0
+
+
+def duration_truncation(mean, sd, hi) -> tuple:
+    """The `gaussian_truncation` record of a drawn duration: N(mean, sd)
+    truncated to [MIN_DURATION_S, hi], its draws clamped to
+    [DURATION_FLOOR_S, hi]."""
+    return (*gaussian_truncation(mean, sd, MIN_DURATION_S, hi)[:4], DURATION_FLOOR_S, hi)
+
+
 LIKERT_MIN, LIKERT_MAX = 1, 5
 AGE_MIN, AGE_MAX = 18, 60
 
@@ -582,26 +591,28 @@ def write_jsonl_rows(handle, names, rows) -> None:
         handle.write(json.dumps(dict(zip(names, cells))) + "\n")
 
 
+def corpus_cells(corpus: Corpus, name: str, text: bool) -> list:
+    """The cells of one column of the flat row schema, one per exchange:
+    text, but for a number or boolean of a JSON line (text False), which
+    stays one; enums are written by value."""
+    values = getattr(corpus, name)
+    values = list(values) if name in ("user_id", "dialog_id") else values.tolist()
+    enum = {"gender": GENDER_ORDER, "proactive_act": ACT_ORDER}.get(name)
+    if enum or text:
+        values = format_cells(list(map(enum.__getitem__, values)) if enum else values)
+    if name in EXCHANGE_COLUMNS[1:]:
+        return values
+    # a user's cells are made once, then repeated for each exchange
+    return [v for v in values for _ in range(STEPS_PER_DIALOG)]
+
+
 def save_corpus(corpus: Corpus, path) -> None:
     """Write the corpus in the flat row schema, column by column, as CSV or
     JSON lines by the path's suffix; load(save(c)) == c. CSV cells are
     text; JSON lines keep numbers and booleans and write enums by value."""
     path = Path(path)
     file_format = _infer_format(path)
-    columns = []
-    for name in CORPUS_COLUMNS:
-        per_user = name not in EXCHANGE_COLUMNS[1:]  # a user column or dialog_id
-        values = getattr(corpus, name)
-        values = list(values) if name in ("user_id", "dialog_id") else values.tolist()
-        if name == "gender":
-            values = list(map(GENDER_ORDER.__getitem__, values))
-        if name == "proactive_act":
-            values = list(map(ACT_ORDER.__getitem__, values))
-        if file_format == "csv" or name in ("gender", "proactive_act"):
-            values = format_cells(values)
-        # a user's cells are made once, then repeated for each exchange
-        columns.append([v for v in values for _ in range(STEPS_PER_DIALOG)]
-                       if per_user else values)
+    columns = [corpus_cells(corpus, name, file_format == "csv") for name in CORPUS_COLUMNS]
     if file_format == "csv":
         with path.open("w", newline="", encoding="utf-8") as handle:
             write_csv_rows(handle, chain([CORPUS_COLUMNS], zip(*columns)))

@@ -75,6 +75,9 @@ def kl_divergence(p, q) -> float:
     _check_finite("q", q)
     if (p < 0).any() or (q < 0).any():
         raise NegativeEntry("probability vectors must be non-negative")
+    # a vector whose sum leaves the float range is scaled by its maximum first
+    with np.errstate(over="ignore"):
+        p, q = (x if np.isfinite(x.sum()) else x / x.max() for x in (p, q))
     psum, qsum = p.sum(), q.sum()
     if psum <= 0 or qsum <= 0:
         raise EmptySequence("probability vector has no mass")
@@ -102,7 +105,12 @@ def mse(simulated, reference) -> float:
         raise EmptySequence("cannot average zero squared errors")
     _check_finite("simulated", sim)
     _check_finite("reference", ref)
-    return float(np.mean((sim - ref) ** 2))
+    with np.errstate(over="ignore"):
+        error = float(np.mean((sim - ref) ** 2))
+    if not math.isfinite(error):
+        raise ValueOutOfRange("mean squared error", error,
+                              detail="overflows the float range")
+    return error
 
 
 def estimate_distribution(values, measure: Measure) -> np.ndarray:

@@ -4,8 +4,10 @@ Episodes are one 12-step dialog; actions are the four proactive acts.
 After each action the simulator produces the user's turn, the trust
 classifier estimates the user's trust from observable features only,
 and the reward blends normalized game score with normalized estimated
-trust. Ships a tabular Q-learning reference agent over the discretized
-(step, trait code, trust estimate) state.
+trust. A user trait is drawn from its truncated-Gaussian record, a turn
+from its key's draw context, both made once per env. Ships a tabular
+Q-learning reference agent over the discretized (step, trait code, trust
+estimate) state.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class TrustSimEnv:
     an episode's uniforms at once: ten for the user, then four per turn, 58
     first draws of one chain of uint64 key arrays. The user's profile is
     `sample_users`' arithmetic on the first ten, with each trait's
-    truncation and the gender cumulatives computed once per env. The
+    truncation record and the gender cumulatives made once per env. The
     action only picks the key whose `lookup` context a turn draws from. The
     oracle `ReferenceTrustSimEnv` in `tests/conftest.py` draws the same
     episode turn by turn on a scalar stream with the reset key: the profile
@@ -143,10 +145,9 @@ class TrustSimEnv:
         self.traits = traits
         self.trust_model = trust_model
         self.reward = reward
-        # (mean, truncation, lo, hi) of each truncated-Gaussian trait
-        self._trait_draws = [
-            (d.mean, gaussian_truncation(d.mean, d.sd, d.lo, d.hi), d.lo, d.hi)
-            for d in (getattr(traits, name) for name in _GAUSS_TRAITS)]
+        # the `gaussian_truncation` record of each truncated-Gaussian trait
+        self._trait_draws = [gaussian_truncation(d.mean, d.sd, d.lo, d.hi)
+                             for d in (getattr(traits, name) for name in _GAUSS_TRAITS)]
         self._gender_cum = cumulative_weights(traits.gender_probs)
         conditions = _STEPS if table.mode is TableMode.TASK_STEP_BASED else _COMPLEXITY
         # [trait code][act index][step - 1] -> the key's draw_turn context
@@ -156,7 +157,7 @@ class TrustSimEnv:
 
     def _profile_from(self, u) -> UserRecord:
         """The profile drawn on the uniforms of its ten substreams."""
-        traits = dict(zip(_GAUSS_TRAITS, (truncated_gaussian_from(*draw, ui)
+        traits = dict(zip(_GAUSS_TRAITS, (truncated_gaussian_from(draw, ui)
                                           for draw, ui in zip(self._trait_draws, u))))
         traits["age"] = int(math.floor(traits["age"] + 0.5))
         return UserRecord(user_id="sim", gender=GENDER_ORDER[categorical_from(
@@ -180,8 +181,7 @@ class TrustSimEnv:
         if not isinstance(action, ProactiveAct):
             raise InvalidConfig(f"action must be a ProactiveAct, got {action!r}")
         s = self._step_no
-        complexity = _COMPLEXITY[s - 1]
-        turn = draw_turn(*self._episode_contexts[ACT_INDEX[action]][s - 1], complexity,
+        turn = draw_turn(*self._episode_contexts[ACT_INDEX[action]][s - 1],
                          self._uniforms[s - 1])
         trust = predict_trust(self.trust_model, self._features.row(action, s, turn))
         self._features.push(trust)

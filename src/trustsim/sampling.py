@@ -13,6 +13,8 @@ key is one more link of a hash chain over the parent key and the label's
 bits. Both are pure functions, so they run over numpy uint64 arrays of keys
 and draw numbers, many streams at once: `child_keys` for the chain,
 `nth_draws`, `first_uniforms`, `integers` and `permutation` for the draws.
+A truncated-Gaussian draw reads one `gaussian_truncation` record and nothing
+else: `truncated_gaussian_from` for one draw, `truncated_gaussians` for many.
 """
 
 from __future__ import annotations
@@ -185,16 +187,16 @@ def standard_normals(u) -> np.ndarray:
 
 
 def gaussian_truncation(mean, sd, lo, hi) -> tuple:
-    """(c_lo, span, scale) of a Gaussian truncated to [lo, hi]: the draw on
-    a uniform u is mean + scale * inv_cdf(c_lo + u * span), clamped to
-    [lo, hi]. sd == 0 gives scale 0 and p = 0.5, so the draw is the clamped
-    mean."""
+    """The record a draw from N(mean, sd) truncated to [lo, hi] reads:
+    (mean, c_lo, span, scale, lo, hi). The draw on a uniform u is
+    mean + scale * inv_cdf(c_lo + u * span), clamped to [lo, hi]. sd == 0
+    gives scale 0 and p = 0.5, so the draw is the clamped mean."""
     if not lo < hi:
         raise InvalidBounds(f"need lo < hi, got [{lo}, {hi}]")
     if not 0 <= sd < math.inf:
         raise InvalidBounds(f"sd must be finite and >= 0, got {sd}")
     if sd == 0:
-        return 0.5, 0.0, 0.0
+        return mean, 0.5, 0.0, 0.0, lo, hi
     a, b = (lo - mean) / sd, (hi - mean) / sd
     # Computed with erfc, the standard normal cdf keeps its relative
     # precision in the lower tail but rounds to 1 in the upper tail, so an
@@ -203,33 +205,35 @@ def gaussian_truncation(mean, sd, lo, hi) -> tuple:
     if a + b > 0:
         a, b, sign = -b, -a, -1.0
     c_lo = 0.5 * math.erfc(-a / _SQRT2)
-    return c_lo, 0.5 * math.erfc(-b / _SQRT2) - c_lo, sign * sd
+    return mean, c_lo, 0.5 * math.erfc(-b / _SQRT2) - c_lo, sign * sd, lo, hi
 
 
-def truncated_gaussian_from(mean, truncation, lo, hi, u: float) -> float:
-    """One draw from a Gaussian truncated to [lo, hi], given the mean, its
-    `gaussian_truncation` and a uniform u.
+def truncated_gaussian_from(truncation, u: float) -> float:
+    """One draw on a uniform u from a truncated Gaussian, given its
+    `gaussian_truncation` record.
 
     A single inverse-CDF step on one uniform, so every draw costs the same
     however far into a tail [lo, hi] lies. sd == 0 degenerates to
     clamp(mean, lo, hi).
     """
-    c_lo, span, scale = truncation
+    mean, c_lo, span, scale, lo, hi = truncation
     if scale == 0:
         return float(min(max(mean, lo), hi))
     p = min(max(c_lo + u * span, _P_MIN), _P_MAX)
     return float(min(max(mean + scale * _STD.inv_cdf(p), lo), hi))
 
 
-def truncated_gaussians(mean, truncation, lo, hi, u) -> np.ndarray:
+def truncated_gaussians(truncations, u) -> np.ndarray:
     """`truncated_gaussian_from` over arrays: element i draws on uniform u[i]
-    with mean[i] and truncation[i], its `gaussian_truncation` (n x 3).
+    from record i of `truncations`, `gaussian_truncation` records (n x 6),
+    or from one record for every element.
 
     Only the arithmetic is vectorized; `inv_cdf` runs per element, so the
     values equal the scalar draws bit for bit. Overflow to inf and inf - inf
     pass silently, as in Python float arithmetic.
     """
-    c_lo, span, scale = np.asarray(truncation, dtype=np.float64).reshape(-1, 3).T
+    mean, c_lo, span, scale, lo, hi = np.asarray(
+        truncations, dtype=np.float64).reshape(-1, 6).T
     z = standard_normals(np.minimum(np.maximum(c_lo + u * span, _P_MIN), _P_MAX))
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.where(scale == 0, mean, mean + scale * z)

@@ -3,8 +3,9 @@
 One turn: take the profile's trait code, look up the context key's draw
 context (the table chose each key's fallback rung when it was built or
 loaded), sample the request combination, then sample difficulty, duration,
-and game score conditional on that combination. Each field reads a named substream
-so draws never bleed across fields.
+and game score conditional on that combination, the last two from the
+truncated-Gaussian records of its row, which hold their bounds. Each field
+reads a named substream so draws never bleed across fields.
 
 Every path draws a turn from the table's `draw_parameters` rows, through
 `draw_turn`, on the first uniforms of the turn stream's TURN_FIELDS
@@ -28,30 +29,24 @@ from .behavior_tables import (
     REQUEST_COMBOS,
     ROW_DIFFICULTY,
     ROW_DURATION,
-    ROW_DURATION_MEAN,
     ROW_SCORE,
-    ROW_SCORE_MEAN,
     BehaviorTable,
     TableMode,
     key_code,
     lookup,
 )
 from .corpus import (
-    ACT_ORDER,
     Corpus,
-    DURATION_FLOOR_S,
-    DURATION_HI,
     LIKERT_MAX,
     LIKERT_MIN,
     MIN_DURATION_S,
-    OPTION_SCORE_UNIT,
     ProactiveAct,
     STEPS_PER_DIALOG,
     UserRecord,
     _infer_format,
     complexity_of_step,
+    corpus_cells,
     format_cells,
-    max_option_score,
     write_csv_rows,
     write_jsonl_rows,
 )
@@ -95,15 +90,12 @@ TURN_FIELDS = ("requests", "difficulty", "duration", "score")
 
 def simulate_turn(table: BehaviorTable, profile: UserRecord, step: int,
                   act: ProactiveAct, rng: RandomStream) -> SimulatedTurn:
-    complexity = complexity_of_step(step)
-    condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
-    return draw_turn(
-        *lookup(table, trait_codes(profile), act, condition),
-        complexity, first_uniforms(child_keys(rng.key, label_bits(TURN_FIELDS))).tolist())
+    condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity_of_step(step)
+    return draw_turn(*lookup(table, trait_codes(profile), act, condition),
+                     first_uniforms(child_keys(rng.key, label_bits(TURN_FIELDS))).tolist())
 
 
-def draw_turn(request_cum, used_fallback: bool, rows, complexity: int,
-              u) -> SimulatedTurn:
+def draw_turn(request_cum, used_fallback: bool, rows, u) -> SimulatedTurn:
     """The turn a context key draws on the uniforms u of its TURN_FIELDS,
     given the key's `lookup` context: its request cumulatives, its
     used_fallback flag and its `draw_parameters` row per request
@@ -111,16 +103,12 @@ def draw_turn(request_cum, used_fallback: bool, rows, complexity: int,
     combo = categorical_from(request_cum, u[0])
     row = rows[combo]
     help_request, suggestion_request = REQUEST_COMBOS[combo]
-    duration = truncated_gaussian_from(row[ROW_DURATION_MEAN], row[ROW_DURATION],
-                                       MIN_DURATION_S, DURATION_HI, u[2])
     return SimulatedTurn(
         help_request=help_request,
         suggestion_request=suggestion_request,
-        duration=max(duration, DURATION_FLOOR_S),
+        duration=truncated_gaussian_from(row[ROW_DURATION], u[2]),
         difficulty=LIKERT_MIN + categorical_from(row[ROW_DIFFICULTY], u[1]),
-        game_score=truncated_gaussian_from(row[ROW_SCORE_MEAN], row[ROW_SCORE],
-                                           OPTION_SCORE_UNIT, max_option_score(complexity),
-                                           u[3]),
+        game_score=truncated_gaussian_from(row[ROW_SCORE], u[3]),
         used_fallback=used_fallback,
     )
 
@@ -193,10 +181,10 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     fail.
     """
     owner = np.repeat(np.arange(corpus.n_dialogs), STEPS_PER_DIALOG)
-    step, complexity, act = corpus.step, corpus.complexity, corpus.proactive_act
+    step = corpus.step
     trait = trait_codes(corpus)[owner]
-    condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
-    code = key_code(table.mode, trait, act, condition)
+    condition = step if table.mode is TableMode.TASK_STEP_BASED else corpus.complexity
+    code = key_code(table.mode, trait, corpus.proactive_act, condition)
     rows = np.array(table.rows)
 
     user_keys = child_keys(rng.key, label_bits(corpus.user_id))
@@ -210,13 +198,8 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     # gathered field by field, so no temporary holds a whole row per turn
     difficulty = LIKERT_MIN + categoricals(rows[row, ROW_DIFFICULTY],
                                            uniforms("difficulty"))
-    duration = np.maximum(
-        truncated_gaussians(rows[row, ROW_DURATION_MEAN], rows[row, ROW_DURATION],
-                            MIN_DURATION_S, DURATION_HI, uniforms("duration")),
-        DURATION_FLOOR_S)
-    game_score = truncated_gaussians(rows[row, ROW_SCORE_MEAN], rows[row, ROW_SCORE],
-                                     OPTION_SCORE_UNIT, max_option_score(complexity),
-                                     uniforms("score"))
+    duration = truncated_gaussians(rows[row, ROW_DURATION], uniforms("duration"))
+    game_score = truncated_gaussians(rows[row, ROW_SCORE], uniforms("score"))
 
     flags = _COMBO_FLAGS[combo]
     return SimulatedLog(
@@ -227,16 +210,12 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
 
 
 def _log_cells(log: SimulatedLog, name: str, text: bool) -> list:
-    """The cells of one log-file column, read from the log's corpus for the
-    context columns: text, but for an integer column of a JSON line (text
+    """The cells of one log-file column, the context columns as the corpus
+    file writes them: text, but for an integer column of a JSON line (text
     False), which stays ints."""
-    corpus = log.corpus
-    if name in ("user_id", "dialog_id"):  # one per dialog, on each of its exchanges
-        return [cell for cell in format_cells(getattr(corpus, name))
-                for _ in range(STEPS_PER_DIALOG)]
-    if name == "proactive_act":
-        return format_cells(list(map(ACT_ORDER.__getitem__, corpus.proactive_act.tolist())))
-    column = getattr(log if name in _DRAWN_DTYPES else corpus, name)
+    if name not in _DRAWN_DTYPES:
+        return corpus_cells(log.corpus, name, text)
+    column = getattr(log, name)
     return format_cells(column) if text or column.dtype.kind != "i" else column.tolist()
 
 

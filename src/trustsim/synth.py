@@ -5,7 +5,8 @@ pipeline is verified against corpora drawn from a fully documented
 generating process: every conditional distribution the generator uses
 (request probabilities, score mixture, duration and difficulty models,
 trust response rule) is computable from the exported config, giving
-evaluation a known ground truth.
+evaluation a known ground truth. Durations are drawn from
+`duration_truncation` records, which hold the duration bounds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .corpus import (
     ACT_INDEX,
     ACT_ORDER,
     Corpus,
-    DURATION_FLOOR_S,
     DURATION_HI,
     LIKERT_MAX,
     LIKERT_MIN,
@@ -30,6 +30,7 @@ from .corpus import (
     STEPS_PER_DIALOG,
     STORED_COLUMNS,
     complexity_of_step,
+    duration_truncation,
     option_scores,
 )
 from .errors import InvalidConfig, ValueOutOfRange, object_entry
@@ -39,7 +40,6 @@ from .sampling import (
     child_keys,
     cumulative_weights,
     first_uniforms,
-    gaussian_truncation,
     integers,
     label_bits,
     nth_draws,
@@ -62,7 +62,8 @@ TRUST_FIELDS = ("trust", "competence", "reliability", "predictability")
 
 
 def _clip_prob(p: float) -> float:
-    return min(PROB_CEIL, max(PROB_FLOOR, p))
+    # p first, so a nan p stays nan: max(x, nan) keeps x
+    return min(max(p, PROB_FLOOR), PROB_CEIL)
 
 
 def drift_center(step: int) -> float:
@@ -291,14 +292,15 @@ class _StepTables:
     help: np.ndarray            # [code, act]
     sugg: np.ndarray            # [code, act]
     best: np.ndarray            # [code, act, sugg_request]
-    duration_mean: np.ndarray   # [code, help_request, sugg_request]
-    duration: np.ndarray        # [code, help_request, sugg_request] -> truncation
+    duration: np.ndarray        # [code, help_request, sugg_request] -> truncation record
     difficulty: np.ndarray      # [code] -> cumulative weights
 
 
 def _step_tables(config: GeneratorConfig, step: int) -> _StepTables:
     """The step's tables. The first trait code, in order, that a user could
-    not be drawn for raises: on a difficulty pmf that is no categorical
+    not be drawn for raises: on a nan help, suggestion or best-option
+    probability (InvalidConfig; an infinite sum plus an infinite product of
+    the other sign), then on a difficulty pmf that is no categorical
     (InvalidBounds), then on a nan duration mean (ValueOutOfRange; an
     infinite base times a drift factor of 0). Every code is checked, held by
     a user or not, so whether a config is valid does not depend on the
@@ -306,8 +308,7 @@ def _step_tables(config: GeneratorConfig, step: int) -> _StepTables:
     proc, drift = config.process, config.step_drift
     help_p, sugg_p = np.zeros((2, N_TRAIT_CODES, len(ACT_ORDER)))
     best_p = np.zeros((N_TRAIT_CODES, len(ACT_ORDER), 2))
-    duration_mean = np.zeros((N_TRAIT_CODES, 2, 2))
-    duration = np.zeros((N_TRAIT_CODES, 2, 2, 3))
+    duration = np.zeros((N_TRAIT_CODES, 2, 2, 6))
     difficulty = np.zeros((N_TRAIT_CODES, N_DIFFICULTY_CLASSES))
     for code in range(N_TRAIT_CODES):
         for a, act in enumerate(ACT_ORDER):
@@ -315,16 +316,19 @@ def _step_tables(config: GeneratorConfig, step: int) -> _StepTables:
             sugg_p[code, a] = proc.sugg_prob(code, act, step)
             for s in (0, 1):
                 best_p[code, a, s] = proc.best_prob(code, act, bool(s), step, drift)
+        for name, p in (("help", help_p), ("suggestion", sugg_p), ("best-option", best_p)):
+            if np.isnan(p[code]).any():
+                raise InvalidConfig(f"the {name} probability is nan at step {step} "
+                                    f"for trait code {code}")
         for h in (0, 1):
             for s in (0, 1):
-                mean = proc.duration_mean(code, bool(h), bool(s), step, drift)
-                duration_mean[code, h, s] = mean
-                duration[code, h, s] = gaussian_truncation(
-                    mean, proc.duration_sd, MIN_DURATION_S, config.duration_hi)
+                duration[code, h, s] = duration_truncation(
+                    proc.duration_mean(code, bool(h), bool(s), step, drift),
+                    proc.duration_sd, config.duration_hi)
         difficulty[code] = cumulative_weights(proc.difficulty_pmf(code, step))
-        if np.isnan(duration_mean[code]).any():
+        if np.isnan(duration[code, ..., 0]).any():  # slot 0 of a record is its mean
             raise ValueOutOfRange("duration", math.nan, detail="must exceed 20 s")
-    return _StepTables(help_p, sugg_p, best_p, duration_mean, duration, difficulty)
+    return _StepTables(help_p, sugg_p, best_p, duration, difficulty)
 
 
 def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
@@ -382,11 +386,8 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
         game_score = np.where(best, scores[-1],
                               scores[integers(nth_draws(score_keys, 2), k - 1)])
 
-        duration = np.maximum(
-            truncated_gaussians(t.duration_mean[code, h, s], t.duration[code, h, s],
-                                MIN_DURATION_S, config.duration_hi,
-                                first_uniforms(field("duration"))),
-            DURATION_FLOOR_S)
+        duration = truncated_gaussians(t.duration[code, h, s],
+                                       first_uniforms(field("duration")))
         difficulty = LIKERT_MIN + categoricals(t.difficulty[code],
                                                first_uniforms(field("difficulty")))
 

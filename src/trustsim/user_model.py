@@ -146,7 +146,7 @@ def sample_users(dists: TraitDistributions, keys) -> SimpleNamespace:
     """Sample the user columns of a Corpus but user_id, as attributes: user
     i draws from the stream with key keys[i] of a uint64 array. Each trait
     takes the first uniform of its own named child stream, so no trait
-    shifts another's, and one truncation for all users; age is drawn
+    shifts another's, and one truncation record for all users; age is drawn
     continuously, then rounded, and gender is its GENDER_ORDER index. The
     one-user oracle is `reference_sample_user` in `tests/conftest.py`.
     """
@@ -157,8 +157,7 @@ def sample_users(dists: TraitDistributions, keys) -> SimpleNamespace:
     for name in _GAUSS_TRAITS:
         dist = getattr(dists, name)
         columns[name] = truncated_gaussians(
-            float(dist.mean), gaussian_truncation(dist.mean, dist.sd, dist.lo, dist.hi),
-            dist.lo, dist.hi, uniforms(name))
+            gaussian_truncation(dist.mean, dist.sd, dist.lo, dist.hi), uniforms(name))
     columns["age"] = np.floor(columns["age"] + 0.5).astype(np.int64)
     columns["gender"] = categoricals(np.array([cumulative_weights(dists.gender_probs)]),
                                      uniforms("gender"))

@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from trustsim import behavior_tables, simulator
+from trustsim import behavior_tables
 from trustsim.behavior_tables import (
     ACT_SLICE,
     COLUMNS,
@@ -289,8 +289,7 @@ def truncated_gaussian(mean, sd, lo, hi, rng) -> float:
     """One draw from a Gaussian truncated to [lo, hi] on the stream's next
     uniform: the scalar sampler `truncated_gaussians` replaced, kept as its
     oracle. sd == 0 degenerates to clamp(mean, lo, hi)."""
-    return truncated_gaussian_from(mean, gaussian_truncation(mean, sd, lo, hi),
-                                   lo, hi, rng.random())
+    return truncated_gaussian_from(gaussian_truncation(mean, sd, lo, hi), rng.random())
 
 
 def categorical(probs, rng) -> int:
@@ -565,10 +564,9 @@ def _reference_cell(rows_per_combo) -> CellStats:
 
 
 def lower_duration_ceiling(monkeypatch, hi) -> None:
-    """Lower DURATION_HI where the table makes its rows and where a turn
-    clamps its duration; a table built afterwards draws under it."""
+    """Lower DURATION_HI where the table makes its rows' duration records; a
+    table built afterwards draws under it."""
     monkeypatch.setattr(behavior_tables, "DURATION_HI", hi)
-    monkeypatch.setattr(simulator, "DURATION_HI", hi)
 
 
 # -- table.json edits ---------------------------------------------------------
@@ -669,8 +667,8 @@ def reference_simulate_turn(oracle, profile, step, act, rng) -> SimulatedTurn:
     """simulate_turn as it was before both draw paths shared
     `draw_parameters`, kept as their oracle: an OracleTable's ladder walked
     per call, its statistics turned into draws inline, through `categorical`
-    and `truncated_gaussian`. The ceiling is read from the simulator module,
-    so a test that lowers it there lowers it here too. `rng` is any stream;
+    and `truncated_gaussian`. The ceiling is read from the behavior_tables
+    module, so a test that lowers it there lowers it here too. `rng` is any stream;
     its draws are scalar."""
     rng = ScalarStream.of(rng)
     complexity = complexity_of_step(step)
@@ -688,7 +686,7 @@ def reference_simulate_turn(oracle, profile, step, act, rng) -> SimulatedTurn:
     difficulty = LIKERT_MIN + categorical(probs, rng.child("difficulty"))
 
     duration = truncated_gaussian(stats.duration_mean, stats.duration_sd,
-                                  MIN_DURATION_S, simulator.DURATION_HI,
+                                  MIN_DURATION_S, behavior_tables.DURATION_HI,
                                   rng.child("duration"))
     duration = max(duration, DURATION_FLOOR_S)
 
@@ -972,13 +970,23 @@ def reference_generate(config, seed) -> Corpus:
     """The per-dialog loop the batched generator replaced, kept as its
     oracle: one user at a time, one step at a time, every field drawn from
     its own `ScalarStream` through the process's scalar methods. First, every
-    (step, trait code) in order is checked for a difficulty pmf that is no
+    (step, trait code) in order is checked for a nan help, suggestion or
+    best-option probability, then for a difficulty pmf that is no
     categorical, then for a nan duration mean, drawn or not."""
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InvalidConfig(f"seed must be an integer, got {seed!r}")
     clip = lambda x: min(LIKERT_MAX, max(LIKERT_MIN, x))
     proc = config.process
     for step, trait in itertools.product(range(1, 13), range(N_TRAIT_CODES)):
+        probs = {
+            "help": [proc.help_prob(trait, act, step) for act in ACT_ORDER],
+            "suggestion": [proc.sugg_prob(trait, act, step) for act in ACT_ORDER],
+            "best-option": [proc.best_prob(trait, act, sugg, step, config.step_drift)
+                            for act in ACT_ORDER for sugg in (False, True)]}
+        for name, values in probs.items():
+            if any(math.isnan(p) for p in values):
+                raise InvalidConfig(f"the {name} probability is nan at step {step} "
+                                    f"for trait code {trait}")
         cumulative_weights(proc.difficulty_pmf(trait, step))
         if any(math.isnan(proc.duration_mean(trait, h, s, step, config.step_drift))
                for h, s in itertools.product((False, True), repeat=2)):

@@ -35,7 +35,7 @@ from trustsim.behavior_tables import (
     COLUMNS,
     CONDITION_SLICE,
     REQUEST_COMBOS,
-    ROW_SCORE_MEAN,
+    ROW_SCORE,
     TABLE_FORMAT,
     TRAIT_CELL,
     BehaviorTable,
@@ -415,14 +415,14 @@ class TestFallbackLadder:
         k = code_of(table, (T000, ProactiveAct.NONE, 3))
         assert table.used_fallback[k] and table.rung[k] == ACT_SLICE
         assert table.act_slices.n[0, 0].sum() == 16
-        assert served_row(table, k, 0)[ROW_SCORE_MEAN] == pytest.approx(25.0)
+        assert served_row(table, k, 0)[ROW_SCORE][0] == pytest.approx(25.0)
 
     def test_dense_traits_resolve_directly(self):
         table = build_table(two_group_corpus(), TableMode.COMPLEXITY_BASED)
         k = code_of(table, (T111, ProactiveAct.NONE, 3))
         assert not table.used_fallback[k] and table.rung[k] == TRAIT_CELL
         assert table.n[k].sum() == 12
-        assert served_row(table, k, 0)[ROW_SCORE_MEAN] == pytest.approx(30.0)
+        assert served_row(table, k, 0)[ROW_SCORE][0] == pytest.approx(30.0)
 
     def test_unseen_act_falls_to_condition_slice(self):
         # only NONE and NOTIFICATION appear; asking for SUGGESTION lands on

@@ -70,6 +70,13 @@ class TestKLDivergence:
         assert kl_divergence([2.0, 2.0], [1.0, 1.0]) == 0.0
         assert kl_divergence([4, 0], [1, 1]) == pytest.approx(1.0)
 
+    def test_sums_beyond_the_float_range_are_rescaled(self):
+        # p sums to inf; scaled by its maximum first, it is the vector [1, 1]
+        closed_form = 0.5 + 0.5 * math.log2(0.5 / 0.75)
+        assert kl_divergence([1e308, 1e308], [1, 3]) == kl_divergence([1, 1], [1, 3])
+        assert kl_divergence([1e308, 1e308], [1, 3]) == pytest.approx(closed_form)
+        assert kl_divergence([1, 3], [1e308, 1e308]) == kl_divergence([1, 3], [1, 1])
+
     def test_nonnegative_on_random_distributions(self):
         gen = np.random.default_rng(17)
         for _ in range(200):
@@ -108,6 +115,10 @@ class TestMse:
             mse([1, 2], [1])
         with pytest.raises(EmptySequence):
             mse([], [])
+
+    def test_overflowing_squared_error_is_rejected(self):
+        with pytest.raises(ValueOutOfRange, match="^mean squared error=inf .* overflows"):
+            mse([1e200], [-1e200])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_are_rejected(self, bad):

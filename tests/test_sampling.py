@@ -105,8 +105,7 @@ def uniforms(rng, n) -> np.ndarray:
 
 def tg_draws(mean, sd, lo, hi, rng, n) -> np.ndarray:
     """truncated_gaussians on the next n uniforms of a stream."""
-    return truncated_gaussians(mean, gaussian_truncation(mean, sd, lo, hi), lo, hi,
-                               uniforms(rng, n))
+    return truncated_gaussians(gaussian_truncation(mean, sd, lo, hi), uniforms(rng, n))
 
 
 def cat_draws(weights, rng, n) -> np.ndarray:
@@ -317,15 +316,10 @@ class TestArraySamplers:
         cases = [(45.0, 11.2, 20.0, 300.0), (200.0, 5.0, 10.0, 30.0),
                  (25.0, 0.0, 20.0, 45.0), (80.0, 0.0, 20.0, 45.0),
                  (-8.5, 0.25, -9.0, -8.0), (1e300, 1e-300, 0.0, 1.0)]
-        means, truncations, u, lo, hi, expected = [], [], [], [], [], []
+        truncations, u, expected = [], [], []
         for i, (mean, sd, a, b) in enumerate(cases):
             for j in range(40):
-                means.append(mean)
                 truncations.append(gaussian_truncation(mean, sd, a, b))
                 u.append(ScalarStream(i, j).random())
-                lo.append(a)
-                hi.append(b)
                 expected.append(truncated_gaussian(mean, sd, a, b, ScalarStream(i, j)))
-        got = truncated_gaussians(np.array(means), truncations, np.array(lo),
-                                  np.array(hi), np.array(u))
-        assert got.tolist() == expected
+        assert truncated_gaussians(truncations, np.array(u)).tolist() == expected

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ScalarStream, scalar_chain, scalar_mix64, truncated_gaussian
+from trustsim.corpus import DURATION_FLOOR_S, MIN_DURATION_S, duration_truncation
 from trustsim.sampling import (
     RandomStream,
     _mix64_array,
@@ -24,6 +25,7 @@ from trustsim.sampling import (
     label_bits,
     nth_draws,
     permutation,
+    truncated_gaussian_from,
     truncated_gaussians,
 )
 
@@ -73,7 +75,7 @@ class TestProperties:
         assume(lo < hi)
         rng = ScalarStream(seed)
         u = np.array([rng.random() for _ in range(5)])
-        draws = truncated_gaussians(mean, gaussian_truncation(mean, sd, lo, hi), lo, hi, u)
+        draws = truncated_gaussians(gaussian_truncation(mean, sd, lo, hi), u)
         assert all(lo <= draws) and all(draws <= hi)
 
     @property_test
@@ -85,7 +87,7 @@ class TestProperties:
         assume(lo < hi)
         rng = ScalarStream(seed)
         u = np.array([rng.random() for _ in range(5)])
-        draws = truncated_gaussians(0.0, gaussian_truncation(0.0, sd, lo, hi), lo, hi, u)
+        draws = truncated_gaussians(gaussian_truncation(0.0, sd, lo, hi), u)
         assert all(lo <= draws) and all(draws <= hi)
 
     @property_test
@@ -117,10 +119,34 @@ class TestProperties:
     def test_array_truncated_gaussian_matches_scalar(self, mean, sd, lo, hi, seed):
         assume(lo < hi)
         u = np.array([ScalarStream(seed, i).random() for i in range(5)])
-        truncation = [gaussian_truncation(mean, sd, lo, hi)] * 5
-        got = truncated_gaussians(np.full(5, mean), truncation, lo, hi, u)
-        assert got.tolist() == [
-            truncated_gaussian(mean, sd, lo, hi, ScalarStream(seed, i)) for i in range(5)]
+        truncation = gaussian_truncation(mean, sd, lo, hi)
+        expected = [truncated_gaussian(mean, sd, lo, hi, ScalarStream(seed, i))
+                    for i in range(5)]
+        assert truncated_gaussians([truncation] * 5, u).tolist() == expected
+        assert truncated_gaussians(truncation, u).tolist() == expected
+
+    @property_test
+    @given(st.lists(st.tuples(
+        finite, st.floats(min_value=0.0, allow_infinity=False),
+        st.one_of(st.just(DURATION_FLOOR_S),
+                  st.floats(MIN_DURATION_S, 1e300, exclude_min=True)),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)), min_size=1, max_size=5))
+    def test_duration_record_draws_floor_the_truncated_draw(self, cases):
+        # the rule the duration record stands for, written out: truncate to
+        # [MIN_DURATION_S, hi], then floor at DURATION_FLOOR_S
+        def floored(mean, sd, hi, u):
+            return max(truncated_gaussian_from(
+                gaussian_truncation(mean, sd, MIN_DURATION_S, hi), u), DURATION_FLOOR_S)
+
+        records = [duration_truncation(mean, sd, hi) for mean, sd, hi, _ in cases]
+        u = np.array([case[3] for case in cases])
+        expected = [floored(*case) for case in cases]
+        assert [truncated_gaussian_from(r, case[3])
+                for r, case in zip(records, cases)] == expected
+        assert truncated_gaussians(records, u).tolist() == expected
+        mean, sd, hi, _ = cases[0]
+        assert truncated_gaussians(records[0], u).tolist() == [
+            floored(mean, sd, hi, ui) for ui in u.tolist()]
 
     @property_test
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),

@@ -229,7 +229,7 @@ class TestTableRows:
         oracle = oracle_table(table)
         keys = mode_keys(mode)
         assert table.row_index.shape == (len(keys), len(REQUEST_COMBOS))
-        assert {len(row) for row in table.rows} == {13}
+        assert {len(row) for row in table.rows} == {17}
         for k, key in enumerate(keys):
             request_cum, used_fallback, rows = lookup(table, *key)
             assert request_cum == tuple(table.request_cum[k].tolist())

@@ -359,6 +359,36 @@ class TestAgainstReference:
             with pytest.raises(error):
                 generate(config, seed)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name, prefix", [("help", "help"), ("suggestion", "sugg")])
+    def test_nan_request_probability_raises(self, seed, name, prefix):
+        # experts' sums are inf at every step; at complexity 5 (first at
+        # step 3) the complexity term is -inf, so expert code 4 comes first
+        proc = replace(BehaviorProcess(), **{f"{prefix}_base": 1e308,
+                                             f"{prefix}_expertise": 1e308,
+                                             f"{prefix}_complexity": -1e308})
+        config = GeneratorConfig(n_dialogs=1, process=proc)
+        for generate in (generate_synthetic_corpus, reference_generate):
+            with pytest.raises(InvalidConfig, match=f"the {name} probability is nan "
+                                                    f"at step 3 for trait code 4$"):
+                generate(config, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nan_best_option_probability_raises(self, seed):
+        # every term of the best-option sum is finite for finite
+        # coefficients, so only a process that overrides best_prob gives nan
+        class NanBest(BehaviorProcess):
+            def best_prob(self, trait, act, sugg_request, step, step_drift=0.0):
+                if (trait, step, sugg_request) == (6, 2, True):
+                    return math.nan
+                return super().best_prob(trait, act, sugg_request, step, step_drift)
+
+        config = GeneratorConfig(n_dialogs=1, process=NanBest())
+        for generate in (generate_synthetic_corpus, reference_generate):
+            with pytest.raises(InvalidConfig, match="the best-option probability is nan "
+                                                    "at step 2 for trait code 6$"):
+                generate(config, seed)
+
 
 @pytest.fixture(scope="module")
 def by_step(default_corpus):

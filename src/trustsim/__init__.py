@@ -13,7 +13,6 @@ from .corpus import (
     Corpus,
     Gender,
     ProactiveAct,
-    UserRecord,
     complexity_of_step,
     load_corpus,
     save_corpus,
@@ -80,7 +79,6 @@ __all__ = [
     "TrustClassifier",
     "TrustSimEnv",
     "TrustSimError",
-    "UserRecord",
     "default_trait_distributions",
     "build_table",
     "compare_modes",

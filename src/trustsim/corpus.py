@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -102,36 +102,6 @@ def option_scores(complexity: int) -> tuple[float, ...]:
 
 def max_option_score(complexity: int) -> float:
     return OPTION_SCORE_UNIT * complexity
-
-
-@dataclass(frozen=True)
-class UserRecord:
-    """One user's static traits, as sampled; a Corpus holds its users as columns."""
-
-    user_id: str
-    age: int
-    gender: Gender
-    technical_affinity: float
-    trust_propensity: float
-    domain_expertise: float
-    openness: float
-    conscientiousness: float
-    extraversion: float
-    agreeableness: float
-    neuroticism: float
-
-    def __post_init__(self):
-        if not isinstance(self.user_id, str):
-            raise ValueOutOfRange("user_id", self.user_id, detail="a string")
-        if not isinstance(self.age, int) or not AGE_MIN <= self.age <= AGE_MAX:
-            raise ValueOutOfRange("age", self.age, detail="integer in 18..60")
-        if not isinstance(self.gender, Gender):
-            raise ValueOutOfRange("gender", self.gender, detail="a Gender")
-        for name in SCALE_TRAITS:
-            value = getattr(self, name)
-            # True reads as 1, in range, but a bool is never a trait value
-            if isinstance(value, bool) or not LIKERT_MIN <= value <= LIKERT_MAX:
-                raise ValueOutOfRange(name, value, detail="scale value in 1..5")
 
 
 # The 1..5 scale traits of a user, in schema order.
@@ -538,21 +508,16 @@ def load_corpus(path) -> Corpus:
 
 
 def format_cells(column) -> list:
-    """One column's values as file text: booleans as true/false, enums by
-    value, floats by repr (the shortest exact round trip), anything else by
-    str. A column of one type is formatted in one pass: ints with one text
-    per distinct value, enums by reading each member's stored value, as
-    hashing a member or reading .value runs Python code per cell."""
+    """One column's values, all of one type, as file text: booleans as
+    true/false, floats by repr (the shortest exact round trip), anything
+    else by str, ints with one text per distinct value."""
     if isinstance(column, np.ndarray):
         column = column.tolist()
-    kinds = set(map(type, column))
-    if len(kinds) != 1:  # empty, or mixed, such as ints among floats
-        return [format_cells((value,))[0] for value in column]
-    kind = kinds.pop()
+    if not column:
+        return []
+    kind = type(column[0])
     if kind is bool:
         return ["true" if value else "false" for value in column]
-    if issubclass(kind, Enum):
-        return list(map(attrgetter("_value_"), column))
     if kind is int:  # one text per distinct int; a float memo would merge -0.0 into 0.0
         text = {value: str(value) for value in set(column)}
         return list(map(text.__getitem__, column))
@@ -598,8 +563,10 @@ def corpus_cells(corpus: Corpus, name: str, text: bool) -> list:
     values = getattr(corpus, name)
     values = list(values) if name in ("user_id", "dialog_id") else values.tolist()
     enum = {"gender": GENDER_ORDER, "proactive_act": ACT_ORDER}.get(name)
-    if enum or text:
-        values = format_cells(list(map(enum.__getitem__, values)) if enum else values)
+    if enum:  # each member's text, read once per column
+        values = list(map(tuple(member.value for member in enum).__getitem__, values))
+    elif text:
+        values = format_cells(values)
     if name in EXCHANGE_COLUMNS[1:]:
         return values
     # a user's cells are made once, then repeated for each exchange

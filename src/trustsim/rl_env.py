@@ -2,18 +2,19 @@
 
 Episodes are one 12-step dialog; actions are the four proactive acts.
 After each action the simulator produces the user's turn, the trust
-classifier estimates the user's trust from observable features only,
-and the reward blends normalized game score with normalized estimated
-trust. A user trait is drawn from its truncated-Gaussian record, a turn
-from its key's draw context, both made once per env. Ships a tabular
-Q-learning reference agent over the discretized (step, trait code, trust
-estimate) state.
+classifier estimates the user's trust from observable features only, and
+the reward blends normalized game score with normalized estimated trust.
+A trait of the Corpus-shaped user is drawn from its truncated-Gaussian
+record, a turn from its key's draw context, both made once per env.
+Ships a tabular Q-learning reference agent over the discretized (step,
+trait code, trust estimate) state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,12 +22,10 @@ from .behavior_tables import BehaviorTable, TableMode, lookup
 from .corpus import (
     ACT_INDEX,
     ACT_ORDER,
-    GENDER_ORDER,
     LIKERT_MAX,
     LIKERT_MIN,
     ProactiveAct,
     STEPS_PER_DIALOG,
-    UserRecord,
     complexity_of_step,
     max_option_score,
 )
@@ -64,8 +63,12 @@ class RewardConfig:
     trust_weight: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.score_weight) and math.isfinite(self.trust_weight)):
-            raise InvalidConfig("reward weights must be finite")
+        # |reward| <= W = |score_weight| + |trust_weight|, as both normalized
+        # terms lie in [0, 1]: a return or Q value within 12 W, a TD step 24 W
+        bound = 2 * STEPS_PER_DIALOG * (abs(self.score_weight) + abs(self.trust_weight))
+        if not math.isfinite(bound):
+            raise InvalidConfig(f"reward weights must keep 24 x (|score_weight| + "
+                                f"|trust_weight|) finite, got {bound}")
 
 
 @dataclass(frozen=True)
@@ -126,16 +129,16 @@ class TrustSimEnv:
     Every stream an episode reads depends only on the reset stream's key,
     the step and the field, never on the actions, so `reset` derives all of
     an episode's uniforms at once: ten for the user, then four per turn, 58
-    first draws of one chain of uint64 key arrays. The user's profile is
-    `sample_users`' arithmetic on the first ten, with each trait's
-    truncation record and the gender cumulatives made once per env. The
-    action only picks the key whose `lookup` context a turn draws from. The
-    oracle `ReferenceTrustSimEnv` in `tests/conftest.py` draws the same
-    episode turn by turn on a scalar stream with the reset key: the profile
-    with `reference_sample_user` on `rng.child("user")`, each turn with
-    `reference_simulate_turn` on `rng.child("step", s)`, its features with
-    `reference_features` over the episode's earlier turns, then
-    `predict_trust`.
+    first draws of one chain of uint64 key arrays. The user's profile, a
+    namespace of one user's Corpus columns, is `sample_users`' arithmetic on
+    the first ten, with each trait's truncation record and the gender
+    cumulatives made once per env. The action only picks the key whose
+    `lookup` context a turn draws from. The oracle `ReferenceTrustSimEnv` in
+    `tests/conftest.py` draws the same episode turn by turn on a scalar
+    stream with the reset key: the profile with `reference_sample_user` on
+    `rng.child("user")`, each turn with `reference_simulate_turn` on
+    `rng.child("step", s)`, its features with `reference_features` over the
+    episode's earlier turns, then `predict_trust`.
     """
 
     def __init__(self, table: BehaviorTable, traits: TraitDistributions,
@@ -155,13 +158,14 @@ class TrustSimEnv:
                            for act in ACT_ORDER] for trait in range(N_TRAIT_CODES)]
         self._done = True  # until the first reset
 
-    def _profile_from(self, u) -> UserRecord:
-        """The profile drawn on the uniforms of its ten substreams."""
-        traits = dict(zip(_GAUSS_TRAITS, (truncated_gaussian_from(draw, ui)
-                                          for draw, ui in zip(self._trait_draws, u))))
-        traits["age"] = int(math.floor(traits["age"] + 0.5))
-        return UserRecord(user_id="sim", gender=GENDER_ORDER[categorical_from(
-            self._gender_cum, u[-1])], **traits)
+    def _profile_from(self, u) -> SimpleNamespace:
+        """The profile drawn on the uniforms of its ten substreams: one
+        user of `sample_users`' columns, age an int, gender its index."""
+        user = SimpleNamespace(**dict(zip(_GAUSS_TRAITS, map(truncated_gaussian_from,
+                                                             self._trait_draws, u))))
+        user.age = int(math.floor(user.age + 0.5))
+        user.gender = categorical_from(self._gender_cum, u[-1])
+        return user
 
     def reset(self, rng: RandomStream) -> EnvState:
         user_uniforms, self._uniforms = _episode_uniforms(rng.key)

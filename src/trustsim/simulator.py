@@ -1,11 +1,11 @@
 """Turn-level user simulation driven by conditional behavior tables.
 
-One turn: take the profile's trait code, look up the context key's draw
-context (the table chose each key's fallback rung when it was built or
-loaded), sample the request combination, then sample difficulty, duration,
-and game score conditional on that combination, the last two from the
-truncated-Gaussian records of its row, which hold their bounds. Each field
-reads a named substream so draws never bleed across fields.
+One turn: take the trait code of the profile, any Corpus-shaped user, look
+up the context key's draw context (the fallback rung the table chose), sample
+the request combination, then sample difficulty, duration, and game score
+conditional on that combination, the last two from the truncated-Gaussian
+records of its row, which hold their bounds, so no drawn turn is checked
+again. Each field reads a named substream.
 
 Every path draws a turn from the table's `draw_parameters` rows, through
 `draw_turn`, on the first uniforms of the turn stream's TURN_FIELDS
@@ -37,12 +37,9 @@ from .behavior_tables import (
 )
 from .corpus import (
     Corpus,
-    LIKERT_MAX,
     LIKERT_MIN,
-    MIN_DURATION_S,
     ProactiveAct,
     STEPS_PER_DIALOG,
-    UserRecord,
     _infer_format,
     complexity_of_step,
     corpus_cells,
@@ -50,7 +47,7 @@ from .corpus import (
     write_csv_rows,
     write_jsonl_rows,
 )
-from .errors import LengthMismatch, ValueOutOfRange
+from .errors import LengthMismatch
 from .sampling import (
     RandomStream,
     categorical_from,
@@ -66,6 +63,10 @@ from .user_model import trait_codes
 
 @dataclass(frozen=True)
 class SimulatedTurn:
+    """One drawn turn, unchecked: its records clamp the duration above
+    MIN_DURATION_S and the score to the step's options, and the difficulty
+    is LIKERT_MIN plus an index over the 5 levels."""
+
     help_request: bool
     suggestion_request: bool
     duration: float
@@ -73,22 +74,12 @@ class SimulatedTurn:
     game_score: float
     used_fallback: bool
 
-    def __post_init__(self):
-        if not self.duration > MIN_DURATION_S:
-            raise ValueOutOfRange("duration", self.duration,
-                                  detail=f"must exceed {MIN_DURATION_S}")
-        if (isinstance(self.difficulty, bool) or not isinstance(self.difficulty, int)
-                or not LIKERT_MIN <= self.difficulty <= LIKERT_MAX):
-            raise ValueOutOfRange("difficulty", self.difficulty)
-        if self.game_score < 0:
-            raise ValueOutOfRange("game_score", self.game_score)
-
 
 # The substream each of a turn's uniforms comes from, in `draw_turn` order.
 TURN_FIELDS = ("requests", "difficulty", "duration", "score")
 
 
-def simulate_turn(table: BehaviorTable, profile: UserRecord, step: int,
+def simulate_turn(table: BehaviorTable, profile, step: int,
                   act: ProactiveAct, rng: RandomStream) -> SimulatedTurn:
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity_of_step(step)
     return draw_turn(*lookup(table, trait_codes(profile), act, condition),

@@ -5,8 +5,9 @@ The target folds the four self-reported measures (trust, competence,
 reliability, predictability) into one 1..5 label. Features combine the
 static profile, the current turn, and a 2-step lag window, in one column
 layout. `corpus_to_dataset` builds them column-wise for a whole corpus,
-and `DialogFeatures` turn by turn for one dialog. Both equal, row for row,
-the per-turn oracle `reference_features` in `tests/conftest.py`.
+and `DialogFeatures` turn by turn for one dialog of a Corpus-shaped user;
+`_profile_values` writes the profile block for both. Both equal, row for
+row, the per-turn oracle `reference_features` in `tests/conftest.py`.
 Training is full-batch subgradient descent on the hinge loss with L2
 regularization and the Pegasos step 1/(lambda t), deterministic by
 construction. All classes train together on standardized features: the
@@ -37,7 +38,6 @@ from .corpus import (
     SCALE_TRAITS,
     STEPS_PER_DIALOG,
     ProactiveAct,
-    UserRecord,
     complexity_of_step,
     max_option_score,
 )
@@ -114,7 +114,9 @@ _LAG_FROM_TURN = np.array([FEATURE_NAMES.index(name.removeprefix("lag1:")) for n
 
 
 def _profile_values(user) -> list:
-    return [user.age, *(float(g is user.gender) for g in GENDER_ORDER),
+    """The profile block of a Corpus-shaped user, or its columns for a
+    Corpus: age, the gender index one-hot, then the scale traits."""
+    return [user.age, *(user.gender == g for g in range(len(GENDER_ORDER))),
             *_PROFILE_TRAITS(user)]
 
 
@@ -128,11 +130,12 @@ class DialogFeatures:
     `row` writes the current turn's block and returns a copy, and `push`
     labels that turn with its trust and rolls it into the lag blocks, so
     no history is kept. The rows equal those `corpus_to_dataset` builds
-    for a dialog whose trust labels are the pushed ones."""
+    for a dialog whose trust labels are the pushed ones. The profile is a
+    Corpus-shaped user: a value per user column, gender as its index."""
 
     __slots__ = ("_row",)
 
-    def __init__(self, profile: UserRecord):
+    def __init__(self, profile):
         self._row = np.array(_profile_values(profile) + _ROW_START_TAIL, dtype=float)
 
     def row(self, act: ProactiveAct, step: int, turn) -> np.ndarray:
@@ -174,11 +177,8 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
     lag = lag.reshape(n_users, STEPS_PER_DIALOG, _LAG_WIDTH)
 
     X = np.empty((n, N_FEATURES))
-    # the columns of _profile_values, one row per user
-    genders = (corpus.gender == g for g in range(len(GENDER_ORDER)))
-    profiles = np.column_stack([corpus.age, *genders,
-                                *(getattr(corpus, name) for name in SCALE_TRAITS)])
-    X[:, :_PROFILE_END] = np.repeat(profiles, STEPS_PER_DIALOG, axis=0)
+    X[:, :_PROFILE_END] = np.repeat(np.column_stack(_profile_values(corpus)),
+                                    STEPS_PER_DIALOG, axis=0)
     X[:, _PROFILE_END:_TURN_END] = turn
     dialog_steps = X.reshape(n_users, STEPS_PER_DIALOG, N_FEATURES)
     for k in range(1, LAG_WINDOW + 1):

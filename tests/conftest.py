@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,7 +49,6 @@ from trustsim.corpus import (
     STEPS_PER_DIALOG,
     STORED_COLUMNS,
     USER_COLUMNS,
-    UserRecord,
     _infer_format,
     _parse_field,
     complexity_of_step,
@@ -70,6 +70,7 @@ from trustsim.rl_env import (
     EnvState,
     RewardConfig,
     TabularPolicyResult,
+    TrustSimEnv,
     state_index,
 )
 from trustsim.sampling import (
@@ -148,6 +149,47 @@ class Exchange:
         _check_likert("competence", self.competence)
         _check_likert("reliability", self.reliability)
         _check_likert("predictability", self.predictability)
+
+
+@dataclass(frozen=True)
+class UserRecord:
+    """One user's static traits in row form, checked as a record, gender a
+    Gender: the form a Corpus's user columns replaced, kept for the
+    row-wise oracles below."""
+
+    user_id: str
+    age: int
+    gender: Gender
+    technical_affinity: float
+    trust_propensity: float
+    domain_expertise: float
+    openness: float
+    conscientiousness: float
+    extraversion: float
+    agreeableness: float
+    neuroticism: float
+
+    def __post_init__(self):
+        if not isinstance(self.user_id, str):
+            raise ValueOutOfRange("user_id", self.user_id, detail="a string")
+        if not isinstance(self.age, int) or not AGE_MIN <= self.age <= AGE_MAX:
+            raise ValueOutOfRange("age", self.age, detail="integer in 18..60")
+        if not isinstance(self.gender, Gender):
+            raise ValueOutOfRange("gender", self.gender, detail="a Gender")
+        for name in SCALE_TRAITS:
+            value = getattr(self, name)
+            # True reads as 1, in range, but a bool is never a trait value
+            if isinstance(value, bool) or not LIKERT_MIN <= value <= LIKERT_MAX:
+                raise ValueOutOfRange(name, value, detail="scale value in 1..5")
+
+
+def corpus_user(user) -> SimpleNamespace:
+    """The Corpus-shaped form of a UserRecord, as the RL environment draws
+    a user: one value per Corpus user column but user_id, gender as its
+    GENDER_ORDER index."""
+    values = {name: getattr(user, name) for name in USER_COLUMNS[1:]}
+    values["gender"] = GENDER_ORDER.index(user.gender)
+    return SimpleNamespace(**values)
 
 
 def user_columns(users) -> dict:
@@ -726,6 +768,36 @@ def _forcing_streams(base, cumulative) -> dict:
             return found
 
 
+def assert_drawn_turn(turn) -> None:
+    """The bounds of a drawn turn, which SimulatedTurn does not check:
+    a duration above MIN_DURATION_S, an int difficulty in 1..5 and a game
+    score of at least OPTION_SCORE_UNIT."""
+    assert turn.duration > MIN_DURATION_S
+    assert type(turn.difficulty) is int and LIKERT_MIN <= turn.difficulty <= LIKERT_MAX
+    assert turn.game_score >= OPTION_SCORE_UNIT
+
+
+def assert_drawn_log(log) -> None:
+    """The bounds of assert_drawn_turn on every row of a replay log (its
+    difficulty column is int64)."""
+    assert (log.duration > MIN_DURATION_S).all()
+    assert ((LIKERT_MIN <= log.difficulty) & (log.difficulty <= LIKERT_MAX)).all()
+    assert (log.game_score >= OPTION_SCORE_UNIT).all()
+
+
+def env_turns(table, traits, seed, episodes=4) -> list:
+    """The turns of `episodes` episodes of a TrustSimEnv over the table,
+    episode e on RandomStream(seed, "env", e) taking act (e + s) % 4 at
+    step s."""
+    env = TrustSimEnv(table, traits, stub_trust_model([0.0] * 5))
+    turns = []
+    for e in range(episodes):
+        env.reset(RandomStream(seed, "env", e))
+        turns += [env.step(ACT_ORDER[(e + s) % len(ACT_ORDER)])[0].last_turn
+                  for s in range(1, STEPS_PER_DIALOG + 1)]
+    return turns
+
+
 def assert_every_turn_matches_oracle(table, seed) -> None:
     """simulate_turn equals reference_simulate_turn, field for field, in
     every context key of the table's mode and every combination that key
@@ -743,6 +815,7 @@ def assert_every_turn_matches_oracle(table, seed) -> None:
         base = RandomStream(seed, f"{trait:03b}", act.value, condition)
         for combo, rng in _forcing_streams(base, cumulative).items():
             turn = simulate_turn(table, profile, step, act, rng)
+            assert_drawn_turn(turn)
             assert combo_index(turn.help_request, turn.suggestion_request) == combo
             assert turn == reference_simulate_turn(oracle, profile, step, act, rng)
 

@@ -361,6 +361,14 @@ class TestExitCodes:
         assert main(["train-rl", "--fit", str(fit_dir), "--seed", "1",
                      "--episodes", "0", "--out", str(work / "x3")]) == 2
 
+    def test_reward_weights_whose_return_overflows_map_to_2(self, work, fit_dir, capsys):
+        # each weight is finite, but 12 steps of reward 2e308 are not
+        assert main(["train-rl", "--fit", str(fit_dir), "--seed", "1", "--episodes", "20",
+                     "--score-weight", "1e308", "--trust-weight", "1e308",
+                     "--out", str(work / "x-overflow")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+        assert not (work / "x-overflow" / "policy.json").exists()
+
     @pytest.mark.parametrize("stage,extra", [
         ("simulate", ["--mode", "complexity"]),
         ("simulate", ["--fallback-threshold", "5"]),

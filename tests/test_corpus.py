@@ -200,6 +200,9 @@ class TestCorpusArrayChecks:
 
 
 class TestUserInvariants:
+    """The checks of the row-form UserRecord in conftest, which
+    reference_load_corpus relies on to raise ValueOutOfRange."""
+
     @pytest.mark.parametrize("age", [17, 61])
     def test_age_bounds(self, age):
         with pytest.raises(ValueOutOfRange):

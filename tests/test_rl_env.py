@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     ReferenceTrustSimEnv,
     RiggedSweepEnv,
     ScalarStream,
+    corpus_user,
     make_corpus,
     reference_sample_user,
     reference_train_tabular_policy,
@@ -83,6 +85,20 @@ class TestRewardConfig:
             RewardConfig(score_weight=float("inf"))
         with pytest.raises(InvalidConfig):
             RewardConfig(trust_weight=float("nan"))
+        # each is finite, but a return could reach 12 x 2e308
+        with pytest.raises(InvalidConfig):
+            RewardConfig(score_weight=1e308, trust_weight=1e308)
+
+    def test_largest_accepted_weights_train_finitely(self):
+        # 2 x 12 x (3.7e306 + 3.7e306) is finite: at the top reward every
+        # step, no return, Q value or TD difference overflows
+        env = deterministic_env(RewardConfig(score_weight=3.7e306, trust_weight=3.7e306),
+                                trust_bias_class=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = train_tabular_policy(env, 200, Hyperparams(seed=3))
+        assert np.isfinite(result.q).all()
+        assert np.isfinite(result.returns).all()
 
 
 def deterministic_env(reward=RewardConfig(), trust_bias_class=4):
@@ -186,8 +202,11 @@ class TestEnvMechanics:
         streams = [RandomStream(seed, "ep", ep) for seed in (0, 2**70) for ep in range(100)]
         for rng in streams:
             env.reset(rng)
-        assert profiles == [reference_sample_user(traits, rng.child("user"))
-                            for rng in streams]
+        # the reference user's columns, gender as its index, age an int
+        assert [vars(profile) for profile in profiles] == [
+            vars(corpus_user(reference_sample_user(traits, rng.child("user"))))
+            for rng in streams]
+        assert all(type(p.age) is int and type(p.gender) is int for p in profiles)
 
     def test_reset_rearms_after_done(self):
         env = deterministic_env()

@@ -37,39 +37,16 @@ from trustsim.behavior_tables import (
     lookup,
 )
 from trustsim.corpus import Corpus, ProactiveAct, complexity_of_step
-from trustsim.errors import InvalidConfig, LengthMismatch, ValueOutOfRange
+from trustsim.errors import InvalidConfig, LengthMismatch
 from trustsim.sampling import RandomStream
 from trustsim.simulator import (
     LOG_COLUMNS,
     SimulatedLog,
-    SimulatedTurn,
     replay_conditions,
     save_simulated_log,
     simulate_turn,
 )
 from trustsim.user_model import trait_codes
-
-
-def turn(**kwargs):
-    base = dict(help_request=False, suggestion_request=False, duration=42.0,
-                difficulty=3, game_score=20.0, used_fallback=False)
-    return SimulatedTurn(**{**base, **kwargs})
-
-
-class TestTurnInvariants:
-    def test_duration_floor_is_strict(self):
-        with pytest.raises(ValueOutOfRange):
-            turn(duration=20.0)
-        assert turn(duration=20.0001).duration > 20.0
-
-    @pytest.mark.parametrize("difficulty", [0, 6, 2.5, "3"])
-    def test_difficulty_must_be_likert_int(self, difficulty):
-        with pytest.raises(ValueOutOfRange):
-            turn(difficulty=difficulty)
-
-    def test_score_nonnegative(self):
-        with pytest.raises(ValueOutOfRange):
-            turn(game_score=-0.5)
 
 
 def soundness_corpus() -> Corpus:

@@ -12,6 +12,7 @@ from conftest import (
     TurnContext,
     combine_trust_target,
     corpus_from_rows,
+    corpus_user,
     dialogs_of,
     exchanges_of,
     fold_standardization,
@@ -52,7 +53,6 @@ from trustsim.trust_model import (
     save_classifier,
     train_classifier,
 )
-from trustsim.user_model import GENDER_ORDER
 
 
 class TestTrustLabels:
@@ -108,11 +108,11 @@ class TestFeatureSchema:
         assert sum(1 for n in FEATURE_NAMES if n.startswith("lag2:")) == 10
 
     def test_vector_without_history(self):
-        profile = make_user()
+        profile = corpus_user(make_user(gender=Gender.FEMALE))
         current = context(step=1, act=ProactiveAct.SUGGESTION, difficulty=2,
                           duration=50.0, game_score=20.0, help_request=True)
         vec = dialog_row(profile, [], current)
-        gender = [1.0 if g is profile.gender else 0.0 for g in GENDER_ORDER]
+        gender = [0.0, 1.0, 0.0]  # female, index 1 of GENDER_ORDER
         lag_fill = [0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 3.0]
         expected = np.array(
             [30.0] + gender + [3.5, 2.5, 4.0, 3.0, 3.0, 3.0, 3.0, 3.0]
@@ -123,7 +123,7 @@ class TestFeatureSchema:
         assert np.array_equal(vec, expected)
 
     def test_vector_with_one_lag(self):
-        profile = make_user()
+        profile = corpus_user(make_user())
         past = context(step=1, act=ProactiveAct.NONE, difficulty=4,
                        duration=60.0, game_score=10.0, suggestion_request=True,
                        trust_label=2)
@@ -135,7 +135,7 @@ class TestFeatureSchema:
         assert vec[start + 10:].tolist() == lag2
 
     def test_only_last_two_turns_matter(self):
-        profile = make_user()
+        profile = corpus_user(make_user())
         history = [context(step=s, difficulty=(s % 5) + 1, trust_label=4)
                    for s in range(1, 6)]
         full = dialog_row(profile, history, context(step=6))
@@ -143,7 +143,7 @@ class TestFeatureSchema:
         assert np.array_equal(full, tail)
 
     def test_a_returned_row_is_not_written_by_later_turns(self):
-        features = DialogFeatures(make_user())
+        features = DialogFeatures(corpus_user(make_user()))
         first = features.row(ProactiveAct.NONE, 1, context(step=1, difficulty=4))
         kept = first.copy()
         features.push(2)
@@ -221,7 +221,7 @@ class TestColumnBuiltDatasetEqualsPerRowLoop:
         rows = []
         for i, (user, exchanges) in enumerate(zip(users_of(corpus),
                                                   dialogs_of(corpus).values())):
-            features = DialogFeatures(user)
+            features = DialogFeatures(corpus_user(user))
             for ex, label in zip(exchanges, y[12 * i:12 * (i + 1)].tolist()):
                 rows.append(features.row(ex.proactive_act, ex.step, ex))
                 features.push(label)

@@ -4,14 +4,17 @@ record-based code they replaced.
 Over random corpora, fit_trait_distributions, corpus_to_dataset,
 split_corpus and save_corpus must agree bit for bit with oracles that read
 the users as one UserRecord each, and trait_flags must decode the trait
-codes of the users and of the columns alike. Kept apart from the example-based tests
-so that those still run where hypothesis is not installed.
+codes of the users and of the columns alike; DialogFeatures on a one-user
+namespace of the columns must write the dataset's profile block. Kept
+apart from the example-based tests so that those still run where
+hypothesis is not installed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,12 +27,16 @@ from conftest import (
     users_of,
 )
 from trustsim.corpus import (AGE_MAX, AGE_MIN, GENDER_ORDER, LIKERT_MAX, LIKERT_MIN,
-                             SCALE_TRAITS, save_corpus, split_corpus)
+                             SCALE_TRAITS, STEPS_PER_DIALOG, USER_COLUMNS, ProactiveAct,
+                             save_corpus, split_corpus)
 from trustsim.errors import TrustSimError
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
-from trustsim.trust_model import corpus_to_dataset
-from trustsim.user_model import fit_trait_distributions, trait_codes, trait_flags
+from trustsim.trust_model import FEATURE_NAMES, DialogFeatures, corpus_to_dataset
+from trustsim.user_model import (default_trait_distributions, fit_trait_distributions,
+                                 trait_codes, trait_flags)
 
+# The width of the profile block of a feature row
+PROFILE_END = FEATURE_NAMES.index(f"act={ProactiveAct.NONE.value}")
 # The behavior-relevant traits in trait_flags order
 FLAG_TRAITS = ("domain_expertise", "trust_propensity", "technical_affinity")
 
@@ -110,3 +117,28 @@ def test_trait_flags_decode_trait_codes(corpus):
     for user in users_of(corpus):
         assert trait_flags(trait_codes(user)) == tuple(
             int(getattr(user, name) > 3.0) for name in FLAG_TRAITS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32),
+       gender_probs=st.permutations([0.0, 0.25, 0.75]))
+def test_dialog_features_profile_equals_the_dataset_rows(n, seed, gender_probs):
+    """DialogFeatures on a user of the corpus as a one-user namespace, its
+    values those of the Corpus user columns, writes the profile block of
+    each of that user's corpus_to_dataset rows. One gender class has
+    weight 0, so its column reads 0 throughout."""
+    traits = dataclasses.replace(default_trait_distributions(),
+                                 gender_probs=tuple(gender_probs))
+    corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n, traits=traits), seed)
+    X, _, _ = corpus_to_dataset(corpus)
+    profile = X[:, :PROFILE_END].reshape(n, STEPS_PER_DIALOG, PROFILE_END)
+    columns = {name: getattr(corpus, name).tolist() for name in USER_COLUMNS[1:]}
+    turn = SimpleNamespace(difficulty=3, duration=42.0, game_score=30.0,
+                           help_request=False, suggestion_request=False)
+    for u in range(n):
+        user = SimpleNamespace(**{name: values[u] for name, values in columns.items()})
+        row = DialogFeatures(user).row(ProactiveAct.NONE, 1, turn)
+        for dataset_row in profile[u]:
+            assert row[:PROFILE_END].tobytes() == dataset_row.tobytes()
+    unused = FEATURE_NAMES.index(f"gender={GENDER_ORDER[gender_probs.index(0.0)].value}")
+    assert not X[:, unused].any()

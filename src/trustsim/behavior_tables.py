@@ -12,16 +12,21 @@ combination with no observations on the key's rung descends the same ladder
 for its continuous statistics, down to the pooled condition slice. A table
 file holds only the trait cells; the slices are merged from them, so a
 table has one source of truth. When a table is built or loaded its arrays are
-checked, its slices merged, every key's rung chosen and its
-`draw_parameters` rows made, once, so every draw from it succeeds.
+checked, its slices merged, every key's rung chosen and the rows its draws
+read made, once, so every draw from it succeeds. The rows are one float64
+array with a row per distinct rung statistic, made in one array pass;
+`lookup` hands out a key's rows as Python tuples. `table.json` is written
+with one line per top-level key.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -31,19 +36,18 @@ from .corpus import (
     ACT_ORDER,
     COMPLEXITY_LEVELS,
     Corpus,
+    DURATION_FLOOR_S,
     DURATION_HI,
     LIKERT_MAX,
     LIKERT_MIN,
+    MIN_DURATION_S,
     OPTION_SCORE_UNIT,
     ProactiveAct,
     STEPS_PER_DIALOG,
     complexity_of_step,
-    duration_truncation,
-    max_option_score,
 )
-from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, object_entry,
-                     read_json, write_json)
-from .sampling import cumulative_weights, gaussian_truncation
+from .errors import EmptyCorpus, InvalidConfig, NoDataForCondition, object_entry, read_json
+from .sampling import gaussian_truncations
 from .user_model import N_TRAIT_CODES, trait_codes
 
 DEFAULT_FALLBACK_THRESHOLD = 10
@@ -131,23 +135,11 @@ def _merge(parts: Stats) -> Stats:
     return Stats(n, *moments, parts.difficulty_counts.sum(axis=0))
 
 
-# A row of draw parameters: the difficulty cumulatives, then the
-# `gaussian_truncation` records of the duration and of the score.
+# A row of draw parameters (see _draw_rows): the difficulty cumulatives,
+# then the `gaussian_truncation` records of the duration and of the score.
 ROW_DIFFICULTY = slice(0, N_DIFFICULTY_CLASSES)
 ROW_DURATION = slice(N_DIFFICULTY_CLASSES, N_DIFFICULTY_CLASSES + 6)
 ROW_SCORE = slice(N_DIFFICULTY_CLASSES + 6, N_DIFFICULTY_CLASSES + 12)
-
-
-def draw_parameters(stats, complexity: int) -> tuple:
-    """The row a turn's draws read from one combination's statistics (any
-    object with the `Stats` fields as scalars), its score truncated to the
-    option range of a step of this complexity."""
-    counts = stats.difficulty_counts
-    total = sum(counts)
-    return (*cumulative_weights(tuple(c / total for c in counts)),
-            *duration_truncation(stats.duration_mean, stats.duration_sd, DURATION_HI),
-            *gaussian_truncation(stats.score_mean, stats.score_sd, OPTION_SCORE_UNIT,
-                                 max_option_score(complexity)))
 
 
 def _read_only(array) -> np.ndarray:
@@ -155,11 +147,34 @@ def _read_only(array) -> np.ndarray:
     return array
 
 
+def _draw_rows(stats: Stats, complexity) -> np.ndarray:
+    """The row a turn's draws read from each statistic of a Stats of 1-d
+    arrays, one (n, 17) read-only array made in one pass: the difficulty
+    cumulatives, the duration's `duration_truncation` record and the
+    score's `gaussian_truncation` record, truncated to the option range of
+    a step of complexity[i]. Each row equals, bit for bit, the scalar
+    `draw_parameters` of its statistic kept in `tests/conftest.py`."""
+    counts = stats.difficulty_counts
+    total = counts.sum(axis=1)
+    probs = counts / total[:, None]
+    # a count past 2**53 is rounded when cast to float; Python divides ints exactly
+    big = total > _MAX_COUNT
+    if big.any():
+        probs[big] = [[c / t for c in row] for row, t in zip(counts[big].tolist(),
+                                                              total[big].tolist())]
+    duration = gaussian_truncations(stats.duration_mean, stats.duration_sd,
+                                    MIN_DURATION_S, DURATION_HI)
+    duration[:, 4] = DURATION_FLOOR_S
+    score = gaussian_truncations(stats.score_mean, stats.score_sd, OPTION_SCORE_UNIT,
+                                 OPTION_SCORE_UNIT * np.asarray(complexity))
+    return _read_only(np.hstack([np.cumsum(probs, axis=1), duration, score]))
+
+
 def _derive(cells: Stats, mode: TableMode, threshold: int) -> dict:
     """By name, the six values a table derives from its checked trait
     cells: the act slices (act x condition x combination, merged over the
     trait codes in key order); per key its rung, used_fallback flag and
-    request cumulatives; and the `draw_parameters` rows with the row index
+    request cumulatives; and the `_draw_rows` array with the row index
     of each (key, combination). A rung's statistics come from the trait
     cells, the act slices, the condition slices (condition x combination,
     merged over the act slices in the order they first appear among the
@@ -194,8 +209,8 @@ def _derive(cells: Stats, mode: TableMode, threshold: int) -> dict:
     # the trait cells, act slices and condition slices flat in index order,
     # then the pooled slices
     levels = (cells, act_slices, condition_slices, pooled)
-    pool = Stats(*map(np.concatenate, zip(*(s.reshape(-1) for s in levels))))
-    if not all(np.isfinite(getattr(pool, name)).all() for name in _STAT_MIN):
+    if not all(np.isfinite(getattr(level, name)).all()
+               for level in levels for name in _STAT_MIN):
         raise InvalidConfig("merged combination statistics overflow the float range")
     offset = np.cumsum([0, *(s.n.size for s in levels)])
     combo = np.arange(n_combos)
@@ -208,13 +223,14 @@ def _derive(cells: Stats, mode: TableMode, threshold: int) -> dict:
 
     # each distinct rung statistic makes one row; every key it serves has
     # the rung's condition, so the first one gives the row's complexity
-    complexity = [complexity_of_step(c) if mode is TableMode.TASK_STEP_BASED else c
-                  for c in conditions]
+    complexity = np.array([complexity_of_step(c) if mode is TableMode.TASK_STEP_BASED
+                           else c for c in conditions])
     used, first_cell, inverse = np.unique(source.ravel(), return_index=True,
                                           return_inverse=True)
-    rows = tuple(draw_parameters(Stats(*values), complexity[c]) for values, c in zip(
-        zip(*(column[used].tolist() for column in pool)),
-        cond_of[first_cell // n_combos].tolist()))
+    # the levels are joined only to pick the used statistics, so the join is
+    # freed before the rows are made
+    served = Stats(*map(np.concatenate, zip(*(s.reshape(-1) for s in levels)))).take(used)
+    rows = _draw_rows(served, complexity[cond_of[first_cell // n_combos]])
     return dict(act_slices=Stats(*map(_read_only, act_slices)), rung=_read_only(rung),
                 used_fallback=_read_only(rung != TRAIT_CELL),
                 request_cum=_read_only(np.cumsum(rung_n / rung_n.sum(axis=1, keepdims=True),
@@ -227,7 +243,7 @@ class BehaviorTable:
     """The statistics of every (key, combination), in `key_code` order, and
     what draws and `table_summary` read of their `_derive`: the act slices,
     each key's rung, used_fallback flag and request cumulatives, and the
-    `draw_parameters` rows, one tuple per distinct rung statistic."""
+    `_draw_rows` array, one row per distinct rung statistic."""
 
     mode: TableMode
     fallback_threshold: int
@@ -241,7 +257,7 @@ class BehaviorTable:
     rung: np.ndarray = field(init=False, repr=False)
     used_fallback: np.ndarray = field(init=False, repr=False)
     request_cum: np.ndarray = field(init=False, repr=False)
-    rows: tuple = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
     row_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -355,9 +371,8 @@ def _is_int(value) -> bool:
 
 def lookup(table: BehaviorTable, trait, act: ProactiveAct, condition) -> tuple:
     """The draw context of the key (trait code, act, condition): its request
-    cumulatives, its used_fallback flag and its `draw_parameters` row per
-    request combination, as Python tuples, bools and floats; keys served by
-    one rung statistic share its row tuple."""
+    cumulatives, its used_fallback flag and its row of the table's rows per
+    request combination, as Python tuples, bools and floats."""
     if not _is_int(condition) or condition not in table.mode.conditions():
         raise InvalidConfig(f"condition {condition} does not belong to mode "
                             f"{table.mode.value}")
@@ -368,7 +383,7 @@ def lookup(table: BehaviorTable, trait, act: ProactiveAct, condition) -> tuple:
         raise InvalidConfig(f"act must be a ProactiveAct, got {act!r}")
     code = key_code(table.mode, trait, ACT_INDEX[act], condition)
     return (tuple(table.request_cum[code].tolist()), bool(table.used_fallback[code]),
-            tuple(map(table.rows.__getitem__, table.row_index[code].tolist())))
+            tuple(map(tuple, table.rows[table.row_index[code]].tolist())))
 
 
 def table_summary(table: BehaviorTable) -> dict:
@@ -444,7 +459,14 @@ def table_from_json_dict(payload) -> BehaviorTable:
 
 
 def save_table(table: BehaviorTable, path) -> None:
-    write_json(path, table_to_json_dict(table))
+    """Write the table as JSON with sorted keys, one line per top-level key
+    and no spaces, and a final newline: its columns hold thousands of
+    numbers, which two-space indents would put one per line. Either layout
+    loads."""
+    payload = table_to_json_dict(table)
+    lines = (f"{json.dumps(key)}:{json.dumps(payload[key], separators=(',', ':'))}"
+             for key in sorted(payload))
+    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
 
 def load_table(path) -> BehaviorTable:

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
@@ -194,16 +194,7 @@ class Corpus:
             if column.shape != (size,):
                 raise LengthMismatch(f"{name} holds {column.size} values; "
                                      f"{len(ids)} dialogs need {size}")
-            # the cast would truncate a float and read a bool or text as a number
-            if column.size and column.dtype.kind not in _KINDS[_DTYPES[name]]:
-                raise ValueOutOfRange(name, column[:1].tolist()[0],
-                                      detail=f"a column of {column.dtype}")
-            if _DTYPES[name] is not bool and not isinstance(values, np.ndarray):
-                # numpy reads true and false among numbers as numbers
-                for value in values:
-                    if isinstance(value, (bool, np.bool_)):
-                        raise ValueOutOfRange(name, value, detail="a number, not a bool")
-            column = column.astype(_DTYPES[name])
+            column = cast_column(name, values, column, _DTYPES[name])
             bad = _out_of_range(name, column)
             if bad.any():
                 raise ValueOutOfRange(name, column[bad][0].item())
@@ -298,6 +289,22 @@ _KINDS = {np.float64: "iuf", bool: "b", np.int64: "iu"}
 _ROW_FIELDS = ("unparsed", *CORPUS_COLUMNS)
 
 
+def cast_column(name: str, values, column: np.ndarray, dtype) -> np.ndarray:
+    """column, which is np.array(values), cast to dtype (float64, bool or
+    int64). Raises ValueOutOfRange where the cast would truncate a float or
+    read a bool or text as a number: for a column of another numpy kind
+    than _KINDS allows, and for a bool among the numbers of a list."""
+    if column.size and column.dtype.kind not in _KINDS[dtype]:
+        raise ValueOutOfRange(name, column[:1].tolist()[0],
+                              detail=f"a column of {column.dtype}")
+    if dtype is not bool and not isinstance(values, np.ndarray):
+        # numpy reads true and false among numbers as numbers
+        for value in values:
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueOutOfRange(name, value, detail="a number, not a bool")
+    return column.astype(dtype)
+
+
 def _parse_field(name: str, raw, row: int):
     """Raw file value -> typed value; raises ValueOutOfRange on bad input."""
     try:
@@ -308,18 +315,22 @@ def _parse_field(name: str, raw, row: int):
 
 def _parse_column(name: str, cells, text: bool) -> tuple:
     """One column's cells parsed at once, and the mask of those that do not
-    parse, held as 0 (None where all parse). Text cells, as all CSV cells
-    are, parse alike when equal, so each distinct text is parsed once, a
-    float by `float` and then an array check of finiteness; "0.0" and
-    "-0.0" are distinct texts. JSON values are parsed one by one: 1, 1.0
-    and true are one dict key but different input."""
+    parse, held as 0 (None where all parse). A float text is parsed by
+    `float` and then an array check of finiteness. Text cells, as all CSV
+    cells are, parse alike when equal, so where at most half the texts
+    are distinct (as in the trait columns) each distinct text is parsed
+    once; "0.0" and "-0.0" are distinct texts. A column of mostly distinct
+    texts (as durations are) is parsed cell by cell, which costs less than
+    the memo. JSON values are parsed one by one: 1, 1.0 and true are one
+    dict key but different input."""
     parse, dtype = _PARSERS[name], _DTYPES[name]
     try:
         if text:
             if dtype is np.float64:
                 parse = float
             distinct = set(cells)
-            parse = dict(zip(distinct, map(parse, distinct))).__getitem__
+            if 2 * len(distinct) <= len(cells):
+                parse = dict(zip(distinct, map(parse, distinct))).__getitem__
         if name in ("user_id", "dialog_id"):  # str never fails
             return list(map(parse, cells)), None
         values = np.fromiter(map(parse, cells), dtype, len(cells))
@@ -338,19 +349,21 @@ def _parse_column(name: str, cells, text: bool) -> tuple:
     return values, bad
 
 
-def _parse_rows(rows: list, text: bool, users: dict, dialogs: dict) -> dict:
-    """The rows' columns parsed, the user and dialog ids as their numbers
-    in users and dialogs, and under "unparsed" the index in CORPUS_COLUMNS
-    of each row's first cell that does not parse (all of them for none)."""
-    values = {"unparsed": np.full(len(rows), len(CORPUS_COLUMNS))}
-    for j, (name, cells) in enumerate(zip(CORPUS_COLUMNS, zip(*rows))):
+def _parse_rows(columns: list, text: bool, users: dict, dialogs: dict) -> dict:
+    """The rows of a block, given as their raw cells per column of
+    CORPUS_COLUMNS, parsed: the user and dialog ids as their numbers in
+    users and dialogs, and under "unparsed" the index in CORPUS_COLUMNS of
+    each row's first cell that does not parse (all of them for none)."""
+    n_rows = len(columns[0])
+    values = {"unparsed": np.full(n_rows, len(CORPUS_COLUMNS))}
+    for j, (name, cells) in enumerate(zip(CORPUS_COLUMNS, columns)):
         values[name], bad = _parse_column(name, cells, text)
         if bad is not None:
             values["unparsed"][bad & (values["unparsed"] > j)] = j
     for name, index in (("user_id", users), ("dialog_id", dialogs)):
         for key in dict.fromkeys(values[name]):  # new ids numbered in order
             index.setdefault(key, len(index))
-        values[name] = np.fromiter(map(index.__getitem__, values[name]), np.int64, len(rows))
+        values[name] = np.fromiter(map(index.__getitem__, values[name]), np.int64, n_rows)
     return values
 
 
@@ -436,6 +449,60 @@ def _decoded_rows(path: Path, file_format: str) -> Iterator[tuple]:
 _BLOCK_ROWS = 512
 
 
+def _row_blocks(path: Path, file_format: str) -> Iterator:
+    """The cells of each block of _BLOCK_ROWS rows of `_read_rows`, one
+    sequence per column of CORPUS_COLUMNS, then the error that ended the
+    reading, if one did."""
+    rows = _read_rows(path, file_format)
+    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
+        failure = None if isinstance(block[-1], tuple) else block.pop()
+        if block:
+            yield list(zip(*block))
+        if failure is not None:
+            yield failure
+
+
+class _Unsplittable(Exception):
+    """A CSV file that the split path might read otherwise than csv.reader."""
+
+
+def _split_blocks(path: Path) -> Iterator[list]:
+    """The cells of each block of _BLOCK_ROWS rows of a CSV file, as
+    `_row_blocks` gives them, split in C: the block's lines joined, every
+    "\n" made a "," and the text split at ",", each column taken by stride.
+
+    csv.reader reads a block cell for cell alike where the block holds no
+    quote, "\r" or NUL, ends in "\n", and has as many cells on every line
+    as the header (so no line is blank) and no line longer than the csv
+    field limit. Raises _Unsplittable at the first block that is not such,
+    where the header is not such a line naming every column of
+    CORPUS_COLUMNS once, or where the file is not UTF-8."""
+    limit = csv.field_size_limit()
+
+    def plain(lines: list, text: str, commas: int) -> bool:
+        return (text.endswith("\n") and '"' not in text and "\r" not in text
+                and "\0" not in text and max(map(len, lines)) <= limit
+                and set(map(str.count, lines, repeat(","))) == {commas})
+
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            line = handle.readline()
+            header = line[:-1].split(",")
+            if not (plain([line], line, len(header) - 1) and set(CORPUS_COLUMNS) <= set(header)
+                    and len(set(header)) == len(header)):
+                raise _Unsplittable
+            width, picks = len(header), list(map(header.index, CORPUS_COLUMNS))
+            for lines in iter(lambda: list(islice(handle, _BLOCK_ROWS)), []):
+                text = "".join(lines)
+                if not plain(lines, text, width - 1):
+                    raise _Unsplittable
+                cells = text.replace("\n", ",").split(",")
+                cells.pop()  # the empty text after the last line's ","
+                yield [cells[j::width] for j in picks]
+    except UnicodeDecodeError as exc:
+        raise _Unsplittable from exc
+
+
 def load_corpus(path) -> Corpus:
     """Load and validate a corpus from a CSV or JSONL file, by its suffix.
 
@@ -446,17 +513,31 @@ def load_corpus(path) -> Corpus:
     failing row, as if the rows were checked one by one: a cell that does
     not parse, in CORPUS_COLUMNS order, then _ROW_CHECKS. Whole dialogs are
     checked after every row, users in order of first appearance.
+
+    A CSV file is split in C block by block (`_split_blocks`); at a block,
+    header or byte that csv.reader might read otherwise, the load starts
+    again on the csv.reader path, so errors are the same either way.
     """
     path = Path(path)
     file_format = _infer_format(path)
-    rows = _read_rows(path, file_format)
-    users, dialogs, failure = {}, {}, None
-    parts = [{name: np.empty(0, _DTYPES.get(name, np.int64)) for name in _ROW_FIELDS}]
-    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
-        if not isinstance(block[-1], tuple):  # the error that ended the reading
-            failure = block.pop()
-        if block:
-            parts.append(_parse_rows(block, file_format == "csv", users, dialogs))
+
+    def parse(blocks) -> tuple:
+        users, dialogs, failure = {}, {}, None
+        parts = [{name: np.empty(0, _DTYPES.get(name, np.int64)) for name in _ROW_FIELDS}]
+        for block in blocks:
+            if isinstance(block, Exception):  # the error that ended the reading
+                failure = block
+            else:
+                parts.append(_parse_rows(block, file_format == "csv", users, dialogs))
+        return parts, users, dialogs, failure
+
+    parsed = None
+    if file_format == "csv":
+        try:
+            parsed = parse(_split_blocks(path))
+        except _Unsplittable:
+            pass
+    parts, users, dialogs, failure = parsed or parse(_row_blocks(path, file_format))
 
     # every row before the failure, checked at once
     v = {name: np.concatenate([part[name] for part in parts]) for name in _ROW_FIELDS}

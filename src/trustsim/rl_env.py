@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .behavior_tables import BehaviorTable, TableMode, lookup
+from .behavior_tables import BehaviorTable, TableMode, key_code
 from .corpus import (
     ACT_INDEX,
     ACT_ORDER,
@@ -153,9 +153,17 @@ class TrustSimEnv:
                              for d in (getattr(traits, name) for name in _GAUSS_TRAITS)]
         self._gender_cum = cumulative_weights(traits.gender_probs)
         conditions = _STEPS if table.mode is TableMode.TASK_STEP_BASED else _COMPLEXITY
+        # each key's `lookup` context, by key code; a row is made a tuple
+        # once, and the keys one rung statistic serves share it
+        rows = list(map(tuple, table.rows.tolist()))
+        contexts = [(tuple(cum), fell_back, tuple(map(rows.__getitem__, index)))
+                    for cum, fell_back, index in zip(table.request_cum.tolist(),
+                                                     table.used_fallback.tolist(),
+                                                     table.row_index.tolist())]
         # [trait code][act index][step - 1] -> the key's draw_turn context
-        self._contexts = [[[lookup(table, trait, act, c) for c in conditions]
-                           for act in ACT_ORDER] for trait in range(N_TRAIT_CODES)]
+        self._contexts = [[[contexts[key_code(table.mode, trait, act, c)] for c in conditions]
+                           for act in range(N_ACTIONS)]
+                          for trait in range(N_TRAIT_CODES)]
         self._done = True  # until the first reset
 
     def _profile_from(self, u) -> SimpleNamespace:

@@ -208,6 +208,31 @@ def gaussian_truncation(mean, sd, lo, hi) -> tuple:
     return mean, c_lo, 0.5 * math.erfc(-b / _SQRT2) - c_lo, sign * sd, lo, hi
 
 
+def _erfc(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.erfc, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def gaussian_truncations(mean, sd, lo, hi) -> np.ndarray:
+    """`gaussian_truncation` over arrays, unchecked: row i of the (n, 6)
+    result is the record of mean[i] and sd[i] (finite, >= 0) truncated to
+    [lo, hi], each bound one value or one per element with lo < hi. The
+    arithmetic is elementwise and `math.erfc` runs per element, so every
+    record equals the scalar one bit for bit."""
+    mean, sd = np.asarray(mean, dtype=np.float64), np.asarray(sd, dtype=np.float64)
+    lo, hi = (np.broadcast_to(np.asarray(bound, dtype=np.float64), mean.shape)
+              for bound in (lo, hi))
+    # sd == 0 divides by zero; those records are replaced below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a, b = (lo - mean) / sd, (hi - mean) / sd
+        mirrored = a + b > 0
+        a, b = np.where(mirrored, -b, a), np.where(mirrored, -a, b)
+        c_lo = 0.5 * _erfc(-a / _SQRT2)
+        span = 0.5 * _erfc(-b / _SQRT2) - c_lo
+    flat = sd == 0
+    return np.column_stack([mean, np.where(flat, 0.5, c_lo), np.where(flat, 0.0, span),
+                            np.where(flat, 0.0, np.where(mirrored, -sd, sd)), lo, hi])
+
+
 def truncated_gaussian_from(truncation, u: float) -> float:
     """One draw on a uniform u from a truncated Gaussian, given its
     `gaussian_truncation` record.

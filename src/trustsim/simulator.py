@@ -7,15 +7,18 @@ conditional on that combination, the last two from the truncated-Gaussian
 records of its row, which hold their bounds, so no drawn turn is checked
 again. Each field reads a named substream.
 
-Every path draws a turn from the table's `draw_parameters` rows, through
-`draw_turn`, on the first uniforms of the turn stream's TURN_FIELDS
-children. `simulate_turn` draws one turn from the `lookup` context of its
-key; the RL environment looks up every key once and draws each turn from
-those contexts. `replay_conditions` draws a turn for every corpus exchange
-at once: the stream keys and uniforms as uint64 arrays, the rows as gathers
-through the table's row index by key code and combination, the categoricals as
-counts, and only `inv_cdf` per element. Its `SimulatedLog`, the corpus and
-the drawn columns, equals, bit for bit, what `simulate_turn` gives."""
+Every path draws a turn from the table's rows (one float64 array, a row
+per distinct rung statistic), on the first uniforms of the turn stream's
+TURN_FIELDS children. `simulate_turn` draws one turn through `draw_turn`
+from the `lookup` context of its key, the rows as Python tuples; the RL
+environment makes every key's context once, each row one tuple shared by
+the keys it serves, and draws each turn from those contexts.
+`replay_conditions` draws a turn for every corpus exchange at once: the
+stream keys and uniforms as uint64 arrays, the rows as gathers from the
+table's rows through its row index by key code and combination, the
+categoricals as counts, and only `inv_cdf` per element. Its
+`SimulatedLog`, the corpus and the drawn columns, equals, bit for bit,
+what `simulate_turn` gives."""
 
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from .corpus import (
     ProactiveAct,
     STEPS_PER_DIALOG,
     _infer_format,
+    cast_column,
     complexity_of_step,
     corpus_cells,
     format_cells,
@@ -89,8 +93,8 @@ def simulate_turn(table: BehaviorTable, profile, step: int,
 def draw_turn(request_cum, used_fallback: bool, rows, u) -> SimulatedTurn:
     """The turn a context key draws on the uniforms u of its TURN_FIELDS,
     given the key's `lookup` context: its request cumulatives, its
-    used_fallback flag and its `draw_parameters` row per request
-    combination."""
+    used_fallback flag and its row of the table's rows per request
+    combination, as tuples."""
     combo = categorical_from(request_cum, u[0])
     row = rows[combo]
     help_request, suggestion_request = REQUEST_COMBOS[combo]
@@ -132,10 +136,13 @@ class SimulatedLog:
 
     def __post_init__(self):
         for name, dtype in _DRAWN_DTYPES.items():
-            column = np.array(getattr(self, name), dtype=dtype)
+            values = getattr(self, name)
+            column = np.array(values)
             if column.shape != (len(self),):
                 raise LengthMismatch(f"simulated log column {name} has shape "
                                      f"{column.shape}; the corpus has {len(self)} exchanges")
+            # the Corpus rule: no float read as an int, no number as a bool
+            column = cast_column(name, values, column, dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -176,7 +183,6 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     trait = trait_codes(corpus)[owner]
     condition = step if table.mode is TableMode.TASK_STEP_BASED else corpus.complexity
     code = key_code(table.mode, trait, corpus.proactive_act, condition)
-    rows = np.array(table.rows)
 
     user_keys = child_keys(rng.key, label_bits(corpus.user_id))
     turn_keys = child_keys(user_keys[owner], _STEP_BITS[step])
@@ -187,10 +193,10 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     combo = categoricals(table.request_cum[code], uniforms("requests"))
     row = table.row_index[code, combo]
     # gathered field by field, so no temporary holds a whole row per turn
-    difficulty = LIKERT_MIN + categoricals(rows[row, ROW_DIFFICULTY],
+    difficulty = LIKERT_MIN + categoricals(table.rows[row, ROW_DIFFICULTY],
                                            uniforms("difficulty"))
-    duration = truncated_gaussians(rows[row, ROW_DURATION], uniforms("duration"))
-    game_score = truncated_gaussians(rows[row, ROW_SCORE], uniforms("score"))
+    duration = truncated_gaussians(table.rows[row, ROW_DURATION], uniforms("duration"))
+    game_score = truncated_gaussians(table.rows[row, ROW_SCORE], uniforms("score"))
 
     flags = _COMBO_FLAGS[combo]
     return SimulatedLog(

@@ -106,6 +106,7 @@ _TURN_FIELDS = ("complexity", "step", "difficulty", "duration", "game_score",
 _OBSERVED = attrgetter(*_TURN_FIELDS[2:])  # the fields a turn itself holds
 _ACT_ONE_HOT = np.eye(len(ACT_ORDER)).tolist()  # by act index
 _PROFILE_END = FEATURE_NAMES.index(f"act={ACT_ORDER[0].value}")
+_GENDER = slice(1, 1 + len(GENDER_ORDER))  # the profile block's gender one-hot
 _TURN_END = FEATURE_NAMES.index(f"lag1:act={ACT_ORDER[0].value}")
 _LAG_WIDTH = (N_FEATURES - _TURN_END) // LAG_WINDOW
 # current-turn column of each lag column but the last (the trust label)
@@ -136,7 +137,12 @@ class DialogFeatures:
     __slots__ = ("_row",)
 
     def __init__(self, profile):
-        self._row = np.array(_profile_values(profile) + _ROW_START_TAIL, dtype=float)
+        values = _profile_values(profile)
+        # a gender that is no index (a Gender member, say) sets no slot
+        if sum(values[_GENDER]) != 1:
+            raise ValueOutOfRange("gender", profile.gender,
+                                  detail=f"an index in 0..{len(GENDER_ORDER) - 1}")
+        self._row = np.array(values + _ROW_START_TAIL, dtype=float)
 
     def row(self, act: ProactiveAct, step: int, turn) -> np.ndarray:
         """The row of a turn (anything with the observed fields) at a step,

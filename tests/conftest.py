@@ -14,11 +14,13 @@ from enum import Enum
 from pathlib import Path
 from statistics import NormalDist
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from trustsim import behavior_tables
+from trustsim import corpus as corpus_io
 from trustsim.behavior_tables import (
     ACT_SLICE,
     COLUMNS,
@@ -26,7 +28,6 @@ from trustsim.behavior_tables import (
     REQUEST_COMBOS,
     TRAIT_CELL,
     TableMode,
-    draw_parameters,
     lookup,
 )
 from trustsim.corpus import (
@@ -52,6 +53,7 @@ from trustsim.corpus import (
     _infer_format,
     _parse_field,
     complexity_of_step,
+    duration_truncation,
     max_option_score,
     option_scores,
 )
@@ -539,8 +541,24 @@ _EMPTY_CELL = CellStats(0, (0,) * len(REQUEST_COMBOS), (_EMPTY_COMBO,) * len(REQ
 
 
 def served_row(table, code, combo) -> tuple:
-    """The `draw_parameters` row that serves (key code, combination)."""
-    return table.rows[table.row_index[code, combo]]
+    """The row of table.rows that serves (key code, combination), as a tuple."""
+    return tuple(table.rows[table.row_index[code, combo]].tolist())
+
+
+def draw_parameters(stats, complexity: int) -> tuple:
+    """The scalar row maker the table's one-pass `_draw_rows` replaced, kept
+    as its oracle: the row a turn's draws read from one combination's
+    statistics (any object with the `Stats` fields as scalars), its score
+    truncated to the option range of a step of this complexity. The
+    duration ceiling is read from the behavior_tables module, so a test that
+    lowers it there lowers it here too."""
+    counts = stats.difficulty_counts
+    total = sum(counts)
+    return (*cumulative_weights(tuple(c / total for c in counts)),
+            *duration_truncation(stats.duration_mean, stats.duration_sd,
+                                 behavior_tables.DURATION_HI),
+            *gaussian_truncation(stats.score_mean, stats.score_sd, OPTION_SCORE_UNIT,
+                                 max_option_score(complexity)))
 
 
 def assert_table_equals_oracle(table) -> None:
@@ -1428,6 +1446,42 @@ def make_corpus(n_users=2, acts=None, user_overrides=None,
         users.append(make_user(user_id=uid, **overrides))
         dialogs[uid] = make_dialog(uid, acts=acts, **exchange_overrides)
     return corpus_from_rows(users, dialogs)
+
+
+def csv_reader_load(path) -> Corpus:
+    """load_corpus on its csv.reader path only, the split path refused."""
+    def refuse(_):
+        raise corpus_io._Unsplittable
+    with mock.patch.object(corpus_io, "_split_blocks", refuse):
+        return corpus_io.load_corpus(path)
+
+
+def any_outcome(load, path):
+    """What load gives for the file: the corpus, or the type and message of
+    any error, typed or not."""
+    try:
+        return load(path)
+    except Exception as exc:  # noqa: BLE001 - two loaders must fail alike
+        return type(exc), str(exc)
+
+
+def line_cells(line: bytes) -> list:
+    """The cells of a CSV line with no quotes, as bytes."""
+    return line.rstrip(b"\n").split(b",")
+
+
+def cells_line(cells) -> bytes:
+    return b",".join(cells) + b"\n"
+
+
+def corpus_csv_lines(n_dialogs: int, seed: int) -> tuple:
+    """The lines of a synthetic corpus's CSV as save_corpus writes it,
+    header first, each as bytes ending in b"\n"."""
+    corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n_dialogs), seed)
+    buffer = io.StringIO()
+    corpus_io.write_csv_rows(buffer, zip(*([name, *corpus_io.corpus_cells(corpus, name, True)]
+                                           for name in CORPUS_COLUMNS)))
+    return tuple(buffer.getvalue().encode().splitlines(keepends=True))
 
 
 @pytest.fixture(scope="session")

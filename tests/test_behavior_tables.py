@@ -20,6 +20,7 @@ from conftest import (
     combo_at,
     combo_index,
     corpus_from_rows,
+    draw_parameters,
     exchanges_of,
     make_corpus,
     make_dialog,
@@ -43,7 +44,6 @@ from trustsim.behavior_tables import (
     TableMode,
     _merge,
     build_table,
-    draw_parameters,
     key_code,
     load_table,
     lookup,
@@ -143,9 +143,10 @@ class TestColumnInvariants:
         for name in COLUMNS:
             with pytest.raises(ValueError):
                 getattr(table, name)[(0,) * getattr(table, name).ndim] = 1
-        with pytest.raises(ValueError):
-            table.row_index[0, 0] = 1
-        assert type(table.rows) is tuple and type(table.rows[0]) is tuple
+        for array in (table.row_index, table.rows):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+        assert table.rows.dtype == np.float64 and table.rows.shape[1] == 17
 
     @pytest.mark.parametrize("name,shape", [("n", (96, 3)), ("score_sd", (95, 4)),
                                             ("difficulty_counts", (96, 4, 4))])

@@ -7,21 +7,36 @@ there still run where hypothesis is not installed.
 from __future__ import annotations
 
 import dataclasses
+import json
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import assert_table_equals_oracle
+from conftest import (
+    assert_table_equals_oracle,
+    draw_parameters,
+    mode_keys,
+    oracle_table,
+    reference_combo_stats,
+)
 from trustsim.behavior_tables import (
+    COLUMNS,
     REQUEST_COMBOS,
+    _STAT_MIN,
+    BehaviorTable,
     Stats,
     TableMode,
+    _draw_rows,
     _merge,
     build_table,
     load_table,
     save_table,
+    table_to_json_dict,
 )
+from trustsim.corpus import complexity_of_step
+from trustsim.errors import InvalidConfig, write_json
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 
 
@@ -115,3 +130,87 @@ class TestMergeProperties:
             np.testing.assert_allclose(
                 [getattr(merged, mean), getattr(merged, sd)],
                 [getattr(whole, mean), getattr(whole, sd)], rtol=1e-9, atol=floor)
+
+
+# -- the one-pass rows against the scalar row maker ---------------------------
+
+_MAX = sys.float_info.max
+# sd 0, subnormal sds, and sds from tiny to the largest float
+SDS = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310, 1e-300, _MAX]),
+                st.floats(0.0, 1e6), st.floats(0.0, _MAX))
+# means near the bounds, far below them (mirrored upper tails), far above
+# them, and at the ends of the float range
+MEANS = st.one_of(st.floats(-1e3, 1e3), st.floats(-_MAX, _MAX),
+                  st.sampled_from([-_MAX, _MAX, -1e300, 1e300, 20.0, 300.0, 10.0, 50.0]))
+# counts that float64 holds exactly, and sums past 2**53 that it rounds
+COUNTS = st.lists(st.one_of(st.integers(0, 20), st.integers(0, 2 ** 60)),
+                  min_size=5, max_size=5).filter(any)
+STATISTICS = st.tuples(st.integers(1, 2 ** 53), MEANS, SDS, MEANS, SDS, COUNTS)
+
+
+def assert_rows_equal_oracle(rows: np.ndarray, statistics, complexity) -> None:
+    want = np.array([draw_parameters(Stats(*values), c)
+                     for values, c in zip(statistics, complexity)])
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+
+
+class TestRowsEqualTheScalarOracle:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(STATISTICS, st.sampled_from([3, 4, 5])), min_size=1,
+                    max_size=8))
+    def test_one_pass_rows_equal_draw_parameters_bit_for_bit(self, drawn):
+        statistics, complexity = zip(*drawn)
+        stats = Stats(*(np.array(column) for column in zip(*statistics)))
+        rows = _draw_rows(stats, np.array(complexity))
+        assert not rows.flags.writeable
+        assert_rows_equal_oracle(rows, statistics, complexity)
+
+    @settings(deadline=None, max_examples=40)
+    @given(mode=st.sampled_from(list(TableMode)), threshold=st.sampled_from([1, 10]),
+           edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.floats(-1e150, 1e150),
+                                    SDS.filter(lambda sd: sd < 1e100),
+                                    st.floats(-1e150, 1e150),
+                                    SDS.filter(lambda sd: sd < 1e100)),
+                          min_size=1, max_size=6))
+    def test_every_served_row_equals_draw_parameters_in_both_modes(
+            self, tables, mode, threshold, edits):
+        """Observed combinations given extreme moments; every (key,
+        combination) serves, bit for bit, the scalar row of the rung
+        statistic the dataclass ladder picks."""
+        base = dataclasses.replace(tables[mode], fallback_threshold=threshold)
+        columns = {name: getattr(base, name).copy() for name in COLUMNS}
+        observed = np.flatnonzero(base.n.ravel())
+        for pick, *moments in edits:
+            at = np.unravel_index(observed[pick % len(observed)], base.n.shape)
+            for name, value in zip(_STAT_MIN, moments):
+                columns[name][at] = value
+        try:
+            table = BehaviorTable(mode, threshold, **columns)
+        except InvalidConfig:  # a merged slice overflows the float range
+            assume(False)
+        oracle = oracle_table(table)
+        for code, key in enumerate(mode_keys(mode)):
+            condition = key[2]
+            complexity = (complexity_of_step(condition)
+                          if mode is TableMode.TASK_STEP_BASED else condition)
+            for combo in range(len(REQUEST_COMBOS)):
+                row = table.rows[table.row_index[code, combo]]
+                want = draw_parameters(reference_combo_stats(oracle, key, combo), complexity)
+                assert row.tobytes() == np.array(want).tobytes()
+
+
+class TestTableJsonLayouts:
+    def test_indent_2_v3_file_loads_to_an_equal_table(self, tables, tmp_path):
+        """A v3 table.json written with two-space indents, as before tables
+        were written one line per top-level key, loads alike."""
+        for mode, table in tables.items():
+            write_json(tmp_path / "indented.json", table_to_json_dict(table))
+            save_table(table, tmp_path / "compact.json")
+            indented, compact = (load_table(tmp_path / name)
+                                 for name in ("indented.json", "compact.json"))
+            assert indented == table == compact
+            assert indented.rows.tobytes() == compact.rows.tobytes() == table.rows.tobytes()
+            lines = [f"{json.dumps(key)}:{json.dumps(value, separators=(',', ':'))}"
+                     for key, value in sorted(table_to_json_dict(table).items())]
+            assert (tmp_path / "compact.json").read_text(encoding="utf-8") == \
+                "{\n" + ",\n".join(lines) + "\n}\n"

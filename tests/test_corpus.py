@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    any_outcome,
+    cells_line,
+    corpus_csv_lines,
     corpus_from_rows,
+    csv_reader_load,
     dialogs_of,
+    line_cells,
     make_corpus,
     make_dialog,
     make_user,
@@ -825,3 +830,105 @@ class TestLoaderBlocks:
         with pytest.raises(ValueOutOfRange) as err:
             load_corpus(path)
         assert (err.value.field, err.value.row) == ("duration", 2)
+
+
+def _with_cell(lines, row, col, text) -> list:
+    cells = line_cells(lines[row])
+    cells[col] = text
+    lines[row] = cells_line(cells)
+    return lines
+
+
+def _columns(lines, order, last_name=None) -> list:
+    """The file with its columns in this order of old indices, the last
+    header cell renamed where a name is given."""
+    rows = [[line_cells(line)[j] for j in order] for line in lines]
+    if last_name:
+        rows[0][-1] = last_name
+    return [cells_line(cells) for cells in rows]
+
+
+_BOUNDARY = corpus_module._BLOCK_ROWS  # the first data row of the second block
+_UID, _DID = CORPUS_COLUMNS.index("user_id"), CORPUS_COLUMNS.index("dialog_id")
+
+# An edit of the saved lines, and whether the split path then reads the
+# file: it must leave every file csv.reader might read otherwise to that path.
+SPLIT_EDITS = {
+    "as saved": (lambda lines: lines, True),
+    "header reordered": (lambda lines: _columns(lines, range(len(CORPUS_COLUMNS))[::-1]), True),
+    "extra column": (lambda lines: _columns(lines, [*range(len(CORPUS_COLUMNS)), _UID],
+                                            b"note"), True),
+    "quoted cell": (lambda lines: _with_cell(lines, 3, _UID, b'"' + line_cells(lines[3])[_UID] + b'"'),
+                    False),
+    "crlf": (lambda lines: [line[:-1] + b"\r\n" for line in lines], False),
+    "crlf, a text column last": (lambda lines: [
+        line[:-1] + b"\r\n" for line in _columns(lines, [*range(_DID), *range(_DID + 1, len(
+            CORPUS_COLUMNS)), _DID])], False),
+    "cr inside a row": (lambda lines: _with_cell(lines, 7, 2, b"3\r"), False),
+    "blank line": (lambda lines: [*lines[:9], b"\n", *lines[9:]], False),
+    "blank line at the block boundary": (
+        lambda lines: [*lines[:_BOUNDARY + 1], b"\n", *lines[_BOUNDARY + 1:]], False),
+    "nul": (lambda lines: _with_cell(lines, 5, _UID, b"u\0"), False),
+    "no final newline": (lambda lines: [*lines[:-1], lines[-1][:-1]], False),
+    "a cell missing": (lambda lines: [*lines[:4], cells_line(line_cells(lines[4])[1:]), *lines[5:]],
+                       False),
+    "a cell moved to the next row": (lambda lines: [
+        *lines[:4], cells_line(line_cells(lines[4])[1:]), cells_line(line_cells(lines[5]) + [b"1"]), *lines[6:]],
+        False),
+    "column named twice": (lambda lines: _columns(lines, [*range(len(CORPUS_COLUMNS)), _UID]),
+                           False),
+    "column missing": (lambda lines: _columns(lines, range(1, len(CORPUS_COLUMNS))), False),
+    **{f"non-UTF-8 byte at data row {row}": (
+        lambda lines, row=row: _with_cell(lines, row, _UID, b"u\xe9"), False)
+       for row in (_BOUNDARY - 1, _BOUNDARY, _BOUNDARY + 1)},
+}
+
+
+class TestSplitPath:
+    """The CSV loader splits a block in C only where csv.reader reads it
+    cell for cell alike; any other file loads on the csv.reader path, with
+    the same corpus or the same error."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        return corpus_csv_lines(45, seed=7)  # two blocks
+
+    @staticmethod
+    def splits(path) -> bool:
+        try:
+            for _ in corpus_module._split_blocks(path):
+                pass
+        except corpus_module._Unsplittable:
+            return False
+        return True
+
+    @pytest.mark.parametrize("kind", SPLIT_EDITS)
+    def test_split_only_where_csv_reader_reads_alike(self, lines, tmp_path, kind):
+        edit, split = SPLIT_EDITS[kind]
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"".join(edit(list(lines))))
+        assert self.splits(path) is split
+        assert any_outcome(load_corpus, path) == any_outcome(csv_reader_load, path)
+
+    def test_edits_that_keep_the_cells_keep_the_corpus(self, lines, tmp_path):
+        want = load_corpus(self.write(tmp_path / "saved.csv", lines))
+        for kind in ("header reordered", "extra column", "quoted cell", "crlf",
+                     "crlf, a text column last"):
+            edit, _ = SPLIT_EDITS[kind]
+            assert load_corpus(self.write(tmp_path / "c.csv", edit(list(lines)))) == want
+
+    @staticmethod
+    def write(path, lines):
+        path.write_bytes(b"".join(lines))
+        return path
+
+    def test_a_field_beyond_the_csv_limit_is_left_to_csv_reader(self, lines, tmp_path):
+        """csv.reader raises on a field longer than csv.field_size_limit();
+        the split path would read it."""
+        limit = csv.field_size_limit()
+        path = self.write(tmp_path / "c.csv",
+                          _with_cell(list(lines), 2, _UID, b"u" * (limit + 1)))
+        assert not self.splits(path)
+        error, message = any_outcome(load_corpus, path)
+        assert error is csv.Error and "field larger than field limit" in message
+        assert any_outcome(csv_reader_load, path) == (error, message)

@@ -1,6 +1,7 @@
 """Property tests: the streaming loader against the per-row loader it
-replaced, the column-wise writer against the per-row writer, and the
-join-per-row CSV writer against the csv-module writer.
+replaced, its split path against its csv.reader path, the column-wise
+writer against the per-row writer, and the join-per-row CSV writer against
+the csv-module writer.
 
 One cell of a saved corpus is replaced by drawn text; both loaders must then
 return equal corpora, or both raise the same typed error with the same
@@ -18,7 +19,16 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_load_corpus, reference_save_corpus, reference_write_csv_rows
+from conftest import (
+    any_outcome,
+    cells_line,
+    corpus_csv_lines,
+    csv_reader_load,
+    line_cells,
+    reference_load_corpus,
+    reference_save_corpus,
+    reference_write_csv_rows,
+)
 from trustsim.corpus import CORPUS_COLUMNS, load_corpus, save_corpus, write_csv_rows
 from trustsim.errors import TrustSimError
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
@@ -126,3 +136,88 @@ def test_jsonl_value_replaced(saved, data):
     path = saved / "mutated.jsonl"
     path.write_text("".join(json.dumps(obj) + "\n" for obj in objects))
     assert_load_and_save_match_references(path)
+
+
+# -- the split path against the csv.reader path --------------------------------
+
+SPLIT_DIALOGS = 45  # 540 rows: a block of 512 rows and a block of 28
+BOUNDARY = 512  # the first data row of the second block, counted from 0
+
+
+@pytest.fixture(scope="module")
+def split_lines():
+    return corpus_csv_lines(SPLIT_DIALOGS, seed=7)
+
+
+def _edit(data, lines: list, kind: str) -> None:
+    """Apply one drawn edit of this kind to the file's lines, in place."""
+    n = len(lines)
+    row = data.draw(st.one_of(st.integers(1, n - 1),
+                              st.sampled_from([BOUNDARY, BOUNDARY + 1, BOUNDARY + 2])),
+                    label="row")
+    if kind == "quote":  # csv.reader reads a quoted cell as its text
+        cells = line_cells(lines[row])
+        col = data.draw(st.integers(0, len(cells) - 1), label="col")
+        cells[col] = b'"' + cells[col] + b'"'
+        lines[row] = cells_line(cells)
+    elif kind in ("cr", "nul", "non-utf8"):
+        byte = {"cr": b"\r", "nul": b"\0", "non-utf8": b"\xe9"}[kind]
+        at = data.draw(st.integers(0, len(lines[row]) - 1), label="at")
+        lines[row] = lines[row][:at] + byte + lines[row][at:]
+    elif kind == "crlf":
+        lines[:] = [line[:-1] + b"\r\n" for line in lines]
+    elif kind == "blank":
+        lines.insert(row, b"\n")
+    elif kind == "no final newline":
+        lines[-1] = lines[-1].rstrip(b"\n")
+    elif kind in ("cell missing", "cell extra", "cells moved"):
+        cells = line_cells(lines[row])
+        if kind != "cell extra":
+            del cells[data.draw(st.integers(0, len(cells) - 1), label="col")]
+        lines[row] = cells_line(cells)
+        if kind != "cell missing" and row + 1 < n:
+            # with "cells moved" the two rows hold width x rows cells in all
+            extra = line_cells(lines[row + 1])
+            lines[row + 1] = cells_line(extra + [extra[-1]])
+    elif kind in ("header reordered", "extra column"):
+        order = list(range(len(line_cells(lines[0]))))
+        name = data.draw(st.sampled_from([b"extra", b"user_id", b"duration"]), label="name")
+        if kind == "header reordered":
+            order = data.draw(st.permutations(order), label="order")
+        else:
+            order.insert(data.draw(st.integers(0, len(order)), label="at"), 0)
+        for i, line in enumerate(lines):
+            cells = line_cells(line)
+            if len(cells) == len(order):
+                picked = [cells[j] for j in order]
+                if kind == "extra column":  # a new name, or a name given twice
+                    picked[order.index(0)] = name if i == 0 else b"x"
+                lines[i] = cells_line(picked)
+    elif kind == "column renamed":
+        cells = line_cells(lines[0])
+        cells[data.draw(st.integers(0, len(cells) - 1), label="col")] = b"renamed"
+        lines[0] = cells_line(cells)
+    elif kind == "cell text":
+        cells = line_cells(lines[row])
+        col = data.draw(st.integers(0, len(cells) - 1), label="col")
+        cells[col] = data.draw(st.sampled_from(EDGE_TEXT), label="text").encode()
+        lines[row] = cells_line(cells)
+
+
+EDITS = ("quote", "cr", "crlf", "blank", "nul", "no final newline", "cell missing",
+         "cell extra", "cells moved", "header reordered", "extra column",
+         "column renamed", "non-utf8", "cell text")
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_split_path_equals_the_csv_reader_path(split_lines, tmp_path_factory, data):
+    """Whatever the edits, the split path (and its fall back) loads the
+    corpus the csv.reader path loads, or raises the identical error."""
+    lines = list(split_lines)
+    for kind in data.draw(st.lists(st.sampled_from(EDITS), min_size=0, max_size=3),
+                          label="edits"):
+        _edit(data, lines, kind)
+    path = tmp_path_factory.mktemp("split") / "edited.csv"
+    path.write_bytes(b"".join(lines))
+    assert any_outcome(load_corpus, path) == any_outcome(csv_reader_load, path)

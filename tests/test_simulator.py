@@ -15,6 +15,7 @@ from conftest import (
     child_streams,
     corpus_from_rows,
     dialogs_of,
+    draw_parameters,
     exchanges_of,
     lower_duration_ceiling,
     make_dialog,
@@ -26,18 +27,18 @@ from conftest import (
     reference_log,
     reference_log_bytes,
     reference_replay,
+    stub_trust_model,
     users_of,
 )
 from trustsim.behavior_tables import (
     REQUEST_COMBOS,
     TableMode,
     build_table,
-    draw_parameters,
     key_code,
     lookup,
 )
 from trustsim.corpus import Corpus, ProactiveAct, complexity_of_step
-from trustsim.errors import InvalidConfig, LengthMismatch
+from trustsim.errors import InvalidConfig, LengthMismatch, ValueOutOfRange
 from trustsim.sampling import RandomStream
 from trustsim.simulator import (
     LOG_COLUMNS,
@@ -46,7 +47,8 @@ from trustsim.simulator import (
     save_simulated_log,
     simulate_turn,
 )
-from trustsim.user_model import trait_codes
+from trustsim.rl_env import TrustSimEnv
+from trustsim.user_model import fit_trait_distributions, trait_codes
 
 
 def soundness_corpus() -> Corpus:
@@ -206,7 +208,8 @@ class TestTableRows:
         oracle = oracle_table(table)
         keys = mode_keys(mode)
         assert table.row_index.shape == (len(keys), len(REQUEST_COMBOS))
-        assert {len(row) for row in table.rows} == {17}
+        assert table.rows.shape[1] == 17 and table.rows.dtype == np.float64
+        assert not table.rows.flags.writeable
         for k, key in enumerate(keys):
             request_cum, used_fallback, rows = lookup(table, *key)
             assert request_cum == tuple(table.request_cum[k].tolist())
@@ -215,14 +218,22 @@ class TestTableRows:
             complexity = (complexity_of_step(condition)
                           if mode is TableMode.TASK_STEP_BASED else condition)
             for combo in range(len(REQUEST_COMBOS)):
-                assert rows[combo] is table.rows[table.row_index[k, combo]]
+                assert rows[combo] == tuple(table.rows[table.row_index[k, combo]].tolist())
                 assert rows[combo] == draw_parameters(
                     reference_combo_stats(oracle, key, combo), complexity)
 
-    def test_rungs_shared_by_keys_share_their_rows(self, default_corpus):
+    def test_env_contexts_share_one_tuple_per_row(self, default_corpus):
+        """The env makes each row of the table a tuple once, and the keys
+        one rung statistic serves share it."""
         table = build_table(default_corpus, TableMode.TASK_STEP_BASED)
-        rows = [row for key in mode_keys(table.mode) for row in lookup(table, *key)[2]]
+        env = TrustSimEnv(table, fit_trait_distributions(default_corpus),
+                          stub_trust_model([0.0] * 5))
+        rows = [row for by_act in env._contexts for by_step in by_act
+                for context in by_step for row in context[2]]
         assert len({id(row) for row in rows}) == len(table.rows) < len(rows)
+        assert [lookup(table, *key)[2] for key in mode_keys(table.mode)] == [
+            context[2] for by_act in env._contexts for by_step in by_act
+            for context in by_step]
 
 
 class TestFallbackFlag:
@@ -299,6 +310,27 @@ class TestSimulatedLog:
         assert SimulatedLog(corpus=renamed, **drawn) != log
         flipped = ~log.help_request
         assert replace(log, help_request=flipped) != log
+
+    @pytest.mark.parametrize("name,value", [
+        ("difficulty", 2.9), ("difficulty", True), ("help_request", 0.7),
+        ("suggestion_request", 1), ("used_fallback", 0), ("game_score", "30.0"),
+        ("duration", True)])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_value_of_the_wrong_kind_is_rejected(self, log, name, value, as_array):
+        """A drawn column is not cast: a float difficulty 2.9 would be
+        stored as 2, and a help_request of 0.7 as True."""
+        column = [value, *getattr(log, name).tolist()[1:]]
+        if as_array and not isinstance(value, bool):  # an array of bools is a bool column
+            column = np.array(column)
+        with pytest.raises(ValueOutOfRange, match=name):
+            replace(log, **{name: column})
+
+    def test_ints_are_floats_and_numpy_bools_are_bools(self, log):
+        """The kinds a column may be taken from: ints for a float column."""
+        as_ints = replace(log, game_score=log.game_score.astype(np.int64))
+        assert as_ints.game_score.dtype == np.float64
+        assert (as_ints.game_score == np.trunc(log.game_score)).all()
+        assert replace(log, used_fallback=log.used_fallback.tolist()) == log
 
     def test_drawn_columns_are_read_only(self, log):
         for name in DRAWN_COLUMNS:

@@ -152,6 +152,22 @@ class TestFeatureSchema:
         assert np.array_equal(first, kept)
         assert not np.array_equal(first, second)
 
+    @pytest.mark.parametrize("gender", [Gender.MALE, Gender.FEMALE, 3, -1, 0.5, math.nan])
+    def test_gender_that_is_no_index_is_rejected(self, gender):
+        """A Gender member (or any value that is no GENDER_ORDER index) would
+        set no slot of the gender one-hot."""
+        profile = corpus_user(make_user())
+        profile.gender = gender
+        with pytest.raises(ValueOutOfRange, match="gender"):
+            DialogFeatures(profile)
+
+    @pytest.mark.parametrize("gender", [0, 1, 2, np.int64(2)])
+    def test_gender_index_sets_its_slot(self, gender):
+        profile = corpus_user(make_user())
+        profile.gender = gender
+        row = DialogFeatures(profile).row(ProactiveAct.NONE, 1, context(step=1))
+        assert row[1:4].tolist() == [float(g == gender) for g in range(3)]
+
 
 class TestCorpusToDataset:
     def test_shapes_and_alignment(self, small_corpus):

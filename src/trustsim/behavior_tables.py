@@ -13,7 +13,9 @@ for its continuous statistics, down to the pooled condition slice. A table
 file holds only the trait cells; the slices are merged from them, so a
 table has one source of truth. When a table is built or loaded its arrays are
 checked, its slices merged, every key's rung chosen and the rows its draws
-read made, once, so every draw from it succeeds. The rows are one float64
+read made, once, so every draw from it succeeds. The merged slices are not
+kept: the rungs and rows are made from them, and `table_summary` sums a
+slice's count from its trait cells. The rows are one float64
 array with a row per distinct rung statistic, made in one array pass;
 `lookup` hands out a key's rows as Python tuples. `table.json` is written
 with one line per top-level key.
@@ -22,11 +24,9 @@ with one line per top-level key.
 from __future__ import annotations
 
 import itertools
-import json
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +46,8 @@ from .corpus import (
     STEPS_PER_DIALOG,
     complexity_of_step,
 )
-from .errors import EmptyCorpus, InvalidConfig, NoDataForCondition, object_entry, read_json
+from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, object_entry, read_json,
+                     write_compact_json)
 from .sampling import gaussian_truncations
 from .user_model import N_TRAIT_CODES, trait_codes
 
@@ -171,14 +172,14 @@ def _draw_rows(stats: Stats, complexity) -> np.ndarray:
 
 
 def _derive(cells: Stats, mode: TableMode, threshold: int) -> dict:
-    """By name, the six values a table derives from its checked trait
-    cells: the act slices (act x condition x combination, merged over the
-    trait codes in key order); per key its rung, used_fallback flag and
-    request cumulatives; and the `_draw_rows` array with the row index
-    of each (key, combination). A rung's statistics come from the trait
-    cells, the act slices, the condition slices (condition x combination,
-    merged over the act slices in the order they first appear among the
-    keys) or their pooled statistics (per condition)."""
+    """By name, the five values a table derives from its checked trait
+    cells: per key its rung, used_fallback flag and request cumulatives;
+    and the `_draw_rows` array with the row index of each (key,
+    combination). A rung's statistics come from the trait cells, the act
+    slices (act x condition x combination, merged over the trait codes in
+    key order), the condition slices (condition x combination, merged over
+    the act slices in the order they first appear among the keys) or their
+    pooled statistics (per condition)."""
     conditions = mode.conditions()
     n_traits, n_acts, n_conds = N_TRAIT_CODES, len(ACT_ORDER), len(conditions)
     n_keys, n_combos = cells.n.shape
@@ -231,7 +232,7 @@ def _derive(cells: Stats, mode: TableMode, threshold: int) -> dict:
     # freed before the rows are made
     served = Stats(*map(np.concatenate, zip(*(s.reshape(-1) for s in levels)))).take(used)
     rows = _draw_rows(served, complexity[cond_of[first_cell // n_combos]])
-    return dict(act_slices=Stats(*map(_read_only, act_slices)), rung=_read_only(rung),
+    return dict(rung=_read_only(rung),
                 used_fallback=_read_only(rung != TRAIT_CELL),
                 request_cum=_read_only(np.cumsum(rung_n / rung_n.sum(axis=1, keepdims=True),
                                                  axis=1)),
@@ -241,9 +242,10 @@ def _derive(cells: Stats, mode: TableMode, threshold: int) -> dict:
 @dataclass(frozen=True, eq=False)
 class BehaviorTable:
     """The statistics of every (key, combination), in `key_code` order, and
-    what draws and `table_summary` read of their `_derive`: the act slices,
-    each key's rung, used_fallback flag and request cumulatives, and the
-    `_draw_rows` array, one row per distinct rung statistic."""
+    what draws and `table_summary` read of their `_derive`: each key's
+    rung, used_fallback flag and request cumulatives, and the `_draw_rows`
+    array, one row per distinct rung statistic. The merged act and
+    condition slices are not kept."""
 
     mode: TableMode
     fallback_threshold: int
@@ -253,7 +255,6 @@ class BehaviorTable:
     duration_mean: np.ndarray = field(repr=False)
     duration_sd: np.ndarray = field(repr=False)
     difficulty_counts: np.ndarray = field(repr=False)
-    act_slices: Stats = field(init=False, repr=False)
     rung: np.ndarray = field(init=False, repr=False)
     used_fallback: np.ndarray = field(init=False, repr=False)
     request_cum: np.ndarray = field(init=False, repr=False)
@@ -394,7 +395,8 @@ def table_summary(table: BehaviorTable) -> dict:
     slice_of = np.arange(len(table.rung)) % n_slices
     observed, direct = (np.bincount(slice_of[mask], minlength=n_slices).tolist()
                         for mask in (table.n.sum(axis=1) > 0, table.rung == TRAIT_CELL))
-    slice_n = table.act_slices.n.sum(axis=2).ravel().tolist()
+    # a slice's count is the sum of its trait cells' counts
+    slice_n = table.n.reshape(N_TRAIT_CODES, n_slices, -1).sum(axis=(0, 2)).tolist()
     return {
         "mode": table.mode.value,
         "fallback_threshold": table.fallback_threshold,
@@ -459,14 +461,9 @@ def table_from_json_dict(payload) -> BehaviorTable:
 
 
 def save_table(table: BehaviorTable, path) -> None:
-    """Write the table as JSON with sorted keys, one line per top-level key
-    and no spaces, and a final newline: its columns hold thousands of
-    numbers, which two-space indents would put one per line. Either layout
-    loads."""
-    payload = table_to_json_dict(table)
-    lines = (f"{json.dumps(key)}:{json.dumps(payload[key], separators=(',', ':'))}"
-             for key in sorted(payload))
-    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    """Write the table with `write_compact_json`: its columns hold thousands
+    of numbers. A file in either layout, compact or indented, loads."""
+    write_compact_json(path, table_to_json_dict(table))
 
 
 def load_table(path) -> BehaviorTable:

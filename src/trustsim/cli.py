@@ -32,7 +32,7 @@ from .behavior_tables import (
     table_summary,
 )
 from .corpus import load_corpus, save_corpus, write_csv_rows
-from .errors import InvalidConfig, TrustSimError, read_json, write_json
+from .errors import InvalidConfig, TrustSimError, read_json, write_compact_json, write_json
 from .fidelity import (
     compare_modes,
     evaluate_simulator,
@@ -211,7 +211,7 @@ def cmd_train_rl(args) -> int:
                       load_classifier(fit / "trust_model.json"),
                       RewardConfig(args.score_weight, args.trust_weight))
     result = train_tabular_policy(env, args.episodes, Hyperparams(seed=args.seed))
-    write_json(out / "policy.json", {
+    write_compact_json(out / "policy.json", {
         "format": "tabular-policy/v1",
         "policy": [int(a) for a in result.policy],
         "q": [[float(v) for v in row] for row in result.q],

@@ -388,14 +388,17 @@ def _read_rows(path: Path, file_format: str) -> Iterator:
 
     CSV rows are streamed; blank lines are skipped and not counted. The
     file is decoded as it is read, so a byte that is not UTF-8 surfaces
-    while the rows are iterated.
+    while the rows are iterated. Such a byte, or a cell longer than
+    csv.field_size_limit(), is a ValueOutOfRange of the file.
     """
     try:
         yield from _decoded_rows(path, file_format)
     except UnicodeDecodeError as exc:
         yield ValueOutOfRange("file", str(path), detail=f"not UTF-8: byte "
                               f"{exc.object[exc.start]:#04x} ({exc.reason})")
-    except (TrustSimError, csv.Error) as exc:
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        yield ValueOutOfRange("file", str(path), detail=str(exc))
+    except TrustSimError as exc:
         yield exc
 
 

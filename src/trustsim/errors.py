@@ -1,5 +1,5 @@
 """Exception types raised across the package, and the JSON file reader
-and writer.
+and writers.
 
 Everything derives from TrustSimError so callers can catch input/validation
 problems in one place (the CLI maps them to exit code 2).
@@ -136,3 +136,12 @@ def write_json(path, payload) -> None:
     """Write a JSON artifact: two-space indent, sorted keys, a final newline."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
+
+
+def write_compact_json(path, payload: dict) -> None:
+    """Write a JSON object artifact with sorted keys, one line per top-level
+    key and no spaces, and a final newline: for values that hold thousands
+    of numbers, which two-space indents would put one per line."""
+    lines = (f"{json.dumps(key)}:{json.dumps(payload[key], separators=(',', ':'))}"
+             for key in sorted(payload))
+    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")

@@ -530,16 +530,6 @@ def combo_at(stats, index) -> ComboStats:
     return ComboStats(*values[:-1], tuple(values[-1]))
 
 
-def cell_at(stats, index) -> CellStats:
-    """The combinations at `index` of a Stats whose last axis is the
-    combination, as a CellStats."""
-    combos = tuple(combo_at(stats, (*index, i)) for i in range(len(REQUEST_COMBOS)))
-    return CellStats(sum(c.n for c in combos), tuple(c.n for c in combos), combos)
-
-
-_EMPTY_CELL = CellStats(0, (0,) * len(REQUEST_COMBOS), (_EMPTY_COMBO,) * len(REQUEST_COMBOS))
-
-
 def served_row(table, code, combo) -> tuple:
     """The row of table.rows that serves (key code, combination), as a tuple."""
     return tuple(table.rows[table.row_index[code, combo]].tolist())
@@ -563,15 +553,10 @@ def draw_parameters(stats, complexity: int) -> tuple:
 
 def assert_table_equals_oracle(table) -> None:
     """Every value a BehaviorTable keeps equals what the OracleTable of its
-    columns gives: the act slices, each key's rung, flag and request
-    cumulatives, and the draw row of each (key, combination), made from the
-    statistics of the rung that serves it."""
+    columns gives: each key's rung, flag and request cumulatives, and the
+    draw row of each (key, combination), made from the statistics of the
+    rung that serves it."""
     oracle, mode = oracle_table(table), table.mode
-    conditions = mode.conditions()
-    for (a, act), (c, cond) in itertools.product(enumerate(ACT_ORDER),
-                                                 enumerate(conditions)):
-        assert cell_at(table.act_slices, (a, c)) == oracle.fallback_cells.get(
-            (act, cond), _EMPTY_CELL)
     for code, key in enumerate(mode_keys(mode)):
         cell, fell_back = reference_lookup(oracle, key)
         rung = (TRAIT_CELL if cell is oracle.cells.get(key) else ACT_SLICE

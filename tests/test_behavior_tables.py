@@ -16,7 +16,6 @@ from conftest import (
     CellStats,
     ComboStats,
     assert_table_equals_oracle,
-    cell_at,
     combo_at,
     combo_index,
     corpus_from_rows,
@@ -269,7 +268,7 @@ def assert_cells_match(got: dict, want: dict):
                 [getattr(theirs, name) for name in MOMENTS], rtol=1e-12, atol=0)
 
 
-DERIVED = ("act_slices", "rung", "used_fallback", "request_cum", "row_index")
+DERIVED = ("rung", "used_fallback", "request_cum", "rows", "row_index")
 
 
 def assert_same_derivation(got: BehaviorTable, want: BehaviorTable):
@@ -277,9 +276,7 @@ def assert_same_derivation(got: BehaviorTable, want: BehaviorTable):
     assert got == want
     for name in DERIVED:
         mine, theirs = getattr(got, name), getattr(want, name)
-        for a, b in (zip(mine, theirs) if isinstance(mine, Stats) else [(mine, theirs)]):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert np.array(got.rows).tobytes() == np.array(want.rows).tobytes()
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
 
 
 class TestBuildEqualsReference:
@@ -295,13 +292,9 @@ class TestBuildEqualsReference:
         corpus = request.getfixturevalue(corpus_name)
         table = build_table(corpus, mode, threshold)
         want = reference_build_table(corpus, mode)
-        conditions = mode.conditions()
-        slices = {(act, cond): cell_at(table.act_slices, (a, c))
-                  for (a, act), (c, cond) in itertools.product(enumerate(ACT_ORDER),
-                                                               enumerate(conditions))
-                  if table.act_slices.n[a, c].sum()}
         oracle = oracle_table(table)
-        for got, expected in zip((oracle.cells, slices, oracle.condition_cells), want):
+        for got, expected in zip((oracle.cells, oracle.fallback_cells,
+                                  oracle.condition_cells), want):
             assert_cells_match(got, expected)
         save_table(table, tmp_path / "a.json")
         loaded = load_table(tmp_path / "a.json")
@@ -358,7 +351,7 @@ class TestFallbackThresholdBoundary:
         assert used_fallback is True
         assert table.rung[k] == ACT_SLICE
         # all NONE/cond-3 rows share the trait code here
-        assert table.act_slices.n[0, 0].sum() == 9
+        assert oracle_table(table).fallback_cells[key[1:]].n == 9
 
     def test_ten_observations_resolve_directly(self):
         table = build_table(nine_or_ten_corpus(2), TableMode.COMPLEXITY_BASED)
@@ -415,7 +408,7 @@ class TestFallbackLadder:
         table = build_table(two_group_corpus(), TableMode.COMPLEXITY_BASED)
         k = code_of(table, (T000, ProactiveAct.NONE, 3))
         assert table.used_fallback[k] and table.rung[k] == ACT_SLICE
-        assert table.act_slices.n[0, 0].sum() == 16
+        assert oracle_table(table).fallback_cells[(ProactiveAct.NONE, 3)].n == 16
         assert served_row(table, k, 0)[ROW_SCORE][0] == pytest.approx(25.0)
 
     def test_dense_traits_resolve_directly(self):
@@ -442,7 +435,7 @@ class TestFallbackLadder:
         # steps 1 and 7 are NONE at complexity 3, steps 4 and 10 NOTIFICATION
         k = code_of(table, (T000, ProactiveAct.NONE, 3))
         assert table.used_fallback[k] and table.rung[k] == ACT_SLICE
-        assert table.act_slices.n[0, 0].sum() == 2
+        assert oracle_table(table).fallback_cells[(ProactiveAct.NONE, 3)].n == 2
 
     def test_condition_outside_mode_is_rejected(self, small_corpus):
         table = build_table(small_corpus, TableMode.COMPLEXITY_BASED)
@@ -502,7 +495,7 @@ class TestServedStats:
         # the (help, no-suggestion) rows all belong to the other trait group,
         # so the NONE/condition-3 act slice serves them
         combo = combo_index(True, False)
-        served = combo_at(table.act_slices, (0, 0, combo))
+        served = oracle_table(table).fallback_cells[(ProactiveAct.NONE, 3)].combos[combo]
         assert served.n == 4
         assert served.score_mean == pytest.approx(30.0)
         assert served.duration_mean == pytest.approx(60.0)
@@ -711,11 +704,17 @@ class TestAggregationEquivalence:
         assert checked == len(by_complexity.cells)
 
     def test_fallback_slices_also_pool(self, default_corpus):
-        by_step = build_table(default_corpus, TableMode.TASK_STEP_BASED)
-        by_complexity = build_table(default_corpus, TableMode.COMPLEXITY_BASED)
+        by_step = oracle_table(build_table(default_corpus, TableMode.TASK_STEP_BASED))
+        by_complexity = oracle_table(build_table(default_corpus,
+                                                 TableMode.COMPLEXITY_BASED))
         # steps 1, 4, 7, 10 are complexity 3, and so on
-        step_n = by_step.act_slices.n.reshape(len(ACT_ORDER), 4, 3, len(REQUEST_COMBOS))
-        assert np.array_equal(step_n.sum(axis=1), by_complexity.act_slices.n)
+        pooled = {}
+        for (act, step), cell in by_step.fallback_cells.items():
+            key = (act, complexity_of_step(step))
+            pooled[key] = tuple(map(sum, zip(pooled.get(key, (0,) * len(REQUEST_COMBOS)),
+                                             cell.request_counts)))
+        assert pooled == {key: cell.request_counts
+                          for key, cell in by_complexity.fallback_cells.items()}
 
 
 class TestSummary:
@@ -745,6 +744,16 @@ class TestSummary:
         empty_slice = slices[(ProactiveAct.SUGGESTION.value, 4)]
         assert empty_slice["n"] == 0
         assert empty_slice["fallback_fraction"] == 1.0
+
+    @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
+    def test_slice_counts_equal_the_oracle(self, default_corpus, mode):
+        table = build_table(default_corpus, mode)
+        counts = {(s["act"], s["condition"]): s["n"]
+                  for s in table_summary(table)["per_act_condition"]}
+        slices = oracle_table(table).fallback_cells
+        assert {type(n) for n in counts.values()} == {int}
+        assert counts == {(act.value, cond): slices[act, cond].n if (act, cond) in slices else 0
+                          for act in ACT_ORDER for cond in mode.conditions()}
 
     def test_json_dict_shape(self, small_corpus):
         payload = table_summary(build_table(small_corpus, TableMode.COMPLEXITY_BASED))

@@ -187,14 +187,16 @@ class TestSimulate:
         assert sha256(sim / "sim_log.csv") == (
             "b6bd727e5c829cc7cedb0445056e2039fa4a9645d72ed66cb78c55b5c5ea92b2")
 
-    def test_ids_holding_carriage_returns(self, work, corpus_file):
-        # a bare "\r" in a cell is quoted, so the log reads back row for row
+    @pytest.mark.parametrize("uid, did", [("u\r0", "d\r0"), ('u,"0"', "d,0")],
+                             ids=["carriage-return", "comma-and-quote"])
+    def test_ids_holding_carriage_returns(self, tmp_path, corpus_file, uid, did):
+        # a cell holding a bare "\r", a comma or a quote is quoted, so the
+        # log reads back row for row
         corpus = load_corpus(corpus_file)
-        uid = "u\r0"
-        path = work / "cr_corpus.csv"
+        path = tmp_path / "corpus.csv"
         save_corpus(dataclasses.replace(corpus, user_id=(uid,) + corpus.user_id[1:],
-                                        dialog_id=("d\r0",) + corpus.dialog_id[1:]), path)
-        fit, out = work / "cr_fit", work / "cr_sim"
+                                        dialog_id=(did,) + corpus.dialog_id[1:]), path)
+        fit, out = tmp_path / "fit", tmp_path / "sim"
         assert main(["fit", "--corpus", str(path), "--seed", "1",
                      "--out", str(fit)]) == 0
         assert main(["simulate", "--corpus", str(path), "--seed", "2",
@@ -203,7 +205,7 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert len(rows) == 480 + 1
         assert {len(row) for row in rows} == {11}
-        assert rows[1][:2] == [uid, "d\r0"]
+        assert rows[1][:2] == [uid, did]
 
     def test_jsonl_log(self, work, corpus_file):
         fit = work / "fit_complexity"
@@ -290,8 +292,10 @@ class TestTrainRl:
         policy = {"format": "tabular-policy/v1",
                   "policy": [int(a) for a in result.policy],
                   "q": [[float(v) for v in row] for row in result.q]}
-        assert (out / "policy.json").read_text() == (
-            json.dumps(policy, indent=2, sort_keys=True) + "\n")
+        # one line per top-level key, in key order, with no spaces
+        assert (out / "policy.json").read_text() == "{\n" + ",\n".join(
+            f"{json.dumps(key)}:{json.dumps(policy[key], separators=(',', ':'))}"
+            for key in ("format", "policy", "q")) + "\n}\n"
         assert (out / "returns.csv").read_text() == "episode,return\n" + "".join(
             f"{i},{r!r}\n" for i, r in enumerate(result.returns))
 
@@ -648,6 +652,7 @@ class TestExitCodes:
         ("mean-text", "InvalidBounds"),
         ("sd-bool", "InvalidBounds"),
         ("hi-huge-int", "InvalidBounds"),
+        ("sd-negative", "InvalidBounds"),
     ])
     def test_malformed_trait_distributions_are_validation_errors(self, work, fit_dir,
                                                                   capsys, malform,
@@ -670,6 +675,8 @@ class TestExitCodes:
             payload["neuroticism"]["sd"] = True
         elif malform == "hi-huge-int":  # an int beyond the float range
             payload["age"]["hi"] = 10 ** 400
+        elif malform == "sd-negative":
+            payload["age"]["sd"] = -1.0
         (fit / "trait_dists.json").write_text(
             "{not json" if malform == "not-json" else json.dumps(payload))
         assert main(["train-rl", "--fit", str(fit), "--seed", "1", "--episodes", "1",
@@ -714,3 +721,142 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueOutOfRange"
         assert message in err["message"]
+
+
+# Edits of the module's 40-dialog corpus and its generator config: each
+# writes an input into the given directory and returns its path.
+
+def _csv_rows(corpus_file) -> list:
+    with open(corpus_file, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _write_csv_rows(rows, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
+def _crlf_copy(corpus_file, dest):
+    # as a spreadsheet saves it: every line ends in "\r\n", so the loader
+    # leaves the split path for the csv.reader path
+    path = dest / "crlf.csv"
+    path.write_bytes(corpus_file.read_bytes().replace(b"\n", b"\r\n"))
+    return path
+
+
+def _complexity_fit(corpus_file, dest):
+    # the env looks up its contexts per table mode; the module's fit is task-step
+    assert main(["fit", "--corpus", str(corpus_file), "--seed", "1",
+                 "--mode", "complexity", "--out", str(dest)]) == 0
+    return dest
+
+
+def _float_age(corpus_file, dest):
+    # a user's second row gives the age of the first as a float, 52 -> 52.0
+    path = dest / "float-age.jsonl"
+    save_corpus(load_corpus(corpus_file), path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert rows[1]["user_id"] == rows[0]["user_id"] and type(rows[0]["age"]) is int
+    rows[1]["age"] = float(rows[0]["age"])
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return path
+
+
+def _openness_disagrees(corpus_file, dest):
+    # the second row of the first user gives another openness
+    rows = _csv_rows(corpus_file)
+    uid, col = rows[0].index("user_id"), rows[0].index("openness")
+    assert rows[2][uid] == rows[1][uid]
+    rows[2][col] = "1.0" if rows[1][col] != "1.0" else "2.0"
+    return _write_csv_rows(rows, dest / "openness.csv")
+
+
+def _latin1_byte(corpus_file, dest):
+    # the user id's "u" in the last line as the Latin-1 byte of "é"
+    lines = corpus_file.read_bytes().splitlines(keepends=True)
+    lines[-1] = lines[-1].replace(b"u", b"\xe9", 1)
+    path = dest / "latin1.csv"
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+def _long_cell(corpus_file, dest):
+    # a user id one character past the csv module's field limit
+    rows = _csv_rows(corpus_file)
+    rows[1][rows[0].index("user_id")] = "u" * (csv.field_size_limit() + 1)
+    return _write_csv_rows(rows, dest / "long-cell.csv")
+
+
+def _generator_config(n_dialogs=None, **process):
+    def edit(corpus_file, dest):
+        params = json.loads((corpus_file.parent / "generator_params.json").read_text())
+        params["process"].update(process)
+        if n_dialogs is not None:
+            params["n_dialogs"] = n_dialogs
+        path = dest / "generator_params.json"
+        path.write_text(json.dumps(params))
+        return path
+    return edit
+
+
+# the novice difficulty pmf overflows to nan; the one dialog's user is an
+# expert at seed 0 and a novice at seed 1
+_NOVICE_PMF_NAN = _generator_config(n_dialogs=1, difficulty_base=1e308,
+                                    difficulty_low_expertise=1e308)
+# experts' help sums are inf, and at complexity 5 the complexity term is
+# -inf: inf + -inf is nan
+_HELP_NAN = _generator_config(help_base=1e308, help_expertise=1e308,
+                              help_complexity=-1e308)
+
+
+def _same_fit_files(out, fit_dir):
+    for name in ("table.json", "trust_model.json"):
+        assert (out / name).read_bytes() == (fit_dir / name).read_bytes(), name
+
+
+def _twenty_returns(out, fit_dir):
+    # 20 episodes: one return each, plus the CSV header
+    assert len((out / "returns.csv").read_text().splitlines()) == 21
+
+
+class TestEditedInputs:
+    """One edited input file through `main`, as a user would hand it over:
+    the edit, the argv ({input} names the edited file), the exit code, and
+    the error name on stderr, or for a run that exits 0 a check of what it
+    wrote."""
+
+    CASES = {
+        "crlf-corpus": (_crlf_copy, ["fit", "--corpus", "{input}", "--seed", "1"],
+                        0, _same_fit_files),
+        "complexity-fit": (_complexity_fit, ["train-rl", "--fit", "{input}", "--seed", "5",
+                                             "--episodes", "20"], 0, _twenty_returns),
+        "jsonl-float-age": (_float_age, ["fit", "--corpus", "{input}", "--seed", "1"],
+                            2, "ValueOutOfRange"),
+        "openness-disagrees": (_openness_disagrees,
+                               ["fit", "--corpus", "{input}", "--seed", "1"],
+                               2, "ValueOutOfRange"),
+        "not-utf-8": (_latin1_byte, ["fit", "--corpus", "{input}", "--seed", "1"],
+                      2, "ValueOutOfRange"),
+        "cell-past-csv-limit": (_long_cell, ["fit", "--corpus", "{input}", "--seed", "1"],
+                                2, "ValueOutOfRange"),
+        **{f"novice-pmf-nan-seed-{seed}": (
+            _NOVICE_PMF_NAN, ["gen-corpus", "--config", "{input}", "--seed", str(seed)],
+            2, "InvalidBounds") for seed in (0, 1)},
+        **{f"help-nan-seed-{seed}": (
+            _HELP_NAN, ["gen-corpus", "--config", "{input}", "--seed", str(seed)],
+            2, "InvalidConfig") for seed in (0, 1)},
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code_and_error(self, tmp_path, corpus_file, fit_dir, capsys, case):
+        edit, argv, code, expected = self.CASES[case]
+        path = edit(corpus_file, tmp_path)
+        out = tmp_path / "out"
+        assert main([arg.format(input=path) for arg in argv] + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert json.loads(err)["error"] == expected
+        else:
+            assert err == ""
+            expected(out, fit_dir)

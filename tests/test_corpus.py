@@ -923,12 +923,15 @@ class TestSplitPath:
         return path
 
     def test_a_field_beyond_the_csv_limit_is_left_to_csv_reader(self, lines, tmp_path):
-        """csv.reader raises on a field longer than csv.field_size_limit();
-        the split path would read it."""
+        """csv.reader raises on a field longer than csv.field_size_limit(),
+        which the loader reports as a ValueOutOfRange of the file; the split
+        path would read it."""
         limit = csv.field_size_limit()
         path = self.write(tmp_path / "c.csv",
                           _with_cell(list(lines), 2, _UID, b"u" * (limit + 1)))
         assert not self.splits(path)
         error, message = any_outcome(load_corpus, path)
-        assert error is csv.Error and "field larger than field limit" in message
+        assert error is ValueOutOfRange
+        assert message == (f"file={str(path)!r} out of range: "
+                           f"field larger than field limit ({limit})")
         assert any_outcome(csv_reader_load, path) == (error, message)

@@ -5,7 +5,6 @@ from .behavior_tables import (
     TableMode,
     build_table,
     load_table,
-    lookup,
     save_table,
     table_summary,
 )
@@ -40,7 +39,6 @@ from .simulator import (
     SimulatedLog,
     SimulatedTurn,
     replay_conditions,
-    simulate_turn,
 )
 from .synth import BehaviorProcess, GeneratorConfig, generate_synthetic_corpus
 from .trust_model import (
@@ -91,13 +89,11 @@ __all__ = [
     "kl_divergence",
     "load_corpus",
     "load_table",
-    "lookup",
     "mse",
     "predict_trust",
     "replay_conditions",
     "save_corpus",
     "save_table",
-    "simulate_turn",
     "split_corpus",
     "table_summary",
     "train_classifier",

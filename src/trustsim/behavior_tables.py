@@ -36,15 +36,14 @@ from .corpus import (
     ACT_ORDER,
     COMPLEXITY_LEVELS,
     Corpus,
-    DURATION_FLOOR_S,
     DURATION_HI,
     LIKERT_MAX,
     LIKERT_MIN,
-    MIN_DURATION_S,
     OPTION_SCORE_UNIT,
     ProactiveAct,
     STEPS_PER_DIALOG,
     complexity_of_step,
+    duration_truncation,
 )
 from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, object_entry, read_json,
                      write_compact_json)
@@ -137,7 +136,7 @@ def _merge(parts: Stats) -> Stats:
 
 
 # A row of draw parameters (see _draw_rows): the difficulty cumulatives,
-# then the `gaussian_truncation` records of the duration and of the score.
+# then the `gaussian_truncations` records of the duration and of the score.
 ROW_DIFFICULTY = slice(0, N_DIFFICULTY_CLASSES)
 ROW_DURATION = slice(N_DIFFICULTY_CLASSES, N_DIFFICULTY_CLASSES + 6)
 ROW_SCORE = slice(N_DIFFICULTY_CLASSES + 6, N_DIFFICULTY_CLASSES + 12)
@@ -152,7 +151,7 @@ def _draw_rows(stats: Stats, complexity) -> np.ndarray:
     """The row a turn's draws read from each statistic of a Stats of 1-d
     arrays, one (n, 17) read-only array made in one pass: the difficulty
     cumulatives, the duration's `duration_truncation` record and the
-    score's `gaussian_truncation` record, truncated to the option range of
+    score's `gaussian_truncations` record, truncated to the option range of
     a step of complexity[i]. Each row equals, bit for bit, the scalar
     `draw_parameters` of its statistic kept in `tests/conftest.py`."""
     counts = stats.difficulty_counts
@@ -163,9 +162,7 @@ def _draw_rows(stats: Stats, complexity) -> np.ndarray:
     if big.any():
         probs[big] = [[c / t for c in row] for row, t in zip(counts[big].tolist(),
                                                               total[big].tolist())]
-    duration = gaussian_truncations(stats.duration_mean, stats.duration_sd,
-                                    MIN_DURATION_S, DURATION_HI)
-    duration[:, 4] = DURATION_FLOOR_S
+    duration = duration_truncation(stats.duration_mean, stats.duration_sd, DURATION_HI)
     score = gaussian_truncations(stats.score_mean, stats.score_sd, OPTION_SCORE_UNIT,
                                  OPTION_SCORE_UNIT * np.asarray(complexity))
     return _read_only(np.hstack([np.cumsum(probs, axis=1), duration, score]))

@@ -32,7 +32,7 @@ from .errors import (
     TrustSimError,
     ValueOutOfRange,
 )
-from .sampling import RandomStream, gaussian_truncation, permutation
+from .sampling import RandomStream, gaussian_truncations, permutation
 
 STEPS_PER_DIALOG = 12
 COMPLEXITY_LEVELS = (3, 4, 5)
@@ -43,11 +43,13 @@ DURATION_FLOOR_S = math.nextafter(MIN_DURATION_S, math.inf)
 DURATION_HI = 300.0
 
 
-def duration_truncation(mean, sd, hi) -> tuple:
-    """The `gaussian_truncation` record of a drawn duration: N(mean, sd)
-    truncated to [MIN_DURATION_S, hi], its draws clamped to
-    [DURATION_FLOOR_S, hi]."""
-    return (*gaussian_truncation(mean, sd, MIN_DURATION_S, hi)[:4], DURATION_FLOOR_S, hi)
+def duration_truncation(mean, sd, hi) -> np.ndarray:
+    """The `gaussian_truncations` records of drawn durations: row i is
+    N(mean[i], sd) truncated to [MIN_DURATION_S, hi], its draws clamped to
+    [DURATION_FLOOR_S, hi]; sd and hi are one value or one per element."""
+    records = gaussian_truncations(mean, sd, MIN_DURATION_S, hi)
+    records[:, 4] = DURATION_FLOOR_S
+    return records
 
 
 LIKERT_MIN, LIKERT_MAX = 1, 5

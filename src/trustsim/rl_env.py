@@ -5,7 +5,8 @@ After each action the simulator produces the user's turn, the trust
 classifier estimates the user's trust from observable features only, and
 the reward blends normalized game score with normalized estimated trust.
 A trait of the Corpus-shaped user is drawn from its truncated-Gaussian
-record, a turn from its key's draw context, both made once per env.
+record (`user_model.trait_records`), a turn from its key's draw context,
+both made once per env.
 Ships a tabular Q-learning reference agent over the discretized (step,
 trait code, trust estimate) state.
 """
@@ -34,9 +35,7 @@ from .sampling import (
     RandomStream,
     categorical_from,
     child_keys,
-    cumulative_weights,
     first_uniforms,
-    gaussian_truncation,
     integers,
     label_bits,
     nth_draws,
@@ -50,7 +49,8 @@ from .trust_model import (
     TrustClassifier,
     predict_trust,
 )
-from .user_model import _GAUSS_TRAITS, N_TRAIT_CODES, TraitDistributions, trait_codes
+from .user_model import (_GAUSS_TRAITS, N_TRAIT_CODES, TraitDistributions, trait_codes,
+                         trait_records)
 
 N_ACTIONS = len(ACT_ORDER)
 N_TRUST_LEVELS = LIKERT_MAX - LIKERT_MIN + 1
@@ -131,9 +131,9 @@ class TrustSimEnv:
     an episode's uniforms at once: ten for the user, then four per turn, 58
     first draws of one chain of uint64 key arrays. The user's profile, a
     namespace of one user's Corpus columns, is `sample_users`' arithmetic on
-    the first ten, with each trait's truncation record and the gender
-    cumulatives made once per env. The action only picks the key whose
-    `lookup` context a turn draws from. The oracle `ReferenceTrustSimEnv` in
+    the first ten, with the `trait_records` of the traits made once per
+    env. The action only picks the key whose `lookup` context a turn draws
+    from. The oracle `ReferenceTrustSimEnv` in
     `tests/conftest.py` draws the same episode turn by turn on a scalar
     stream with the reset key: the profile with `reference_sample_user` on
     `rng.child("user")`, each turn with `reference_simulate_turn` on
@@ -148,10 +148,7 @@ class TrustSimEnv:
         self.traits = traits
         self.trust_model = trust_model
         self.reward = reward
-        # the `gaussian_truncation` record of each truncated-Gaussian trait
-        self._trait_draws = [gaussian_truncation(d.mean, d.sd, d.lo, d.hi)
-                             for d in (getattr(traits, name) for name in _GAUSS_TRAITS)]
-        self._gender_cum = cumulative_weights(traits.gender_probs)
+        self._trait_draws, self._gender_cum = trait_records(traits)
         conditions = _STEPS if table.mode is TableMode.TASK_STEP_BASED else _COMPLEXITY
         # each key's `lookup` context, by key code; a row is made a tuple
         # once, and the keys one rung statistic serves share it

@@ -13,7 +13,7 @@ key is one more link of a hash chain over the parent key and the label's
 bits. Both are pure functions, so they run over numpy uint64 arrays of keys
 and draw numbers, many streams at once: `child_keys` for the chain,
 `nth_draws`, `first_uniforms`, `integers` and `permutation` for the draws.
-A truncated-Gaussian draw reads one `gaussian_truncation` record and nothing
+A truncated-Gaussian draw reads one `gaussian_truncations` record and nothing
 else: `truncated_gaussian_from` for one draw, `truncated_gaussians` for many.
 """
 
@@ -186,38 +186,19 @@ def standard_normals(u) -> np.ndarray:
     return np.fromiter(map(_STD.inv_cdf, u.tolist()), dtype=np.float64, count=len(u))
 
 
-def gaussian_truncation(mean, sd, lo, hi) -> tuple:
-    """The record a draw from N(mean, sd) truncated to [lo, hi] reads:
-    (mean, c_lo, span, scale, lo, hi). The draw on a uniform u is
-    mean + scale * inv_cdf(c_lo + u * span), clamped to [lo, hi]. sd == 0
-    gives scale 0 and p = 0.5, so the draw is the clamped mean."""
-    if not lo < hi:
-        raise InvalidBounds(f"need lo < hi, got [{lo}, {hi}]")
-    if not 0 <= sd < math.inf:
-        raise InvalidBounds(f"sd must be finite and >= 0, got {sd}")
-    if sd == 0:
-        return mean, 0.5, 0.0, 0.0, lo, hi
-    a, b = (lo - mean) / sd, (hi - mean) / sd
-    # Computed with erfc, the standard normal cdf keeps its relative
-    # precision in the lower tail but rounds to 1 in the upper tail, so an
-    # interval that sits above the mean is mirrored below it.
-    sign = 1.0
-    if a + b > 0:
-        a, b, sign = -b, -a, -1.0
-    c_lo = 0.5 * math.erfc(-a / _SQRT2)
-    return mean, c_lo, 0.5 * math.erfc(-b / _SQRT2) - c_lo, sign * sd, lo, hi
-
-
 def _erfc(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.erfc, x.tolist()), dtype=np.float64, count=len(x))
 
 
 def gaussian_truncations(mean, sd, lo, hi) -> np.ndarray:
-    """`gaussian_truncation` over arrays, unchecked: row i of the (n, 6)
-    result is the record of mean[i] and sd[i] (finite, >= 0) truncated to
-    [lo, hi], each bound one value or one per element with lo < hi. The
+    """The records that draws from N(mean[i], sd[i]) truncated to [lo, hi]
+    read, unchecked: row i of the (n, 6) result is (mean, c_lo, span, scale, lo,
+    hi) for mean[i] and sd[i] (finite, >= 0), each bound one value or one
+    per element with lo < hi. The draw on a uniform u is
+    mean + scale * inv_cdf(c_lo + u * span), clamped to [lo, hi]. sd == 0
+    gives scale 0 and p = 0.5, so the draw is the clamped mean. The
     arithmetic is elementwise and `math.erfc` runs per element, so every
-    record equals the scalar one bit for bit."""
+    record equals the scalar oracle's in `tests/conftest.py` bit for bit."""
     mean, sd = np.asarray(mean, dtype=np.float64), np.asarray(sd, dtype=np.float64)
     lo, hi = (np.broadcast_to(np.asarray(bound, dtype=np.float64), mean.shape)
               for bound in (lo, hi))
@@ -235,7 +216,7 @@ def gaussian_truncations(mean, sd, lo, hi) -> np.ndarray:
 
 def truncated_gaussian_from(truncation, u: float) -> float:
     """One draw on a uniform u from a truncated Gaussian, given its
-    `gaussian_truncation` record.
+    `gaussian_truncations` record.
 
     A single inverse-CDF step on one uniform, so every draw costs the same
     however far into a tail [lo, hi] lies. sd == 0 degenerates to
@@ -250,7 +231,7 @@ def truncated_gaussian_from(truncation, u: float) -> float:
 
 def truncated_gaussians(truncations, u) -> np.ndarray:
     """`truncated_gaussian_from` over arrays: element i draws on uniform u[i]
-    from record i of `truncations`, `gaussian_truncation` records (n x 6),
+    from record i of `truncations`, `gaussian_truncations` records (n x 6),
     or from one record for every element.
 
     Only the arithmetic is vectorized; `inv_cdf` runs per element, so the

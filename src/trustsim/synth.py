@@ -308,7 +308,7 @@ def _step_tables(config: GeneratorConfig, step: int) -> _StepTables:
     proc, drift = config.process, config.step_drift
     help_p, sugg_p = np.zeros((2, N_TRAIT_CODES, len(ACT_ORDER)))
     best_p = np.zeros((N_TRAIT_CODES, len(ACT_ORDER), 2))
-    duration = np.zeros((N_TRAIT_CODES, 2, 2, 6))
+    duration_mean = np.zeros((N_TRAIT_CODES, 2, 2))
     difficulty = np.zeros((N_TRAIT_CODES, N_DIFFICULTY_CLASSES))
     for code in range(N_TRAIT_CODES):
         for a, act in enumerate(ACT_ORDER):
@@ -322,13 +322,16 @@ def _step_tables(config: GeneratorConfig, step: int) -> _StepTables:
                                     f"for trait code {code}")
         for h in (0, 1):
             for s in (0, 1):
-                duration[code, h, s] = duration_truncation(
-                    proc.duration_mean(code, bool(h), bool(s), step, drift),
-                    proc.duration_sd, config.duration_hi)
+                duration_mean[code, h, s] = proc.duration_mean(code, bool(h), bool(s),
+                                                               step, drift)
         difficulty[code] = cumulative_weights(proc.difficulty_pmf(code, step))
-        if np.isnan(duration[code, ..., 0]).any():  # slot 0 of a record is its mean
+        if np.isnan(duration_mean[code]).any():
             raise ValueOutOfRange("duration", math.nan, detail="must exceed 20 s")
-    return _StepTables(help_p, sugg_p, best_p, duration, difficulty)
+    # one record maker call for the step's 32 means, after every code's checks
+    duration = duration_truncation(duration_mean.ravel(), proc.duration_sd,
+                                   config.duration_hi)
+    return _StepTables(help_p, sugg_p, best_p, duration.reshape(N_TRAIT_CODES, 2, 2, 6),
+                       difficulty)
 
 
 def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:

@@ -284,14 +284,6 @@ class ClassifierReport:
     majority_baseline: float
     confusion: tuple  # 5x5, rows = true label 1..5, cols = predicted
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "accuracy": self.accuracy, "macro_f1": self.macro_f1,
-            "majority_baseline": self.majority_baseline,
-            "confusion": [list(row) for row in self.confusion],
-            "classes": list(TRUST_CLASSES),
-        }
-
 
 def _trust_labels(field: str, values) -> np.ndarray:
     """The labels as an integer array, checked to be integers in 1..5."""

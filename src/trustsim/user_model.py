@@ -2,6 +2,8 @@
 
 Numeric traits are modeled as truncated Gaussians (age bounded 18..60,
 scale traits 1..5); gender is categorical with empirical frequencies.
+`trait_records` makes what a user's draws read, for `sample_users` and the
+RL environment alike.
 The three behavior-relevant traits (domain expertise, trust propensity,
 technical affinity) are binarized at the Likert midpoint into the 3-bit
 trait code that conditions simulated behavior.
@@ -32,7 +34,7 @@ from .sampling import (
     child_keys,
     cumulative_weights,
     first_uniforms,
-    gaussian_truncation,
+    gaussian_truncations,
     label_bits,
     truncated_gaussians,
 )
@@ -142,25 +144,31 @@ def fit_trait_distributions(corpus: Corpus) -> TraitDistributions:
     return TraitDistributions(gender_probs=tuple(probs.tolist()), **kwargs)
 
 
+def trait_records(dists: TraitDistributions) -> tuple:
+    """What a user's draws read: the `gaussian_truncations` record of each
+    truncated-Gaussian trait as a list, in _GAUSS_TRAITS order, and the
+    gender cumulatives."""
+    params = np.array([(d.mean, d.sd, d.lo, d.hi)
+                       for d in (getattr(dists, name) for name in _GAUSS_TRAITS)], dtype=float)
+    return gaussian_truncations(*params.T).tolist(), cumulative_weights(dists.gender_probs)
+
+
 def sample_users(dists: TraitDistributions, keys) -> SimpleNamespace:
     """Sample the user columns of a Corpus but user_id, as attributes: user
     i draws from the stream with key keys[i] of a uint64 array. Each trait
     takes the first uniform of its own named child stream, so no trait
-    shifts another's, and one truncation record for all users; age is drawn
-    continuously, then rounded, and gender is its GENDER_ORDER index. The
-    one-user oracle is `reference_sample_user` in `tests/conftest.py`.
+    shifts another's, and its `trait_records` record for all users; age is
+    drawn continuously, then rounded, and gender is its GENDER_ORDER index.
+    The one-user oracle is `reference_sample_user` in `tests/conftest.py`.
     """
     def uniforms(name: str) -> np.ndarray:
         return first_uniforms(child_keys(keys, label_bits([name])))
 
-    columns = {}
-    for name in _GAUSS_TRAITS:
-        dist = getattr(dists, name)
-        columns[name] = truncated_gaussians(
-            gaussian_truncation(dist.mean, dist.sd, dist.lo, dist.hi), uniforms(name))
+    records, gender_cum = trait_records(dists)
+    columns = {name: truncated_gaussians(record, uniforms(name))
+               for name, record in zip(_GAUSS_TRAITS, records)}
     columns["age"] = np.floor(columns["age"] + 0.5).astype(np.int64)
-    columns["gender"] = categoricals(np.array([cumulative_weights(dists.gender_probs)]),
-                                     uniforms("gender"))
+    columns["gender"] = categoricals(np.array([gender_cum]), uniforms("gender"))
     return SimpleNamespace(**columns)
 
 

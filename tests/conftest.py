@@ -53,7 +53,6 @@ from trustsim.corpus import (
     _infer_format,
     _parse_field,
     complexity_of_step,
-    duration_truncation,
     max_option_score,
     option_scores,
 )
@@ -85,7 +84,6 @@ from trustsim.sampling import (
     child_keys,
     cumulative_weights,
     first_uniforms,
-    gaussian_truncation,
     label_bits,
     truncated_gaussian_from,
 )
@@ -327,6 +325,32 @@ def child_streams(parent, labels) -> list:
 
 
 _STD = NormalDist()
+_SQRT2 = math.sqrt(2.0)
+
+
+def gaussian_truncation(mean, sd, lo, hi) -> tuple:
+    """The scalar record maker `gaussian_truncations` replaced, kept as its
+    oracle: the record (mean, c_lo, span, scale, lo, hi) that a draw from
+    N(mean, sd) truncated to [lo, hi] reads, for a finite mean, a finite
+    sd >= 0 and lo < hi. sd == 0 gives scale 0 and p = 0.5."""
+    if sd == 0:
+        return mean, 0.5, 0.0, 0.0, lo, hi
+    a, b = (lo - mean) / sd, (hi - mean) / sd
+    # Computed with erfc, the standard normal cdf keeps its relative
+    # precision in the lower tail but rounds to 1 in the upper tail, so an
+    # interval that sits above the mean is mirrored below it.
+    sign = 1.0
+    if a + b > 0:
+        a, b, sign = -b, -a, -1.0
+    c_lo = 0.5 * math.erfc(-a / _SQRT2)
+    return mean, c_lo, 0.5 * math.erfc(-b / _SQRT2) - c_lo, sign * sd, lo, hi
+
+
+def duration_record(mean, sd, hi) -> tuple:
+    """The scalar `duration_truncation`, kept as its oracle: the record of
+    N(mean, sd) truncated to [MIN_DURATION_S, hi], its draws clamped to
+    [DURATION_FLOOR_S, hi]."""
+    return (*gaussian_truncation(mean, sd, MIN_DURATION_S, hi)[:4], DURATION_FLOOR_S, hi)
 
 
 def truncated_gaussian(mean, sd, lo, hi, rng) -> float:
@@ -545,8 +569,8 @@ def draw_parameters(stats, complexity: int) -> tuple:
     counts = stats.difficulty_counts
     total = sum(counts)
     return (*cumulative_weights(tuple(c / total for c in counts)),
-            *duration_truncation(stats.duration_mean, stats.duration_sd,
-                                 behavior_tables.DURATION_HI),
+            *duration_record(stats.duration_mean, stats.duration_sd,
+                             behavior_tables.DURATION_HI),
             *gaussian_truncation(stats.score_mean, stats.score_sd, OPTION_SCORE_UNIT,
                                  max_option_score(complexity)))
 

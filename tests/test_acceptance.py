@@ -19,6 +19,7 @@ from conftest import (
     corpus_from_rows,
     make_dialog,
     make_user,
+    mode_keys,
     oracle_table,
     stub_trust_model,
     summary_of,
@@ -70,7 +71,7 @@ def test_absolute_benchmark_substitution():
     tolerances on synthetic data."""
     substitutes = [n for n in globals()
                    if n.startswith("test_") and n != "test_absolute_benchmark_substitution"]
-    verdict("absolute-benchmarks", len(substitutes) == 9,
+    verdict("absolute-benchmarks", len(substitutes) == 10,
             f"not recomputable without the reference corpus; "
             f"{len(substitutes)} substituted property checks follow")
 
@@ -197,6 +198,47 @@ def test_simulated_draw_soundness(default_corpus):
             f"max request-combination deviation {worst:.4f} <= 0.02 over "
             f"3 seeds x 10^4 draws from the n={cell.n} cell; "
             f"durations > 20s, difficulties in 1..5")
+
+
+def pooled_x2_z(counts, probs) -> float:
+    """The z of Pearson's X² summed over the rows of multinomial counts,
+    each row against its cell probabilities. Under the null, a row's X²
+    has mean exactly k - 1 and variance 2(k - 1) + (Σ 1/p - k² - 2k + 2) / n;
+    rows with no count are left out."""
+    n = counts.sum(axis=1)
+    counts, probs, n = counts[n > 0], probs[n > 0], n[n > 0]
+    k = counts.shape[1]
+    expected = n[:, None] * probs
+    x2 = ((counts - expected) ** 2 / expected).sum()
+    var = (2 * (k - 1) + ((1 / probs).sum(axis=1) - k * k - 2 * k + 2) / n).sum()
+    return (x2 - (k - 1) * len(n)) / math.sqrt(var)
+
+
+def test_fit_recovers_generator():
+    """The fitted task-step table against the generator's ground truth: the
+    request combinations and the difficulty classes of each key are
+    multinomial in the process's probabilities, as the two requests are
+    drawn independently and the difficulty depends on trait code and step
+    only. The bound |z| <= 4 on each pooled X² was fixed before the first
+    run."""
+    config = GeneratorConfig(n_dialogs=15_400)
+    proc = config.process
+    keys = mode_keys(TableMode.TASK_STEP_BASED)
+    help_p, sugg_p = (np.array([prob(code, act, step) for code, act, step in keys])
+                      for prob in (proc.help_prob, proc.sugg_prob))
+    request_p = np.column_stack([(1 - help_p) * (1 - sugg_p), (1 - help_p) * sugg_p,
+                                 help_p * (1 - sugg_p), help_p * sugg_p])
+    difficulty_p = np.array([proc.difficulty_pmf(code, step) for code, _, step in keys])
+    z = {"requests": [], "difficulty": []}
+    for seed in (1, 2, 3):
+        table = build_table(generate_synthetic_corpus(config, seed), TableMode.TASK_STEP_BASED)
+        z["requests"].append(pooled_x2_z(table.n, request_p))
+        z["difficulty"].append(pooled_x2_z(table.difficulty_counts.sum(axis=1), difficulty_p))
+    ok = all(abs(v) <= 4.0 for values in z.values() for v in values)
+    verdict("fit-recovers-generator", ok,
+            "; ".join(f"{name} z " + ", ".join(f"{v:.2f}" for v in values)
+                      for name, values in z.items())
+            + f" (|z| <= 4) over {len(keys)} task-step keys at seeds 1-3 x 15400 dialogs")
 
 
 def counting_oracle(y_true, y_pred):

@@ -11,7 +11,8 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ScalarStream, scalar_chain, scalar_mix64, truncated_gaussian
+from conftest import (ScalarStream, duration_record, gaussian_truncation, scalar_chain,
+                      scalar_mix64, truncated_gaussian)
 from trustsim.corpus import DURATION_FLOOR_S, MIN_DURATION_S, duration_truncation
 from trustsim.sampling import (
     RandomStream,
@@ -20,7 +21,7 @@ from trustsim.sampling import (
     child_keys,
     cumulative_weights,
     first_uniforms,
-    gaussian_truncation,
+    gaussian_truncations,
     integers,
     label_bits,
     nth_draws,
@@ -75,7 +76,7 @@ class TestProperties:
         assume(lo < hi)
         rng = ScalarStream(seed)
         u = np.array([rng.random() for _ in range(5)])
-        draws = truncated_gaussians(gaussian_truncation(mean, sd, lo, hi), u)
+        draws = truncated_gaussians(gaussian_truncations([mean], [sd], lo, hi), u)
         assert all(lo <= draws) and all(draws <= hi)
 
     @property_test
@@ -87,7 +88,7 @@ class TestProperties:
         assume(lo < hi)
         rng = ScalarStream(seed)
         u = np.array([rng.random() for _ in range(5)])
-        draws = truncated_gaussians(gaussian_truncation(0.0, sd, lo, hi), u)
+        draws = truncated_gaussians(gaussian_truncations([0.0], [sd], lo, hi), u)
         assert all(lo <= draws) and all(draws <= hi)
 
     @property_test
@@ -120,6 +121,8 @@ class TestProperties:
         assume(lo < hi)
         u = np.array([ScalarStream(seed, i).random() for i in range(5)])
         truncation = gaussian_truncation(mean, sd, lo, hi)
+        assert (gaussian_truncations([mean], [sd], lo, hi).tobytes()
+                == np.array([truncation], dtype=np.float64).tobytes())
         expected = [truncated_gaussian(mean, sd, lo, hi, ScalarStream(seed, i))
                     for i in range(5)]
         assert truncated_gaussians([truncation] * 5, u).tolist() == expected
@@ -138,7 +141,10 @@ class TestProperties:
             return max(truncated_gaussian_from(
                 gaussian_truncation(mean, sd, MIN_DURATION_S, hi), u), DURATION_FLOOR_S)
 
-        records = [duration_truncation(mean, sd, hi) for mean, sd, hi, _ in cases]
+        records = duration_truncation(*np.array([case[:3] for case in cases]).T)
+        assert records.tobytes() == np.array(
+            [duration_record(*case[:3]) for case in cases], dtype=np.float64).tobytes()
+        records = records.tolist()
         u = np.array([case[3] for case in cases])
         expected = [floored(*case) for case in cases]
         assert [truncated_gaussian_from(r, case[3])

@@ -416,11 +416,6 @@ class TestClassificationMetrics:
                                         np.array(self.Y_PRED, dtype=np.uint64))
         assert report == classification_metrics(self.Y_TRUE, self.Y_PRED)
 
-    def test_json_dict_shape(self):
-        payload = classification_metrics(self.Y_TRUE, self.Y_PRED).to_json_dict()
-        assert payload["classes"] == [1, 2, 3, 4, 5]
-        assert len(payload["confusion"]) == 5
-
 
 class TestEvaluateClassifier:
     def test_empty_corpus_rejected(self):

@@ -34,6 +34,7 @@ from trustsim.sampling import (
     standard_normals,
     truncated_gaussians,
 )
+from trustsim.user_model import TruncGauss
 
 # edge keys: 0, 1, the largest, and keys where key + PHI wraps past 2**64
 EDGE_KEYS = [0, 1, 2**64 - 1, 2**64 - _PHI, 2**64 - _PHI + 1, 2**64 - _PHI + 12345,
@@ -137,6 +138,17 @@ class TestTruncatedGaussians:
         # interval ~8 sd away, where a rejection sampler would never land
         for x in tg_draws(0.0, 1.0, 8.0, 9.0, ScalarStream(5), 50):
             assert 8.0 <= x <= 9.0
+
+    def test_invalid_bounds(self):
+        # gaussian_truncations is unchecked; a truncated Gaussian's bounds
+        # are checked where its parameters enter, so an empty or inverted
+        # interval and a negative sd never reach a record
+        with pytest.raises(InvalidBounds):
+            TruncGauss(0, 1, 5, 5)
+        with pytest.raises(InvalidBounds):
+            TruncGauss(0, 1, 6, 5)
+        with pytest.raises(InvalidBounds):
+            TruncGauss(0, -1, 0, 1)
 
 
 class TestCategoricals:

@@ -4,9 +4,9 @@ Episodes are one 12-step dialog; actions are the four proactive acts.
 After each action the simulator produces the user's turn, the trust
 classifier estimates the user's trust from observable features only, and
 the reward blends normalized game score with normalized estimated trust.
-A trait of the Corpus-shaped user is drawn from its truncated-Gaussian
-record (`user_model.trait_records`), a turn from its key's draw context,
-both made once per env.
+The Corpus-shaped users of a block of episodes are drawn at once from
+their traits' truncated-Gaussian records (`user_model.trait_records`), a
+turn from its key's draw context, both made once per env.
 Ships a tabular Q-learning reference agent over the discretized (step,
 trait code, trust estimate) state.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,26 +30,19 @@ from .corpus import (
     max_option_score,
 )
 from .errors import EpisodeFinished, InvalidConfig, InvalidHyperparams
-from .sampling import (
-    RandomStream,
-    categorical_from,
-    child_keys,
-    first_uniforms,
-    integers,
-    label_bits,
-    nth_draws,
-    truncated_gaussian_from,
-)
+from .sampling import RandomStream, child_keys, first_uniforms, integers, label_bits, nth_draws
 from .simulator import TURN_FIELDS, SimulatedTurn, draw_turn
 from .simulator import simulate_turn  # unused here; perfbench's tracer tests read it
 from .trust_model import (
     NEUTRAL_LIKERT,
+    TURN_HEADS,
     DialogFeatures,
     TrustClassifier,
     predict_trust,
+    start_rows,
 )
-from .user_model import (_GAUSS_TRAITS, N_TRAIT_CODES, TraitDistributions, trait_codes,
-                         trait_records)
+from .user_model import (N_TRAIT_CODES, USER_FIELDS, TraitDistributions, draw_users,
+                         trait_codes, trait_records)
 
 N_ACTIONS = len(ACT_ORDER)
 N_TRUST_LEVELS = LIKERT_MAX - LIKERT_MIN + 1
@@ -79,6 +71,13 @@ class EnvState:
     estimated_trust: int
 
     def __post_init__(self):
+        # state_index reads each field as a digit: one out of its range
+        # would alias another state's Q row or fall outside the table
+        if not 1 <= self.step <= STEPS_PER_DIALOG:
+            raise InvalidConfig(f"step must be in 1..{STEPS_PER_DIALOG}, got {self.step!r}")
+        if not 0 <= self.trait < N_TRAIT_CODES:
+            raise InvalidConfig(f"trait code must be in 0..{N_TRAIT_CODES - 1}, "
+                                f"got {self.trait!r}")
         if not LIKERT_MIN <= self.estimated_trust <= LIKERT_MAX:
             raise InvalidConfig("estimated trust must be in 1..5")
 
@@ -98,26 +97,37 @@ _STEPS = range(1, STEPS_PER_DIALOG + 1)
 _COMPLEXITY = tuple(map(complexity_of_step, _STEPS))
 _MAX_SCORE = tuple(map(max_option_score, _COMPLEXITY))
 _EXPLORE_LABEL = label_bits(["explore"])
-_USER_FIELDS = _GAUSS_TRAITS + ("gender",)  # a user's substreams
-_N_USER = len(_USER_FIELDS)
+_N_USER = len(USER_FIELDS)
 # The labels of the streams an episode reads below its reset key, one
 # array per level of the key chain: child("user").child(name) for each name
-# of _USER_FIELDS, then child("step", s).child(field) for every step s and
+# of USER_FIELDS, then child("step", s).child(field) for every step s and
 # field of TURN_FIELDS.
 _LEVEL1_BITS = np.repeat(label_bits(["user", "step"]),
                          [_N_USER, STEPS_PER_DIALOG * len(TURN_FIELDS)])
-_LEVEL2_BITS = np.concatenate([label_bits(_USER_FIELDS),
+_LEVEL2_BITS = np.concatenate([label_bits(USER_FIELDS),
                                np.repeat(label_bits(_STEPS), len(TURN_FIELDS))])
 _LEVEL3_BITS = np.tile(label_bits(TURN_FIELDS), STEPS_PER_DIALOG)
 
 
-def _episode_uniforms(key: int) -> tuple:
-    """The first uniform of every stream an episode with this reset key
-    reads, as (the user's 10 in _USER_FIELDS order, 12 x 4 turn uniforms)."""
-    keys = child_keys(child_keys(key, _LEVEL1_BITS), _LEVEL2_BITS)
-    keys[_N_USER:] = child_keys(keys[_N_USER:], _LEVEL3_BITS)
-    u = first_uniforms(keys)
-    return u[:_N_USER].tolist(), u[_N_USER:].reshape(STEPS_PER_DIALOG, -1).tolist()
+def _episode_uniforms(keys) -> np.ndarray:
+    """The first uniform of every stream each episode reads, for a uint64
+    array of n reset keys: row i holds the 58 of the episode with key
+    keys[i], the user's 10 in USER_FIELDS order, then 12 x 4 turn uniforms."""
+    keys = child_keys(child_keys(keys[:, None], _LEVEL1_BITS), _LEVEL2_BITS)
+    keys[:, _N_USER:] = child_keys(keys[:, _N_USER:], _LEVEL3_BITS)
+    return first_uniforms(keys)
+
+
+class _BlockStream(RandomStream):
+    """The reset stream of episode `index` of a block whose reset keys are
+    the uint64 array `block`: the RandomStream with key block[index] that
+    also carries the block, so that `TrustSimEnv.reset` draws all of the
+    block's episodes the first time it sees one of them."""
+
+    __slots__ = ("block", "index")
+
+    def __init__(self, block: np.ndarray, index: int):
+        self.key, self.block, self.index = int(block[index]), block, index
 
 
 class TrustSimEnv:
@@ -127,18 +137,22 @@ class TrustSimEnv:
     and reward see only the classifier's estimate.
 
     Every stream an episode reads depends only on the reset stream's key,
-    the step and the field, never on the actions, so `reset` derives all of
-    an episode's uniforms at once: ten for the user, then four per turn, 58
-    first draws of one chain of uint64 key arrays. The user's profile, a
-    namespace of one user's Corpus columns, is `sample_users`' arithmetic on
-    the first ten, with the `trait_records` of the traits made once per
-    env. The action only picks the key whose `lookup` context a turn draws
-    from. The oracle `ReferenceTrustSimEnv` in
-    `tests/conftest.py` draws the same episode turn by turn on a scalar
-    stream with the reset key: the profile with `reference_sample_user` on
-    `rng.child("user")`, each turn with `reference_simulate_turn` on
-    `rng.child("step", s)`, its features with `reference_features` over the
-    episode's earlier turns, then `predict_trust`.
+    the step and the field, never on the actions, so an episode's draws
+    are made before its first step: ten uniforms for the user, then four
+    per turn, 58 first draws of one chain of uint64 key arrays. The user
+    is `draw_users` on the first ten, with the `trait_records` of the traits
+    made once per env, and its trait code and feature row at dialog start
+    (`start_rows`) follow. They are drawn for a block of episodes at once: a
+    reset stream that carries a block (as `train_tabular_policy` passes)
+    has every episode of its block drawn the first time the env sees it,
+    and a plain stream is a block of one. The action only picks the key
+    whose `lookup` context a turn draws from. The oracle
+    `ReferenceTrustSimEnv` in `tests/conftest.py` draws the same episode
+    turn by turn on a scalar stream with the reset key: the profile with
+    `reference_sample_user` on `rng.child("user")`, each turn with
+    `reference_simulate_turn` on `rng.child("step", s)`, its features with
+    `reference_features` over the episode's earlier turns, then
+    `predict_trust`.
     """
 
     def __init__(self, table: BehaviorTable, traits: TraitDistributions,
@@ -148,7 +162,7 @@ class TrustSimEnv:
         self.traits = traits
         self.trust_model = trust_model
         self.reward = reward
-        self._trait_draws, self._gender_cum = trait_records(traits)
+        self._records = trait_records(traits)
         conditions = _STEPS if table.mode is TableMode.TASK_STEP_BASED else _COMPLEXITY
         # each key's `lookup` context, by key code; a row is made a tuple
         # once, and the keys one rung statistic serves share it
@@ -161,23 +175,30 @@ class TrustSimEnv:
         self._contexts = [[[contexts[key_code(table.mode, trait, act, c)] for c in conditions]
                            for act in range(N_ACTIONS)]
                           for trait in range(N_TRAIT_CODES)]
+        self._block = self._drawn = None  # the last block drawn, and its draws
         self._done = True  # until the first reset
 
-    def _profile_from(self, u) -> SimpleNamespace:
-        """The profile drawn on the uniforms of its ten substreams: one
-        user of `sample_users`' columns, age an int, gender its index."""
-        user = SimpleNamespace(**dict(zip(_GAUSS_TRAITS, map(truncated_gaussian_from,
-                                                             self._trait_draws, u))))
-        user.age = int(math.floor(user.age + 0.5))
-        user.gender = categorical_from(self._gender_cum, u[-1])
-        return user
+    def _draw(self, keys: np.ndarray) -> tuple:
+        """The draws of the episodes with these reset keys: each one's trait
+        code, feature row at dialog start and 12 x 4 turn uniforms."""
+        u = _episode_uniforms(keys)
+        users = draw_users(self._records, u[:, :_N_USER])
+        return (trait_codes(users).tolist(), start_rows(users),
+                u[:, _N_USER:].reshape(len(u), STEPS_PER_DIALOG, -1).tolist())
 
     def reset(self, rng: RandomStream) -> EnvState:
-        user_uniforms, self._uniforms = _episode_uniforms(rng.key)
-        profile = self._profile_from(user_uniforms)
-        self._trait = trait_codes(profile)
+        block = getattr(rng, "block", None)
+        if block is None:  # a plain stream: a block of one
+            drawn, i = self._draw(np.array([rng.key], dtype=np.uint64)), 0
+        else:
+            if block is not self._block:
+                self._block, self._drawn = block, self._draw(block)
+            drawn, i = self._drawn, rng.index
+        codes, rows, uniforms = drawn
+        self._trait = codes[i]
+        self._uniforms = uniforms[i]
+        self._features = DialogFeatures.starting_at(rows[i])
         self._episode_contexts = self._contexts[self._trait]
-        self._features = DialogFeatures(profile)
         self._step_no = 1
         self._done = False
         return EnvState(step=1, trait=self._trait, last_turn=None,
@@ -190,9 +211,9 @@ class TrustSimEnv:
         if not isinstance(action, ProactiveAct):
             raise InvalidConfig(f"action must be a ProactiveAct, got {action!r}")
         s = self._step_no
-        turn = draw_turn(*self._episode_contexts[ACT_INDEX[action]][s - 1],
-                         self._uniforms[s - 1])
-        trust = predict_trust(self.trust_model, self._features.row(action, s, turn))
+        a = ACT_INDEX[action]
+        turn = draw_turn(*self._episode_contexts[a][s - 1], self._uniforms[s - 1])
+        trust = predict_trust(self.trust_model, self._features.write(TURN_HEADS[a][s - 1], turn))
         self._features.push(trust)
 
         reward = (
@@ -256,7 +277,11 @@ def train_tabular_policy(env, episodes: int,
     Episode ep resets on the stream `root.child("env", ep)`, and its step t
     explores on `root.child("explore", ep, t)`. The reset keys and the
     exploration draws of steps 1..12 are derived a block of episodes at a
-    time, and those of a longer episode's later steps one step at a time."""
+    time, and those of a longer episode's later steps one step at a time.
+    The reset stream of an episode carries its block's reset keys and its
+    index in them, so `TrustSimEnv` draws the block's episodes at once;
+    it is a `RandomStream` with the episode's key all the same, which any
+    other env (or a wrapper that passes it on) reads as usual."""
     if isinstance(episodes, bool) or not isinstance(episodes, int) or episodes < 1:
         raise InvalidHyperparams(f"episodes must be an int >= 1, got {episodes!r}")
     hp = hyperparams
@@ -264,13 +289,13 @@ def train_tabular_policy(env, episodes: int,
     root = RandomStream(hp.seed, "qlearn")
     returns = []
     for ep in range(episodes):
-        if ep % _EXPLORE_BLOCK == 0:
+        i = ep % _EXPLORE_BLOCK
+        if i == 0:
             block_eps = range(ep, min(ep + _EXPLORE_BLOCK, episodes))
-            block = _explore_actions(root, block_eps, _STEPS, hp.epsilon)
-            reset_keys = child_keys(child_keys(root.key, _ENV_LABEL),
-                                    label_bits(block_eps)).tolist()
-        explore = block[ep % _EXPLORE_BLOCK]
-        state = env.reset(RandomStream._from_key(reset_keys[ep % _EXPLORE_BLOCK]))
+            block_explore = _explore_actions(root, block_eps, _STEPS, hp.epsilon)
+            reset_keys = child_keys(child_keys(root.key, _ENV_LABEL), label_bits(block_eps))
+        explore = block_explore[i]
+        state = env.reset(_BlockStream(reset_keys, i))
         si = state_index(state)
         total = 0.0
         done = False

@@ -5,9 +5,10 @@ The target folds the four self-reported measures (trust, competence,
 reliability, predictability) into one 1..5 label. Features combine the
 static profile, the current turn, and a 2-step lag window, in one column
 layout. `corpus_to_dataset` builds them column-wise for a whole corpus,
-and `DialogFeatures` turn by turn for one dialog of a Corpus-shaped user;
-`_profile_values` writes the profile block for both. Both equal, row for
-row, the per-turn oracle `reference_features` in `tests/conftest.py`.
+and `DialogFeatures` turn by turn for one dialog of a Corpus-shaped user
+from its `start_rows` row; `_profile_values` writes the profile block for
+both. Both equal, row for row, the per-turn oracle `reference_features`
+in `tests/conftest.py`.
 Training is full-batch subgradient descent on the hinge loss with L2
 regularization and the Pegasos step 1/(lambda t), deterministic by
 construction. All classes train together on standardized features: the
@@ -125,35 +126,70 @@ def _profile_values(user) -> list:
 _ROW_START_TAIL = [0.0] * (_TURN_END - _PROFILE_END) + _LAG_FILL * LAG_WINDOW
 
 
+def start_rows(users) -> np.ndarray:
+    """The feature row each user's dialog starts from, one per user of
+    Corpus-shaped columns (or one row for a one-user namespace): the
+    profile block, then a zero current-turn block and the neutral lag fill."""
+    profile = np.column_stack(_profile_values(users))
+    rows = np.empty((len(profile), N_FEATURES))
+    rows[:, :_PROFILE_END] = profile
+    rows[:, _PROFILE_END:] = _ROW_START_TAIL
+    return rows
+
+
+def _turn_head(act_index: int, step: int) -> list:
+    """The current-turn block's columns before the turn's observed fields:
+    the act one-hot, the step's complexity and the step."""
+    return _ACT_ONE_HOT[act_index] + [complexity_of_step(step), step]
+
+
+# [act index][step - 1] -> the turn head of that act at that step
+TURN_HEADS = tuple(tuple(_turn_head(a, step) for step in range(1, STEPS_PER_DIALOG + 1))
+                   for a in range(len(ACT_ORDER)))
+
+
 class DialogFeatures:
     """The feature rows of one dialog, built turn by turn in one row of
     the `corpus_to_dataset` layout. The profile block is written once;
-    `row` writes the current turn's block and returns a copy, and `push`
-    labels that turn with its trust and rolls it into the lag blocks, so
-    no history is kept. The rows equal those `corpus_to_dataset` builds
-    for a dialog whose trust labels are the pushed ones. The profile is a
-    Corpus-shaped user: a value per user column, gender as its index."""
+    `write` writes the current turn's block in place, `row` returns a copy
+    of it, and `push` labels that turn with its trust and rolls it into the
+    lag blocks, so no history is kept. The rows equal those
+    `corpus_to_dataset` builds for a dialog whose trust labels are the
+    pushed ones. The profile is a Corpus-shaped user: a value per user
+    column, gender as its index."""
 
     __slots__ = ("_row",)
 
     def __init__(self, profile):
-        values = _profile_values(profile)
+        row = start_rows(profile)[0]
         # a gender that is no index (a Gender member, say) sets no slot
-        if sum(values[_GENDER]) != 1:
+        if row[_GENDER].sum() != 1:
             raise ValueOutOfRange("gender", profile.gender,
                                   detail=f"an index in 0..{len(GENDER_ORDER) - 1}")
-        self._row = np.array(values + _ROW_START_TAIL, dtype=float)
+        self._row = row
+
+    @classmethod
+    def starting_at(cls, row: np.ndarray) -> "DialogFeatures":
+        """The features of a dialog that starts from a copy of `row`, a
+        row of `start_rows`."""
+        features = object.__new__(cls)
+        features._row = row.copy()
+        return features
+
+    def write(self, head: list, turn) -> np.ndarray:
+        """Writes the current turn's block, a turn head (`TURN_HEADS`) then
+        the observed fields of the turn, and returns the row itself, which
+        the next `write` overwrites."""
+        self._row[_PROFILE_END:_TURN_END] = head + [*_OBSERVED(turn)]
+        return self._row
 
     def row(self, act: ProactiveAct, step: int, turn) -> np.ndarray:
-        """The row of a turn (anything with the observed fields) at a step,
-        after the act."""
-        self._row[_PROFILE_END:_TURN_END] = (_ACT_ONE_HOT[ACT_INDEX[act]]
-                                             + [complexity_of_step(step), step,
-                                                *_OBSERVED(turn)])
-        return self._row.copy()
+        """A copy of the row of a turn (anything with the observed fields)
+        at a step, after the act."""
+        return self.write(_turn_head(ACT_INDEX[act], step), turn).copy()
 
     def push(self, trust: int) -> None:
-        """Lag 1 becomes lag 2, and the turn of the last `row`, labelled
+        """Lag 1 becomes lag 2, and the turn of the last `write`, labelled
         with this trust, becomes lag 1."""
         row = self._row
         row[_TURN_END + _LAG_WIDTH:] = row[_TURN_END:N_FEATURES - _LAG_WIDTH]

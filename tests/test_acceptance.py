@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from statistics import NormalDist
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from trustsim.cli import main as cli_main
 from trustsim.corpus import (
     ACT_INDEX,
     ACT_ORDER,
+    SCALE_TRAITS,
     Corpus,
     ProactiveAct,
     complexity_of_step,
@@ -51,7 +53,8 @@ from trustsim.trust_model import (
     evaluate_classifier,
     train_classifier,
 )
-from trustsim.user_model import default_trait_distributions, trait_codes, trait_flags
+from trustsim.user_model import (default_trait_distributions, fit_trait_distributions,
+                                 trait_codes, trait_flags)
 
 
 VERDICTS: list = []
@@ -214,13 +217,43 @@ def pooled_x2_z(counts, probs) -> float:
     return (x2 - (k - 1) * len(n)) / math.sqrt(var)
 
 
+_STD = NormalDist()
+
+
+def truncated_normal_moments(dist) -> tuple:
+    """The closed-form mean and sd of N(mean, sd) truncated to [lo, hi]:
+    with a, b the standardized bounds and Z = Phi(b) - Phi(a), the mean is
+    mu + sigma (phi(a) - phi(b)) / Z and the variance
+    sigma^2 (1 + (a phi(a) - b phi(b)) / Z - ((phi(a) - phi(b)) / Z)^2)."""
+    a, b = (dist.lo - dist.mean) / dist.sd, (dist.hi - dist.mean) / dist.sd
+    z = _STD.cdf(b) - _STD.cdf(a)
+    shift = (_STD.pdf(a) - _STD.pdf(b)) / z
+    var = 1 + (a * _STD.pdf(a) - b * _STD.pdf(b)) / z - shift ** 2
+    return dist.mean + dist.sd * shift, dist.sd * math.sqrt(var)
+
+
+def rounded_age_moments(dist) -> tuple:
+    """The mean and sd of floor(x + 0.5) for x from the truncated age
+    distribution, through the pmf of each integer age."""
+    dist_of = NormalDist(dist.mean, dist.sd)
+    ages = range(int(dist.lo), int(dist.hi) + 1)
+    mass = [dist_of.cdf(min(k + 0.5, dist.hi)) - dist_of.cdf(max(k - 0.5, dist.lo))
+            for k in ages]
+    pmf = np.array(mass) / sum(mass)
+    mean = float(pmf @ np.array(ages))
+    return mean, math.sqrt(float(pmf @ (np.array(ages) - mean) ** 2))
+
+
 def test_fit_recovers_generator():
-    """The fitted task-step table against the generator's ground truth: the
-    request combinations and the difficulty classes of each key are
-    multinomial in the process's probabilities, as the two requests are
-    drawn independently and the difficulty depends on trait code and step
-    only. The bound |z| <= 4 on each pooled X² was fixed before the first
-    run."""
+    """The fitted task-step table and trait distributions against the
+    generator's ground truth. The request combinations and the difficulty
+    classes of each key are multinomial in the process's probabilities, as
+    the two requests are drawn independently and the difficulty depends on
+    trait code and step only. Each fitted trait mean is a z-score against
+    the closed-form mean of the generator's truncated normal (age through
+    the pmf of its rounded draw) with the closed-form sd, and the gender
+    counts are multinomial in `gender_probs`. The bound |z| <= 4 on each
+    pooled X² and each trait z was fixed before the first run."""
     config = GeneratorConfig(n_dialogs=15_400)
     proc = config.process
     keys = mode_keys(TableMode.TASK_STEP_BASED)
@@ -229,16 +262,27 @@ def test_fit_recovers_generator():
     request_p = np.column_stack([(1 - help_p) * (1 - sugg_p), (1 - help_p) * sugg_p,
                                  help_p * (1 - sugg_p), help_p * sugg_p])
     difficulty_p = np.array([proc.difficulty_pmf(code, step) for code, _, step in keys])
-    z = {"requests": [], "difficulty": []}
+    traits = config.traits
+    moments = {name: (rounded_age_moments if name == "age" else truncated_normal_moments)(
+        getattr(traits, name)) for name in ("age",) + SCALE_TRAITS}
+    z = {"requests": [], "difficulty": [], "worst trait": [], "gender": []}
     for seed in (1, 2, 3):
-        table = build_table(generate_synthetic_corpus(config, seed), TableMode.TASK_STEP_BASED)
+        corpus = generate_synthetic_corpus(config, seed)
+        table = build_table(corpus, TableMode.TASK_STEP_BASED)
         z["requests"].append(pooled_x2_z(table.n, request_p))
         z["difficulty"].append(pooled_x2_z(table.difficulty_counts.sum(axis=1), difficulty_p))
+        fitted, n = fit_trait_distributions(corpus), corpus.n_dialogs
+        trait_z = [(getattr(fitted, name).mean - mean) / (sd / math.sqrt(n))
+                   for name, (mean, sd) in moments.items()]
+        z["worst trait"].append(max(trait_z, key=abs))
+        gender_counts = np.bincount(corpus.gender, minlength=len(traits.gender_probs))
+        z["gender"].append(pooled_x2_z(gender_counts[None], np.array([traits.gender_probs])))
     ok = all(abs(v) <= 4.0 for values in z.values() for v in values)
     verdict("fit-recovers-generator", ok,
             "; ".join(f"{name} z " + ", ".join(f"{v:.2f}" for v in values)
                       for name, values in z.items())
-            + f" (|z| <= 4) over {len(keys)} task-step keys at seeds 1-3 x 15400 dialogs")
+            + f" (|z| <= 4) over {len(keys)} task-step keys, {len(moments)} trait means "
+              f"and gender at seeds 1-3 x 15400 dialogs")
 
 
 def counting_oracle(y_true, y_pred):

@@ -22,7 +22,8 @@ from conftest import (
 )
 from trustsim import rl_env
 from trustsim.behavior_tables import TableMode, build_table
-from trustsim.corpus import ACT_ORDER, AGE_MAX, AGE_MIN, ProactiveAct, complexity_of_step
+from trustsim.corpus import (ACT_ORDER, AGE_MAX, AGE_MIN, GENDER_ORDER, SCALE_TRAITS,
+                            ProactiveAct, complexity_of_step)
 from trustsim.errors import EpisodeFinished, InvalidConfig, InvalidHyperparams
 from trustsim.rl_env import (
     EnvState,
@@ -34,14 +35,17 @@ from trustsim.rl_env import (
     state_index,
     train_tabular_policy,
 )
-from trustsim.sampling import RandomStream
-from trustsim.trust_model import train_classifier
+from trustsim.sampling import RandomStream, child_keys, label_bits
+from trustsim.trust_model import FEATURE_NAMES, train_classifier
 from trustsim.user_model import (
     N_TRAIT_CODES,
     TruncGauss,
     default_trait_distributions,
     fit_trait_distributions,
+    trait_codes,
 )
+
+PROFILE_END = FEATURE_NAMES.index("act=" + ACT_ORDER[0].value)
 
 SUGGESTION_INDEX = ACT_ORDER.index(ProactiveAct.SUGGESTION)
 
@@ -72,11 +76,14 @@ class TestStateIndex:
         assert [env_state(step).complexity for step in range(1, 13)] == [
             complexity_of_step(step) for step in range(1, 13)]
 
-    def test_state_validation(self):
+    @pytest.mark.parametrize("step,trait,trust", [
+        (1, 0, 0), (1, 0, 6),
+        # trait 9 at step 1 would alias step 2, trait 1; step 0 a row
+        # counted from the end; step 13 a row past N_STATES
+        (1, 9, 3), (1, 8, 3), (1, -1, 3), (0, 0, 3), (13, 0, 3), (-1, 7, 5)])
+    def test_state_validation(self, step, trait, trust):
         with pytest.raises(InvalidConfig):
-            env_state(trust=0)
-        with pytest.raises(InvalidConfig):
-            env_state(trust=6)
+            env_state(step, trait, trust)
 
 
 class TestRewardConfig:
@@ -195,18 +202,26 @@ class TestEnvMechanics:
                          openness=TruncGauss(2.5, 0.0, 1, 5),
                          gender_probs=(0.0, 0.25, 0.75))
         env = TrustSimEnv(deterministic_env().table, traits, stub_trust_model([0.0] * 5))
-        profiles = []
-        real = rl_env.DialogFeatures
-        monkeypatch.setattr(rl_env, "DialogFeatures",
-                            lambda profile: profiles.append(profile) or real(profile))
+        rows = []
+        real = rl_env.predict_trust
+        monkeypatch.setattr(rl_env, "predict_trust",
+                            lambda model, features: rows.append(features.copy())
+                            or real(model, features))
         streams = [RandomStream(seed, "ep", ep) for seed in (0, 2**70) for ep in range(100)]
+        codes = []
         for rng in streams:
-            env.reset(rng)
-        # the reference user's columns, gender as its index, age an int
-        assert [vars(profile) for profile in profiles] == [
-            vars(corpus_user(reference_sample_user(traits, rng.child("user"))))
-            for rng in streams]
-        assert all(type(p.age) is int and type(p.gender) is int for p in profiles)
+            codes.append(env.reset(rng).trait)
+            env.step(ProactiveAct.NONE)
+        users = [corpus_user(reference_sample_user(traits, rng.child("user")))
+                 for rng in streams]
+        assert codes == [trait_codes(user) for user in users]
+        # the profile block of the first scored row: an int age, the one-hot
+        # of an int gender index, then every scale trait, bit for bit
+        assert [row[:PROFILE_END].tolist() for row in rows] == [
+            [user.age, *(float(user.gender == g) for g in range(len(GENDER_ORDER))),
+             *(getattr(user, name) for name in SCALE_TRAITS)] for user in users]
+        assert all(type(user.age) is int and type(user.gender) is int for user in users)
+        assert PROFILE_END == 1 + len(GENDER_ORDER) + len(SCALE_TRAITS)
 
     def test_reset_rearms_after_done(self):
         env = deterministic_env()
@@ -337,6 +352,80 @@ class TestEpisodeOracle:
         assert ([state.last_turn for state, _, _ in probe.steps]
                 == [state.last_turn for state, _, _ in oracle.steps])
         assert probe.steps == oracle.steps
+
+
+class TestEpisodeBlocks:
+    """The learner hands each reset a stream that carries its block of
+    reset keys; the env draws all of a block's episodes the first time it
+    sees it, and a plain stream is a block of one."""
+
+    # past one 256-episode block, so a block seam is compared
+    EPISODES = 300
+
+    @pytest.mark.parametrize("mode", list(TableMode))
+    def test_training_across_a_block_seam_equals_the_per_turn_loop(self, default_corpus,
+                                                                    fitted, mode):
+        hp = ORACLE_HYPERPARAMS[-1]
+        table = build_table(default_corpus, mode, 10)
+        traits, model = fitted
+        oracle = PassThroughProbe(ReferenceTrustSimEnv(table, traits, model))
+        expected = reference_train_tabular_policy(oracle, self.EPISODES, hp)
+        assert_same_training(
+            train_tabular_policy(TrustSimEnv(table, traits, model), self.EPISODES, hp),
+            expected)
+        probe = PassThroughProbe(TrustSimEnv(table, traits, model))
+        assert_same_training(train_tabular_policy(probe, self.EPISODES, hp), expected)
+        assert probe.steps == oracle.steps
+
+    @pytest.mark.parametrize("index", [0, 4])
+    def test_a_key_draws_the_same_episode_plain_or_in_a_block(self, default_corpus, fitted,
+                                                              index):
+        traits, model = fitted
+        env = TrustSimEnv(build_table(default_corpus, TableMode.TASK_STEP_BASED),
+                          traits, model)
+        root = RandomStream(8, "blocks")
+        keys = child_keys(root.key, label_bits(range(5)))  # a short block
+        acts = [ACT_ORDER[(3 * s) % N_ACTIONS] for s in range(12)]
+
+        def episode(rng):
+            return [env.reset(rng)] + [env.step(act) for act in acts]
+
+        plain = episode(root.child(index))
+        assert episode(rl_env._BlockStream(keys, index)) == plain
+        # drawn from the block the env holds, and again from a fresh one
+        assert episode(rl_env._BlockStream(keys, index)) == plain
+        assert episode(rl_env._BlockStream(keys.copy(), index)) == plain
+        assert plain[0].trait == trait_codes(
+            reference_sample_user(traits, root.child(index, "user")))
+
+    @pytest.mark.parametrize("wrap", [lambda env: env, PassThroughProbe],
+                             ids=["bare", "probe"])
+    def test_a_block_is_drawn_once(self, monkeypatch, wrap):
+        drawn = []
+        real = rl_env.draw_users
+        monkeypatch.setattr(rl_env, "draw_users",
+                            lambda records, u: drawn.append(len(u)) or real(records, u))
+        train_tabular_policy(wrap(deterministic_env()), self.EPISODES, Hyperparams(seed=2))
+        assert drawn == [256, self.EPISODES - 256]
+
+
+class TestScoringCalls:
+    """The tier-1 twin of the traced benchmark smoke, which counts the
+    predict_trust calls made through rl_env's binding of it."""
+
+    def test_twelve_scored_turns_per_episode(self, monkeypatch):
+        calls = []
+        real = rl_env.predict_trust
+        monkeypatch.setattr(rl_env, "predict_trust",
+                            lambda model, features: calls.append(1) or real(model, features))
+        env = deterministic_env()
+        at_reset = []
+        reset = env.reset
+        env.reset = lambda rng: at_reset.append(len(calls)) or reset(rng)
+        episodes = 300  # past a block seam
+        train_tabular_policy(env, episodes, Hyperparams(seed=4))
+        bounds = at_reset + [len(calls)]
+        assert [b - a for a, b in zip(bounds, bounds[1:])] == [12] * episodes
 
 
 class LongEpisodeEnv:

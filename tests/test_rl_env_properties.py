@@ -37,7 +37,7 @@ class TestFeatureRows:
         rows = []
 
         def scored(model, features):
-            rows.append(features)
+            rows.append(features.copy())
             return real(model, features)
 
         real = rl_env.predict_trust

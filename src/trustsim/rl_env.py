@@ -197,7 +197,7 @@ class TrustSimEnv:
         codes, rows, uniforms = drawn
         self._trait = codes[i]
         self._uniforms = uniforms[i]
-        self._features = DialogFeatures.starting_at(rows[i])
+        self._features = DialogFeatures(rows[i])
         self._episode_contexts = self._contexts[self._trait]
         self._step_no = 1
         self._done = False

@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidBounds
+from .errors import InvalidBounds, InvalidConfig
 
 # Version of the draw sequence; recorded in every CLI manifest. Bump it
 # whenever a change makes the same (seed, path) draw different values.
@@ -93,13 +93,21 @@ class RandomStream:
     path). A child's key depends on the parent's key and its labels only,
     so child streams are independent and order-insensitive. Labels are
     strs or ints. Draws come from the array primitives over keys:
-    `first_uniforms`, `nth_draws`, `integers` and `permutation`.
+    `first_uniforms`, `nth_draws`, `integers` and `permutation`. Every seed
+    comes through here, so this is its one check: an integer (a numpy one
+    too), never a bool.
     """
 
     __slots__ = ("key",)
 
     def __init__(self, seed: int, *path):
-        self.key = _chain(_ROOT_KEY, (operator.index(seed), *path))
+        try:
+            index = operator.index(seed)
+        except TypeError:
+            index = None
+        if index is None or isinstance(seed, bool):  # True would run as seed 1
+            raise InvalidConfig(f"seed must be an integer, got {seed!r}")
+        self.key = _chain(_ROOT_KEY, (index, *path))
 
     @classmethod
     def _from_key(cls, key: int) -> "RandomStream":

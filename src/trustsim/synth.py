@@ -347,8 +347,6 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     columns. A config that some trait profile cannot be drawn from raises
     before any draw, at every seed (see `_step_tables`).
     """
-    if type(seed) is bool or not isinstance(seed, int):  # bool is no seed
-        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
     proc = config.process
     uids = [f"u{i:04d}" for i in range(config.n_dialogs)]
     user_keys = child_keys(RandomStream(seed, "synth").key, label_bits(uids))

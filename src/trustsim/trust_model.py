@@ -4,11 +4,11 @@ one-vs-rest max-margin trust classifier.
 The target folds the four self-reported measures (trust, competence,
 reliability, predictability) into one 1..5 label. Features combine the
 static profile, the current turn, and a 2-step lag window, in one column
-layout. `corpus_to_dataset` builds them column-wise for a whole corpus,
-and `DialogFeatures` turn by turn for one dialog of a Corpus-shaped user
-from its `start_rows` row; `_profile_values` writes the profile block for
-both. Both equal, row for row, the per-turn oracle `reference_features`
-in `tests/conftest.py`.
+layout. `start_rows` writes the row each dialog starts from, the profile
+block and the neutral lag fill, and both builders start from it:
+`corpus_to_dataset` column-wise for a whole corpus, `DialogFeatures` turn
+by turn for one dialog. Both equal, row for row, the per-turn oracle
+`reference_features` in `tests/conftest.py`.
 Training is full-batch subgradient descent on the hinge loss with L2
 regularization and the Pegasos step 1/(lambda t), deterministic by
 construction. All classes train together on standardized features: the
@@ -27,7 +27,6 @@ from operator import attrgetter
 import numpy as np
 
 from .corpus import (
-    ACT_INDEX,
     ACT_ORDER,
     AGE_MAX,
     COMPLEXITY_LEVELS,
@@ -38,7 +37,6 @@ from .corpus import (
     LIKERT_MIN,
     SCALE_TRAITS,
     STEPS_PER_DIALOG,
-    ProactiveAct,
     complexity_of_step,
     max_option_score,
 )
@@ -105,21 +103,12 @@ _PROFILE_TRAITS = attrgetter(*SCALE_TRAITS)
 _TURN_FIELDS = ("complexity", "step", "difficulty", "duration", "game_score",
                 "help_request", "suggestion_request")
 _OBSERVED = attrgetter(*_TURN_FIELDS[2:])  # the fields a turn itself holds
-_ACT_ONE_HOT = np.eye(len(ACT_ORDER)).tolist()  # by act index
 _PROFILE_END = FEATURE_NAMES.index(f"act={ACT_ORDER[0].value}")
-_GENDER = slice(1, 1 + len(GENDER_ORDER))  # the profile block's gender one-hot
 _TURN_END = FEATURE_NAMES.index(f"lag1:act={ACT_ORDER[0].value}")
 _LAG_WIDTH = (N_FEATURES - _TURN_END) // LAG_WINDOW
 # current-turn column of each lag column but the last (the trust label)
 _LAG_FROM_TURN = np.array([FEATURE_NAMES.index(name.removeprefix("lag1:")) for name
                            in FEATURE_NAMES[_TURN_END:_TURN_END + _LAG_WIDTH - 1]])
-
-
-def _profile_values(user) -> list:
-    """The profile block of a Corpus-shaped user, or its columns for a
-    Corpus: age, the gender index one-hot, then the scale traits."""
-    return [user.age, *(user.gender == g for g in range(len(GENDER_ORDER))),
-            *_PROFILE_TRAITS(user)]
 
 
 # a row's columns after the profile block at dialog start
@@ -128,53 +117,39 @@ _ROW_START_TAIL = [0.0] * (_TURN_END - _PROFILE_END) + _LAG_FILL * LAG_WINDOW
 
 def start_rows(users) -> np.ndarray:
     """The feature row each user's dialog starts from, one per user of
-    Corpus-shaped columns (or one row for a one-user namespace): the
-    profile block, then a zero current-turn block and the neutral lag fill."""
-    profile = np.column_stack(_profile_values(users))
+    Corpus-shaped columns (or one row for a one-user namespace), the one
+    place such a row is written: the profile block (age, the gender index
+    one-hot, the scale traits), then a zero current-turn block and the
+    neutral lag fill."""
+    profile = np.column_stack([users.age,
+                               *(users.gender == g for g in range(len(GENDER_ORDER))),
+                               *_PROFILE_TRAITS(users)])
     rows = np.empty((len(profile), N_FEATURES))
     rows[:, :_PROFILE_END] = profile
     rows[:, _PROFILE_END:] = _ROW_START_TAIL
     return rows
 
 
-def _turn_head(act_index: int, step: int) -> list:
-    """The current-turn block's columns before the turn's observed fields:
-    the act one-hot, the step's complexity and the step."""
-    return _ACT_ONE_HOT[act_index] + [complexity_of_step(step), step]
-
-
-# [act index][step - 1] -> the turn head of that act at that step
-TURN_HEADS = tuple(tuple(_turn_head(a, step) for step in range(1, STEPS_PER_DIALOG + 1))
-                   for a in range(len(ACT_ORDER)))
+# [act index][step - 1] -> the turn head of that act at that step: the
+# current-turn block's columns before the turn's observed fields, the act
+# one-hot, the step's complexity and the step
+TURN_HEADS = tuple(tuple(one_hot + [complexity_of_step(step), step]
+                         for step in range(1, STEPS_PER_DIALOG + 1))
+                   for one_hot in np.eye(len(ACT_ORDER)).tolist())
 
 
 class DialogFeatures:
-    """The feature rows of one dialog, built turn by turn in one row of
-    the `corpus_to_dataset` layout. The profile block is written once;
-    `write` writes the current turn's block in place, `row` returns a copy
-    of it, and `push` labels that turn with its trust and rolls it into the
-    lag blocks, so no history is kept. The rows equal those
-    `corpus_to_dataset` builds for a dialog whose trust labels are the
-    pushed ones. The profile is a Corpus-shaped user: a value per user
-    column, gender as its index."""
+    """The feature rows of one dialog, built turn by turn in a copy of its
+    `start_rows` row, in the `corpus_to_dataset` layout. `write` writes the
+    current turn's block in place, and `push` labels that turn with its
+    trust and rolls it into the lag blocks, so no history is kept. The rows
+    equal those `corpus_to_dataset` builds for a dialog whose trust labels
+    are the pushed ones."""
 
     __slots__ = ("_row",)
 
-    def __init__(self, profile):
-        row = start_rows(profile)[0]
-        # a gender that is no index (a Gender member, say) sets no slot
-        if row[_GENDER].sum() != 1:
-            raise ValueOutOfRange("gender", profile.gender,
-                                  detail=f"an index in 0..{len(GENDER_ORDER) - 1}")
-        self._row = row
-
-    @classmethod
-    def starting_at(cls, row: np.ndarray) -> "DialogFeatures":
-        """The features of a dialog that starts from a copy of `row`, a
-        row of `start_rows`."""
-        features = object.__new__(cls)
-        features._row = row.copy()
-        return features
+    def __init__(self, row: np.ndarray):
+        self._row = row.copy()
 
     def write(self, head: list, turn) -> np.ndarray:
         """Writes the current turn's block, a turn head (`TURN_HEADS`) then
@@ -182,11 +157,6 @@ class DialogFeatures:
         the next `write` overwrites."""
         self._row[_PROFILE_END:_TURN_END] = head + [*_OBSERVED(turn)]
         return self._row
-
-    def row(self, act: ProactiveAct, step: int, turn) -> np.ndarray:
-        """A copy of the row of a turn (anything with the observed fields)
-        at a step, after the act."""
-        return self.write(_turn_head(ACT_INDEX[act], step), turn).copy()
 
     def push(self, trust: int) -> None:
         """Lag 1 becomes lag 2, and the turn of the last `write`, labelled
@@ -201,10 +171,12 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
     """(X, y, user_ids) over every exchange, lag labels teacher-forced.
 
     Built column-wise: the corpus holds steps 1..12 in order for every
-    user, so X is 12 rows per user, and lag k is the current-turn block
-    shifted down k rows within each dialog, with the neutral fill before
-    step k + 1. Row for row equal to the per-turn oracle
-    `reference_features` in `tests/conftest.py` on every exchange.
+    user, so X is 12 rows per user, each first its dialog's `start_rows`
+    row. The current-turn block is written over it, and lag k at steps
+    k + 1..12 is that block shifted down k rows within each dialog, so
+    the neutral fill stays before step k + 1. Row for row equal to the
+    per-turn oracle `reference_features` in `tests/conftest.py` on every
+    exchange.
     """
     n, n_users = corpus.exchange_count, corpus.n_dialogs
     # the label: the four ratings' mean, rounded half-up (Corpus checked 1..5)
@@ -218,16 +190,12 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
     lag = np.concatenate([turn[:, _LAG_FROM_TURN - _PROFILE_END], labels[:, None]], axis=1)
     lag = lag.reshape(n_users, STEPS_PER_DIALOG, _LAG_WIDTH)
 
-    X = np.empty((n, N_FEATURES))
-    X[:, :_PROFILE_END] = np.repeat(np.column_stack(_profile_values(corpus)),
-                                    STEPS_PER_DIALOG, axis=0)
+    X = np.repeat(start_rows(corpus), STEPS_PER_DIALOG, axis=0)
     X[:, _PROFILE_END:_TURN_END] = turn
     dialog_steps = X.reshape(n_users, STEPS_PER_DIALOG, N_FEATURES)
     for k in range(1, LAG_WINDOW + 1):
         start = _TURN_END + (k - 1) * _LAG_WIDTH
-        block = dialog_steps[:, :, start:start + _LAG_WIDTH]
-        block[:, :k] = _LAG_FILL
-        block[:, k:] = lag[:, :-k]
+        dialog_steps[:, k:, start:start + _LAG_WIDTH] = lag[:, :-k]
     owners = tuple(uid for uid in corpus.user_id for _ in range(STEPS_PER_DIALOG))
     return X, labels.astype(int), owners
 

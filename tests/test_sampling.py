@@ -3,21 +3,27 @@
 from __future__ import annotations
 
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from conftest import (
+    RiggedSweepEnv,
     ScalarStream,
     analytic_truncated_mean,
     categorical,
+    make_corpus,
     normal,
     scalar_chain,
     scalar_mix64,
     truncated_gaussian,
 )
-from trustsim.errors import InvalidBounds
+from trustsim.corpus import split_corpus
+from trustsim.errors import InvalidBounds, InvalidConfig
+from trustsim.fidelity import compare_modes
+from trustsim.rl_env import Hyperparams, train_tabular_policy
 from trustsim.sampling import (
     _PHI,
     RandomStream,
@@ -93,6 +99,25 @@ class TestRandomStream:
         assert s.key == 0x5A5A17601B3A0865
         assert first_uniforms(s.key).tolist() == [0.2197059935042739]
         assert integers(nth_draws(s.key, 2), 10).tolist() == [9]
+
+    @pytest.mark.parametrize("seed", [True, False, 1.5, "7", None, np.bool_(True)])
+    @pytest.mark.parametrize("entry", ["RandomStream", "split_corpus", "compare_modes",
+                                       "train_tabular_policy"])
+    def test_a_seed_that_is_no_integer_is_rejected(self, entry, seed):
+        """Every seeded entry point meets the one seed check, at RandomStream:
+        a bool is no seed (True would run as seed 1), and a float, text or
+        None is an InvalidConfig, not a bare TypeError."""
+        corpus = make_corpus(n_users=4)
+        calls = {
+            "RandomStream": lambda: RandomStream(seed, "x"),
+            "split_corpus": lambda: split_corpus(corpus, 0.8, seed),
+            "compare_modes": lambda: compare_modes(corpus, seed),
+            "train_tabular_policy": lambda: train_tabular_policy(
+                RiggedSweepEnv(), 2, Hyperparams(seed=seed)),
+        }
+        message = f"seed must be an integer, got {re.escape(repr(seed))}"
+        with pytest.raises(InvalidConfig, match=message):
+            calls[entry]()
 
     def test_known_permutation(self):
         # the train/test split's shuffle; pins the stream format as above

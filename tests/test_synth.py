@@ -6,6 +6,7 @@ import math
 from dataclasses import replace
 from statistics import fmean, pstdev
 
+import numpy as np
 import pytest
 
 from conftest import exchanges_of, reference_generate, users_of
@@ -217,6 +218,11 @@ class TestGenerateCorpus:
     def test_rejects_non_int_seed(self, seed):
         with pytest.raises(InvalidConfig, match="seed"):
             generate_synthetic_corpus(GeneratorConfig(n_dialogs=1), seed=seed)
+
+    def test_a_numpy_integer_seed_draws_the_corpus_of_its_int(self):
+        config = GeneratorConfig(n_dialogs=3)
+        assert generate_synthetic_corpus(config, seed=np.int64(4)) \
+            == generate_synthetic_corpus(config, seed=4)
 
     def test_acts_roughly_uniform(self, default_corpus):
         counts = {act: 0 for act in ProactiveAct}

@@ -21,6 +21,7 @@ from conftest import (
     make_exchange,
     make_user,
     reference_dataset,
+    reference_features,
     reference_predictions,
     reference_train,
     standardized_labels,
@@ -28,7 +29,7 @@ from conftest import (
     users_of,
 )
 from trustsim import trust_model
-from trustsim.corpus import ACT_ORDER, Corpus, Gender, ProactiveAct
+from trustsim.corpus import ACT_INDEX, ACT_ORDER, Corpus, Gender, ProactiveAct
 from trustsim.errors import (
     DegenerateLabels,
     EmptyTestSet,
@@ -41,6 +42,7 @@ from trustsim.errors import (
 from trustsim.trust_model import (
     FEATURE_NAMES,
     N_FEATURES,
+    TURN_HEADS,
     DialogFeatures,
     TrainConfig,
     classification_metrics,
@@ -51,6 +53,7 @@ from trustsim.trust_model import (
     load_classifier,
     predict_trust,
     save_classifier,
+    start_rows,
     train_classifier,
 )
 
@@ -85,14 +88,25 @@ def context(step=1, act=ProactiveAct.NONE, difficulty=3, duration=42.0,
     )
 
 
-def dialog_row(profile, history, current) -> np.ndarray:
-    """The DialogFeatures row of `current` after the row of each turn of
-    `history` was built and pushed with that turn's trust label."""
-    features = DialogFeatures(profile)
+def written_row(features, turn) -> np.ndarray:
+    """A copy of the row DialogFeatures writes for a turn (anything with
+    the observed fields and its act and step)."""
+    return features.write(TURN_HEADS[ACT_INDEX[turn.proactive_act]][turn.step - 1],
+                          turn).copy()
+
+
+def dialog_row(user, history, current) -> np.ndarray:
+    """The DialogFeatures row of `current`, in a dialog that starts from the
+    `start_rows` row of the user (a UserRecord), after the row of each turn
+    of `history` was written and pushed with that turn's trust label. It
+    equals the oracle `reference_features` on the same turns."""
+    features = DialogFeatures(start_rows(corpus_user(user))[0])
     for turn in history:
-        features.row(turn.proactive_act, turn.step, turn)
+        written_row(features, turn)
         features.push(turn.trust_label)
-    return features.row(current.proactive_act, current.step, current)
+    row = written_row(features, current)
+    assert np.array_equal(row, reference_features(user, history, current))
+    return row
 
 
 class TestFeatureSchema:
@@ -108,10 +122,10 @@ class TestFeatureSchema:
         assert sum(1 for n in FEATURE_NAMES if n.startswith("lag2:")) == 10
 
     def test_vector_without_history(self):
-        profile = corpus_user(make_user(gender=Gender.FEMALE))
+        user = make_user(gender=Gender.FEMALE)
         current = context(step=1, act=ProactiveAct.SUGGESTION, difficulty=2,
                           duration=50.0, game_score=20.0, help_request=True)
-        vec = dialog_row(profile, [], current)
+        vec = dialog_row(user, [], current)
         gender = [0.0, 1.0, 0.0]  # female, index 1 of GENDER_ORDER
         lag_fill = [0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 3.0]
         expected = np.array(
@@ -123,11 +137,11 @@ class TestFeatureSchema:
         assert np.array_equal(vec, expected)
 
     def test_vector_with_one_lag(self):
-        profile = corpus_user(make_user())
+        user = make_user()
         past = context(step=1, act=ProactiveAct.NONE, difficulty=4,
                        duration=60.0, game_score=10.0, suggestion_request=True,
                        trust_label=2)
-        vec = dialog_row(profile, [past], context(step=2))
+        vec = dialog_row(user, [past], context(step=2))
         lag1 = [1.0, 0.0, 0.0, 0.0, 4.0, 60.0, 10.0, 0.0, 1.0, 2.0]
         start = FEATURE_NAMES.index(f"lag1:act={ProactiveAct.NONE.value}")
         assert vec[start:start + 10].tolist() == lag1
@@ -135,38 +149,35 @@ class TestFeatureSchema:
         assert vec[start + 10:].tolist() == lag2
 
     def test_only_last_two_turns_matter(self):
-        profile = corpus_user(make_user())
+        user = make_user()
         history = [context(step=s, difficulty=(s % 5) + 1, trust_label=4)
                    for s in range(1, 6)]
-        full = dialog_row(profile, history, context(step=6))
-        tail = dialog_row(profile, history[-2:], context(step=6))
+        full = dialog_row(user, history, context(step=6))
+        tail = dialog_row(user, history[-2:], context(step=6))
         assert np.array_equal(full, tail)
 
     def test_a_returned_row_is_not_written_by_later_turns(self):
-        features = DialogFeatures(corpus_user(make_user()))
-        first = features.row(ProactiveAct.NONE, 1, context(step=1, difficulty=4))
+        user = make_user()
+        features = DialogFeatures(start_rows(corpus_user(user))[0])
+        past = context(step=1, difficulty=4, trust_label=2)
+        first = written_row(features, past)
         kept = first.copy()
-        features.push(2)
-        second = features.row(ProactiveAct.INTERVENTION, 2,
-                              context(step=2, difficulty=1, help_request=True))
+        features.push(past.trust_label)
+        current = context(step=2, act=ProactiveAct.INTERVENTION, difficulty=1,
+                          help_request=True)
+        second = written_row(features, current)
         assert np.array_equal(first, kept)
+        assert np.array_equal(first, reference_features(user, [], past))
+        assert np.array_equal(second, reference_features(user, [past], current))
         assert not np.array_equal(first, second)
-
-    @pytest.mark.parametrize("gender", [Gender.MALE, Gender.FEMALE, 3, -1, 0.5, math.nan])
-    def test_gender_that_is_no_index_is_rejected(self, gender):
-        """A Gender member (or any value that is no GENDER_ORDER index) would
-        set no slot of the gender one-hot."""
-        profile = corpus_user(make_user())
-        profile.gender = gender
-        with pytest.raises(ValueOutOfRange, match="gender"):
-            DialogFeatures(profile)
 
     @pytest.mark.parametrize("gender", [0, 1, 2, np.int64(2)])
     def test_gender_index_sets_its_slot(self, gender):
         profile = corpus_user(make_user())
         profile.gender = gender
-        row = DialogFeatures(profile).row(ProactiveAct.NONE, 1, context(step=1))
-        assert row[1:4].tolist() == [float(g == gender) for g in range(3)]
+        rows = start_rows(profile)
+        assert rows.shape == (1, N_FEATURES)
+        assert rows[0, 1:4].tolist() == [float(g == gender) for g in range(3)]
 
 
 class TestCorpusToDataset:
@@ -237,9 +248,9 @@ class TestColumnBuiltDatasetEqualsPerRowLoop:
         rows = []
         for i, (user, exchanges) in enumerate(zip(users_of(corpus),
                                                   dialogs_of(corpus).values())):
-            features = DialogFeatures(corpus_user(user))
+            features = DialogFeatures(start_rows(corpus_user(user))[0])
             for ex, label in zip(exchanges, y[12 * i:12 * (i + 1)].tolist()):
-                rows.append(features.row(ex.proactive_act, ex.step, ex))
+                rows.append(written_row(features, ex))
                 features.push(label)
         assert np.array(rows).tobytes() == X.tobytes()
 

@@ -4,10 +4,10 @@ record-based code they replaced.
 Over random corpora, fit_trait_distributions, corpus_to_dataset,
 split_corpus and save_corpus must agree bit for bit with oracles that read
 the users as one UserRecord each, and trait_flags must decode the trait
-codes of the users and of the columns alike; DialogFeatures on a one-user
-namespace of the columns must write the dataset's profile block. Kept
-apart from the example-based tests so that those still run where
-hypothesis is not installed.
+codes of the users and of the columns alike; DialogFeatures from the
+`start_rows` row of a one-user namespace of the columns must write the
+dataset's profile block. Kept apart from the example-based tests so that
+those still run where hypothesis is not installed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from trustsim.corpus import (AGE_MAX, AGE_MIN, GENDER_ORDER, LIKERT_MAX, LIKERT_
                              save_corpus, split_corpus)
 from trustsim.errors import TrustSimError
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
-from trustsim.trust_model import FEATURE_NAMES, DialogFeatures, corpus_to_dataset
+from trustsim.trust_model import (FEATURE_NAMES, TURN_HEADS, DialogFeatures,
+                                  corpus_to_dataset, start_rows)
 from trustsim.user_model import (default_trait_distributions, fit_trait_distributions,
                                  trait_codes, trait_flags)
 
@@ -123,10 +124,10 @@ def test_trait_flags_decode_trait_codes(corpus):
 @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32),
        gender_probs=st.permutations([0.0, 0.25, 0.75]))
 def test_dialog_features_profile_equals_the_dataset_rows(n, seed, gender_probs):
-    """DialogFeatures on a user of the corpus as a one-user namespace, its
-    values those of the Corpus user columns, writes the profile block of
-    each of that user's corpus_to_dataset rows. One gender class has
-    weight 0, so its column reads 0 throughout."""
+    """DialogFeatures from the `start_rows` row of a user of the corpus as
+    a one-user namespace, its values those of the Corpus user columns,
+    writes the profile block of each of that user's corpus_to_dataset rows.
+    One gender class has weight 0, so its column reads 0 throughout."""
     traits = dataclasses.replace(default_trait_distributions(),
                                  gender_probs=tuple(gender_probs))
     corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n, traits=traits), seed)
@@ -137,7 +138,8 @@ def test_dialog_features_profile_equals_the_dataset_rows(n, seed, gender_probs):
                            help_request=False, suggestion_request=False)
     for u in range(n):
         user = SimpleNamespace(**{name: values[u] for name, values in columns.items()})
-        row = DialogFeatures(user).row(ProactiveAct.NONE, 1, turn)
+        features = DialogFeatures(start_rows(user)[0])
+        row = features.write(TURN_HEADS[0][0], turn).copy()  # act NONE at step 1
         for dataset_row in profile[u]:
             assert row[:PROFILE_END].tobytes() == dataset_row.tobytes()
     unused = FEATURE_NAMES.index(f"gender={GENDER_ORDER[gender_probs.index(0.0)].value}")

@@ -5,8 +5,10 @@ After each action the simulator produces the user's turn, the trust
 classifier estimates the user's trust from observable features only, and
 the reward blends normalized game score with normalized estimated trust.
 The Corpus-shaped users of a block of episodes are drawn at once from
-their traits' truncated-Gaussian records (`user_model.trait_records`), a
-turn from its key's draw context, both made once per env.
+their traits' truncated-Gaussian records (`user_model.trait_records`),
+made once per env, and so is every turn each episode can take, one per
+(step, act), by the array turn draw `simulator.draw_turns`, so a step
+draws nothing.
 Ships a tabular Q-learning reference agent over the discretized (step,
 trait code, trust estimate) state.
 """
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,15 +35,16 @@ from .corpus import (
 )
 from .errors import EpisodeFinished, InvalidConfig, InvalidHyperparams
 from .sampling import RandomStream, child_keys, first_uniforms, integers, label_bits, nth_draws
-from .simulator import TURN_FIELDS, SimulatedTurn, draw_turn
+from .simulator import TURN_FIELDS, SimulatedTurn, draw_turns
 from .simulator import simulate_turn  # unused here; perfbench's tracer tests read it
 from .trust_model import (
+    FEATURE_NAMES,
     NEUTRAL_LIKERT,
-    TURN_HEADS,
     DialogFeatures,
     TrustClassifier,
     predict_trust,
     start_rows,
+    turn_blocks,
 )
 from .user_model import (N_TRAIT_CODES, USER_FIELDS, TraitDistributions, draw_users,
                          trait_codes, trait_records)
@@ -47,6 +52,7 @@ from .user_model import (N_TRAIT_CODES, USER_FIELDS, TraitDistributions, draw_us
 N_ACTIONS = len(ACT_ORDER)
 N_TRUST_LEVELS = LIKERT_MAX - LIKERT_MIN + 1
 N_STATES = STEPS_PER_DIALOG * N_TRAIT_CODES * N_TRUST_LEVELS
+_INTEGER = (int, np.integer)  # a bool is an int, and is rejected apart
 
 
 @dataclass(frozen=True)
@@ -71,14 +77,20 @@ class EnvState:
     estimated_trust: int
 
     def __post_init__(self):
-        # state_index reads each field as a digit: one out of its range
-        # would alias another state's Q row or fall outside the table
-        if not 1 <= self.step <= STEPS_PER_DIALOG:
-            raise InvalidConfig(f"step must be in 1..{STEPS_PER_DIALOG}, got {self.step!r}")
-        if not 0 <= self.trait < N_TRAIT_CODES:
-            raise InvalidConfig(f"trait code must be in 0..{N_TRAIT_CODES - 1}, "
-                                f"got {self.trait!r}")
-        if not LIKERT_MIN <= self.estimated_trust <= LIKERT_MAX:
+        # state_index reads each field as a digit: a non-integer would make
+        # a float index, and one out of its range would alias another
+        # state's Q row or fall outside the table
+        step, trait, trust = self.step, self.trait, self.estimated_trust
+        if not type(step) is type(trait) is type(trust) is int:  # the common case first
+            for name, value in (("step", step), ("trait code", trait),
+                                ("estimated trust", trust)):
+                if isinstance(value, bool) or not isinstance(value, _INTEGER):
+                    raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        if not 1 <= step <= STEPS_PER_DIALOG:
+            raise InvalidConfig(f"step must be in 1..{STEPS_PER_DIALOG}, got {step!r}")
+        if not 0 <= trait < N_TRAIT_CODES:
+            raise InvalidConfig(f"trait code must be in 0..{N_TRAIT_CODES - 1}, got {trait!r}")
+        if not LIKERT_MIN <= trust <= LIKERT_MAX:
             raise InvalidConfig("estimated trust must be in 1..5")
 
     @property
@@ -107,6 +119,16 @@ _LEVEL1_BITS = np.repeat(label_bits(["user", "step"]),
 _LEVEL2_BITS = np.concatenate([label_bits(USER_FIELDS),
                                np.repeat(label_bits(_STEPS), len(TURN_FIELDS))])
 _LEVEL3_BITS = np.tile(label_bits(TURN_FIELDS), STEPS_PER_DIALOG)
+# An episode's candidate turns, one per (step, act), act fastest: the step,
+# its complexity and the act index of each.
+_CANDIDATE_STEP = np.repeat(_STEPS, N_ACTIONS)
+_CANDIDATE_COMPLEXITY = np.repeat(_COMPLEXITY, N_ACTIONS)
+_CANDIDATE_ACT = np.tile(np.arange(N_ACTIONS), STEPS_PER_DIALOG)
+# The drawn fields of a candidate's SimulatedTurn but used_fallback, read
+# from its current-turn block (`turn_blocks`) by feature name.
+_BLOCK_START = FEATURE_NAMES.index(f"act={ACT_ORDER[0].value}")
+_DRAWN_FIELDS = itemgetter(*(FEATURE_NAMES.index(name) - _BLOCK_START for name in (
+    "help_request", "suggestion_request", "duration", "difficulty", "game_score")))
 
 
 def _episode_uniforms(keys) -> np.ndarray:
@@ -142,11 +164,16 @@ class TrustSimEnv:
     per turn, 58 first draws of one chain of uint64 key arrays. The user
     is `draw_users` on the first ten, with the `trait_records` of the traits
     made once per env, and its trait code and feature row at dialog start
-    (`start_rows`) follow. They are drawn for a block of episodes at once: a
-    reset stream that carries a block (as `train_tabular_policy` passes)
-    has every episode of its block drawn the first time the env sees it,
-    and a plain stream is a block of one. The action only picks the key
-    whose `lookup` context a turn draws from. The oracle
+    (`start_rows`) follow. Each step's four uniforms draw the turn of every
+    act (`draw_turns`, on key codes from a (trait code, step, act) table
+    made once per env), and `turn_blocks` writes each candidate's
+    current-turn block, so the action only picks a drawn candidate. All of
+    it is drawn for a block of episodes at once: a reset stream that
+    carries a block (as `train_tabular_policy` passes) has every episode of
+    its block drawn the first time the env sees it, and a plain stream is
+    a block of one. `reset` always returns the episode of the stream's
+    key: it draws afresh when the key it drew at the stream's index is
+    another, as after the block's array was rewritten in place. The oracle
     `ReferenceTrustSimEnv` in `tests/conftest.py` draws the same episode
     turn by turn on a scalar stream with the reset key: the profile with
     `reference_sample_user` on `rng.child("user")`, each turn with
@@ -163,42 +190,46 @@ class TrustSimEnv:
         self.trust_model = trust_model
         self.reward = reward
         self._records = trait_records(traits)
-        conditions = _STEPS if table.mode is TableMode.TASK_STEP_BASED else _COMPLEXITY
-        # each key's `lookup` context, by key code; a row is made a tuple
-        # once, and the keys one rung statistic serves share it
-        rows = list(map(tuple, table.rows.tolist()))
-        contexts = [(tuple(cum), fell_back, tuple(map(rows.__getitem__, index)))
-                    for cum, fell_back, index in zip(table.request_cum.tolist(),
-                                                     table.used_fallback.tolist(),
-                                                     table.row_index.tolist())]
-        # [trait code][act index][step - 1] -> the key's draw_turn context
-        self._contexts = [[[contexts[key_code(table.mode, trait, act, c)] for c in conditions]
-                           for act in range(N_ACTIONS)]
-                          for trait in range(N_TRAIT_CODES)]
-        self._block = self._drawn = None  # the last block drawn, and its draws
+        conditions = np.array(_STEPS if table.mode is TableMode.TASK_STEP_BASED
+                              else _COMPLEXITY)
+        # [trait code, step - 1, act index] -> the code of the key a turn draws from
+        self._codes = key_code(table.mode, np.arange(N_TRAIT_CODES)[:, None, None],
+                               np.arange(N_ACTIONS), conditions[:, None])
+        self._keys, self._drawn = [], None  # the reset keys last drawn, and their draws
         self._done = True  # until the first reset
 
     def _draw(self, keys: np.ndarray) -> tuple:
         """The draws of the episodes with these reset keys: each one's trait
-        code, feature row at dialog start and 12 x 4 turn uniforms."""
+        code, feature row at dialog start, and for each (step, act) the
+        candidate turn's current-turn block (`turn_blocks`), a float array,
+        and its used_fallback flag, both indexed [episode, step - 1, act]."""
         u = _episode_uniforms(keys)
         users = draw_users(self._records, u[:, :_N_USER])
-        return (trait_codes(users).tolist(), start_rows(users),
-                u[:, _N_USER:].reshape(len(u), STEPS_PER_DIALOG, -1).tolist())
+        codes = trait_codes(users)
+        n = len(keys)
+        # each step's uniforms, once per act
+        turn_u = np.repeat(u[:, _N_USER:].reshape(-1, len(TURN_FIELDS)), N_ACTIONS, axis=0)
+        drawn = draw_turns(self.table, self._codes[codes].ravel(), turn_u)
+        blocks = turn_blocks(SimpleNamespace(
+            proactive_act=np.tile(_CANDIDATE_ACT, n), step=np.tile(_CANDIDATE_STEP, n),
+            complexity=np.tile(_CANDIDATE_COMPLEXITY, n), **drawn))
+        shape = (n, STEPS_PER_DIALOG, N_ACTIONS)
+        return (codes.tolist(), start_rows(users), blocks.reshape(*shape, -1),
+                drawn["used_fallback"].reshape(shape))
 
     def reset(self, rng: RandomStream) -> EnvState:
         block = getattr(rng, "block", None)
-        if block is None:  # a plain stream: a block of one
-            drawn, i = self._draw(np.array([rng.key], dtype=np.uint64)), 0
+        if block is None or int(block[rng.index]) != rng.key:
+            # a plain stream, or one whose block was rewritten since: a block of one
+            block, i = np.array([rng.key], dtype=np.uint64), 0
         else:
-            if block is not self._block:
-                self._block, self._drawn = block, self._draw(block)
-            drawn, i = self._drawn, rng.index
-        codes, rows, uniforms = drawn
+            i = rng.index
+        if self._keys[i:i + 1] != [rng.key]:  # drawn afresh unless drawn for this key
+            self._keys, self._drawn = block.tolist(), self._draw(block)
+        codes, rows, blocks, fallback = self._drawn
         self._trait = codes[i]
-        self._uniforms = uniforms[i]
+        self._blocks, self._fallback = blocks[i], fallback[i].tolist()
         self._features = DialogFeatures(rows[i])
-        self._episode_contexts = self._contexts[self._trait]
         self._step_no = 1
         self._done = False
         return EnvState(step=1, trait=self._trait, last_turn=None,
@@ -212,12 +243,18 @@ class TrustSimEnv:
             raise InvalidConfig(f"action must be a ProactiveAct, got {action!r}")
         s = self._step_no
         a = ACT_INDEX[action]
-        turn = draw_turn(*self._episode_contexts[a][s - 1], self._uniforms[s - 1])
-        trust = predict_trust(self.trust_model, self._features.write(TURN_HEADS[a][s - 1], turn))
+        block = self._blocks[s - 1, a]
+        help_request, suggestion_request, duration, difficulty, game_score \
+            = _DRAWN_FIELDS(block.tolist())
+        turn = SimulatedTurn(help_request=bool(help_request),
+                             suggestion_request=bool(suggestion_request), duration=duration,
+                             difficulty=int(difficulty), game_score=game_score,
+                             used_fallback=self._fallback[s - 1][a])
+        trust = predict_trust(self.trust_model, self._features.write(block))
         self._features.push(trust)
 
         reward = (
-            self.reward.score_weight * (turn.game_score / _MAX_SCORE[s - 1])
+            self.reward.score_weight * (game_score / _MAX_SCORE[s - 1])
             + self.reward.trust_weight * ((trust - LIKERT_MIN) / (LIKERT_MAX - LIKERT_MIN))
         )
         done = s == STEPS_PER_DIALOG

@@ -9,14 +9,14 @@ again. Each field reads a named substream.
 
 Every path draws a turn from the table's rows (one float64 array, a row
 per distinct rung statistic), on the first uniforms of the turn stream's
-TURN_FIELDS children. `simulate_turn` draws one turn through `draw_turn`
-from the `lookup` context of its key, the rows as Python tuples; the RL
-environment makes every key's context once, each row one tuple shared by
-the keys it serves, and draws each turn from those contexts.
-`replay_conditions` draws a turn for every corpus exchange at once: the
-stream keys and uniforms as uint64 arrays, the rows as gathers from the
-table's rows through its row index by key code and combination, the
-categoricals as counts, and only `inv_cdf` per element. Its
+TURN_FIELDS children. `simulate_turn` draws one turn through the scalar
+`draw_turn` from the `lookup` context of its key, the rows as Python
+tuples. `draw_turns` draws many turns at once from their key codes and
+uniforms: the rows as gathers from the table's rows through its row index
+by key code and combination, the categoricals as counts, and only
+`inv_cdf` per element. `replay_conditions` calls it for every corpus
+exchange, with the stream keys and uniforms as uint64 arrays, and the RL
+environment for every (step, act) of a block of episodes. A replay's
 `SimulatedLog`, the corpus and the drawn columns, equals, bit for bit,
 what `simulate_turn` gives."""
 
@@ -163,7 +163,31 @@ class SimulatedLog:
 
 
 _STEP_BITS = label_bits(range(STEPS_PER_DIALOG + 1))
+_FIELD_BITS = label_bits(TURN_FIELDS)
 _COMBO_FLAGS = np.array(REQUEST_COMBOS, dtype=bool)
+
+
+def draw_turns(table: BehaviorTable, code: np.ndarray, u: np.ndarray) -> dict:
+    """The turns that the context keys with these key codes draw, turn i on
+    the uniforms u[i] of its TURN_FIELDS (an (n, 4) array), as `draw_turn`
+    draws them: the six drawn columns of a `SimulatedLog` by name.
+
+    The request cumulatives, fallback flags and row indices are gathered on
+    the key codes and combinations, then the rows on those indices, so the
+    categoricals are counts and only `inv_cdf` runs per element. The
+    table's values were checked when it was built or loaded, so no draw can
+    fail."""
+    combo = categoricals(table.request_cum[code], u[:, 0])
+    row = table.row_index[code, combo]
+    flags = _COMBO_FLAGS[combo]
+    # gathered field by field, so no temporary holds a whole row per turn
+    return dict(
+        game_score=truncated_gaussians(table.rows[row, ROW_SCORE], u[:, 3]),
+        help_request=flags[:, 0], suggestion_request=flags[:, 1],
+        duration=truncated_gaussians(table.rows[row, ROW_DURATION], u[:, 2]),
+        difficulty=LIKERT_MIN + categoricals(table.rows[row, ROW_DIFFICULTY], u[:, 1]),
+        used_fallback=table.used_fallback[code],
+    )
 
 
 def replay_conditions(corpus: Corpus, table: BehaviorTable,
@@ -172,11 +196,9 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     act) context; row i pairs with exchange i of the corpus's canonical
     order. Turn i equals `simulate_turn` on `rng.child(user_id, step)`.
 
-    Every turn is drawn at once, gathering the table's request cumulatives,
-    fallback flags and row indices on its context key code and combination,
-    then the rows on those indices. The
-    table's values were checked when it was built or loaded, so no draw can
-    fail.
+    Every turn is drawn at once by `draw_turns`, on the key codes of the
+    exchanges' contexts and the first uniforms of their turn streams'
+    TURN_FIELDS children.
     """
     owner = np.repeat(np.arange(corpus.n_dialogs), STEPS_PER_DIALOG)
     step = corpus.step
@@ -186,24 +208,8 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
 
     user_keys = child_keys(rng.key, label_bits(corpus.user_id))
     turn_keys = child_keys(user_keys[owner], _STEP_BITS[step])
-
-    def uniforms(field: str) -> np.ndarray:
-        return first_uniforms(child_keys(turn_keys, label_bits([field])))
-
-    combo = categoricals(table.request_cum[code], uniforms("requests"))
-    row = table.row_index[code, combo]
-    # gathered field by field, so no temporary holds a whole row per turn
-    difficulty = LIKERT_MIN + categoricals(table.rows[row, ROW_DIFFICULTY],
-                                           uniforms("difficulty"))
-    duration = truncated_gaussians(table.rows[row, ROW_DURATION], uniforms("duration"))
-    game_score = truncated_gaussians(table.rows[row, ROW_SCORE], uniforms("score"))
-
-    flags = _COMBO_FLAGS[combo]
-    return SimulatedLog(
-        corpus=corpus, game_score=game_score, help_request=flags[:, 0],
-        suggestion_request=flags[:, 1], duration=duration, difficulty=difficulty,
-        used_fallback=table.used_fallback[code],
-    )
+    u = first_uniforms(child_keys(turn_keys[:, None], _FIELD_BITS))
+    return SimulatedLog(corpus=corpus, **draw_turns(table, code, u))
 
 
 def _log_cells(log: SimulatedLog, name: str, text: bool) -> list:

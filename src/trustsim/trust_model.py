@@ -5,9 +5,10 @@ The target folds the four self-reported measures (trust, competence,
 reliability, predictability) into one 1..5 label. Features combine the
 static profile, the current turn, and a 2-step lag window, in one column
 layout. `start_rows` writes the row each dialog starts from, the profile
-block and the neutral lag fill, and both builders start from it:
-`corpus_to_dataset` column-wise for a whole corpus, `DialogFeatures` turn
-by turn for one dialog. Both equal, row for row, the per-turn oracle
+block and the neutral lag fill, and `turn_blocks` the current-turn block
+of each turn; both builders use them: `corpus_to_dataset` column-wise for
+a whole corpus, `DialogFeatures` turn by turn for one dialog, copying in
+each turn's prepared block. Both equal, row for row, the per-turn oracle
 `reference_features` in `tests/conftest.py`.
 Training is full-batch subgradient descent on the hinge loss with L2
 regularization and the Pegasos step 1/(lambda t), deterministic by
@@ -37,7 +38,6 @@ from .corpus import (
     LIKERT_MIN,
     SCALE_TRAITS,
     STEPS_PER_DIALOG,
-    complexity_of_step,
     max_option_score,
 )
 from .errors import (
@@ -102,7 +102,6 @@ _PROFILE_TRAITS = attrgetter(*SCALE_TRAITS)
 # the current-turn block after its act one-hot
 _TURN_FIELDS = ("complexity", "step", "difficulty", "duration", "game_score",
                 "help_request", "suggestion_request")
-_OBSERVED = attrgetter(*_TURN_FIELDS[2:])  # the fields a turn itself holds
 _PROFILE_END = FEATURE_NAMES.index(f"act={ACT_ORDER[0].value}")
 _TURN_END = FEATURE_NAMES.index(f"lag1:act={ACT_ORDER[0].value}")
 _LAG_WIDTH = (N_FEATURES - _TURN_END) // LAG_WINDOW
@@ -130,12 +129,17 @@ def start_rows(users) -> np.ndarray:
     return rows
 
 
-# [act index][step - 1] -> the turn head of that act at that step: the
-# current-turn block's columns before the turn's observed fields, the act
-# one-hot, the step's complexity and the step
-TURN_HEADS = tuple(tuple(one_hot + [complexity_of_step(step), step]
-                         for step in range(1, STEPS_PER_DIALOG + 1))
-                   for one_hot in np.eye(len(ACT_ORDER)).tolist())
+def turn_blocks(turns) -> np.ndarray:
+    """The current-turn block of each turn of Corpus-shaped exchange columns
+    (the act index `proactive_act`, then complexity, step and the turn's
+    five observed fields), the one place that block is written: the act
+    one-hot, then those columns in FEATURE_NAMES order."""
+    n = len(turns.proactive_act)
+    blocks = np.zeros((n, _TURN_END - _PROFILE_END))
+    blocks[np.arange(n), turns.proactive_act] = 1.0
+    for j, name in enumerate(_TURN_FIELDS, start=len(ACT_ORDER)):
+        blocks[:, j] = getattr(turns, name)
+    return blocks
 
 
 class DialogFeatures:
@@ -151,11 +155,10 @@ class DialogFeatures:
     def __init__(self, row: np.ndarray):
         self._row = row.copy()
 
-    def write(self, head: list, turn) -> np.ndarray:
-        """Writes the current turn's block, a turn head (`TURN_HEADS`) then
-        the observed fields of the turn, and returns the row itself, which
-        the next `write` overwrites."""
-        self._row[_PROFILE_END:_TURN_END] = head + [*_OBSERVED(turn)]
+    def write(self, block: np.ndarray) -> np.ndarray:
+        """Writes the current turn's block, a row of `turn_blocks`, and
+        returns the row itself, which the next `write` overwrites."""
+        self._row[_PROFILE_END:_TURN_END] = block
         return self._row
 
     def push(self, trust: int) -> None:
@@ -183,10 +186,7 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
     labels = np.floor((corpus.trust + corpus.competence + corpus.reliability
                        + corpus.predictability) / 4.0 + 0.5)
 
-    turn = np.zeros((n, _TURN_END - _PROFILE_END))
-    turn[np.arange(n), corpus.proactive_act] = 1.0
-    for j, name in enumerate(_TURN_FIELDS, start=len(ACT_ORDER)):
-        turn[:, j] = getattr(corpus, name)
+    turn = turn_blocks(corpus)
     lag = np.concatenate([turn[:, _LAG_FROM_TURN - _PROFILE_END], labels[:, None]], axis=1)
     lag = lag.reshape(n_users, STEPS_PER_DIALOG, _LAG_WIDTH)
 

@@ -16,8 +16,12 @@ from conftest import (
     ScalarStream,
     corpus_user,
     make_corpus,
+    oracle_table,
+    reference_features,
     reference_sample_user,
+    reference_simulate_turn,
     reference_train_tabular_policy,
+    simulated_turn_context,
     stub_trust_model,
 )
 from trustsim import rl_env
@@ -84,6 +88,29 @@ class TestStateIndex:
     def test_state_validation(self, step, trait, trust):
         with pytest.raises(InvalidConfig):
             env_state(step, trait, trust)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, np.bool_(True), "3", None])
+    @pytest.mark.parametrize("field", ["step", "trait", "trust"])
+    def test_a_field_that_is_no_integer_is_rejected(self, field, value):
+        with pytest.raises(InvalidConfig, match="must be an integer"):
+            env_state(**{field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        state = env_state(np.int64(2), np.uint8(5), np.int32(4))
+        assert state_index(state) == state_index(env_state(2, 5, 4))
+
+    @pytest.mark.parametrize("field,value", [("step", 1.5), ("trait", True),
+                                             ("trust", 2.5)])
+    def test_a_rigged_env_with_a_non_integer_state_is_rejected(self, field, value):
+        class RiggedEnv:
+            def reset(self, rng):
+                return env_state(**{field: value})
+
+            def step(self, action):
+                return env_state(), 0.0, True
+
+        with pytest.raises(InvalidConfig):
+            train_tabular_policy(RiggedEnv(), 1)
 
 
 class TestRewardConfig:
@@ -398,6 +425,27 @@ class TestEpisodeBlocks:
         assert plain[0].trait == trait_codes(
             reference_sample_user(traits, root.child(index, "user")))
 
+    def test_a_block_rewritten_in_place_draws_its_new_keys(self, default_corpus, fitted):
+        traits, model = fitted
+        env = TrustSimEnv(build_table(default_corpus, TableMode.TASK_STEP_BASED),
+                          traits, model)
+        root = RandomStream(9, "rewritten")
+        keys = child_keys(root.key, label_bits(range(3)))
+        acts = [ACT_ORDER[s % N_ACTIONS] for s in range(12)]
+
+        def episode(rng):
+            return [env.reset(rng)] + [env.step(act) for act in acts]
+
+        train_tabular_policy(PassThroughProbe(env), 2, Hyperparams(seed=1))
+        old = episode(rl_env._BlockStream(keys, 0))
+        made_before = rl_env._BlockStream(keys, 1)
+        keys[:] = child_keys(root.key, label_bits(range(3, 6)))
+        rewritten = episode(rl_env._BlockStream(keys, 0))
+        assert rewritten == episode(root.child(3)) != old
+        # a stream made before the rewrite still draws the episode of its key
+        assert episode(made_before) == episode(root.child(1))
+        assert episode(rl_env._BlockStream(keys, 1)) == episode(root.child(4))
+
     @pytest.mark.parametrize("wrap", [lambda env: env, PassThroughProbe],
                              ids=["bare", "probe"])
     def test_a_block_is_drawn_once(self, monkeypatch, wrap):
@@ -407,6 +455,48 @@ class TestEpisodeBlocks:
                             lambda records, u: drawn.append(len(u)) or real(records, u))
         train_tabular_policy(wrap(deterministic_env()), self.EPISODES, Hyperparams(seed=2))
         assert drawn == [256, self.EPISODES - 256]
+
+
+class TestCandidateTurns:
+    """A drawn block holds the turn of every (step, act) of its episodes,
+    the acts the learner never takes included: each equals the oracle's
+    turn on rng.child("step", s), with its field types, and its feature row
+    equals reference_features over the episode's earlier turns."""
+
+    @pytest.mark.parametrize("mode", list(TableMode))
+    @pytest.mark.parametrize("index", [0, 255, None], ids=["first", "last", "plain"])
+    def test_every_candidate_equals_the_oracle(self, monkeypatch, default_corpus, fitted,
+                                               mode, index):
+        traits, model = fitted
+        table = build_table(default_corpus, mode)
+        oracle = oracle_table(table)
+        env = TrustSimEnv(table, traits, model)
+        root = RandomStream(11, "candidates")
+        if index is None:  # a plain stream, a block of one
+            index, rng = 7, root.child(7)
+        else:  # a block as large as the learner's
+            rng = rl_env._BlockStream(child_keys(root.key, label_bits(range(256))), index)
+        rows = []
+        real = rl_env.predict_trust
+        monkeypatch.setattr(rl_env, "predict_trust",
+                            lambda model, features: rows.append(features.copy())
+                            or real(model, features))
+        profile = reference_sample_user(traits, root.child(index, "user"))
+        for act in ACT_ORDER:
+            assert env.reset(rng).trait == trait_codes(profile)
+            history = []
+            for s in range(1, 13):
+                state = env.step(act)[0]
+                turn = state.last_turn
+                assert turn == reference_simulate_turn(oracle, profile, s, act,
+                                                       root.child(index, "step", s))
+                assert [type(getattr(turn, name)) for name in (
+                    "help_request", "suggestion_request", "duration", "difficulty",
+                    "game_score", "used_fallback")] == [bool, bool, float, int, float, bool]
+                current = simulated_turn_context(s, act, turn)
+                assert rows[-1].tobytes() == reference_features(profile, history,
+                                                                current).tobytes()
+                history.append(replace(current, trust_label=state.estimated_trust))
 
 
 class TestScoringCalls:

@@ -27,7 +27,6 @@ from conftest import (
     reference_log,
     reference_log_bytes,
     reference_replay,
-    stub_trust_model,
     users_of,
 )
 from trustsim.behavior_tables import (
@@ -47,8 +46,7 @@ from trustsim.simulator import (
     save_simulated_log,
     simulate_turn,
 )
-from trustsim.rl_env import TrustSimEnv
-from trustsim.user_model import fit_trait_distributions, trait_codes
+from trustsim.user_model import trait_codes
 
 
 def soundness_corpus() -> Corpus:
@@ -221,19 +219,6 @@ class TestTableRows:
                 assert rows[combo] == tuple(table.rows[table.row_index[k, combo]].tolist())
                 assert rows[combo] == draw_parameters(
                     reference_combo_stats(oracle, key, combo), complexity)
-
-    def test_env_contexts_share_one_tuple_per_row(self, default_corpus):
-        """The env makes each row of the table a tuple once, and the keys
-        one rung statistic serves share it."""
-        table = build_table(default_corpus, TableMode.TASK_STEP_BASED)
-        env = TrustSimEnv(table, fit_trait_distributions(default_corpus),
-                          stub_trust_model([0.0] * 5))
-        rows = [row for by_act in env._contexts for by_step in by_act
-                for context in by_step for row in context[2]]
-        assert len({id(row) for row in rows}) == len(table.rows) < len(rows)
-        assert [lookup(table, *key)[2] for key in mode_keys(table.mode)] == [
-            context[2] for by_act in env._contexts for by_step in by_act
-            for context in by_step]
 
 
 class TestFallbackFlag:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +43,6 @@ from trustsim.errors import (
 from trustsim.trust_model import (
     FEATURE_NAMES,
     N_FEATURES,
-    TURN_HEADS,
     DialogFeatures,
     TrainConfig,
     classification_metrics,
@@ -55,6 +55,7 @@ from trustsim.trust_model import (
     save_classifier,
     start_rows,
     train_classifier,
+    turn_blocks,
 )
 
 
@@ -88,11 +89,18 @@ def context(step=1, act=ProactiveAct.NONE, difficulty=3, duration=42.0,
     )
 
 
+# the fields of a turn that its current-turn block holds, after its act
+_BLOCK_FIELDS = ("complexity", "step", "difficulty", "duration", "game_score",
+                 "help_request", "suggestion_request")
+
+
 def written_row(features, turn) -> np.ndarray:
     """A copy of the row DialogFeatures writes for a turn (anything with
-    the observed fields and its act and step)."""
-    return features.write(TURN_HEADS[ACT_INDEX[turn.proactive_act]][turn.step - 1],
-                          turn).copy()
+    its act, complexity, step and observed fields), its block the
+    `turn_blocks` row of the turn."""
+    columns = SimpleNamespace(proactive_act=[ACT_INDEX[turn.proactive_act]],
+                              **{name: [getattr(turn, name)] for name in _BLOCK_FIELDS})
+    return features.write(turn_blocks(columns)[0]).copy()
 
 
 def dialog_row(user, history, current) -> np.ndarray:

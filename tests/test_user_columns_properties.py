@@ -31,8 +31,8 @@ from trustsim.corpus import (AGE_MAX, AGE_MIN, GENDER_ORDER, LIKERT_MAX, LIKERT_
                              save_corpus, split_corpus)
 from trustsim.errors import TrustSimError
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
-from trustsim.trust_model import (FEATURE_NAMES, TURN_HEADS, DialogFeatures,
-                                  corpus_to_dataset, start_rows)
+from trustsim.trust_model import (FEATURE_NAMES, DialogFeatures, corpus_to_dataset,
+                                  start_rows, turn_blocks)
 from trustsim.user_model import (default_trait_distributions, fit_trait_distributions,
                                  trait_codes, trait_flags)
 
@@ -134,12 +134,14 @@ def test_dialog_features_profile_equals_the_dataset_rows(n, seed, gender_probs):
     X, _, _ = corpus_to_dataset(corpus)
     profile = X[:, :PROFILE_END].reshape(n, STEPS_PER_DIALOG, PROFILE_END)
     columns = {name: getattr(corpus, name).tolist() for name in USER_COLUMNS[1:]}
-    turn = SimpleNamespace(difficulty=3, duration=42.0, game_score=30.0,
-                           help_request=False, suggestion_request=False)
+    # act NONE at step 1
+    turn = SimpleNamespace(proactive_act=[0], complexity=[3], step=[1], difficulty=[3],
+                           duration=[42.0], game_score=[30.0], help_request=[False],
+                           suggestion_request=[False])
     for u in range(n):
         user = SimpleNamespace(**{name: values[u] for name, values in columns.items()})
         features = DialogFeatures(start_rows(user)[0])
-        row = features.write(TURN_HEADS[0][0], turn).copy()  # act NONE at step 1
+        row = features.write(turn_blocks(turn)[0]).copy()
         for dataset_row in profile[u]:
             assert row[:PROFILE_END].tobytes() == dataset_row.tobytes()
     unused = FEATURE_NAMES.index(f"gender={GENDER_ORDER[gender_probs.index(0.0)].value}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -119,11 +119,12 @@ _LEVEL1_BITS = np.repeat(label_bits(["user", "step"]),
 _LEVEL2_BITS = np.concatenate([label_bits(USER_FIELDS),
                                np.repeat(label_bits(_STEPS), len(TURN_FIELDS))])
 _LEVEL3_BITS = np.tile(label_bits(TURN_FIELDS), STEPS_PER_DIALOG)
-# An episode's candidate turns, one per (step, act), act fastest: the step,
-# its complexity and the act index of each.
-_CANDIDATE_STEP = np.repeat(_STEPS, N_ACTIONS)
-_CANDIDATE_COMPLEXITY = np.repeat(_COMPLEXITY, N_ACTIONS)
-_CANDIDATE_ACT = np.tile(np.arange(N_ACTIONS), STEPS_PER_DIALOG)
+# The current-turn blocks (`turn_blocks`) of an episode's candidate turns,
+# one per (step, act), act fastest, with the act, complexity and step
+# columns, the same in every episode, written and the drawn ones zero.
+_CANDIDATE_BLOCKS = turn_blocks(SimpleNamespace(
+    proactive_act=np.tile(np.arange(N_ACTIONS), STEPS_PER_DIALOG),
+    step=np.repeat(_STEPS, N_ACTIONS), complexity=np.repeat(_COMPLEXITY, N_ACTIONS)))
 # The drawn fields of a candidate's SimulatedTurn but used_fallback, read
 # from its current-turn block (`turn_blocks`) by feature name.
 _BLOCK_START = FEATURE_NAMES.index(f"act={ACT_ORDER[0].value}")
@@ -208,11 +209,11 @@ class TrustSimEnv:
         codes = trait_codes(users)
         n = len(keys)
         # each step's uniforms, once per act
-        turn_u = np.repeat(u[:, _N_USER:].reshape(-1, len(TURN_FIELDS)), N_ACTIONS, axis=0)
-        drawn = draw_turns(self.table, self._codes[codes].ravel(), turn_u)
-        blocks = turn_blocks(SimpleNamespace(
-            proactive_act=np.tile(_CANDIDATE_ACT, n), step=np.tile(_CANDIDATE_STEP, n),
-            complexity=np.tile(_CANDIDATE_COMPLEXITY, n), **drawn))
+        drawn = draw_turns(self.table, self._codes[codes].ravel(), np.repeat(
+            u[:, _N_USER:].reshape(-1, len(TURN_FIELDS)), N_ACTIONS, axis=0))
+        blocks = np.empty((n, *_CANDIDATE_BLOCKS.shape))
+        blocks[:] = _CANDIDATE_BLOCKS
+        turn_blocks(SimpleNamespace(**drawn), blocks.reshape(-1, blocks.shape[-1]))
         shape = (n, STEPS_PER_DIALOG, N_ACTIONS)
         return (codes.tolist(), start_rows(users), blocks.reshape(*shape, -1),
                 drawn["used_fallback"].reshape(shape))
@@ -274,6 +275,10 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("alpha", "gamma", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):  # True would run as 1.0
+                raise InvalidHyperparams(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidHyperparams(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -319,10 +324,19 @@ def train_tabular_policy(env, episodes: int,
     index in them, so `TrustSimEnv` draws the block's episodes at once;
     it is a `RandomStream` with the episode's key all the same, which any
     other env (or a wrapper that passes it on) reads as usual."""
-    if isinstance(episodes, bool) or not isinstance(episodes, int) or episodes < 1:
-        raise InvalidHyperparams(f"episodes must be an int >= 1, got {episodes!r}")
+    try:
+        count = index(episodes)
+    except TypeError:
+        count = None
+    # a bool is an int, and True would run one episode
+    if count is None or isinstance(episodes, bool) or count < 1:
+        raise InvalidHyperparams(f"episodes must be an integer >= 1, got {episodes!r}")
+    episodes = count
     hp = hyperparams
-    q = np.zeros((N_STATES, N_ACTIONS))
+    # Python float rows: a numpy scalar per read and update costs more than
+    # the arithmetic. On a row without NaN, row.index(max(row)) is
+    # np.argmax's first maximum.
+    q = [[0.0] * N_ACTIONS for _ in range(N_STATES)]
     root = RandomStream(hp.seed, "qlearn")
     returns = []
     for ep in range(episodes):
@@ -345,13 +359,13 @@ def train_tabular_policy(env, episodes: int,
                 ai = _explore_actions(root, (ep,), (t,), hp.epsilon)[0][0]
             row = q[si]
             if ai < 0:
-                ai = int(row.argmax())
+                ai = row.index(max(row))
             state, reward, done = env.step(ACT_ORDER[ai])
             ni = state_index(state)
-            target = reward if done else reward + hp.gamma * float(q[ni].max())
+            target = reward if done else reward + hp.gamma * max(q[ni])
             row[ai] += hp.alpha * (target - row[ai])
             si = ni
             total += reward
         returns.append(total)
-    policy = np.argmax(q, axis=1)
-    return TabularPolicyResult(q=q, policy=policy, returns=tuple(returns))
+    q = np.array(q)
+    return TabularPolicyResult(q=q, policy=np.argmax(q, axis=1), returns=tuple(returns))

@@ -13,10 +13,12 @@ TURN_FIELDS children. `simulate_turn` draws one turn through the scalar
 `draw_turn` from the `lookup` context of its key, the rows as Python
 tuples. `draw_turns` draws many turns at once from their key codes and
 uniforms: the rows as gathers from the table's rows through its row index
-by key code and combination, the categoricals as counts, and only
-`inv_cdf` per element. `replay_conditions` calls it for every corpus
-exchange, with the stream keys and uniforms as uint64 arrays, and the RL
-environment for every (step, act) of a block of episodes. A replay's
+by key code and combination, the categoricals as counts, and the normal
+quantiles from `standard_normals`: `inv_cdf` bit for bit, per element
+below `_VECTOR_MIN` draws and in numpy from there on. `replay_conditions`
+calls it for every corpus exchange, with the stream keys and uniforms as
+uint64 arrays, and the RL environment for every (step, act) of a block of
+episodes. A replay's
 `SimulatedLog`, the corpus and the drawn columns, equals, bit for bit,
 what `simulate_turn` gives."""
 
@@ -174,9 +176,9 @@ def draw_turns(table: BehaviorTable, code: np.ndarray, u: np.ndarray) -> dict:
 
     The request cumulatives, fallback flags and row indices are gathered on
     the key codes and combinations, then the rows on those indices, so the
-    categoricals are counts and only `inv_cdf` runs per element. The
-    table's values were checked when it was built or loaded, so no draw can
-    fail."""
+    categoricals are counts, and the normal quantiles are `standard_normals`,
+    in numpy from `_VECTOR_MIN` turns on. The table's values were checked
+    when it was built or loaded, so no draw can fail."""
     combo = categoricals(table.request_cum[code], u[:, 0])
     row = table.row_index[code, combo]
     flags = _COMBO_FLAGS[combo]

@@ -343,7 +343,8 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     streams are counter-based, so the twelve steps are drawn in turn, each
     for every user at once: the stream keys and draws as uint64 arrays, the
     process's per-step parameters as tables gathered by trait code, and
-    only `inv_cdf` per element. The per-step arrays become the corpus's
+    the normal quantiles from `standard_normals`, per element below its
+    cut of `_VECTOR_MIN` dialogs. The per-step arrays become the corpus's
     columns. A config that some trait profile cannot be drawn from raises
     before any draw, at every seed (see `_step_tables`).
     """

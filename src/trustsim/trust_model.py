@@ -129,16 +129,25 @@ def start_rows(users) -> np.ndarray:
     return rows
 
 
-def turn_blocks(turns) -> np.ndarray:
+def turn_blocks(turns, blocks: np.ndarray | None = None) -> np.ndarray:
     """The current-turn block of each turn of Corpus-shaped exchange columns
     (the act index `proactive_act`, then complexity, step and the turn's
     five observed fields), the one place that block is written: the act
-    one-hot, then those columns in FEATURE_NAMES order."""
-    n = len(turns.proactive_act)
-    blocks = np.zeros((n, _TURN_END - _PROFILE_END))
-    blocks[np.arange(n), turns.proactive_act] = 1.0
+    one-hot, then those columns in FEATURE_NAMES order.
+
+    Given `blocks`, an (n, 11) array of blocks, it writes into them the
+    columns that `turns` has and leaves the others, so that columns shared
+    by many blocks are written once; without, a column `turns` lacks is
+    zero."""
+    if blocks is None:
+        blocks = np.zeros((len(turns.proactive_act), _TURN_END - _PROFILE_END))
+    acts = getattr(turns, "proactive_act", None)
+    if acts is not None:
+        blocks[np.arange(len(blocks)), acts] = 1.0
     for j, name in enumerate(_TURN_FIELDS, start=len(ACT_ORDER)):
-        blocks[:, j] = getattr(turns, name)
+        column = getattr(turns, name, None)
+        if column is not None:
+            blocks[:, j] = column
     return blocks
 
 

@@ -278,8 +278,23 @@ class TestHyperparams:
         with pytest.raises(InvalidHyperparams):
             train_tabular_policy(deterministic_env(), 2.5)
         # a bool is an int, and True would run one episode
+        for flag in (True, np.True_):
+            with pytest.raises(InvalidHyperparams):
+                train_tabular_policy(deterministic_env(), flag)
+
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "epsilon"])
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_rates_reject_bools(self, name, flag):
+        # True would run as the rate 1.0
         with pytest.raises(InvalidHyperparams):
-            train_tabular_policy(deterministic_env(), True)
+            Hyperparams(**{name: flag})
+
+    def test_numpy_integer_episode_count_runs(self):
+        hp = Hyperparams(seed=1)
+        result = train_tabular_policy(deterministic_env(), np.int64(3), hp)
+        expected = train_tabular_policy(deterministic_env(), 3, hp)
+        assert result.q.tobytes() == expected.q.tobytes()
+        assert result.returns == expected.returns
 
 
 class OneStepEnv:
@@ -322,6 +337,7 @@ class TestQLearningUpdateMath:
         si = state_index(OneStepEnv.START)
         assert result.policy[si] == 0
         assert result.q.shape == (N_STATES, N_ACTIONS)
+        assert result.q.dtype == np.float64
 
 
 class TestRiggedDominance:

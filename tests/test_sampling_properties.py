@@ -7,16 +7,22 @@ still run where hypothesis is not installed.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist, StatisticsError
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (ScalarStream, duration_record, gaussian_truncation, scalar_chain,
                       scalar_mix64, truncated_gaussian)
 from trustsim.corpus import DURATION_FLOOR_S, MIN_DURATION_S, duration_truncation
 from trustsim.sampling import (
+    _P_MAX,
+    _P_MIN,
+    _VECTOR_MIN,
     RandomStream,
     _mix64_array,
+    _normal_quantiles,
     categoricals,
     child_keys,
     cumulative_weights,
@@ -26,6 +32,7 @@ from trustsim.sampling import (
     label_bits,
     nth_draws,
     permutation,
+    standard_normals,
     truncated_gaussian_from,
     truncated_gaussians,
 )
@@ -179,3 +186,75 @@ class TestProperties:
         keys, bounds = zip(*pairs)
         got = integers(nth_draws(np.array(keys, dtype=np.uint64), 1), np.array(bounds))
         assert got.tolist() == [ScalarStream._from_key(k).integers(n) for k, n in pairs]
+
+
+_INV_CDF = NormalDist().inv_cdf
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _around(x: float, k: int = 100) -> list:
+    """x and its k nearest floats on either side."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+# the branch points of AS241 in uniforms: |p - 0.5| = 0.425, where the
+# central branch ends, and sqrt(-log(r)) = 5 for r = min(p, 1 - p), where
+# the far tail begins
+_CENTRAL_ENDS = _around(0.075) + _around(0.925)
+_FAR_ENDS = _around(math.exp(-25.0)) + _around(1.0 - math.exp(-25.0))
+# lower-tail uniforms where numpy's log and math.log differ in the last bit
+# (numpy 2.x on x86-64), and with it the quantile
+_LOG_SPLITS = [0.04653227485322813, 0.049263865988488593, 0.008998490959060227]
+
+
+class TestNormalQuantiles:
+    """`_normal_quantiles`, the numpy kernel of `standard_normals`, against
+    its oracle `NormalDist.inv_cdf`, bit for bit."""
+
+    @property_test
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=64))
+    def test_kernel_equals_inv_cdf(self, p):
+        assert _bits(_normal_quantiles(np.array(p))) == _bits([_INV_CDF(v) for v in p])
+
+    @pytest.mark.parametrize("name,points", [
+        ("ends", [_P_MIN, _P_MAX, 0.5]), ("central ends", _CENTRAL_ENDS),
+        ("far ends", _FAR_ENDS), ("log splits", _LOG_SPLITS)])
+    def test_kernel_equals_inv_cdf_at(self, name, points):
+        assert _bits(_normal_quantiles(np.array(points))) == _bits([_INV_CDF(p) for p in points])
+
+    def test_branch_points_straddle_their_branches(self):
+        # the neighbourhoods take both sides of each branch point
+        q = np.abs(np.array(_CENTRAL_ENDS) - 0.5)
+        assert (q == 0.425).any() and (q < 0.425).any() and (q > 0.425).any()
+        r = np.sqrt(-np.log(np.minimum(_FAR_ENDS, 1.0 - np.array(_FAR_ENDS))))
+        assert (r <= 5.0).any() and (r > 5.0).any()
+
+    @pytest.mark.parametrize("p", [0.0, -0.0, 1.0, -0.5, 1.5, -math.inf, math.inf])
+    def test_kernel_rejects_what_inv_cdf_rejects(self, p):
+        with pytest.raises(StatisticsError):
+            _INV_CDF(p)
+        with pytest.raises(StatisticsError):
+            _normal_quantiles(np.array([0.3, p]))
+        with pytest.raises(StatisticsError):
+            standard_normals(np.full(_VECTOR_MIN, p))
+
+    def test_nan_gives_nan(self):
+        assert math.isnan(_INV_CDF(math.nan))
+        assert np.isnan(_normal_quantiles(np.array([0.3, math.nan, 0.01]))).tolist() == [
+            False, True, False]
+
+    @pytest.mark.parametrize("size", [_VECTOR_MIN - 1, _VECTOR_MIN])
+    def test_standard_normals_equal_inv_cdf_at_the_cut(self, size):
+        u = first_uniforms(child_keys(RandomStream(size, "cut").key, label_bits(range(size))))
+        u[::3] = np.exp(-700.0 * u[::3])  # lower tail, far tail included
+        u[1::3] = 1.0 - 1e-12 * u[1::3]  # upper tail
+        u[:len(_LOG_SPLITS)] = _LOG_SPLITS
+        assert _bits(standard_normals(u)) == _bits([_INV_CDF(p) for p in u.tolist()])

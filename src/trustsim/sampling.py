@@ -267,7 +267,7 @@ def _normal_quantiles(p) -> np.ndarray:
         rb = r[branch] - shift
         r[branch] = _horner(top, rb) / _horner(bottom, rb)
     x[tail] = np.where(qt < 0.0, -r, r)
-    # inv_cdf returns mu + x * sigma: 0.0 + x * 1.0, which turns -0.0 to 0.0
+    # inv_cdf returns mu + x * sigma, here 0.0 + x * 1.0
     x *= 1.0
     x += 0.0
     return x

@@ -17,8 +17,9 @@ read made, once, so every draw from it succeeds. The merged slices are not
 kept: the rungs and rows are made from them, and `table_summary` sums a
 slice's count from its trait cells. The rows are one float64
 array with a row per distinct rung statistic, made in one array pass;
-`lookup` hands out a key's rows as Python tuples. `table.json` is written
-with one line per top-level key.
+draws read a key's request cumulatives, flag and rows by its key code,
+which `lookup` checks one key for. `table.json` is written with one line
+per top-level key.
 """
 
 from __future__ import annotations
@@ -367,10 +368,9 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def lookup(table: BehaviorTable, trait, act: ProactiveAct, condition) -> tuple:
-    """The draw context of the key (trait code, act, condition): its request
-    cumulatives, its used_fallback flag and its row of the table's rows per
-    request combination, as Python tuples, bools and floats."""
+def lookup(table: BehaviorTable, trait, act: ProactiveAct, condition) -> int:
+    """The key code of the key (trait code, act, condition), as a Python
+    int, once each part is checked to name one of the table's keys."""
     if not _is_int(condition) or condition not in table.mode.conditions():
         raise InvalidConfig(f"condition {condition} does not belong to mode "
                             f"{table.mode.value}")
@@ -379,9 +379,8 @@ def lookup(table: BehaviorTable, trait, act: ProactiveAct, condition) -> tuple:
                             f"got {trait!r}")
     if not isinstance(act, ProactiveAct):
         raise InvalidConfig(f"act must be a ProactiveAct, got {act!r}")
-    code = key_code(table.mode, trait, ACT_INDEX[act], condition)
-    return (tuple(table.request_cum[code].tolist()), bool(table.used_fallback[code]),
-            tuple(map(tuple, table.rows[table.row_index[code]].tolist())))
+    # Python ints, so a small numpy int type cannot wrap in the arithmetic
+    return key_code(table.mode, int(trait), ACT_INDEX[act], int(condition))
 
 
 def table_summary(table: BehaviorTable) -> dict:

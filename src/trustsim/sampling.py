@@ -14,7 +14,9 @@ bits. Both are pure functions, so they run over numpy uint64 arrays of keys
 and draw numbers, many streams at once: `child_keys` for the chain,
 `nth_draws`, `first_uniforms`, `integers` and `permutation` for the draws.
 A truncated-Gaussian draw reads one `gaussian_truncations` record and nothing
-else: `truncated_gaussian_from` for one draw, `truncated_gaussians` for many.
+else, and a categorical draw one `cumulative_weights` vector: the draws are
+`truncated_gaussians` and `categoricals`, over arrays of records and
+uniforms, a draw of one being an array of one.
 Every normal quantile is `NormalDist.inv_cdf`'s, bit for bit:
 `standard_normals` takes it per element on arrays shorter than `_VECTOR_MIN`
 and from the numpy port of the same algorithm, `_normal_quantiles`, on
@@ -23,7 +25,6 @@ longer ones.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import math
@@ -312,30 +313,19 @@ def gaussian_truncations(mean, sd, lo, hi) -> np.ndarray:
                             np.where(flat, 0.0, np.where(mirrored, -sd, sd)), lo, hi])
 
 
-def truncated_gaussian_from(truncation, u: float) -> float:
-    """One draw on a uniform u from a truncated Gaussian, given its
-    `gaussian_truncations` record.
-
-    A single inverse-CDF step on one uniform, so every draw costs the same
-    however far into a tail [lo, hi] lies. sd == 0 degenerates to
-    clamp(mean, lo, hi).
-    """
-    mean, c_lo, span, scale, lo, hi = truncation
-    if scale == 0:
-        return float(min(max(mean, lo), hi))
-    p = min(max(c_lo + u * span, _P_MIN), _P_MAX)
-    return float(min(max(mean + scale * _STD.inv_cdf(p), lo), hi))
-
-
 def truncated_gaussians(truncations, u) -> np.ndarray:
-    """`truncated_gaussian_from` over arrays: element i draws on uniform u[i]
-    from record i of `truncations`, `gaussian_truncations` records (n x 6),
-    or from one record for every element.
+    """Draws from truncated Gaussians: element i draws on uniform u[i] from
+    record i of `truncations`, `gaussian_truncations` records (n x 6), or
+    from one record for every element. The draw is
+    clamp(mean + scale * inv_cdf(p), lo, hi) with p = c_lo + u * span
+    clamped into (0, 1), a single inverse-CDF step on one uniform, so every
+    draw costs the same however far into a tail [lo, hi] lies; scale 0 (sd
+    0) degenerates to clamp(mean, lo, hi).
 
     The quantiles are `standard_normals`, `inv_cdf` bit for bit, and the
-    arithmetic is elementwise, so the values equal the scalar draws bit for
-    bit. Overflow to inf and inf - inf pass silently, as in Python float
-    arithmetic.
+    arithmetic is elementwise, so the values equal, bit for bit, the scalar
+    draw kept as the oracle in `tests/conftest.py`. Overflow to inf and
+    inf - inf pass silently, as in Python float arithmetic.
     """
     mean, c_lo, span, scale, lo, hi = np.asarray(
         truncations, dtype=np.float64).reshape(-1, 6).T
@@ -360,24 +350,15 @@ def cumulative_weights(probs) -> list:
     return cumulative
 
 
-def categorical_from(cumulative, u: float) -> int:
-    """Index sampled from a `cumulative_weights` vector on the uniform u.
-
-    The index is the first whose cumulative weight exceeds the target, so
-    it never has zero weight. The second bisection catches a target that
-    rounds up to the total, which only a sum near the subnormal range does.
-    """
-    total = cumulative[-1]
-    target = u * total
-    return min(bisect.bisect_right(cumulative, target),
-               bisect.bisect_left(cumulative, total))
-
-
 def categoricals(cumulatives, u) -> np.ndarray:
-    """`categorical_from` over rows: row i of the (n, k) array `cumulatives` is
-    a `cumulative_weights` vector and u[i] its uniform. Counting
-    `cum <= target` and `cum < total` over a non-decreasing row is
-    bisect_right and bisect_left."""
+    """The index each row draws: row i of the (n, k) array `cumulatives` is
+    a `cumulative_weights` vector and u[i] its uniform. The index is the
+    first whose cumulative weight exceeds the target u[i] * total, so it
+    never has zero weight; a target that rounds up to the total, which only
+    a sum near the subnormal range gives, takes the first index that
+    reaches the total. Counting `cum <= target` and `cum < total` over a
+    non-decreasing row is bisect_right and bisect_left, as the scalar oracle
+    in `tests/conftest.py` computes them."""
     total = cumulatives[:, -1:]
     target = u[:, None] * total
     return np.minimum((cumulatives <= target).sum(axis=1),

@@ -1,26 +1,25 @@
 """Turn-level user simulation driven by conditional behavior tables.
 
-One turn: take the trait code of the profile, any Corpus-shaped user, look
-up the context key's draw context (the fallback rung the table chose), sample
-the request combination, then sample difficulty, duration, and game score
-conditional on that combination, the last two from the truncated-Gaussian
-records of its row, which hold their bounds, so no drawn turn is checked
-again. Each field reads a named substream.
+One turn: take the trait code of the profile, any Corpus-shaped user, find
+the key code of its context key, sample the request combination from the
+key's request cumulatives (the fallback rung the table chose), then sample
+difficulty, duration, and game score conditional on that combination, the
+last two from the truncated-Gaussian records of its row, which hold their
+bounds, so no drawn turn is checked again. Each field reads a named
+substream.
 
-Every path draws a turn from the table's rows (one float64 array, a row
-per distinct rung statistic), on the first uniforms of the turn stream's
-TURN_FIELDS children. `simulate_turn` draws one turn through the scalar
-`draw_turn` from the `lookup` context of its key, the rows as Python
-tuples. `draw_turns` draws many turns at once from their key codes and
-uniforms: the rows as gathers from the table's rows through its row index
-by key code and combination, the categoricals as counts, and the normal
-quantiles from `standard_normals`: `inv_cdf` bit for bit, per element
-below `_VECTOR_MIN` draws and in numpy from there on. `replay_conditions`
-calls it for every corpus exchange, with the stream keys and uniforms as
-uint64 arrays, and the RL environment for every (step, act) of a block of
-episodes. A replay's
-`SimulatedLog`, the corpus and the drawn columns, equals, bit for bit,
-what `simulate_turn` gives."""
+`draw_turns` is the one turn draw. It draws many turns at once from their
+key codes and the first uniforms of their turn streams' TURN_FIELDS
+children: the rows as gathers from the table's rows (one float64 array, a
+row per distinct rung statistic) through its row index by key code and
+combination, the categoricals as counts, and the normal quantiles from
+`standard_normals`: `inv_cdf` bit for bit, per element below `_VECTOR_MIN`
+draws and in numpy from there on. `replay_conditions` calls it for every
+corpus exchange, with the stream keys and uniforms as uint64 arrays, the
+RL environment for every (step, act) of a block of episodes, and
+`simulate_turn` for one turn, a row of one. A replay's `SimulatedLog`, the
+corpus and the drawn columns, equals, bit for bit, what `simulate_turn`
+gives."""
 
 from __future__ import annotations
 
@@ -56,12 +55,10 @@ from .corpus import (
 from .errors import LengthMismatch
 from .sampling import (
     RandomStream,
-    categorical_from,
     categoricals,
     child_keys,
     first_uniforms,
     label_bits,
-    truncated_gaussian_from,
     truncated_gaussians,
 )
 from .user_model import trait_codes
@@ -81,33 +78,9 @@ class SimulatedTurn:
     used_fallback: bool
 
 
-# The substream each of a turn's uniforms comes from, in `draw_turn` order.
+# The substream each of a turn's uniforms comes from, in column order of
+# the uniforms `draw_turns` reads.
 TURN_FIELDS = ("requests", "difficulty", "duration", "score")
-
-
-def simulate_turn(table: BehaviorTable, profile, step: int,
-                  act: ProactiveAct, rng: RandomStream) -> SimulatedTurn:
-    condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity_of_step(step)
-    return draw_turn(*lookup(table, trait_codes(profile), act, condition),
-                     first_uniforms(child_keys(rng.key, label_bits(TURN_FIELDS))).tolist())
-
-
-def draw_turn(request_cum, used_fallback: bool, rows, u) -> SimulatedTurn:
-    """The turn a context key draws on the uniforms u of its TURN_FIELDS,
-    given the key's `lookup` context: its request cumulatives, its
-    used_fallback flag and its row of the table's rows per request
-    combination, as tuples."""
-    combo = categorical_from(request_cum, u[0])
-    row = rows[combo]
-    help_request, suggestion_request = REQUEST_COMBOS[combo]
-    return SimulatedTurn(
-        help_request=help_request,
-        suggestion_request=suggestion_request,
-        duration=truncated_gaussian_from(row[ROW_DURATION], u[2]),
-        difficulty=LIKERT_MIN + categorical_from(row[ROW_DIFFICULTY], u[1]),
-        game_score=truncated_gaussian_from(row[ROW_SCORE], u[3]),
-        used_fallback=used_fallback,
-    )
 
 
 # The drawn columns of a replay log, with the numpy dtype each is held in.
@@ -171,8 +144,8 @@ _COMBO_FLAGS = np.array(REQUEST_COMBOS, dtype=bool)
 
 def draw_turns(table: BehaviorTable, code: np.ndarray, u: np.ndarray) -> dict:
     """The turns that the context keys with these key codes draw, turn i on
-    the uniforms u[i] of its TURN_FIELDS (an (n, 4) array), as `draw_turn`
-    draws them: the six drawn columns of a `SimulatedLog` by name.
+    the uniforms u[i] of its TURN_FIELDS (an (n, 4) array): the six drawn
+    columns of a `SimulatedLog` by name.
 
     The request cumulatives, fallback flags and row indices are gathered on
     the key codes and combinations, then the rows on those indices, so the
@@ -190,6 +163,20 @@ def draw_turns(table: BehaviorTable, code: np.ndarray, u: np.ndarray) -> dict:
         difficulty=LIKERT_MIN + categoricals(table.rows[row, ROW_DIFFICULTY], u[:, 1]),
         used_fallback=table.used_fallback[code],
     )
+
+
+def simulate_turn(table: BehaviorTable, profile, step: int,
+                  act: ProactiveAct, rng: RandomStream) -> SimulatedTurn:
+    """The turn of a user (any Corpus-shaped one) at this step and act, on
+    the stream rng: row 0 of `draw_turns` on the checked key code from
+    `lookup` and the first uniforms of rng's TURN_FIELDS children, its
+    values as Python scalars. The step is checked first, in either mode."""
+    complexity = complexity_of_step(step)
+    condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
+    code = lookup(table, trait_codes(profile), act, condition)
+    turn = draw_turns(table, np.array([code]),
+                      first_uniforms(child_keys(rng.key, _FIELD_BITS))[None])
+    return SimulatedTurn(**{name: column.item() for name, column in turn.items()})
 
 
 def replay_conditions(corpus: Corpus, table: BehaviorTable,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
@@ -76,18 +77,19 @@ from trustsim.rl_env import (
 )
 from trustsim.sampling import (
     _MASK,
+    _P_MAX,
+    _P_MIN,
     _PHI,
     _ROOT_KEY,
     RandomStream,
     _label_bits,
-    categorical_from,
     child_keys,
     cumulative_weights,
     first_uniforms,
     label_bits,
-    truncated_gaussian_from,
 )
-from trustsim.simulator import SimulatedLog, SimulatedTurn, simulate_turn
+from trustsim.simulator import (TURN_FIELDS, SimulatedLog, SimulatedTurn, draw_turns,
+                                simulate_turn)
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import (
     L2,
@@ -353,6 +355,36 @@ def duration_record(mean, sd, hi) -> tuple:
     return (*gaussian_truncation(mean, sd, MIN_DURATION_S, hi)[:4], DURATION_FLOOR_S, hi)
 
 
+def truncated_gaussian_from(truncation, u: float) -> float:
+    """One draw on a uniform u from a truncated Gaussian, given its
+    `gaussian_truncations` record: the scalar sampler `truncated_gaussians`
+    replaced, kept as its oracle.
+
+    A single inverse-CDF step on one uniform, so every draw costs the same
+    however far into a tail [lo, hi] lies. sd == 0 degenerates to
+    clamp(mean, lo, hi).
+    """
+    mean, c_lo, span, scale, lo, hi = truncation
+    if scale == 0:
+        return float(min(max(mean, lo), hi))
+    p = min(max(c_lo + u * span, _P_MIN), _P_MAX)
+    return float(min(max(mean + scale * _STD.inv_cdf(p), lo), hi))
+
+
+def categorical_from(cumulative, u: float) -> int:
+    """Index sampled from a `cumulative_weights` vector on the uniform u:
+    the scalar sampler `categoricals` replaced, kept as its oracle.
+
+    The index is the first whose cumulative weight exceeds the target, so
+    it never has zero weight. The second bisection catches a target that
+    rounds up to the total, which only a sum near the subnormal range does.
+    """
+    total = cumulative[-1]
+    target = u * total
+    return min(bisect.bisect_right(cumulative, target),
+               bisect.bisect_left(cumulative, total))
+
+
 def truncated_gaussian(mean, sd, lo, hi, rng) -> float:
     """One draw from a Gaussian truncated to [lo, hi] on the stream's next
     uniform: the scalar sampler `truncated_gaussians` replaced, kept as its
@@ -585,16 +617,15 @@ def assert_table_equals_oracle(table) -> None:
         cell, fell_back = reference_lookup(oracle, key)
         rung = (TRAIT_CELL if cell is oracle.cells.get(key) else ACT_SLICE
                 if cell is oracle.fallback_cells.get(key[1:]) else CONDITION_SLICE)
+        assert lookup(table, *key) == code
         assert (table.rung[code], table.used_fallback[code]) == (rung, fell_back)
-        request_cum, used_fallback, rows = lookup(table, *key)
-        assert request_cum == tuple(cumulative_weights(cell.request_probs))
-        assert used_fallback is fell_back
+        assert table.request_cum[code].tolist() == cumulative_weights(cell.request_probs)
         condition = key[2]
         complexity = (complexity_of_step(condition)
                       if mode is TableMode.TASK_STEP_BASED else condition)
         for i in range(len(REQUEST_COMBOS)):
-            assert rows[i] == draw_parameters(reference_combo_stats(oracle, key, i),
-                                              complexity)
+            assert served_row(table, code, i) == draw_parameters(
+                reference_combo_stats(oracle, key, i), complexity)
 
 
 def reference_build_table(corpus, mode) -> tuple:
@@ -847,6 +878,26 @@ def assert_every_turn_matches_oracle(table, seed) -> None:
             assert turn == reference_simulate_turn(oracle, profile, step, act, rng)
 
 
+_TURN_FIELDS = tuple(f.name for f in fields(SimulatedTurn))
+
+
+def simulated_turns(table, profile, step, act, parent, labels) -> list:
+    """simulate_turn on parent.child(label) for each label, drawn as one
+    `draw_turns` call on the context's key code and the first uniforms of
+    those streams' TURN_FIELDS children; the first 100 turns are checked
+    against simulate_turn, call by call."""
+    condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity_of_step(step)
+    code = lookup(table, trait_codes(profile), act, condition)
+    keys = child_keys(parent.key, label_bits(labels))
+    columns = draw_turns(table, np.full(len(keys), code),
+                         first_uniforms(child_keys(keys[:, None], label_bits(TURN_FIELDS))))
+    turns = [SimulatedTurn(*values)
+             for values in zip(*(columns[name].tolist() for name in _TURN_FIELDS))]
+    for turn, key in zip(turns[:100], keys.tolist()):
+        assert turn == simulate_turn(table, profile, step, act, RandomStream._from_key(key))
+    return turns
+
+
 def reference_replay(corpus, table, rng) -> list:
     """The per-turn loop replay_conditions replaced, kept as its oracle:
     one reference_simulate_turn per exchange on rng.child(user_id, step),
@@ -856,8 +907,6 @@ def reference_replay(corpus, table, rng) -> list:
                                                rng.child(user.user_id, ex.step)))
             for user, ex in exchanges_of(corpus)]
 
-
-_TURN_FIELDS = tuple(f.name for f in fields(SimulatedTurn))
 
 
 def summary_of(report) -> dict:

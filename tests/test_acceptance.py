@@ -15,13 +15,13 @@ import numpy as np
 
 from conftest import (
     RiggedSweepEnv,
-    child_streams,
     combo_index,
     corpus_from_rows,
     make_dialog,
     make_user,
     mode_keys,
     oracle_table,
+    simulated_turns,
     stub_trust_model,
     summary_of,
 )
@@ -46,7 +46,7 @@ from trustsim.errors import EpisodeFinished
 from trustsim.fidelity import Measure, compare_modes, evaluate_simulator, kl_divergence
 from trustsim.rl_env import Hyperparams, N_STATES, TrustSimEnv, train_tabular_policy
 from trustsim.sampling import RandomStream
-from trustsim.simulator import replay_conditions, simulate_turn
+from trustsim.simulator import replay_conditions
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import (
     classification_metrics,
@@ -161,7 +161,8 @@ def test_fallback_threshold_boundary():
     code = key_code(TableMode.COMPLEXITY_BASED, key[0], ACT_INDEX[key[1]], key[2])
     table9 = build_table(fallback_probe_corpus((1,)), TableMode.COMPLEXITY_BASED)
     table10 = build_table(fallback_probe_corpus((1, 4)), TableMode.COMPLEXITY_BASED)
-    fell_back9, fell_back10 = (lookup(table, *key)[1] for table in (table9, table10))
+    fell_back9, fell_back10 = (bool(table.used_fallback[lookup(table, *key)])
+                               for table in (table9, table10))
     ok = (table9.n[code].sum() == 9 and fell_back9 is True
           and fell_back10 is False and table10.rung[code] == TRAIT_CELL
           and table10.n[code].sum() == 10)
@@ -187,8 +188,8 @@ def test_simulated_draw_soundness(default_corpus):
     worst = 0.0
     for seed in (101, 202, 303):
         counts = [0, 0, 0, 0]
-        for rng in child_streams(RandomStream(seed, "draw"), range(10_000)):
-            turn = simulate_turn(table, profile, 1, act, rng)
+        for turn in simulated_turns(table, profile, 1, act, RandomStream(seed, "draw"),
+                                    range(10_000)):
             ok &= (not turn.used_fallback
                    and turn.duration > 20.0
                    and isinstance(turn.difficulty, int)

@@ -234,7 +234,7 @@ class TestBuildTableExactCells:
                             TableMode.COMPLEXITY_BASED, fallback_threshold=4)
         key = (T000, ProactiveAct.NONE, 3)
         assert table.n[code_of(table, key)].tolist() == [1, 1, 1, 1]
-        assert lookup(table, *key)[0] == (0.25, 0.5, 0.75, 1.0)
+        assert table.request_cum[lookup(table, *key)].tolist() == [0.25, 0.5, 0.75, 1.0]
 
     def test_rejects_bad_mode_and_threshold(self, small_corpus):
         with pytest.raises(InvalidConfig):
@@ -347,8 +347,7 @@ class TestFallbackThresholdBoundary:
         key = (T000, ProactiveAct.NONE, 3)
         k = code_of(table, key)
         assert table.n[k].sum() == 9
-        _, used_fallback, _ = lookup(table, *key)
-        assert used_fallback is True
+        assert lookup(table, *key) == k and table.used_fallback[k]
         assert table.rung[k] == ACT_SLICE
         # all NONE/cond-3 rows share the trait code here
         assert oracle_table(table).fallback_cells[key[1:]].n == 9
@@ -358,16 +357,14 @@ class TestFallbackThresholdBoundary:
         key = (T000, ProactiveAct.NONE, 3)
         k = code_of(table, key)
         assert table.n[k].sum() == 10
-        _, used_fallback, _ = lookup(table, *key)
-        assert used_fallback is False
+        assert lookup(table, *key) == k and not table.used_fallback[k]
         assert table.rung[k] == TRAIT_CELL
         assert served_row(table, k, 0) == draw_parameters(combo_at(table, (k, 0)), 3)
 
     def test_lower_threshold_admits_sparse_cell(self):
         table = build_table(nine_or_ten_corpus(1), TableMode.COMPLEXITY_BASED,
                             fallback_threshold=9)
-        _, used_fallback, _ = lookup(table, T000, ProactiveAct.NONE, 3)
-        assert used_fallback is False
+        assert not table.used_fallback[lookup(table, T000, ProactiveAct.NONE, 3)]
 
 
 def two_group_corpus() -> Corpus:
@@ -424,7 +421,7 @@ class TestFallbackLadder:
         table = build_table(alternating_act_corpus(), TableMode.COMPLEXITY_BASED)
         key = (T000, ProactiveAct.SUGGESTION, 3)
         k = code_of(table, key)
-        assert lookup(table, *key)[1] is True
+        assert lookup(table, *key) == k and table.used_fallback[k]
         assert table.rung[k] == CONDITION_SLICE
         condition_cell = oracle_table(table).condition_cells[3]
         assert condition_cell.n == 4
@@ -479,12 +476,15 @@ class TestFallbackLadder:
         assert lookup(table, np.int64(T111), ProactiveAct.NONE, np.int64(2)) == \
             lookup(table, T111, ProactiveAct.NONE, 2)
 
-    def test_context_is_python_values(self, small_corpus):
-        table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
-        request_cum, used_fallback, rows = lookup(table, T000, ProactiveAct.NONE, 1)
-        assert type(request_cum) is tuple and type(used_fallback) is bool
-        assert type(rows) is tuple and len(rows) == len(REQUEST_COMBOS)
-        assert {type(v) for v in (*request_cum, *itertools.chain(*rows))} == {float}
+    @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("as_int", [int, np.int64, np.uint8], ids=lambda t: t.__name__)
+    def test_returns_the_python_int_key_code(self, small_corpus, mode, as_int):
+        """Every key's code as a Python int, for numpy-int parts too."""
+        table = build_table(small_corpus, mode)
+        for trait, act, condition in mode_keys(mode):
+            code = lookup(table, as_int(trait), act, as_int(condition))
+            assert type(code) is int
+            assert code == key_code(mode, trait, ACT_INDEX[act], condition)
 
 
 class TestServedStats:
@@ -570,7 +570,7 @@ class TestResolvedLadderEqualsReference:
         for key in itertools.product(range(N_TRAIT_CODES), ACT_ORDER, range(0, 14)):
             cond = key[2]
             if cond in mode.conditions():
-                assert len(lookup(table, *key)[2]) == len(REQUEST_COMBOS)
+                assert lookup(table, *key) == key_code(mode, key[0], ACT_INDEX[key[1]], cond)
             else:
                 with pytest.raises(InvalidConfig, match="does not belong"):
                     lookup(table, *key)

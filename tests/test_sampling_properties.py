@@ -7,14 +7,15 @@ still run where hypothesis is not installed.
 from __future__ import annotations
 
 import math
+import sys
 from statistics import NormalDist, StatisticsError
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (ScalarStream, duration_record, gaussian_truncation, scalar_chain,
-                      scalar_mix64, truncated_gaussian)
+from conftest import (ScalarStream, categorical_from, duration_record, gaussian_truncation,
+                      scalar_chain, scalar_mix64, truncated_gaussian, truncated_gaussian_from)
 from trustsim.corpus import DURATION_FLOOR_S, MIN_DURATION_S, duration_truncation
 from trustsim.sampling import (
     _P_MAX,
@@ -33,7 +34,6 @@ from trustsim.sampling import (
     nth_draws,
     permutation,
     standard_normals,
-    truncated_gaussian_from,
     truncated_gaussians,
 )
 
@@ -41,6 +41,20 @@ labels = st.lists(st.one_of(st.text(max_size=8), st.integers(-2**70, 2**70)),
                   max_size=4)
 seeds = st.integers(-2**70, 2**70)
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# A categorical weight: zero, a few least subnormals (a total near 5e-324,
+# where a target u * total can round up to the total), any subnormal, or
+# up to 3e307, so that five of them sum near 1e308 and stay finite.
+weights = st.one_of(st.just(0.0), st.integers(1, 4).map(lambda k: k * math.ulp(0.0)),
+                    st.floats(0.0, sys.float_info.min, exclude_max=True),
+                    st.floats(0.0, 3e307))
+# a uniform as `first_uniforms` draws it: an odd multiple of 2**-53 in (0, 1)
+uniforms = st.integers(0, 2**52 - 1).map(lambda k: (k + 0.5) * 2.0 ** -52)
+# rows of 1-5 weights with a positive total, all of one length, each with
+# its uniform
+weight_rows = st.integers(1, 5).flatmap(lambda k: st.lists(st.tuples(
+    st.lists(weights, min_size=k, max_size=k).filter(lambda row: sum(row) > 0),
+    st.one_of(uniforms, st.sampled_from([2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]))),
+    min_size=1, max_size=8))
 # examples take microseconds; a wall-clock deadline only adds flakiness
 # on a loaded machine
 property_test = settings(deadline=None)
@@ -108,6 +122,19 @@ class TestProperties:
         u = np.array([rng.random() for _ in range(20)])
         picks = categoricals(np.array([cumulative_weights(weights)]), u)
         assert all(weights[i] > 0 for i in picks.tolist())
+
+    @property_test
+    @given(weight_rows)
+    # a target that rounds up to the total takes the second bisection
+    @example([([0.0, math.ulp(0.0)], 0.9), ([math.ulp(0.0), 0.0], 1.0 - 2.0 ** -53)])
+    @example([([0.0, 0.0, 1e308, 0.0, 0.0], 0.5), ([3e307] * 5, 1.0 - 2.0 ** -53)])
+    def test_categoricals_equal_the_scalar_oracle(self, cases):
+        """`categoricals` draws the index the scalar bisection oracle draws,
+        row for row."""
+        cumulatives = [cumulative_weights(row) for row, _ in cases]
+        u = [ui for _, ui in cases]
+        assert categoricals(np.array(cumulatives), np.array(u)).tolist() == [
+            categorical_from(c, ui) for c, ui in zip(cumulatives, u)]
 
     @property_test
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20), labels)

@@ -12,7 +12,6 @@ import pytest
 from conftest import (
     analytic_truncated_mean,
     assert_every_turn_matches_oracle,
-    child_streams,
     corpus_from_rows,
     dialogs_of,
     draw_parameters,
@@ -27,6 +26,8 @@ from conftest import (
     reference_log,
     reference_log_bytes,
     reference_replay,
+    served_row,
+    simulated_turns,
     users_of,
 )
 from trustsim.behavior_tables import (
@@ -37,7 +38,7 @@ from trustsim.behavior_tables import (
     lookup,
 )
 from trustsim.corpus import Corpus, ProactiveAct, complexity_of_step
-from trustsim.errors import InvalidConfig, LengthMismatch, ValueOutOfRange
+from trustsim.errors import InvalidConfig, LengthMismatch, StepOutOfRange, ValueOutOfRange
 from trustsim.sampling import RandomStream
 from trustsim.simulator import (
     LOG_COLUMNS,
@@ -87,8 +88,8 @@ def draws():
     with pytest.MonkeyPatch.context() as mp:
         lower_duration_ceiling(mp, SOUNDNESS_DURATION_HI)
         table = build_table(soundness_corpus(), TableMode.TASK_STEP_BASED)
-        return [simulate_turn(table, profile, 1, ProactiveAct.NONE, rng)
-                for rng in child_streams(RandomStream(123, "sound"), range(10_000))]
+        return simulated_turns(table, profile, 1, ProactiveAct.NONE,
+                               RandomStream(123, "sound"), range(10_000))
 
 
 class TestTurnSampling:
@@ -164,6 +165,15 @@ class TestTurnSampling:
         with pytest.raises(InvalidConfig, match="act must be a ProactiveAct"):
             simulate_turn(table, make_user(), 1, "None", RandomStream(9, "t"))
 
+    @pytest.mark.parametrize("mode", list(TableMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("step", [0, 13, True, 2.0, "3"], ids=repr)
+    def test_a_bad_step_is_a_step_error_in_either_mode(self, mode, step):
+        """The step is checked before the key, so a step outside 1..12, a
+        bool or a non-int is a StepOutOfRange under either conditioning."""
+        table = build_table(soundness_corpus(), mode)
+        with pytest.raises(StepOutOfRange, match="step must be in 1..12"):
+            simulate_turn(table, make_user(), step, ProactiveAct.NONE, RandomStream(9, "t"))
+
 
 class TestScoreClamping:
     def off_grid_table(self):
@@ -209,15 +219,12 @@ class TestTableRows:
         assert table.rows.shape[1] == 17 and table.rows.dtype == np.float64
         assert not table.rows.flags.writeable
         for k, key in enumerate(keys):
-            request_cum, used_fallback, rows = lookup(table, *key)
-            assert request_cum == tuple(table.request_cum[k].tolist())
-            assert used_fallback is bool(table.used_fallback[k])
+            assert lookup(table, *key) == k
             condition = key[2]
             complexity = (complexity_of_step(condition)
                           if mode is TableMode.TASK_STEP_BASED else condition)
             for combo in range(len(REQUEST_COMBOS)):
-                assert rows[combo] == tuple(table.rows[table.row_index[k, combo]].tolist())
-                assert rows[combo] == draw_parameters(
+                assert served_row(table, k, combo) == draw_parameters(
                     reference_combo_stats(oracle, key, combo), complexity)
 
 
@@ -231,8 +238,7 @@ class TestFallbackFlag:
         assert table.n[key_code(table.mode, trait, 0, 1)].sum() == 0
         t = simulate_turn(table, stranger, 1, ProactiveAct.NONE, RandomStream(4))
         assert t.used_fallback is True
-        _, flagged, _ = lookup(table, trait, ProactiveAct.NONE, 1)
-        assert flagged is True
+        assert table.used_fallback[lookup(table, trait, ProactiveAct.NONE, 1)]
 
 
 class TestReplay:

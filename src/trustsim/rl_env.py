@@ -4,11 +4,11 @@ Episodes are one 12-step dialog; actions are the four proactive acts.
 After each action the simulator produces the user's turn, the trust
 classifier estimates the user's trust from observable features only, and
 the reward blends normalized game score with normalized estimated trust.
-The Corpus-shaped users of a block of episodes are drawn at once from
-their traits' truncated-Gaussian records (`user_model.trait_records`),
-made once per env, and so is every turn each episode can take, one per
-(step, act), by the array turn draw `simulator.draw_turns`, so a step
-draws nothing.
+The Corpus-shaped users of a block of episodes are drawn at once by the
+one user draw, `user_model.sample_users`, and so is every turn each
+episode can take, one per (step, act), by the one turn draw
+`simulator.draw_turns` on its streams' `simulator.turn_uniforms`, so a
+step draws nothing.
 Ships a tabular Q-learning reference agent over the discretized (step,
 trait code, trust estimate) state.
 """
@@ -16,8 +16,8 @@ trait code, trust estimate) state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import index, itemgetter
+from dataclasses import dataclass, fields
+from operator import index
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,10 +35,9 @@ from .corpus import (
 )
 from .errors import EpisodeFinished, InvalidConfig, InvalidHyperparams
 from .sampling import RandomStream, child_keys, first_uniforms, integers, label_bits, nth_draws
-from .simulator import TURN_FIELDS, SimulatedTurn, draw_turns
+from .simulator import SimulatedTurn, draw_turns, turn_uniforms
 from .simulator import simulate_turn  # unused here; perfbench's tracer tests read it
 from .trust_model import (
-    FEATURE_NAMES,
     NEUTRAL_LIKERT,
     DialogFeatures,
     TrustClassifier,
@@ -46,8 +45,8 @@ from .trust_model import (
     start_rows,
     turn_blocks,
 )
-from .user_model import (N_TRAIT_CODES, USER_FIELDS, TraitDistributions, draw_users,
-                         trait_codes, trait_records)
+from .user_model import (N_TRAIT_CODES, TraitDistributions, _finite_number, sample_users,
+                         trait_codes)
 
 N_ACTIONS = len(ACT_ORDER)
 N_TRUST_LEVELS = LIKERT_MAX - LIKERT_MIN + 1
@@ -61,6 +60,10 @@ class RewardConfig:
     trust_weight: float = 0.5
 
     def __post_init__(self):
+        for name in ("score_weight", "trust_weight"):
+            value = getattr(self, name)
+            if not _finite_number(value):  # True would run as 1.0
+                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
         # |reward| <= W = |score_weight| + |trust_weight|, as both normalized
         # terms lie in [0, 1]: a return or Q value within 12 W, a TD step 24 W
         bound = 2 * STEPS_PER_DIALOG * (abs(self.score_weight) + abs(self.trust_weight))
@@ -109,36 +112,18 @@ _STEPS = range(1, STEPS_PER_DIALOG + 1)
 _COMPLEXITY = tuple(map(complexity_of_step, _STEPS))
 _MAX_SCORE = tuple(map(max_option_score, _COMPLEXITY))
 _EXPLORE_LABEL = label_bits(["explore"])
-_N_USER = len(USER_FIELDS)
-# The labels of the streams an episode reads below its reset key, one
-# array per level of the key chain: child("user").child(name) for each name
-# of USER_FIELDS, then child("step", s).child(field) for every step s and
-# field of TURN_FIELDS.
-_LEVEL1_BITS = np.repeat(label_bits(["user", "step"]),
-                         [_N_USER, STEPS_PER_DIALOG * len(TURN_FIELDS)])
-_LEVEL2_BITS = np.concatenate([label_bits(USER_FIELDS),
-                               np.repeat(label_bits(_STEPS), len(TURN_FIELDS))])
-_LEVEL3_BITS = np.tile(label_bits(TURN_FIELDS), STEPS_PER_DIALOG)
+# An episode's user draws below child("user") of its reset key, and its
+# turn at step s below child("step", s).
+_USER_LABEL, _STEP_LABEL = label_bits(["user", "step"])
+_STEP_BITS = label_bits(_STEPS)
 # The current-turn blocks (`turn_blocks`) of an episode's candidate turns,
 # one per (step, act), act fastest, with the act, complexity and step
 # columns, the same in every episode, written and the drawn ones zero.
 _CANDIDATE_BLOCKS = turn_blocks(SimpleNamespace(
     proactive_act=np.tile(np.arange(N_ACTIONS), STEPS_PER_DIALOG),
     step=np.repeat(_STEPS, N_ACTIONS), complexity=np.repeat(_COMPLEXITY, N_ACTIONS)))
-# The drawn fields of a candidate's SimulatedTurn but used_fallback, read
-# from its current-turn block (`turn_blocks`) by feature name.
-_BLOCK_START = FEATURE_NAMES.index(f"act={ACT_ORDER[0].value}")
-_DRAWN_FIELDS = itemgetter(*(FEATURE_NAMES.index(name) - _BLOCK_START for name in (
-    "help_request", "suggestion_request", "duration", "difficulty", "game_score")))
-
-
-def _episode_uniforms(keys) -> np.ndarray:
-    """The first uniform of every stream each episode reads, for a uint64
-    array of n reset keys: row i holds the 58 of the episode with key
-    keys[i], the user's 10 in USER_FIELDS order, then 12 x 4 turn uniforms."""
-    keys = child_keys(child_keys(keys[:, None], _LEVEL1_BITS), _LEVEL2_BITS)
-    keys[:, _N_USER:] = child_keys(keys[:, _N_USER:], _LEVEL3_BITS)
-    return first_uniforms(keys)
+# The drawn columns of `draw_turns` in SimulatedTurn field order.
+_TURN_COLUMNS = tuple(field.name for field in fields(SimulatedTurn))
 
 
 class _BlockStream(RandomStream):
@@ -161,15 +146,15 @@ class TrustSimEnv:
 
     Every stream an episode reads depends only on the reset stream's key,
     the step and the field, never on the actions, so an episode's draws
-    are made before its first step: ten uniforms for the user, then four
-    per turn, 58 first draws of one chain of uint64 key arrays. The user
-    is `draw_users` on the first ten, with the `trait_records` of the traits
-    made once per env, and its trait code and feature row at dialog start
-    (`start_rows`) follow. Each step's four uniforms draw the turn of every
-    act (`draw_turns`, on key codes from a (trait code, step, act) table
-    made once per env), and `turn_blocks` writes each candidate's
-    current-turn block, so the action only picks a drawn candidate. All of
-    it is drawn for a block of episodes at once: a reset stream that
+    are made before its first step. The user is `sample_users` on the
+    stream child("user"), and its trait code and feature row at dialog
+    start (`start_rows`) follow. The `turn_uniforms` of each step's stream
+    child("step", s) draw the turn of every act (`draw_turns`, on key codes
+    from a (trait code, step, act) table made once per env), and
+    `turn_blocks` writes each candidate's current-turn block, so the action
+    only picks a drawn candidate: its block feeds the trust estimate, and
+    its drawn columns make the step's SimulatedTurn. All of it is drawn
+    for a block of episodes at once: a reset stream that
     carries a block (as `train_tabular_policy` passes) has every episode of
     its block drawn the first time the env sees it, and a plain stream is
     a block of one. `reset` always returns the episode of the stream's
@@ -190,7 +175,6 @@ class TrustSimEnv:
         self.traits = traits
         self.trust_model = trust_model
         self.reward = reward
-        self._records = trait_records(traits)
         conditions = np.array(_STEPS if table.mode is TableMode.TASK_STEP_BASED
                               else _COMPLEXITY)
         # [trait code, step - 1, act index] -> the code of the key a turn draws from
@@ -201,24 +185,26 @@ class TrustSimEnv:
 
     def _draw(self, keys: np.ndarray) -> tuple:
         """The draws of the episodes with these reset keys: each one's trait
-        code, feature row at dialog start, and for each (step, act) the
-        candidate turn's current-turn block (`turn_blocks`), a float array,
-        and its used_fallback flag, both indexed [episode, step - 1, act]."""
-        u = _episode_uniforms(keys)
-        users = draw_users(self._records, u[:, :_N_USER])
+        code, feature row at dialog start, and for each (step, act), at
+        index 4 (step - 1) + act, the candidate turn's current-turn block
+        (`turn_blocks`), a float array indexed [episode, candidate], and its
+        drawn columns in _TURN_COLUMNS order, each an array indexed the same."""
+        users = sample_users(self.traits, child_keys(keys, _USER_LABEL))
         codes = trait_codes(users)
-        n = len(keys)
+        u = turn_uniforms(child_keys(child_keys(keys, _STEP_LABEL)[:, None], _STEP_BITS))
         # each step's uniforms, once per act
-        drawn = draw_turns(self.table, self._codes[codes].ravel(), np.repeat(
-            u[:, _N_USER:].reshape(-1, len(TURN_FIELDS)), N_ACTIONS, axis=0))
+        drawn = draw_turns(self.table, self._codes[codes].ravel(),
+                           np.repeat(u, N_ACTIONS, axis=1).reshape(-1, u.shape[-1]))
+        n = len(keys)
         blocks = np.empty((n, *_CANDIDATE_BLOCKS.shape))
         blocks[:] = _CANDIDATE_BLOCKS
         turn_blocks(SimpleNamespace(**drawn), blocks.reshape(-1, blocks.shape[-1]))
-        shape = (n, STEPS_PER_DIALOG, N_ACTIONS)
-        return (codes.tolist(), start_rows(users), blocks.reshape(*shape, -1),
-                drawn["used_fallback"].reshape(shape))
+        return (codes.tolist(), start_rows(users), blocks,
+                [drawn[name].reshape(n, -1) for name in _TURN_COLUMNS])
 
     def reset(self, rng: RandomStream) -> EnvState:
+        if not isinstance(rng, RandomStream):
+            raise InvalidConfig(f"reset needs a RandomStream, got {rng!r}")
         block = getattr(rng, "block", None)
         if block is None or int(block[rng.index]) != rng.key:
             # a plain stream, or one whose block was rewritten since: a block of one
@@ -226,10 +212,13 @@ class TrustSimEnv:
         else:
             i = rng.index
         if self._keys[i:i + 1] != [rng.key]:  # drawn afresh unless drawn for this key
-            self._keys, self._drawn = block.tolist(), self._draw(block)
-        codes, rows, blocks, fallback = self._drawn
+            # the last block's arrays are freed before the next is drawn
+            self._keys, self._drawn, self._blocks, self._done = [], None, None, True
+            self._drawn, self._keys = self._draw(block), block.tolist()
+        codes, rows, blocks, columns = self._drawn
         self._trait = codes[i]
-        self._blocks, self._fallback = blocks[i], fallback[i].tolist()
+        # each candidate's SimulatedTurn fields, as Python scalars
+        self._blocks, self._turns = blocks[i], list(zip(*(c[i].tolist() for c in columns)))
         self._features = DialogFeatures(rows[i])
         self._step_no = 1
         self._done = False
@@ -243,19 +232,13 @@ class TrustSimEnv:
         if not isinstance(action, ProactiveAct):
             raise InvalidConfig(f"action must be a ProactiveAct, got {action!r}")
         s = self._step_no
-        a = ACT_INDEX[action]
-        block = self._blocks[s - 1, a]
-        help_request, suggestion_request, duration, difficulty, game_score \
-            = _DRAWN_FIELDS(block.tolist())
-        turn = SimulatedTurn(help_request=bool(help_request),
-                             suggestion_request=bool(suggestion_request), duration=duration,
-                             difficulty=int(difficulty), game_score=game_score,
-                             used_fallback=self._fallback[s - 1][a])
-        trust = predict_trust(self.trust_model, self._features.write(block))
+        k = N_ACTIONS * (s - 1) + ACT_INDEX[action]
+        turn = SimulatedTurn(*self._turns[k])
+        trust = predict_trust(self.trust_model, self._features.write(self._blocks[k]))
         self._features.push(trust)
 
         reward = (
-            self.reward.score_weight * (game_score / _MAX_SCORE[s - 1])
+            self.reward.score_weight * (turn.game_score / _MAX_SCORE[s - 1])
             + self.reward.trust_weight * ((trust - LIKERT_MIN) / (LIKERT_MAX - LIKERT_MIN))
         )
         done = s == STEPS_PER_DIALOG
@@ -277,8 +260,8 @@ class Hyperparams:
     def __post_init__(self):
         for name in ("alpha", "gamma", "epsilon"):
             value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):  # True would run as 1.0
-                raise InvalidHyperparams(f"{name} must be a number, got {value!r}")
+            if not _finite_number(value):  # True would run as 1.0
+                raise InvalidHyperparams(f"{name} must be a finite number, got {value!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidHyperparams(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.gamma <= 1.0:

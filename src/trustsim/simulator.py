@@ -8,18 +8,19 @@ last two from the truncated-Gaussian records of its row, which hold their
 bounds, so no drawn turn is checked again. Each field reads a named
 substream.
 
-`draw_turns` is the one turn draw. It draws many turns at once from their
-key codes and the first uniforms of their turn streams' TURN_FIELDS
-children: the rows as gathers from the table's rows (one float64 array, a
+`draw_turns` is the one turn draw. It draws many turns at once from
+their key codes and their turn streams' `turn_uniforms`, the first
+uniforms of each stream's TURN_FIELDS children, the one place those are
+derived: the rows as gathers from the table's rows (one float64 array, a
 row per distinct rung statistic) through its row index by key code and
 combination, the categoricals as counts, and the normal quantiles from
-`standard_normals`: `inv_cdf` bit for bit, per element below `_VECTOR_MIN`
-draws and in numpy from there on. `replay_conditions` calls it for every
-corpus exchange, with the stream keys and uniforms as uint64 arrays, the
-RL environment for every (step, act) of a block of episodes, and
-`simulate_turn` for one turn, a row of one. A replay's `SimulatedLog`, the
-corpus and the drawn columns, equals, bit for bit, what `simulate_turn`
-gives."""
+`standard_normals`: `inv_cdf` bit for bit, per element below
+`_VECTOR_MIN` draws and in numpy from there on. `replay_conditions`
+calls it for every corpus exchange, the RL environment for every (step,
+act) of a block of episodes, and `simulate_turn` for one turn, a row of
+one; each derives its uniforms with `turn_uniforms`. A replay's
+`SimulatedLog`, the corpus and the drawn columns, equals, bit for bit,
+what `simulate_turn` gives."""
 
 from __future__ import annotations
 
@@ -142,6 +143,15 @@ _FIELD_BITS = label_bits(TURN_FIELDS)
 _COMBO_FLAGS = np.array(REQUEST_COMBOS, dtype=bool)
 
 
+def turn_uniforms(turn_keys) -> np.ndarray:
+    """The uniforms `draw_turns` reads for the turn streams with these keys,
+    a uint64 array of any shape: the first uniform of each one's TURN_FIELDS
+    children, along a new last axis in TURN_FIELDS order. The one place a
+    turn stream's field streams are derived."""
+    return first_uniforms(child_keys(np.asarray(turn_keys, dtype=np.uint64)[..., None],
+                                     _FIELD_BITS))
+
+
 def draw_turns(table: BehaviorTable, code: np.ndarray, u: np.ndarray) -> dict:
     """The turns that the context keys with these key codes draw, turn i on
     the uniforms u[i] of its TURN_FIELDS (an (n, 4) array): the six drawn
@@ -169,13 +179,12 @@ def simulate_turn(table: BehaviorTable, profile, step: int,
                   act: ProactiveAct, rng: RandomStream) -> SimulatedTurn:
     """The turn of a user (any Corpus-shaped one) at this step and act, on
     the stream rng: row 0 of `draw_turns` on the checked key code from
-    `lookup` and the first uniforms of rng's TURN_FIELDS children, its
-    values as Python scalars. The step is checked first, in either mode."""
+    `lookup` and the `turn_uniforms` of rng's key, its values as Python
+    scalars. The step is checked first, in either mode."""
     complexity = complexity_of_step(step)
     condition = step if table.mode is TableMode.TASK_STEP_BASED else complexity
     code = lookup(table, trait_codes(profile), act, condition)
-    turn = draw_turns(table, np.array([code]),
-                      first_uniforms(child_keys(rng.key, _FIELD_BITS))[None])
+    turn = draw_turns(table, np.array([code]), turn_uniforms([rng.key]))
     return SimulatedTurn(**{name: column.item() for name, column in turn.items()})
 
 
@@ -186,8 +195,7 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
     order. Turn i equals `simulate_turn` on `rng.child(user_id, step)`.
 
     Every turn is drawn at once by `draw_turns`, on the key codes of the
-    exchanges' contexts and the first uniforms of their turn streams'
-    TURN_FIELDS children.
+    exchanges' contexts and the `turn_uniforms` of their turn streams.
     """
     owner = np.repeat(np.arange(corpus.n_dialogs), STEPS_PER_DIALOG)
     step = corpus.step
@@ -197,8 +205,7 @@ def replay_conditions(corpus: Corpus, table: BehaviorTable,
 
     user_keys = child_keys(rng.key, label_bits(corpus.user_id))
     turn_keys = child_keys(user_keys[owner], _STEP_BITS[step])
-    u = first_uniforms(child_keys(turn_keys[:, None], _FIELD_BITS))
-    return SimulatedLog(corpus=corpus, **draw_turns(table, code, u))
+    return SimulatedLog(corpus=corpus, **draw_turns(table, code, turn_uniforms(turn_keys)))
 
 
 def _log_cells(log: SimulatedLog, name: str, text: bool) -> list:

@@ -2,8 +2,8 @@
 
 Numeric traits are modeled as truncated Gaussians (age bounded 18..60,
 scale traits 1..5); gender is categorical with empirical frequencies.
-`trait_records` makes what a user's draws read, and `draw_users` draws
-users on their uniforms, for `sample_users` and the RL environment alike.
+`sample_users` is the one user draw, for the synthetic generator and the
+RL environment alike: a block of users at once, from their stream keys.
 The three behavior-relevant traits (domain expertise, trust propensity,
 technical affinity) are binarized at the Likert midpoint into the 3-bit
 trait code that conditions simulated behavior.
@@ -48,7 +48,12 @@ N_TRAIT_CODES = 8
 
 
 def _finite_number(value) -> bool:
-    # a bound check, not math.isfinite, which raises on a huge int
+    """The one finite-number check of a config value: a real number, not a
+    bool, within the float range."""
+    # a bound check, not math.isfinite, which raises on a huge int; a numpy
+    # scalar is compared as a Python number, as a float32 cannot hold the bound
+    if isinstance(value, np.generic):
+        value = value.item()
     return (not isinstance(value, bool) and isinstance(value, numbers.Real)
             and -sys.float_info.max <= value <= sys.float_info.max)
 
@@ -147,41 +152,29 @@ def fit_trait_distributions(corpus: Corpus) -> TraitDistributions:
     return TraitDistributions(gender_probs=tuple(probs.tolist()), **kwargs)
 
 
-def trait_records(dists: TraitDistributions) -> tuple:
-    """What a user's draws read: the (9, 6) `gaussian_truncations` records
-    of the truncated-Gaussian traits, in _GAUSS_TRAITS order, and the
-    gender cumulatives as a (1, 3) array."""
+def sample_users(dists: TraitDistributions, keys) -> SimpleNamespace:
+    """Sample the user columns of a Corpus but user_id, as attributes: user
+    i draws from the stream with key keys[i] of a uint64 array, the one user
+    draw. Each trait takes the first uniform of its own USER_FIELDS child
+    stream, so no trait shifts another's. The numeric traits are drawn from
+    their `gaussian_truncations` records, all users' draws in one call; age
+    is drawn continuously, then rounded, and gender is its GENDER_ORDER
+    index. The one-user oracle is `reference_sample_user` in
+    `tests/conftest.py`.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)[:, None]
+    u = first_uniforms(child_keys(keys, _USER_BITS))
     params = np.array([(d.mean, d.sd, d.lo, d.hi)
                        for d in (getattr(dists, name) for name in _GAUSS_TRAITS)], dtype=float)
-    return gaussian_truncations(*params.T), np.array([cumulative_weights(dists.gender_probs)])
-
-
-def draw_users(records, u) -> SimpleNamespace:
-    """The user columns of a Corpus but user_id, as attributes, drawn on
-    the (n, 10) uniforms u, row i the first uniform of each USER_FIELDS
-    substream of user i, given the `trait_records` of the distributions.
-    Each trait reads its record, all users' draws in one call; age is drawn
-    continuously, then rounded, and gender is its GENDER_ORDER index."""
-    trait_draws, gender_cum = records
     n = len(u)
     # trait-major, so that each trait's column is one contiguous row
-    values = truncated_gaussians(np.repeat(trait_draws, n, axis=0),
+    values = truncated_gaussians(np.repeat(gaussian_truncations(*params.T), n, axis=0),
                                  u[:, :-1].T.ravel()).reshape(-1, n)
     columns = dict(zip(_GAUSS_TRAITS, values))
     columns["age"] = np.floor(columns["age"] + 0.5).astype(np.int64)
-    columns["gender"] = categoricals(gender_cum, u[:, -1])
+    columns["gender"] = categoricals(np.array([cumulative_weights(dists.gender_probs)]),
+                                     u[:, -1])
     return SimpleNamespace(**columns)
-
-
-def sample_users(dists: TraitDistributions, keys) -> SimpleNamespace:
-    """Sample the user columns of a Corpus but user_id, as attributes: user
-    i draws from the stream with key keys[i] of a uint64 array. Each trait
-    takes the first uniform of its own named child stream, so no trait
-    shifts another's (`draw_users`). The one-user oracle is
-    `reference_sample_user` in `tests/conftest.py`.
-    """
-    keys = np.asarray(keys, dtype=np.uint64)[:, None]
-    return draw_users(trait_records(dists), first_uniforms(child_keys(keys, _USER_BITS)))
 
 
 def trait_codes(x):

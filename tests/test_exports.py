@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import re
 import warnings
 from pathlib import Path
@@ -33,3 +34,33 @@ def test_every_readme_python_block_runs():
         warnings.simplefilter("error", RuntimeWarning)
         for i, code in enumerate(blocks):
             exec(compile(code, f"README.md, python block {i}", "exec"), {})
+
+
+SRC = Path(trustsim.__file__).resolve().parent
+
+
+def _unused_imports(path: Path) -> list:
+    """The names a module imports and never reads, but those of an import
+    whose lines say "unused here" and those of `from __future__`."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if any("unused here" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used:
+                unused.append(f"{path.name}:{node.lineno}: {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [entry for path in modules for entry in _unused_imports(path)] == []

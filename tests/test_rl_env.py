@@ -123,6 +123,18 @@ class TestRewardConfig:
         with pytest.raises(InvalidConfig):
             RewardConfig(score_weight=1e308, trust_weight=1e308)
 
+    @pytest.mark.parametrize("name", ["score_weight", "trust_weight"])
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", None, 10 ** 400, 1j],
+                             ids=["true", "np-true", "str", "none", "huge-int", "complex"])
+    def test_rejects_a_non_number(self, name, value):
+        # True would run as the weight 1.0; the others cannot enter the
+        # float reward bound
+        with pytest.raises(InvalidConfig, match=f"{name} must be a finite number"):
+            RewardConfig(**{name: value})
+
+    def test_accepts_integer_and_numpy_weights(self):
+        assert RewardConfig(1, np.float32(0.5)) == RewardConfig(1.0, 0.5)
+
     def test_largest_accepted_weights_train_finitely(self):
         # 2 x 12 x (3.7e306 + 3.7e306) is finite: at the top reward every
         # step, no return, Q value or TD difference overflows
@@ -177,6 +189,15 @@ class TestEnvMechanics:
         env.reset(RandomStream(0, "ep"))
         with pytest.raises(InvalidConfig):
             env.step("Suggestion")
+
+    @pytest.mark.parametrize("rng", [5, None, np.uint64(5)], ids=["int", "none", "uint64"])
+    def test_non_stream_reset_rejected(self, rng):
+        # a typed error, not an AttributeError on a missing key
+        env = deterministic_env()
+        with pytest.raises(InvalidConfig, match="reset needs a RandomStream"):
+            env.reset(rng)
+        with pytest.raises(EpisodeFinished):  # nothing was reset
+            env.step(ProactiveAct.NONE)
 
     def test_reward_is_exact_for_degenerate_table(self):
         env = deterministic_env()
@@ -288,6 +309,14 @@ class TestHyperparams:
         # True would run as the rate 1.0
         with pytest.raises(InvalidHyperparams):
             Hyperparams(**{name: flag})
+
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "epsilon"])
+    @pytest.mark.parametrize("value", ["0.2", None, [0.2], 10 ** 400, float("nan")],
+                             ids=["str", "none", "list", "huge-int", "nan"])
+    def test_rates_reject_non_numbers(self, name, value):
+        # each is a typed error, not a TypeError or OverflowError
+        with pytest.raises(InvalidHyperparams, match=f"{name} must be a finite number"):
+            Hyperparams(**{name: value})
 
     def test_numpy_integer_episode_count_runs(self):
         hp = Hyperparams(seed=1)
@@ -466,9 +495,9 @@ class TestEpisodeBlocks:
                              ids=["bare", "probe"])
     def test_a_block_is_drawn_once(self, monkeypatch, wrap):
         drawn = []
-        real = rl_env.draw_users
-        monkeypatch.setattr(rl_env, "draw_users",
-                            lambda records, u: drawn.append(len(u)) or real(records, u))
+        real = rl_env.sample_users
+        monkeypatch.setattr(rl_env, "sample_users",
+                            lambda traits, keys: drawn.append(len(keys)) or real(traits, keys))
         train_tabular_policy(wrap(deterministic_env()), self.EPISODES, Hyperparams(seed=2))
         assert drawn == [256, self.EPISODES - 256]
 

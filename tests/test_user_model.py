@@ -56,11 +56,19 @@ class TestTruncGauss:
         ("mean", math.inf), ("sd", "1"), ("sd", True), ("sd", math.nan),
         ("sd", math.inf), ("lo", "0"), ("lo", True), ("lo", -math.inf),
         ("hi", None), ("hi", True), ("hi", math.inf),
+        # a float32 cannot hold the float range's bound
+        ("mean", np.float32(math.inf)), ("sd", np.float32(math.nan)),
+        ("hi", np.float16(math.inf)), ("mean", np.True_),
     ])
     def test_rejects_non_finite_or_non_numeric_fields(self, field, value):
         kwargs = {"mean": 2.0, "sd": 1.0, "lo": 0, "hi": 5, field: value}
         with pytest.raises(InvalidBounds):
             TruncGauss(**kwargs)
+
+    def test_accepts_numpy_scalars(self):
+        # no overflow warning on the float32 compare
+        assert TruncGauss(np.float32(2.5), np.float16(1.0), np.int64(0), np.uint8(5)) \
+            == TruncGauss(2.5, 1.0, 0, 5)
 
 
 class TestTraitDistributions:

@@ -46,8 +46,8 @@ from .corpus import (
     complexity_of_step,
     duration_truncation,
 )
-from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, object_entry, read_json,
-                     write_compact_json)
+from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, integer, object_entry,
+                     read_json, write_compact_json)
 from .sampling import gaussian_truncations
 from .user_model import N_TRAIT_CODES, trait_codes
 
@@ -243,7 +243,7 @@ class BehaviorTable:
     what draws and `table_summary` read of their `_derive`: each key's
     rung, used_fallback flag and request cumulatives, and the `_draw_rows`
     array, one row per distinct rung statistic. The merged act and
-    condition slices are not kept."""
+    condition slices are not kept. The fallback threshold is an `errors.integer` >= 1."""
 
     mode: TableMode
     fallback_threshold: int
@@ -260,9 +260,8 @@ class BehaviorTable:
     row_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        threshold = self.fallback_threshold
-        if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
-            raise InvalidConfig(f"fallback threshold must be an int >= 1, got {threshold!r}")
+        threshold = integer("fallback threshold", self.fallback_threshold, lo=1)
+        object.__setattr__(self, "fallback_threshold", threshold)
         if not isinstance(self.mode, TableMode):
             raise InvalidConfig(f"mode must be a TableMode, got {self.mode!r}")
         shape = (N_TRAIT_CODES * len(ACT_ORDER) * len(self.mode.conditions()),
@@ -364,23 +363,18 @@ def build_table(corpus: Corpus, mode: TableMode,
                          difficulty.reshape(*shape, N_DIFFICULTY_CLASSES))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def lookup(table: BehaviorTable, trait, act: ProactiveAct, condition) -> int:
     """The key code of the key (trait code, act, condition), as a Python
-    int, once each part is checked to name one of the table's keys."""
-    if not _is_int(condition) or condition not in table.mode.conditions():
+    int, once each part is checked (by `errors.integer` for the two ints) to
+    name one of the table's keys."""
+    condition = integer("condition", condition)
+    if condition not in table.mode.conditions():
         raise InvalidConfig(f"condition {condition} does not belong to mode "
                             f"{table.mode.value}")
-    if not _is_int(trait) or not 0 <= trait < N_TRAIT_CODES:
-        raise InvalidConfig(f"trait code must be an int in 0..{N_TRAIT_CODES - 1}, "
-                            f"got {trait!r}")
+    trait = integer("trait code", trait, 0, N_TRAIT_CODES - 1)
     if not isinstance(act, ProactiveAct):
         raise InvalidConfig(f"act must be a ProactiveAct, got {act!r}")
-    # Python ints, so a small numpy int type cannot wrap in the arithmetic
-    return key_code(table.mode, int(trait), ACT_INDEX[act], int(condition))
+    return key_code(table.mode, trait, ACT_INDEX[act], condition)
 
 
 def table_summary(table: BehaviorTable) -> dict:

@@ -31,6 +31,8 @@ from .errors import (
     StepOutOfRange,
     TrustSimError,
     ValueOutOfRange,
+    finite_number,
+    integer,
 )
 from .sampling import RandomStream, gaussian_truncations, permutation
 
@@ -87,12 +89,9 @@ GENDER_ORDER = (Gender.MALE, Gender.FEMALE, Gender.OTHER)
 
 
 def complexity_of_step(step: int) -> int:
-    """Number of options at a task step: the period-3 cycle 3,4,5 over 1..12."""
-    # bool passes isinstance(int) but is never a step; numpy integers are steps
-    if isinstance(step, bool) or not isinstance(step, (int, np.integer)) \
-            or not 1 <= step <= STEPS_PER_DIALOG:
-        raise StepOutOfRange(f"step must be in 1..{STEPS_PER_DIALOG}, got {step!r}")
-    return 3 + (int(step) - 1) % 3
+    """Number of options at a task step: the period-3 cycle 3,4,5 over 1..12.
+    A step that is no `errors.integer` in 1..12 is a StepOutOfRange."""
+    return 3 + (integer("step", step, 1, STEPS_PER_DIALOG, StepOutOfRange) - 1) % 3
 
 
 def option_scores(complexity: int) -> tuple[float, ...]:
@@ -375,7 +374,7 @@ def _parse_rows(columns: list, text: bool, users: dict, dialogs: dict) -> dict:
 _ROW_CHECKS = ("unparsed", *_RANGES, "user_id", "dialog_id")
 
 
-def _infer_format(path: Path) -> str:
+def infer_format(path: Path) -> str:
     """The format of a corpus or log file, named by the path's suffix."""
     file_format = path.suffix.lstrip(".").lower()
     if file_format not in ("csv", "jsonl"):
@@ -524,7 +523,7 @@ def load_corpus(path) -> Corpus:
     again on the csv.reader path, so errors are the same either way.
     """
     path = Path(path)
-    file_format = _infer_format(path)
+    file_format = infer_format(path)
 
     def parse(blocks) -> tuple:
         users, dialogs, failure = {}, {}, None
@@ -664,7 +663,7 @@ def save_corpus(corpus: Corpus, path) -> None:
     JSON lines by the path's suffix; load(save(c)) == c. CSV cells are
     text; JSON lines keep numbers and booleans and write enums by value."""
     path = Path(path)
-    file_format = _infer_format(path)
+    file_format = infer_format(path)
     columns = [corpus_cells(corpus, name, file_format == "csv") for name in CORPUS_COLUMNS]
     if file_format == "csv":
         with path.open("w", newline="", encoding="utf-8") as handle:
@@ -682,6 +681,7 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
     """
     if corpus.n_dialogs == 0:
         raise EmptyCorpus("cannot split an empty corpus")
+    finite_number("train_fraction", train_fraction)
     if not 0 < train_fraction < 1:
         raise InvalidConfig(f"train_fraction must be in (0,1), got {train_fraction}")
     n_train = math.floor(train_fraction * corpus.n_dialogs)

@@ -1,12 +1,20 @@
-"""Exception types raised across the package, and the JSON file reader
-and writers.
+"""Exception types raised across the package, the two rules of a scalar
+config value, and the JSON file reader and writers.
 
 Everything derives from TrustSimError so callers can catch input/validation
 problems in one place (the CLI maps them to exit code 2).
+
+Every scalar config or context value is checked by one of two rules here,
+`integer` and `finite_number`, each raising the caller's error type.
 """
 
 import json
+import numbers
+import operator
+import sys
 from pathlib import Path
+
+import numpy as np
 
 
 class TrustSimError(Exception):
@@ -108,6 +116,33 @@ class NegativeEntry(TrustSimError):
 
 class EmptySequence(TrustSimError):
     """A sample sequence or distribution carries no mass."""
+
+
+# --- scalar config values -------------------------------------------------
+
+def integer(name: str, value, lo=None, hi=None, error=InvalidConfig) -> int:
+    """value as a Python int, or `error`: an integer, numpy ones included,
+    never a bool (True would run as 1), within lo..hi where they are given."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if (n is None or isinstance(value, (bool, np.bool_))
+            or lo is not None and n < lo or hi is not None and n > hi):
+        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+        raise error(f"{name} must be an integer{bounds}, got {value!r}")
+    return n
+
+
+def finite_number(name: str, value, error=InvalidConfig) -> None:
+    """Raise `error` unless value is a real number, not a bool, within the
+    float range."""
+    # a bound check, not math.isfinite, which raises on a huge int; a numpy
+    # scalar is compared as a Python number, as a float32 cannot hold the bound
+    number = value.item() if isinstance(value, np.generic) else value
+    if (isinstance(number, bool) or not isinstance(number, numbers.Real)
+            or not -sys.float_info.max <= number <= sys.float_info.max):
+        raise error(f"{name} must be a finite number, got {value!r}")
 
 
 # --- JSON artifact files --------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import index
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +32,7 @@ from .corpus import (
     complexity_of_step,
     max_option_score,
 )
-from .errors import EpisodeFinished, InvalidConfig, InvalidHyperparams
+from .errors import EpisodeFinished, InvalidConfig, InvalidHyperparams, finite_number, integer
 from .sampling import RandomStream, child_keys, first_uniforms, integers, label_bits, nth_draws
 from .simulator import SimulatedTurn, draw_turns, turn_uniforms
 from .simulator import simulate_turn  # unused here; perfbench's tracer tests read it
@@ -45,25 +44,23 @@ from .trust_model import (
     start_rows,
     turn_blocks,
 )
-from .user_model import (N_TRAIT_CODES, TraitDistributions, _finite_number, sample_users,
-                         trait_codes)
+from .user_model import N_TRAIT_CODES, TraitDistributions, sample_users, trait_codes
 
 N_ACTIONS = len(ACT_ORDER)
 N_TRUST_LEVELS = LIKERT_MAX - LIKERT_MIN + 1
 N_STATES = STEPS_PER_DIALOG * N_TRAIT_CODES * N_TRUST_LEVELS
-_INTEGER = (int, np.integer)  # a bool is an int, and is rejected apart
 
 
 @dataclass(frozen=True)
 class RewardConfig:
+    """The reward's weights, each an `errors.finite_number`."""
+
     score_weight: float = 0.5
     trust_weight: float = 0.5
 
     def __post_init__(self):
         for name in ("score_weight", "trust_weight"):
-            value = getattr(self, name)
-            if not _finite_number(value):  # True would run as 1.0
-                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
+            finite_number(name, getattr(self, name))
         # |reward| <= W = |score_weight| + |trust_weight|, as both normalized
         # terms lie in [0, 1]: a return or Q value within 12 W, a TD step 24 W
         bound = 2 * STEPS_PER_DIALOG * (abs(self.score_weight) + abs(self.trust_weight))
@@ -74,6 +71,8 @@ class RewardConfig:
 
 @dataclass(frozen=True)
 class EnvState:
+    """An episode's state; each int field is an `errors.integer` in its range."""
+
     step: int
     trait: int  # the user's trait code
     last_turn: SimulatedTurn | None
@@ -82,19 +81,15 @@ class EnvState:
     def __post_init__(self):
         # state_index reads each field as a digit: a non-integer would make
         # a float index, and one out of its range would alias another
-        # state's Q row or fall outside the table
+        # state's Q row or fall outside the table. Python ints in range, the
+        # common case, are checked inline.
         step, trait, trust = self.step, self.trait, self.estimated_trust
-        if not type(step) is type(trait) is type(trust) is int:  # the common case first
-            for name, value in (("step", step), ("trait code", trait),
-                                ("estimated trust", trust)):
-                if isinstance(value, bool) or not isinstance(value, _INTEGER):
-                    raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-        if not 1 <= step <= STEPS_PER_DIALOG:
-            raise InvalidConfig(f"step must be in 1..{STEPS_PER_DIALOG}, got {step!r}")
-        if not 0 <= trait < N_TRAIT_CODES:
-            raise InvalidConfig(f"trait code must be in 0..{N_TRAIT_CODES - 1}, got {trait!r}")
-        if not LIKERT_MIN <= trust <= LIKERT_MAX:
-            raise InvalidConfig("estimated trust must be in 1..5")
+        if not (type(step) is type(trait) is type(trust) is int
+                and 1 <= step <= STEPS_PER_DIALOG and 0 <= trait < N_TRAIT_CODES
+                and LIKERT_MIN <= trust <= LIKERT_MAX):
+            for name, lo, hi in (("step", 1, STEPS_PER_DIALOG), ("trait", 0, N_TRAIT_CODES - 1),
+                                 ("estimated_trust", LIKERT_MIN, LIKERT_MAX)):
+                object.__setattr__(self, name, integer(name, getattr(self, name), lo, hi))
 
     @property
     def complexity(self) -> int:
@@ -171,6 +166,13 @@ class TrustSimEnv:
     def __init__(self, table: BehaviorTable, traits: TraitDistributions,
                  trust_model: TrustClassifier,
                  reward: RewardConfig = RewardConfig()):
+        for name, value, kind in (("table", table, BehaviorTable),
+                                  ("traits", traits, TraitDistributions),
+                                  ("trust model", trust_model, TrustClassifier),
+                                  ("reward", reward, RewardConfig)):
+            if not isinstance(value, kind):
+                raise InvalidConfig(f"{name} must be a {kind.__name__}, "
+                                    f"got {type(value).__name__}")
         self.table = table
         self.traits = traits
         self.trust_model = trust_model
@@ -252,6 +254,8 @@ class TrustSimEnv:
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """The learner's rates, each an `errors.finite_number`, and its seed."""
+
     alpha: float = 0.2
     gamma: float = 0.95
     epsilon: float = 0.2
@@ -259,9 +263,8 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("alpha", "gamma", "epsilon"):
-            value = getattr(self, name)
-            if not _finite_number(value):  # True would run as 1.0
-                raise InvalidHyperparams(f"{name} must be a finite number, got {value!r}")
+            finite_number(name, getattr(self, name), InvalidHyperparams)
+        object.__setattr__(self, "seed", integer("seed", self.seed))
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidHyperparams(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -307,14 +310,7 @@ def train_tabular_policy(env, episodes: int,
     index in them, so `TrustSimEnv` draws the block's episodes at once;
     it is a `RandomStream` with the episode's key all the same, which any
     other env (or a wrapper that passes it on) reads as usual."""
-    try:
-        count = index(episodes)
-    except TypeError:
-        count = None
-    # a bool is an int, and True would run one episode
-    if count is None or isinstance(episodes, bool) or count < 1:
-        raise InvalidHyperparams(f"episodes must be an integer >= 1, got {episodes!r}")
-    episodes = count
+    episodes = integer("episodes", episodes, lo=1, error=InvalidHyperparams)
     hp = hyperparams
     # Python float rows: a numpy scalar per read and update costs more than
     # the arithmetic. On a row without NaN, row.index(max(row)) is

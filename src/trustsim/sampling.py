@@ -33,7 +33,7 @@ from statistics import NormalDist, StatisticsError
 
 import numpy as np
 
-from .errors import InvalidBounds, InvalidConfig
+from .errors import InvalidBounds, integer
 
 # Version of the draw sequence; recorded in every CLI manifest. Bump it
 # whenever a change makes the same (seed, path) draw different values.
@@ -44,11 +44,6 @@ _PHI = 0x9E3779B97F4A7C15  # SplitMix64 increment: 2**64 / golden ratio, odd
 _LABEL_MUL = 0xD1B54A32D192ED03  # odd, so distinct int labels get distinct bits
 _ROOT_KEY = 0x243F6A8885A308D3  # digits of pi; the parent of every seed
 _UNIT = 2.0 ** -52
-
-# String labels are few (field names, user ids) and reused on every
-# episode and dialog, so their digests are memoised up to this many.
-_STR_MEMO_CAP = 1 << 14
-_str_bits: dict = {}
 
 _STD = NormalDist()
 _SQRT2 = math.sqrt(2.0)
@@ -81,12 +76,7 @@ def _label_bits(label) -> int:
     """64 bits standing for one path label. Ints and strs take separate
     branches, so the label 7 and the label "7" name different children."""
     if type(label) is str:
-        bits = _str_bits.get(label)
-        if bits is None:
-            bits = _digest(b"s" + label.encode("utf-8"))
-            if len(_str_bits) < _STR_MEMO_CAP:
-                _str_bits[label] = bits
-        return bits
+        return _digest(b"s" + label.encode("utf-8"))
     n = operator.index(label)
     if 0 <= n <= _MASK:
         return ((n + 1) * _LABEL_MUL) & _MASK
@@ -99,20 +89,13 @@ class RandomStream:
     so child streams are independent and order-insensitive. Labels are
     strs or ints. Draws come from the array primitives over keys:
     `first_uniforms`, `nth_draws`, `integers` and `permutation`. Every seed
-    comes through here, so this is its one check: an integer (a numpy one
-    too), never a bool.
+    comes through here and is checked by `errors.integer`.
     """
 
     __slots__ = ("key",)
 
     def __init__(self, seed: int, *path):
-        try:
-            index = operator.index(seed)
-        except TypeError:
-            index = None
-        if index is None or isinstance(seed, bool):  # True would run as seed 1
-            raise InvalidConfig(f"seed must be an integer, got {seed!r}")
-        self.key = _chain(_ROOT_KEY, (index, *path))
+        self.key = _chain(_ROOT_KEY, (integer("seed", seed), *path))
 
     @classmethod
     def _from_key(cls, key: int) -> "RandomStream":

@@ -45,11 +45,11 @@ from .corpus import (
     LIKERT_MIN,
     ProactiveAct,
     STEPS_PER_DIALOG,
-    _infer_format,
     cast_column,
     complexity_of_step,
     corpus_cells,
     format_cells,
+    infer_format,
     write_csv_rows,
     write_jsonl_rows,
 )
@@ -223,7 +223,7 @@ def save_simulated_log(log: SimulatedLog, path) -> None:
     path's suffix. Cells are text, as in the corpus CSV, but for the
     integer columns of a JSON line, which stay numbers."""
     path = Path(path)
-    if _infer_format(path) == "csv":
+    if infer_format(path) == "csv":
         with path.open("w", newline="", encoding="utf-8") as handle:
             write_csv_rows(handle, chain([LOG_COLUMNS], zip(*(
                 _log_cells(log, name, True) for name in LOG_COLUMNS))))

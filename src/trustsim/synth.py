@@ -33,7 +33,7 @@ from .corpus import (
     duration_truncation,
     option_scores,
 )
-from .errors import InvalidConfig, ValueOutOfRange, object_entry
+from .errors import InvalidConfig, ValueOutOfRange, finite_number, integer, object_entry
 from .sampling import (
     RandomStream,
     categoricals,
@@ -49,7 +49,6 @@ from .sampling import (
 from .user_model import (
     N_TRAIT_CODES,
     TraitDistributions,
-    _finite_number,
     default_trait_distributions,
     sample_users,
     trait_codes,
@@ -78,7 +77,8 @@ class BehaviorProcess:
 
     Linear-in-traits probability and location models; all coefficients
     documented here and serialized with the corpus. Drift terms shift
-    score and duration by step phase when step_drift > 0.
+    score and duration by step phase when step_drift > 0. Each coefficient
+    is an `errors.finite_number`.
     """
 
     help_base: float = 0.25
@@ -121,14 +121,14 @@ class BehaviorProcess:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            entries = (value,)
-            if isinstance(f.default, tuple):  # one coefficient per act
-                if not isinstance(value, tuple) or len(value) != len(ACT_ORDER):
-                    raise InvalidConfig(f"{f.name} must list {len(ACT_ORDER)} numbers, "
-                                        f"got {value!r}")
-                entries = value
-            if not all(_finite_number(v) for v in entries):
-                raise InvalidConfig(f"{f.name} must hold finite numbers, got {value!r}")
+            if not isinstance(f.default, tuple):
+                finite_number(f.name, value)
+            elif not isinstance(value, tuple) or len(value) != len(ACT_ORDER):  # one per act
+                raise InvalidConfig(f"{f.name} must list {len(ACT_ORDER)} numbers, "
+                                    f"got {value!r}")
+            else:
+                for i, v in enumerate(value):
+                    finite_number(f"{f.name}[{i}]", v)
         if not self.difficulty_sd > 0:
             raise InvalidConfig(f"difficulty_sd must be positive, got {self.difficulty_sd}")
         if not self.duration_sd >= 0:
@@ -233,7 +233,8 @@ class BehaviorProcess:
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Everything needed to regenerate a synthetic corpus bit-exactly
-    (together with one seed)."""
+    (together with one seed). n_dialogs is an `errors.integer` >= 1, and
+    step_drift and duration_hi are each an `errors.finite_number`."""
 
     n_dialogs: int = 308
     traits: TraitDistributions = field(default_factory=default_trait_distributions)
@@ -242,13 +243,9 @@ class GeneratorConfig:
     duration_hi: float = DURATION_HI
 
     def __post_init__(self):
-        if type(self.n_dialogs) is not int or self.n_dialogs < 1:  # bool is no count
-            raise InvalidConfig(f"n_dialogs must be a positive integer, "
-                                f"got {self.n_dialogs!r}")
+        object.__setattr__(self, "n_dialogs", integer("n_dialogs", self.n_dialogs, lo=1))
         for name in ("step_drift", "duration_hi"):
-            if not _finite_number(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be a finite number, "
-                                    f"got {getattr(self, name)!r}")
+            finite_number(name, getattr(self, name))
         if not 0.0 <= self.step_drift <= 1.0:
             raise InvalidConfig(f"step_drift must be in [0, 1], got {self.step_drift}")
         if not self.duration_hi > MIN_DURATION_S:

@@ -48,6 +48,7 @@ from .errors import (
     LengthMismatch,
     SchemaMismatch,
     ValueOutOfRange,
+    integer,
     read_json,
     write_json,
 )
@@ -180,7 +181,7 @@ class DialogFeatures:
 
 
 def corpus_to_dataset(corpus: Corpus) -> tuple:
-    """(X, y, user_ids) over every exchange, lag labels teacher-forced.
+    """(X, y) over every exchange, lag labels teacher-forced.
 
     Built column-wise: the corpus holds steps 1..12 in order for every
     user, so X is 12 rows per user, each first its dialog's `start_rows`
@@ -205,8 +206,7 @@ def corpus_to_dataset(corpus: Corpus) -> tuple:
     for k in range(1, LAG_WINDOW + 1):
         start = _TURN_END + (k - 1) * _LAG_WIDTH
         dialog_steps[:, k:, start:start + _LAG_WIDTH] = lag[:, :-k]
-    owners = tuple(uid for uid in corpus.user_id for _ in range(STEPS_PER_DIALOG))
-    return X, labels.astype(int), owners
+    return X, labels.astype(int)
 
 
 # The weight of the L2 penalty on the weights (not the bias) in training
@@ -215,12 +215,12 @@ L2 = 1e-3
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The trainer's settings: epochs is an `errors.integer` >= 1."""
+
     epochs: int = 300
 
     def __post_init__(self):
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) \
-                or self.epochs < 1:
-            raise InvalidConfig(f"epochs must be an int >= 1, got {self.epochs!r}")
+        object.__setattr__(self, "epochs", integer("epochs", self.epochs, lo=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +243,7 @@ class TrustClassifier:
 
 
 def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> TrustClassifier:
-    X, y, _ = corpus_to_dataset(corpus)
+    X, y = corpus_to_dataset(corpus)
     if len(y) < 2:
         raise InsufficientData(f"need >= 2 labeled exchanges, got {len(y)}")
     present = tuple(sorted(set(int(v) for v in y)))
@@ -342,7 +342,7 @@ def classification_metrics(y_true, y_pred) -> ClassifierReport:
 def evaluate_classifier(model: TrustClassifier, corpus: Corpus) -> ClassifierReport:
     """Scores every exchange in one product; ties go to the lower label,
     as in predict_trust."""
-    X, y, _ = corpus_to_dataset(corpus)
+    X, y = corpus_to_dataset(corpus)
     if len(y) == 0:
         raise EmptyTestSet("no labeled exchanges to evaluate on")
     predicted = np.asarray(model.classes)[model.scores(X).argmax(axis=1)]

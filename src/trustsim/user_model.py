@@ -11,8 +11,6 @@ trait code that conditions simulated behavior.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -27,8 +25,8 @@ from .corpus import (
     LIKERT_MIN,
     SCALE_TRAITS,
 )
-from .errors import (InsufficientUsers, InvalidBounds, InvalidConfig, object_entry,
-                     read_json)
+from .errors import (InsufficientUsers, InvalidBounds, InvalidConfig, finite_number,
+                     object_entry, read_json)
 from .sampling import (
     categoricals,
     child_keys,
@@ -47,20 +45,10 @@ LIKERT_BINARY_THRESHOLD = 3.0
 N_TRAIT_CODES = 8
 
 
-def _finite_number(value) -> bool:
-    """The one finite-number check of a config value: a real number, not a
-    bool, within the float range."""
-    # a bound check, not math.isfinite, which raises on a huge int; a numpy
-    # scalar is compared as a Python number, as a float32 cannot hold the bound
-    if isinstance(value, np.generic):
-        value = value.item()
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and -sys.float_info.max <= value <= sys.float_info.max)
-
-
 @dataclass(frozen=True)
 class TruncGauss:
-    """Parameters of a truncated Gaussian: N(mean, sd) restricted to [lo, hi]."""
+    """Parameters of a truncated Gaussian: N(mean, sd) restricted to [lo, hi],
+    each an `errors.finite_number`."""
 
     mean: float
     sd: float
@@ -69,8 +57,7 @@ class TruncGauss:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not _finite_number(value):
-                raise InvalidBounds(f"{name} must be a finite number, got {value!r}")
+            finite_number(name, value, InvalidBounds)
         if not self.lo < self.hi:
             raise InvalidBounds(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.sd < 0:
@@ -86,7 +73,8 @@ _USER_BITS = label_bits(USER_FIELDS)
 
 @dataclass(frozen=True)
 class TraitDistributions:
-    """Fitted (or configured) population distributions for all user traits."""
+    """Fitted (or configured) population distributions for all user traits;
+    each gender probability is an `errors.finite_number`, stored as a float."""
 
     age: TruncGauss
     technical_affinity: TruncGauss
@@ -106,9 +94,8 @@ class TraitDistributions:
             dist = getattr(self, name)
             if (dist.lo, dist.hi) != (LIKERT_MIN, LIKERT_MAX):
                 raise InvalidBounds(f"{name} bounds must be [1, 5]")
-        if not all(_finite_number(p) for p in self.gender_probs):
-            raise InvalidConfig(f"gender probabilities must be finite numbers, "
-                                f"got {self.gender_probs!r}")
+        for p in self.gender_probs:
+            finite_number("gender probability", p)
         object.__setattr__(self, "gender_probs", tuple(float(p) for p in self.gender_probs))
         if len(self.gender_probs) != len(GENDER_ORDER):
             raise InvalidConfig("gender_probs needs (male, female, other)")

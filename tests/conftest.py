@@ -51,9 +51,9 @@ from trustsim.corpus import (
     STEPS_PER_DIALOG,
     STORED_COLUMNS,
     USER_COLUMNS,
-    _infer_format,
     _parse_field,
     complexity_of_step,
+    infer_format,
     max_option_score,
     option_scores,
 )
@@ -1036,7 +1036,7 @@ def simulated_turn_context(step, act, turn, trust_label=None) -> TurnContext:
 def reference_dataset(corpus) -> tuple:
     """The per-row loop corpus_to_dataset replaced, kept as its oracle:
     one reference_features call per exchange, lag labels teacher-forced."""
-    rows, labels, owners = [], [], []
+    rows, labels = [], []
     dialogs = dialogs_of(corpus)
     for user in users_of(corpus):
         history = []
@@ -1044,10 +1044,9 @@ def reference_dataset(corpus) -> tuple:
             rows.append(reference_features(user, history, turn_context(ex)))
             labels.append(combine_trust_target(ex.trust, ex.competence,
                                                ex.reliability, ex.predictability))
-            owners.append(user.user_id)
             history.append(turn_context(ex, with_label=True))
     X = np.vstack(rows) if rows else np.empty((0, N_FEATURES))
-    return X, np.asarray(labels, dtype=int), tuple(owners)
+    return X, np.asarray(labels, dtype=int)
 
 
 def reference_train(corpus, config=TrainConfig()) -> tuple:
@@ -1056,7 +1055,7 @@ def reference_train(corpus, config=TrainConfig()) -> tuple:
     biases, feature mean, feature scale, whether some epoch had no margin
     violator). The weights and biases score standardized features,
     (x - mean) / scale, as trust-model/v2 stored them."""
-    X, y, _ = reference_dataset(corpus)
+    X, y = reference_dataset(corpus)
     present = tuple(sorted(set(int(v) for v in y)))
     mean = X.mean(axis=0)
     scale = X.std(axis=0, ddof=0)
@@ -1106,7 +1105,7 @@ def standardized_labels(classes, weights, biases, mean, scale, X) -> list:
 def reference_predictions(model, corpus) -> list:
     """One predict_trust call per dataset row: the per-row evaluation that
     evaluate_classifier's single product replaced."""
-    X, _, _ = reference_dataset(corpus)
+    X, _ = reference_dataset(corpus)
     return [predict_trust(model, x) for x in X]
 
 
@@ -1194,7 +1193,7 @@ def reference_load_corpus(path) -> Corpus:
     the header's, every field parsed by name and a UserRecord built for
     every row, then compared with the user's first."""
     path = Path(path)
-    file_format = _infer_format(path)
+    file_format = infer_format(path)
     if file_format == "csv":
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
@@ -1273,7 +1272,7 @@ def reference_save_corpus(corpus, path) -> None:
     per exchange, each CSV cell formatted by its own call, each JSON line
     dumped from its dict with enums by value."""
     path = Path(path)
-    file_format = _infer_format(path)
+    file_format = infer_format(path)
     rows = []
     for user, ex in exchanges_of(corpus):
         row = {name: getattr(user, name) for name in USER_COLUMNS}

@@ -468,7 +468,7 @@ class TestFallbackLadder:
         """True equals 1 and 2.0 equals 2, so a membership test alone
         would serve steps 1 and 2 with them."""
         table = build_table(small_corpus, mode)
-        with pytest.raises(InvalidConfig, match="does not belong"):
+        with pytest.raises(InvalidConfig, match="condition must be an integer"):
             lookup(table, T000, ProactiveAct.NONE, condition)
 
     def test_numpy_ints_serve_the_key_of_their_value(self, small_corpus):

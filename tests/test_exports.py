@@ -64,3 +64,21 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [entry for path in modules for entry in _unused_imports(path)] == []
+
+
+def _private_imports(path: Path) -> list:
+    """The private names (one leading underscore, not a dunder) a module
+    imports from another module of the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").partition(".")[0] == "trustsim")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def test_no_module_imports_another_modules_private_name():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [entry for path in modules for entry in _private_imports(path)] == []

@@ -184,6 +184,20 @@ class TestEnvMechanics:
         with pytest.raises(EpisodeFinished):
             env.step(ProactiveAct.NONE)
 
+    @pytest.mark.parametrize("argument,bad", [
+        ("table", None), ("table", "task-step"), ("traits", None), ("traits", {}),
+        ("trust_model", None), ("trust_model", [0.0] * 5),
+        ("reward", None), ("reward", (1.0, 0.0))])
+    def test_constructor_rejects_an_argument_of_another_type(self, argument, bad):
+        """A typed error at construction, not an AttributeError at the first
+        reset or step."""
+        env = deterministic_env()
+        good = dict(table=env.table, traits=env.traits, trust_model=env.trust_model,
+                    reward=env.reward)
+        name = argument.replace("_", " ")
+        with pytest.raises(InvalidConfig, match=f"^{name} must be a "):
+            TrustSimEnv(**{**good, argument: bad})
+
     def test_non_act_action_rejected(self):
         env = deterministic_env()
         env.reset(RandomStream(0, "ep"))

@@ -104,7 +104,7 @@ class TestRandomStream:
     @pytest.mark.parametrize("entry", ["RandomStream", "split_corpus", "compare_modes",
                                        "train_tabular_policy"])
     def test_a_seed_that_is_no_integer_is_rejected(self, entry, seed):
-        """Every seeded entry point meets the one seed check, at RandomStream:
+        """Every seeded entry point meets the one seed check, `errors.integer`:
         a bool is no seed (True would run as seed 1), and a float, text or
         None is an InvalidConfig, not a bare TypeError."""
         corpus = make_corpus(n_users=4)

@@ -171,7 +171,7 @@ class TestTurnSampling:
         """The step is checked before the key, so a step outside 1..12, a
         bool or a non-int is a StepOutOfRange under either conditioning."""
         table = build_table(soundness_corpus(), mode)
-        with pytest.raises(StepOutOfRange, match="step must be in 1..12"):
+        with pytest.raises(StepOutOfRange, match=r"step must be an integer in 1\.\.12"):
             simulate_turn(table, make_user(), step, ProactiveAct.NONE, RandomStream(9, "t"))
 
 

@@ -72,7 +72,7 @@ class TestTrustLabels:
     ])
     def test_mean_of_the_four_ratings_rounded_half_up(self, ratings, expected):
         names = ("trust", "competence", "reliability", "predictability")
-        _, y, _ = corpus_to_dataset(make_corpus(n_users=1, **dict(zip(names, ratings))))
+        _, y = corpus_to_dataset(make_corpus(n_users=1, **dict(zip(names, ratings))))
         assert y.tolist() == [expected] * 12
         assert combine_trust_target(*ratings) == expected  # the oracle of the labels
 
@@ -190,17 +190,14 @@ class TestFeatureSchema:
 
 class TestCorpusToDataset:
     def test_shapes_and_alignment(self, small_corpus):
-        X, y, owners = corpus_to_dataset(small_corpus)
+        X, y = corpus_to_dataset(small_corpus)
         n = len(exchanges_of(small_corpus))
         assert X.shape == (n, N_FEATURES)
         assert y.shape == (n,)
-        assert len(owners) == n
         assert set(y) <= {1, 2, 3, 4, 5}
-        assert owners[0] == small_corpus.user_id[0]
-        assert owners[12] == small_corpus.user_id[1]
 
     def test_lag_labels_are_teacher_forced(self, small_corpus):
-        X, _, _ = corpus_to_dataset(small_corpus)
+        X, _ = corpus_to_dataset(small_corpus)
         first = dialogs_of(small_corpus)[small_corpus.user_id[0]][0]
         expected = combine_trust_target(first.trust, first.competence,
                                         first.reliability, first.predictability)
@@ -239,20 +236,19 @@ def corpus_case(request, name) -> Corpus:
 class TestColumnBuiltDatasetEqualsPerRowLoop:
     @pytest.mark.parametrize("name", ["default_corpus", "drifting_corpus",
                                       "small_corpus", "varied", "one-user", "empty"])
-    def test_same_bytes_labels_and_owners(self, request, name):
+    def test_same_bytes_and_labels(self, request, name):
         corpus = corpus_case(request, name)
-        X, y, owners = corpus_to_dataset(corpus)
-        X_ref, y_ref, owners_ref = reference_dataset(corpus)
+        X, y = corpus_to_dataset(corpus)
+        X_ref, y_ref = reference_dataset(corpus)
         assert X.shape == X_ref.shape == (12 * corpus.n_dialogs, N_FEATURES)
         assert X.tobytes() == X_ref.tobytes()
         assert y.dtype == y_ref.dtype
         assert y.tolist() == y_ref.tolist()
-        assert owners == owners_ref
 
     @pytest.mark.parametrize("name", ["small_corpus", "varied", "one-user"])
     def test_dialog_features_give_the_same_rows(self, request, name):
         corpus = corpus_case(request, name)
-        X, y, _ = corpus_to_dataset(corpus)
+        X, y = corpus_to_dataset(corpus)
         rows = []
         for i, (user, exchanges) in enumerate(zip(users_of(corpus),
                                                   dialogs_of(corpus).values())):
@@ -313,7 +309,7 @@ class TestTraining:
 
     def test_classes_are_present_labels_ascending(self, small_corpus):
         model = train_classifier(small_corpus)
-        _, y, _ = corpus_to_dataset(small_corpus)
+        _, y = corpus_to_dataset(small_corpus)
         assert model.classes == tuple(sorted(set(int(v) for v in y)))
 
 
@@ -349,7 +345,7 @@ class TestTrainerEqualsReference:
         # the seed-42 corpus: 3696 exchanges, each labelled as v2 labelled it
         model = train_classifier(default_corpus)
         classes, weights, biases, mean, scale, _ = reference_train(default_corpus)
-        X, _, _ = reference_dataset(default_corpus)
+        X, _ = reference_dataset(default_corpus)
         labels = np.asarray(model.classes)[model.scores(X).argmax(axis=1)]
         assert len(labels) == 3696
         assert labels.tolist() == standardized_labels(classes, weights, biases, mean,
@@ -377,7 +373,7 @@ class TestPrediction:
 
     def test_a_matrix_scores_row_by_row(self, small_corpus):
         model = train_classifier(small_corpus)
-        X, _, _ = corpus_to_dataset(small_corpus)
+        X, _ = corpus_to_dataset(small_corpus)
         scores = model.scores(X)
         assert scores.shape == (len(X), len(model.classes))
         for x, row in zip(X, scores):
@@ -461,7 +457,7 @@ class TestEvaluateClassifier:
         report = evaluate_classifier(model, corpus)
         expected = reference_predictions(model, corpus)
         assert seen == [expected]
-        _, y, _ = reference_dataset(corpus)
+        _, y = reference_dataset(corpus)
         assert report == classification_metrics(y, expected)
 
     def test_ties_go_to_the_lowest_label(self):

@@ -55,10 +55,10 @@ def assert_matches_record_oracles(corpus, fraction, seed, root):
     assert fitted(fit_trait_distributions, corpus) == \
         fitted(reference_fit_trait_distributions, corpus)
 
-    X, y, owners = corpus_to_dataset(corpus)
-    X_ref, y_ref, owners_ref = reference_dataset(corpus)
+    X, y = corpus_to_dataset(corpus)
+    X_ref, y_ref = reference_dataset(corpus)
     assert X.tobytes() == X_ref.tobytes()
-    assert (y.dtype, y.tolist(), owners) == (y_ref.dtype, y_ref.tolist(), owners_ref)
+    assert (y.dtype, y.tolist()) == (y_ref.dtype, y_ref.tolist())
 
     assert split_corpus(corpus, fraction, seed) == \
         reference_split_corpus(corpus, fraction, seed)
@@ -131,7 +131,7 @@ def test_dialog_features_profile_equals_the_dataset_rows(n, seed, gender_probs):
     traits = dataclasses.replace(default_trait_distributions(),
                                  gender_probs=tuple(gender_probs))
     corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n, traits=traits), seed)
-    X, _, _ = corpus_to_dataset(corpus)
+    X, _ = corpus_to_dataset(corpus)
     profile = X[:, :PROFILE_END].reshape(n, STEPS_PER_DIALOG, PROFILE_END)
     columns = {name: getattr(corpus, name).tolist() for name in USER_COLUMNS[1:]}
     # act NONE at step 1

@@ -311,6 +311,9 @@ def train_tabular_policy(env, episodes: int,
     it is a `RandomStream` with the episode's key all the same, which any
     other env (or a wrapper that passes it on) reads as usual."""
     episodes = integer("episodes", episodes, lo=1, error=InvalidHyperparams)
+    if not isinstance(hyperparams, Hyperparams):
+        raise InvalidHyperparams(f"hyperparams must be a Hyperparams, "
+                                 f"got {type(hyperparams).__name__}")
     hp = hyperparams
     # Python float rows: a numpy scalar per read and update costs more than
     # the arithmetic. On a row without NaN, row.index(max(row)) is

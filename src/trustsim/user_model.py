@@ -11,6 +11,7 @@ trait code that conditions simulated behavior.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -73,8 +74,9 @@ _USER_BITS = label_bits(USER_FIELDS)
 
 @dataclass(frozen=True)
 class TraitDistributions:
-    """Fitted (or configured) population distributions for all user traits;
-    each gender probability is an `errors.finite_number`, stored as a float."""
+    """Fitted (or configured) population distributions for all user traits:
+    each trait a TruncGauss, and gender_probs a sequence of
+    `errors.finite_number`s, stored as a tuple of floats."""
 
     age: TruncGauss
     technical_affinity: TruncGauss
@@ -88,12 +90,16 @@ class TraitDistributions:
     gender_probs: tuple[float, float, float]  # (male, female, other)
 
     def __post_init__(self):
-        if (self.age.lo, self.age.hi) != (AGE_MIN, AGE_MAX):
-            raise InvalidBounds(f"age bounds must be [{AGE_MIN}, {AGE_MAX}]")
-        for name in SCALE_TRAITS:
+        for name in _GAUSS_TRAITS:
             dist = getattr(self, name)
-            if (dist.lo, dist.hi) != (LIKERT_MIN, LIKERT_MAX):
-                raise InvalidBounds(f"{name} bounds must be [1, 5]")
+            if not isinstance(dist, TruncGauss):
+                raise InvalidConfig(f"{name} must be a TruncGauss, got {type(dist).__name__}")
+            lo, hi = (AGE_MIN, AGE_MAX) if name == "age" else (LIKERT_MIN, LIKERT_MAX)
+            if (dist.lo, dist.hi) != (lo, hi):
+                raise InvalidBounds(f"{name} bounds must be [{lo}, {hi}]")
+        if not isinstance(self.gender_probs, Sequence):
+            raise InvalidConfig(f"gender_probs must be a sequence, "
+                                f"got {type(self.gender_probs).__name__}")
         for p in self.gender_probs:
             finite_number("gender probability", p)
         object.__setattr__(self, "gender_probs", tuple(float(p) for p in self.gender_probs))

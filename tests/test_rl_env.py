@@ -332,6 +332,15 @@ class TestHyperparams:
         with pytest.raises(InvalidHyperparams, match=f"{name} must be a finite number"):
             Hyperparams(**{name: value})
 
+    @pytest.mark.parametrize("hyperparams", [(0.2, 0.9, 0.1, 0), None, {"seed": 0}],
+                             ids=["tuple", "none", "dict"])
+    def test_hyperparams_of_another_type_rejected(self, hyperparams):
+        # a typed error, not an AttributeError on the missing seed
+        kind = type(hyperparams).__name__
+        with pytest.raises(InvalidHyperparams,
+                           match=f"hyperparams must be a Hyperparams, got {kind}"):
+            train_tabular_policy(RiggedSweepEnv(), 2, hyperparams)
+
     def test_numpy_integer_episode_count_runs(self):
         hp = Hyperparams(seed=1)
         result = train_tabular_policy(deterministic_env(), np.int64(3), hp)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +32,7 @@ from conftest import (
 )
 from trustsim import trust_model
 from trustsim.corpus import ACT_INDEX, ACT_ORDER, Corpus, Gender, ProactiveAct
+from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 from trustsim.errors import (
     DegenerateLabels,
     EmptyTestSet,
@@ -224,12 +226,15 @@ def varied_corpus() -> Corpus:
 
 
 def corpus_case(request, name) -> Corpus:
-    """A named test corpus: a session fixture or a hand-built one."""
+    """A named test corpus: a session fixture, a hand-built one, or
+    "<n> dialogs", the seed-42 synthetic corpus of n dialogs."""
     builders = {"separable": separable_corpus, "varied": varied_corpus,
                 "one-user": lambda: make_corpus(n_users=1),
                 "empty": lambda: corpus_from_rows((), {})}
     if name in builders:
         return builders[name]()
+    if name.endswith(" dialogs"):
+        return generate_synthetic_corpus(GeneratorConfig(n_dialogs=int(name.split()[0])), 42)
     return request.getfixturevalue(name)
 
 
@@ -321,10 +326,18 @@ class TestTrainerEqualsReference:
     inside the dot product, all classes in one gemm), so the weights agree
     to rounding, not to the bit; the predictions agree exactly. The
     reference's standardized-space weights are folded as the trainer folds
-    its own."""
+    its own. The trainer walks its exchanges a block at a time, so the
+    synthetic corpora put the last exchange just before a block's end,
+    just after it, and several blocks in with a short tail."""
+
+    def test_the_synthetic_corpora_straddle_block_seams(self):
+        block = trust_model._BLOCK
+        assert 12 * 170 < block < 12 * 171
+        assert 12 * 400 > 2 * block and (12 * 400) % block < block // 2
 
     @pytest.mark.parametrize("name", ["small_corpus", "drifting_corpus", "varied",
-                                      "separable"])
+                                      "separable", "170 dialogs", "171 dialogs",
+                                      "400 dialogs"])
     def test_same_weight_and_bias_bytes(self, request, name):
         corpus = corpus_case(request, name)
         model = train_classifier(corpus)
@@ -350,6 +363,20 @@ class TestTrainerEqualsReference:
         assert len(labels) == 3696
         assert labels.tolist() == standardized_labels(classes, weights, biases, mean,
                                                       scale, X)
+
+
+def test_training_keeps_one_standardized_copy():
+    # the one standardized copy, features by rows, about X's size, and
+    # per-block scratch: the peak stays well under two copies on top of X
+    corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=400), 42)
+    x_bytes = corpus_to_dataset(corpus)[0].nbytes
+    tracemalloc.start()
+    try:
+        train_classifier(corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * x_bytes
 
 
 class TestPrediction:

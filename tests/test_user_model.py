@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -117,6 +118,25 @@ class TestTraitDistributions:
             payload["gender_probs"] = [math.nan, 0.5, 0.5]
         with pytest.raises(InvalidConfig):
             TraitDistributions.from_json_dict(payload)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gender_probs", None, "gender_probs must be a sequence, got NoneType"),
+        ("gender_probs", 1.0, "gender_probs must be a sequence, got float"),
+        ("age", (38.0, 12.0, 18, 60), "age must be a TruncGauss, got tuple"),
+        ("openness", {"mean": 3.0, "sd": 1.0, "lo": 1, "hi": 5},
+         "openness must be a TruncGauss, got dict"),
+        ("neuroticism", None, "neuroticism must be a TruncGauss, got NoneType"),
+    ], ids=["probs-none", "probs-number", "age-tuple", "trait-dict", "trait-none"])
+    def test_a_field_of_another_type_is_invalid_config(self, field, value, message):
+        # built directly, not through from_json_dict: a typed error, not a
+        # bare TypeError or AttributeError
+        with pytest.raises(InvalidConfig, match=message):
+            dataclasses.replace(default_trait_distributions(), **{field: value})
+
+    def test_gender_probs_may_be_any_sequence(self):
+        dists = dataclasses.replace(default_trait_distributions(),
+                                    gender_probs=[0.5, 0.5, 0.0])
+        assert dists.gender_probs == (0.5, 0.5, 0.0)
 
     def test_file_round_trip(self, tmp_path):
         dists = fit_trait_distributions(make_corpus(n_users=3))

@@ -8,7 +8,11 @@ The Corpus-shaped users of a block of episodes are drawn at once by the
 one user draw, `user_model.sample_users`, and so is every turn each
 episode can take, one per (step, act), by the one turn draw
 `simulator.draw_turns` on its streams' `simulator.turn_uniforms`, so a
-step draws nothing.
+step draws nothing. The same block draw scores every candidate turn in
+parts (`trust_model.ScoreParts`), so a step adds a few Python floats
+where it would multiply a feature row by the weights, and its label is
+`predict_trust`'s on that row, certified by a rounding-error bound or, on
+a step too close to call, computed on the row itself.
 Ships a tabular Q-learning reference agent over the discretized (step,
 trait code, trust estimate) state.
 """
@@ -39,6 +43,7 @@ from .simulator import simulate_turn  # unused here; perfbench's tracer tests re
 from .trust_model import (
     NEUTRAL_LIKERT,
     DialogFeatures,
+    ScoreParts,
     TrustClassifier,
     predict_trust,
     start_rows,
@@ -121,6 +126,15 @@ _CANDIDATE_BLOCKS = turn_blocks(SimpleNamespace(
 _TURN_COLUMNS = tuple(field.name for field in fields(SimulatedTurn))
 
 
+def _built(cls, values: dict):
+    """The frozen dataclass `cls` with these field values, made without
+    running its __init__ and __post_init__: for values the env made itself,
+    which need no checks."""
+    made = object.__new__(cls)
+    object.__setattr__(made, "__dict__", values)
+    return made
+
+
 class _BlockStream(RandomStream):
     """The reset stream of episode `index` of a block whose reset keys are
     the uint64 array `block`: the RandomStream with key block[index] that
@@ -145,21 +159,41 @@ class TrustSimEnv:
     stream child("user"), and its trait code and feature row at dialog
     start (`start_rows`) follow. The `turn_uniforms` of each step's stream
     child("step", s) draw the turn of every act (`draw_turns`, on key codes
-    from a (trait code, step, act) table made once per env), and
-    `turn_blocks` writes each candidate's current-turn block, so the action
-    only picks a drawn candidate: its block feeds the trust estimate, and
-    its drawn columns make the step's SimulatedTurn. All of it is drawn
-    for a block of episodes at once: a reset stream that
-    carries a block (as `train_tabular_policy` passes) has every episode of
-    its block drawn the first time the env sees it, and a plain stream is
-    a block of one. `reset` always returns the episode of the stream's
-    key: it draws afresh when the key it drew at the stream's index is
-    another, as after the block's array was rewritten in place. The oracle
-    `ReferenceTrustSimEnv` in `tests/conftest.py` draws the same episode
-    turn by turn on a scalar stream with the reset key: the profile with
-    `reference_sample_user` on `rng.child("user")`, each turn with
-    `reference_simulate_turn` on `rng.child("step", s)`, its features with
-    `reference_features` over the episode's earlier turns, then
+    from a (trait code, step, act) table made once per env), so the action
+    only picks a drawn candidate, whose drawn columns make the step's
+    SimulatedTurn. All of it is drawn for a block of episodes at once: a
+    reset stream that carries a block (as `train_tabular_policy` passes)
+    has every episode of its block drawn the first time the env sees it,
+    and a plain stream is a block of one. `reset` always returns the
+    episode of the stream's key: it draws afresh when the key it drew at
+    the stream's index is another, as after the block's array was
+    rewritten in place.
+
+    The trust estimate of a step is the label of the top class score of
+    its feature row, the dialog's start row with the candidate's
+    current-turn block (`turn_blocks`) and the two turns before it as
+    lags. The block draw computes each candidate's `ScoreParts` in one
+    product: its own part, with the profile part and the bias, and the
+    parts it adds as lag 1 and lag 2. A step adds its candidate's own part,
+    the carried lag parts and the trust-label parts of the two turns
+    before (a table made once per env), and takes the top class. It keeps
+    that label only if the top two sums differ by more than four times
+    `ScoreParts.error`, the bound on how far both these sums and the
+    scores `predict_trust` computes lie from the exact ones; so the label
+    is `predict_trust`'s, with its ties to the lower label. Otherwise, as
+    for any model with a NaN or inf weight, whose bound is not finite,
+    the step builds its whole row (`DialogFeatures`, from the start row and
+    the turns taken) and calls `predict_trust` on it through this module's
+    binding. The env builds its EnvState and SimulatedTurn values without
+    their checks, as each field is a Python value of its range by
+    construction (trust model classes are checked once per env); a
+    caller-built EnvState is checked.
+
+    The oracle `ReferenceTrustSimEnv` in `tests/conftest.py` draws the
+    same episode turn by turn on a scalar stream with the reset key: the
+    profile with `reference_sample_user` on `rng.child("user")`, each turn
+    with `reference_simulate_turn` on `rng.child("step", s)`, its features
+    with `reference_features` over the episode's earlier turns, then
     `predict_trust`.
     """
 
@@ -182,26 +216,46 @@ class TrustSimEnv:
         # [trait code, step - 1, act index] -> the code of the key a turn draws from
         self._codes = key_code(table.mode, np.arange(N_TRAIT_CODES)[:, None, None],
                                np.arange(N_ACTIONS), conditions[:, None])
+        # each estimated trust is a class, so the states the env builds
+        # unchecked hold Python ints in range
+        self._classes = tuple(integer("trust model class", label, LIKERT_MIN, LIKERT_MAX)
+                              for label in trust_model.classes)
+        self._n_classes = len(self._classes)
+        self._parts = ScoreParts(trust_model)
+        # A label the parts give is predict_trust's when the top two of them
+        # differ by more than this: each of the two scores is off the exact
+        # one by at most the error, both as parts and in predict_trust.
+        self._margin = 4 * self._parts.error
+        # the reward's terms, as each step computed them in full before
+        self._score_weight = reward.score_weight
+        self._trust_rewards = [reward.trust_weight * ((trust - LIKERT_MIN)
+                                                      / (LIKERT_MAX - LIKERT_MIN))
+                               for trust in self._classes]
+        # [j1][j2]: the trust-label parts of lag 1 labelled classes[j1] and of
+        # lag 2 labelled classes[j2], an index n_classes meaning no label
+        none = [[0.0] * self._n_classes] * 2
+        labels = self._parts.labels + [none]
+        self._label_parts = [[[a + b for a, b in zip(label1, label2)]
+                              for _, label2 in labels] for label1, _ in labels]
         self._keys, self._drawn = [], None  # the reset keys last drawn, and their draws
         self._done = True  # until the first reset
 
     def _draw(self, keys: np.ndarray) -> tuple:
         """The draws of the episodes with these reset keys: each one's trait
         code, feature row at dialog start, and for each (step, act), at
-        index 4 (step - 1) + act, the candidate turn's current-turn block
-        (`turn_blocks`), a float array indexed [episode, candidate], and its
-        drawn columns in _TURN_COLUMNS order, each an array indexed the same."""
+        index 4 (step - 1) + act, the candidate turn's `ScoreParts`, a float
+        array indexed [episode, candidate], and its drawn columns in
+        _TURN_COLUMNS order, each an array indexed the same."""
         users = sample_users(self.traits, child_keys(keys, _USER_LABEL))
         codes = trait_codes(users)
         u = turn_uniforms(child_keys(child_keys(keys, _STEP_LABEL)[:, None], _STEP_BITS))
         # each step's uniforms, once per act
         drawn = draw_turns(self.table, self._codes[codes].ravel(),
                            np.repeat(u, N_ACTIONS, axis=1).reshape(-1, u.shape[-1]))
+        rows = start_rows(users)
         n = len(keys)
-        blocks = np.empty((n, *_CANDIDATE_BLOCKS.shape))
-        blocks[:] = _CANDIDATE_BLOCKS
-        turn_blocks(SimpleNamespace(**drawn), blocks.reshape(-1, blocks.shape[-1]))
-        return (codes.tolist(), start_rows(users), blocks,
+        return (codes.tolist(), rows,
+                self._parts.candidates(rows, _CANDIDATE_BLOCKS, SimpleNamespace(**drawn)),
                 [drawn[name].reshape(n, -1) for name in _TURN_COLUMNS])
 
     def reset(self, rng: RandomStream) -> EnvState:
@@ -215,19 +269,42 @@ class TrustSimEnv:
             i = rng.index
         if self._keys[i:i + 1] != [rng.key]:  # drawn afresh unless drawn for this key
             # the last block's arrays are freed before the next is drawn
-            self._keys, self._drawn, self._blocks, self._done = [], None, None, True
+            self._keys, self._drawn, self._candidates, self._done = [], None, None, True
             self._drawn, self._keys = self._draw(block), block.tolist()
-        codes, rows, blocks, columns = self._drawn
-        self._trait = codes[i]
+        codes, _, candidates, columns = self._drawn
+        self._index, self._trait, self._candidates = i, codes[i], candidates[i]
         # each candidate's SimulatedTurn fields, as Python scalars
-        self._blocks, self._turns = blocks[i], list(zip(*(c[i].tolist() for c in columns)))
-        self._features = DialogFeatures(rows[i])
+        self._turns = list(zip(*(c[i].tolist() for c in columns)))
+        # the parts of lag 1 and lag 2 at the next step, and of lag 2 at the
+        # step after, each with no trust label yet: that of the neutral fill
+        fill1, fill2 = self._parts.fill
+        self._lag1, self._lag2, self._next_lag2 = fill1, fill2, fill2
+        self._label1 = self._label2 = self._n_classes  # no label, as _label_parts
+        self._taken = []  # (candidate, trust) of each step so far
         self._step_no = 1
         self._done = False
-        return EnvState(step=1, trait=self._trait, last_turn=None,
-                        estimated_trust=NEUTRAL_LIKERT)
+        return _built(EnvState, {"step": 1, "trait": self._trait, "last_turn": None,
+                                 "estimated_trust": NEUTRAL_LIKERT})
 
-    def step(self, action: ProactiveAct):
+    def _predicted(self, k: int):
+        """The trust `predict_trust` gives candidate k: its feature row built
+        from the episode's start row and the turns taken so far, with the
+        label index into the model's classes."""
+        features = DialogFeatures(self._drawn[1][self._index])
+        for taken, trust in self._taken:
+            features.write(self._block(taken))
+            features.push(trust)
+        j = self.trust_model.classes.index(
+            predict_trust(self.trust_model, features.write(self._block(k))))
+        return self._classes[j], j
+
+    def _block(self, k: int) -> np.ndarray:
+        """The current-turn block (`turn_blocks`) of candidate k."""
+        values = SimpleNamespace(**{name: [value] for name, value
+                                    in zip(_TURN_COLUMNS, self._turns[k])})
+        return turn_blocks(values, _CANDIDATE_BLOCKS[k:k + 1].copy())[0]
+
+    def step(self, action):
         """Returns (next_state, reward, done)."""
         if self._done:
             raise EpisodeFinished("reset the environment before stepping")
@@ -235,20 +312,36 @@ class TrustSimEnv:
             raise InvalidConfig(f"action must be a ProactiveAct, got {action!r}")
         s = self._step_no
         k = N_ACTIONS * (s - 1) + ACT_INDEX[action]
-        turn = SimulatedTurn(*self._turns[k])
-        trust = predict_trust(self.trust_model, self._features.write(self._blocks[k]))
-        self._features.push(trust)
+        n = self._n_classes
+        parts = self._candidates[k].tolist()
+        scores = [p + a + b + t for p, a, b, t in zip(
+            parts, self._lag1, self._lag2, self._label_parts[self._label1][self._label2])]
+        top = max(scores)
+        j = scores.index(top)
+        scores[j] = -math.inf
+        if top - max(scores) > self._margin:
+            trust = self._classes[j]
+        else:  # too close to call from the parts: score the whole row
+            trust, j = self._predicted(k)
+        self._taken.append((k, trust))
+        self._lag1, self._lag2, self._next_lag2 = parts[n:2 * n], self._next_lag2, parts[2 * n:]
+        self._label1, self._label2 = j, self._label1
 
-        reward = (
-            self.reward.score_weight * (turn.game_score / _MAX_SCORE[s - 1])
-            + self.reward.trust_weight * ((trust - LIKERT_MIN) / (LIKERT_MAX - LIKERT_MIN))
-        )
+        # _TURN_COLUMNS order
+        help_request, suggestion_request, duration, difficulty, game_score, used_fallback = \
+            self._turns[k]
+        reward = self._score_weight * (game_score / _MAX_SCORE[s - 1]) + self._trust_rewards[j]
         done = s == STEPS_PER_DIALOG
         self._done = done
         next_step = s if done else s + 1
         self._step_no = next_step
-        state = EnvState(step=next_step, trait=self._trait, last_turn=turn,
-                         estimated_trust=trust)
+        # a literal builds faster than dict(zip(_TURN_COLUMNS, ...))
+        turn = _built(SimulatedTurn, {
+            "help_request": help_request, "suggestion_request": suggestion_request,
+            "duration": duration, "difficulty": difficulty, "game_score": game_score,
+            "used_fallback": used_fallback})
+        state = _built(EnvState, {"step": next_step, "trait": self._trait, "last_turn": turn,
+                                  "estimated_trust": trust})
         return state, float(reward), done
 
 

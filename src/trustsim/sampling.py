@@ -296,26 +296,33 @@ def gaussian_truncations(mean, sd, lo, hi) -> np.ndarray:
                             np.where(flat, 0.0, np.where(mirrored, -sd, sd)), lo, hi])
 
 
-def truncated_gaussians(truncations, u) -> np.ndarray:
+def truncated_gaussians(truncations, u, index=None) -> np.ndarray:
     """Draws from truncated Gaussians: element i draws on uniform u[i] from
     record i of `truncations`, `gaussian_truncations` records (n x 6), or
-    from one record for every element. The draw is
+    from one record for every element, or, given an integer array `index`,
+    from record index[i]. The draw is
     clamp(mean + scale * inv_cdf(p), lo, hi) with p = c_lo + u * span
     clamped into (0, 1), a single inverse-CDF step on one uniform, so every
     draw costs the same however far into a tail [lo, hi] lies; scale 0 (sd
-    0) degenerates to clamp(mean, lo, hi).
+    0) degenerates to clamp(mean, lo, hi). An indexed draw gathers each
+    record field where it is read, so no array holds a whole record per
+    element.
 
     The quantiles are `standard_normals`, `inv_cdf` bit for bit, and the
     arithmetic is elementwise, so the values equal, bit for bit, the scalar
     draw kept as the oracle in `tests/conftest.py`. Overflow to inf and
     inf - inf pass silently, as in Python float arithmetic.
     """
-    mean, c_lo, span, scale, lo, hi = np.asarray(
-        truncations, dtype=np.float64).reshape(-1, 6).T
-    z = standard_normals(np.minimum(np.maximum(c_lo + u * span, _P_MIN), _P_MAX))
+    records = np.asarray(truncations, dtype=np.float64).reshape(-1, 6)
+
+    def field(j):  # record field j of each element's record
+        return records[:, j] if index is None else records[index, j]
+
+    z = standard_normals(np.minimum(np.maximum(field(1) + u * field(2), _P_MIN), _P_MAX))
+    scale, mean = field(3), field(0)
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.where(scale == 0, mean, mean + scale * z)
-    return np.minimum(np.maximum(x, lo), hi)
+    return np.minimum(np.maximum(x, field(4)), field(5))
 
 
 def cumulative_weights(probs) -> list:

@@ -165,11 +165,12 @@ def draw_turns(table: BehaviorTable, code: np.ndarray, u: np.ndarray) -> dict:
     combo = categoricals(table.request_cum[code], u[:, 0])
     row = table.row_index[code, combo]
     flags = _COMBO_FLAGS[combo]
-    # gathered field by field, so no temporary holds a whole row per turn
+    # gathered field by field, so no temporary holds a whole row or record
+    # per turn
     return dict(
-        game_score=truncated_gaussians(table.rows[row, ROW_SCORE], u[:, 3]),
+        game_score=truncated_gaussians(table.rows[:, ROW_SCORE], u[:, 3], row),
         help_request=flags[:, 0], suggestion_request=flags[:, 1],
-        duration=truncated_gaussians(table.rows[row, ROW_DURATION], u[:, 2]),
+        duration=truncated_gaussians(table.rows[:, ROW_DURATION], u[:, 2], row),
         difficulty=LIKERT_MIN + categoricals(table.rows[row, ROW_DIFFICULTY], u[:, 1]),
         used_fallback=table.used_fallback[code],
     )

@@ -20,7 +20,9 @@ class, block by block: a block of exchanges stays in L2 from the first
 product to the second, and the blocks' gradients are summed in order.
 The standardization is then folded into the stored weights and biases,
 so a score is one affine map of the raw features, for one turn or for a
-whole corpus at once.
+whole corpus at once. `ScoreParts` splits that map by the row's blocks,
+so that a dialog is scored a turn at a time by adding the parts its turns
+contribute, with a bound on the rounding of any order of that sum.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> Tru
     X, y = corpus_to_dataset(corpus)
     if len(y) < 2:
         raise InsufficientData(f"need >= 2 labeled exchanges, got {len(y)}")
-    present = tuple(sorted(set(int(v) for v in y)))
+    present = tuple(np.unique(y).tolist())
     if len(present) < 2:
         raise DegenerateLabels(f"all labels equal {present[0]}; nothing to separate")
 
@@ -296,6 +298,88 @@ def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> Tru
 def predict_trust(model: TrustClassifier, features: np.ndarray) -> TrustLabel:
     """The label of the highest score; ties break toward the lower label."""
     return model.classes[model.scores(np.asarray(features, dtype=float)).argmax()]
+
+
+def _largest_scores(weights: np.ndarray, biases: np.ndarray) -> np.ndarray:
+    """|w_c| . bounds + |b_c| of each class c: no score of a row whose
+    features lie in their ranges [0, bounds] is larger in size. Not finite
+    for a NaN or inf weight or bias, or on an overflow."""
+    with np.errstate(all="ignore"):
+        return np.abs(weights) @ _FEATURE_BOUNDS + np.abs(biases)
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+class ScoreParts:
+    """A model's class scores of a dialog's rows split into the parts that
+    its turns add, so that a dialog is scored a turn at a time without its
+    rows. The scores of the row of a turn are the sum of
+    - its own part, `candidates(...)[..., 0, :]` of its current-turn block,
+      which holds the profile part of the dialog's start row and the bias;
+    - for each lag k = 1..LAG_WINDOW, the part of the turn k steps back,
+      `candidates(...)[..., k, :]` of its block plus `labels[j][k - 1]` of
+      its trust label `model.classes[j]`, or, where the dialog has no such
+      turn, `fill[k - 1]`, the part of the neutral lag fill.
+
+    Each part sums some of a score's N_FEATURES + 1 terms (a weight times
+    a feature, and the bias), so their sum is one more order of summing
+    them. `error` bounds how far any such sum, `TrustClassifier.scores`
+    included, can fall from the exact score of a row whose features lie in
+    their ranges, its labels trust levels:
+    gamma_m * max_c(|w_c| . bounds + |b_c|) with gamma_m = m u / (1 - m u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.1) and m = 2 (N_FEATURES + 1), which leaves room for the
+    bound's own rounding, plus one smallest subnormal per term for products
+    that underflow. A model with a NaN or inf weight or bias has an `error`
+    that is not finite."""
+
+    __slots__ = ("fill", "labels", "error", "_profile", "_turn", "_biases")
+
+    def __init__(self, model: TrustClassifier):
+        weights, classes = model.weights, model.classes
+        if weights.ndim != 2 or weights.shape[1] != N_FEATURES:
+            raise SchemaMismatch(f"expected {N_FEATURES} features, got {weights.shape}")
+        lags = [_TURN_END + k * _LAG_WIDTH for k in range(LAG_WINDOW)]
+        # the current-turn block's weights, then for each lag those of the
+        # lag columns each of its columns is copied into (zero for the rest)
+        turn = np.zeros((_TURN_END - _PROFILE_END, 1 + LAG_WINDOW, len(weights)))
+        turn[:, 0] = weights[:, _PROFILE_END:_TURN_END].T
+        for k, start in enumerate(lags, start=1):
+            turn[_LAG_FROM_TURN - _PROFILE_END, k] = weights[:, start:start + _LAG_WIDTH - 1].T
+        self._profile, self._turn = weights[:, :_PROFILE_END].T, turn.reshape(len(turn), -1)
+        self._biases = model.biases
+        trust = weights[:, [start + _LAG_WIDTH - 1 for start in lags]].T  # lag trust labels
+        self.labels = [(trust * float(label)).tolist() for label in classes]
+        self.fill = [(np.array(_LAG_FILL) @ weights[:, start:start + _LAG_WIDTH].T).tolist()
+                     for start in lags]
+        m = 2 * (N_FEATURES + 1)
+        gamma = m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)
+        self.error = (gamma * float(np.max(_largest_scores(weights, model.biases)))
+                      + (N_FEATURES + 1) * 2.0 ** -1074)
+
+    def candidates(self, rows: np.ndarray, blocks: np.ndarray, turns) -> np.ndarray:
+        """The parts of m candidate turns in each of n dialogs, an (n, m,
+        (1 + LAG_WINDOW) K) array of K class scores per part: those of the
+        blocks `turn_blocks(turns, blocks)` writes into n copies of the (m,
+        11) `blocks`, which hold the candidates' columns that every dialog
+        shares, with `turns` the n m turns' Corpus-shaped columns, dialog by
+        dialog, of the current-turn fields after the act. `rows` are the
+        dialogs' start rows. No block is written per turn: the parts are the
+        shared blocks' product plus that of the turns' own columns."""
+        n, m = len(rows), len(blocks)
+        names = [name for name in _TURN_FIELDS if hasattr(turns, name)]
+        own = [len(ACT_ORDER) + _TURN_FIELDS.index(name) for name in names]
+        columns = np.empty((n * m, len(names)))
+        for j, name in enumerate(names):
+            columns[:, j] = getattr(turns, name)
+        parts = (columns @ self._turn[own]).reshape(n, m, 1 + LAG_WINDOW, -1)
+        del columns
+        shared = blocks.copy()
+        shared[:, own] = 0.0
+        parts += (shared @ self._turn).reshape(m, 1 + LAG_WINDOW, -1)
+        parts[:, :, 0] += (rows[:, :_PROFILE_END] @ self._profile + self._biases)[:, None]
+        return parts.reshape(n, m, -1)
 
 
 @dataclass(frozen=True)
@@ -408,11 +492,7 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
     if weights.shape != (len(classes), N_FEATURES) or biases.shape != (len(classes),):
         raise SchemaMismatch(f"weights {weights.shape} and biases {biases.shape} do not "
                              f"fit {len(classes)} classes x {N_FEATURES} features")
-    # |score| <= |w| . bound + |b| for every turn whose features lie in
-    # their ranges [0, bound]. A NaN or inf weight or bias, or an overflow,
-    # leaves this bound not finite.
-    with np.errstate(all="ignore"):
-        largest = np.abs(weights) @ _FEATURE_BOUNDS + np.abs(biases)
+    largest = _largest_scores(weights, biases)
     if not np.isfinite(largest).all():
         raise ValueOutOfRange("largest score", float(np.max(largest)),
                               detail="weights and biases must be finite, "

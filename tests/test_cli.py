@@ -222,6 +222,40 @@ class TestSimulate:
         assert manifest["config"]["mode"] == "complexity"
 
 
+class TestGoldenChain:
+    """sha256 of the artifacts of one small seed-42 chain that no BLAS
+    product feeds; trust_model.json and the train-rl outputs are left to
+    the pipeline-determinism gate, which reruns them on the same machine.
+    The manifests hold their run's paths."""
+
+    DIGESTS = {
+        "fit/table.json": "1fcc8bf407b4d64df3459279b5a4de6e3965804c6f56ada062e5cc3c4c99e42f",
+        "fit/trait_dists.json":
+            "7f680d7cd9e3dbb7884c34dcfab7cff80bb34f9f8288945ceb6a66e360e4a4da",
+        "fit/table_summary.json":
+            "fccd4ad43b4ff10cf27a404bbd5921e4e0e1f1f91c02cd7280dcda0c23981b77",
+        "eval/report.json": "6954ea952ac7b389480866baa47b94cbb4aa4176e0215c0e826b7506b13256dc",
+        "eval/report.txt": "50965705e878152afc1211f059a62ff55a3f7b8bfd54d70f2d559e748877b30b",
+        "eval/report.csv": "15d28d8f2d1deb60d00243cd3696e5af62082fc6b41fdce03f621889f71e1970",
+        "cmp/comparison.json":
+            "a2cef54b7117908588bd0aa56fb190854f407d39b7a10fbabe1746a5698ebdae",
+        "cmp/comparison.txt":
+            "a5f4b05a47cbc377c34c766e89daa120f45d5704d5cebe16bc6c9167064d4d3f",
+        "cmp/comparison.csv":
+            "3d96a225f47975a395eefd2e39084ea51137f5b4fddc7d5f1460d43663339289",
+    }
+
+    def test_artifacts_are_pinned(self, tmp_path):
+        corpus = str(tmp_path / "corpus" / "corpus.csv")
+        for args in (["gen-corpus", "--seed", "42", "--dialogs", "40", "--out", "corpus"],
+                     ["fit", "--corpus", corpus, "--seed", "1", "--out", "fit"],
+                     ["evaluate", "--corpus", corpus, "--seed", "3",
+                      "--table", str(tmp_path / "fit" / "table.json"), "--out", "eval"],
+                     ["compare", "--corpus", corpus, "--seed", "4", "--out", "cmp"]):
+            assert main(args[:-1] + [str(tmp_path / args[-1])]) == 0
+        assert {name: sha256(tmp_path / name) for name in self.DIGESTS} == self.DIGESTS
+
+
 class TestEvaluate:
     def test_report_bundle(self, work, corpus_file, fit_dir, capsys):
         out = work / "eval"

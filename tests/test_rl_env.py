@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -40,7 +41,8 @@ from trustsim.rl_env import (
     train_tabular_policy,
 )
 from trustsim.sampling import RandomStream, child_keys, label_bits
-from trustsim.trust_model import FEATURE_NAMES, train_classifier
+from trustsim.trust_model import (FEATURE_NAMES, ScoreParts, TrustClassifier, predict_trust,
+                                  train_classifier)
 from trustsim.user_model import (
     N_TRAIT_CODES,
     TruncGauss,
@@ -155,6 +157,14 @@ def deterministic_env(reward=RewardConfig(), trust_bias_class=4):
     biases = [1.0 if c == trust_bias_class else 0.0 for c in range(1, 6)]
     return TrustSimEnv(table, default_trait_distributions(),
                        stub_trust_model(biases), reward=reward)
+
+
+def tied_env(table=None, traits=None):
+    """An env whose trust model gives every class the same score, so every
+    step falls back to scoring its whole feature row with predict_trust
+    through rl_env's binding of it."""
+    return TrustSimEnv(table or deterministic_env().table, traits or default_trait_distributions(),
+                       stub_trust_model([0.0] * 5))
 
 
 class TestEnvMechanics:
@@ -306,6 +316,12 @@ class TestHyperparams:
             Hyperparams(gamma=-0.1)
         with pytest.raises(InvalidHyperparams):
             Hyperparams(epsilon=1.0001)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", 1.0), ("gamma", 0.0), ("gamma", 1.0), ("epsilon", 0.0), ("epsilon", 1.0)])
+    def test_closed_ends_are_accepted(self, field, value):
+        # alpha in (0, 1], gamma and epsilon in [0, 1], as the messages say
+        assert getattr(Hyperparams(**{field: value}), field) == value
 
     def test_episode_count_validated(self):
         with pytest.raises(InvalidHyperparams):
@@ -525,20 +541,42 @@ class TestEpisodeBlocks:
         assert drawn == [256, self.EPISODES - 256]
 
 
+    def test_a_block_draw_holds_no_block_per_turn(self, default_corpus, fitted):
+        # the draw keeps each candidate's score parts and drawn columns; on
+        # the way it holds less than 8 floats a candidate more, so never a
+        # current-turn block (11 floats) per candidate
+        traits, model = fitted
+        env = TrustSimEnv(build_table(default_corpus, TableMode.TASK_STEP_BASED), traits,
+                          model)
+        keys = child_keys(RandomStream(10, "peak").key, label_bits(range(256)))
+        env._draw(keys)
+        tracemalloc.start()
+        try:
+            drawn = env._draw(keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = [a for a in drawn if isinstance(a, np.ndarray)] + drawn[-1]
+        candidates = 256 * 12 * N_ACTIONS
+        assert drawn[2].shape == (256, 12 * N_ACTIONS, 3 * len(model.classes))
+        assert peak - sum(a.nbytes for a in arrays) < 8 * 8 * candidates
+
+
 class TestCandidateTurns:
     """A drawn block holds the turn of every (step, act) of its episodes,
     the acts the learner never takes included: each equals the oracle's
     turn on rng.child("step", s), with its field types, and its feature row
-    equals reference_features over the episode's earlier turns."""
+    equals reference_features over the episode's earlier turns. A tied
+    model makes every step score its whole row, which the hook captures."""
 
     @pytest.mark.parametrize("mode", list(TableMode))
     @pytest.mark.parametrize("index", [0, 255, None], ids=["first", "last", "plain"])
     def test_every_candidate_equals_the_oracle(self, monkeypatch, default_corpus, fitted,
                                                mode, index):
-        traits, model = fitted
+        traits, _ = fitted
         table = build_table(default_corpus, mode)
         oracle = oracle_table(table)
-        env = TrustSimEnv(table, traits, model)
+        env = tied_env(table, traits)
         root = RandomStream(11, "candidates")
         if index is None:  # a plain stream, a block of one
             index, rng = 7, root.child(7)
@@ -568,15 +606,17 @@ class TestCandidateTurns:
 
 
 class TestScoringCalls:
-    """The tier-1 twin of the traced benchmark smoke, which counts the
-    predict_trust calls made through rl_env's binding of it."""
+    """predict_trust calls made through rl_env's binding of it: one for each
+    step that falls back from the score parts, so every step of a tied
+    model and, on a model fitted to a corpus, only steps whose top two
+    scores lie within the margin."""
 
     def test_twelve_scored_turns_per_episode(self, monkeypatch):
         calls = []
         real = rl_env.predict_trust
         monkeypatch.setattr(rl_env, "predict_trust",
                             lambda model, features: calls.append(1) or real(model, features))
-        env = deterministic_env()
+        env = tied_env()
         at_reset = []
         reset = env.reset
         env.reset = lambda rng: at_reset.append(len(calls)) or reset(rng)
@@ -584,6 +624,49 @@ class TestScoringCalls:
         train_tabular_policy(env, episodes, Hyperparams(seed=4))
         bounds = at_reset + [len(calls)]
         assert [b - a for a, b in zip(bounds, bounds[1:])] == [12] * episodes
+
+    @pytest.mark.parametrize("tie", [False, True], ids=["fitted", "labels-2-3-tied"])
+    def test_a_step_falls_back_only_within_the_margin(self, monkeypatch, default_corpus,
+                                                      fitted, tie):
+        traits, model = fitted
+        if tie:  # label 2 takes label 3's weight row and bias
+            weights, biases = model.weights.copy(), model.biases.copy()
+            weights[1], biases[1] = weights[2], biases[2]
+            model = TrustClassifier(model.classes, weights, biases)
+        assert model.classes == (1, 2, 3, 4, 5)
+        env = TrustSimEnv(build_table(default_corpus, TableMode.TASK_STEP_BASED), traits,
+                          model)
+        margin = 4 * ScoreParts(model).error
+        assert 0 < margin < 1e-9
+        calls = []
+        real = rl_env.predict_trust
+        monkeypatch.setattr(rl_env, "predict_trust",
+                            lambda model, features: calls.append(1) or real(model, features))
+        root = RandomStream(12, "margin")
+        fell_back, gaps, ties = [], [], 0
+        for ep in range(40):
+            env.reset(root.child(ep))
+            profile = reference_sample_user(traits, root.child(ep, "user"))
+            history = []
+            for s in range(1, 13):
+                act = ACT_ORDER[(ep + s) % N_ACTIONS]
+                before = len(calls)
+                state = env.step(act)[0]
+                current = simulated_turn_context(s, act, state.last_turn)
+                row = reference_features(profile, history, current)
+                assert state.estimated_trust == predict_trust(model, row)
+                second, top = np.sort(model.scores(row))[-2:]
+                fell_back.append(len(calls) - before)
+                gaps.append(top - second)
+                ties += top == second
+                history.append(replace(current, trust_label=state.estimated_trust))
+        # a fall-back step's parts were within the margin, so its scores
+        # within twice that; a tie in the scores always falls back
+        assert set(fell_back) <= {0, 1}
+        assert all(gap <= 2 * margin for gap, back in zip(gaps, fell_back) if back)
+        assert all(back for gap, back in zip(gaps, fell_back) if gap == 0.0)
+        if tie:
+            assert 0 < ties <= sum(fell_back) < len(fell_back)
 
 
 class LongEpisodeEnv:

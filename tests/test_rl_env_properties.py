@@ -12,21 +12,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_features, reference_sample_user, simulated_turn_context
+from conftest import (reference_features, reference_sample_user, simulated_turn_context,
+                      stub_trust_model)
 from trustsim import rl_env
 from trustsim.behavior_tables import TableMode, build_table
 from trustsim.corpus import ACT_ORDER
 from trustsim.rl_env import TrustSimEnv
 from trustsim.sampling import RandomStream
-from trustsim.trust_model import train_classifier
 from trustsim.user_model import fit_trait_distributions, trait_codes
 
 
 @pytest.fixture(scope="module", params=list(TableMode), ids=lambda mode: mode.value)
 def env(request, default_corpus):
+    # a tied model: every step falls back to scoring its whole row with
+    # predict_trust, which the test's hook captures
     return TrustSimEnv(build_table(default_corpus, request.param),
                        fit_trait_distributions(default_corpus),
-                       train_classifier(default_corpus))
+                       stub_trust_model([0.0] * 5))
 
 
 class TestFeatureRows:

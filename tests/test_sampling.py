@@ -352,3 +352,15 @@ class TestArraySamplers:
                 u.append(ScalarStream(i, j).random())
                 expected.append(truncated_gaussian(mean, sd, a, b, ScalarStream(i, j)))
         assert truncated_gaussians(truncations, np.array(u)).tolist() == expected
+
+    def test_an_indexed_draw_equals_the_draw_on_the_gathered_records(self):
+        cases = [(45.0, 11.2, 20.0, 300.0), (200.0, 5.0, 10.0, 30.0),
+                 (25.0, 0.0, 20.0, 45.0), (-8.5, 0.25, -9.0, -8.0)]
+        # the records as columns of a wider array, as in a table's rows
+        rows = np.zeros((len(cases), 9))
+        rows[:, 2:8] = gaussian_truncations(*np.array(cases).T)
+        index = np.array([3, 0, 0, 2, 1, 3, 2, 2, 0, 1] * 30)
+        u = np.array([ScalarStream(7, j).random() for j in range(len(index))])
+        expected = truncated_gaussians(rows[index, 2:8], u)
+        assert (truncated_gaussians(rows[:, 2:8], u, index).tobytes()
+                == expected.tobytes())

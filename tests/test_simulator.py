@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -39,13 +40,15 @@ from trustsim.behavior_tables import (
 )
 from trustsim.corpus import Corpus, ProactiveAct, complexity_of_step
 from trustsim.errors import InvalidConfig, LengthMismatch, StepOutOfRange, ValueOutOfRange
-from trustsim.sampling import RandomStream
+from trustsim.sampling import RandomStream, child_keys, label_bits
 from trustsim.simulator import (
     LOG_COLUMNS,
     SimulatedLog,
+    draw_turns,
     replay_conditions,
     save_simulated_log,
     simulate_turn,
+    turn_uniforms,
 )
 from trustsim.user_model import trait_codes
 
@@ -226,6 +229,26 @@ class TestTableRows:
             for combo in range(len(REQUEST_COMBOS)):
                 assert served_row(table, k, combo) == draw_parameters(
                     reference_combo_stats(oracle, key, combo), complexity)
+
+
+    def test_a_draw_gathers_no_whole_record_per_turn(self, default_corpus):
+        # each truncation record field is gathered where it is read: what
+        # the draw holds beyond the columns it returns stays below 11
+        # floats a turn; gathering the 6-float score and duration records
+        # whole took 12.5
+        table = build_table(default_corpus, TableMode.TASK_STEP_BASED)
+        n = 12288  # the candidate turns of a 256-episode RL block
+        code = np.arange(n) * 7919 % len(table.used_fallback)
+        u = turn_uniforms(child_keys(RandomStream(1, "peak").key, label_bits(range(n))))
+        draw_turns(table, code, u)
+        tracemalloc.start()
+        try:
+            drawn = draw_turns(table, code, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(column.nbytes for column in drawn.values())
+        assert peak - kept < 11 * 8 * n
 
 
 class TestFallbackFlag:

@@ -12,11 +12,12 @@ from functools import cache
 import numpy as np
 import pytest
 
-from conftest import RiggedSweepEnv
+from conftest import RiggedSweepEnv, stub_trust_model
 from trustsim.behavior_tables import TableMode, build_table, lookup, table_to_json_dict
 from trustsim.corpus import ProactiveAct, complexity_of_step, split_corpus
 from trustsim.errors import InvalidBounds, InvalidConfig, InvalidHyperparams, StepOutOfRange
-from trustsim.rl_env import EnvState, Hyperparams, RewardConfig, train_tabular_policy
+from trustsim.rl_env import (EnvState, Hyperparams, RewardConfig, TrustSimEnv,
+                             train_tabular_policy)
 from trustsim.sampling import RandomStream
 from trustsim.synth import BehaviorProcess, GeneratorConfig, generate_synthetic_corpus
 from trustsim.trust_model import TrainConfig, train_classifier
@@ -54,6 +55,14 @@ def fitted(threshold) -> tuple:
     return (*shown(fitted_table), json.dumps(table_to_json_dict(fitted_table)))
 
 
+def estimated(label) -> list:
+    """An episode's states under a model that always answers this label."""
+    model = dataclasses.replace(stub_trust_model([0.0, 1.0]), classes=(1, label))
+    env = TrustSimEnv(table(), default_trait_distributions(), model)
+    return [shown(env.reset(RandomStream(3, "ep")))] + [
+        shown(env.step(ProactiveAct.NONE)[0]) for _ in range(12)]
+
+
 def generated(n_dialogs) -> tuple:
     config = GeneratorConfig(n_dialogs=n_dialogs)
     return (*shown(config), json.dumps(config.to_json_dict()),
@@ -78,6 +87,7 @@ INTEGER_SITES = {
     "EnvState step": (InvalidConfig, lambda v: state(step=v), 2),
     "EnvState trait": (InvalidConfig, lambda v: state(trait=v), 5),
     "EnvState estimated_trust": (InvalidConfig, lambda v: state(estimated_trust=v), 4),
+    "TrustSimEnv trust model class": (InvalidConfig, estimated, 4),
     "train_tabular_policy episodes": (InvalidHyperparams, learned, 3),
     "Hyperparams seed": (InvalidConfig, lambda v: learned(2, seed=v), 1),
     "GeneratorConfig n_dialogs": (InvalidConfig, generated, 5),

@@ -304,7 +304,7 @@ class TrustSimEnv:
                                     in zip(_TURN_COLUMNS, self._turns[k])})
         return turn_blocks(values, _CANDIDATE_BLOCKS[k:k + 1].copy())[0]
 
-    def step(self, action):
+    def step(self, action: ProactiveAct):
         """Returns (next_state, reward, done)."""
         if self._done:
             raise EpisodeFinished("reset the environment before stepping")

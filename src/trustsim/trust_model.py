@@ -256,7 +256,7 @@ def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> Tru
     X, y = corpus_to_dataset(corpus)
     if len(y) < 2:
         raise InsufficientData(f"need >= 2 labeled exchanges, got {len(y)}")
-    present = tuple(np.unique(y).tolist())
+    present = tuple(np.flatnonzero(np.bincount(y)).tolist())  # labels are 1..5
     if len(present) < 2:
         raise DegenerateLabels(f"all labels equal {present[0]}; nothing to separate")
 

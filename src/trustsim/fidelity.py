@@ -4,6 +4,16 @@ simulated behavior, aggregated per measure and overall.
 Convention throughout: P is the real corpus, Q the simulator. KL uses
 base-2 logs; histograms get additive smoothing then renormalization so
 divergences stay finite off the shared support.
+
+`evaluate_simulator` makes one array pass a measure. It lays the corpus
+and log columns out step-major, a (step, real then simulated, dialog)
+array in C order, since exchange i is dialog i // 12 at step i % 12 + 1.
+It takes the rows' mean squared errors, checks the rows in the order a
+per-step loop would meet them, bins every row at once with one bincount
+over row x bin, and runs the Python-float KL loop on each (real,
+simulated) row pair. The public `estimate_distribution`, `kl_divergence`
+and `mse` call the same kernels on a row of one, so every report equals,
+bit for bit, the per-step loop over them.
 """
 
 from __future__ import annotations
@@ -54,7 +64,23 @@ MEASURES = tuple(Measure)
 SCORE_SUPPORT = tuple(
     OPTION_SCORE_UNIT * i for i in range(1, max(COMPLEXITY_LEVELS) + 1)
 )
-_SCORE_GRID = np.array(SCORE_SUPPORT)
+
+
+# The column each measure reads, of a Corpus and of a SimulatedLog.
+_MEASURE_FIELDS = {
+    Measure.GAME_SCORE: "game_score",
+    Measure.DURATION: "duration",
+    Measure.DIFFICULTY: "difficulty",
+    Measure.HELP_REQUEST: "help_request",
+    Measure.SUGGESTION_REQUEST: "suggestion_request",
+}
+_N_BINS = {
+    Measure.GAME_SCORE: len(SCORE_SUPPORT),
+    Measure.DURATION: DURATION_BINS,
+    Measure.DIFFICULTY: N_DIFFICULTY_CLASSES,
+    Measure.HELP_REQUEST: 2,
+    Measure.SUGGESTION_REQUEST: 2,
+}
 
 
 def _check_finite(field: str, x: np.ndarray) -> None:
@@ -62,6 +88,96 @@ def _check_finite(field: str, x: np.ndarray) -> None:
     bad = ~np.isfinite(x)
     if bad.any():
         raise ValueOutOfRange(field, float(x[bad][0]), detail="must be finite")
+
+
+def _off_scale(x: np.ndarray, measure: Measure) -> list:
+    """(mask, detail) of the finite samples of x the measure's histogram
+    has no bin for, in the order they are checked."""
+    if measure is Measure.DIFFICULTY:
+        return [(~((LIKERT_MIN <= x) & (x < LIKERT_MIN + N_DIFFICULTY_CLASSES)),
+                 "must be in 1..5"),
+                (x != np.trunc(x), "must be a whole number")]
+    if measure in (Measure.HELP_REQUEST, Measure.SUGGESTION_REQUEST):
+        return [((x != 0) & (x != 1), "must be 0 or 1")]
+    return []
+
+
+def _check_samples(rows: np.ndarray, measure: Measure) -> None:
+    """Raise for the first row of samples, in order, that has no
+    histogram: EmptySequence for rows of no samples, else ValueOutOfRange
+    naming the row's first non-finite sample, or else its first sample off
+    the measure's scale."""
+    if rows.shape[1] == 0:
+        raise EmptySequence(f"no samples for {measure.value}")
+    off = _off_scale(rows, measure)
+    bad = np.logical_or.reduce([~np.isfinite(rows)] + [mask for mask, _ in off])
+    bad_rows = np.flatnonzero(bad.any(axis=1))
+    if bad_rows.size:
+        r = bad_rows[0]
+        field = _MEASURE_FIELDS[measure]
+        _check_finite(field, rows[r])
+        for mask, detail in off:
+            if mask[r].any():
+                raise ValueOutOfRange(field, rows[r][mask[r]][0], detail=detail)
+
+
+def _histograms(rows: np.ndarray, measure: Measure) -> np.ndarray:
+    """One histogram per row of checked samples, on the measure's support,
+    smoothed by DEFAULT_SMOOTHING and renormalized: the bin indices once,
+    then one bincount over row x bin."""
+    if measure is Measure.GAME_SCORE:
+        # the nearest option score, the first of equal distances
+        idx = np.zeros(rows.shape, dtype=int)
+        nearest = np.abs(SCORE_SUPPORT[0] - rows)
+        for i, score in enumerate(SCORE_SUPPORT[1:], 1):
+            distance = np.abs(score - rows)
+            np.copyto(idx, i, where=distance < nearest)
+            np.minimum(nearest, distance, out=nearest)
+    elif measure is Measure.DURATION:
+        idx = np.minimum(((np.clip(rows, MIN_DURATION_S, DURATION_HI) - MIN_DURATION_S)
+                          / _DURATION_BIN_WIDTH).astype(int), DURATION_BINS - 1)
+    elif measure is Measure.DIFFICULTY:
+        idx = rows.astype(int) - LIKERT_MIN
+    else:
+        idx = rows.astype(int)
+    n_rows, n_bins = len(rows), _N_BINS[measure]
+    idx += n_bins * np.arange(n_rows)[:, None]
+    counts = np.bincount(idx.ravel(), minlength=n_rows * n_bins).reshape(n_rows, n_bins)
+    probs = counts / counts.sum(axis=1, keepdims=True) + DEFAULT_SMOOTHING
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def _kl_divergences(p: np.ndarray, q: np.ndarray) -> list:
+    """The base-2 KL divergence of each row pair of p and q, non-negative
+    rows of positive sum, renormalized."""
+    p = p / p.sum(axis=1, keepdims=True)
+    q = q / q.sum(axis=1, keepdims=True)
+    return [_kl_of(p_row, q_row) for p_row, q_row in zip(p.tolist(), q.tolist())]
+
+
+def _kl_of(p: list, q: list) -> float:
+    total = 0.0
+    # Python floats: pi / qi overflows to inf silently, where numpy scalars warn
+    for pi, qi in zip(p, q):
+        if pi == 0.0:
+            continue
+        if qi == 0.0:
+            return math.inf
+        total += pi * math.log2(pi / qi)
+    # float error can leave a tiny negative residue on equal vectors
+    return max(0.0, total)
+
+
+def _mean_squared_errors(simulated: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """The mean squared error of each row pair: inf where the mean
+    overflows, nan for rows of no pairs (the sum over n, as np.mean takes
+    it, without its warning on an empty row)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.reduce((simulated - reference) ** 2, axis=1) / simulated.shape[1]
+
+
+def _overflow(error: float) -> ValueOutOfRange:
+    return ValueOutOfRange("mean squared error", error, detail="overflows the float range")
 
 
 def kl_divergence(p, q) -> float:
@@ -78,21 +194,9 @@ def kl_divergence(p, q) -> float:
     # a vector whose sum leaves the float range is scaled by its maximum first
     with np.errstate(over="ignore"):
         p, q = (x if np.isfinite(x.sum()) else x / x.max() for x in (p, q))
-    psum, qsum = p.sum(), q.sum()
-    if psum <= 0 or qsum <= 0:
+    if p.sum() <= 0 or q.sum() <= 0:
         raise EmptySequence("probability vector has no mass")
-    p = p / psum
-    q = q / qsum
-    total = 0.0
-    # Python floats: pi / qi overflows to inf silently, where numpy scalars warn
-    for pi, qi in zip(p.tolist(), q.tolist()):
-        if pi == 0.0:
-            continue
-        if qi == 0.0:
-            return math.inf
-        total += pi * math.log2(pi / qi)
-    # float error can leave a tiny negative residue on equal vectors
-    return max(0.0, total)
+    return _kl_divergences(p[None], q[None])[0]
 
 
 def mse(simulated, reference) -> float:
@@ -105,11 +209,9 @@ def mse(simulated, reference) -> float:
         raise EmptySequence("cannot average zero squared errors")
     _check_finite("simulated", sim)
     _check_finite("reference", ref)
-    with np.errstate(over="ignore"):
-        error = float(np.mean((sim - ref) ** 2))
+    error = float(_mean_squared_errors(sim[None], ref[None])[0])
     if not math.isfinite(error):
-        raise ValueOutOfRange("mean squared error", error,
-                              detail="overflows the float range")
+        raise _overflow(error)
     return error
 
 
@@ -117,41 +219,11 @@ def estimate_distribution(values, measure: Measure) -> np.ndarray:
     """Empirical histogram on the measure's support, smoothed by
     DEFAULT_SMOOTHING and renormalized. Score samples snap to the nearest
     attainable option score, ties to the lower one; durations clip into
-    MIN_DURATION_S..DURATION_HI, in DURATION_BINS bins."""
-    x = np.asarray(list(values), dtype=float)
-    if x.size == 0:
-        raise EmptySequence(f"no samples for {measure.value}")
-    _check_finite(_MEASURE_FIELDS[measure], x)
-    if measure is Measure.GAME_SCORE:
-        # argmin keeps the first of equal distances
-        idx = np.argmin(np.abs(_SCORE_GRID - x[:, None]), axis=1)
-        n_bins = len(SCORE_SUPPORT)
-    elif measure is Measure.DURATION:
-        n_bins = DURATION_BINS
-        idx = np.minimum(((np.clip(x, MIN_DURATION_S, DURATION_HI) - MIN_DURATION_S)
-                          / _DURATION_BIN_WIDTH).astype(int), n_bins - 1)
-    elif measure is Measure.DIFFICULTY:
-        idx = x.astype(int) - LIKERT_MIN
-        n_bins = N_DIFFICULTY_CLASSES
-        outside = (idx < 0) | (idx >= n_bins)
-        if outside.any():
-            raise ValueOutOfRange("difficulty", x[outside][0], detail="must be in 1..5")
-    else:
-        idx = (x != 0).astype(int)
-        n_bins = 2
-    counts = np.bincount(idx, minlength=n_bins)
-    probs = counts / counts.sum() + DEFAULT_SMOOTHING
-    return probs / probs.sum()
-
-
-# The column each measure reads, of a Corpus and of a SimulatedLog.
-_MEASURE_FIELDS = {
-    Measure.GAME_SCORE: "game_score",
-    Measure.DURATION: "duration",
-    Measure.DIFFICULTY: "difficulty",
-    Measure.HELP_REQUEST: "help_request",
-    Measure.SUGGESTION_REQUEST: "suggestion_request",
-}
+    MIN_DURATION_S..DURATION_HI, in DURATION_BINS bins; a difficulty must
+    be a whole number in 1..5 and a request value 0 or 1."""
+    rows = np.asarray(list(values), dtype=float)[None]
+    _check_samples(rows, measure)
+    return _histograms(rows, measure)[0]
 
 
 @dataclass(frozen=True)
@@ -191,24 +263,32 @@ class FidelityReport:
 
 def evaluate_simulator(simulated: SimulatedLog, mode_tag: str) -> FidelityReport:
     """Distances between a replay log and the corpus it replayed, each
-    measure compared at each step."""
+    measure compared at each step in one array pass."""
     corpus = simulated.corpus
-    at_step = [corpus.step == step for step in range(1, STEPS_PER_DIALOG + 1)]
+    n = corpus.n_dialogs
     per_step_kl = {}
     per_step_mse = {}
     for measure in MEASURES:
         name = _MEASURE_FIELDS[measure]
-        real = np.asarray(getattr(corpus, name), dtype=float)
-        sim = np.asarray(getattr(simulated, name), dtype=float)
-        kls, mses = [], []
-        for rows in at_step:
-            real_vals, sim_vals = real[rows], sim[rows]
-            p = estimate_distribution(real_vals, measure)
-            q = estimate_distribution(sim_vals, measure)
-            kls.append(kl_divergence(p, q))
-            mses.append(mse(sim_vals, real_vals))
-        per_step_kl[measure] = tuple(kls)
-        per_step_mse[measure] = tuple(mses)
+        # (step, real then simulated, dialog), in C order, so each row sums
+        # as the step's samples alone do: exchange i is dialog i // 12 at
+        # step i % 12 + 1
+        pairs = np.empty((STEPS_PER_DIALOG, 2, n))
+        for side, source in enumerate((corpus, simulated)):
+            pairs[:, side] = np.reshape(getattr(source, name), (n, STEPS_PER_DIALOG)).T
+        rows = pairs.reshape(2 * STEPS_PER_DIALOG, n)
+        errors = _mean_squared_errors(pairs[:, 1], pairs[:, 0])
+        # checked in the order a per-step loop meets them: a step's real
+        # samples, its simulated ones, then its MSE (which a non-finite
+        # sample also leaves non-finite), before the next step's
+        unfit = np.flatnonzero(~np.isfinite(errors))
+        if unfit.size:
+            _check_samples(rows[:2 * unfit[0] + 2], measure)
+            raise _overflow(float(errors[unfit[0]]))
+        _check_samples(rows, measure)
+        probs = _histograms(rows, measure)
+        per_step_kl[measure] = tuple(_kl_divergences(probs[0::2], probs[1::2]))
+        per_step_mse[measure] = tuple(errors.tolist())
 
     return FidelityReport(
         mode_tag=mode_tag, per_step_kl=per_step_kl, per_step_mse=per_step_mse,

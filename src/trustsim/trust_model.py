@@ -242,6 +242,15 @@ class TrustClassifier:
     weights: np.ndarray  # (n_classes, n_features)
     biases: np.ndarray  # (n_classes,)
 
+    def __post_init__(self):
+        # any finite or non-finite values and any feature count: predict_trust
+        # and the file reader check those where they need them
+        weights, biases = np.shape(self.weights), np.shape(self.biases)
+        if len(weights) != 2 or len(biases) != 1 \
+                or not len(self.classes) == weights[0] == biases[0]:
+            raise SchemaMismatch(f"weights {weights} and biases {biases} do not fit "
+                                 f"{len(self.classes)} classes")
+
     def scores(self, features: np.ndarray) -> np.ndarray:
         """The class scores of one feature row, or one row of class scores
         per row of a feature matrix."""
@@ -489,15 +498,15 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
             or any(a >= b for a, b in zip(classes, classes[1:])):
         raise SchemaMismatch(f"model classes {list(classes)} are not distinct trust "
                              f"levels of {list(TRUST_CLASSES)} in ascending order")
-    if weights.shape != (len(classes), N_FEATURES) or biases.shape != (len(classes),):
-        raise SchemaMismatch(f"weights {weights.shape} and biases {biases.shape} do not "
-                             f"fit {len(classes)} classes x {N_FEATURES} features")
+    model = TrustClassifier(classes=classes, weights=weights, biases=biases)
+    if weights.shape[1] != N_FEATURES:
+        raise SchemaMismatch(f"weights {weights.shape} do not fit {N_FEATURES} features")
     largest = _largest_scores(weights, biases)
     if not np.isfinite(largest).all():
         raise ValueOutOfRange("largest score", float(np.max(largest)),
                               detail="weights and biases must be finite, "
                                      "and no score may overflow")
-    return TrustClassifier(classes=classes, weights=weights, biases=biases)
+    return model
 
 
 def save_classifier(model: TrustClassifier, path) -> None:

@@ -66,6 +66,14 @@ from trustsim.errors import (
     NoDataForCondition,
     ValueOutOfRange,
 )
+from trustsim.fidelity import (
+    _MEASURE_FIELDS,
+    MEASURES,
+    FidelityReport,
+    estimate_distribution,
+    kl_divergence,
+    mse,
+)
 from trustsim.rl_env import (
     N_ACTIONS,
     N_STATES,
@@ -907,6 +915,32 @@ def reference_replay(corpus, table, rng) -> list:
                                                rng.child(user.user_id, ex.step)))
             for user, ex in exchanges_of(corpus)]
 
+
+
+def reference_evaluate_simulator(simulated, mode_tag) -> FidelityReport:
+    """The per-step loop evaluate_simulator replaced, kept as its oracle:
+    for each measure and step, the public estimate_distribution of the
+    step's real samples, then of its simulated ones, their kl_divergence,
+    and the mse of the samples."""
+    corpus = simulated.corpus
+    at_step = [corpus.step == step for step in range(1, STEPS_PER_DIALOG + 1)]
+    per_step_kl = {}
+    per_step_mse = {}
+    for measure in MEASURES:
+        name = _MEASURE_FIELDS[measure]
+        real = np.asarray(getattr(corpus, name), dtype=float)
+        sim = np.asarray(getattr(simulated, name), dtype=float)
+        kls, mses = [], []
+        for rows in at_step:
+            real_vals, sim_vals = real[rows], sim[rows]
+            p = estimate_distribution(real_vals, measure)
+            q = estimate_distribution(sim_vals, measure)
+            kls.append(kl_divergence(p, q))
+            mses.append(mse(sim_vals, real_vals))
+        per_step_kl[measure] = tuple(kls)
+        per_step_mse[measure] = tuple(mses)
+    return FidelityReport(mode_tag=mode_tag, per_step_kl=per_step_kl,
+                          per_step_mse=per_step_mse, fallback_rate=simulated.fallback_rate())
 
 
 def summary_of(report) -> dict:

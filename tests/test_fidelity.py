@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import exchanges_of, summary_of
+from conftest import (any_outcome, corpus_from_rows, exchanges_of,
+                      reference_evaluate_simulator, summary_of)
+from trustsim import fidelity
 from trustsim.behavior_tables import TableMode, build_table
 from trustsim.corpus import DURATION_HI, MIN_DURATION_S
 from trustsim.errors import EmptySequence, LengthMismatch, NegativeEntry, ValueOutOfRange
@@ -258,6 +261,23 @@ class TestEstimateDistribution:
         with pytest.raises(EmptySequence):
             estimate_distribution([], Measure.DIFFICULTY)
 
+    @pytest.mark.parametrize("difficulty", [2.5, 3.9, 5.5, 1.0 + 2 ** -40])
+    def test_difficulty_that_is_not_whole_rejected(self, difficulty):
+        with pytest.raises(ValueOutOfRange, match="^difficulty=.* must be a whole number$"):
+            estimate_distribution([3, difficulty], Measure.DIFFICULTY)
+
+    def test_difficulty_range_is_checked_before_wholeness(self):
+        with pytest.raises(ValueOutOfRange, match=r"^difficulty=np.float64\(0.5\) .* in 1..5$"):
+            estimate_distribution([2.5, 0.5], Measure.DIFFICULTY)
+
+    @pytest.mark.parametrize("measure", [Measure.HELP_REQUEST, Measure.SUGGESTION_REQUEST],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("value", [0.5, 2, -1, 1e-300])
+    def test_request_that_is_not_0_or_1_rejected(self, measure, value):
+        field = EXCHANGE_FIELDS[measure]
+        with pytest.raises(ValueOutOfRange, match=f"^{field}=.* must be 0 or 1$"):
+            estimate_distribution([True, value], measure)
+
     @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.value)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, measure, bad):
@@ -324,6 +344,55 @@ class TestEvaluateSimulator:
         assert set(payload["rows"]) == {m.value for m in MEASURES} | {"Overall"}
         assert len(payload["rows"]["GameScore"]["kl_per_step"]) == 12
         assert payload["mode"] == "identity"
+
+
+class TestArrayPass:
+    """evaluate_simulator's array pass against the per-step loop it
+    replaced (reference_evaluate_simulator), report for report with ==."""
+
+    @pytest.mark.parametrize("step_drift", [0.0, 0.8])
+    @pytest.mark.parametrize("n_dialogs", [1, 2, 61, 308])
+    @pytest.mark.parametrize("seed", [5, 19])
+    def test_reports_equal_the_per_step_loop(self, monkeypatch, seed, n_dialogs, step_drift):
+        corpus = generate_synthetic_corpus(
+            GeneratorConfig(n_dialogs=n_dialogs, step_drift=step_drift), seed=seed)
+        for mode in TableMode:
+            log = replay_conditions(corpus, build_table(corpus, mode),
+                                    RandomStream(seed, "oracle", mode.value))
+            report = evaluate_simulator(log, mode.value)
+            assert report == reference_evaluate_simulator(log, mode.value)
+        # compare_modes reports through evaluate_simulator
+        compared = any_outcome(lambda c: compare_modes(c, seed), corpus)
+        monkeypatch.setattr(fidelity, "evaluate_simulator", reference_evaluate_simulator)
+        assert compared == any_outcome(lambda c: compare_modes(c, seed), corpus)
+
+    def test_an_empty_corpus_has_no_samples(self):
+        log = log_from_corpus(corpus_from_rows([], {}))
+        with pytest.raises(EmptySequence, match="^no samples for GameScore$"):
+            evaluate_simulator(log, "x")
+        assert (any_outcome(lambda log: evaluate_simulator(log, "x"), log)
+                == any_outcome(lambda log: reference_evaluate_simulator(log, "x"), log))
+
+    @pytest.mark.parametrize("plants", [
+        # (column, exchange, value): step is exchange % 12 + 1
+        [("game_score", 30, math.nan)],
+        [("duration", 5, math.inf), ("difficulty", 2, 6)],
+        [("difficulty", 14, 0), ("difficulty", 24, 6)],
+        # an MSE that overflows at a step before one holding a bad sample
+        [("game_score", 15, 1e200), ("game_score", 4, math.nan)],
+        [("game_score", 15, 1e200), ("game_score", 3, math.nan)],
+        [("duration", 27, -1e300)],
+    ], ids=["nan", "duration-before-difficulty", "difficulty-at-the-first-step",
+            "overflow-first", "nan-first", "overflow-only"])
+    def test_a_rejected_log_raises_as_the_loop_did(self, small_corpus, plants):
+        columns = {name: np.array(getattr(small_corpus, name))
+                   for name in ("game_score", "duration", "difficulty")}
+        for name, exchange, value in plants:
+            columns[name][exchange] = value
+        log = replace(log_from_corpus(small_corpus), **columns)
+        got = any_outcome(lambda log: evaluate_simulator(log, "x"), log)
+        assert got[0] is ValueOutOfRange
+        assert got == any_outcome(lambda log: reference_evaluate_simulator(log, "x"), log)
 
 
 class TestCompareModes:

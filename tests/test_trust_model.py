@@ -499,6 +499,26 @@ class TestEvaluateClassifier:
         with pytest.raises(SchemaMismatch):
             evaluate_classifier(narrow, separable_corpus())
 
+    @pytest.mark.parametrize("weights, biases", [
+        (np.zeros((5, N_FEATURES)), np.zeros(4)),
+        (np.zeros((4, N_FEATURES)), np.zeros(5)),
+        (np.zeros((4, N_FEATURES)), np.zeros(4)),
+        (np.zeros(N_FEATURES), np.zeros(5)),
+        (np.zeros((5, N_FEATURES)), np.zeros((5, 1))),
+        (np.zeros((5, N_FEATURES, 1)), np.zeros(5)),
+        (np.zeros((5, N_FEATURES)), 0.0),
+    ], ids=["4-biases", "4-rows", "4-rows-and-biases", "1-d-weights", "2-d-biases",
+            "3-d-weights", "scalar-bias"])
+    def test_misshapen_arrays_rejected_at_construction(self, weights, biases):
+        with pytest.raises(SchemaMismatch, match="do not fit 5 classes"):
+            trust_model.TrustClassifier((1, 2, 3, 4, 5), weights, biases)
+
+    def test_any_values_and_feature_count_construct(self):
+        weights = np.full((2, 7), np.nan)
+        weights[1] = np.inf
+        model = trust_model.TrustClassifier((1, 5), weights, np.array([np.nan, -np.inf]))
+        assert model.weights.shape == (2, 7)
+
     def test_stub_model_matches_hand_count(self):
         # a model that always answers 3 scores exactly the label-3 share
         corpus = separable_corpus()
@@ -619,6 +639,8 @@ class TestSerialization:
         ("biases", [0.0]),
         ("weights", [[0.0] * N_FEATURES] * 3),
         ("biases", [0.0] * 3),
+        ("weights", [0.0] * 2),
+        ("biases", [[0.0], [0.0]]),
     ])
     def test_misshapen_arrays_rejected_at_load(self, field, value):
         payload = classifier_to_json_dict(train_classifier(separable_corpus()))

@@ -74,13 +74,6 @@ _MEASURE_FIELDS = {
     Measure.HELP_REQUEST: "help_request",
     Measure.SUGGESTION_REQUEST: "suggestion_request",
 }
-_N_BINS = {
-    Measure.GAME_SCORE: len(SCORE_SUPPORT),
-    Measure.DURATION: DURATION_BINS,
-    Measure.DIFFICULTY: N_DIFFICULTY_CLASSES,
-    Measure.HELP_REQUEST: 2,
-    Measure.SUGGESTION_REQUEST: 2,
-}
 
 
 def _check_finite(field: str, x: np.ndarray) -> None:
@@ -133,14 +126,18 @@ def _histograms(rows: np.ndarray, measure: Measure) -> np.ndarray:
             distance = np.abs(score - rows)
             np.copyto(idx, i, where=distance < nearest)
             np.minimum(nearest, distance, out=nearest)
+        n_bins = len(SCORE_SUPPORT)
     elif measure is Measure.DURATION:
+        n_bins = DURATION_BINS
         idx = np.minimum(((np.clip(rows, MIN_DURATION_S, DURATION_HI) - MIN_DURATION_S)
-                          / _DURATION_BIN_WIDTH).astype(int), DURATION_BINS - 1)
+                          / _DURATION_BIN_WIDTH).astype(int), n_bins - 1)
     elif measure is Measure.DIFFICULTY:
         idx = rows.astype(int) - LIKERT_MIN
+        n_bins = N_DIFFICULTY_CLASSES
     else:
         idx = rows.astype(int)
-    n_rows, n_bins = len(rows), _N_BINS[measure]
+        n_bins = 2
+    n_rows = len(rows)
     idx += n_bins * np.arange(n_rows)[:, None]
     counts = np.bincount(idx.ravel(), minlength=n_rows * n_bins).reshape(n_rows, n_bins)
     probs = counts / counts.sum(axis=1, keepdims=True) + DEFAULT_SMOOTHING

@@ -383,7 +383,7 @@ class TestArrayPass:
         [("game_score", 15, 1e200), ("game_score", 3, math.nan)],
         [("duration", 27, -1e300)],
     ], ids=["nan", "duration-before-difficulty", "difficulty-at-the-first-step",
-            "overflow-first", "nan-first", "overflow-only"])
+            "overflow-first", "nan-at-the-overflow-step", "overflow-only"])
     def test_a_rejected_log_raises_as_the_loop_did(self, small_corpus, plants):
         columns = {name: np.array(getattr(small_corpus, name))
                    for name in ("game_score", "duration", "difficulty")}

@@ -111,7 +111,7 @@ def _check_samples(rows: np.ndarray, measure: Measure) -> None:
         _check_finite(field, rows[r])
         for mask, detail in off:
             if mask[r].any():
-                raise ValueOutOfRange(field, rows[r][mask[r]][0], detail=detail)
+                raise ValueOutOfRange(field, float(rows[r][mask[r]][0]), detail=detail)
 
 
 def _histograms(rows: np.ndarray, measure: Measure) -> np.ndarray:

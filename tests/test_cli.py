@@ -256,6 +256,41 @@ class TestGoldenChain:
         assert {name: sha256(tmp_path / name) for name in self.DIGESTS} == self.DIGESTS
 
 
+class TestGoldenRL:
+    """sha256 of `q.tobytes()`, the policy and the returns of 600 episodes
+    (two blocks of 256 and a partial one) trained on the seed-42 standard
+    corpus's fit, per mode and learner seed. Unlike `TestGoldenChain`,
+    these pass through BLAS products (the classifier's training and the
+    block's score parts), so they are pinned for one BLAS: x86-64 numpy's
+    OpenBLAS on one thread. A change to the draw or step kernels that
+    keeps them is bit-identical."""
+
+    EPISODES = 600
+    DIGESTS = {
+        ("complexity", 0): "096836a09d056a7d641c90c7c2d26ac9f76b794280af3b013f763b99be4b9161",
+        ("complexity", 5): "90fdf1abd3a858c82f13585f165efa9b1b22dce855e8c3333525a638af64b6e7",
+        ("complexity", 42): "f34a9d117bb4457cfbd1ec04b8c83198de0388ffdf5a6ec38b75a8b5e2e2f5f4",
+        ("task-step", 0): "d2bebd4d5d1f341c2da8f149679fe17c5e11c297596423881908c77f1bc2d6f3",
+        ("task-step", 5): "94e0065b555b9dc9e2a3199f284d06dd2707687dad309b34340360ef5a8ccfab",
+        ("task-step", 42): "8153fc0c8061a5423606cc70e426d3f752ae8b76852485c73c136642d8f22c7c",
+    }
+
+    @pytest.fixture(scope="class")
+    def fits(self, default_corpus):
+        traits, model = fit_trait_distributions(default_corpus), train_classifier(default_corpus)
+        return {mode: (build_table(default_corpus, mode), traits, model) for mode in TableMode}
+
+    @pytest.mark.parametrize("seed", [0, 5, 42])
+    @pytest.mark.parametrize("mode", list(TableMode), ids=lambda mode: mode.value)
+    def test_training_is_pinned(self, fits, mode, seed):
+        result = train_tabular_policy(TrustSimEnv(*fits[mode]), self.EPISODES,
+                                      Hyperparams(seed=seed))
+        digest = hashlib.sha256(result.q.tobytes())
+        digest.update(result.policy.astype(np.int64).tobytes())
+        digest.update(np.array(result.returns).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[mode.value, seed]
+
+
 class TestEvaluate:
     def test_report_bundle(self, work, corpus_file, fit_dir, capsys):
         out = work / "eval"

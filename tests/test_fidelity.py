@@ -263,11 +263,13 @@ class TestEstimateDistribution:
 
     @pytest.mark.parametrize("difficulty", [2.5, 3.9, 5.5, 1.0 + 2 ** -40])
     def test_difficulty_that_is_not_whole_rejected(self, difficulty):
-        with pytest.raises(ValueOutOfRange, match="^difficulty=.* must be a whole number$"):
+        # the sample is named as a Python float, not by its numpy repr
+        with pytest.raises(ValueOutOfRange, match=f"^difficulty={re.escape(repr(difficulty))} "
+                                                  f"out of range: must be a whole number$"):
             estimate_distribution([3, difficulty], Measure.DIFFICULTY)
 
     def test_difficulty_range_is_checked_before_wholeness(self):
-        with pytest.raises(ValueOutOfRange, match=r"^difficulty=np.float64\(0.5\) .* in 1..5$"):
+        with pytest.raises(ValueOutOfRange, match=r"^difficulty=0\.5 out of range: must be in 1\.\.5$"):
             estimate_distribution([2.5, 0.5], Measure.DIFFICULTY)
 
     @pytest.mark.parametrize("measure", [Measure.HELP_REQUEST, Measure.SUGGESTION_REQUEST],
@@ -275,7 +277,8 @@ class TestEstimateDistribution:
     @pytest.mark.parametrize("value", [0.5, 2, -1, 1e-300])
     def test_request_that_is_not_0_or_1_rejected(self, measure, value):
         field = EXCHANGE_FIELDS[measure]
-        with pytest.raises(ValueOutOfRange, match=f"^{field}=.* must be 0 or 1$"):
+        with pytest.raises(ValueOutOfRange, match=f"^{field}={re.escape(repr(float(value)))} "
+                                                  f"out of range: must be 0 or 1$"):
             estimate_distribution([True, value], measure)
 
     @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.value)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .behavior_tables import BehaviorTable, TableMode, key_code
 from .corpus import (
-    ACT_INDEX,
     ACT_ORDER,
     LIKERT_MAX,
     LIKERT_MIN,
@@ -126,12 +125,15 @@ _CANDIDATE_BLOCKS = turn_blocks(SimpleNamespace(
 _TURN_COLUMNS = tuple(field.name for field in fields(SimulatedTurn))
 
 
+_new, _setattr = object.__new__, object.__setattr__  # looked up once, not per step
+
+
 def _built(cls, values: dict):
     """The frozen dataclass `cls` with these field values, made without
     running its __init__ and __post_init__: for values the env made itself,
     which need no checks."""
-    made = object.__new__(cls)
-    object.__setattr__(made, "__dict__", values)
+    made = _new(cls)
+    _setattr(made, "__dict__", values)
     return made
 
 
@@ -240,12 +242,14 @@ class TrustSimEnv:
         self._keys, self._drawn = [], None  # the reset keys last drawn, and their draws
         self._done = True  # until the first reset
 
-    def _draw(self, keys: np.ndarray) -> tuple:
+    def _draw(self, keys: np.ndarray, spare: np.ndarray | None = None) -> tuple:
         """The draws of the episodes with these reset keys: each one's trait
         code, feature row at dialog start, and for each (step, act), at
         index 4 (step - 1) + act, the candidate turn's `ScoreParts`, a float
         array indexed [episode, candidate], and its drawn columns in
-        _TURN_COLUMNS order, each an array indexed the same."""
+        _TURN_COLUMNS order, each an array indexed the same. The parts are
+        written over `spare`, a parts array no longer read, when it has as
+        many episodes."""
         users = sample_users(self.traits, child_keys(keys, _USER_LABEL))
         codes = trait_codes(users)
         u = turn_uniforms(child_keys(child_keys(keys, _STEP_LABEL)[:, None], _STEP_BITS))
@@ -254,8 +258,10 @@ class TrustSimEnv:
                            np.repeat(u, N_ACTIONS, axis=1).reshape(-1, u.shape[-1]))
         rows = start_rows(users)
         n = len(keys)
+        if spare is not None and len(spare) != n:
+            spare = None
         return (codes.tolist(), rows,
-                self._parts.candidates(rows, _CANDIDATE_BLOCKS, SimpleNamespace(**drawn)),
+                self._parts.candidates(rows, _CANDIDATE_BLOCKS, SimpleNamespace(**drawn), spare),
                 [drawn[name].reshape(n, -1) for name in _TURN_COLUMNS])
 
     def reset(self, rng: RandomStream) -> EnvState:
@@ -268,9 +274,12 @@ class TrustSimEnv:
         else:
             i = rng.index
         if self._keys[i:i + 1] != [rng.key]:  # drawn afresh unless drawn for this key
-            # the last block's arrays are freed before the next is drawn
+            # the last block's arrays are freed before the next is drawn, but
+            # for its parts, which the next block writes over: a 1.5 MB array
+            # freed and allocated anew per block page-faults on each block
+            spare = None if self._drawn is None else self._drawn[2]
             self._keys, self._drawn, self._candidates, self._done = [], None, None, True
-            self._drawn, self._keys = self._draw(block), block.tolist()
+            self._drawn, self._keys = self._draw(block, spare), block.tolist()
         codes, _, candidates, columns = self._drawn
         self._index, self._trait, self._candidates = i, codes[i], candidates[i]
         # each candidate's SimulatedTurn fields, as Python scalars
@@ -311,7 +320,9 @@ class TrustSimEnv:
         if not isinstance(action, ProactiveAct):
             raise InvalidConfig(f"action must be a ProactiveAct, got {action!r}")
         s = self._step_no
-        k = N_ACTIONS * (s - 1) + ACT_INDEX[action]
+        # after the check, action is one of ACT_ORDER, and an identity match
+        # there is faster than hashing the enum member for ACT_INDEX
+        k = N_ACTIONS * (s - 1) + ACT_ORDER.index(action)
         n = self._n_classes
         parts = self._candidates[k].tolist()
         scores = [p + a + b + t for p, a, b, t in zip(

@@ -205,8 +205,9 @@ _FAR_DEN = (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7,
             5.99832_20655_58879_37690e-1, 1.0)
 # Arrays at least this long take `_normal_quantiles`, shorter ones
 # `inv_cdf` per element: the two cost the same at about 600-700 elements
-# on a two-core x86-64 host (the kernel's fixed cost is some 65 µs, the
-# per-element path about 0.14 µs an element), so this cut keeps a margin.
+# on a two-core x86-64 host (the kernel's fixed cost is some 60 µs, its
+# cost an element about 0.03 µs, the per-element path's about 0.12 µs), so
+# this cut keeps a margin.
 _VECTOR_MIN = 1024
 
 
@@ -223,34 +224,35 @@ def _horner(coefficients, r: np.ndarray) -> np.ndarray:
 
 def _normal_quantiles(p) -> np.ndarray:
     """`NormalDist().inv_cdf` on each element of a float64 array, bit for bit,
-    in numpy: AS241 in `inv_cdf`'s operation order, each branch on the
-    elements it takes. numpy's add, multiply, divide and sqrt round
-    correctly, as C's do; its log differs from `math.log` in the last bit on
-    some inputs, so the tail takes `math.log` per element. Like
+    in numpy: AS241 in `inv_cdf`'s operation order. The central branch's
+    polynomial runs on every element, and the tail's elements (NaN
+    included, as in `inv_cdf`), found once, are gathered and overwritten,
+    and so are the far tail's among them. numpy's add, multiply, divide and
+    sqrt round correctly, as C's do; its log differs from `math.log` in the
+    last bit on some inputs, so the tail takes `math.log` per element. Like
     `inv_cdf`, it raises StatisticsError unless 0 < p < 1, and NaN gives
     NaN."""
     p = np.asarray(p, dtype=np.float64)
     if ((p <= 0.0) | (p >= 1.0)).any():
         raise StatisticsError("p must be in the range 0.0 < p < 1.0")
     q = p - 0.5
-    x = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    num = _horner(_CENTRAL_NUM, r)
-    num *= qc
-    num /= _horner(_CENTRAL_DEN, r)
-    x[central] = num
-    tail = ~central
-    qt = q[tail]
-    r = np.where(qt <= 0.0, p[tail], 1.0 - p[tail])
-    r = np.sqrt(-np.fromiter(map(math.log, r.tolist()), dtype=np.float64, count=len(r)))
-    near = r <= 5.0
-    for branch, shift, top, bottom in ((near, 1.6, _NEAR_NUM, _NEAR_DEN),
-                                       (~near, 5.0, _FAR_NUM, _FAR_DEN)):
-        rb = r[branch] - shift
-        r[branch] = _horner(top, rb) / _horner(bottom, rb)
-    x[tail] = np.where(qt < 0.0, -r, r)
+    # on a tail element the central polynomial is a value that is overwritten
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = 0.180625 - q * q
+        x = _horner(_CENTRAL_NUM, r)
+        x *= q
+        x /= _horner(_CENTRAL_DEN, r)
+    tail = np.flatnonzero(~(np.abs(q) <= 0.425))
+    if tail.size:
+        qt, pt = q.take(tail), p.take(tail)
+        r = np.where(qt <= 0.0, pt, 1.0 - pt)
+        r = np.sqrt(-np.fromiter(map(math.log, r.tolist()), dtype=np.float64, count=len(r)))
+        far = np.flatnonzero(~(r <= 5.0))
+        rf = r.take(far) - 5.0
+        r -= 1.6
+        r = _horner(_NEAR_NUM, r) / _horner(_NEAR_DEN, r)
+        r[far] = _horner(_FAR_NUM, rf) / _horner(_FAR_DEN, rf)
+        x[tail] = np.where(qt < 0.0, -r, r)
     # inv_cdf returns mu + x * sigma, here 0.0 + x * 1.0
     x *= 1.0
     x += 0.0
@@ -316,7 +318,7 @@ def truncated_gaussians(truncations, u, index=None) -> np.ndarray:
     records = np.asarray(truncations, dtype=np.float64).reshape(-1, 6)
 
     def field(j):  # record field j of each element's record
-        return records[:, j] if index is None else records[index, j]
+        return records[:, j] if index is None else records[:, j].take(index)
 
     z = standard_normals(np.minimum(np.maximum(field(1) + u * field(2), _P_MIN), _P_MAX))
     scale, mean = field(3), field(0)
@@ -349,7 +351,13 @@ def categoricals(cumulatives, u) -> np.ndarray:
     reaches the total. Counting `cum <= target` and `cum < total` over a
     non-decreasing row is bisect_right and bisect_left, as the scalar oracle
     in `tests/conftest.py` computes them."""
-    total = cumulatives[:, -1:]
-    target = u[:, None] * total
-    return np.minimum((cumulatives <= target).sum(axis=1),
-                      (cumulatives < total).sum(axis=1))
+    total = cumulatives[:, -1]
+    target = u * total
+    # column by column: a row has only a few, and a sum along rows is slow
+    right = (cumulatives[:, 0] <= target).astype(np.intp)
+    left = (cumulatives[:, 0] < total).astype(np.intp)
+    for j in range(1, cumulatives.shape[1]):
+        column = cumulatives[:, j]
+        right += column <= target
+        left += column < total
+    return np.minimum(right, left)

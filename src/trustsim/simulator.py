@@ -162,18 +162,25 @@ def draw_turns(table: BehaviorTable, code: np.ndarray, u: np.ndarray) -> dict:
     categoricals are counts, and the normal quantiles are `standard_normals`,
     in numpy from `_VECTOR_MIN` turns on. The table's values were checked
     when it was built or loaded, so no draw can fail."""
-    combo = categoricals(table.request_cum[code], u[:, 0])
-    row = table.row_index[code, combo]
-    flags = _COMBO_FLAGS[combo]
+    combo = categoricals(_rows_at(table.request_cum, code), u[:, 0])
+    row = table.row_index.take(code * table.row_index.shape[1] + combo)
     # gathered field by field, so no temporary holds a whole row or record
     # per turn
     return dict(
         game_score=truncated_gaussians(table.rows[:, ROW_SCORE], u[:, 3], row),
-        help_request=flags[:, 0], suggestion_request=flags[:, 1],
+        help_request=_COMBO_FLAGS[:, 0].take(combo),
+        suggestion_request=_COMBO_FLAGS[:, 1].take(combo),
         duration=truncated_gaussians(table.rows[:, ROW_DURATION], u[:, 2], row),
-        difficulty=LIKERT_MIN + categoricals(table.rows[row, ROW_DIFFICULTY], u[:, 1]),
+        difficulty=LIKERT_MIN + categoricals(_rows_at(table.rows[:, ROW_DIFFICULTY], row),
+                                             u[:, 1]),
         used_fallback=table.used_fallback[code],
     )
+
+
+def _rows_at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """a[index] of a 2-d array, gathered and held column by column, as
+    `categoricals` reads it."""
+    return a.T.take(index, axis=1).T
 
 
 def simulate_turn(table: BehaviorTable, profile, step: int,

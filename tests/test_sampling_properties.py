@@ -49,12 +49,22 @@ weights = st.one_of(st.just(0.0), st.integers(1, 4).map(lambda k: k * math.ulp(0
                     st.floats(0.0, 3e307))
 # a uniform as `first_uniforms` draws it: an odd multiple of 2**-53 in (0, 1)
 uniforms = st.integers(0, 2**52 - 1).map(lambda k: (k + 0.5) * 2.0 ** -52)
-# rows of 1-5 weights with a positive total, all of one length, each with
-# its uniform
-weight_rows = st.integers(1, 5).flatmap(lambda k: st.lists(st.tuples(
-    st.lists(weights, min_size=k, max_size=k).filter(lambda row: sum(row) > 0),
-    st.one_of(uniforms, st.sampled_from([2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]))),
-    min_size=1, max_size=8))
+
+
+def weight_row(k: int):
+    """k weights with a positive finite total."""
+    return st.lists(weights, min_size=k, max_size=k).filter(lambda row: 0 < sum(row) < math.inf)
+
+
+def weight_rows_of(lengths):
+    """Rows of weights, all of one length drawn from `lengths`, each with
+    its uniform."""
+    return lengths.flatmap(lambda k: st.lists(st.tuples(
+        weight_row(k), st.one_of(uniforms, st.sampled_from([2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]))),
+        min_size=1, max_size=8))
+
+
+weight_rows = weight_rows_of(st.integers(1, 5))
 # examples take microseconds; a wall-clock deadline only adds flakiness
 # on a loaded machine
 property_test = settings(deadline=None)
@@ -135,6 +145,24 @@ class TestProperties:
         u = [ui for _, ui in cases]
         assert categoricals(np.array(cumulatives), np.array(u)).tolist() == [
             categorical_from(c, ui) for c, ui in zip(cumulatives, u)]
+
+    @property_test
+    @given(weight_rows_of(st.sampled_from([1, 6])))
+    def test_categoricals_of_one_and_of_six_columns(self, cases):
+        """`categoricals` counts column by column, so the row lengths on
+        either side of the tables' 4 and 5 take the oracle's index too."""
+        cumulatives = [cumulative_weights(row) for row, _ in cases]
+        u = [ui for _, ui in cases]
+        assert categoricals(np.array(cumulatives), np.array(u)).tolist() == [
+            categorical_from(c, ui) for c, ui in zip(cumulatives, u)]
+
+    @property_test
+    @given(st.integers(1, 6).flatmap(weight_row), st.integers(0, 2**64 - 1))
+    def test_one_row_broadcasts_against_a_thousand_uniforms(self, row, key):
+        cumulative = cumulative_weights(row)
+        u = first_uniforms(child_keys(key, label_bits(range(1000))))
+        assert categoricals(np.array([cumulative]), u).tolist() == [
+            categorical_from(cumulative, ui) for ui in u.tolist()]
 
     @property_test
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20), labels)
@@ -241,6 +269,14 @@ _FAR_ENDS = _around(math.exp(-25.0)) + _around(1.0 - math.exp(-25.0))
 _LOG_SPLITS = [0.04653227485322813, 0.049263865988488593, 0.008998490959060227]
 
 
+# uniforms at the kernel's own edges: |p - 0.5| exactly 0.425, the last
+# central one; sqrt(-log(p)) exactly 5.0, the last of the near tail; the
+# least and greatest uniforms; and NaN, which takes the tail
+_CENTRAL_EXACT = [p for p in _CENTRAL_ENDS if abs(p - 0.5) == 0.425]
+_FIVE_EXACT = [p for p in _FAR_ENDS if p < 0.5 and math.sqrt(-math.log(p)) == 5.0]
+_KERNEL_EDGES = _CENTRAL_EXACT + _FIVE_EXACT + [2.0 ** -1074, 1.0 - 2.0 ** -53, math.nan]
+
+
 class TestNormalQuantiles:
     """`_normal_quantiles`, the numpy kernel of `standard_normals`, against
     its oracle `NormalDist.inv_cdf`, bit for bit."""
@@ -263,6 +299,23 @@ class TestNormalQuantiles:
         assert (q == 0.425).any() and (q < 0.425).any() and (q > 0.425).any()
         r = np.sqrt(-np.log(np.minimum(_FAR_ENDS, 1.0 - np.array(_FAR_ENDS))))
         assert (r <= 5.0).any() and (r > 5.0).any()
+
+    def test_kernel_edges_are_exact(self):
+        assert _CENTRAL_EXACT and _FIVE_EXACT
+
+    @property_test
+    @given(st.lists(st.one_of(st.sampled_from(_KERNEL_EDGES),
+                              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                    min_size=1, max_size=32),
+           st.integers(0, 2**64 - 1))
+    # NaN among the lower tail, far tail included, and the upper tail
+    @example([math.nan, 1e-300, 0.01, math.nan, 1.0 - 1e-12, 0.99], 0)
+    def test_kernel_equals_inv_cdf_at_its_edges(self, points, key):
+        """On an array that `standard_normals` hands to the kernel, the
+        edge points sit among uniforms, spread over the array."""
+        u = first_uniforms(child_keys(key, label_bits(range(_VECTOR_MIN))))
+        u[::len(u) // len(points)][:len(points)] = points
+        assert _bits(standard_normals(u)) == _bits([_INV_CDF(p) for p in u.tolist()])
 
     @pytest.mark.parametrize("p", [0.0, -0.0, 1.0, -0.5, 1.5, -math.inf, math.inf])
     def test_kernel_rejects_what_inv_cdf_rejects(self, p):

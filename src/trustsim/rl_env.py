@@ -242,14 +242,12 @@ class TrustSimEnv:
         self._keys, self._drawn = [], None  # the reset keys last drawn, and their draws
         self._done = True  # until the first reset
 
-    def _draw(self, keys: np.ndarray, spare: np.ndarray | None = None) -> tuple:
+    def _draw(self, keys: np.ndarray) -> tuple:
         """The draws of the episodes with these reset keys: each one's trait
         code, feature row at dialog start, and for each (step, act), at
         index 4 (step - 1) + act, the candidate turn's `ScoreParts`, a float
         array indexed [episode, candidate], and its drawn columns in
-        _TURN_COLUMNS order, each an array indexed the same. The parts are
-        written over `spare`, a parts array no longer read, when it has as
-        many episodes."""
+        _TURN_COLUMNS order, each an array indexed the same."""
         users = sample_users(self.traits, child_keys(keys, _USER_LABEL))
         codes = trait_codes(users)
         u = turn_uniforms(child_keys(child_keys(keys, _STEP_LABEL)[:, None], _STEP_BITS))
@@ -258,10 +256,8 @@ class TrustSimEnv:
                            np.repeat(u, N_ACTIONS, axis=1).reshape(-1, u.shape[-1]))
         rows = start_rows(users)
         n = len(keys)
-        if spare is not None and len(spare) != n:
-            spare = None
         return (codes.tolist(), rows,
-                self._parts.candidates(rows, _CANDIDATE_BLOCKS, SimpleNamespace(**drawn), spare),
+                self._parts.candidates(rows, _CANDIDATE_BLOCKS, SimpleNamespace(**drawn)),
                 [drawn[name].reshape(n, -1) for name in _TURN_COLUMNS])
 
     def reset(self, rng: RandomStream) -> EnvState:
@@ -274,12 +270,9 @@ class TrustSimEnv:
         else:
             i = rng.index
         if self._keys[i:i + 1] != [rng.key]:  # drawn afresh unless drawn for this key
-            # the last block's arrays are freed before the next is drawn, but
-            # for its parts, which the next block writes over: a 1.5 MB array
-            # freed and allocated anew per block page-faults on each block
-            spare = None if self._drawn is None else self._drawn[2]
+            # the last block's arrays are freed before the next is drawn
             self._keys, self._drawn, self._candidates, self._done = [], None, None, True
-            self._drawn, self._keys = self._draw(block, spare), block.tolist()
+            self._drawn, self._keys = self._draw(block), block.tolist()
         codes, _, candidates, columns = self._drawn
         self._index, self._trait, self._candidates = i, codes[i], candidates[i]
         # each candidate's SimulatedTurn fields, as Python scalars

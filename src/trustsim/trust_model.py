@@ -367,8 +367,7 @@ class ScoreParts:
         self.error = (gamma * float(np.max(_largest_scores(weights, model.biases)))
                       + (N_FEATURES + 1) * 2.0 ** -1074)
 
-    def candidates(self, rows: np.ndarray, blocks: np.ndarray, turns,
-                   out: np.ndarray | None = None) -> np.ndarray:
+    def candidates(self, rows: np.ndarray, blocks: np.ndarray, turns) -> np.ndarray:
         """The parts of m candidate turns in each of n dialogs, an (n, m,
         (1 + LAG_WINDOW) K) array of K class scores per part: those of the
         blocks `turn_blocks(turns, blocks)` writes into n copies of the (m,
@@ -376,18 +375,14 @@ class ScoreParts:
         shares, with `turns` the n m turns' Corpus-shaped columns, dialog by
         dialog, of the current-turn fields after the act. `rows` are the
         dialogs' start rows. No block is written per turn: the parts are the
-        shared blocks' product plus that of the turns' own columns. They are
-        written into `out`, a C-contiguous float64 array of that shape, if
-        one is given."""
+        shared blocks' product plus that of the turns' own columns."""
         n, m = len(rows), len(blocks)
         names = [name for name in _TURN_FIELDS if hasattr(turns, name)]
         own = [len(ACT_ORDER) + _TURN_FIELDS.index(name) for name in names]
         columns = np.empty((n * m, len(names)))
         for j, name in enumerate(names):
             columns[:, j] = getattr(turns, name)
-        if out is not None:
-            out = out.reshape(n * m, -1)
-        parts = np.matmul(columns, self._turn[own], out=out).reshape(n, m, 1 + LAG_WINDOW, -1)
+        parts = (columns @ self._turn[own]).reshape(n, m, 1 + LAG_WINDOW, -1)
         del columns
         shared = blocks.copy()
         shared[:, own] = 0.0

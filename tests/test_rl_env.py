@@ -541,24 +541,6 @@ class TestEpisodeBlocks:
         assert drawn == [256, self.EPISODES - 256]
 
 
-    def test_a_block_of_as_many_episodes_is_written_over_the_last(self, default_corpus,
-                                                                   fitted):
-        """The next block's score parts go into the last block's array when
-        the two have as many episodes, and equal a fresh env's."""
-        traits, model = fitted
-        table = build_table(default_corpus, TableMode.TASK_STEP_BASED)
-        env, fresh = TrustSimEnv(table, traits, model), TrustSimEnv(table, traits, model)
-        root = RandomStream(13, "spare")
-        first = child_keys(root.key, label_bits(range(4)))
-        env.reset(rl_env._BlockStream(first, 0))
-        parts = env._drawn[2]
-        for labels, reused in ((range(4, 8), True), (range(8, 11), False)):
-            keys = child_keys(root.key, label_bits(labels))
-            env.reset(rl_env._BlockStream(keys, 0))
-            fresh.reset(rl_env._BlockStream(keys.copy(), 0))
-            assert np.shares_memory(env._drawn[2], parts) == reused
-            assert env._drawn[2].tobytes() == fresh._drawn[2].tobytes()
-
     def test_a_block_draw_holds_no_block_per_turn(self, default_corpus, fitted):
         # the draw keeps each candidate's score parts and drawn columns; on
         # the way it holds less than 8 floats a candidate more, so never a

@@ -313,8 +313,7 @@ class TrustSimEnv:
         if not isinstance(action, ProactiveAct):
             raise InvalidConfig(f"action must be a ProactiveAct, got {action!r}")
         s = self._step_no
-        # after the check, action is one of ACT_ORDER, and an identity match
-        # there is faster than hashing the enum member for ACT_INDEX
+        # an identity match in ACT_ORDER is faster than hashing the member
         k = N_ACTIONS * (s - 1) + ACT_ORDER.index(action)
         n = self._n_classes
         parts = self._candidates[k].tolist()

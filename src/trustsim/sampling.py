@@ -236,7 +236,8 @@ def _normal_quantiles(p) -> np.ndarray:
     if ((p <= 0.0) | (p >= 1.0)).any():
         raise StatisticsError("p must be in the range 0.0 < p < 1.0")
     q = p - 0.5
-    # on a tail element the central polynomial is a value that is overwritten
+    # the central branch on every element: a tail element's value, with any
+    # overflow or division by zero in it, is overwritten below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r = 0.180625 - q * q
         x = _horner(_CENTRAL_NUM, r)
@@ -252,7 +253,7 @@ def _normal_quantiles(p) -> np.ndarray:
         r -= 1.6
         r = _horner(_NEAR_NUM, r) / _horner(_NEAR_DEN, r)
         r[far] = _horner(_FAR_NUM, rf) / _horner(_FAR_DEN, rf)
-        x[tail] = np.where(qt < 0.0, -r, r)
+        np.put(x, tail, np.where(qt < 0.0, -r, r))
     # inv_cdf returns mu + x * sigma, here 0.0 + x * 1.0
     x *= 1.0
     x += 0.0

@@ -261,9 +261,9 @@ class TestGoldenRL:
     (two blocks of 256 and a partial one) trained on the seed-42 standard
     corpus's fit, per mode and learner seed. Unlike `TestGoldenChain`,
     these pass through BLAS products (the classifier's training and the
-    block's score parts), so they are pinned for one BLAS: x86-64 numpy's
-    OpenBLAS on one thread. A change to the draw or step kernels that
-    keeps them is bit-identical."""
+    block's score parts), so they are pinned for the BLAS they were
+    computed with, x86-64 numpy's OpenBLAS. A change to the draw or step
+    kernels that keeps them is bit-identical."""
 
     EPISODES = 600
     DIGESTS = {

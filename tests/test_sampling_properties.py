@@ -56,15 +56,11 @@ def weight_row(k: int):
     return st.lists(weights, min_size=k, max_size=k).filter(lambda row: 0 < sum(row) < math.inf)
 
 
-def weight_rows_of(lengths):
-    """Rows of weights, all of one length drawn from `lengths`, each with
-    its uniform."""
-    return lengths.flatmap(lambda k: st.lists(st.tuples(
-        weight_row(k), st.one_of(uniforms, st.sampled_from([2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]))),
-        min_size=1, max_size=8))
-
-
-weight_rows = weight_rows_of(st.integers(1, 5))
+# rows of 1-6 weights, all of one length, each with its uniform: the
+# tables' rows have 4 and 5
+weight_rows = st.integers(1, 6).flatmap(lambda k: st.lists(st.tuples(
+    weight_row(k), st.one_of(uniforms, st.sampled_from([2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]))),
+    min_size=1, max_size=8))
 # examples take microseconds; a wall-clock deadline only adds flakiness
 # on a loaded machine
 property_test = settings(deadline=None)
@@ -138,19 +134,12 @@ class TestProperties:
     # a target that rounds up to the total takes the second bisection
     @example([([0.0, math.ulp(0.0)], 0.9), ([math.ulp(0.0), 0.0], 1.0 - 2.0 ** -53)])
     @example([([0.0, 0.0, 1e308, 0.0, 0.0], 0.5), ([3e307] * 5, 1.0 - 2.0 ** -53)])
+    # one column, and one more than the tables' rows hold
+    @example([([math.ulp(0.0)], 0.5), ([2.0], 1.0 - 2.0 ** -53)])
+    @example([([0.0, 1.0, 0.0, 0.0, 2.0, 0.0], 0.5), ([2e307] * 6, 1.0 - 2.0 ** -53)])
     def test_categoricals_equal_the_scalar_oracle(self, cases):
         """`categoricals` draws the index the scalar bisection oracle draws,
         row for row."""
-        cumulatives = [cumulative_weights(row) for row, _ in cases]
-        u = [ui for _, ui in cases]
-        assert categoricals(np.array(cumulatives), np.array(u)).tolist() == [
-            categorical_from(c, ui) for c, ui in zip(cumulatives, u)]
-
-    @property_test
-    @given(weight_rows_of(st.sampled_from([1, 6])))
-    def test_categoricals_of_one_and_of_six_columns(self, cases):
-        """`categoricals` counts column by column, so the row lengths on
-        either side of the tables' 4 and 5 take the oracle's index too."""
         cumulatives = [cumulative_weights(row) for row, _ in cases]
         u = [ui for _, ui in cases]
         assert categoricals(np.array(cumulatives), np.array(u)).tolist() == [

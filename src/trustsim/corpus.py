@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
@@ -229,6 +229,9 @@ class Corpus:
 # --- flat file schema -------------------------------------------------------
 
 CORPUS_COLUMNS = USER_COLUMNS + EXCHANGE_COLUMNS
+# The leading columns of CORPUS_COLUMNS, with one value per dialog that
+# repeats on each of its rows
+DIALOG_COLUMNS = USER_COLUMNS + EXCHANGE_COLUMNS[:1]
 
 def _parse_bool(raw):
     if type(raw) is bool:
@@ -314,16 +317,18 @@ def _parse_field(name: str, raw, row: int):
         raise ValueOutOfRange(name, raw, row=row, detail=str(exc)) from exc
 
 
-def _parse_column(name: str, cells, text: bool) -> tuple:
+def _parse_column(name: str, cells, text: bool, memo: dict) -> tuple:
     """One column's cells parsed at once, and the mask of those that do not
     parse, held as 0 (None where all parse). A float text is parsed by
     `float` and then an array check of finiteness. Text cells, as all CSV
     cells are, parse alike when equal, so where at most half the texts
-    are distinct (as in the trait columns) each distinct text is parsed
-    once; "0.0" and "-0.0" are distinct texts. A column of mostly distinct
-    texts (as durations are) is parsed cell by cell, which costs less than
-    the memo. JSON values are parsed one by one: 1, 1.0 and true are one
-    dict key but different input."""
+    are distinct (as in most exchange columns) each is read from memo, the
+    column's texts parsed so far in the load, and only new texts are
+    parsed; "0.0" and "-0.0" are distinct texts. A column of mostly
+    distinct texts (as durations are, and a block's trait texts read one
+    per dialog) is parsed cell by cell, which costs less than the memo.
+    JSON values are parsed one by one: 1, 1.0 and true are one dict key
+    but different input."""
     parse, dtype = _PARSERS[name], _DTYPES[name]
     try:
         if text:
@@ -331,7 +336,9 @@ def _parse_column(name: str, cells, text: bool) -> tuple:
                 parse = float
             distinct = set(cells)
             if 2 * len(distinct) <= len(cells):
-                parse = dict(zip(distinct, map(parse, distinct))).__getitem__
+                new = distinct.difference(memo)
+                memo.update(zip(new, map(parse, new)))
+                parse = memo.__getitem__
         if name in ("user_id", "dialog_id"):  # str never fails
             return list(map(parse, cells)), None
         values = np.fromiter(map(parse, cells), dtype, len(cells))
@@ -350,21 +357,43 @@ def _parse_column(name: str, cells, text: bool) -> tuple:
     return values, bad
 
 
-def _parse_rows(columns: list, text: bool, users: dict, dialogs: dict) -> dict:
+def _runs(cells) -> bool:
+    """Whether the cells come in aligned runs of STEPS_PER_DIALOG equal
+    texts, as a column of DIALOG_COLUMNS does in a block of whole dialogs
+    grouped in file order. A run cut short leaves some slice shorter than
+    the heads."""
+    heads = cells[::STEPS_PER_DIALOG]
+    return all(cells[k::STEPS_PER_DIALOG] == heads for k in range(1, STEPS_PER_DIALOG))
+
+
+def _parse_rows(columns: list, text: bool, users: dict, dialogs: dict, memos: dict) -> dict:
     """The rows of a block, given as their raw cells per column of
     CORPUS_COLUMNS, parsed: the user and dialog ids as their numbers in
     users and dialogs, and under "unparsed" the index in CORPUS_COLUMNS of
-    each row's first cell that does not parse (all of them for none)."""
+    each row's first cell that does not parse (all of them for none).
+    memos holds each column's memo of parsed texts (see _parse_column).
+
+    A text column that comes in runs (see _runs) is parsed from the head
+    of each run and repeated, since equal texts parse alike; JSON values
+    that compare equal may not (1, 1.0 and true), so they never do."""
     n_rows = len(columns[0])
     values = {"unparsed": np.full(n_rows, len(CORPUS_COLUMNS))}
     for j, (name, cells) in enumerate(zip(CORPUS_COLUMNS, columns)):
-        values[name], bad = _parse_column(name, cells, text)
+        runs = text and _runs(cells)
+        if runs:
+            cells = cells[::STEPS_PER_DIALOG]
+        parsed, bad = _parse_column(name, cells, text, memos[name])
+        index = {"user_id": users, "dialog_id": dialogs}.get(name)
+        if index is not None:
+            for key in dict.fromkeys(parsed):  # new ids numbered in order
+                index.setdefault(key, len(index))
+            parsed = np.fromiter(map(index.__getitem__, parsed), np.int64, len(parsed))
+        if runs:
+            parsed = np.repeat(parsed, STEPS_PER_DIALOG)
+            bad = None if bad is None else np.repeat(bad, STEPS_PER_DIALOG)
+        values[name] = parsed
         if bad is not None:
             values["unparsed"][bad & (values["unparsed"] > j)] = j
-    for name, index in (("user_id", users), ("dialog_id", dialogs)):
-        for key in dict.fromkeys(values[name]):  # new ids numbered in order
-            index.setdefault(key, len(index))
-        values[name] = np.fromiter(map(index.__getitem__, values[name]), np.int64, n_rows)
     return values
 
 
@@ -448,9 +477,11 @@ def _decoded_rows(path: Path, file_format: str) -> Iterator[tuple]:
     yield from map(itemgetter(*CORPUS_COLUMNS), rows)
 
 
-# Rows parsed at a time: the loader holds the raw cells of one block, not
-# of the whole file.
-_BLOCK_ROWS = 512
+# Rows parsed or written at a time: the loader holds the raw cells of one
+# block, not of the whole file. A block holds whole dialogs, so that a file
+# whose rows come grouped by dialog, as save_corpus writes them, has each
+# dialog's user cells in one block, in aligned runs (see _runs).
+_BLOCK_ROWS = 43 * STEPS_PER_DIALOG
 
 
 def _row_blocks(path: Path, file_format: str) -> Iterator:
@@ -472,8 +503,9 @@ class _Unsplittable(Exception):
 
 def _split_blocks(path: Path) -> Iterator[list]:
     """The cells of each block of _BLOCK_ROWS rows of a CSV file, as
-    `_row_blocks` gives them, split in C: the block's lines joined, every
-    "\n" made a "," and the text split at ",", each column taken by stride.
+    `_row_blocks` gives them, split in C: the block's lines joined, a ","
+    put after every "\n" and the text split at ",", each column taken by
+    stride once the "\n" is cut from the last cell of each line.
 
     csv.reader reads a block cell for cell alike where the block holds no
     quote, "\r" or NUL, ends in "\n", and has as many cells on every line
@@ -483,25 +515,31 @@ def _split_blocks(path: Path) -> Iterator[list]:
     CORPUS_COLUMNS once, or where the file is not UTF-8."""
     limit = csv.field_size_limit()
 
-    def plain(lines: list, text: str, commas: int) -> bool:
+    def plain(lines: list, text: str) -> bool:
         return (text.endswith("\n") and '"' not in text and "\r" not in text
-                and "\0" not in text and max(map(len, lines)) <= limit
-                and set(map(str.count, lines, repeat(","))) == {commas})
+                and "\0" not in text and (len(text) <= limit or max(map(len, lines)) <= limit))
 
     try:
         with path.open(newline="", encoding="utf-8") as handle:
             line = handle.readline()
             header = line[:-1].split(",")
-            if not (plain([line], line, len(header) - 1) and set(CORPUS_COLUMNS) <= set(header)
+            if not (plain([line], line) and set(CORPUS_COLUMNS) <= set(header)
                     and len(set(header)) == len(header)):
                 raise _Unsplittable
             width, picks = len(header), list(map(header.index, CORPUS_COLUMNS))
             for lines in iter(lambda: list(islice(handle, _BLOCK_ROWS)), []):
                 text = "".join(lines)
-                if not plain(lines, text, width - 1):
+                if not plain(lines, text):
                     raise _Unsplittable
-                cells = text.replace("\n", ",").split(",")
+                cells = text.replace("\n", "\n,").split(",")
                 cells.pop()  # the empty text after the last line's ","
+                # every "\n" now ends a cell, the last of its line; the cells
+                # at stride width hold all of them only where every line has
+                # width cells
+                ends = "".join(cells[width - 1::width])
+                if len(cells) != len(lines) * width or ends.count("\n") != len(lines):
+                    raise _Unsplittable
+                cells[width - 1::width] = ends[:-1].split("\n")
                 yield [cells[j::width] for j in picks]
     except UnicodeDecodeError as exc:
         raise _Unsplittable from exc
@@ -527,12 +565,13 @@ def load_corpus(path) -> Corpus:
 
     def parse(blocks) -> tuple:
         users, dialogs, failure = {}, {}, None
+        memos = {name: {} for name in CORPUS_COLUMNS}
         parts = [{name: np.empty(0, _DTYPES.get(name, np.int64)) for name in _ROW_FIELDS}]
         for block in blocks:
             if isinstance(block, Exception):  # the error that ended the reading
                 failure = block
             else:
-                parts.append(_parse_rows(block, file_format == "csv", users, dialogs))
+                parts.append(_parse_rows(block, file_format == "csv", users, dialogs, memos))
         return parts, users, dialogs, failure
 
     parsed = None
@@ -641,36 +680,72 @@ def write_jsonl_rows(handle, names, rows) -> None:
         handle.write(json.dumps(dict(zip(names, cells))) + "\n")
 
 
+def _cells(name: str, values: list, text: bool) -> list:
+    """A column's values as cells; see corpus_cells."""
+    enum = {"gender": GENDER_ORDER, "proactive_act": ACT_ORDER}.get(name)
+    if enum:  # each member's text, read once per column
+        return list(map(tuple(member.value for member in enum).__getitem__, values))
+    return format_cells(values) if text else values
+
+
+def dialog_cells(corpus: Corpus, name: str, text: bool) -> list:
+    """The cells of a column of DIALOG_COLUMNS, one per dialog, as
+    corpus_cells gives them for each of the dialog's exchanges."""
+    values = getattr(corpus, name)
+    return _cells(name, list(values) if name in ("user_id", "dialog_id") else values.tolist(),
+                  text)
+
+
 def corpus_cells(corpus: Corpus, name: str, text: bool) -> list:
     """The cells of one column of the flat row schema, one per exchange:
     text, but for a number or boolean of a JSON line (text False), which
     stays one; enums are written by value."""
-    values = getattr(corpus, name)
-    values = list(values) if name in ("user_id", "dialog_id") else values.tolist()
-    enum = {"gender": GENDER_ORDER, "proactive_act": ACT_ORDER}.get(name)
-    if enum:  # each member's text, read once per column
-        values = list(map(tuple(member.value for member in enum).__getitem__, values))
-    elif text:
-        values = format_cells(values)
-    if name in EXCHANGE_COLUMNS[1:]:
-        return values
-    # a user's cells are made once, then repeated for each exchange
-    return [v for v in values for _ in range(STEPS_PER_DIALOG)]
+    if name in DIALOG_COLUMNS:  # a dialog's cells are made once, then repeated
+        return [v for v in dialog_cells(corpus, name, text) for _ in range(STEPS_PER_DIALOG)]
+    return _cells(name, getattr(corpus, name).tolist(), text)
+
+
+def write_dialog_rows(handle, names, dialog_columns, row_columns) -> None:
+    """Write the header names and then one row per exchange, as
+    write_csv_rows writes them, dialog by dialog: a row's cells are those
+    of its dialog in dialog_columns (one text per dialog), then its own in
+    row_columns (one per exchange, STEPS_PER_DIALOG a dialog), at least two
+    of each. A dialog's cells are joined once, into the prefix of each of
+    its rows, and a row's own cells are their plain join where no cell of
+    row_columns holds a comma, a quote or a "\n". A dialog holding a "\r",
+    for which _csv_line quotes whole rows, has each row written by
+    _csv_line on all its cells."""
+    handle.write(_csv_line(names) + "\n")
+    plain = not any(char in "".join(column) for column in row_columns for char in ',"\n')
+    join = ",".join if plain else _csv_line
+    dialogs, rows = zip(*dialog_columns), zip(*row_columns)
+    for block in iter(lambda: list(islice(dialogs, _BLOCK_ROWS // STEPS_PER_DIALOG)), []):
+        lines = []
+        for cells in block:
+            own = list(islice(rows, STEPS_PER_DIALOG))
+            prefix = _csv_line(cells) + ","
+            text = prefix + ("\n" + prefix).join(map(join, own))
+            if "\r" in text:
+                text = "\n".join(map(_csv_line, map(cells.__add__, own)))
+            lines.append(text)
+        handle.write("\n".join(lines) + "\n")
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write the corpus in the flat row schema, column by column, as CSV or
     JSON lines by the path's suffix; load(save(c)) == c. CSV cells are
-    text; JSON lines keep numbers and booleans and write enums by value."""
+    text, each dialog's user cells formatted and joined once; JSON lines
+    keep numbers and booleans and write enums by value."""
     path = Path(path)
-    file_format = infer_format(path)
-    columns = [corpus_cells(corpus, name, file_format == "csv") for name in CORPUS_COLUMNS]
-    if file_format == "csv":
+    if infer_format(path) == "csv":
         with path.open("w", newline="", encoding="utf-8") as handle:
-            write_csv_rows(handle, chain([CORPUS_COLUMNS], zip(*columns)))
+            write_dialog_rows(handle, CORPUS_COLUMNS,
+                              [dialog_cells(corpus, name, True) for name in DIALOG_COLUMNS],
+                              [corpus_cells(corpus, name, True) for name in EXCHANGE_COLUMNS[1:]])
     else:
         with path.open("w", encoding="utf-8") as handle:
-            write_jsonl_rows(handle, CORPUS_COLUMNS, zip(*columns))
+            write_jsonl_rows(handle, CORPUS_COLUMNS, zip(*(
+                corpus_cells(corpus, name, False) for name in CORPUS_COLUMNS)))
 
 
 def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Corpus]:

@@ -25,7 +25,6 @@ what `simulate_turn` gives."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +47,10 @@ from .corpus import (
     cast_column,
     complexity_of_step,
     corpus_cells,
+    dialog_cells,
     format_cells,
     infer_format,
-    write_csv_rows,
+    write_dialog_rows,
     write_jsonl_rows,
 )
 from .errors import LengthMismatch
@@ -89,10 +89,10 @@ _DRAWN_DTYPES = {
     "game_score": np.float64, "help_request": bool, "suggestion_request": bool,
     "duration": np.float64, "difficulty": np.int64, "used_fallback": bool,
 }
-# Columns of a replay log file in order: the exchange's context, then the
-# drawn columns.
-LOG_COLUMNS = ("user_id", "dialog_id", "step", "complexity", "proactive_act",
-               *_DRAWN_DTYPES)
+# Columns of a replay log file in order: the exchange's context, its
+# dialog's first, then the drawn columns.
+_LOG_DIALOG_COLUMNS = ("user_id", "dialog_id")
+LOG_COLUMNS = (*_LOG_DIALOG_COLUMNS, "step", "complexity", "proactive_act", *_DRAWN_DTYPES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,8 +233,10 @@ def save_simulated_log(log: SimulatedLog, path) -> None:
     path = Path(path)
     if infer_format(path) == "csv":
         with path.open("w", newline="", encoding="utf-8") as handle:
-            write_csv_rows(handle, chain([LOG_COLUMNS], zip(*(
-                _log_cells(log, name, True) for name in LOG_COLUMNS))))
+            write_dialog_rows(handle, LOG_COLUMNS,
+                              [dialog_cells(log.corpus, name, True) for name in _LOG_DIALOG_COLUMNS],
+                              [_log_cells(log, name, True)
+                               for name in LOG_COLUMNS[len(_LOG_DIALOG_COLUMNS):]])
     else:
         names = sorted(LOG_COLUMNS)
         with path.open("w", encoding="utf-8") as handle:

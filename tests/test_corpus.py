@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,6 +304,19 @@ class TestFileRoundTrip:
         save_corpus(default_corpus, tmp_path / f"a.{fmt}")
         reference_save_corpus(default_corpus, tmp_path / f"b.{fmt}")
         assert (tmp_path / f"a.{fmt}").read_bytes() == (tmp_path / f"b.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("text", [",", '"', "\n", "\r", "", 'a,"b"\r\nc'])
+    def test_ids_holding_csv_specials_equal_the_csv_module(self, tmp_path, small_corpus, text):
+        """A dialog's user cells are joined once into each of its rows; a
+        dialog whose ids hold a "\r" has its rows quoted whole."""
+        corpus = replace(small_corpus,
+                         user_id=(small_corpus.user_id[0], text, *small_corpus.user_id[2:]),
+                         dialog_id=(*small_corpus.dialog_id[:2], text,
+                                    *small_corpus.dialog_id[3:]))
+        save_corpus(corpus, tmp_path / "a.csv")
+        reference_save_corpus(corpus, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert load_corpus(tmp_path / "a.csv") == corpus
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_mixed_column_types_equal_the_per_row_writer(self, tmp_path, fmt):
@@ -630,8 +644,15 @@ class TestLoaderBlocks:
     messages."""
 
     BLOCK = corpus_module._BLOCK_ROWS
-    # user 42 holds data rows 505..516, across the first boundary
-    STRADDLER = (BLOCK - 7) // 12
+    # A block holds whole dialogs, so no dialog of a file as saved crosses a
+    # boundary. With the first data row moved to the end (off_grid), each
+    # later dialog starts a row early: user 43 holds data rows BLOCK..BLOCK
+    # + 11, its first row in the first block and the others in the second.
+    STRADDLER = BLOCK // 12
+
+    @staticmethod
+    def off_grid(rows):
+        return rows[1:] + rows[:1]
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -665,10 +686,11 @@ class TestLoaderBlocks:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_user_cell_changed_after_the_boundary(self, tmp_path, corpus, fmt):
-        first = self.STRADDLER * 12 + 1
+        first = self.STRADDLER * 12  # its first data row, in an off-grid file
         assert first <= self.BLOCK < first + 11
 
         def edit(rows):
+            rows = self.off_grid(rows)
             row = rows[self.BLOCK + 1]  # data row BLOCK + 2, in the second block
             assert row["user_id"] == rows[first - 1]["user_id"]
             row["openness"] = "4.75" if fmt == "csv" else 4.75
@@ -723,7 +745,8 @@ class TestLoaderBlocks:
     def test_user_rows_shuffled_across_blocks(self, tmp_path, corpus, fmt):
         def edit(rows):
             # keep the straddling user's first row in place, scatter the others
-            first = self.STRADDLER * 12
+            rows = self.off_grid(rows)
+            first = self.STRADDLER * 12 - 1
             moved = rows[first + 1:first + 12]
             rest = rows[:first + 1] + rows[first + 12:]
             for k, row in enumerate(reversed(moved)):
@@ -737,7 +760,8 @@ class TestLoaderBlocks:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_shuffled_rows_with_a_repeated_step(self, tmp_path, corpus, fmt):
         def edit(rows):
-            first = self.STRADDLER * 12
+            rows = self.off_grid(rows)
+            first = self.STRADDLER * 12 - 1
             rows[first + 3]["step"], rows[first + 3]["complexity"] = (
                 rows[first + 2]["step"], rows[first + 2]["complexity"])
             rows.append(rows.pop(first + 3))
@@ -832,6 +856,114 @@ class TestLoaderBlocks:
         assert (err.value.field, err.value.row) == ("duration", 2)
 
 
+class TestLoaderRuns:
+    """load_corpus against the per-row loader on CSV files grouped by
+    dialog, as saved, whose user columns the loader parses from the first
+    cell of each dialog's run (see corpus._runs), with one dialog's cells
+    edited; and JSON lines, which it never parses by runs."""
+
+    DIALOG = 5  # the edited dialog: data rows 61..72
+    FIRST = DIALOG * 12  # its first row, counted from 0
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        # 600 rows: a block of 516 rows (43 dialogs) and a block of 84
+        return generate_synthetic_corpus(GeneratorConfig(n_dialogs=50), seed=11)
+
+    @pytest.fixture()
+    def parsed(self, monkeypatch):
+        """The cell count of each call parsing a column, by column name."""
+        counts, parse = {}, corpus_module._parse_column
+
+        def spy(name, cells, *args):
+            counts.setdefault(name, []).append(len(cells))
+            return parse(name, cells, *args)
+
+        monkeypatch.setattr(corpus_module, "_parse_column", spy)
+        return counts
+
+    def outcome(self, corpus, path, edit):
+        TestLoaderBlocks.write(corpus, path, edit)
+        outcome = load_outcome(load_corpus, path)
+        assert outcome == load_outcome(reference_load_corpus, path)
+        return outcome
+
+    def test_a_file_as_saved_is_parsed_by_runs(self, tmp_path, corpus, parsed):
+        assert self.outcome(corpus, tmp_path / "c.csv", lambda rows: rows) == corpus
+        assert parsed["age"] == parsed["dialog_id"] == [43, 7]
+        assert parsed["duration"] == parsed["step"] == [516, 84]
+
+    @pytest.mark.parametrize("first, later", [("4.75", "4.750"), ("4.750", "4.75"),
+                                              ("0.0", "-0.0"), ("-0.0", "0.0")])
+    def test_a_later_row_spelling_a_trait_otherwise(self, tmp_path, corpus, parsed,
+                                                    first, later):
+        def edit(rows):
+            for row in rows[self.FIRST:self.FIRST + 12]:
+                row["openness"] = first
+            rows[self.FIRST + 7]["openness"] = later
+            return rows
+
+        loaded = self.outcome(corpus, tmp_path / "c.csv", edit)
+        if float(first):
+            assert loaded.openness[self.DIALOG] == 4.75
+        else:  # out of range at the dialog's first row, with that row's sign
+            assert loaded == (ValueOutOfRange, f"openness={float(first)!r} out of range "
+                                               f"(row {self.FIRST + 1})")
+        assert parsed["openness"][0] == 516 and parsed["age"][0] == 43
+
+    def test_a_differing_value_names_its_row(self, tmp_path, corpus, parsed):
+        def edit(rows):
+            rows[self.FIRST + 7]["openness"] = repr(corpus.openness[self.DIALOG].item() / 2)
+            return rows
+
+        error, message = self.outcome(corpus, tmp_path / "c.csv", edit)
+        assert error is ValueOutOfRange
+        assert message == (f"user_id={corpus.user_id[self.DIALOG]!r} out of range "
+                           f"(row {self.FIRST + 8}): user columns differ between rows")
+        assert parsed["openness"][0] == 516 and parsed["age"][0] == 43
+
+    @pytest.mark.parametrize("field, text", [("openness", "nan"), ("openness", "inf"),
+                                             ("gender", "robot")])
+    def test_a_bad_cell_over_a_whole_run(self, tmp_path, corpus, parsed, field, text):
+        def edit(rows):
+            for row in rows[self.FIRST:self.FIRST + 12]:
+                row[field] = text
+            return rows
+
+        error, message = self.outcome(corpus, tmp_path / "c.csv", edit)
+        assert error is ValueOutOfRange
+        assert message.startswith(f"{field}={text!r} out of range (row {self.FIRST + 1})")
+        assert parsed[field][0] == 43
+
+    def test_two_dialogs_interleaved(self, tmp_path, corpus, parsed):
+        def edit(rows):
+            pair = rows[self.FIRST:self.FIRST + 24]
+            rows[self.FIRST:self.FIRST + 24] = pair[0::2] + pair[1::2]
+            return rows
+
+        assert self.outcome(corpus, tmp_path / "c.csv", edit) == corpus
+        assert parsed["age"] == [516, 7]
+
+    @pytest.mark.parametrize("field, first, later", [
+        ("openness", 1, 1.0), ("openness", 1.0, 1), ("openness", 1, True),
+        ("age", 30, 30.0), ("age", 30, True), ("gender", "male", "Male")])
+    def test_a_jsonl_run_of_values_that_compare_equal(self, tmp_path, corpus, parsed,
+                                                      field, first, later):
+        def edit(rows):
+            for row in rows[self.FIRST:self.FIRST + 12]:
+                row[field] = first
+            rows[self.FIRST + 7][field] = later
+            return rows
+
+        loaded = self.outcome(corpus, tmp_path / "c.jsonl", edit)
+        if field == "age" or later is True:
+            error, message = loaded
+            assert message.startswith(f"{field}={later!r} out of range (row {self.FIRST + 8})")
+        else:
+            assert getattr(loaded, field)[self.DIALOG] == (0 if field == "gender" else 1.0)
+        assert parsed["dialog_id"] == [516, 84]
+
+
 def _with_cell(lines, row, col, text) -> list:
     cells = line_cells(lines[row])
     cells[col] = text
@@ -875,6 +1007,8 @@ SPLIT_EDITS = {
     "a cell moved to the next row": (lambda lines: [
         *lines[:4], cells_line(line_cells(lines[4])[1:]), cells_line(line_cells(lines[5]) + [b"1"]), *lines[6:]],
         False),
+    "two rows on one line": (lambda lines: [*lines[:4], lines[4][:-1] + b"," + lines[5],
+                                            *lines[6:]], False),
     "column named twice": (lambda lines: _columns(lines, [*range(len(CORPUS_COLUMNS)), _UID]),
                            False),
     "column missing": (lambda lines: _columns(lines, range(1, len(CORPUS_COLUMNS))), False),

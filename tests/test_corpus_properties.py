@@ -1,7 +1,7 @@
 """Property tests: the streaming loader against the per-row loader it
 replaced, its split path against its csv.reader path, the column-wise
-writer against the per-row writer, and the join-per-row CSV writer against
-the csv-module writer.
+writer against the per-row writer, and the join-per-row and per-dialog CSV
+writers against the csv-module writer.
 
 One cell of a saved corpus is replaced by drawn text; both loaders must then
 return equal corpora, or both raise the same typed error with the same
@@ -29,7 +29,14 @@ from conftest import (
     reference_save_corpus,
     reference_write_csv_rows,
 )
-from trustsim.corpus import CORPUS_COLUMNS, load_corpus, save_corpus, write_csv_rows
+from trustsim import corpus as corpus_module
+from trustsim.corpus import (
+    CORPUS_COLUMNS,
+    load_corpus,
+    save_corpus,
+    write_csv_rows,
+    write_dialog_rows,
+)
 from trustsim.errors import TrustSimError
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 
@@ -119,6 +126,30 @@ def test_csv_writer_equals_the_csv_module_and_reads_back(rows):
     assert list(csv.reader(io.StringIO(written.getvalue(), newline=""))) == rows
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dialog_writer_equals_the_csv_module(data):
+    """write_dialog_rows, each dialog's cells joined once into its rows'
+    prefix, against the csv-module writer on every row's cells; its own
+    cells are drawn from the quoting edges, or plain but for at most one
+    character that _csv_line quotes for."""
+    n_dialogs = data.draw(st.integers(0, 4), label="dialogs")
+    special = data.draw(st.sampled_from(["", ",", '"', "\n", "\r", None]), label="special")
+    own = CSV_CELLS if special is None else st.text(st.sampled_from("ab1." + special),
+                                                    max_size=3)
+    dialog_columns = data.draw(st.lists(st.lists(CSV_CELLS, min_size=n_dialogs,
+                                                 max_size=n_dialogs), min_size=2, max_size=3))
+    row_columns = data.draw(st.lists(st.lists(own, min_size=12 * n_dialogs,
+                                              max_size=12 * n_dialogs), min_size=2, max_size=3))
+    names = [f"c{j}" for j in range(len(dialog_columns) + len(row_columns))]
+    written, expected = io.StringIO(), io.StringIO()
+    write_dialog_rows(written, names, dialog_columns, row_columns)
+    dialog_rows = [cells for cells in zip(*dialog_columns) for _ in range(12)]
+    reference_write_csv_rows(expected, [names, *map(tuple.__add__, dialog_rows,
+                                                    zip(*row_columns))])
+    assert written.getvalue() == expected.getvalue()
+
+
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 70), st.floats(allow_nan=False),
     st.sampled_from(EDGE_TEXT), st.lists(st.integers(1, 5), max_size=2),
@@ -140,8 +171,8 @@ def test_jsonl_value_replaced(saved, data):
 
 # -- the split path against the csv.reader path --------------------------------
 
-SPLIT_DIALOGS = 45  # 540 rows: a block of 512 rows and a block of 28
-BOUNDARY = 512  # the first data row of the second block, counted from 0
+SPLIT_DIALOGS = 45  # 540 rows: a block of 516 rows and a block of 24
+BOUNDARY = corpus_module._BLOCK_ROWS  # the first data row of the second block, counted from 0
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +210,9 @@ def _edit(data, lines: list, kind: str) -> None:
             # with "cells moved" the two rows hold width x rows cells in all
             extra = line_cells(lines[row + 1])
             lines[row + 1] = cells_line(extra + [extra[-1]])
+    elif kind == "rows joined":
+        if row + 1 < n:
+            lines[row:row + 2] = [lines[row][:-1] + b"," + lines[row + 1]]
     elif kind in ("header reordered", "extra column"):
         order = list(range(len(line_cells(lines[0]))))
         name = data.draw(st.sampled_from([b"extra", b"user_id", b"duration"]), label="name")
@@ -205,7 +239,7 @@ def _edit(data, lines: list, kind: str) -> None:
 
 
 EDITS = ("quote", "cr", "crlf", "blank", "nul", "no final newline", "cell missing",
-         "cell extra", "cells moved", "header reordered", "extra column",
+         "cell extra", "cells moved", "rows joined", "header reordered", "extra column",
          "column renamed", "non-utf8", "cell text")
 
 

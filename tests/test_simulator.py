@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import tracemalloc
@@ -27,6 +28,7 @@ from conftest import (
     reference_log,
     reference_log_bytes,
     reference_replay,
+    reference_write_csv_rows,
     served_row,
     simulated_turns,
     users_of,
@@ -44,6 +46,7 @@ from trustsim.sampling import RandomStream, child_keys, label_bits
 from trustsim.simulator import (
     LOG_COLUMNS,
     SimulatedLog,
+    _log_cells,
     draw_turns,
     replay_conditions,
     save_simulated_log,
@@ -379,6 +382,20 @@ class TestLogOutput:
         save_simulated_log(log, tmp_path / "a.csv")
         save_simulated_log(log, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("text", [",", '"', "\n", "\r", "", 'a,"b"\r\nc'])
+    def test_ids_holding_csv_specials_equal_the_csv_module(self, log, tmp_path, text):
+        """A dialog's ids are joined once into each of its rows; a dialog
+        whose ids hold a "\r" has its rows quoted whole."""
+        corpus = log.corpus
+        log = replace(log, corpus=replace(
+            corpus, user_id=(corpus.user_id[0], text, *corpus.user_id[2:]),
+            dialog_id=(*corpus.dialog_id[:2], text, *corpus.dialog_id[3:])))
+        save_simulated_log(log, tmp_path / "log.csv")
+        expected = io.StringIO()
+        reference_write_csv_rows(expected, [LOG_COLUMNS, *zip(*(
+            _log_cells(log, name, True) for name in LOG_COLUMNS))])
+        assert (tmp_path / "log.csv").read_bytes() == expected.getvalue().encode()
 
     def test_unknown_format_rejected(self, log, tmp_path):
         with pytest.raises(InvalidConfig):

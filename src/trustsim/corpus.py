@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
@@ -503,9 +503,8 @@ class _Unsplittable(Exception):
 
 def _split_blocks(path: Path) -> Iterator[list]:
     """The cells of each block of _BLOCK_ROWS rows of a CSV file, as
-    `_row_blocks` gives them, split in C: the block's lines joined, a ","
-    put after every "\n" and the text split at ",", each column taken by
-    stride once the "\n" is cut from the last cell of each line.
+    `_row_blocks` gives them, split in C: the block's lines joined, every
+    "\n" made a "," and the text split at ",", each column taken by stride.
 
     csv.reader reads a block cell for cell alike where the block holds no
     quote, "\r" or NUL, ends in "\n", and has as many cells on every line
@@ -515,31 +514,25 @@ def _split_blocks(path: Path) -> Iterator[list]:
     CORPUS_COLUMNS once, or where the file is not UTF-8."""
     limit = csv.field_size_limit()
 
-    def plain(lines: list, text: str) -> bool:
+    def plain(lines: list, text: str, commas: int) -> bool:
         return (text.endswith("\n") and '"' not in text and "\r" not in text
-                and "\0" not in text and (len(text) <= limit or max(map(len, lines)) <= limit))
+                and "\0" not in text and max(map(len, lines)) <= limit
+                and set(map(str.count, lines, repeat(","))) == {commas})
 
     try:
         with path.open(newline="", encoding="utf-8") as handle:
             line = handle.readline()
             header = line[:-1].split(",")
-            if not (plain([line], line) and set(CORPUS_COLUMNS) <= set(header)
+            if not (plain([line], line, len(header) - 1) and set(CORPUS_COLUMNS) <= set(header)
                     and len(set(header)) == len(header)):
                 raise _Unsplittable
             width, picks = len(header), list(map(header.index, CORPUS_COLUMNS))
             for lines in iter(lambda: list(islice(handle, _BLOCK_ROWS)), []):
                 text = "".join(lines)
-                if not plain(lines, text):
+                if not plain(lines, text, width - 1):
                     raise _Unsplittable
-                cells = text.replace("\n", "\n,").split(",")
+                cells = text.replace("\n", ",").split(",")
                 cells.pop()  # the empty text after the last line's ","
-                # every "\n" now ends a cell, the last of its line; the cells
-                # at stride width hold all of them only where every line has
-                # width cells
-                ends = "".join(cells[width - 1::width])
-                if len(cells) != len(lines) * width or ends.count("\n") != len(lines):
-                    raise _Unsplittable
-                cells[width - 1::width] = ends[:-1].split("\n")
                 yield [cells[j::width] for j in picks]
     except UnicodeDecodeError as exc:
         raise _Unsplittable from exc

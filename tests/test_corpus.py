@@ -1007,8 +1007,6 @@ SPLIT_EDITS = {
     "a cell moved to the next row": (lambda lines: [
         *lines[:4], cells_line(line_cells(lines[4])[1:]), cells_line(line_cells(lines[5]) + [b"1"]), *lines[6:]],
         False),
-    "two rows on one line": (lambda lines: [*lines[:4], lines[4][:-1] + b"," + lines[5],
-                                            *lines[6:]], False),
     "column named twice": (lambda lines: _columns(lines, [*range(len(CORPUS_COLUMNS)), _UID]),
                            False),
     "column missing": (lambda lines: _columns(lines, range(1, len(CORPUS_COLUMNS))), False),

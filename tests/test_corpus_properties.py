@@ -210,9 +210,6 @@ def _edit(data, lines: list, kind: str) -> None:
             # with "cells moved" the two rows hold width x rows cells in all
             extra = line_cells(lines[row + 1])
             lines[row + 1] = cells_line(extra + [extra[-1]])
-    elif kind == "rows joined":
-        if row + 1 < n:
-            lines[row:row + 2] = [lines[row][:-1] + b"," + lines[row + 1]]
     elif kind in ("header reordered", "extra column"):
         order = list(range(len(line_cells(lines[0]))))
         name = data.draw(st.sampled_from([b"extra", b"user_id", b"duration"]), label="name")
@@ -239,7 +236,7 @@ def _edit(data, lines: list, kind: str) -> None:
 
 
 EDITS = ("quote", "cr", "crlf", "blank", "nul", "no final newline", "cell missing",
-         "cell extra", "cells moved", "rows joined", "header reordered", "extra column",
+         "cell extra", "cells moved", "header reordered", "extra column",
          "column renamed", "non-utf8", "cell text")
 
 

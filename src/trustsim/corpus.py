@@ -317,14 +317,13 @@ def _parse_field(name: str, raw, row: int):
         raise ValueOutOfRange(name, raw, row=row, detail=str(exc)) from exc
 
 
-def _parse_column(name: str, cells, text: bool, memo: dict) -> tuple:
+def _parse_column(name: str, cells, text: bool) -> tuple:
     """One column's cells parsed at once, and the mask of those that do not
     parse, held as 0 (None where all parse). A float text is parsed by
     `float` and then an array check of finiteness. Text cells, as all CSV
     cells are, parse alike when equal, so where at most half the texts
-    are distinct (as in most exchange columns) each is read from memo, the
-    column's texts parsed so far in the load, and only new texts are
-    parsed; "0.0" and "-0.0" are distinct texts. A column of mostly
+    are distinct (as in most exchange columns) each distinct text is
+    parsed once; "0.0" and "-0.0" are distinct texts. A column of mostly
     distinct texts (as durations are, and a block's trait texts read one
     per dialog) is parsed cell by cell, which costs less than the memo.
     JSON values are parsed one by one: 1, 1.0 and true are one dict key
@@ -336,9 +335,7 @@ def _parse_column(name: str, cells, text: bool, memo: dict) -> tuple:
                 parse = float
             distinct = set(cells)
             if 2 * len(distinct) <= len(cells):
-                new = distinct.difference(memo)
-                memo.update(zip(new, map(parse, new)))
-                parse = memo.__getitem__
+                parse = dict(zip(distinct, map(parse, distinct))).__getitem__
         if name in ("user_id", "dialog_id"):  # str never fails
             return list(map(parse, cells)), None
         values = np.fromiter(map(parse, cells), dtype, len(cells))
@@ -366,12 +363,11 @@ def _runs(cells) -> bool:
     return all(cells[k::STEPS_PER_DIALOG] == heads for k in range(1, STEPS_PER_DIALOG))
 
 
-def _parse_rows(columns: list, text: bool, users: dict, dialogs: dict, memos: dict) -> dict:
+def _parse_rows(columns: list, text: bool, users: dict, dialogs: dict) -> dict:
     """The rows of a block, given as their raw cells per column of
     CORPUS_COLUMNS, parsed: the user and dialog ids as their numbers in
     users and dialogs, and under "unparsed" the index in CORPUS_COLUMNS of
     each row's first cell that does not parse (all of them for none).
-    memos holds each column's memo of parsed texts (see _parse_column).
 
     A text column that comes in runs (see _runs) is parsed from the head
     of each run and repeated, since equal texts parse alike; JSON values
@@ -382,7 +378,7 @@ def _parse_rows(columns: list, text: bool, users: dict, dialogs: dict, memos: di
         runs = text and _runs(cells)
         if runs:
             cells = cells[::STEPS_PER_DIALOG]
-        parsed, bad = _parse_column(name, cells, text, memos[name])
+        parsed, bad = _parse_column(name, cells, text)
         index = {"user_id": users, "dialog_id": dialogs}.get(name)
         if index is not None:
             for key in dict.fromkeys(parsed):  # new ids numbered in order
@@ -558,13 +554,12 @@ def load_corpus(path) -> Corpus:
 
     def parse(blocks) -> tuple:
         users, dialogs, failure = {}, {}, None
-        memos = {name: {} for name in CORPUS_COLUMNS}
         parts = [{name: np.empty(0, _DTYPES.get(name, np.int64)) for name in _ROW_FIELDS}]
         for block in blocks:
             if isinstance(block, Exception):  # the error that ended the reading
                 failure = block
             else:
-                parts.append(_parse_rows(block, file_format == "csv", users, dialogs, memos))
+                parts.append(_parse_rows(block, file_format == "csv", users, dialogs))
         return parts, users, dialogs, failure
 
     parsed = None
@@ -709,7 +704,7 @@ def write_dialog_rows(handle, names, dialog_columns, row_columns) -> None:
     for which _csv_line quotes whole rows, has each row written by
     _csv_line on all its cells."""
     handle.write(_csv_line(names) + "\n")
-    plain = not any(char in "".join(column) for column in row_columns for char in ',"\n')
+    plain = not any(char in text for text in map("".join, row_columns) for char in ',"\n')
     join = ",".join if plain else _csv_line
     dialogs, rows = zip(*dialog_columns), zip(*row_columns)
     for block in iter(lambda: list(islice(dialogs, _BLOCK_ROWS // STEPS_PER_DIALOG)), []):

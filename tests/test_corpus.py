@@ -650,9 +650,16 @@ class TestLoaderBlocks:
     # + 11, its first row in the first block and the others in the second.
     STRADDLER = BLOCK // 12
 
-    @staticmethod
-    def off_grid(rows):
-        return rows[1:] + rows[:1]
+    def off_grid(self, rows):
+        """The rows with the first moved to the end, so that the straddler's
+        first row is the last of the first block and rows[BLOCK:] begin
+        with its later rows."""
+        rows = rows[1:] + rows[:1]
+        first = self.STRADDLER * 12 - 1
+        assert first == self.BLOCK - 1
+        dialogs = [row["dialog_id"] for row in rows[first - 1:first + 13]]
+        assert dialogs[0] != dialogs[1] == dialogs[12] != dialogs[13]
+        return rows
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -706,7 +713,8 @@ class TestLoaderBlocks:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_user_text_that_parses_equal_across_the_boundary(self, tmp_path, corpus, fmt):
         def edit(rows):
-            row = rows[self.BLOCK]
+            rows = self.off_grid(rows)
+            row = rows[self.BLOCK]  # the straddler's second row, in the second block
             if fmt == "csv":
                 row["age"] = f" {row['age']}"
                 row["openness"] += "0"  # a trait's repr has a decimal point
@@ -788,6 +796,7 @@ class TestLoaderBlocks:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_differing_user_columns_beat_a_second_dialog_id(self, tmp_path, corpus, fmt):
         def edit(rows):
+            rows = self.off_grid(rows)  # the straddler's third row, in the second block
             rows[self.BLOCK + 1]["dialog_id"] = "other"
             rows[self.BLOCK + 1]["gender"] = "other"
             rows[self.BLOCK + 1]["openness"] = "4.75" if fmt == "csv" else 4.75

@@ -1483,6 +1483,14 @@ def stub_trust_model(biases) -> TrustClassifier:
     )
 
 
+def model_keeping(model: TrustClassifier, classes) -> TrustClassifier:
+    """A five-class model cut down to the weight rows and biases of these
+    classes, as a fit on a corpus without the other labels would be."""
+    rows = [model.classes.index(label) for label in classes]
+    return TrustClassifier(classes=tuple(classes), weights=model.weights[rows],
+                           biases=model.biases[rows])
+
+
 def make_user(user_id="u0", age=30, gender=Gender.FEMALE, technical_affinity=3.5,
               trust_propensity=2.5, domain_expertise=4.0, openness=3.0,
               conscientiousness=3.0, extraversion=3.0, agreeableness=3.0,

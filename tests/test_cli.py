@@ -13,7 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import TABLE_CORRUPTIONS, TABLE_MALFORMATIONS
+from conftest import TABLE_CORRUPTIONS, TABLE_MALFORMATIONS, model_keeping
 from trustsim.behavior_tables import TABLE_FORMAT, TableMode, build_table, load_table
 from trustsim.cli import build_parser, main
 from trustsim.corpus import load_corpus, save_corpus
@@ -285,10 +285,28 @@ class TestGoldenRL:
     def test_training_is_pinned(self, fits, mode, seed):
         result = train_tabular_policy(TrustSimEnv(*fits[mode]), self.EPISODES,
                                       Hyperparams(seed=seed))
+        assert self.digest(result) == self.DIGESTS[mode.value, seed]
+
+    # a three-class model per mode: the fit's rows and biases of these classes
+    THREE_CLASS_DIGESTS = {
+        ("complexity", (2, 3, 4)): "32ac8305b9596f6988d07a1cc3f3f345404746c69535f0bfd3e7824f0bd3af0e",
+        ("task-step", (1, 3, 5)): "d7ab1fde073da8dc1e9a3f50755030813a2bde060a65aca9cb9c8e62496cc970",
+    }
+
+    @pytest.mark.parametrize("mode, classes", THREE_CLASS_DIGESTS,
+                             ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_a_three_class_model_is_pinned(self, fits, mode, classes):
+        table, traits, model = fits[TableMode(mode)]
+        env = TrustSimEnv(table, traits, model_keeping(model, classes))
+        result = train_tabular_policy(env, self.EPISODES, Hyperparams(seed=0))
+        assert self.digest(result) == self.THREE_CLASS_DIGESTS[mode, classes]
+
+    @staticmethod
+    def digest(result) -> str:
         digest = hashlib.sha256(result.q.tobytes())
         digest.update(result.policy.astype(np.int64).tobytes())
         digest.update(np.array(result.returns).tobytes())
-        assert digest.hexdigest() == self.DIGESTS[mode.value, seed]
+        return digest.hexdigest()
 
 
 class TestEvaluate:

@@ -17,6 +17,7 @@ from conftest import (
     ScalarStream,
     corpus_user,
     make_corpus,
+    model_keeping,
     oracle_table,
     reference_features,
     reference_sample_user,
@@ -562,6 +563,37 @@ class TestEpisodeBlocks:
         assert peak - sum(a.nbytes for a in arrays) < 8 * 8 * candidates
 
 
+# Models fitted to corpora without some labels: each keeps the weight rows
+# and biases of these classes of the default corpus's fit.
+CLASS_SUBSETS = [(1, 2), (2, 4), (1, 3, 5), (3, 4, 5)]
+
+
+class TestFewerClasses:
+    """A model with fewer than five classes estimates only its own classes,
+    and training on it equals the per-turn loop bit for bit, across a block
+    seam and without a floating-point warning."""
+
+    EPISODES = 300
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("classes", CLASS_SUBSETS, ids=lambda c: "-".join(map(str, c)))
+    @pytest.mark.parametrize("mode", list(TableMode))
+    def test_training_equals_the_per_turn_loop(self, default_corpus, fitted, mode, classes,
+                                               seed):
+        traits, model = fitted
+        model = model_keeping(model, classes)
+        table = build_table(default_corpus, mode)
+        hp = Hyperparams(seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = PassThroughProbe(ReferenceTrustSimEnv(table, traits, model))
+            expected = reference_train_tabular_policy(oracle, self.EPISODES, hp)
+            probe = PassThroughProbe(TrustSimEnv(table, traits, model))
+            assert_same_training(train_tabular_policy(probe, self.EPISODES, hp), expected)
+        assert probe.steps == oracle.steps
+        assert {state.estimated_trust for state, _, _ in probe.steps} <= set(classes)
+
+
 class TestCandidateTurns:
     """A drawn block holds the turn of every (step, act) of its episodes,
     the acts the learner never takes included: each equals the oracle's
@@ -611,12 +643,14 @@ class TestScoringCalls:
     model and, on a model fitted to a corpus, only steps whose top two
     scores lie within the margin."""
 
-    def test_twelve_scored_turns_per_episode(self, monkeypatch):
+    @pytest.mark.parametrize("classes", [5, 2], ids=["five-tied", "two-tied"])
+    def test_twelve_scored_turns_per_episode(self, monkeypatch, classes):
         calls = []
         real = rl_env.predict_trust
         monkeypatch.setattr(rl_env, "predict_trust",
                             lambda model, features: calls.append(1) or real(model, features))
-        env = tied_env()
+        env = TrustSimEnv(deterministic_env().table, default_trait_distributions(),
+                          stub_trust_model([0.0] * classes))
         at_reset = []
         reset = env.reset
         env.reset = lambda rng: at_reset.append(len(calls)) or reset(rng)

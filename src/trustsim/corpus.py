@@ -622,8 +622,17 @@ def load_corpus(path) -> Corpus:
 def format_cells(column) -> list:
     """One column's values, all of one type, as file text: booleans as
     true/false, floats by repr (the shortest exact round trip), anything
-    else by str, ints with one text per distinct value."""
+    else by str, ints with one text per distinct value. A float64 array of
+    which at most half the values are distinct, as in most exchange columns,
+    has one text per distinct bit pattern, so -0.0 keeps its own; one of
+    mostly distinct values (durations) is formatted value by value, which
+    costs less than the memo, as in _parse_column."""
     if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+            if 2 * len(distinct) <= len(column):
+                texts = list(map(repr, distinct.view(np.float64).tolist()))
+                return list(map(texts.__getitem__, index.tolist()))
         column = column.tolist()
     if not column:
         return []
@@ -668,20 +677,21 @@ def write_jsonl_rows(handle, names, rows) -> None:
         handle.write(json.dumps(dict(zip(names, cells))) + "\n")
 
 
-def _cells(name: str, values: list, text: bool) -> list:
-    """A column's values as cells; see corpus_cells."""
+def _cells(name: str, values, text: bool) -> list:
+    """A column's values, an array (the ids a list), as cells; see
+    corpus_cells."""
     enum = {"gender": GENDER_ORDER, "proactive_act": ACT_ORDER}.get(name)
     if enum:  # each member's text, read once per column
-        return list(map(tuple(member.value for member in enum).__getitem__, values))
-    return format_cells(values) if text else values
+        return list(map(tuple(member.value for member in enum).__getitem__, values.tolist()))
+    if text:
+        return format_cells(values)
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
 def dialog_cells(corpus: Corpus, name: str, text: bool) -> list:
     """The cells of a column of DIALOG_COLUMNS, one per dialog, as
     corpus_cells gives them for each of the dialog's exchanges."""
-    values = getattr(corpus, name)
-    return _cells(name, list(values) if name in ("user_id", "dialog_id") else values.tolist(),
-                  text)
+    return _cells(name, getattr(corpus, name), text)
 
 
 def corpus_cells(corpus: Corpus, name: str, text: bool) -> list:
@@ -690,7 +700,7 @@ def corpus_cells(corpus: Corpus, name: str, text: bool) -> list:
     stays one; enums are written by value."""
     if name in DIALOG_COLUMNS:  # a dialog's cells are made once, then repeated
         return [v for v in dialog_cells(corpus, name, text) for _ in range(STEPS_PER_DIALOG)]
-    return _cells(name, getattr(corpus, name).tolist(), text)
+    return _cells(name, getattr(corpus, name), text)
 
 
 def write_dialog_rows(handle, names, dialog_columns, row_columns) -> None:

@@ -9,10 +9,12 @@ one user draw, `user_model.sample_users`, and so is every turn each
 episode can take, one per (step, act), by the one turn draw
 `simulator.draw_turns` on its streams' `simulator.turn_uniforms`, so a
 step draws nothing. The same block draw scores every candidate turn in
-parts (`trust_model.ScoreParts`), so a step adds a few Python floats
-where it would multiply a feature row by the weights, and its label is
-`predict_trust`'s on that row, certified by a rounding-error bound or, on
-a step too close to call, computed on the row itself.
+parts (`trust_model.ScoreParts`), one score per trust level 1..5 (-inf for
+a level that is no class of the model), so a step sums five scores of
+four Python floats each where it would multiply a feature row by the
+weights, and its label is `predict_trust`'s on that row, certified by a
+rounding-error bound or, on a step too close to call, computed on the row
+itself.
 Ships a tabular Q-learning reference agent over the discretized (step,
 trait code, trust estimate) state.
 """
@@ -41,6 +43,7 @@ from .simulator import SimulatedTurn, draw_turns, turn_uniforms
 from .simulator import simulate_turn  # unused here; perfbench's tracer tests read it
 from .trust_model import (
     NEUTRAL_LIKERT,
+    TRUST_CLASSES,
     DialogFeatures,
     ScoreParts,
     TrustClassifier,
@@ -111,6 +114,9 @@ _STEPS = range(1, STEPS_PER_DIALOG + 1)
 _COMPLEXITY = tuple(map(complexity_of_step, _STEPS))
 _MAX_SCORE = tuple(map(max_option_score, _COMPLEXITY))
 _EXPLORE_LABEL = label_bits(["explore"])
+# the trust-label index of a lag slot with no turn yet; a label's index is
+# its level's in TRUST_CLASSES
+_NO_LABEL = N_TRUST_LEVELS
 # An episode's user draws below child("user") of its reset key, and its
 # turn at step s below child("step", s).
 _USER_LABEL, _STEP_LABEL = label_bits(["user", "step"])
@@ -176,9 +182,12 @@ class TrustSimEnv:
     current-turn block (`turn_blocks`) and the two turns before it as
     lags. The block draw computes each candidate's `ScoreParts` in one
     product: its own part, with the profile part and the bias, and the
-    parts it adds as lag 1 and lag 2. A step adds its candidate's own part,
-    the carried lag parts and the trust-label parts of the two turns
-    before (a table made once per env), and takes the top class. It keeps
+    parts it adds as lag 1 and lag 2, each with one score per trust level.
+    A step adds, for each of the five levels in one literal list, its
+    candidate's own part, the carried lag parts and the trust-label parts
+    of the two turns before (a table made once per env, indexed by level),
+    and takes the top level; a level that is no class of the model has an
+    own part of -inf, so it is never the top one. It keeps
     that label only if the top two sums differ by more than four times
     `ScoreParts.error`, the bound on how far both these sums and the
     scores `predict_trust` computes lie from the exact ones; so the label
@@ -188,8 +197,8 @@ class TrustSimEnv:
     the turns taken) and calls `predict_trust` on it through this module's
     binding. The env builds its EnvState and SimulatedTurn values without
     their checks, as each field is a Python value of its range by
-    construction (trust model classes are checked once per env); a
-    caller-built EnvState is checked.
+    construction (a model's classes are trust levels, which
+    `TrustClassifier` checks); a caller-built EnvState is checked.
 
     The oracle `ReferenceTrustSimEnv` in `tests/conftest.py` draws the
     same episode turn by turn on a scalar stream with the reset key: the
@@ -218,11 +227,8 @@ class TrustSimEnv:
         # [trait code, step - 1, act index] -> the code of the key a turn draws from
         self._codes = key_code(table.mode, np.arange(N_TRAIT_CODES)[:, None, None],
                                np.arange(N_ACTIONS), conditions[:, None])
-        # each estimated trust is a class, so the states the env builds
-        # unchecked hold Python ints in range
-        self._classes = tuple(integer("trust model class", label, LIKERT_MIN, LIKERT_MAX)
-                              for label in trust_model.classes)
-        self._n_classes = len(self._classes)
+        # each estimated trust is a trust level, a Python int of TRUST_CLASSES
+        # (as the model's classes are), so the states built unchecked are in range
         self._parts = ScoreParts(trust_model)
         # A label the parts give is predict_trust's when the top two of them
         # differ by more than this: each of the two scores is off the exact
@@ -232,10 +238,10 @@ class TrustSimEnv:
         self._score_weight = reward.score_weight
         self._trust_rewards = [reward.trust_weight * ((trust - LIKERT_MIN)
                                                       / (LIKERT_MAX - LIKERT_MIN))
-                               for trust in self._classes]
-        # [j1][j2]: the trust-label parts of lag 1 labelled classes[j1] and of
-        # lag 2 labelled classes[j2], an index n_classes meaning no label
-        none = [[0.0] * self._n_classes] * 2
+                               for trust in TRUST_CLASSES]
+        # [j1][j2]: the trust-label parts of lag 1 labelled TRUST_CLASSES[j1]
+        # and of lag 2 labelled TRUST_CLASSES[j2], or with _NO_LABEL none
+        none = [[0.0] * N_TRUST_LEVELS] * 2
         labels = self._parts.labels + [none]
         self._label_parts = [[[a + b for a, b in zip(label1, label2)]
                               for _, label2 in labels] for label1, _ in labels]
@@ -281,24 +287,21 @@ class TrustSimEnv:
         # step after, each with no trust label yet: that of the neutral fill
         fill1, fill2 = self._parts.fill
         self._lag1, self._lag2, self._next_lag2 = fill1, fill2, fill2
-        self._label1 = self._label2 = self._n_classes  # no label, as _label_parts
+        self._label1 = self._label2 = _NO_LABEL
         self._taken = []  # (candidate, trust) of each step so far
         self._step_no = 1
         self._done = False
         return _built(EnvState, {"step": 1, "trait": self._trait, "last_turn": None,
                                  "estimated_trust": NEUTRAL_LIKERT})
 
-    def _predicted(self, k: int):
+    def _predicted(self, k: int) -> int:
         """The trust `predict_trust` gives candidate k: its feature row built
-        from the episode's start row and the turns taken so far, with the
-        label index into the model's classes."""
+        from the episode's start row and the turns taken so far."""
         features = DialogFeatures(self._drawn[1][self._index])
         for taken, trust in self._taken:
             features.write(self._block(taken))
             features.push(trust)
-        j = self.trust_model.classes.index(
-            predict_trust(self.trust_model, features.write(self._block(k))))
-        return self._classes[j], j
+        return predict_trust(self.trust_model, features.write(self._block(k)))
 
     def _block(self, k: int) -> np.ndarray:
         """The current-turn block (`turn_blocks`) of candidate k."""
@@ -315,19 +318,22 @@ class TrustSimEnv:
         s = self._step_no
         # an identity match in ACT_ORDER is faster than hashing the member
         k = N_ACTIONS * (s - 1) + ACT_ORDER.index(action)
-        n = self._n_classes
         parts = self._candidates[k].tolist()
-        scores = [p + a + b + t for p, a, b, t in zip(
-            parts, self._lag1, self._lag2, self._label_parts[self._label1][self._label2])]
-        top = max(scores)
-        j = scores.index(top)
-        scores[j] = -math.inf
-        if top - max(scores) > self._margin:
-            trust = self._classes[j]
+        a, b, t = self._lag1, self._lag2, self._label_parts[self._label1][self._label2]
+        # each of the five levels' own, lag 1, lag 2 and label parts, summed
+        # in that order
+        scores = [parts[0] + a[0] + b[0] + t[0], parts[1] + a[1] + b[1] + t[1],
+                  parts[2] + a[2] + b[2] + t[2], parts[3] + a[3] + b[3] + t[3],
+                  parts[4] + a[4] + b[4] + t[4]]
+        second, top = sorted(scores)[-2:]
+        if top - second > self._margin:
+            j = scores.index(top)
+            trust = TRUST_CLASSES[j]
         else:  # too close to call from the parts: score the whole row
-            trust, j = self._predicted(k)
+            trust = self._predicted(k)
+            j = trust - LIKERT_MIN
         self._taken.append((k, trust))
-        self._lag1, self._lag2, self._next_lag2 = parts[n:2 * n], self._next_lag2, parts[2 * n:]
+        self._lag1, self._lag2, self._next_lag2 = parts[5:10], self._next_lag2, parts[10:]
         self._label1, self._label2 = j, self._label1
 
         # _TURN_COLUMNS order

@@ -243,6 +243,17 @@ class TrustClassifier:
     biases: np.ndarray  # (n_classes,)
 
     def __post_init__(self):
+        # predict_trust's ties go to the lower label only over ascending
+        # classes, and ScoreParts places each class at its trust level
+        try:
+            classes = tuple(integer("classes entry", label, LIKERT_MIN, LIKERT_MAX,
+                                    SchemaMismatch) for label in self.classes)
+        except TypeError:
+            raise SchemaMismatch(f"classes must be a sequence, got {self.classes!r}") from None
+        if not classes or any(a >= b for a, b in zip(classes, classes[1:])):
+            raise SchemaMismatch(f"classes {list(classes)} are not distinct trust levels "
+                                 f"of {list(TRUST_CLASSES)} in ascending order")
+        object.__setattr__(self, "classes", classes)
         # any finite or non-finite values and any feature count: predict_trust
         # and the file reader check those where they need them
         weights, biases = np.shape(self.weights), np.shape(self.biases)
@@ -323,12 +334,16 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 class ScoreParts:
     """A model's class scores of a dialog's rows split into the parts that
     its turns add, so that a dialog is scored a turn at a time without its
-    rows. The scores of the row of a turn are the sum of
+    rows. Every part holds one score per trust level of TRUST_CLASSES, not
+    per model class: a level that is no class of the model scores as a
+    class with zero weights and a bias of -inf, so that its own part is
+    -inf and its lag, label and fill parts 0, and it never tops a class.
+    The scores of the row of a turn are the sum of
     - its own part, `candidates(...)[..., 0, :]` of its current-turn block,
       which holds the profile part of the dialog's start row and the bias;
     - for each lag k = 1..LAG_WINDOW, the part of the turn k steps back,
       `candidates(...)[..., k, :]` of its block plus `labels[j][k - 1]` of
-      its trust label `model.classes[j]`, or, where the dialog has no such
+      its trust label `TRUST_CLASSES[j]`, or, where the dialog has no such
       turn, `fill[k - 1]`, the part of the neutral lag fill.
 
     Each part sums some of a score's N_FEATURES + 1 terms (a weight times
@@ -340,15 +355,21 @@ class ScoreParts:
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     section 3.1) and m = 2 (N_FEATURES + 1), which leaves room for the
     bound's own rounding, plus one smallest subnormal per term for products
-    that underflow. A model with a NaN or inf weight or bias has an `error`
-    that is not finite."""
+    that underflow. It is taken over the model's own weights and biases,
+    and a model with a NaN or inf weight or bias has an `error` that is not
+    finite."""
 
     __slots__ = ("fill", "labels", "error", "_profile", "_turn", "_biases")
 
     def __init__(self, model: TrustClassifier):
-        weights, classes = model.weights, model.classes
-        if weights.ndim != 2 or weights.shape[1] != N_FEATURES:
-            raise SchemaMismatch(f"expected {N_FEATURES} features, got {weights.shape}")
+        if model.weights.shape[1] != N_FEATURES:
+            raise SchemaMismatch(f"expected {N_FEATURES} features, got {model.weights.shape}")
+        # the model's rows at their levels (its classes are trust levels)
+        levels = [TRUST_CLASSES.index(label) for label in model.classes]
+        weights = np.zeros((len(TRUST_CLASSES), N_FEATURES))
+        weights[levels] = model.weights
+        biases = np.full(len(TRUST_CLASSES), -np.inf)
+        biases[levels] = model.biases
         lags = [_TURN_END + k * _LAG_WIDTH for k in range(LAG_WINDOW)]
         # the current-turn block's weights, then for each lag those of the
         # lag columns each of its columns is copied into (zero for the rest)
@@ -357,25 +378,26 @@ class ScoreParts:
         for k, start in enumerate(lags, start=1):
             turn[_LAG_FROM_TURN - _PROFILE_END, k] = weights[:, start:start + _LAG_WIDTH - 1].T
         self._profile, self._turn = weights[:, :_PROFILE_END].T, turn.reshape(len(turn), -1)
-        self._biases = model.biases
+        self._biases = biases
         trust = weights[:, [start + _LAG_WIDTH - 1 for start in lags]].T  # lag trust labels
-        self.labels = [(trust * float(label)).tolist() for label in classes]
+        self.labels = [(trust * float(label)).tolist() for label in TRUST_CLASSES]
         self.fill = [(np.array(_LAG_FILL) @ weights[:, start:start + _LAG_WIDTH].T).tolist()
                      for start in lags]
         m = 2 * (N_FEATURES + 1)
         gamma = m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)
-        self.error = (gamma * float(np.max(_largest_scores(weights, model.biases)))
+        self.error = (gamma * float(np.max(_largest_scores(model.weights, model.biases)))
                       + (N_FEATURES + 1) * 2.0 ** -1074)
 
     def candidates(self, rows: np.ndarray, blocks: np.ndarray, turns) -> np.ndarray:
         """The parts of m candidate turns in each of n dialogs, an (n, m,
-        (1 + LAG_WINDOW) K) array of K class scores per part: those of the
-        blocks `turn_blocks(turns, blocks)` writes into n copies of the (m,
-        11) `blocks`, which hold the candidates' columns that every dialog
-        shares, with `turns` the n m turns' Corpus-shaped columns, dialog by
-        dialog, of the current-turn fields after the act. `rows` are the
-        dialogs' start rows. No block is written per turn: the parts are the
-        shared blocks' product plus that of the turns' own columns."""
+        (1 + LAG_WINDOW) L) array of the scores of the L trust levels per
+        part: those of the blocks `turn_blocks(turns, blocks)` writes into n
+        copies of the (m, 11) `blocks`, which hold the candidates' columns
+        that every dialog shares, with `turns` the n m turns' Corpus-shaped
+        columns, dialog by dialog, of the current-turn fields after the act.
+        `rows` are the dialogs' start rows. No block is written per turn: the
+        parts are the shared blocks' product plus that of the turns' own
+        columns."""
         n, m = len(rows), len(blocks)
         names = [name for name in _TURN_FIELDS if hasattr(turns, name)]
         own = [len(ACT_ORDER) + _TURN_FIELDS.index(name) for name in names]
@@ -388,7 +410,7 @@ class ScoreParts:
         shared[:, own] = 0.0
         parts += (shared @ self._turn).reshape(m, 1 + LAG_WINDOW, -1)
         profile = rows[:, :_PROFILE_END] @ self._profile + self._biases
-        # a class at a time: a strided add whose inner loop is K long is slow
+        # a level at a time: a strided add whose inner loop is L long is slow
         for k, column in enumerate(profile.T):
             parts[:, :, 0, k] += column[:, None]
         return parts.reshape(n, m, -1)
@@ -496,11 +518,6 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
     if payload["feature_names"] != list(FEATURE_NAMES):
         raise SchemaMismatch(f"model feature_names {payload['feature_names']!r} are "
                              f"not the schema's {N_FEATURES} features")
-    # predict_trust's ties go to the lower label only over ascending classes
-    if any(type(c) is not int or c not in TRUST_CLASSES for c in classes) \
-            or any(a >= b for a, b in zip(classes, classes[1:])):
-        raise SchemaMismatch(f"model classes {list(classes)} are not distinct trust "
-                             f"levels of {list(TRUST_CLASSES)} in ascending order")
     model = TrustClassifier(classes=classes, weights=weights, biases=biases)
     if weights.shape[1] != N_FEATURES:
         raise SchemaMismatch(f"weights {weights.shape} do not fit {N_FEATURES} features")

@@ -415,6 +415,16 @@ class TestFormatCells:
     def test_float_zeros_keep_their_sign(self):
         assert format_cells([0.0, -0.0, 0.0]) == ["0.0", "-0.0", "0.0"]
 
+    def test_a_float_array_shares_one_text_per_bit_pattern(self):
+        # two distinct values in four cells: the memo keeps -0.0 apart from 0.0
+        cells = format_cells(np.array([0.0, -0.0, 0.0, -0.0]))
+        assert cells == ["0.0", "-0.0", "0.0", "-0.0"]
+        assert cells[0] is cells[2] and cells[1] is cells[3]
+
+    def test_a_float_array_of_mostly_distinct_values_is_formatted_value_by_value(self):
+        cells = format_cells(np.array([0.5, -0.0, 0.0]))
+        assert cells == ["0.5", "-0.0", "0.0"]
+
 
 def rewrite_cells(path, edits):
     """Rewrite a saved CSV; edits maps (data row, column) -> new cell text."""

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +33,7 @@ from conftest import (
 from trustsim import corpus as corpus_module
 from trustsim.corpus import (
     CORPUS_COLUMNS,
+    format_cells,
     load_corpus,
     save_corpus,
     write_csv_rows,
@@ -148,6 +150,19 @@ def test_dialog_writer_equals_the_csv_module(data):
     reference_write_csv_rows(expected, [names, *map(tuple.__add__, dialog_rows,
                                                     zip(*row_columns))])
     assert written.getvalue() == expected.getvalue()
+
+
+# floats whose texts a bit-pattern memo must keep apart or share
+FLOAT_EDGES = [0.0, -0.0, 1.5, 10.0, 5e-324, -5e-324, 1e308, 0.1 + 0.2, 0.30000000000000004]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(FLOAT_EDGES), st.floats()), max_size=40))
+def test_float_cells_are_each_values_repr(values):
+    """format_cells on a float64 array, with its memo of one text per bit
+    pattern where at most half the values are distinct, gives each value's
+    repr."""
+    assert format_cells(np.array(values, dtype=np.float64)) == list(map(repr, values))
 
 
 JSON_VALUES = st.one_of(

@@ -593,6 +593,24 @@ class TestFewerClasses:
         assert probe.steps == oracle.steps
         assert {state.estimated_trust for state, _, _ in probe.steps} <= set(classes)
 
+    def test_a_level_without_a_class_has_no_score(self, default_corpus, fitted):
+        # its own part is -inf, and its lag, trust-label and fill parts 0
+        traits, model = fitted
+        model = model_keeping(model, (2, 4))
+        env = TrustSimEnv(build_table(default_corpus, TableMode.TASK_STEP_BASED), traits,
+                          model)
+        parts = env._draw(child_keys(RandomStream(13, "levels").key, label_bits(range(3))))[2]
+        assert parts.shape == (3, 12 * N_ACTIONS, 3 * 5)
+        own, lags = parts[..., :5], parts[..., 5:].reshape(3, -1, 2, 5)
+        absent, present = [0, 2, 4], [1, 3]
+        assert np.all(own[..., absent] == -np.inf)
+        assert np.isfinite(own[..., present]).all()
+        assert np.all(lags[..., absent] == 0.0)
+        score_parts = ScoreParts(model)
+        # each label's parts and the fill's, as lag 1 and lag 2
+        for lag_parts in score_parts.labels + [score_parts.fill]:
+            assert np.array(lag_parts)[:, absent].tolist() == [[0.0] * 3] * 2
+
 
 class TestCandidateTurns:
     """A drawn block holds the turn of every (step, act) of its episodes,

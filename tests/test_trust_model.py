@@ -513,6 +513,20 @@ class TestEvaluateClassifier:
         with pytest.raises(SchemaMismatch, match="do not fit 5 classes"):
             trust_model.TrustClassifier((1, 2, 3, 4, 5), weights, biases)
 
+    @pytest.mark.parametrize("classes", [(4, 2), (0, 9), (2, 2), (1, 6), (1, True), (1, 2.0),
+                                         (), 12])
+    def test_classes_must_be_ascending_trust_levels_at_construction(self, classes):
+        # (4, 2) would break a tie toward 4, and (0, 9) would predict 0
+        n = len(classes) if isinstance(classes, tuple) else 2
+        with pytest.raises(SchemaMismatch, match="classes"):
+            trust_model.TrustClassifier(classes, np.zeros((n, N_FEATURES)), np.zeros(n))
+
+    def test_numpy_classes_construct_as_python_ints(self):
+        model = trust_model.TrustClassifier(np.array([2, 4]), np.zeros((2, N_FEATURES)),
+                                            np.zeros(2))
+        assert model.classes == (2, 4)
+        assert all(type(label) is int for label in model.classes)
+
     def test_any_values_and_feature_count_construct(self):
         weights = np.full((2, 7), np.nan)
         weights[1] = np.inf

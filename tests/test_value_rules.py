@@ -15,7 +15,8 @@ import pytest
 from conftest import RiggedSweepEnv, stub_trust_model
 from trustsim.behavior_tables import TableMode, build_table, lookup, table_to_json_dict
 from trustsim.corpus import ProactiveAct, complexity_of_step, split_corpus
-from trustsim.errors import InvalidBounds, InvalidConfig, InvalidHyperparams, StepOutOfRange
+from trustsim.errors import (InvalidBounds, InvalidConfig, InvalidHyperparams, SchemaMismatch,
+                             StepOutOfRange)
 from trustsim.rl_env import (EnvState, Hyperparams, RewardConfig, TrustSimEnv,
                              train_tabular_policy)
 from trustsim.sampling import RandomStream
@@ -56,7 +57,8 @@ def fitted(threshold) -> tuple:
 
 
 def estimated(label) -> list:
-    """An episode's states under a model that always answers this label."""
+    """An episode's states under a model whose classes are 1 and this label,
+    which it always answers."""
     model = dataclasses.replace(stub_trust_model([0.0, 1.0]), classes=(1, label))
     env = TrustSimEnv(table(), default_trait_distributions(), model)
     return [shown(env.reset(RandomStream(3, "ep")))] + [
@@ -87,7 +89,7 @@ INTEGER_SITES = {
     "EnvState step": (InvalidConfig, lambda v: state(step=v), 2),
     "EnvState trait": (InvalidConfig, lambda v: state(trait=v), 5),
     "EnvState estimated_trust": (InvalidConfig, lambda v: state(estimated_trust=v), 4),
-    "TrustSimEnv trust model class": (InvalidConfig, estimated, 4),
+    "TrustClassifier classes entry": (SchemaMismatch, estimated, 4),
     "train_tabular_policy episodes": (InvalidHyperparams, learned, 3),
     "Hyperparams seed": (InvalidConfig, lambda v: learned(2, seed=v), 1),
     "GeneratorConfig n_dialogs": (InvalidConfig, generated, 5),

@@ -42,8 +42,8 @@ from trustsim.rl_env import (
     train_tabular_policy,
 )
 from trustsim.sampling import RandomStream, child_keys, label_bits
-from trustsim.trust_model import (FEATURE_NAMES, ScoreParts, TrustClassifier, predict_trust,
-                                  train_classifier)
+from trustsim.trust_model import (FEATURE_NAMES, TRUST_CLASSES, ScoreParts, TrustClassifier,
+                                  predict_trust, train_classifier)
 from trustsim.user_model import (
     N_TRAIT_CODES,
     TruncGauss,
@@ -160,12 +160,12 @@ def deterministic_env(reward=RewardConfig(), trust_bias_class=4):
                        stub_trust_model(biases), reward=reward)
 
 
-def tied_env(table=None, traits=None):
-    """An env whose trust model gives every class the same score, so every
-    step falls back to scoring its whole feature row with predict_trust
-    through rl_env's binding of it."""
+def tied_env(table=None, traits=None, classes=5):
+    """An env whose trust model gives each of its classes the same score,
+    so every step falls back to scoring its whole feature row with
+    predict_trust through rl_env's binding of it."""
     return TrustSimEnv(table or deterministic_env().table, traits or default_trait_distributions(),
-                       stub_trust_model([0.0] * 5))
+                       stub_trust_model([0.0] * classes))
 
 
 class TestEnvMechanics:
@@ -559,13 +559,15 @@ class TestEpisodeBlocks:
             tracemalloc.stop()
         arrays = [a for a in drawn if isinstance(a, np.ndarray)] + drawn[-1]
         candidates = 256 * 12 * N_ACTIONS
-        assert drawn[2].shape == (256, 12 * N_ACTIONS, 3 * len(model.classes))
+        # three parts of one score per trust level
+        assert drawn[2].shape == (256, 12 * N_ACTIONS, 3 * len(TRUST_CLASSES))
         assert peak - sum(a.nbytes for a in arrays) < 8 * 8 * candidates
 
 
 # Models fitted to corpora without some labels: each keeps the weight rows
-# and biases of these classes of the default corpus's fit.
-CLASS_SUBSETS = [(1, 2), (2, 4), (1, 3, 5), (3, 4, 5)]
+# and biases of these classes of the default corpus's fit. The last misses
+# one level only, whose score, were it not -inf, could tie no other's.
+CLASS_SUBSETS = [(1, 2), (2, 4), (1, 3, 5), (3, 4, 5), (2, 3, 4, 5)]
 
 
 class TestFewerClasses:
@@ -667,8 +669,7 @@ class TestScoringCalls:
         real = rl_env.predict_trust
         monkeypatch.setattr(rl_env, "predict_trust",
                             lambda model, features: calls.append(1) or real(model, features))
-        env = TrustSimEnv(deterministic_env().table, default_trait_distributions(),
-                          stub_trust_model([0.0] * classes))
+        env = tied_env(classes=classes)
         at_reset = []
         reset = env.reset
         env.reset = lambda rng: at_reset.append(len(calls)) or reset(rng)

@@ -678,7 +678,7 @@ def write_jsonl_rows(handle, names, rows) -> None:
 
 
 def _cells(name: str, values, text: bool) -> list:
-    """A column's values, an array (the ids a list), as cells; see
+    """A column's values, an array (the ids a tuple), as cells; see
     corpus_cells."""
     enum = {"gender": GENDER_ORDER, "proactive_act": ACT_ORDER}.get(name)
     if enum:  # each member's text, read once per column

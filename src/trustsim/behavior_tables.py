@@ -46,8 +46,8 @@ from .corpus import (
     complexity_of_step,
     duration_truncation,
 )
-from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, integer, object_entry,
-                     read_json, write_compact_json)
+from .errors import (EmptyCorpus, InvalidConfig, NoDataForCondition, integer, json_numbers,
+                     object_entry, read_json, write_compact_json)
 from .sampling import gaussian_truncations
 from .user_model import N_TRAIT_CODES, trait_codes
 
@@ -414,27 +414,6 @@ def table_to_json_dict(table: BehaviorTable) -> dict:
             **{name: getattr(table, name).tolist() for name in COLUMNS}}
 
 
-def _json_column(value, name: str) -> np.ndarray:
-    """A column of nested JSON lists as an array; the leaves must be ints
-    (true and false are not), or for the moments ints or floats."""
-    counts = name in ("n", "difficulty_counts")
-    allowed = {int} if counts else {int, float}
-    try:
-        leaves = value
-        for _ in range(2 if name == "difficulty_counts" else 1):
-            leaves = itertools.chain.from_iterable(leaves)
-        types = set(map(type, leaves))
-        if types <= allowed:
-            return np.array(value, dtype=np.int64 if counts else np.float64)
-    # TypeError: a row that is no list; ValueError: rows of unequal length;
-    # OverflowError: an int beyond int64 or the float range
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"malformed table column {name!r}: {exc}") from exc
-    raise InvalidConfig(f"table column {name!r} must hold only "
-                        f"{'ints' if counts else 'numbers'}, got "
-                        f"{sorted(t.__name__ for t in types - allowed)}")
-
-
 def table_from_json_dict(payload) -> BehaviorTable:
     if not isinstance(payload, dict):
         raise InvalidConfig(f"table JSON must be an object, got {type(payload).__name__}")
@@ -447,7 +426,10 @@ def table_from_json_dict(payload) -> BehaviorTable:
     except (ValueError, TypeError) as exc:
         raise InvalidConfig(f"malformed table: {exc}") from exc
     return BehaviorTable(mode, payload["fallback_threshold"],
-                         *(_json_column(payload[name], name) for name in COLUMNS))
+                         *(json_numbers(f"table column {name!r}", payload[name],
+                                        3 if name == "difficulty_counts" else 2,
+                                        integers=name in ("n", "difficulty_counts"))
+                           for name in COLUMNS))
 
 
 def save_table(table: BehaviorTable, path) -> None:

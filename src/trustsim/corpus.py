@@ -261,20 +261,35 @@ def _parse_float(raw):
     return value
 
 
+def _text(raw) -> str:
+    # str() would read a JSON null as "None", the act value of ProactiveAct.NONE
+    if type(raw) is not str:
+        raise ValueError(f"{type(raw).__name__} is not a string")
+    return raw
+
+
+def _parse_id(raw) -> str:
+    kind = type(raw)
+    if kind is str or kind is int:
+        return str(raw)
+    raise ValueError(f"{kind.__name__} is not a string or an integer")
+
+
 def _parse_gender(raw):  # its index in GENDER_ORDER
-    return GENDER_ORDER.index(Gender(str(raw).strip().lower()))
+    return GENDER_ORDER.index(Gender(_text(raw).strip().lower()))
 
 
 def _parse_act(raw):  # its index in ACT_ORDER
-    return ACT_INDEX[ProactiveAct(str(raw).strip())]
+    return ACT_INDEX[ProactiveAct(_text(raw).strip())]
 
 
 _INT_COLUMNS = ("age", "step", "complexity") + LIKERT_COLUMNS
 # One parser per flat-file column: raw file value -> typed value, an enum
-# as its index.
+# as its index. A JSON value must be of the JSON type its column takes; a
+# CSV cell is always text.
 _PARSERS = {
-    "user_id": str,
-    "dialog_id": str,
+    "user_id": _parse_id,
+    "dialog_id": _parse_id,
     "gender": _parse_gender,
     "proactive_act": _parse_act,
     **dict.fromkeys(("help_request", "suggestion_request"), _parse_bool),
@@ -327,30 +342,35 @@ def _parse_column(name: str, cells, text: bool) -> tuple:
     distinct texts (as durations are, and a block's trait texts read one
     per dialog) is parsed cell by cell, which costs less than the memo.
     JSON values are parsed one by one: 1, 1.0 and true are one dict key
-    but different input."""
+    but different input. Ids are a list of texts, None where they do not
+    parse."""
     parse, dtype = _PARSERS[name], _DTYPES[name]
+    ids = name in ("user_id", "dialog_id")
     try:
         if text:
             if dtype is np.float64:
                 parse = float
+            elif ids:  # a text is its own id
+                parse = str
             distinct = set(cells)
             if 2 * len(distinct) <= len(cells):
                 parse = dict(zip(distinct, map(parse, distinct))).__getitem__
-        if name in ("user_id", "dialog_id"):  # str never fails
+        if ids:
             return list(map(parse, cells)), None
         values = np.fromiter(map(parse, cells), dtype, len(cells))
         if dtype is not np.float64 or np.isfinite(values).all():
             return values, None
     except _PARSE_ERRORS:
         pass
-    values, bad = np.zeros(len(cells), dtype), np.zeros(len(cells), dtype=bool)
+    values = [None] * len(cells) if ids else np.zeros(len(cells), dtype)
+    bad = np.zeros(len(cells), dtype=bool)
     for i, cell in enumerate(cells):
         try:
             value = _PARSERS[name](cell)
         except _PARSE_ERRORS:
             bad[i] = True
         else:  # an int beyond these is out of every range, and stays out
-            values[i] = min(max(value, -2 ** 62), 2 ** 62) if dtype is np.int64 else value
+            values[i] = value if ids or dtype is not np.int64 else min(max(value, -2 ** 62), 2 ** 62)
     return values, bad
 
 

@@ -5,9 +5,11 @@ Everything derives from TrustSimError so callers can catch input/validation
 problems in one place (the CLI maps them to exit code 2).
 
 Every scalar config or context value is checked by one of two rules here,
-`integer` and `finite_number`, each raising the caller's error type.
+`integer` and `finite_number`, and every array of a JSON artifact by
+`json_numbers`, each raising the caller's error type.
 """
 
+import itertools
 import json
 import numbers
 import operator
@@ -146,6 +148,27 @@ def finite_number(name: str, value, error=InvalidConfig) -> None:
 
 
 # --- JSON artifact files --------------------------------------------------
+
+def json_numbers(name: str, value, ndim: int, integers: bool = False,
+                 error=InvalidConfig) -> np.ndarray:
+    """Nested JSON lists `ndim` deep as a float64 array, or with `integers`
+    an int64 one, or `error`: every leaf must be an int or, for floats, a
+    float, never a bool (true would load as 1) nor a numeric string."""
+    allowed = {int} if integers else {int, float}
+    try:
+        leaves = value
+        for _ in range(ndim - 1):
+            leaves = itertools.chain.from_iterable(leaves)
+        types = set(map(type, leaves))
+        if types <= allowed:
+            return np.array(value, dtype=np.int64 if integers else np.float64)
+    # TypeError: a row that is no list; ValueError: rows of unequal length;
+    # OverflowError: an int beyond int64 or the float range
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"malformed {name}: {exc}") from exc
+    raise error(f"{name} must hold only {'ints' if integers else 'numbers'}, got "
+                f"{sorted(t.__name__ for t in types - allowed)}")
+
 
 def read_json(path, what: str):
     """Parsed JSON of a file; InvalidConfig names a file not UTF-8 or not JSON."""

@@ -14,7 +14,7 @@ a level that is no class of the model), so a step sums five scores of
 four Python floats each where it would multiply a feature row by the
 weights, and its label is `predict_trust`'s on that row, certified by a
 rounding-error bound or, on a step too close to call, computed on the row
-itself.
+itself: the last of the `trust_model.dialog_rows` of the turns taken.
 Ships a tabular Q-learning reference agent over the discretized (step,
 trait code, trust estimate) state.
 """
@@ -44,9 +44,9 @@ from .simulator import simulate_turn  # unused here; perfbench's tracer tests re
 from .trust_model import (
     NEUTRAL_LIKERT,
     TRUST_CLASSES,
-    DialogFeatures,
     ScoreParts,
     TrustClassifier,
+    dialog_rows,
     predict_trust,
     start_rows,
     turn_blocks,
@@ -193,11 +193,11 @@ class TrustSimEnv:
     scores `predict_trust` computes lie from the exact ones; so the label
     is `predict_trust`'s, with its ties to the lower label. Otherwise, as
     for any model with a NaN or inf weight, whose bound is not finite,
-    the step builds its whole row (`DialogFeatures`, from the start row and
-    the turns taken) and calls `predict_trust` on it through this module's
-    binding. The env builds its EnvState and SimulatedTurn values without
-    their checks, as each field is a Python value of its range by
-    construction (a model's classes are trust levels, which
+    the step builds its whole row, the last of the `dialog_rows` of the
+    start row and the turns taken, and calls `predict_trust` on it through
+    this module's binding. The env builds its EnvState and SimulatedTurn
+    values without their checks, as each field is a Python value of its
+    range by construction (a model's classes are trust levels, which
     `TrustClassifier` checks); a caller-built EnvState is checked.
 
     The oracle `ReferenceTrustSimEnv` in `tests/conftest.py` draws the
@@ -234,7 +234,7 @@ class TrustSimEnv:
         # differ by more than this: each of the two scores is off the exact
         # one by at most the error, both as parts and in predict_trust.
         self._margin = 4 * self._parts.error
-        # the reward's terms, as each step computed them in full before
+        # the reward's terms
         self._score_weight = reward.score_weight
         self._trust_rewards = [reward.trust_weight * ((trust - LIKERT_MIN)
                                                       / (LIKERT_MAX - LIKERT_MIN))
@@ -295,19 +295,17 @@ class TrustSimEnv:
                                  "estimated_trust": NEUTRAL_LIKERT})
 
     def _predicted(self, k: int) -> int:
-        """The trust `predict_trust` gives candidate k: its feature row built
-        from the episode's start row and the turns taken so far."""
-        features = DialogFeatures(self._drawn[1][self._index])
-        for taken, trust in self._taken:
-            features.write(self._block(taken))
-            features.push(trust)
-        return predict_trust(self.trust_model, features.write(self._block(k)))
-
-    def _block(self, k: int) -> np.ndarray:
-        """The current-turn block (`turn_blocks`) of candidate k."""
-        values = SimpleNamespace(**{name: [value] for name, value
-                                    in zip(_TURN_COLUMNS, self._turns[k])})
-        return turn_blocks(values, _CANDIDATE_BLOCKS[k:k + 1].copy())[0]
+        """The trust `predict_trust` gives candidate k: the last of the
+        `dialog_rows` of the candidates taken so far, then k."""
+        taken = [candidate for candidate, _ in self._taken] + [k]
+        i, (_, starts, _, columns) = self._index, self._drawn
+        blocks = turn_blocks(SimpleNamespace(**{name: column[i, taken] for name, column
+                                                in zip(_TURN_COLUMNS, columns)}),
+                             _CANDIDATE_BLOCKS[taken])
+        # k's label is never read
+        labels = [trust for _, trust in self._taken] + [NEUTRAL_LIKERT]
+        rows = dialog_rows(starts[i:i + 1], blocks[None], [labels])
+        return predict_trust(self.trust_model, rows[0, -1])
 
     def step(self, action: ProactiveAct):
         """Returns (next_state, reward, done)."""

@@ -5,11 +5,12 @@ The target folds the four self-reported measures (trust, competence,
 reliability, predictability) into one 1..5 label. Features combine the
 static profile, the current turn, and a 2-step lag window, in one column
 layout. `start_rows` writes the row each dialog starts from, the profile
-block and the neutral lag fill, and `turn_blocks` the current-turn block
-of each turn; both builders use them: `corpus_to_dataset` column-wise for
-a whole corpus, `DialogFeatures` turn by turn for one dialog, copying in
-each turn's prepared block. Both equal, row for row, the per-turn oracle
-`reference_features` in `tests/conftest.py`.
+block and the neutral lag fill, `turn_blocks` the current-turn block of
+each turn, and `dialog_rows`, from those two, the rows of whole dialogs
+with their lag blocks. `corpus_to_dataset` is `dialog_rows` over a corpus,
+and the RL env's fallback step over the turns it has taken; both equal,
+row for row, the per-turn oracle `reference_features` in
+`tests/conftest.py`.
 Training is full-batch subgradient descent on the hinge loss with L2
 regularization and the Pegasos step 1/(lambda t), deterministic by
 construction. All classes train together on one transposed standardized
@@ -54,6 +55,7 @@ from .errors import (
     SchemaMismatch,
     ValueOutOfRange,
     integer,
+    json_numbers,
     read_json,
     write_json,
 )
@@ -157,61 +159,37 @@ def turn_blocks(turns, blocks: np.ndarray | None = None) -> np.ndarray:
     return blocks
 
 
-class DialogFeatures:
-    """The feature rows of one dialog, built turn by turn in a copy of its
-    `start_rows` row, in the `corpus_to_dataset` layout. `write` writes the
-    current turn's block in place, and `push` labels that turn with its
-    trust and rolls it into the lag blocks, so no history is kept. The rows
-    equal those `corpus_to_dataset` builds for a dialog whose trust labels
-    are the pushed ones."""
-
-    __slots__ = ("_row",)
-
-    def __init__(self, row: np.ndarray):
-        self._row = row.copy()
-
-    def write(self, block: np.ndarray) -> np.ndarray:
-        """Writes the current turn's block, a row of `turn_blocks`, and
-        returns the row itself, which the next `write` overwrites."""
-        self._row[_PROFILE_END:_TURN_END] = block
-        return self._row
-
-    def push(self, trust: int) -> None:
-        """Lag 1 becomes lag 2, and the turn of the last `write`, labelled
-        with this trust, becomes lag 1."""
-        row = self._row
-        row[_TURN_END + _LAG_WIDTH:] = row[_TURN_END:N_FEATURES - _LAG_WIDTH]
-        row[_TURN_END:_TURN_END + _LAG_WIDTH - 1] = row[_LAG_FROM_TURN]
-        row[_TURN_END + _LAG_WIDTH - 1] = trust
+def dialog_rows(starts: np.ndarray, blocks: np.ndarray, labels) -> np.ndarray:
+    """The (n, T, N_FEATURES) feature rows of n dialogs of T turns, the one
+    place lag blocks are written: each dialog's `starts` row, with the
+    (n, T, 11) current-turn `blocks` (rows of `turn_blocks`) written over
+    it, and lag k at turns k + 1..T the block of the turn k back, labelled
+    with its (n, T) trust `labels`, so the neutral fill stays before turn
+    k + 1. The label of a dialog's last turn is never read."""
+    rows = np.repeat(starts[:, None], blocks.shape[1], axis=1)
+    rows[:, :, _PROFILE_END:_TURN_END] = blocks
+    lag = np.concatenate([blocks[..., _LAG_FROM_TURN - _PROFILE_END],
+                          np.asarray(labels, dtype=float)[..., None]], axis=-1)
+    for k in range(1, LAG_WINDOW + 1):
+        start = _TURN_END + (k - 1) * _LAG_WIDTH
+        rows[:, k:, start:start + _LAG_WIDTH] = lag[:, :-k]
+    return rows
 
 
 def corpus_to_dataset(corpus: Corpus) -> tuple:
-    """(X, y) over every exchange, lag labels teacher-forced.
-
-    Built column-wise: the corpus holds steps 1..12 in order for every
-    user, so X is 12 rows per user, each first its dialog's `start_rows`
-    row. The current-turn block is written over it, and lag k at steps
-    k + 1..12 is that block shifted down k rows within each dialog, so
-    the neutral fill stays before step k + 1. Row for row equal to the
-    per-turn oracle `reference_features` in `tests/conftest.py` on every
-    exchange.
+    """(X, y) over every exchange, lag labels teacher-forced: the corpus
+    holds steps 1..12 in order for every user, so X is the `dialog_rows`
+    of its dialogs, 12 rows per user. Row for row equal to the per-turn
+    oracle `reference_features` in `tests/conftest.py` on every exchange.
     """
-    n, n_users = corpus.exchange_count, corpus.n_dialogs
     # the label: the four ratings' mean, rounded half-up (Corpus checked 1..5)
     labels = np.floor((corpus.trust + corpus.competence + corpus.reliability
                        + corpus.predictability) / 4.0 + 0.5)
-
-    turn = turn_blocks(corpus)
-    lag = np.concatenate([turn[:, _LAG_FROM_TURN - _PROFILE_END], labels[:, None]], axis=1)
-    lag = lag.reshape(n_users, STEPS_PER_DIALOG, _LAG_WIDTH)
-
-    X = np.repeat(start_rows(corpus), STEPS_PER_DIALOG, axis=0)
-    X[:, _PROFILE_END:_TURN_END] = turn
-    dialog_steps = X.reshape(n_users, STEPS_PER_DIALOG, N_FEATURES)
-    for k in range(1, LAG_WINDOW + 1):
-        start = _TURN_END + (k - 1) * _LAG_WIDTH
-        dialog_steps[:, k:, start:start + _LAG_WIDTH] = lag[:, :-k]
-    return X, labels.astype(int)
+    shape = (corpus.n_dialogs, STEPS_PER_DIALOG)
+    X = dialog_rows(start_rows(corpus),
+                    turn_blocks(corpus).reshape(*shape, _TURN_END - _PROFILE_END),
+                    labels.reshape(shape))
+    return X.reshape(-1, N_FEATURES), labels.astype(int)
 
 
 # The weight of the L2 penalty on the weights (not the bias) in training
@@ -393,11 +371,11 @@ class ScoreParts:
         (1 + LAG_WINDOW) L) array of the scores of the L trust levels per
         part: those of the blocks `turn_blocks(turns, blocks)` writes into n
         copies of the (m, 11) `blocks`, which hold the candidates' columns
-        that every dialog shares, with `turns` the n m turns' Corpus-shaped
-        columns, dialog by dialog, of the current-turn fields after the act.
-        `rows` are the dialogs' start rows. No block is written per turn: the
-        parts are the shared blocks' product plus that of the turns' own
-        columns."""
+        that every dialog shares and zeros in those that `turns` has, with
+        `turns` the n m turns' Corpus-shaped columns, dialog by dialog, of
+        the current-turn fields after the act. `rows` are the dialogs' start
+        rows. No block is written per turn: the parts are the shared blocks'
+        product plus that of the turns' own columns."""
         n, m = len(rows), len(blocks)
         names = [name for name in _TURN_FIELDS if hasattr(turns, name)]
         own = [len(ACT_ORDER) + _TURN_FIELDS.index(name) for name in names]
@@ -406,9 +384,7 @@ class ScoreParts:
             columns[:, j] = getattr(turns, name)
         parts = (columns @ self._turn[own]).reshape(n, m, 1 + LAG_WINDOW, -1)
         del columns
-        shared = blocks.copy()
-        shared[:, own] = 0.0
-        parts += (shared @ self._turn).reshape(m, 1 + LAG_WINDOW, -1)
+        parts += (blocks @ self._turn).reshape(m, 1 + LAG_WINDOW, -1)
         profile = rows[:, :_PROFILE_END] @ self._profile + self._biases
         # a level at a time: a strided add whose inner loop is L long is slow
         for k, column in enumerate(profile.T):
@@ -505,20 +481,15 @@ def classifier_from_json_dict(payload) -> TrustClassifier:
     if payload.keys() != _MODEL_KEYS:
         raise SchemaMismatch(f"model keys: unknown {sorted(payload.keys() - _MODEL_KEYS)}, "
                              f"missing {sorted(_MODEL_KEYS - payload.keys())}")
-    try:
-        classes = tuple(payload["classes"])
-        weights = np.array(payload["weights"], dtype=float)
-        biases = np.array(payload["biases"], dtype=float)
-    # a non-list classes entry, arrays of non-numbers, ragged rows or huge ints
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaMismatch(f"malformed model: {exc}") from exc
+    weights = json_numbers("model weights", payload["weights"], 2, error=SchemaMismatch)
+    biases = json_numbers("model biases", payload["biases"], 1, error=SchemaMismatch)
     if payload["schema_version"] != SCHEMA_VERSION:
         raise SchemaMismatch(f"model built for schema {payload['schema_version']}, "
                              f"runtime is {SCHEMA_VERSION}")
     if payload["feature_names"] != list(FEATURE_NAMES):
         raise SchemaMismatch(f"model feature_names {payload['feature_names']!r} are "
                              f"not the schema's {N_FEATURES} features")
-    model = TrustClassifier(classes=classes, weights=weights, biases=biases)
+    model = TrustClassifier(classes=payload["classes"], weights=weights, biases=biases)
     if weights.shape[1] != N_FEATURES:
         raise SchemaMismatch(f"weights {weights.shape} do not fit {N_FEATURES} features")
     largest = _largest_scores(weights, biases)

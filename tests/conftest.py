@@ -1016,12 +1016,12 @@ def _observed(turn) -> list:
 
 
 def reference_features(profile, history, current) -> np.ndarray:
-    """The per-turn feature vector that `corpus_to_dataset` and
-    `DialogFeatures` replaced, kept as their oracle: the profile block,
-    the block of `current` (a TurnContext), then for lags 1 and 2 the
-    block of that earlier turn with its trust label, or the neutral fill
-    where the dialog has no such turn. `history` holds the dialog's
-    earlier turns, labelled, in step order."""
+    """The per-turn feature vector that `dialog_rows` replaced, kept as its
+    oracle, and so of `corpus_to_dataset` and the RL env's rows: the
+    profile block, the block of `current` (a TurnContext), then for lags 1
+    and 2 the block of that earlier turn with its trust label, or the
+    neutral fill where the dialog has no such turn. `history` holds the
+    dialog's earlier turns, labelled, in step order."""
     vec = [float(profile.age),
            *(1.0 if g is profile.gender else 0.0 for g in GENDER_ORDER),
            profile.technical_affinity, profile.trust_propensity,
@@ -1224,8 +1224,9 @@ def reference_generate(config, seed) -> Corpus:
 def reference_load_corpus(path) -> Corpus:
     """The per-row loader load_corpus replaced, kept as its oracle: every
     row read into memory through DictReader, its cell count checked against
-    the header's, every field parsed by name and a UserRecord built for
-    every row, then compared with the user's first."""
+    the header's, every field parsed by name (with load_corpus's
+    `_parse_field`, so a JSON value of the wrong type fails alike) and a
+    UserRecord built for every row, then compared with the user's first."""
     path = Path(path)
     file_format = infer_format(path)
     if file_format == "csv":

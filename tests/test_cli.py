@@ -676,6 +676,8 @@ class TestExitCodes:
         ("negative-inf-bias", "ValueOutOfRange"),
         ("overflowing-duration-weight", "ValueOutOfRange"),
         ("huge-int-weight", "SchemaMismatch"),
+        ("true-weight", "SchemaMismatch"),
+        ("numeric-string-bias", "SchemaMismatch"),
         ("overflowing-scores", "ValueOutOfRange"),
         ("unknown-key", "SchemaMismatch"),
         ("v2-feature-scale", "SchemaMismatch"),
@@ -712,6 +714,10 @@ class TestExitCodes:
             payload["weights"][0][payload["feature_names"].index("duration")] = 1e306
         elif malform == "huge-int-weight":  # an int beyond the float range
             payload["weights"][0][3] = 10 ** 400
+        elif malform == "true-weight":  # not the weight 1.0
+            payload["weights"][0][3] = True
+        elif malform == "numeric-string-bias":  # not the bias 1.5
+            payload["biases"][0] = "1.5"
         elif malform == "overflowing-scores":  # finite, but the scores are inf
             payload["weights"] = [[1e308 * (-1) ** j for j in range(len(row))]
                                   for row in payload["weights"]]

@@ -570,6 +570,10 @@ class TestJsonlValueTypes:
         ("trust", 4.6), ("difficulty", "3.0"), ("openness", True),
         ("duration", False), ("game_score", None), ("help_request", None),
         ("openness", 10 ** 400),
+        # read through str() these were the act "None" and the ids "None",
+        # "{'x': 1}", "1.5" and "True"
+        ("proactive_act", None), ("user_id", None), ("dialog_id", {"x": 1}),
+        ("user_id", 1.5), ("dialog_id", True),
     ])
     def test_rejected_with_row(self, tmp_path, field, value):
         path = tmp_path / "c.jsonl"
@@ -578,6 +582,21 @@ class TestJsonlValueTypes:
         with pytest.raises(ValueOutOfRange) as err:
             load_corpus(path)
         assert (err.value.field, err.value.row) == (field, 4)
+
+    @pytest.mark.parametrize("field,value", [
+        ("user_id", None), ("user_id", 1.5), ("user_id", [1]),
+        ("dialog_id", {"x": [1]}), ("dialog_id", True), ("dialog_id", None),
+    ])
+    def test_an_id_of_another_json_type_rejected_on_a_whole_dialog(self, tmp_path, field,
+                                                                    value):
+        # on every row of the user its dialog stays whole, so only the type
+        # check can reject it
+        path = tmp_path / "c.jsonl"
+        save_corpus(make_corpus(), path)
+        rewrite_objects(path, {(row, field): value for row in range(1, 13)})
+        with pytest.raises(ValueOutOfRange, match="not a string or an integer") as err:
+            load_corpus(path)
+        assert (err.value.field, err.value.row) == (field, 1)
 
     @pytest.mark.parametrize("field,value", [
         ("age", "30"), ("step", " 4"), ("openness", 3), ("duration", "42"),

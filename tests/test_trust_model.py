@@ -45,12 +45,12 @@ from trustsim.errors import (
 from trustsim.trust_model import (
     FEATURE_NAMES,
     N_FEATURES,
-    DialogFeatures,
     TrainConfig,
     classification_metrics,
     classifier_from_json_dict,
     classifier_to_json_dict,
     corpus_to_dataset,
+    dialog_rows,
     evaluate_classifier,
     load_classifier,
     predict_trust,
@@ -96,25 +96,23 @@ _BLOCK_FIELDS = ("complexity", "step", "difficulty", "duration", "game_score",
                  "help_request", "suggestion_request")
 
 
-def written_row(features, turn) -> np.ndarray:
-    """A copy of the row DialogFeatures writes for a turn (anything with
-    its act, complexity, step and observed fields), its block the
-    `turn_blocks` row of the turn."""
-    columns = SimpleNamespace(proactive_act=[ACT_INDEX[turn.proactive_act]],
-                              **{name: [getattr(turn, name)] for name in _BLOCK_FIELDS})
-    return features.write(turn_blocks(columns)[0]).copy()
+def one_dialog_rows(user, turns, labels) -> np.ndarray:
+    """The `dialog_rows` of one dialog that starts from the `start_rows` row
+    of the user (a UserRecord): its turns (anything with their act,
+    complexity, step and observed fields) as their `turn_blocks` rows,
+    labelled with these trust labels."""
+    columns = SimpleNamespace(proactive_act=[ACT_INDEX[turn.proactive_act] for turn in turns],
+                              **{name: [getattr(turn, name) for turn in turns]
+                                 for name in _BLOCK_FIELDS})
+    return dialog_rows(start_rows(corpus_user(user)), turn_blocks(columns)[None], [labels])[0]
 
 
 def dialog_row(user, history, current) -> np.ndarray:
-    """The DialogFeatures row of `current`, in a dialog that starts from the
-    `start_rows` row of the user (a UserRecord), after the row of each turn
-    of `history` was written and pushed with that turn's trust label. It
+    """The row of `current` in a dialog whose earlier turns are `history`,
+    each labelled with its trust label, the last of their `dialog_rows`. It
     equals the oracle `reference_features` on the same turns."""
-    features = DialogFeatures(start_rows(corpus_user(user))[0])
-    for turn in history:
-        written_row(features, turn)
-        features.push(turn.trust_label)
-    row = written_row(features, current)
+    labels = [turn.trust_label for turn in history] + [0]  # current's is never read
+    row = one_dialog_rows(user, [*history, current], labels)[-1]
     assert np.array_equal(row, reference_features(user, history, current))
     return row
 
@@ -165,21 +163,6 @@ class TestFeatureSchema:
         full = dialog_row(user, history, context(step=6))
         tail = dialog_row(user, history[-2:], context(step=6))
         assert np.array_equal(full, tail)
-
-    def test_a_returned_row_is_not_written_by_later_turns(self):
-        user = make_user()
-        features = DialogFeatures(start_rows(corpus_user(user))[0])
-        past = context(step=1, difficulty=4, trust_label=2)
-        first = written_row(features, past)
-        kept = first.copy()
-        features.push(past.trust_label)
-        current = context(step=2, act=ProactiveAct.INTERVENTION, difficulty=1,
-                          help_request=True)
-        second = written_row(features, current)
-        assert np.array_equal(first, kept)
-        assert np.array_equal(first, reference_features(user, [], past))
-        assert np.array_equal(second, reference_features(user, [past], current))
-        assert not np.array_equal(first, second)
 
     @pytest.mark.parametrize("gender", [0, 1, 2, np.int64(2)])
     def test_gender_index_sets_its_slot(self, gender):
@@ -251,16 +234,16 @@ class TestColumnBuiltDatasetEqualsPerRowLoop:
         assert y.tolist() == y_ref.tolist()
 
     @pytest.mark.parametrize("name", ["small_corpus", "varied", "one-user"])
-    def test_dialog_features_give_the_same_rows(self, request, name):
+    def test_dialog_prefixes_give_the_same_rows(self, request, name):
+        # the RL env scores a step as the last row of the dialog so far
         corpus = corpus_case(request, name)
         X, y = corpus_to_dataset(corpus)
         rows = []
         for i, (user, exchanges) in enumerate(zip(users_of(corpus),
                                                   dialogs_of(corpus).values())):
-            features = DialogFeatures(start_rows(corpus_user(user))[0])
-            for ex, label in zip(exchanges, y[12 * i:12 * (i + 1)].tolist()):
-                rows.append(written_row(features, ex))
-                features.push(label)
+            labels = y[12 * i:12 * (i + 1)].tolist()
+            for t in range(1, 13):
+                rows.append(one_dialog_rows(user, exchanges[:t], labels[:t])[-1])
         assert np.array(rows).tobytes() == X.tobytes()
 
 
@@ -599,6 +582,19 @@ class TestSerialization:
         else:
             payload["biases"][0] = -math.inf
         with pytest.raises(ValueOutOfRange, match="largest score"):
+            classifier_from_json_dict(payload)
+
+    @pytest.mark.parametrize("field, value", [
+        ("weights", True), ("weights", "1.5"), ("biases", True), ("biases", "1.5"),
+    ])
+    def test_a_weight_or_bias_that_is_no_json_number_rejected(self, field, value):
+        # np.array(..., dtype=float) would read true as 1.0 and "1.5" as 1.5
+        payload = classifier_to_json_dict(train_classifier(separable_corpus()))
+        if field == "weights":
+            payload["weights"][0][3] = value
+        else:
+            payload["biases"][-1] = value
+        with pytest.raises(SchemaMismatch, match=f"model {field} must hold only numbers"):
             classifier_from_json_dict(payload)
 
     def test_large_scores_within_the_float_range_load(self):

@@ -4,10 +4,12 @@ record-based code they replaced.
 Over random corpora, fit_trait_distributions, corpus_to_dataset,
 split_corpus and save_corpus must agree bit for bit with oracles that read
 the users as one UserRecord each, and trait_flags must decode the trait
-codes of the users and of the columns alike; DialogFeatures from the
+codes of the users and of the columns alike; `dialog_rows` from the
 `start_rows` row of a one-user namespace of the columns must write the
-dataset's profile block. Kept apart from the example-based tests so that
-those still run where hypothesis is not installed.
+dataset's profile block, and those of a dialog's first turns, with any
+trust labels, must equal the per-turn oracle. Kept apart from the
+example-based tests so that those still run where hypothesis is not
+installed.
 """
 
 from __future__ import annotations
@@ -16,14 +18,18 @@ import dataclasses
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    dialogs_of,
     reference_dataset,
+    reference_features,
     reference_fit_trait_distributions,
     reference_save_corpus,
     reference_split_corpus,
+    turn_context,
     users_of,
 )
 from trustsim.corpus import (AGE_MAX, AGE_MIN, GENDER_ORDER, LIKERT_MAX, LIKERT_MIN,
@@ -31,8 +37,8 @@ from trustsim.corpus import (AGE_MAX, AGE_MIN, GENDER_ORDER, LIKERT_MAX, LIKERT_
                              save_corpus, split_corpus)
 from trustsim.errors import TrustSimError
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
-from trustsim.trust_model import (FEATURE_NAMES, DialogFeatures, corpus_to_dataset,
-                                  start_rows, turn_blocks)
+from trustsim.trust_model import (FEATURE_NAMES, corpus_to_dataset, dialog_rows, start_rows,
+                                  turn_blocks)
 from trustsim.user_model import (default_trait_distributions, fit_trait_distributions,
                                  trait_codes, trait_flags)
 
@@ -123,11 +129,11 @@ def test_trait_flags_decode_trait_codes(corpus):
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32),
        gender_probs=st.permutations([0.0, 0.25, 0.75]))
-def test_dialog_features_profile_equals_the_dataset_rows(n, seed, gender_probs):
-    """DialogFeatures from the `start_rows` row of a user of the corpus as
-    a one-user namespace, its values those of the Corpus user columns,
-    writes the profile block of each of that user's corpus_to_dataset rows.
-    One gender class has weight 0, so its column reads 0 throughout."""
+def test_dialog_rows_profile_equals_the_dataset_rows(n, seed, gender_probs):
+    """`dialog_rows` from the `start_rows` row of a user of the corpus as a
+    one-user namespace, its values those of the Corpus user columns, writes
+    the profile block of each of that user's corpus_to_dataset rows. One
+    gender class has weight 0, so its column reads 0 throughout."""
     traits = dataclasses.replace(default_trait_distributions(),
                                  gender_probs=tuple(gender_probs))
     corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n, traits=traits), seed)
@@ -140,9 +146,29 @@ def test_dialog_features_profile_equals_the_dataset_rows(n, seed, gender_probs):
                            suggestion_request=[False])
     for u in range(n):
         user = SimpleNamespace(**{name: values[u] for name, values in columns.items()})
-        features = DialogFeatures(start_rows(user)[0])
-        row = features.write(turn_blocks(turn)[0]).copy()
+        row = dialog_rows(start_rows(user), turn_blocks(turn)[None], [[3]])[0, 0]
         for dataset_row in profile[u]:
             assert row[:PROFILE_END].tobytes() == dataset_row.tobytes()
     unused = FEATURE_NAMES.index(f"gender={GENDER_ORDER[gender_probs.index(0.0)].value}")
     assert not X[:, unused].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora(), data=st.data())
+def test_dialog_rows_of_a_dialog_prefix_equal_the_oracle(corpus, data):
+    """The `dialog_rows` of a dialog's first T turns, T in 1..12 (so also
+    T <= LAG_WINDOW), labelled with drawn trust labels, equal byte for byte
+    `reference_features` of each turn after the turns before it."""
+    d = data.draw(st.integers(0, corpus.n_dialogs - 1), label="dialog")
+    T = data.draw(st.integers(1, STEPS_PER_DIALOG), label="turns")
+    labels = data.draw(st.lists(st.integers(LIKERT_MIN, LIKERT_MAX), min_size=T, max_size=T),
+                       label="labels")
+    start = STEPS_PER_DIALOG * d
+    rows = dialog_rows(start_rows(corpus)[d:d + 1],
+                       turn_blocks(corpus)[None, start:start + T], [labels])[0]
+    user = users_of(corpus)[d]
+    turns = [dataclasses.replace(turn_context(ex), trust_label=label)
+             for ex, label in zip(dialogs_of(corpus)[user.user_id], labels)]
+    expected = [reference_features(user, turns[:t], turn) for t, turn in enumerate(turns)]
+    assert rows.shape == (T, len(FEATURE_NAMES))
+    assert rows.tobytes() == np.array(expected).tobytes()

@@ -244,18 +244,25 @@ def _parse_bool(raw):
     raise ValueError(raw)
 
 
+def _number_text(raw: str) -> str:
+    # int() and float() read "1_2" as 12 and "4_2.5" as 42.5
+    if "_" in raw:
+        raise ValueError("an underscore in a number")
+    return raw
+
+
 def _parse_int(raw):
     # int() alone would truncate a JSON 1.9 to 1 and read true as 1
     kind = type(raw)
     if kind is str or kind is int:
-        return int(raw)
+        return int(_number_text(raw) if kind is str else raw)
     raise ValueError(f"{kind.__name__} is not an integer")
 
 
 def _parse_float(raw):
     if type(raw) is bool:
         raise ValueError("bool is not a number")
-    value = float(raw)
+    value = float(_number_text(raw) if type(raw) is str else raw)
     if not math.isfinite(value):
         raise ValueError(raw)
     return value
@@ -334,13 +341,15 @@ def _parse_field(name: str, raw, row: int):
 
 def _parse_column(name: str, cells, text: bool) -> tuple:
     """One column's cells parsed at once, and the mask of those that do not
-    parse, held as 0 (None where all parse). A float text is parsed by
-    `float` and then an array check of finiteness. Text cells, as all CSV
-    cells are, parse alike when equal, so where at most half the texts
-    are distinct (as in most exchange columns) each distinct text is
-    parsed once; "0.0" and "-0.0" are distinct texts. A column of mostly
-    distinct texts (as durations are, and a block's trait texts read one
-    per dialog) is parsed cell by cell, which costs less than the memo.
+    parse, held as 0 (None where all parse). A number text is parsed by
+    `int` or `float`, once no distinct text holds an underscore (which
+    both read between digits), a float then by an array check of
+    finiteness. Text cells, as all CSV cells are, parse alike when equal,
+    so where at most half the texts are distinct (as in most exchange
+    columns) each distinct text is parsed once; "0.0" and "-0.0" are
+    distinct texts. A column of mostly distinct texts (as durations are,
+    and a block's trait texts read one per dialog) is parsed cell by cell,
+    which costs less than the memo.
     JSON values are parsed one by one: 1, 1.0 and true are one dict key
     but different input. Ids are a list of texts, None where they do not
     parse."""
@@ -348,11 +357,13 @@ def _parse_column(name: str, cells, text: bool) -> tuple:
     ids = name in ("user_id", "dialog_id")
     try:
         if text:
-            if dtype is np.float64:
-                parse = float
+            distinct = set(cells)
+            if parse is _parse_float or parse is _parse_int:
+                if "_" in "".join(distinct):  # parsed cell by cell, which refuses it
+                    raise ValueError("an underscore in a number")
+                parse = float if dtype is np.float64 else int
             elif ids:  # a text is its own id
                 parse = str
-            distinct = set(cells)
             if 2 * len(distinct) <= len(cells):
                 parse = dict(zip(distinct, map(parse, distinct))).__getitem__
         if ids:

@@ -16,14 +16,15 @@ weights, and its label is `predict_trust`'s on that row, certified by a
 rounding-error bound or, on a step too close to call, computed on the row
 itself: the last of the `trust_model.dialog_rows` of the turns taken.
 Ships a tabular Q-learning reference agent over the discretized (step,
-trait code, trust estimate) state.
+trait code, trust estimate) state, an `EnvState` tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,27 +77,44 @@ class RewardConfig:
                                 f"|trust_weight|) finite, got {bound}")
 
 
-@dataclass(frozen=True)
-class EnvState:
-    """An episode's state; each int field is an `errors.integer` in its range."""
+_tuple_new = tuple.__new__  # looked up once, not per step
 
+
+class _StateFields(NamedTuple):
     step: int
     trait: int  # the user's trait code
     last_turn: SimulatedTurn | None
     estimated_trust: int
 
-    def __post_init__(self):
+
+class EnvState(_StateFields):
+    """An episode's state, a tuple; each int field is an `errors.integer` in
+    its range. Every public way to make one runs the checks of `__new__`:
+    the call, by position or keyword, `_make` and so `_replace`, copy and
+    pickle."""
+
+    __slots__ = ()
+
+    def __new__(cls, step, trait, last_turn, estimated_trust):
         # state_index reads each field as a digit: a non-integer would make
         # a float index, and one out of its range would alias another
         # state's Q row or fall outside the table. Python ints in range, the
         # common case, are checked inline.
-        step, trait, trust = self.step, self.trait, self.estimated_trust
-        if not (type(step) is type(trait) is type(trust) is int
+        if not (type(step) is type(trait) is type(estimated_trust) is int
                 and 1 <= step <= STEPS_PER_DIALOG and 0 <= trait < N_TRAIT_CODES
-                and LIKERT_MIN <= trust <= LIKERT_MAX):
-            for name, lo, hi in (("step", 1, STEPS_PER_DIALOG), ("trait", 0, N_TRAIT_CODES - 1),
-                                 ("estimated_trust", LIKERT_MIN, LIKERT_MAX)):
-                object.__setattr__(self, name, integer(name, getattr(self, name), lo, hi))
+                and LIKERT_MIN <= estimated_trust <= LIKERT_MAX):
+            step, trait, estimated_trust = (integer(*check) for check in (
+                ("step", step, 1, STEPS_PER_DIALOG), ("trait", trait, 0, N_TRAIT_CODES - 1),
+                ("estimated_trust", estimated_trust, LIKERT_MIN, LIKERT_MAX)))
+        return _tuple_new(cls, (step, trait, last_turn, estimated_trust))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple one, which _replace calls, makes the tuple directly
+        return cls(*iterable)
+
+    def __reduce__(self):  # copy and pickle, at every protocol
+        return type(self), tuple(self)
 
     @property
     def complexity(self) -> int:
@@ -128,19 +146,7 @@ _CANDIDATE_BLOCKS = turn_blocks(SimpleNamespace(
     proactive_act=np.tile(np.arange(N_ACTIONS), STEPS_PER_DIALOG),
     step=np.repeat(_STEPS, N_ACTIONS), complexity=np.repeat(_COMPLEXITY, N_ACTIONS)))
 # The drawn columns of `draw_turns` in SimulatedTurn field order.
-_TURN_COLUMNS = tuple(field.name for field in fields(SimulatedTurn))
-
-
-_new, _setattr = object.__new__, object.__setattr__  # looked up once, not per step
-
-
-def _built(cls, values: dict):
-    """The frozen dataclass `cls` with these field values, made without
-    running its __init__ and __post_init__: for values the env made itself,
-    which need no checks."""
-    made = _new(cls)
-    _setattr(made, "__dict__", values)
-    return made
+_TURN_COLUMNS = SimulatedTurn._fields
 
 
 class _BlockStream(RandomStream):
@@ -195,10 +201,10 @@ class TrustSimEnv:
     for any model with a NaN or inf weight, whose bound is not finite,
     the step builds its whole row, the last of the `dialog_rows` of the
     start row and the turns taken, and calls `predict_trust` on it through
-    this module's binding. The env builds its EnvState and SimulatedTurn
-    values without their checks, as each field is a Python value of its
-    range by construction (a model's classes are trust levels, which
-    `TrustClassifier` checks); a caller-built EnvState is checked.
+    this module's binding. The env makes its EnvState and SimulatedTurn
+    tuples with `tuple.__new__`, skipping EnvState's checks, as each field
+    is a Python value of its range by construction (a model's classes are
+    trust levels, which `TrustClassifier` checks); a caller's is checked.
 
     The oracle `ReferenceTrustSimEnv` in `tests/conftest.py` draws the
     same episode turn by turn on a scalar stream with the reset key: the
@@ -291,8 +297,7 @@ class TrustSimEnv:
         self._taken = []  # (candidate, trust) of each step so far
         self._step_no = 1
         self._done = False
-        return _built(EnvState, {"step": 1, "trait": self._trait, "last_turn": None,
-                                 "estimated_trust": NEUTRAL_LIKERT})
+        return _tuple_new(EnvState, (1, self._trait, None, NEUTRAL_LIKERT))
 
     def _predicted(self, k: int) -> int:
         """The trust `predict_trust` gives candidate k: the last of the
@@ -334,22 +339,14 @@ class TrustSimEnv:
         self._lag1, self._lag2, self._next_lag2 = parts[5:10], self._next_lag2, parts[10:]
         self._label1, self._label2 = j, self._label1
 
-        # _TURN_COLUMNS order
-        help_request, suggestion_request, duration, difficulty, game_score, used_fallback = \
-            self._turns[k]
-        reward = self._score_weight * (game_score / _MAX_SCORE[s - 1]) + self._trust_rewards[j]
+        turn = _tuple_new(SimulatedTurn, self._turns[k])
+        reward = (self._score_weight * (turn.game_score / _MAX_SCORE[s - 1])
+                  + self._trust_rewards[j])
         done = s == STEPS_PER_DIALOG
         self._done = done
         next_step = s if done else s + 1
         self._step_no = next_step
-        # a literal builds faster than dict(zip(_TURN_COLUMNS, ...))
-        turn = _built(SimulatedTurn, {
-            "help_request": help_request, "suggestion_request": suggestion_request,
-            "duration": duration, "difficulty": difficulty, "game_score": game_score,
-            "used_fallback": used_fallback})
-        state = _built(EnvState, {"step": next_step, "trait": self._trait, "last_turn": turn,
-                                  "estimated_trust": trust})
-        return state, float(reward), done
+        return _tuple_new(EnvState, (next_step, self._trait, turn, trust)), float(reward), done
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,11 +66,11 @@ from .sampling import (
 from .user_model import trait_codes
 
 
-@dataclass(frozen=True)
-class SimulatedTurn:
+class SimulatedTurn(NamedTuple):
     """One drawn turn, unchecked: its records clamp the duration above
     MIN_DURATION_S and the score to the step's options, and the difficulty
-    is LIKERT_MIN plus an index over the 5 levels."""
+    is LIKERT_MIN plus an index over the 5 levels. A tuple, equal to the
+    plain tuple of its fields."""
 
     help_request: bool
     suggestion_request: bool

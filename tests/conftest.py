@@ -10,7 +10,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from statistics import NormalDist
@@ -886,7 +886,7 @@ def assert_every_turn_matches_oracle(table, seed) -> None:
             assert turn == reference_simulate_turn(oracle, profile, step, act, rng)
 
 
-_TURN_FIELDS = tuple(f.name for f in fields(SimulatedTurn))
+_TURN_FIELDS = SimulatedTurn._fields
 
 
 def simulated_turns(table, profile, step, act, parent, labels) -> list:

@@ -622,6 +622,68 @@ class TestJsonlValueTypes:
         assert "invalid literal for int()" in str(err.value)
 
 
+class TestUnderscoreText:
+    """int() and float() read an underscore between digits, "4_2.5" as
+    42.5 and "1_2" as 12; the loader refuses such number text alike on
+    the split path, the csv.reader path and in JSON lines. Ids may hold
+    underscores."""
+
+    CORPORA = {"uniform": make_corpus,  # few distinct texts a column: parsed once each
+               "synthetic": lambda: generate_synthetic_corpus(GeneratorConfig(n_dialogs=2), 42)}
+
+    @pytest.mark.parametrize("field, text", [
+        ("duration", "4_2.5"), ("duration", "42.5_"), ("game_score", "1_0.0"),
+        ("trust", "1_2"), ("step", "0_4"), ("age", "_30"), ("openness", "3_5")])
+    @pytest.mark.parametrize("source", CORPORA)
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_rejected_with_row(self, tmp_path, fmt, source, field, text):
+        path = tmp_path / f"c.{fmt}"
+        save_corpus(self.CORPORA[source](), path)
+        if fmt == "csv":
+            rewrite_cells(path, {(4, field): text})
+            assert TestSplitPath.splits(path)
+            assert any_outcome(csv_reader_load, path) == any_outcome(load_corpus, path)
+        else:
+            rewrite_objects(path, {(4, field): text})
+        error, message = any_outcome(load_corpus, path)
+        assert (error, message) == (ValueOutOfRange, f"{field}={text!r} out of range "
+                                                     f"(row 4): an underscore in a number")
+        assert any_outcome(reference_load_corpus, path) == (error, message)
+
+    @pytest.mark.parametrize("field, text", [("age", "3_0"), ("openness", "3_5")])
+    def test_rejected_over_a_whole_run(self, tmp_path, field, text):
+        path = tmp_path / "c.csv"
+        save_corpus(make_corpus(), path)
+        rewrite_cells(path, {(row, field): text for row in range(13, 25)})
+        for load in (load_corpus, csv_reader_load, reference_load_corpus):
+            assert any_outcome(load, path) == (
+                ValueOutOfRange, f"{field}={text!r} out of range (row 13): "
+                                 f"an underscore in a number")
+
+    def test_only_the_cells_with_an_underscore_are_marked(self):
+        cells = ["42.5", "4_2.5", "42.5", "50.0", "1_0"]
+        values, bad = corpus_module._parse_column("duration", cells, True)
+        assert bad.tolist() == [False, True, False, False, True]
+        assert values[~bad].tolist() == [42.5, 42.5, 50.0]
+
+    def test_a_file_without_one_checks_no_cell_alone(self, tmp_path, monkeypatch):
+        checked = []
+        monkeypatch.setattr(corpus_module, "_number_text",
+                            lambda raw: checked.append(raw) or raw)
+        path = tmp_path / "c.csv"
+        corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=50), seed=11)
+        save_corpus(corpus, path)
+        assert load_corpus(path) == csv_reader_load(path) == corpus
+        assert checked == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_ids_may_hold_underscores(self, tmp_path, fmt):
+        corpus = replace(make_corpus(), user_id=("u_0", "1_2"), dialog_id=("d_0", "3_4"))
+        path = tmp_path / f"c.{fmt}"
+        save_corpus(corpus, path)
+        assert load_corpus(path) == reference_load_corpus(path) == corpus
+
+
 class TestSplitCorpus:
     def test_counts_with_floor_rule(self, small_corpus):
         train, test = split_corpus(small_corpus, 0.8, seed=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import time
 import tracemalloc
 import warnings
@@ -42,6 +44,7 @@ from trustsim.rl_env import (
     train_tabular_policy,
 )
 from trustsim.sampling import RandomStream, child_keys, label_bits
+from trustsim.simulator import SimulatedTurn
 from trustsim.trust_model import (FEATURE_NAMES, TRUST_CLASSES, ScoreParts, TrustClassifier,
                                   predict_trust, train_classifier)
 from trustsim.user_model import (
@@ -114,6 +117,74 @@ class TestStateIndex:
 
         with pytest.raises(InvalidConfig):
             train_tabular_policy(RiggedEnv(), 1)
+
+
+def _unchecked(fields) -> EnvState:
+    """An EnvState of these fields made past its checks, as reset and step
+    make theirs: what copy and pickle start from."""
+    return tuple.__new__(EnvState, fields)
+
+
+# Every public way to make an EnvState of the fields (step, trait,
+# last_turn, estimated_trust).
+STATE_MAKERS = {
+    "position": lambda fields: EnvState(*fields),
+    "keyword": lambda fields: EnvState(**dict(zip(EnvState._fields, fields))),
+    "_make": EnvState._make,
+    "_make of an iterator": lambda fields: EnvState._make(iter(fields)),
+    "_replace": lambda fields: env_state()._replace(**dict(zip(EnvState._fields, fields))),
+    "copy": lambda fields: copy.copy(_unchecked(fields)),
+    "deepcopy": lambda fields: copy.deepcopy(_unchecked(fields)),
+    **{f"pickle protocol {protocol}": lambda fields, protocol=protocol: pickle.loads(
+        pickle.dumps(_unchecked(fields), protocol))
+       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+class TestStateConstruction:
+    """EnvState is a tuple whose every public maker runs the `integer`
+    checks and stores Python ints."""
+
+    @pytest.mark.parametrize("maker", STATE_MAKERS)
+    def test_every_maker_stores_python_ints(self, maker):
+        state = STATE_MAKERS[maker]((np.int64(2), np.uint8(5), None, np.int32(4)))
+        assert type(state) is EnvState
+        assert state == EnvState(2, 5, None, 4)
+        assert [type(value) for value in state] == [int, int, type(None), int]
+
+    @pytest.mark.parametrize("fields", [
+        (0, 5, None, 4), (2, 8, None, 4), (2, 5, None, 6), (True, 5, None, 4),
+        (2, np.bool_(True), None, 4), (2, 5, None, 2.5), (2, 5, None, "3")], ids=repr)
+    @pytest.mark.parametrize("maker", STATE_MAKERS)
+    def test_every_maker_rejects_alike(self, maker, fields):
+        with pytest.raises(InvalidConfig) as direct:
+            EnvState(*fields)
+        with pytest.raises(InvalidConfig, match="must be an integer") as made:
+            STATE_MAKERS[maker](fields)
+        assert str(made.value) == str(direct.value)
+
+    def test_a_state_is_the_tuple_of_its_fields(self):
+        turn = SimulatedTurn(True, False, 42.0, 3, 10.0, False)
+        state = EnvState(2, 5, turn, 4)
+        assert state == (2, 5, (True, False, 42.0, 3, 10.0, False), 4)
+        assert hash(state) == hash(tuple(state))
+        assert repr(state) == ("EnvState(step=2, trait=5, last_turn=SimulatedTurn("
+                               "help_request=True, suggestion_request=False, duration=42.0, "
+                               "difficulty=3, game_score=10.0, used_fallback=False), "
+                               "estimated_trust=4)")
+        assert state._asdict() == {"step": 2, "trait": 5, "last_turn": turn,
+                                   "estimated_trust": 4}
+        with pytest.raises(AttributeError):
+            state.step = 3
+
+    def test_the_envs_states_equal_checked_ones(self):
+        env = deterministic_env()
+        states = [env.reset(RandomStream(0, "ep"))]
+        states += [env.step(ProactiveAct.NONE)[0] for _ in range(12)]
+        for state in states:
+            assert type(state) is EnvState
+            assert state == EnvState(*state) == pickle.loads(pickle.dumps(state))
+        assert all(type(state.last_turn) is SimulatedTurn for state in states[1:])
 
 
 class TestRewardConfig:

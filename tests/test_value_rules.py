@@ -45,6 +45,10 @@ def state(**fields):
                              "estimated_trust": 4, **fields}))
 
 
+def replaced(**fields):
+    return shown(EnvState(2, 5, None, 4)._replace(**fields))
+
+
 def learned(episodes, seed=1) -> tuple:
     hp = Hyperparams(seed=seed)
     result = train_tabular_policy(RiggedSweepEnv(), episodes, hp)
@@ -89,6 +93,10 @@ INTEGER_SITES = {
     "EnvState step": (InvalidConfig, lambda v: state(step=v), 2),
     "EnvState trait": (InvalidConfig, lambda v: state(trait=v), 5),
     "EnvState estimated_trust": (InvalidConfig, lambda v: state(estimated_trust=v), 4),
+    "EnvState._replace step": (InvalidConfig, lambda v: replaced(step=v), 2),
+    "EnvState._replace trait": (InvalidConfig, lambda v: replaced(trait=v), 5),
+    "EnvState._replace estimated_trust": (InvalidConfig,
+                                          lambda v: replaced(estimated_trust=v), 4),
     "TrustClassifier classes entry": (SchemaMismatch, estimated, 4),
     "train_tabular_policy episodes": (InvalidHyperparams, learned, 3),
     "Hyperparams seed": (InvalidConfig, lambda v: learned(2, seed=v), 1),

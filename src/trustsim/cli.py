@@ -61,6 +61,22 @@ MODE_NAMES = {m.value: m for m in TableMode}
 FIT_FILES = ("table.json", "trait_dists.json", "trust_model.json")  # read by --fit
 
 
+def _number(kind):
+    """The argparse type of a number option: `kind` (int or float) of its
+    text. Text holding an underscore, which int() and float() read between
+    digits ("2_0" as 20), is refused, so such an option is a usage error."""
+    def parse(text: str):
+        if "_" in text:
+            raise ValueError("an underscore in a number")
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse names it: "invalid int value"
+    return parse
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here reserves 2 for
     # validation failures, so remap to 1.
@@ -241,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_corpus=True):
         if needs_corpus:
             p.add_argument("--corpus", required=True, help="corpus file (csv/jsonl)")
-        p.add_argument("--seed", type=int, required=True,
+        p.add_argument("--seed", type=_INT, required=True,
                        help="root random seed for this run")
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic corpus")
     add_common(p, needs_corpus=False)
-    p.add_argument("--dialogs", type=int, default=None,
+    p.add_argument("--dialogs", type=_INT, default=None,
                    help="dialog count override")
     p.add_argument("--config", default=None,
                    help="generator config JSON; --dialogs replaces its n_dialogs")
@@ -257,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit behavior table, traits, and trust model")
     add_common(p)
     p.add_argument("--mode", choices=tuple(MODE_NAMES), default="task-step")
-    p.add_argument("--fallback-threshold", type=int, default=DEFAULT_FALLBACK_THRESHOLD)
+    p.add_argument("--fallback-threshold", type=_INT, default=DEFAULT_FALLBACK_THRESHOLD)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="replay corpus conditions through the simulator")
@@ -273,16 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="train/test comparison of both modes")
     add_common(p)
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--fallback-threshold", type=int, default=DEFAULT_FALLBACK_THRESHOLD)
+    p.add_argument("--train-fraction", type=_FLOAT, default=0.8)
+    p.add_argument("--fallback-threshold", type=_INT, default=DEFAULT_FALLBACK_THRESHOLD)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("train-rl", help="train the reference tabular policy")
     add_common(p, needs_corpus=False)
     p.add_argument("--fit", required=True, help="output directory of fit")
-    p.add_argument("--episodes", type=int, required=True)
-    p.add_argument("--score-weight", type=float, default=0.5)
-    p.add_argument("--trust-weight", type=float, default=0.5)
+    p.add_argument("--episodes", type=_INT, required=True)
+    p.add_argument("--score-weight", type=_FLOAT, default=0.5)
+    p.add_argument("--trust-weight", type=_FLOAT, default=0.5)
     p.set_defaults(func=cmd_train_rl)
 
     return parser

@@ -316,10 +316,11 @@ _ROW_FIELDS = ("unparsed", *CORPUS_COLUMNS)
 
 
 def cast_column(name: str, values, column: np.ndarray, dtype) -> np.ndarray:
-    """column, which is np.array(values), cast to dtype (float64, bool or
-    int64). Raises ValueOutOfRange where the cast would truncate a float or
-    read a bool or text as a number: for a column of another numpy kind
-    than _KINDS allows, and for a bool among the numbers of a list."""
+    """column, a fresh np.array(values), cast to dtype (float64, bool or
+    int64): column itself where it is of that dtype, else a cast copy.
+    Raises ValueOutOfRange where the cast would truncate a float or read a
+    bool or text as a number: for a column of another numpy kind than
+    _KINDS allows, and for a bool among the numbers of a list."""
     if column.size and column.dtype.kind not in _KINDS[dtype]:
         raise ValueOutOfRange(name, column[:1].tolist()[0],
                               detail=f"a column of {column.dtype}")
@@ -328,7 +329,7 @@ def cast_column(name: str, values, column: np.ndarray, dtype) -> np.ndarray:
         for value in values:
             if isinstance(value, (bool, np.bool_)):
                 raise ValueOutOfRange(name, value, detail="a number, not a bool")
-    return column.astype(dtype)
+    return column.astype(dtype, copy=False)
 
 
 def _parse_field(name: str, raw, row: int):
@@ -601,8 +602,9 @@ def load_corpus(path) -> Corpus:
             pass
     parts, users, dialogs, failure = parsed or parse(_row_blocks(path, file_format))
 
-    # every row before the failure, checked at once
-    v = {name: np.concatenate([part[name] for part in parts]) for name in _ROW_FIELDS}
+    # every row before the failure, checked at once; each column's parts are
+    # dropped as it is joined
+    v = {name: np.concatenate([part.pop(name) for part in parts]) for name in _ROW_FIELDS}
     owner, step, dialog = v["user_id"], v["step"], v["dialog_id"]
     heads = np.unique(owner, return_index=True)[1]  # each user's first row
     first = heads[owner]

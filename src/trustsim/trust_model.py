@@ -8,15 +8,18 @@ layout. `start_rows` writes the row each dialog starts from, the profile
 block and the neutral lag fill, `turn_blocks` the current-turn block of
 each turn, and `dialog_rows`, from those two, the rows of whole dialogs
 with their lag blocks. `corpus_to_dataset` is `dialog_rows` over a corpus,
-and the RL env's fallback step over the turns it has taken; both equal,
-row for row, the per-turn oracle `reference_features` in
-`tests/conftest.py`.
+or a run of its dialogs, and the RL env's fallback step over the turns it
+has taken; both equal, row for row, the per-turn oracle
+`reference_features` in `tests/conftest.py`.
 Training is full-batch subgradient descent on the hinge loss with L2
 regularization and the Pegasos step 1/(lambda t), deterministic by
 construction. All classes train together on one transposed standardized
 copy of the features, features by rows, whose last row of ones carries
-the bias as a last weight. Each epoch takes its two matrix products, the
-margins of every class and exchange, then the hinge gradients of every
+the bias as a last weight. It is written a block of dialogs at a time, so
+no whole feature matrix is held beside it, and standardized with the mean
+and scale that numpy's reductions of the whole matrix give, bit for bit.
+Each epoch takes its two matrix products, the margins of every class and
+exchange, then the hinge gradients of every
 class, block by block: a block of exchanges stays in L2 from the first
 product to the second, and the blocks' gradients are summed in order.
 The standardization is then folded into the stored weights and biases,
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,6 +48,8 @@ from .corpus import (
     LIKERT_MIN,
     SCALE_TRAITS,
     STEPS_PER_DIALOG,
+    USER_COLUMNS,
+    complexity_of_step,
     max_option_score,
 )
 from .errors import (
@@ -176,18 +182,39 @@ def dialog_rows(starts: np.ndarray, blocks: np.ndarray, labels) -> np.ndarray:
     return rows
 
 
-def corpus_to_dataset(corpus: Corpus) -> tuple:
-    """(X, y) over every exchange, lag labels teacher-forced: the corpus
-    holds steps 1..12 in order for every user, so X is the `dialog_rows`
-    of its dialogs, 12 rows per user. Row for row equal to the per-turn
-    oracle `reference_features` in `tests/conftest.py` on every exchange.
+# The current-turn blocks of a dialog's 12 turns with their step and
+# complexity columns, the same in every dialog, written and the rest zero,
+# and the Corpus exchange columns that fill the rest.
+_STEPS = range(1, STEPS_PER_DIALOG + 1)
+_DIALOG_BLOCKS = turn_blocks(
+    SimpleNamespace(step=_STEPS, complexity=list(map(complexity_of_step, _STEPS))),
+    np.zeros((STEPS_PER_DIALOG, _TURN_END - _PROFILE_END)))
+_OBSERVED = ("proactive_act",) + _TURN_FIELDS[2:]
+
+
+def corpus_to_dataset(corpus: Corpus, start: int = 0, stop: int | None = None) -> tuple:
+    """(X, y) over every exchange of the dialogs start..stop - 1 (by
+    default all of them), lag labels teacher-forced: the corpus holds steps
+    1..12 in order for every user, so X is the `dialog_rows` of those
+    dialogs, 12 rows per user, and y their labels, the one place the label
+    rule is written. The rows of a run of dialogs are those of the whole
+    corpus's X, so `train_classifier` and `evaluate_classifier` read X a
+    block of dialogs at a time.
+    Row for row equal to the per-turn oracle `reference_features` in
+    `tests/conftest.py` on every exchange.
     """
+    users = range(corpus.n_dialogs)[start:stop]
+    turns = slice(users.start * STEPS_PER_DIALOG, users.stop * STEPS_PER_DIALOG)
     # the label: the four ratings' mean, rounded half-up (Corpus checked 1..5)
-    labels = np.floor((corpus.trust + corpus.competence + corpus.reliability
-                       + corpus.predictability) / 4.0 + 0.5)
-    shape = (corpus.n_dialogs, STEPS_PER_DIALOG)
-    X = dialog_rows(start_rows(corpus),
-                    turn_blocks(corpus).reshape(*shape, _TURN_END - _PROFILE_END),
+    labels = np.floor((corpus.trust[turns] + corpus.competence[turns]
+                       + corpus.reliability[turns] + corpus.predictability[turns]) / 4.0 + 0.5)
+    blocks = turn_blocks(SimpleNamespace(**{name: getattr(corpus, name)[turns]
+                                            for name in _OBSERVED}),
+                         np.tile(_DIALOG_BLOCKS, (len(users), 1)))
+    starts = start_rows(SimpleNamespace(**{name: getattr(corpus, name)[users.start:users.stop]
+                                           for name in USER_COLUMNS[1:]}))
+    shape = (len(users), STEPS_PER_DIALOG)
+    X = dialog_rows(starts, blocks.reshape(*shape, _TURN_END - _PROFILE_END),
                     labels.reshape(shape))
     return X.reshape(-1, N_FEATURES), labels.astype(int)
 
@@ -199,6 +226,11 @@ L2 = 1e-3
 # to the gradient product that reads it again. Blocks of 1024 to 4096 tie;
 # one of 8192 (3.1 MB) loses the gain.
 _BLOCK = 2048
+# Dialogs per block of the feature rows that train_classifier standardizes
+# and evaluate_classifier scores: a block's _ROWS rows, 516 x 43 floats
+# (0.18 MB), are all of them either holds at a time.
+_DIALOG_BLOCK = 43
+_ROWS = _DIALOG_BLOCK * STEPS_PER_DIALOG
 
 
 @dataclass(frozen=True)
@@ -250,32 +282,75 @@ class TrustClassifier:
         return features @ self.weights.T + self.biases
 
 
+def _running_sum(rows: np.ndarray, total) -> np.ndarray:
+    """rows.sum(axis=0) carried on from `total`, the sum of the rows before
+    them (None where there are none), bit for bit the sum of all of them
+    in one reduction: numpy sums a C-order array down axis 0 a row at a
+    time, in row order, and rows[0] + total == total + rows[0]. Writes the
+    carried sum over rows[0]."""
+    if total is not None:
+        rows[0] += total
+    return rows.sum(axis=0)
+
+
+def _standardized(rows, n: int) -> tuple:
+    """(Z1T, mean, scale) of n feature rows, `rows(start, stop)` being rows
+    start..stop - 1 as a C-order array: the one standardized copy, features
+    by rows plus a last row of ones, and the mean and scale (the standard
+    deviation, 1 where it is 0) it was taken with. Bit for bit X.mean(axis=0),
+    X.std(axis=0) and (X - mean) / scale of the rows held as one matrix X:
+    each sum runs over the rows in their order (`_running_sum`). The rows
+    are read _ROWS at a time, and beside Z1T one such block is held at a
+    time: a block of `rows`, then the scratch block in which the squared
+    deviations are summed."""
+    Z1T = np.empty((N_FEATURES + 1, n))
+    Z = Z1T[:N_FEATURES]
+    total = None
+    for start in range(0, n, _ROWS):
+        X = rows(start, start + _ROWS)
+        Z[:, start:start + len(X)] = X.T
+        total = _running_sum(X, total)
+        del X  # the next block is built without this one
+    mean = total / n
+    np.subtract(Z, mean[:, None], out=Z)
+    total, scratch = None, np.empty((min(_ROWS, n), N_FEATURES))
+    for start in range(0, n, _ROWS):
+        squares = np.square(Z[:, start:start + _ROWS].T, out=scratch[:n - start])
+        total = _running_sum(squares, total)
+    scale = np.sqrt(total / n)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    Z /= scale[:, None]
+    Z1T[N_FEATURES] = 1.0
+    return Z1T, mean, scale
+
+
 def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> TrustClassifier:
-    X, y = corpus_to_dataset(corpus)
-    if len(y) < 2:
-        raise InsufficientData(f"need >= 2 labeled exchanges, got {len(y)}")
+    """The one-vs-rest model of the corpus's exchanges (`corpus_to_dataset`),
+    trained on their one standardized copy (`_standardized`), into which
+    their feature rows are written a block of _DIALOG_BLOCK dialogs at a
+    time: no whole feature matrix is held beside it."""
+    n = corpus.exchange_count
+    if n < 2:
+        raise InsufficientData(f"need >= 2 labeled exchanges, got {n}")
+    y = np.empty(n, dtype=int)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        X, labels = corpus_to_dataset(corpus, start // STEPS_PER_DIALOG,
+                                      stop // STEPS_PER_DIALOG)
+        y[start:stop] = labels
+        return X
+
+    Z1T, mean, scale = _standardized(rows, n)
     present = tuple(np.flatnonzero(np.bincount(y)).tolist())  # labels are 1..5
     if len(present) < 2:
         raise DegenerateLabels(f"all labels equal {present[0]}; nothing to separate")
 
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0, ddof=0)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    n, n_features = X.shape
-    # The one standardized copy, features by rows, plus a row of ones, so
-    # the bias is the last weight.
-    Z1T = np.empty((n_features + 1, n))
-    np.subtract(X.T, mean[:, None], out=Z1T[:n_features])
-    Z1T[:n_features] /= scale[:, None]
-    Z1T[n_features] = 1.0
-    del X
-
     lam = L2
     TT = np.where(y == np.array(present)[:, None], 1.0, -1.0)  # classes x rows
     blocks = [(Z1T[:, s:s + _BLOCK], TT[:, s:s + _BLOCK]) for s in range(0, n, _BLOCK)]
-    V = np.zeros((len(present), n_features + 1))  # weights, then the bias
-    reg = np.ones(n_features + 1)
-    reg[n_features] = 0.0  # the bias is not regularized
+    V = np.zeros((len(present), N_FEATURES + 1))  # weights, then the bias
+    reg = np.ones(N_FEATURES + 1)
+    reg[N_FEATURES] = 0.0  # the bias is not regularized
     for t in range(1, config.epochs + 1):
         eta = 1.0 / (lam * t)
         G = np.zeros_like(V)
@@ -288,9 +363,9 @@ def train_classifier(corpus: Corpus, config: TrainConfig = TrainConfig()) -> Tru
         V = V - eta * (lam * V * reg - G / n)
 
     # w . (x - mean) / scale + b == (w / scale) . x + (b - (w / scale) . mean)
-    weights = V[:, :n_features] / scale
+    weights = V[:, :N_FEATURES] / scale
     return TrustClassifier(classes=present, weights=weights,
-                           biases=V[:, n_features] - weights @ mean)
+                           biases=V[:, N_FEATURES] - weights @ mean)
 
 
 def predict_trust(model: TrustClassifier, features: np.ndarray) -> TrustLabel:
@@ -443,13 +518,17 @@ def classification_metrics(y_true, y_pred) -> ClassifierReport:
 
 
 def evaluate_classifier(model: TrustClassifier, corpus: Corpus) -> ClassifierReport:
-    """Scores every exchange in one product; ties go to the lower label,
-    as in predict_trust."""
-    X, y = corpus_to_dataset(corpus)
-    if len(y) == 0:
+    """Scores the exchanges a block of _DIALOG_BLOCK dialogs at a time
+    (`corpus_to_dataset`), one product per block, so that no whole feature
+    matrix is held; ties go to the lower label, as in predict_trust."""
+    if corpus.n_dialogs == 0:
         raise EmptyTestSet("no labeled exchanges to evaluate on")
-    predicted = np.asarray(model.classes)[model.scores(X).argmax(axis=1)]
-    return classification_metrics(y, predicted)
+    classes, y, predicted = np.asarray(model.classes), [], []
+    for start in range(0, corpus.n_dialogs, _DIALOG_BLOCK):
+        X, labels = corpus_to_dataset(corpus, start, start + _DIALOG_BLOCK)
+        y.append(labels)
+        predicted.append(classes[model.scores(X).argmax(axis=1)])
+    return classification_metrics(np.concatenate(y), np.concatenate(predicted))
 
 
 # v3: the training standardization is folded into the stored weights and

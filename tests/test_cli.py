@@ -483,6 +483,30 @@ class TestExitCodes:
         assert main([stage, "--corpus", str(corpus_file), "--seed", "1",
                      "--out", str(work / "x13")]) == 1
 
+    @pytest.mark.parametrize("stage,option,text", [
+        ("gen-corpus", "--seed", "4_2"),
+        ("gen-corpus", "--dialogs", "4_0"),
+        ("fit", "--fallback-threshold", "1_0"),
+        ("compare", "--train-fraction", "0.8_0"),
+        ("compare", "--fallback-threshold", "1_0"),
+        ("train-rl", "--episodes", "2_0"),
+        ("train-rl", "--score-weight", "0.5_0"),
+        ("train-rl", "--trust-weight", "0.5_0"),
+    ])
+    def test_an_underscore_in_a_number_is_usage_error(self, work, corpus_file, fit_dir,
+                                                      capsys, stage, option, text):
+        # int() and float() read "2_0" as 20 and "0.5_0" as 0.5
+        out = work / "x-underscore"
+        options = {"gen-corpus": {"--dialogs": "4"},
+                   "fit": {"--corpus": str(corpus_file)},
+                   "compare": {"--corpus": str(corpus_file)},
+                   "train-rl": {"--fit": str(fit_dir), "--episodes": "2"}}[stage]
+        options = {"--seed": "1", **options, option: text, "--out": str(out)}
+        assert main([stage, *(cell for item in options.items() for cell in item)]) == 1
+        kind = "float" if "." in text else "int"
+        assert f"{option}: invalid {kind} value: '{text}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_train_fraction_maps_to_2(self, work, corpus_file):
         assert main(["compare", "--corpus", str(corpus_file), "--seed", "1",
                      "--train-fraction", "1.5", "--out", str(work / "x4")]) == 2

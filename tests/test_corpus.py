@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -682,6 +683,23 @@ class TestUnderscoreText:
         path = tmp_path / f"c.{fmt}"
         save_corpus(corpus, path)
         assert load_corpus(path) == reference_load_corpus(path) == corpus
+
+
+def test_a_load_holds_no_column_twice(tmp_path):
+    # each column's block parts are dropped as it is joined, and a column
+    # parsed to its dtype is not cast into a copy: 1.84 x the size of a
+    # 1540-dialog CSV, against 2.70 x where every part outlived the join
+    corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=1540), 42)
+    path = tmp_path / "c.csv"
+    save_corpus(corpus, path)
+    tracemalloc.start()
+    try:
+        loaded = load_corpus(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == corpus
+    assert peak <= 2.2 * path.stat().st_size
 
 
 class TestSplitCorpus:

@@ -181,6 +181,17 @@ class TestCorpusToDataset:
         assert y.shape == (n,)
         assert set(y) <= {1, 2, 3, 4, 5}
 
+    # small_corpus holds 40 dialogs
+    @pytest.mark.parametrize("start,stop", [(0, 1), (1, 3), (2, None), (38, 99), (3, 3),
+                                            (5, 2), (41, 45)])
+    def test_a_run_of_dialogs_gives_its_rows_of_the_whole(self, small_corpus, start, stop):
+        X, y = corpus_to_dataset(small_corpus)
+        part, labels = corpus_to_dataset(small_corpus, start, stop)
+        rows = slice(*(None if i is None else 12 * i for i in (start, stop)))
+        assert part.tobytes() == X[rows].tobytes()
+        assert part.shape == (len(labels), N_FEATURES)
+        assert labels.tolist() == y[rows].tolist()
+
     def test_lag_labels_are_teacher_forced(self, small_corpus):
         X, _ = corpus_to_dataset(small_corpus)
         first = dialogs_of(small_corpus)[small_corpus.user_id[0]][0]
@@ -360,6 +371,33 @@ def test_training_keeps_one_standardized_copy():
     finally:
         tracemalloc.stop()
     assert peak <= 2.3 * x_bytes
+
+
+def traced_peak(call, *args) -> int:
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_dialogs", [400, 1540])
+def test_training_holds_no_whole_feature_matrix(n_dialogs):
+    # the standardized copy is written a block of dialogs at a time, so X is
+    # never held whole beside it: 1.40 x and 1.23 x X's size, against 2.07 x
+    # and 2.05 x for a trainer that held X beside X.std's temporary
+    corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=n_dialogs), 42)
+    x_bytes = corpus.exchange_count * N_FEATURES * np.dtype(float).itemsize
+    assert traced_peak(train_classifier, corpus) <= 1.6 * x_bytes
+
+
+def test_evaluation_holds_no_whole_feature_matrix():
+    # scored a block of dialogs at a time: 0.21 x X's size at 1540 dialogs,
+    # against 1.80 x for one product over the whole of X
+    corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=1540), 42)
+    x_bytes = corpus.exchange_count * N_FEATURES * np.dtype(float).itemsize
+    assert traced_peak(evaluate_classifier, stub_model([0.0] * 5), corpus) <= 0.5 * x_bytes
 
 
 class TestPrediction:

@@ -1,4 +1,5 @@
-"""Hypothesis round-trip properties of the model and corpus serializers.
+"""Hypothesis properties: round trips of the model and corpus serializers,
+and the trainer's streamed standardization.
 
 Kept apart from test_trust_model.py and test_corpus.py so that the
 example-based tests there still run where hypothesis is not installed.
@@ -22,6 +23,8 @@ from trustsim.trust_model import (
     N_FEATURES,
     TRUST_CLASSES,
     TrustClassifier,
+    _ROWS,
+    _standardized,
     classifier_from_json_dict,
     classifier_to_json_dict,
 )
@@ -88,3 +91,41 @@ class TestCorpusRoundTrip:
                 path = Path(tmp) / name
                 save_corpus(corpus, path)
                 assert load_corpus(path) == corpus
+
+
+def bits(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+@st.composite
+def feature_matrices(draw) -> np.ndarray:
+    """A C-order float64 (n, N_FEATURES) matrix of 1 to 3 blocks + 5 rows,
+    so that one short block and the seams between blocks both occur. Each
+    column is constant (of any sign, -0.0 included), of small integers (as
+    the one-hot and Likert columns are) or normal around a drawn mean."""
+    n = draw(st.integers(1, 3 * _ROWS + 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.empty((n, N_FEATURES))
+    for j in range(N_FEATURES):
+        kind = draw(st.sampled_from(["constant", "integers", "normal"]))
+        if kind == "constant":
+            X[:, j] = draw(st.floats(-1e6, 1e6))
+        elif kind == "integers":
+            X[:, j] = gen.integers(0, draw(st.integers(1, 60)), n, endpoint=True)
+        else:
+            X[:, j] = gen.normal(draw(st.floats(-1e6, 1e6)),
+                                 10.0 ** draw(st.integers(-8, 6)), n)
+    return X
+
+
+class TestStreamedStandardization:
+    @settings(deadline=None, max_examples=40)
+    @given(feature_matrices())
+    def test_block_sums_equal_whole_matrix_reductions_bit_for_bit(self, X):
+        Z1T, mean, scale = _standardized(lambda start, stop: X[start:stop].copy(), len(X))
+        std = X.std(axis=0)
+        assert bits(mean) == bits(X.mean(axis=0))
+        # a zero-variance column takes scale 1
+        assert bits(scale) == bits(np.where(std == 0.0, 1.0, std))
+        assert bits(Z1T[:N_FEATURES]) == bits(((X - mean) / scale).T)
+        assert (Z1T[N_FEATURES] == 1.0).all()

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
@@ -386,37 +386,27 @@ def _parse_column(name: str, cells, text: bool) -> tuple:
     return values, bad
 
 
-def _runs(cells) -> bool:
-    """Whether the cells come in aligned runs of STEPS_PER_DIALOG equal
-    texts, as a column of DIALOG_COLUMNS does in a block of whole dialogs
-    grouped in file order. A run cut short leaves some slice shorter than
-    the heads."""
-    heads = cells[::STEPS_PER_DIALOG]
-    return all(cells[k::STEPS_PER_DIALOG] == heads for k in range(1, STEPS_PER_DIALOG))
-
-
 def _parse_rows(columns: list, text: bool, users: dict, dialogs: dict) -> dict:
     """The rows of a block, given as their raw cells per column of
     CORPUS_COLUMNS, parsed: the user and dialog ids as their numbers in
     users and dialogs, and under "unparsed" the index in CORPUS_COLUMNS of
     each row's first cell that does not parse (all of them for none).
 
-    A text column that comes in runs (see _runs) is parsed from the head
-    of each run and repeated, since equal texts parse alike; JSON values
-    that compare equal may not (1, 1.0 and true), so they never do."""
-    n_rows = len(columns[0])
+    A column of DIALOG_COLUMNS may hold one cell per dialog of
+    STEPS_PER_DIALOG rows, as `_split_blocks` gives it where each dialog's
+    rows start with the same text: it is parsed once per dialog and
+    repeated, since equal texts parse alike. Every other column holds a
+    cell per row."""
+    n_rows = len(columns[-1])
     values = {"unparsed": np.full(n_rows, len(CORPUS_COLUMNS))}
     for j, (name, cells) in enumerate(zip(CORPUS_COLUMNS, columns)):
-        runs = text and _runs(cells)
-        if runs:
-            cells = cells[::STEPS_PER_DIALOG]
         parsed, bad = _parse_column(name, cells, text)
         index = {"user_id": users, "dialog_id": dialogs}.get(name)
         if index is not None:
             for key in dict.fromkeys(parsed):  # new ids numbered in order
                 index.setdefault(key, len(index))
             parsed = np.fromiter(map(index.__getitem__, parsed), np.int64, len(parsed))
-        if runs:
+        if len(cells) < n_rows:  # one cell per dialog
             parsed = np.repeat(parsed, STEPS_PER_DIALOG)
             bad = None if bad is None else np.repeat(bad, STEPS_PER_DIALOG)
         values[name] = parsed
@@ -483,7 +473,9 @@ def _decoded_rows(path: Path, file_format: str) -> Iterator[tuple]:
                                           detail=f"the header has {width} columns")
                 yield pick(cells)
         return
-    rows = []
+    # each line's values, not its dict; a JSON error on any line comes
+    # before the first line that lacks a column
+    rows, missing, pick = [], None, itemgetter(*CORPUS_COLUMNS)
     with path.open(encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
@@ -497,18 +489,24 @@ def _decoded_rows(path: Path, file_format: str) -> Iterator[tuple]:
             if not isinstance(obj, dict):
                 raise ValueOutOfRange("line", obj, row=len(rows) + 1,
                                       detail="not a JSON object")
-            rows.append(obj)
-    for i, row in enumerate(rows, start=1):
-        for col in CORPUS_COLUMNS:
-            if col not in row:
-                raise MissingColumn(f"column {col!r} missing from {path} (row {i})")
-    yield from map(itemgetter(*CORPUS_COLUMNS), rows)
+            try:
+                rows.append(pick(obj))
+            except KeyError:
+                if missing is None:
+                    col = next(col for col in CORPUS_COLUMNS if col not in obj)
+                    missing = MissingColumn(f"column {col!r} missing from {path} "
+                                            f"(row {len(rows) + 1})")
+                rows.append(())  # counted, for the row of a later JSON error
+    if missing is not None:
+        raise missing
+    yield from rows
 
 
 # Rows parsed or written at a time: the loader holds the raw cells of one
 # block, not of the whole file. A block holds whole dialogs, so that a file
 # whose rows come grouped by dialog, as save_corpus writes them, has each
-# dialog's user cells in one block, in aligned runs (see _runs).
+# dialog's rows in one block, which splits their user cells once (see
+# _split_blocks).
 _BLOCK_ROWS = 43 * STEPS_PER_DIALOG
 
 
@@ -534,18 +532,50 @@ def _split_blocks(path: Path) -> Iterator[list]:
     `_row_blocks` gives them, split in C: the block's lines joined, every
     "\n" made a "," and the text split at ",", each column taken by stride.
 
+    Where the header leads with the DIALOG_COLUMNS, in any order, and the
+    block is whole dialogs of STEPS_PER_DIALOG lines, each line starting
+    with its dialog's first line up to that line's 12th comma (the prefix
+    that write_dialog_rows joins once per dialog), the prefixes are split
+    once, so each column of DIALOG_COLUMNS holds one cell per dialog, and
+    only the rest of every line is split; equal prefix text means equal
+    cells. Any other block, and every block under any other header, is
+    split whole.
+
     csv.reader reads a block cell for cell alike where the block holds no
     quote, "\r" or NUL, ends in "\n", and has as many cells on every line
     as the header (so no line is blank) and no line longer than the csv
     field limit. Raises _Unsplittable at the first block that is not such,
     where the header is not such a line naming every column of
     CORPUS_COLUMNS once, or where the file is not UTF-8."""
-    limit = csv.field_size_limit()
+    limit, lead = csv.field_size_limit(), len(DIALOG_COLUMNS)
 
     def plain(lines: list, text: str, commas: int) -> bool:
         return (text.endswith("\n") and '"' not in text and "\r" not in text
                 and "\0" not in text and max(map(len, lines)) <= limit
                 and set(map(str.count, lines, repeat(","))) == {commas})
+
+    def split(text: str, width: int, picks) -> list:
+        cells = text.replace("\n", ",").split(",")
+        cells.pop()  # the empty text after the last line's ","
+        return [cells[j::width] for j in picks]
+
+    def by_dialog(lines: list, text: str):
+        """The block's columns, each dialog's prefix split once, if the
+        block is whole dialogs whose every line starts with its dialog's
+        prefix; else None."""
+        if len(lines) % STEPS_PER_DIALOG:
+            return None
+        heads = lines[::STEPS_PER_DIALOG]
+        # a head's text after its 12th comma is not empty: it ends in "\n"
+        found = [head[:-len(head.split(",", lead)[lead])] for head in heads]
+        rests = "".join(map(str.removeprefix, lines,  # each prefix once per line
+                            chain.from_iterable(zip(*[found] * STEPS_PER_DIALOG))))
+        # a line loses its prefix only where it starts with it, and no
+        # prefix is empty: so where some line does not, the text is longer
+        if len(rests) != len(text) - STEPS_PER_DIALOG * sum(map(len, found)):
+            return None
+        return (split("".join(found), lead, picks[:lead])
+                + split(rests, width - lead, [j - lead for j in picks[lead:]]))
 
     try:
         with path.open(newline="", encoding="utf-8") as handle:
@@ -555,13 +585,12 @@ def _split_blocks(path: Path) -> Iterator[list]:
                     and len(set(header)) == len(header)):
                 raise _Unsplittable
             width, picks = len(header), list(map(header.index, CORPUS_COLUMNS))
+            led = set(header[:lead]) == set(DIALOG_COLUMNS)
             for lines in iter(lambda: list(islice(handle, _BLOCK_ROWS)), []):
                 text = "".join(lines)
                 if not plain(lines, text, width - 1):
                     raise _Unsplittable
-                cells = text.replace("\n", ",").split(",")
-                cells.pop()  # the empty text after the last line's ","
-                yield [cells[j::width] for j in picks]
+                yield (led and by_dialog(lines, text)) or split(text, width, picks)
     except UnicodeDecodeError as exc:
         raise _Unsplittable from exc
 
@@ -577,9 +606,11 @@ def load_corpus(path) -> Corpus:
     not parse, in CORPUS_COLUMNS order, then _ROW_CHECKS. Whole dialogs are
     checked after every row, users in order of first appearance.
 
-    A CSV file is split in C block by block (`_split_blocks`); at a block,
-    header or byte that csv.reader might read otherwise, the load starts
-    again on the csv.reader path, so errors are the same either way.
+    A CSV file is split in C block by block (`_split_blocks`), and in a
+    file laid out as save_corpus writes it each dialog's user cells are
+    split and parsed once; at a block, header or byte that csv.reader might
+    read otherwise, the load starts again on the csv.reader path, which
+    parses every cell, so errors are the same either way.
     """
     path = Path(path)
     file_format = infer_format(path)

@@ -702,6 +702,23 @@ def test_a_load_holds_no_column_twice(tmp_path):
     assert peak <= 2.2 * path.stat().st_size
 
 
+def test_a_jsonl_load_holds_each_line_as_its_values(tmp_path):
+    # each line is held as its tuple of CORPUS_COLUMNS values, not as its
+    # dict: 1.47 x the size of a 1540-dialog JSON-lines file, against 4.78 x
+    # where every line's dict was held until the file ended
+    corpus = generate_synthetic_corpus(GeneratorConfig(n_dialogs=1540), 42)
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    tracemalloc.start()
+    try:
+        loaded = load_corpus(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == corpus
+    assert peak <= 2.0 * path.stat().st_size
+
+
 class TestSplitCorpus:
     def test_counts_with_floor_rule(self, small_corpus):
         train, test = split_corpus(small_corpus, 0.8, seed=1)
@@ -736,6 +753,19 @@ class TestSplitCorpus:
     def test_fraction_bounds(self, small_corpus, fraction):
         with pytest.raises(InvalidConfig):
             split_corpus(small_corpus, fraction, seed=0)
+
+
+@pytest.fixture()
+def parsed(monkeypatch):
+    """The cell count of each call parsing a column, by column name."""
+    counts, parse = {}, corpus_module._parse_column
+
+    def spy(name, cells, *args):
+        counts.setdefault(name, []).append(len(cells))
+        return parse(name, cells, *args)
+
+    monkeypatch.setattr(corpus_module, "_parse_column", spy)
+    return counts
 
 
 def load_outcome(load, path):
@@ -777,9 +807,10 @@ class TestLoaderBlocks:
         return corpus
 
     @staticmethod
-    def write(corpus, path, edit):
+    def write(corpus, path, edit, columns=CORPUS_COLUMNS):
         """Save the corpus, then let edit change its list of row dicts:
-        CSV cells as text, JSON values as they are."""
+        CSV cells as text, JSON values as they are. A CSV file is written
+        with these columns, a column the corpus lacks holding "x"."""
         save_corpus(corpus, path)
         if path.suffix == ".csv":
             with path.open(newline="", encoding="utf-8") as handle:
@@ -790,8 +821,8 @@ class TestLoaderBlocks:
         if path.suffix == ".csv":
             with path.open("w", newline="", encoding="utf-8") as handle:
                 writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(CORPUS_COLUMNS)
-                writer.writerows([row[c] for c in CORPUS_COLUMNS] for row in rows)
+                writer.writerow(columns)
+                writer.writerows([row.get(c, "x") for c in columns] for row in rows)
         else:
             path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
@@ -962,6 +993,35 @@ class TestLoaderBlocks:
         assert str(err.value).startswith(
             f"line='{{not json' out of range (row {corpus.exchange_count + 1}): not JSON")
 
+    @staticmethod
+    def drop_keys(path, drops):
+        """Remove the keys (row, name) from the JSON lines, rows from 1."""
+        lines = path.read_text().splitlines()
+        for row, name in drops:
+            obj = json.loads(lines[row - 1])
+            del obj[name]
+            lines[row - 1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_the_first_line_lacking_a_column_names_its_row(self, tmp_path, corpus):
+        path = tmp_path / "c.jsonl"
+        self.write(corpus, path, lambda rows: rows)
+        rewrite_objects(path, {(2, "duration"): "slow"})
+        self.drop_keys(path, [(self.BLOCK + 3, "trust"), (self.BLOCK + 3, "age"), (700, "step")])
+        error, message = self.assert_matches_reference(path)
+        assert (error, message) == (MissingColumn, f"column 'age' missing from {path} "
+                                                   f"(row {self.BLOCK + 3})")
+
+    def test_a_json_error_beats_a_line_lacking_a_column(self, tmp_path, corpus):
+        path = tmp_path / "c.jsonl"
+        self.write(corpus, path, lambda rows: rows)
+        self.drop_keys(path, [(3, "age")])
+        path.write_text(path.read_text() + "[]\n")
+        with pytest.raises(ValueOutOfRange) as err:
+            load_corpus(path)
+        assert str(err.value) == (f"line=[] out of range (row {corpus.exchange_count + 1}): "
+                                  f"not a JSON object")
+
     def test_a_byte_that_is_not_utf8_comes_after_the_rows_before_it(self, tmp_path, corpus):
         path = tmp_path / "c.csv"
         self.write(corpus, path, lambda rows: rows)
@@ -976,9 +1036,10 @@ class TestLoaderBlocks:
 
 class TestLoaderRuns:
     """load_corpus against the per-row loader on CSV files grouped by
-    dialog, as saved, whose user columns the loader parses from the first
-    cell of each dialog's run (see corpus._runs), with one dialog's cells
-    edited; and JSON lines, which it never parses by runs."""
+    dialog, as saved, whose user columns the loader parses once per dialog
+    where each dialog's lines start with the same user cells (see
+    corpus._split_blocks), with one dialog's cells edited or the columns
+    laid out otherwise; and JSON lines, which it parses cell by cell."""
 
     DIALOG = 5  # the edited dialog: data rows 61..72
     FIRST = DIALOG * 12  # its first row, counted from 0
@@ -988,20 +1049,8 @@ class TestLoaderRuns:
         # 600 rows: a block of 516 rows (43 dialogs) and a block of 84
         return generate_synthetic_corpus(GeneratorConfig(n_dialogs=50), seed=11)
 
-    @pytest.fixture()
-    def parsed(self, monkeypatch):
-        """The cell count of each call parsing a column, by column name."""
-        counts, parse = {}, corpus_module._parse_column
-
-        def spy(name, cells, *args):
-            counts.setdefault(name, []).append(len(cells))
-            return parse(name, cells, *args)
-
-        monkeypatch.setattr(corpus_module, "_parse_column", spy)
-        return counts
-
-    def outcome(self, corpus, path, edit):
-        TestLoaderBlocks.write(corpus, path, edit)
+    def outcome(self, corpus, path, edit, columns=CORPUS_COLUMNS):
+        TestLoaderBlocks.write(corpus, path, edit, columns)
         outcome = load_outcome(load_corpus, path)
         assert outcome == load_outcome(reference_load_corpus, path)
         return outcome
@@ -1010,6 +1059,21 @@ class TestLoaderRuns:
         assert self.outcome(corpus, tmp_path / "c.csv", lambda rows: rows) == corpus
         assert parsed["age"] == parsed["dialog_id"] == [43, 7]
         assert parsed["duration"] == parsed["step"] == [516, 84]
+
+    LEAD = CORPUS_COLUMNS[:12]  # the DIALOG_COLUMNS
+    LAYOUTS = {  # a header, and the cell count of each call parsing age
+        "lead permuted": (LEAD[5:] + LEAD[:5] + CORPUS_COLUMNS[12:], [43, 7]),
+        "a column appended": (CORPUS_COLUMNS + ("note",), [43, 7]),
+        "reversed": (CORPUS_COLUMNS[::-1], [516, 84]),
+        "a column among the first 12": (LEAD[:4] + ("note",) + CORPUS_COLUMNS[4:], [516, 84]),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_a_header_layout(self, tmp_path, corpus, parsed, layout):
+        columns, counts = self.LAYOUTS[layout]
+        assert self.outcome(corpus, tmp_path / "c.csv", lambda rows: rows, columns) == corpus
+        assert parsed["age"] == parsed["dialog_id"] == counts
+        assert parsed["duration"] == [516, 84]
 
     @pytest.mark.parametrize("first, later", [("4.75", "4.750"), ("4.750", "4.75"),
                                               ("0.0", "-0.0"), ("-0.0", "0.0")])
@@ -1027,7 +1091,7 @@ class TestLoaderRuns:
         else:  # out of range at the dialog's first row, with that row's sign
             assert loaded == (ValueOutOfRange, f"openness={float(first)!r} out of range "
                                                f"(row {self.FIRST + 1})")
-        assert parsed["openness"][0] == 516 and parsed["age"][0] == 43
+        assert parsed["openness"][0] == parsed["age"][0] == 516
 
     def test_a_differing_value_names_its_row(self, tmp_path, corpus, parsed):
         def edit(rows):
@@ -1038,7 +1102,7 @@ class TestLoaderRuns:
         assert error is ValueOutOfRange
         assert message == (f"user_id={corpus.user_id[self.DIALOG]!r} out of range "
                            f"(row {self.FIRST + 8}): user columns differ between rows")
-        assert parsed["openness"][0] == 516 and parsed["age"][0] == 43
+        assert parsed["openness"][0] == parsed["age"][0] == 516
 
     @pytest.mark.parametrize("field, text", [("openness", "nan"), ("openness", "inf"),
                                              ("gender", "robot")])
@@ -1100,44 +1164,105 @@ def _columns(lines, order, last_name=None) -> list:
 
 _BOUNDARY = corpus_module._BLOCK_ROWS  # the first data row of the second block
 _UID, _DID = CORPUS_COLUMNS.index("user_id"), CORPUS_COLUMNS.index("dialog_id")
+_AGE, _OPENNESS = CORPUS_COLUMNS.index("age"), CORPUS_COLUMNS.index("openness")
+_LEAD = len(corpus_module.DIALOG_COLUMNS)
 
-# An edit of the saved lines, and whether the split path then reads the
-# file: it must leave every file csv.reader might read otherwise to that path.
+
+def _with_column(lines, at, name) -> list:
+    """The file with a column of this name inserted at this index, its
+    cells "x"."""
+    rows = [line_cells(line) for line in lines]
+    for i, cells in enumerate(rows):
+        cells.insert(at, name if i == 0 else b"x")
+    return [cells_line(cells) for cells in rows]
+
+
+def _interleaved(lines, first) -> list:
+    """The file with the 12 rows from data row first and the 12 after them
+    interleaved."""
+    pair = lines[first:first + 24]
+    lines[first:first + 24] = [line for rows in zip(pair[:12], pair[12:]) for line in rows]
+    return lines
+
+
+def _user_ids(lines, last_in_lead=False) -> list:
+    """The file with user u1 on data rows 1..12, but for u10 on row 7; with
+    user_id and dialog_id swapped, user_id ends the leading cells."""
+    if last_in_lead:
+        lines = _columns(lines, [_DID, *range(1, _DID), _UID, *range(_DID + 1, len(CORPUS_COLUMNS))])
+    uid = _DID if last_in_lead else _UID
+    for row in range(1, 13):
+        lines = _with_cell(lines, row, uid, b"u10" if row == 7 else b"u1")
+    return lines
+
+
+def _other_age(lines, row) -> list:
+    age = line_cells(lines[row])[_AGE]
+    return _with_cell(lines, row, _AGE, b"19" if age == b"18" else b"18")
+
+
+# An edit of the saved lines (45 dialogs: a block of 43 and a block of 2),
+# and how the split path reads each block: "c" where it splits each dialog's
+# user cells once, "e" where it splits every cell. None where the split path
+# does not read the file: it must leave every file csv.reader might read
+# otherwise to that path, which parses every cell.
 SPLIT_EDITS = {
-    "as saved": (lambda lines: lines, True),
-    "header reordered": (lambda lines: _columns(lines, range(len(CORPUS_COLUMNS))[::-1]), True),
+    "as saved": (lambda lines: lines, "cc"),
+    "header reordered": (lambda lines: _columns(lines, range(len(CORPUS_COLUMNS))[::-1]), "ee"),
     "extra column": (lambda lines: _columns(lines, [*range(len(CORPUS_COLUMNS)), _UID],
-                                            b"note"), True),
+                                            b"note"), "cc"),
+    "dialog columns permuted within the lead": (lambda lines: _columns(
+        lines, [*range(_LEAD)[::-1], *range(_LEAD, len(CORPUS_COLUMNS))]), "cc"),
+    "extra column among the first 12": (lambda lines: _with_column(lines, 5, b"note"), "ee"),
+    "a user cell spelled otherwise mid-dialog": (lambda lines: _with_cell(
+        lines, 18, _OPENNESS, line_cells(lines[18])[_OPENNESS] + b"0"), "ec"),
+    "a user cell changed mid-dialog": (lambda lines: _other_age(lines, 18), "ec"),
+    "a user cell changed in the last block": (lambda lines: _other_age(lines, _BOUNDARY + 15),
+                                              "ce"),
+    "an 11-row dialog": (lambda lines: [*lines[:18], *lines[19:]], "ee"),
+    "two dialogs interleaved": (lambda lines: _interleaved(lines, 13), "ec"),
+    "user ids u1 and u10": (_user_ids, "ec"),
+    "user ids u1 and u10, user_id last in the lead": (lambda lines: _user_ids(lines, True), "ec"),
     "quoted cell": (lambda lines: _with_cell(lines, 3, _UID, b'"' + line_cells(lines[3])[_UID] + b'"'),
-                    False),
-    "crlf": (lambda lines: [line[:-1] + b"\r\n" for line in lines], False),
+                    None),
+    "crlf": (lambda lines: [line[:-1] + b"\r\n" for line in lines], None),
     "crlf, a text column last": (lambda lines: [
         line[:-1] + b"\r\n" for line in _columns(lines, [*range(_DID), *range(_DID + 1, len(
-            CORPUS_COLUMNS)), _DID])], False),
-    "cr inside a row": (lambda lines: _with_cell(lines, 7, 2, b"3\r"), False),
-    "blank line": (lambda lines: [*lines[:9], b"\n", *lines[9:]], False),
+            CORPUS_COLUMNS)), _DID])], None),
+    "cr inside a row": (lambda lines: _with_cell(lines, 7, 2, b"3\r"), None),
+    "blank line": (lambda lines: [*lines[:9], b"\n", *lines[9:]], None),
     "blank line at the block boundary": (
-        lambda lines: [*lines[:_BOUNDARY + 1], b"\n", *lines[_BOUNDARY + 1:]], False),
-    "nul": (lambda lines: _with_cell(lines, 5, _UID, b"u\0"), False),
-    "no final newline": (lambda lines: [*lines[:-1], lines[-1][:-1]], False),
+        lambda lines: [*lines[:_BOUNDARY + 1], b"\n", *lines[_BOUNDARY + 1:]], None),
+    "nul": (lambda lines: _with_cell(lines, 5, _UID, b"u\0"), None),
+    "no final newline": (lambda lines: [*lines[:-1], lines[-1][:-1]], None),
     "a cell missing": (lambda lines: [*lines[:4], cells_line(line_cells(lines[4])[1:]), *lines[5:]],
-                       False),
+                       None),
     "a cell moved to the next row": (lambda lines: [
         *lines[:4], cells_line(line_cells(lines[4])[1:]), cells_line(line_cells(lines[5]) + [b"1"]), *lines[6:]],
-        False),
+        None),
     "column named twice": (lambda lines: _columns(lines, [*range(len(CORPUS_COLUMNS)), _UID]),
-                           False),
-    "column missing": (lambda lines: _columns(lines, range(1, len(CORPUS_COLUMNS))), False),
+                           None),
+    "column missing": (lambda lines: _columns(lines, range(1, len(CORPUS_COLUMNS))), None),
     **{f"non-UTF-8 byte at data row {row}": (
-        lambda lines, row=row: _with_cell(lines, row, _UID, b"u\xe9"), False)
+        lambda lines, row=row: _with_cell(lines, row, _UID, b"u\xe9"), None)
        for row in (_BOUNDARY - 1, _BOUNDARY, _BOUNDARY + 1)},
 }
+
+
+def _block_modes(parsed) -> str:
+    """How each block parsed was read: "c" where its age column held a cell
+    per dialog, "e" where it held one per row, as duration does."""
+    return "".join("c" if age < duration else "e"
+                   for age, duration in zip(parsed.pop("age", []), parsed.pop("duration", [])))
 
 
 class TestSplitPath:
     """The CSV loader splits a block in C only where csv.reader reads it
     cell for cell alike; any other file loads on the csv.reader path, with
-    the same corpus or the same error."""
+    the same corpus or the same error. The split path splits each dialog's
+    user cells once only where the header leads with them and each of its
+    lines starts with them; elsewhere it splits, and the loader parses,
+    every cell."""
 
     @pytest.fixture(scope="class")
     def lines(self):
@@ -1153,17 +1278,25 @@ class TestSplitPath:
         return True
 
     @pytest.mark.parametrize("kind", SPLIT_EDITS)
-    def test_split_only_where_csv_reader_reads_alike(self, lines, tmp_path, kind):
-        edit, split = SPLIT_EDITS[kind]
+    def test_split_only_where_csv_reader_reads_alike(self, lines, tmp_path, parsed, kind):
+        edit, modes = SPLIT_EDITS[kind]
         path = tmp_path / "c.csv"
         path.write_bytes(b"".join(edit(list(lines))))
-        assert self.splits(path) is split
-        assert any_outcome(load_corpus, path) == any_outcome(csv_reader_load, path)
+        assert self.splits(path) is (modes is not None)
+        parsed.clear()
+        outcome = any_outcome(load_corpus, path)
+        loaded = _block_modes(parsed)
+        assert outcome == any_outcome(csv_reader_load, path)
+        read = _block_modes(parsed)
+        assert read == "e" * len(read)
+        # on the split path, or after it on the csv.reader path
+        assert loaded == modes if modes is not None else loaded.endswith(read)
 
     def test_edits_that_keep_the_cells_keep_the_corpus(self, lines, tmp_path):
         want = load_corpus(self.write(tmp_path / "saved.csv", lines))
-        for kind in ("header reordered", "extra column", "quoted cell", "crlf",
-                     "crlf, a text column last"):
+        for kind in ("header reordered", "extra column", "dialog columns permuted within the lead",
+                     "extra column among the first 12", "a user cell spelled otherwise mid-dialog",
+                     "two dialogs interleaved", "quoted cell", "crlf", "crlf, a text column last"):
             edit, _ = SPLIT_EDITS[kind]
             assert load_corpus(self.write(tmp_path / "c.csv", edit(list(lines)))) == want
 

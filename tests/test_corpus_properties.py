@@ -3,9 +3,9 @@ replaced, its split path against its csv.reader path, the column-wise
 writer against the per-row writer, and the join-per-row and per-dialog CSV
 writers against the csv-module writer.
 
-One cell of a saved corpus is replaced by drawn text; both loaders must then
-return equal corpora, or both raise the same typed error with the same
-message. A corpus that loads is written by both writers, byte for byte
+One cell of a saved corpus is replaced by drawn text, through the csv
+module or in the line as it stands; both loaders must then return equal
+corpora, or both raise the same typed error with the same message. A corpus that loads is written by both writers, byte for byte
 alike. Kept apart from test_corpus.py so that the example-based tests
 there still run where hypothesis is not installed.
 """
@@ -105,6 +105,37 @@ def test_csv_cell_replaced_by_text(saved, data):
     with path.open("w", newline="", encoding="utf-8") as handle:
         reference_write_csv_rows(handle, rows)
     assert_load_and_save_match_references(path)
+
+
+# Texts for a cell rewritten in the line as it stands: no quote, "\r" or
+# line break, so that the split path can read the file, but commas that
+# change a line's width
+PLAIN_TEXT = st.text(st.sampled_from("u01.5-e, "), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_csv_cell_rewritten_in_place(saved, data):
+    """A saved corpus, its leading user cells in a drawn order, with one
+    cell of one line rewritten as it stands: where that line still starts
+    with its dialog's first line's user cells, the loader splits them once
+    per dialog; else it splits every cell. Either way it loads what the
+    per-row loader loads."""
+    lines = (saved / "saved.csv").read_bytes().splitlines(keepends=True)
+    lead = len(corpus_module.DIALOG_COLUMNS)
+    order = [*data.draw(st.permutations(range(lead)), label="lead"),
+             *range(lead, len(CORPUS_COLUMNS))]
+    rows = [[line_cells(line)[j] for j in order] for line in lines]
+    row = data.draw(st.integers(1, N_ROWS), label="row")
+    col = data.draw(st.integers(0, len(CORPUS_COLUMNS) - 1), label="col")
+    rows[row][col] = data.draw(st.one_of(
+        st.sampled_from(EDGE_TEXT).map(str.encode),
+        PLAIN_TEXT.map(str.encode),
+        st.integers(1, N_ROWS).map(lambda other: rows[other][col]),
+    ), label="text")
+    path = saved / "rewritten.csv"
+    path.write_bytes(b"".join(map(cells_line, rows)))
+    assert outcome(load_corpus, path) == outcome(reference_load_corpus, path)
 
 
 # Cell text at the edges of the quoting rule: delimiters, quotes, both line

@@ -5,9 +5,10 @@ writers against the csv-module writer.
 
 One cell of a saved corpus is replaced by drawn text, through the csv
 module or in the line as it stands; both loaders must then return equal
-corpora, or both raise the same typed error with the same message. A corpus that loads is written by both writers, byte for byte
-alike. Kept apart from test_corpus.py so that the example-based tests
-there still run where hypothesis is not installed.
+corpora, or both raise the same typed error with the same message. A
+corpus that loads is written by both writers, byte for byte alike. Kept
+apart from test_corpus.py so that the example-based tests there still run
+where hypothesis is not installed.
 """
 
 from __future__ import annotations

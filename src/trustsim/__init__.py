@@ -22,10 +22,7 @@ from .fidelity import (
     FidelityReport,
     Measure,
     compare_modes,
-    estimate_distribution,
     evaluate_simulator,
-    kl_divergence,
-    mse,
 )
 from .rl_env import (
     EnvState,
@@ -81,15 +78,12 @@ __all__ = [
     "build_table",
     "compare_modes",
     "complexity_of_step",
-    "estimate_distribution",
     "evaluate_classifier",
     "evaluate_simulator",
     "fit_trait_distributions",
     "generate_synthetic_corpus",
-    "kl_divergence",
     "load_corpus",
     "load_table",
-    "mse",
     "predict_trust",
     "replay_conditions",
     "save_corpus",

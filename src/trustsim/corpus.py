@@ -180,9 +180,10 @@ class Corpus:
         ids = tuple(self.user_id)
         object.__setattr__(self, "user_id", ids)
         object.__setattr__(self, "dialog_id", tuple(self.dialog_id))
-        for uid in ids:
-            if not isinstance(uid, str):
-                raise ValueOutOfRange("user_id", uid, detail="a string")
+        for name, values in (("user_id", ids), ("dialog_id", self.dialog_id)):
+            for value in values:
+                if not isinstance(value, str):
+                    raise ValueOutOfRange(name, value, detail="a string")
         if len(set(ids)) != len(ids):
             raise ValueOutOfRange("user_id", "duplicate", detail="user ids must be unique")
         if len(self.dialog_id) != len(ids):
@@ -196,9 +197,6 @@ class Corpus:
                 raise LengthMismatch(f"{name} holds {column.size} values; "
                                      f"{len(ids)} dialogs need {size}")
             column = cast_column(name, values, column, _DTYPES[name])
-            bad = _out_of_range(name, column)
-            if bad.any():
-                raise ValueOutOfRange(name, column[bad][0].item())
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -320,7 +318,8 @@ def cast_column(name: str, values, column: np.ndarray, dtype) -> np.ndarray:
     int64): column itself where it is of that dtype, else a cast copy.
     Raises ValueOutOfRange where the cast would truncate a float or read a
     bool or text as a number: for a column of another numpy kind than
-    _KINDS allows, and for a bool among the numbers of a list."""
+    _KINDS allows, and for a bool among the numbers of a list; and, for a
+    column _RANGES names, on its first value outside that range."""
     if column.size and column.dtype.kind not in _KINDS[dtype]:
         raise ValueOutOfRange(name, column[:1].tolist()[0],
                               detail=f"a column of {column.dtype}")
@@ -329,7 +328,12 @@ def cast_column(name: str, values, column: np.ndarray, dtype) -> np.ndarray:
         for value in values:
             if isinstance(value, (bool, np.bool_)):
                 raise ValueOutOfRange(name, value, detail="a number, not a bool")
-    return column.astype(dtype, copy=False)
+    column = column.astype(dtype, copy=False)
+    if name in _RANGES:
+        bad = _out_of_range(name, column)
+        if bad.any():
+            raise ValueOutOfRange(name, column[bad][0].item())
+    return column
 
 
 def _parse_field(name: str, raw, row: int):

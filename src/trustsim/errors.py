@@ -109,15 +109,11 @@ class InvalidHyperparams(TrustSimError):
 # --- evaluation -----------------------------------------------------------
 
 class LengthMismatch(TrustSimError):
-    """Paired sequences or distributions differ in length."""
-
-
-class NegativeEntry(TrustSimError):
-    """Probability vectors must be non-negative."""
+    """Paired columns or sequences differ in length."""
 
 
 class EmptySequence(TrustSimError):
-    """A sample sequence or distribution carries no mass."""
+    """There are no samples to compare."""
 
 
 # --- scalar config values -------------------------------------------------

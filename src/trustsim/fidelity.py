@@ -8,12 +8,10 @@ divergences stay finite off the shared support.
 `evaluate_simulator` makes one array pass a measure. It lays the corpus
 and log columns out step-major, a (step, real then simulated, dialog)
 array in C order, since exchange i is dialog i // 12 at step i % 12 + 1.
-It takes the rows' mean squared errors, checks the rows in the order a
-per-step loop would meet them, bins every row at once with one bincount
-over row x bin, and runs the Python-float KL loop on each (real,
-simulated) row pair. The public `estimate_distribution`, `kl_divergence`
-and `mse` call the same kernels on a row of one, so every report equals,
-bit for bit, the per-step loop over them.
+It takes the rows' mean squared errors, bins every row at once with one
+bincount over row x bin, and runs the Python-float KL loop on each (real,
+simulated) row pair. It checks no sample: a `Corpus` and a `SimulatedLog`
+refuse, when they are built, any value these histograms have no bin for.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from .corpus import (
     STEPS_PER_DIALOG,
     split_corpus,
 )
-from .errors import EmptySequence, LengthMismatch, NegativeEntry, ValueOutOfRange
+from .errors import EmptySequence, ValueOutOfRange
 from .sampling import RandomStream
 from .simulator import SimulatedLog, replay_conditions
 
@@ -76,48 +74,14 @@ _MEASURE_FIELDS = {
 }
 
 
-def _check_finite(field: str, x: np.ndarray) -> None:
-    """Raise ValueOutOfRange on the first nan or infinite entry of x."""
-    bad = ~np.isfinite(x)
-    if bad.any():
-        raise ValueOutOfRange(field, float(x[bad][0]), detail="must be finite")
-
-
-def _off_scale(x: np.ndarray, measure: Measure) -> list:
-    """(mask, detail) of the finite samples of x the measure's histogram
-    has no bin for, in the order they are checked."""
-    if measure is Measure.DIFFICULTY:
-        return [(~((LIKERT_MIN <= x) & (x < LIKERT_MIN + N_DIFFICULTY_CLASSES)),
-                 "must be in 1..5"),
-                (x != np.trunc(x), "must be a whole number")]
-    if measure in (Measure.HELP_REQUEST, Measure.SUGGESTION_REQUEST):
-        return [((x != 0) & (x != 1), "must be 0 or 1")]
-    return []
-
-
-def _check_samples(rows: np.ndarray, measure: Measure) -> None:
-    """Raise for the first row of samples, in order, that has no
-    histogram: EmptySequence for rows of no samples, else ValueOutOfRange
-    naming the row's first non-finite sample, or else its first sample off
-    the measure's scale."""
-    if rows.shape[1] == 0:
-        raise EmptySequence(f"no samples for {measure.value}")
-    off = _off_scale(rows, measure)
-    bad = np.logical_or.reduce([~np.isfinite(rows)] + [mask for mask, _ in off])
-    bad_rows = np.flatnonzero(bad.any(axis=1))
-    if bad_rows.size:
-        r = bad_rows[0]
-        field = _MEASURE_FIELDS[measure]
-        _check_finite(field, rows[r])
-        for mask, detail in off:
-            if mask[r].any():
-                raise ValueOutOfRange(field, float(rows[r][mask[r]][0]), detail=detail)
-
-
 def _histograms(rows: np.ndarray, measure: Measure) -> np.ndarray:
-    """One histogram per row of checked samples, on the measure's support,
-    smoothed by DEFAULT_SMOOTHING and renormalized: the bin indices once,
-    then one bincount over row x bin."""
+    """One histogram per row of samples, on the measure's support, smoothed
+    by DEFAULT_SMOOTHING and renormalized: the bin indices once, then one
+    bincount over row x bin. Score samples snap to the nearest option
+    score, the lower of two as near; durations clip into
+    MIN_DURATION_S..DURATION_HI, in DURATION_BINS bins; a difficulty is a
+    whole number in 1..5 and a request 0 or 1, as a SimulatedLog and a
+    Corpus hold them."""
     if measure is Measure.GAME_SCORE:
         # the nearest option score, the first of equal distances
         idx = np.zeros(rows.shape, dtype=int)
@@ -166,61 +130,10 @@ def _kl_of(p: list, q: list) -> float:
 
 
 def _mean_squared_errors(simulated: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """The mean squared error of each row pair: inf where the mean
-    overflows, nan for rows of no pairs (the sum over n, as np.mean takes
-    it, without its warning on an empty row)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.add.reduce((simulated - reference) ** 2, axis=1) / simulated.shape[1]
-
-
-def _overflow(error: float) -> ValueOutOfRange:
-    return ValueOutOfRange("mean squared error", error, detail="overflows the float range")
-
-
-def kl_divergence(p, q) -> float:
-    """Base-2 KL divergence D(P || Q) of the renormalized vectors; mass of
-    P on a zero of Q yields inf, and 0 * log(0/q) contributes 0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise LengthMismatch(f"shape mismatch: {p.shape} vs {q.shape}")
-    _check_finite("p", p)
-    _check_finite("q", q)
-    if (p < 0).any() or (q < 0).any():
-        raise NegativeEntry("probability vectors must be non-negative")
-    # a vector whose sum leaves the float range is scaled by its maximum first
+    """The mean squared error of each row pair of samples, the sum over n
+    as np.mean takes it: inf where it overflows."""
     with np.errstate(over="ignore"):
-        p, q = (x if np.isfinite(x.sum()) else x / x.max() for x in (p, q))
-    if p.sum() <= 0 or q.sum() <= 0:
-        raise EmptySequence("probability vector has no mass")
-    return _kl_divergences(p[None], q[None])[0]
-
-
-def mse(simulated, reference) -> float:
-    """Mean squared error over index-aligned pairs; booleans count 0/1."""
-    sim = np.asarray(simulated, dtype=float)
-    ref = np.asarray(reference, dtype=float)
-    if sim.shape != ref.shape or sim.ndim != 1:
-        raise LengthMismatch(f"shape mismatch: {sim.shape} vs {ref.shape}")
-    if sim.size == 0:
-        raise EmptySequence("cannot average zero squared errors")
-    _check_finite("simulated", sim)
-    _check_finite("reference", ref)
-    error = float(_mean_squared_errors(sim[None], ref[None])[0])
-    if not math.isfinite(error):
-        raise _overflow(error)
-    return error
-
-
-def estimate_distribution(values, measure: Measure) -> np.ndarray:
-    """Empirical histogram on the measure's support, smoothed by
-    DEFAULT_SMOOTHING and renormalized. Score samples snap to the nearest
-    attainable option score, ties to the lower one; durations clip into
-    MIN_DURATION_S..DURATION_HI, in DURATION_BINS bins; a difficulty must
-    be a whole number in 1..5 and a request value 0 or 1."""
-    rows = np.asarray(list(values), dtype=float)[None]
-    _check_samples(rows, measure)
-    return _histograms(rows, measure)[0]
+        return np.add.reduce((simulated - reference) ** 2, axis=1) / simulated.shape[1]
 
 
 @dataclass(frozen=True)
@@ -260,12 +173,17 @@ class FidelityReport:
 
 def evaluate_simulator(simulated: SimulatedLog, mode_tag: str) -> FidelityReport:
     """Distances between a replay log and the corpus it replayed, each
-    measure compared at each step in one array pass."""
+    measure compared at each step in one array pass. The log and the corpus
+    checked their samples when they were built, so only an empty corpus
+    (EmptySequence) and a step whose squared errors overflow
+    (ValueOutOfRange) are refused here."""
     corpus = simulated.corpus
     n = corpus.n_dialogs
     per_step_kl = {}
     per_step_mse = {}
     for measure in MEASURES:
+        if not n:
+            raise EmptySequence(f"no samples for {measure.value}")
         name = _MEASURE_FIELDS[measure]
         # (step, real then simulated, dialog), in C order, so each row sums
         # as the step's samples alone do: exchange i is dialog i // 12 at
@@ -273,17 +191,14 @@ def evaluate_simulator(simulated: SimulatedLog, mode_tag: str) -> FidelityReport
         pairs = np.empty((STEPS_PER_DIALOG, 2, n))
         for side, source in enumerate((corpus, simulated)):
             pairs[:, side] = np.reshape(getattr(source, name), (n, STEPS_PER_DIALOG)).T
-        rows = pairs.reshape(2 * STEPS_PER_DIALOG, n)
         errors = _mean_squared_errors(pairs[:, 1], pairs[:, 0])
-        # checked in the order a per-step loop meets them: a step's real
-        # samples, its simulated ones, then its MSE (which a non-finite
-        # sample also leaves non-finite), before the next step's
-        unfit = np.flatnonzero(~np.isfinite(errors))
-        if unfit.size:
-            _check_samples(rows[:2 * unfit[0] + 2], measure)
-            raise _overflow(float(errors[unfit[0]]))
-        _check_samples(rows, measure)
-        probs = _histograms(rows, measure)
+        # every sample is finite, so only a step's sum of squares can leave
+        # the float range
+        unfit = ~np.isfinite(errors)
+        if unfit.any():
+            raise ValueOutOfRange("mean squared error", float(errors[unfit][0]),
+                                  detail="overflows the float range")
+        probs = _histograms(pairs.reshape(2 * STEPS_PER_DIALOG, n), measure)
         per_step_kl[measure] = tuple(_kl_divergences(probs[0::2], probs[1::2]))
         per_step_mse[measure] = tuple(errors.tolist())
 

@@ -54,7 +54,7 @@ from .corpus import (
     write_dialog_rows,
     write_jsonl_rows,
 )
-from .errors import LengthMismatch
+from .errors import InvalidConfig, LengthMismatch
 from .sampling import (
     RandomStream,
     categoricals,
@@ -101,7 +101,9 @@ class SimulatedLog:
     """A replay: the corpus it replayed and the six drawn columns, as
     read-only numpy arrays. Row i is the turn drawn for the corpus's
     exchange i, whose context (user, dialog, step, complexity, act) the
-    corpus holds."""
+    corpus holds. A drawn column meets the rule of the Corpus column of its
+    name (`cast_column`), so a log holds no score, duration or difficulty
+    that a corpus would refuse."""
 
     corpus: Corpus
     game_score: np.ndarray
@@ -112,13 +114,16 @@ class SimulatedLog:
     used_fallback: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.corpus, Corpus):
+            raise InvalidConfig(f"corpus must be a Corpus, got {type(self.corpus).__name__}")
         for name, dtype in _DRAWN_DTYPES.items():
             values = getattr(self, name)
             column = np.array(values)
             if column.shape != (len(self),):
                 raise LengthMismatch(f"simulated log column {name} has shape "
                                      f"{column.shape}; the corpus has {len(self)} exchanges")
-            # the Corpus rule: no float read as an int, no number as a bool
+            # the Corpus rule: no float read as an int, no number as a bool,
+            # and the range of the Corpus column of that name
             column = cast_column(name, values, column, dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)

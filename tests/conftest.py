@@ -40,6 +40,7 @@ from trustsim.corpus import (
     SCALE_TRAITS,
     Corpus,
     DURATION_FLOOR_S,
+    DURATION_HI,
     EXCHANGE_COLUMNS,
     GENDER_ORDER,
     Gender,
@@ -58,6 +59,7 @@ from trustsim.corpus import (
     option_scores,
 )
 from trustsim.errors import (
+    EmptySequence,
     IncompleteDialog,
     InsufficientUsers,
     InvalidBounds,
@@ -68,11 +70,12 @@ from trustsim.errors import (
 )
 from trustsim.fidelity import (
     _MEASURE_FIELDS,
+    DEFAULT_SMOOTHING,
+    DURATION_BINS,
     MEASURES,
+    SCORE_SUPPORT,
     FidelityReport,
-    estimate_distribution,
-    kl_divergence,
-    mse,
+    Measure,
 )
 from trustsim.rl_env import (
     N_ACTIONS,
@@ -917,11 +920,54 @@ def reference_replay(corpus, table, rng) -> list:
 
 
 
+def loop_estimate(values, measure):
+    """The per-sample loops evaluate_simulator's histograms replaced, kept
+    as the reference they must match bit for bit: a smoothed, renormalized
+    histogram of one row of samples."""
+    if measure is Measure.GAME_SCORE:
+        counts = np.zeros(len(SCORE_SUPPORT))
+        for v in values:
+            nearest = min(range(len(SCORE_SUPPORT)),
+                          key=lambda i: (abs(SCORE_SUPPORT[i] - float(v)), i))
+            counts[nearest] += 1
+    elif measure is Measure.DURATION:
+        counts = np.zeros(DURATION_BINS)
+        width = (DURATION_HI - MIN_DURATION_S) / DURATION_BINS
+        for v in values:
+            x = min(max(float(v), MIN_DURATION_S), DURATION_HI)
+            idx = min(int((x - MIN_DURATION_S) / width), DURATION_BINS - 1)
+            counts[idx] += 1
+    elif measure is Measure.DIFFICULTY:
+        counts = np.zeros(5)
+        for v in values:
+            counts[int(v) - 1] += 1
+    else:
+        counts = np.zeros(2)
+        for v in values:
+            counts[1 if v else 0] += 1
+    probs = counts / counts.sum()
+    probs = probs + DEFAULT_SMOOTHING
+    probs = probs / probs.sum()
+    return probs
+
+
+def reference_kl(p, q) -> float:
+    """Base-2 D(P || Q) of two histograms, renormalized, summed term by
+    term in Python floats."""
+    p, q = (np.asarray(x, dtype=float) for x in (p, q))
+    total = 0.0
+    for pi, qi in zip((p / p.sum()).tolist(), (q / q.sum()).tolist()):
+        if pi > 0.0:
+            total += math.inf if qi == 0.0 else pi * math.log2(pi / qi)
+    return max(0.0, total)
+
+
 def reference_evaluate_simulator(simulated, mode_tag) -> FidelityReport:
     """The per-step loop evaluate_simulator replaced, kept as its oracle:
-    for each measure and step, the public estimate_distribution of the
-    step's real samples, then of its simulated ones, their kl_divergence,
-    and the mse of the samples."""
+    for each measure and step, loop_estimate of the step's real samples and
+    of its simulated ones, their reference_kl, and np.mean of the squared
+    errors; an empty corpus has no samples, and a mean that overflows is
+    out of range."""
     corpus = simulated.corpus
     at_step = [corpus.step == step for step in range(1, STEPS_PER_DIALOG + 1)]
     per_step_kl = {}
@@ -933,10 +979,16 @@ def reference_evaluate_simulator(simulated, mode_tag) -> FidelityReport:
         kls, mses = [], []
         for rows in at_step:
             real_vals, sim_vals = real[rows], sim[rows]
-            p = estimate_distribution(real_vals, measure)
-            q = estimate_distribution(sim_vals, measure)
-            kls.append(kl_divergence(p, q))
-            mses.append(mse(sim_vals, real_vals))
+            if not real_vals.size:
+                raise EmptySequence(f"no samples for {measure.value}")
+            with np.errstate(over="ignore"):
+                error = float(np.mean((sim_vals - real_vals) ** 2))
+            if not math.isfinite(error):
+                raise ValueOutOfRange("mean squared error", error,
+                                      detail="overflows the float range")
+            kls.append(reference_kl(loop_estimate(real_vals, measure),
+                                    loop_estimate(sim_vals, measure)))
+            mses.append(error)
         per_step_kl[measure] = tuple(kls)
         per_step_mse[measure] = tuple(mses)
     return FidelityReport(mode_tag=mode_tag, per_step_kl=per_step_kl,

@@ -43,7 +43,7 @@ from trustsim.corpus import (
     split_corpus,
 )
 from trustsim.errors import EpisodeFinished
-from trustsim.fidelity import Measure, compare_modes, evaluate_simulator, kl_divergence
+from trustsim.fidelity import Measure, _kl_divergences, compare_modes, evaluate_simulator
 from trustsim.rl_env import Hyperparams, N_STATES, TrustSimEnv, train_tabular_policy
 from trustsim.sampling import RandomStream
 from trustsim.simulator import replay_conditions
@@ -80,6 +80,9 @@ def test_absolute_benchmark_substitution():
 
 
 def test_kl_divergence_fixtures():
+    def kl_divergence(p, q):
+        return _kl_divergences(np.array([p]), np.array([q]))[0]
+
     identical = kl_divergence([0.2, 0.3, 0.5], [0.2, 0.3, 0.5])
     point = kl_divergence([1.0, 0.0], [0.5, 0.5])
     swapped = kl_divergence([0.3, 0.7], [0.7, 0.3])

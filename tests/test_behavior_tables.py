@@ -246,6 +246,12 @@ class TestBuildTableExactCells:
             build_table(small_corpus, TableMode.COMPLEXITY_BASED,
                         fallback_threshold=2.5)
 
+    @pytest.mark.parametrize("mode", ["task-step", None, 1])
+    def test_a_table_of_a_mode_that_is_no_table_mode_is_invalid(self, small_corpus, mode):
+        table = build_table(small_corpus, TableMode.TASK_STEP_BASED)
+        with pytest.raises(InvalidConfig, match=f"^mode must be a TableMode, got {mode!r}$"):
+            dataclasses.replace(table, mode=mode)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
             build_table(corpus_from_rows((), {}), TableMode.COMPLEXITY_BASED)

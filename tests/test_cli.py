@@ -8,10 +8,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import trustsim
 
 from conftest import TABLE_CORRUPTIONS, TABLE_MALFORMATIONS, model_keeping
 from trustsim.behavior_tables import TABLE_FORMAT, TableMode, build_table, load_table
@@ -505,6 +511,30 @@ class TestExitCodes:
         assert main([stage, *(cell for item in options.items() for cell in item)]) == 1
         kind = "float" if "." in text else "int"
         assert f"{option}: invalid {kind} value: '{text}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_module_runs_as_a_process(self, work, fit_dir):
+        """`python -m trustsim.cli` exits with main's code: 0 for --help, 1
+        for a usage error, 2 for a validation error."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(trustsim.__file__).parent.parent),
+                          os.environ.get("PYTHONPATH")]))}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "trustsim.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        assert run("--help").returncode == 0
+        out = work / "x-process"
+        underscore = run("train-rl", "--fit", str(fit_dir), "--seed", "5",
+                         "--episodes", "2_0", "--out", str(out))
+        assert underscore.returncode == 1
+        assert "--episodes: invalid int value: '2_0'" in underscore.stderr
+        assert not out.exists()
+        missing = run("fit", "--corpus", str(work / "missing.csv"), "--seed", "1",
+                      "--out", str(out))
+        assert missing.returncode == 2
+        assert json.loads(missing.stderr)["error"] == "InvalidConfig"
         assert not out.exists()
 
     def test_bad_train_fraction_maps_to_2(self, work, corpus_file):

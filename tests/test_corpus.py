@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -152,6 +153,16 @@ class TestCorpusArrayChecks:
         columns = corpus_columns(make_corpus(n_users=2))
         columns["user_id"] = ("u0", 1)
         with pytest.raises(ValueOutOfRange, match="user_id=1"):
+            Corpus(**columns)
+
+    @pytest.mark.parametrize("dialog_id", [6, None, b"d1", 1.5])
+    def test_dialog_id_that_is_no_string(self, dialog_id):
+        """An id that is no string would not come back from a file as it
+        went in: 6 loads as "6", and a JSON null not at all."""
+        columns = corpus_columns(make_corpus(n_users=2))
+        columns["dialog_id"] = ("d0", dialog_id)
+        with pytest.raises(ValueOutOfRange,
+                           match=f"^dialog_id={re.escape(repr(dialog_id))} out of range: a string$"):
             Corpus(**columns)
 
     # each is a value the cast to the column's dtype would change silently
@@ -612,6 +623,25 @@ class TestJsonlValueTypes:
             edits = {(row, field): value for row in range(1, 13)}
         rewrite_objects(path, edits)
         assert load_corpus(path) == reference_load_corpus(path)
+
+    def test_blank_lines_are_skipped_and_not_counted_as_rows(self, tmp_path):
+        corpus = make_corpus(n_users=2)
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        spaced = tmp_path / "spaced.jsonl"
+
+        def write_spaced():
+            spaced.write_text("\n" + "\n \n".join(lines) + "\n\t\n", encoding="utf-8")
+
+        write_spaced()
+        assert load_corpus(spaced) == corpus
+        row = json.loads(lines[5])
+        row["difficulty"] = 9
+        lines[5] = json.dumps(row)
+        write_spaced()
+        with pytest.raises(ValueOutOfRange, match=r"^difficulty=9 out of range \(row 6\)$"):
+            load_corpus(spaced)
 
     def test_csv_integer_text_rules_unchanged(self, tmp_path):
         path = tmp_path / "c.csv"

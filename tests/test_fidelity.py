@@ -1,4 +1,4 @@
-"""Distance primitives, histogram estimation, and report assembly."""
+"""Distance kernels, histogram estimation, and report assembly."""
 
 from __future__ import annotations
 
@@ -9,12 +9,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (any_outcome, corpus_from_rows, exchanges_of,
+from conftest import (any_outcome, corpus_from_rows, exchanges_of, loop_estimate,
                       reference_evaluate_simulator, summary_of)
 from trustsim import fidelity
 from trustsim.behavior_tables import TableMode, build_table
 from trustsim.corpus import DURATION_HI, MIN_DURATION_S
-from trustsim.errors import EmptySequence, LengthMismatch, NegativeEntry, ValueOutOfRange
+from trustsim.errors import EmptySequence, ValueOutOfRange
 from trustsim.fidelity import (
     DEFAULT_SMOOTHING,
     DURATION_BINS,
@@ -23,10 +23,7 @@ from trustsim.fidelity import (
     Measure,
     SCORE_SUPPORT,
     compare_modes,
-    estimate_distribution,
     evaluate_simulator,
-    kl_divergence,
-    mse,
     render_report_text,
     report_csv_rows,
 )
@@ -35,137 +32,88 @@ from trustsim.simulator import SimulatedLog, replay_conditions
 from trustsim.synth import GeneratorConfig, generate_synthetic_corpus
 
 
+def kl(p, q) -> float:
+    """_kl_divergences on one row pair."""
+    return fidelity._kl_divergences(np.array([p], dtype=float), np.array([q], dtype=float))[0]
+
+
+def histogram(values, measure) -> np.ndarray:
+    """_histograms of one row of samples."""
+    return fidelity._histograms(np.array([values], dtype=float), measure)[0]
+
+
 class TestKLDivergence:
     def test_identity_is_exactly_zero(self):
         for p in ([0.5, 0.5], [0.2, 0.3, 0.5], [1.0]):
-            assert kl_divergence(p, p) == 0.0
+            assert kl(p, p) == 0.0
 
     def test_certain_vs_fair_coin(self):
-        assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
+        assert kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
 
     def test_swapped_biased_coin(self):
         expected = 0.3 * math.log2(3 / 7) + 0.7 * math.log2(7 / 3)
-        got = kl_divergence([0.3, 0.7], [0.7, 0.3])
+        got = kl([0.3, 0.7], [0.7, 0.3])
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.4892, abs=1e-3)
 
     def test_not_symmetric(self):
-        forward = kl_divergence([0.2, 0.8], [0.5, 0.5])
-        backward = kl_divergence([0.5, 0.5], [0.2, 0.8])
+        forward = kl([0.2, 0.8], [0.5, 0.5])
+        backward = kl([0.5, 0.5], [0.2, 0.8])
         assert forward != pytest.approx(backward, abs=1e-6)
 
     def test_zero_in_q_diverges(self):
-        assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == math.inf
+        assert kl([0.5, 0.5], [1.0, 0.0]) == math.inf
 
     def test_zero_in_p_contributes_nothing(self):
-        assert kl_divergence([0.0, 1.0], [0.5, 0.5]) == pytest.approx(1.0)
+        assert kl([0.0, 1.0], [0.5, 0.5]) == pytest.approx(1.0)
 
     def test_smoothing_keeps_disjoint_support_finite(self):
-        # estimate_distribution smooths, so histograms with disjoint
-        # support still give a finite, large divergence
-        p = estimate_distribution([1, 1, 1], Measure.DIFFICULTY)
-        q = estimate_distribution([5, 5, 5], Measure.DIFFICULTY)
-        val = kl_divergence(p, q)
+        # the histograms are smoothed, so histograms with disjoint support
+        # still give a finite, large divergence
+        p = histogram([1, 1, 1], Measure.DIFFICULTY)
+        q = histogram([5, 5, 5], Measure.DIFFICULTY)
+        val = kl(p, q)
         assert math.isfinite(val)
         assert val > 10.0
 
     def test_unnormalized_inputs_are_rescaled(self):
-        assert kl_divergence([2.0, 2.0], [1.0, 1.0]) == 0.0
-        assert kl_divergence([4, 0], [1, 1]) == pytest.approx(1.0)
-
-    def test_sums_beyond_the_float_range_are_rescaled(self):
-        # p sums to inf; scaled by its maximum first, it is the vector [1, 1]
-        closed_form = 0.5 + 0.5 * math.log2(0.5 / 0.75)
-        assert kl_divergence([1e308, 1e308], [1, 3]) == kl_divergence([1, 1], [1, 3])
-        assert kl_divergence([1e308, 1e308], [1, 3]) == pytest.approx(closed_form)
-        assert kl_divergence([1, 3], [1e308, 1e308]) == kl_divergence([1, 3], [1, 1])
+        assert kl([2.0, 2.0], [1.0, 1.0]) == 0.0
+        assert kl([4, 0], [1, 1]) == pytest.approx(1.0)
 
     def test_nonnegative_on_random_distributions(self):
         gen = np.random.default_rng(17)
-        for _ in range(200):
-            p = gen.dirichlet(np.ones(6))
-            q = gen.dirichlet(np.ones(6))
-            assert kl_divergence(p, q) >= 0.0
-
-    def test_validation(self):
-        with pytest.raises(LengthMismatch):
-            kl_divergence([0.5, 0.5], [1.0])
-        with pytest.raises(NegativeEntry):
-            kl_divergence([-0.1, 1.1], [0.5, 0.5])
-        with pytest.raises(EmptySequence):
-            kl_divergence([0.0, 0.0], [0.5, 0.5])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_p_is_rejected(self, bad):
-        with pytest.raises(ValueOutOfRange, match="^p=.* must be finite"):
-            kl_divergence([bad, 1.0], [1.0, 1.0])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_q_is_rejected(self, bad):
-        with pytest.raises(ValueOutOfRange, match="^q=.* must be finite"):
-            kl_divergence([1.0, 1.0], [bad, 1.0])
+        p = gen.dirichlet(np.ones(6), 200)
+        q = gen.dirichlet(np.ones(6), 200)
+        assert min(fidelity._kl_divergences(p, q)) >= 0.0
 
 
 class TestMse:
     def test_hand_oracle(self):
-        assert mse([1, 2, 3], [1, 1, 5]) == pytest.approx(5 / 3)
+        got = fidelity._mean_squared_errors(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]),
+                                            np.array([[1.0, 1.0, 5.0], [1.0, 1.0, 1.0]]))
+        assert got.tolist() == pytest.approx([5 / 3, 1.0])
 
-    def test_booleans_count_binary(self):
-        assert mse([True, False], [False, False]) == pytest.approx(0.5)
+    def test_booleans_count_binary(self, small_corpus):
+        log = replace(log_from_corpus(small_corpus), help_request=~small_corpus.help_request)
+        report = evaluate_simulator(log, "x")
+        assert report.per_step_mse[Measure.HELP_REQUEST] == (1.0,) * 12
+        assert report.per_step_mse[Measure.SUGGESTION_REQUEST] == (0.0,) * 12
 
-    def test_validation(self):
-        with pytest.raises(LengthMismatch):
-            mse([1, 2], [1])
-        with pytest.raises(EmptySequence):
-            mse([], [])
-
-    def test_overflowing_squared_error_is_rejected(self):
+    def test_overflowing_squared_error_is_rejected(self, small_corpus):
+        assert fidelity._mean_squared_errors(np.array([[1e200]]),
+                                             np.array([[-1e200]])).tolist() == [math.inf]
+        score = small_corpus.game_score.copy()
+        score[3] = 1e200
+        log = replace(log_from_corpus(small_corpus), game_score=score)
         with pytest.raises(ValueOutOfRange, match="^mean squared error=inf .* overflows"):
-            mse([1e200], [-1e200])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_values_are_rejected(self, bad):
-        with pytest.raises(ValueOutOfRange, match="^simulated=.* must be finite"):
-            mse([1.0, bad], [1.0, 1.0])
-        with pytest.raises(ValueOutOfRange, match="^reference=.* must be finite"):
-            mse([1.0, 1.0], [bad, 1.0])
+            evaluate_simulator(log, "x")
 
 
 def smoothed(probs) -> np.ndarray:
-    """A raw histogram smoothed and renormalized as estimate_distribution
+    """A raw histogram smoothed and renormalized as evaluate_simulator
     smooths its own."""
     probs = np.asarray(probs, dtype=float) + DEFAULT_SMOOTHING
     return probs / probs.sum()
-
-
-def loop_estimate(values, measure):
-    """The per-sample loops estimate_distribution replaced, kept as the
-    reference its vectorized form must match bit for bit."""
-    if measure is Measure.GAME_SCORE:
-        counts = np.zeros(len(SCORE_SUPPORT))
-        for v in values:
-            nearest = min(range(len(SCORE_SUPPORT)),
-                          key=lambda i: (abs(SCORE_SUPPORT[i] - float(v)), i))
-            counts[nearest] += 1
-    elif measure is Measure.DURATION:
-        counts = np.zeros(DURATION_BINS)
-        width = (DURATION_HI - MIN_DURATION_S) / DURATION_BINS
-        for v in values:
-            x = min(max(float(v), MIN_DURATION_S), DURATION_HI)
-            idx = min(int((x - MIN_DURATION_S) / width), DURATION_BINS - 1)
-            counts[idx] += 1
-    elif measure is Measure.DIFFICULTY:
-        counts = np.zeros(5)
-        for v in values:
-            counts[int(v) - 1] += 1
-    else:
-        counts = np.zeros(2)
-        for v in values:
-            counts[1 if v else 0] += 1
-    probs = counts / counts.sum()
-    probs = probs + DEFAULT_SMOOTHING
-    probs = probs / probs.sum()
-    return probs
 
 
 EXCHANGE_FIELDS = {
@@ -213,79 +161,81 @@ def corpus_samples(measure):
                     dtype=float)
 
 
+def refused_sample(corpus, measure, value) -> ValueOutOfRange:
+    """The error building a log of the corpus's own turns, value at exchange
+    7 of the measure's column, raises."""
+    name = EXCHANGE_FIELDS[measure]
+    column = getattr(corpus, name).tolist()
+    column[7] = value
+    with pytest.raises(ValueOutOfRange, match=f"^{name}=") as refused:
+        replace(log_from_corpus(corpus), **{name: column})
+    return refused.value
+
+
 class TestEstimateDistribution:
+    """The per-step histograms (`_histograms`), and the samples they have no
+    bin for, which a SimulatedLog refuses when it is built."""
+
     @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.value)
     @pytest.mark.parametrize("samples", [mixed_samples, single_samples,
                                          corpus_samples],
                              ids=["mixed", "single", "corpus"])
     def test_matches_the_per_sample_loop(self, measure, samples):
         values = samples(measure)
-        got = estimate_distribution(values, measure)
-        assert np.array_equal(got, loop_estimate(values, measure))
+        assert np.array_equal(histogram(values, measure), loop_estimate(values, measure))
 
     @pytest.mark.parametrize("difficulty", [0, 6])
-    def test_difficulty_outside_likert_range_rejected(self, difficulty):
-        with pytest.raises(ValueOutOfRange):
-            estimate_distribution([3, difficulty], Measure.DIFFICULTY)
+    def test_difficulty_outside_likert_range_rejected(self, small_corpus, difficulty):
+        error = refused_sample(small_corpus, Measure.DIFFICULTY, difficulty)
+        assert str(error) == f"difficulty={difficulty} out of range"
+
+    @pytest.mark.parametrize("difficulty", [2.5, 3.9, 5.5, 1.0 + 2 ** -40])
+    def test_difficulty_that_is_not_whole_rejected(self, small_corpus, difficulty):
+        # a float column is not cast, so 2.5 is not binned as 2
+        error = refused_sample(small_corpus, Measure.DIFFICULTY, difficulty)
+        assert str(error).endswith("out of range: a column of float64")
+
+    @pytest.mark.parametrize("measure", [Measure.HELP_REQUEST, Measure.SUGGESTION_REQUEST],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("value", [0.5, 2, -1, 1e-300])
+    def test_request_that_is_not_0_or_1_rejected(self, small_corpus, measure, value):
+        refused_sample(small_corpus, measure, value)
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, small_corpus, measure, bad):
+        error = refused_sample(small_corpus, measure, bad)
+        if measure in (Measure.GAME_SCORE, Measure.DURATION):
+            assert repr(error.value) == repr(bad)
 
     def test_scores_snap_to_nearest_option(self):
-        probs = estimate_distribution([10, 14, 16, 30, 50], Measure.GAME_SCORE)
+        probs = histogram([10, 14, 16, 30, 50], Measure.GAME_SCORE)
         assert SCORE_SUPPORT == (10.0, 20.0, 30.0, 40.0, 50.0)
         assert probs.tolist() == smoothed([0.4, 0.2, 0.2, 0.0, 0.2]).tolist()
 
     def test_score_ties_snap_downward(self):
-        probs = estimate_distribution([15.0], Measure.GAME_SCORE)
+        probs = histogram([15.0], Measure.GAME_SCORE)
         assert probs.tolist() == smoothed([1.0, 0.0, 0.0, 0.0, 0.0]).tolist()
 
     def test_duration_binning_edges(self):
         # width (300-20)/20 = 14; clipping pulls outliers into end bins
-        probs = estimate_distribution([21, 33.9, 34, 299, 500, 5], Measure.DURATION)
+        probs = histogram([21, 33.9, 34, 299, 500, 5], Measure.DURATION)
         raw = np.zeros(DURATION_BINS)
         raw[[0, 1, 19]] = [3 / 6, 1 / 6, 2 / 6]
         assert probs.tolist() == pytest.approx(smoothed(raw).tolist())
 
     def test_difficulty_counts(self):
-        probs = estimate_distribution([1, 1, 3, 5], Measure.DIFFICULTY)
+        probs = histogram([1, 1, 3, 5], Measure.DIFFICULTY)
         assert probs.tolist() == smoothed([0.5, 0.0, 0.25, 0.0, 0.25]).tolist()
 
     def test_boolean_measures(self):
-        probs = estimate_distribution([True, False, True], Measure.HELP_REQUEST)
+        probs = histogram([True, False, True], Measure.HELP_REQUEST)
         assert probs.tolist() == pytest.approx(smoothed([1 / 3, 2 / 3]).tolist())
 
     def test_smoothing_renormalizes(self):
-        probs = estimate_distribution([1, 1, 1, 1], Measure.DIFFICULTY)
+        probs = histogram([1, 1, 1, 1], Measure.DIFFICULTY)
         assert probs.sum() == pytest.approx(1.0)
         assert probs.min() > 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySequence):
-            estimate_distribution([], Measure.DIFFICULTY)
-
-    @pytest.mark.parametrize("difficulty", [2.5, 3.9, 5.5, 1.0 + 2 ** -40])
-    def test_difficulty_that_is_not_whole_rejected(self, difficulty):
-        # the sample is named as a Python float, not by its numpy repr
-        with pytest.raises(ValueOutOfRange, match=f"^difficulty={re.escape(repr(difficulty))} "
-                                                  f"out of range: must be a whole number$"):
-            estimate_distribution([3, difficulty], Measure.DIFFICULTY)
-
-    def test_difficulty_range_is_checked_before_wholeness(self):
-        with pytest.raises(ValueOutOfRange, match=r"^difficulty=0\.5 out of range: must be in 1\.\.5$"):
-            estimate_distribution([2.5, 0.5], Measure.DIFFICULTY)
-
-    @pytest.mark.parametrize("measure", [Measure.HELP_REQUEST, Measure.SUGGESTION_REQUEST],
-                             ids=lambda m: m.value)
-    @pytest.mark.parametrize("value", [0.5, 2, -1, 1e-300])
-    def test_request_that_is_not_0_or_1_rejected(self, measure, value):
-        field = EXCHANGE_FIELDS[measure]
-        with pytest.raises(ValueOutOfRange, match=f"^{field}={re.escape(repr(float(value)))} "
-                                                  f"out of range: must be 0 or 1$"):
-            estimate_distribution([True, value], measure)
-
-    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.value)
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_sample_rejected(self, measure, bad):
-        with pytest.raises(ValueOutOfRange, match="must be finite"):
-            estimate_distribution([1, bad], measure)
 
 
 def log_from_corpus(corpus, score_delta=0.0, duration_delta=0.0,
@@ -376,23 +326,36 @@ class TestArrayPass:
         assert (any_outcome(lambda log: evaluate_simulator(log, "x"), log)
                 == any_outcome(lambda log: reference_evaluate_simulator(log, "x"), log))
 
-    @pytest.mark.parametrize("plants", [
+    @pytest.mark.parametrize("plants, built", [
         # (column, exchange, value): step is exchange % 12 + 1
-        [("game_score", 30, math.nan)],
-        [("duration", 5, math.inf), ("difficulty", 2, 6)],
-        [("difficulty", 14, 0), ("difficulty", 24, 6)],
-        # an MSE that overflows at a step before one holding a bad sample
-        [("game_score", 15, 1e200), ("game_score", 4, math.nan)],
-        [("game_score", 15, 1e200), ("game_score", 3, math.nan)],
-        [("duration", 27, -1e300)],
+        ([("game_score", 30, math.nan)], False),
+        ([("duration", 5, math.inf), ("difficulty", 2, 6)], False),
+        ([("difficulty", 14, 0), ("difficulty", 24, 6)], False),
+        ([("game_score", 15, 1e200), ("game_score", 4, math.nan)], False),
+        ([("game_score", 15, 1e200), ("game_score", 3, math.nan)], False),
+        ([("duration", 27, -1e300)], False),
+        # in range, but a step's squared errors overflow
+        ([("game_score", 15, 1e200)], True),
+        ([("duration", 27, 1e300)], True),
+        ([("duration", 3, 1e300), ("game_score", 40, 1e200)], True),
     ], ids=["nan", "duration-before-difficulty", "difficulty-at-the-first-step",
-            "overflow-first", "nan-at-the-overflow-step", "overflow-only"])
-    def test_a_rejected_log_raises_as_the_loop_did(self, small_corpus, plants):
+            "overflow-first", "nan-at-the-overflow-step", "overflow-only",
+            "score-overflow", "duration-overflow", "both-overflow"])
+    def test_a_rejected_log_raises_as_the_loop_did(self, small_corpus, plants, built):
+        """A value out of its column's range is refused when the log is
+        built, as a corpus refuses it; a log of values in range whose
+        squared errors overflow is refused by evaluate_simulator as by the
+        loop."""
         columns = {name: np.array(getattr(small_corpus, name))
                    for name in ("game_score", "duration", "difficulty")}
         for name, exchange, value in plants:
             columns[name][exchange] = value
-        log = replace(log_from_corpus(small_corpus), **columns)
+        log = any_outcome(lambda columns: replace(log_from_corpus(small_corpus), **columns),
+                          columns)
+        if not built:
+            assert log[0] is ValueOutOfRange
+            assert log == any_outcome(lambda columns: replace(small_corpus, **columns), columns)
+            return
         got = any_outcome(lambda log: evaluate_simulator(log, "x"), log)
         assert got[0] is ValueOutOfRange
         assert got == any_outcome(lambda log: reference_evaluate_simulator(log, "x"), log)

@@ -32,7 +32,7 @@ from trustsim import rl_env
 from trustsim.behavior_tables import TableMode, build_table
 from trustsim.corpus import (ACT_ORDER, AGE_MAX, AGE_MIN, GENDER_ORDER, SCALE_TRAITS,
                             ProactiveAct, complexity_of_step)
-from trustsim.errors import EpisodeFinished, InvalidConfig, InvalidHyperparams
+from trustsim.errors import EpisodeFinished, InvalidConfig, InvalidHyperparams, SchemaMismatch
 from trustsim.rl_env import (
     EnvState,
     Hyperparams,
@@ -279,6 +279,14 @@ class TestEnvMechanics:
         name = argument.replace("_", " ")
         with pytest.raises(InvalidConfig, match=f"^{name} must be a "):
             TrustSimEnv(**{**good, argument: bad})
+
+    def test_a_model_of_another_feature_count_is_a_schema_mismatch(self):
+        env = deterministic_env()
+        model = TrustClassifier(TRUST_CLASSES, np.zeros((len(TRUST_CLASSES), 10)),
+                                np.zeros(len(TRUST_CLASSES)))
+        with pytest.raises(SchemaMismatch, match=rf"^expected {len(FEATURE_NAMES)} features, "
+                                                 r"got \(5, 10\)$"):
+            TrustSimEnv(env.table, env.traits, model)
 
     def test_non_act_action_rejected(self):
         env = deterministic_env()

@@ -342,6 +342,25 @@ class TestSimulatedLog:
         with pytest.raises(ValueOutOfRange, match=name):
             replace(log, **{name: column})
 
+    @pytest.mark.parametrize("name,value", [
+        ("game_score", -1e-300), ("game_score", math.nan), ("duration", 20.0),
+        ("duration", -1e300), ("difficulty", 6), ("difficulty", 2.5), ("help_request", 0.5)])
+    def test_a_value_a_corpus_refuses_is_refused(self, log, small_corpus, name, value):
+        """A drawn column meets the rule of the Corpus column of its name:
+        the log refuses, when it is built, what a corpus refuses, alike."""
+        column = [*getattr(log, name).tolist()[:7], value, *getattr(log, name).tolist()[8:]]
+        with pytest.raises(ValueOutOfRange, match=f"^{name}=") as refused:
+            replace(log, **{name: column})
+        with pytest.raises(ValueOutOfRange) as refused_by_corpus:
+            replace(small_corpus, **{name: column})
+        assert str(refused.value) == str(refused_by_corpus.value)
+
+    @pytest.mark.parametrize("corpus", [None, "corpus", {}])
+    def test_a_corpus_that_is_no_corpus_is_invalid(self, log, corpus):
+        drawn = {name: getattr(log, name) for name in DRAWN_COLUMNS}
+        with pytest.raises(InvalidConfig, match="^corpus must be a Corpus, got "):
+            SimulatedLog(corpus=corpus, **drawn)
+
     def test_ints_are_floats_and_numpy_bools_are_bools(self, log):
         """The kinds a column may be taken from: ints for a float column."""
         as_ints = replace(log, game_score=log.game_score.astype(np.int64))

@@ -133,6 +133,16 @@ class TestTraitDistributions:
         with pytest.raises(InvalidConfig, match=message):
             dataclasses.replace(default_trait_distributions(), **{field: value})
 
+    @pytest.mark.parametrize("probs, message", [
+        ((0.5, 0.5), r"gender_probs needs \(male, female, other\)"),
+        ((0.25, 0.25, 0.25, 0.25), r"gender_probs needs \(male, female, other\)"),
+        # sums to 1, so only the sign check refuses it
+        ((1.5, -0.5, 0.0), "gender probabilities must be non-negative"),
+    ], ids=["two", "four", "negative"])
+    def test_gender_probs_of_another_length_or_sign_are_invalid(self, probs, message):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            dataclasses.replace(default_trait_distributions(), gender_probs=probs)
+
     def test_gender_probs_may_be_any_sequence(self):
         dists = dataclasses.replace(default_trait_distributions(),
                                     gender_probs=[0.5, 0.5, 0.0])
